@@ -1,0 +1,588 @@
+//! The flush side: landing fetched pages and failures in the store,
+//! routing frontier entries to their owning shards, and distillation.
+
+use super::*;
+
+impl CrawlSession {
+    /// Seed the frontier with the start set `D(C*)` at top priority.
+    ///
+    /// URLs are resolved through [`Fetcher::url_of`] (outside the lock)
+    /// so seeded rows — and the claims, checkpoints, and events cut from
+    /// them — carry real URLs rather than `""`. A fetcher that cannot
+    /// resolve metadata leaves the row oid-keyed with an empty URL; the
+    /// URL is then filled in when the page is fetched.
+    pub fn seed(&self, seeds: &[Oid]) -> DbResult<()> {
+        let entries: Vec<FrontierEntry> = seeds
+            .iter()
+            .map(|&oid| FrontierEntry {
+                oid,
+                url: self.fetcher.url_of(oid).unwrap_or_default(),
+                log_relevance: 0.0,
+                serverload: 0,
+            })
+            .collect();
+        self.seed_entries(entries)
+    }
+
+    /// Seed resolved frontier entries. In cluster mode, entries whose
+    /// host belongs to another shard are handed to the exchange (drained
+    /// by the owner's workers at page boundaries); a seed with no
+    /// resolvable URL falls back to `oid % n_shards`.
+    pub(crate) fn seed_entries(&self, entries: Vec<FrontierEntry>) -> DbResult<()> {
+        let local: Vec<FrontierEntry> = match &self.shard {
+            None => entries,
+            Some(ctx) => {
+                let mut local = Vec::with_capacity(entries.len());
+                let mut remote: Vec<Vec<FrontierEntry>> = vec![Vec::new(); ctx.n_shards];
+                for e in entries {
+                    let owner = crate::cluster::seed_owner(&e.url, e.oid, ctx.n_shards);
+                    if owner == ctx.shard {
+                        local.push(e);
+                    } else {
+                        remote[owner].push(e);
+                    }
+                }
+                for (owner, batch) in remote.into_iter().enumerate() {
+                    ctx.exchange.route(owner, batch);
+                }
+                local
+            }
+        };
+        let mut g = self.store.write();
+        self.clear_shard_idle();
+        frontier::upsert_batch(&mut g.db, &local)?;
+        // Seeds are acknowledged work: a durable session must not lose
+        // them to a crash before the first batch commit.
+        Self::commit_if_durable(&mut g.db)?;
+        drop(g);
+        Ok(())
+    }
+
+    /// Clear this shard's cluster-idle flag (no-op outside a cluster).
+    /// Must be called while holding the store write lock, **before**
+    /// inserting local frontier work, from any path that can insert
+    /// with no claims in flight (seeds, re-steer boosts, distiller
+    /// boosts, exchange landings). The lock orders the clear against
+    /// `next_tick`'s verdict, and clear-*before*-insert upholds the
+    /// coverage invariant [`crate::cluster::ShardExchange::try_finish`]
+    /// rests on: at no instant does poppable work exist on a shard
+    /// whose idle flag reads true.
+    pub(super) fn clear_shard_idle(&self) {
+        if let Some(ctx) = &self.shard {
+            ctx.exchange.clear_idle(ctx.shard);
+        }
+    }
+
+    /// Land cross-shard frontier entries routed to this shard: pop the
+    /// inbox, fill in the local server-load accounting (the classifying
+    /// shard does not track our servers), and upsert in one batch.
+    /// Called wherever the command queue drains — page boundaries, the
+    /// top of the worker loop, and the pause park — so exchange latency
+    /// matches steering latency; the cluster checkpoint also calls it
+    /// so no routed entry is left in an inbox a snapshot cannot see.
+    /// No-op outside a cluster or with an empty inbox.
+    pub(crate) fn drain_exchange(&self) {
+        let Some(ctx) = &self.shard else { return };
+        let batch = ctx.exchange.take(ctx.shard);
+        if batch.is_empty() {
+            return;
+        }
+        let n = batch.len();
+        let mut g = self.store.write();
+        let entries: Vec<FrontierEntry> = batch
+            .into_iter()
+            .map(|mut e| {
+                if !e.url.is_empty() {
+                    let sid = host_server_id(&e.url);
+                    e.serverload = g.server_counts.get(&sid).copied().unwrap_or(0);
+                }
+                e
+            })
+            .collect();
+        // Clear-before-insert under the store lock (see
+        // `clear_shard_idle`); the queued-gauge release follows outside
+        // the lock, after the upsert, so the entries stay covered
+        // throughout.
+        ctx.exchange.clear_idle(ctx.shard);
+        let res = frontier::upsert_batch(&mut g.db, &entries);
+        drop(g);
+        // `take` left these counted in the exchange's `queued` gauge so
+        // no cluster-idle verdict could fire while they were in neither
+        // an inbox nor a frontier; release them now that they landed.
+        // On error the run is aborting anyway — still release, or
+        // cluster termination would wedge on entries nobody will land.
+        ctx.exchange.landed(ctx.shard, n);
+        if let Err(e) = res {
+            self.record_error(e);
+        }
+    }
+
+    /// Flush accumulated batch failures under an already-held store
+    /// write lock. The in-flight gauge falls here, *after* the rows are
+    /// back in the frontier (or dead) — the same lock discipline
+    /// successes use, so idle verdicts stay race-free.
+    pub(super) fn flush_failures(
+        &self,
+        g: &mut StoreState,
+        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
+        sink: &EventSink,
+    ) -> DbResult<()> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let res = self.process_failures(g, pending, sink);
+        // Release the gauge even on error: the run is aborting, and
+        // `reset_run_diagnostics` treats lingering in-flight as stale
+        // anyway — matching the success path's unconditional decrement.
+        let n = pending.len();
+        pending.clear();
+        self.counters.in_flight.fetch_sub(n, Ordering::AcqRel);
+        if let Some(ctx) = &self.shard {
+            ctx.exchange.sub_in_flight(n);
+        }
+        res
+    }
+
+    /// [`CrawlSession::flush_failures`] for exit paths that do not
+    /// already hold the store lock.
+    pub(super) fn flush_failures_standalone(
+        &self,
+        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
+        sink: &EventSink,
+    ) {
+        if pending.is_empty() {
+            return;
+        }
+        let mut g = self.store.write();
+        if let Err(e) = self.flush_failures(&mut g, pending, sink) {
+            drop(g);
+            self.record_error(e);
+        }
+    }
+
+    pub(super) fn process(
+        &self,
+        g: &mut StoreState,
+        claim: &Claim,
+        result: Result<focus_webgraph::FetchedPage, FetchError>,
+        eval: Option<(EvalSummary, Vec<(ClassId, f64)>)>,
+        attempt: u64,
+        sink: &EventSink,
+    ) -> DbResult<()> {
+        let now = self.start.elapsed().as_secs() as i64;
+        g.db.set_current_timestamp(now);
+        match result {
+            Err(ref e) => self.process_failures(
+                g,
+                &[(claim.clone(), FetchErrorKind::from(e), attempt)],
+                sink,
+            ),
+            Ok(page) => {
+                // A successful fetch is always classified by
+                // `process_batch`; if the evaluation is missing anyway
+                // (an invariant break upstream), record the attempt as
+                // a retriable failure rather than panicking the worker
+                // — the page stays in the frontier and the pool stays
+                // alive. The server answered, so its breaker is not
+                // charged ([`FetchErrorKind::Unclassifiable`]).
+                let Some((summary, saved_probs)) = eval else {
+                    return self.process_failures(
+                        g,
+                        &[(claim.clone(), FetchErrorKind::Unclassifiable, attempt)],
+                        sink,
+                    );
+                };
+                // The fetch is over: hand back the per-server politeness
+                // slot charged at admission. Keyed by the *claim's* URL
+                // (the admission key) — `page.url` can differ (or the
+                // claim's can be empty for raw seeds), and releasing a
+                // different server would leak the slot forever.
+                g.health.release(host_server_id(&claim.url));
+                let r = summary.relevance;
+                let log_r = log_clamped(r);
+                frontier::mark_done(
+                    &mut g.db,
+                    page.oid,
+                    &page.url,
+                    log_r,
+                    summary.best_leaf.raw() as i64,
+                    now,
+                )?;
+                {
+                    // Tallies lock nests inside the store write lock
+                    // (module lock order), held just for the pushes so
+                    // `stats()` sees the series in db-commit order.
+                    let mut t = self.counters.tallies.lock();
+                    t.successes += 1;
+                    t.harvest.push((attempt, r));
+                    t.completion_order.push((page.oid, r));
+                }
+                g.relevance.insert(page.oid, r);
+                g.class_probs.insert(page.oid, saved_probs);
+                let sid_src = host_server_id(&page.url);
+                *g.server_counts.entry(sid_src).or_insert(0) += 1;
+                // A success closes the server's breaker (the half-open
+                // probe came back) and resets its failure streak.
+                if g.health.record_success(sid_src) {
+                    Self::write_server_health(&mut g.db, sid_src, g.health.get(sid_src))?;
+                    sink.emit(CrawlEvent::ServerRecovered { server: sid_src });
+                }
+
+                // Record links and expand the frontier. The whole page's
+                // LINK rows land through one batch insert and its
+                // outlink endorsements through one `upsert_batch` pass —
+                // one ordered index traversal each, instead of a full
+                // B+tree descent per outlink.
+                let expansion = g.policy.decide_eval(&summary);
+                let link_tid = g.db.table_id("link")?;
+                let mut link_rows = Vec::with_capacity(page.outlinks.len());
+                let mut expansions = Vec::new();
+                // Cluster routing: an outlink whose server hashes to
+                // another shard carries its endorsement (the saved
+                // priority from *this* shard's classification) through
+                // the exchange instead of the local frontier. The LINK
+                // row stays local — the edge was discovered here, and
+                // the distiller is per-shard.
+                let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
+                    Some(ctx) => vec![Vec::new(); ctx.n_shards],
+                    None => Vec::new(),
+                };
+                for (dst, dst_url) in &page.outlinks {
+                    let sid_dst = host_server_id(dst_url);
+                    g.links.push((page.oid, sid_src.raw(), *dst, sid_dst.raw()));
+                    link_rows.push(vec![
+                        Value::Int(page.oid.raw() as i64),
+                        Value::Int(sid_src.raw() as i64),
+                        Value::Int(dst.raw() as i64),
+                        Value::Int(sid_dst.raw() as i64),
+                        Value::Int(now),
+                    ]);
+                    if expansion.expand {
+                        let entry = FrontierEntry {
+                            oid: *dst,
+                            url: dst_url.clone(),
+                            log_relevance: expansion.child_log_relevance,
+                            // The owner fills in its own server-load
+                            // accounting at landing time.
+                            serverload: 0,
+                        };
+                        match owner_shard(&self.shard, sid_dst) {
+                            Some(owner) => remote[owner].push(entry),
+                            None => expansions.push(FrontierEntry {
+                                serverload: g.server_counts.get(&sid_dst).copied().unwrap_or(0),
+                                ..entry
+                            }),
+                        }
+                    }
+                }
+                g.db.insert_many(link_tid, link_rows)?;
+                frontier::upsert_batch(&mut g.db, &expansions)?;
+
+                // Backward expansion: a highly relevant page's *citers*
+                // are hub candidates (radius-2); enqueue them when the
+                // server exposes backlink metadata.
+                if let Some(threshold) = self.cfg.backlink_expansion_above {
+                    if r > threshold {
+                        if let Some(citers) = self.fetcher.backlinks(page.oid) {
+                            let prio = log_clamped(r * 0.8);
+                            let mut backlinks = Vec::new();
+                            for (src, src_url) in citers {
+                                let sid = host_server_id(&src_url);
+                                let entry = FrontierEntry {
+                                    oid: src,
+                                    url: src_url,
+                                    log_relevance: prio,
+                                    serverload: 0,
+                                };
+                                match owner_shard(&self.shard, sid) {
+                                    Some(owner) => remote[owner].push(entry),
+                                    None => backlinks.push(FrontierEntry {
+                                        serverload: g.server_counts.get(&sid).copied().unwrap_or(0),
+                                        ..entry
+                                    }),
+                                }
+                            }
+                            frontier::upsert_batch(&mut g.db, &backlinks)?;
+                        }
+                    }
+                }
+                // Hand cross-shard endorsements to their owners. Still
+                // under the store write lock, i.e. *before* this page's
+                // in-flight gauge falls: a peer shard that observes the
+                // cluster as idle can never miss these entries.
+                if let Some(ctx) = &self.shard {
+                    for (owner, batch) in remote.into_iter().enumerate() {
+                        ctx.exchange.route(owner, batch);
+                    }
+                }
+
+                sink.emit(CrawlEvent::PageClassified {
+                    oid: page.oid,
+                    attempt,
+                    relevance: r,
+                    best_leaf: summary.best_leaf,
+                });
+
+                // Distillation trigger (§3.1: "triggers to recompute
+                // relevance and centrality scores when the neighborhood
+                // of a page changed significantly").
+                g.since_distill += 1;
+                if let Some(every) = self.cfg.distill_every {
+                    if g.since_distill >= every {
+                        g.since_distill = 0;
+                        self.distill_locked(g, Some(sink))?;
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Record a batch of failed fetches in one critical section: route
+    /// server-attributable failures through the health map (backoff,
+    /// breaker, retry budget), write every row via one
+    /// [`frontier::mark_failed_batch`] pass, mirror breaker transitions
+    /// into `server_health`, and emit the enriched
+    /// [`CrawlEvent::FetchFailed`] events.
+    fn process_failures(
+        &self,
+        g: &mut StoreState,
+        failures: &[(Claim, FetchErrorKind, u64)],
+        sink: &EventSink,
+    ) -> DbResult<()> {
+        if failures.is_empty() {
+            return Ok(());
+        }
+        g.db.set_current_timestamp(self.start.elapsed().as_secs() as i64);
+        self.counters.tallies.lock().failures += failures.len() as u64;
+        let now = self.counters.clock.load(Ordering::Acquire) as i64;
+        let mut updates = Vec::with_capacity(failures.len());
+        // Per item: (quarantine opened by this failure, row is behind
+        // an open breaker) — computed in the first pass, consumed when
+        // events are cut after the rows land.
+        let mut verdicts = Vec::with_capacity(failures.len());
+        for (claim, kind, _) in failures {
+            // Every admitted claim charged exactly one politeness slot,
+            // whatever the failure kind; release it before the breaker
+            // bookkeeping, keyed as the admission was (the claim URL).
+            g.health.release(host_server_id(&claim.url));
+            let mut not_before = 0i64;
+            let mut quarantined: Option<(ServerId, u32, i64)> = None;
+            let mut behind_breaker = false;
+            if *kind == FetchErrorKind::Timeout {
+                // Only timeouts say anything about the *server*: a 404
+                // is a dead page on a live host, and an unclassifiable
+                // page was served fine.
+                let sid = host_server_id(&claim.url);
+                match g.health.record_failure(sid, now) {
+                    FailureVerdict::Backoff { not_before: nb } => {
+                        not_before = nb;
+                        behind_breaker = g
+                            .health
+                            .get(sid)
+                            .is_some_and(|h| h.breaker != Breaker::Closed);
+                    }
+                    FailureVerdict::Quarantined { until, failures: n } => {
+                        not_before = until;
+                        behind_breaker = true;
+                        quarantined = Some((sid, n, until));
+                    }
+                }
+            }
+            // Retriable failures spend the retry budget — but only when
+            // the page would actually requeue. With the budget dry the
+            // failure is terminal, so retries can never starve
+            // first-visit fetches out of the remaining fetch budget.
+            let mut retriable = *kind != FetchErrorKind::NotFound;
+            if retriable && claim.numtries + 1 < self.cfg.max_tries {
+                let charged = self
+                    .counters
+                    .retry_budget
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
+                    .is_ok();
+                if !charged {
+                    retriable = false;
+                }
+            }
+            updates.push(frontier::FailureUpdate {
+                oid: claim.oid,
+                retriable,
+                not_before,
+            });
+            verdicts.push((quarantined, behind_breaker));
+        }
+        let dispositions = frontier::mark_failed_batch(&mut g.db, &updates, self.cfg.max_tries)?;
+        for (i, (claim, kind, attempt)) in failures.iter().enumerate() {
+            let (quarantined, behind_breaker) = verdicts[i];
+            let outcome = match dispositions[i] {
+                frontier::FailDisposition::Dead => FailureOutcome::Dead,
+                frontier::FailDisposition::Retried { not_before } if behind_breaker => {
+                    FailureOutcome::Parked { not_before }
+                }
+                frontier::FailDisposition::Retried { not_before } => {
+                    FailureOutcome::Retried { not_before }
+                }
+            };
+            sink.emit(CrawlEvent::FetchFailed {
+                oid: claim.oid,
+                attempt: *attempt,
+                retriable: *kind != FetchErrorKind::NotFound,
+                error: *kind,
+                outcome,
+            });
+            if let Some((sid, n, until)) = quarantined {
+                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
+                sink.emit(CrawlEvent::ServerQuarantined {
+                    server: sid,
+                    failures: n,
+                    until,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Mirror one server's breaker record into the `server_health`
+    /// table. Written on state *transitions* only (quarantine opened,
+    /// server recovered) so the §3.7 monitoring view stays off the hot
+    /// path; the rows ride the WAL, so replicas serve the view too.
+    pub(super) fn write_server_health(
+        db: &mut Database,
+        sid: ServerId,
+        health: Option<&ServerHealth>,
+    ) -> DbResult<()> {
+        db.execute(&format!(
+            "delete from server_health where sid = {}",
+            sid.raw() as i64
+        ))?;
+        let Some(h) = health else { return Ok(()) };
+        let (state, until) = match h.breaker {
+            Breaker::Closed => ("closed", 0),
+            Breaker::Open { until } => ("open", until),
+            Breaker::Probing => ("probing", 0),
+        };
+        let tid = db.table_id("server_health")?;
+        db.insert(
+            tid,
+            vec![
+                Value::Int(sid.raw() as i64),
+                Value::Str(state.to_owned()),
+                Value::Int(h.consec_failures as i64),
+                Value::Int(until),
+                Value::Int(h.quarantines as i64),
+            ],
+        )?;
+        Ok(())
+    }
+
+    pub(super) fn distill_locked(
+        &self,
+        g: &mut StoreState,
+        sink: Option<&EventSink>,
+    ) -> DbResult<()> {
+        let edges = edges_from_links(&g.links, &g.relevance);
+        let result = WeightedHits::new(&edges, &g.relevance, self.cfg.distill.clone()).run();
+        let distillation = {
+            let mut t = self.counters.tallies.lock();
+            t.distillations += 1;
+            t.distillations
+        };
+        // Persist HUBS/AUTH so ad-hoc monitoring SQL sees live scores.
+        g.db.execute("delete from hubs")?;
+        g.db.execute("delete from auth")?;
+        let hubs_tid = g.db.table_id("hubs")?;
+        for &(o, s) in result.top_hubs(200) {
+            g.db.insert(hubs_tid, vec![Value::Int(o.raw() as i64), Value::Float(s)])?;
+        }
+        let auth_tid = g.db.table_id("auth")?;
+        for &(o, s) in result.top_auths(200) {
+            g.db.insert(auth_tid, vec![Value::Int(o.raw() as i64), Value::Float(s)])?;
+        }
+        // Hub-boost trigger: raise priority of unvisited pages cited by
+        // the best hubs. Targets another shard owns route through the
+        // exchange (distillation is per-shard, but its boosts still
+        // respect the partition).
+        if self.cfg.hub_boost_top_k > 0 {
+            let boost = log_clamped(0.9);
+            let top: Vec<Oid> = result
+                .top_hubs(self.cfg.hub_boost_top_k)
+                .iter()
+                .map(|&(o, _)| o)
+                .collect();
+            let mut targets = Vec::new();
+            let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
+                Some(ctx) => vec![Vec::new(); ctx.n_shards],
+                None => Vec::new(),
+            };
+            for &(_, _, dst, sid_dst) in g
+                .links
+                .iter()
+                .filter(|(src, ss, _, sd)| top.contains(src) && ss != sd)
+            {
+                if g.relevance.contains_key(&dst) {
+                    continue;
+                }
+                let entry = FrontierEntry {
+                    oid: dst,
+                    url: String::new(),
+                    log_relevance: boost,
+                    serverload: 0,
+                };
+                match owner_shard(&self.shard, ServerId(sid_dst)) {
+                    Some(owner) => remote[owner].push(entry),
+                    None => targets.push(entry),
+                }
+            }
+            // Clear-before-insert (see `clear_shard_idle`; the caller
+            // holds the store write lock).
+            self.clear_shard_idle();
+            frontier::upsert_batch(&mut g.db, &targets)?;
+            if let Some(ctx) = &self.shard {
+                for (owner, batch) in remote.into_iter().enumerate() {
+                    ctx.exchange.route(owner, batch);
+                }
+            }
+        }
+        if let Some(sink) = sink {
+            sink.emit(CrawlEvent::DistillCompleted {
+                distillation,
+                top_hub: result.top_hubs(1).first().map(|&(o, _)| o),
+                top_auth: result.top_auths(1).first().map(|&(o, _)| o),
+            });
+        }
+        g.last_distill = Some(result);
+        Ok(())
+    }
+
+    /// Force a distillation now (used at end-of-crawl by Figure 7).
+    /// An empty link graph distills to an empty [`DistillResult`] —
+    /// never a panic — so end-of-crawl reporting works on sessions that
+    /// fetched nothing.
+    pub fn distill_now(&self) -> DbResult<DistillResult> {
+        let mut g = self.store.write();
+        self.distill_locked(&mut g, None)?;
+        // `distill_locked` always records its result on success; the
+        // default is unreachable but keeps the no-panic guarantee
+        // structural (the periodic trigger path deliberately skips this
+        // clone — only the forced path pays for the returned copy).
+        Ok(g.last_distill.clone().unwrap_or_default())
+    }
+
+    /// Latest distillation result, if any.
+    pub fn last_distill(&self) -> Option<DistillResult> {
+        self.store.read().last_distill.clone()
+    }
+}
+
+/// The owning shard of server `sid`, when routing applies: `Some(owner)`
+/// only in cluster mode *and* when the owner is a different shard —
+/// `None` means "keep the entry local" (single-session mode, or the
+/// server hashes to this shard). The `% n_shards` partition is the
+/// cluster's one invariant: a server's pages always land on one shard,
+/// so the §2.2 nepotism filter and per-server load accounting stay
+/// local facts.
+pub(super) fn owner_shard(shard: &Option<ShardCtx>, sid: ServerId) -> Option<usize> {
+    let ctx = shard.as_ref()?;
+    let owner = ctx.owner_of(sid);
+    (owner != ctx.shard).then_some(owner)
+}

@@ -1,0 +1,1762 @@
+//! The crawl session: workers, classification, link expansion, and the
+//! distillation trigger, all around the shared relational state.
+//!
+//! Concurrency mirrors the paper's setup — many fetcher threads against
+//! one database: a worker *claims* a frontier entry under the lock,
+//! fetches (slow, lock released), classifies (pure, lock released), then
+//! reacquires the lock to record the page and update `CRAWL`/`LINK`.
+//! Crashing pages (malformed content, dead links, timeouts) are routine,
+//! not exceptional: they adjust `numtries` and the frontier, never
+//! corrupting table/index consistency.
+//!
+//! Shared state is split by role — and by **lock kind**, so observing a
+//! crawl never stops it:
+//!
+//! * [`StoreState`] — the relational store and its in-memory caches
+//!   (link cache, relevance map, saved posteriors) behind a
+//!   `RwLock`: monitors ([`CrawlSession::sql`],
+//!   [`CrawlSession::with_db_read`], [`CrawlSession::checkpoint`],
+//!   [`CrawlSession::visited`]) take **read** locks, concurrent with
+//!   each other; workers take the **write** lock only for the short
+//!   claim and page-flush critical sections;
+//! * counters ([`CounterState`]) — budget, attempt tally and in-flight
+//!   gauge as atomics (readable without any lock), success/failure
+//!   tallies and the harvest series behind their own small mutex;
+//! * diagnostics ([`RunDiag`]) — first storage error and worker panics,
+//!   another small mutex;
+//! * control ([`crate::run::ControlState`]) — the command queue and
+//!   lifecycle flags, deliberately *outside* every data lock so steering
+//!   a crawl never contends with page processing.
+//!
+//! Lock order (always acquire left before right, release before going
+//! back left): `model → compiled → store → wal → counters/diag`. The
+//! session's locks are rank-carrying [`lockcheck`] wrappers, so this
+//! order is not just documentation: debug builds panic on any
+//! out-of-order interleaving, and `cargo run -p lockcheck` rejects any
+//! code path that contradicts `LOCK_ORDER.toml`.
+//! Monitors touch only `store` (read) or the counter mutex, so they can
+//! never deadlock with workers. The `wal` position is the WAL latch of
+//! a durable session database ([`Durability`]): minirel acquires it
+//! inside store operations (page eviction, batch commits) and it is a
+//! leaf with respect to every crawler lock — no callback ever runs
+//! under it, so holding the store write lock across a commit is safe.
+//!
+//! **Classification never holds a lock.** The crawl hot path evaluates
+//! the classifier through an [`Arc<CompiledModel>`] swapped behind its
+//! own `RwLock`: a worker clones the `Arc` (a refcount bump under a
+//! momentary read lock) and drops the lock *before* inference, so a
+//! `mark_topic` retrain — which compiles a fresh model and swaps the
+//! `Arc` in — never contends with in-flight classification, and
+//! in-flight pages finish under the model they started with. Each
+//! worker owns a [`Scratch`] (never shared) so steady-state inference
+//! performs zero heap allocations.
+//!
+//! Workers drain the command queue between page fetches, so every
+//! control mutation (pause, new seeds, re-marked topics, policy swaps)
+//! lands at a page boundary with the tables consistent.
+//!
+//! **Per-server health adds no lock.** The backoff/breaker/politeness
+//! map ([`crate::health::HealthMap`]) lives inside [`StoreState`],
+//! because all of its touch points — gating a popped claim, recording
+//! a failure, charging and releasing politeness slots — already run
+//! inside store write critical sections. The crawl *ticks* that
+//! backoffs and quarantines are measured in come from a counter
+//! advanced under that same lock: by the number of claims issued, and
+//! by one per empty poll, so an all-parked frontier (every server
+//! quarantined) still marches toward cooldown expiry without
+//! wall-clock sleeps — and without ever wedging termination.
+//!
+//! **The async fetch pipeline adds only leaf locks.** With
+//! [`CrawlConfig::fetch_pool`] > 0, a run owns a
+//! [`crate::fetch_pool::FetchPool`] and each CPU worker splits its loop
+//! into a *submit* half (claim a batch under the store lock exactly as
+//! the inline path does — attempts, clock, gauges, and politeness all
+//! charge at claim time — then queue the claims to the pool) and a
+//! *drain* half (pull `(claim, result)` completions and flush each
+//! through the same classify/flush critical section). The pool's
+//! submission queue and per-worker completion mailboxes sit behind
+//! their own mutexes, but those are leaves in the lock order above:
+//! they are never taken while any session lock is held, and no session
+//! lock is ever taken under them (fetcher threads touch no session
+//! state at all). Order with pool locks spelled out:
+//! `model → compiled → store → wal → counters/diag`, with
+//! `pool queue / completion mailbox` taken only outside that chain.
+
+mod flush;
+mod steering;
+mod store;
+mod worker;
+
+use store::StoreState;
+pub use store::{CheckpointPage, CrawlCheckpoint};
+
+use crate::cluster::ShardCtx;
+use crate::events::{CrawlEvent, CrawlObserver, EventSink, FailureOutcome, FetchErrorKind};
+use crate::fetch_pool::{Completion, FetchPool, PoolHandle};
+use crate::frontier::{self, Claim, FrontierEntry};
+use crate::health::{
+    BackoffConfig, Breaker, BreakerConfig, ClaimGate, FailureVerdict, HealthMap, PolitenessConfig,
+    ServerHealth,
+};
+use crate::policy::{log_clamped, CrawlPolicy};
+use crate::run::{Command, ControlState, CrawlError, CrawlRun, RunState, StartOptions};
+use crate::tables::{self, crawl_col, host_server_id, visited};
+use focus_classifier::compiled::{CompiledModel, EvalSummary, Scratch};
+use focus_classifier::model::TrainedModel;
+use focus_distiller::memory::{edges_from_links, WeightedHits};
+use focus_distiller::{DistillConfig, DistillResult};
+use focus_types::hash::FxHashMap;
+use focus_types::{ClassId, Oid, ServerId};
+use focus_webgraph::{FetchError, Fetcher};
+use lockcheck::{rank, OrderedMutex, OrderedRwLock};
+use minirel::{Database, DbError, DbResult, ResultSet, Value};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Durability of the session store (default: none — the in-memory,
+/// crash-simple database the access-path experiments sweep).
+///
+/// With a WAL attached, workers commit at batch boundaries (the same
+/// critical-section cadence as claiming), [`CrawlRun::join`] issues a
+/// final fsynced commit, and [`CrawlSession::replica`] can ship the log
+/// to a read-only follower. File-backed sessions additionally survive a
+/// process crash: [`CrawlSession::recover`] reopens the files, replays
+/// the log, and demotes claims that were in flight at crash time back
+/// to the frontier — exactly the treatment [`CrawlSession::checkpoint`]
+/// gives them.
+#[derive(Debug, Clone, Default)]
+pub enum Durability {
+    /// Plain in-memory database, no WAL. Commits and replicas are
+    /// unavailable; nothing survives the process.
+    #[default]
+    None,
+    /// In-memory pages with an in-memory WAL: commit points and
+    /// [`CrawlSession::replica`] work, nothing survives the process.
+    /// For tests and WAL-overhead measurement.
+    Wal {
+        /// Commits per forced sync ([`minirel::DEFAULT_GROUP_COMMIT`]
+        /// is the production default; 1 syncs every commit).
+        group_commit: usize,
+    },
+    /// File-backed pages and an on-disk WAL beside them
+    /// ([`minirel::wal_path_for`]): every committed batch is
+    /// recoverable via [`CrawlSession::recover`].
+    File {
+        /// The data-file path; the WAL lives at `<path>.wal`.
+        path: PathBuf,
+        /// Commits per fsync (group commit; 1 = sync every batch).
+        group_commit: usize,
+    },
+}
+
+/// Session parameters.
+#[derive(Debug, Clone)]
+pub struct CrawlConfig {
+    /// Initial link-expansion policy (switchable live via
+    /// [`CrawlRun::set_policy`]).
+    pub policy: CrawlPolicy,
+    /// Fetcher threads ("about thirty" in the paper; tests use 1 for
+    /// determinism).
+    pub threads: usize,
+    /// Fetch-attempt budget (the x-axis of Figures 5–6).
+    pub max_fetches: u64,
+    /// Attempts before a timing-out URL is declared dead.
+    pub max_tries: i64,
+    /// Re-distill after this many successful fetches (None = never).
+    pub distill_every: Option<usize>,
+    /// Distillation parameters.
+    pub distill: DistillConfig,
+    /// After distilling, boost unvisited pages cited by this many top
+    /// hubs (0 disables the trigger).
+    pub hub_boost_top_k: usize,
+    /// Backward expansion (§3.2): when a page scores above this relevance
+    /// and the fetcher serves backlink metadata, enqueue the pages that
+    /// *point to* it — candidate hubs by the radius-2 rule. `None`
+    /// disables.
+    pub backlink_expansion_above: Option<f64>,
+    /// Buffer-pool frames for the session database.
+    pub db_frames: usize,
+    /// Frontier entries a worker claims per critical section (§3.1's
+    /// batch-oriented access paths). Each claimed page is still fetched
+    /// and classified outside the lock and flushed at its own page
+    /// boundary; the batch only amortizes the B+tree descents of
+    /// claiming. 1 restores strict claim-per-page behavior. Overridable
+    /// per run via [`crate::run::StartOptions::batch_size`].
+    pub batch_size: usize,
+    /// Durability of the session store (WAL, crash recovery, replicas).
+    pub durability: Durability,
+    /// Exponential-backoff schedule for retriable failures (crawl
+    /// ticks).
+    pub backoff: BackoffConfig,
+    /// Per-server circuit breaker: consecutive timeouts past the
+    /// threshold quarantine the server (its frontier rows park).
+    pub breaker: BreakerConfig,
+    /// Total retries the run may spend. A retriable failure only
+    /// requeues while budget remains; after that it is terminal — so a
+    /// pathological all-timeout world can never starve first-visit
+    /// fetches out of the fetch budget.
+    pub retry_budget: u64,
+    /// Dedicated fetcher threads for the async fetch pipeline. `0`
+    /// (the default) fetches inline on the CPU workers, exactly the
+    /// pre-pipeline behavior; with `n > 0` a run spawns `n` pool
+    /// threads and keeps up to ~2n fetches in flight so network
+    /// latency overlaps classify/flush instead of serializing with it.
+    /// Overridable per run via [`crate::run::StartOptions::fetch_pool`].
+    pub fetch_pool: usize,
+    /// Per-server politeness (max in-flight, min inter-admission
+    /// delay), enforced at claim admission. Overridable per run via
+    /// [`crate::run::StartOptions::politeness`].
+    pub politeness: PolitenessConfig,
+}
+
+impl Default for CrawlConfig {
+    fn default() -> Self {
+        CrawlConfig {
+            policy: CrawlPolicy::SoftFocus,
+            threads: 4,
+            max_fetches: 2000,
+            max_tries: 3,
+            distill_every: Some(500),
+            distill: DistillConfig::default(),
+            hub_boost_top_k: 10,
+            backlink_expansion_above: None,
+            db_frames: 512,
+            batch_size: 8,
+            durability: Durability::None,
+            backoff: BackoffConfig::default(),
+            breaker: BreakerConfig::default(),
+            retry_budget: 1000,
+            fetch_pool: 0,
+            politeness: PolitenessConfig::default(),
+        }
+    }
+}
+
+/// Outcome counters and series.
+#[derive(Debug, Clone, Default)]
+pub struct CrawlStats {
+    /// Fetch attempts.
+    pub attempts: u64,
+    /// Successful fetch+classify cycles.
+    pub successes: u64,
+    /// Failed attempts.
+    pub failures: u64,
+    /// `(attempt index, linear R)` per success, in completion order —
+    /// Figure 5's raw series.
+    pub harvest: Vec<(u64, f64)>,
+    /// `(oid, linear R)` per success in the same completion order — the
+    /// coverage experiment (Figure 6) replays this against a reference
+    /// crawl.
+    pub completion_order: Vec<(Oid, f64)>,
+    /// Distillations run.
+    pub distillations: u64,
+}
+
+impl CrawlStats {
+    /// Moving average of the harvest series over `window` pages
+    /// (Figure 5 plots "Avg over 100" / "Avg over 1000").
+    pub fn harvest_moving_avg(&self, window: usize) -> Vec<(u64, f64)> {
+        let w = window.max(1);
+        let mut out = Vec::new();
+        let mut sum = 0.0;
+        for (i, &(x, r)) in self.harvest.iter().enumerate() {
+            sum += r;
+            if i + 1 >= w {
+                out.push((x, sum / w as f64));
+                sum -= self.harvest[i + 1 - w].1;
+            }
+        }
+        out
+    }
+
+    /// Mean relevance over all fetched pages.
+    pub fn mean_harvest(&self) -> f64 {
+        if self.harvest.is_empty() {
+            0.0
+        } else {
+            self.harvest.iter().map(|&(_, r)| r).sum::<f64>() / self.harvest.len() as f64
+        }
+    }
+}
+
+/// Budget and outcome counters. The hot gauges are atomics so
+/// [`CrawlSession::stats`] and the worker idle checks never touch the
+/// store lock; the series (harvest, completion order) live behind their
+/// own mutex, locked only at page completions and snapshots.
+struct CounterState {
+    /// Fetch attempts claimed so far. Incremented only under the store
+    /// *write* lock (claims serialize there), so `attempts ≤ budget`
+    /// holds exactly; read anywhere without a lock.
+    attempts: AtomicU64,
+    /// Fetch-attempt budget; raised live by [`CrawlRun::add_budget`]
+    /// (monotonically increasing while a run is live).
+    budget: AtomicU64,
+    /// Claims checked out and not yet flushed (pool-wide gauge).
+    in_flight: AtomicUsize,
+    /// The crawl tick clock backoffs and quarantines are measured in.
+    /// Advanced only under the store write lock: by the number of
+    /// claims issued, and by one per empty poll — so parked rows make
+    /// progress toward their due ticks even when nothing is claimable,
+    /// and single-threaded crawls stay deterministic.
+    clock: AtomicU64,
+    /// Retries left ([`CrawlConfig::retry_budget`]); decremented when a
+    /// retriable failure decides to requeue. At zero, retriable
+    /// failures become terminal.
+    retry_budget: AtomicU64,
+    /// Success/failure tallies and the harvest series. `attempts` inside
+    /// is refreshed from the atomic at snapshot time.
+    tallies: OrderedMutex<CrawlStats>,
+}
+
+/// First storage error and worker-panic messages of the current run.
+#[derive(Default)]
+struct RunDiag {
+    error: Option<DbError>,
+    /// Rendered panic messages, one per failed worker.
+    worker_failures: Vec<String>,
+}
+
+/// A goal-directed crawl over any [`Fetcher`].
+///
+/// Wrap in an [`Arc`] and call [`CrawlSession::start`] for a live,
+/// steerable run, or [`CrawlSession::run`] for the blocking convenience
+/// path.
+pub struct CrawlSession {
+    fetcher: Arc<dyn Fetcher>,
+    /// The trained parameters — the *source of truth* for markings.
+    /// Behind a rwlock so `mark_topic` can change the good set while
+    /// workers classify (§3.7 administration against a live crawl).
+    model: OrderedRwLock<TrainedModel>,
+    /// The compiled inference engine the hot path runs. Workers clone
+    /// the `Arc` and release the lock before evaluating; topic re-marks
+    /// compile a fresh model and swap the `Arc` in (see module docs).
+    compiled: OrderedRwLock<Arc<CompiledModel>>,
+    cfg: CrawlConfig,
+    /// The relational store: readers share, writers exclude (see the
+    /// module docs for the lock order).
+    store: OrderedRwLock<StoreState>,
+    counters: CounterState,
+    diag: OrderedMutex<RunDiag>,
+    control: ControlState,
+    /// The current run's fetch pool, when [`CrawlConfig::fetch_pool`]
+    /// (or its per-run override) is non-zero. Armed at launch, torn
+    /// down at wind-down; the mutex is a leaf taken only at those two
+    /// points and at worker startup (to clone the `Arc`).
+    run_pool: OrderedMutex<Option<Arc<FetchPool>>>,
+    start: Instant,
+    /// Present when this session is one shard of a
+    /// [`crate::cluster::CrawlCluster`]: pages whose server hashes to
+    /// another shard are routed through the cluster's exchange instead
+    /// of entering the local frontier, and stagnation becomes a
+    /// cluster-wide verdict.
+    shard: Option<ShardCtx>,
+}
+
+impl CrawlSession {
+    /// Spawn the worker pool in the background and return the steering
+    /// handle. The session stays usable for ad-hoc SQL while running.
+    pub fn start(self: &Arc<Self>) -> Result<CrawlRun, CrawlError> {
+        self.start_with(StartOptions::default())
+    }
+
+    /// [`CrawlSession::start`] with an explicit event-channel capacity
+    /// and observers.
+    pub fn start_with(self: &Arc<Self>, opts: StartOptions) -> Result<CrawlRun, CrawlError> {
+        CrawlRun::launch(Arc::clone(self), opts)
+    }
+
+    /// Run workers until the fetch budget is spent or the frontier
+    /// stagnates, blocking the caller; the historical entry point, now a
+    /// thin wrapper over [`CrawlSession::start`] + [`CrawlRun::join`].
+    pub fn run(self: &Arc<Self>) -> Result<CrawlStats, CrawlError> {
+        self.start()?.join()
+    }
+
+    pub(crate) fn control(&self) -> &ControlState {
+        &self.control
+    }
+
+    /// Apply per-run robustness overrides before the pool spawns: a
+    /// backoff, breaker, or politeness override restarts the per-server
+    /// health map under the new policies (servers re-earn their
+    /// quarantines), a retry-budget override refills the budget, and a
+    /// non-zero fetch-pool size arms the async fetch pipeline for this
+    /// run. No workers are alive here (`ControlState::activate`
+    /// guarantees one run at a time).
+    pub(crate) fn apply_run_overrides(&self, opts: &StartOptions) {
+        if opts.backoff.is_some() || opts.breaker.is_some() || opts.politeness.is_some() {
+            let backoff = opts.backoff.unwrap_or(self.cfg.backoff);
+            let breaker = opts.breaker.unwrap_or(self.cfg.breaker);
+            let politeness = opts.politeness.unwrap_or(self.cfg.politeness);
+            self.store.write().health = HealthMap::new(backoff, breaker, politeness);
+        }
+        if let Some(rb) = opts.retry_budget {
+            self.counters.retry_budget.store(rb, Ordering::Release);
+        }
+        let pool_size = opts.fetch_pool.unwrap_or(self.cfg.fetch_pool);
+        *self.run_pool.lock() =
+            (pool_size > 0).then(|| Arc::new(FetchPool::new(Arc::clone(&self.fetcher), pool_size)));
+    }
+
+    /// Tear down the run's fetch pool (if any): drop the `Arc`, which
+    /// joins the fetcher threads once the workers' handles are gone.
+    /// Called from the run's wind-down, after every worker has exited —
+    /// the worker wind-down contract guarantees the queue is empty by
+    /// then (claims were drained or unclaimed).
+    pub(crate) fn teardown_fetch_pool(&self) {
+        *self.run_pool.lock() = None;
+    }
+
+    /// Clear the previous run's verdict so a fresh `start()` is judged on
+    /// its own work. The tables themselves are left as-is: commands and
+    /// page processing only mutate them at page boundaries, so even an
+    /// aborted run leaves a frontier a new pool can continue from.
+    pub(crate) fn reset_run_diagnostics(&self) {
+        let mut d = self.diag.lock();
+        d.error = None;
+        d.worker_failures.clear();
+        drop(d);
+        // A panicking worker can die holding claims it never released;
+        // zero the gauge so the stale count cannot convince the next
+        // run's idle check that phantom work is still in flight (which
+        // would spin its workers forever once the frontier drains). No
+        // workers are alive here: `ControlState::activate` guarantees
+        // one run at a time.
+        self.counters.in_flight.store(0, Ordering::Release);
+        // Same reasoning for the politeness gauges: a dead worker's
+        // admitted-but-never-flushed claims would otherwise hold their
+        // servers' per-server slots forever.
+        self.store.write().health.reset_in_flight();
+    }
+
+    /// Record the first storage error of the run and wind the pool down.
+    /// Callers must not hold the store lock (the diag mutex is ordered
+    /// after it, but keeping this lock-free of the store also means an
+    /// error can be recorded while another worker is mid-flush).
+    fn record_error(&self, e: DbError) {
+        let mut d = self.diag.lock();
+        if d.error.is_none() {
+            d.error = Some(e);
+        }
+        drop(d);
+        self.control.abort.store(true, Ordering::Release);
+    }
+
+    /// Record a worker panic: surface it as an event and an error from
+    /// `join()`, and wind the whole pool down (partial stats must never
+    /// masquerade as success).
+    pub(crate) fn note_worker_panic(
+        &self,
+        worker: usize,
+        payload: &(dyn std::any::Any + Send),
+        sink: &EventSink,
+    ) {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_owned());
+        self.diag
+            .lock()
+            .worker_failures
+            .push(format!("worker {worker}: {message}"));
+        self.control.abort.store(true, Ordering::Release);
+        self.control.set_state(RunState::Stopping);
+        sink.emit(CrawlEvent::WorkerFailed { worker, message });
+    }
+
+    /// Record a failed `thread::Builder::spawn`: same surfacing contract
+    /// as a worker panic (a `WorkerFailed` event now, `CrawlError::Worker`
+    /// from `join()`), and the pool aborts so the workers that *did*
+    /// spawn hand their claims back at the next page boundary.
+    pub(crate) fn note_spawn_failure(&self, worker: usize, err: &std::io::Error, sink: &EventSink) {
+        let message = format!("failed to spawn: {err}");
+        self.diag
+            .lock()
+            .worker_failures
+            .push(format!("worker {worker}: {message}"));
+        self.control.abort.store(true, Ordering::Release);
+        self.control.set_state(RunState::Stopping);
+        sink.emit(CrawlEvent::WorkerFailed { worker, message });
+    }
+
+    /// Register this run's whole worker pool with the cluster exchange
+    /// *before* any worker runs (no-op outside a cluster): a peer shard
+    /// must never observe this shard as dead mid-spawn.
+    pub(crate) fn note_workers_arming(&self, workers: usize) {
+        if let Some(ctx) = &self.shard {
+            ctx.exchange.workers_arming(ctx.shard, workers);
+        }
+    }
+
+    /// Retire one worker registration (called as each worker exits, and
+    /// for slots whose spawn failed). When the last registration of this
+    /// shard retires, reconcile the cluster gauges: any in-flight count
+    /// a panicking worker leaked is subtracted from the global gauge,
+    /// and the shard's inbox is discarded — entries nobody will ever
+    /// drain must not wedge the cluster-idle verdict of the surviving
+    /// shards. No-op outside a cluster.
+    pub(crate) fn note_worker_exit(&self) {
+        if let Some(ctx) = &self.shard {
+            if ctx.exchange.worker_exited(ctx.shard) {
+                let leaked = self.counters.in_flight.load(Ordering::Acquire);
+                ctx.exchange.reconcile_dead_shard(ctx.shard, leaked);
+            }
+        }
+    }
+
+    /// Final verdict of a run: worker panics and storage errors win over
+    /// the happy path.
+    pub(crate) fn run_outcome(&self) -> Result<CrawlStats, CrawlError> {
+        let d = self.diag.lock();
+        if !d.worker_failures.is_empty() {
+            return Err(CrawlError::Worker(d.worker_failures.join("; ")));
+        }
+        if let Some(e) = &d.error {
+            return Err(CrawlError::Db(e.clone()));
+        }
+        drop(d);
+        Ok(self.stats())
+    }
+
+    /// Raise the fetch budget directly (between runs; a *live* run takes
+    /// [`CrawlRun::add_budget`], which also re-arms the exhaustion
+    /// event).
+    pub fn add_budget(&self, extra: u64) {
+        self.counters.budget.fetch_add(extra, Ordering::AcqRel);
+        self.control.budget_reported.store(false, Ordering::Release);
+    }
+
+    /// Stats snapshot. Touches only the counter state — never the store
+    /// lock — so it completes in bounded time even while workers are
+    /// mid-flush.
+    pub fn stats(&self) -> CrawlStats {
+        let mut stats = self.counters.tallies.lock().clone();
+        stats.attempts = self.counters.attempts.load(Ordering::Acquire);
+        stats
+    }
+
+    /// The live link-expansion policy.
+    pub fn policy(&self) -> CrawlPolicy {
+        self.store.read().policy
+    }
+
+    /// The crawl configuration the session was built with. `policy` may
+    /// have been changed live since; see [`CrawlSession::policy`].
+    pub fn config(&self) -> &CrawlConfig {
+        &self.cfg
+    }
+
+    /// Resolve a topic name against the (live) taxonomy.
+    pub fn find_topic(&self, name: &str) -> Option<ClassId> {
+        self.model.read().taxonomy.find(name)
+    }
+
+    /// Run a closure against the trained model (live good marking).
+    pub fn with_model<R>(&self, f: impl FnOnce(&TrainedModel) -> R) -> R {
+        f(&self.model.read())
+    }
+
+    /// The compiled inference engine currently serving the crawl hot
+    /// path. The returned `Arc` is a consistent snapshot: a concurrent
+    /// `mark_topic` swaps the session's copy but never mutates this one.
+    /// Pair with a per-thread [`Scratch`] to classify ad hoc documents
+    /// exactly as the crawl does.
+    pub fn compiled(&self) -> Arc<CompiledModel> {
+        Arc::clone(&self.compiled.read())
+    }
+
+    /// All visited pages as `(oid, linear R, server)`. Read-locked:
+    /// concurrent with other monitors.
+    pub fn visited(&self) -> Vec<(Oid, f64, ServerId)> {
+        let g = self.store.read();
+        let rs =
+            g.db.query("select oid, relevance, url from crawl where visited = 1")
+                .expect("crawl table exists");
+        rs.rows
+            .into_iter()
+            .map(|row| {
+                let oid = Oid(row[0].as_i64().unwrap_or(0) as u64);
+                let log_r = row[1].as_f64().unwrap_or(f64::NEG_INFINITY);
+                let server = host_server_id(row[2].as_str().unwrap_or(""));
+                (oid, log_r.exp(), server)
+            })
+            .collect()
+    }
+
+    /// Run a closure against the session database with **exclusive**
+    /// access (ad-hoc DDL/DML, or multi-statement reads that need a
+    /// stable view). Blocks workers for the duration — prefer
+    /// [`CrawlSession::sql`] or [`CrawlSession::with_db_read`] for
+    /// monitoring.
+    pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
+        let mut g = self.store.write();
+        f(&mut g.db)
+    }
+
+    /// Run a closure against the session database under the **read**
+    /// lock, concurrent with other monitors and with `stats()`. The
+    /// closure gets `&Database`, so only `query()` and other `&self`
+    /// accessors are available — exactly the §3.7 monitoring surface.
+    pub fn with_db_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
+        let g = self.store.read();
+        f(&g.db)
+    }
+
+    /// Ad-hoc SQL against the live session (§3.7). SELECT statements run
+    /// under the store's *read* lock — many monitors can query at once,
+    /// and the crawl only pauses them for its short page-flush critical
+    /// sections. Anything else (DDL/DML steering surgery) escalates to
+    /// the write lock and runs exclusively at the next page boundary.
+    pub fn sql(&self, sql: &str) -> DbResult<ResultSet> {
+        self.sql_with(sql, &[])
+    }
+
+    /// [`CrawlSession::sql`] with positional `?` parameter bindings.
+    /// SELECTs plan through the database's prepared-statement cache, so a
+    /// monitor polling the same query text pays binding + execution only.
+    /// Parameters are rejected on the DML fallback path — `execute` has
+    /// no binding surface, and silently dropping them would be worse.
+    pub fn sql_with(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
+        {
+            let g = self.store.read();
+            match g.db.query_with(sql, params) {
+                // Not a SELECT: fall through to the exclusive path.
+                Err(DbError::ReadOnly(_)) => {}
+                other => return other,
+            }
+        }
+        if !params.is_empty() {
+            return Err(DbError::Binding(
+                "parameters are only supported for SELECT statements".into(),
+            ));
+        }
+        self.store.write().db.execute(sql)
+    }
+
+    /// The in-memory link cache `(src, sid_src, dst, sid_dst)`.
+    pub fn links(&self) -> Vec<(Oid, u32, Oid, u32)> {
+        self.store.read().links.clone()
+    }
+
+    /// Linear relevance map of visited pages.
+    pub fn relevance_map(&self) -> FxHashMap<Oid, f64> {
+        self.store.read().relevance.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::events::CrawlObserver;
+    use focus_classifier::train::{train, TrainConfig};
+    use focus_types::ClassId;
+    use focus_webgraph::{FetchedPage, SimFetcher, WebConfig, WebGraph};
+    use std::sync::Mutex as StdMutex;
+
+    fn trained_model(graph: &Arc<WebGraph>, good: &str) -> TrainedModel {
+        let mut taxonomy = graph.taxonomy().clone();
+        let topic = taxonomy.find(good).unwrap();
+        taxonomy.mark_good(topic).unwrap();
+        let mut examples = Vec::new();
+        for c in taxonomy.all() {
+            if c == ClassId::ROOT {
+                continue;
+            }
+            for d in graph.example_docs(c, 6, 99) {
+                examples.push((c, d));
+            }
+        }
+        train(&taxonomy, &examples, &TrainConfig::default())
+    }
+
+    fn setup(policy: CrawlPolicy, max_fetches: u64) -> (Arc<WebGraph>, Arc<CrawlSession>) {
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let cfg = CrawlConfig {
+            policy,
+            threads: 2,
+            max_fetches,
+            distill_every: Some(150),
+            hub_boost_top_k: 5,
+            ..CrawlConfig::default()
+        };
+        let session = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
+        (graph, session)
+    }
+
+    #[test]
+    fn focused_crawl_harvests_relevant_pages() {
+        // Budget stays under the tiny world's cycling-cluster size (~63
+        // pages): sustained harvest is only meaningful when the topic is
+        // not exhausted, as in the paper's Web-scale crawls.
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 160);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 15);
+        session.seed(&seeds).unwrap();
+        let stats = session.run().unwrap();
+        assert!(stats.successes > 80, "only {} successes", stats.successes);
+        assert!(
+            stats.mean_harvest() > 0.25,
+            "harvest too low: {}",
+            stats.mean_harvest()
+        );
+        assert!(stats.distillations > 0, "distillation trigger never fired");
+    }
+
+    #[test]
+    fn focused_beats_unfocused() {
+        let run = |policy| {
+            let (graph, session) = setup(policy, 350);
+            let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+            let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 15);
+            session.seed(&seeds).unwrap();
+            let stats = session.run().unwrap();
+            // Harvest of the *tail* (after the start set's immediate
+            // neighborhood is exhausted).
+            let tail: Vec<f64> = stats
+                .harvest
+                .iter()
+                .skip(stats.harvest.len() / 2)
+                .map(|&(_, r)| r)
+                .collect();
+            tail.iter().sum::<f64>() / tail.len().max(1) as f64
+        };
+        let soft = run(CrawlPolicy::SoftFocus);
+        let unfocused = run(CrawlPolicy::Unfocused);
+        assert!(
+            soft > unfocused * 2.0,
+            "soft focus tail harvest {soft} should dominate unfocused {unfocused}"
+        );
+    }
+
+    #[test]
+    fn crawl_survives_failures_and_counts_them() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 500);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 15);
+        session.seed(&seeds).unwrap();
+        let stats = session.run().unwrap();
+        // The tiny web has ~5% failing pages; a 500-attempt crawl should
+        // hit some and keep going.
+        assert!(stats.failures > 0, "no failures encountered");
+        assert_eq!(
+            stats.attempts,
+            stats.successes + stats.failures,
+            "attempts must equal successes + failures"
+        );
+    }
+
+    #[test]
+    fn visited_and_links_are_recorded() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 150);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        session.seed(&seeds).unwrap();
+        session.run().unwrap();
+        let visited = session.visited();
+        assert!(!visited.is_empty());
+        for (_, r, _) in &visited {
+            assert!((0.0..=1.0 + 1e-9).contains(r), "relevance {r} out of range");
+        }
+        assert!(!session.links().is_empty());
+        // CRAWL/LINK queryable via SQL.
+        let n = session.with_db(|db| {
+            db.execute("select count(*) from link")
+                .unwrap()
+                .scalar_i64()
+                .unwrap()
+        });
+        assert!(n > 0);
+    }
+
+    #[test]
+    fn single_thread_is_deterministic() {
+        let run_once = || {
+            let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+            let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+            let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+            let model = trained_model(&graph, "recreation/cycling");
+            let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+            let session = Arc::new(
+                CrawlSession::new(
+                    fetcher,
+                    model,
+                    CrawlConfig {
+                        threads: 1,
+                        max_fetches: 200,
+                        distill_every: None,
+                        ..CrawlConfig::default()
+                    },
+                )
+                .unwrap(),
+            );
+            session.seed(&seeds).unwrap();
+            let stats = session.run().unwrap();
+            stats.harvest
+        };
+        assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn moving_average_smooths() {
+        let mut stats = CrawlStats::default();
+        for i in 0..100u64 {
+            stats.harvest.push((i, if i % 2 == 0 { 1.0 } else { 0.0 }));
+        }
+        let avg = stats.harvest_moving_avg(10);
+        assert_eq!(avg.len(), 91);
+        for &(_, v) in &avg {
+            assert!((v - 0.5).abs() < 0.11, "window mean {v} far from 0.5");
+        }
+    }
+
+    /// Observer that records every event, for sequence assertions.
+    struct Recorder(StdMutex<Vec<CrawlEvent>>);
+
+    impl CrawlObserver for Arc<Recorder> {
+        fn on_event(&self, event: &CrawlEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    fn position_of(events: &[CrawlEvent], pred: impl Fn(&CrawlEvent) -> bool) -> usize {
+        events
+            .iter()
+            .position(pred)
+            .unwrap_or_else(|| panic!("event not found in {events:?}"))
+    }
+
+    #[test]
+    fn pause_resume_stop_events_are_ordered() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 100_000);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
+            .unwrap();
+        // Let some pages land, then pause -> resume -> stop.
+        while run.stats().successes < 5 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run.pause();
+        while run.state() != RunState::Paused {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let paused_attempts = run.stats().attempts;
+        // A paused crawl stops claiming; attempts stay flat.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(
+            run.stats().attempts,
+            paused_attempts,
+            "claimed while paused"
+        );
+        run.resume();
+        let resumed_at = run.stats().attempts;
+        while run.stats().attempts < resumed_at + 5 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run.stop();
+        let stats = run.join().unwrap();
+        assert!(stats.attempts > paused_attempts, "no progress after resume");
+        let events = recorder.0.lock().unwrap().clone();
+        let paused = position_of(&events, |e| matches!(e, CrawlEvent::Paused));
+        let resumed = position_of(&events, |e| matches!(e, CrawlEvent::Resumed));
+        let stopped = position_of(&events, |e| matches!(e, CrawlEvent::Stopped { .. }));
+        assert!(paused < resumed, "Paused at {paused}, Resumed at {resumed}");
+        assert!(
+            resumed < stopped,
+            "Resumed at {resumed}, Stopped at {stopped}"
+        );
+        // Classification resumed between Resumed and Stopped.
+        assert!(
+            events[resumed..stopped]
+                .iter()
+                .any(|e| matches!(e, CrawlEvent::PageClassified { .. })),
+            "no pages classified between resume and stop: {events:?}"
+        );
+    }
+
+    #[test]
+    fn budget_exhaustion_is_announced_once() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 40);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        let mut run = session.start().unwrap();
+        let events = run.take_events().unwrap();
+        let stats = run.join().unwrap();
+        assert_eq!(stats.attempts, 40);
+        let all: Vec<CrawlEvent> = events.collect();
+        let exhausted = all
+            .iter()
+            .filter(|e| matches!(e, CrawlEvent::BudgetExhausted { .. }))
+            .count();
+        assert_eq!(
+            exhausted, 1,
+            "expected exactly one BudgetExhausted: {all:?}"
+        );
+        let classified = all
+            .iter()
+            .filter(|e| matches!(e, CrawlEvent::PageClassified { .. }))
+            .count() as u64;
+        assert_eq!(classified, stats.successes, "one event per success");
+    }
+
+    /// A fetcher whose pages panic the worker after `ok_before` fetches.
+    struct PanickingFetcher {
+        inner: Arc<SimFetcher>,
+        ok_before: u64,
+        served: std::sync::atomic::AtomicU64,
+    }
+
+    impl Fetcher for PanickingFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            let n = self.served.fetch_add(1, Ordering::Relaxed);
+            if n >= self.ok_before {
+                panic!("fetcher exploded on purpose (fetch #{n})");
+            }
+            self.inner.fetch(oid)
+        }
+
+        fn fetch_count(&self) -> u64 {
+            self.served.load(Ordering::Relaxed)
+        }
+
+        fn backlinks(&self, oid: Oid) -> Option<Vec<(Oid, String)>> {
+            self.inner.backlinks(oid)
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_as_event_and_error() {
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(PanickingFetcher {
+            inner: Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            ok_before: 10,
+            served: std::sync::atomic::AtomicU64::new(0),
+        });
+        let session = Arc::new(
+            CrawlSession::new(
+                fetcher,
+                model,
+                CrawlConfig {
+                    threads: 2,
+                    max_fetches: 500,
+                    distill_every: None,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        // Silence the worker's panic backtrace; it is expected here.
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut run = session.start().unwrap();
+        let events = run.take_events().unwrap();
+        let outcome = run.join();
+        std::panic::set_hook(prev_hook);
+        let err = outcome.expect_err("worker panic must fail the run");
+        assert!(
+            matches!(&err, CrawlError::Worker(m) if m.contains("exploded")),
+            "unexpected outcome: {err:?}"
+        );
+        let all: Vec<CrawlEvent> = events.collect();
+        assert!(
+            all.iter()
+                .any(|e| matches!(e, CrawlEvent::WorkerFailed { .. })),
+            "no WorkerFailed event: {all:?}"
+        );
+    }
+
+    /// A fetcher that panics while `explode` is set.
+    struct TogglePanicFetcher {
+        inner: Arc<SimFetcher>,
+        explode: std::sync::atomic::AtomicBool,
+    }
+
+    impl Fetcher for TogglePanicFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            if self.explode.load(Ordering::Relaxed) {
+                panic!("toggled failure");
+            }
+            self.inner.fetch(oid)
+        }
+
+        fn fetch_count(&self) -> u64 {
+            self.inner.fetch_count()
+        }
+    }
+
+    #[test]
+    fn session_is_reusable_after_a_failed_run() {
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(TogglePanicFetcher {
+            inner: Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            explode: std::sync::atomic::AtomicBool::new(true),
+        });
+        let session = Arc::new(
+            CrawlSession::new(
+                Arc::clone(&fetcher) as Arc<dyn Fetcher>,
+                model,
+                CrawlConfig {
+                    // One worker, deterministically: with two, both can
+                    // claim before the first panic aborts the pool,
+                    // leaking *every* seed as CLAIMED — the healed rerun
+                    // then (correctly) stagnates with zero successes,
+                    // which is not the property under test. One worker
+                    // claims one batch (8 of the 10 seeds), panics, and
+                    // provably leaves poppable work behind.
+                    threads: 1,
+                    max_fetches: 100,
+                    distill_every: None,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let failed = session.run();
+        std::panic::set_hook(prev_hook);
+        assert!(matches!(failed, Err(CrawlError::Worker(_))), "{failed:?}");
+        // Heal the fetcher; a command pushed to the dead run must not
+        // leak into the next one, and the next run must be judged on its
+        // own work, not the stale panic.
+        fetcher.explode.store(false, Ordering::Relaxed);
+        let stats = session.run().expect("healthy rerun succeeds");
+        assert!(stats.successes > 0, "no progress after restart");
+    }
+
+    /// A fetcher whose very first fetch panics (unwinding out of the
+    /// worker with claims checked out and the in-flight gauge raised),
+    /// and which serves hard 404s ever after.
+    struct PanicThenDeadFetcher {
+        served: std::sync::atomic::AtomicU64,
+    }
+
+    impl Fetcher for PanicThenDeadFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            if self.served.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("first fetch dies with the batch checked out");
+            }
+            Err(FetchError::NotFound(oid))
+        }
+
+        fn fetch_count(&self) -> u64 {
+            self.served.load(Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn in_flight_leaked_by_a_panicked_run_does_not_wedge_the_next() {
+        // The panic unwinds with several claims never released: the
+        // in-flight gauge stays raised and the rows stay CLAIMED. The
+        // next run must still be able to detect stagnation — if the
+        // stale gauge leaked across runs, its workers would wait for
+        // phantom in-flight work forever and this test would hang.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(
+            CrawlSession::new(
+                Arc::new(PanicThenDeadFetcher {
+                    served: std::sync::atomic::AtomicU64::new(0),
+                }),
+                model,
+                CrawlConfig {
+                    threads: 2,
+                    max_fetches: 1000,
+                    max_tries: 3,
+                    distill_every: None,
+                    batch_size: 8,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        session.seed(&[Oid(1), Oid(2), Oid(3)]).unwrap();
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let failed = session.run();
+        std::panic::set_hook(prev_hook);
+        assert!(matches!(failed, Err(CrawlError::Worker(_))), "{failed:?}");
+
+        // Fresh frontier, everything 404s: the rerun must stagnate and
+        // return rather than spin on the leaked gauge.
+        session.seed(&[Oid(4), Oid(5), Oid(6)]).unwrap();
+        let stats = session.run().expect("rerun must terminate");
+        assert!(stats.failures > 0, "rerun made no attempts: {stats:?}");
+    }
+
+    #[test]
+    fn checkpoint_restores_into_fresh_session() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 80);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        session.run().unwrap();
+        let ckpt = session.checkpoint().unwrap();
+        assert!(ckpt.visited_len() > 0);
+        assert!(
+            ckpt.frontier_len() > 0,
+            "budget-bounded crawl leaves a frontier"
+        );
+        assert_eq!(ckpt.stats.attempts, 80);
+        assert_eq!(ckpt.budget_remaining, 0);
+        assert_eq!(ckpt.good_topics, vec!["recreation/cycling".to_owned()]);
+
+        // Resume in a brand-new session against the same web.
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let restored = Arc::new(
+            CrawlSession::restore(
+                fetcher,
+                model,
+                CrawlConfig {
+                    threads: 2,
+                    max_fetches: 80,
+                    distill_every: Some(150),
+                    ..CrawlConfig::default()
+                },
+                &ckpt,
+            )
+            .unwrap(),
+        );
+        assert_eq!(restored.stats().attempts, 80, "stats carried over");
+        assert_eq!(restored.visited().len(), ckpt.visited_len());
+        restored.add_budget(60);
+        let stats = restored.run().unwrap();
+        assert_eq!(
+            stats.attempts, 140,
+            "run continued against the old frontier"
+        );
+        assert!(
+            stats.successes > ckpt.stats.successes,
+            "no new pages after restore"
+        );
+        // The harvest series is continuous: early entries are the
+        // checkpointed ones.
+        assert_eq!(
+            stats.harvest[..ckpt.stats.harvest.len()],
+            ckpt.stats.harvest[..],
+            "restored harvest prefix diverged"
+        );
+    }
+
+    #[test]
+    fn seeds_carry_real_urls() {
+        // Satellite of the empty-URL bug: `seed()` must resolve URLs via
+        // the fetcher's metadata so claims, checkpoints, and monitoring
+        // SQL never see "" for seeds.
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 50);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        session.seed(&seeds).unwrap();
+        let empty = session.with_db(|db| {
+            db.execute("select count(*) from crawl where url = ''")
+                .unwrap()
+                .scalar_i64()
+                .unwrap()
+        });
+        assert_eq!(empty, 0, "seeded frontier rows must carry real URLs");
+        let mut g = session.store.write();
+        let claim = frontier::claim_next(&mut g.db).unwrap().unwrap();
+        assert!(!claim.url.is_empty(), "claims of seeds carry the URL");
+        drop(g);
+        let ckpt = session.checkpoint().unwrap();
+        assert!(
+            ckpt.pages.iter().all(|p| !p.url.is_empty()),
+            "checkpointed seeds must carry URLs"
+        );
+    }
+
+    /// A fetcher that always times out (everything is retriable, nothing
+    /// ever lands).
+    struct AllTimeoutFetcher;
+
+    impl Fetcher for AllTimeoutFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            Err(FetchError::Timeout(oid))
+        }
+
+        fn fetch_count(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn in_flight_drains_on_failure_paths() {
+        // Every attempt fails; if any error path forgot to decrement
+        // `in_flight`, the EmptyFrontier branch would see phantom work
+        // forever and the run would never stagnate (this test would
+        // hang).
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(
+            CrawlSession::new(
+                Arc::new(AllTimeoutFetcher),
+                model,
+                CrawlConfig {
+                    threads: 3,
+                    max_fetches: 1000,
+                    max_tries: 2,
+                    distill_every: None,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        session.seed(&[Oid(1), Oid(2), Oid(3)]).unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
+            .unwrap();
+        let stats = run.join().unwrap();
+        // 3 seeds × 2 tries each, then all dead.
+        assert_eq!(stats.attempts, 6);
+        assert_eq!(stats.failures, 6);
+        assert_eq!(stats.successes, 0);
+        let events = recorder.0.lock().unwrap().clone();
+        let stagnated = events
+            .iter()
+            .filter(|e| matches!(e, CrawlEvent::FrontierStagnated { .. }))
+            .count();
+        assert_eq!(
+            stagnated, 1,
+            "stagnation announced exactly once: {events:?}"
+        );
+    }
+
+    /// A fetcher that holds every fetch for a fixed delay, widening the
+    /// window in which a peer worker sees an empty frontier while work
+    /// is in flight.
+    struct SlowFetcher {
+        inner: Arc<SimFetcher>,
+        delay: std::time::Duration,
+    }
+
+    impl Fetcher for SlowFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            std::thread::sleep(self.delay);
+            self.inner.fetch(oid)
+        }
+
+        fn fetch_count(&self) -> u64 {
+            self.inner.fetch_count()
+        }
+
+        fn url_of(&self, oid: Oid) -> Option<String> {
+            self.inner.url_of(oid)
+        }
+    }
+
+    #[test]
+    fn workers_wait_for_in_flight_peers_instead_of_finishing() {
+        // One seed, several workers: all but one worker see an empty
+        // frontier immediately while the fetch is in flight. They must
+        // idle-wait — not emit FrontierStagnated or exit — because the
+        // in-flight page is about to enqueue its outlinks.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 1);
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(SlowFetcher {
+            inner: Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            delay: std::time::Duration::from_millis(3),
+        });
+        let budget = 25;
+        let session = Arc::new(
+            CrawlSession::new(
+                fetcher,
+                model,
+                CrawlConfig {
+                    threads: 4,
+                    max_fetches: budget,
+                    distill_every: None,
+                    // claim-per-page: maximizes empty-frontier windows
+                    batch_size: 1,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        session.seed(&seeds).unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
+            .unwrap();
+        let stats = run.join().unwrap();
+        assert!(
+            stats.attempts > 1,
+            "peers must survive the single-seed start: {stats:?}"
+        );
+        let events = recorder.0.lock().unwrap().clone();
+        for e in &events {
+            if let CrawlEvent::FrontierStagnated { attempts } = e {
+                assert!(
+                    *attempts > 1,
+                    "premature stagnation with a peer in flight: {events:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stop_mid_batch_returns_unfetched_claims_within_one_page() {
+        // A stop (here: pause → stop while parked) must end the batch at
+        // the next page boundary and hand the unfetched remainder back
+        // to the frontier — not fetch out the whole batch first.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(SlowFetcher {
+            inner: Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            delay: std::time::Duration::from_millis(10),
+        });
+        let session = Arc::new(
+            CrawlSession::new(
+                fetcher,
+                model,
+                CrawlConfig {
+                    threads: 1,
+                    max_fetches: 100_000,
+                    distill_every: None,
+                    batch_size: 16,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        session.seed(&seeds).unwrap();
+        let run = session.start().unwrap();
+        while run.stats().successes < 1 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run.pause();
+        while run.state() != RunState::Paused && !run.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run.stop();
+        let stats = run.join().unwrap();
+        // The worker paused mid-batch after a page or two of its
+        // 16-claim batch; the rest must have been returned, not fetched.
+        assert!(
+            stats.successes + stats.failures < stats.attempts,
+            "stop processed the whole batch: {stats:?}"
+        );
+        // Nothing may be left stuck in the CLAIMED state.
+        let claimed = session.with_db(|db| {
+            db.execute("select count(*) from crawl where visited = 2")
+                .unwrap()
+                .scalar_i64()
+                .unwrap()
+        });
+        assert_eq!(claimed, 0, "claims leaked after stop");
+        // The returned work is poppable again.
+        let mut g = session.store.write();
+        assert!(
+            frontier::claim_next(&mut g.db).unwrap().is_some(),
+            "returned claims must be poppable"
+        );
+    }
+
+    #[test]
+    fn batch_size_override_applies_per_run() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 62);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        let run = session
+            .start_with(StartOptions {
+                batch_size: Some(4),
+                ..StartOptions::default()
+            })
+            .unwrap();
+        let stats = run.join().unwrap();
+        // The budget is honored exactly even when it is not a multiple
+        // of the batch size (claims are clamped to the remainder).
+        assert_eq!(stats.attempts, 62);
+        assert!(stats.successes > 0);
+    }
+
+    #[test]
+    fn successful_fetch_without_eval_is_a_recorded_failure_not_a_panic() {
+        // Regression for the `eval.expect("successful fetches are
+        // classified")` panic path: a successful fetch whose evaluation
+        // is absent must surface as a retriable failure (mark_failed +
+        // FetchFailed) and leave the page refetchable — never kill the
+        // worker.
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 50);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 1);
+        session.seed(&seeds).unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let sink = EventSink::new(
+            None,
+            vec![Arc::new(Arc::clone(&recorder))],
+            Arc::new(AtomicU64::new(0)),
+        );
+        let mut g = session.store.write();
+        let claim = frontier::claim_next(&mut g.db).unwrap().unwrap();
+        let page = session.fetcher.fetch(claim.oid).expect("seed page fetches");
+        // Inject the invariant break: Ok(page) with no evaluation.
+        session
+            .process(&mut g, &claim, Ok(page), None, 1, &sink)
+            .expect("no storage error");
+        drop(g);
+        let stats = session.stats();
+        assert_eq!(stats.failures, 1, "must count as a failure");
+        assert_eq!(stats.successes, 0);
+        let events = recorder.0.lock().unwrap().clone();
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                CrawlEvent::FetchFailed {
+                    retriable: true,
+                    ..
+                }
+            )),
+            "expected a retriable FetchFailed: {events:?}"
+        );
+        // The page went back to the frontier with numtries advanced.
+        let mut g = session.store.write();
+        let again = frontier::claim_next(&mut g.db).unwrap().unwrap();
+        assert_eq!(again.oid, claim.oid);
+        assert_eq!(again.numtries, 1);
+    }
+
+    #[test]
+    fn distill_now_on_a_fresh_session_returns_empty_not_panic() {
+        // Regression for the `.expect("just distilled")` panic path: an
+        // empty link graph distills to an empty result.
+        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        let result = session
+            .distill_now()
+            .expect("empty-graph distillation succeeds");
+        assert!(result.hubs.is_empty(), "no edges, no hubs");
+        assert!(result.auths.is_empty(), "no edges, no authorities");
+        assert!(session.last_distill().is_some(), "result recorded");
+        assert_eq!(session.stats().distillations, 1);
+        // maintenance_pass rides on the same path.
+        let (revisited, new_links) = session.maintenance_pass(5).unwrap();
+        assert_eq!((revisited, new_links), (0, 0));
+    }
+
+    #[test]
+    fn checkpoint_surfaces_corrupt_crawl_rows() {
+        // Regression for the silent unwrap_or decodes: a torn CRAWL row
+        // must fail the checkpoint loudly, not resurrect an
+        // Oid(0)/empty-URL page into the restored session.
+        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        session.with_db(|db| {
+            let tid = db.table_id("crawl").unwrap();
+            let mut row = tables::frontier_row(Oid(7), "u7", -0.5, 0);
+            row[crawl_col::URL] = Value::Null;
+            db.insert(tid, row).unwrap();
+        });
+        let err = session.checkpoint().unwrap_err();
+        assert!(
+            matches!(err, DbError::Corrupt(ref m) if m.contains("url")),
+            "expected Corrupt(url), got {err:?}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_surfaces_corrupt_link_rows() {
+        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        session.with_db(|db| {
+            let tid = db.table_id("link").unwrap();
+            db.insert(
+                tid,
+                vec![
+                    Value::Int(1),
+                    Value::Int(2),
+                    Value::Null, // torn oid_dst
+                    Value::Int(4),
+                    Value::Int(5),
+                ],
+            )
+            .unwrap();
+        });
+        let err = session.checkpoint().unwrap_err();
+        assert!(
+            matches!(err, DbError::Corrupt(ref m) if m.contains("oid_dst")),
+            "expected Corrupt(link.oid_dst), got {err:?}"
+        );
+    }
+
+    #[test]
+    fn set_policy_switches_live() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 10_000);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(
+                &graph, cycling, 10,
+            ))
+            .unwrap();
+        let run = session.start().unwrap();
+        run.set_policy(CrawlPolicy::Unfocused);
+        while session.policy() != CrawlPolicy::Unfocused && !run.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(session.policy(), CrawlPolicy::Unfocused);
+        run.stop();
+        run.join().unwrap();
+    }
+
+    #[test]
+    fn fetch_failed_events_carry_kind_and_outcome() {
+        // Satellite of the enriched-event contract: every failure names
+        // its error kind and actual disposition, and each requeue is
+        // announced (FetchRetried) before the retry's own verdict.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(
+            CrawlSession::new(
+                Arc::new(AllTimeoutFetcher),
+                model,
+                CrawlConfig {
+                    threads: 1,
+                    max_fetches: 100,
+                    max_tries: 3,
+                    distill_every: None,
+                    backoff: BackoffConfig { base: 2, max: 4 },
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        session.seed(&[Oid(1)]).unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
+            .unwrap();
+        let stats = run.join().unwrap();
+        assert_eq!(stats.attempts, 3);
+        assert_eq!(stats.failures, 3);
+        let events = recorder.0.lock().unwrap().clone();
+        let fail_pos: Vec<usize> = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, CrawlEvent::FetchFailed { .. }))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(fail_pos.len(), 3, "{events:?}");
+        for (k, &i) in fail_pos.iter().enumerate() {
+            let CrawlEvent::FetchFailed {
+                oid,
+                retriable,
+                error,
+                outcome,
+                ..
+            } = &events[i]
+            else {
+                unreachable!()
+            };
+            assert_eq!(*oid, Oid(1));
+            assert_eq!(*error, FetchErrorKind::Timeout);
+            assert!(*retriable, "timeouts are kind-retriable");
+            if k < 2 {
+                // Default breaker threshold (5) never trips here, so
+                // the page backs off rather than parks.
+                assert!(
+                    matches!(outcome, FailureOutcome::Retried { not_before } if *not_before > 0),
+                    "attempt {k} outcome: {outcome:?}"
+                );
+            } else {
+                assert_eq!(*outcome, FailureOutcome::Dead, "max_tries reached");
+            }
+        }
+        // Each backoff expiry is announced between the failure that
+        // caused it and the retry's own failure.
+        let r1 = position_of(&events, |e| {
+            matches!(e, CrawlEvent::FetchRetried { numtries: 1, .. })
+        });
+        let r2 = position_of(&events, |e| {
+            matches!(e, CrawlEvent::FetchRetried { numtries: 2, .. })
+        });
+        assert!(
+            fail_pos[0] < r1 && r1 < fail_pos[1],
+            "first retry at {r1}, failures at {fail_pos:?}"
+        );
+        assert!(
+            fail_pos[1] < r2 && r2 < fail_pos[2],
+            "second retry at {r2}, failures at {fail_pos:?}"
+        );
+    }
+
+    #[test]
+    fn dry_retry_budget_never_starves_first_visits() {
+        // Satellite regression for retry starvation: with every fetch
+        // timing out and only two retries in the budget, every seed must
+        // still get its first visit, hopeless retries must stop the
+        // moment the budget dries (terminal Dead, not endless requeues),
+        // and the run must terminate with fetch budget to spare.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(
+            CrawlSession::new(
+                Arc::new(AllTimeoutFetcher),
+                model,
+                CrawlConfig {
+                    threads: 1,
+                    max_fetches: 1000,
+                    max_tries: 5,
+                    distill_every: None,
+                    backoff: BackoffConfig { base: 2, max: 4 },
+                    // Never trip the breaker: this test isolates the
+                    // retry budget.
+                    breaker: BreakerConfig {
+                        threshold: u32::MAX,
+                        cooldown: 4,
+                        max_cooldown: 8,
+                    },
+                    retry_budget: 2,
+                    ..CrawlConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        let seeds: Vec<Oid> = (1..=6).map(Oid).collect();
+        session.seed(&seeds).unwrap();
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
+            .unwrap();
+        let stats = run.join().unwrap();
+        // 6 first visits + exactly the 2 budgeted retries.
+        assert_eq!(stats.attempts, 8, "{stats:?}");
+        assert_eq!(stats.failures, 8);
+        assert!(
+            stats.attempts < 1000,
+            "fetch budget must survive a dry retry budget"
+        );
+        let events = recorder.0.lock().unwrap().clone();
+        let mut seen = std::collections::HashSet::new();
+        let (mut requeued, mut dead) = (0, 0);
+        for e in &events {
+            if let CrawlEvent::FetchFailed { oid, outcome, .. } = e {
+                seen.insert(*oid);
+                match outcome {
+                    FailureOutcome::Retried { .. } | FailureOutcome::Parked { .. } => {
+                        requeued += 1;
+                    }
+                    FailureOutcome::Dead => dead += 1,
+                }
+            }
+        }
+        assert_eq!(seen.len(), 6, "every seed got its first visit");
+        assert_eq!(requeued, 2, "exactly the budgeted retries requeued");
+        assert_eq!(dead, 6, "everything else died promptly");
+    }
+
+    #[test]
+    fn parked_rows_survive_checkpoint_and_restore() {
+        // Satellite of the parking/durability coupling: a parked row
+        // keeps its `not_before` through checkpoint/restore, and the
+        // tick clock rides along, so the row serves out exactly its
+        // remaining cooldown in the restored session.
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 80);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 5);
+        session.seed(&seeds).unwrap();
+        let parked_oid = {
+            let mut g = session.store.write();
+            let claim = frontier::claim_next(&mut g.db).unwrap().unwrap();
+            frontier::park_batch(&mut g.db, &[(claim.oid, 42)]).unwrap();
+            claim.oid
+        };
+        session.counters.clock.store(7, Ordering::Release);
+        let ckpt = session.checkpoint().unwrap();
+        assert_eq!(ckpt.clock, 7, "tick clock checkpointed");
+        let page = ckpt
+            .pages
+            .iter()
+            .find(|p| p.oid == parked_oid)
+            .expect("parked row in checkpoint");
+        assert_eq!(page.state, visited::FRONTIER, "parked rows are frontier");
+        assert_eq!(page.not_before, 42, "cooldown survives the checkpoint");
+
+        let model = trained_model(&graph, "recreation/cycling");
+        let restored = CrawlSession::restore(
+            Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            model,
+            CrawlConfig {
+                threads: 1,
+                max_fetches: 80,
+                distill_every: None,
+                ..CrawlConfig::default()
+            },
+            &ckpt,
+        )
+        .unwrap();
+        assert_eq!(
+            restored.counters.clock.load(Ordering::Acquire),
+            7,
+            "clock restored verbatim"
+        );
+        let mut g = restored.store.write();
+        // Before its tick the row hides from claims without losing its
+        // place...
+        let early = frontier::claim_batch(&mut g.db, 16, 7).unwrap();
+        assert!(
+            early.claims.iter().all(|c| c.oid != parked_oid),
+            "parked row popped early: {early:?}"
+        );
+        assert_eq!(early.parked, 1, "parked row visible to the idle verdict");
+        assert_eq!(early.next_due, Some(42));
+        // ...and pops the moment the clock reaches it.
+        let due = frontier::claim_batch(&mut g.db, 16, 42).unwrap();
+        assert!(
+            due.claims.iter().any(|c| c.oid == parked_oid),
+            "parked row must be due at its tick: {due:?}"
+        );
+    }
+}

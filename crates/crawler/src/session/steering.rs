@@ -1,0 +1,353 @@
+//! Steering: control commands applied at page boundaries, live topic
+//! re-marking, and the crawl-maintenance pass.
+
+use super::flush::owner_shard;
+use super::*;
+
+/// Below this linear relevance, a re-marked topic does not re-prioritize
+/// a visited page's outlinks (§3.7 re-steering; keeps the boost targeted
+/// at pages the new marking actually endorses).
+const RESTEER_MIN_RELEVANCE: f64 = 0.2;
+
+impl CrawlSession {
+    /// Apply one steering command at a page boundary.
+    pub(crate) fn apply_command(&self, cmd: Command, sink: &EventSink) {
+        match cmd {
+            Command::Pause => {
+                if self.control.run_state() == RunState::Running {
+                    self.control.set_state(RunState::Paused);
+                    sink.emit(CrawlEvent::Paused);
+                }
+            }
+            Command::Resume => {
+                if self.control.run_state() == RunState::Paused {
+                    self.control.set_state(RunState::Running);
+                    sink.emit(CrawlEvent::Resumed);
+                }
+            }
+            Command::Stop => {
+                self.control.set_state(RunState::Stopping);
+                if self.control.stop_reported_once() {
+                    let attempts = self.counters.attempts.load(Ordering::Acquire);
+                    sink.emit(CrawlEvent::Stopped { attempts });
+                }
+            }
+            Command::AddSeeds(seeds) => {
+                let res = self.seed(&seeds);
+                self.control
+                    .stagnation_reported
+                    .store(false, Ordering::Release);
+                match res {
+                    Ok(()) => sink.emit(CrawlEvent::SeedsAdded { count: seeds.len() }),
+                    Err(e) => self.record_error(e),
+                }
+            }
+            Command::AddBudget(extra) => {
+                let budget = self.counters.budget.fetch_add(extra, Ordering::AcqRel) + extra;
+                self.control.budget_reported.store(false, Ordering::Release);
+                sink.emit(CrawlEvent::BudgetAdded { extra, budget });
+            }
+            Command::SetPolicy(policy) => {
+                self.store.write().policy = policy;
+                sink.emit(CrawlEvent::PolicyChanged {
+                    policy: policy_name(policy),
+                });
+            }
+            Command::MarkTopic { class, good } => {
+                self.apply_mark_topic(class, good, sink);
+            }
+            Command::Distill => {
+                let mut g = self.store.write();
+                if let Err(e) = self.distill_locked(&mut g, Some(sink)) {
+                    drop(g);
+                    self.record_error(e);
+                }
+            }
+        }
+    }
+
+    /// §3.7 live re-steering: change the good marking, recompute visited
+    /// pages' relevance from their saved posteriors, and re-prioritize
+    /// the frontier entries those pages point to.
+    fn apply_mark_topic(&self, class: ClassId, good: bool, sink: &EventSink) {
+        let applied = {
+            let mut model = self.model.write();
+            let res = if good {
+                model.taxonomy.mark_good(class)
+            } else {
+                model.taxonomy.unmark_good(class)
+            };
+            res.is_ok()
+        };
+        sink.emit(CrawlEvent::TopicMarked {
+            class,
+            good,
+            applied,
+        });
+        if !applied {
+            return;
+        }
+        let model = self.model.read();
+        // Recompile against the new marking and swap the Arc in. Workers
+        // cloned their Arc before evaluating, so nothing waits on this;
+        // pages classified from here on see the new good set. Lock order
+        // model → compiled per the module docs.
+        *self.compiled.write() = Arc::new(CompiledModel::compile(&model));
+        let goods = model.taxonomy.good_set();
+        let mut g = self.store.write();
+        // Recompute R(d) for every visited page under the new marking.
+        // A good class that was never evaluated (it sat below the old
+        // path nodes) borrows its deepest evaluated ancestor's
+        // probability — an upper bound, which is the right bias for
+        // discovery: over-approximating sends the crawler to look.
+        let recomputed: Vec<(Oid, f64)> = g
+            .class_probs
+            .iter()
+            .map(|(&oid, probs)| {
+                let r: f64 = goods
+                    .iter()
+                    .map(|&gc| lookup_prob(&model.taxonomy, probs, gc))
+                    .sum();
+                (oid, r.min(1.0))
+            })
+            .collect();
+        for &(oid, r) in &recomputed {
+            g.relevance.insert(oid, r);
+            if let Err(e) = frontier::update_visited_relevance(&mut g.db, oid, log_clamped(r)) {
+                drop(g);
+                self.record_error(e);
+                return;
+            }
+        }
+        // Re-prioritize: unvisited targets of now-relevant pages inherit
+        // the new relevance, exactly the soft-focus rule applied
+        // retroactively. The link cache carries the target's server id,
+        // so boosts for pages another shard owns route through the
+        // exchange (a `mark_topic` broadcast re-steers *every* shard's
+        // frontier, each from its own link evidence).
+        let candidates: Vec<(Oid, u32, f64)> = g
+            .links
+            .iter()
+            .filter_map(|&(src, _, dst, sid_dst)| {
+                if g.relevance.contains_key(&dst) {
+                    return None; // already fetched
+                }
+                match g.relevance.get(&src) {
+                    Some(&r) if r > RESTEER_MIN_RELEVANCE => Some((dst, sid_dst, r)),
+                    _ => None,
+                }
+            })
+            .collect();
+        let mut boosts = Vec::new();
+        let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
+            Some(ctx) => vec![Vec::new(); ctx.n_shards],
+            None => Vec::new(),
+        };
+        for (dst, sid_dst, r) in candidates {
+            let entry = FrontierEntry {
+                oid: dst,
+                url: String::new(),
+                log_relevance: log_clamped(r),
+                serverload: 0,
+            };
+            match owner_shard(&self.shard, ServerId(sid_dst)) {
+                Some(owner) => remote[owner].push(entry),
+                None => boosts.push(entry),
+            }
+        }
+        // Clear-before-insert under the store lock (see
+        // `clear_shard_idle`).
+        self.clear_shard_idle();
+        let boosted = match frontier::upsert_batch(&mut g.db, &boosts) {
+            Ok(res) => res.changed(),
+            Err(e) => {
+                drop(g);
+                self.record_error(e);
+                return;
+            }
+        };
+        if let Some(ctx) = &self.shard {
+            for (owner, batch) in remote.into_iter().enumerate() {
+                ctx.exchange.route(owner, batch);
+            }
+        }
+        drop(g);
+        self.control
+            .stagnation_reported
+            .store(false, Ordering::Release);
+        sink.emit(CrawlEvent::FrontierResteered { class, boosted });
+    }
+
+    /// Crawl-maintenance pass (§3.2): revisit the best hubs in
+    /// `(lastvisited asc, hubs.score desc)` spirit, looking for *new*
+    /// resource links the evolving web added since they were first
+    /// fetched. New edges are recorded in `LINK` with a fresh `discovered`
+    /// timestamp, and their targets enter the frontier at high priority.
+    /// Returns `(hubs revisited, new links found)`.
+    ///
+    /// Revisit fetches go through the same per-server admission path as
+    /// crawl fetches: a quarantined or politeness-saturated server is
+    /// *skipped* (never probed past its breaker), and a failed revisit
+    /// charges the server's health instead of being swallowed. Use
+    /// [`maintenance_pass_with`] to observe the skip/failure events.
+    ///
+    /// [`maintenance_pass_with`]: CrawlSession::maintenance_pass_with
+    pub fn maintenance_pass(&self, top_k_hubs: usize) -> DbResult<(usize, usize)> {
+        self.maintenance_pass_with(top_k_hubs, Vec::new())
+    }
+
+    /// [`maintenance_pass`](CrawlSession::maintenance_pass) with
+    /// observers: skips surface as [`CrawlEvent::HubRevisitSkipped`],
+    /// failures as [`CrawlEvent::HubRevisitFailed`], and breaker
+    /// transitions as the usual quarantine/recovery events.
+    pub fn maintenance_pass_with(
+        &self,
+        top_k_hubs: usize,
+        observers: Vec<Arc<dyn CrawlObserver>>,
+    ) -> DbResult<(usize, usize)> {
+        let sink = EventSink::new(None, observers, Arc::new(AtomicU64::new(0)));
+        let distill = match self.last_distill() {
+            Some(d) => d,
+            None => self.distill_now()?,
+        };
+        let hubs: Vec<Oid> = distill
+            .top_hubs(top_k_hubs)
+            .iter()
+            .map(|&(o, _)| o)
+            .collect();
+        let mut revisited = 0;
+        let mut new_links = 0;
+        for hub in hubs {
+            // Resolve the hub's server the same way crawl claims do:
+            // by URL. A fetcher without URL metadata resolves to the
+            // same default server id empty-URL claims use.
+            let url = self.fetcher.url_of(hub).unwrap_or_default();
+            let sid = host_server_id(&url);
+            let tick = self.counters.clock.load(Ordering::Acquire) as i64;
+            // Admission under the store lock, exactly like a claim: a
+            // parked verdict means the breaker is open or the server is
+            // politeness-saturated — skip, never probe past it.
+            let admitted = {
+                let mut g = self.store.write();
+                match g.health.admit(sid, tick) {
+                    ClaimGate::Fetch | ClaimGate::Probe => true,
+                    ClaimGate::Parked { until } => {
+                        sink.emit(CrawlEvent::HubRevisitSkipped {
+                            oid: hub,
+                            server: sid,
+                            until,
+                        });
+                        false
+                    }
+                }
+            };
+            if !admitted {
+                continue;
+            }
+            // Maintenance traffic sits outside the crawl's attempt
+            // numbering, so it takes the legacy serialized-tick fetch
+            // (no submission ordinal to pass).
+            let result = self.fetcher.fetch(hub);
+            let page = match result {
+                Err(ref e) => {
+                    let kind = FetchErrorKind::from(e);
+                    let mut g = self.store.write();
+                    // Reborrow so `db` and `health` borrows can split.
+                    let g = &mut *g;
+                    g.health.release(sid);
+                    if kind == FetchErrorKind::Timeout {
+                        if let FailureVerdict::Quarantined { until, failures } =
+                            g.health.record_failure(sid, tick)
+                        {
+                            Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
+                            sink.emit(CrawlEvent::ServerQuarantined {
+                                server: sid,
+                                failures,
+                                until,
+                            });
+                        }
+                    }
+                    sink.emit(CrawlEvent::HubRevisitFailed {
+                        oid: hub,
+                        server: sid,
+                        error: kind,
+                    });
+                    continue;
+                }
+                Ok(page) => page,
+            };
+            revisited += 1;
+            let mut g = self.store.write();
+            // Reborrow so `db` and `health` borrows can split.
+            let g = &mut *g;
+            g.health.release(sid);
+            if g.health.record_success(sid) {
+                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
+                sink.emit(CrawlEvent::ServerRecovered { server: sid });
+            }
+            let now = self.start.elapsed().as_secs() as i64;
+            // Known outlinks of this hub.
+            let known: Vec<i64> = {
+                let rs = g.db.query_with(
+                    "select oid_dst from link where oid_src = ?",
+                    &[Value::Int(hub.raw() as i64)],
+                )?;
+                rs.rows.iter().filter_map(|r| r[0].as_i64()).collect()
+            };
+            let sid_src = host_server_id(&page.url);
+            let link_tid = g.db.table_id("link")?;
+            let boost = log_clamped(0.95);
+            let mut link_rows = Vec::new();
+            let mut enqueues = Vec::new();
+            for (dst, dst_url) in &page.outlinks {
+                if known.contains(&(dst.raw() as i64)) {
+                    continue;
+                }
+                new_links += 1;
+                let sid_dst = host_server_id(dst_url);
+                g.links.push((hub, sid_src.raw(), *dst, sid_dst.raw()));
+                link_rows.push(vec![
+                    Value::Int(hub.raw() as i64),
+                    Value::Int(sid_src.raw() as i64),
+                    Value::Int(dst.raw() as i64),
+                    Value::Int(sid_dst.raw() as i64),
+                    Value::Int(now),
+                ]);
+                enqueues.push(FrontierEntry {
+                    oid: *dst,
+                    url: dst_url.clone(),
+                    log_relevance: boost,
+                    serverload: 0,
+                });
+            }
+            g.db.insert_many(link_tid, link_rows)?;
+            frontier::upsert_batch(&mut g.db, &enqueues)?;
+            frontier::touch_visited(&mut g.db, hub, now)?;
+        }
+        Ok((revisited, new_links))
+    }
+}
+
+/// `Pr[c|d]` from a saved posterior, falling back to the deepest
+/// evaluated ancestor (an upper bound) when `c` itself sat below the
+/// evaluated path nodes at fetch time.
+fn lookup_prob(taxonomy: &focus_types::Taxonomy, probs: &[(ClassId, f64)], class: ClassId) -> f64 {
+    let direct = |c: ClassId| probs.iter().find(|&&(pc, _)| pc == c).map(|&(_, p)| p);
+    if let Some(p) = direct(class) {
+        return p;
+    }
+    for anc in taxonomy.ancestors(class) {
+        if let Some(p) = direct(anc) {
+            return p;
+        }
+    }
+    0.0
+}
+
+fn policy_name(p: CrawlPolicy) -> &'static str {
+    match p {
+        CrawlPolicy::Unfocused => "Unfocused",
+        CrawlPolicy::HardFocus => "HardFocus",
+        CrawlPolicy::SoftFocus => "SoftFocus",
+    }
+}
