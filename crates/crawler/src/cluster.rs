@@ -542,19 +542,10 @@ impl CrawlCluster {
                 retry_budget: opts
                     .retry_budget
                     .map(|rb| even_split(rb, self.shards.len() as u64, runs.len() as u64)),
-                // So is a fetch-pool override: the total thread count
-                // splits across shards, each keeping at least one
-                // thread when pooling is on at all (mirrors
-                // `split_config`).
-                fetch_pool: opts.fetch_pool.map(|fp| {
-                    if fp == 0 {
-                        0
-                    } else {
-                        (even_split(fp as u64, self.shards.len() as u64, runs.len() as u64)
-                            as usize)
-                            .max(1)
-                    }
-                }),
+                // So is a fetch-pool override (see `split_pool`).
+                fetch_pool: opts
+                    .fetch_pool
+                    .map(|fp| split_pool(fp, self.shards.len(), runs.len())),
                 politeness: opts.politeness,
             };
             match session.start_with(shard_opts) {
@@ -765,6 +756,14 @@ fn even_split(total: u64, n: u64, i: u64) -> u64 {
     total / n + u64::from(i < total % n)
 }
 
+/// Shard `i`'s slice of a cluster-wide fetcher-thread count: an even
+/// split, except that no shard of a cluster given *any* fetcher threads
+/// is left with none — a thin shard would otherwise serialize its
+/// fetches on its workers while its peers overlap theirs.
+fn split_pool(total: usize, n_shards: usize, i: usize) -> usize {
+    (even_split(total as u64, n_shards as u64, i as u64) as usize).max(total.min(1))
+}
+
 /// Split the cluster-wide config into per-shard configs: budget and
 /// workers divided as evenly as integers allow (low shards take the
 /// remainder), every shard running at least one worker.
@@ -778,13 +777,7 @@ fn split_config(cfg: &CrawlConfig, n_shards: usize) -> Vec<CrawlConfig> {
             // Like the fetch budget, the retry budget is a cluster
             // total; shards spend disjoint slices of it.
             c.retry_budget = even_split(cfg.retry_budget, n, i as u64);
-            // The fetch pool is a cluster-wide thread count split the
-            // same way — but a cluster asked to pool at all (total > 0)
-            // gives every shard at least one fetcher thread, or a thin
-            // shard would silently fall back to inline fetching.
-            if cfg.fetch_pool > 0 {
-                c.fetch_pool = (even_split(cfg.fetch_pool as u64, n, i as u64) as usize).max(1);
-            }
+            c.fetch_pool = split_pool(cfg.fetch_pool, n_shards, i);
             c
         })
         .collect()

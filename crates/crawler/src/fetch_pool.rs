@@ -1,27 +1,42 @@
-//! The async fetch pipeline: a completion queue over dedicated fetcher
-//! threads, so a handful of CPU workers keep hundreds of fetches in
-//! flight instead of sleeping through round-trips one at a time.
+//! The fetch executor: where a claimed page's blocking [`Fetcher`]
+//! call runs, and the only point at which crawl workers differ.
 //!
 //! §1.1's premise is that network latency, not CPU, bounds discovery;
 //! the paper's crawler runs "about thirty threads" purely to hide it.
-//! This module is that idea with the roles split: CPU workers *submit*
-//! claims into a shared submission queue and *drain* `(claim, result)`
-//! completions through the existing classify/flush path, while a pool
-//! of plain OS threads (no async runtime — consistent with the offline
-//! `vendor/` toolchain) runs the blocking [`Fetcher`] calls in between.
+//! A worker ([`crate::session`]) therefore never fetches directly: it
+//! *submits* claims to its [`PoolHandle`] and *drains* `(claim,
+//! result)` [`Completion`]s from it, and the executor decides what
+//! happens in between. There are two, chosen by the pool's size alone:
+//!
+//! * **size 0 — a pool of this thread.** Submitted jobs wait in a
+//!   plain queue inside the handle and [`PoolHandle::next_completion`]
+//!   runs the fetch on the calling worker: no thread, no lock, no
+//!   clock read, and a fetcher panic unwinds on the worker itself.
+//!   The handle asks for one claim batch at a time, only when its
+//!   queue is empty ([`PoolHandle::room`]).
+//! * **size n > 0 — n fetcher threads.** Plain OS threads (no async
+//!   runtime — consistent with the offline `vendor/` toolchain) pop a
+//!   shared submission queue, run the blocking fetch, and post the
+//!   completion to the mailbox of the handle that submitted it; each
+//!   handle keeps its share of ~2 jobs per thread outstanding so
+//!   hundreds of fetches ride the wire under a few CPU workers.
 //!
 //! Ownership model: the pool and its submission queue are shared per
-//! shard, but every completion lands in the [`PoolHandle`] that
+//! run, but every completion lands in the [`PoolHandle`] that
 //! submitted the job, so a worker only ever sees its own claims —
-//! claim lifecycle (gauges, flush, unclaim) stays worker-local exactly
-//! as in the inline path. Determinism: each job carries the attempt
-//! number its submitter assigned under the store lock, and fetchers see
-//! it via [`Fetcher::fetch_with_ordinal`] — fault injection keys on the
-//! submission order, never on completion interleaving.
+//! claim lifecycle (gauges, flush, unclaim) stays worker-local.
+//! Determinism: each job carries the attempt number its submitter
+//! assigned under the store lock, and fetchers see it via
+//! [`Fetcher::fetch_with_ordinal`] — fault injection keys on the
+//! submission order, never on completion interleaving or pool size.
+//!
+//! Locks: the submission queue and the completion mailboxes are leaves
+//! taken with no session lock held, and fetcher threads touch no
+//! session state at all.
 //!
 //! Shutdown contract: workers cancel or drain all their jobs before
-//! exiting (the run's wind-down then tears the idle pool down), so a
-//! claim is never abandoned inside the queue.
+//! exiting (the run then drops the idle pool, joining its threads), so
+//! a claim is never abandoned inside the queue.
 
 use crate::frontier::Claim;
 use focus_webgraph::{FetchError, FetchedPage, Fetcher};
@@ -31,7 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a pool thread produced for one submitted claim.
+/// What the executor produced for one submitted claim.
 #[derive(Debug)]
 pub struct Completion {
     /// The claim as submitted.
@@ -39,9 +54,9 @@ pub struct Completion {
     /// The attempt number assigned at submission (the fetch's
     /// submission ordinal is `attempt - 1`).
     pub attempt: u64,
-    /// The fetch outcome, or the payload of a panic caught in the
-    /// fetcher — the draining worker re-raises it so a broken fetcher
-    /// fails the run exactly like an inline fetch would.
+    /// The fetch outcome, or the payload of a panic caught on a fetcher
+    /// thread — the draining worker re-raises it so a broken fetcher
+    /// fails the run exactly like an on-thread fetch does.
     pub outcome: Result<Result<FetchedPage, FetchError>, String>,
 }
 
@@ -71,17 +86,16 @@ impl PoolShared {
     }
 }
 
-/// A shard's fetcher-thread pool. Created at run launch when
-/// `fetch_pool > 0`, shared by that run's CPU workers, torn down at
-/// wind-down.
+/// A run's fetch executor. Created at run launch, shared by that run's
+/// CPU workers through their [`PoolHandle`]s, dropped at wind-down.
 pub struct FetchPool {
     shared: Arc<PoolShared>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl FetchPool {
-    /// Spawn `size` fetcher threads over `fetcher`. `size` is clamped
-    /// to at least 1 — a zero-thread pool would strand every job.
+    /// Spawn `size` fetcher threads over `fetcher`. With `size == 0`
+    /// nothing is spawned and every handle fetches on its own thread.
     pub fn new(fetcher: Arc<dyn Fetcher>, size: usize) -> FetchPool {
         let shared = Arc::new(PoolShared {
             fetcher,
@@ -89,7 +103,7 @@ impl FetchPool {
             job_ready: OrderedCondvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let threads = (0..size.max(1))
+        let threads = (0..size)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -108,13 +122,21 @@ impl FetchPool {
 
     /// A worker's private submission/completion endpoint.
     pub fn handle(self: &Arc<Self>) -> PoolHandle {
+        let exec = if self.threads.is_empty() {
+            Executor::OnThread(VecDeque::new())
+        } else {
+            Executor::Threads {
+                dest: Arc::new(HandleShared {
+                    completions: OrderedMutex::new(rank::POOL_MAILBOX, VecDeque::new()),
+                    ready: OrderedCondvar::new(),
+                }),
+                outstanding: 0,
+                threads: self.threads.len(),
+            }
+        };
         PoolHandle {
             pool: Arc::clone(&self.shared),
-            dest: Arc::new(HandleShared {
-                completions: OrderedMutex::new(rank::POOL_MAILBOX, VecDeque::new()),
-                ready: OrderedCondvar::new(),
-            }),
-            outstanding: 0,
+            exec,
         }
     }
 
@@ -183,56 +205,34 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker's view of the pool: submit claims, drain *your own*
+/// Where one handle's submitted jobs wait, per executor.
+enum Executor {
+    /// Size 0: jobs queue here until [`PoolHandle::next_completion`]
+    /// fetches them on the calling thread.
+    OnThread(VecDeque<(Claim, u64)>),
+    /// Size n: jobs sit in the shared submission queue or on the wire;
+    /// completions come back through this handle's mailbox.
+    Threads {
+        dest: Arc<HandleShared>,
+        outstanding: usize,
+        /// Fetcher threads in the pool (sizes this handle's top-up).
+        threads: usize,
+    },
+}
+
+/// One worker's view of the executor: submit claims, drain *your own*
 /// completions. Not shared between workers.
 pub struct PoolHandle {
     pool: Arc<PoolShared>,
-    dest: Arc<HandleShared>,
-    outstanding: usize,
+    exec: Executor,
 }
 
 impl PoolHandle {
     /// Submit one batch of claims whose attempt numbers start at
-    /// `first_attempt` (contiguous, in batch order — the same numbering
-    /// the inline path uses for chaos ticks).
+    /// `first_attempt` (contiguous, in batch order — the numbering
+    /// chaos ticks key on).
     pub fn submit(&mut self, claims: Vec<Claim>, first_attempt: u64) {
-        if claims.is_empty() {
-            return;
-        }
-        self.outstanding += claims.len();
-        let mut q = self.pool.queue.lock();
-        for (i, claim) in claims.into_iter().enumerate() {
-            q.push_back(Job {
-                claim,
-                attempt: first_attempt + i as u64,
-                dest: Arc::clone(&self.dest),
-            });
-            self.pool.job_ready.notify_one();
-        }
-    }
-
-    /// Jobs submitted through this handle and not yet drained or
-    /// cancelled.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Next completion for this handle, waiting up to `timeout`. `None`
-    /// when nothing is outstanding or nothing completed in time — the
-    /// caller's loop uses the timeout to stay responsive to commands.
-    pub fn next_completion(&mut self, timeout: Duration) -> Option<Completion> {
-        if self.outstanding == 0 {
-            return None;
-        }
-        let mut c = self.dest.completions.lock();
-        if c.is_empty() {
-            c = self.dest.ready.wait_timeout(c, timeout).0;
-        }
-        let done = c.pop_front();
-        if done.is_some() {
-            self.outstanding -= 1;
-        }
-        done
+        self.enqueue(claims.into_iter().zip(first_attempt..));
     }
 
     /// Resubmit jobs previously pulled out by [`cancel_unstarted`]
@@ -242,39 +242,121 @@ impl PoolHandle {
     ///
     /// [`cancel_unstarted`]: PoolHandle::cancel_unstarted
     pub fn resubmit(&mut self, jobs: Vec<(Claim, u64)>) {
-        if jobs.is_empty() {
-            return;
-        }
-        self.outstanding += jobs.len();
-        let mut q = self.pool.queue.lock();
-        for (claim, attempt) in jobs {
-            q.push_back(Job {
-                claim,
-                attempt,
-                dest: Arc::clone(&self.dest),
-            });
-            self.pool.job_ready.notify_one();
+        self.enqueue(jobs.into_iter());
+    }
+
+    fn enqueue(&mut self, jobs: impl Iterator<Item = (Claim, u64)>) {
+        match &mut self.exec {
+            Executor::OnThread(queue) => queue.extend(jobs),
+            Executor::Threads {
+                dest, outstanding, ..
+            } => {
+                let mut q = self.pool.queue.lock();
+                for (claim, attempt) in jobs {
+                    q.push_back(Job {
+                        claim,
+                        attempt,
+                        dest: Arc::clone(dest),
+                    });
+                    *outstanding += 1;
+                    self.pool.job_ready.notify_one();
+                }
+            }
         }
     }
 
-    /// Pull this handle's not-yet-started jobs back out of the
-    /// submission queue, in submission order. Jobs already picked up by
-    /// a fetcher thread are *not* returned — they will still complete
-    /// and must be drained. Used by pause (hold and resubmit) and stop
-    /// (unclaim).
-    pub fn cancel_unstarted(&mut self) -> Vec<(Claim, u64)> {
-        let mut q = self.pool.queue.lock();
-        let mut mine = Vec::new();
-        q.retain_mut(|j| {
-            if Arc::ptr_eq(&j.dest, &self.dest) {
-                mine.push((j.claim.clone(), j.attempt));
-                false
-            } else {
-                true
+    /// Jobs submitted through this handle and not yet drained or
+    /// cancelled.
+    pub fn outstanding(&self) -> usize {
+        match &self.exec {
+            Executor::OnThread(queue) => queue.len(),
+            Executor::Threads { outstanding, .. } => *outstanding,
+        }
+    }
+
+    /// How many claims the caller should submit now, given its claim
+    /// batch size and the number of workers sharing the pool. On-thread,
+    /// one full batch whenever the queue has run empty — one claim
+    /// critical section per `batch` pages. With fetcher threads, the
+    /// top-up toward this worker's share of ~2 jobs per thread (never
+    /// below one batch, or a tiny pool would defeat batching), so a
+    /// completing thread always finds its next job queued.
+    pub fn room(&self, batch: usize, workers: usize) -> usize {
+        match &self.exec {
+            Executor::OnThread(queue) if queue.is_empty() => batch,
+            Executor::OnThread(_) => 0,
+            Executor::Threads {
+                outstanding,
+                threads,
+                ..
+            } => {
+                let target = batch.max((threads * 2).div_ceil(workers));
+                target.saturating_sub(*outstanding).min(batch)
             }
-        });
-        self.outstanding -= mine.len();
-        mine
+        }
+    }
+
+    /// Next completion for this handle. On-thread it *is* the fetch:
+    /// the oldest queued job runs on the caller (`timeout` is unused)
+    /// and `None` means the queue is empty. With fetcher threads it
+    /// waits up to `timeout`; `None` means nothing is outstanding or
+    /// nothing completed in time — the caller's loop uses the timeout
+    /// to stay responsive to commands.
+    pub fn next_completion(&mut self, timeout: Duration) -> Option<Completion> {
+        match &mut self.exec {
+            Executor::OnThread(queue) => {
+                let (claim, attempt) = queue.pop_front()?;
+                let ordinal = attempt.saturating_sub(1);
+                let outcome = Ok(self.pool.fetcher.fetch_with_ordinal(claim.oid, ordinal));
+                Some(Completion {
+                    claim,
+                    attempt,
+                    outcome,
+                })
+            }
+            Executor::Threads {
+                dest, outstanding, ..
+            } => {
+                if *outstanding == 0 {
+                    return None;
+                }
+                let mut c = dest.completions.lock();
+                if c.is_empty() {
+                    c = dest.ready.wait_timeout(c, timeout).0;
+                }
+                let done = c.pop_front();
+                if done.is_some() {
+                    *outstanding -= 1;
+                }
+                done
+            }
+        }
+    }
+
+    /// Pull this handle's not-yet-started jobs back out, in submission
+    /// order. Jobs already picked up by a fetcher thread are *not*
+    /// returned — they will still complete and must be drained. Used
+    /// by pause (hold and resubmit) and stop (unclaim).
+    pub fn cancel_unstarted(&mut self) -> Vec<(Claim, u64)> {
+        match &mut self.exec {
+            Executor::OnThread(queue) => queue.drain(..).collect(),
+            Executor::Threads {
+                dest, outstanding, ..
+            } => {
+                let mut q = self.pool.queue.lock();
+                let mut mine = Vec::new();
+                q.retain_mut(|j| {
+                    if Arc::ptr_eq(&j.dest, dest) {
+                        mine.push((j.claim.clone(), j.attempt));
+                        false
+                    } else {
+                        true
+                    }
+                });
+                *outstanding -= mine.len();
+                mine
+            }
+        }
     }
 }
 
@@ -371,8 +453,9 @@ mod tests {
     }
 
     /// The satellite regression: replaying one submission schedule
-    /// through pool sizes 1 and 64 injects the *identical* fault set —
-    /// chaos keys on submission ordinals, not completion order.
+    /// through pool sizes 0 (on-thread), 1 and 64 injects the
+    /// *identical* fault set — chaos keys on submission ordinals, not
+    /// on the executor or its completion order.
     #[test]
     fn chaos_fault_set_is_identical_at_pool_sizes_1_and_64() {
         let run = |pool_size: usize| -> BTreeSet<(u64, u64)> {
@@ -401,12 +484,14 @@ mod tests {
             faults
         };
         let serial = run(1);
-        let wide = run(64);
         assert!(!serial.is_empty(), "flaky p=0.5 must inject something");
-        assert_eq!(
-            serial, wide,
-            "injected-fault set must not depend on pool size"
-        );
+        for size in [0, 64] {
+            assert_eq!(
+                serial,
+                run(size),
+                "injected-fault set must not depend on pool size ({size})"
+            );
+        }
     }
 
     /// Documented `ChaosSchedule::fault` purity is what the identical

@@ -18,6 +18,7 @@
 //! stats as success.
 
 use crate::events::{CrawlObserver, EventSink, EventStream};
+use crate::fetch_pool::FetchPool;
 use crate::policy::CrawlPolicy;
 use crate::session::{CrawlSession, CrawlStats};
 use focus_types::{ClassId, Oid};
@@ -240,10 +241,10 @@ pub struct StartOptions {
     /// session has left — budgets are *not* refilled between runs
     /// unless overridden).
     pub retry_budget: Option<u64>,
-    /// Override for the async fetch pipeline's pool size (`None` uses
-    /// [`crate::session::CrawlConfig::fetch_pool`]). `Some(0)` forces
-    /// the inline fetch path for this run; `Some(n)` spawns `n`
-    /// dedicated fetcher threads shared by the run's workers.
+    /// Override for the size of this run's fetch executor (`None` uses
+    /// [`crate::session::CrawlConfig::fetch_pool`]): `Some(0)` fetches
+    /// on the worker threads themselves, `Some(n)` spawns `n` dedicated
+    /// fetcher threads shared by the run's workers.
     pub fetch_pool: Option<usize>,
     /// Override for the per-server politeness policy (`None` uses
     /// [`crate::session::CrawlConfig::politeness`]). Applying an
@@ -270,6 +271,12 @@ impl Default for StartOptions {
 pub struct CrawlRun {
     session: Arc<CrawlSession>,
     workers: Vec<JoinHandle<()>>,
+    /// This run's fetch executor ([`crate::fetch_pool`]). The workers
+    /// hold handles on it; the run owns it, so its fetcher threads (if
+    /// any) are joined when the run is dropped — after `wind_down` has
+    /// joined the workers, whose wind-down contract guarantees they
+    /// cancelled or drained every job first.
+    _pool: Arc<FetchPool>,
     events: Option<EventStream>,
     dropped: Arc<AtomicU64>,
     /// Observer-only sink for commands drained after the pool exited.
@@ -332,13 +339,18 @@ impl CrawlRun {
         // worker runs, so a sibling shard can never observe this shard
         // as dead while its workers are still being spawned.
         session.note_workers_arming(threads);
+        let pool = Arc::new(FetchPool::new(
+            Arc::clone(session.fetcher()),
+            opts.fetch_pool.unwrap_or(session.config().fetch_pool),
+        ));
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
             let s = Arc::clone(&session);
             let worker_sink = Arc::clone(&sink);
+            let exec = pool.handle();
             let body = Box::new(move || {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    s.worker(&worker_sink, batch_size)
+                    s.worker(exec, &worker_sink, batch_size)
                 }));
                 if let Err(payload) = caught {
                     // `as_ref` reaches the panic payload itself; a
@@ -366,6 +378,7 @@ impl CrawlRun {
         Ok(CrawlRun {
             session,
             workers,
+            _pool: pool,
             events: Some(EventStream::new(rx, dropped.clone())),
             dropped,
             tail_sink,
@@ -492,10 +505,6 @@ impl CrawlRun {
             let _ = h.join();
         }
         let session = Arc::clone(&self.session);
-        // Workers have all exited, and the wind-down contract says they
-        // cancelled or drained every job first — the idle pool can be
-        // torn down (fetcher threads joined) before the final commit.
-        session.teardown_fetch_pool();
         session
             .control()
             .drain(|cmd| session.apply_command(cmd, &self.tail_sink));

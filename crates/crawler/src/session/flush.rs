@@ -29,48 +29,97 @@ impl CrawlSession {
     /// by the owner's workers at page boundaries); a seed with no
     /// resolvable URL falls back to `oid % n_shards`.
     pub(crate) fn seed_entries(&self, entries: Vec<FrontierEntry>) -> DbResult<()> {
-        let local: Vec<FrontierEntry> = match &self.shard {
-            None => entries,
-            Some(ctx) => {
-                let mut local = Vec::with_capacity(entries.len());
-                let mut remote: Vec<Vec<FrontierEntry>> = vec![Vec::new(); ctx.n_shards];
-                for e in entries {
-                    let owner = crate::cluster::seed_owner(&e.url, e.oid, ctx.n_shards);
-                    if owner == ctx.shard {
-                        local.push(e);
-                    } else {
-                        remote[owner].push(e);
-                    }
-                }
-                for (owner, batch) in remote.into_iter().enumerate() {
-                    ctx.exchange.route(owner, batch);
-                }
-                local
-            }
-        };
+        let n_shards = self.shard.as_ref().map_or(1, |ctx| ctx.n_shards);
+        let routed = entries
+            .into_iter()
+            .map(|e| (crate::cluster::seed_owner(&e.url, e.oid, n_shards), e))
+            .collect();
         let mut g = self.store.write();
-        self.clear_shard_idle();
-        frontier::upsert_batch(&mut g.db, &local)?;
+        self.upsert_routed(&mut g.db, routed)?;
         // Seeds are acknowledged work: a durable session must not lose
         // them to a crash before the first batch commit.
-        Self::commit_if_durable(&mut g.db)?;
-        drop(g);
-        Ok(())
+        Self::commit_if_durable(&mut g.db)
     }
 
-    /// Clear this shard's cluster-idle flag (no-op outside a cluster).
-    /// Must be called while holding the store write lock, **before**
-    /// inserting local frontier work, from any path that can insert
-    /// with no claims in flight (seeds, re-steer boosts, distiller
-    /// boosts, exchange landings). The lock orders the clear against
-    /// `next_tick`'s verdict, and clear-*before*-insert upholds the
-    /// coverage invariant [`crate::cluster::ShardExchange::try_finish`]
-    /// rests on: at no instant does poppable work exist on a shard
-    /// whose idle flag reads true.
-    pub(super) fn clear_shard_idle(&self) {
+    /// The shard owning server `sid`'s pages; outside a cluster, shard
+    /// 0 of 1 — everything is local. The `% n_shards` partition
+    /// ([`crate::cluster::shard_of`]) is the cluster's one invariant: a
+    /// server's pages always land on one shard, so the §2.2 nepotism
+    /// filter and per-server load accounting stay local facts.
+    pub(super) fn owner_shard(&self, sid: ServerId) -> usize {
+        self.shard.as_ref().map_or(0, |ctx| ctx.owner_of(sid))
+    }
+
+    /// A priority boost for a known-but-unfetched link target, paired
+    /// with its owning shard. The link cache remembers the target's
+    /// server id, not its URL; the frontier row already has one (or
+    /// gets it at fetch time).
+    pub(super) fn boost_entry(
+        &self,
+        dst: Oid,
+        sid_dst: u32,
+        log_relevance: f64,
+    ) -> (usize, FrontierEntry) {
+        let entry = FrontierEntry {
+            oid: dst,
+            url: String::new(),
+            log_relevance,
+            serverload: 0,
+        };
+        (self.owner_shard(ServerId(sid_dst)), entry)
+    }
+
+    /// Is `owner` this shard (always, outside a cluster)?
+    fn is_local(&self, owner: usize) -> bool {
+        self.shard.as_ref().is_none_or(|ctx| ctx.shard == owner)
+    }
+
+    /// Put frontier entries where they belong — the one place the
+    /// partition is applied to new frontier work. Each entry comes
+    /// paired with its owning shard ([`CrawlSession::owner_shard`], or
+    /// [`crate::cluster::seed_owner`] for seeds): this shard's entries
+    /// are upserted into the local frontier in one batch, the rest are
+    /// handed to their owners through the exchange. Returns the local
+    /// upsert's outcome.
+    ///
+    /// The caller holds the store write lock (`db` is the guarded
+    /// database). The shard's cluster-idle flag is cleared **before**
+    /// the insert: paths with no claim in flight (seeds, re-steer and
+    /// distiller boosts, maintenance) can insert at any time, the lock
+    /// orders the clear against `next_tick`'s verdict, and
+    /// clear-*before*-insert upholds the coverage invariant
+    /// [`crate::cluster::ShardExchange::try_finish`] rests on — at no
+    /// instant does poppable work exist on a shard whose idle flag
+    /// reads true. Routing happens still under the lock, i.e. before a
+    /// claimed page's in-flight gauge falls, so a peer shard that
+    /// observes the cluster as idle can never miss the routed entries.
+    pub(super) fn upsert_routed(
+        &self,
+        db: &mut Database,
+        entries: Vec<(usize, FrontierEntry)>,
+    ) -> DbResult<frontier::BatchUpsert> {
+        let mut local = Vec::with_capacity(entries.len());
+        let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
+            Some(ctx) => vec![Vec::new(); ctx.n_shards],
+            None => Vec::new(),
+        };
+        for (owner, entry) in entries {
+            if self.is_local(owner) {
+                local.push(entry);
+            } else {
+                remote[owner].push(entry);
+            }
+        }
         if let Some(ctx) = &self.shard {
             ctx.exchange.clear_idle(ctx.shard);
         }
+        let upserted = frontier::upsert_batch(db, &local)?;
+        if let Some(ctx) = &self.shard {
+            for (owner, batch) in remote.into_iter().enumerate() {
+                ctx.exchange.route(owner, batch);
+            }
+        }
+        Ok(upserted)
     }
 
     /// Land cross-shard frontier entries routed to this shard: pop the
@@ -100,7 +149,7 @@ impl CrawlSession {
             })
             .collect();
         // Clear-before-insert under the store lock (see
-        // `clear_shard_idle`); the queued-gauge release follows outside
+        // `upsert_routed`); the queued-gauge release follows outside
         // the lock, after the upsert, so the entries stay covered
         // throughout.
         ctx.exchange.clear_idle(ctx.shard);
@@ -143,199 +192,168 @@ impl CrawlSession {
         res
     }
 
-    /// [`CrawlSession::flush_failures`] for exit paths that do not
-    /// already hold the store lock.
-    pub(super) fn flush_failures_standalone(
-        &self,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        let mut g = self.store.write();
-        if let Err(e) = self.flush_failures(&mut g, pending, sink) {
-            drop(g);
-            self.record_error(e);
-        }
-    }
-
+    /// Land one fetched, classified page under the store write lock:
+    /// mark it done, record its links, expand the frontier (locally or
+    /// through the exchange), and fire the distillation trigger.
     pub(super) fn process(
         &self,
         g: &mut StoreState,
         claim: &Claim,
-        result: Result<focus_webgraph::FetchedPage, FetchError>,
+        page: focus_webgraph::FetchedPage,
         eval: Option<(EvalSummary, Vec<(ClassId, f64)>)>,
         attempt: u64,
         sink: &EventSink,
     ) -> DbResult<()> {
         let now = self.start.elapsed().as_secs() as i64;
         g.db.set_current_timestamp(now);
-        match result {
-            Err(ref e) => self.process_failures(
+        // The worker classifies every successful fetch before landing
+        // it; if the evaluation is missing anyway (an invariant break
+        // upstream), record the attempt as a retriable failure rather
+        // than panicking the worker — the page stays in the frontier
+        // and the pool stays alive. The server answered, so its breaker
+        // is not charged ([`FetchErrorKind::Unclassifiable`]).
+        let Some((summary, saved_probs)) = eval else {
+            return self.process_failures(
                 g,
-                &[(claim.clone(), FetchErrorKind::from(e), attempt)],
+                &[(claim.clone(), FetchErrorKind::Unclassifiable, attempt)],
                 sink,
-            ),
-            Ok(page) => {
-                // A successful fetch is always classified by
-                // `process_batch`; if the evaluation is missing anyway
-                // (an invariant break upstream), record the attempt as
-                // a retriable failure rather than panicking the worker
-                // — the page stays in the frontier and the pool stays
-                // alive. The server answered, so its breaker is not
-                // charged ([`FetchErrorKind::Unclassifiable`]).
-                let Some((summary, saved_probs)) = eval else {
-                    return self.process_failures(
-                        g,
-                        &[(claim.clone(), FetchErrorKind::Unclassifiable, attempt)],
-                        sink,
-                    );
-                };
-                // The fetch is over: hand back the per-server politeness
-                // slot charged at admission. Keyed by the *claim's* URL
-                // (the admission key) — `page.url` can differ (or the
-                // claim's can be empty for raw seeds), and releasing a
-                // different server would leak the slot forever.
-                g.health.release(host_server_id(&claim.url));
-                let r = summary.relevance;
-                let log_r = log_clamped(r);
-                frontier::mark_done(
-                    &mut g.db,
-                    page.oid,
-                    &page.url,
-                    log_r,
-                    summary.best_leaf.raw() as i64,
-                    now,
-                )?;
-                {
-                    // Tallies lock nests inside the store write lock
-                    // (module lock order), held just for the pushes so
-                    // `stats()` sees the series in db-commit order.
-                    let mut t = self.counters.tallies.lock();
-                    t.successes += 1;
-                    t.harvest.push((attempt, r));
-                    t.completion_order.push((page.oid, r));
-                }
-                g.relevance.insert(page.oid, r);
-                g.class_probs.insert(page.oid, saved_probs);
-                let sid_src = host_server_id(&page.url);
-                *g.server_counts.entry(sid_src).or_insert(0) += 1;
-                // A success closes the server's breaker (the half-open
-                // probe came back) and resets its failure streak.
-                if g.health.record_success(sid_src) {
-                    Self::write_server_health(&mut g.db, sid_src, g.health.get(sid_src))?;
-                    sink.emit(CrawlEvent::ServerRecovered { server: sid_src });
-                }
+            );
+        };
+        // The fetch is over: hand back the per-server politeness slot
+        // charged at admission. Keyed by the *claim's* URL (the
+        // admission key) — `page.url` can differ (or the claim's can be
+        // empty for raw seeds), and releasing a different server would
+        // leak the slot forever.
+        g.health.release(host_server_id(&claim.url));
+        let r = summary.relevance;
+        let log_r = log_clamped(r);
+        frontier::mark_done(
+            &mut g.db,
+            page.oid,
+            &page.url,
+            log_r,
+            summary.best_leaf.raw() as i64,
+            now,
+        )?;
+        {
+            // Tallies lock nests inside the store write lock (module
+            // lock order), held just for the pushes so `stats()` sees
+            // the series in db-commit order.
+            let mut t = self.counters.tallies.lock();
+            t.successes += 1;
+            t.harvest.push((attempt, r));
+            t.completion_order.push((page.oid, r));
+        }
+        g.relevance.insert(page.oid, r);
+        g.class_probs.insert(page.oid, saved_probs);
+        let sid_src = host_server_id(&page.url);
+        *g.server_counts.entry(sid_src).or_insert(0) += 1;
+        // A success closes the server's breaker (the half-open probe
+        // came back) and resets its failure streak.
+        if g.health.record_success(sid_src) {
+            Self::write_server_health(&mut g.db, sid_src, g.health.get(sid_src))?;
+            sink.emit(CrawlEvent::ServerRecovered { server: sid_src });
+        }
 
-                // Record links and expand the frontier. The whole page's
-                // LINK rows land through one batch insert and its
-                // outlink endorsements through one `upsert_batch` pass —
-                // one ordered index traversal each, instead of a full
-                // B+tree descent per outlink.
-                let expansion = g.policy.decide_eval(&summary);
-                let link_tid = g.db.table_id("link")?;
-                let mut link_rows = Vec::with_capacity(page.outlinks.len());
-                let mut expansions = Vec::new();
-                // Cluster routing: an outlink whose server hashes to
-                // another shard carries its endorsement (the saved
-                // priority from *this* shard's classification) through
-                // the exchange instead of the local frontier. The LINK
-                // row stays local — the edge was discovered here, and
-                // the distiller is per-shard.
-                let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
-                    Some(ctx) => vec![Vec::new(); ctx.n_shards],
-                    None => Vec::new(),
-                };
-                for (dst, dst_url) in &page.outlinks {
-                    let sid_dst = host_server_id(dst_url);
-                    g.links.push((page.oid, sid_src.raw(), *dst, sid_dst.raw()));
-                    link_rows.push(vec![
-                        Value::Int(page.oid.raw() as i64),
-                        Value::Int(sid_src.raw() as i64),
-                        Value::Int(dst.raw() as i64),
-                        Value::Int(sid_dst.raw() as i64),
-                        Value::Int(now),
-                    ]);
-                    if expansion.expand {
-                        let entry = FrontierEntry {
-                            oid: *dst,
-                            url: dst_url.clone(),
-                            log_relevance: expansion.child_log_relevance,
-                            // The owner fills in its own server-load
-                            // accounting at landing time.
-                            serverload: 0,
-                        };
-                        match owner_shard(&self.shard, sid_dst) {
-                            Some(owner) => remote[owner].push(entry),
-                            None => expansions.push(FrontierEntry {
-                                serverload: g.server_counts.get(&sid_dst).copied().unwrap_or(0),
-                                ..entry
-                            }),
-                        }
-                    }
-                }
-                g.db.insert_many(link_tid, link_rows)?;
-                frontier::upsert_batch(&mut g.db, &expansions)?;
-
-                // Backward expansion: a highly relevant page's *citers*
-                // are hub candidates (radius-2); enqueue them when the
-                // server exposes backlink metadata.
-                if let Some(threshold) = self.cfg.backlink_expansion_above {
-                    if r > threshold {
-                        if let Some(citers) = self.fetcher.backlinks(page.oid) {
-                            let prio = log_clamped(r * 0.8);
-                            let mut backlinks = Vec::new();
-                            for (src, src_url) in citers {
-                                let sid = host_server_id(&src_url);
-                                let entry = FrontierEntry {
-                                    oid: src,
-                                    url: src_url,
-                                    log_relevance: prio,
-                                    serverload: 0,
-                                };
-                                match owner_shard(&self.shard, sid) {
-                                    Some(owner) => remote[owner].push(entry),
-                                    None => backlinks.push(FrontierEntry {
-                                        serverload: g.server_counts.get(&sid).copied().unwrap_or(0),
-                                        ..entry
-                                    }),
-                                }
-                            }
-                            frontier::upsert_batch(&mut g.db, &backlinks)?;
-                        }
-                    }
-                }
-                // Hand cross-shard endorsements to their owners. Still
-                // under the store write lock, i.e. *before* this page's
-                // in-flight gauge falls: a peer shard that observes the
-                // cluster as idle can never miss these entries.
-                if let Some(ctx) = &self.shard {
-                    for (owner, batch) in remote.into_iter().enumerate() {
-                        ctx.exchange.route(owner, batch);
-                    }
-                }
-
-                sink.emit(CrawlEvent::PageClassified {
-                    oid: page.oid,
-                    attempt,
-                    relevance: r,
-                    best_leaf: summary.best_leaf,
-                });
-
-                // Distillation trigger (§3.1: "triggers to recompute
-                // relevance and centrality scores when the neighborhood
-                // of a page changed significantly").
-                g.since_distill += 1;
-                if let Some(every) = self.cfg.distill_every {
-                    if g.since_distill >= every {
-                        g.since_distill = 0;
-                        self.distill_locked(g, Some(sink))?;
-                    }
-                }
-                Ok(())
+        // Record links and expand the frontier. The whole page's LINK
+        // rows land through one batch insert and its outlink
+        // endorsements through one `upsert_batch` pass — one ordered
+        // index traversal each, instead of a full B+tree descent per
+        // outlink. An outlink whose server another shard owns carries
+        // its endorsement (the saved priority from *this* shard's
+        // classification) through the exchange; the LINK row stays
+        // local — the edge was discovered here, and the distiller is
+        // per-shard.
+        let expansion = g.policy.decide_eval(&summary);
+        let link_tid = g.db.table_id("link")?;
+        let mut link_rows = Vec::with_capacity(page.outlinks.len());
+        let mut expansions = Vec::new();
+        for (dst, dst_url) in &page.outlinks {
+            let sid_dst = host_server_id(dst_url);
+            g.links.push((page.oid, sid_src.raw(), *dst, sid_dst.raw()));
+            link_rows.push(vec![
+                Value::Int(page.oid.raw() as i64),
+                Value::Int(sid_src.raw() as i64),
+                Value::Int(dst.raw() as i64),
+                Value::Int(sid_dst.raw() as i64),
+                Value::Int(now),
+            ]);
+            if expansion.expand {
+                expansions.push(self.endorsement(
+                    g,
+                    sid_dst,
+                    *dst,
+                    dst_url.clone(),
+                    expansion.child_log_relevance,
+                ));
             }
         }
+        g.db.insert_many(link_tid, link_rows)?;
+        self.upsert_routed(&mut g.db, expansions)?;
+
+        // Backward expansion: a highly relevant page's *citers* are hub
+        // candidates (radius-2); enqueue them when the server exposes
+        // backlink metadata.
+        if let Some(threshold) = self.cfg.backlink_expansion_above {
+            if r > threshold {
+                if let Some(citers) = self.fetcher.backlinks(page.oid) {
+                    let prio = log_clamped(r * 0.8);
+                    let backlinks = citers
+                        .into_iter()
+                        .map(|(src, src_url)| {
+                            self.endorsement(g, host_server_id(&src_url), src, src_url, prio)
+                        })
+                        .collect();
+                    self.upsert_routed(&mut g.db, backlinks)?;
+                }
+            }
+        }
+
+        sink.emit(CrawlEvent::PageClassified {
+            oid: page.oid,
+            attempt,
+            relevance: r,
+            best_leaf: summary.best_leaf,
+        });
+
+        // Distillation trigger (§3.1: "triggers to recompute relevance
+        // and centrality scores when the neighborhood of a page changed
+        // significantly").
+        g.since_distill += 1;
+        if let Some(every) = self.cfg.distill_every {
+            if g.since_distill >= every {
+                g.since_distill = 0;
+                self.distill_locked(g, Some(sink))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A frontier entry for a page on server `sid`, paired with its
+    /// owning shard. A local entry carries this shard's server-load
+    /// accounting; a remote one leaves it for the owner to fill in at
+    /// landing time ([`CrawlSession::drain_exchange`]).
+    fn endorsement(
+        &self,
+        g: &StoreState,
+        sid: ServerId,
+        oid: Oid,
+        url: String,
+        log_relevance: f64,
+    ) -> (usize, FrontierEntry) {
+        let owner = self.owner_shard(sid);
+        let serverload = if self.is_local(owner) {
+            g.server_counts.get(&sid).copied().unwrap_or(0)
+        } else {
+            0
+        };
+        let entry = FrontierEntry {
+            oid,
+            url,
+            log_relevance,
+            serverload,
+        };
+        (owner, entry)
     }
 
     /// Record a batch of failed fetches in one critical section: route
@@ -509,39 +527,15 @@ impl CrawlSession {
                 .iter()
                 .map(|&(o, _)| o)
                 .collect();
-            let mut targets = Vec::new();
-            let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
-                Some(ctx) => vec![Vec::new(); ctx.n_shards],
-                None => Vec::new(),
-            };
-            for &(_, _, dst, sid_dst) in g
+            let targets = g
                 .links
                 .iter()
-                .filter(|(src, ss, _, sd)| top.contains(src) && ss != sd)
-            {
-                if g.relevance.contains_key(&dst) {
-                    continue;
-                }
-                let entry = FrontierEntry {
-                    oid: dst,
-                    url: String::new(),
-                    log_relevance: boost,
-                    serverload: 0,
-                };
-                match owner_shard(&self.shard, ServerId(sid_dst)) {
-                    Some(owner) => remote[owner].push(entry),
-                    None => targets.push(entry),
-                }
-            }
-            // Clear-before-insert (see `clear_shard_idle`; the caller
-            // holds the store write lock).
-            self.clear_shard_idle();
-            frontier::upsert_batch(&mut g.db, &targets)?;
-            if let Some(ctx) = &self.shard {
-                for (owner, batch) in remote.into_iter().enumerate() {
-                    ctx.exchange.route(owner, batch);
-                }
-            }
+                .filter(|(src, ss, dst, sd)| {
+                    top.contains(src) && ss != sd && !g.relevance.contains_key(dst)
+                })
+                .map(|&(_, _, dst, sid_dst)| self.boost_entry(dst, sid_dst, boost))
+                .collect();
+            self.upsert_routed(&mut g.db, targets)?;
         }
         if let Some(sink) = sink {
             sink.emit(CrawlEvent::DistillCompleted {
@@ -572,17 +566,4 @@ impl CrawlSession {
     pub fn last_distill(&self) -> Option<DistillResult> {
         self.store.read().last_distill.clone()
     }
-}
-
-/// The owning shard of server `sid`, when routing applies: `Some(owner)`
-/// only in cluster mode *and* when the owner is a different shard —
-/// `None` means "keep the entry local" (single-session mode, or the
-/// server hashes to this shard). The `% n_shards` partition is the
-/// cluster's one invariant: a server's pages always land on one shard,
-/// so the §2.2 nepotism filter and per-server load accounting stay
-/// local facts.
-pub(super) fn owner_shard(shard: &Option<ShardCtx>, sid: ServerId) -> Option<usize> {
-    let ctx = shard.as_ref()?;
-    let owner = ctx.owner_of(sid);
-    (owner != ctx.shard).then_some(owner)
 }

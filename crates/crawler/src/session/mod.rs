@@ -1,30 +1,54 @@
 //! The crawl session: workers, classification, link expansion, and the
 //! distillation trigger, all around the shared relational state.
 //!
-//! Concurrency mirrors the paper's setup — many fetcher threads against
-//! one database: a worker *claims* a frontier entry under the lock,
-//! fetches (slow, lock released), classifies (pure, lock released), then
-//! reacquires the lock to record the page and update `CRAWL`/`LINK`.
-//! Crashing pages (malformed content, dead links, timeouts) are routine,
-//! not exceptional: they adjust `numtries` and the frontier, never
+//! The paper's crawler (§3.1) is one loop — claim, fetch, classify,
+//! flush — run by many threads against one database and steered at
+//! page boundaries (§3.7). So is this one. The session is split by
+//! role across this directory:
+//!
+//! * `mod.rs` — configuration, counters, the [`CrawlSession`] struct
+//!   and its accessors (stats, SQL, snapshots of the caches);
+//! * `store.rs` — `StoreState` (the relational store and its
+//!   in-memory caches) and everything that builds or snapshots it:
+//!   `new`, `restore`, `recover`, commits, `checkpoint`;
+//! * `worker.rs` — **the** worker loop: claim admission
+//!   (`next_tick`), the fetch executor glue, commit points, pause and
+//!   wind-down;
+//! * `flush.rs` — landing a classified page or a batch of failures in
+//!   the store, routing frontier entries to their owning shards, and
+//!   distillation;
+//! * `steering.rs` — control commands, live topic re-marking, and the
+//!   crawl-maintenance pass.
+//!
+//! **One loop, one variation point.** A worker claims a batch of
+//! frontier entries under the store lock, hands them to its
+//! [`crate::fetch_pool::PoolHandle`], and lands the completions one at
+//! a time: classify (pure, no lock), then reacquire the lock to record
+//! the page and update `CRAWL`/`LINK`. *Where* the blocking fetch runs
+//! — on the worker's own thread ([`CrawlConfig::fetch_pool`] = 0) or on
+//! one of `n` dedicated fetcher threads that keep hundreds of fetches
+//! on the wire — is decided inside [`crate::fetch_pool`] and nowhere
+//! else; `fetch_pool` is a size, not a code path. Crashing pages
+//! (malformed content, dead links, timeouts) are routine, not
+//! exceptional: they adjust `numtries` and the frontier, never
 //! corrupting table/index consistency.
 //!
-//! Shared state is split by role — and by **lock kind**, so observing a
-//! crawl never stops it:
+//! Shared state is split by **lock kind**, so observing a crawl never
+//! stops it:
 //!
-//! * [`StoreState`] — the relational store and its in-memory caches
+//! * `StoreState` — the relational store and its in-memory caches
 //!   (link cache, relevance map, saved posteriors) behind a
 //!   `RwLock`: monitors ([`CrawlSession::sql`],
 //!   [`CrawlSession::with_db_read`], [`CrawlSession::checkpoint`],
 //!   [`CrawlSession::visited`]) take **read** locks, concurrent with
 //!   each other; workers take the **write** lock only for the short
 //!   claim and page-flush critical sections;
-//! * counters ([`CounterState`]) — budget, attempt tally and in-flight
+//! * counters (`CounterState`) — budget, attempt tally and in-flight
 //!   gauge as atomics (readable without any lock), success/failure
 //!   tallies and the harvest series behind their own small mutex;
-//! * diagnostics ([`RunDiag`]) — first storage error and worker panics,
+//! * diagnostics (`RunDiag`) — first storage error and worker panics,
 //!   another small mutex;
-//! * control ([`crate::run::ControlState`]) — the command queue and
+//! * control (`ControlState` in [`crate::run`]) — the command queue and
 //!   lifecycle flags, deliberately *outside* every data lock so steering
 //!   a crawl never contends with page processing.
 //!
@@ -40,6 +64,9 @@
 //! inside store operations (page eviction, batch commits) and it is a
 //! leaf with respect to every crawler lock — no callback ever runs
 //! under it, so holding the store write lock across a commit is safe.
+//! The fetch executor's queue and mailboxes are leaves *outside* that
+//! chain: never taken while a session lock is held, and no session
+//! lock is ever taken under them.
 //!
 //! **Classification never holds a lock.** The crawl hot path evaluates
 //! the classifier through an [`Arc<CompiledModel>`] swapped behind its
@@ -56,7 +83,7 @@
 //! lands at a page boundary with the tables consistent.
 //!
 //! **Per-server health adds no lock.** The backoff/breaker/politeness
-//! map ([`crate::health::HealthMap`]) lives inside [`StoreState`],
+//! map ([`crate::health::HealthMap`]) lives inside `StoreState`,
 //! because all of its touch points — gating a popped claim, recording
 //! a failure, charging and releasing politeness slots — already run
 //! inside store write critical sections. The crawl *ticks* that
@@ -65,22 +92,6 @@
 //! by one per empty poll, so an all-parked frontier (every server
 //! quarantined) still marches toward cooldown expiry without
 //! wall-clock sleeps — and without ever wedging termination.
-//!
-//! **The async fetch pipeline adds only leaf locks.** With
-//! [`CrawlConfig::fetch_pool`] > 0, a run owns a
-//! [`crate::fetch_pool::FetchPool`] and each CPU worker splits its loop
-//! into a *submit* half (claim a batch under the store lock exactly as
-//! the inline path does — attempts, clock, gauges, and politeness all
-//! charge at claim time — then queue the claims to the pool) and a
-//! *drain* half (pull `(claim, result)` completions and flush each
-//! through the same classify/flush critical section). The pool's
-//! submission queue and per-worker completion mailboxes sit behind
-//! their own mutexes, but those are leaves in the lock order above:
-//! they are never taken while any session lock is held, and no session
-//! lock is ever taken under them (fetcher threads touch no session
-//! state at all). Order with pool locks spelled out:
-//! `model → compiled → store → wal → counters/diag`, with
-//! `pool queue / completion mailbox` taken only outside that chain.
 
 mod flush;
 mod steering;
@@ -92,7 +103,7 @@ pub use store::{CheckpointPage, CrawlCheckpoint};
 
 use crate::cluster::ShardCtx;
 use crate::events::{CrawlEvent, CrawlObserver, EventSink, FailureOutcome, FetchErrorKind};
-use crate::fetch_pool::{Completion, FetchPool, PoolHandle};
+use crate::fetch_pool::{Completion, PoolHandle};
 use crate::frontier::{self, Claim, FrontierEntry};
 use crate::health::{
     BackoffConfig, Breaker, BreakerConfig, ClaimGate, FailureVerdict, HealthMap, PolitenessConfig,
@@ -107,7 +118,7 @@ use focus_distiller::memory::{edges_from_links, WeightedHits};
 use focus_distiller::{DistillConfig, DistillResult};
 use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, Oid, ServerId};
-use focus_webgraph::{FetchError, Fetcher};
+use focus_webgraph::Fetcher;
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
 use minirel::{Database, DbError, DbResult, ResultSet, Value};
 use std::path::PathBuf;
@@ -118,9 +129,9 @@ use std::time::Instant;
 /// Durability of the session store (default: none — the in-memory,
 /// crash-simple database the access-path experiments sweep).
 ///
-/// With a WAL attached, workers commit at batch boundaries (the same
-/// critical-section cadence as claiming), [`CrawlRun::join`] issues a
-/// final fsynced commit, and [`CrawlSession::replica`] can ship the log
+/// With a WAL attached, each worker cuts a commit point every
+/// `batch_size` landed pages (and whenever its fetch executor runs
+/// dry), [`CrawlRun::join`] issues a final fsynced commit, and [`CrawlSession::replica`] can ship the log
 /// to a read-only follower. File-backed sessions additionally survive a
 /// process crash: [`CrawlSession::recover`] reopens the files, replays
 /// the log, and demotes claims that were in flight at crash time back
@@ -198,12 +209,13 @@ pub struct CrawlConfig {
     /// pathological all-timeout world can never starve first-visit
     /// fetches out of the fetch budget.
     pub retry_budget: u64,
-    /// Dedicated fetcher threads for the async fetch pipeline. `0`
-    /// (the default) fetches inline on the CPU workers, exactly the
-    /// pre-pipeline behavior; with `n > 0` a run spawns `n` pool
-    /// threads and keeps up to ~2n fetches in flight so network
-    /// latency overlaps classify/flush instead of serializing with it.
-    /// Overridable per run via [`crate::run::StartOptions::fetch_pool`].
+    /// Size of a run's fetch executor ([`crate::fetch_pool`]): `0` (the
+    /// default) runs each fetch on the worker that claimed it; `n > 0`
+    /// spawns `n` dedicated fetcher threads per run and keeps up to
+    /// ~2n fetches in flight, so network latency overlaps classify and
+    /// flush instead of serializing with them. Only a size — the worker
+    /// loop is the same either way. Overridable per run via
+    /// [`crate::run::StartOptions::fetch_pool`].
     pub fetch_pool: usize,
     /// Per-server politeness (max in-flight, min inter-admission
     /// delay), enforced at claim admission. Overridable per run via
@@ -340,11 +352,6 @@ pub struct CrawlSession {
     counters: CounterState,
     diag: OrderedMutex<RunDiag>,
     control: ControlState,
-    /// The current run's fetch pool, when [`CrawlConfig::fetch_pool`]
-    /// (or its per-run override) is non-zero. Armed at launch, torn
-    /// down at wind-down; the mutex is a leaf taken only at those two
-    /// points and at worker startup (to clone the `Arc`).
-    run_pool: OrderedMutex<Option<Arc<FetchPool>>>,
     start: Instant,
     /// Present when this session is one shard of a
     /// [`crate::cluster::CrawlCluster`]: pages whose server hashes to
@@ -378,13 +385,17 @@ impl CrawlSession {
         &self.control
     }
 
-    /// Apply per-run robustness overrides before the pool spawns: a
+    /// The fetcher every run's executor fetches through.
+    pub(crate) fn fetcher(&self) -> &Arc<dyn Fetcher> {
+        &self.fetcher
+    }
+
+    /// Apply per-run robustness overrides before the workers spawn: a
     /// backoff, breaker, or politeness override restarts the per-server
     /// health map under the new policies (servers re-earn their
-    /// quarantines), a retry-budget override refills the budget, and a
-    /// non-zero fetch-pool size arms the async fetch pipeline for this
-    /// run. No workers are alive here (`ControlState::activate`
-    /// guarantees one run at a time).
+    /// quarantines), and a retry-budget override refills the budget.
+    /// No workers are alive here (`ControlState::activate` guarantees
+    /// one run at a time).
     pub(crate) fn apply_run_overrides(&self, opts: &StartOptions) {
         if opts.backoff.is_some() || opts.breaker.is_some() || opts.politeness.is_some() {
             let backoff = opts.backoff.unwrap_or(self.cfg.backoff);
@@ -395,18 +406,6 @@ impl CrawlSession {
         if let Some(rb) = opts.retry_budget {
             self.counters.retry_budget.store(rb, Ordering::Release);
         }
-        let pool_size = opts.fetch_pool.unwrap_or(self.cfg.fetch_pool);
-        *self.run_pool.lock() =
-            (pool_size > 0).then(|| Arc::new(FetchPool::new(Arc::clone(&self.fetcher), pool_size)));
-    }
-
-    /// Tear down the run's fetch pool (if any): drop the `Arc`, which
-    /// joins the fetcher threads once the workers' handles are gone.
-    /// Called from the run's wind-down, after every worker has exited —
-    /// the worker wind-down contract guarantees the queue is empty by
-    /// then (claims were drained or unclaimed).
-    pub(crate) fn teardown_fetch_pool(&self) {
-        *self.run_pool.lock() = None;
     }
 
     /// Clear the previous run's verdict so a fresh `start()` is judged on
@@ -653,7 +652,7 @@ mod tests {
     use crate::events::CrawlObserver;
     use focus_classifier::train::{train, TrainConfig};
     use focus_types::ClassId;
-    use focus_webgraph::{FetchedPage, SimFetcher, WebConfig, WebGraph};
+    use focus_webgraph::{FetchError, FetchedPage, SimFetcher, WebConfig, WebGraph};
     use std::sync::Mutex as StdMutex;
 
     fn trained_model(graph: &Arc<WebGraph>, good: &str) -> TrainedModel {
@@ -832,6 +831,12 @@ mod tests {
 
     #[test]
     fn pause_resume_stop_events_are_ordered() {
+        for fetch_pool in [0, 4] {
+            pause_resume_stop_events_are_ordered_at(fetch_pool);
+        }
+    }
+
+    fn pause_resume_stop_events_are_ordered_at(fetch_pool: usize) {
         let (graph, session) = setup(CrawlPolicy::SoftFocus, 100_000);
         let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
         session
@@ -843,6 +848,7 @@ mod tests {
         let run = session
             .start_with(StartOptions {
                 observers: vec![Arc::new(Arc::clone(&recorder))],
+                fetch_pool: Some(fetch_pool),
                 ..StartOptions::default()
             })
             .unwrap();
@@ -854,6 +860,10 @@ mod tests {
         while run.state() != RunState::Paused {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        // `Paused` is set by whichever worker drained the command; a
+        // peer already past its own pause check may still finish the
+        // one claim it was making. Give it its page boundary.
+        std::thread::sleep(std::time::Duration::from_millis(20));
         let paused_attempts = run.stats().attempts;
         // A paused crawl stops claiming; attempts stay flat.
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -1340,6 +1350,12 @@ mod tests {
 
     #[test]
     fn stop_mid_batch_returns_unfetched_claims_within_one_page() {
+        for fetch_pool in [0, 4] {
+            stop_mid_batch_returns_unfetched_claims_at(fetch_pool);
+        }
+    }
+
+    fn stop_mid_batch_returns_unfetched_claims_at(fetch_pool: usize) {
         // A stop (here: pause → stop while parked) must end the batch at
         // the next page boundary and hand the unfetched remainder back
         // to the frontier — not fetch out the whole batch first.
@@ -1360,6 +1376,7 @@ mod tests {
                     max_fetches: 100_000,
                     distill_every: None,
                     batch_size: 16,
+                    fetch_pool,
                     ..CrawlConfig::default()
                 },
             )
@@ -1442,7 +1459,7 @@ mod tests {
         let page = session.fetcher.fetch(claim.oid).expect("seed page fetches");
         // Inject the invariant break: Ok(page) with no evaluation.
         session
-            .process(&mut g, &claim, Ok(page), None, 1, &sink)
+            .process(&mut g, &claim, page, None, 1, &sink)
             .expect("no storage error");
         drop(g);
         let stats = session.stats();

@@ -1,7 +1,6 @@
 //! Steering: control commands applied at page boundaries, live topic
 //! re-marking, and the crawl-maintenance pass.
 
-use super::flush::owner_shard;
 use super::*;
 
 /// Below this linear relevance, a re-marked topic does not re-prioritize
@@ -125,40 +124,18 @@ impl CrawlSession {
         // so boosts for pages another shard owns route through the
         // exchange (a `mark_topic` broadcast re-steers *every* shard's
         // frontier, each from its own link evidence).
-        let candidates: Vec<(Oid, u32, f64)> = g
+        let boosts = g
             .links
             .iter()
             .filter_map(|&(src, _, dst, sid_dst)| {
                 if g.relevance.contains_key(&dst) {
                     return None; // already fetched
                 }
-                match g.relevance.get(&src) {
-                    Some(&r) if r > RESTEER_MIN_RELEVANCE => Some((dst, sid_dst, r)),
-                    _ => None,
-                }
+                let r = *g.relevance.get(&src)?;
+                (r > RESTEER_MIN_RELEVANCE).then(|| self.boost_entry(dst, sid_dst, log_clamped(r)))
             })
             .collect();
-        let mut boosts = Vec::new();
-        let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
-            Some(ctx) => vec![Vec::new(); ctx.n_shards],
-            None => Vec::new(),
-        };
-        for (dst, sid_dst, r) in candidates {
-            let entry = FrontierEntry {
-                oid: dst,
-                url: String::new(),
-                log_relevance: log_clamped(r),
-                serverload: 0,
-            };
-            match owner_shard(&self.shard, ServerId(sid_dst)) {
-                Some(owner) => remote[owner].push(entry),
-                None => boosts.push(entry),
-            }
-        }
-        // Clear-before-insert under the store lock (see
-        // `clear_shard_idle`).
-        self.clear_shard_idle();
-        let boosted = match frontier::upsert_batch(&mut g.db, &boosts) {
+        let boosted = match self.upsert_routed(&mut g.db, boosts) {
             Ok(res) => res.changed(),
             Err(e) => {
                 drop(g);
@@ -166,11 +143,6 @@ impl CrawlSession {
                 return;
             }
         };
-        if let Some(ctx) = &self.shard {
-            for (owner, batch) in remote.into_iter().enumerate() {
-                ctx.exchange.route(owner, batch);
-            }
-        }
         drop(g);
         self.control
             .stagnation_reported
@@ -313,15 +285,18 @@ impl CrawlSession {
                     Value::Int(sid_dst.raw() as i64),
                     Value::Int(now),
                 ]);
-                enqueues.push(FrontierEntry {
+                let entry = FrontierEntry {
                     oid: *dst,
                     url: dst_url.clone(),
                     log_relevance: boost,
                     serverload: 0,
-                });
+                };
+                enqueues.push((self.owner_shard(sid_dst), entry));
             }
             g.db.insert_many(link_tid, link_rows)?;
-            frontier::upsert_batch(&mut g.db, &enqueues)?;
+            // New targets respect the partition like any other frontier
+            // work: another shard's pages go through the exchange.
+            self.upsert_routed(&mut g.db, enqueues)?;
             frontier::touch_visited(&mut g.db, hub, now)?;
         }
         Ok((revisited, new_links))

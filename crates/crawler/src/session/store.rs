@@ -9,7 +9,7 @@ pub(super) struct StoreState {
     pub(super) db: Database,
     /// Linear `R` of visited pages (distiller edge weights, re-steering).
     pub(super) relevance: FxHashMap<Oid, f64>,
-    /// Saved per-page posteriors (classes above [`SAVED_PROB_FLOOR`]),
+    /// Saved per-page posteriors (classes above the worker's floor),
     /// kept so a mid-crawl `mark_topic` can recompute relevance without
     /// refetching (§3.7).
     pub(super) class_probs: FxHashMap<Oid, Vec<(ClassId, f64)>>,
@@ -24,6 +24,23 @@ pub(super) struct StoreState {
     /// claim gating and failure recording already hold the store write
     /// lock).
     pub(super) health: HealthMap,
+}
+
+impl StoreState {
+    /// An empty-cached store over `db`, under `cfg`'s policies.
+    fn new(db: Database, cfg: &CrawlConfig) -> StoreState {
+        StoreState {
+            db,
+            relevance: FxHashMap::default(),
+            class_probs: FxHashMap::default(),
+            links: Vec::new(),
+            server_counts: FxHashMap::default(),
+            policy: cfg.policy,
+            since_distill: 0,
+            last_distill: None,
+            health: HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness),
+        }
+    }
 }
 
 impl CrawlSession {
@@ -83,44 +100,41 @@ impl CrawlSession {
         // on the file holds a recoverable crawl (and `new` on the same
         // path will refuse to re-initialize it).
         Self::commit_if_durable(&mut db)?;
-        let initial_budget = cfg.max_fetches;
-        let initial_policy = cfg.policy;
-        let initial_retries = cfg.retry_budget;
-        let health = HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness);
+        let store = StoreState::new(db, &cfg);
+        Ok(Self::assemble(fetcher, model, cfg, store, 0, shard))
+    }
+
+    /// The one place a [`CrawlSession`] value is put together: fresh
+    /// counters against `cfg`'s budgets, the tick clock at `clock`, and
+    /// the classifier compiled from `model`'s current marking.
+    fn assemble(
+        fetcher: Arc<dyn Fetcher>,
+        model: TrainedModel,
+        cfg: CrawlConfig,
+        store: StoreState,
+        clock: u64,
+        shard: Option<ShardCtx>,
+    ) -> CrawlSession {
         let compiled = Arc::new(CompiledModel::compile(&model));
-        Ok(CrawlSession {
+        CrawlSession {
             fetcher,
             model: OrderedRwLock::new(rank::MODEL, model),
             compiled: OrderedRwLock::new(rank::COMPILED, compiled),
-            cfg,
-            store: OrderedRwLock::new(
-                rank::STORE,
-                StoreState {
-                    db,
-                    relevance: FxHashMap::default(),
-                    class_probs: FxHashMap::default(),
-                    links: Vec::new(),
-                    server_counts: FxHashMap::default(),
-                    policy: initial_policy,
-                    since_distill: 0,
-                    last_distill: None,
-                    health,
-                },
-            ),
+            store: OrderedRwLock::new(rank::STORE, store),
             counters: CounterState {
                 attempts: AtomicU64::new(0),
-                budget: AtomicU64::new(initial_budget),
+                budget: AtomicU64::new(cfg.max_fetches),
                 in_flight: AtomicUsize::new(0),
-                clock: AtomicU64::new(0),
-                retry_budget: AtomicU64::new(initial_retries),
+                clock: AtomicU64::new(clock),
+                retry_budget: AtomicU64::new(cfg.retry_budget),
                 tallies: OrderedMutex::new(rank::TALLIES, CrawlStats::default()),
             },
+            cfg,
             diag: OrderedMutex::new(rank::DIAG, RunDiag::default()),
             control: ControlState::new(),
-            run_pool: OrderedMutex::new(rank::RUN_POOL, None),
             start: Instant::now(),
             shard,
-        })
+        }
     }
 
     /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
@@ -304,44 +318,18 @@ impl CrawlSession {
         // out: a crash right after recovery must not resurrect CLAIMED
         // rows.
         db.commit_durable()?;
-        let initial_budget = cfg.max_fetches;
-        let initial_policy = cfg.policy;
-        let initial_retries = cfg.retry_budget;
-        let health = HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness);
-        let compiled = Arc::new(CompiledModel::compile(&model));
-        Ok(CrawlSession {
+        let mut store = StoreState::new(db, &cfg);
+        store.relevance = relevance;
+        store.links = links;
+        store.server_counts = server_counts;
+        Ok(Self::assemble(
             fetcher,
-            model: OrderedRwLock::new(rank::MODEL, model),
-            compiled: OrderedRwLock::new(rank::COMPILED, compiled),
+            model,
             cfg,
-            store: OrderedRwLock::new(
-                rank::STORE,
-                StoreState {
-                    db,
-                    relevance,
-                    class_probs: FxHashMap::default(),
-                    links,
-                    server_counts,
-                    policy: initial_policy,
-                    since_distill: 0,
-                    last_distill: None,
-                    health,
-                },
-            ),
-            counters: CounterState {
-                attempts: AtomicU64::new(0),
-                budget: AtomicU64::new(initial_budget),
-                in_flight: AtomicUsize::new(0),
-                clock: AtomicU64::new(clock.max(0) as u64),
-                retry_budget: AtomicU64::new(initial_retries),
-                tallies: OrderedMutex::new(rank::TALLIES, CrawlStats::default()),
-            },
-            diag: OrderedMutex::new(rank::DIAG, RunDiag::default()),
-            control: ControlState::new(),
-            run_pool: OrderedMutex::new(rank::RUN_POOL, None),
-            start: Instant::now(),
-            shard: None,
-        })
+            store,
+            clock.max(0) as u64,
+            None,
+        ))
     }
 
     /// Spawn a WAL-shipping read replica of the session store: a

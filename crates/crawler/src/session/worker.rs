@@ -1,11 +1,43 @@
 //! The worker loop: claiming work, driving the fetch executor, and
 //! landing completions.
+//!
+//! There is exactly one loop ([`CrawlSession::worker`]). Each turn it
+//! drains steering commands and the cluster exchange, asks its
+//! [`PoolHandle`] how many claims it has room for and claims that many
+//! in one critical section ([`CrawlSession::next_tick`]), then lands one
+//! completion — classify outside every lock, flush under the store
+//! write lock. Whether a fetch runs on this thread or on a pool thread
+//! is the executor's business ([`crate::fetch_pool`]); the loop never
+//! asks.
+//!
+//! Contracts the loop upholds for both executors:
+//!
+//! * the in-flight gauges fall only *after* a page's outputs are in the
+//!   frontier (or routed), under the store write lock — so an idle
+//!   verdict read under that lock is race-free;
+//! * every admitted claim releases its politeness slot exactly once
+//!   (in `process`, `process_failures`, or `release_unfetched`);
+//! * failed fetches accumulate and flush in *one* critical section —
+//!   before the next success lands, and at every commit point;
+//! * a commit point (trailing failures land, then a WAL commit) is cut
+//!   after `batch` completions, when the executor runs dry or a turn
+//!   is quiet, before parking for a pause, and at wind-down;
+//! * pause and stop act within one *page*: queued-but-unfetched claims
+//!   are pulled back out of the executor (held for resume with their
+//!   attempt numbers, or handed back to the frontier) and only fetches
+//!   already on the wire are waited out — no `CLAIMED` row outlives a
+//!   run.
 
 use super::*;
+use std::time::Duration;
 
 /// Posterior probabilities below this are not cached per page (the saved
 /// posteriors back mid-crawl re-marking; the tail adds nothing).
 const SAVED_PROB_FLOOR: f64 = 1e-4;
+
+/// How long a worker sleeps between polls when it has nothing to do
+/// (empty frontier with peers in flight, or parked for a pause).
+const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// What a worker decided to do with one scheduling tick.
 enum Tick {
@@ -31,15 +63,279 @@ enum Tick {
     Exit,
 }
 
+/// One worker's private state: its end of the fetch executor and what
+/// it has fetched but not yet landed or committed.
+struct Lane {
+    exec: PoolHandle,
+    /// Failed fetches awaiting their batched flush. Each still holds
+    /// its claim in flight (gauge and row) until the flush lands it.
+    pending: Vec<(Claim, FetchErrorKind, u64)>,
+    /// Completions landed since the last commit point.
+    since_commit: usize,
+    /// Per-worker inference buffers: warmed up on the first page, zero
+    /// allocations per page after that. Never shared (the `Scratch`
+    /// contract), so no lock guards it.
+    scratch: Scratch,
+}
+
 impl CrawlSession {
+    /// The worker loop (see the module docs). `exec` is this worker's
+    /// handle on the run's fetch executor.
+    pub(crate) fn worker(&self, exec: PoolHandle, sink: &EventSink, batch_size: usize) {
+        let mut lane = Lane {
+            exec,
+            pending: Vec::new(),
+            since_commit: 0,
+            scratch: Scratch::default(),
+        };
+        let batch = batch_size.max(1);
+        let workers = self.cfg.threads.max(1);
+        loop {
+            self.control.drain(|cmd| self.apply_command(cmd, sink));
+            self.drain_exchange();
+            if self.stop_requested() {
+                break;
+            }
+            // A peer shard proved the whole cluster idle; nothing can
+            // repopulate any frontier. Our own outstanding jobs hold
+            // the global in-flight gauge up, so `finished` can only be
+            // true with an empty executor.
+            if self
+                .shard
+                .as_ref()
+                .is_some_and(|ctx| ctx.exchange.finished())
+            {
+                break;
+            }
+            if self.control.run_state() == RunState::Paused {
+                self.park_while_paused(&mut lane, sink);
+                continue;
+            }
+            let room = lane.exec.room(batch, workers);
+            if room > 0 {
+                match self.next_tick(sink, room) {
+                    // Budget spent (or a fatal claim error): stop
+                    // feeding the executor. Whatever is already on the
+                    // wire still completes and flushes below.
+                    Tick::Exit if lane.exec.outstanding() == 0 => break,
+                    Tick::Exit => {}
+                    // An empty frontier with jobs outstanding is merely
+                    // empty *now* — their completions are about to
+                    // repopulate it; fall through to the drain.
+                    Tick::EmptyFrontier { idle, attempts } if lane.exec.outstanding() == 0 => {
+                        // If nothing was in flight anywhere either
+                        // (judged inside the claim's critical section),
+                        // the crawl has stagnated or finished. A peer
+                        // may still be mid-fetch and about to enqueue
+                        // links, so wait rather than exit while work is
+                        // in flight. In cluster mode, locally idle is
+                        // not cluster idle — a peer shard may still
+                        // route entries here — so the verdict escalates
+                        // to the exchange (the local idle flag was
+                        // already recorded by `next_tick` *inside* the
+                        // claim's critical section; recording it here
+                        // would let a concurrent landing be overwritten
+                        // by a stale verdict), and only the global
+                        // all-shards-drained verdict ends the crawl.
+                        let stagnated = idle
+                            && self
+                                .shard
+                                .as_ref()
+                                .is_none_or(|ctx| ctx.exchange.try_finish());
+                        if stagnated {
+                            if !self
+                                .control
+                                .stagnation_reported
+                                .swap(true, Ordering::AcqRel)
+                            {
+                                sink.emit(CrawlEvent::FrontierStagnated { attempts });
+                            }
+                            break;
+                        }
+                        std::thread::sleep(IDLE_POLL);
+                    }
+                    Tick::EmptyFrontier { .. } => {}
+                    Tick::Work {
+                        claims,
+                        first_attempt,
+                    } => lane.exec.submit(claims, first_attempt),
+                }
+            }
+            // Land one completion per turn, so commands and the
+            // exchange drain at every page boundary; with fetcher
+            // threads the short timeout keeps the loop responsive.
+            if let Some(done) = lane.exec.next_completion(Duration::from_millis(1)) {
+                if self.land_completion(&mut lane, done, sink) {
+                    break;
+                }
+                if lane.since_commit < batch && lane.exec.outstanding() > 0 {
+                    continue;
+                }
+            }
+            // `batch` completions landed, the executor ran dry, or the
+            // turn was quiet.
+            if self.commit_point(&mut lane, sink) {
+                break;
+            }
+        }
+        // Unwind on any exit: queued-but-unfetched jobs go back to the
+        // frontier, fetches already on the wire are landed (those
+        // claims burned attempts and cannot be handed back), then a
+        // final commit point.
+        let unstarted = lane.exec.cancel_unstarted();
+        self.release_unfetched(unstarted);
+        self.drain_on_the_wire(&mut lane, sink);
+        self.commit_point(&mut lane, sink);
+    }
+
+    /// Abort (a peer failed, storage broke) or stop: either way the
+    /// worker winds down at this page boundary.
+    fn stop_requested(&self) -> bool {
+        self.control.abort.load(Ordering::Acquire) || self.control.run_state() == RunState::Stopping
+    }
+
+    /// Land one completion: classify outside every lock, then flush in
+    /// one short critical section (a failure takes no lock at all — it
+    /// joins the pending flush). Returns `true` when the worker should
+    /// wind down (a storage error was recorded). A completion carrying
+    /// a panic caught on a fetcher thread is re-raised here, on the
+    /// worker, so it surfaces through the worker-panic machinery
+    /// exactly as an on-thread fetch panic does.
+    fn land_completion(&self, lane: &mut Lane, done: Completion, sink: &EventSink) -> bool {
+        let Completion {
+            claim,
+            attempt,
+            outcome,
+        } = done;
+        lane.since_commit += 1;
+        let page = match outcome {
+            Ok(Ok(page)) => page,
+            Ok(Err(e)) => {
+                lane.pending
+                    .push((claim, FetchErrorKind::from(&e), attempt));
+                return false;
+            }
+            Err(msg) => panic!("fetch pool: {msg}"),
+        };
+        // Classify without holding *any* lock: clone the compiled
+        // engine's Arc (a refcount bump under a momentary read lock),
+        // drop the lock, then run zero-alloc inference in this worker's
+        // scratch. A concurrent retrain swaps the Arc without waiting
+        // for us; this page finishes under the model it started with.
+        let compiled = Arc::clone(&self.compiled.read());
+        let summary = compiled.evaluate_into(&page.terms, &mut lane.scratch);
+        // Saved posteriors back §3.7 re-marking; the tail below the
+        // floor adds nothing. Filtered here, outside the store lock.
+        let saved: Vec<(ClassId, f64)> = lane
+            .scratch
+            .class_probs()
+            .iter()
+            .copied()
+            .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
+            .collect();
+        let mut g = self.store.write();
+        let res = self
+            .flush_failures(&mut g, &mut lane.pending, sink)
+            .and_then(|()| {
+                self.process(&mut g, &claim, page, Some((summary, saved)), attempt, sink)
+            });
+        // The gauge falls only after the page's outlinks are in the
+        // frontier (still under the write lock): a peer observing
+        // `in_flight == 0` with an empty frontier can trust it. In
+        // cluster mode the same applies to the global gauge — `process`
+        // routed this page's remote outlinks *before* this decrement,
+        // so a peer shard observing zero global in-flight is guaranteed
+        // to see them in `queued`.
+        self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
+        if let Some(ctx) = &self.shard {
+            ctx.exchange.sub_in_flight(1);
+        }
+        drop(g);
+        match res {
+            Ok(()) => false,
+            Err(e) => {
+                self.record_error(e);
+                true
+            }
+        }
+    }
+
+    /// Cut a commit point, unless nothing landed since the last one:
+    /// land any trailing failures, then commit to the WAL so everything
+    /// landed so far is recoverable (fsync cadence follows the
+    /// group-commit quota; the run's wind-down forces the last sync).
+    /// Returns `true` when a storage error was recorded.
+    fn commit_point(&self, lane: &mut Lane, sink: &EventSink) -> bool {
+        if lane.since_commit == 0 && lane.pending.is_empty() {
+            return false;
+        }
+        lane.since_commit = 0;
+        let mut g = self.store.write();
+        let res = self
+            .flush_failures(&mut g, &mut lane.pending, sink)
+            .and_then(|()| Self::commit_if_durable(&mut g.db));
+        drop(g);
+        match res {
+            Ok(()) => false,
+            Err(e) => {
+                self.record_error(e);
+                true
+            }
+        }
+    }
+
+    /// Wait out and land the fetches already on the wire (nothing, for
+    /// the on-thread executor once its queue is cancelled). On a
+    /// storage error the run is already aborting and `record_error`
+    /// keeps the first error; keep draining so every claim's gauge and
+    /// row are accounted for and no completion is abandoned.
+    fn drain_on_the_wire(&self, lane: &mut Lane, sink: &EventSink) {
+        while lane.exec.outstanding() > 0 {
+            if let Some(done) = lane.exec.next_completion(Duration::from_millis(5)) {
+                let _ = self.land_completion(lane, done, sink);
+            }
+        }
+    }
+
+    /// The park point. Pull the queued-but-unfetched jobs back out of
+    /// the executor (no further fetches issue; the claims keep their
+    /// attempt numbers, so `attempts` stays flat exactly as the pause
+    /// contract promises), land what is already on the wire, cut a
+    /// commit point, then spin — commands still apply and routed
+    /// entries still land while parked, so pause-then-checkpoint
+    /// captures cross-shard work instead of leaving it in inboxes no
+    /// snapshot covers. On resume the held jobs are resubmitted (their
+    /// chaos ordinals are unchanged by the round-trip); on
+    /// stop-while-paused they are handed back to the frontier instead.
+    fn park_while_paused(&self, lane: &mut Lane, sink: &EventSink) {
+        let held = lane.exec.cancel_unstarted();
+        self.drain_on_the_wire(lane, sink);
+        self.commit_point(lane, sink);
+        while self.control.run_state() == RunState::Paused
+            && !self.control.abort.load(Ordering::Acquire)
+        {
+            std::thread::sleep(IDLE_POLL);
+            self.control.drain(|cmd| self.apply_command(cmd, sink));
+            self.drain_exchange();
+        }
+        if self.stop_requested() {
+            self.release_unfetched(held);
+        } else {
+            lane.exec.resubmit(held);
+        }
+    }
+
     /// Hand claims that will not be fetched back to the frontier
-    /// (stop or abort mid-batch): release the in-flight gauge and flip
-    /// the rows back to poppable, so the work survives for checkpoints
-    /// and the next run instead of leaking as stuck `CLAIMED` rows.
-    fn release_unfetched(&self, rest: &[Claim]) {
-        if rest.is_empty() {
+    /// (stop or abort with jobs still queued): release the in-flight
+    /// gauge and flip the rows back to poppable, so the work survives
+    /// for checkpoints and the next run instead of leaking as stuck
+    /// `CLAIMED` rows. `attempts` stays as counted (it is monotone by
+    /// contract).
+    fn release_unfetched(&self, jobs: Vec<(Claim, u64)>) {
+        if jobs.is_empty() {
             return;
         }
+        let rest: Vec<Claim> = jobs.into_iter().map(|(c, _)| c).collect();
         let mut g = self.store.write();
         self.counters
             .in_flight
@@ -50,517 +346,15 @@ impl CrawlSession {
         // Every admitted claim charged a per-server politeness slot at
         // `HealthMap::admit`; hand those back too, keyed exactly as the
         // admission was (the claim's URL, not any fetched page's).
-        for c in rest {
+        for c in &rest {
             g.health.release(host_server_id(&c.url));
         }
-        if let Err(e) = frontier::unclaim_batch(&mut g.db, rest) {
+        if let Err(e) = frontier::unclaim_batch(&mut g.db, &rest) {
             drop(g);
             // `record_error` keeps the first error, so this cannot mask
             // the failure that aborted the run.
             self.record_error(e);
         }
-    }
-
-    /// The worker loop. With a fetch pool armed for this run the worker
-    /// runs the pipelined submit/drain loop ([`worker_pooled`]);
-    /// otherwise it fetches inline, one page at a time
-    /// ([`worker_inline`]).
-    ///
-    /// [`worker_pooled`]: CrawlSession::worker_pooled
-    /// [`worker_inline`]: CrawlSession::worker_inline
-    pub(crate) fn worker(&self, sink: &EventSink, batch_size: usize) {
-        let pool = self.run_pool.lock().clone();
-        match pool {
-            Some(pool) => self.worker_pooled(&pool, sink, batch_size),
-            None => self.worker_inline(sink, batch_size),
-        }
-    }
-
-    /// The inline worker loop: drain control commands, honor
-    /// pause/stop, claim a small batch in one critical section, then
-    /// for each claimed page fetch (lock released), classify (lock
-    /// released), and flush the page's accumulated writes in one short
-    /// critical section at the page boundary (where steering commands
-    /// also drain).
-    fn worker_inline(&self, sink: &EventSink, batch_size: usize) {
-        // Per-worker inference buffers: warmed up on the first page,
-        // zero allocations per page after that. Never shared (the
-        // `Scratch` contract), so no lock guards it.
-        let mut scratch = Scratch::default();
-        loop {
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-            if self.control.abort.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(ctx) = &self.shard {
-                // A peer shard proved the whole cluster idle; nothing
-                // can repopulate any frontier, so exit.
-                if ctx.exchange.finished() {
-                    break;
-                }
-            }
-            match self.control.run_state() {
-                RunState::Stopping => break,
-                RunState::Paused => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    continue;
-                }
-                _ => {}
-            }
-            match self.next_tick(sink, batch_size) {
-                Tick::Exit => break,
-                Tick::EmptyFrontier { idle, attempts } => {
-                    // Empty frontier: if nothing was in flight either
-                    // (judged inside the claim's critical section), the
-                    // crawl has stagnated or finished. A peer may still
-                    // be mid-fetch and about to enqueue links, so wait
-                    // rather than exit while work is in flight. In
-                    // cluster mode, locally idle is not cluster idle —
-                    // a peer shard may still route entries here — so the
-                    // verdict escalates to the exchange (the local idle
-                    // flag was already recorded by `next_tick` *inside*
-                    // the claim's critical section; recording it here
-                    // would let a concurrent landing be overwritten by
-                    // a stale verdict), and only the global
-                    // all-shards-drained verdict ends the crawl.
-                    let stagnated = idle
-                        && self
-                            .shard
-                            .as_ref()
-                            .is_none_or(|ctx| ctx.exchange.try_finish());
-                    if stagnated {
-                        if !self
-                            .control
-                            .stagnation_reported
-                            .swap(true, Ordering::AcqRel)
-                        {
-                            sink.emit(CrawlEvent::FrontierStagnated { attempts });
-                        }
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                Tick::Work {
-                    claims,
-                    first_attempt,
-                } => {
-                    if self.process_batch(&claims, first_attempt, sink, &mut scratch) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The pipelined worker loop over the run's fetch pool: keep
-    /// topping the submission queue up toward an in-flight target
-    /// (claims still numbered and gated through [`next_tick`], the same
-    /// budget/health critical section the inline path uses), and drain
-    /// one completion per turn through the classify/flush path — so
-    /// fetch latency overlaps this worker's CPU work instead of
-    /// serializing with it.
-    ///
-    /// Control latency stays one *page*: commands drain every turn, a
-    /// pause cancels the queued-but-unfetched jobs immediately and only
-    /// waits out fetches already on the wire, and stop/abort unwinds
-    /// the same way ([`wind_down_pooled`]).
-    ///
-    /// [`next_tick`]: CrawlSession::next_tick
-    /// [`wind_down_pooled`]: CrawlSession::wind_down_pooled
-    fn worker_pooled(&self, pool: &Arc<FetchPool>, sink: &EventSink, batch_size: usize) {
-        let mut scratch = Scratch::default();
-        let mut handle = pool.handle();
-        // Failed fetches accumulate here and flush in one critical
-        // section, exactly as in the inline batch path.
-        let mut pending: Vec<(Claim, FetchErrorKind, u64)> = Vec::new();
-        // Completions landed since the last commit point; the commit
-        // cadence below mirrors the inline path's batch boundary.
-        let mut since_commit = 0usize;
-        let batch = batch_size.max(1);
-        // Split the pool's capacity across this run's workers, keeping
-        // ~2 jobs per pool thread in flight so a completing thread
-        // always finds its next job queued; never below one batch, or
-        // a tiny pool would defeat batching.
-        let workers = self.cfg.threads.max(1);
-        let target = batch.max((pool.size() * 2).div_ceil(workers));
-        loop {
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-            if self.control.abort.load(Ordering::Acquire)
-                || self.control.run_state() == RunState::Stopping
-            {
-                break;
-            }
-            if let Some(ctx) = &self.shard {
-                // A peer shard proved the whole cluster idle. Our own
-                // outstanding jobs hold the global in-flight gauge up,
-                // so `finished` can only be true with an empty pipeline.
-                if ctx.exchange.finished() {
-                    break;
-                }
-            }
-            if self.control.run_state() == RunState::Paused {
-                self.pause_pooled(&mut handle, &mut pending, sink, &mut scratch);
-                continue;
-            }
-            // Top up the pipeline toward the in-flight target.
-            if handle.outstanding() < target {
-                match self.next_tick(sink, (target - handle.outstanding()).min(batch)) {
-                    Tick::Exit => {
-                        // Budget spent (or a fatal claim error): stop
-                        // feeding the queue. Whatever is already on the
-                        // wire still completes and flushes below.
-                        if handle.outstanding() == 0 && pending.is_empty() {
-                            break;
-                        }
-                    }
-                    Tick::EmptyFrontier { idle, attempts } => {
-                        if handle.outstanding() == 0 {
-                            // Land trailing failures before judging
-                            // idleness: they hold the in-flight gauge up
-                            // (vetoing the verdict) and may requeue rows.
-                            if !pending.is_empty() {
-                                self.flush_failures_standalone(&mut pending, sink);
-                                continue;
-                            }
-                            let stagnated = idle
-                                && self
-                                    .shard
-                                    .as_ref()
-                                    .is_none_or(|ctx| ctx.exchange.try_finish());
-                            if stagnated {
-                                if !self
-                                    .control
-                                    .stagnation_reported
-                                    .swap(true, Ordering::AcqRel)
-                                {
-                                    sink.emit(CrawlEvent::FrontierStagnated { attempts });
-                                }
-                                break;
-                            }
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                        }
-                        // Otherwise the frontier is merely empty *now*;
-                        // outstanding completions are about to
-                        // repopulate it — fall through to the drain.
-                    }
-                    Tick::Work {
-                        claims,
-                        first_attempt,
-                    } => handle.submit(claims, first_attempt),
-                }
-            }
-            // Drain one completion per turn; the short timeout keeps
-            // the loop responsive to commands and the submit half.
-            match handle.next_completion(std::time::Duration::from_millis(1)) {
-                Some(done) => {
-                    since_commit += 1;
-                    if self.process_completion(done, &mut pending, sink, &mut scratch) {
-                        break;
-                    }
-                    if since_commit < batch {
-                        continue;
-                    }
-                    // Fall through to the commit point below.
-                }
-                None if since_commit == 0 && pending.is_empty() => continue,
-                None => {}
-            }
-            // Batch-boundary analogue: a quiet turn (or `batch`
-            // completions since the last point) lands trailing failures
-            // and cuts a WAL commit point, the same cadence the inline
-            // path gets for free at its batch boundary.
-            since_commit = 0;
-            let mut g = self.store.write();
-            let res = self
-                .flush_failures(&mut g, &mut pending, sink)
-                .and_then(|()| Self::commit_if_durable(&mut g.db));
-            if let Err(e) = res {
-                drop(g);
-                self.record_error(e);
-                break;
-            }
-        }
-        self.wind_down_pooled(&mut handle, &mut pending, sink, &mut scratch);
-    }
-
-    /// Land one pool completion through the same classify/flush path
-    /// the inline loop uses. Returns `true` when the worker should wind
-    /// down (a storage error was recorded). A completion carrying a
-    /// fetcher panic is re-raised here, on the worker thread, so it
-    /// surfaces through the existing worker-panic machinery exactly as
-    /// an inline fetch panic would.
-    fn process_completion(
-        &self,
-        done: Completion,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-        scratch: &mut Scratch,
-    ) -> bool {
-        let Completion {
-            claim,
-            attempt,
-            outcome,
-        } = done;
-        let result = match outcome {
-            Ok(r) => r,
-            Err(msg) => panic!("fetch pool: {msg}"),
-        };
-        // Classify outside every lock — same engine-Arc discipline as
-        // the inline path (`process_batch` documents it).
-        let eval = result.as_ref().ok().map(|page| {
-            let compiled = Arc::clone(&self.compiled.read());
-            let summary = compiled.evaluate_into(&page.terms, scratch);
-            let saved: Vec<(ClassId, f64)> = scratch
-                .class_probs()
-                .iter()
-                .copied()
-                .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
-                .collect();
-            (summary, saved)
-        });
-        match result {
-            Err(e) => {
-                // Failures join the pending flush; the claim stays in
-                // flight (gauge and row) until the flush lands it.
-                pending.push((claim, FetchErrorKind::from(&e), attempt));
-                false
-            }
-            Ok(page) => {
-                let mut g = self.store.write();
-                let res = self
-                    .flush_failures(&mut g, pending, sink)
-                    .and_then(|()| self.process(&mut g, &claim, Ok(page), eval, attempt, sink));
-                // Gauge discipline identical to the inline path: the
-                // decrement happens under the write lock, after the
-                // page's outlinks are in the frontier (local or routed).
-                self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                if let Some(ctx) = &self.shard {
-                    ctx.exchange.sub_in_flight(1);
-                }
-                if let Err(e) = res {
-                    drop(g);
-                    self.record_error(e);
-                    return true;
-                }
-                false
-            }
-        }
-    }
-
-    /// Park the pooled pipeline for a pause: pull the
-    /// queued-but-unfetched jobs back out of the submission queue (no
-    /// further fetches issue; the claims keep their attempt numbers, so
-    /// `attempts` stays flat exactly as the pause contract promises),
-    /// drain the fetches already on the wire and land them normally,
-    /// then spin at the park point — commands still apply and routed
-    /// entries still land, so pause-then-checkpoint captures
-    /// cross-shard work. On resume the held jobs are resubmitted with
-    /// their original attempt numbers (their chaos ordinals are
-    /// unchanged by the round-trip); on stop-while-paused they are
-    /// handed back to the frontier instead.
-    fn pause_pooled(
-        &self,
-        handle: &mut PoolHandle,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-        scratch: &mut Scratch,
-    ) {
-        let held = handle.cancel_unstarted();
-        while handle.outstanding() > 0 {
-            if let Some(done) = handle.next_completion(std::time::Duration::from_millis(5)) {
-                // On a storage error the run is already aborting; keep
-                // draining so no completion is abandoned in the mailbox.
-                let _ = self.process_completion(done, pending, sink, scratch);
-            }
-        }
-        self.flush_failures_standalone(pending, sink);
-        while self.control.run_state() == RunState::Paused
-            && !self.control.abort.load(Ordering::Acquire)
-        {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-        }
-        if self.control.abort.load(Ordering::Acquire)
-            || self.control.run_state() == RunState::Stopping
-        {
-            let claims: Vec<Claim> = held.into_iter().map(|(c, _)| c).collect();
-            self.release_unfetched(&claims);
-            return;
-        }
-        handle.resubmit(held);
-    }
-
-    /// Unwind the pooled pipeline on any worker exit: unclaim the
-    /// queued-but-unfetched jobs (they go back to the frontier, the
-    /// same contract as the inline path's unfetched batch remainder),
-    /// drain the fetches already on the wire and land them
-    /// (completed-then-flushed — those claims burned attempts and
-    /// cannot be handed back), then flush trailing failures and cut a
-    /// final commit point.
-    fn wind_down_pooled(
-        &self,
-        handle: &mut PoolHandle,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-        scratch: &mut Scratch,
-    ) {
-        let unstarted = handle.cancel_unstarted();
-        let claims: Vec<Claim> = unstarted.into_iter().map(|(c, _)| c).collect();
-        self.release_unfetched(&claims);
-        while handle.outstanding() > 0 {
-            if let Some(done) = handle.next_completion(std::time::Duration::from_millis(5)) {
-                // `record_error` keeps the first error; keep draining so
-                // every claim's gauge and row are accounted for.
-                let _ = self.process_completion(done, pending, sink, scratch);
-            }
-        }
-        self.flush_failures_standalone(pending, sink);
-        let mut g = self.store.write();
-        if let Err(e) = Self::commit_if_durable(&mut g.db) {
-            drop(g);
-            self.record_error(e);
-        }
-    }
-
-    /// Process one claimed batch: fetch + classify each page outside the
-    /// lock, flush its writes in one short critical section, and honor
-    /// control at every *page* boundary — pause parks here (claims held,
-    /// no further fetches), stop hands the unfetched remainder back to
-    /// the frontier via [`frontier::unclaim_batch`], so pause/stop
-    /// latency stays one page, not one batch. Returns `true` when the
-    /// worker should exit its loop.
-    fn process_batch(
-        &self,
-        claims: &[Claim],
-        first_attempt: u64,
-        sink: &EventSink,
-        scratch: &mut Scratch,
-    ) -> bool {
-        // Failed fetches accumulate here and flush in *one* critical
-        // section — before the next success lands, at stop/abort, and
-        // at the batch boundary — so an error storm from a down server
-        // costs one B+tree pass, not one per page.
-        let mut pending: Vec<(Claim, FetchErrorKind, u64)> = Vec::new();
-        let mut i = 0usize;
-        while i < claims.len() {
-            let claim = &claims[i];
-            let attempt = first_attempt + i as u64;
-            // Fetch without holding the lock (network latency). The
-            // submission ordinal is the claim's attempt number minus
-            // one — assigned under the store lock at claim time, so
-            // chaos schedules keyed on it replay identically whether
-            // the fetch runs inline here or on a pool thread.
-            let result = self.fetcher.fetch_with_ordinal(claim.oid, attempt - 1);
-            // Classify without holding *any* lock: clone the compiled
-            // engine's Arc (a refcount bump under a momentary read
-            // lock), drop the lock, then run zero-alloc inference in
-            // this worker's scratch. A concurrent retrain swaps the Arc
-            // without waiting for us; this page finishes under the
-            // model it started with.
-            let eval = result.as_ref().ok().map(|page| {
-                let compiled = Arc::clone(&self.compiled.read());
-                let summary = compiled.evaluate_into(&page.terms, scratch);
-                // Saved posteriors back §3.7 re-marking; the tail below
-                // the floor adds nothing. Filtered here, outside the
-                // store lock.
-                let saved: Vec<(ClassId, f64)> = scratch
-                    .class_probs()
-                    .iter()
-                    .copied()
-                    .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
-                    .collect();
-                (summary, saved)
-            });
-            match result {
-                Err(e) => {
-                    // No lock taken for a failure: it joins the pending
-                    // flush. The claim stays in flight (gauge and row
-                    // both) until the flush lands it.
-                    pending.push((claim.clone(), FetchErrorKind::from(&e), attempt));
-                }
-                Ok(page) => {
-                    let mut g = self.store.write();
-                    let res = self
-                        .flush_failures(&mut g, &mut pending, sink)
-                        .and_then(|()| self.process(&mut g, claim, Ok(page), eval, attempt, sink));
-                    // The gauge falls only after the page's outlinks are
-                    // in the frontier (still under the write lock): a
-                    // peer observing `in_flight == 0` with an empty
-                    // frontier can trust it. In cluster mode the same
-                    // applies to the global gauge — `process` routed
-                    // this page's remote outlinks *before* this
-                    // decrement, so a peer shard observing zero global
-                    // in-flight is guaranteed to see them in `queued`.
-                    self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(ctx) = &self.shard {
-                        ctx.exchange.sub_in_flight(1);
-                    }
-                    if let Err(e) = res {
-                        drop(g);
-                        self.record_error(e);
-                        self.release_unfetched(&claims[i + 1..]);
-                        return true;
-                    }
-                    drop(g);
-                }
-            }
-            i += 1;
-            // Page boundary inside the batch: steering commands take
-            // effect between pages, not only between batches — and
-            // cross-shard entries land here with the same latency.
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
-            self.drain_exchange();
-            // A pause parks right here, with the batch remainder checked
-            // out but no further fetches issued (attempts stay flat, as
-            // the pause contract promises). Commands still apply and
-            // routed entries still land while parked — a paused cluster
-            // drains its exchange, so pause-then-checkpoint captures
-            // cross-shard work instead of leaving it in inboxes no
-            // snapshot covers.
-            while self.control.run_state() == RunState::Paused
-                && !self.control.abort.load(Ordering::Acquire)
-            {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                self.control.drain(|cmd| self.apply_command(cmd, sink));
-                self.drain_exchange();
-            }
-            // Abort (a peer failed) and stop both end the batch at this
-            // page boundary; either way the unfetched remainder goes
-            // back to the frontier. `attempts` stays as counted (it is
-            // monotone by contract); only the in-flight gauge is
-            // released.
-            if self.control.abort.load(Ordering::Acquire)
-                || self.control.run_state() == RunState::Stopping
-            {
-                // The fetched-and-failed prefix must still land — those
-                // claims were *used* (they burned attempts) and cannot
-                // be handed back as unfetched.
-                self.flush_failures_standalone(&mut pending, sink);
-                self.release_unfetched(&claims[i..]);
-                return true;
-            }
-        }
-        // Batch boundary: land any trailing failures, then cut a WAL
-        // commit point so the batch's pages are recoverable (fsync
-        // cadence follows the group-commit quota; the wind-down commit
-        // forces the last sync). Write-ahead discipline means the pages
-        // themselves may already be in the log — this just makes them
-        // part of the committed prefix.
-        {
-            let mut g = self.store.write();
-            let res = self
-                .flush_failures(&mut g, &mut pending, sink)
-                .and_then(|()| Self::commit_if_durable(&mut g.db));
-            if let Err(e) = res {
-                drop(g);
-                self.record_error(e);
-                return true;
-            }
-        }
-        false
     }
 
     /// Claim the next batch of work, or decide why there is none. The

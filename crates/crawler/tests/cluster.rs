@@ -11,7 +11,10 @@ use focus_crawler::cluster::CrawlCluster;
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{CrawlPolicy, RunState};
 use focus_types::{ClassId, Mark, Oid};
-use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
+use focus_webgraph::{
+    evolve, EvolutionConfig, EvolvingFetcher, FetchError, FetchedPage, Fetcher, SimFetcher,
+    WebConfig, WebGraph,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -502,5 +505,132 @@ fn cluster_add_seeds_routes_to_owning_shards() {
             .scalar_i64()
             .unwrap();
         assert_eq!(n, 1, "late seed {url} missing from its owner shard");
+    }
+}
+
+/// An evolving web whose fetcher also resolves URLs without a fetch, so
+/// seeds are partitioned by host like every link-discovered page
+/// (`EvolvingFetcher` alone leaves seeds URL-less, and URL-less seeds
+/// fall back to the `oid % n` partition).
+struct EvolvingWithUrls(Arc<EvolvingFetcher>);
+
+impl Fetcher for EvolvingWithUrls {
+    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+        self.0.fetch(oid)
+    }
+    fn fetch_count(&self) -> u64 {
+        self.0.fetch_count()
+    }
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.0.current().page(oid).map(|p| p.url.clone())
+    }
+}
+
+#[test]
+fn maintenance_pass_respects_the_partition() {
+    // Regression: a per-shard maintenance pass used to upsert every new
+    // hub outlink into the revisiting shard's *own* frontier, planting
+    // pages of servers another shard owns. After the web evolves and
+    // each shard of a 2-shard cluster runs its maintenance pass, every
+    // URL-bearing CRAWL row must still sit on the shard that owns its
+    // server — and the cross-shard targets must have reached that owner.
+    let base = Arc::new(WebGraph::generate(WebConfig::tiny(61)));
+    let cycling = base.taxonomy().find("recreation/cycling").unwrap();
+    let model = trained_model(&base, "recreation/cycling");
+    let fetcher = Arc::new(EvolvingFetcher::new(Arc::clone(&base)));
+    let cluster = CrawlCluster::new(
+        2,
+        Arc::new(EvolvingWithUrls(Arc::clone(&fetcher))),
+        model,
+        CrawlConfig {
+            policy: CrawlPolicy::SoftFocus,
+            threads: 2,
+            max_fetches: 160,
+            distill_every: Some(40),
+            ..CrawlConfig::default()
+        },
+    )
+    .unwrap();
+    cluster
+        .seed(&focus_webgraph::search::topic_start_set(&base, cycling, 10))
+        .unwrap();
+    cluster.run().unwrap();
+
+    fetcher.swap(Arc::new(evolve(
+        &base,
+        1,
+        &EvolutionConfig {
+            new_pages_per_topic: 12,
+            // Every page picks up links to its topic's new pages, which
+            // all share one host: any visited page whose own host hashes
+            // to the other shard yields a cross-shard link, whatever
+            // order the two shards happened to crawl in.
+            hub_update_fraction: 1.0,
+            new_links_per_hub: 8,
+            content_update_fraction: 1.0,
+            seed: 5,
+        },
+    )));
+
+    // `(oid_src, oid_dst, sid_dst)` of every LINK row on one shard.
+    let links_of = |shard: usize| -> HashSet<(i64, i64, i64)> {
+        cluster.shards()[shard]
+            .sql("select oid_src, oid_dst, sid_dst from link")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r[0].as_i64().unwrap(),
+                    r[1].as_i64().unwrap(),
+                    r[2].as_i64().unwrap(),
+                )
+            })
+            .collect()
+    };
+    // Targets of new links that cross shards, with their owner.
+    let mut crossing: Vec<(i64, usize)> = Vec::new();
+    for shard in 0..cluster.n_shards() {
+        let before = links_of(shard);
+        // Revisit every link source the shard knows, not just a top-k
+        // whose membership depends on crawl interleaving.
+        cluster.shards()[shard].distill_now().unwrap();
+        cluster.shards()[shard]
+            .maintenance_pass(usize::MAX)
+            .unwrap();
+        for (_, dst, sid_dst) in links_of(shard).difference(&before) {
+            let owner = *sid_dst as usize % cluster.n_shards();
+            if owner != shard {
+                crossing.push((*dst, owner));
+            }
+        }
+    }
+    assert!(
+        !crossing.is_empty(),
+        "test web produced no cross-shard maintenance link"
+    );
+
+    // Land whatever the passes routed (a checkpoint drains every inbox).
+    cluster.checkpoint().unwrap();
+    for shard in 0..cluster.n_shards() {
+        let rs = cluster.shards()[shard]
+            .sql("select url from crawl where url <> ''")
+            .unwrap();
+        for row in &rs.rows {
+            let url = row[0].as_str().unwrap();
+            assert_eq!(
+                cluster.owner_of(url),
+                shard,
+                "{url} sits in shard {shard}'s CRAWL table, owned elsewhere"
+            );
+        }
+    }
+    for (dst, owner) in crossing {
+        let n = cluster.shards()[owner]
+            .sql(&format!("select count(*) from crawl where oid = {dst}"))
+            .unwrap()
+            .scalar_i64()
+            .unwrap();
+        assert_eq!(n, 1, "cross-shard target {dst} never reached shard {owner}");
     }
 }

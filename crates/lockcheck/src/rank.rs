@@ -13,14 +13,14 @@
 //!
 //! ```text
 //! ctrl_apply -> ctrl_queue                    (crawler/run.rs control plane)
-//!   -> model -> compiled -> store             (crawler/session.rs hot path)
+//!   -> model -> compiled -> store             (crawler/session/ hot path)
 //!     -> exchange_inbox                       (crawler/cluster.rs routing)
 //!     -> replica_db -> plan_cache             (minirel db/recovery)
 //!       -> buffer_shard -> disk -> wal        (minirel storage; one shard at a time)
 //!         -> replica_err
 //!     -> tallies -> diag                      (crawler counters; leaves of the session)
 //! evolve_graph -> sim_attempts -> sim_reverse (webgraph simulation)
-//! run_pool -> pool_queue -> pool_mailbox      (crawler fetch pool; taken with no session locks)
+//! pool_queue -> pool_mailbox                  (crawler fetch pool; taken with no session locks)
 //! ```
 
 /// A lock rank: a position in the workspace acquisition order plus the
@@ -57,12 +57,12 @@ ranks! {
     /// `crawler/run.rs` `ControlState.queue`: pending control commands;
     /// re-popped under `applying`.
     CTRL_QUEUE = 110, "crawler.ctrl_queue";
-    /// `crawler/session.rs` `model`: the trained classifier; read-held
+    /// `crawler/session/` `model`: the trained classifier; read-held
     /// across compiles and store writes during retrain.
     MODEL = 200, "crawler.model";
-    /// `crawler/session.rs` `compiled`: Arc-swapped compiled model.
+    /// `crawler/session/` `compiled`: Arc-swapped compiled model.
     COMPILED = 210, "crawler.compiled";
-    /// `crawler/session.rs` `store`: frontier + crawl store; the spine of
+    /// `crawler/session/` `store`: frontier + crawl store; the spine of
     /// the crawl loop.
     STORE = 300, "crawler.store";
     /// `crawler/cluster.rs` `ShardExchange.inboxes[i]`: cross-shard
@@ -88,10 +88,10 @@ ranks! {
     WAL = 440, "minirel.wal";
     /// `minirel/recovery.rs` `ReplicaShared.error`: replica failure slot.
     REPLICA_ERR = 450, "minirel.replica_err";
-    /// `crawler/session.rs` `counters.tallies`: crawl statistics; nests
+    /// `crawler/session/` `counters.tallies`: crawl statistics; nests
     /// inside the store write lock.
     TALLIES = 500, "crawler.tallies";
-    /// `crawler/session.rs` `diag`: run diagnostics; ordered after the
+    /// `crawler/session/` `diag`: run diagnostics; ordered after the
     /// store and tallies.
     DIAG = 510, "crawler.diag";
     /// `webgraph/evolve.rs` `graph`: the evolving web snapshot.
@@ -101,9 +101,6 @@ ranks! {
     /// `webgraph/fetch.rs` `SimFetcher.reverse`: lazily built reverse
     /// adjacency.
     SIM_REVERSE = 620, "webgraph.sim_reverse";
-    /// `crawler/session.rs` `run_pool`: handle to the live fetch pool;
-    /// taken with no session locks held.
-    RUN_POOL = 700, "crawler.run_pool";
     /// `crawler/fetch_pool.rs` `PoolShared.queue`: pending fetch jobs;
     /// dropped before the blocking `Fetcher::fetch` call.
     POOL_QUEUE = 710, "crawler.pool_queue";
