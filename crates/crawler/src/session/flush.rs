@@ -469,10 +469,10 @@ impl CrawlSession {
         sid: ServerId,
         health: Option<&ServerHealth>,
     ) -> DbResult<()> {
-        db.execute(&format!(
-            "delete from server_health where sid = {}",
-            sid.raw() as i64
-        ))?;
+        db.execute_with(
+            "delete from server_health where sid = ?",
+            &[Value::Int(sid.raw() as i64)],
+        )?;
         let Some(h) = health else { return Ok(()) };
         let (state, until) = match h.breaker {
             Breaker::Closed => ("closed", 0),

@@ -608,16 +608,18 @@ impl CrawlSession {
     /// under the store's *read* lock — many monitors can query at once,
     /// and the crawl only pauses them for its short page-flush critical
     /// sections. Anything else (DDL/DML steering surgery) escalates to
-    /// the write lock and runs exclusively at the next page boundary.
+    /// the write lock and runs exclusively at the next page boundary —
+    /// through the same planner, so an `UPDATE`/`DELETE` probes the
+    /// table's indexes like the equivalent SELECT would.
     pub fn sql(&self, sql: &str) -> DbResult<ResultSet> {
         self.sql_with(sql, &[])
     }
 
-    /// [`CrawlSession::sql`] with positional `?` parameter bindings.
-    /// SELECTs plan through the database's prepared-statement cache, so a
-    /// monitor polling the same query text pays binding + execution only.
-    /// Parameters are rejected on the DML fallback path — `execute` has
-    /// no binding surface, and silently dropping them would be worse.
+    /// [`CrawlSession::sql`] with positional `?` parameter bindings, for
+    /// every statement kind. SELECTs plan through the database's
+    /// prepared-statement cache, so a monitor polling the same query text
+    /// pays binding + execution only; DML/DDL is planned per call on the
+    /// exclusive path ([`Database::execute_with`]).
     pub fn sql_with(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         {
             let g = self.store.read();
@@ -627,12 +629,7 @@ impl CrawlSession {
                 other => return other,
             }
         }
-        if !params.is_empty() {
-            return Err(DbError::Binding(
-                "parameters are only supported for SELECT statements".into(),
-            ));
-        }
-        self.store.write().db.execute(sql)
+        self.store.write().db.execute_with(sql, params)
     }
 
     /// The in-memory link cache `(src, sid_src, dst, sid_dst)`.

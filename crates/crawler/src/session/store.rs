@@ -269,11 +269,10 @@ impl CrawlSession {
         let mut db = Database::open_with(path, cfg.db_frames, *group_commit)?;
         // A recovered file must actually hold a crawl.
         db.table_id("crawl")?;
-        db.execute(&format!(
-            "update crawl set visited = {} where visited = {}",
-            visited::FRONTIER,
-            visited::CLAIMED
-        ))?;
+        db.execute_with(
+            "update crawl set visited = ? where visited = ?",
+            &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
+        )?;
         // Rebuild the caches the tables back: linear relevance and
         // server tallies from visited rows, the link cache from `LINK`.
         let mut relevance = FxHashMap::default();

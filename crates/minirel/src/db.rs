@@ -29,8 +29,8 @@ use crate::disk::DiskManager;
 use crate::error::{DbError, DbResult};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::recovery;
-use crate::sql::lower::{execute_plan, prepare_plan, ExecPlan};
-use crate::sql::reference::{run_statement, StmtResult};
+use crate::schema::Schema;
+use crate::sql::lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 use crate::sql::{parse_script, parse_statement, Statement};
 use crate::value::{Row, Value};
 use crate::wal::{Wal, DEFAULT_GROUP_COMMIT};
@@ -379,8 +379,16 @@ impl Database {
 
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> DbResult<ResultSet> {
+        self.execute_with(sql, &[])
+    }
+
+    /// [`Database::execute`] with positional `?` parameter bindings —
+    /// the exclusive twin of [`Database::query_with`], for any statement
+    /// kind. Planned per call (no plan cache: DML runs per distillation
+    /// or breaker transition, never at a rate where planning shows).
+    pub fn execute_with(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         let stmt = parse_statement(sql)?;
-        self.run(&stmt)
+        self.run(&stmt, params)
     }
 
     /// Execute a `;`-separated script, returning the last result.
@@ -388,7 +396,7 @@ impl Database {
         let stmts = parse_script(sql)?;
         let mut last = ResultSet::default();
         for stmt in &stmts {
-            last = self.run(stmt)?;
+            last = self.run(stmt, &[])?;
         }
         Ok(last)
     }
@@ -425,17 +433,13 @@ impl Database {
         }
         self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
         let stmt = parse_statement(sql)?;
-        let (sel, explain_only) = match &stmt {
-            Statement::Select(q) => (q.as_ref(), false),
-            Statement::Explain(q) => (q.as_ref(), true),
-            _ => {
-                return Err(DbError::ReadOnly(format!(
-                    "query() accepts SELECT only (got {})",
-                    sql.split_whitespace().next().unwrap_or("")
-                )))
-            }
-        };
-        let plan = Arc::new(prepare_plan(&self.catalog, sel, explain_only)?);
+        if !matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
+            return Err(DbError::ReadOnly(format!(
+                "query() accepts SELECT only (got {})",
+                sql.split_whitespace().next().unwrap_or("")
+            )));
+        }
+        let plan = Arc::new(prepare_plan(&self.catalog, &stmt)?);
         self.plan_cache
             .plans
             .write()
@@ -481,62 +485,39 @@ impl Database {
         }
     }
 
-    fn run(&mut self, stmt: &crate::sql::Statement) -> DbResult<ResultSet> {
-        let budget = self.sort_budget_rows();
+    /// One path for every statement. DDL is three direct catalog calls;
+    /// everything else is planned: parse → bind → plan → lower, the read
+    /// phase runs to completion through shared borrows, and only then
+    /// does a DML plan's write step touch the catalog.
+    fn run(&mut self, stmt: &Statement, params: &[Value]) -> DbResult<ResultSet> {
         match stmt {
-            // SELECT/EXPLAIN go through the planner (uncached: `execute`
-            // is the one-shot path; repeat queries belong on `query`).
-            Statement::Select(q) => {
-                let plan = prepare_plan(&self.catalog, q, false)?;
-                let rows = execute_plan(
-                    &self.pool,
-                    &self.catalog,
-                    &plan,
-                    &[],
-                    self.current_timestamp,
-                    budget,
-                )?;
-                Ok(Self::plan_result(&plan, rows))
+            Statement::CreateTable { name, cols } => {
+                let schema = Schema::new(cols.iter().map(|(n, t)| (n.clone(), *t)));
+                self.catalog.create_table(&self.pool, name, schema)?;
             }
-            Statement::Explain(q) => {
-                let plan = prepare_plan(&self.catalog, q, true)?;
-                let rows = execute_plan(
-                    &self.pool,
-                    &self.catalog,
-                    &plan,
-                    &[],
-                    self.current_timestamp,
-                    budget,
-                )?;
-                Ok(Self::plan_result(&plan, rows))
+            Statement::CreateIndex { name, table, cols } => {
+                let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+                self.catalog.create_index(&self.pool, name, table, &refs)?;
             }
-            _ => {
-                let res = run_statement(
-                    &self.pool,
-                    &mut self.catalog,
-                    self.current_timestamp,
-                    budget,
-                    stmt,
-                )?;
-                match res {
-                    StmtResult::Rows(rel) => Ok(ResultSet {
-                        columns: rel.cols.into_iter().map(|c| c.name).collect(),
-                        rows: rel.rows,
-                        affected: 0,
-                    }),
-                    StmtResult::Affected(n) => Ok(ResultSet {
-                        affected: n,
-                        ..Default::default()
-                    }),
-                    StmtResult::Done => {
-                        // DDL changed the catalog out from under any
-                        // cached plans.
-                        self.invalidate_plans();
-                        Ok(ResultSet::default())
-                    }
-                }
+            Statement::DropTable { name } => self.catalog.drop_table(name)?,
+            // Uncached: `execute` is the one-shot path; repeat SELECTs
+            // belong on `query`.
+            planned => {
+                let plan = Arc::new(prepare_plan(&self.catalog, planned)?);
+                let read = self.query_prepared(&plan, params)?;
+                let Some(write) = &plan.write else {
+                    return Ok(read);
+                };
+                let affected = execute_write(&self.pool, &mut self.catalog, write, read.rows)?;
+                return Ok(ResultSet {
+                    affected,
+                    ..Default::default()
+                });
             }
         }
+        // DDL changed the catalog out from under any cached plans.
+        self.invalidate_plans();
+        Ok(ResultSet::default())
     }
 
     /// Set the session clock used by `current timestamp` (seconds).

@@ -1,8 +1,12 @@
 //! Lowering and execution: logical plan → physical plan → rows.
 //!
-//! [`prepare_plan`] turns a parsed SELECT into an [`ExecPlan`]: an
-//! immutable, `Send + Sync` physical operator tree that can be cached and
-//! re-executed with different parameter bindings. Lowering is where
+//! [`prepare_plan`] turns a parsed SELECT, INSERT, UPDATE or DELETE into
+//! an [`ExecPlan`]: an immutable, `Send + Sync` physical operator tree
+//! that can be cached and re-executed with different parameter bindings,
+//! plus — for DML — the write step its rows feed. [`execute_plan`] runs
+//! the tree through shared borrows; [`execute_write`] then applies a DML
+//! plan's rows through `Catalog::{insert_many, update_many, delete_row}`,
+//! the only place SQL reaches them. Lowering is where
 //! access paths are chosen — a [`Phys::SeqScan`] becomes a
 //! [`Phys::IndexScan`] when a B+tree covers the pushed-down predicates
 //! and the cost model (rows × selectivity vs. heap pages) says the probe
@@ -21,9 +25,11 @@
 //!
 //! **Row-order contract.** Index probes collect rids, sort them, and
 //! fetch page-grouped ([`crate::heap::HeapFile::get_many`]), so eq/range/
-//! IN probes return rows in heap order — byte-identical to what the
-//! interpreter's sequential scan produces. The single accepted
-//! divergence is the index-only scan, which returns rows in key order.
+//! IN probes return rows in heap order — byte-identical to what a
+//! sequential scan produces, and the order a DML write step applies its
+//! rows in, whichever access path found them. The single accepted
+//! divergence is the index-only scan, which returns rows in key order
+//! (DML read phases never use it).
 
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, TableId};
@@ -34,8 +40,8 @@ use crate::exec::join::{merge_join_inner, merge_join_left_outer, nested_loop_joi
 use crate::exec::sort::{external_sort, SortKey};
 use crate::heap::Rid;
 use crate::schema::ColumnType;
-use crate::sql::ast::SelectStmt;
-use crate::sql::plan::{arity, plan_select_stmt, Logical, SelectPlan, SubKind};
+use crate::sql::ast::Statement;
+use crate::sql::plan::{arity, plan_statement, Logical, SelectPlan, SubKind, Write};
 use crate::value::{
     decode_composite_key, decode_row, decode_row_pruned, encode_composite_key, Row, Value,
 };
@@ -57,6 +63,8 @@ pub struct ExecPlan {
     pub explain: Vec<String>,
     /// `EXPLAIN <select>`: executing returns the plan text, not the rows.
     pub explain_only: bool,
+    /// DML: what [`execute_write`] does with the rows `root` produces.
+    pub write: Option<Write>,
 }
 
 /// A physical select: CTE plans, uncorrelated subquery plans, and the
@@ -97,8 +105,6 @@ pub struct RangeProbe {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Phys {
-    /// SELECT without FROM: one empty row.
-    Nothing,
     /// Full heap scan with pruned decode and residual filters.
     SeqScan {
         /// Catalog id.
@@ -109,7 +115,12 @@ pub enum Phys {
         keep: Option<Vec<bool>>,
         /// Filters applied in order.
         filters: Vec<Expr>,
+        /// Append each row's rid (DML read phases only).
+        with_rid: bool,
     },
+    /// Literal rows of row-free expressions: `INSERT … VALUES`, and one
+    /// empty row for a SELECT without FROM.
+    Values(Vec<Vec<Expr>>),
     /// B+tree probe: eq-prefix and/or range scan, or single-column IN.
     IndexScan {
         /// Catalog id.
@@ -141,6 +152,9 @@ pub enum Phys {
         col_types: Vec<ColumnType>,
         /// Table arity.
         arity: usize,
+        /// Append each row's rid (DML read phases only; never
+        /// `index_only`).
+        with_rid: bool,
     },
     /// Scan of a materialized CTE slot.
     CteScan {
@@ -228,11 +242,11 @@ pub enum Phys {
     },
 }
 
-/// Plan and lower a SELECT. `explain_only` marks `EXPLAIN <select>`:
-/// the plan is built (and cached) identically but executing it returns
-/// the rendered plan text.
-pub fn prepare_plan(catalog: &Catalog, sel: &SelectStmt, explain_only: bool) -> DbResult<ExecPlan> {
-    let (plan, num_slots, param_count) = plan_select_stmt(catalog, sel)?;
+/// Plan and lower a SELECT, INSERT, UPDATE or DELETE. For `EXPLAIN
+/// <select>` the plan is built (and cached) identically but executing it
+/// returns the rendered plan text.
+pub fn prepare_plan(catalog: &Catalog, stmt: &Statement) -> DbResult<ExecPlan> {
+    let (plan, write, num_slots, param_count) = plan_statement(catalog, stmt)?;
     let columns = plan.out_cols.iter().map(|c| c.name.clone()).collect();
     let mut explain = vec!["== logical ==".to_owned()];
     render_sel_logical(&plan, 0, &mut explain);
@@ -245,7 +259,8 @@ pub fn prepare_plan(catalog: &Catalog, sel: &SelectStmt, explain_only: bool) -> 
         root,
         columns,
         explain,
-        explain_only,
+        explain_only: matches!(stmt, Statement::Explain(_)),
+        write,
     })
 }
 
@@ -288,7 +303,7 @@ fn row_free(e: &Expr) -> bool {
 
 fn lower_node(catalog: &Catalog, node: &Logical) -> DbResult<Phys> {
     Ok(match node {
-        Logical::Nothing => Phys::Nothing,
+        Logical::Values(rows) => Phys::Values(rows.clone()),
         Logical::CteScan {
             name,
             slot,
@@ -305,7 +320,8 @@ fn lower_node(catalog: &Catalog, node: &Logical) -> DbResult<Phys> {
             arity,
             keep,
             filters,
-        } => lower_scan(catalog, table, *tid, *arity, keep, filters),
+            with_rid,
+        } => lower_scan(catalog, table, *tid, *arity, keep, filters, *with_rid),
         Logical::Join {
             left,
             right,
@@ -398,6 +414,7 @@ fn lower_scan(
     table_arity: usize,
     keep: &Option<Vec<bool>>,
     filters: &[Expr],
+    with_rid: bool,
 ) -> Phys {
     let t = catalog.table(tid);
     let (n_rows, n_pages) = catalog.table_stats(tid);
@@ -496,13 +513,15 @@ fn lower_scan(
     }
 
     let index_only = |idx_cols: &[usize]| -> bool {
-        match keep {
-            Some(mask) => mask
-                .iter()
-                .enumerate()
-                .all(|(c, &needed)| !needed || idx_cols.contains(&c)),
-            None => (0..table_arity).all(|c| idx_cols.contains(&c)),
-        }
+        // An index entry has no old row for the write step to replace.
+        !with_rid
+            && match keep {
+                Some(mask) => mask
+                    .iter()
+                    .enumerate()
+                    .all(|(c, &needed)| !needed || idx_cols.contains(&c)),
+                None => (0..table_arity).all(|c| idx_cols.contains(&c)),
+            }
     };
 
     if let Some((index_no, k, has_range, _)) = best {
@@ -534,6 +553,7 @@ fn lower_scan(
             index_cols: idx.cols.clone(),
             col_types,
             arity: table_arity,
+            with_rid,
         };
     }
 
@@ -558,6 +578,7 @@ fn lower_scan(
                 index_cols: idx.cols.clone(),
                 col_types,
                 arity: table_arity,
+                with_rid,
             };
         }
     }
@@ -567,6 +588,7 @@ fn lower_scan(
         table: table.to_owned(),
         keep: keep.clone(),
         filters: filters.to_vec(),
+        with_rid,
     }
 }
 
@@ -678,6 +700,54 @@ pub fn execute_plan(
     exec_select(&mut env, &plan.root)
 }
 
+/// The write step of a DML plan: apply the rows its read phase produced
+/// (all of them, so the statement has read everything it will read) and
+/// return the affected count. Inserts and updates go through the batch
+/// catalog paths, which validate and encode every row before the first
+/// heap write — a rejected statement changes nothing.
+pub fn execute_write(
+    pool: &BufferPool,
+    catalog: &mut Catalog,
+    write: &Write,
+    rows: Vec<Row>,
+) -> DbResult<u64> {
+    let affected = rows.len() as u64;
+    let (Write::Insert { tid, .. } | Write::Update { tid, .. } | Write::Delete { tid }) = write;
+    let arity = catalog.table(*tid).schema.arity();
+    match write {
+        Write::Insert { positions, .. } => {
+            let full = rows.into_iter().map(|src| {
+                let mut row = vec![Value::Null; arity];
+                for (v, &p) in src.into_iter().zip(positions) {
+                    row[p] = v;
+                }
+                row
+            });
+            catalog.insert_many(pool, *tid, full.collect())?;
+        }
+        Write::Update { sets, .. } => {
+            let mut updates = Vec::with_capacity(rows.len());
+            for mut old in rows {
+                let values = old.split_off(arity + 1);
+                let rid = value_rid(&old[arity]);
+                old.truncate(arity);
+                let mut new = old.clone();
+                for (&p, v) in sets.iter().zip(values) {
+                    new[p] = v;
+                }
+                updates.push((rid, old, new));
+            }
+            catalog.update_many(pool, *tid, updates)?;
+        }
+        Write::Delete { .. } => {
+            for row in &rows {
+                catalog.delete_row(pool, *tid, value_rid(&row[arity]))?;
+            }
+        }
+    }
+    Ok(affected)
+}
+
 fn exec_select(env: &mut Env<'_>, ps: &PhysSelect) -> DbResult<Vec<Row>> {
     for (slot, _, plan) in &ps.ctes {
         let rows = exec_select(env, plan)?;
@@ -731,7 +801,38 @@ fn apply_filters(
     Ok(rows)
 }
 
-fn seq_scan(env: &Env<'_>, tid: TableId, keep: &Option<Vec<bool>>) -> DbResult<Vec<Row>> {
+/// A rid as the trailing value a `with_rid` scan appends to its rows.
+fn rid_value(rid: Rid) -> Value {
+    Value::Int(i64::from(rid.page) << 16 | i64::from(rid.slot))
+}
+
+/// Inverse of [`rid_value`], for the write step.
+fn value_rid(v: &Value) -> Rid {
+    let i = v.as_i64().expect("a with_rid scan appends an Int");
+    Rid {
+        page: (i >> 16) as u32,
+        slot: i as u16,
+    }
+}
+
+fn seq_scan(
+    env: &Env<'_>,
+    tid: TableId,
+    keep: &Option<Vec<bool>>,
+    with_rid: bool,
+) -> DbResult<Vec<Row>> {
+    if with_rid {
+        // DML read phase: every column (the write step takes the old
+        // row), the rid last. Heap order is rid order.
+        let rows = env.catalog.scan_table(env.pool, tid)?;
+        return Ok(rows
+            .into_iter()
+            .map(|(rid, mut row)| {
+                row.push(rid_value(rid));
+                row
+            })
+            .collect());
+    }
     match keep {
         Some(mask) => env.catalog.scan_rows_pruned(env.pool, tid, mask),
         None => Ok(env
@@ -745,12 +846,27 @@ fn seq_scan(env: &Env<'_>, tid: TableId, keep: &Option<Vec<bool>>) -> DbResult<V
 
 fn exec_node(env: &mut Env<'_>, node: &Phys, subs: &[SubResult]) -> DbResult<Vec<Row>> {
     match node {
-        Phys::Nothing => Ok(vec![vec![]]),
         Phys::SeqScan {
-            tid, keep, filters, ..
+            tid,
+            keep,
+            filters,
+            with_rid,
+            ..
         } => {
-            let rows = seq_scan(env, *tid, keep)?;
+            let rows = seq_scan(env, *tid, keep, *with_rid)?;
             apply_filters(env, rows, filters, subs)
+        }
+        Phys::Values(rows) => {
+            let empty: Row = Vec::new();
+            let mut out = Vec::with_capacity(rows.len());
+            for exprs in rows {
+                let mut row = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    row.push(specialize(e, env.params, env.now, subs)?.eval(&empty)?);
+                }
+                out.push(row);
+            }
+            Ok(out)
         }
         Phys::CteScan { slot, filters, .. } => {
             let rows = env.slots[*slot]
@@ -953,6 +1069,7 @@ fn exec_index_scan(env: &mut Env<'_>, node: &Phys, subs: &[SubResult]) -> DbResu
         index_cols,
         col_types,
         arity,
+        with_rid,
         ..
     } = node
     else {
@@ -963,7 +1080,7 @@ fn exec_index_scan(env: &mut Env<'_>, node: &Phys, subs: &[SubResult]) -> DbResu
     let empty: Row = Vec::new();
 
     let fallback = |env: &Env<'_>| -> DbResult<Vec<Row>> {
-        let rows = seq_scan(env, *tid, keep)?;
+        let rows = seq_scan(env, *tid, keep, *with_rid)?;
         apply_filters(env, rows, filters, subs)
     };
 
@@ -1114,6 +1231,11 @@ fn exec_index_scan(env: &mut Env<'_>, node: &Phys, subs: &[SubResult]) -> DbResu
                 None => decode_row(bytes)?,
             });
         }
+        if *with_rid {
+            for (row, &rid) in out.iter_mut().zip(&rids) {
+                row.push(rid_value(rid));
+            }
+        }
         out
     };
     apply_filters(env, rows, filters, subs)
@@ -1147,7 +1269,7 @@ fn render_sel_logical(plan: &SelectPlan, depth: usize, out: &mut Vec<String>) {
 fn render_logical(node: &Logical, depth: usize, out: &mut Vec<String>) {
     let pad = "  ".repeat(depth);
     match node {
-        Logical::Nothing => out.push(format!("{pad}nothing")),
+        Logical::Values(rows) => out.push(format!("{pad}values [rows={}]", rows.len())),
         Logical::Scan {
             table,
             arity,
@@ -1249,12 +1371,12 @@ fn render_sel_phys(ps: &PhysSelect, depth: usize, out: &mut Vec<String>) {
 fn render_phys(node: &Phys, depth: usize, out: &mut Vec<String>) {
     let pad = "  ".repeat(depth);
     match node {
-        Phys::Nothing => out.push(format!("{pad}Nothing")),
+        Phys::Values(rows) => out.push(format!("{pad}Values [rows={}]", rows.len())),
         Phys::SeqScan {
             table,
             keep,
             filters,
-            tid: _,
+            ..
         } => {
             let arity = keep.as_ref().map_or(0, Vec::len);
             let cols = if keep.is_some() {

@@ -24,6 +24,6 @@ pub mod reference;
 
 pub use ast::{AstExpr, InsertSource, SelectStmt, Statement};
 pub use bind::BoundCol;
-pub use lower::{execute_plan, prepare_plan, ExecPlan};
+pub use lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 pub use parser::{parse_script, parse_statement};
-pub use reference::{run_select, run_statement, Relation, SqlCtx, StmtResult};
+pub use reference::{run_select, Relation, SqlCtx};

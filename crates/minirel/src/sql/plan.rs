@@ -1,10 +1,16 @@
-//! Logical planning: bound SELECT → relational algebra.
+//! Logical planning: bound statement → relational algebra.
 //!
-//! [`plan_select_stmt`] turns a parsed `SelectStmt` into a [`SelectPlan`]:
-//! a tree of [`Logical`] operators plus the subsidiary plans it depends
-//! on (CTEs and uncorrelated subqueries). Planning performs the rewrites
-//! the interpreter used to do implicitly, but as explicit, inspectable
-//! structure:
+//! [`plan_statement`] turns a parsed SELECT, INSERT, UPDATE or DELETE
+//! into a [`SelectPlan`] — a tree of [`Logical`] operators plus the
+//! subsidiary plans it depends on (CTEs and uncorrelated subqueries) —
+//! and, for DML, the [`Write`] step that plan's rows feed. Every
+//! statement is a read phase first: `DELETE FROM t WHERE p` reads
+//! `select *, rid from t where p`, `UPDATE` reads the same plus its SET
+//! values, `INSERT` reads its source query or VALUES rows. The target
+//! table is an ordinary [`Logical::Scan`] (flagged to carry rids), so
+//! DML gets index selection, `?` parameters, `current timestamp` and
+//! subqueries from the code SELECT uses. Planning performs its rewrites
+//! as explicit, inspectable structure:
 //!
 //! * **Predicate pushdown** — WHERE conjuncts that bind against a single
 //!   source move into that source's scan node, where the lowering layer
@@ -90,8 +96,6 @@ pub struct SubPlan {
 /// output arity is recoverable via [`arity`].
 #[derive(Debug, Clone)]
 pub enum Logical {
-    /// SELECT without FROM: one empty row.
-    Nothing,
     /// Base-table scan with pushed-down filters and a keep-mask for
     /// projection pruning (`None` = all columns needed).
     Scan {
@@ -105,7 +109,14 @@ pub enum Logical {
         keep: Option<Vec<bool>>,
         /// Pushed-down predicates, in consumption order.
         filters: Vec<Expr>,
+        /// Append each row's rid as one trailing value (position
+        /// `arity`). Set only on the target scan of an UPDATE/DELETE
+        /// read phase; filters still bind positions `< arity`.
+        with_rid: bool,
     },
+    /// Literal rows of row-free expressions: `INSERT … VALUES`, and one
+    /// empty row for a SELECT without FROM.
+    Values(Vec<Vec<Expr>>),
     /// Scan of a materialized CTE slot.
     CteScan {
         /// CTE name (for EXPLAIN).
@@ -202,8 +213,11 @@ pub enum Logical {
 /// Output arity of a logical node.
 pub fn arity(node: &Logical) -> usize {
     match node {
-        Logical::Nothing => 0,
-        Logical::Scan { arity, .. } | Logical::CteScan { arity, .. } => *arity,
+        Logical::Scan {
+            arity, with_rid, ..
+        } => arity + usize::from(*with_rid),
+        Logical::Values(rows) => rows.first().map_or(0, Vec::len),
+        Logical::CteScan { arity, .. } => *arity,
         Logical::Join { left, right, .. } | Logical::NlJoin { left, right, .. } => {
             arity(left) + arity(right)
         }
@@ -227,20 +241,51 @@ fn selectivity(c: &AstExpr) -> f64 {
     }
 }
 
-/// Plan a SELECT statement. Returns the plan, the number of CTE slots the
-/// whole statement needs, and the number of `?` parameters it takes.
-pub fn plan_select_stmt(
+/// The write step a DML plan ends in. It consumes the rows of the
+/// statement's read phase — which is an ordinary [`SelectPlan`] and has
+/// finished before the first write, so `SET`/`WHERE` subqueries over the
+/// target see pre-statement state and a probe on the column being
+/// rewritten never meets its own output.
+#[derive(Debug, Clone)]
+pub enum Write {
+    /// Read rows hold one value per entry of `positions` (schema
+    /// positions, in column-list order); other columns are NULL.
+    Insert {
+        /// Target table.
+        tid: TableId,
+        /// Schema position each read column lands in.
+        positions: Vec<usize>,
+    },
+    /// Read rows are `old row ++ [rid] ++ SET values`, in heap order.
+    Update {
+        /// Target table.
+        tid: TableId,
+        /// Schema position each SET value replaces.
+        sets: Vec<usize>,
+    },
+    /// Read rows are `old row ++ [rid]`, in heap order.
+    Delete {
+        /// Target table.
+        tid: TableId,
+    },
+}
+
+/// Plan a SELECT, `EXPLAIN <select>`, INSERT, UPDATE or DELETE. Returns
+/// the read-phase plan, the write step (DML only), the number of CTE
+/// slots the whole statement needs, and the number of `?` parameters it
+/// takes. DDL has no plan.
+pub fn plan_statement(
     catalog: &Catalog,
-    sel: &SelectStmt,
-) -> DbResult<(SelectPlan, usize, usize)> {
+    stmt: &Statement,
+) -> DbResult<(SelectPlan, Option<Write>, usize, usize)> {
     let mut p = Planner {
         catalog,
         scope: HashMap::new(),
         next_slot: 0,
         max_param: None,
     };
-    let plan = p.plan_select(sel)?;
-    Ok((plan, p.next_slot, p.max_param.map_or(0, |m| m + 1)))
+    let (read, write) = p.plan_stmt(stmt)?;
+    Ok((read, write, p.next_slot, p.max_param.map_or(0, |m| m + 1)))
 }
 
 /// An in-scope CTE: its slot and output shape.
@@ -597,6 +642,7 @@ impl<'a> Planner<'a> {
                 arity,
                 keep,
                 filters: vec![],
+                with_rid: false,
             },
             est: (t.heap.len() as f64).max(1.0),
         })
@@ -622,6 +668,141 @@ impl<'a> Planner<'a> {
         Ok(())
     }
 
+    // ------------------------------------------------------------ DML
+
+    /// Every statement is a read phase; DML adds the write step that
+    /// phase's rows feed. `DELETE … WHERE p` reads `select *, rid from t
+    /// where p`, `UPDATE` reads the same plus its SET values, `INSERT`
+    /// reads its source query (or its VALUES rows).
+    fn plan_stmt(&mut self, stmt: &Statement) -> DbResult<(SelectPlan, Option<Write>)> {
+        let mut subs = Vec::new();
+        let (root, write) = match stmt {
+            Statement::Select(q) | Statement::Explain(q) => {
+                return Ok((self.plan_select(q)?, None));
+            }
+            Statement::Insert {
+                table,
+                cols,
+                source,
+            } => {
+                let tid = self.catalog.table_id(table)?;
+                let positions = if cols.is_empty() {
+                    (0..self.catalog.table(tid).schema.arity()).collect()
+                } else {
+                    self.target_positions(tid, table, cols.iter())?
+                };
+                let check_arity = |n: usize| match n == positions.len() {
+                    true => Ok(()),
+                    false => Err(DbError::Schema(format!(
+                        "INSERT provides {n} values for {} columns",
+                        positions.len()
+                    ))),
+                };
+                match source {
+                    InsertSource::Select(q) => {
+                        let read = self.plan_select(q)?;
+                        check_arity(read.out_cols.len())?;
+                        return Ok((read, Some(Write::Insert { tid, positions })));
+                    }
+                    InsertSource::Values(rows) => {
+                        let mut bound = Vec::with_capacity(rows.len());
+                        for row in rows {
+                            check_arity(row.len())?;
+                            bound.push(
+                                row.iter()
+                                    .map(|e| self.bind_expr(e, &[], &mut subs))
+                                    .collect::<DbResult<_>>()?,
+                            );
+                        }
+                        (Logical::Values(bound), Write::Insert { tid, positions })
+                    }
+                }
+            }
+            Statement::Update {
+                table,
+                sets,
+                where_,
+            } => {
+                let (tid, src) = self.plan_target(table, where_.as_ref(), &mut subs)?;
+                let mut exprs: Vec<Expr> = (0..=src.cols.len()).map(Expr::Col).collect();
+                for (_, e) in sets {
+                    exprs.push(self.bind_expr(e, &src.cols, &mut subs)?);
+                }
+                let sets = self.target_positions(tid, table, sets.iter().map(|(c, _)| c))?;
+                let input = Box::new(src.node);
+                let root = Logical::Project { input, exprs };
+                (root, Write::Update { tid, sets })
+            }
+            Statement::Delete { table, where_ } => {
+                let (tid, src) = self.plan_target(table, where_.as_ref(), &mut subs)?;
+                (src.node, Write::Delete { tid })
+            }
+            ddl => return Err(DbError::Binding(format!("no plan for DDL: {ddl:?}"))),
+        };
+        // No CTEs of its own and no output names: the rows feed the
+        // write step, not a result set.
+        let read = SelectPlan {
+            ctes: Vec::new(),
+            subs,
+            root,
+            out_cols: Vec::new(),
+            est_rows: 1.0,
+        };
+        Ok((read, Some(write)))
+    }
+
+    /// The source of an UPDATE/DELETE read phase: the target table's scan
+    /// with every column kept, each row's rid appended, and the whole
+    /// WHERE pushed into it — so lowering picks its access path exactly
+    /// as it does for a SELECT's scan.
+    fn plan_target(
+        &mut self,
+        table: &str,
+        where_: Option<&AstExpr>,
+        subs: &mut Vec<SubPlan>,
+    ) -> DbResult<(TableId, Src)> {
+        let item = FromItem {
+            table: table.to_owned(),
+            alias: None,
+        };
+        let mut src = self.load_src(&item, None)?;
+        let Logical::Scan { tid, with_rid, .. } = &mut src.node else {
+            unreachable!("UPDATE/DELETE have no WITH clause, so no CTE can shadow the target");
+        };
+        *with_rid = true;
+        let tid = *tid;
+        // One source: every conjunct binds against it or is an error.
+        for c in where_.cloned().map(AstExpr::conjuncts).unwrap_or_default() {
+            let e = self.bind_expr(&c, &src.cols, subs)?;
+            add_filter(&mut src.node, e);
+        }
+        Ok((tid, src))
+    }
+
+    /// Schema positions of the columns an INSERT column list or a SET
+    /// list names; an unknown column or one named twice is an error.
+    fn target_positions<'n>(
+        &self,
+        tid: TableId,
+        table: &str,
+        names: impl Iterator<Item = &'n String>,
+    ) -> DbResult<Vec<usize>> {
+        let schema = &self.catalog.table(tid).schema;
+        let mut positions = Vec::new();
+        for c in names {
+            let p = schema
+                .index_of(c)
+                .ok_or_else(|| DbError::Binding(format!("no column {c} in {table}")))?;
+            if positions.contains(&p) {
+                return Err(DbError::Binding(format!(
+                    "column {c} is assigned twice in {table}"
+                )));
+            }
+            positions.push(p);
+        }
+        Ok(positions)
+    }
+
     // ------------------------------------------------------------ body
 
     #[allow(clippy::type_complexity)]
@@ -641,7 +822,7 @@ impl<'a> Planner<'a> {
         let mut acc: Src = if sel.from.is_empty() {
             Src {
                 cols: vec![],
-                node: Logical::Nothing,
+                node: Logical::Values(vec![vec![]]),
                 est: 1.0,
             }
         } else {
@@ -983,7 +1164,7 @@ fn add_filter(node: &mut Logical, e: Expr) {
         Logical::Scan { filters, .. } | Logical::CteScan { filters, .. } => filters.push(e),
         Logical::Filter { preds, .. } => preds.push(e),
         other => {
-            let input = std::mem::replace(other, Logical::Nothing);
+            let input = std::mem::replace(other, Logical::Values(Vec::new()));
             *other = Logical::Filter {
                 input: Box::new(input),
                 preds: vec![e],

@@ -1,17 +1,14 @@
 //! The reference interpreter: bind-and-evaluate execution of parsed
-//! statements.
+//! SELECTs.
 //!
-//! SELECTs normally run through the staged planner ([`super::plan`] →
-//! [`super::lower`]); this module is the original one-pass engine, kept
-//! for two jobs:
-//!
-//! * **DML.** INSERT/UPDATE/DELETE (and DDL) still bind and evaluate
-//!   here — their read phases are tiny and their subtle points (e.g. an
-//!   UPDATE's scalar subquery seeing pre-update state) are encoded in
-//!   this code.
-//! * **Oracle.** The planner-equivalence suite runs every generated
-//!   query through both engines and compares row multisets, so this
-//!   interpreter is the executable spec the planner is tested against.
+//! Statements run through the staged planner ([`super::plan`] →
+//! [`super::lower`]); this is the original one-pass engine, kept as the
+//! **oracle**: the planner-equivalence suite runs every generated query
+//! (and the read phase of every generated INSERT/UPDATE/DELETE) through
+//! both and compares row multisets, so this interpreter is the
+//! executable spec the planner is tested against. Keep it verbatim — its
+//! pushdown, sort-merge and error-order choices are what "same answer"
+//! means.
 //!
 //! Its planning is deliberately simple but covers the shapes the paper's
 //! SQL needs: CTEs materialize in order (Figure 3); equi-joins run as
@@ -21,7 +18,7 @@
 //! time; aggregation rewrites projections over GROUP BY outputs.
 //!
 //! Prepared-statement parameters (`?`) are *not* supported here — only
-//! planned queries take parameters, so this engine reports a binding
+//! planned statements take parameters, so this engine reports a binding
 //! error when it meets one.
 
 use crate::buffer::BufferPool;
@@ -50,9 +47,7 @@ pub struct Relation {
 
 /// Execution context for the **read-only** half of the engine: SELECT
 /// binding, planning, and evaluation. Holds shared borrows only, so a
-/// SELECT can run from `&Database` concurrently with other readers
-/// (mutating statements go through [`run_statement`], which owns the
-/// `&mut Catalog` and builds read contexts for its scan/bind phases).
+/// SELECT can run from `&Database` concurrently with other readers.
 pub struct SqlCtx<'a> {
     /// Buffer pool (all I/O flows through it; interior-mutable, `&self`).
     pub pool: &'a BufferPool,
@@ -81,86 +76,6 @@ impl<'a> SqlCtx<'a> {
             sort_budget_rows,
             ctes: HashMap::new(),
         }
-    }
-}
-
-/// Result of running one statement.
-pub enum StmtResult {
-    /// SELECT output.
-    Rows(Relation),
-    /// Row count for DML.
-    Affected(u64),
-    /// DDL.
-    Done,
-}
-
-/// Run a parsed statement. DML/DDL takes the catalog exclusively; the
-/// read phases (binding, subqueries, table scans) run through a shared
-/// [`SqlCtx`] reborrowed from it, and mutations are applied afterwards.
-pub fn run_statement(
-    pool: &BufferPool,
-    catalog: &mut Catalog,
-    current_timestamp: i64,
-    sort_budget_rows: usize,
-    stmt: &Statement,
-) -> DbResult<StmtResult> {
-    match stmt {
-        Statement::Select(q) => {
-            let mut ctx = SqlCtx::new(pool, catalog, current_timestamp, sort_budget_rows);
-            Ok(StmtResult::Rows(run_select(&mut ctx, q)?))
-        }
-        Statement::CreateTable { name, cols } => {
-            let schema = crate::schema::Schema::new(cols.iter().map(|(n, t)| (n.clone(), *t)));
-            catalog.create_table(pool, name, schema)?;
-            Ok(StmtResult::Done)
-        }
-        Statement::CreateIndex { name, table, cols } => {
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            catalog.create_index(pool, name, table, &refs)?;
-            Ok(StmtResult::Done)
-        }
-        Statement::DropTable { name } => {
-            catalog.drop_table(name)?;
-            Ok(StmtResult::Done)
-        }
-        Statement::Insert {
-            table,
-            cols,
-            source,
-        } => run_insert(
-            pool,
-            catalog,
-            current_timestamp,
-            sort_budget_rows,
-            table,
-            cols,
-            source,
-        ),
-        Statement::Update {
-            table,
-            sets,
-            where_,
-        } => run_update(
-            pool,
-            catalog,
-            current_timestamp,
-            sort_budget_rows,
-            table,
-            sets,
-            where_.as_ref(),
-        ),
-        Statement::Delete { table, where_ } => run_delete(
-            pool,
-            catalog,
-            current_timestamp,
-            sort_budget_rows,
-            table,
-            where_.as_ref(),
-        ),
-        // EXPLAIN is a planner artifact; the interpreter has no plan to show.
-        Statement::Explain(_) => Err(DbError::Binding(
-            "EXPLAIN requires the planner (run it through Database::query)".into(),
-        )),
     }
 }
 
@@ -691,170 +606,4 @@ fn rewrite_agg(
             "unsupported expression in aggregate context: {other:?}"
         ))),
     }
-}
-
-// ---------------------------------------------------------------- DML
-
-#[allow(clippy::too_many_arguments)]
-fn run_insert(
-    pool: &BufferPool,
-    catalog: &mut Catalog,
-    current_timestamp: i64,
-    sort_budget_rows: usize,
-    table: &str,
-    cols: &[String],
-    source: &InsertSource,
-) -> DbResult<StmtResult> {
-    let tid = catalog.table_id(table)?;
-    let arity = catalog.table(tid).schema.arity();
-    let positions: Vec<usize> = if cols.is_empty() {
-        (0..arity).collect()
-    } else {
-        cols.iter()
-            .map(|c| {
-                catalog
-                    .table(tid)
-                    .schema
-                    .index_of(c)
-                    .ok_or_else(|| DbError::Binding(format!("no column {c} in {table}")))
-            })
-            .collect::<DbResult<_>>()?
-    };
-    // Read phase: evaluate the source rows (VALUES expressions may hold
-    // scalar subqueries; INSERT..SELECT is a full query) against a
-    // shared-borrow context, before any mutation.
-    let source_rows: Vec<Row> = {
-        let mut ctx = SqlCtx::new(pool, catalog, current_timestamp, sort_budget_rows);
-        match source {
-            InsertSource::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for exprs in rows {
-                    let mut row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        let bound = bind(&mut ctx, e, &[])?;
-                        row.push(bound.eval(&vec![])?);
-                    }
-                    out.push(row);
-                }
-                out
-            }
-            InsertSource::Select(q) => run_select(&mut ctx, q)?.rows,
-        }
-    };
-    let mut n = 0u64;
-    for src in source_rows {
-        if src.len() != positions.len() {
-            return Err(DbError::Schema(format!(
-                "INSERT provides {} values for {} columns",
-                src.len(),
-                positions.len()
-            )));
-        }
-        let mut row = vec![Value::Null; arity];
-        for (v, &p) in src.into_iter().zip(&positions) {
-            row[p] = v;
-        }
-        catalog.insert_row(pool, tid, row)?;
-        n += 1;
-    }
-    Ok(StmtResult::Affected(n))
-}
-
-fn table_cols(catalog: &Catalog, tid: crate::catalog::TableId, name: &str) -> Vec<BoundCol> {
-    catalog
-        .table(tid)
-        .schema
-        .columns
-        .iter()
-        .map(|c| BoundCol {
-            qualifier: Some(name.to_owned()),
-            name: c.name.clone(),
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_update(
-    pool: &BufferPool,
-    catalog: &mut Catalog,
-    current_timestamp: i64,
-    sort_budget_rows: usize,
-    table: &str,
-    sets: &[(String, AstExpr)],
-    where_: Option<&AstExpr>,
-) -> DbResult<StmtResult> {
-    let tid = catalog.table_id(table)?;
-    // Read phase: bind SET expressions and the predicate (both may hold
-    // subqueries), scan the table, and compute every new row — all
-    // against shared borrows, then apply.
-    let updates =
-        {
-            let mut ctx = SqlCtx::new(pool, catalog, current_timestamp, sort_budget_rows);
-            let cols = table_cols(ctx.catalog, tid, table);
-            let set_bound: Vec<(usize, Expr)> =
-                sets.iter()
-                    .map(|(c, e)| {
-                        let pos =
-                            ctx.catalog.table(tid).schema.index_of(c).ok_or_else(|| {
-                                DbError::Binding(format!("no column {c} in {table}"))
-                            })?;
-                        Ok((pos, bind(&mut ctx, e, &cols)?))
-                    })
-                    .collect::<DbResult<Vec<_>>>()?;
-            let pred = where_.map(|w| bind(&mut ctx, w, &cols)).transpose()?;
-            let all = ctx.catalog.scan_table(ctx.pool, tid)?;
-            let mut updates = Vec::new();
-            for (rid, row) in all {
-                let hit = match &pred {
-                    Some(p) => p.eval(&row)?.is_truthy(),
-                    None => true,
-                };
-                if hit {
-                    let mut new_row = row.clone();
-                    for (pos, e) in &set_bound {
-                        new_row[*pos] = e.eval(&row)?;
-                    }
-                    updates.push((rid, new_row));
-                }
-            }
-            updates
-        };
-    let n = updates.len() as u64;
-    for (rid, new_row) in updates {
-        catalog.update_row(pool, tid, rid, new_row)?;
-    }
-    Ok(StmtResult::Affected(n))
-}
-
-fn run_delete(
-    pool: &BufferPool,
-    catalog: &mut Catalog,
-    current_timestamp: i64,
-    sort_budget_rows: usize,
-    table: &str,
-    where_: Option<&AstExpr>,
-) -> DbResult<StmtResult> {
-    let tid = catalog.table_id(table)?;
-    let victims = {
-        let mut ctx = SqlCtx::new(pool, catalog, current_timestamp, sort_budget_rows);
-        let cols = table_cols(ctx.catalog, tid, table);
-        let pred = where_.map(|w| bind(&mut ctx, w, &cols)).transpose()?;
-        let all = ctx.catalog.scan_table(ctx.pool, tid)?;
-        let mut victims = Vec::new();
-        for (rid, row) in all {
-            let hit = match &pred {
-                Some(p) => p.eval(&row)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                victims.push(rid);
-            }
-        }
-        victims
-    };
-    let n = victims.len() as u64;
-    for rid in victims {
-        catalog.delete_row(pool, tid, rid)?;
-    }
-    Ok(StmtResult::Affected(n))
 }

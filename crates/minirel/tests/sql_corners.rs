@@ -173,3 +173,101 @@ fn not_in_with_nulls_in_probe() {
     let got: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
     assert_eq!(got, vec![2]);
 }
+
+#[test]
+fn rejected_dml_changes_nothing() {
+    // Every statement here is refused, some only at its second row; none
+    // may leave the rows before the bad one behind.
+    let mut d = db();
+    d.execute("create index t_a on t (a)").unwrap();
+    let snapshot = |d: &mut Database| {
+        (
+            d.execute("select count(*) from t").unwrap().scalar_i64(),
+            d.execute("select a, b, s from t order by a").unwrap().rows,
+            d.execute("select count(*) from t where a = 1")
+                .unwrap()
+                .scalar_i64(),
+        )
+    };
+    let before = snapshot(&mut d);
+    for sql in [
+        // Arity is checked against the column list for every VALUES row
+        // and for the source query's output.
+        "insert into t (a) values (10), (11, 12)",
+        "insert into t values (10, 1.0, 'p'), (11, 1.0)",
+        "insert into t (a, b) (select a from t)",
+        // Type is checked for the whole batch before the first write.
+        "insert into t (a) values (10), ('x')",
+        "update t set a = 'x' where a >= 2",
+        "update t set s = a where a >= 2",
+        // A column named twice is an error, not "last one wins".
+        "insert into t (a, a) values (10, 11)",
+        "update t set a = 10, a = 11",
+        // Unknown targets.
+        "insert into t (nope) values (1)",
+        "update t set nope = 1",
+        "delete from t where nope = 1",
+        "delete from t where sum(a) > 1",
+    ] {
+        assert!(d.execute(sql).is_err(), "must be rejected: {sql}");
+        assert_eq!(snapshot(&mut d), before, "state moved after: {sql}");
+    }
+    // The error variants callers match on did not move with the engine.
+    assert!(matches!(
+        d.execute("delete from missing"),
+        Err(minirel::DbError::Catalog(_))
+    ));
+    assert!(matches!(
+        d.execute("insert into t (a) values (1, 2)"),
+        Err(minirel::DbError::Schema(_))
+    ));
+    assert!(matches!(
+        d.execute("update t set nope = 1"),
+        Err(minirel::DbError::Binding(_))
+    ));
+}
+
+#[test]
+fn dml_takes_parameters_and_the_session_clock() {
+    let mut d = db();
+    d.set_current_timestamp(77);
+    let rs = d
+        .execute_with(
+            "insert into t (a, b, s) values (?, ? * 2, ?), (current timestamp, 0.0, 'now')",
+            &[Value::Int(9), Value::Float(1.25), Value::Str("p".into())],
+        )
+        .unwrap();
+    assert_eq!(rs.affected, 2);
+    let rs = d
+        .execute_with(
+            "update t set b = b + ? where a = ? or a = current timestamp",
+            &[Value::Float(10.0), Value::Int(9)],
+        )
+        .unwrap();
+    assert_eq!(rs.affected, 2);
+    let rows = d
+        .execute("select a, b from t where b >= 10.0 order by a")
+        .unwrap()
+        .rows;
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::Int(9), Value::Float(12.5)],
+            vec![Value::Int(77), Value::Float(10.0)],
+        ]
+    );
+    let rs = d
+        .execute_with(
+            "delete from t where a in (?, ?)",
+            &[Value::Int(9), Value::Int(77)],
+        )
+        .unwrap();
+    assert_eq!(rs.affected, 2);
+    // Too few or too many bindings is an error before anything runs.
+    assert!(d.execute("delete from t where a = ?").is_err());
+    assert!(d.execute_with("delete from t", &[Value::Int(1)]).is_err());
+    assert_eq!(
+        d.execute("select count(*) from t").unwrap().scalar_i64(),
+        Some(4)
+    );
+}
