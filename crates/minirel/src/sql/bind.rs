@@ -1,12 +1,12 @@
 //! Name resolution: SQL identifiers → positional references.
 //!
-//! This is the layer both engines share. The planner ([`super::plan`]) and
-//! the reference interpreter ([`super::reference`]) must resolve
-//! `[qualifier.]name` to the same column index, agree on which conjuncts
-//! are pushable into a single source, and prune the same columns from base
-//! table scans — otherwise the planner-equivalence suite could not compare
-//! them row for row. Everything here is pure: no I/O, no catalog access,
-//! no subquery evaluation.
+//! This is the layer the planner ([`super::plan`]) shares with its
+//! test-side oracle (the reference interpreter under `tests/support/`):
+//! both must resolve `[qualifier.]name` to the same column index, agree
+//! on which conjuncts are pushable into a single source, and prune the
+//! same columns from base table scans — otherwise the planner-equivalence
+//! suite could not compare them row for row. Everything here is pure: no
+//! I/O, no catalog access, no subquery evaluation.
 //!
 //! **Contract.** A relation's shape is a `Vec<BoundCol>`; [`resolve_col`]
 //! is the single source of truth for name lookup (first match wins on

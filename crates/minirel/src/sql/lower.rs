@@ -17,9 +17,9 @@
 //! timestamp`, and subquery results symbolic. [`execute_plan`]
 //! *specializes* each operator's expressions — substituting
 //! [`Expr::Param`]/[`Expr::Now`]/[`Expr::SubScalar`]/[`Expr::InSub`]
-//! leaves with literals — and then runs the same operator kernels
-//! ([`external_sort`], the merge joins, [`aggregate`]) the reference
-//! interpreter uses. Uncorrelated subqueries and CTEs are (re-)executed
+//! leaves with literals — and then runs the operator kernels of
+//! [`crate::exec`] ([`external_sort`], the merge joins, [`aggregate`]).
+//! Uncorrelated subqueries and CTEs are (re-)executed
 //! on every call, so a cached plan observes source-table mutations,
 //! fresh parameters, and clock updates.
 //!
@@ -786,8 +786,8 @@ fn apply_filters(
     filters: &[Expr],
     subs: &[SubResult],
 ) -> DbResult<Vec<Row>> {
-    // One conjunct at a time, like the interpreter's filter_rel: the
-    // first failing conjunct's evaluation error surfaces.
+    // One conjunct at a time, in order: the first failing conjunct's
+    // evaluation error surfaces (the order the test-side oracle pins).
     for f in filters {
         let f = specialize(f, env.params, env.now, subs)?;
         let mut kept = Vec::with_capacity(rows.len());

@@ -4,15 +4,18 @@
 //! 3–4 and §3.7 parses and runs (see `sql::parser` tests for the verbatim
 //! texts).
 //!
-//! Two engines share the parser and binder:
+//! This is the only engine: every SELECT, INSERT, UPDATE and DELETE runs
+//! parse → [`bind`] → [`plan`] → [`lower`] → execute. The pipeline pushes
+//! predicates into scans, prunes columns, reorders equi-joins, picks
+//! B+tree access paths, and produces cacheable [`lower::ExecPlan`]s for
+//! prepared statements; a DML plan is a read phase (an ordinary SELECT
+//! plan whose target scan carries rids) ending in one write step. DDL
+//! needs no plan — `Database` makes three direct catalog calls.
 //!
-//! * the staged pipeline ([`bind`] → [`plan`] → [`lower`]) serves all
-//!   SELECTs — it pushes predicates into scans, prunes columns, reorders
-//!   equi-joins, picks B+tree access paths, and produces cacheable
-//!   [`lower::ExecPlan`]s for prepared statements;
-//! * the reference interpreter ([`reference`]) runs DML/DDL and doubles
-//!   as the correctness oracle the planner-equivalence suite compares
-//!   the pipeline against.
+//! The original bind-and-evaluate interpreter survives only under
+//! `crates/minirel/tests/support/` as the oracle the planner-equivalence
+//! suite compares against; `tests/one_sql_engine.rs` keeps it (and a
+//! second AST → `Expr` binder) out of `src/`.
 
 pub mod ast;
 pub mod bind;
@@ -20,10 +23,8 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod plan;
-pub mod reference;
 
 pub use ast::{AstExpr, InsertSource, SelectStmt, Statement};
 pub use bind::BoundCol;
 pub use lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 pub use parser::{parse_script, parse_statement};
-pub use reference::{run_select, Relation, SqlCtx};

@@ -20,10 +20,10 @@
 //! * **Equi-join reordering** — comma-joined sources are joined greedily
 //!   by estimated cardinality (catalog row counts × per-predicate
 //!   selectivities) instead of textual order. The *output column order*
-//!   contract is preserved by simulating the interpreter's textual
-//!   greedy order symbolically and emitting a [`Logical::Permute`] above
-//!   the reordered join tree, so `select *` and name resolution are
-//!   byte-identical to the reference engine.
+//!   contract is the textual greedy order (the order the test-side
+//!   oracle joins in): it is simulated symbolically and restored by a
+//!   [`Logical::Permute`] above the reordered join tree, so `select *`
+//!   and name resolution do not depend on the join order chosen.
 //!
 //! Parameters (`?`), `current timestamp`, and uncorrelated subqueries
 //! stay **symbolic** in the plan ([`Expr::Param`], [`Expr::Now`],
@@ -157,7 +157,7 @@ pub enum Logical {
         /// LEFT OUTER?
         outer: bool,
     },
-    /// Column permutation restoring the interpreter's canonical column
+    /// Column permutation restoring the canonical (textual greedy) column
     /// order above a cost-reordered join tree: output column `j` is
     /// input column `map[j]`.
     Permute {
@@ -425,8 +425,7 @@ impl<'a> Planner<'a> {
                 negated,
             } => {
                 let bound = self.bind_expr(expr, cols, subs)?;
-                // List items are row-free (the interpreter evaluates them
-                // eagerly at bind time). Fold constant items to values;
+                // List items are row-free. Fold constant items to values;
                 // items holding deferred leaves (params, subqueries, the
                 // clock) force a desugared comparison chain instead.
                 let items: Vec<Expr> = list
@@ -513,8 +512,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Planner twin of the interpreter's aggregate-context rewrite:
-    /// projection/order expressions become expressions over
+    /// The aggregate-context rewrite: projection/order expressions
+    /// become expressions over
     /// `[group values ++ aggregate results]`.
     fn rewrite_agg(
         &mut self,
@@ -830,9 +829,8 @@ impl<'a> Planner<'a> {
         };
         self.apply_pushdown(&mut acc, &where_conjuncts, &mut consumed, subs)?;
 
-        // Explicit JOIN ... ON items fold into `acc` in textual order
-        // (both engines agree); comma items accumulate for the greedy
-        // ordering below.
+        // Explicit JOIN ... ON items fold into `acc` in textual order;
+        // comma items accumulate for the greedy ordering below.
         let mut pending: Vec<(usize, Src)> = Vec::new();
         let mut next_id = 1usize;
         for fc in sel.from.iter().skip(1) {
@@ -877,8 +875,8 @@ impl<'a> Planner<'a> {
             }
         }
 
-        // --- canonical column order: simulate the interpreter's textual
-        // greedy join order symbolically (it is data-independent) ---
+        // --- canonical column order: simulate the textual greedy join
+        // order symbolically (it is data-independent) ---
         let mut canon_cols: Vec<BoundCol> = acc.cols.clone();
         let mut canon_order: Vec<(usize, usize)> = vec![(0, acc.cols.len())];
         {

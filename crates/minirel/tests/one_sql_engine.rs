@@ -1,0 +1,141 @@
+//! Guardrail: minirel ships one SQL engine, and it stays that way.
+//!
+//! The crate once carried two — the staged planner for SELECT and a
+//! bind-and-evaluate interpreter (`sql/reference.rs`) for INSERT/UPDATE/
+//! DELETE, each with its own AST → `Expr` binder and aggregate rewrite.
+//! DML now runs plan → lower → execute like everything else and the
+//! interpreter lives on only as the test-side oracle under
+//! `tests/support/`. This test reads the workspace's sources and fails
+//! if the second engine, an importer of it, a second binder, or a
+//! statement-kind fallback in `Database::run` reappears.
+
+use std::path::{Path, PathBuf};
+
+fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Non-blank, non-comment lines (test modules included: an importer of
+/// the old engine is as unwelcome in a unit test as in the code).
+fn code_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .map(str::trim_start)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .collect()
+}
+
+/// `crates/*/src/**/*.rs` plus everything under `crates/bench`.
+fn production_sources() -> Vec<PathBuf> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("minirel lives under crates/")
+        .to_owned();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("readable crates dir") {
+        let krate = entry.expect("dir entry").path();
+        if krate.join("src").is_dir() {
+            sources(&krate.join("src"), &mut files);
+        }
+    }
+    sources(&crates.join("bench"), &mut files);
+    assert!(files.len() >= 60, "source walk found only {}", files.len());
+    files
+}
+
+#[test]
+fn the_interpreter_is_gone_from_production_code() {
+    for path in production_sources() {
+        assert!(
+            !path.ends_with("sql/reference.rs"),
+            "{} is back: the reference interpreter is a test-side oracle \
+             (crates/minirel/tests/support/reference.rs), not an engine",
+            path.display()
+        );
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        for line in code_lines(&text) {
+            for gone in ["run_statement", "run_select", "SqlCtx", "sql::reference"] {
+                assert!(
+                    !line.contains(gone),
+                    "`{gone}` appears in {}: statements run through \
+                     Database::{{execute, query}} — plan → lower → execute — only",
+                    path.display()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn there_is_one_ast_to_expr_binder() {
+    // A binder is a function with a match arm that turns
+    // `AstExpr::Column { .. }` into `Expr::Col(..)`.
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    sources(&src, &mut files);
+    let mut binders = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let code = code_lines(&text);
+        let mut current_fn = "";
+        for (i, line) in code.iter().enumerate() {
+            match line.split_once("fn ") {
+                Some((head, rest)) if head.is_empty() || head.starts_with("pub") => {
+                    current_fn = rest.split(['(', '<']).next().unwrap_or(rest);
+                }
+                _ => {}
+            }
+            let window = &code[i..code.len().min(i + 4)];
+            if line.contains("AstExpr::Column {") && window.iter().any(|l| l.contains("Expr::Col("))
+            {
+                binders.push(format!("{}::{current_fn}", path.display()));
+            }
+        }
+    }
+    assert_eq!(
+        binders.len(),
+        1,
+        "exactly one function may bind AST columns to `Expr::Col` \
+         (`Planner::bind_expr`): {binders:?}"
+    );
+    assert!(binders[0].ends_with("plan.rs::bind_expr"), "{binders:?}");
+}
+
+#[test]
+fn database_run_plans_everything_but_ddl() {
+    let db = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/db.rs");
+    let text = std::fs::read_to_string(db).expect("readable db.rs");
+    let body: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("    fn run("))
+        .take_while(|l| *l != "    }")
+        .collect();
+    assert!(body.len() > 5, "Database::run not found in db.rs");
+    let mut kinds: Vec<&str> = body
+        .iter()
+        .flat_map(|l| l.split("Statement::").skip(1))
+        .map(|rest| {
+            rest.split(|c: char| !c.is_alphanumeric())
+                .next()
+                .unwrap_or("")
+        })
+        .collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        ["CreateIndex", "CreateTable", "DropTable"],
+        "Database::run may name the three DDL statements and nothing else: \
+         every other kind goes through prepare_plan in the catch-all arm"
+    );
+    assert!(
+        body.iter().any(|l| l.contains("prepare_plan(")),
+        "Database::run must plan what it does not hand to the catalog"
+    );
+}

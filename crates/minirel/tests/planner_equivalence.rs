@@ -11,11 +11,14 @@
 //! scans, so row order is only compared where SQL pins it); both `Err`
 //! → pass; one `Ok`, one `Err` → fail.
 
-use minirel::sql::reference::{run_select, SqlCtx};
+#[path = "support/reference.rs"]
+mod reference;
+
 use minirel::sql::{parse_statement, Statement};
 use minirel::value::Row;
 use minirel::{Database, DbResult, Value};
 use proptest::prelude::*;
+use reference::{run_select, SqlCtx};
 
 /// Run `sql` through the reference interpreter.
 fn reference_select(db: &Database, sql: &str) -> DbResult<Vec<Row>> {

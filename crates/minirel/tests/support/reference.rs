@@ -1,9 +1,10 @@
 //! The reference interpreter: bind-and-evaluate execution of parsed
 //! SELECTs.
 //!
-//! Statements run through the staged planner ([`super::plan`] →
-//! [`super::lower`]); this is the original one-pass engine, kept as the
-//! **oracle**: the planner-equivalence suite runs every generated query
+//! Statements run through the staged planner (`minirel::sql::plan` →
+//! `minirel::sql::lower`), the only engine the crate ships; this is the
+//! original one-pass engine, kept on the test side as the **oracle**:
+//! `planner_equivalence.rs` runs every generated query
 //! (and the read phase of every generated INSERT/UPDATE/DELETE) through
 //! both and compares row multisets, so this interpreter is the
 //! executable spec the planner is tested against. Keep it verbatim — its
@@ -21,18 +22,18 @@
 //! planned statements take parameters, so this engine reports a binding
 //! error when it meets one.
 
-use crate::buffer::BufferPool;
-use crate::catalog::Catalog;
-use crate::error::{DbError, DbResult};
-use crate::exec::agg::{aggregate, AggCall, AggKind};
-use crate::exec::expr::{Expr, Func, UnOp};
-use crate::exec::join::{merge_join_inner, merge_join_left_outer, nested_loop_join};
-use crate::exec::sort::{external_sort, SortKey};
-use crate::sql::ast::*;
-use crate::sql::bind::{
+use minirel::buffer::BufferPool;
+use minirel::catalog::Catalog;
+use minirel::error::{DbError, DbResult};
+use minirel::exec::agg::{aggregate, AggCall, AggKind};
+use minirel::exec::expr::{Expr, Func, UnOp};
+use minirel::exec::join::{merge_join_inner, merge_join_left_outer, nested_loop_join};
+use minirel::exec::sort::{external_sort, SortKey};
+use minirel::sql::ast::*;
+use minirel::sql::bind::{
     ast_eq_loose, bindable, dealias, equi_keys, gather_cols, output_name, resolve_col, BoundCol,
 };
-use crate::value::{Row, Value};
+use minirel::value::{Row, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 
