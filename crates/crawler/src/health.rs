@@ -7,8 +7,10 @@
 //! circuit breaker opens — its frontier entries are parked (see
 //! `crawl.not_before`) instead of burning fetch attempts on a machine
 //! that is down. After a cooldown the breaker goes half-open and admits
-//! exactly one probe; success closes it, failure re-opens it with a
-//! doubled cooldown.
+//! exactly one probe; any answer from the server closes it (a page, but
+//! also a 404 or an unclassifiable body — see
+//! [`HealthMap::record_answered`]), a timeout re-opens it with a doubled
+//! cooldown.
 //!
 //! On top of the failure machinery sits **politeness**
 //! ([`PolitenessConfig`]): a per-server cap on concurrently admitted
@@ -362,6 +364,20 @@ impl HealthMap {
         recovered
     }
 
+    /// Record a fetch the server *answered* without a page to land: a
+    /// 404, or a body that would not classify. Health-neutral — except
+    /// while the breaker is half-open, where any answer is what the probe
+    /// was sent to find out: the server recovered. (Left unresolved, a
+    /// probe that happened to hit a dead page would park the server's
+    /// every later claim behind `Probing` for ever.) Returns `true` when
+    /// this closed the breaker.
+    pub fn record_answered(&mut self, server: ServerId) -> bool {
+        let probing = self
+            .get(server)
+            .is_some_and(|h| h.breaker == Breaker::Probing);
+        probing && self.record_success(server)
+    }
+
     /// Current health of a server, if it has ever failed or recovered.
     pub fn get(&self, server: ServerId) -> Option<&ServerHealth> {
         self.servers.get(&server)
@@ -492,6 +508,33 @@ mod tests {
         ));
         // A plain success on a healthy server is not a "recovery".
         assert!(!m.record_success(ServerId(3)));
+    }
+
+    #[test]
+    fn an_answered_probe_resolves_the_breaker_and_nothing_else_does() {
+        let mut m = map();
+        let s = ServerId(6);
+        // A 404 on a healthy or unknown server is health-neutral…
+        assert!(!m.record_answered(s));
+        assert!(m.get(s).is_none(), "no record created for a neutral answer");
+        m.record_failure(s, 0);
+        assert!(!m.record_answered(s));
+        assert_eq!(m.get(s).unwrap().consec_failures, 1, "streak untouched");
+        // …and so is one that was in flight when the breaker opened.
+        m.record_failure(s, 1);
+        m.record_failure(s, 2);
+        assert!(!m.record_answered(s));
+        assert!(matches!(m.get(s).unwrap().breaker, Breaker::Open { .. }));
+        // But the half-open probe coming back with *any* answer is the
+        // recovery: without it the breaker would sit in Probing for ever
+        // and park every later claim `cooldown` ticks ahead, for ever.
+        assert_eq!(m.admit(s, 100), ClaimGate::Probe);
+        assert!(matches!(m.admit(s, 101), ClaimGate::Parked { .. }));
+        assert!(m.record_answered(s), "answered probe = recovery");
+        m.release(s);
+        assert_eq!(m.get(s).unwrap().breaker, Breaker::Closed);
+        assert_eq!(m.get(s).unwrap().consec_failures, 0);
+        assert_eq!(m.admit(s, 102), ClaimGate::Fetch);
     }
 
     #[test]

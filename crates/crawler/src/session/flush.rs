@@ -376,22 +376,22 @@ impl CrawlSession {
         let now = self.counters.clock.load(Ordering::Acquire) as i64;
         let mut updates = Vec::with_capacity(failures.len());
         // Per item: (quarantine opened by this failure, row is behind
-        // an open breaker) — computed in the first pass, consumed when
-        // events are cut after the rows land.
+        // an open breaker, this answer resolved a half-open probe) —
+        // computed in the first pass, consumed when events are cut
+        // after the rows land.
         let mut verdicts = Vec::with_capacity(failures.len());
         for (claim, kind, _) in failures {
             // Every admitted claim charged exactly one politeness slot,
             // whatever the failure kind; release it before the breaker
             // bookkeeping, keyed as the admission was (the claim URL).
-            g.health.release(host_server_id(&claim.url));
+            let sid = host_server_id(&claim.url);
+            g.health.release(sid);
             let mut not_before = 0i64;
             let mut quarantined: Option<(ServerId, u32, i64)> = None;
             let mut behind_breaker = false;
+            let mut recovered = false;
             if *kind == FetchErrorKind::Timeout {
-                // Only timeouts say anything about the *server*: a 404
-                // is a dead page on a live host, and an unclassifiable
-                // page was served fine.
-                let sid = host_server_id(&claim.url);
+                // Only timeouts count against the *server*.
                 match g.health.record_failure(sid, now) {
                     FailureVerdict::Backoff { not_before: nb } => {
                         not_before = nb;
@@ -406,6 +406,11 @@ impl CrawlSession {
                         quarantined = Some((sid, n, until));
                     }
                 }
+            } else {
+                // A 404 is a dead page on a live host and an
+                // unclassifiable page was served fine: health-neutral,
+                // but exactly what a half-open probe was sent to hear.
+                recovered = g.health.record_answered(sid);
             }
             // Retriable failures spend the retry budget — but only when
             // the page would actually requeue. With the budget dry the
@@ -427,11 +432,11 @@ impl CrawlSession {
                 retriable,
                 not_before,
             });
-            verdicts.push((quarantined, behind_breaker));
+            verdicts.push((quarantined, behind_breaker, recovered));
         }
         let dispositions = frontier::mark_failed_batch(&mut g.db, &updates, self.cfg.max_tries)?;
         for (i, (claim, kind, attempt)) in failures.iter().enumerate() {
-            let (quarantined, behind_breaker) = verdicts[i];
+            let (quarantined, behind_breaker, recovered) = verdicts[i];
             let outcome = match dispositions[i] {
                 frontier::FailDisposition::Dead => FailureOutcome::Dead,
                 frontier::FailDisposition::Retried { not_before } if behind_breaker => {
@@ -455,6 +460,11 @@ impl CrawlSession {
                     failures: n,
                     until,
                 });
+            }
+            if recovered {
+                let sid = host_server_id(&claim.url);
+                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
+                sink.emit(CrawlEvent::ServerRecovered { server: sid });
             }
         }
         Ok(())

@@ -357,6 +357,129 @@ fn harvest_recovers_after_outage_heals() {
     );
 }
 
+/// After the outage every healed server answers its first fetch — the
+/// half-open probe, once it has been quarantined — with a 404, and
+/// serves everything after that normally: the probe landed on a dead
+/// page of a live host.
+struct ProbeHitsDeadPage {
+    inner: ChaosFetcher,
+    heal_at: u64,
+    dead: Vec<ServerId>,
+    answered_404: Mutex<HashSet<ServerId>>,
+}
+
+impl Fetcher for ProbeHitsDeadPage {
+    fn fetch(&self, oid: Oid) -> Result<focus_webgraph::FetchedPage, focus_webgraph::FetchError> {
+        self.fetch_with_ordinal(oid, self.inner.ticks())
+    }
+    fn fetch_with_ordinal(
+        &self,
+        oid: Oid,
+        ordinal: u64,
+    ) -> Result<focus_webgraph::FetchedPage, focus_webgraph::FetchError> {
+        let first_answer = ordinal >= self.heal_at
+            && self
+                .inner
+                .server_of(oid)
+                .filter(|s| self.dead.contains(s))
+                .is_some_and(|s| self.answered_404.lock().unwrap().insert(s));
+        if first_answer {
+            return Err(focus_webgraph::FetchError::NotFound(oid));
+        }
+        self.inner.fetch_with_ordinal(oid, ordinal)
+    }
+    fn fetch_count(&self) -> u64 {
+        self.inner.fetch_count() + self.answered_404.lock().unwrap().len() as u64
+    }
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.inner.url_of(oid)
+    }
+    fn server_of(&self, oid: Oid) -> Option<ServerId> {
+        self.inner.server_of(oid)
+    }
+}
+
+/// Breaker liveness: the outage heals, but the probe that finds out
+/// lands on a dead page. The server *answered*, so the breaker must
+/// close — the server's remaining pages get fetched and `server_health`
+/// does not end in `'probing'`. (A probe verdict that only timeouts and
+/// successes could deliver left such a server parked for the rest of
+/// the crawl.)
+#[test]
+fn a_probe_that_lands_on_a_dead_page_still_recovers_the_server() {
+    let w = chaos_world();
+    let model = trained_model(&w.graph, "recreation/cycling");
+    let outage_ticks = 80u64;
+    let cfg = CrawlConfig {
+        threads: 1,
+        ..chaos_cfg(240)
+    };
+    let rec = recorder();
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::new(ProbeHitsDeadPage {
+                inner: ChaosFetcher::new(
+                    Arc::new(SimFetcher::new(Arc::clone(&w.graph), None)),
+                    outage_schedule(&w, outage_ticks),
+                ),
+                heal_at: outage_ticks,
+                dead: w.dead.clone(),
+                answered_404: Mutex::new(HashSet::new()),
+            }),
+            model,
+            cfg,
+        )
+        .unwrap(),
+    );
+    session.seed(&w.seeds).unwrap();
+    let run = session
+        .start_with(StartOptions {
+            observers: vec![Arc::clone(&rec) as _],
+            ..StartOptions::default()
+        })
+        .unwrap();
+    run.join().unwrap();
+    let events = events_of(&rec);
+
+    // Every quarantined dead server's story ends in a recovery, and
+    // that recovery is followed by pages actually landing from it.
+    let quarantined: HashSet<ServerId> = events
+        .iter()
+        .filter_map(|e| match e {
+            CrawlEvent::ServerQuarantined { server, .. } => Some(*server),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        quarantined.iter().any(|s| w.dead_sids.contains(s)),
+        "the outage must quarantine a dead server for the probe to matter"
+    );
+    for sid in &quarantined {
+        let last_transition = events.iter().rposition(|e| {
+            matches!(e,
+                CrawlEvent::ServerQuarantined { server, .. }
+                | CrawlEvent::ServerRecovered { server } if server == sid)
+        });
+        let at = last_transition.expect("quarantined servers have transitions");
+        assert!(
+            matches!(events[at], CrawlEvent::ServerRecovered { .. }),
+            "{sid:?} never recovered after its probe was answered with a 404"
+        );
+        let landed_after = events[at..]
+            .iter()
+            .any(|e| matches!(e, CrawlEvent::PageClassified { oid, .. } if w.sid_of[oid] == *sid));
+        assert!(landed_after, "{sid:?}'s remaining pages were never fetched");
+    }
+    let stuck = session
+        .sql("select sid from server_health where state <> 'closed'")
+        .unwrap();
+    assert!(
+        stuck.rows.is_empty(),
+        "server_health must not end open or probing: {:?}",
+        stuck.rows
+    );
+}
+
 /// Bar 4: with *every* server down forever, a 4-shard cluster must
 /// still terminate — parked rows keep the idle verdict false while the
 /// tick clock (advanced by empty polls) serves out the cooldowns, and
