@@ -389,7 +389,7 @@ impl CrawlSession {
             let mut not_before = 0i64;
             let mut quarantined: Option<(ServerId, u32, i64)> = None;
             let mut behind_breaker = false;
-            let mut recovered = false;
+            let mut recovered: Option<ServerId> = None;
             if *kind == FetchErrorKind::Timeout {
                 // Only timeouts count against the *server*.
                 match g.health.record_failure(sid, now) {
@@ -410,7 +410,7 @@ impl CrawlSession {
                 // A 404 is a dead page on a live host and an
                 // unclassifiable page was served fine: health-neutral,
                 // but exactly what a half-open probe was sent to hear.
-                recovered = g.health.record_answered(sid);
+                recovered = g.health.record_answered(sid).then_some(sid);
             }
             // Retriable failures spend the retry budget — but only when
             // the page would actually requeue. With the budget dry the
@@ -461,8 +461,7 @@ impl CrawlSession {
                     until,
                 });
             }
-            if recovered {
-                let sid = host_server_id(&claim.url);
+            if let Some(sid) = recovered {
                 Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
                 sink.emit(CrawlEvent::ServerRecovered { server: sid });
             }

@@ -19,6 +19,13 @@
 //!   …) may rewrite heap pages and B+tree nodes; Rust's aliasing rules
 //!   make them exclusive against every reader.
 //!
+//! Both sides run the same SQL pipeline (parse → bind → plan → lower →
+//! execute): `query`/`prepare` accept SELECT only and answer anything
+//! else with [`DbError::ReadOnly`], `execute` plans every statement —
+//! a DML plan is a read phase that finishes through shared borrows
+//! before its write step takes the catalog — and hands DDL straight to
+//! the catalog.
+//!
 //! Share a `Database` behind an `RwLock` (as the crawler's session does)
 //! and SELECT-only monitoring runs under the read lock, concurrent with
 //! other monitors, while mutations take the write lock.
@@ -449,7 +456,7 @@ impl Database {
 
     /// Execute a prepared plan with `params` bound to its `?`
     /// placeholders. Shared-borrow: runs concurrently with other readers.
-    pub fn query_prepared(&self, plan: &Prepared, params: &[Value]) -> DbResult<ResultSet> {
+    pub fn query_prepared(&self, plan: &ExecPlan, params: &[Value]) -> DbResult<ResultSet> {
         let rows = execute_plan(
             &self.pool,
             &self.catalog,
@@ -503,7 +510,7 @@ impl Database {
             // Uncached: `execute` is the one-shot path; repeat SELECTs
             // belong on `query`.
             planned => {
-                let plan = Arc::new(prepare_plan(&self.catalog, planned)?);
+                let plan = prepare_plan(&self.catalog, planned)?;
                 let read = self.query_prepared(&plan, params)?;
                 let Some(write) = &plan.write else {
                     return Ok(read);
