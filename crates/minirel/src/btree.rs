@@ -2,11 +2,47 @@
 //!
 //! Keys are memcomparable byte strings (see [`crate::value::encode_composite_key`]);
 //! payloads are record ids. Duplicate keys are allowed — `(key, rid)` pairs
-//! are unique. Every node visit goes through the buffer pool, so index
-//! probes are charged to the physical-I/O counters; this is what makes the
+//! are unique, and `(key, rid)` is the one order every node uses: leaf
+//! entries sort by it, separators are `(key, rid)` pairs, and descent,
+//! point lookup, insert/delete position, batch partitioning and the start
+//! of a range scan are all the same binary search over a node's slots.
+//! Every node visit goes through the buffer pool, so index probes are
+//! charged to the physical-I/O counters; this is what makes the
 //! `SingleProbe` classifier path of Figure 8(a/b) honest: *"there is little
 //! locality of access, because the records are small and most storage
 //! managers use page-level caching."*
+//!
+//! # Node layout
+//!
+//! One node is one 4 KB page, slotted like a heap page:
+//!
+//! ```text
+//! 0      1       3              7         9        11
+//! +------+-------+--------------+---------+--------+----------------+
+//! | type | count | next/leftmost| cells   | live   | slot[0..count] |→
+//! +------+-------+--------------+---------+--------+----------------+
+//! |                  free space                                     |
+//! +---------------------------------------------+-------------------+
+//!                                              ←| cells … page end  |
+//!                                               +-------------------+
+//! cell = klen u16 | key | rid (page u32, slot u16) | child u32 (internal only)
+//! ```
+//!
+//! * `slot[i]` is the `u16` page offset of the i-th cell in `(key, rid)`
+//!   order; the directory grows up, cells grow down from the page end.
+//! * `cells` is the lowest cell offset, `live` the bytes of cells a slot
+//!   still points at. An insert writes its cell at `cells - size` and
+//!   shifts at most `2·count` slot bytes; a delete only drops the slot, so
+//!   the hole it leaves is reclaimed when an insert needs the space (the
+//!   node is rewritten packed — compaction — once `live` says it will fit).
+//! * An internal node's `leftmost` child holds everything below
+//!   `slot[0]`; the child in cell i holds `[cell i, cell i+1)`. A leaf's
+//!   `next` chains the leaves in key order.
+//! * Opening a node checks the header in O(1); every slot and cell read
+//!   after that is bounds-checked, so a corrupt page surfaces as
+//!   [`DbError::Page`] — never a panic, never an out-of-bounds read.
+//! * A key may be at most [`MAX_KEY_LEN`] bytes, so that any node holds at
+//!   least four cells and a split always has entries for both halves.
 //!
 //! Deletion is lazy (no rebalancing/merging): pages may underflow but never
 //! violate ordering invariants. The workloads here delete far less than
@@ -15,400 +51,495 @@
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::Rid;
-use crate::page::{PageId, INVALID_PAGE, PAGE_SIZE};
+use crate::page::{get_u16, put_u16, PageId, INVALID_PAGE, PAGE_SIZE};
+use std::cmp::Ordering;
 use std::ops::Bound;
 
-const LEAF: u8 = 0;
-const INTERNAL: u8 = 1;
+/// Node-type bytes. 0 and 1 tagged the packed layout of earlier store
+/// files, so such a page (like a zeroed one) is rejected, not misread.
+const LEAF: u8 = 2;
+const INTERNAL: u8 = 3;
 
-/// In-memory image of a leaf node.
-struct Leaf {
-    next: PageId,
-    /// Sorted by key, ties broken by rid.
-    entries: Vec<(Vec<u8>, Rid)>,
-}
+/// Header bytes before the slot directory (see the module docs).
+const HDR: usize = 11;
+const SLOT: usize = 2;
+const RID_LEN: usize = 6;
+const CHILD_LEN: usize = 4;
 
-/// In-memory image of an internal node.
-struct Internal {
-    leftmost: PageId,
-    /// `entries[i] = (key_i, child_i)`: `child_i` holds keys `>= key_i`
-    /// (and `< key_{i+1}`); `leftmost` holds keys `< key_0`.
-    entries: Vec<(Vec<u8>, PageId)>,
-}
+/// Longest key an index accepts: four maximal internal cells (slot,
+/// length prefix, key, rid, child) fit one node.
+pub const MAX_KEY_LEN: usize = (PAGE_SIZE - HDR) / 4 - (SLOT + 2 + RID_LEN + CHILD_LEN);
 
-enum Node {
-    Leaf(Leaf),
-    Internal(Internal),
-}
+/// Splits fill nodes to this many bytes, so a freshly split node absorbs
+/// more inserts before splitting again (a 100%-full chunk would split on
+/// the very next insert).
+const SPLIT_FILL: usize = (PAGE_SIZE * 2) / 3;
 
-fn encode_rid(rid: Rid, out: &mut Vec<u8>) {
-    out.extend_from_slice(&rid.page.to_le_bytes());
-    out.extend_from_slice(&rid.slot.to_le_bytes());
-}
-
-/// Augmented key: user key ++ big-endian rid. Internal-node navigation
-/// always uses augmented keys so that *duplicate* user keys spanning a
-/// split stay reachable (the separator alone cannot disambiguate them).
-fn aug_key(key: &[u8], rid: Rid) -> Vec<u8> {
-    let mut k = Vec::with_capacity(key.len() + 6);
-    k.extend_from_slice(key);
-    k.extend_from_slice(&rid.page.to_be_bytes());
-    k.extend_from_slice(&rid.slot.to_be_bytes());
-    k
-}
-
-/// Minimal rid: the augmented key lower bound for a user key.
+/// Bounds of the rid half of the `(key, rid)` order.
 const MIN_RID: Rid = Rid { page: 0, slot: 0 };
+const MAX_RID: Rid = Rid {
+    page: u32::MAX,
+    slot: u16::MAX,
+};
 
-fn decode_rid(b: &[u8]) -> Rid {
+fn corrupt(msg: impl Into<String>) -> DbError {
+    DbError::Page(msg.into())
+}
+
+/// Refuse a key longer than [`MAX_KEY_LEN`].
+pub fn check_key(key: &[u8]) -> DbResult<()> {
+    if key.len() > MAX_KEY_LEN {
+        return Err(DbError::KeyTooLarge(key.len()));
+    }
+    Ok(())
+}
+
+fn u16_at(b: &[u8], off: usize) -> usize {
+    usize::from(get_u16(b, off))
+}
+
+/// Offsets and counts within a page always fit a `u16`.
+fn set_u16(b: &mut [u8], off: usize, v: usize) {
+    put_u16(b, off, v as u16);
+}
+
+/// One entry of a node, borrowed from wherever its key lives (a page, a
+/// caller's batch, a pending separator). `child` is meaningful in
+/// internal nodes only.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    key: &'a [u8],
+    rid: Rid,
+    child: PageId,
+}
+
+impl<'a> Cell<'a> {
+    fn entry(key: &'a [u8], rid: Rid) -> Cell<'a> {
+        Cell {
+            key,
+            rid,
+            child: INVALID_PAGE,
+        }
+    }
+
+    /// The `(key, rid)` order against a probe.
+    fn cmp_to(&self, key: &[u8], rid: Rid) -> Ordering {
+        self.key.cmp(key).then_with(|| self.rid.cmp(&rid))
+    }
+
+    /// Bytes the cell occupies in a node of the given kind.
+    fn size(&self, leaf: bool) -> usize {
+        2 + self.key.len() + RID_LEN + if leaf { 0 } else { CHILD_LEN }
+    }
+}
+
+/// Separator handed up by a split: `child` holds everything `>= (key, rid)`.
+type Sep = (Vec<u8>, Rid, PageId);
+
+fn sep_cells(seps: &[Sep]) -> Vec<Cell<'_>> {
+    let cells = seps.iter().map(|(key, rid, child)| Cell {
+        key,
+        rid: *rid,
+        child: *child,
+    });
+    cells.collect()
+}
+
+fn entry_cells(entries: &[(Vec<u8>, Rid)]) -> Vec<Cell<'_>> {
+    entries.iter().map(|(k, r)| Cell::entry(k, *r)).collect()
+}
+
+fn rid_of(p: &[u8]) -> Rid {
     Rid {
-        page: u32::from_le_bytes(b[0..4].try_into().expect("rid page")),
-        slot: u16::from_le_bytes(b[4..6].try_into().expect("rid slot")),
+        page: u32::from_le_bytes([p[0], p[1], p[2], p[3]]),
+        slot: u16::from_le_bytes([p[4], p[5]]),
     }
 }
 
-impl Node {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        match self {
-            Node::Leaf(l) => {
-                out.push(LEAF);
-                out.extend_from_slice(&(l.entries.len() as u16).to_le_bytes());
-                out.extend_from_slice(&l.next.to_le_bytes());
-                for (k, rid) in &l.entries {
-                    out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    out.extend_from_slice(k);
-                    encode_rid(*rid, &mut out);
-                }
-            }
-            Node::Internal(n) => {
-                out.push(INTERNAL);
-                out.extend_from_slice(&(n.entries.len() as u16).to_le_bytes());
-                out.extend_from_slice(&n.leftmost.to_le_bytes());
-                for (k, child) in &n.entries {
-                    out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    out.extend_from_slice(k);
-                    out.extend_from_slice(&child.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    fn decode(b: &[u8]) -> DbResult<Node> {
-        let ty = b[0];
-        let n = u16::from_le_bytes([b[1], b[2]]) as usize;
-        let first = u32::from_le_bytes(b[3..7].try_into().expect("node header"));
-        let mut off = 7;
-        let read_key = |off: &mut usize| -> DbResult<Vec<u8>> {
-            if *off + 2 > b.len() {
-                return Err(DbError::Page("truncated btree node".into()));
-            }
-            let klen = u16::from_le_bytes([b[*off], b[*off + 1]]) as usize;
-            *off += 2;
-            if *off + klen > b.len() {
-                return Err(DbError::Page("truncated btree key".into()));
-            }
-            let k = b[*off..*off + klen].to_vec();
-            *off += klen;
-            Ok(k)
-        };
-        match ty {
-            LEAF => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = read_key(&mut off)?;
-                    let rid = decode_rid(&b[off..off + 6]);
-                    off += 6;
-                    entries.push((k, rid));
-                }
-                Ok(Node::Leaf(Leaf {
-                    next: first,
-                    entries,
-                }))
-            }
-            INTERNAL => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = read_key(&mut off)?;
-                    let child = u32::from_le_bytes(b[off..off + 4].try_into().expect("child ptr"));
-                    off += 4;
-                    entries.push((k, child));
-                }
-                Ok(Node::Internal(Internal {
-                    leftmost: first,
-                    entries,
-                }))
-            }
-            t => Err(DbError::Page(format!("bad btree node type {t}"))),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Node::Leaf(l) => {
-                7 + l
-                    .entries
-                    .iter()
-                    .map(|(k, _)| 2 + k.len() + 6)
-                    .sum::<usize>()
-            }
-            Node::Internal(n) => {
-                7 + n
-                    .entries
-                    .iter()
-                    .map(|(k, _)| 2 + k.len() + 4)
-                    .sum::<usize>()
-            }
-        }
-    }
-}
-
-fn read_node(pool: &BufferPool, pid: PageId) -> DbResult<Node> {
-    pool.with_page(pid, Node::decode)?
-}
-
-// ---------------------------------------------------------------- raw access
-//
-// The hot paths (descent, point lookup, single insert/delete, batch
-// partitioning) never materialize a [`Node`]: decoding allocates one
-// `Vec<u8>` per key, and a crawl touches dozens of nodes per page
-// fetched, so the decode/encode churn — not disk — was the dominant
-// per-page cost. These helpers parse the encoded bytes in place; the
-// decode path survives for structural changes (splits), which are rare.
-
-/// Header bytes before the first entry (type, u16 count, u32 next/leftmost).
-const HDR: usize = 7;
-/// Payload width after each key: a 6-byte rid in leaves…
-const LEAF_PAYLOAD: usize = 6;
-/// …or a 4-byte child pointer in internal nodes.
-const INTERNAL_PAYLOAD: usize = 4;
-
-/// A validated, borrowed view of an encoded node: one bounds-checking
-/// walk up front, then allocation-free iteration.
-struct RawNode<'a> {
+/// A borrowed view of a node page whose header passed the O(1) check.
+#[derive(Clone, Copy)]
+struct Node<'a> {
     b: &'a [u8],
     leaf: bool,
     n: usize,
-    /// Bytes used by header + entries (the in-place insert bound).
-    used: usize,
+    /// Lowest cell offset: the slot directory may grow up to here.
+    cells: usize,
+    /// Bytes of cells a slot points at.
+    live: usize,
 }
 
-impl<'a> RawNode<'a> {
-    fn parse(b: &'a [u8]) -> DbResult<RawNode<'a>> {
-        let leaf = match b[0] {
-            LEAF => true,
-            INTERNAL => false,
-            t => return Err(DbError::Page(format!("bad btree node type {t}"))),
+impl<'a> Node<'a> {
+    fn open(b: &'a [u8]) -> DbResult<Node<'a>> {
+        let leaf = match b.first() {
+            Some(&LEAF) => true,
+            Some(&INTERNAL) => false,
+            t => return Err(corrupt(format!("bad btree node type {t:?}"))),
         };
-        let n = u16::from_le_bytes([b[1], b[2]]) as usize;
-        let payload = if leaf { LEAF_PAYLOAD } else { INTERNAL_PAYLOAD };
-        let mut off = HDR;
-        for _ in 0..n {
-            if off + 2 > b.len() {
-                return Err(DbError::Page("truncated btree node".into()));
-            }
-            let klen = u16::from_le_bytes([b[off], b[off + 1]]) as usize;
-            off += 2 + klen + payload;
-            if off > b.len() {
-                return Err(DbError::Page("truncated btree key".into()));
-            }
+        if b.len() < HDR {
+            return Err(corrupt("btree node shorter than its header"));
         }
-        Ok(RawNode {
+        let (n, cells, live) = (u16_at(b, 1), u16_at(b, 7), u16_at(b, 9));
+        if HDR + SLOT * n > cells || cells + live > b.len() {
+            return Err(corrupt("btree node header out of range"));
+        }
+        Ok(Node {
             b,
             leaf,
             n,
-            used: off,
+            cells,
+            live,
         })
     }
 
-    /// `next` pointer of a leaf / `leftmost` child of an internal node.
-    fn first(&self) -> u32 {
-        u32::from_le_bytes(self.b[3..7].try_into().expect("node header"))
-    }
-
-    /// Iterate `(entry_offset, key, payload)` without allocating.
-    fn entries(&self) -> RawEntries<'a> {
-        RawEntries {
-            b: self.b,
-            payload: if self.leaf {
-                LEAF_PAYLOAD
-            } else {
-                INTERNAL_PAYLOAD
-            },
-            off: HDR,
-            left: self.n,
-        }
-    }
-}
-
-struct RawEntries<'a> {
-    b: &'a [u8],
-    payload: usize,
-    off: usize,
-    left: usize,
-}
-
-impl<'a> Iterator for RawEntries<'a> {
-    type Item = (usize, &'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
-        }
-        let off = self.off;
-        let klen = u16::from_le_bytes([self.b[off], self.b[off + 1]]) as usize;
-        let key = &self.b[off + 2..off + 2 + klen];
-        let payload = &self.b[off + 2 + klen..off + 2 + klen + self.payload];
-        self.off = off + 2 + klen + self.payload;
-        self.left -= 1;
-        Some((off, key, payload))
-    }
-}
-
-fn set_count(b: &mut [u8], n: usize) {
-    b[1..3].copy_from_slice(&(n as u16).to_le_bytes());
-}
-
-fn payload_rid(p: &[u8]) -> Rid {
-    decode_rid(p)
-}
-
-fn payload_child(p: &[u8]) -> PageId {
-    u32::from_le_bytes(p.try_into().expect("child ptr"))
-}
-
-/// Compare `(key ++ rid_be)` against `sep` without building the
-/// augmented key (the descent/partition comparisons run once per node
-/// entry — materializing each one allocated on every hop).
-fn cmp_aug(key: &[u8], rid: Rid, sep: &[u8]) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    let mut rb = [0u8; 6];
-    rb[..4].copy_from_slice(&rid.page.to_be_bytes());
-    rb[4..].copy_from_slice(&rid.slot.to_be_bytes());
-    if sep.len() <= key.len() {
-        match key[..sep.len()].cmp(sep) {
-            // Augmented key strictly longer: it sorts after its prefix.
-            Ordering::Equal => Ordering::Greater,
-            c => c,
-        }
-    } else {
-        match key.cmp(&sep[..key.len()]) {
-            Ordering::Equal => rb[..].cmp(&sep[key.len()..]),
-            c => c,
-        }
-    }
-}
-
-/// Leaf-entry order: `(key, rid)` tuples.
-fn cmp_entry(k: &[u8], r: Rid, probe_key: &[u8], probe_rid: Rid) -> std::cmp::Ordering {
-    k.cmp(probe_key).then_with(|| r.cmp(&probe_rid))
-}
-
-/// Child of an internal node that should contain `akey` (augmented):
-/// rightmost child whose separator is `<= akey` (equal separators send
-/// the search right, exactly like [`child_index`] on the decoded form).
-fn raw_child_for(node: &RawNode<'_>, akey: &[u8]) -> PageId {
-    let mut child = node.first();
-    for (_, sep, p) in node.entries() {
-        if sep <= akey {
-            child = payload_child(p);
+    fn expect_leaf(self) -> DbResult<Node<'a>> {
+        if self.leaf {
+            Ok(self)
         } else {
-            break;
+            Err(corrupt("expected a btree leaf"))
         }
     }
-    child
+
+    /// `next` pointer of a leaf / `leftmost` child of an internal node.
+    fn first(&self) -> PageId {
+        u32::from_le_bytes([self.b[3], self.b[4], self.b[5], self.b[6]])
+    }
+
+    /// Bytes an insert may still use (slot included), holes counted in.
+    fn free(&self) -> usize {
+        self.b.len() - HDR - SLOT * self.n - self.live
+    }
+
+    /// Page offset of cell `i` (`i < n`, so the read is inside the
+    /// directory the header check bounded).
+    fn slot(&self, i: usize) -> usize {
+        u16_at(self.b, HDR + SLOT * i)
+    }
+
+    /// `(key, rid ++ child)` bytes of cell `i`, bounds-checked.
+    fn raw(&self, i: usize) -> DbResult<(&'a [u8], &'a [u8])> {
+        let off = self.slot(i);
+        let tail = RID_LEN + if self.leaf { 0 } else { CHILD_LEN };
+        let body = (off >= self.cells)
+            .then(|| self.b.get(off..off + 2))
+            .flatten()
+            .and_then(|l| self.b.get(off + 2..off + 2 + u16_at(l, 0) + tail))
+            .ok_or_else(|| corrupt(format!("btree cell {i} at {off} lies outside the page")))?;
+        Ok(body.split_at(body.len() - tail))
+    }
+
+    fn cell(&self, i: usize) -> DbResult<Cell<'a>> {
+        let (key, p) = self.raw(i)?;
+        let child = match self.leaf {
+            true => INVALID_PAGE,
+            false => u32::from_le_bytes([p[6], p[7], p[8], p[9]]),
+        };
+        Ok(Cell {
+            key,
+            rid: rid_of(p),
+            child,
+        })
+    }
+
+    fn all_cells(&self) -> DbResult<Vec<Cell<'a>>> {
+        (0..self.n).map(|i| self.cell(i)).collect()
+    }
+
+    /// The one search: how many cells sort before `(key, rid)`, and
+    /// whether the cell at that position equals it.
+    fn search(&self, key: &[u8], rid: Rid) -> DbResult<(usize, bool)> {
+        let (mut lo, mut hi) = (0, self.n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let (k, p) = self.raw(mid)?;
+            match k.cmp(key).then_with(|| rid_of(p).cmp(&rid)) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Equal => return Ok((mid, true)),
+                Ordering::Greater => hi = mid,
+            }
+        }
+        Ok((lo, false))
+    }
+
+    /// Index of the child whose range contains `(key, rid)`: the number
+    /// of separators `<=` it (an equal separator sends the search right).
+    fn route(&self, key: &[u8], rid: Rid) -> DbResult<usize> {
+        let (pos, exact) = self.search(key, rid)?;
+        Ok(pos + usize::from(exact))
+    }
+
+    /// Child `idx` of an internal node: 0 is `leftmost`, i is cell i-1's.
+    fn child_at(&self, idx: usize) -> DbResult<PageId> {
+        match idx {
+            0 => Ok(self.first()),
+            i => Ok(self.cell(i - 1)?.child),
+        }
+    }
 }
 
-/// Outcome of an in-place leaf insert attempt.
-enum FastInsert {
+/// Write `c` at `off`; returns the offset just past it.
+fn put_cell(b: &mut [u8], off: usize, c: &Cell<'_>, leaf: bool) -> usize {
+    let klen = c.key.len();
+    set_u16(b, off, klen);
+    b[off + 2..off + 2 + klen].copy_from_slice(c.key);
+    let p = off + 2 + klen;
+    b[p..p + 4].copy_from_slice(&c.rid.page.to_le_bytes());
+    b[p + 4..p + 6].copy_from_slice(&c.rid.slot.to_le_bytes());
+    if leaf {
+        return p + RID_LEN;
+    }
+    b[p + 6..p + 10].copy_from_slice(&c.child.to_le_bytes());
+    p + RID_LEN + CHILD_LEN
+}
+
+/// Format `b` as a node holding exactly the sorted `cells`, packed
+/// against the page end with no holes.
+fn write_node(b: &mut [u8], leaf: bool, first: PageId, cells: &[Cell<'_>]) -> DbResult<()> {
+    let live: usize = cells.iter().map(|c| c.size(leaf)).sum();
+    if HDR + SLOT * cells.len() + live > b.len() {
+        return Err(corrupt("btree cells exceed the page"));
+    }
+    let mut off = b.len() - live;
+    b[0] = if leaf { LEAF } else { INTERNAL };
+    set_u16(b, 1, cells.len());
+    b[3..7].copy_from_slice(&first.to_le_bytes());
+    set_u16(b, 7, off);
+    set_u16(b, 9, live);
+    for (i, c) in cells.iter().enumerate() {
+        set_u16(b, HDR + SLOT * i, off);
+        off = put_cell(b, off, c, leaf);
+    }
+    Ok(())
+}
+
+/// Outcome of an in-place insert attempt.
+enum Placed {
     Inserted,
     Duplicate,
-    /// The entry does not fit: the caller takes the decode-and-split path.
+    /// The node is full even with its holes reclaimed: the caller splits.
     NoFit,
 }
 
-/// Insert `(key, rid)` into the encoded leaf `b` by shifting the entry
-/// tail, without decoding. One memmove, zero allocations.
-fn raw_leaf_insert(b: &mut [u8], key: &[u8], rid: Rid) -> DbResult<FastInsert> {
-    let (n, used, ins_off, dup) = {
-        let node = RawNode::parse(b)?;
-        if !node.leaf {
-            return Err(DbError::Page("expected leaf node".into()));
+/// Insert `c` into the node `b` in place: one binary search, one cell
+/// write, one slot shift. Holes left by deletes are compacted away only
+/// when the contiguous free space is too small and they make up the rest.
+fn place(b: &mut [u8], c: &Cell<'_>) -> DbResult<Placed> {
+    let node = Node::open(b)?;
+    let (pos, exact) = node.search(c.key, c.rid)?;
+    if exact {
+        return Ok(Placed::Duplicate);
+    }
+    let (leaf, n, mut live, mut cells) = (node.leaf, node.n, node.live, node.cells);
+    let size = c.size(leaf);
+    if SLOT + size > node.free() {
+        return Ok(Placed::NoFit);
+    }
+    if SLOT + size > cells - (HDR + SLOT * n) {
+        let old = b.to_vec();
+        let node = Node::open(&old)?;
+        write_node(b, leaf, node.first(), &node.all_cells()?)?;
+        (cells, live) = (u16_at(b, 7), u16_at(b, 9));
+        if SLOT + size > cells - (HDR + SLOT * n) {
+            return Err(corrupt("btree live-byte count below the cells' sizes"));
         }
-        let mut ins = node.used;
-        let mut dup = false;
-        for (off, k, p) in node.entries() {
-            match cmp_entry(k, payload_rid(p), key, rid) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => {
-                    dup = true;
+    }
+    cells -= size;
+    put_cell(b, cells, c, leaf);
+    let at = HDR + SLOT * pos;
+    b.copy_within(at..HDR + SLOT * n, at + SLOT);
+    set_u16(b, at, cells);
+    set_u16(b, 1, n + 1);
+    set_u16(b, 7, cells);
+    set_u16(b, 9, live + size);
+    Ok(Placed::Inserted)
+}
+
+/// Remove `(key, rid)` from the leaf `b` by dropping its slot (the cell
+/// bytes stay behind as a hole); returns whether it existed.
+fn unplace(b: &mut [u8], key: &[u8], rid: Rid) -> DbResult<bool> {
+    let node = Node::open(b)?.expect_leaf()?;
+    let (pos, exact) = node.search(key, rid)?;
+    if !exact {
+        return Ok(false);
+    }
+    let n = node.n;
+    let live = (node.live)
+        .checked_sub(node.cell(pos)?.size(true))
+        .ok_or_else(|| corrupt("btree live-byte count below a cell's size"))?;
+    b.copy_within(HDR + SLOT * (pos + 1)..HDR + SLOT * n, HDR + SLOT * pos);
+    set_u16(b, 1, n - 1);
+    set_u16(b, 9, live);
+    Ok(true)
+}
+
+/// Rewrite node `pid` from the sorted `cells`, spilling into as many new
+/// right siblings as they need, and return the siblings' separators
+/// (none when everything fits one page). This is every structural
+/// change: a single insert's split, a batch's multi-way split and the
+/// growth of a new root. Leaves stay chained in place of the original;
+/// between two internal nodes one cell moves up as the separator and its
+/// child becomes the right node's leftmost.
+fn repack(
+    pool: &BufferPool,
+    pid: PageId,
+    leaf: bool,
+    first: PageId,
+    cells: &[Cell<'_>],
+) -> DbResult<Vec<Sep>> {
+    let need = |c: &Cell<'_>| SLOT + c.size(leaf);
+    let whole = HDR + cells.iter().map(need).sum::<usize>() <= PAGE_SIZE;
+    let fill = if whole { PAGE_SIZE } else { SPLIT_FILL };
+    // Greedy cuts: indices of the cells that start a new node.
+    let mut cuts = Vec::new();
+    let mut size = HDR;
+    for (i, c) in cells.iter().enumerate() {
+        if size + need(c) > fill && size > HDR {
+            cuts.push(i);
+            size = HDR;
+            if !leaf {
+                continue;
+            }
+        }
+        size += need(c);
+    }
+    let mut pids = vec![pid];
+    for _ in &cuts {
+        pids.push(pool.allocate()?);
+    }
+    let mut seps = Vec::with_capacity(cuts.len());
+    let (mut start, mut leftmost) = (0, first);
+    for (i, &p) in pids.iter().enumerate() {
+        let cut = cuts.get(i).copied();
+        let link = match leaf {
+            true => pids.get(i + 1).copied().unwrap_or(first),
+            false => leftmost,
+        };
+        let chunk = &cells[start..cut.unwrap_or(cells.len())];
+        pool.with_page_mut(p, |b| write_node(b, leaf, link, chunk))??;
+        if let Some(cut) = cut {
+            let c = cells[cut];
+            seps.push((c.key.to_vec(), c.rid, pids[i + 1]));
+            leftmost = c.child;
+            start = cut + usize::from(!leaf);
+        }
+    }
+    Ok(seps)
+}
+
+/// Add the sorted `new` cells to node `pid`: in place while they fit,
+/// then by repacking the node plus the remainder over new right
+/// siblings. Returns how many were not already present and the
+/// separators of any siblings.
+fn add_cells(pool: &BufferPool, pid: PageId, new: &[Cell<'_>]) -> DbResult<(usize, Vec<Sep>)> {
+    // The node as the first cell that did not fit found it.
+    let mut full = None;
+    let (mut added, done) = pool.with_page_mut_if(pid, |b| {
+        let (mut added, mut done) = (0, 0);
+        let mut res = Ok(());
+        for c in new {
+            match place(b, c) {
+                Ok(Placed::Inserted) => added += 1,
+                Ok(Placed::Duplicate) => {}
+                Ok(Placed::NoFit) => {
+                    full = Some(b.to_vec());
                     break;
                 }
-                std::cmp::Ordering::Greater => {
-                    ins = off;
+                Err(e) => {
+                    res = Err(e);
                     break;
                 }
             }
+            done += 1;
         }
-        (node.n, node.used, ins, dup)
+        (res.map(|()| (added, done)), added > 0)
+    })??;
+    let Some(page) = full else {
+        return Ok((added, Vec::new()));
     };
-    if dup {
-        return Ok(FastInsert::Duplicate);
-    }
-    let esz = 2 + key.len() + LEAF_PAYLOAD;
-    if used + esz > b.len() {
-        return Ok(FastInsert::NoFit);
-    }
-    b.copy_within(ins_off..used, ins_off + esz);
-    b[ins_off..ins_off + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-    b[ins_off + 2..ins_off + 2 + key.len()].copy_from_slice(key);
-    let rid_off = ins_off + 2 + key.len();
-    b[rid_off..rid_off + 4].copy_from_slice(&rid.page.to_le_bytes());
-    b[rid_off + 4..rid_off + 6].copy_from_slice(&rid.slot.to_le_bytes());
-    set_count(b, n + 1);
-    Ok(FastInsert::Inserted)
+    let node = Node::open(&page)?;
+    let mut cells = node.all_cells()?;
+    let before = cells.len();
+    cells.extend_from_slice(&new[done..]);
+    // Two sorted runs: the stable sort is one merge, and `dedup_by`
+    // keeps the resident cell of an exact duplicate.
+    cells.sort_by(|a, b| a.cmp_to(b.key, b.rid));
+    cells.dedup_by(|b, a| a.cmp_to(b.key, b.rid) == Ordering::Equal);
+    added += cells.len() - before;
+    let seps = repack(pool, pid, node.leaf, node.first(), &cells)?;
+    Ok((added, seps))
 }
 
-/// Remove `(key, rid)` from the encoded leaf `b` in place; returns
-/// whether it existed.
-fn raw_leaf_delete(b: &mut [u8], key: &[u8], rid: Rid) -> DbResult<bool> {
-    let (n, used, hit) = {
-        let node = RawNode::parse(b)?;
-        if !node.leaf {
-            return Err(DbError::Page("expected leaf node".into()));
+/// Split the sorted `cells` among the children of internal node `pid`
+/// by the descent's routing rule, as `(child, lo, hi)` index ranges;
+/// `None` when `pid` is a leaf.
+fn partition(
+    pool: &BufferPool,
+    pid: PageId,
+    cells: &[Cell<'_>],
+) -> DbResult<Option<Vec<(PageId, usize, usize)>>> {
+    pool.with_page(pid, |b| {
+        let node = Node::open(b)?;
+        if node.leaf {
+            return Ok(None);
         }
-        let mut hit: Option<(usize, usize)> = None;
-        for (off, k, p) in node.entries() {
-            match cmp_entry(k, payload_rid(p), key, rid) {
-                std::cmp::Ordering::Less => {}
-                std::cmp::Ordering::Equal => {
-                    hit = Some((off, 2 + k.len() + LEAF_PAYLOAD));
-                    break;
-                }
-                std::cmp::Ordering::Greater => break,
+        let mut segs = Vec::new();
+        let mut lo = 0;
+        while lo < cells.len() {
+            let idx = node.route(cells[lo].key, cells[lo].rid)?;
+            let mut hi = cells.len();
+            if idx < node.n {
+                // The run ends at the first cell the next separator claims.
+                let sep = node.cell(idx)?;
+                let below = |c: &Cell<'_>| c.cmp_to(sep.key, sep.rid) == Ordering::Less;
+                hi = lo + 1 + cells[lo + 1..].partition_point(below);
             }
+            segs.push((node.child_at(idx)?, lo, hi));
+            lo = hi;
         }
-        (node.n, node.used, hit)
-    };
-    match hit {
-        None => Ok(false),
-        Some((off, esz)) => {
-            b.copy_within(off + esz..used, off);
-            set_count(b, n - 1);
-            Ok(true)
-        }
-    }
+        Ok(Some(segs))
+    })?
 }
 
-fn write_node(pool: &BufferPool, pid: PageId, node: &Node) -> DbResult<()> {
-    let bytes = node.encode();
-    if bytes.len() > PAGE_SIZE {
-        return Err(DbError::Page("btree node overflow after split".into()));
+/// Serve `keys[out.len()..]` from leaf `b` for as long as the leaf can
+/// answer them, pushing one rid list per key. Returns the next leaf
+/// when the current key's matches may continue there (its rids so far
+/// wait in `cur`), `None` when the next key needs a fresh descent.
+fn serve_lookups<K: AsRef<[u8]>>(
+    b: &[u8],
+    keys: &[K],
+    out: &mut Vec<Vec<Rid>>,
+    cur: &mut Vec<Rid>,
+) -> DbResult<Option<PageId>> {
+    let node = Node::open(b)?.expect_leaf()?;
+    loop {
+        let key = keys[out.len()].as_ref();
+        let mut i = node.search(key, MIN_RID)?.0;
+        while i < node.n {
+            let c = node.cell(i)?;
+            if c.key != key {
+                break;
+            }
+            cur.push(c.rid);
+            i += 1;
+        }
+        // The leaf ends at or before `key`: a duplicate span, or a key
+        // on a leaf boundary, continues in the next leaf.
+        if i == node.n && node.first() != INVALID_PAGE {
+            return Ok(Some(node.first()));
+        }
+        out.push(std::mem::take(cur));
+        // An equal neighbor gets the same answer.
+        while keys.get(out.len()).is_some_and(|k| k.as_ref() == key) {
+            out.push(out[out.len() - 1].clone());
+        }
+        // The leaf serves the next key only if that key does not sort
+        // past its last entry.
+        let Some(next) = keys.get(out.len()) else {
+            return Ok(None);
+        };
+        if node.n == 0 || node.raw(node.n - 1)?.0 < next.as_ref() {
+            return Ok(None);
+        }
     }
-    pool.with_page_mut(pid, |b| {
-        b[..bytes.len()].copy_from_slice(&bytes);
-    })
 }
 
 /// A persistent B+tree index.
@@ -422,14 +553,7 @@ impl BTree {
     /// Create an empty tree (root is an empty leaf).
     pub fn create(pool: &BufferPool) -> DbResult<BTree> {
         let root = pool.allocate()?;
-        write_node(
-            pool,
-            root,
-            &Node::Leaf(Leaf {
-                next: INVALID_PAGE,
-                entries: vec![],
-            }),
-        )?;
+        pool.with_page_mut(root, |b| write_node(b, true, INVALID_PAGE, &[]))??;
         Ok(BTree { root, len: 0 })
     }
 
@@ -454,129 +578,36 @@ impl BTree {
         self.len == 0
     }
 
-    /// Insert an entry. Duplicate `(key, rid)` pairs are ignored.
+    /// Insert an entry. Duplicate `(key, rid)` pairs are ignored; a key
+    /// longer than [`MAX_KEY_LEN`] is refused with
+    /// [`DbError::KeyTooLarge`].
     ///
-    /// Fast path: descend without decoding, splice the entry into the
-    /// leaf in place. Only a full leaf falls back to the decode-and-
-    /// split machinery.
+    /// Fast path: descend, splice the cell into the leaf in place. Only
+    /// a full leaf takes the structural path, as a batch of one.
     pub fn insert(&mut self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<()> {
-        let leaf_pid = self.find_leaf(pool, &aug_key(key, rid))?;
-        let outcome = pool.with_page_mut_if(leaf_pid, |b| {
-            let r = raw_leaf_insert(b, key, rid);
-            let dirtied = matches!(r, Ok(FastInsert::Inserted));
+        check_key(key)?;
+        let cell = Cell::entry(key, rid);
+        let leaf = self.find_leaf(pool, key, rid)?;
+        let placed = pool.with_page_mut_if(leaf, |b| {
+            let r = place(b, &cell);
+            let dirtied = matches!(r, Ok(Placed::Inserted));
             (r, dirtied)
         })??;
-        match outcome {
-            FastInsert::Inserted => {
-                self.len += 1;
-                return Ok(());
-            }
-            FastInsert::Duplicate => return Ok(()),
-            FastInsert::NoFit => {}
-        }
-        if let Some((sep, right)) = self.insert_rec(pool, self.root, key, rid)? {
-            // Root split: grow the tree by one level.
-            let new_root = pool.allocate()?;
-            let node = Node::Internal(Internal {
-                leftmost: self.root,
-                entries: vec![(sep, right)],
-            });
-            write_node(pool, new_root, &node)?;
-            self.root = new_root;
+        match placed {
+            Placed::Inserted => self.len += 1,
+            Placed::Duplicate => {}
+            Placed::NoFit => self.insert_cells(pool, &[cell])?,
         }
         Ok(())
     }
 
-    /// Recursive insert; returns `Some((separator, new_right_page))` when
-    /// the child split.
-    fn insert_rec(
-        &mut self,
-        pool: &BufferPool,
-        pid: PageId,
-        key: &[u8],
-        rid: Rid,
-    ) -> DbResult<Option<(Vec<u8>, PageId)>> {
-        match read_node(pool, pid)? {
-            Node::Leaf(mut leaf) => {
-                let probe = (key.to_vec(), rid);
-                let pos = match leaf.entries.binary_search_by(|e| e.cmp(&probe)) {
-                    Ok(_) => return Ok(None), // exact duplicate
-                    Err(p) => p,
-                };
-                leaf.entries.insert(pos, probe);
-                self.len += 1;
-                let node = Node::Leaf(leaf);
-                if node.encoded_len() <= PAGE_SIZE {
-                    write_node(pool, pid, &node)?;
-                    return Ok(None);
-                }
-                // Split: move upper half right.
-                let mut leaf = match node {
-                    Node::Leaf(l) => l,
-                    _ => unreachable!(),
-                };
-                let mid = leaf.entries.len() / 2;
-                let right_entries = leaf.entries.split_off(mid);
-                let sep = aug_key(&right_entries[0].0, right_entries[0].1);
-                let right_pid = pool.allocate()?;
-                let right = Leaf {
-                    next: leaf.next,
-                    entries: right_entries,
-                };
-                leaf.next = right_pid;
-                write_node(pool, right_pid, &Node::Leaf(right))?;
-                write_node(pool, pid, &Node::Leaf(leaf))?;
-                Ok(Some((sep, right_pid)))
-            }
-            Node::Internal(mut node) => {
-                let akey = aug_key(key, rid);
-                let child_idx = child_index(&node, &akey);
-                let child = if child_idx == 0 {
-                    node.leftmost
-                } else {
-                    node.entries[child_idx - 1].1
-                };
-                if let Some((sep, right)) = self.insert_rec(pool, child, key, rid)? {
-                    let pos = node
-                        .entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(&sep[..]))
-                        .unwrap_or_else(|p| p);
-                    node.entries.insert(pos, (sep, right));
-                    let enc = Node::Internal(node);
-                    if enc.encoded_len() <= PAGE_SIZE {
-                        write_node(pool, pid, &enc)?;
-                        return Ok(None);
-                    }
-                    let mut node = match enc {
-                        Node::Internal(n) => n,
-                        _ => unreachable!(),
-                    };
-                    let mid = node.entries.len() / 2;
-                    let mut right_entries = node.entries.split_off(mid);
-                    // Middle key moves up; its child becomes right's leftmost.
-                    let (sep_up, sep_child) = right_entries.remove(0);
-                    let right_pid = pool.allocate()?;
-                    let right = Internal {
-                        leftmost: sep_child,
-                        entries: right_entries,
-                    };
-                    write_node(pool, right_pid, &Node::Internal(right))?;
-                    write_node(pool, pid, &Node::Internal(node))?;
-                    Ok(Some((sep_up, right_pid)))
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
     /// Remove an exact `(key, rid)` entry; returns whether it existed.
-    /// In-place shift; deletion stays lazy (no rebalancing), so no
-    /// structural fallback is ever needed.
+    /// Deletion stays lazy (no rebalancing), so no structural fallback
+    /// is ever needed.
     pub fn delete(&mut self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<bool> {
-        let leaf_pid = self.find_leaf(pool, &aug_key(key, rid))?;
-        let existed = pool.with_page_mut_if(leaf_pid, |b| {
-            let r = raw_leaf_delete(b, key, rid);
+        let leaf = self.find_leaf(pool, key, rid)?;
+        let existed = pool.with_page_mut_if(leaf, |b| {
+            let r = unplace(b, key, rid);
             let dirtied = matches!(r, Ok(true));
             (r, dirtied)
         })??;
@@ -586,17 +617,17 @@ impl BTree {
         Ok(existed)
     }
 
-    /// Descend to the leaf that would hold `akey` (an *augmented* key).
-    /// Each hop reads the node bytes in place — no decode, no allocation.
-    fn find_leaf(&self, pool: &BufferPool, akey: &[u8]) -> DbResult<PageId> {
+    /// Descend to the leaf whose range contains `(key, rid)`: one
+    /// binary search per node, read in place.
+    fn find_leaf(&self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<PageId> {
         let mut pid = self.root;
         loop {
             let next = pool.with_page(pid, |b| -> DbResult<Option<PageId>> {
-                let node = RawNode::parse(b)?;
+                let node = Node::open(b)?;
                 if node.leaf {
                     return Ok(None);
                 }
-                Ok(Some(raw_child_for(&node, akey)))
+                Ok(Some(node.child_at(node.route(key, rid)?)?))
             })??;
             match next {
                 None => return Ok(pid),
@@ -608,228 +639,96 @@ impl BTree {
     /// All rids for each of `keys`, answered in one ordered pass.
     ///
     /// `keys` must be sorted ascending (duplicates allowed). Instead of
-    /// one root-to-leaf descent per key, the pass holds its current leaf
-    /// and only re-descends when the next key falls beyond it — the
+    /// one root-to-leaf descent per key, the pass stays on its current
+    /// leaf and only re-descends when the next key falls beyond it — the
     /// "sort once, merge once" batch access path of §3.1, applied to
     /// point lookups. Buffer-pool reads drop from `O(keys × depth)` to
     /// roughly one visit per distinct leaf touched.
     pub fn lookup_many(&self, pool: &BufferPool, keys: &[Vec<u8>]) -> DbResult<Vec<Vec<Rid>>> {
-        // The current leaf is held as a page-sized scratch copy and
-        // re-parsed per key — one 4 KB memcpy per leaf visited instead
-        // of a per-entry-allocating decode.
-        let mut out: Vec<Vec<Rid>> = Vec::with_capacity(keys.len());
-        let mut scratch: Box<[u8; PAGE_SIZE]> = Box::new([0u8; PAGE_SIZE]);
-        let mut have_leaf = false;
-        let load = |pool: &BufferPool, scratch: &mut [u8; PAGE_SIZE], pid: PageId| {
-            pool.with_page(pid, |b| scratch.copy_from_slice(b))
-        };
-        for (i, key) in keys.iter().enumerate() {
-            if i > 0 {
-                debug_assert!(keys[i - 1] <= *key, "lookup_many requires sorted keys");
-                if keys[i - 1] == *key {
-                    // Equal neighbor: the pass has already advanced past
-                    // this key's entries; reuse the previous answer.
-                    let prev = out[i - 1].clone();
-                    out.push(prev);
-                    continue;
-                }
-            }
-            // The current leaf can serve `key` only if `key` does not
-            // sort past its last entry; otherwise descend afresh.
-            let reuse = have_leaf && {
-                let node = RawNode::parse(&scratch[..])?;
-                node.entries()
-                    .last()
-                    .is_some_and(|(_, k, _)| k >= key.as_slice())
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "lookup_many requires sorted keys"
+        );
+        self.lookup_sorted(pool, keys)
+    }
+
+    /// All rids stored under exactly `key`.
+    pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
+        Ok(self.lookup_sorted(pool, &[key])?.pop().unwrap_or_default())
+    }
+
+    /// Each leaf visit answers, under the page latch and without copying
+    /// the leaf, every upcoming key that falls inside it.
+    fn lookup_sorted<K: AsRef<[u8]>>(
+        &self,
+        pool: &BufferPool,
+        keys: &[K],
+    ) -> DbResult<Vec<Vec<Rid>>> {
+        let mut out = Vec::with_capacity(keys.len());
+        let mut cur = Vec::new();
+        let mut spill = None;
+        while out.len() < keys.len() {
+            let pid = match spill {
+                Some(next) => next,
+                None => self.find_leaf(pool, keys[out.len()].as_ref(), MIN_RID)?,
             };
-            if !reuse {
-                let pid = self.find_leaf(pool, &aug_key(key, MIN_RID))?;
-                load(pool, &mut scratch, pid)?;
-                have_leaf = true;
-            }
-            let mut rids = Vec::new();
-            loop {
-                let node = RawNode::parse(&scratch[..])?;
-                if !node.leaf {
-                    return Err(DbError::Page("expected leaf node".into()));
-                }
-                let mut last_key_le = true;
-                for (_, k, p) in node.entries() {
-                    match k.cmp(key.as_slice()) {
-                        std::cmp::Ordering::Less => {}
-                        std::cmp::Ordering::Equal => rids.push(payload_rid(p)),
-                        std::cmp::Ordering::Greater => {
-                            last_key_le = false;
-                            break;
-                        }
-                    }
-                }
-                // Matches can only continue in the next leaf when this
-                // leaf ends at or before `key` (duplicate span, or a key
-                // that sits on a leaf boundary).
-                let spills = node.first() != INVALID_PAGE && last_key_le;
-                if !spills {
-                    break;
-                }
-                let next = node.first();
-                load(pool, &mut scratch, next)?;
-            }
-            out.push(rids);
+            spill = pool.with_page(pid, |b| serve_lookups(b, keys, &mut out, &mut cur))??;
         }
         Ok(out)
     }
 
     /// Insert a sorted batch of `(key, rid)` entries in one ordered
     /// pass: the batch is partitioned over the tree's subtrees and each
-    /// affected node is read and written once, instead of once per
-    /// entry. Exact duplicate pairs are ignored, as in
-    /// [`BTree::insert`]. Entries must be sorted by `(key, rid)`.
+    /// affected node is visited once, instead of once per entry. Exact
+    /// duplicate pairs are ignored and over-long keys refused (before
+    /// anything is written), as in [`BTree::insert`]. Entries must be
+    /// sorted by `(key, rid)`.
     pub fn insert_many(&mut self, pool: &BufferPool, entries: &[(Vec<u8>, Rid)]) -> DbResult<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
         debug_assert!(
             entries.windows(2).all(|w| w[0] <= w[1]),
             "insert_many requires sorted entries"
         );
-        let mut pending = self.insert_many_rec(pool, self.root, entries)?;
+        entries.iter().try_for_each(|(k, _)| check_key(k))?;
+        self.insert_cells(pool, &entry_cells(entries))
+    }
+
+    fn insert_cells(&mut self, pool: &BufferPool, cells: &[Cell<'_>]) -> DbResult<()> {
+        if cells.is_empty() {
+            return Ok(());
+        }
+        let mut pending = self.insert_rec(pool, self.root, cells)?;
         // Root split(s): grow by one level per round until the new root
         // fits (a huge batch can hand back more separators than one
         // internal node holds).
         while !pending.is_empty() {
             let new_root = pool.allocate()?;
-            let node = Internal {
-                leftmost: self.root,
-                entries: pending,
-            };
+            pending = repack(pool, new_root, false, self.root, &sep_cells(&pending))?;
             self.root = new_root;
-            pending = write_internal_split(pool, new_root, node)?;
         }
         Ok(())
     }
 
-    /// Partition the (sorted) batch among this node's children by the
-    /// same augmented-key rule the single-entry descent uses — reading
-    /// the node bytes in place, so a no-split batch never decodes an
-    /// internal node.
-    fn raw_partition(
-        &self,
-        pool: &BufferPool,
-        pid: PageId,
-        entries: &[(Vec<u8>, Rid)],
-    ) -> DbResult<Option<Vec<(PageId, usize, usize)>>> {
-        pool.with_page(pid, |b| -> DbResult<Option<Vec<(PageId, usize, usize)>>> {
-            let node = RawNode::parse(b)?;
-            if node.leaf {
-                return Ok(None);
-            }
-            let mut segs: Vec<(PageId, usize, usize)> = Vec::new();
-            let mut lo = 0usize;
-            let mut child = node.first();
-            for (_, sep, p) in node.entries() {
-                let hi = lo
-                    + entries[lo..]
-                        .partition_point(|(k, r)| cmp_aug(k, *r, sep) == std::cmp::Ordering::Less);
-                if hi > lo {
-                    segs.push((child, lo, hi));
-                }
-                lo = hi;
-                child = payload_child(p);
-                if lo == entries.len() {
-                    break;
-                }
-            }
-            if lo < entries.len() {
-                segs.push((child, lo, entries.len()));
-            }
-            Ok(Some(segs))
-        })?
-    }
-
-    fn insert_many_rec(
+    /// Returns the separators of the siblings `pid` split off.
+    fn insert_rec(
         &mut self,
         pool: &BufferPool,
         pid: PageId,
-        entries: &[(Vec<u8>, Rid)],
-    ) -> DbResult<Vec<(Vec<u8>, PageId)>> {
-        match self.raw_partition(pool, pid, entries)? {
-            None => {
-                // Leaf. Fast path: splice entries in place until one
-                // does not fit; only then decode what the page now
-                // holds and take the multi-way split path for the rest.
-                let (placed, done) = pool.with_page_mut_if(pid, |b| {
-                    let mut placed = 0u64;
-                    let mut i = 0usize;
-                    let mut err = None;
-                    while i < entries.len() {
-                        match raw_leaf_insert(b, &entries[i].0, entries[i].1) {
-                            Ok(FastInsert::Inserted) => {
-                                placed += 1;
-                                i += 1;
-                            }
-                            Ok(FastInsert::Duplicate) => i += 1,
-                            Ok(FastInsert::NoFit) => break,
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    let dirtied = placed > 0;
-                    (
-                        match err {
-                            Some(e) => Err(e),
-                            None => Ok((placed, i)),
-                        },
-                        dirtied,
-                    )
-                })??;
-                self.len += placed;
-                if done == entries.len() {
-                    return Ok(Vec::new());
-                }
-                let mut leaf = match read_node(pool, pid)? {
-                    Node::Leaf(l) => l,
-                    Node::Internal(_) => unreachable!("raw_partition said leaf"),
-                };
-                for (key, rid) in &entries[done..] {
-                    match leaf
-                        .entries
-                        .binary_search_by(|(k, r)| cmp_entry(k, *r, key, *rid))
-                    {
-                        Ok(_) => {}
-                        Err(pos) => {
-                            leaf.entries.insert(pos, (key.clone(), *rid));
-                            self.len += 1;
-                        }
-                    }
-                }
-                write_leaf_split(pool, pid, leaf)
-            }
-            Some(segs) => {
-                let mut seps: Vec<(Vec<u8>, PageId)> = Vec::new();
-                for (child, lo, hi) in segs {
-                    seps.extend(self.insert_many_rec(pool, child, &entries[lo..hi])?);
-                }
-                if seps.is_empty() {
-                    return Ok(Vec::new());
-                }
-                // A child split: decode this node, thread the new
-                // separators in, and split it too if needed.
-                let mut node = match read_node(pool, pid)? {
-                    Node::Internal(n) => n,
-                    Node::Leaf(_) => unreachable!("raw_partition said internal"),
-                };
-                for sep in seps {
-                    let pos = node
-                        .entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(&sep.0[..]))
-                        .unwrap_or_else(|p| p);
-                    node.entries.insert(pos, sep);
-                }
-                write_internal_split(pool, pid, node)
-            }
+        cells: &[Cell<'_>],
+    ) -> DbResult<Vec<Sep>> {
+        let Some(segs) = partition(pool, pid, cells)? else {
+            let (added, seps) = add_cells(pool, pid, cells)?;
+            self.len += added as u64;
+            return Ok(seps);
+        };
+        let mut seps = Vec::new();
+        for (child, lo, hi) in segs {
+            seps.extend(self.insert_rec(pool, child, &cells[lo..hi])?);
         }
+        if seps.is_empty() {
+            return Ok(seps);
+        }
+        // Children split: thread their separators into this node.
+        Ok(add_cells(pool, pid, &sep_cells(&seps))?.1)
     }
 
     /// Remove a sorted batch of exact `(key, rid)` entries in one
@@ -840,73 +739,16 @@ impl BTree {
         pool: &BufferPool,
         entries: &[(Vec<u8>, Rid)],
     ) -> DbResult<usize> {
-        if entries.is_empty() {
-            return Ok(0);
-        }
         debug_assert!(
             entries.windows(2).all(|w| w[0] <= w[1]),
             "delete_many requires sorted entries"
         );
-        let removed = self.delete_many_rec(pool, self.root, entries)?;
+        if entries.is_empty() {
+            return Ok(0);
+        }
+        let removed = delete_rec(pool, self.root, &entry_cells(entries))?;
         self.len -= removed as u64;
         Ok(removed)
-    }
-
-    fn delete_many_rec(
-        &mut self,
-        pool: &BufferPool,
-        pid: PageId,
-        entries: &[(Vec<u8>, Rid)],
-    ) -> DbResult<usize> {
-        match self.raw_partition(pool, pid, entries)? {
-            None => {
-                // Leaf: in-place shifts, no decode/encode round-trip.
-                pool.with_page_mut_if(pid, |b| {
-                    let mut removed = 0usize;
-                    let mut err = None;
-                    for (key, rid) in entries {
-                        match raw_leaf_delete(b, key, *rid) {
-                            Ok(true) => removed += 1,
-                            Ok(false) => {}
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    let dirtied = removed > 0;
-                    (
-                        match err {
-                            Some(e) => Err(e),
-                            None => Ok(removed),
-                        },
-                        dirtied,
-                    )
-                })?
-            }
-            Some(segs) => {
-                let mut removed = 0;
-                for (child, lo, hi) in segs {
-                    removed += self.delete_many_rec(pool, child, &entries[lo..hi])?;
-                }
-                Ok(removed)
-            }
-        }
-    }
-
-    /// All rids stored under exactly `key`.
-    pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
-        let mut out = Vec::new();
-        self.scan_range(
-            pool,
-            Bound::Included(key),
-            Bound::Included(key),
-            |_, rid| {
-                out.push(rid);
-                true
-            },
-        )?;
-        Ok(out)
     }
 
     /// All `(key, rid)` entries whose key starts with `prefix`.
@@ -924,9 +766,10 @@ impl BTree {
 
     /// In-order scan over `[lo, hi]`; the callback returns `false` to stop.
     ///
-    /// Each leaf is copied into a page-sized scratch buffer once (so the
-    /// callback runs outside the buffer-pool latch and may safely call
-    /// back into the pool), then iterated without decoding.
+    /// The scan starts at the binary-searched position of `lo` in its
+    /// leaf. Each leaf is copied into a page-sized scratch buffer once,
+    /// so the callback runs outside the buffer-pool latch and may safely
+    /// call back into the pool.
     pub fn scan_range(
         &self,
         pool: &BufferPool,
@@ -934,36 +777,32 @@ impl BTree {
         hi: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], Rid) -> bool,
     ) -> DbResult<()> {
-        let start_key: &[u8] = match lo {
-            Bound::Included(k) | Bound::Excluded(k) => k,
-            Bound::Unbounded => &[],
+        // An exclusive bound starts past every rid stored under its key.
+        let (key, rid) = match lo {
+            Bound::Included(k) => (k, MIN_RID),
+            Bound::Excluded(k) => (k, MAX_RID),
+            Bound::Unbounded => (&[][..], MIN_RID),
         };
-        let mut pid = self.find_leaf(pool, &aug_key(start_key, MIN_RID))?;
-        let mut scratch: Box<[u8; PAGE_SIZE]> = Box::new([0u8; PAGE_SIZE]);
+        let mut pid = self.find_leaf(pool, key, rid)?;
+        let mut page = [0u8; PAGE_SIZE];
+        let mut lo = lo;
         loop {
-            pool.with_page(pid, |b| scratch.copy_from_slice(b))?;
-            let node = RawNode::parse(&scratch[..])?;
-            if !node.leaf {
-                return Err(DbError::Page("scan hit internal".into()));
-            }
-            for (_, k, p) in node.entries() {
-                let after_lo = match lo {
-                    Bound::Included(l) => k >= l,
-                    Bound::Excluded(l) => k > l,
-                    Bound::Unbounded => true,
-                };
-                if !after_lo {
-                    continue;
-                }
+            pool.with_page(pid, |b| page.copy_from_slice(b))?;
+            let node = Node::open(&page)?.expect_leaf()?;
+            // Only the first leaf can hold entries below the bound.
+            let from = match std::mem::replace(&mut lo, Bound::Unbounded) {
+                Bound::Included(k) => node.search(k, MIN_RID)?.0,
+                Bound::Excluded(k) => node.route(k, MAX_RID)?,
+                Bound::Unbounded => 0,
+            };
+            for i in from..node.n {
+                let c = node.cell(i)?;
                 let before_hi = match hi {
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
+                    Bound::Included(h) => c.key <= h,
+                    Bound::Excluded(h) => c.key < h,
                     Bound::Unbounded => true,
                 };
-                if !before_hi {
-                    return Ok(());
-                }
-                if !f(k, payload_rid(p)) {
+                if !before_hi || !f(c.key, c.rid) {
                     return Ok(());
                 }
             }
@@ -1004,145 +843,119 @@ impl BTree {
         Ok(out)
     }
 
-    /// Structural check used by property tests: keys sorted within and
-    /// across leaves; `len` matches entry count.
+    /// Whole-tree structural check, used by tests and after recovery.
+    /// Descending from the root: every leaf at the same depth; each
+    /// node's slots strictly ascending in `(key, rid)`, its cells inside
+    /// the page, non-overlapping and summing to the header's `live`;
+    /// every cell of a subtree within the separators around it; the
+    /// leaf chain equal to the in-order traversal; `len` equal to the
+    /// entry count.
     pub fn validate(&self, pool: &BufferPool) -> DbResult<()> {
-        let mut prev: Option<Vec<u8>> = None;
-        let mut count = 0u64;
-        self.scan_range(pool, Bound::Unbounded, Bound::Unbounded, |k, _| {
-            if let Some(p) = &prev {
-                assert!(p.as_slice() <= k, "btree order violated");
+        let mut walk = Walk::default();
+        walk.node(pool, self.root, 0, None, None)?;
+        for (i, &(pid, next)) in walk.leaves.iter().enumerate() {
+            let want = walk.leaves.get(i + 1).map_or(INVALID_PAGE, |l| l.0);
+            if next != want {
+                return Err(corrupt(format!(
+                    "btree leaf {pid} chains to {next}, in-order successor is {want}"
+                )));
             }
-            prev = Some(k.to_vec());
-            count += 1;
-            true
-        })?;
-        if count != self.len {
-            return Err(DbError::Page(format!(
-                "btree len {} != scanned {}",
-                self.len, count
+        }
+        if walk.entries != self.len {
+            return Err(corrupt(format!(
+                "btree len {} != {} entries in the leaves",
+                self.len, walk.entries
             )));
         }
         Ok(())
     }
 }
 
-/// Batch splits target this fill so a freshly split node absorbs more
-/// inserts before splitting again (a 100%-full chunk would split on the
-/// very next insert).
-const SPLIT_FILL: usize = (PAGE_SIZE * 2) / 3;
-
-/// Write `leaf` back to `pid`, splitting it into however many chained
-/// leaves a batch insert requires. Returns the separators of every new
-/// right sibling (empty when the node fit as-is).
-fn write_leaf_split(
-    pool: &BufferPool,
-    pid: PageId,
-    leaf: Leaf,
-) -> DbResult<Vec<(Vec<u8>, PageId)>> {
-    let node = Node::Leaf(leaf);
-    if node.encoded_len() <= PAGE_SIZE {
-        write_node(pool, pid, &node)?;
-        return Ok(Vec::new());
-    }
-    let leaf = match node {
-        Node::Leaf(l) => l,
-        _ => unreachable!(),
+fn delete_rec(pool: &BufferPool, pid: PageId, cells: &[Cell<'_>]) -> DbResult<usize> {
+    let Some(segs) = partition(pool, pid, cells)? else {
+        return pool.with_page_mut_if(pid, |b| {
+            let mut removed = 0;
+            let mut res = Ok(());
+            for c in cells {
+                match unplace(b, c.key, c.rid) {
+                    Ok(existed) => removed += usize::from(existed),
+                    Err(e) => {
+                        res = Err(e);
+                        break;
+                    }
+                }
+            }
+            (res.map(|()| removed), removed > 0)
+        })?;
     };
-    // Greedy chunking under the split-fill target; each chunk becomes
-    // one leaf in the original chain position.
-    let mut chunks: Vec<Vec<(Vec<u8>, Rid)>> = vec![Vec::new()];
-    let mut size = 7usize;
-    for e in leaf.entries {
-        let esz = 2 + e.0.len() + 6;
-        if size + esz > SPLIT_FILL && !chunks.last().expect("non-empty").is_empty() {
-            chunks.push(Vec::new());
-            size = 7;
-        }
-        size += esz;
-        chunks.last_mut().expect("non-empty").push(e);
+    let mut removed = 0;
+    for (child, lo, hi) in segs {
+        removed += delete_rec(pool, child, &cells[lo..hi])?;
     }
-    let tail_next = leaf.next;
-    let mut seps = Vec::with_capacity(chunks.len() - 1);
-    let mut pids = vec![pid];
-    for chunk in &chunks[1..] {
-        let new_pid = pool.allocate()?;
-        seps.push((aug_key(&chunk[0].0, chunk[0].1), new_pid));
-        pids.push(new_pid);
-    }
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let next = pids.get(i + 1).copied().unwrap_or(tail_next);
-        write_node(
-            pool,
-            pids[i],
-            &Node::Leaf(Leaf {
-                next,
-                entries: chunk,
-            }),
-        )?;
-    }
-    Ok(seps)
+    Ok(removed)
 }
 
-/// Write internal `node` back to `pid`, splitting it into however many
-/// internal nodes a batch insert requires; between chunks, one entry's
-/// key moves up as the separator and its child becomes the next chunk's
-/// leftmost (the multi-way generalization of the single-insert split).
-fn write_internal_split(
-    pool: &BufferPool,
-    pid: PageId,
-    node: Internal,
-) -> DbResult<Vec<(Vec<u8>, PageId)>> {
-    let enc = Node::Internal(node);
-    if enc.encoded_len() <= PAGE_SIZE {
-        write_node(pool, pid, &enc)?;
-        return Ok(Vec::new());
-    }
-    let node = match enc {
-        Node::Internal(n) => n,
-        _ => unreachable!(),
-    };
-    let mut seps = Vec::new();
-    let mut cur = Internal {
-        leftmost: node.leftmost,
-        entries: Vec::new(),
-    };
-    let mut cur_pid = pid;
-    let mut size = 7usize;
-    for (key, child) in node.entries {
-        let esz = 2 + key.len() + 4;
-        if size + esz > SPLIT_FILL && !cur.entries.is_empty() {
-            // `key` moves up; `child` seeds the next chunk.
-            write_node(pool, cur_pid, &Node::Internal(cur))?;
-            let new_pid = pool.allocate()?;
-            seps.push((key, new_pid));
-            cur = Internal {
-                leftmost: child,
-                entries: Vec::new(),
-            };
-            cur_pid = new_pid;
-            size = 7;
-            continue;
-        }
-        size += esz;
-        cur.entries.push((key, child));
-    }
-    write_node(pool, cur_pid, &Node::Internal(cur))?;
-    Ok(seps)
+/// State of one [`BTree::validate`] descent.
+#[derive(Default)]
+struct Walk {
+    /// `(pid, next)` of every leaf, in traversal order.
+    leaves: Vec<(PageId, PageId)>,
+    entries: u64,
+    leaf_depth: Option<usize>,
 }
 
-/// Index of the child of `node` that should contain `key`:
-/// 0 → `leftmost`, i → `entries[i-1].1`.
-fn child_index(node: &Internal, key: &[u8]) -> usize {
-    // First entry with key_i > key; descend just before it.
-    match node
-        .entries
-        .binary_search_by(|(k, _)| match k.as_slice().cmp(key) {
-            std::cmp::Ordering::Equal => std::cmp::Ordering::Less, // equal → right side
-            o => o,
-        }) {
-        Ok(_) => unreachable!("comparator never returns Equal"),
-        Err(p) => p,
+impl Walk {
+    /// Check node `pid` and its subtree; `lo`/`hi` are the separators
+    /// around it (`lo <= every cell < hi`).
+    fn node(
+        &mut self,
+        pool: &BufferPool,
+        pid: PageId,
+        depth: usize,
+        lo: Option<Cell<'_>>,
+        hi: Option<Cell<'_>>,
+    ) -> DbResult<()> {
+        let bad = |what: &str| Err(corrupt(format!("btree node {pid}: {what}")));
+        if depth > 32 {
+            return bad("deeper than any tree this pool can hold (a cycle?)");
+        }
+        let mut page = [0u8; PAGE_SIZE];
+        pool.with_page(pid, |b| page.copy_from_slice(b))?;
+        let node = Node::open(&page)?;
+        let cells = node.all_cells()?;
+        let mut extents: Vec<(usize, usize)> = (cells.iter().enumerate())
+            .map(|(i, c)| (node.slot(i), node.slot(i) + c.size(node.leaf)))
+            .collect();
+        extents.sort_unstable();
+        if extents.windows(2).any(|w| w[0].1 > w[1].0) {
+            return bad("cells overlap");
+        }
+        if extents.iter().map(|e| e.1 - e.0).sum::<usize>() != node.live {
+            return bad("header live bytes differ from the cells' sizes");
+        }
+        let ascending = |w: &[Cell<'_>]| w[0].cmp_to(w[1].key, w[1].rid) == Ordering::Less;
+        if !cells.windows(2).all(ascending) {
+            return bad("slots out of (key, rid) order");
+        }
+        let below_lo = |c: &Cell<'_>| lo.is_some_and(|l| c.cmp_to(l.key, l.rid) == Ordering::Less);
+        let below_hi = |c: &Cell<'_>| hi.is_none_or(|h| c.cmp_to(h.key, h.rid) == Ordering::Less);
+        if cells.first().is_some_and(below_lo) || !cells.last().is_none_or(below_hi) {
+            return bad("cells outside the parent's separators");
+        }
+        if node.leaf {
+            if *self.leaf_depth.get_or_insert(depth) != depth {
+                return bad("leaf at a different depth than the leftmost leaf");
+            }
+            self.leaves.push((pid, node.first()));
+            self.entries += cells.len() as u64;
+            return Ok(());
+        }
+        for i in 0..=cells.len() {
+            let lo = if i == 0 { lo } else { Some(cells[i - 1]) };
+            let hi = cells.get(i).copied().or(hi);
+            self.node(pool, node.child_at(i)?, depth + 1, lo, hi)?;
+        }
+        Ok(())
     }
 }
 
@@ -1519,6 +1332,242 @@ mod tests {
         }
         bt.validate(&bp).unwrap();
         assert!(bp.stats().evictions > 0);
+    }
+
+    #[test]
+    fn holes_left_by_deletes_are_reclaimed_in_place() {
+        let bp = pool(8);
+        let mut bt = BTree::create(&bp).unwrap();
+        // Fill the root leaf to the last entry that fits…
+        let mut n = 0i64;
+        while bp.num_pages() == 1 {
+            bt.insert(&bp, &key_i(n), rid(n as u32)).unwrap();
+            n += 1;
+        }
+        // …(the last insert split it: start over, one short of that).
+        let bp = pool(8);
+        let mut bt = BTree::create(&bp).unwrap();
+        for i in 0..n - 1 {
+            bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
+        }
+        assert_eq!(bp.num_pages(), 1, "the leaf is full but whole");
+        // Deletes free no contiguous space, only holes; longer keys then
+        // fit only if the node compacts itself instead of splitting.
+        for i in (0..n - 1).filter(|i| i % 4 != 0) {
+            assert!(bt.delete(&bp, &key_i(i), rid(i as u32)).unwrap());
+        }
+        let long = |i: i64| encode_composite_key(&[Value::Int(i), Value::Str("x".repeat(40))]);
+        for i in 0..n / 8 {
+            bt.insert(&bp, &long(i * 4), rid(i as u32)).unwrap();
+        }
+        assert_eq!(bp.num_pages(), 1, "holes were reused, nothing split");
+        bt.validate(&bp).unwrap();
+        for i in 0..n / 8 {
+            assert_eq!(bt.lookup(&bp, &long(i * 4)).unwrap(), vec![rid(i as u32)]);
+            assert_eq!(
+                bt.lookup(&bp, &key_i(i * 4)).unwrap(),
+                vec![rid(i as u32 * 4)]
+            );
+        }
+    }
+
+    #[test]
+    fn over_long_keys_are_refused_untouched() {
+        let bp = pool(8);
+        let mut bt = BTree::create(&bp).unwrap();
+        let (fits, too_long) = (vec![7u8; MAX_KEY_LEN], vec![7u8; MAX_KEY_LEN + 1]);
+        // Maximal keys still split cleanly (four or more to a node).
+        for i in 0..40 {
+            bt.insert(&bp, &fits, rid(i)).unwrap();
+        }
+        bt.validate(&bp).unwrap();
+        let err = DbError::KeyTooLarge(MAX_KEY_LEN + 1);
+        assert_eq!(bt.insert(&bp, &too_long, rid(1)), Err(err.clone()));
+        let batch = vec![(vec![1u8], rid(1)), (too_long, rid(2))];
+        assert_eq!(bt.insert_many(&bp, &batch), Err(err));
+        assert_eq!(bt.len(), 40, "a refused batch inserts none of its entries");
+        assert!(bt.lookup(&bp, &[1u8]).unwrap().is_empty());
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Every public operation, against a tree rooted at `root`.
+    type TreeOp = (&'static str, fn(&BufferPool, PageId) -> DbResult<()>);
+    const TREE_OPS: [TreeOp; 10] = [
+        ("insert", |bp, root| {
+            BTree::from_parts(root, 9).insert(bp, &key_i(50), rid(1))
+        }),
+        ("delete", |bp, root| {
+            BTree::from_parts(root, 9)
+                .delete(bp, &key_i(50), rid(1))
+                .map(drop)
+        }),
+        ("insert_many", |bp, root| {
+            let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
+            BTree::from_parts(root, 9).insert_many(bp, &batch)
+        }),
+        ("delete_many", |bp, root| {
+            let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
+            BTree::from_parts(root, 9).delete_many(bp, &batch).map(drop)
+        }),
+        ("lookup", |bp, root| {
+            BTree::from_parts(root, 9).lookup(bp, &key_i(50)).map(drop)
+        }),
+        ("lookup_many", |bp, root| {
+            BTree::from_parts(root, 9)
+                .lookup_many(bp, &[key_i(50), key_i(60)])
+                .map(drop)
+        }),
+        ("lookup_prefix", |bp, root| {
+            BTree::from_parts(root, 9).lookup_prefix(bp, &[]).map(drop)
+        }),
+        ("scan_range", |bp, root| {
+            let (lo, hi) = (key_i(50), key_i(60));
+            let tree = BTree::from_parts(root, 9);
+            tree.scan_range(bp, Bound::Excluded(&lo), Bound::Included(&hi), |_, _| true)
+        }),
+        ("first_n_at_or_after", |bp, root| {
+            BTree::from_parts(root, 9)
+                .first_n_at_or_after(bp, &key_i(50), 3)
+                .map(drop)
+        }),
+        ("validate", |bp, root| {
+            BTree::from_parts(root, 9).validate(bp)
+        }),
+    ];
+
+    /// Run every operation against `image` installed as the root page
+    /// (re-installed each time: an operation may have rewritten it).
+    fn ops_on_root(
+        bp: &BufferPool,
+        root: PageId,
+        image: &[u8],
+    ) -> Vec<(&'static str, DbResult<()>)> {
+        let run = |(name, op): &TreeOp| {
+            bp.with_page_mut(root, |b| b.copy_from_slice(image))
+                .unwrap();
+            (*name, op(bp, root))
+        };
+        TREE_OPS.iter().map(run).collect()
+    }
+
+    #[test]
+    fn corrupt_nodes_are_page_errors_never_panics() {
+        // Two trees: a root that is a leaf, a root that is internal. A
+        // node's first binary-search probe is always its middle slot, so
+        // corrupting that one is seen by every operation.
+        for entries in [100i64, 3000] {
+            let bp = pool(64);
+            let mut bt = BTree::create(&bp).unwrap();
+            for i in 0..entries {
+                bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
+            }
+            let root = bt.root();
+            let good = bp.with_page(root, |b| b.to_vec()).unwrap();
+            let node = Node::open(&good).unwrap();
+            assert_eq!(node.leaf, entries == 100);
+            let mid_slot = HDR + SLOT * (node.n / 2);
+            let mid_cell = node.slot(node.n / 2);
+            let with = |off: usize, v: u16| {
+                let mut image = good.clone();
+                image[off..off + 2].copy_from_slice(&v.to_le_bytes());
+                image
+            };
+            let mut x = 0x2545_F491_4F6C_DD1D;
+            let mut noise: Vec<u8> = good.iter().map(|_| xorshift(&mut x) as u8).collect();
+            noise[0] = 0x5A;
+            let cases = [
+                ("random bytes", noise),
+                ("packed-layout type byte of earlier store files", {
+                    let mut image = good.clone();
+                    image[0] -= 2;
+                    image
+                }),
+                ("count beyond the cell area", with(1, u16::MAX)),
+                ("cell area beyond the page", with(7, PAGE_SIZE as u16 + 1)),
+                ("slot beyond the page", with(mid_slot, u16::MAX)),
+                ("slot inside the header", with(mid_slot, 3)),
+                (
+                    "length prefix running off the page",
+                    with(mid_slot, PAGE_SIZE as u16 - 1),
+                ),
+                ("cell running off the page", with(mid_cell, 0x7FFF)),
+            ];
+            for (what, image) in &cases {
+                for (op, res) in ops_on_root(&bp, root, image) {
+                    assert!(
+                        matches!(res, Err(DbError::Page(_))),
+                        "{entries}-entry tree, {what}: {op} returned {res:?}"
+                    );
+                }
+            }
+            // Arbitrary bytes under a valid type byte: anything goes,
+            // except a panic or an error that is not `Page`.
+            for seed in 0..200u64 {
+                let mut image = good.clone();
+                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for byte in image.iter_mut().skip(1) {
+                    let x = xorshift(&mut x);
+                    // Mostly small values, so headers pass the O(1) check.
+                    *byte = if x.is_multiple_of(3) {
+                        x as u8
+                    } else {
+                        (x >> 8) as u8 % 16
+                    };
+                }
+                for (op, res) in ops_on_root(&bp, root, &image) {
+                    assert!(
+                        matches!(res, Ok(()) | Err(DbError::Page(_))),
+                        "fuzzed node {seed}: {op} returned {res:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_sees_what_a_leaf_chain_walk_cannot() {
+        let bp = pool(64);
+        let mut bt = BTree::create(&bp).unwrap();
+        for i in 0..3000i64 {
+            bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
+        }
+        bt.validate(&bp).unwrap();
+        let root = bt.root();
+        let good = bp.with_page(root, |b| b.to_vec()).unwrap();
+        let node = Node::open(&good).unwrap();
+        assert!(!node.leaf && node.n >= 3);
+        let broken = |edit: &dyn Fn(&mut [u8])| {
+            bp.with_page_mut(root, |b| {
+                b.copy_from_slice(&good);
+                edit(b);
+            })
+            .unwrap();
+            let res = bt.validate(&bp);
+            assert!(matches!(res, Err(DbError::Page(_))), "{res:?}");
+        };
+        // Two separators swapped: every leaf is still sorted and chained.
+        let (s0, s1) = (node.slot(0) as u16, node.slot(1) as u16);
+        broken(&|b| {
+            b[HDR..HDR + 2].copy_from_slice(&s1.to_le_bytes());
+            b[HDR + 2..HDR + 4].copy_from_slice(&s0.to_le_bytes());
+        });
+        // A separator above entries of the child it leads to.
+        let key_at = node.slot(1) + 2;
+        broken(&|b| b[key_at + 8] ^= 0x40);
+        // Two slots sharing one cell; a header that miscounts its cells.
+        broken(&|b| b[HDR + 2..HDR + 4].copy_from_slice(&s0.to_le_bytes()));
+        broken(&|b| b[9] ^= 1);
+        // A wrong entry count.
+        bp.with_page_mut(root, |b| b.copy_from_slice(&good))
+            .unwrap();
+        bt.validate(&bp).unwrap();
+        assert!(BTree::from_parts(root, 2999).validate(&bp).is_err());
     }
 
     #[test]

@@ -61,6 +61,8 @@ use crate::error::{DbError, DbResult};
 use crate::page::{PageId, INVALID_PAGE, PAGE_SIZE};
 use crate::wal::Wal;
 use lockcheck::{rank, OrderedMutex};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -156,11 +158,36 @@ impl Frame {
     }
 }
 
+/// Hasher for the page → frame maps. Page ids are dense integers this
+/// program allocates itself, so SipHash's flood resistance buys nothing
+/// on the pool's hit path; one multiply spreads them, and the fold
+/// brings the well-mixed high half into the low bits the table indexes
+/// by (a shard's ids all share their low bits).
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PageId hashes through write_u32");
+    }
+
+    fn write_u32(&mut self, pid: u32) {
+        self.0 = u64::from(pid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// One lock stripe: the frames (and their map) for pages whose id hashes
 /// here. All fields are guarded by the shard's mutex.
 struct Shard {
     frames: Vec<Frame>,
-    map: std::collections::HashMap<PageId, usize>,
+    map: HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>,
+    /// Frames holding no page. A warmed shard has none, so a miss goes
+    /// straight to eviction instead of scanning for one.
+    free: usize,
     clock_hand: usize,
     tick: u64,
 }
@@ -169,7 +196,8 @@ impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
             frames: (0..capacity).map(|_| Frame::empty()).collect(),
-            map: std::collections::HashMap::with_capacity(capacity * 2),
+            map: HashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
+            free: capacity,
             clock_hand: 0,
             tick: 0,
         }
@@ -426,14 +454,10 @@ impl BufferPool {
         self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         let frame = self.victim_frame(shard)?;
         let f = &mut shard.frames[frame];
-        // Newest image may live in the WAL (evicted since the last
-        // checkpoint); the data file only holds checkpointed state.
-        let in_wal = match &self.wal {
-            Some(wal) => wal.read_page_into(pid, &mut f.data)?,
-            None => false,
-        };
-        if !in_wal {
-            self.disk.lock().read(pid, &mut f.data)?;
+        if let Err(e) = self.load(pid, &mut f.data) {
+            // The victim frame was emptied for a page that never arrived.
+            shard.free += 1;
+            return Err(e);
         }
         f.page = pid;
         f.dirty = false;
@@ -441,12 +465,29 @@ impl BufferPool {
         Ok(frame)
     }
 
+    /// Read the newest image of `pid`: it may live in the WAL (evicted
+    /// since the last checkpoint); the data file only holds
+    /// checkpointed state.
+    fn load(&self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> DbResult<()> {
+        let in_wal = match &self.wal {
+            Some(wal) => wal.read_page_into(pid, buf)?,
+            None => false,
+        };
+        if !in_wal {
+            self.disk.lock().read(pid, buf)?;
+        }
+        Ok(())
+    }
+
     /// Pick a frame within `shard` to hold a new page, evicting (and
     /// write-backing) its current occupant if needed.
     fn victim_frame(&self, shard: &mut Shard) -> DbResult<usize> {
         // Prefer an empty frame.
-        if let Some(i) = shard.frames.iter().position(|f| f.page == INVALID_PAGE) {
-            return Ok(i);
+        if shard.free > 0 {
+            if let Some(i) = shard.frames.iter().position(|f| f.page == INVALID_PAGE) {
+                shard.free -= 1;
+                return Ok(i);
+            }
         }
         let victim = match self.policy {
             EvictionPolicy::Lru => shard
@@ -530,6 +571,17 @@ mod tests {
         assert_eq!(s.logical_reads, 100);
         assert_eq!(s.physical_reads, 0);
         assert!((s.hit_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn failed_fetch_hands_its_frame_back() {
+        let bp = pool(2);
+        let a = bp.allocate().unwrap();
+        assert!(bp.with_page(a + 7, |_| ()).is_err(), "page never allocated");
+        // The frame the failed read had claimed is still counted empty:
+        // a second page fits without evicting the first.
+        bp.allocate().unwrap();
+        assert_eq!(bp.stats().evictions, 0);
     }
 
     #[test]

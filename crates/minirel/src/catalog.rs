@@ -5,7 +5,7 @@
 //! hand amounted to reinventing the wheel"* — this module is that wheel:
 //! every insert/delete/update maintains all of a table's B+tree indexes.
 
-use crate::btree::BTree;
+use crate::btree::{check_key, BTree};
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::{HeapFile, Rid};
@@ -32,6 +32,20 @@ impl IndexInfo {
         let vals: Vec<Value> = self.cols.iter().map(|&c| row[c].clone()).collect();
         encode_composite_key(&vals)
     }
+
+    /// [`Self::key_of`], refusing a key no B+tree node can hold. Every
+    /// mutation path computes its keys through this *before* its first
+    /// heap write, so an over-long key leaves heap and indexes agreeing.
+    fn checked_key(&self, row: &[Value]) -> DbResult<Vec<u8>> {
+        let key = self.key_of(row);
+        check_key(&key)?;
+        Ok(key)
+    }
+}
+
+/// One checked key per index of `t`, in index order.
+fn checked_keys(t: &TableInfo, row: &[Value]) -> DbResult<Vec<Vec<u8>>> {
+    t.indexes.iter().map(|idx| idx.checked_key(row)).collect()
 }
 
 /// A table: schema + heap file + indexes.
@@ -153,25 +167,23 @@ impl Catalog {
                     .ok_or_else(|| DbError::Binding(format!("no column {c} in {table}")))
             })
             .collect::<DbResult<_>>()?;
-        let mut btree = BTree::create(pool)?;
-        // Backfill: materialize (key, rid) then insert (cannot hold pool
-        // borrow across the scan).
-        let mut entries: Vec<(Vec<u8>, Rid)> = Vec::new();
-        let info = IndexInfo {
+        let mut info = IndexInfo {
             name: index_name.to_owned(),
             cols: col_idx,
             btree: BTree::create(pool)?,
         };
+        // Backfill: materialize (key, rid) then insert (cannot hold pool
+        // borrow across the scan). An existing row whose key is too long
+        // refuses the index before anything is inserted.
+        let mut entries: Vec<DbResult<(Vec<u8>, Rid)>> = Vec::new();
         self.tables[tid].heap.scan(pool, |rid, bytes| {
             if let Ok(row) = decode_row(bytes) {
-                entries.push((info.key_of(&row), rid));
+                entries.push(info.checked_key(&row).map(|k| (k, rid)));
             }
         })?;
-        for (k, rid) in entries {
-            btree.insert(pool, &k, rid)?;
+        for (k, rid) in entries.into_iter().collect::<DbResult<Vec<_>>>()? {
+            info.btree.insert(pool, &k, rid)?;
         }
-        let mut info = info;
-        info.btree = btree;
         self.tables[tid].indexes.push(info);
         Ok(())
     }
@@ -180,10 +192,10 @@ impl Catalog {
     pub fn insert_row(&mut self, pool: &BufferPool, tid: TableId, mut row: Row) -> DbResult<Rid> {
         let t = &mut self.tables[tid];
         t.schema.check_row(&mut row)?;
+        let keys = checked_keys(t, &row)?;
         let rid = t.heap.insert(pool, &encode_row(&row))?;
-        for idx in &mut t.indexes {
-            let key = idx.key_of(&row);
-            idx.btree.insert(pool, &key, rid)?;
+        for (idx, key) in t.indexes.iter_mut().zip(&keys) {
+            idx.btree.insert(pool, key, rid)?;
         }
         Ok(rid)
     }
@@ -203,15 +215,16 @@ impl Catalog {
         for row in &mut rows {
             t.schema.check_row(row)?;
         }
+        // Per index, one key per row: all checked before the heap moves.
+        let keys: Vec<Vec<Vec<u8>>> = (t.indexes.iter())
+            .map(|idx| rows.iter().map(|row| idx.checked_key(row)).collect())
+            .collect::<DbResult<_>>()?;
         let encoded: Vec<Vec<u8>> = rows.iter().map(|row| encode_row(row)).collect();
         let recs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let rids = t.heap.insert_many(pool, &recs)?;
-        for idx in &mut t.indexes {
-            let mut entries: Vec<(Vec<u8>, Rid)> = rows
-                .iter()
-                .zip(&rids)
-                .map(|(row, &rid)| (idx.key_of(row), rid))
-                .collect();
+        for (idx, keys) in t.indexes.iter_mut().zip(keys) {
+            let mut entries: Vec<(Vec<u8>, Rid)> =
+                keys.into_iter().zip(rids.iter().copied()).collect();
             entries.sort_unstable();
             idx.btree.insert_many(pool, &entries)?;
         }
@@ -228,8 +241,9 @@ impl Catalog {
     /// path (the frontier's claim/upsert batches) just read those rows
     /// to decide the update, so taking them here instead of re-fetching
     /// halves the heap traffic of the batch. Rows are validated and
-    /// encoded *before* the first heap write, so a schema violation or
-    /// oversized row anywhere in the batch mutates nothing.
+    /// encoded, and their index keys checked, *before* the first heap
+    /// write, so a schema violation, oversized row or over-long key
+    /// anywhere in the batch mutates nothing.
     pub fn update_many(
         &mut self,
         pool: &BufferPool,
@@ -252,18 +266,21 @@ impl Catalog {
             new_rows.push(new_row);
             encoded.push(enc);
         }
+        // Per index, each row's new key.
+        let new_keys: Vec<Vec<Vec<u8>>> = (t.indexes.iter())
+            .map(|idx| new_rows.iter().map(|row| idx.checked_key(row)).collect())
+            .collect::<DbResult<_>>()?;
         let mut new_rids = Vec::with_capacity(rids.len());
         for (&rid, enc) in rids.iter().zip(&encoded) {
             new_rids.push(t.heap.update(pool, rid, enc)?);
         }
-        for idx in &mut t.indexes {
+        for (idx, new_keys) in t.indexes.iter_mut().zip(new_keys) {
             let mut stale: Vec<(Vec<u8>, Rid)> = Vec::new();
             let mut fresh: Vec<(Vec<u8>, Rid)> = Vec::new();
-            for (((old_row, new_row), &old_rid), &new_rid) in
-                old_rows.iter().zip(&new_rows).zip(&rids).zip(&new_rids)
+            for (((old_row, new_key), &old_rid), &new_rid) in
+                old_rows.iter().zip(new_keys).zip(&rids).zip(&new_rids)
             {
                 let old_key = idx.key_of(old_row);
-                let new_key = idx.key_of(new_row);
                 if old_key != new_key || new_rid != old_rid {
                     stale.push((old_key, old_rid));
                     fresh.push((new_key, new_rid));
@@ -305,13 +322,13 @@ impl Catalog {
         let old_row = self.get_row(pool, tid, rid)?;
         let t = &mut self.tables[tid];
         t.schema.check_row(&mut new_row)?;
+        let new_keys = checked_keys(t, &new_row)?;
         let new_rid = t.heap.update(pool, rid, &encode_row(&new_row))?;
-        for idx in &mut t.indexes {
+        for (idx, new_key) in t.indexes.iter_mut().zip(&new_keys) {
             let old_key = idx.key_of(&old_row);
-            let new_key = idx.key_of(&new_row);
-            if old_key != new_key || new_rid != rid {
+            if old_key != *new_key || new_rid != rid {
                 idx.btree.delete(pool, &old_key, rid)?;
-                idx.btree.insert(pool, &new_key, new_rid)?;
+                idx.btree.insert(pool, new_key, new_rid)?;
             }
         }
         Ok(new_rid)
@@ -388,6 +405,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::MAX_KEY_LEN;
     use crate::buffer::EvictionPolicy;
     use crate::disk::DiskManager;
     use crate::schema::ColumnType;
@@ -645,6 +663,90 @@ mod tests {
         assert!(matches!(res, Err(DbError::RecordTooLarge(_))));
         assert_eq!(cat.table(tid).heap.len(), heap_before);
         assert_eq!(cat.table(tid).indexes[0].btree.len(), idx_before);
+    }
+
+    /// A legal 2.1 KB row whose text key escapes to 4.2 KB: more than
+    /// any B+tree node holds.
+    fn long_key_row(a: i64) -> Row {
+        vec![
+            Value::Int(a),
+            Value::Str(format!("{a}{}", "\0".repeat(2100))),
+            Value::Float(0.0),
+        ]
+    }
+
+    /// Heap rows, entries of index 0, and what an index scan returns.
+    fn agreement(pool: &BufferPool, cat: &Catalog, tid: TableId) -> (u64, u64, usize) {
+        let t = cat.table(tid);
+        let bt = &t.indexes[0].btree;
+        bt.validate(pool).unwrap();
+        let scanned = bt.lookup_prefix(pool, &[]).unwrap().len();
+        (t.heap.len(), bt.len(), scanned)
+    }
+
+    #[test]
+    fn over_long_index_key_is_refused_before_the_heap_write() {
+        let (pool, mut cat, tid) = setup();
+        cat.create_index(&pool, "byurl", "crawl", &["url"]).unwrap();
+        // Regression: each insert used to fail inside the B+tree *after*
+        // the heap write, so a table scan saw 3 rows and an index scan 0.
+        for a in 1..=3 {
+            let res = cat.insert_row(&pool, tid, long_key_row(a));
+            assert!(
+                matches!(res, Err(DbError::KeyTooLarge(n)) if n > 4200),
+                "{res:?}"
+            );
+        }
+        assert_eq!(agreement(&pool, &cat, tid), (0, 0, 0));
+        // The longest key that is accepted, and the first that is not.
+        // (Tag byte + two-byte terminator around the text.)
+        let fits = "k".repeat(MAX_KEY_LEN - 3);
+        let row = |s: &str| vec![Value::Int(9), Value::Str(s.into()), Value::Float(0.0)];
+        assert_eq!(
+            cat.table(tid).indexes[0].key_of(&row(&fits)).len(),
+            MAX_KEY_LEN
+        );
+        let rid = cat.insert_row(&pool, tid, row(&fits)).unwrap();
+        assert!(matches!(
+            cat.insert_row(&pool, tid, row(&format!("{fits}k"))),
+            Err(DbError::KeyTooLarge(_))
+        ));
+        // An update to an over-long key leaves the old row and entry.
+        let res = cat.update_row(&pool, tid, rid, long_key_row(9));
+        assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
+        assert_eq!(cat.get_row(&pool, tid, rid).unwrap(), row(&fits));
+        assert_eq!(agreement(&pool, &cat, tid), (1, 1, 1));
+    }
+
+    #[test]
+    fn batch_with_one_over_long_key_mutates_nothing() {
+        let (pool, mut cat, tid) = setup();
+        cat.create_index(&pool, "byurl", "crawl", &["url"]).unwrap();
+        let ok = |a: i64| {
+            vec![
+                Value::Int(a),
+                Value::Str(format!("u{a}")),
+                Value::Float(0.0),
+            ]
+        };
+        let rids = cat.insert_many(&pool, tid, vec![ok(1), ok(2)]).unwrap();
+        let res = cat.insert_many(&pool, tid, vec![ok(3), long_key_row(4), ok(5)]);
+        assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
+        assert_eq!(agreement(&pool, &cat, tid), (2, 2, 2));
+        let res = cat.update_many(
+            &pool,
+            tid,
+            vec![(rids[0], ok(1), ok(7)), (rids[1], ok(2), long_key_row(2))],
+        );
+        assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
+        assert_eq!(cat.get_row(&pool, tid, rids[0]).unwrap(), ok(1));
+        assert_eq!(agreement(&pool, &cat, tid), (2, 2, 2));
+        // An index over existing rows with such a key is refused whole.
+        let (pool, mut cat, tid) = setup();
+        cat.insert_row(&pool, tid, long_key_row(1)).unwrap();
+        let res = cat.create_index(&pool, "byurl", "crawl", &["url"]);
+        assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
+        assert!(cat.table(tid).indexes.is_empty());
     }
 
     #[test]

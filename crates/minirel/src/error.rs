@@ -32,6 +32,9 @@ pub enum DbError {
     Eval(String),
     /// A record larger than a page was inserted.
     RecordTooLarge(usize),
+    /// An index key longer than a B+tree node can hold
+    /// ([`crate::btree::MAX_KEY_LEN`]); refused before any write.
+    KeyTooLarge(usize),
     /// A stored row decoded to values its consumer cannot accept —
     /// on-disk corruption or a schema drifting out from under its
     /// readers. Never masked with fabricated defaults.
@@ -58,6 +61,10 @@ impl fmt::Display for DbError {
             DbError::Eval(m) => write!(f, "evaluation error: {m}"),
             DbError::RecordTooLarge(n) => {
                 write!(f, "record of {n} bytes exceeds page capacity")
+            }
+            DbError::KeyTooLarge(n) => {
+                let max = crate::btree::MAX_KEY_LEN;
+                write!(f, "index key of {n} bytes exceeds the {max}-byte maximum")
             }
             DbError::Corrupt(m) => write!(f, "corrupt row: {m}"),
             DbError::ReadOnly(m) => write!(f, "read-only violation: {m}"),

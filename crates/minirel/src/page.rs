@@ -38,12 +38,12 @@ pub struct SlottedRef<'a>(pub &'a [u8]);
 pub struct SlottedMut<'a>(pub &'a mut [u8]);
 
 #[inline]
-fn get_u16(b: &[u8], off: usize) -> u16 {
+pub(crate) fn get_u16(b: &[u8], off: usize) -> u16 {
     u16::from_le_bytes([b[off], b[off + 1]])
 }
 
 #[inline]
-fn put_u16(b: &mut [u8], off: usize, v: u16) {
+pub(crate) fn put_u16(b: &mut [u8], off: usize, v: u16) {
     b[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 

@@ -2,7 +2,7 @@
 //! against `BTreeMap`, external sort against `sort`, merge join against
 //! nested loops, and codec round trips.
 
-use minirel::btree::BTree;
+use minirel::btree::{BTree, MAX_KEY_LEN};
 use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
 use minirel::exec::{external_sort, hash_join, merge_join_inner, sort_rows, SortKey};
@@ -10,29 +10,126 @@ use minirel::value::{decode_row, encode_composite_key, encode_row, Row, Value};
 use minirel::Rid;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 fn pool(frames: usize) -> BufferPool {
     BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru)
 }
 
-/// Random insert/delete ops on (key, rid) pairs.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(i64, u32),
-    Delete(i64, u32),
+/// The key stored under index `k`. Every third is an int; the rest are
+/// zero-padded strings of 1–400 bytes, a few of them at or just under
+/// the longest key an index accepts. `grow` appends up to that many
+/// bytes, so the grown key sorts right behind the original (same leaf).
+fn model_key(k: u32, grow: usize) -> Vec<u8> {
+    if k.is_multiple_of(3) && grow == 0 {
+        return encode_composite_key(&[Value::Int(i64::from(k))]);
+    }
+    // (A string key is its text plus a tag byte and a two-byte terminator.)
+    let longest = MAX_KEY_LEN - 3;
+    let width = match k % 97 {
+        1 => longest - (k % 4) as usize,
+        _ => 1 + (k as usize * 7919) % 400,
+    };
+    let mut text = format!("{k:0width$}");
+    text.push_str(&"~".repeat(grow.min(longest - text.len())));
+    encode_composite_key(&[Value::Str(text)])
 }
 
+fn model_rid(r: u32) -> Rid {
+    Rid {
+        page: r,
+        slot: (r % 3) as u16,
+    }
+}
+
+type Model = BTreeMap<(Vec<u8>, Rid), ()>;
+
+/// Sorted, deduplicated `(key, rid)` batch for the `*_many` entry points.
+fn model_batch(pairs: &[(u32, u32)], grow: usize) -> Vec<(Vec<u8>, Rid)> {
+    let mut batch: Vec<(Vec<u8>, Rid)> = pairs
+        .iter()
+        .map(|&(k, r)| (model_key(k, grow), model_rid(r)))
+        .collect();
+    batch.sort_unstable();
+    batch.dedup();
+    batch
+}
+
+fn bound(kind: u8, key: &[u8]) -> Bound<&[u8]> {
+    match kind {
+        0 => Bound::Included(key),
+        1 => Bound::Excluded(key),
+        _ => Bound::Unbounded,
+    }
+}
+
+/// What the model says a `scan_range(lo, hi)` returns.
+fn model_range(model: &Model, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Vec<u8>, Rid)> {
+    let inside = |k: &[u8]| {
+        let after_lo = match lo {
+            Bound::Included(l) => k >= l,
+            Bound::Excluded(l) => k > l,
+            Bound::Unbounded => true,
+        };
+        let before_hi = match hi {
+            Bound::Included(h) => k <= h,
+            Bound::Excluded(h) => k < h,
+            Bound::Unbounded => true,
+        };
+        after_lo && before_hi
+    };
+    (model.keys().filter(|(k, _)| inside(k)).cloned()).collect()
+}
+
+fn tree_range(
+    bt: &BTree,
+    bp: &BufferPool,
+    lo: Bound<&[u8]>,
+    hi: Bound<&[u8]>,
+) -> Vec<(Vec<u8>, Rid)> {
+    let mut out = Vec::new();
+    bt.scan_range(bp, lo, hi, |k, rid| {
+        out.push((k.to_vec(), rid));
+        true
+    })
+    .unwrap();
+    out
+}
+
+/// Single and batched mutations and every read path, over key indexes
+/// `0..KEY_DOMAIN`.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(u32, u32),
+    Delete(u32, u32),
+    InsertMany(Vec<(u32, u32)>),
+    DeleteMany(Vec<(u32, u32)>),
+    LookupMany(Vec<u32>),
+    /// `(lo kind, lo key, hi kind, hi key)`; kinds as in [`bound`].
+    Scan(u8, u32, u8, u32),
+    FirstN(u32, usize),
+}
+
+/// Wide enough that a few thousand entries of ~200-byte keys build a
+/// three-level tree (about a dozen cells per node).
+const KEY_DOMAIN: u32 = 4000;
+
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        (0..2i32, 0..50i64, 0..6u32).prop_map(|(kind, k, r)| {
-            if kind == 0 {
-                Op::Insert(k, r)
-            } else {
-                Op::Delete(k, r)
-            }
-        }),
-        1..300,
-    )
+    let pair = || (0..KEY_DOMAIN, 0..4u32);
+    let batch = || proptest::collection::vec(pair(), 1..80);
+    // Inserts listed twice: the tree must grow to be worth reading.
+    let op = prop_oneof![
+        pair().prop_map(|(k, r)| Op::Insert(k, r)),
+        pair().prop_map(|(k, r)| Op::Delete(k, r)),
+        batch().prop_map(Op::InsertMany),
+        batch().prop_map(Op::InsertMany),
+        batch().prop_map(Op::DeleteMany),
+        proptest::collection::vec(0..KEY_DOMAIN, 1..40).prop_map(Op::LookupMany),
+        (0..3u8, 0..KEY_DOMAIN, 0..3u8, 0..KEY_DOMAIN)
+            .prop_map(|(lk, lo, hk, hi)| Op::Scan(lk, lo, hk, hi)),
+        (0..KEY_DOMAIN, 0..12usize).prop_map(|(k, n)| Op::FirstN(k, n)),
+    ];
+    proptest::collection::vec(op, 1..300)
 }
 
 proptest! {
@@ -42,39 +139,87 @@ proptest! {
     fn btree_matches_btreemap_model(ops in ops_strategy(), frames in 2usize..16) {
         let bp = pool(frames);
         let mut bt = BTree::create(&bp).unwrap();
-        let mut model: BTreeMap<(Vec<u8>, Rid), ()> = BTreeMap::new();
+        let mut model = Model::new();
         for op in &ops {
-            match *op {
-                Op::Insert(k, r) => {
-                    let key = encode_composite_key(&[Value::Int(k)]);
-                    let rid = Rid { page: r, slot: 0 };
+            match op {
+                &Op::Insert(k, r) => {
+                    let (key, rid) = (model_key(k, 0), model_rid(r));
                     bt.insert(&bp, &key, rid).unwrap();
                     model.insert((key, rid), ());
                 }
-                Op::Delete(k, r) => {
-                    let key = encode_composite_key(&[Value::Int(k)]);
-                    let rid = Rid { page: r, slot: 0 };
+                &Op::Delete(k, r) => {
+                    let (key, rid) = (model_key(k, 0), model_rid(r));
                     let in_tree = bt.delete(&bp, &key, rid).unwrap();
-                    let in_model = model.remove(&(key, rid)).is_some();
-                    prop_assert_eq!(in_tree, in_model);
+                    prop_assert_eq!(in_tree, model.remove(&(key, rid)).is_some());
+                }
+                Op::InsertMany(pairs) => {
+                    let batch = model_batch(pairs, 0);
+                    bt.insert_many(&bp, &batch).unwrap();
+                    model.extend(batch.into_iter().map(|e| (e, ())));
+                }
+                Op::DeleteMany(pairs) => {
+                    let batch = model_batch(pairs, 0);
+                    let removed = bt.delete_many(&bp, &batch).unwrap();
+                    let in_model = batch.iter().filter(|e| model.remove(e).is_some()).count();
+                    prop_assert_eq!(removed, in_model);
+                }
+                Op::LookupMany(ks) => {
+                    let mut keys: Vec<Vec<u8>> = ks.iter().map(|&k| model_key(k, 0)).collect();
+                    keys.sort_unstable();
+                    let got = bt.lookup_many(&bp, &keys).unwrap();
+                    prop_assert_eq!(got.len(), keys.len());
+                    for (key, rids) in keys.iter().zip(got) {
+                        let key = key.as_slice();
+                        let expect = model_range(&model, Bound::Included(key), Bound::Included(key));
+                        let expect: Vec<Rid> = expect.into_iter().map(|(_, r)| r).collect();
+                        prop_assert_eq!(&rids, &expect);
+                        prop_assert_eq!(bt.lookup(&bp, key).unwrap(), expect);
+                    }
+                }
+                &Op::Scan(lo_kind, lo, hi_kind, hi) => {
+                    let (lo, hi) = (model_key(lo, 0), model_key(hi, 0));
+                    let (lo, hi) = (bound(lo_kind, &lo), bound(hi_kind, &hi));
+                    prop_assert_eq!(tree_range(&bt, &bp, lo, hi), model_range(&model, lo, hi));
+                }
+                &Op::FirstN(k, n) => {
+                    let key = model_key(k, 0);
+                    let mut expect = model_range(&model, Bound::Included(&key), Bound::Unbounded);
+                    expect.truncate(n);
+                    prop_assert_eq!(bt.first_n_at_or_after(&bp, &key, n).unwrap(), expect);
                 }
             }
         }
         prop_assert_eq!(bt.len() as usize, model.len());
         bt.validate(&bp).unwrap();
-        // Every surviving key is found with the right rid multiset.
-        for k in 0..50i64 {
-            let key = encode_composite_key(&[Value::Int(k)]);
-            let mut got = bt.lookup(&bp, &key).unwrap();
-            got.sort();
-            let mut expect: Vec<Rid> = model
-                .keys()
-                .filter(|(mk, _)| *mk == key)
-                .map(|&(_, r)| r)
-                .collect();
-            expect.sort();
-            prop_assert_eq!(got, expect, "key {}", k);
+
+        // Churn: delete four entries in five, then put longer keys right
+        // behind where they were. The leaves are full of holes by then,
+        // so the re-inserts only fit by compacting nodes in place.
+        let doomed: Vec<(Vec<u8>, Rid)> = (model.keys().enumerate())
+            .filter(|(i, _)| i % 5 != 0)
+            .map(|(_, e)| e.clone())
+            .collect();
+        for chunk in doomed.chunks(64) {
+            prop_assert_eq!(bt.delete_many(&bp, chunk).unwrap(), chunk.len());
         }
+        model.retain(|e, ()| doomed.binary_search(e).is_err());
+        bt.validate(&bp).unwrap();
+        let pairs: Vec<(u32, u32)> = (0..KEY_DOMAIN).step_by(3).map(|k| (k + 1, k % 4)).collect();
+        for (i, chunk) in pairs.chunks(50).enumerate() {
+            let batch = model_batch(chunk, 150);
+            if i % 2 == 0 {
+                bt.insert_many(&bp, &batch).unwrap();
+            } else {
+                for (key, rid) in &batch {
+                    bt.insert(&bp, key, *rid).unwrap();
+                }
+            }
+            model.extend(batch.into_iter().map(|e| (e, ())));
+        }
+        prop_assert_eq!(bt.len() as usize, model.len());
+        bt.validate(&bp).unwrap();
+        let all = tree_range(&bt, &bp, Bound::Unbounded, Bound::Unbounded);
+        prop_assert_eq!(all, model_range(&model, Bound::Unbounded, Bound::Unbounded));
     }
 
     #[test]

@@ -130,6 +130,19 @@ fn checksum_is_order_and_boundary_sensitive() {
     assert_eq!(checksum(&[b"abc"]), checksum(&[b"abc"]));
 }
 
+/// Every index in the catalog is a structurally sound tree whose
+/// entry count matches its table.
+fn validate_indexes(db: &Database) {
+    let (pool, catalog) = db.parts();
+    for name in catalog.table_names() {
+        let t = catalog.table(catalog.table_id(name).unwrap());
+        for idx in &t.indexes {
+            (idx.btree.validate(pool)).unwrap_or_else(|e| panic!("index {}: {e}", idx.name));
+            assert_eq!(idx.btree.len(), t.heap.len(), "index {}", idx.name);
+        }
+    }
+}
+
 /// The satellite fix end to end: a durable database reopened from disk
 /// sees its tables, rows, and indexes.
 #[test]
@@ -156,6 +169,7 @@ fn reopen_roundtrip() {
     }
     {
         let mut db = Database::open(&path, 32).unwrap();
+        validate_indexes(&db);
         let rs = db.query("select count(*) from crawl").unwrap();
         assert_eq!(rs.scalar_i64(), Some(500));
         // Index probe path (PROBE uses the B+tree root from the catalog image).
@@ -168,6 +182,7 @@ fn reopen_roundtrip() {
     }
     {
         let db = Database::open(&path, 32).unwrap();
+        validate_indexes(&db);
         assert_eq!(
             db.query("select count(*) from crawl").unwrap().scalar_i64(),
             Some(501)
