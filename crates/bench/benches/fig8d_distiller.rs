@@ -3,12 +3,12 @@
 //! `cargo run -p focus-eval --bin fig8d --release -- full`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use focus_distiller::db::{
+use focus_distiller::DistillConfig;
+use focus_eval::common::Scale;
+use focus_eval::distiller_db::{
     create_crawl_stub, create_tables, init_auth_uniform, join_iteration, load_links,
     naive_iteration,
 };
-use focus_distiller::DistillConfig;
-use focus_eval::common::Scale;
 use focus_eval::fig8d_distiller::build_graph;
 use minirel::Database;
 

@@ -1,5 +1,6 @@
 //! The flush side: landing fetched pages and failures in the store,
-//! routing frontier entries to their owning shards, and distillation.
+//! routing frontier entries to their owning shards, and distillation
+//! (snapshot under the lock, iterate outside it, publish under it).
 
 use super::*;
 
@@ -51,7 +52,7 @@ impl CrawlSession {
     }
 
     /// A priority boost for a known-but-unfetched link target, paired
-    /// with its owning shard. The link cache remembers the target's
+    /// with its owning shard. The link graph remembers the target's
     /// server id, not its URL; the frontier row already has one (or
     /// gets it at fetch time).
     pub(super) fn boost_entry(
@@ -185,16 +186,15 @@ impl CrawlSession {
         // anyway — matching the success path's unconditional decrement.
         let n = pending.len();
         pending.clear();
-        self.counters.in_flight.fetch_sub(n, Ordering::AcqRel);
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.sub_in_flight(n);
-        }
+        self.release_in_flight(n);
         res
     }
 
     /// Land one fetched, classified page under the store write lock:
-    /// mark it done, record its links, expand the frontier (locally or
-    /// through the exchange), and fire the distillation trigger.
+    /// mark it done, record its links, and expand the frontier (locally
+    /// or through the exchange). Returns whether the periodic
+    /// distillation trigger is due — the pass itself runs outside the
+    /// lock, so the caller starts it after dropping its guard.
     pub(super) fn process(
         &self,
         g: &mut StoreState,
@@ -203,7 +203,7 @@ impl CrawlSession {
         eval: Option<(EvalSummary, Vec<(ClassId, f64)>)>,
         attempt: u64,
         sink: &EventSink,
-    ) -> DbResult<()> {
+    ) -> DbResult<bool> {
         let now = self.start.elapsed().as_secs() as i64;
         g.db.set_current_timestamp(now);
         // The worker classifies every successful fetch before landing
@@ -213,11 +213,12 @@ impl CrawlSession {
         // and the pool stays alive. The server answered, so its breaker
         // is not charged ([`FetchErrorKind::Unclassifiable`]).
         let Some((summary, saved_probs)) = eval else {
-            return self.process_failures(
+            self.process_failures(
                 g,
                 &[(claim.clone(), FetchErrorKind::Unclassifiable, attempt)],
                 sink,
-            );
+            )?;
+            return Ok(false);
         };
         // The fetch is over: hand back the per-server politeness slot
         // charged at admission. Keyed by the *claim's* URL (the
@@ -244,9 +245,10 @@ impl CrawlSession {
             t.harvest.push((attempt, r));
             t.completion_order.push((page.oid, r));
         }
-        g.relevance.insert(page.oid, r);
         g.class_probs.insert(page.oid, saved_probs);
         let sid_src = host_server_id(&page.url);
+        g.graph.set_relevance(page.oid, r);
+        let src_id = g.graph.node_id(page.oid, sid_src.raw());
         *g.server_counts.entry(sid_src).or_insert(0) += 1;
         // A success closes the server's breaker (the half-open probe
         // came back) and resets its failure streak.
@@ -270,7 +272,7 @@ impl CrawlSession {
         let mut expansions = Vec::new();
         for (dst, dst_url) in &page.outlinks {
             let sid_dst = host_server_id(dst_url);
-            g.links.push((page.oid, sid_src.raw(), *dst, sid_dst.raw()));
+            g.graph.add_link(src_id, *dst, sid_dst.raw());
             link_rows.push(vec![
                 Value::Int(page.oid.raw() as i64),
                 Value::Int(sid_src.raw() as i64),
@@ -318,15 +320,11 @@ impl CrawlSession {
 
         // Distillation trigger (§3.1: "triggers to recompute relevance
         // and centrality scores when the neighborhood of a page changed
-        // significantly").
-        g.since_distill += 1;
-        if let Some(every) = self.cfg.distill_every {
-            if g.since_distill >= every {
-                g.since_distill = 0;
-                self.distill_locked(g, Some(sink))?;
-            }
-        }
-        Ok(())
+        // significantly"). While a pass is running a second trigger just
+        // keeps counting: the page that lands after it finishes trips.
+        g.distill.since += 1;
+        let every = self.cfg.distill_every.unwrap_or(usize::MAX);
+        Ok(g.distill.since >= every && g.distill.running == 0)
     }
 
     /// A frontier entry for a page on server `sid`, paired with its
@@ -502,50 +500,77 @@ impl CrawlSession {
         Ok(())
     }
 
-    pub(super) fn distill_locked(
-        &self,
-        g: &mut StoreState,
-        sink: Option<&EventSink>,
-    ) -> DbResult<()> {
-        let edges = edges_from_links(&g.links, &g.relevance);
-        let result = WeightedHits::new(&edges, &g.relevance, self.cfg.distill.clone()).run();
+    /// Run one distillation pass — the one place a pass starts, for
+    /// the periodic trigger (`forced = false`) and for
+    /// [`Command::Distill`] / [`CrawlSession::distill_now`] alike. The
+    /// caller holds **no** lock. Three steps:
+    ///
+    /// 1. under the store write lock, cut an owned snapshot of the link
+    ///    graph (a memcpy of its flat columns), number it, and restart
+    ///    the periodic count — every pass does, so a forced pass is not
+    ///    followed by a periodic one a page later;
+    /// 2. with no lock held, iterate on the snapshot — workers keep
+    ///    landing pages and monitors keep querying meanwhile; what lands
+    ///    now is seen by the next pass;
+    /// 3. under the store write lock again, republish `HUBS`/`AUTH`
+    ///    (delete + insert under this one guard, so a monitor sees the
+    ///    old tables or the new, never a mix), apply the hub boosts, and
+    ///    emit [`CrawlEvent::DistillCompleted`].
+    ///
+    /// At most one *periodic* pass runs at a time: a trigger that finds
+    /// one running returns at once and the count keeps growing. Forced
+    /// passes always run, so two can overlap; a result is published only
+    /// if no newer snapshot's has been, and an overtaken pass ends
+    /// silently.
+    pub(super) fn distill_pass(&self, forced: bool, sink: Option<&EventSink>) -> DbResult<()> {
+        let (snapshot, number) = {
+            let mut g = self.store.write();
+            if !forced && g.distill.running > 0 {
+                return Ok(());
+            }
+            g.distill.since = 0;
+            g.distill.running += 1;
+            g.distill.cut += 1;
+            (g.graph.snapshot(), g.distill.cut)
+        };
+        let Distilled { result, endorsed } =
+            snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
+        let mut g = self.store.write();
+        g.distill.running -= 1;
+        if number <= g.distill.published {
+            return Ok(());
+        }
+        g.distill.published = number;
         let distillation = {
             let mut t = self.counters.tallies.lock();
             t.distillations += 1;
             t.distillations
         };
         // Persist HUBS/AUTH so ad-hoc monitoring SQL sees live scores.
-        g.db.execute("delete from hubs")?;
-        g.db.execute("delete from auth")?;
-        let hubs_tid = g.db.table_id("hubs")?;
-        for &(o, s) in result.top_hubs(200) {
-            g.db.insert(hubs_tid, vec![Value::Int(o.raw() as i64), Value::Float(s)])?;
-        }
-        let auth_tid = g.db.table_id("auth")?;
-        for &(o, s) in result.top_auths(200) {
-            g.db.insert(auth_tid, vec![Value::Int(o.raw() as i64), Value::Float(s)])?;
+        for (table, top) in [
+            ("hubs", result.top_hubs(200)),
+            ("auth", result.top_auths(200)),
+        ] {
+            g.db.execute(&format!("delete from {table}"))?;
+            let tid = g.db.table_id(table)?;
+            let rows = top
+                .iter()
+                .map(|&(o, s)| vec![Value::Int(o.raw() as i64), Value::Float(s)]);
+            g.db.insert_many(tid, rows.collect())?;
         }
         // Hub-boost trigger: raise priority of unvisited pages cited by
-        // the best hubs. Targets another shard owns route through the
-        // exchange (distillation is per-shard, but its boosts still
-        // respect the partition).
-        if self.cfg.hub_boost_top_k > 0 {
-            let boost = log_clamped(0.9);
-            let top: Vec<Oid> = result
-                .top_hubs(self.cfg.hub_boost_top_k)
-                .iter()
-                .map(|&(o, _)| o)
-                .collect();
-            let targets = g
-                .links
-                .iter()
-                .filter(|(src, ss, dst, sd)| {
-                    top.contains(src) && ss != sd && !g.relevance.contains_key(dst)
-                })
-                .map(|&(_, _, dst, sid_dst)| self.boost_entry(dst, sid_dst, boost))
-                .collect();
-            self.upsert_routed(&mut g.db, targets)?;
-        }
+        // the best hubs. The snapshot saw them unvisited; a page that
+        // was fetched while the pass ran needs no boost, so visited-ness
+        // is re-read from the live graph (dense ids are stable). Targets
+        // another shard owns route through the exchange (distillation is
+        // per-shard, but its boosts still respect the partition).
+        let targets = endorsed
+            .into_iter()
+            .map(|id| g.graph.node(id))
+            .filter(|n| n.relevance.is_none())
+            .map(|n| self.boost_entry(n.oid, n.sid, log_clamped(0.9)))
+            .collect();
+        self.upsert_routed(&mut g.db, targets)?;
         if let Some(sink) = sink {
             sink.emit(CrawlEvent::DistillCompleted {
                 distillation,
@@ -557,18 +582,14 @@ impl CrawlSession {
         Ok(())
     }
 
-    /// Force a distillation now (used at end-of-crawl by Figure 7).
-    /// An empty link graph distills to an empty [`DistillResult`] —
-    /// never a panic — so end-of-crawl reporting works on sessions that
-    /// fetched nothing.
+    /// Force a distillation now (used at end-of-crawl by Figure 7) and
+    /// return the latest published result — this pass's, unless a
+    /// concurrent pass on a newer snapshot overtook it. An empty link
+    /// graph distills to an empty [`DistillResult`] — never a panic — so
+    /// end-of-crawl reporting works on sessions that fetched nothing.
     pub fn distill_now(&self) -> DbResult<DistillResult> {
-        let mut g = self.store.write();
-        self.distill_locked(&mut g, None)?;
-        // `distill_locked` always records its result on success; the
-        // default is unreachable but keeps the no-panic guarantee
-        // structural (the periodic trigger path deliberately skips this
-        // clone — only the forced path pays for the returned copy).
-        Ok(g.last_distill.clone().unwrap_or_default())
+        self.distill_pass(true, None)?;
+        Ok(self.last_distill().unwrap_or_default())
     }
 
     /// Latest distillation result, if any.

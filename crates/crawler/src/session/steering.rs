@@ -56,9 +56,7 @@ impl CrawlSession {
                 self.apply_mark_topic(class, good, sink);
             }
             Command::Distill => {
-                let mut g = self.store.write();
-                if let Err(e) = self.distill_locked(&mut g, Some(sink)) {
-                    drop(g);
+                if let Err(e) = self.distill_pass(true, Some(sink)) {
                     self.record_error(e);
                 }
             }
@@ -111,7 +109,7 @@ impl CrawlSession {
             })
             .collect();
         for &(oid, r) in &recomputed {
-            g.relevance.insert(oid, r);
+            g.graph.set_relevance(oid, r);
             if let Err(e) = frontier::update_visited_relevance(&mut g.db, oid, log_clamped(r)) {
                 drop(g);
                 self.record_error(e);
@@ -120,19 +118,20 @@ impl CrawlSession {
         }
         // Re-prioritize: unvisited targets of now-relevant pages inherit
         // the new relevance, exactly the soft-focus rule applied
-        // retroactively. The link cache carries the target's server id,
+        // retroactively. The link graph carries the target's server id,
         // so boosts for pages another shard owns route through the
         // exchange (a `mark_topic` broadcast re-steers *every* shard's
         // frontier, each from its own link evidence).
         let boosts = g
-            .links
-            .iter()
-            .filter_map(|&(src, _, dst, sid_dst)| {
-                if g.relevance.contains_key(&dst) {
+            .graph
+            .links()
+            .filter_map(|(src, dst)| {
+                if dst.relevance.is_some() {
                     return None; // already fetched
                 }
-                let r = *g.relevance.get(&src)?;
-                (r > RESTEER_MIN_RELEVANCE).then(|| self.boost_entry(dst, sid_dst, log_clamped(r)))
+                let r = src.relevance?;
+                (r > RESTEER_MIN_RELEVANCE)
+                    .then(|| self.boost_entry(dst.oid, dst.sid, log_clamped(r)))
             })
             .collect();
         let boosted = match self.upsert_routed(&mut g.db, boosts) {
@@ -267,6 +266,7 @@ impl CrawlSession {
                 rs.rows.iter().filter_map(|r| r[0].as_i64()).collect()
             };
             let sid_src = host_server_id(&page.url);
+            let hub_id = g.graph.node_id(hub, sid_src.raw());
             let link_tid = g.db.table_id("link")?;
             let boost = log_clamped(0.95);
             let mut link_rows = Vec::new();
@@ -277,7 +277,7 @@ impl CrawlSession {
                 }
                 new_links += 1;
                 let sid_dst = host_server_id(dst_url);
-                g.links.push((hub, sid_src.raw(), *dst, sid_dst.raw()));
+                g.graph.add_link(hub_id, *dst, sid_dst.raw());
                 link_rows.push(vec![
                     Value::Int(hub.raw() as i64),
                     Value::Int(sid_src.raw() as i64),

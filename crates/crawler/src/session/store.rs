@@ -4,21 +4,36 @@
 
 use super::*;
 
+/// Bookkeeping of distillation passes, which run *outside* the store
+/// lock (see [`CrawlSession::distill_pass`]).
+#[derive(Default)]
+pub(super) struct DistillGate {
+    /// Successes landed since the latest snapshot was cut — what the
+    /// periodic trigger counts against `distill_every`.
+    pub(super) since: usize,
+    /// Snapshots cut so far; a pass carries the number of its own.
+    pub(super) cut: u64,
+    /// Passes whose snapshot is cut and whose result has not come back.
+    pub(super) running: usize,
+    /// Number of the newest snapshot whose result has been published.
+    pub(super) published: u64,
+}
+
 /// The relational store and its in-memory caches.
 pub(super) struct StoreState {
     pub(super) db: Database,
-    /// Linear `R` of visited pages (distiller edge weights, re-steering).
-    pub(super) relevance: FxHashMap<Oid, f64>,
+    /// The link graph and the linear `R` of visited pages: what the
+    /// distiller snapshots, what re-steering and hub boosts walk, and
+    /// the answer to "has this page been fetched?".
+    pub(super) graph: LinkGraph,
     /// Saved per-page posteriors (classes above the worker's floor),
     /// kept so a mid-crawl `mark_topic` can recompute relevance without
     /// refetching (§3.7).
     pub(super) class_probs: FxHashMap<Oid, Vec<(ClassId, f64)>>,
-    /// Link cache `(src, sid_src, dst, sid_dst)` mirroring `LINK`.
-    pub(super) links: Vec<(Oid, u32, Oid, u32)>,
     pub(super) server_counts: FxHashMap<ServerId, i64>,
     /// Live link-expansion policy (starts at `cfg.policy`).
     pub(super) policy: CrawlPolicy,
-    pub(super) since_distill: usize,
+    pub(super) distill: DistillGate,
     pub(super) last_distill: Option<DistillResult>,
     /// Per-server backoff/breaker state (see module docs: no new lock —
     /// claim gating and failure recording already hold the store write
@@ -26,17 +41,30 @@ pub(super) struct StoreState {
     pub(super) health: HealthMap,
 }
 
+/// Every `LINK` row in table (= discovery) order, as [`link_row`] reads it.
+const LINK_ROWS: &str = "select oid_src, sid_src, oid_dst, sid_dst, discovered from link";
+
+/// Strictly decode one [`LINK_ROWS`] row.
+fn link_row(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
+    Ok((
+        Oid(frontier::col_i64(row, 0, "link.oid_src")? as u64),
+        frontier::col_i64(row, 1, "link.sid_src")? as u32,
+        Oid(frontier::col_i64(row, 2, "link.oid_dst")? as u64),
+        frontier::col_i64(row, 3, "link.sid_dst")? as u32,
+        frontier::col_i64(row, 4, "link.discovered")?,
+    ))
+}
+
 impl StoreState {
     /// An empty-cached store over `db`, under `cfg`'s policies.
     fn new(db: Database, cfg: &CrawlConfig) -> StoreState {
         StoreState {
             db,
-            relevance: FxHashMap::default(),
+            graph: LinkGraph::new(),
             class_probs: FxHashMap::default(),
-            links: Vec::new(),
             server_counts: FxHashMap::default(),
             policy: cfg.policy,
-            since_distill: 0,
+            distill: DistillGate::default(),
             last_distill: None,
             health: HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness),
         }
@@ -208,7 +236,8 @@ impl CrawlSession {
         let link_tid = g.db.table_id("link")?;
         let mut link_rows = Vec::with_capacity(ckpt.links.len());
         for &(src, sid_src, dst, sid_dst, discovered) in &ckpt.links {
-            g.links.push((src, sid_src, dst, sid_dst));
+            let src_id = g.graph.node_id(src, sid_src);
+            g.graph.add_link(src_id, dst, sid_dst);
             link_rows.push(vec![
                 Value::Int(src.raw() as i64),
                 Value::Int(sid_src as i64),
@@ -218,7 +247,9 @@ impl CrawlSession {
             ]);
         }
         g.db.insert_many(link_tid, link_rows)?;
-        g.relevance = ckpt.relevance.iter().copied().collect();
+        for &(oid, r) in &ckpt.relevance {
+            g.graph.set_relevance(oid, r);
+        }
         g.class_probs = ckpt
             .class_probs
             .iter()
@@ -274,30 +305,25 @@ impl CrawlSession {
             &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
         )?;
         // Rebuild the caches the tables back: linear relevance and
-        // server tallies from visited rows, the link cache from `LINK`.
-        let mut relevance = FxHashMap::default();
-        let mut server_counts: FxHashMap<ServerId, i64> = FxHashMap::default();
-        let rs = db.query(&format!(
+        // server tallies from visited rows, the link graph from `LINK`.
+        let mut store = StoreState::new(db, &cfg);
+        let rs = store.db.query(&format!(
             "select oid, relevance, url from crawl where visited = {}",
             visited::DONE
         ))?;
         for row in &rs.rows {
             let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
-            relevance.insert(oid, frontier::col_f64(row, 1, "relevance")?.exp());
+            let r = frontier::col_f64(row, 1, "relevance")?.exp();
+            store.graph.set_relevance(oid, r);
             let url = frontier::col_str(row, 2, "url")?;
             if !url.is_empty() {
-                *server_counts.entry(host_server_id(url)).or_insert(0) += 1;
+                *store.server_counts.entry(host_server_id(url)).or_insert(0) += 1;
             }
         }
-        let link_rs = db.query("select oid_src, sid_src, oid_dst, sid_dst from link")?;
-        let mut links = Vec::with_capacity(link_rs.rows.len());
-        for row in &link_rs.rows {
-            links.push((
-                Oid(frontier::col_i64(row, 0, "link.oid_src")? as u64),
-                frontier::col_i64(row, 1, "link.sid_src")? as u32,
-                Oid(frontier::col_i64(row, 2, "link.oid_dst")? as u64),
-                frontier::col_i64(row, 3, "link.sid_dst")? as u32,
-            ));
+        for row in &store.db.query(LINK_ROWS)?.rows {
+            let (src, sid_src, dst, sid_dst, _) = link_row(row)?;
+            let src = store.graph.node_id(src, sid_src);
+            store.graph.add_link(src, dst, sid_dst);
         }
         // The tick clock did not survive the crash, but parked rows
         // (`not_before`) did. Restart the clock at the *latest* park
@@ -306,7 +332,7 @@ impl CrawlSession {
         // rather than honoring stale cooldowns against a clock that no
         // longer means anything.
         let mut clock = 0i64;
-        let parked_rs = db.query(&format!(
+        let parked_rs = store.db.query(&format!(
             "select not_before from crawl where visited = {}",
             visited::FRONTIER
         ))?;
@@ -316,11 +342,7 @@ impl CrawlSession {
         // Make the demotion itself durable before handing the session
         // out: a crash right after recovery must not resurrect CLAIMED
         // rows.
-        db.commit_durable()?;
-        let mut store = StoreState::new(db, &cfg);
-        store.relevance = relevance;
-        store.links = links;
-        store.server_counts = server_counts;
+        store.db.commit_durable()?;
         Ok(Self::assemble(
             fetcher,
             model,
@@ -411,20 +433,11 @@ impl CrawlSession {
                 })
             })
             .collect::<DbResult<Vec<CheckpointPage>>>()?;
-        let link_rs =
-            g.db.query("select oid_src, sid_src, oid_dst, sid_dst, discovered from link")?;
+        let link_rs = g.db.query(LINK_ROWS)?;
         let links = link_rs
             .rows
             .iter()
-            .map(|row| {
-                Ok((
-                    Oid(frontier::col_i64(row, 0, "link.oid_src")? as u64),
-                    frontier::col_i64(row, 1, "link.sid_src")? as u32,
-                    Oid(frontier::col_i64(row, 2, "link.oid_dst")? as u64),
-                    frontier::col_i64(row, 3, "link.sid_dst")? as u32,
-                    frontier::col_i64(row, 4, "link.discovered")?,
-                ))
-            })
+            .map(|row| link_row(row))
             .collect::<DbResult<Vec<_>>>()?;
         let stats = self.stats();
         let budget_remaining = self
@@ -432,7 +445,7 @@ impl CrawlSession {
             .budget
             .load(Ordering::Acquire)
             .saturating_sub(stats.attempts);
-        let relevance: Vec<(Oid, f64)> = g.relevance.iter().map(|(&o, &r)| (o, r)).collect();
+        let relevance: Vec<(Oid, f64)> = g.graph.visited().collect();
         let class_probs: Vec<(Oid, Vec<(ClassId, f64)>)> =
             g.class_probs.iter().map(|(&o, v)| (o, v.clone())).collect();
         let policy = g.policy;

@@ -14,7 +14,9 @@
 //!
 //! * the in-flight gauges fall only *after* a page's outputs are in the
 //!   frontier (or routed), under the store write lock — so an idle
-//!   verdict read under that lock is race-free;
+//!   verdict read under that lock is race-free; a page that trips the
+//!   distillation trigger keeps them up across the (unlocked) pass,
+//!   until its hub boosts are in the frontier too;
 //! * every admitted claim releases its politeness slot exactly once
 //!   (in `process`, `process_failures`, or `release_unfetched`);
 //! * failed fetches accumulate and flush in *one* critical section —
@@ -234,29 +236,43 @@ impl CrawlSession {
             .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
             .collect();
         let mut g = self.store.write();
-        let res = self
+        let landed = self
             .flush_failures(&mut g, &mut lane.pending, sink)
             .and_then(|()| {
                 self.process(&mut g, &claim, page, Some((summary, saved)), attempt, sink)
             });
-        // The gauge falls only after the page's outlinks are in the
-        // frontier (still under the write lock): a peer observing
-        // `in_flight == 0` with an empty frontier can trust it. In
-        // cluster mode the same applies to the global gauge — `process`
-        // routed this page's remote outlinks *before* this decrement,
-        // so a peer shard observing zero global in-flight is guaranteed
-        // to see them in `queued`.
-        self.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
+        // The page tripped the distillation trigger: run the pass here,
+        // on this worker, with the guard dropped. Its gauges stay up
+        // until the pass's boosts are in the frontier — boosts can
+        // *create* rows, so letting the gauges fall first would let a
+        // peer (or a peer shard) reach an idle verdict with work still
+        // to come.
+        let res = if matches!(landed, Ok(true)) {
+            drop(g);
+            let res = self.distill_pass(false, Some(sink));
+            self.release_in_flight(1);
+            res
+        } else {
+            // The gauge falls only after the page's outlinks are in the
+            // frontier (still under the write lock): a peer observing
+            // `in_flight == 0` with an empty frontier can trust it. In
+            // cluster mode the same applies to the global gauge —
+            // `process` routed this page's remote outlinks *before* this
+            // decrement, so a peer shard observing zero global in-flight
+            // is guaranteed to see them in `queued`.
+            self.release_in_flight(1);
+            drop(g);
+            landed.map(|_| ())
+        };
+        res.map_err(|e| self.record_error(e)).is_err()
+    }
+
+    /// Let `n` landed (or handed-back) claims fall out of the in-flight
+    /// gauges, local and cluster-wide.
+    pub(super) fn release_in_flight(&self, n: usize) {
+        self.counters.in_flight.fetch_sub(n, Ordering::AcqRel);
         if let Some(ctx) = &self.shard {
-            ctx.exchange.sub_in_flight(1);
-        }
-        drop(g);
-        match res {
-            Ok(()) => false,
-            Err(e) => {
-                self.record_error(e);
-                true
-            }
+            ctx.exchange.sub_in_flight(n);
         }
     }
 
@@ -337,12 +353,7 @@ impl CrawlSession {
         }
         let rest: Vec<Claim> = jobs.into_iter().map(|(c, _)| c).collect();
         let mut g = self.store.write();
-        self.counters
-            .in_flight
-            .fetch_sub(rest.len(), Ordering::AcqRel);
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.sub_in_flight(rest.len());
-        }
+        self.release_in_flight(rest.len());
         // Every admitted claim charged a per-server politeness slot at
         // `HealthMap::admit`; hand those back too, keyed exactly as the
         // admission was (the claim's URL, not any fetched page's).

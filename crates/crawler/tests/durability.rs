@@ -190,6 +190,9 @@ fn file_backed_crawl_recovers() {
         threads: 2,
         max_fetches: 120,
         distill_every: None,
+        // `distill_now()` below must not touch the frontier this test
+        // counts across the crash.
+        hub_boost_top_k: 0,
         db_frames: 64,
         durability: Durability::File {
             path: path.clone(),
@@ -197,7 +200,7 @@ fn file_backed_crawl_recovers() {
         },
         ..CrawlConfig::default()
     };
-    let (visited_before, frontier_before, stats);
+    let (visited_before, frontier_before, stats, distilled_before);
     {
         let session = Arc::new(
             CrawlSession::new(
@@ -222,6 +225,8 @@ fn file_backed_crawl_recovers() {
             .unwrap()
             .scalar_i64()
             .unwrap();
+        distilled_before = session.distill_now().unwrap();
+        assert!(!distilled_before.hubs.is_empty());
         // Uncommitted garbage past the joined run's durable commit: a
         // crash discards it, the committed crawl state stays.
         session
@@ -270,6 +275,24 @@ fn file_backed_crawl_recovers() {
         Some(0),
         "recovery left CLAIMED rows"
     );
+    // The link graph was rebuilt from the recovered `LINK` and `CRAWL`
+    // tables: a pass over it finds what the crashed session's did
+    // (relevance round-trips through the stored log, so not bit for bit).
+    let distilled_after = recovered.distill_now().unwrap();
+    for (want, got) in [
+        (&distilled_before.hubs, &distilled_after.hubs),
+        (&distilled_before.auths, &distilled_after.auths),
+    ] {
+        assert_eq!(want.len(), got.len());
+        let got: std::collections::HashMap<Oid, f64> = got.iter().copied().collect();
+        for (o, s) in want {
+            assert!(
+                got.get(o).is_some_and(|g| (g - s).abs() < 1e-9),
+                "{o:?} scored {s} before the crash, {:?} after recovery",
+                got.get(o)
+            );
+        }
+    }
     // The monitor suite runs against the recovered store.
     recovered.with_db_read(|db| {
         monitor::census_by_class(db).unwrap();

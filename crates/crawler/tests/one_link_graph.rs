@@ -1,0 +1,72 @@
+//! Guardrail: a session has exactly one in-memory picture of the link
+//! graph, and distills it outside the store lock.
+//!
+//! `StoreState` once mirrored `LINK` as a `links: Vec<(Oid, u32, Oid,
+//! u32)>` and `CRAWL.relevance` as a `relevance: FxHashMap<Oid, f64>`,
+//! and `distill_locked` re-materialised an edge list from them and ran
+//! the hash-map HITS walk (`memory::WeightedHits`) under the store
+//! write lock. Both mirrors became `focus_distiller::graph::LinkGraph`
+//! and the pass runs on a snapshot of it; this test reads the crate's
+//! sources and fails if a mirror, the locked pass, or a crawl-path call
+//! of the reference walk comes back — or if a second place starts a
+//! pass.
+
+use std::path::{Path, PathBuf};
+
+fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn one_link_graph_and_one_place_starts_a_pass() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    sources(&src, &mut files);
+    assert!(files.len() >= 10, "source walk found only {files:?}");
+
+    let mut snapshots_cut = Vec::new();
+    let mut kernel_calls = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        // Whole files, tests and comments included: the crate's own
+        // unit tests have no business with the old names either.
+        for (n, line) in text.lines().enumerate() {
+            for gone in [
+                "WeightedHits",
+                "edges_from_links",
+                "distill_locked",
+                // The mirror's 4-tuple; `CrawlCheckpoint::links` carries
+                // `LINK`'s `discovered` column too and keeps its shape.
+                "links: Vec<(Oid, u32, Oid, u32)>",
+                "relevance: FxHashMap<Oid",
+            ] {
+                assert!(
+                    !line.contains(gone),
+                    "`{gone}` is back at {}:{}: the session's link and relevance \
+                     state is one `LinkGraph`, distilled on a snapshot",
+                    path.display(),
+                    n + 1
+                );
+            }
+            if line.contains(".snapshot()") {
+                snapshots_cut.push(format!("{}:{}", path.display(), n + 1));
+            }
+            if line.contains("snapshot.distill(") {
+                kernel_calls.push(format!("{}:{}", path.display(), n + 1));
+            }
+        }
+    }
+    assert_eq!(
+        (snapshots_cut.len(), kernel_calls.len()),
+        (1, 1),
+        "exactly one function (`CrawlSession::distill_pass`) cuts a snapshot and runs \
+         the kernel on it: snapshots at {snapshots_cut:?}, kernel calls at {kernel_calls:?}"
+    );
+}

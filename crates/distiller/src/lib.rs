@@ -14,20 +14,26 @@
 //! (`sid_src <> sid_dst` — same-server endorsements don't count) and the
 //! **relevance threshold ρ** on authority candidates.
 //!
-//! Three implementations, compared by Figure 8(d):
+//! Two implementations live here, and a third in `focus-eval`:
 //!
-//! * [`memory::WeightedHits`] — the pre-relational main-memory edge-walk
-//!   ("an array of links would be traversed, reading and updating the
-//!   endpoints using node hashes");
-//! * [`db::naive_iteration`] — the same edge-at-a-time plan against the
-//!   `LINK`/`HUBS`/`AUTH` tables: sequential LINK scan + per-edge index
-//!   lookups + per-edge score updates (the slow bar);
-//! * [`db::join_iteration`] — the Figure 4 SQL (one aggregate join per
-//!   direction; ≈3× faster in the paper).
+//! * [`graph::LinkGraph`] + [`graph::GraphSnapshot::distill`] — what a
+//!   crawl runs: the session's one in-memory link/relevance state as a
+//!   dense arena, and the recursion as a kernel over `Vec<f64>` score
+//!   arrays on an owned snapshot, so no lock is held while it iterates;
+//! * [`memory::WeightedHits`] — the reference: the pre-relational
+//!   main-memory edge-walk ("an array of links would be traversed,
+//!   reading and updating the endpoints using node hashes"). No crawl
+//!   calls it; the kernel is property-checked against it
+//!   (`tests/graph_props.rs`) and Figure 8(d) and the benchmark's stage
+//!   replay time it;
+//! * `focus_eval::distiller_db` — the Figure 8(d) exhibit: the Figure 4
+//!   SQL (one aggregate join per direction; ≈3× faster in the paper)
+//!   and the naive edge-at-a-time plan against `LINK`/`HUBS`/`AUTH`
+//!   tables. It lives with the figure, not in this crate.
 
 #![forbid(unsafe_code)]
 
-pub mod db;
+pub mod graph;
 pub mod memory;
 
 use focus_types::Oid;

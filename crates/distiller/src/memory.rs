@@ -1,9 +1,10 @@
 //! Main-memory weighted HITS — the edge-walk formulation the paper used
 //! before moving distillation into the database ("In past work on
 //! distillation … An array of links would be traversed, reading and
-//! updating the endpoints using node hashes"). The crawler calls this
-//! frequently mid-crawl; semantics are identical to the Figure 4 SQL and
-//! tests in [`crate::db`] pin the equality.
+//! updating the endpoints using node hashes"). This is the *reference*:
+//! a crawl runs [`crate::graph`]'s kernel, which is property-checked
+//! against this walk; semantics are identical to the Figure 4 SQL and
+//! the tests of `focus_eval::distiller_db` pin that equality.
 
 use crate::{DistillConfig, DistillResult, LinkEdge};
 use focus_types::hash::FxHashMap;

@@ -9,7 +9,7 @@
 //! instrumented so the harness can report the paper's scan/lookup/update
 //! breakdown.
 
-use crate::{DistillConfig, DistillResult, LinkEdge};
+use focus_distiller::{DistillConfig, DistillResult, LinkEdge};
 use focus_types::hash::FxHashMap;
 use focus_types::Oid;
 use minirel::value::encode_composite_key;
@@ -316,7 +316,7 @@ pub fn read_result(db: &mut Database) -> DbResult<DistillResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{edges_from_links, WeightedHits};
+    use focus_distiller::memory::{edges_from_links, WeightedHits};
 
     fn fixture() -> (Vec<LinkEdge>, FxHashMap<Oid, f64>) {
         let mut rel: FxHashMap<Oid, f64> = FxHashMap::default();

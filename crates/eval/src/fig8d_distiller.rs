@@ -3,7 +3,7 @@
 //! Figure 4 plan. "The join approach is a factor of three faster."
 
 use crate::common::{Scale, World};
-use focus_distiller::db::{
+use crate::distiller_db::{
     create_crawl_stub, create_tables, init_auth_uniform, join_iteration, load_links,
     naive_iteration,
 };

@@ -12,6 +12,7 @@
 pub mod chaos;
 pub mod citation_sociology;
 pub mod common;
+pub mod distiller_db;
 pub mod fig5_harvest;
 pub mod fig6_coverage;
 pub mod fig7_distance;

@@ -5,7 +5,7 @@
 use lockcheck::analyze::{analyze_sources, Analysis, FindingKind};
 use lockcheck::manifest;
 
-/// Two-rank lattice plus one blocking call — the smallest manifest that
+/// Two-rank lattice plus two blocking calls — the smallest manifest that
 /// exercises every finding kind.
 const MANIFEST: &str = r#"
 [scan]
@@ -28,6 +28,11 @@ files = ["fixtures/"]
 [[blocking]]
 name = "fetch"
 call = "fetcher.fetch"
+allow = []
+
+[[blocking]]
+name = "distill-pass"
+call = "snapshot.distill"
 allow = []
 "#;
 
@@ -92,6 +97,28 @@ fn guard_held_across_fetch_is_flagged() {
     assert!(
         held[0].message.contains("fix.low"),
         "names the held lock: {}",
+        held[0].message
+    );
+}
+
+#[test]
+fn guard_held_across_distill_pass_is_flagged() {
+    let a = check(
+        "fixtures/held_across_distill.rs",
+        include_str!("fixtures/held_across_distill.rs"),
+    );
+    let held: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.kind == FindingKind::HeldAcrossBlocking)
+        .collect();
+    // Only the function that iterates under its guard; the one that
+    // drops the guard first is the shape the crawler uses.
+    assert_eq!(held.len(), 1, "findings: {:?}", a.findings);
+    assert_eq!(held[0].line, 14, "flagged at the kernel call: {}", held[0]);
+    assert!(
+        held[0].message.contains("fix.low") && held[0].message.contains("distill-pass"),
+        "names the held lock and the rule: {}",
         held[0].message
     );
 }

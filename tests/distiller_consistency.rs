@@ -1,9 +1,9 @@
 //! Randomized consistency between the three distiller implementations,
 //! and topical-quality properties of the weighting scheme.
 
-use focus_distiller::db::{create_crawl_stub, create_tables, load_links, run, run_naive};
 use focus_distiller::memory::{edges_from_links, WeightedHits};
 use focus_distiller::DistillConfig;
+use focus_eval::distiller_db::{create_crawl_stub, create_tables, load_links, run, run_naive};
 use focus_types::hash::FxHashMap;
 use focus_types::Oid;
 use minirel::Database;
