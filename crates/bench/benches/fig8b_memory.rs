@@ -3,10 +3,10 @@
 //! `cargo run -p focus-eval --bin fig8b --release -- full`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use focus_classifier::bulk_probe::bulk_posterior;
-use focus_classifier::single_probe::SingleProbeBlob;
+use focus_eval::bulk_probe::bulk_posterior;
 use focus_eval::common::Scale;
 use focus_eval::fig8a_classifier::setup;
+use focus_eval::single_probe::SingleProbeBlob;
 use focus_types::ClassId;
 
 fn bench(c: &mut Criterion) {

@@ -3,9 +3,9 @@
 //! `cargo run -p focus-eval --bin fig8c --release -- full`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use focus_classifier::bulk_probe::bulk_posterior;
-use focus_classifier::ClassifierTables;
+use focus_eval::bulk_probe::bulk_posterior;
 use focus_eval::common::{Scale, World};
+use focus_eval::tables::ClassifierTables;
 use focus_types::{ClassId, DocId, Document};
 use minirel::Database;
 

@@ -508,7 +508,7 @@ impl CompiledModel {
     }
 
     /// Batch posterior at one node — the in-memory counterpart of
-    /// [`crate::bulk_probe::bulk_posterior`]: `(did, ci, prob)` triples,
+    /// `focus_eval::bulk_probe::bulk_posterior`: `(did, ci, prob)` triples,
     /// normalized per document, one scratch for the whole batch.
     pub fn bulk_posterior(&self, docs: &[Document], c0: ClassId) -> Vec<(DocId, ClassId, f64)> {
         let mut scratch = self.scratch();
@@ -526,7 +526,7 @@ impl CompiledModel {
     }
 
     /// Batch soft-focus relevance — the in-memory counterpart of
-    /// [`crate::bulk_probe::bulk_relevance`]: `did → R(d)`.
+    /// `focus_eval::bulk_probe::bulk_relevance`: `did → R(d)`.
     pub fn bulk_relevance(&self, docs: &[Document]) -> FxHashMap<DocId, f64> {
         let mut scratch = self.scratch();
         let mut out = FxHashMap::default();

@@ -1,41 +1,31 @@
 //! # focus-classifier
 //!
 //! The hierarchical Bayesian (multinomial naive-Bayes) hypertext classifier
-//! of §2.1, with **all three** evaluation paths Figure 8(a) compares:
+//! of §2.1: what a crawl executes, plus one reference evaluator.
 //!
-//! * [`single_probe::SingleProbeSql`] — document-at-a-time, one B+tree
-//!   probe per (term × child-with-record): the row-store path (the "SQL"
-//!   bar);
-//! * [`single_probe::SingleProbeBlob`] — document-at-a-time, one probe per
-//!   term against the `BLOB` table whose payload packs all child records
-//!   (the "BLOB" bar);
-//! * [`bulk_probe`] — batch classification as one inner + one left outer
-//!   sort-merge join (Figure 3; the "CLI" bar, ~10× faster), both as
-//!   direct operator composition and as the verbatim SQL text.
-//!
-//! [`model`] holds the trained parameters and a pure in-memory *reference*
-//! inference path; unit tests pin that all four paths produce identical
-//! probabilities.
-//!
-//! [`compiled`] is what the crawl hot path actually runs:
+//! [`compiled`] is what the crawl hot path runs:
 //! [`compiled::CompiledModel`] lowers a trained model into dense interned
 //! classes, CSR feature postings with `logtheta + logdenom` pre-combined,
 //! and a merge-join evaluator over a caller-provided
 //! [`compiled::Scratch`] — zero allocations and zero hash probes per
-//! document. Equivalence proptests pin it to the reference path.
+//! document.
 //!
-//! Training (Eq. 1) and feature selection live in [`mod@train`]; relational
-//! persistence (Figure 1's `TAXONOMY`, `STAT_c0`, `BLOB`, `DOCUMENT`
-//! tables) in [`tables`].
+//! [`model`] holds the trained parameters and a pure in-memory *reference*
+//! inference path; equivalence proptests pin the compiled evaluator to
+//! it.
+//!
+//! Training (Eq. 1) and feature selection live in [`mod@train`].
+//!
+//! The classifier *inside the database* — Figure 1's `TAXONOMY`,
+//! `STAT_c0`, `BLOB` and `DOCUMENT` tables and the SQL / BLOB / bulk
+//! probe paths Figure 8(a) compares — is a paper exhibit, not something
+//! a crawl runs; it lives with the figure, in
+//! `focus_eval::{tables, single_probe, bulk_probe}`.
 
-pub mod bulk_probe;
 pub mod compiled;
 pub mod model;
-pub mod single_probe;
-pub mod tables;
 pub mod train;
 
 pub use compiled::{CompiledModel, EvalSummary, Scratch};
 pub use model::{NodeModel, Posterior, TrainedModel};
-pub use tables::ClassifierTables;
 pub use train::{train, TrainConfig};

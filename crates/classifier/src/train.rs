@@ -8,7 +8,8 @@
 //!    pooled rate; the paper defers to [Chakrabarti et al., VLDB J. 1998]);
 //! 2. **Parameter estimation** — Eq. (1) with Laplace smoothing, keeping
 //!    only non-zero counts so sparseness is preserved;
-//! 3. **Index construction** — done by [`crate::tables`].
+//! 3. **Index construction** — for the in-database exhibits only, done by
+//!    `focus_eval::tables`.
 
 use crate::model::{NodeModel, TrainedModel};
 use focus_types::hash::FxHashMap;

@@ -6,6 +6,26 @@
 //! aggressive-discovery order — and every state change flows through the
 //! catalog so index and heap stay consistent (the "reinvented wheel" §3.1
 //! credits the DBMS for).
+//!
+//! The module touches storage in exactly three shapes:
+//!
+//! * **keyed rewrite** — `rewrite`, the one write path for rows
+//!   addressed by oid: order the batch by oid key, one `lookup_many`
+//!   over `crawl_oid`, one `get_row` per hit, then one
+//!   `Catalog::update_many` handed the old rows it already holds. Every
+//!   mutator below ([`upsert_batch`], [`unclaim_batch`], [`park_batch`],
+//!   [`mark_done`], [`mark_failed_batch`], [`set_visited_relevance`],
+//!   [`touch_visited`]) is a closure over it that is shown the stored
+//!   row (or its absence) and answers with the row to store instead;
+//! * **batch insert** — the rows a rewrite answers for oids that have
+//!   no row yet land through one `Catalog::insert_many`, before the
+//!   rewrites of that batch;
+//! * **range-pop claim** — [`claim_batch_where`]: one range scan of the
+//!   frontier index, one batch update flipping the popped rows to
+//!   `CLAIMED`.
+//!
+//! A closure's refusal (`Err`) comes before the first write, so a batch
+//! either lands whole or changes nothing.
 
 use crate::tables::{crawl_col, frontier_row, visited};
 use focus_types::Oid;
@@ -55,14 +75,6 @@ impl BatchUpsert {
     }
 }
 
-fn crawl_tid(db: &Database) -> DbResult<minirel::TableId> {
-    db.table_id("crawl")
-}
-
-fn oid_key(oid: Oid) -> Vec<u8> {
-    encode_composite_key(&[Value::Int(oid.raw() as i64)])
-}
-
 /// Strictly decode one column; a mistyped value is storage corruption,
 /// not a default (a fabricated `Oid(0)` or `""` would silently poison
 /// claims, checkpoints, and events downstream). Shared with the
@@ -95,98 +107,41 @@ fn decode_claim(row: &[Value]) -> DbResult<Claim> {
     })
 }
 
-fn oid_lookup(db: &mut Database, oid: Oid) -> DbResult<Option<(Rid, Vec<Value>)>> {
-    let tid = crawl_tid(db)?;
-    let (pool, catalog) = db.parts_mut();
-    let idx = catalog
-        .find_index(tid, &[crawl_col::OID])
-        .ok_or_else(|| DbError::Catalog("crawl lacks oid index".into()))?;
-    let key = encode_composite_key(&[Value::Int(oid.raw() as i64)]);
-    let rids = catalog.table(tid).indexes[idx].btree.lookup(pool, &key)?;
-    match rids.first() {
-        Some(&rid) => {
-            let row = catalog.get_row(pool, tid, rid)?;
-            Ok(Some((rid, row)))
-        }
-        None => Ok(None),
-    }
+/// `row` with a new priority (`relevance` and its index mirror `negrel`).
+fn with_relevance(row: &[Value], log_relevance: f64) -> Vec<Value> {
+    let mut row = row.to_vec();
+    row[crawl_col::RELEVANCE] = Value::Float(log_relevance);
+    row[crawl_col::NEGREL] = Value::Float(-log_relevance);
+    row
 }
 
-/// What [`upsert_frontier`] did to the frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Upsert {
-    /// A new frontier row was created.
-    Created,
-    /// An existing unvisited row's priority was raised.
-    Raised,
-    /// Nothing changed: the page is visited/dead, or the priority was
-    /// not an improvement.
-    Unchanged,
-}
-
-/// Insert a frontier entry, or raise the priority of an existing unvisited
-/// one (a second parent endorsing the same unseen URL).
-pub fn upsert_frontier(
-    db: &mut Database,
-    oid: Oid,
-    url: &str,
-    log_relevance: f64,
-    serverload: i64,
-) -> DbResult<Upsert> {
-    match oid_lookup(db, oid)? {
-        None => {
-            let tid = crawl_tid(db)?;
-            db.insert(tid, frontier_row(oid, url, log_relevance, serverload))?;
-            Ok(Upsert::Created)
-        }
-        Some((rid, mut row)) => {
-            let state = col_i64(&row, crawl_col::VISITED, "visited")?;
-            let old = col_f64(&row, crawl_col::RELEVANCE, "relevance")?;
-            if state == visited::FRONTIER && log_relevance > old {
-                row[crawl_col::RELEVANCE] = Value::Float(log_relevance);
-                row[crawl_col::NEGREL] = Value::Float(-log_relevance);
-                let tid = crawl_tid(db)?;
-                let (pool, catalog) = db.parts_mut();
-                catalog.update_row(pool, tid, rid, row)?;
-                Ok(Upsert::Raised)
-            } else {
-                Ok(Upsert::Unchanged)
-            }
-        }
-    }
-}
-
-/// Batch upsert: the whole outlink set of a page (or a seed batch) in
-/// one ordered pass over the oid index — sort by oid, `lookup_many`
-/// once, then partition into *creates* (one `insert_many` keeping heap
-/// and both indexes consistent) and *raises* (one `update_many`).
+/// The keyed rewrite: the one write path for `CRAWL` rows addressed by
+/// oid. The `i`-th oid's stored row (`None` when it has none) is shown
+/// to `edit(i, row)`, which answers with the row to store in its place
+/// — a replacement for a stored row, a new row for an absent one — or
+/// `None` to leave things as they are. Oids must be distinct.
 ///
-/// Duplicate oids within the batch collapse to the per-link sequential
-/// semantics: the first occurrence's url/serverload win, the priority is
-/// the maximum endorsement.
-pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<BatchUpsert> {
-    if items.is_empty() {
-        return Ok(BatchUpsert::default());
+/// One ordered pass: sort by oid key, one `lookup_many` over
+/// `crawl_oid`, one `get_row` per hit; then the new rows land through
+/// one `insert_many` and the replacements through one `update_many`
+/// that is handed the old rows read here. Every `edit` runs before the
+/// first write, so an `Err` from it leaves the table untouched. Returns
+/// `(rows created, rows replaced)`.
+fn rewrite(
+    db: &mut Database,
+    oids: impl Iterator<Item = Oid>,
+    mut edit: impl FnMut(usize, Option<&[Value]>) -> DbResult<Option<Vec<Value>>>,
+) -> DbResult<(usize, usize)> {
+    let mut keyed: Vec<(Vec<u8>, usize)> = oids
+        .enumerate()
+        .map(|(i, oid)| (encode_composite_key(&[Value::Int(oid.raw() as i64)]), i))
+        .collect();
+    if keyed.is_empty() {
+        return Ok((0, 0));
     }
-    // Dedup by oid, preserving first-occurrence url/serverload and max
-    // priority; then order by encoded key for the single index pass.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (items[i].oid, i));
-    let mut merged: Vec<FrontierEntry> = Vec::with_capacity(items.len());
-    for &i in &order {
-        match merged.last_mut() {
-            Some(last) if last.oid == items[i].oid => {
-                last.log_relevance = last.log_relevance.max(items[i].log_relevance);
-            }
-            _ => merged.push(items[i].clone()),
-        }
-    }
-    let mut keyed: Vec<(Vec<u8>, FrontierEntry)> =
-        merged.into_iter().map(|e| (oid_key(e.oid), e)).collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    let (keys, merged): (Vec<Vec<u8>>, Vec<FrontierEntry>) = keyed.into_iter().unzip();
-
-    let tid = crawl_tid(db)?;
+    keyed.sort_unstable();
+    let (keys, order): (Vec<Vec<u8>>, Vec<usize>) = keyed.into_iter().unzip();
+    let tid = db.table_id("crawl")?;
     let (pool, catalog) = db.parts_mut();
     let idx = catalog
         .find_index(tid, &[crawl_col::OID])
@@ -194,37 +149,60 @@ pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<Batc
     let hits = catalog.table(tid).indexes[idx]
         .btree
         .lookup_many(pool, &keys)?;
-
     let mut creates: Vec<Vec<Value>> = Vec::new();
-    let mut raises: Vec<(Rid, Vec<Value>, Vec<Value>)> = Vec::new();
-    let mut out = BatchUpsert::default();
-    for (e, rids) in merged.iter().zip(&hits) {
+    let mut updates: Vec<(Rid, Vec<Value>, Vec<Value>)> = Vec::new();
+    for (&i, rids) in order.iter().zip(&hits) {
         match rids.first() {
-            None => {
-                creates.push(frontier_row(e.oid, &e.url, e.log_relevance, e.serverload));
-            }
+            None => creates.extend(edit(i, None)?),
             Some(&rid) => {
                 let row = catalog.get_row(pool, tid, rid)?;
-                let state = col_i64(&row, crawl_col::VISITED, "visited")?;
-                let old = col_f64(&row, crawl_col::RELEVANCE, "relevance")?;
-                if state == visited::FRONTIER && e.log_relevance > old {
-                    let mut new_row = row.clone();
-                    new_row[crawl_col::RELEVANCE] = Value::Float(e.log_relevance);
-                    new_row[crawl_col::NEGREL] = Value::Float(-e.log_relevance);
-                    raises.push((rid, row, new_row));
+                if let Some(new_row) = edit(i, Some(&row))? {
+                    updates.push((rid, row, new_row));
                 }
             }
         }
     }
-    out.created = creates.len();
-    out.raised = raises.len();
+    let done = (creates.len(), updates.len());
     if !creates.is_empty() {
         catalog.insert_many(pool, tid, creates)?;
     }
-    if !raises.is_empty() {
-        catalog.update_many(pool, tid, raises)?;
+    if !updates.is_empty() {
+        catalog.update_many(pool, tid, updates)?;
     }
-    Ok(out)
+    Ok(done)
+}
+
+/// Batch upsert: the whole outlink set of a page (or a seed batch) in
+/// one keyed `rewrite` — an oid with no row yet gets a fresh frontier
+/// row, an unvisited row whose priority the endorsement beats is
+/// raised, anything else (visited, claimed, dead, or no improvement) is
+/// left alone.
+///
+/// Duplicate oids within the batch collapse to the per-link sequential
+/// semantics: the first occurrence's url/serverload win, the priority is
+/// the maximum endorsement.
+pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<BatchUpsert> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| (items[i].oid, i));
+    let mut merged: Vec<(&FrontierEntry, f64)> = Vec::with_capacity(items.len());
+    for &i in &order {
+        match merged.last_mut() {
+            Some((first, best)) if first.oid == items[i].oid => {
+                *best = best.max(items[i].log_relevance);
+            }
+            _ => merged.push((&items[i], items[i].log_relevance)),
+        }
+    }
+    let (created, raised) = rewrite(db, merged.iter().map(|(e, _)| e.oid), |i, row| {
+        let (e, best) = merged[i];
+        let Some(row) = row else {
+            return Ok(Some(frontier_row(e.oid, &e.url, best, e.serverload)));
+        };
+        let state = col_i64(row, crawl_col::VISITED, "visited")?;
+        let old = col_f64(row, crawl_col::RELEVANCE, "relevance")?;
+        Ok((state == visited::FRONTIER && best > old).then(|| with_relevance(row, best)))
+    })?;
+    Ok(BatchUpsert { created, raised })
 }
 
 /// What a batch claim found: the due claims plus how much of the
@@ -247,34 +225,22 @@ pub struct ClaimOutcome {
     pub next_due: Option<i64>,
 }
 
-/// Pop the best frontier entry (lowest `(numtries, −logR, serverload)`)
-/// and mark it claimed. `None` when the frontier is empty. Treats every
-/// parked row as already due — a test/diagnostic convenience; the crawl
-/// itself claims through [`claim_batch`] with its real tick.
-pub fn claim_next(db: &mut Database) -> DbResult<Option<Claim>> {
-    Ok(claim_batch(db, 1, i64::MAX)?.claims.pop())
-}
-
-/// Pop the `n` best *due* frontier entries in one pass: a single range
-/// scan of the frontier index gathers the rids, and one batch update
-/// flips them all to `CLAIMED` — the range-pop counterpart of the
-/// paper's batch access paths. Rows parked past `now` are skipped
-/// without losing their place in the priority order; because they hide
-/// between poppable rows in the index, the scan over-fetches with a
-/// doubling window until `n` due rows surface or the frontier range is
-/// exhausted. Returns fewer than `n` (possibly zero) claims when the
-/// due frontier runs short.
-pub fn claim_batch(db: &mut Database, n: usize, now: i64) -> DbResult<ClaimOutcome> {
-    claim_batch_where(db, n, now, |_| true)
-}
-
-/// [`claim_batch`] with an admission predicate: a due row whose decoded
-/// claim fails `admit` is *deferred* — left in place, uncounted against
-/// `n`, tallied in [`ClaimOutcome::deferred`] — and the scan keeps
-/// looking further down the priority order. This is how per-server
-/// politeness caps shape claiming without the pop/park churn a
-/// round-trip through `CLAIMED` would cost: a saturated server's rows
-/// simply wait their turn in the frontier.
+/// Pop the `n` best *due* frontier entries (lowest `(numtries, −logR,
+/// serverload)`) in one pass: a single range scan of the frontier index
+/// gathers the rids, and one batch update flips them all to `CLAIMED` —
+/// the range-pop counterpart of the paper's batch access paths. Rows
+/// parked past `now` are skipped without losing their place in the
+/// priority order; because they hide between poppable rows in the
+/// index, the scan over-fetches with a doubling window until `n` due
+/// rows surface or the frontier range is exhausted. Returns fewer than
+/// `n` (possibly zero) claims when the due frontier runs short.
+///
+/// A due row whose decoded claim fails `admit` is *deferred* — left in
+/// place, uncounted against `n`, tallied in [`ClaimOutcome::deferred`] —
+/// and the scan keeps looking further down the priority order. This is
+/// how per-server politeness caps shape claiming without the pop/park
+/// churn a round-trip through `CLAIMED` would cost: a saturated
+/// server's rows simply wait their turn in the frontier.
 pub fn claim_batch_where(
     db: &mut Database,
     n: usize,
@@ -285,7 +251,7 @@ pub fn claim_batch_where(
     if n == 0 {
         return Ok(out);
     }
-    let tid = crawl_tid(db)?;
+    let tid = db.table_id("crawl")?;
     let prefix = encode_composite_key(&[Value::Int(visited::FRONTIER)]);
     let (pool, catalog) = db.parts_mut();
     let idx = catalog
@@ -354,44 +320,31 @@ pub fn claim_batch_where(
     Ok(out)
 }
 
+/// The stored row behind a claim its caller still holds. It must exist
+/// and be `CLAIMED`; anything else means the caller's view of its own
+/// claims is broken, so the whole batch is refused.
+fn claimed_row(row: Option<&[Value]>, oid: Oid, what: &str) -> DbResult<Vec<Value>> {
+    let Some(row) = row else {
+        return Err(DbError::Corrupt(format!(
+            "{what}: claimed row vanished ({oid})"
+        )));
+    };
+    if col_i64(row, crawl_col::VISITED, "visited")? != visited::CLAIMED {
+        return Err(DbError::Corrupt(format!("{what}: row not claimed ({oid})")));
+    }
+    Ok(row.to_vec())
+}
+
 /// Return claims to the frontier *unfetched* — a worker winding down on
 /// `stop()` hands its not-yet-fetched batch remainder back, so the work
 /// survives for the next run (or a checkpoint) instead of being fetched
-/// after the administrator asked for a stop. One ordered oid-index pass
-/// plus one batch update, like the claim itself.
+/// after the administrator asked for a stop.
 pub fn unclaim_batch(db: &mut Database, claims: &[Claim]) -> DbResult<()> {
-    if claims.is_empty() {
-        return Ok(());
-    }
-    let mut keys: Vec<Vec<u8>> = claims.iter().map(|c| oid_key(c.oid)).collect();
-    keys.sort_unstable();
-    let tid = crawl_tid(db)?;
-    let (pool, catalog) = db.parts_mut();
-    let idx = catalog
-        .find_index(tid, &[crawl_col::OID])
-        .ok_or_else(|| DbError::Catalog("crawl lacks oid index".into()))?;
-    let hits = catalog.table(tid).indexes[idx]
-        .btree
-        .lookup_many(pool, &keys)?;
-    let mut updates = Vec::with_capacity(claims.len());
-    for (key, rids) in keys.iter().zip(&hits) {
-        let Some(&rid) = rids.first() else {
-            return Err(DbError::Corrupt(format!(
-                "unclaim: claimed row vanished (key {key:?})"
-            )));
-        };
-        let row = catalog.get_row(pool, tid, rid)?;
-        if col_i64(&row, crawl_col::VISITED, "visited")? != visited::CLAIMED {
-            return Err(DbError::Corrupt(format!(
-                "unclaim: row not claimed (oid {})",
-                row[crawl_col::OID]
-            )));
-        }
-        let mut new_row = row.clone();
-        new_row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
-        updates.push((rid, row, new_row));
-    }
-    catalog.update_many(pool, tid, updates)?;
+    rewrite(db, claims.iter().map(|c| c.oid), |i, row| {
+        let mut row = claimed_row(row, claims[i].oid, "unclaim")?;
+        row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+        Ok(Some(row))
+    })?;
     Ok(())
 }
 
@@ -399,52 +352,21 @@ pub fn unclaim_batch(db: &mut Database, claims: &[Claim]) -> DbResult<()> {
 /// and `numtries`, but cannot be popped again before its `not_before`
 /// tick. This is how a worker hands back claims whose server sits
 /// behind an open circuit breaker — the page was never fetched, so
-/// nothing else about the row changes. One ordered oid-index pass plus
-/// one batch update, like [`unclaim_batch`].
+/// nothing else about the row changes.
 pub fn park_batch(db: &mut Database, items: &[(Oid, i64)]) -> DbResult<()> {
-    if items.is_empty() {
-        return Ok(());
-    }
-    let mut keyed: Vec<(Vec<u8>, i64)> = items
-        .iter()
-        .map(|&(oid, until)| (oid_key(oid), until))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    let keys: Vec<Vec<u8>> = keyed.iter().map(|(k, _)| k.clone()).collect();
-    let tid = crawl_tid(db)?;
-    let (pool, catalog) = db.parts_mut();
-    let idx = catalog
-        .find_index(tid, &[crawl_col::OID])
-        .ok_or_else(|| DbError::Catalog("crawl lacks oid index".into()))?;
-    let hits = catalog.table(tid).indexes[idx]
-        .btree
-        .lookup_many(pool, &keys)?;
-    let mut updates = Vec::with_capacity(items.len());
-    for ((key, until), rids) in keyed.iter().zip(&hits) {
-        let Some(&rid) = rids.first() else {
-            return Err(DbError::Corrupt(format!(
-                "park: claimed row vanished (key {key:?})"
-            )));
-        };
-        let row = catalog.get_row(pool, tid, rid)?;
-        if col_i64(&row, crawl_col::VISITED, "visited")? != visited::CLAIMED {
-            return Err(DbError::Corrupt(format!(
-                "park: row not claimed (oid {})",
-                row[crawl_col::OID]
-            )));
-        }
-        let mut new_row = row.clone();
-        new_row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
-        new_row[crawl_col::NOT_BEFORE] = Value::Int(*until);
-        updates.push((rid, row, new_row));
-    }
-    catalog.update_many(pool, tid, updates)?;
+    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
+        let (oid, until) = items[i];
+        let mut row = claimed_row(row, oid, "park")?;
+        row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+        row[crawl_col::NOT_BEFORE] = Value::Int(until);
+        Ok(Some(row))
+    })?;
     Ok(())
 }
 
 /// Record a successful fetch: relevance, best-leaf class, timestamps,
 /// and the fetched URL (filled in for rows that entered the frontier by
-/// oid alone) — one row update instead of two.
+/// oid alone) — one row rewrite.
 pub fn mark_done(
     db: &mut Database,
     oid: Oid,
@@ -453,22 +375,21 @@ pub fn mark_done(
     kcid: i64,
     now_secs: i64,
 ) -> DbResult<()> {
-    let Some((rid, mut row)) = oid_lookup(db, oid)? else {
-        return Err(DbError::Eval(format!(
-            "mark_done: {oid} not in crawl table"
-        )));
-    };
-    row[crawl_col::KCID] = Value::Int(kcid);
-    row[crawl_col::RELEVANCE] = Value::Float(log_relevance);
-    row[crawl_col::NEGREL] = Value::Float(-log_relevance);
-    row[crawl_col::LASTVISITED] = Value::Int(now_secs);
-    row[crawl_col::VISITED] = Value::Int(visited::DONE);
-    if !url.is_empty() {
-        row[crawl_col::URL] = Value::Str(url.to_owned());
-    }
-    let tid = crawl_tid(db)?;
-    let (pool, catalog) = db.parts_mut();
-    catalog.update_row(pool, tid, rid, row)?;
+    rewrite(db, std::iter::once(oid), |_, row| {
+        let Some(row) = row else {
+            return Err(DbError::Eval(format!(
+                "mark_done: {oid} not in crawl table"
+            )));
+        };
+        let mut row = with_relevance(row, log_relevance);
+        row[crawl_col::KCID] = Value::Int(kcid);
+        row[crawl_col::LASTVISITED] = Value::Int(now_secs);
+        row[crawl_col::VISITED] = Value::Int(visited::DONE);
+        if !url.is_empty() {
+            row[crawl_col::URL] = Value::Str(url.to_owned());
+        }
+        Ok(Some(row))
+    })?;
     Ok(())
 }
 
@@ -501,135 +422,80 @@ pub enum FailDisposition {
     Dead,
 }
 
-/// Record a batch of failed fetches in one ordered oid-index pass plus
-/// one batch update — a burst of failures from one sick server is one
-/// critical section, not N row rewrites. Each retriable row under
-/// `max_tries` requeues (numtries+1) parked until its `not_before`;
-/// the rest die. Dispositions come back aligned with `items`.
+/// Record a batch of failed fetches in one keyed rewrite — a burst of
+/// failures from one sick server is one critical section, not N row
+/// rewrites. Each retriable row under `max_tries` requeues (numtries+1)
+/// parked until its `not_before`; the rest die. Dispositions come back
+/// aligned with `items`.
 pub fn mark_failed_batch(
     db: &mut Database,
     items: &[FailureUpdate],
     max_tries: i64,
 ) -> DbResult<Vec<FailDisposition>> {
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| oid_key(items[i].oid));
-    let keys: Vec<Vec<u8>> = order.iter().map(|&i| oid_key(items[i].oid)).collect();
-    let tid = crawl_tid(db)?;
-    let (pool, catalog) = db.parts_mut();
-    let idx = catalog
-        .find_index(tid, &[crawl_col::OID])
-        .ok_or_else(|| DbError::Catalog("crawl lacks oid index".into()))?;
-    let hits = catalog.table(tid).indexes[idx]
-        .btree
-        .lookup_many(pool, &keys)?;
     let mut out = vec![FailDisposition::Dead; items.len()];
-    let mut updates = Vec::with_capacity(items.len());
-    for (&i, rids) in order.iter().zip(&hits) {
-        let item = &items[i];
-        let Some(&rid) = rids.first() else {
+    rewrite(db, items.iter().map(|f| f.oid), |i, row| {
+        let FailureUpdate {
+            oid,
+            retriable,
+            not_before,
+        } = items[i];
+        let Some(row) = row else {
             return Err(DbError::Eval(format!(
-                "mark_failed: {} not in crawl table",
-                item.oid
+                "mark_failed: {oid} not in crawl table"
             )));
         };
-        let row = catalog.get_row(pool, tid, rid)?;
-        let tries = col_i64(&row, crawl_col::NUMTRIES, "numtries")? + 1;
-        let mut new_row = row.clone();
-        new_row[crawl_col::NUMTRIES] = Value::Int(tries);
-        if item.retriable && tries < max_tries {
-            new_row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
-            new_row[crawl_col::NOT_BEFORE] = Value::Int(item.not_before);
-            out[i] = FailDisposition::Retried {
-                not_before: item.not_before,
-            };
+        let tries = col_i64(row, crawl_col::NUMTRIES, "numtries")? + 1;
+        let mut row = row.to_vec();
+        row[crawl_col::NUMTRIES] = Value::Int(tries);
+        if retriable && tries < max_tries {
+            row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+            row[crawl_col::NOT_BEFORE] = Value::Int(not_before);
+            out[i] = FailDisposition::Retried { not_before };
         } else {
-            new_row[crawl_col::VISITED] = Value::Int(visited::DEAD);
-            new_row[crawl_col::NOT_BEFORE] = Value::Int(0);
-            out[i] = FailDisposition::Dead;
+            row[crawl_col::VISITED] = Value::Int(visited::DEAD);
+            row[crawl_col::NOT_BEFORE] = Value::Int(0);
         }
-        updates.push((rid, row, new_row));
-    }
-    catalog.update_many(pool, tid, updates)?;
+        Ok(Some(row))
+    })?;
     Ok(out)
 }
 
-/// Record a single failed fetch; requeues (numtries+1, immediately
-/// poppable) when retriable and under `max_tries`, otherwise marks the
-/// page dead. A one-item [`mark_failed_batch`].
-pub fn mark_failed(
-    db: &mut Database,
-    oid: Oid,
-    retriable: bool,
-    max_tries: i64,
-) -> DbResult<FailDisposition> {
-    let dispo = mark_failed_batch(
-        db,
-        &[FailureUpdate {
-            oid,
-            retriable,
-            not_before: 0,
-        }],
-        max_tries,
-    )?;
-    Ok(dispo[0])
-}
-
-/// Raise the stored relevance of an *unvisited* page (distiller hub-boost
-/// trigger, §3.7 re-steering). No-op for visited/dead pages and for lower
-/// priorities. Returns whether a frontier priority actually changed (a
-/// row was created or raised). A one-entry [`upsert_batch`], so single
-/// boosts and batch boosts share one semantic path.
-pub fn boost_unvisited(db: &mut Database, oid: Oid, log_relevance: f64) -> DbResult<bool> {
-    let res = upsert_batch(
-        db,
-        &[FrontierEntry {
-            oid,
-            url: String::new(),
-            log_relevance,
-            serverload: 0,
-        }],
-    )?;
-    Ok(res.changed() > 0)
-}
-
-/// Rewrite the stored relevance of a *visited* page after a good-mark
+/// Rewrite the stored relevance of *visited* pages after a good-mark
 /// change (§3.7), so monitoring SQL (`avg(exp(relevance))`, the paper's
-/// `log R(u) > −1` cut) reflects the new marking. No-op for rows that are
-/// not `DONE`.
-pub fn update_visited_relevance(db: &mut Database, oid: Oid, log_relevance: f64) -> DbResult<()> {
-    if let Some((rid, mut row)) = oid_lookup(db, oid)? {
-        if row[crawl_col::VISITED].as_i64() == Some(visited::DONE) {
-            row[crawl_col::RELEVANCE] = Value::Float(log_relevance);
-            row[crawl_col::NEGREL] = Value::Float(-log_relevance);
-            let tid = crawl_tid(db)?;
-            let (pool, catalog) = db.parts_mut();
-            catalog.update_row(pool, tid, rid, row)?;
-        }
-    }
+/// `log R(u) > −1` cut) reflects the new marking. Rows that are not
+/// `DONE`, and oids with no row, are skipped.
+pub fn set_visited_relevance(db: &mut Database, items: &[(Oid, f64)]) -> DbResult<()> {
+    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
+        let done = |r: &&[Value]| r[crawl_col::VISITED].as_i64() == Some(visited::DONE);
+        Ok(row.filter(done).map(|r| with_relevance(r, items[i].1)))
+    })?;
     Ok(())
 }
 
 /// Update only `lastvisited` (crawl-maintenance revisits touch a page
 /// without reclassifying it). Silently ignores unknown oids.
 pub fn touch_visited(db: &mut Database, oid: Oid, now_secs: i64) -> DbResult<()> {
-    if let Some((rid, mut row)) = oid_lookup(db, oid)? {
-        row[crawl_col::LASTVISITED] = Value::Int(now_secs);
-        let tid = crawl_tid(db)?;
-        let (pool, catalog) = db.parts_mut();
-        catalog.update_row(pool, tid, rid, row)?;
-    }
+    rewrite(db, std::iter::once(oid), |_, row| {
+        Ok(row.map(|row| {
+            let mut row = row.to_vec();
+            row[crawl_col::LASTVISITED] = Value::Int(now_secs);
+            row
+        }))
+    })?;
     Ok(())
 }
 
-/// Number of poppable frontier entries (diagnostics / stagnation checks).
-pub fn frontier_len(db: &mut Database) -> DbResult<i64> {
-    Ok(db
-        .execute("select count(*) from crawl where visited = 0")?
-        .scalar_i64()
-        .unwrap_or(0))
+/// [`claim_batch_where`] admitting every due row (tests only).
+#[cfg(test)]
+pub(crate) fn claim_batch(db: &mut Database, n: usize, now: i64) -> DbResult<ClaimOutcome> {
+    claim_batch_where(db, n, now, |_| true)
+}
+
+/// Pop the single best frontier entry, treating every parked row as
+/// already due (tests only).
+#[cfg(test)]
+pub(crate) fn claim_next(db: &mut Database) -> DbResult<Option<Claim>> {
+    Ok(claim_batch(db, 1, i64::MAX)?.claims.pop())
 }
 
 #[cfg(test)]
@@ -643,13 +509,71 @@ mod tests {
         db
     }
 
+    fn entry(oid: u64, url: &str, r: f64, load: i64) -> FrontierEntry {
+        FrontierEntry {
+            oid: Oid(oid),
+            url: url.to_owned(),
+            log_relevance: r,
+            serverload: load,
+        }
+    }
+
+    /// Enqueue (or endorse again) one page.
+    fn put(db: &mut Database, oid: u64, url: &str, r: f64, load: i64) -> BatchUpsert {
+        upsert_batch(db, &[entry(oid, url, r, load)]).unwrap()
+    }
+
+    /// The per-link upsert the batch path replaced, kept as its oracle
+    /// and deliberately built on nothing `rewrite` uses: plain SQL
+    /// through the planner, one statement pair per endorsement.
+    fn upsert_frontier(db: &mut Database, e: &FrontierEntry) {
+        let oid = Value::Int(e.oid.raw() as i64);
+        let found = db
+            .execute_with(
+                "select visited, relevance from crawl where oid = ?",
+                std::slice::from_ref(&oid),
+            )
+            .unwrap();
+        match found.rows.first() {
+            None => {
+                let tid = db.table_id("crawl").unwrap();
+                let row = frontier_row(e.oid, &e.url, e.log_relevance, e.serverload);
+                db.insert(tid, row).unwrap();
+            }
+            Some(row) => {
+                let unvisited = row[0] == Value::Int(visited::FRONTIER);
+                if unvisited && e.log_relevance > row[1].as_f64().unwrap() {
+                    db.execute_with(
+                        "update crawl set relevance = ?, negrel = ? where oid = ?",
+                        &[
+                            Value::Float(e.log_relevance),
+                            Value::Float(-e.log_relevance),
+                            oid,
+                        ],
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+
+    /// A one-item [`mark_failed_batch`], immediately poppable.
+    fn mark_failed(db: &mut Database, oid: Oid, retriable: bool, max_tries: i64) {
+        let item = FailureUpdate {
+            oid,
+            retriable,
+            not_before: 0,
+        };
+        mark_failed_batch(db, &[item], max_tries).unwrap();
+    }
+
     #[test]
     fn claims_follow_priority_order() {
         let mut db = db();
         // Same numtries: order by descending relevance.
-        upsert_frontier(&mut db, Oid(1), "u1", -2.0, 0).unwrap();
-        upsert_frontier(&mut db, Oid(2), "u2", -0.5, 0).unwrap();
-        upsert_frontier(&mut db, Oid(3), "u3", -1.0, 0).unwrap();
+        put(&mut db, 1, "u1", -2.0, 0);
+        put(&mut db, 2, "u2", -0.5, 0);
+        put(&mut db, 3, "u3", -1.0, 0);
         let order: Vec<u64> =
             std::iter::from_fn(|| claim_next(&mut db).unwrap().map(|c| c.oid.raw())).collect();
         assert_eq!(order, vec![2, 3, 1]);
@@ -659,12 +583,12 @@ mod tests {
     #[test]
     fn numtries_dominates_relevance() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", 0.0, 0).unwrap();
+        put(&mut db, 1, "u1", 0.0, 0);
         // Fail oid 1 once: numtries=1, requeued.
         claim_next(&mut db).unwrap();
-        mark_failed(&mut db, Oid(1), true, 5).unwrap();
+        mark_failed(&mut db, Oid(1), true, 5);
         // New lower-relevance page with numtries=0 must be claimed first.
-        upsert_frontier(&mut db, Oid(2), "u2", -3.0, 0).unwrap();
+        put(&mut db, 2, "u2", -3.0, 0);
         let c = claim_next(&mut db).unwrap().unwrap();
         assert_eq!(c.oid, Oid(2));
         let c = claim_next(&mut db).unwrap().unwrap();
@@ -675,8 +599,8 @@ mod tests {
     #[test]
     fn serverload_breaks_ties() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", -1.0, 10).unwrap();
-        upsert_frontier(&mut db, Oid(2), "u2", -1.0, 2).unwrap();
+        put(&mut db, 1, "u1", -1.0, 10);
+        put(&mut db, 2, "u2", -1.0, 2);
         let c = claim_next(&mut db).unwrap().unwrap();
         assert_eq!(c.oid, Oid(2), "lighter server first");
     }
@@ -684,18 +608,10 @@ mod tests {
     #[test]
     fn upsert_raises_priority_only_upward() {
         let mut db = db();
-        assert_eq!(
-            upsert_frontier(&mut db, Oid(1), "u1", -2.0, 0).unwrap(),
-            Upsert::Created
-        );
-        assert_eq!(
-            upsert_frontier(&mut db, Oid(1), "u1", -1.0, 0).unwrap(),
-            Upsert::Raised
-        );
-        assert_eq!(
-            upsert_frontier(&mut db, Oid(1), "u1", -5.0, 0).unwrap(),
-            Upsert::Unchanged
-        );
+        let did = |created, raised| BatchUpsert { created, raised };
+        assert_eq!(put(&mut db, 1, "u1", -2.0, 0), did(1, 0));
+        assert_eq!(put(&mut db, 1, "u1", -1.0, 0), did(0, 1));
+        assert_eq!(put(&mut db, 1, "u1", -5.0, 0), did(0, 0));
         let c = claim_next(&mut db).unwrap().unwrap();
         assert!((c.log_relevance - -1.0).abs() < 1e-12, "kept the max");
     }
@@ -703,13 +619,14 @@ mod tests {
     #[test]
     fn done_pages_leave_the_frontier() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", 0.0, 0).unwrap();
+        put(&mut db, 1, "u1", 0.0, 0);
         let c = claim_next(&mut db).unwrap().unwrap();
         mark_done(&mut db, c.oid, "u1", -0.2, 5, 100).unwrap();
         assert!(claim_next(&mut db).unwrap().is_none());
-        assert_eq!(frontier_len(&mut db).unwrap(), 0);
+        let unvisited = db.execute("select count(*) from crawl where visited = 0");
+        assert_eq!(unvisited.unwrap().scalar_i64(), Some(0));
         // Re-discovering a visited page does not resurrect it.
-        upsert_frontier(&mut db, Oid(1), "u1", 0.0, 0).unwrap();
+        put(&mut db, 1, "u1", 0.0, 0);
         assert!(claim_next(&mut db).unwrap().is_none());
         let rs = db
             .execute("select kcid, lastvisited from crawl where oid = 1")
@@ -721,40 +638,32 @@ mod tests {
     #[test]
     fn failures_retry_then_die() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", 0.0, 0).unwrap();
+        put(&mut db, 1, "u1", 0.0, 0);
         for expected_tries in 1..3i64 {
             let c = claim_next(&mut db).unwrap().unwrap();
             assert_eq!(c.numtries, expected_tries - 1);
-            mark_failed(&mut db, c.oid, true, 3).unwrap();
+            mark_failed(&mut db, c.oid, true, 3);
         }
         // Third failure reaches max_tries: dead.
         let c = claim_next(&mut db).unwrap().unwrap();
-        mark_failed(&mut db, c.oid, true, 3).unwrap();
+        mark_failed(&mut db, c.oid, true, 3);
         assert!(claim_next(&mut db).unwrap().is_none());
         // Non-retriable dies immediately.
-        upsert_frontier(&mut db, Oid(2), "u2", 0.0, 0).unwrap();
+        put(&mut db, 2, "u2", 0.0, 0);
         let c = claim_next(&mut db).unwrap().unwrap();
-        mark_failed(&mut db, c.oid, false, 3).unwrap();
+        mark_failed(&mut db, c.oid, false, 3);
         assert!(claim_next(&mut db).unwrap().is_none());
     }
 
     #[test]
     fn boost_raises_unvisited_priority() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", -4.0, 0).unwrap();
-        upsert_frontier(&mut db, Oid(2), "u2", -1.0, 0).unwrap();
-        boost_unvisited(&mut db, Oid(1), -0.1).unwrap();
+        put(&mut db, 1, "u1", -4.0, 0);
+        put(&mut db, 2, "u2", -1.0, 0);
+        // A distiller boost knows the oid, not the URL.
+        assert_eq!(put(&mut db, 1, "", -0.1, 0).changed(), 1);
         let c = claim_next(&mut db).unwrap().unwrap();
         assert_eq!(c.oid, Oid(1), "boosted page wins");
-    }
-
-    fn entry(oid: u64, url: &str, r: f64, load: i64) -> FrontierEntry {
-        FrontierEntry {
-            oid: Oid(oid),
-            url: url.to_owned(),
-            log_relevance: r,
-            serverload: load,
-        }
     }
 
     #[test]
@@ -769,12 +678,12 @@ mod tests {
             entry(11, "b2", -4.0, 0), // dup: no improvement
         ];
         let mut seq = db();
-        upsert_frontier(&mut seq, Oid(5), "pre", -1.0, 0).unwrap();
+        upsert_frontier(&mut seq, &entry(5, "pre", -1.0, 0));
         for e in &items {
-            upsert_frontier(&mut seq, e.oid, &e.url, e.log_relevance, e.serverload).unwrap();
+            upsert_frontier(&mut seq, e);
         }
         let mut bat = db();
-        upsert_frontier(&mut bat, Oid(5), "pre", -1.0, 0).unwrap();
+        put(&mut bat, 5, "pre", -1.0, 0);
         let res = upsert_batch(&mut bat, &items).unwrap();
         assert_eq!(
             res,
@@ -799,15 +708,15 @@ mod tests {
                 raised: 1
             }
         );
-        upsert_frontier(&mut seq, Oid(10), "x", -0.1, 0).unwrap();
-        upsert_frontier(&mut seq, Oid(5), "y", -2.0, 0).unwrap();
+        upsert_frontier(&mut seq, &entry(10, "x", -0.1, 0));
+        upsert_frontier(&mut seq, &entry(5, "y", -2.0, 0));
         assert_eq!(dump(&mut seq), dump(&mut bat));
     }
 
     #[test]
     fn upsert_batch_skips_visited_and_dead_rows() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", -1.0, 0).unwrap();
+        put(&mut db, 1, "u1", -1.0, 0);
         let c = claim_next(&mut db).unwrap().unwrap();
         mark_done(&mut db, c.oid, "u1", -0.2, 3, 10).unwrap();
         let res = upsert_batch(&mut db, &[entry(1, "u1", 0.0, 0)]).unwrap();
@@ -819,7 +728,7 @@ mod tests {
     fn claim_batch_pops_in_priority_order() {
         let mut db = db();
         for (oid, r) in [(1u64, -2.0), (2, -0.5), (3, -1.0), (4, -0.1), (5, -3.0)] {
-            upsert_frontier(&mut db, Oid(oid), &format!("u{oid}"), r, 0).unwrap();
+            put(&mut db, oid, &format!("u{oid}"), r, 0);
         }
         let batch = claim_batch(&mut db, 3, 0).unwrap().claims;
         let oids: Vec<u64> = batch.iter().map(|c| c.oid.raw()).collect();
@@ -840,7 +749,7 @@ mod tests {
             let mut d = db();
             for i in 0..40u64 {
                 let r = -((i % 7) as f64) / 3.0;
-                upsert_frontier(&mut d, Oid(i + 1), &format!("u{i}"), r, (i % 3) as i64).unwrap();
+                put(&mut d, i + 1, &format!("u{i}"), r, (i % 3) as i64);
             }
             d
         };
@@ -862,9 +771,9 @@ mod tests {
     #[test]
     fn parked_rows_hide_until_due_without_losing_priority() {
         let mut db = db();
-        upsert_frontier(&mut db, Oid(1), "u1", -0.5, 0).unwrap(); // best
-        upsert_frontier(&mut db, Oid(2), "u2", -1.0, 0).unwrap();
-        upsert_frontier(&mut db, Oid(3), "u3", -2.0, 0).unwrap();
+        put(&mut db, 1, "u1", -0.5, 0); // best
+        put(&mut db, 2, "u2", -1.0, 0);
+        put(&mut db, 3, "u3", -2.0, 0);
         // Park the best entry until tick 10.
         let c = claim_batch(&mut db, 1, 0).unwrap().claims.pop().unwrap();
         assert_eq!(c.oid, Oid(1));
@@ -887,7 +796,7 @@ mod tests {
     fn all_parked_frontier_claims_nothing_but_counts() {
         let mut db = db();
         for oid in 1..=4u64 {
-            upsert_frontier(&mut db, Oid(oid), &format!("u{oid}"), -1.0, 0).unwrap();
+            put(&mut db, oid, &format!("u{oid}"), -1.0, 0);
         }
         let claims = claim_batch(&mut db, 4, 0).unwrap().claims;
         let parked: Vec<(Oid, i64)> = claims.iter().map(|c| (c.oid, 7)).collect();
@@ -905,14 +814,14 @@ mod tests {
         let build = || {
             let mut d = db();
             for oid in 1..=3u64 {
-                upsert_frontier(&mut d, Oid(oid), &format!("u{oid}"), -1.0, 0).unwrap();
+                put(&mut d, oid, &format!("u{oid}"), -1.0, 0);
             }
             let claims = claim_batch(&mut d, 3, 0).unwrap().claims;
             (d, claims)
         };
         let (mut seq, claims) = build();
         for c in &claims {
-            mark_failed(&mut seq, c.oid, c.oid != Oid(2), 3).unwrap();
+            mark_failed(&mut seq, c.oid, c.oid != Oid(2), 3);
         }
         let (mut bat, claims) = build();
         let items: Vec<FailureUpdate> = claims

@@ -4,6 +4,41 @@
 
 use super::*;
 
+/// A breaker transition one fetch outcome caused: what `server_health`
+/// mirrors and the event stream announces.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum BreakerChange {
+    /// The failure opened (or re-opened) the server's breaker.
+    Quarantined { failures: u32, until: i64 },
+    /// The answer closed it.
+    Recovered,
+}
+
+/// Charge one failed fetch to its server's health — the one place a
+/// failure kind becomes [`HealthMap`] calls, for crawl fetches and
+/// maintenance revisits alike. Only timeouts count against the
+/// *server*. A 404 is a dead page on a live host and an unclassifiable
+/// page was served fine: health-neutral, but exactly what a half-open
+/// probe was sent to hear. Returns the tick a requeued row must wait
+/// for, and the breaker transition if this failure caused one.
+pub(super) fn charge_failure(
+    health: &mut HealthMap,
+    sid: ServerId,
+    kind: FetchErrorKind,
+    now: i64,
+) -> (i64, Option<BreakerChange>) {
+    if kind != FetchErrorKind::Timeout {
+        let recovered = health.record_answered(sid);
+        return (0, recovered.then_some(BreakerChange::Recovered));
+    }
+    match health.record_failure(sid, now) {
+        FailureVerdict::Backoff { not_before } => (not_before, None),
+        FailureVerdict::Quarantined { until, failures } => {
+            (until, Some(BreakerChange::Quarantined { failures, until }))
+        }
+    }
+}
+
 impl CrawlSession {
     /// Seed the frontier with the start set `D(C*)` at top priority.
     ///
@@ -253,8 +288,7 @@ impl CrawlSession {
         // A success closes the server's breaker (the half-open probe
         // came back) and resets its failure streak.
         if g.health.record_success(sid_src) {
-            Self::write_server_health(&mut g.db, sid_src, g.health.get(sid_src))?;
-            sink.emit(CrawlEvent::ServerRecovered { server: sid_src });
+            Self::publish_breaker(g, sid_src, BreakerChange::Recovered, sink)?;
         }
 
         // Record links and expand the frontier. The whole page's LINK
@@ -373,10 +407,9 @@ impl CrawlSession {
         self.counters.tallies.lock().failures += failures.len() as u64;
         let now = self.counters.clock.load(Ordering::Acquire) as i64;
         let mut updates = Vec::with_capacity(failures.len());
-        // Per item: (quarantine opened by this failure, row is behind
-        // an open breaker, this answer resolved a half-open probe) —
-        // computed in the first pass, consumed when events are cut
-        // after the rows land.
+        // Per item: (server, breaker transition this failure caused,
+        // row is behind an open breaker) — computed in the first pass,
+        // consumed when events are cut after the rows land.
         let mut verdicts = Vec::with_capacity(failures.len());
         for (claim, kind, _) in failures {
             // Every admitted claim charged exactly one politeness slot,
@@ -384,32 +417,10 @@ impl CrawlSession {
             // bookkeeping, keyed as the admission was (the claim URL).
             let sid = host_server_id(&claim.url);
             g.health.release(sid);
-            let mut not_before = 0i64;
-            let mut quarantined: Option<(ServerId, u32, i64)> = None;
-            let mut behind_breaker = false;
-            let mut recovered: Option<ServerId> = None;
-            if *kind == FetchErrorKind::Timeout {
-                // Only timeouts count against the *server*.
-                match g.health.record_failure(sid, now) {
-                    FailureVerdict::Backoff { not_before: nb } => {
-                        not_before = nb;
-                        behind_breaker = g
-                            .health
-                            .get(sid)
-                            .is_some_and(|h| h.breaker != Breaker::Closed);
-                    }
-                    FailureVerdict::Quarantined { until, failures: n } => {
-                        not_before = until;
-                        behind_breaker = true;
-                        quarantined = Some((sid, n, until));
-                    }
-                }
-            } else {
-                // A 404 is a dead page on a live host and an
-                // unclassifiable page was served fine: health-neutral,
-                // but exactly what a half-open probe was sent to hear.
-                recovered = g.health.record_answered(sid).then_some(sid);
-            }
+            let (not_before, change) = charge_failure(&mut g.health, sid, *kind, now);
+            // Only a timeout leaves its row waiting on the server.
+            let behind_breaker = *kind == FetchErrorKind::Timeout
+                && (g.health.get(sid)).is_some_and(|h| h.breaker != Breaker::Closed);
             // Retriable failures spend the retry budget — but only when
             // the page would actually requeue. With the budget dry the
             // failure is terminal, so retries can never starve
@@ -430,11 +441,11 @@ impl CrawlSession {
                 retriable,
                 not_before,
             });
-            verdicts.push((quarantined, behind_breaker, recovered));
+            verdicts.push((sid, change, behind_breaker));
         }
         let dispositions = frontier::mark_failed_batch(&mut g.db, &updates, self.cfg.max_tries)?;
         for (i, (claim, kind, attempt)) in failures.iter().enumerate() {
-            let (quarantined, behind_breaker, recovered) = verdicts[i];
+            let (sid, change, behind_breaker) = verdicts[i];
             let outcome = match dispositions[i] {
                 frontier::FailDisposition::Dead => FailureOutcome::Dead,
                 frontier::FailDisposition::Retried { not_before } if behind_breaker => {
@@ -451,19 +462,30 @@ impl CrawlSession {
                 error: *kind,
                 outcome,
             });
-            if let Some((sid, n, until)) = quarantined {
-                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
-                sink.emit(CrawlEvent::ServerQuarantined {
-                    server: sid,
-                    failures: n,
-                    until,
-                });
-            }
-            if let Some(sid) = recovered {
-                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
-                sink.emit(CrawlEvent::ServerRecovered { server: sid });
+            if let Some(change) = change {
+                Self::publish_breaker(g, sid, change, sink)?;
             }
         }
+        Ok(())
+    }
+
+    /// Mirror a breaker transition into `server_health` and announce
+    /// it — after the event of the fetch that caused it.
+    pub(super) fn publish_breaker(
+        g: &mut StoreState,
+        sid: ServerId,
+        change: BreakerChange,
+        sink: &EventSink,
+    ) -> DbResult<()> {
+        Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
+        sink.emit(match change {
+            BreakerChange::Recovered => CrawlEvent::ServerRecovered { server: sid },
+            BreakerChange::Quarantined { failures, until } => CrawlEvent::ServerQuarantined {
+                server: sid,
+                failures,
+                until,
+            },
+        });
         Ok(())
     }
 

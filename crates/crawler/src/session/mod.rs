@@ -1817,4 +1817,141 @@ mod tests {
             "parked row must be due at its tick: {due:?}"
         );
     }
+
+    /// The tiny web, except that the page named in `gone` answers 404:
+    /// a hub the evolving web deleted.
+    struct DeletedHub {
+        inner: SimFetcher,
+        gone: StdMutex<Option<Oid>>,
+    }
+
+    impl Fetcher for DeletedHub {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            if *self.gone.lock().unwrap() == Some(oid) {
+                return Err(FetchError::NotFound(oid));
+            }
+            self.inner.fetch(oid)
+        }
+        fn fetch_count(&self) -> u64 {
+            self.inner.fetch_count()
+        }
+        fn url_of(&self, oid: Oid) -> Option<String> {
+            self.inner.url_of(oid)
+        }
+    }
+
+    #[test]
+    fn a_revisit_that_probes_a_deleted_hub_still_recovers_the_server() {
+        // Breaker liveness on the maintenance path: the revisit is
+        // admitted as the half-open probe of a quarantined server and
+        // the hub turns out to be gone. The server *answered*, so the
+        // breaker must close — left in `Probing`, every later claim
+        // for that server would re-park for ever.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(DeletedHub {
+            inner: SimFetcher::new(Arc::clone(&graph), None),
+            gone: StdMutex::new(None),
+        });
+        let cfg = CrawlConfig {
+            threads: 1,
+            max_fetches: 60,
+            distill_every: None,
+            ..CrawlConfig::default()
+        };
+        let session = Arc::new(CrawlSession::new(Arc::clone(&fetcher) as _, model, cfg).unwrap());
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        session
+            .seed(&focus_webgraph::search::topic_start_set(&graph, cycling, 5))
+            .unwrap();
+        session.run().unwrap();
+        let hub = session.distill_now().unwrap().top_hubs(1)[0].0;
+        let sid = host_server_id(&fetcher.url_of(hub).unwrap());
+
+        // A burst of timeouts opens the server's breaker...
+        let until = {
+            let mut g = session.store.write();
+            let g = &mut *g;
+            let tick = session.counters.clock.load(Ordering::Acquire) as i64;
+            let verdict = (0..session.cfg.breaker.threshold)
+                .map(|_| g.health.record_failure(sid, tick))
+                .last()
+                .unwrap();
+            let FailureVerdict::Quarantined { until, .. } = verdict else {
+                panic!("threshold failures must quarantine: {verdict:?}");
+            };
+            CrawlSession::write_server_health(&mut g.db, sid, g.health.get(sid)).unwrap();
+            until
+        };
+        let health_row = || {
+            session
+                .sql_with(
+                    "select state from server_health where sid = ?",
+                    &[Value::Int(sid.raw() as i64)],
+                )
+                .unwrap()
+                .rows
+        };
+        assert_eq!(health_row(), vec![vec![Value::Str("open".into())]]);
+        // ...the cooldown lapses, and the web deletes the hub.
+        session
+            .counters
+            .clock
+            .store(until as u64, Ordering::Release);
+        *fetcher.gone.lock().unwrap() = Some(hub);
+
+        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
+        let (revisited, _) = session
+            .maintenance_pass_with(1, vec![Arc::new(Arc::clone(&recorder))])
+            .unwrap();
+        assert_eq!(revisited, 0, "the hub is gone");
+        let events = recorder.0.lock().unwrap().clone();
+        assert!(
+            matches!(
+                events[..],
+                [
+                    CrawlEvent::HubRevisitFailed {
+                        error: FetchErrorKind::NotFound,
+                        ..
+                    },
+                    CrawlEvent::ServerRecovered { server }
+                ] if server == sid
+            ),
+            "a failed revisit, then exactly one recovery: {events:?}"
+        );
+        let breaker = session.store.read().health.get(sid).unwrap().breaker;
+        assert_eq!(breaker, Breaker::Closed, "any answer resolves the probe");
+        assert_eq!(health_row(), vec![vec![Value::Str("closed".into())]]);
+
+        // With nothing but that server's pages left to fetch, the next
+        // run fetches them and terminates instead of re-parking them
+        // behind a probe nobody will ever answer.
+        *fetcher.gone.lock().unwrap() = None;
+        let elsewhere: Vec<Value> = session
+            .sql("select oid, url from crawl where visited = 0")
+            .unwrap()
+            .rows
+            .into_iter()
+            .filter(|r| host_server_id(r[1].as_str().unwrap()) != sid)
+            .map(|r| r[0].clone())
+            .collect();
+        session.with_db(|db| {
+            for oid in elsewhere {
+                db.execute_with("delete from crawl where oid = ?", &[oid])
+                    .unwrap();
+            }
+        });
+        let on_server: Vec<Oid> = (graph.pages().iter())
+            .filter(|p| host_server_id(&p.url) == sid)
+            .map(|p| p.oid)
+            .collect();
+        session.seed(&on_server).unwrap();
+        let before = session.stats().successes;
+        session.add_budget(10);
+        let stats = session.run().unwrap();
+        assert!(
+            stats.successes > before,
+            "the recovered server's pages are fetched again: {stats:?}"
+        );
+    }
 }

@@ -97,7 +97,7 @@ impl CrawlSession {
         // path nodes) borrows its deepest evaluated ancestor's
         // probability — an upper bound, which is the right bias for
         // discovery: over-approximating sends the crawler to look.
-        let recomputed: Vec<(Oid, f64)> = g
+        let mut recomputed: Vec<(Oid, f64)> = g
             .class_probs
             .iter()
             .map(|(&oid, probs)| {
@@ -108,13 +108,17 @@ impl CrawlSession {
                 (oid, r.min(1.0))
             })
             .collect();
-        for &(oid, r) in &recomputed {
-            g.graph.set_relevance(oid, r);
-            if let Err(e) = frontier::update_visited_relevance(&mut g.db, oid, log_clamped(r)) {
-                drop(g);
-                self.record_error(e);
-                return;
-            }
+        // The graph keeps R, `CRAWL` stores log R: one keyed batch
+        // rewrite for the table, not an index descent per visited page
+        // under this lock.
+        for (oid, r) in &mut recomputed {
+            g.graph.set_relevance(*oid, *r);
+            *r = log_clamped(*r);
+        }
+        if let Err(e) = frontier::set_visited_relevance(&mut g.db, &recomputed) {
+            drop(g);
+            self.record_error(e);
+            return;
         }
         // Re-prioritize: unvisited targets of now-relevant pages inherit
         // the new relevance, exactly the soft-focus rule applied
@@ -221,40 +225,31 @@ impl CrawlSession {
             let result = self.fetcher.fetch(hub);
             let page = match result {
                 Err(ref e) => {
+                    // The same health bookkeeping a failed crawl fetch
+                    // gets: any answer resolves a half-open probe, not
+                    // just a page (a hub the evolving web deleted must
+                    // not strand its server in `Probing`).
                     let kind = FetchErrorKind::from(e);
                     let mut g = self.store.write();
-                    // Reborrow so `db` and `health` borrows can split.
-                    let g = &mut *g;
                     g.health.release(sid);
-                    if kind == FetchErrorKind::Timeout {
-                        if let FailureVerdict::Quarantined { until, failures } =
-                            g.health.record_failure(sid, tick)
-                        {
-                            Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
-                            sink.emit(CrawlEvent::ServerQuarantined {
-                                server: sid,
-                                failures,
-                                until,
-                            });
-                        }
-                    }
+                    let (_, change) = flush::charge_failure(&mut g.health, sid, kind, tick);
                     sink.emit(CrawlEvent::HubRevisitFailed {
                         oid: hub,
                         server: sid,
                         error: kind,
                     });
+                    if let Some(change) = change {
+                        Self::publish_breaker(&mut g, sid, change, &sink)?;
+                    }
                     continue;
                 }
                 Ok(page) => page,
             };
             revisited += 1;
             let mut g = self.store.write();
-            // Reborrow so `db` and `health` borrows can split.
-            let g = &mut *g;
             g.health.release(sid);
             if g.health.record_success(sid) {
-                Self::write_server_health(&mut g.db, sid, g.health.get(sid))?;
-                sink.emit(CrawlEvent::ServerRecovered { server: sid });
+                Self::publish_breaker(&mut g, sid, flush::BreakerChange::Recovered, &sink)?;
             }
             let now = self.start.elapsed().as_secs() as i64;
             // Known outlinks of this hub.

@@ -92,7 +92,7 @@ pub fn create_tables(db: &mut Database) -> DbResult<()> {
 
 /// Create the small `TAXONOMY` dimension used by the §3.7 monitoring
 /// queries (kcid → name/type), for sessions that classify in memory. The
-/// schema matches what [`focus_classifier::tables`] creates so the same
+/// schema matches what `focus_eval::tables` creates so the same
 /// monitor SQL works against either.
 pub fn create_taxonomy_dim(db: &mut Database, taxonomy: &focus_types::Taxonomy) -> DbResult<()> {
     db.execute(

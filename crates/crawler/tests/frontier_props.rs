@@ -1,0 +1,412 @@
+//! Property test of the frontier's write paths: random interleavings of
+//! every public `frontier` operation against a `BTreeMap<Oid, row>`
+//! model. After each operation the `CRAWL` table equals the model, both
+//! of its indexes hold exactly one entry per row (each row reachable
+//! through each index under the key its current values encode to) and
+//! pass `BTree::validate`, and claims come out in the paper's
+//! `(numtries, −log R, serverload)` order.
+//!
+//! The generator leans on the corners the hand-written mutators used to
+//! each get right on their own: duplicate oids inside one upsert batch,
+//! empty batches, rows in all four `visited` states, parked rows, oids
+//! whose key order differs from their numeric order, URLs that grow at
+//! `mark_done` (the row no longer fits its slot and moves, so both
+//! indexes must follow it), and operations aimed at rows in the wrong
+//! state, which must refuse and change nothing.
+
+use focus_crawler::frontier::{
+    self, BatchUpsert, Claim, FailDisposition, FailureUpdate, FrontierEntry,
+};
+use focus_crawler::tables::{create_tables, visited};
+use focus_types::Oid;
+use minirel::{Database, Value};
+use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
+/// One `CRAWL` row as the model keeps it (`negrel` is always
+/// `−relevance`, so it is derived, not stored).
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    url: String,
+    kcid: i64,
+    numtries: i64,
+    relevance: f64,
+    serverload: i64,
+    lastvisited: i64,
+    visited: i64,
+    not_before: i64,
+}
+
+impl Row {
+    fn values(&self, oid: u64) -> Vec<Value> {
+        vec![
+            Value::Int(oid as i64),
+            Value::Str(self.url.clone()),
+            Value::Int(self.kcid),
+            Value::Int(self.numtries),
+            Value::Float(self.relevance),
+            Value::Float(-self.relevance),
+            Value::Int(self.serverload),
+            Value::Int(self.lastvisited),
+            Value::Int(self.visited),
+            Value::Int(self.not_before),
+        ]
+    }
+
+    /// The frontier index's order below its `visited` prefix.
+    fn priority_cmp(&self, other: &Row) -> Ordering {
+        (self.numtries.cmp(&other.numtries))
+            .then((-self.relevance).total_cmp(&-other.relevance))
+            .then(self.serverload.cmp(&other.serverload))
+    }
+}
+
+type Model = BTreeMap<u64, Row>;
+
+/// A small oid universe so operations collide; every eighth oid has its
+/// top bit set, which sorts *first* in the index's signed key order.
+fn oid(pick: u64) -> u64 {
+    let i = pick % 24;
+    if i % 8 == 7 {
+        u64::MAX - i
+    } else {
+        i + 1
+    }
+}
+
+/// Log-relevance from a coarse grid, so equal priorities are common.
+fn rel(pick: i64) -> f64 {
+    -(pick.rem_euclid(6) as f64) / 4.0
+}
+
+/// One generated step: an operation selector plus raw material the
+/// operation interprets (oids to aim at, two small integers, a flag).
+#[derive(Debug, Clone)]
+struct Step {
+    kind: u32,
+    picks: Vec<u64>,
+    a: i64,
+    b: i64,
+    flag: bool,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        0u32..12,
+        proptest::collection::vec(0u64..1000, 0..7),
+        (0i64..40, 0i64..7, any::<bool>()),
+    )
+        .prop_map(|(kind, picks, (a, b, flag))| Step {
+            kind,
+            picks,
+            a,
+            b,
+            flag,
+        })
+}
+
+/// Distinct oids to operate on: rows in `state` when there are any (so
+/// state-checked operations mostly succeed); an arbitrary oid first
+/// when `stray` (so they also meet rows they must refuse).
+fn aim(model: &Model, state: i64, picks: &[u64], stray: bool) -> Vec<u64> {
+    let in_state: Vec<u64> = (model.iter())
+        .filter(|(_, r)| r.visited == state)
+        .map(|(&o, _)| o)
+        .collect();
+    let mut out: Vec<u64> = Vec::new();
+    for (i, &p) in picks.iter().enumerate() {
+        let o = if in_state.is_empty() || (stray && i == 0) {
+            oid(p)
+        } else {
+            in_state[p as usize % in_state.len()]
+        };
+        if !out.contains(&o) {
+            out.push(o);
+        }
+    }
+    out
+}
+
+/// The table equals the model, and each index is exactly the table.
+fn check(db: &Database, model: &Model) -> Result<(), TestCaseError> {
+    let (pool, catalog) = db.parts();
+    let tid = catalog.table_id("crawl").unwrap();
+    let mut stored = catalog.scan_table(pool, tid).unwrap();
+    stored.sort_by_key(|(_, row)| row[0].as_i64().unwrap() as u64);
+    let want: Vec<Vec<Value>> = model.iter().map(|(&o, r)| r.values(o)).collect();
+    let got: Vec<Vec<Value>> = stored.iter().map(|(_, row)| row.clone()).collect();
+    prop_assert_eq!(got, want);
+    let table = catalog.table(tid);
+    prop_assert_eq!(table.indexes.len(), 2);
+    for idx in &table.indexes {
+        prop_assert_eq!(idx.btree.len(), stored.len() as u64, "index {}", idx.name);
+        if let Err(e) = idx.btree.validate(pool) {
+            prop_assert!(false, "index {} invalid: {e}", idx.name);
+        }
+        for (rid, row) in &stored {
+            let rids = idx.btree.lookup(pool, &idx.key_of(row)).unwrap();
+            prop_assert!(
+                rids.contains(rid),
+                "index {} lost row {:?} at {rid:?}",
+                idx.name,
+                row[0]
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `upsert_batch`: per oid the first occurrence's url/serverload and
+/// the best endorsement; an absent row is created, a `FRONTIER` row is
+/// raised only upward, anything else is left alone.
+fn upsert(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseError> {
+    let items: Vec<FrontierEntry> = (s.picks.iter().enumerate())
+        .map(|(i, &p)| FrontierEntry {
+            oid: Oid(oid(p)),
+            url: match p % 5 {
+                0 => String::new(),
+                _ => format!("u{}-{i}", oid(p)),
+            },
+            log_relevance: rel(p as i64 / 24 + s.a),
+            serverload: (p as i64 / 7 + s.b) % 3,
+        })
+        .collect();
+    let mut merged: Vec<FrontierEntry> = Vec::new();
+    for e in &items {
+        match merged.iter_mut().find(|m| m.oid == e.oid) {
+            Some(m) => m.log_relevance = m.log_relevance.max(e.log_relevance),
+            None => merged.push(e.clone()),
+        }
+    }
+    let mut want = BatchUpsert::default();
+    for e in merged {
+        match model.get_mut(&e.oid.raw()) {
+            None => {
+                want.created += 1;
+                model.insert(
+                    e.oid.raw(),
+                    Row {
+                        url: e.url,
+                        kcid: -1,
+                        numtries: 0,
+                        relevance: e.log_relevance,
+                        serverload: e.serverload,
+                        lastvisited: 0,
+                        visited: visited::FRONTIER,
+                        not_before: 0,
+                    },
+                );
+            }
+            Some(row) if row.visited == visited::FRONTIER && e.log_relevance > row.relevance => {
+                want.raised += 1;
+                row.relevance = e.log_relevance;
+            }
+            Some(_) => {}
+        }
+    }
+    prop_assert_eq!(frontier::upsert_batch(db, &items).unwrap(), want);
+    Ok(())
+}
+
+/// `claim_batch_where`: what comes back is due, admitted, best first,
+/// and nothing better was passed over; when it comes back short the
+/// parked/deferred tallies are exact.
+fn claim(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseError> {
+    let n = s.picks.len();
+    let now = s.a / 4;
+    // Deny one residue class of oids now and then (politeness deferral).
+    let admits = |o: u64| !s.flag || o % 3 != s.b as u64 % 3;
+    let out = frontier::claim_batch_where(db, n, now, |c| admits(c.oid.raw())).unwrap();
+    prop_assert!(out.claims.len() <= n);
+    let eligible =
+        |o: u64, r: &Row| r.visited == visited::FRONTIER && r.not_before <= now && admits(o);
+    let mut worst: Option<Row> = None;
+    for c in &out.claims {
+        let o = c.oid.raw();
+        let row = model.get(&o).cloned();
+        prop_assert!(row.is_some(), "claimed unknown oid {o}");
+        let row = row.unwrap();
+        prop_assert!(eligible(o, &row), "claimed ineligible row {o}: {row:?}");
+        prop_assert_eq!(&c.url, &row.url);
+        prop_assert_eq!(c.numtries, row.numtries);
+        prop_assert_eq!(c.log_relevance, row.relevance);
+        if let Some(w) = &worst {
+            prop_assert!(
+                w.priority_cmp(&row) != Ordering::Greater,
+                "claims out of priority order at {o}"
+            );
+        }
+        worst = Some(row);
+        // Claimed on the spot, so an oid popped twice fails the check above.
+        let row = model.get_mut(&o).unwrap();
+        row.visited = visited::CLAIMED;
+        row.not_before = 0;
+    }
+    // Whatever eligible work is left must not beat the worst claim.
+    let left: Vec<&Row> = (model.iter())
+        .filter(|(&o, r)| eligible(o, r))
+        .map(|(_, r)| r)
+        .collect();
+    if out.claims.len() < n {
+        prop_assert!(left.is_empty(), "short claim left eligible rows behind");
+        let frontier = || model.values().filter(|r| r.visited == visited::FRONTIER);
+        let parked: Vec<i64> = frontier()
+            .filter(|r| r.not_before > now)
+            .map(|r| r.not_before)
+            .collect();
+        prop_assert_eq!(out.parked, parked.len());
+        prop_assert_eq!(out.next_due, parked.iter().copied().min());
+        let deferred = frontier().filter(|r| r.not_before <= now).count();
+        prop_assert_eq!(out.deferred, deferred);
+    } else if let Some(w) = &worst {
+        for r in left {
+            prop_assert!(
+                r.priority_cmp(w) != Ordering::Less,
+                "a better row was passed over: {r:?} beats {w:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+fn claim_of(oid: u64) -> Claim {
+    Claim {
+        oid: Oid(oid),
+        url: String::new(),
+        numtries: 0,
+        log_relevance: 0.0,
+    }
+}
+
+fn apply(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseError> {
+    match s.kind {
+        0..=2 => upsert(db, model, s)?,
+        3..=4 => claim(db, model, s)?,
+        // Unclaim / park: all-or-nothing, only `CLAIMED` rows qualify.
+        5 | 6 => {
+            let oids = aim(model, visited::CLAIMED, &s.picks, s.a % 5 == 0);
+            let until = s.a;
+            let res = if s.kind == 5 {
+                let claims: Vec<Claim> = oids.iter().map(|&o| claim_of(o)).collect();
+                frontier::unclaim_batch(db, &claims)
+            } else {
+                let parks: Vec<(Oid, i64)> = oids.iter().map(|&o| (Oid(o), until)).collect();
+                frontier::park_batch(db, &parks)
+            };
+            let claimed = |o: &u64| (model.get(o)).is_some_and(|r| r.visited == visited::CLAIMED);
+            prop_assert_eq!(res.is_ok(), oids.iter().all(claimed), "{res:?}");
+            if res.is_ok() {
+                for o in &oids {
+                    let row = model.get_mut(o).unwrap();
+                    row.visited = visited::FRONTIER;
+                    if s.kind == 6 {
+                        row.not_before = until;
+                    }
+                }
+            }
+        }
+        // mark_done: the URL may grow far past the row's slot.
+        7 | 8 => {
+            let Some(&o) = aim(model, visited::CLAIMED, &s.picks, s.a % 5 == 0).first() else {
+                return Ok(());
+            };
+            let url = match s.b {
+                0 => String::new(),
+                b => format!("http://h{o}.example/{}", "x".repeat(300 * b as usize)),
+            };
+            let res = frontier::mark_done(db, Oid(o), &url, rel(s.a), s.b, s.a);
+            prop_assert_eq!(res.is_ok(), model.contains_key(&o), "{res:?}");
+            if let Some(row) = model.get_mut(&o) {
+                row.kcid = s.b;
+                row.relevance = rel(s.a);
+                row.lastvisited = s.a;
+                row.visited = visited::DONE;
+                if !url.is_empty() {
+                    row.url = url;
+                }
+            }
+        }
+        // mark_failed_batch: requeue parked, or die.
+        9 => {
+            let oids = aim(model, visited::CLAIMED, &s.picks, s.a % 5 == 0);
+            let max_tries = 1 + s.b % 3;
+            let items: Vec<FailureUpdate> = (oids.iter().enumerate())
+                .map(|(i, &o)| FailureUpdate {
+                    oid: Oid(o),
+                    retriable: (i + s.flag as usize) % 3 != 1,
+                    not_before: s.a / 2,
+                })
+                .collect();
+            let res = frontier::mark_failed_batch(db, &items, max_tries);
+            let known = oids.iter().all(|o| model.contains_key(o));
+            prop_assert_eq!(res.is_ok(), known, "{res:?}");
+            if let Ok(dispositions) = res {
+                prop_assert_eq!(dispositions.len(), items.len());
+                for (item, got) in items.iter().zip(dispositions) {
+                    let row = model.get_mut(&item.oid.raw()).unwrap();
+                    row.numtries += 1;
+                    let want = if item.retriable && row.numtries < max_tries {
+                        row.visited = visited::FRONTIER;
+                        row.not_before = item.not_before;
+                        FailDisposition::Retried {
+                            not_before: item.not_before,
+                        }
+                    } else {
+                        row.visited = visited::DEAD;
+                        row.not_before = 0;
+                        FailDisposition::Dead
+                    };
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+        // set_visited_relevance: only `DONE` rows move, unknown oids
+        // and other states are skipped.
+        10 => {
+            let oids = aim(model, visited::DONE, &s.picks, s.flag);
+            let items: Vec<(Oid, f64)> = (oids.iter().enumerate())
+                .map(|(i, &o)| (Oid(o), rel(s.a + i as i64)))
+                .collect();
+            frontier::set_visited_relevance(db, &items).unwrap();
+            for (o, r) in items {
+                if let Some(row) = model.get_mut(&o.raw()) {
+                    if row.visited == visited::DONE {
+                        row.relevance = r;
+                    }
+                }
+            }
+        }
+        // touch_visited: any known row, whatever its state.
+        _ => {
+            let Some(&o) = aim(model, visited::DONE, &s.picks, s.flag).first() else {
+                return Ok(());
+            };
+            frontier::touch_visited(db, Oid(o), s.a).unwrap();
+            if let Some(row) = model.get_mut(&o) {
+                row.lastvisited = s.a;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn every_interleaving_leaves_table_and_indexes_equal_to_the_model(
+        steps in proptest::collection::vec(step(), 20..80),
+    ) {
+        let mut db = Database::in_memory();
+        create_tables(&mut db).unwrap();
+        let mut model = Model::new();
+        for (i, s) in steps.iter().enumerate() {
+            if let Err(TestCaseError::Fail(msg)) = apply(&mut db, &mut model, s)
+                .and_then(|()| check(&db, &model))
+            {
+                prop_assert!(false, "step {i} {s:?}: {msg}");
+            }
+        }
+    }
+}

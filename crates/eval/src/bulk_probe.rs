@@ -15,8 +15,8 @@
 //! * [`bulk_posterior_sql`] — the Figure 3 SQL text run through the SQL
 //!   front-end (fidelity path; tests pin both to equal probabilities).
 
-use crate::model::normalize_log;
 use crate::tables::ClassifierTables;
+use focus_classifier::model::normalize_log;
 use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, DocId};
 use minirel::exec::{external_sort, merge_join_inner, SortKey};
@@ -250,14 +250,13 @@ pub fn bulk_relevance(
 mod tests {
     use super::*;
     use crate::single_probe::SingleProbeSql;
-    use crate::tables::ClassifierTables;
-    use crate::train::{train, TrainConfig};
+    use focus_classifier::train::{train, TrainConfig};
     use focus_types::{Document, Taxonomy, TermId, TermVec};
 
     fn setup() -> (
         Database,
         ClassifierTables,
-        crate::model::TrainedModel,
+        focus_classifier::model::TrainedModel,
         Vec<Document>,
     ) {
         let mut t = Taxonomy::new("root");

@@ -13,11 +13,11 @@
 //! buffer-pool page at all, which is the point — per-page
 //! classification cost is crawl throughput on a CPU-bound box.
 
+use crate::bulk_probe::bulk_posterior;
 use crate::common::{Scale, World};
-use focus_classifier::bulk_probe::bulk_posterior;
+use crate::single_probe::{SingleProbeBlob, SingleProbeSql};
+use crate::tables::ClassifierTables;
 use focus_classifier::compiled::CompiledModel;
-use focus_classifier::single_probe::{SingleProbeBlob, SingleProbeSql};
-use focus_classifier::ClassifierTables;
 use focus_types::{ClassId, DocId, Document};
 use minirel::Database;
 use serde::Serialize;

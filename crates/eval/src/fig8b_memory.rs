@@ -7,11 +7,11 @@
 //! sort memory suffices. We sweep minirel's pool; sort memory is derived
 //! from it, exactly the coupling the paper describes.
 
+use crate::bulk_probe::bulk_posterior;
 use crate::common::Scale;
 use crate::fig8a_classifier::setup;
 use crate::report::Series;
-use focus_classifier::bulk_probe::bulk_posterior;
-use focus_classifier::single_probe::SingleProbeBlob;
+use crate::single_probe::SingleProbeBlob;
 use focus_types::ClassId;
 use serde::Serialize;
 use std::time::Instant;

@@ -12,9 +12,9 @@
 //! algorithm makes, so their fit is reproducible on any machine while
 //! wall time remains the headline number on an idle one.
 
+use crate::bulk_probe::bulk_posterior;
 use crate::common::{Scale, World};
-use focus_classifier::bulk_probe::bulk_posterior;
-use focus_classifier::ClassifierTables;
+use crate::tables::ClassifierTables;
 use focus_types::{DocId, Document};
 use minirel::Database;
 use serde::Serialize;

@@ -7,8 +7,8 @@
 //! locality of access … A lot of random I/O results, making the classifier
 //! disk-bound."*
 
-use crate::model::{normalize_log, Posterior};
 use crate::tables::{decode_blob, ClassifierTables};
+use focus_classifier::model::{normalize_log, Posterior};
 use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, TermVec};
 use minirel::value::encode_composite_key;
@@ -213,11 +213,14 @@ impl SingleProbeBlob<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::ClassifierTables;
-    use crate::train::{train, TrainConfig};
+    use focus_classifier::train::{train, TrainConfig};
     use focus_types::{DocId, Document, Taxonomy, TermId};
 
-    fn setup() -> (Database, ClassifierTables, crate::model::TrainedModel) {
+    fn setup() -> (
+        Database,
+        ClassifierTables,
+        focus_classifier::model::TrainedModel,
+    ) {
         let mut t = Taxonomy::new("root");
         let sport = t.add_child(ClassId::ROOT, "sport").unwrap();
         let cyc = t.add_child(sport, "cycling").unwrap();

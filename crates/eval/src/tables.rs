@@ -10,7 +10,7 @@
 //! * `DOCUMENT(did, tid, freq)` — the test batch (populated at crawl time;
 //!   "part of standard keyword indexing anyway").
 
-use crate::model::TrainedModel;
+use focus_classifier::model::TrainedModel;
 use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, Document, Mark, Taxonomy};
 use minirel::{Database, DbResult, Value};
@@ -183,7 +183,7 @@ impl ClassifierTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{train, TrainConfig};
+    use focus_classifier::train::{train, TrainConfig};
     use focus_types::{DocId, TermId, TermVec};
 
     fn model() -> TrainedModel {

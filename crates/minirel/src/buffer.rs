@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Replacement policy. LRU is the default; Clock exists for the ablation
-/// bench (`bench_ablation` in `focus-bench`).
+/// bench (`buffer_policy_ablation` in `focus-figures`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used unpinned frame.

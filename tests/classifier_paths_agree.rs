@@ -2,10 +2,10 @@
 //! same probabilities: in-memory, SingleProbe(SQL), SingleProbe(BLOB),
 //! BulkProbe(direct) — and the verbatim Figure 3 SQL.
 
-use focus_classifier::bulk_probe::{bulk_posterior, bulk_posterior_sql, bulk_relevance};
-use focus_classifier::single_probe::{SingleProbeBlob, SingleProbeSql};
 use focus_classifier::train::{train, TrainConfig};
-use focus_classifier::ClassifierTables;
+use focus_eval::bulk_probe::{bulk_posterior, bulk_posterior_sql, bulk_relevance};
+use focus_eval::single_probe::{SingleProbeBlob, SingleProbeSql};
+use focus_eval::tables::ClassifierTables;
 use focus_types::{ClassId, DocId, Document, Taxonomy, TermId, TermVec};
 use minirel::Database;
 use proptest::prelude::*;
