@@ -52,12 +52,6 @@ impl FocusBuilder {
         self.examples.extend(docs.into_iter().map(|d| (c, d)));
     }
 
-    /// Override training parameters.
-    pub fn train_config(mut self, cfg: TrainConfig) -> Self {
-        self.train_cfg = cfg;
-        self
-    }
-
     /// Override crawl parameters.
     pub fn crawl_config(mut self, cfg: CrawlConfig) -> Self {
         self.crawl_cfg = cfg;

@@ -46,13 +46,17 @@
 //! a [`ClusterCheckpoint`] manifest. Distillation stays **per-shard**:
 //! each shard runs HITS over the links it discovered (its boosts still
 //! route by owner). Budget and workers are split across shards at
-//! construction.
+//! construction — by one shard loop, for `new` and `restore` alike: a
+//! shard is [`CrawlSession::build`] over nothing or over its checkpoint.
+//! Every shard would get the same `Durability::File` path, so a
+//! file-backed cluster of more than one shard is refused up front (one
+//! store file per shard is not supported).
 //!
 //! [`CompiledModel`]: focus_classifier::compiled::CompiledModel
 
 use crate::frontier::FrontierEntry;
 use crate::run::{CrawlError, CrawlRun, StartOptions};
-use crate::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats};
+use crate::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Origin};
 use crate::tables::host_server_id;
 use focus_classifier::model::TrainedModel;
 use focus_types::{ClassId, Oid, ServerId};
@@ -408,28 +412,7 @@ impl CrawlCluster {
         model: TrainedModel,
         cfg: CrawlConfig,
     ) -> DbResult<CrawlCluster> {
-        if n_shards == 0 {
-            return Err(DbError::Eval("a cluster needs at least one shard".into()));
-        }
-        let exchange = Arc::new(ShardExchange::new(n_shards, EXCHANGE_CAPACITY));
-        let mut shards = Vec::with_capacity(n_shards);
-        for (i, shard_cfg) in split_config(&cfg, n_shards).into_iter().enumerate() {
-            shards.push(Arc::new(CrawlSession::new_sharded(
-                Arc::clone(&fetcher),
-                model.clone(),
-                shard_cfg,
-                ShardCtx {
-                    shard: i,
-                    n_shards,
-                    exchange: Arc::clone(&exchange),
-                },
-            )?));
-        }
-        Ok(CrawlCluster {
-            shards,
-            exchange,
-            fetcher,
-        })
+        Self::build(n_shards, fetcher, model, cfg, None)
     }
 
     /// Rebuild a cluster from a [`ClusterCheckpoint`]: one
@@ -442,28 +425,43 @@ impl CrawlCluster {
         cfg: CrawlConfig,
         ckpt: &ClusterCheckpoint,
     ) -> DbResult<CrawlCluster> {
-        let n_shards = ckpt.shards.len();
+        Self::build(ckpt.shards.len(), fetcher, model, cfg, Some(ckpt))
+    }
+
+    /// The one shard loop: shard `i` is a session built over nothing, or
+    /// over `ckpt.shards[i]`, wired to the shared exchange.
+    fn build(
+        n_shards: usize,
+        fetcher: Arc<dyn Fetcher>,
+        model: TrainedModel,
+        cfg: CrawlConfig,
+        ckpt: Option<&ClusterCheckpoint>,
+    ) -> DbResult<CrawlCluster> {
         if n_shards == 0 {
-            return Err(DbError::Eval("cluster checkpoint has no shards".into()));
+            return Err(DbError::Eval("a cluster needs at least one shard".into()));
+        }
+        if let (true, Durability::File { path, .. }) = (n_shards > 1, &cfg.durability) {
+            // Every shard would open — and rotate the log of — the same
+            // files. Refused before the first one is created.
+            return Err(DbError::Eval(format!(
+                "a cluster of {n_shards} shards cannot share the store file {}: one store \
+                 file per shard is not supported (use Durability::Wal, or one shard)",
+                path.display()
+            )));
         }
         let exchange = Arc::new(ShardExchange::new(n_shards, EXCHANGE_CAPACITY));
         let mut shards = Vec::with_capacity(n_shards);
-        for (i, (shard_cfg, shard_ckpt)) in split_config(&cfg, n_shards)
-            .into_iter()
-            .zip(&ckpt.shards)
-            .enumerate()
-        {
-            shards.push(Arc::new(CrawlSession::restore_sharded(
-                Arc::clone(&fetcher),
-                model.clone(),
-                shard_cfg,
-                shard_ckpt,
-                ShardCtx {
-                    shard: i,
-                    n_shards,
-                    exchange: Arc::clone(&exchange),
-                },
-            )?));
+        for (shard, shard_cfg) in split_config(&cfg, n_shards).into_iter().enumerate() {
+            let origin = ckpt.map_or(Origin::Fresh, |c| Origin::Checkpoint(&c.shards[shard]));
+            let exchange = Arc::clone(&exchange);
+            let ctx = ShardCtx {
+                shard,
+                n_shards,
+                exchange,
+            };
+            let (fetcher, model) = (Arc::clone(&fetcher), model.clone());
+            let session = CrawlSession::build(fetcher, model, shard_cfg, origin, Some(ctx))?;
+            shards.push(Arc::new(session));
         }
         Ok(CrawlCluster {
             shards,
@@ -492,27 +490,19 @@ impl CrawlCluster {
     /// its owning shard (resolved through [`Fetcher::url_of`]; a seed
     /// with no resolvable URL falls back to `oid % n_shards`).
     pub fn seed(&self, seeds: &[Oid]) -> DbResult<()> {
-        for (shard, group) in self.partition_seeds(seeds).into_iter().enumerate() {
+        let groups = partition_seeds(&*self.fetcher, seeds, self.shards.len());
+        for (shard, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
-                self.shards[shard].seed_entries(group)?;
+                let entry = |(oid, url)| FrontierEntry {
+                    oid,
+                    url,
+                    log_relevance: 0.0,
+                    serverload: 0,
+                };
+                self.shards[shard].seed_entries(group.into_iter().map(entry).collect())?;
             }
         }
         Ok(())
-    }
-
-    fn partition_seeds(&self, seeds: &[Oid]) -> Vec<Vec<FrontierEntry>> {
-        let n = self.shards.len();
-        let mut groups: Vec<Vec<FrontierEntry>> = vec![Vec::new(); n];
-        for &oid in seeds {
-            let url = self.fetcher.url_of(oid).unwrap_or_default();
-            groups[seed_owner(&url, oid, n)].push(FrontierEntry {
-                oid,
-                url,
-                log_relevance: 0.0,
-                serverload: 0,
-            });
-        }
-        groups
     }
 
     /// Start every shard's worker pool and return the cluster handle.
@@ -532,11 +522,7 @@ impl CrawlCluster {
         let mut runs = Vec::with_capacity(self.shards.len());
         for session in &self.shards {
             let shard_opts = StartOptions {
-                event_capacity: opts.event_capacity,
                 observers: opts.observers.clone(),
-                batch_size: opts.batch_size,
-                backoff: opts.backoff,
-                breaker: opts.breaker,
                 // A cluster-level retry budget is a *total*: split it
                 // like the fetch budget, so n shards cannot spend n× it.
                 retry_budget: opts
@@ -546,7 +532,7 @@ impl CrawlCluster {
                 fetch_pool: opts
                     .fetch_pool
                     .map(|fp| split_pool(fp, self.shards.len(), runs.len())),
-                politeness: opts.politeness,
+                ..opts
             };
             match session.start_with(shard_opts) {
                 Ok(run) => {
@@ -659,15 +645,11 @@ impl ClusterRun {
 
     /// Inject seeds, each routed to its owning shard's run.
     pub fn add_seeds(&self, seeds: &[Oid]) {
-        let n = self.runs.len();
-        let mut groups: Vec<Vec<Oid>> = vec![Vec::new(); n];
-        for &oid in seeds {
-            let url = self.fetcher.url_of(oid).unwrap_or_default();
-            groups[seed_owner(&url, oid, n)].push(oid);
-        }
+        let groups = partition_seeds(&*self.fetcher, seeds, self.runs.len());
         for (owner, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
-                self.runs[owner].add_seeds(&group);
+                let oids: Vec<Oid> = group.into_iter().map(|(oid, _)| oid).collect();
+                self.runs[owner].add_seeds(&oids);
             }
         }
     }
@@ -748,6 +730,17 @@ impl ClusterRun {
         }
         Ok(merge_stats(stats))
     }
+}
+
+/// `seeds` with their resolved URLs, grouped by owning shard
+/// ([`seed_owner`]).
+fn partition_seeds(fetcher: &dyn Fetcher, seeds: &[Oid], n: usize) -> Vec<Vec<(Oid, String)>> {
+    let mut groups = vec![Vec::new(); n];
+    for &oid in seeds {
+        let url = fetcher.url_of(oid).unwrap_or_default();
+        groups[seed_owner(&url, oid, n)].push((oid, url));
+    }
+    groups
 }
 
 /// Share `i` of `total` divided as evenly as integers allow over `n`

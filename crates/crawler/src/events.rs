@@ -12,9 +12,8 @@
 
 use focus_types::{ClassId, Oid, ServerId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One observation from a running crawl.
 ///
@@ -290,15 +289,6 @@ impl EventStream {
     /// Next event if one is already buffered.
     pub fn try_next(&self) -> Option<CrawlEvent> {
         self.rx.try_recv().ok()
-    }
-
-    /// Next event, waiting up to `timeout`. `None` on timeout or when the
-    /// run has finished.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<CrawlEvent> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
     }
 
     /// Everything currently buffered, without blocking.

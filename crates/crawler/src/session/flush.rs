@@ -307,13 +307,8 @@ impl CrawlSession {
         for (dst, dst_url) in &page.outlinks {
             let sid_dst = host_server_id(dst_url);
             g.graph.add_link(src_id, *dst, sid_dst.raw());
-            link_rows.push(vec![
-                Value::Int(page.oid.raw() as i64),
-                Value::Int(sid_src.raw() as i64),
-                Value::Int(dst.raw() as i64),
-                Value::Int(sid_dst.raw() as i64),
-                Value::Int(now),
-            ]);
+            let row = tables::link_row(page.oid, sid_src.raw(), *dst, sid_dst.raw(), now);
+            link_rows.push(row);
             if expansion.expand {
                 expansions.push(self.endorsement(
                     g,

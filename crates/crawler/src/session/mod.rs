@@ -9,8 +9,9 @@
 //! * `mod.rs` — configuration, counters, the [`CrawlSession`] struct
 //!   and its accessors (stats, SQL, snapshots of the caches);
 //! * `store.rs` — `StoreState` (the relational store and its
-//!   in-memory caches) and everything that builds or snapshots it:
-//!   `new`, `restore`, `recover`, commits, `checkpoint`;
+//!   in-memory caches), the one opener (`build`) and the one loader
+//!   (`StoreState::load`) behind `new`, `restore` and `recover`, and
+//!   what snapshots the store: commits, `checkpoint`, replicas;
 //! * `worker.rs` — **the** worker loop: claim admission
 //!   (`next_tick`), the fetch executor glue, commit points, pause and
 //!   wind-down;
@@ -117,6 +118,7 @@ mod steering;
 mod store;
 mod worker;
 
+pub(crate) use store::Origin;
 use store::StoreState;
 pub use store::{CheckpointPage, CrawlCheckpoint};
 
@@ -411,16 +413,24 @@ impl CrawlSession {
 
     /// Apply per-run robustness overrides before the workers spawn: a
     /// backoff, breaker, or politeness override restarts the per-server
-    /// health map under the new policies (servers re-earn their
-    /// quarantines), and a retry-budget override refills the budget.
-    /// No workers are alive here (`ControlState::activate` guarantees
-    /// one run at a time).
+    /// health map under the new policies and empties `server_health`
+    /// with it (servers re-earn their quarantines), and a retry-budget
+    /// override refills the budget. No workers are alive here
+    /// (`ControlState::activate` guarantees one run at a time); a
+    /// storage error fails the run like any other.
     pub(crate) fn apply_run_overrides(&self, opts: &StartOptions) {
         if opts.backoff.is_some() || opts.breaker.is_some() || opts.politeness.is_some() {
             let backoff = opts.backoff.unwrap_or(self.cfg.backoff);
             let breaker = opts.breaker.unwrap_or(self.cfg.breaker);
             let politeness = opts.politeness.unwrap_or(self.cfg.politeness);
-            self.store.write().health = HealthMap::new(backoff, breaker, politeness);
+            let mut g = self.store.write();
+            match store::fresh_health(&mut g.db, backoff, breaker, politeness) {
+                Ok(health) => g.health = health,
+                Err(e) => {
+                    drop(g);
+                    self.record_error(e);
+                }
+            }
         }
         if let Some(rb) = opts.retry_budget {
             self.counters.retry_budget.store(rb, Ordering::Release);
@@ -892,8 +902,15 @@ mod tests {
             "claimed while paused"
         );
         run.resume();
-        let resumed_at = run.stats().attempts;
-        while run.stats().attempts < resumed_at + 5 {
+        // Wait until pages claimed *after* the resume have landed.
+        // Attempts are counted when a batch is claimed, so "five more
+        // attempts" can be one claim whose pages `stop()` overtakes, and
+        // "five more successes" can be the jobs the paused workers held
+        // and resubmitted. Landings beyond the attempts counted so far
+        // can only be of new claims.
+        let claimed = run.stats().attempts;
+        let landed = |s: CrawlStats| s.successes + s.failures;
+        while landed(run.stats()) < claimed + 5 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         run.stop();
@@ -1953,5 +1970,198 @@ mod tests {
             stats.successes > before,
             "the recovered server's pages are fetched again: {stats:?}"
         );
+    }
+
+    #[test]
+    fn taxonomy_type_follows_live_marking() {
+        // The §3.7 console reads the marking from `TAXONOMY.type`; it
+        // must show the one in force, not the one the crawl began with.
+        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        let sink = EventSink::new(None, Vec::new(), Arc::new(AtomicU64::new(0)));
+        let in_table = |ty: &str| -> std::collections::BTreeSet<String> {
+            let rs = session.sql_with(
+                "select name from taxonomy where type = ?",
+                &[Value::Str(ty.into())],
+            );
+            let names = rs.unwrap().rows.into_iter();
+            names.map(|r| r[0].as_str().unwrap().to_owned()).collect()
+        };
+        let in_model = |mark: focus_types::Mark| -> std::collections::BTreeSet<String> {
+            session.with_model(|m| {
+                let t = &m.taxonomy;
+                let marked = t.all().filter(|&c| t.mark(c) == mark);
+                marked.map(|c| t.name(c).to_owned()).collect()
+            })
+        };
+        let agree = |when: &str| {
+            use focus_types::Mark::{Good, Null, Path, Subsumed};
+            for (ty, mark) in [
+                ("good", Good),
+                ("path", Path),
+                ("subsumed", Subsumed),
+                ("null", Null),
+            ] {
+                assert_eq!(in_table(ty), in_model(mark), "type = '{ty}' {when}");
+            }
+        };
+        agree("at construction");
+        assert_eq!(in_table("good"), ["recreation/cycling".to_owned()].into());
+        for (name, good) in [("recreation/cycling", false), ("recreation", true)] {
+            let class = session.find_topic(name).unwrap();
+            session.apply_command(Command::MarkTopic { class, good }, &sink);
+            agree(&format!("after mark_topic({name}, {good})"));
+        }
+        let good_set: std::collections::BTreeSet<String> = session.with_model(|m| {
+            let good = m.taxonomy.good_set().into_iter();
+            good.map(|c| m.taxonomy.name(c).to_owned()).collect()
+        });
+        assert_eq!(good_set, ["recreation".to_owned()].into());
+        assert_eq!(in_table("good"), good_set);
+        assert!(
+            in_table("subsumed").contains("recreation/cycling"),
+            "a good topic's children are subsumed: {:?}",
+            in_table("subsumed")
+        );
+    }
+
+    /// The tiny web with one server unplugged: every page on `down`
+    /// times out.
+    struct DownServer {
+        inner: SimFetcher,
+        down: ServerId,
+    }
+
+    impl Fetcher for DownServer {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            match self.url_of(oid) {
+                Some(url) if host_server_id(&url) == self.down => Err(FetchError::Timeout(oid)),
+                _ => self.inner.fetch(oid),
+            }
+        }
+        fn fetch_count(&self) -> u64 {
+            self.inner.fetch_count()
+        }
+        fn url_of(&self, oid: Oid) -> Option<String> {
+            self.inner.url_of(oid)
+        }
+    }
+
+    #[test]
+    fn restore_and_recover_load_the_same_state() {
+        // One crawl, stored two ways — a checkpoint and its own files —
+        // and read back two ways. Both go through `StoreState::load`, so
+        // they must agree on everything tables hold.
+        let path = std::env::temp_dir().join(format!("crawl-load-{}.db", std::process::id()));
+        let cleanup = || {
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(minirel::wal_path_for(&path));
+        };
+        cleanup();
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let sim = || SimFetcher::new(Arc::clone(&graph), None);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        // Unplug the server with the most cycling pages; start elsewhere.
+        let mut weight: FxHashMap<ServerId, usize> = FxHashMap::default();
+        for p in graph.pages().iter().filter(|p| p.topic == cycling) {
+            *weight.entry(host_server_id(&p.url)).or_default() += 1;
+        }
+        let down = *weight.iter().max_by_key(|&(s, n)| (*n, s.raw())).unwrap().0;
+        let seeds: Vec<Oid> = focus_webgraph::search::topic_start_set(&graph, cycling, 12)
+            .into_iter()
+            .filter(|&o| host_server_id(&sim().url_of(o).unwrap()) != down)
+            .collect();
+        assert!(seeds.len() >= 2, "need seeds off the dead server");
+        let cfg = CrawlConfig {
+            threads: 1,
+            max_fetches: 150,
+            distill_every: Some(60),
+            durability: Durability::File {
+                path: path.clone(),
+                group_commit: 4,
+            },
+            ..CrawlConfig::default()
+        };
+        let ckpt = {
+            let fetcher = Arc::new(DownServer { inner: sim(), down });
+            let model = trained_model(&graph, "recreation/cycling");
+            let session = Arc::new(CrawlSession::new(fetcher, model, cfg.clone()).unwrap());
+            session.seed(&seeds).unwrap();
+            let stats = session.run().unwrap();
+            assert!(stats.successes > 50 && stats.failures > 0, "{stats:?}");
+            let count = |sql: &str| session.sql(sql).unwrap().scalar_i64().unwrap();
+            assert!(
+                count("select count(*) from server_health where state = 'open'") > 0,
+                "the dead server must have been quarantined"
+            );
+            assert!(
+                count("select count(*) from crawl where visited = 0 and not_before > 0") > 0,
+                "the run must leave parked rows"
+            );
+            session.checkpoint().unwrap()
+        }; // the file-backed session is gone; its files and `ckpt` remain
+        let model = || trained_model(&graph, "recreation/cycling");
+        let in_memory = CrawlConfig {
+            durability: Durability::None,
+            ..cfg.clone()
+        };
+        let restored = CrawlSession::restore(Arc::new(sim()), model(), in_memory, &ckpt).unwrap();
+        let recovered = CrawlSession::recover(Arc::new(sim()), model(), cfg).unwrap();
+
+        assert!(!restored.links().is_empty());
+        assert_eq!(restored.links(), recovered.links(), "links, in order");
+        let sorted = |mut v: Vec<(Oid, f64, ServerId)>| {
+            v.sort_by_key(|&(o, _, _)| o);
+            v
+        };
+        assert_eq!(sorted(restored.visited()), sorted(recovered.visited()));
+        let (exact, logged) = (restored.relevance_map(), recovered.relevance_map());
+        assert_eq!(exact.len(), logged.len());
+        for (oid, r) in &exact {
+            // One side carries the checkpoint's exact R, the other what
+            // `CRAWL` stores of it: exp of the (floored) log.
+            let (want, l) = (log_clamped(*r).exp(), logged[oid]);
+            assert!((want - l).abs() <= 1e-12 * want, "{oid:?}: {r} vs {l}");
+        }
+        let rows = |s: &CrawlSession, table: &str, key: &str| {
+            let sql = format!("select * from {table} order by {key}");
+            s.sql(&sql).unwrap().rows
+        };
+        assert_eq!(
+            rows(&restored, "crawl", "oid"),
+            rows(&recovered, "crawl", "oid")
+        );
+        for (name, s) in [("restored", &restored), ("recovered", &recovered)] {
+            let g = s.store.read();
+            assert!(!g.server_counts.is_empty());
+            assert_eq!(g.health.quarantined(), 0, "{name}: breakers start over");
+            drop(g);
+            // This is the assertion the parent of this change fails, for
+            // the recovered side: it rebuilt the map and kept the table.
+            assert!(
+                rows(s, "server_health", "sid").is_empty(),
+                "{name}: `server_health` mirrors the (fresh) breakers"
+            );
+        }
+        assert_eq!(
+            restored.store.read().server_counts,
+            recovered.store.read().server_counts
+        );
+        let (a, b) = (
+            restored.distill_now().unwrap(),
+            recovered.distill_now().unwrap(),
+        );
+        assert!(!a.hubs.is_empty() && !a.auths.is_empty());
+        for (want, got) in [(&a.hubs, &b.hubs), (&a.auths, &b.auths)] {
+            assert_eq!(want.len(), got.len());
+            let got: FxHashMap<Oid, f64> = got.iter().copied().collect();
+            for (o, s) in want {
+                assert!(
+                    got.get(o).is_some_and(|g| (g - s).abs() < 1e-9),
+                    "{o:?} scores {s} restored, {:?} recovered",
+                    got.get(o)
+                );
+            }
+        }
+        cleanup();
     }
 }

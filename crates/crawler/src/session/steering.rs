@@ -90,8 +90,27 @@ impl CrawlSession {
         // pages classified from here on see the new good set. Lock order
         // model → compiled per the module docs.
         *self.compiled.write() = Arc::new(CompiledModel::compile(&model));
-        let goods = model.taxonomy.good_set();
+        match self.resteer(&model.taxonomy) {
+            Ok(boosted) => {
+                self.control
+                    .stagnation_reported
+                    .store(false, Ordering::Release);
+                sink.emit(CrawlEvent::FrontierResteered { class, boosted });
+            }
+            Err(e) => self.record_error(e),
+        }
+    }
+
+    /// Bring the store in line with `taxonomy`'s (just changed) marking,
+    /// under one store write guard: `TAXONOMY.type`, visited pages'
+    /// relevance, and the priority of what they point to. Returns how
+    /// many frontier entries were boosted.
+    fn resteer(&self, taxonomy: &focus_types::Taxonomy) -> DbResult<usize> {
+        let goods = taxonomy.good_set();
         let mut g = self.store.write();
+        // The §3.7 console reads the marking from `TAXONOMY`: it shows
+        // the one in force, not the one the crawl started with.
+        tables::fill_taxonomy_dim(&mut g.db, taxonomy)?;
         // Recompute R(d) for every visited page under the new marking.
         // A good class that was never evaluated (it sat below the old
         // path nodes) borrows its deepest evaluated ancestor's
@@ -103,7 +122,7 @@ impl CrawlSession {
             .map(|(&oid, probs)| {
                 let r: f64 = goods
                     .iter()
-                    .map(|&gc| lookup_prob(&model.taxonomy, probs, gc))
+                    .map(|&gc| lookup_prob(taxonomy, probs, gc))
                     .sum();
                 (oid, r.min(1.0))
             })
@@ -115,42 +134,18 @@ impl CrawlSession {
             g.graph.set_relevance(*oid, *r);
             *r = log_clamped(*r);
         }
-        if let Err(e) = frontier::set_visited_relevance(&mut g.db, &recomputed) {
-            drop(g);
-            self.record_error(e);
-            return;
-        }
+        frontier::set_visited_relevance(&mut g.db, &recomputed)?;
         // Re-prioritize: unvisited targets of now-relevant pages inherit
         // the new relevance, exactly the soft-focus rule applied
         // retroactively. The link graph carries the target's server id,
         // so boosts for pages another shard owns route through the
         // exchange (a `mark_topic` broadcast re-steers *every* shard's
         // frontier, each from its own link evidence).
-        let boosts = g
-            .graph
-            .links()
-            .filter_map(|(src, dst)| {
-                if dst.relevance.is_some() {
-                    return None; // already fetched
-                }
-                let r = src.relevance?;
-                (r > RESTEER_MIN_RELEVANCE)
-                    .then(|| self.boost_entry(dst.oid, dst.sid, log_clamped(r)))
-            })
+        let endorsed = (g.graph.pending_links()).filter(|&(_, r)| r > RESTEER_MIN_RELEVANCE);
+        let boosts = endorsed
+            .map(|(dst, r)| self.boost_entry(dst.oid, dst.sid, log_clamped(r)))
             .collect();
-        let boosted = match self.upsert_routed(&mut g.db, boosts) {
-            Ok(res) => res.changed(),
-            Err(e) => {
-                drop(g);
-                self.record_error(e);
-                return;
-            }
-        };
-        drop(g);
-        self.control
-            .stagnation_reported
-            .store(false, Ordering::Release);
-        sink.emit(CrawlEvent::FrontierResteered { class, boosted });
+        Ok(self.upsert_routed(&mut g.db, boosts)?.changed())
     }
 
     /// Crawl-maintenance pass (§3.2): revisit the best hubs in
@@ -273,13 +268,8 @@ impl CrawlSession {
                 new_links += 1;
                 let sid_dst = host_server_id(dst_url);
                 g.graph.add_link(hub_id, *dst, sid_dst.raw());
-                link_rows.push(vec![
-                    Value::Int(hub.raw() as i64),
-                    Value::Int(sid_src.raw() as i64),
-                    Value::Int(dst.raw() as i64),
-                    Value::Int(sid_dst.raw() as i64),
-                    Value::Int(now),
-                ]);
+                let row = tables::link_row(hub, sid_src.raw(), *dst, sid_dst.raw(), now);
+                link_rows.push(row);
                 let entry = FrontierEntry {
                     oid: *dst,
                     url: dst_url.clone(),

@@ -1,6 +1,27 @@
-//! The session store: [`StoreState`] and everything that builds,
-//! rebuilds, or snapshots it — `new`, `restore`, `recover`, commits,
-//! and `checkpoint`.
+//! The session store: [`StoreState`], the one way into it, and the
+//! snapshots out of it (`checkpoint`, commits, replicas).
+//!
+//! The paper keeps every piece of crawl state in relational tables, so
+//! a crawler is something that *reconnects* to them; memory is only a
+//! cache (§3.1). Here that is one opener and one loader:
+//!
+//! * [`CrawlSession::build`] opens or creates the database for an
+//!   [`Origin`] — `Fresh`, `Checkpoint(&ckpt)` or `File` — brings the
+//!   origin's rows into its tables, calls the loader, and overlays only
+//!   what tables do not hold. `new`, `restore`, `recover` and every
+//!   cluster shard are this function with a different origin.
+//! * [`StoreState::load`] is the only place in-memory state is derived
+//!   from tables, so "restore ≡ recover" is one function, not something
+//!   two test files hope for — and the one hook a future
+//!   `check_invariants()` after every restore/recover needs.
+//!
+//! What stays in memory beside the tables, and why (ROADMAP item 3's
+//! audit): the link graph (PR 16: the distiller's input, snapshotted by
+//! memcpy); `class_probs`, which mirrors **no** table — saved posteriors
+//! exist nowhere else, a checkpoint carries them and a file does not;
+//! and `server_counts`, a tally only the loader derives, because it is
+//! read once per outlink at flush time, where a `count(*)` per link is
+//! the "measurably too slow" case.
 
 use super::*;
 
@@ -41,11 +62,11 @@ pub(super) struct StoreState {
     pub(super) health: HealthMap,
 }
 
-/// Every `LINK` row in table (= discovery) order, as [`link_row`] reads it.
+/// Every `LINK` row in table (= discovery) order, as [`decode_link`] reads it.
 const LINK_ROWS: &str = "select oid_src, sid_src, oid_dst, sid_dst, discovered from link";
 
 /// Strictly decode one [`LINK_ROWS`] row.
-fn link_row(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
+fn decode_link(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
     Ok((
         Oid(frontier::col_i64(row, 0, "link.oid_src")? as u64),
         frontier::col_i64(row, 1, "link.sid_src")? as u32,
@@ -55,20 +76,97 @@ fn link_row(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
     ))
 }
 
+/// Per-server health restarted over `db`: a fresh [`HealthMap`] and an
+/// emptied `server_health`. The table mirrors the map's breakers, so the
+/// one place that creates a map over a store also clears the mirror —
+/// no monitor, here or on a replica, is shown a quarantine that no map
+/// is enforcing.
+pub(super) fn fresh_health(
+    db: &mut Database,
+    backoff: BackoffConfig,
+    breaker: BreakerConfig,
+    politeness: PolitenessConfig,
+) -> DbResult<HealthMap> {
+    db.execute("delete from server_health")?;
+    Ok(HealthMap::new(backoff, breaker, politeness))
+}
+
+/// Where the stored state a session is built over comes from.
+pub(crate) enum Origin<'a> {
+    /// Nowhere: fresh, empty tables.
+    Fresh,
+    /// A [`CrawlCheckpoint`]: fresh tables filled with its rows.
+    Checkpoint(&'a CrawlCheckpoint),
+    /// The [`Durability::File`] store an earlier session left behind.
+    File,
+}
+
 impl StoreState {
-    /// An empty-cached store over `db`, under `cfg`'s policies.
-    fn new(db: Database, cfg: &CrawlConfig) -> StoreState {
-        StoreState {
+    /// The one place in-memory state is derived from tables: `new` (over
+    /// empty ones), `restore` (over a checkpoint's rows) and `recover`
+    /// (over a reopened file) all come through here, so they cannot
+    /// disagree. Also returns the latest `not_before` of a frontier row.
+    ///
+    /// * Claims in flight when the tables were last written never
+    ///   landed: they are demoted back to the frontier, poppable again.
+    /// * Linear relevance and the per-server tallies come from the
+    ///   visited rows, the link graph from `LINK` in table order.
+    /// * Server health starts over ([`fresh_health`]): breakers are
+    ///   re-learned from live evidence, not trusted across a restart.
+    fn load(mut db: Database, cfg: &CrawlConfig) -> DbResult<(StoreState, u64)> {
+        let state = |s: i64| [Value::Int(s)];
+        db.execute_with(
+            "update crawl set visited = ? where visited = ?",
+            &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
+        )?;
+        let mut graph = LinkGraph::new();
+        let mut server_counts = FxHashMap::default();
+        let done = "select oid, relevance, url from crawl where visited = ?";
+        for row in &db.query_with(done, &state(visited::DONE))?.rows {
+            let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
+            graph.set_relevance(oid, frontier::col_f64(row, 1, "relevance")?.exp());
+            let url = frontier::col_str(row, 2, "url")?;
+            if !url.is_empty() {
+                *server_counts.entry(host_server_id(url)).or_insert(0) += 1;
+            }
+        }
+        for row in &db.query(LINK_ROWS)?.rows {
+            let (src, sid_src, dst, sid_dst, _) = decode_link(row)?;
+            let src = graph.node_id(src, sid_src);
+            graph.add_link(src, dst, sid_dst);
+        }
+        let parked = "select max(not_before) from crawl where visited = ?";
+        let latest_park = db.query_with(parked, &state(visited::FRONTIER))?;
+        let health = fresh_health(&mut db, cfg.backoff, cfg.breaker, cfg.politeness)?;
+        let store = StoreState {
             db,
-            graph: LinkGraph::new(),
+            graph,
             class_probs: FxHashMap::default(),
-            server_counts: FxHashMap::default(),
+            server_counts,
             policy: cfg.policy,
             distill: DistillGate::default(),
             last_distill: None,
-            health: HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness),
-        }
+            health,
+        };
+        Ok((store, latest_park.scalar_i64().unwrap_or(0).max(0) as u64))
     }
+}
+
+/// Replace `taxonomy`'s good marking with a checkpoint's, wholesale:
+/// live `mark_topic` calls may have both added and *removed* good topics
+/// since the caller's model was built, so clear first.
+fn adopt_marking(taxonomy: &mut focus_types::Taxonomy, good_topics: &[String]) -> DbResult<()> {
+    let restore = |e| DbError::Eval(format!("restore: {e}"));
+    for c in taxonomy.good_set() {
+        taxonomy.unmark_good(c).map_err(restore)?;
+    }
+    for name in good_topics {
+        let c = taxonomy.find(name).ok_or_else(|| {
+            DbError::Eval(format!("restore: checkpoint marks unknown topic {name:?}"))
+        })?;
+        taxonomy.mark_good(c).map_err(restore)?;
+    }
+    Ok(())
 }
 
 impl CrawlSession {
@@ -79,36 +177,60 @@ impl CrawlSession {
         model: TrainedModel,
         cfg: CrawlConfig,
     ) -> DbResult<CrawlSession> {
-        Self::new_inner(fetcher, model, cfg, None)
+        Self::build(fetcher, model, cfg, Origin::Fresh, None)
     }
 
-    /// [`CrawlSession::new`] as one shard of a cluster (see
-    /// [`crate::cluster`]): same session, plus the routing context.
-    pub(crate) fn new_sharded(
+    /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
+    /// resumed in a fresh process with its frontier, relevance state,
+    /// link graph, stats, remaining budget, and good marking intact.
+    pub fn restore(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
         cfg: CrawlConfig,
-        shard: ShardCtx,
+        ckpt: &CrawlCheckpoint,
     ) -> DbResult<CrawlSession> {
-        Self::new_inner(fetcher, model, cfg, Some(shard))
+        Self::build(fetcher, model, cfg, Origin::Checkpoint(ckpt), None)
     }
 
-    fn new_inner(
+    /// Reopen a crashed (or cleanly stopped) file-backed session from
+    /// its data file and WAL: the log is replayed to the last committed
+    /// batch and the session is loaded from the recovered tables exactly
+    /// as [`CrawlSession::restore`] loads a checkpoint's.
+    ///
+    /// Requires `cfg.durability = Durability::File` pointing at the
+    /// files the crashed session used. What no table holds is not
+    /// recovered: saved per-page posteriors (a re-mark after recovery
+    /// falls back to refetching), the fetch and retry budgets (they
+    /// restart at `cfg`'s) and the tick clock — it restarts at the
+    /// *latest* park expiry, so every surviving parked row is due at
+    /// once and breakers re-quarantine servers that are still sick,
+    /// rather than honoring cooldowns against a clock that is gone.
+    pub fn recover(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
         cfg: CrawlConfig,
+    ) -> DbResult<CrawlSession> {
+        Self::build(fetcher, model, cfg, Origin::File, None)
+    }
+
+    /// The one way into a session, alone or (`shard`) as one shard of a
+    /// [`crate::cluster`]: open or create the database, bring `origin`'s
+    /// rows into its tables, [`StoreState::load`] them, and overlay only
+    /// what tables do not hold.
+    pub(crate) fn build(
+        fetcher: Arc<dyn Fetcher>,
+        mut model: TrainedModel,
+        cfg: CrawlConfig,
+        origin: Origin<'_>,
         shard: Option<ShardCtx>,
     ) -> DbResult<CrawlSession> {
+        let stored = matches!(origin, Origin::File);
         let mut db = match &cfg.durability {
-            Durability::None => Database::in_memory_with_frames(cfg.db_frames),
-            Durability::Wal { group_commit } => {
-                Database::in_memory_durable(cfg.db_frames, *group_commit)
-            }
             Durability::File { path, group_commit } => {
                 let db = Database::open_with(path, cfg.db_frames, *group_commit)?;
-                if db.table_id("crawl").is_ok() {
-                    // `new` builds fresh sessions; silently re-creating
-                    // tables over a recovered crawl would corrupt it.
+                if !stored && db.table_id("crawl").is_ok() {
+                    // Re-creating tables over a stored crawl would
+                    // corrupt it.
                     return Err(DbError::Eval(format!(
                         "database at {} already holds a crawl — resume it with \
                          CrawlSession::recover",
@@ -117,19 +239,92 @@ impl CrawlSession {
                 }
                 db
             }
+            _ if stored => {
+                return Err(DbError::Eval(
+                    "CrawlSession::recover requires CrawlConfig.durability = Durability::File"
+                        .into(),
+                ));
+            }
+            Durability::Wal { group_commit } => {
+                Database::in_memory_durable(cfg.db_frames, *group_commit)
+            }
+            Durability::None => Database::in_memory_with_frames(cfg.db_frames),
         };
-        tables::create_tables(&mut db)?;
-        tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
-        db.execute("create table hubs (oid int, score float)")?;
-        db.execute("create index hubs_oid on hubs (oid)")?;
-        db.execute("create table auth (oid int, score float)")?;
-        db.execute("create index auth_oid on auth (oid)")?;
-        // A durable session commits its schema immediately: from here
-        // on the file holds a recoverable crawl (and `new` on the same
-        // path will refuse to re-initialize it).
-        Self::commit_if_durable(&mut db)?;
-        let store = StoreState::new(db, &cfg);
-        Ok(Self::assemble(fetcher, model, cfg, store, 0, shard))
+        if stored {
+            // A recovered file must actually hold a crawl. Its `TAXONOMY`
+            // follows the model it is recovered under.
+            db.table_id("crawl")?;
+            tables::fill_taxonomy_dim(&mut db, &model.taxonomy)?;
+        } else {
+            if let Origin::Checkpoint(ckpt) = origin {
+                // Before the tables and the one compile, so both already
+                // reflect the restored marking.
+                adopt_marking(&mut model.taxonomy, &ckpt.good_topics)?;
+            }
+            tables::create_tables(&mut db)?;
+            tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
+            db.execute("create table hubs (oid int, score float)")?;
+            db.execute("create index hubs_oid on hubs (oid)")?;
+            db.execute("create table auth (oid int, score float)")?;
+            db.execute("create index auth_oid on auth (oid)")?;
+        }
+        if let Origin::Checkpoint(ckpt) = origin {
+            let pages = ckpt.pages.iter().map(|p| {
+                let mut r = tables::frontier_row(p.oid, &p.url, p.log_relevance, p.serverload);
+                r[crawl_col::KCID] = Value::Int(p.kcid);
+                r[crawl_col::NUMTRIES] = Value::Int(p.numtries);
+                r[crawl_col::LASTVISITED] = Value::Int(p.lastvisited);
+                r[crawl_col::VISITED] = Value::Int(p.state);
+                r[crawl_col::NOT_BEFORE] = Value::Int(p.not_before);
+                r
+            });
+            db.insert_many(db.table_id("crawl")?, pages.collect())?;
+            let links = ckpt
+                .links
+                .iter()
+                .map(|&(src, sid_src, dst, sid_dst, discovered)| {
+                    tables::link_row(src, sid_src, dst, sid_dst, discovered)
+                });
+            db.insert_many(db.table_id("link")?, links.collect())?;
+        }
+        let (mut store, latest_park) = StoreState::load(db, &cfg)?;
+        // From here on the store holds a crawl that can be resumed (and
+        // `new` on the same path will refuse to re-initialize it). What
+        // recovery itself changed — the demotions — is synced before the
+        // session is handed out: a crash right after must not resurrect
+        // `CLAIMED` rows.
+        if stored {
+            store.db.commit_durable()?;
+        } else {
+            Self::commit_if_durable(&mut store.db)?;
+        }
+        let session = Self::assemble(fetcher, model, cfg, store, latest_park, shard);
+        if let Origin::Checkpoint(ckpt) = origin {
+            session.overlay(ckpt);
+        }
+        Ok(session)
+    }
+
+    /// What a checkpoint carries that tables do not hold: the exact
+    /// linear relevance (`CRAWL` stores its log), saved posteriors, the
+    /// live policy, the counters, and the tick clock — resumed where the
+    /// checkpoint cut it, so parked rows (backoffs, quarantines) keep
+    /// their remaining cooldowns instead of re-serving them from zero or
+    /// being sprung early.
+    fn overlay(&self, ckpt: &CrawlCheckpoint) {
+        let mut g = self.store.write();
+        for &(oid, r) in &ckpt.relevance {
+            g.graph.set_relevance(oid, r);
+        }
+        g.class_probs = ckpt.class_probs.iter().cloned().collect();
+        g.policy = ckpt.policy;
+        drop(g);
+        let (stats, counters) = (&ckpt.stats, &self.counters);
+        *counters.tallies.lock() = stats.clone();
+        counters.attempts.store(stats.attempts, Ordering::Release);
+        let budget = stats.attempts + ckpt.budget_remaining;
+        counters.budget.store(budget, Ordering::Release);
+        counters.clock.store(ckpt.clock, Ordering::Release);
     }
 
     /// The one place a [`CrawlSession`] value is put together: fresh
@@ -163,194 +358,6 @@ impl CrawlSession {
             start: Instant::now(),
             shard,
         }
-    }
-
-    /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
-    /// resumed in a fresh process with its frontier, relevance state,
-    /// link graph, stats, remaining budget, and good marking intact.
-    pub fn restore(
-        fetcher: Arc<dyn Fetcher>,
-        model: TrainedModel,
-        cfg: CrawlConfig,
-        ckpt: &CrawlCheckpoint,
-    ) -> DbResult<CrawlSession> {
-        Self::restore_inner(fetcher, model, cfg, ckpt, None)
-    }
-
-    /// [`CrawlSession::restore`] as one shard of a cluster.
-    pub(crate) fn restore_sharded(
-        fetcher: Arc<dyn Fetcher>,
-        model: TrainedModel,
-        cfg: CrawlConfig,
-        ckpt: &CrawlCheckpoint,
-        shard: ShardCtx,
-    ) -> DbResult<CrawlSession> {
-        Self::restore_inner(fetcher, model, cfg, ckpt, Some(shard))
-    }
-
-    fn restore_inner(
-        fetcher: Arc<dyn Fetcher>,
-        mut model: TrainedModel,
-        cfg: CrawlConfig,
-        ckpt: &CrawlCheckpoint,
-        shard: Option<ShardCtx>,
-    ) -> DbResult<CrawlSession> {
-        // The checkpoint's marking replaces the caller's wholesale:
-        // live `mark_topic` calls may have both added and *removed*
-        // good topics since the model was built, so clear first. Doing
-        // this *before* construction means the one construction-time
-        // compile — and the `TAXONOMY` dim table — already reflect the
-        // restored marking.
-        for c in model.taxonomy.good_set() {
-            model
-                .taxonomy
-                .unmark_good(c)
-                .map_err(|e| minirel::DbError::Eval(format!("restore: {e}")))?;
-        }
-        for name in &ckpt.good_topics {
-            let c = model.taxonomy.find(name).ok_or_else(|| {
-                minirel::DbError::Eval(format!("restore: checkpoint marks unknown topic {name:?}"))
-            })?;
-            model
-                .taxonomy
-                .mark_good(c)
-                .map_err(|e| minirel::DbError::Eval(format!("restore: {e}")))?;
-        }
-        let session = CrawlSession::new_inner(fetcher, model, cfg, shard)?;
-        let mut g = session.store.write();
-        let crawl_tid = g.db.table_id("crawl")?;
-        let mut crawl_rows = Vec::with_capacity(ckpt.pages.len());
-        for row in &ckpt.pages {
-            let mut r = tables::frontier_row(row.oid, &row.url, row.log_relevance, row.serverload);
-            r[crawl_col::KCID] = Value::Int(row.kcid);
-            r[crawl_col::NUMTRIES] = Value::Int(row.numtries);
-            r[crawl_col::LASTVISITED] = Value::Int(row.lastvisited);
-            r[crawl_col::VISITED] = Value::Int(row.state);
-            r[crawl_col::NOT_BEFORE] = Value::Int(row.not_before);
-            crawl_rows.push(r);
-            if row.state == visited::DONE && !row.url.is_empty() {
-                *g.server_counts.entry(host_server_id(&row.url)).or_insert(0) += 1;
-            }
-        }
-        g.db.insert_many(crawl_tid, crawl_rows)?;
-        let link_tid = g.db.table_id("link")?;
-        let mut link_rows = Vec::with_capacity(ckpt.links.len());
-        for &(src, sid_src, dst, sid_dst, discovered) in &ckpt.links {
-            let src_id = g.graph.node_id(src, sid_src);
-            g.graph.add_link(src_id, dst, sid_dst);
-            link_rows.push(vec![
-                Value::Int(src.raw() as i64),
-                Value::Int(sid_src as i64),
-                Value::Int(dst.raw() as i64),
-                Value::Int(sid_dst as i64),
-                Value::Int(discovered),
-            ]);
-        }
-        g.db.insert_many(link_tid, link_rows)?;
-        for &(oid, r) in &ckpt.relevance {
-            g.graph.set_relevance(oid, r);
-        }
-        g.class_probs = ckpt
-            .class_probs
-            .iter()
-            .map(|(o, v)| (*o, v.clone()))
-            .collect();
-        g.policy = ckpt.policy;
-        drop(g);
-        *session.counters.tallies.lock() = ckpt.stats.clone();
-        session
-            .counters
-            .attempts
-            .store(ckpt.stats.attempts, Ordering::Release);
-        session.counters.budget.store(
-            ckpt.stats.attempts + ckpt.budget_remaining,
-            Ordering::Release,
-        );
-        // Resume the tick clock where the checkpoint cut it, so parked
-        // rows (backoffs, quarantines) keep their remaining cooldowns
-        // instead of re-serving them from zero — or being sprung early.
-        session.counters.clock.store(ckpt.clock, Ordering::Release);
-        Ok(session)
-    }
-
-    /// Reopen a crashed (or cleanly stopped) file-backed session from
-    /// its data file and WAL: the log is replayed to the last committed
-    /// batch, claims that were in flight at crash time are demoted back
-    /// to the frontier (they never landed, so they must be poppable
-    /// again — the same rule the checkpoint path applies), and the
-    /// in-memory caches are rebuilt from the recovered tables.
-    ///
-    /// Requires `cfg.durability = Durability::File` pointing at the
-    /// files the crashed session used. Saved per-page posteriors (the
-    /// §3.7 re-marking cache) live only in memory and are not recovered;
-    /// a re-mark after recovery falls back to refetching. The fetch
-    /// budget restarts at `cfg.max_fetches`, and so do the retry budget
-    /// and every circuit breaker — server health is re-learned from
-    /// live evidence, not trusted across a crash.
-    pub fn recover(
-        fetcher: Arc<dyn Fetcher>,
-        model: TrainedModel,
-        cfg: CrawlConfig,
-    ) -> DbResult<CrawlSession> {
-        let Durability::File { path, group_commit } = &cfg.durability else {
-            return Err(DbError::Eval(
-                "CrawlSession::recover requires CrawlConfig.durability = Durability::File".into(),
-            ));
-        };
-        let mut db = Database::open_with(path, cfg.db_frames, *group_commit)?;
-        // A recovered file must actually hold a crawl.
-        db.table_id("crawl")?;
-        db.execute_with(
-            "update crawl set visited = ? where visited = ?",
-            &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
-        )?;
-        // Rebuild the caches the tables back: linear relevance and
-        // server tallies from visited rows, the link graph from `LINK`.
-        let mut store = StoreState::new(db, &cfg);
-        let rs = store.db.query(&format!(
-            "select oid, relevance, url from crawl where visited = {}",
-            visited::DONE
-        ))?;
-        for row in &rs.rows {
-            let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
-            let r = frontier::col_f64(row, 1, "relevance")?.exp();
-            store.graph.set_relevance(oid, r);
-            let url = frontier::col_str(row, 2, "url")?;
-            if !url.is_empty() {
-                *store.server_counts.entry(host_server_id(url)).or_insert(0) += 1;
-            }
-        }
-        for row in &store.db.query(LINK_ROWS)?.rows {
-            let (src, sid_src, dst, sid_dst, _) = link_row(row)?;
-            let src = store.graph.node_id(src, sid_src);
-            store.graph.add_link(src, dst, sid_dst);
-        }
-        // The tick clock did not survive the crash, but parked rows
-        // (`not_before`) did. Restart the clock at the *latest* park
-        // expiry so every surviving row is immediately due: breakers
-        // restart closed and re-quarantine servers that are still sick,
-        // rather than honoring stale cooldowns against a clock that no
-        // longer means anything.
-        let mut clock = 0i64;
-        let parked_rs = store.db.query(&format!(
-            "select not_before from crawl where visited = {}",
-            visited::FRONTIER
-        ))?;
-        for row in &parked_rs.rows {
-            clock = clock.max(frontier::col_i64(row, 0, "not_before")?);
-        }
-        // Make the demotion itself durable before handing the session
-        // out: a crash right after recovery must not resurrect CLAIMED
-        // rows.
-        store.db.commit_durable()?;
-        Ok(Self::assemble(
-            fetcher,
-            model,
-            cfg,
-            store,
-            clock.max(0) as u64,
-            None,
-        ))
     }
 
     /// Spawn a WAL-shipping read replica of the session store: a
@@ -437,7 +444,7 @@ impl CrawlSession {
         let links = link_rs
             .rows
             .iter()
-            .map(|row| link_row(row))
+            .map(|row| decode_link(row))
             .collect::<DbResult<Vec<_>>>()?;
         let stats = self.stats();
         let budget_remaining = self

@@ -91,14 +91,22 @@ pub fn create_tables(db: &mut Database) -> DbResult<()> {
 }
 
 /// Create the small `TAXONOMY` dimension used by the §3.7 monitoring
-/// queries (kcid → name/type), for sessions that classify in memory. The
-/// schema matches what `focus_eval::tables` creates so the same
-/// monitor SQL works against either.
+/// queries (kcid → name/type), for sessions that classify in memory, and
+/// fill it from `taxonomy`. The schema matches what `focus_eval::tables`
+/// creates so the same monitor SQL works against either.
 pub fn create_taxonomy_dim(db: &mut Database, taxonomy: &focus_types::Taxonomy) -> DbResult<()> {
     db.execute(
         "create table taxonomy (pcid int, kcid int, logprior float, logdenom float, \
          type text, name text)",
     )?;
+    fill_taxonomy_dim(db, taxonomy)
+}
+
+/// Rewrite `TAXONOMY` from `taxonomy`, so its `type` column is the
+/// marking in force: at creation, after every live `mark_topic`, and
+/// when a stored crawl is reopened under a (possibly re-marked) model.
+pub fn fill_taxonomy_dim(db: &mut Database, taxonomy: &focus_types::Taxonomy) -> DbResult<()> {
+    db.execute("delete from taxonomy")?;
     let tid = db.table_id("taxonomy")?;
     for c in taxonomy.all() {
         let parent = taxonomy.parent(c).map(|p| p.raw() as i64).unwrap_or(-1);
@@ -163,6 +171,17 @@ pub fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) ->
         Value::Int(0),
         Value::Int(visited::FRONTIER),
         Value::Int(0),
+    ]
+}
+
+/// Build a `LINK` row.
+pub fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64) -> Vec<Value> {
+    vec![
+        Value::Int(src.raw() as i64),
+        Value::Int(sid_src as i64),
+        Value::Int(dst.raw() as i64),
+        Value::Int(sid_dst as i64),
+        Value::Int(discovered),
     ]
 }
 

@@ -462,6 +462,49 @@ fn single_shard_cluster_matches_session_semantics() {
 }
 
 #[test]
+fn a_file_backed_cluster_is_refused_before_any_file_exists() {
+    // `split_config` hands every shard the same `Durability::File`
+    // path. Shard 1 used to reopen (and rotate the log of) shard 0's
+    // live files, then advise "resume it with CrawlSession::recover" —
+    // for a crawl that never ran. The shard loop refuses up front, says
+    // why, and leaves nothing behind.
+    use focus_crawler::session::Durability;
+    let path = std::env::temp_dir().join(format!("crawl-cluster-{}.db", std::process::id()));
+    let wal = minirel::wal_path_for(&path);
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(5)));
+    let model = trained_model(&graph, "recreation/cycling");
+    let fetcher = || Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+    let cfg = CrawlConfig {
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 1,
+        },
+        ..CrawlConfig::default()
+    };
+    let Err(err) = CrawlCluster::new(2, fetcher(), model.clone(), cfg.clone()) else {
+        panic!("two shards cannot share one store file");
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.contains("one store file per shard is not supported"),
+        "{msg}"
+    );
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(
+        !msg.contains("recover"),
+        "no crawl exists to recover: {msg}"
+    );
+    assert!(!path.exists() && !wal.exists(), "files were created");
+    // One shard has the file to itself; that still works.
+    let single = CrawlCluster::new(1, fetcher(), model, cfg).unwrap();
+    assert_eq!(single.n_shards(), 1);
+    assert!(path.exists() && wal.exists());
+    drop(single);
+    let _ = (std::fs::remove_file(&path), std::fs::remove_file(&wal));
+}
+
+#[test]
 fn cluster_add_seeds_routes_to_owning_shards() {
     // Seeds injected mid-crawl land on their owning shards (via each
     // shard's command queue) and un-stagnate the cluster.

@@ -5,8 +5,8 @@
 
 use focus_classifier::train::{train, TrainConfig};
 use focus_crawler::session::{CrawlConfig, CrawlSession, Durability};
-use focus_crawler::{monitor, CrawlPolicy};
-use focus_types::{ClassId, Oid};
+use focus_crawler::{host_server_id, monitor, CrawlPolicy};
+use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -401,6 +401,181 @@ fn recovered_parked_rows_are_immediately_due() {
         Some(0),
         "every parked row must be driven to a terminal state"
     );
+    cleanup(&path);
+}
+
+/// The tiny web with one server that can be unplugged: while `down`,
+/// every page on `server` times out.
+struct UnpluggableServer {
+    inner: SimFetcher,
+    server: ServerId,
+    down: AtomicBool,
+}
+
+impl Fetcher for UnpluggableServer {
+    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+        let on_server = || host_server_id(&self.inner.url_of(oid).unwrap()) == self.server;
+        if self.down.load(Ordering::Acquire) && on_server() {
+            return Err(FetchError::Timeout(oid));
+        }
+        self.inner.fetch(oid)
+    }
+
+    fn fetch_count(&self) -> u64 {
+        self.inner.fetch_count()
+    }
+
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.inner.url_of(oid)
+    }
+}
+
+/// A crawl of the tiny web whose cycling-heaviest server is unplugged:
+/// seeded off that server, run until its breaker has opened. Returns
+/// the session, the fetcher (to plug the server back in) and the server.
+fn crawl_with_a_dead_server(
+    graph: &Arc<WebGraph>,
+    cfg: CrawlConfig,
+) -> (Arc<CrawlSession>, Arc<UnpluggableServer>, ServerId) {
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let mut weight: std::collections::HashMap<ServerId, usize> = Default::default();
+    for p in graph.pages().iter().filter(|p| p.topic == cycling) {
+        *weight.entry(host_server_id(&p.url)).or_default() += 1;
+    }
+    let server = *weight.iter().max_by_key(|&(s, n)| (*n, s.raw())).unwrap().0;
+    let fetcher = Arc::new(UnpluggableServer {
+        inner: SimFetcher::new(Arc::clone(graph), None),
+        server,
+        down: AtomicBool::new(true),
+    });
+    let seeds: Vec<Oid> = focus_webgraph::search::topic_start_set(graph, cycling, 12)
+        .into_iter()
+        .filter(|&o| host_server_id(&fetcher.url_of(o).unwrap()) != server)
+        .collect();
+    let model = trained_model(graph, "recreation/cycling");
+    let session = Arc::new(CrawlSession::new(Arc::clone(&fetcher) as _, model, cfg).unwrap());
+    session.seed(&seeds).unwrap();
+    session.run().unwrap();
+    assert_eq!(
+        health_states(&session),
+        vec![(server.raw() as i64, "open".to_owned())],
+        "the run must end with exactly the dead server quarantined"
+    );
+    (session, fetcher, server)
+}
+
+/// `(sid, state)` of every `server_health` row.
+fn health_states(session: &CrawlSession) -> Vec<(i64, String)> {
+    let rs = session.sql("select sid, state from server_health order by sid");
+    let rows = rs.unwrap().rows.into_iter();
+    rows.map(|r| (r[0].as_i64().unwrap(), r[1].as_str().unwrap().to_owned()))
+        .collect()
+}
+
+/// Pages of `server` the session has fetched.
+fn fetched_on(session: &CrawlSession, server: ServerId) -> usize {
+    let visited = session.visited();
+    visited.iter().filter(|&&(_, _, s)| s == server).count()
+}
+
+/// `server_health` describes the breakers a session enforces, so it
+/// cannot outlive them: `recover` starts every breaker over ("server
+/// health is re-learned from live evidence") and must hand out an empty
+/// table with them — on the leader and, through the WAL, on replicas —
+/// not the quarantines of the session that crashed.
+#[test]
+fn recover_empties_server_health_with_the_breakers() {
+    let path = temp_db_path("health");
+    cleanup(&path);
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+    let cfg = CrawlConfig {
+        threads: 1,
+        max_fetches: 120,
+        distill_every: None,
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 4,
+        },
+        ..CrawlConfig::default()
+    };
+    let (session, fetcher, server) = crawl_with_a_dead_server(&graph, cfg.clone());
+    assert_eq!(fetched_on(&session, server), 0);
+    drop(session); // crash
+
+    fetcher.down.store(false, Ordering::Release); // the server is back
+    let model = trained_model(&graph, "recreation/cycling");
+    let recovered = Arc::new(CrawlSession::recover(fetcher, model, cfg).unwrap());
+    assert_eq!(
+        health_states(&recovered),
+        vec![],
+        "a recovered session holds no breaker open; its table must not say otherwise"
+    );
+    // And the server's first claim is admitted, not parked behind the
+    // crashed session's quarantine: its pages get fetched.
+    recovered.add_budget(60);
+    recovered.run().unwrap();
+    assert!(fetched_on(&recovered, server) > 0, "nothing fetched there");
+    assert_eq!(health_states(&recovered), vec![], "and it stayed healthy");
+    cleanup(&path);
+}
+
+/// The same for a rerun that restarts the health map: a `StartOptions`
+/// breaker override makes servers re-earn their quarantines, so the
+/// rows of the quarantines they had earned go with the old map.
+#[test]
+fn a_breaker_override_rerun_empties_server_health() {
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+    let cfg = CrawlConfig {
+        threads: 1,
+        max_fetches: 120,
+        distill_every: None,
+        ..CrawlConfig::default()
+    };
+    let (session, fetcher, server) = crawl_with_a_dead_server(&graph, cfg.clone());
+    fetcher.down.store(false, Ordering::Release);
+    session.add_budget(60);
+    let run = session.start_with(focus_crawler::StartOptions {
+        breaker: Some(cfg.breaker),
+        ..Default::default()
+    });
+    run.unwrap().join().unwrap();
+    assert!(fetched_on(&session, server) > 0, "nothing fetched there");
+    assert_eq!(
+        health_states(&session),
+        vec![],
+        "no breaker opened in this run, so none may be reported open"
+    );
+}
+
+/// `TAXONOMY.type` is the marking of the model the session runs under:
+/// a file recovered under a differently marked model shows that model's
+/// marking, not the one the file was written with.
+#[test]
+fn recovered_taxonomy_follows_the_model_it_is_recovered_under() {
+    let path = temp_db_path("remarked");
+    cleanup(&path);
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(5)));
+    let cfg = CrawlConfig {
+        distill_every: None,
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 1,
+        },
+        ..CrawlConfig::default()
+    };
+    let fetcher = || Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+    let good = |s: &CrawlSession| -> Vec<String> {
+        let rs = s.sql("select name from taxonomy where type = 'good'");
+        let names = rs.unwrap().rows.into_iter();
+        names.map(|r| r[0].as_str().unwrap().to_owned()).collect()
+    };
+    let model = trained_model(&graph, "recreation/cycling");
+    let session = CrawlSession::new(fetcher(), model, cfg.clone()).unwrap();
+    assert_eq!(good(&session), ["recreation/cycling"]);
+    drop(session);
+    let model = trained_model(&graph, "recreation");
+    let recovered = CrawlSession::recover(fetcher(), model, cfg).unwrap();
+    assert_eq!(good(&recovered), ["recreation"]);
     cleanup(&path);
 }
 

@@ -10,6 +10,13 @@
 //! sources and fails if a mirror, the locked pass, or a crawl-path call
 //! of the reference walk comes back — or if a second place starts a
 //! pass.
+//!
+//! The same goes for the way *back* into that picture. `new`, `restore`
+//! and `recover` once each rebuilt the graph, the server tallies and the
+//! health map in their own loops (and `CrawlCluster` mirrored the
+//! constructors once more); now `StoreState::load` is the one place
+//! in-memory state is derived from tables and `CrawlSession::build` the
+//! one opener. The second test fails if a private rebuild reappears.
 
 use std::path::{Path, PathBuf};
 
@@ -68,5 +75,70 @@ fn one_link_graph_and_one_place_starts_a_pass() {
         (1, 1),
         "exactly one function (`CrawlSession::distill_pass`) cuts a snapshot and runs \
          the kernel on it: snapshots at {snapshots_cut:?}, kernel calls at {kernel_calls:?}"
+    );
+}
+
+#[test]
+fn one_loader_derives_memory_from_tables() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    sources(&src, &mut files);
+    // `file:line` of every production line (before the file's first
+    // `#[cfg(test)]`, comments aside) that contains `needle`.
+    let sites = |needle: &str| -> Vec<String> {
+        let mut hits = Vec::new();
+        for path in &files {
+            let text = std::fs::read_to_string(path).expect("readable source");
+            let production = text
+                .lines()
+                .enumerate()
+                .take_while(|(_, l)| !l.trim_start().starts_with("#[cfg(test)]"))
+                .filter(|(_, l)| !l.trim_start().starts_with("//"));
+            for (n, line) in production {
+                if line.contains(needle) {
+                    hits.push(format!("{}:{}", path.display(), n + 1));
+                }
+            }
+        }
+        hits
+    };
+    let in_store = |hits: &[String]| hits.iter().filter(|h| h.contains("store.rs:")).count();
+
+    let maps = sites("HealthMap::new(");
+    assert_eq!(
+        maps.len(),
+        1,
+        "one place creates a `HealthMap` over a store — `store::fresh_health`, which \
+         also empties `server_health`: {maps:?}"
+    );
+    let links = sites(".add_link(");
+    assert!(
+        links.len() <= 3 && in_store(&links) == 1,
+        "links enter the graph when a page lands, when a hub is revisited, and in \
+         `StoreState::load` — nowhere else: {links:?}"
+    );
+    let relevance = sites(".set_relevance(");
+    assert!(
+        in_store(&relevance) <= 2,
+        "store.rs sets relevance in the loader and in the checkpoint's exact-R \
+         overlay: {relevance:?}"
+    );
+    for gone in [
+        "fn new_inner",
+        "fn restore_inner",
+        "fn new_sharded",
+        "fn restore_sharded",
+    ] {
+        let back = sites(gone);
+        assert!(
+            back.is_empty(),
+            "`{gone}` is back at {back:?}: every way into a session is \
+             `CrawlSession::build(.., origin, shard)`"
+        );
+    }
+    let rows = sites("Value::Int(sid_dst");
+    assert!(
+        !rows.is_empty() && rows.iter().all(|h| h.contains("tables.rs:")),
+        "a `LINK` row is spelled out once, in `tables::link_row`: {rows:?}"
     );
 }

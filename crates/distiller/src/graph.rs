@@ -128,6 +128,17 @@ impl LinkGraph {
             .map(|(&s, &d)| (cols.node(s), cols.node(d)))
     }
 
+    /// Links from a visited page to one not visited yet, as `(target,
+    /// R(source))` in discovery order: where the crawl has been pointed
+    /// and has not been.
+    pub fn pending_links(&self) -> impl Iterator<Item = (Node, f64)> + '_ {
+        let pending = |(src, dst): (Node, Node)| match (src.relevance, dst.relevance) {
+            (Some(r), None) => Some((dst, r)),
+            _ => None,
+        };
+        self.links().filter_map(pending)
+    }
+
     /// `(page, linear relevance)` of every visited page, in dense-id
     /// order.
     pub fn visited(&self) -> impl Iterator<Item = (Oid, f64)> + '_ {
@@ -375,6 +386,12 @@ mod tests {
         let (s, d) = g.links().next().unwrap();
         assert_eq!((s.oid, s.sid, d.oid, d.sid), (Oid(7), 1, Oid(9), 2));
         assert_eq!(d.relevance, Some(0.4));
+        assert_eq!(g.pending_links().count(), 0, "no visited source yet");
+        g.set_relevance(Oid(7), 0.6);
+        assert_eq!(g.pending_links().count(), 0, "the target is visited");
+        g.add_link(a, Oid(11), 3);
+        let pending: Vec<_> = g.pending_links().map(|(d, r)| (d.oid, d.sid, r)).collect();
+        assert_eq!(pending, vec![(Oid(11), 3, 0.6)]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   undeclared locks, and guards held across declared-blocking calls
 //!   (`Fetcher::fetch`, fsync).
 //!
-//! The rank table lives in [`rank`]; `LOCK_ORDER.toml` mirrors it and a
-//! unit test keeps the two in sync.
+//! The rank table lives in [`rank`] and nowhere else: `LOCK_ORDER.toml`
+//! binds source acquisitions to lock *names*, and the static half looks
+//! each name's rank up in the table.
 
 pub mod analyze;
 pub mod lexer;

@@ -51,30 +51,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The manifest must agree with the compiled-in rank registry; drift
-    // here would let the two halves enforce different lattices.
-    for decl in &manifest.locks {
-        match lockcheck::rank::ALL.iter().find(|r| r.name == decl.name) {
-            Some(r) if r.value == decl.rank => {}
-            Some(r) => {
-                eprintln!(
-                    "lockcheck: rank mismatch for `{}`: LOCK_ORDER.toml says {}, \
-                     rank registry says {}",
-                    decl.name, decl.rank, r.value
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!(
-                    "lockcheck: `{}` is in LOCK_ORDER.toml but not in the rank registry \
-                     (crates/lockcheck/src/rank.rs)",
-                    decl.name
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     let analysis = match lockcheck::analyze::analyze_workspace(&root, &manifest) {
         Ok(a) => a,
         Err(e) => {

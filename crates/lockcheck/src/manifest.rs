@@ -21,7 +21,9 @@ pub enum LockKind {
 pub struct LockDecl {
     /// Manifest name, e.g. `"crawler.store"`.
     pub name: String,
-    /// Rank value; must match the `rank::ALL` constant of the same name.
+    /// Rank value: the `rank::ALL` constant of the same name, or — for a
+    /// lock the registry does not know (fixture manifests) — its `rank`
+    /// key. Never both: there is one number per lock.
     pub rank: u16,
     /// Wrapped primitive.
     pub kind: LockKind,
@@ -130,6 +132,8 @@ enum Section {
 /// Parse the manifest source.
 pub fn parse(src: &str) -> Result<Manifest, ParseError> {
     let mut m = Manifest::default();
+    // The `rank` key of each `[[lock]]`, where given.
+    let mut declared: Vec<Option<u16>> = Vec::new();
     let mut section = Section::None;
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx + 1;
@@ -147,6 +151,7 @@ pub fn parse(src: &str) -> Result<Manifest, ParseError> {
                         fields: Vec::new(),
                         files: Vec::new(),
                     });
+                    declared.push(None);
                     Section::Lock
                 }
                 "blocking" => {
@@ -205,7 +210,10 @@ pub fn parse(src: &str) -> Result<Manifest, ParseError> {
                 let lock = m.locks.last_mut().expect("inside [[lock]]");
                 match key {
                     "name" => lock.name = value.as_string(lineno)?,
-                    "rank" => lock.rank = value.as_int(lineno)? as u16,
+                    "rank" => {
+                        *declared.last_mut().expect("inside [[lock]]") =
+                            Some(value.as_int(lineno)? as u16)
+                    }
                     "kind" => {
                         lock.kind = match value.as_string(lineno)?.as_str() {
                             "mutex" => LockKind::Mutex,
@@ -251,8 +259,36 @@ pub fn parse(src: &str) -> Result<Manifest, ParseError> {
             }
         }
     }
-    validate(&m).map_err(|message| ParseError { line: 0, message })?;
+    let checked = assign_ranks(&mut m, &declared).and_then(|()| validate(&m));
+    checked.map_err(|message| ParseError { line: 0, message })?;
     Ok(m)
+}
+
+/// Give every lock its rank: from the registry ([`crate::rank::ALL`]) by
+/// name, else from its own `rank` key. A lock with both has two numbers
+/// that could drift, a lock with neither has none — both are rejected.
+fn assign_ranks(m: &mut Manifest, declared: &[Option<u16>]) -> Result<(), String> {
+    for (lock, &declared) in m.locks.iter_mut().zip(declared) {
+        let registry = crate::rank::ALL.iter().find(|r| r.name == lock.name);
+        lock.rank = match (registry, declared) {
+            (Some(r), None) => r.value,
+            (None, Some(rank)) => rank,
+            (Some(r), Some(_)) => {
+                return Err(format!(
+                    "lock `{}` takes its rank ({}) from the registry \
+                     (crates/lockcheck/src/rank.rs); drop its `rank` key",
+                    lock.name, r.value
+                ))
+            }
+            (None, None) => {
+                return Err(format!(
+                    "lock `{}` is not in the rank registry and declares no `rank`",
+                    lock.name
+                ))
+            }
+        };
+    }
+    Ok(())
 }
 
 fn unknown_key(key: &str, table: &str, line: usize) -> Result<Manifest, ParseError> {
@@ -467,5 +503,24 @@ reason = "intentional"
         assert!(parse("rank = 1").is_err());
         assert!(parse("[[lock]]\nname = \"x\"").is_err()); // no fields
         assert!(parse("[[allow]]\nfrom = \"x\"\nto = \"y\"").is_err()); // unknown locks
+    }
+
+    #[test]
+    fn a_lock_has_exactly_one_rank() {
+        let lock = |name: &str, rank: &str| {
+            parse(&format!(
+                "[[lock]]\nname = \"{name}\"\n{rank}\nfields = [\"f\"]"
+            ))
+        };
+        // A registry lock takes the registry's number...
+        let m = lock("crawler.store", "").expect("registry lock needs no rank");
+        assert_eq!(m.locks[0].rank, crate::rank::STORE.value);
+        // ...and may not carry a second one, even an equal one.
+        let e = lock("crawler.store", "rank = 300").unwrap_err();
+        assert!(e.message.contains("drop its `rank` key"), "{e}");
+        // A lock the registry does not know brings its own, or is refused.
+        assert_eq!(lock("fix.low", "rank = 10").unwrap().locks[0].rank, 10);
+        let e = lock("fix.low", "").unwrap_err();
+        assert!(e.message.contains("declares no `rank`"), "{e}");
     }
 }

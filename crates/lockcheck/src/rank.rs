@@ -5,9 +5,10 @@
 //! it already holds (same-rank re-acquisition is allowed only for
 //! shared/read mode, so reentrant reads stay legal while two sibling
 //! mutexes of the same rank — e.g. two buffer-pool shards — stay
-//! forbidden). The table below is the single source of truth for the
-//! runtime checker; `LOCK_ORDER.toml` mirrors it for the static pass and
-//! a unit test keeps the two in sync.
+//! forbidden). The table below is the one place a rank is written down:
+//! the runtime checker reads the constants, and the static pass looks
+//! each `LOCK_ORDER.toml` entry's rank up here by name (the manifest
+//! carries no numbers; a test holds the two to the same set of names).
 //!
 //! The lattice, in prose (ranks ascend top to bottom):
 //!
@@ -44,8 +45,8 @@ macro_rules! ranks {
     ($($(#[$doc:meta])* $konst:ident = $value:literal, $name:literal;)*) => {
         $($(#[$doc])* pub const $konst: Rank = Rank::new($value, $name);)*
 
-        /// Every rank in the registry, ascending. A unit test checks this
-        /// list against `LOCK_ORDER.toml` so the two halves cannot drift.
+        /// Every rank in the registry, ascending: where the static pass
+        /// takes the rank of each lock `LOCK_ORDER.toml` declares.
         pub const ALL: &[Rank] = &[$($konst),*];
     };
 }

@@ -1,6 +1,7 @@
 //! The real workspace against the real `LOCK_ORDER.toml`: the manifest
-//! must mirror the compiled-in rank registry, and the migration must
-//! stay finding-free. This is the regression net for every violation
+//! must name exactly the locks of the compiled-in rank registry (which
+//! is where their ranks come from), and the migration must stay
+//! finding-free. This is the regression net for every violation
 //! the initial static sweep surfaced — a reintroduced raw lock or a
 //! descending edge fails here, not just in the CI lockcheck step.
 
@@ -18,23 +19,18 @@ fn load_manifest() -> lockcheck::manifest::Manifest {
 
 #[test]
 fn lock_order_toml_matches_rank_registry() {
+    // The manifest carries no numbers of its own (a registry lock that
+    // declared a `rank` would not have parsed): the registry is the one
+    // place ranks live, and the two must name the same set of locks.
     let manifest = load_manifest();
+    let mut declared: Vec<&str> = manifest.locks.iter().map(|l| l.name.as_str()).collect();
+    let mut registry: Vec<&str> = lockcheck::rank::ALL.iter().map(|r| r.name).collect();
+    declared.sort_unstable();
+    registry.sort_unstable();
     assert_eq!(
-        manifest.locks.len(),
-        lockcheck::rank::ALL.len(),
+        declared, registry,
         "every rank constant needs a LOCK_ORDER.toml entry and vice versa"
     );
-    for decl in &manifest.locks {
-        let reg = lockcheck::rank::ALL
-            .iter()
-            .find(|r| r.name == decl.name)
-            .unwrap_or_else(|| panic!("`{}` missing from rank registry", decl.name));
-        assert_eq!(
-            reg.value, decl.rank,
-            "rank drift for `{}`: registry {} vs manifest {}",
-            decl.name, reg.value, decl.rank
-        );
-    }
 }
 
 #[test]

@@ -130,11 +130,6 @@ impl Catalog {
         (t.heap.len(), t.heap.num_pages())
     }
 
-    /// Mutable table metadata by id.
-    pub fn table_mut(&mut self, id: TableId) -> &mut TableInfo {
-        &mut self.tables[id]
-    }
-
     /// All live table names.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables

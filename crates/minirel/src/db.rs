@@ -38,7 +38,7 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::recovery;
 use crate::schema::Schema;
 use crate::sql::lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
-use crate::sql::{parse_script, parse_statement, Statement};
+use crate::sql::{parse_statement, Statement};
 use crate::value::{Row, Value};
 use crate::wal::{Wal, DEFAULT_GROUP_COMMIT};
 use lockcheck::{rank, OrderedRwLock};
@@ -160,7 +160,6 @@ pub struct Database {
     pool: BufferPool,
     catalog: Catalog,
     current_timestamp: i64,
-    sort_budget_override: Option<usize>,
     plan_cache: PlanCache,
 }
 
@@ -175,22 +174,17 @@ impl Database {
         Self::with_pool(DiskManager::in_memory(), frames, EvictionPolicy::Lru)
     }
 
-    /// Temp-file-backed database (removed on drop).
-    pub fn on_temp_file(frames: usize) -> DbResult<Database> {
-        Ok(Self::with_pool(
-            DiskManager::temp()?,
-            frames,
-            EvictionPolicy::Lru,
-        ))
-    }
-
     /// Full control over backing and eviction policy.
     pub fn with_pool(disk: DiskManager, frames: usize, policy: EvictionPolicy) -> Database {
+        Self::from_parts(BufferPool::new(disk, frames, policy), Catalog::new())
+    }
+
+    /// The one place a `Database` value is put together.
+    fn from_parts(pool: BufferPool, catalog: Catalog) -> Database {
         Database {
-            pool: BufferPool::new(disk, frames, policy),
-            catalog: Catalog::new(),
+            pool,
+            catalog,
             current_timestamp: 0,
-            sort_budget_override: None,
             plan_cache: PlanCache::default(),
         }
     }
@@ -203,13 +197,7 @@ impl Database {
     pub fn in_memory_durable(frames: usize, group_commit: usize) -> Database {
         let mut pool = BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru);
         pool.attach_wal(Arc::new(Wal::in_memory(group_commit)));
-        Database {
-            pool,
-            catalog: Catalog::new(),
-            current_timestamp: 0,
-            sort_budget_override: None,
-            plan_cache: PlanCache::default(),
-        }
+        Self::from_parts(pool, Catalog::new())
     }
 
     /// Open (or create) a durable database at `path`, with its WAL at
@@ -264,13 +252,7 @@ impl Database {
         wal.rename_to(&wal_path)?;
         let mut pool = BufferPool::new(disk, frames, EvictionPolicy::Lru);
         pool.attach_wal(Arc::new(wal));
-        Ok(Database {
-            pool,
-            catalog,
-            current_timestamp: 0,
-            sort_budget_override: None,
-            plan_cache: PlanCache::default(),
-        })
+        Ok(Self::from_parts(pool, catalog))
     }
 
     /// The attached WAL handle, when this database is durable.
@@ -375,13 +357,7 @@ impl Database {
         frames: usize,
         catalog: Catalog,
     ) -> Database {
-        Database {
-            pool: BufferPool::new(disk, frames, EvictionPolicy::Lru),
-            catalog,
-            current_timestamp: 0,
-            sort_budget_override: None,
-            plan_cache: PlanCache::default(),
-        }
+        Self::from_parts(BufferPool::new(disk, frames, EvictionPolicy::Lru), catalog)
     }
 
     /// Execute one SQL statement.
@@ -396,16 +372,6 @@ impl Database {
     pub fn execute_with(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         let stmt = parse_statement(sql)?;
         self.run(&stmt, params)
-    }
-
-    /// Execute a `;`-separated script, returning the last result.
-    pub fn execute_script(&mut self, sql: &str) -> DbResult<ResultSet> {
-        let stmts = parse_script(sql)?;
-        let mut last = ResultSet::default();
-        for stmt in &stmts {
-            last = self.run(stmt, &[])?;
-        }
-        Ok(last)
     }
 
     /// Execute a **SELECT** (or `EXPLAIN <select>`) through shared
@@ -537,17 +503,11 @@ impl Database {
         self.current_timestamp
     }
 
-    /// External-sort memory budget (rows). Defaults to a value proportional
-    /// to the buffer pool so that shrinking the pool also shrinks sort
-    /// memory — the coupling the Figure 8(b) sweep depends on.
+    /// External-sort memory budget (rows): proportional to the buffer
+    /// pool, so that shrinking the pool also shrinks sort memory — the
+    /// coupling the Figure 8(b) sweep depends on.
     pub fn sort_budget_rows(&self) -> usize {
-        self.sort_budget_override
-            .unwrap_or_else(|| (self.pool.capacity() * PAGE_SIZE / 48).max(64))
-    }
-
-    /// Override the sort budget (None restores the pool-derived default).
-    pub fn set_sort_budget_rows(&mut self, rows: Option<usize>) {
-        self.sort_budget_override = rows;
+        (self.pool.capacity() * PAGE_SIZE / 48).max(64)
     }
 
     /// I/O counters of the buffer pool (atomic; callable concurrently
@@ -559,16 +519,6 @@ impl Database {
     /// Zero the I/O counters.
     pub fn reset_io_stats(&self) {
         self.pool.reset_stats();
-    }
-
-    /// Resize the buffer pool (flushes first).
-    pub fn set_pool_frames(&mut self, frames: usize) -> DbResult<()> {
-        self.pool.set_capacity(frames)
-    }
-
-    /// Buffer pool frame count.
-    pub fn pool_frames(&self) -> usize {
-        self.pool.capacity()
     }
 
     /// Table id by name.
@@ -612,15 +562,6 @@ impl Database {
     pub fn insert_many(&mut self, table: TableId, rows: Vec<Row>) -> DbResult<()> {
         self.catalog.insert_many(&self.pool, table, rows)?;
         Ok(())
-    }
-
-    /// Query helper asserting a single row.
-    pub fn query_row(&mut self, sql: &str) -> DbResult<Row> {
-        let rs = self.execute(sql)?;
-        match rs.rows.len() {
-            1 => Ok(rs.rows.into_iter().next().expect("len checked")),
-            n => Err(DbError::Eval(format!("expected exactly 1 row, got {n}"))),
-        }
     }
 }
 

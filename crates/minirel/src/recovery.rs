@@ -6,28 +6,37 @@
 //! in the WAL as page images, and each [`crate::wal::KIND_COMMIT`]
 //! record carries a full **catalog image** (schemas, heap page lists,
 //! B+tree roots — metadata that is otherwise in-memory only). Recovery
-//! is therefore a single forward pass: scan the valid, checksummed
-//! prefix of the log, find the last Commit, install every page image up
-//! to it into the data file, and adopt that commit's catalog. Records
-//! past the last commit — a torn tail, an unfinished batch — are
-//! discarded. Replaying is **idempotent**: images are whole-page writes
-//! applied in log order, so running recovery twice lands on the same
-//! bytes.
+//! ([`replay_into`]) is two passes of the one borrowing log reader
+//! ([`crate::wal::records`]) over the bytes `Database::open` read: find
+//! where the last Commit ends in the valid, checksummed prefix, then
+//! install every page image before that point into the data file —
+//! straight from the log bytes, no record is ever copied — and adopt
+//! that commit's catalog. The log is resident once. Records past the
+//! last commit — a torn tail, an unfinished batch — are discarded.
+//! Replaying is **idempotent**: images are whole-page writes applied in
+//! log order, so running recovery twice lands on the same bytes.
 //!
 //! # Replication
 //!
 //! A [`Replica`] is a read-only follower `Database` fed from the
-//! leader's WAL:
+//! leader's WAL. There is one follower: a thread that appends newly
+//! shipped log bytes to a buffer and *feeds* the buffer to the same
+//! reader recovery uses. The page images of the group being read stay
+//! borrowed from the buffer; at each commit record the group and the
+//! commit's catalog are installed under one hold of the follower's
+//! write lock, so readers always see a consistent commit boundary.
+//! Whatever follows the last commit fed (images whose commit has not
+//! arrived, half a record) stays buffered for the next round. The two
+//! kinds of replica differ only in where bytes come from:
 //!
 //! * [`Replica::spawn`] (in-process): base snapshot of the leader's
 //!   committed pages + catalog, then an `mpsc` subscription to the
-//!   committed record stream. Each commit is applied atomically under
-//!   the follower's write lock, so readers always see a consistent
-//!   commit boundary.
-//! * [`Replica::tail_file`] (cross-process): replays the leader's
-//!   data + WAL files, then polls the WAL file for newly committed
-//!   records. Valid for the duration of one leader run (a leader
-//!   restart rotates the log and the tailer reports an error).
+//!   chunks the leader publishes at each commit.
+//! * [`Replica::tail_file`] (cross-process): replays a consistent copy
+//!   of the leader's data + WAL files, then every poll seeks to its
+//!   offset in the WAL file and reads only what the file has grown by.
+//!   Valid for the duration of one leader run (a leader restart rotates
+//!   the log and the tailer reports an error).
 //!
 //! **Staleness contract**: a replica lags the leader by at most the
 //! in-flight commit chunk (channel mode) or one poll interval (file
@@ -42,8 +51,10 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::wal::{self, Record, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE};
+use crate::wal::{self, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE};
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -225,95 +236,87 @@ pub struct Recovered {
     pub last_lsn: u64,
     /// Data-file page count at that commit.
     pub num_pages: u32,
-    /// Byte offset just past the last applied Commit/Checkpoint record
-    /// (a file tailer resumes scanning here).
+    /// Byte offset just past that commit's record (a file tailer
+    /// resumes reading here).
     pub applied_end: u64,
 }
 
-fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8])> {
-    if payload.len() != 4 + PAGE_SIZE {
-        return Err(DbError::Corrupt(format!(
+fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8; PAGE_SIZE])> {
+    let Some((pid, img)) = payload.split_first_chunk::<4>() else {
+        return Err(DbError::Corrupt(
+            "page-image payload shorter than 4 bytes".into(),
+        ));
+    };
+    let img = img.try_into().map_err(|_| {
+        DbError::Corrupt(format!(
             "page-image payload of {} bytes (want {})",
             payload.len(),
             4 + PAGE_SIZE
-        )));
-    }
-    let pid = u32::from_le_bytes(payload[0..4].try_into().expect("4"));
-    Ok((pid, &payload[4..]))
+        ))
+    })?;
+    Ok((u32::from_le_bytes(*pid), img))
 }
 
 fn parse_commit(payload: &[u8]) -> DbResult<(u32, &[u8])> {
-    if payload.len() < 4 {
+    let Some((num_pages, cat)) = payload.split_first_chunk::<4>() else {
         return Err(DbError::Corrupt(
             "commit payload shorter than 4 bytes".into(),
         ));
-    }
-    let num_pages = u32::from_le_bytes(payload[0..4].try_into().expect("4"));
-    Ok((num_pages, &payload[4..]))
+    };
+    Ok((u32::from_le_bytes(*num_pages), cat))
 }
 
 /// Redo the log onto `disk`: install every committed page image (in log
 /// order) and return the last commit's catalog. `Ok(None)` when the log
 /// holds no commit at all (fresh database). Idempotent — a second call
 /// over the same inputs rewrites identical bytes.
+///
+/// Two passes of the borrowing reader over `wal_bytes`, no record ever
+/// copied: the first finds where the last commit ends — everything after
+/// it is an unacknowledged tail and must not touch the data file — the
+/// second writes each image up to there straight from the log bytes.
 pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<Recovered>> {
-    let (records, _valid) = wal::scan_records(wal_bytes);
-    // Locate the last commit; everything after it is an unacknowledged
-    // tail and must not touch the data file.
-    let last_commit = records.iter().rposition(|r| r.kind == KIND_COMMIT);
-    let Some(last_commit) = last_commit else {
-        return Ok(None);
-    };
-    let mut applied_end = 0u64;
-    let mut off = 0u64;
-    let mut commit_state: Option<(u32, &[u8], u64)> = None;
-    for (i, rec) in records.iter().enumerate() {
-        let rec_len = (wal::RECORD_HEADER + rec.payload.len()) as u64;
-        off += rec_len;
-        if i > last_commit {
-            break;
-        }
-        match rec.kind {
-            KIND_PAGE_IMAGE => {
-                let (pid, img) = parse_page_image(&rec.payload)?;
-                let buf: &[u8; PAGE_SIZE] =
-                    img.try_into().expect("length checked by parse_page_image");
-                disk.write_ensure(pid, buf)?;
-            }
-            KIND_COMMIT => {
-                let (num_pages, cat) = parse_commit(&rec.payload)?;
-                commit_state = Some((num_pages, cat, rec.lsn));
-                applied_end = off;
-            }
-            KIND_CHECKPOINT => {
-                applied_end = off;
-            }
-            _ => unreachable!("scan_records only yields known kinds"),
+    let mut log = wal::records(wal_bytes);
+    let mut applied_end = None;
+    while let Some(rec) = log.next() {
+        if rec.kind == KIND_COMMIT {
+            applied_end = Some(log.valid_len());
         }
     }
-    let (num_pages, cat_bytes, last_lsn) =
-        commit_state.expect("last_commit index guarantees a commit was seen");
+    let Some(applied_end) = applied_end else {
+        return Ok(None);
+    };
+    let mut last_commit = None;
+    for rec in wal::records(&wal_bytes[..applied_end]) {
+        match rec.kind {
+            KIND_PAGE_IMAGE => {
+                let (pid, img) = parse_page_image(rec.payload)?;
+                disk.write_ensure(pid, img)?;
+            }
+            KIND_COMMIT => last_commit = Some(rec),
+            _ => {}
+        }
+    }
+    let last_commit = last_commit.expect("the prefix ends at a commit");
+    let (num_pages, cat_bytes) = parse_commit(last_commit.payload)?;
     let catalog = decode_catalog(cat_bytes)?;
     // The commit may reference pages the crash kept the data file from
     // ever growing to (e.g. allocated, logged, never checkpointed).
-    if num_pages > 0 {
-        let zero = [0u8; PAGE_SIZE];
-        while disk.num_pages() < num_pages {
-            let pid = disk.num_pages();
-            disk.write_ensure(pid, &zero)?;
-        }
+    let zero = [0u8; PAGE_SIZE];
+    while disk.num_pages() < num_pages {
+        disk.write_ensure(disk.num_pages(), &zero)?;
     }
     Ok(Some(Recovered {
         catalog,
-        last_lsn,
+        last_lsn: last_commit.lsn,
         num_pages,
-        applied_end,
+        applied_end: applied_end as u64,
     }))
 }
 
-fn count_checkpoints(wal_bytes: &[u8]) -> u64 {
-    let (records, _) = wal::scan_records(wal_bytes);
-    records.iter().filter(|r| r.kind == KIND_CHECKPOINT).count() as u64
+fn count_checkpoints(wal_bytes: &[u8]) -> usize {
+    let markers = wal::records(wal_bytes).filter(|r| r.kind == KIND_CHECKPOINT);
+    markers.count()
 }
 
 // ---------------------------------------------------------------------------
@@ -339,39 +342,85 @@ pub struct Replica {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Applies one record to the follower; images buffer in `pending` until
-/// the commit that covers them lands, then install atomically.
-fn apply_record(
-    shared: &ReplicaShared,
-    pending: &mut Vec<(PageId, Vec<u8>)>,
-    rec: &Record,
-) -> DbResult<()> {
-    match rec.kind {
-        KIND_PAGE_IMAGE => {
-            let (pid, img) = parse_page_image(&rec.payload)?;
-            pending.push((pid, img.to_vec()));
-        }
-        KIND_COMMIT => {
-            let (_num_pages, cat) = parse_commit(&rec.payload)?;
-            let catalog = decode_catalog(cat)?;
-            // One write-lock hold for pages AND catalog: a reader must
-            // never see new page bytes through the old catalog.
-            let mut db = shared.db.write();
-            for (pid, img) in pending.drain(..) {
-                let buf: &[u8; PAGE_SIZE] = img.as_slice().try_into().expect("checked");
-                db.install_page(pid, buf)?;
+impl ReplicaShared {
+    /// Apply the whole commit groups at the front of `bytes` and return
+    /// how many bytes they span. The images of a group stay borrowed
+    /// from `bytes` until the commit that covers them is read, then
+    /// install under one write-lock hold together with its catalog: a
+    /// reader must never see new page bytes through the old catalog.
+    /// Images whose commit has not arrived are not consumed — the caller
+    /// feeds them again, with what follows.
+    fn feed(&self, bytes: &[u8]) -> DbResult<usize> {
+        let mut log = wal::records(bytes);
+        let mut group = Vec::new();
+        let mut consumed = 0;
+        while let Some(rec) = log.next() {
+            match rec.kind {
+                KIND_PAGE_IMAGE => group.push(parse_page_image(rec.payload)?),
+                KIND_COMMIT => {
+                    let (_num_pages, cat) = parse_commit(rec.payload)?;
+                    let catalog = decode_catalog(cat)?;
+                    let mut db = self.db.write();
+                    for (pid, img) in group.drain(..) {
+                        db.install_page(pid, img)?;
+                    }
+                    db.replace_catalog(catalog);
+                    drop(db);
+                    self.applied_lsn.store(rec.lsn, Ordering::Release);
+                    consumed = log.valid_len();
+                }
+                // A checkpoint marker changes nothing a follower holds;
+                // the next commit carries `consumed` past it.
+                _ => {}
             }
-            db.replace_catalog(catalog);
-            drop(db);
-            shared.applied_lsn.store(rec.lsn, Ordering::Release);
         }
-        KIND_CHECKPOINT => {}
-        _ => unreachable!("scan_records only yields known kinds"),
+        Ok(consumed)
     }
-    Ok(())
 }
 
 impl Replica {
+    /// The one follower: a thread that calls `pull` to append newly
+    /// shipped log bytes to its buffer (`Ok(false)`: the stream is over)
+    /// and [`ReplicaShared::feed`]s the buffer, keeping what no commit
+    /// covers yet for the next round.
+    fn follow(
+        name: &str,
+        follower: Database,
+        base_lsn: u64,
+        mut pull: impl FnMut(&mut Vec<u8>) -> Result<bool, String> + Send + 'static,
+    ) -> Replica {
+        let shared = Arc::new(ReplicaShared {
+            db: OrderedRwLock::new(rank::REPLICA_DB, follower),
+            applied_lsn: AtomicU64::new(base_lsn),
+            stop: AtomicBool::new(false),
+            error: OrderedMutex::new(rank::REPLICA_ERR, None),
+        });
+        let thread_shared = Arc::clone(&shared);
+        let body = move || {
+            let mut buf = Vec::new();
+            while !thread_shared.stop.load(Ordering::Relaxed) {
+                let round = pull(&mut buf).and_then(|more| {
+                    let used = thread_shared.feed(&buf).map_err(|e| e.to_string())?;
+                    buf.drain(..used);
+                    Ok(more)
+                });
+                match round {
+                    Ok(true) => {}
+                    Ok(false) => return,
+                    Err(e) => {
+                        *thread_shared.error.lock() = Some(e);
+                        return;
+                    }
+                }
+            }
+        };
+        let handle = std::thread::Builder::new().name(name.into()).spawn(body);
+        Replica {
+            shared,
+            handle: Some(handle.expect("spawn replica thread")),
+        }
+    }
+
     /// In-process replica of `leader`: commit, snapshot the committed
     /// pages + catalog, then follow the WAL broadcast. Requires the
     /// leader to be durable ([`Database::open`] /
@@ -388,52 +437,28 @@ impl Replica {
         let base_lsn = leader.commit()?;
         let rx = wal.subscribe();
         let follower = leader.clone_committed_state()?;
-        let shared = Arc::new(ReplicaShared {
-            db: OrderedRwLock::new(rank::REPLICA_DB, follower),
-            applied_lsn: AtomicU64::new(base_lsn),
-            stop: AtomicBool::new(false),
-            error: OrderedMutex::new(rank::REPLICA_ERR, None),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("minirel-replica".into())
-            .spawn(move || {
-                let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-                while !thread_shared.stop.load(Ordering::Relaxed) {
-                    match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(chunk) => {
-                            let (records, _) = wal::scan_records(&chunk);
-                            for rec in &records {
-                                if let Err(e) = apply_record(&thread_shared, &mut pending, rec) {
-                                    *thread_shared.error.lock() = Some(e.to_string());
-                                    return;
-                                }
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-            })
-            .expect("spawn replica thread");
-        Ok(Replica {
-            shared,
-            handle: Some(handle),
-        })
+        let pull = move |buf: &mut Vec<u8>| match rx.recv_timeout(Duration::from_millis(25)) {
+            Ok(chunk) => {
+                buf.extend_from_slice(&chunk);
+                Ok(true)
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(true),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(false),
+        };
+        Ok(Self::follow("minirel-replica", follower, base_lsn, pull))
     }
 
-    /// Cross-process replica: replay the leader's on-disk `data` + WAL
-    /// files into an in-memory follower, then poll the WAL file every
-    /// `poll` for new committed records. The attach loop retries while a
-    /// leader checkpoint is concurrently rewriting the data file (it
-    /// detects one via the checkpoint-marker count changing).
-    pub fn tail_file(data_path: &Path, frames: usize, poll: Duration) -> DbResult<Replica> {
-        let wal_path = wal_path_for(data_path);
-        let (mut disk, wal_bytes) = loop {
-            let wal_a = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
-            let data = std::fs::read(data_path).map_err(|e| DbError::io("read", data_path, e))?;
-            let wal_b = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
-            if count_checkpoints(&wal_a) != count_checkpoints(&wal_b) {
+    /// A consistent copy of the leader's files: the data file as an
+    /// in-memory disk, and the log as it stood when the copy was taken.
+    /// Retries while a leader checkpoint is concurrently rewriting the
+    /// data file (detected by the log's checkpoint-marker count moving).
+    fn copy_files(data_path: &Path, wal_path: &Path) -> DbResult<(DiskManager, Vec<u8>)> {
+        let read = |path: &Path| std::fs::read(path).map_err(|e| DbError::io("read", path, e));
+        loop {
+            let wal_before = read(wal_path)?;
+            let data = read(data_path)?;
+            let wal_after = read(wal_path)?;
+            if count_checkpoints(&wal_before) != count_checkpoints(&wal_after) {
                 // A checkpoint rewrote the data file while we copied it;
                 // the copy may hold torn pages. Try again.
                 continue;
@@ -443,67 +468,42 @@ impl Replica {
                 let pid = disk.allocate()?;
                 disk.write(pid, chunk.try_into().expect("exact chunk"))?;
             }
-            break (disk, wal_b);
-        };
+            return Ok((disk, wal_after));
+        }
+    }
+
+    /// Cross-process replica: replay the leader's on-disk `data` + WAL
+    /// files into an in-memory follower, then every `poll` read what the
+    /// WAL file has grown by since the last read — the suffix past the
+    /// tailer's offset, never the whole log again.
+    pub fn tail_file(data_path: &Path, frames: usize, poll: Duration) -> DbResult<Replica> {
+        let wal_path = wal_path_for(data_path);
+        let (mut disk, wal_bytes) = Self::copy_files(data_path, &wal_path)?;
         let (catalog, base_lsn, mut offset) = match replay_into(&mut disk, &wal_bytes)? {
             Some(r) => (r.catalog, r.last_lsn, r.applied_end),
             None => (Catalog::new(), 0, 0),
         };
+        drop(wal_bytes);
         let follower = Database::from_recovered_parts(disk, frames, catalog);
-        let shared = Arc::new(ReplicaShared {
-            db: OrderedRwLock::new(rank::REPLICA_DB, follower),
-            applied_lsn: AtomicU64::new(base_lsn),
-            stop: AtomicBool::new(false),
-            error: OrderedMutex::new(rank::REPLICA_ERR, None),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let wal_path_t = wal_path.clone();
-        let handle = std::thread::Builder::new()
-            .name("minirel-replica-tail".into())
-            .spawn(move || {
-                let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-                while !thread_shared.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(poll);
-                    let bytes = match std::fs::read(&wal_path_t) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            *thread_shared.error.lock() =
-                                Some(format!("tail read {}: {e}", wal_path_t.display()));
-                            return;
-                        }
-                    };
-                    if (bytes.len() as u64) < offset {
-                        // The log shrank: the leader restarted and
-                        // rotated. This follower's stream is over.
-                        *thread_shared.error.lock() =
-                            Some("wal rotated under the tailing replica".into());
-                        return;
-                    }
-                    let tail = &bytes[offset as usize..];
-                    let (records, _) = wal::scan_records(tail);
-                    let mut consumed = 0u64;
-                    let mut scanned = 0u64;
-                    for rec in &records {
-                        scanned += (wal::RECORD_HEADER + rec.payload.len()) as u64;
-                        if let Err(e) = apply_record(&thread_shared, &mut pending, rec) {
-                            *thread_shared.error.lock() = Some(e.to_string());
-                            return;
-                        }
-                        if matches!(rec.kind, KIND_COMMIT | KIND_CHECKPOINT) {
-                            consumed = scanned;
-                        }
-                    }
-                    // Only advance past whole committed groups; images
-                    // without their commit yet are re-read next poll.
-                    pending.clear();
-                    offset += consumed;
-                }
-            })
-            .expect("spawn replica tail thread");
-        Ok(Replica {
-            shared,
-            handle: Some(handle),
-        })
+        let pull = move |buf: &mut Vec<u8>| {
+            std::thread::sleep(poll);
+            let io = |e| format!("tail read {}: {e}", wal_path.display());
+            // Reopened by path each poll: a leader restart renames a
+            // fresh, shorter log over this one.
+            let mut file = File::open(&wal_path).map_err(io)?;
+            if file.metadata().map_err(io)?.len() < offset {
+                return Err("wal rotated under the tailing replica".into());
+            }
+            file.seek(SeekFrom::Start(offset)).map_err(io)?;
+            offset += file.read_to_end(buf).map_err(io)? as u64;
+            Ok(true)
+        };
+        Ok(Self::follow(
+            "minirel-replica-tail",
+            follower,
+            base_lsn,
+            pull,
+        ))
     }
 
     /// Run a SELECT on the replica (read lock; never touches the leader).
@@ -555,15 +555,9 @@ impl Replica {
         // is still alive here; unwrap the database out of the lock.
         let shared = Arc::clone(&self.shared);
         drop(self);
-        match Arc::try_unwrap(shared) {
-            Ok(s) => s.db.into_inner(),
-            Err(shared) => {
-                // An outstanding clone exists (should not happen: we
-                // never hand the Arc out) — fall back to a fresh empty db.
-                let _ = shared;
-                Database::in_memory()
-            }
-        }
+        let shared = Arc::try_unwrap(shared).ok();
+        let shared = shared.expect("the apply thread is joined and the Arc is never handed out");
+        shared.db.into_inner()
     }
 
     fn shutdown(&mut self) {

@@ -23,6 +23,17 @@
 //! `Checkpoint` = `num_pages u32` (a marker: every committed image
 //! before it has been written to the data file).
 //!
+//! ## Reading the log back
+//!
+//! There is one reader: [`records`] iterates the valid prefix of a byte
+//! buffer as [`RecordRef`]s *borrowed* from it — every header, length,
+//! kind and checksum verified, nothing copied — and stops at the first
+//! truncated or corrupt record ([`Records::valid_len`] says where).
+//! Recovery, checkpoint-marker counting and both kinds of replica
+//! ([`crate::recovery`]) consume exactly this. [`Record`],
+//! [`decode_record`] and [`scan_records`] are owned conveniences for
+//! the format tests, built on the same reader.
+//!
 //! ## Group commit
 //!
 //! [`Wal::commit`] appends and publishes but only fsyncs every
@@ -70,7 +81,8 @@ pub const MAX_PAYLOAD: usize = 1 << 26;
 /// Default commits-per-fsync for group commit.
 pub const DEFAULT_GROUP_COMMIT: usize = 8;
 
-/// One decoded WAL record.
+/// One decoded WAL record, owning its payload (the convenience the
+/// format tests use; every consumer in the crate reads [`RecordRef`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Log sequence number (monotonic across the log).
@@ -79,6 +91,27 @@ pub struct Record {
     pub kind: u8,
     /// Kind-specific payload.
     pub payload: Vec<u8>,
+}
+
+/// One WAL record borrowed from the log bytes it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Log sequence number (monotonic across the log).
+    pub lsn: u64,
+    /// One of the `KIND_*` constants.
+    pub kind: u8,
+    /// Kind-specific payload.
+    pub payload: &'a [u8],
+}
+
+impl RecordRef<'_> {
+    fn to_record(self) -> Record {
+        Record {
+            lsn: self.lsn,
+            kind: self.kind,
+            payload: self.payload.to_vec(),
+        }
+    }
 }
 
 /// Word-folding checksum over the given byte slices (treated as one
@@ -120,14 +153,15 @@ pub fn encode_record(lsn: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode the record at the front of `buf`.
+/// Decode the record at the front of `buf` without copying it.
 ///
-/// * `Ok(Some((record, consumed)))` — a whole, checksum-valid record.
+/// * `Ok(Some(record))` — a whole, checksum-valid record; it occupies
+///   `RECORD_HEADER + record.payload.len()` bytes.
 /// * `Ok(None)` — `buf` is empty or holds only a truncated tail (fewer
 ///   bytes than the header + declared payload): the clean end of a log.
 /// * `Err(DbError::Corrupt)` — a record-shaped region whose checksum,
 ///   kind, or length is wrong: bit rot or a torn overwrite.
-pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
+fn decode_ref(buf: &[u8]) -> DbResult<Option<RecordRef<'_>>> {
     if buf.len() < RECORD_HEADER {
         return Ok(None);
     }
@@ -155,27 +189,51 @@ pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
             "wal record at lsn {lsn} has unknown kind {kind}"
         )));
     }
-    Ok(Some((
-        Record {
-            lsn,
-            kind,
-            payload: payload.to_vec(),
-        },
-        RECORD_HEADER + len,
-    )))
+    Ok(Some(RecordRef { lsn, kind, payload }))
 }
 
-/// Scan a byte buffer into records, stopping at the first truncated or
-/// corrupt region. Returns the records and the byte length of the valid
-/// prefix — recovery truncates the log there.
-pub fn scan_records(buf: &[u8]) -> (Vec<Record>, usize) {
-    let mut out = Vec::new();
-    let mut off = 0usize;
-    while let Ok(Some((rec, used))) = decode_record(&buf[off..]) {
-        out.push(rec);
-        off += used;
+/// [`decode_ref`] into an owned [`Record`] plus the bytes it occupied.
+pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
+    Ok(decode_ref(buf)?.map(|r| (r.to_record(), RECORD_HEADER + r.payload.len())))
+}
+
+/// The one log reader: the records of `buf`'s valid prefix, borrowed.
+/// Iteration ends at the first truncated or corrupt region;
+/// [`Records::valid_len`] is then the byte length of the valid prefix —
+/// recovery truncates the log there — and, mid-iteration, the offset
+/// just past the record last yielded.
+pub fn records(buf: &[u8]) -> Records<'_> {
+    Records { buf, off: 0 }
+}
+
+/// Iterator returned by [`records`].
+pub struct Records<'a> {
+    buf: &'a [u8],
+    off: usize,
+}
+
+impl Records<'_> {
+    /// Bytes of `buf` consumed so far (always a whole-record boundary).
+    pub fn valid_len(&self) -> usize {
+        self.off
     }
-    (out, off)
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        let rec = decode_ref(&self.buf[self.off..]).ok()??;
+        self.off += RECORD_HEADER + rec.payload.len();
+        Some(rec)
+    }
+}
+
+/// [`records`] collected into owned [`Record`]s, with the valid length.
+pub fn scan_records(buf: &[u8]) -> (Vec<Record>, usize) {
+    let mut reader = records(buf);
+    let out = reader.by_ref().map(RecordRef::to_record).collect();
+    (out, reader.valid_len())
 }
 
 /// Crash-injection hook: aborts the process at the configured sync
@@ -272,10 +330,6 @@ impl WalStore {
 struct WalInner {
     store: WalStore,
     next_lsn: u64,
-    /// Logical end offset of the last appended Commit/Checkpoint record.
-    committed_end: u64,
-    /// Logical end offset covered by the last fsync.
-    durable_end: u64,
     /// LSN of the last Commit record (0 = none yet).
     last_commit_lsn: u64,
     /// LSN of the last *synced* Commit record.
@@ -286,14 +340,10 @@ struct WalInner {
     group_every: usize,
     /// Replication: committed chunks are broadcast here.
     subscribers: Vec<mpsc::Sender<Arc<Vec<u8>>>>,
-    /// Logical offset up to which chunks have been published.
-    published_end: u64,
     /// Bytes of not-yet-published records (Memory store slices the
     /// buffer; the File store can't cheaply read back, so both stage
     /// pending publish bytes here).
     publish_buf: Vec<u8>,
-    /// Checkpoint records appended over this log's lifetime.
-    checkpoints: u64,
 }
 
 /// The write-ahead log. Interior-mutable (`&self` everywhere) behind a
@@ -304,24 +354,19 @@ pub struct Wal {
 
 impl Wal {
     fn with_store(store: WalStore, group_every: usize, next_lsn: u64) -> Wal {
-        let end = store.end();
         Wal {
             inner: OrderedMutex::new(
                 rank::WAL,
                 WalInner {
                     store,
                     next_lsn,
-                    committed_end: end,
-                    durable_end: end,
                     last_commit_lsn: 0,
                     durable_commit_lsn: 0,
                     page_index: HashMap::new(),
                     commits_since_sync: 0,
                     group_every: group_every.max(1),
                     subscribers: Vec::new(),
-                    published_end: end,
                     publish_buf: Vec::new(),
-                    checkpoints: 0,
                 },
             ),
         }
@@ -409,7 +454,6 @@ impl Wal {
         payload.extend_from_slice(&num_pages.to_le_bytes());
         payload.extend_from_slice(catalog_image);
         let (lsn, _) = Self::append_locked(&mut g, KIND_COMMIT, &payload)?;
-        g.committed_end = g.store.end();
         g.last_commit_lsn = lsn;
         g.commits_since_sync += 1;
         Self::publish_locked(&mut g);
@@ -426,8 +470,6 @@ impl Wal {
     pub fn checkpoint_done(&self, num_pages: u32) -> DbResult<()> {
         let mut g = self.inner.lock();
         Self::append_locked(&mut g, KIND_CHECKPOINT, &num_pages.to_le_bytes())?;
-        g.committed_end = g.store.end();
-        g.checkpoints += 1;
         Self::publish_locked(&mut g);
         Self::sync_locked(&mut g)?;
         g.page_index.clear();
@@ -443,7 +485,6 @@ impl Wal {
         if g.publish_buf.is_empty() {
             return;
         }
-        g.published_end = g.committed_end;
         if g.subscribers.is_empty() {
             g.publish_buf.clear();
             return;
@@ -455,7 +496,6 @@ impl Wal {
 
     fn sync_locked(g: &mut WalInner) -> DbResult<()> {
         g.store.sync()?;
-        g.durable_end = g.committed_end;
         g.durable_commit_lsn = g.last_commit_lsn;
         g.commits_since_sync = 0;
         Ok(())
@@ -504,16 +544,6 @@ impl Wal {
     /// Logical length of the log in bytes.
     pub fn len_bytes(&self) -> u64 {
         self.inner.lock().store.end()
-    }
-
-    /// Commits per fsync (the group-commit knob).
-    pub fn group_every(&self) -> usize {
-        self.inner.lock().group_every
-    }
-
-    /// Checkpoint markers appended so far.
-    pub fn checkpoints(&self) -> u64 {
-        self.inner.lock().checkpoints
     }
 }
 

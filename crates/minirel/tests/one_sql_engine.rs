@@ -8,6 +8,11 @@
 //! `tests/support/`. This test reads the workspace's sources and fails
 //! if the second engine, an importer of it, a second binder, or a
 //! statement-kind fallback in `Database::run` reappears.
+//!
+//! The last test guards the other thing there is one of: the log
+//! reader. Recovery, checkpoint counting and both replica kinds once
+//! each materialised the log as owned records their own way; now they
+//! all read `wal::records` and apply through one follower.
 
 use std::path::{Path, PathBuf};
 
@@ -138,4 +143,58 @@ fn database_run_plans_everything_but_ddl() {
         body.iter().any(|l| l.contains("prepare_plan(")),
         "Database::run must plan what it does not hand to the catalog"
     );
+}
+
+#[test]
+fn one_borrowing_reader_feeds_recovery_and_both_followers() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    sources(&src, &mut files);
+    // Production code only: up to a file's first `#[cfg(test)]`.
+    let production = |path: &Path| -> String {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text[..end].to_owned()
+    };
+    for path in files.iter().filter(|p| !p.ends_with("wal.rs")) {
+        for line in code_lines(&production(path)) {
+            assert!(
+                !line.contains("scan_records("),
+                "`scan_records(` is called in {}: the owned scan is a convenience for \
+                 the format tests; consumers iterate `wal::records`",
+                path.display()
+            );
+        }
+    }
+    let recovery = production(&src.join("recovery.rs"));
+    for line in code_lines(&recovery) {
+        assert!(
+            !line.contains(".to_vec()") || line.contains("from_utf8"),
+            "recovery.rs copies log bytes (`{line}`): page images are applied \
+             borrowed from the bytes the reader was given"
+        );
+    }
+    // No function both re-reads a whole file and sleeps: the tailer's
+    // poll seeks to its offset and reads the suffix.
+    let mut fns: Vec<Vec<&str>> = Vec::new();
+    for line in code_lines(&recovery) {
+        if line.starts_with("fn ") || line.starts_with("pub fn ") || fns.is_empty() {
+            fns.push(Vec::new());
+        }
+        fns.last_mut().expect("pushed above").push(line);
+    }
+    assert!(
+        fns.len() > 10,
+        "function split of recovery.rs found {}",
+        fns.len()
+    );
+    for body in fns {
+        let has = |needle: &str| body.iter().any(|l| l.contains(needle));
+        assert!(
+            !(has("fs::read(") && has("sleep(")),
+            "`{}` reads a whole file in a function that sleeps: a poll loop must \
+             not re-read the log",
+            body[0]
+        );
+    }
 }

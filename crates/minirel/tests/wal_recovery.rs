@@ -1,7 +1,10 @@
 //! WAL format and crash-recovery tests: record codec round trips
 //! (proptest), torn-tail truncation at every byte offset, checksum
 //! rejection of corrupted records, reopen round trips through
-//! `Database::open`, recovery idempotence, and checkpoint behaviour.
+//! `Database::open`, recovery idempotence, and checkpoint behaviour —
+//! plus the properties of the one borrowing reader (`wal::records`)
+//! every consumer of the log now goes through, and of the file tailer
+//! built on it.
 
 use minirel::recovery::{self, Replica};
 use minirel::wal::{
@@ -69,6 +72,76 @@ proptest! {
         prop_assert!(valid2 >= good_len);
         for (a, b) in recs.iter().zip(&recs2) {
             prop_assert_eq!(a, b);
+        }
+    }
+}
+
+/// What the one reader must yield for `log` — an encoding of `payloads`
+/// that is intact up to byte `intact` — by the format's definition: the
+/// records that lie wholly inside the intact prefix, and the offset the
+/// last of them ends at. (`scan_records` is built on the reader now, so
+/// the oracle here is the model, not a second scan.)
+fn assert_reader_matches_model(log: &[u8], payloads: &[(u8, Vec<u8>)], intact: usize, what: &str) {
+    let mut end = 0;
+    let whole = payloads.iter().take_while(|(_, p)| {
+        let fits = end + wal::RECORD_HEADER + p.len() <= intact;
+        end += if fits {
+            wal::RECORD_HEADER + p.len()
+        } else {
+            0
+        };
+        fits
+    });
+    let want: Vec<(u64, u8, &[u8])> = whole
+        .enumerate()
+        .map(|(i, (kind, p))| (i as u64 + 1, *kind, p.as_slice()))
+        .collect();
+    let mut reader = wal::records(log);
+    let got: Vec<(u64, u8, &[u8])> = reader
+        .by_ref()
+        .map(|r| (r.lsn, r.kind, r.payload))
+        .collect();
+    assert_eq!(got, want, "{what}: records");
+    assert_eq!(reader.valid_len(), end, "{what}: valid length");
+    // The owned convenience is the same reader, copied out.
+    let (owned, valid) = scan_records(log);
+    assert_eq!(valid, end, "{what}: scan_records' valid length");
+    assert_eq!(owned.len(), got.len(), "{what}");
+    for (o, g) in owned.iter().zip(&got) {
+        assert_eq!((o.lsn, o.kind, o.payload.as_slice()), *g, "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The borrowing reader against the format, for random record
+    /// sequences: cut the log at *every* byte and it yields exactly the
+    /// records that survive whole; flip *every* byte and it yields
+    /// exactly the records before the damaged one — never a phantom
+    /// record, never a byte of valid prefix too many.
+    #[test]
+    fn reader_yields_exactly_the_intact_prefix(
+        payloads in proptest::collection::vec(
+            (prop_oneof![Just(1u8), Just(2u8), Just(3u8)],
+             proptest::collection::vec(any::<u8>(), 0..90)), 1..8),
+        flip in prop_oneof![Just(0x01u8), Just(0x80u8), Just(0xFFu8)],
+    ) {
+        let mut log = Vec::new();
+        let mut starts = Vec::new();
+        for (i, (kind, p)) in payloads.iter().enumerate() {
+            starts.push(log.len());
+            log.extend_from_slice(&encode_record(i as u64 + 1, *kind, p));
+        }
+        for cut in 0..=log.len() {
+            assert_reader_matches_model(&log[..cut], &payloads, cut, &format!("cut at {cut}"));
+        }
+        for i in 0..log.len() {
+            let mut damaged = log.clone();
+            damaged[i] ^= flip;
+            // Everything from the start of the record holding byte `i` is lost.
+            let intact = *starts.iter().rev().find(|&&s| s <= i).expect("starts[0] = 0");
+            assert_reader_matches_model(&damaged, &payloads, intact, &format!("flip at {i}"));
         }
     }
 }
@@ -341,6 +414,118 @@ fn file_tailing_replica_follows() {
     drop(replica);
     drop(leader);
     cleanup(&path);
+}
+
+/// A file tailer over a log that reaches it in pieces — a group's images
+/// one poll, their commit a poll later, records cut mid-way — applies
+/// whole commits only: a reader never sees a state the leader did not
+/// commit, and at the end the follower equals the leader.
+#[test]
+fn file_tailer_applies_whole_commits_from_a_log_that_grows_in_pieces() {
+    use std::io::Write;
+    let (src, dst) = (temp_db_path("pieces-src"), temp_db_path("pieces-dst"));
+    cleanup(&src);
+    cleanup(&dst);
+    // A real leader writes three commits; its log is then replayed to
+    // the tailer's files piece by piece.
+    let mut leader = Database::open_with(&src, 8, 1).unwrap();
+    leader.execute("create table t (a int, pad text)").unwrap();
+    let tid = leader.table_id("t").unwrap();
+    let mut counts = Vec::new();
+    for rows in [200i64, 400, 1500] {
+        let pad = |i: i64| Value::Str(format!("pad-{i:040}"));
+        let batch = (0..rows).map(|i| vec![Value::Int(i), pad(i)]).collect();
+        leader.insert_many(tid, batch).unwrap();
+        leader.commit_durable().unwrap();
+        counts.push(leader.table_len("t").unwrap() as i64);
+    }
+    let log = std::fs::read(minirel::wal_path_for(&src)).unwrap();
+    // (start, end, lsn) of every commit record in the leader's log: the
+    // rotation's seed commit, then the three above.
+    let mut reader = wal::records(&log);
+    let mut commits = Vec::new();
+    let mut start = 0;
+    while let Some(rec) = reader.next() {
+        if rec.kind == KIND_COMMIT {
+            commits.push((start, reader.valid_len(), rec.lsn));
+        }
+        start = reader.valid_len();
+    }
+    assert_eq!(reader.valid_len(), log.len());
+    assert_eq!(commits.len(), 4, "seed commit + three batches");
+    for pair in commits.windows(2) {
+        let images = pair[1].0 - pair[0].1;
+        assert!(
+            images > 2 * 4096,
+            "a group of several images, not {images} bytes"
+        );
+    }
+    let [_, (_, end1, lsn1), (start2, end2, lsn2), (_, _, lsn3)] = commits[..] else {
+        unreachable!("length checked");
+    };
+
+    // The tailer's files: the leader's (never checkpointed, so empty)
+    // data file, and the log through its first real commit.
+    std::fs::copy(&src, &dst).unwrap();
+    let wal_dst = minirel::wal_path_for(&dst);
+    std::fs::write(&wal_dst, &log[..end1]).unwrap();
+    let replica = Replica::tail_file(&dst, 32, Duration::from_millis(2)).unwrap();
+    let count = || {
+        let rs = replica.query("select count(*) from t").unwrap();
+        rs.scalar_i64().unwrap()
+    };
+    assert_eq!((replica.applied_lsn(), count()), (lsn1, counts[0]));
+    let append = |from: usize, upto: usize| {
+        let mut f = std::fs::OpenOptions::new().append(true).open(&wal_dst);
+        f.as_mut().unwrap().write_all(&log[from..upto]).unwrap();
+    };
+    let settle = || std::thread::sleep(Duration::from_millis(40));
+
+    // Group 2: every image, then half of the commit record, then the rest.
+    let half = start2 + (end2 - start2) / 2;
+    append(end1, start2);
+    settle();
+    assert_eq!(
+        (replica.applied_lsn(), count()),
+        (lsn1, counts[0]),
+        "images without their commit must not be applied"
+    );
+    append(start2, half);
+    settle();
+    assert_eq!((replica.applied_lsn(), count()), (lsn1, counts[0]));
+    append(half, end2);
+    assert!(replica.wait_for_lsn(lsn2, Duration::from_secs(10)));
+    assert_eq!(count(), counts[1]);
+
+    // Group 3: in 1,000-byte pieces, cutting records anywhere. A reader
+    // sees the second commit's rows or the third's, nothing in between.
+    for from in (end2..log.len()).step_by(1000) {
+        append(from, (from + 1000).min(log.len()));
+        std::thread::sleep(Duration::from_millis(3));
+        let seen = count();
+        assert!(
+            seen == counts[1] || seen == counts[2],
+            "torn state: {seen} rows"
+        );
+    }
+    assert!(
+        replica.wait_for_lsn(lsn3, Duration::from_secs(10)),
+        "tailer stuck at lsn {}; err={:?}",
+        replica.applied_lsn(),
+        replica.error()
+    );
+    assert_eq!(count(), counts[2]);
+    let all = "select a, pad from t order by a";
+    assert_eq!(
+        replica.query(all).unwrap().rows,
+        leader.query(all).unwrap().rows,
+        "the follower ends equal to the leader"
+    );
+    assert!(replica.error().is_none(), "{:?}", replica.error());
+    drop(replica);
+    drop(leader);
+    cleanup(&src);
+    cleanup(&dst);
 }
 
 /// Eviction pressure with a WAL attached: a pool far smaller than the

@@ -8,7 +8,7 @@
 
 use crate::generator::WebGraph;
 use crate::page::FailureMode;
-use focus_types::{ClassId, Oid, ServerId, TermVec};
+use focus_types::{Oid, ServerId, TermVec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,11 +168,6 @@ impl SimFetcher {
     /// Failed fetch attempts so far.
     pub fn failure_count(&self) -> u64 {
         self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Ground-truth topic (for evaluation harnesses only).
-    pub fn true_topic(&self, oid: Oid) -> Option<ClassId> {
-        self.graph.topic_of(oid)
     }
 }
 
