@@ -696,3 +696,75 @@ fn replica_serves_monitor_suite_mid_crawl() {
     assert!(leader_visited > 0);
     assert_eq!(leader_visited, replica_visited, "replica diverged");
 }
+
+/// The log is counted, and it is small: a seeded one-worker crawl on a
+/// file-backed store repeats exactly, so the `WalStats` it ends with are
+/// pinned — most page records are deltas; a commit is one write of the
+/// log, and the only other writes are the ones a 24-frame pool forces by
+/// missing on a page it evicted since the last commit; an attempt costs
+/// a fraction of the 35.9 KB of log that full images cost it.
+#[test]
+fn wal_stats_of_a_seeded_file_backed_crawl_are_pinned() {
+    let path = temp_db_path("walstats");
+    cleanup(&path);
+    let graph = Arc::new(WebGraph::generate(WebConfig {
+        seed: 29,
+        pages_per_topic: 120,
+        ..WebConfig::default()
+    }));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 8);
+    let cfg = CrawlConfig {
+        policy: CrawlPolicy::SoftFocus,
+        threads: 1,
+        max_fetches: 900,
+        db_frames: 24,
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 8,
+        },
+        ..CrawlConfig::default()
+    };
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            trained_model(&graph, "recreation/cycling"),
+            cfg,
+        )
+        .unwrap(),
+    );
+    session.seed(&seeds).unwrap();
+    let stats = session.run().unwrap();
+    let (wal, io) = session.with_db_read(|db| {
+        let wal = db.wal().expect("file-backed");
+        (wal.stats(), db.io_stats())
+    });
+    let log = std::fs::read(minirel::wal_path_for(&path)).unwrap();
+    let commits = minirel::wal::records(&log)
+        .filter(|r| r.kind == minirel::wal::KIND_COMMIT)
+        .count() as u64;
+    assert_eq!(stats.attempts, 900);
+    assert_eq!((wal.images, wal.deltas), (690, 5224));
+    // Every page the log was handed, at a commit or an eviction, is one
+    // physical write of the pool.
+    assert_eq!(io.physical_writes, wal.images + wal.deltas);
+    assert_eq!(
+        (commits, wal.writes),
+        (117, commits + 184),
+        "one write per commit, plus the forced ones"
+    );
+    assert_eq!(
+        wal.syncs, 16,
+        "the open, every eighth commit, the final one"
+    );
+    let per_kind = wal.image_bytes + wal.delta_bytes + wal.commit_bytes + wal.checkpoint_bytes;
+    assert_eq!(per_kind, log.len() as u64);
+    assert!(
+        log.len() as u64 <= 10_000 * stats.attempts,
+        "{} bytes of log for {} attempts",
+        log.len(),
+        stats.attempts
+    );
+    drop(session);
+    cleanup(&path);
+}

@@ -48,18 +48,27 @@
 //! # Write-ahead discipline
 //!
 //! With a [`Wal`] attached ([`BufferPool::attach_wal`]) the pool runs
-//! **no-steal**: a dirty page leaving the pool (eviction, `flush_all`,
-//! [`BufferPool::log_dirty_frames`]) is appended to the log as a page
-//! image instead of being written to the data file, and a pool miss
-//! consults the log's page index before the data file. The data file is
-//! written only by checkpoint/recovery code, so it always holds a
-//! committed state. The WAL mutex is a leaf in the latch order:
-//! `shard → {disk, wal}`.
+//! **no-steal**: a dirty page leaving the pool (eviction, or
+//! [`BufferPool::flush_all`] at a commit) is appended to the log instead
+//! of being written to the data file, and a pool miss consults the
+//! log's page index before the data file. The data file is written only
+//! by checkpoint/recovery code, so it always holds a committed state.
+//! The WAL mutex is a leaf in the latch order: `shard → {disk, wal}`.
+//!
+//! Both ways out go through one `write_back`, which is also the one
+//! place `physical_writes` counts. So that the log can record what
+//! *changed* in a page rather than the page, a pool with a WAL keeps
+//! beside each frame the page's bytes **as the log last saw them**: a
+//! clean frame equals what the log (or, with no record, the data file)
+//! holds for its page, so the copy is taken on the frame's clean→dirty
+//! edge and handed to [`Wal::log_page`] with the new bytes. That is
+//! 4 KB per frame, allocated when the WAL is attached; a pool without
+//! one carries nothing and runs the code it always ran.
 
 use crate::disk::DiskManager;
 use crate::error::{DbError, DbResult};
 use crate::page::{PageId, INVALID_PAGE, PAGE_SIZE};
-use crate::wal::Wal;
+use crate::wal::{PageDelta, Wal};
 use lockcheck::{rank, OrderedMutex};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -141,16 +150,20 @@ impl AtomicIoStats {
 struct Frame {
     page: PageId,
     data: Box<[u8; PAGE_SIZE]>,
+    /// `data` as it was when the frame last went clean → dirty: what the
+    /// log holds for the page. `Some` exactly when a WAL is attached.
+    base: Option<Box<[u8; PAGE_SIZE]>>,
     dirty: bool,
     last_used: u64,
     ref_bit: bool,
 }
 
 impl Frame {
-    fn empty() -> Self {
+    fn empty(logged: bool) -> Self {
         Frame {
             page: INVALID_PAGE,
             data: Box::new([0u8; PAGE_SIZE]),
+            base: logged.then(|| Box::new([0u8; PAGE_SIZE])),
             dirty: false,
             last_used: 0,
             ref_bit: false,
@@ -193,9 +206,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Shard {
+    fn new(capacity: usize, logged: bool) -> Shard {
         Shard {
-            frames: (0..capacity).map(|_| Frame::empty()).collect(),
+            frames: (0..capacity).map(|_| Frame::empty(logged)).collect(),
             map: HashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             free: capacity,
             clock_hand: 0,
@@ -248,7 +261,7 @@ impl BufferPool {
         let capacity = capacity.max(1);
         BufferPool {
             disk: OrderedMutex::new(rank::DISK, disk),
-            shards: Self::build_shards(capacity, shard_count(capacity)),
+            shards: Self::build_shards(capacity, false),
             policy,
             stats: AtomicIoStats::default(),
             capacity,
@@ -258,9 +271,11 @@ impl BufferPool {
 
     /// Attach a write-ahead log: from here on, dirty pages leave the
     /// pool into the log and the data file is checkpoint-only. Must be
-    /// called before the pool holds dirty state (construction time).
+    /// called before the pool holds any page (construction time): the
+    /// frames are rebuilt with room for what the log last saw of each.
     pub fn attach_wal(&mut self, wal: Arc<Wal>) {
         self.wal = Some(wal);
+        self.shards = Self::build_shards(self.capacity, true);
     }
 
     /// The attached WAL, if any (cloned handle).
@@ -268,12 +283,13 @@ impl BufferPool {
         self.wal.clone()
     }
 
-    fn build_shards(capacity: usize, nshards: usize) -> Vec<OrderedMutex<Shard>> {
+    fn build_shards(capacity: usize, logged: bool) -> Vec<OrderedMutex<Shard>> {
+        let nshards = shard_count(capacity);
         // Distribute frames as evenly as possible; every shard gets ≥ 1.
         (0..nshards)
             .map(|i| {
                 let cap = capacity / nshards + usize::from(i < capacity % nshards);
-                OrderedMutex::new(rank::BUFFER_SHARD, Shard::new(cap.max(1)))
+                OrderedMutex::new(rank::BUFFER_SHARD, Shard::new(cap.max(1), logged))
             })
             .collect()
     }
@@ -293,7 +309,7 @@ impl BufferPool {
     pub fn set_capacity(&mut self, capacity: usize) -> DbResult<()> {
         self.flush_all()?;
         let capacity = capacity.max(1);
-        self.shards = Self::build_shards(capacity, shard_count(capacity));
+        self.shards = Self::build_shards(capacity, self.wal.is_some());
         self.capacity = capacity;
         Ok(())
     }
@@ -361,6 +377,11 @@ impl BufferPool {
         let frame = self.fetch(&mut shard, pid)?;
         shard.touch(frame);
         let fr = &mut shard.frames[frame];
+        if let (false, Some(base)) = (fr.dirty, &mut fr.base) {
+            // A clean frame is the page as the log holds it; `f` is
+            // about to (maybe) take it over the clean → dirty edge.
+            base.copy_from_slice(&fr.data[..]);
+        }
         let (r, dirtied) = f(&mut fr.data[..]);
         if dirtied {
             fr.dirty = true;
@@ -379,48 +400,31 @@ impl BufferPool {
         self.with_page_mut(dst, |b| b.copy_from_slice(&buf))
     }
 
-    /// Write every dirty frame out of the pool: to the WAL when one is
-    /// attached (write-ahead discipline), to the data file otherwise.
-    pub fn flush_all(&self) -> DbResult<()> {
-        for s in &self.shards {
-            let mut shard = s.lock();
-            for i in 0..shard.frames.len() {
-                if shard.frames[i].page != INVALID_PAGE && shard.frames[i].dirty {
-                    self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                    match &self.wal {
-                        Some(wal) => wal.log_page(shard.frames[i].page, &shard.frames[i].data)?,
-                        None => self
-                            .disk
-                            .lock()
-                            .write(shard.frames[i].page, &shard.frames[i].data)?,
-                    }
-                    shard.frames[i].dirty = false;
-                }
-            }
+    /// The one way a dirty frame's bytes leave the pool: into the WAL
+    /// when one is attached (write-ahead discipline; with what the log
+    /// last saw of the page, so it can record the difference), into the
+    /// data file otherwise. The frame comes out clean.
+    fn write_back(&self, f: &mut Frame) -> DbResult<()> {
+        self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+        match &self.wal {
+            Some(wal) => wal.log_page(f.page, &f.data, f.base.as_deref())?,
+            None => self.disk.lock().write(f.page, &f.data)?,
         }
+        f.dirty = false;
         Ok(())
     }
 
-    /// Log every dirty frame as a WAL page image and mark it clean (the
-    /// page-image half of a commit; the caller appends the Commit record
-    /// after). Returns the number of frames logged.
-    pub fn log_dirty_frames(&self) -> DbResult<u64> {
-        let wal = self
-            .wal
-            .as_ref()
-            .ok_or_else(|| DbError::Page("log_dirty_frames without a wal".into()))?;
-        let mut logged = 0u64;
+    /// Write every dirty frame out of the pool and mark it clean. With
+    /// a WAL attached this is the page half of a commit (the caller
+    /// appends the Commit record after).
+    pub fn flush_all(&self) -> DbResult<()> {
         for s in &self.shards {
             let mut shard = s.lock();
-            for i in 0..shard.frames.len() {
-                if shard.frames[i].page != INVALID_PAGE && shard.frames[i].dirty {
-                    wal.log_page(shard.frames[i].page, &shard.frames[i].data)?;
-                    shard.frames[i].dirty = false;
-                    logged += 1;
-                }
+            for f in shard.frames.iter_mut().filter(|f| f.dirty) {
+                self.write_back(f)?;
             }
         }
-        Ok(logged)
+        Ok(())
     }
 
     /// Write `buf` straight into the data file, bypassing the frames
@@ -444,6 +448,17 @@ impl BufferPool {
             shard.frames[i].dirty = false;
         }
         self.disk.lock().write_ensure(pid, buf)
+    }
+
+    /// [`BufferPool::install_page`] for a committed delta: the stored
+    /// page — on a follower always the last one installed — with the
+    /// delta's ranges set. The caller is the only writer (the replica's
+    /// apply thread under its write lock).
+    pub fn install_delta(&self, delta: &PageDelta<'_>) -> DbResult<()> {
+        let mut buf = [0u8; PAGE_SIZE];
+        self.disk.lock().read(delta.pid, &mut buf)?;
+        delta.apply(&mut buf);
+        self.install_page(delta.pid, &buf)
     }
 
     fn fetch(&self, shard: &mut Shard, pid: PageId) -> DbResult<usize> {
@@ -518,13 +533,7 @@ impl BufferPool {
         };
         let f = &mut shard.frames[victim];
         if f.dirty {
-            self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-            match &self.wal {
-                // Write-ahead: the image is durable-loggable before the
-                // page leaves the pool; the data file stays committed-only.
-                Some(wal) => wal.log_page(f.page, &f.data)?,
-                None => self.disk.lock().write(f.page, &f.data)?,
-            }
+            self.write_back(f)?;
         }
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         shard.map.remove(&f.page);

@@ -40,7 +40,7 @@ use crate::schema::Schema;
 use crate::sql::lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 use crate::sql::{parse_statement, Statement};
 use crate::value::{Row, Value};
-use crate::wal::{Wal, DEFAULT_GROUP_COMMIT};
+use crate::wal::{PageDelta, Wal, DEFAULT_GROUP_COMMIT};
 use lockcheck::{rank, OrderedRwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -270,7 +270,7 @@ impl Database {
                 "commit() requires a durable database (open/in_memory_durable)".into(),
             )
         })?;
-        self.pool.log_dirty_frames()?;
+        self.pool.flush_all()?;
         wal.commit(
             &recovery::encode_catalog(&self.catalog),
             self.pool.num_pages(),
@@ -326,6 +326,12 @@ impl Database {
     /// [`BufferPool::install_page`]).
     pub fn install_page(&self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> DbResult<()> {
         self.pool.install_page(pid, buf)
+    }
+
+    /// Apply a committed page delta (replica apply path; see
+    /// [`BufferPool::install_delta`]).
+    pub fn install_delta(&self, delta: &PageDelta<'_>) -> DbResult<()> {
+        self.pool.install_delta(delta)
     }
 
     /// Swap in a catalog decoded from a WAL commit (replica apply path).

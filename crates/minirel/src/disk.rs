@@ -43,8 +43,8 @@ impl DiskManager {
     /// Pages live in the file at `path`, **created if absent, reopened if
     /// present** — an existing file's pages survive and `num_pages` is
     /// recovered from the file length. A trailing partial page (torn
-    /// final write) is excluded from the page count rather than read as
-    /// garbage.
+    /// final write) is cut off rather than read as garbage — or left
+    /// where [`DiskManager::allocate`] would grow the file over it.
     pub fn at_path(path: &Path) -> DbResult<Self> {
         let file = OpenOptions::new()
             .read(true)
@@ -58,6 +58,10 @@ impl DiskManager {
             .map_err(|e| DbError::io("stat", path, e))?
             .len();
         let num_pages = (len / PAGE_SIZE as u64) as u32;
+        if len % PAGE_SIZE as u64 != 0 {
+            file.set_len(u64::from(num_pages) * PAGE_SIZE as u64)
+                .map_err(|e| DbError::io("truncate torn tail of", path, e))?;
+        }
         Ok(DiskManager {
             backend: Backend::File {
                 file,
@@ -138,10 +142,11 @@ impl DiskManager {
                 num_pages,
                 ..
             } => {
+                // Growing a file with `set_len` reads back as zeros: no
+                // page of zeros is written for a page whose first real
+                // bytes arrive with a checkpoint or a replay.
                 let id = *num_pages;
-                file.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))
-                    .map_err(|e| DbError::io("seek", &path, e))?;
-                file.write_all(&[0u8; PAGE_SIZE])
+                file.set_len((u64::from(id) + 1) * PAGE_SIZE as u64)
                     .map_err(|e| DbError::io("extend", &path, e))?;
                 *num_pages += 1;
                 Ok(id)
@@ -327,8 +332,13 @@ mod tests {
         let path = dir.join(format!("minirel-torn-{}.db", std::process::id()));
         let _ = std::fs::remove_file(&path);
         std::fs::write(&path, vec![7u8; PAGE_SIZE + 100]).unwrap();
-        let dm = DiskManager::at_path(&path).unwrap();
+        let mut dm = DiskManager::at_path(&path).unwrap();
         assert_eq!(dm.num_pages(), 1, "torn tail must not count as a page");
+        // …and must not show through the page allocated over it.
+        let mut buf = [1u8; PAGE_SIZE];
+        let fresh = dm.allocate().unwrap();
+        dm.read(fresh, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0), "fresh page must be zeroed");
         let _ = std::fs::remove_file(&path);
     }
 

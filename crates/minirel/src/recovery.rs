@@ -3,27 +3,33 @@
 //! # Recovery
 //!
 //! The data file holds only *checkpointed* state; everything since lives
-//! in the WAL as page images, and each [`crate::wal::KIND_COMMIT`]
-//! record carries a full **catalog image** (schemas, heap page lists,
-//! B+tree roots — metadata that is otherwise in-memory only). Recovery
-//! ([`replay_into`]) is two passes of the one borrowing log reader
-//! ([`crate::wal::records`]) over the bytes `Database::open` read: find
-//! where the last Commit ends in the valid, checksummed prefix, then
-//! install every page image before that point into the data file —
-//! straight from the log bytes, no record is ever copied — and adopt
-//! that commit's catalog. The log is resident once. Records past the
-//! last commit — a torn tail, an unfinished batch — are discarded.
-//! Replaying is **idempotent**: images are whole-page writes applied in
-//! log order, so running recovery twice lands on the same bytes.
+//! in the WAL as page images and page deltas, and each
+//! [`crate::wal::KIND_COMMIT`] record carries a full **catalog image**
+//! (schemas, heap page lists, B+tree roots — metadata that is otherwise
+//! in-memory only). Recovery ([`replay_into`]) is two passes of the one
+//! borrowing log reader ([`crate::wal::records`]) over the bytes
+//! `Database::open` read: find where the last Commit ends in the valid,
+//! checksummed prefix, then fold the page records before that point by
+//! page — its last image and the deltas after it, still borrowed from
+//! the log bytes, no record is ever copied — build each page once, write
+//! it once, and adopt that commit's catalog. The log is resident once.
+//! Records past the last commit — a torn tail, an unfinished batch — are
+//! discarded. Replaying is **idempotent**: a page is rebuilt from a
+//! whole image forward by deltas that set absolute bytes, and the writer
+//! starts every delta chain at an image inside the same log
+//! ([`crate::wal`], "The chain rule"), so running recovery twice — or
+//! over a data file a crash tore — lands on the same bytes. A delta
+//! with no image before it in the log is refused as corrupt.
 //!
 //! # Replication
 //!
 //! A [`Replica`] is a read-only follower `Database` fed from the
 //! leader's WAL. There is one follower: a thread that appends newly
 //! shipped log bytes to a buffer and *feeds* the buffer to the same
-//! reader recovery uses. The page images of the group being read stay
-//! borrowed from the buffer; at each commit record the group and the
-//! commit's catalog are installed under one hold of the follower's
+//! reader recovery uses. The page records of the group being read stay
+//! borrowed from the buffer; at each commit record the group — an image
+//! replaces the follower's page, a delta patches it, in log order — and
+//! the commit's catalog are installed under one hold of the follower's
 //! write lock, so readers always see a consistent commit boundary.
 //! Whatever follows the last commit fed (images whose commit has not
 //! arrived, half a record) stays buffered for the next round. The two
@@ -51,8 +57,9 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::wal::{self, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_IMAGE};
+use crate::wal::{self, PageDelta, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE};
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -266,15 +273,17 @@ fn parse_commit(payload: &[u8]) -> DbResult<(u32, &[u8])> {
     Ok((u32::from_le_bytes(*num_pages), cat))
 }
 
-/// Redo the log onto `disk`: install every committed page image (in log
-/// order) and return the last commit's catalog. `Ok(None)` when the log
-/// holds no commit at all (fresh database). Idempotent — a second call
-/// over the same inputs rewrites identical bytes.
+/// Redo the log onto `disk`: write every committed page as its last
+/// record leaves it and return the last commit's catalog. `Ok(None)`
+/// when the log holds no commit at all (fresh database). Idempotent — a
+/// second call over the same inputs rewrites identical bytes.
 ///
 /// Two passes of the borrowing reader over `wal_bytes`, no record ever
 /// copied: the first finds where the last commit ends — everything after
 /// it is an unacknowledged tail and must not touch the data file — the
-/// second writes each image up to there straight from the log bytes.
+/// second folds the records up to there by page (its last image and the
+/// deltas after it, still borrowed), and each page is then built once
+/// and written once, in page order.
 pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<Recovered>> {
     let mut log = wal::records(wal_bytes);
     let mut applied_end = None;
@@ -287,15 +296,37 @@ pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<
         return Ok(None);
     };
     let mut last_commit = None;
+    let mut pages: BTreeMap<PageId, (&[u8; PAGE_SIZE], Vec<PageDelta<'_>>)> = BTreeMap::new();
     for rec in wal::records(&wal_bytes[..applied_end]) {
         match rec.kind {
             KIND_PAGE_IMAGE => {
                 let (pid, img) = parse_page_image(rec.payload)?;
-                disk.write_ensure(pid, img)?;
+                let (image, deltas) = pages.entry(pid).or_insert((img, Vec::new()));
+                *image = img;
+                deltas.clear();
+            }
+            KIND_PAGE_DELTA => {
+                let delta = PageDelta::parse(rec.payload)?;
+                // The writer starts every chain at an image in this log.
+                let (_, deltas) = pages.get_mut(&delta.pid).ok_or_else(|| {
+                    DbError::Corrupt(format!(
+                        "wal holds a delta for page {} (lsn {}) with no image before it",
+                        delta.pid, rec.lsn
+                    ))
+                })?;
+                deltas.push(delta);
             }
             KIND_COMMIT => last_commit = Some(rec),
             _ => {}
         }
+    }
+    let mut page = [0u8; PAGE_SIZE];
+    for (&pid, (image, deltas)) in &pages {
+        page.copy_from_slice(&image[..]);
+        for delta in deltas {
+            delta.apply(&mut page);
+        }
+        disk.write_ensure(pid, &page)?;
     }
     let last_commit = last_commit.expect("the prefix ends at a commit");
     let (num_pages, cat_bytes) = parse_commit(last_commit.payload)?;
@@ -342,27 +373,43 @@ pub struct Replica {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
+/// One page record of a commit group, borrowed from the fed bytes.
+enum PageRecord<'a> {
+    Image(PageId, &'a [u8; PAGE_SIZE]),
+    Delta(PageDelta<'a>),
+}
+
 impl ReplicaShared {
     /// Apply the whole commit groups at the front of `bytes` and return
-    /// how many bytes they span. The images of a group stay borrowed
-    /// from `bytes` until the commit that covers them is read, then
-    /// install under one write-lock hold together with its catalog: a
-    /// reader must never see new page bytes through the old catalog.
-    /// Images whose commit has not arrived are not consumed — the caller
-    /// feeds them again, with what follows.
+    /// how many bytes they span. The page records of a group stay
+    /// borrowed from `bytes` until the commit that covers them is read,
+    /// then install under one write-lock hold together with its catalog:
+    /// a reader must never see new page bytes through the old catalog.
+    /// Records whose commit has not arrived are not consumed — the
+    /// caller feeds them again, with what follows.
     fn feed(&self, bytes: &[u8]) -> DbResult<usize> {
         let mut log = wal::records(bytes);
         let mut group = Vec::new();
         let mut consumed = 0;
         while let Some(rec) = log.next() {
             match rec.kind {
-                KIND_PAGE_IMAGE => group.push(parse_page_image(rec.payload)?),
+                KIND_PAGE_IMAGE => {
+                    let (pid, img) = parse_page_image(rec.payload)?;
+                    group.push(PageRecord::Image(pid, img));
+                }
+                KIND_PAGE_DELTA => group.push(PageRecord::Delta(PageDelta::parse(rec.payload)?)),
                 KIND_COMMIT => {
                     let (_num_pages, cat) = parse_commit(rec.payload)?;
                     let catalog = decode_catalog(cat)?;
                     let mut db = self.db.write();
-                    for (pid, img) in group.drain(..) {
-                        db.install_page(pid, img)?;
+                    // In log order: a delta patches the bytes the
+                    // follower holds, which the records before it made
+                    // equal to the leader's.
+                    for page in group.drain(..) {
+                        match page {
+                            PageRecord::Image(pid, img) => db.install_page(pid, img)?,
+                            PageRecord::Delta(delta) => db.install_delta(&delta)?,
+                        }
                     }
                     db.replace_catalog(catalog);
                     drop(db);

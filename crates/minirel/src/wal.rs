@@ -1,11 +1,13 @@
 //! Write-ahead log: the durability layer under the buffer pool.
 //!
-//! minirel runs a **no-steal, page-image redo log** in the style of
-//! SQLite's WAL mode: the data file is written *only* at checkpoints,
-//! never by ordinary page traffic. A dirty page leaving the buffer pool
-//! (eviction, `flush_all`, commit) appends a checksummed [`PageImage`]
-//! record here instead, and an in-memory page index (pid → log offset)
-//! makes the newest image readable again on a pool miss. A [`Commit`]
+//! minirel runs a **no-steal redo log** in the style of SQLite's WAL
+//! mode: the data file is written *only* at checkpoints, never by
+//! ordinary page traffic. A dirty page leaving the buffer pool
+//! (eviction, `flush_all`, commit) appends a checksummed page record
+//! here instead — a full image, or the byte ranges that changed since
+//! the log's previous record for that page — and an in-memory page
+//! index (pid → offset of its last image + the deltas logged since)
+//! makes the newest bytes readable again on a pool miss. A `Commit`
 //! record carries the full catalog image plus the data-file page count,
 //! marking everything before it as the recoverable state; records after
 //! the last valid commit are discarded on recovery (torn-tail
@@ -18,10 +20,63 @@
 //! ```
 //!
 //! all little-endian; `crc` covers `lsn | kind | len | payload`.
-//! Payloads: `PageImage` = `pid u32` + 4096 page bytes; `Commit` =
-//! `num_pages u32` + catalog image ([`crate::recovery`] codec);
-//! `Checkpoint` = `num_pages u32` (a marker: every committed image
-//! before it has been written to the data file).
+//! Payloads by kind:
+//!
+//! 1. `PageImage` = `pid u32` + 4096 page bytes;
+//! 2. `Commit` = `num_pages u32` + catalog image ([`crate::recovery`]
+//!    codec);
+//! 3. `Checkpoint` = `num_pages u32` (a marker: every committed page
+//!    before it has been written to the data file);
+//! 4. `PageDelta` = `pid u32 | n u16 | n × (off u16, len u16) | bytes`:
+//!    `n` byte ranges of the page, ascending and disjoint, and then
+//!    their new contents back to back ([`PageDelta`] parses and applies
+//!    one).
+//!
+//! Kinds 1–3 are what every earlier version of this log wrote; such a
+//! log still opens.
+//!
+//! ## The chain rule
+//!
+//! A slotted-page insert changes one cell, a short run of the slot
+//! array and a header — a few hundred bytes of 4096. [`Wal::log_page`]
+//! is handed the page's bytes *as the log last saw them* beside its new
+//! ones, diffs the two in 8-byte words (changed words closer than 16
+//! bytes become one range) and decides, per record, between a delta and
+//! a full image. It writes a delta only when
+//!
+//! * the page index holds a full image of the page — one logged since
+//!   the last checkpoint or rotation, both of which empty the index, so
+//!   **every chain starts at an image inside the same log**;
+//! * the page's chain stays within [`MAX_CHAIN_DELTAS`] deltas and
+//!   [`MAX_CHAIN_BYTES`] of delta payload since that image; and
+//! * the delta encodes in under half a page.
+//!
+//! Otherwise it writes an image and the chain starts over. There is no
+//! mode beside this rule.
+//!
+//! The index keeps a chain's delta payloads themselves, not their
+//! offsets: [`Wal::read_page_into`] is one read of the log (the image)
+//! and a patch from memory, as it was when every record was an image.
+//! Reading the deltas back one by one cost a pool miss six reads where
+//! it had cost one — on a store whose every page is in the log, twice
+//! the time of a table scan. The two bounds are what that costs:
+//! at most 4 KB beside an indexed page, about a third of that in a
+//! crawl, until a checkpoint empties the index.
+//!
+//! **Redo stays idempotent** because a delta sets absolute bytes at
+//! absolute offsets, and the image its chain starts from precedes it in
+//! the same log: replaying a log — once, twice, or over a data file
+//! some of whose pages a crash tore — rebuilds each page from its last
+//! image forward and lands on the same bytes.
+//!
+//! ## Staging and the one write
+//!
+//! Records are encoded straight into one staging buffer (no per-record
+//! allocation) and the staged bytes reach the store in **one `write`
+//! per commit** — earlier only when [`Wal::read_page_into`] needs a
+//! record that is still staged, or when 1 MB is waiting. The same buffer is what a commit publishes to subscribers.
+//! Offsets in the page index are *logical* (position in the log,
+//! written or not), so staging is invisible to them.
 //!
 //! ## Reading the log back
 //!
@@ -31,15 +86,17 @@
 //! truncated or corrupt record ([`Records::valid_len`] says where).
 //! Recovery, checkpoint-marker counting and both kinds of replica
 //! ([`crate::recovery`]) consume exactly this. [`Record`],
-//! [`decode_record`] and [`scan_records`] are owned conveniences for
-//! the format tests, built on the same reader.
+//! [`encode_record`], [`decode_record`] and [`scan_records`] are owned
+//! conveniences for the format tests, built on the same codec.
 //!
 //! ## Group commit
 //!
-//! [`Wal::commit`] appends and publishes but only fsyncs every
+//! [`Wal::commit`] writes and publishes but only fsyncs every
 //! `group_every`-th commit, amortizing the sync over the crawler's
 //! page-boundary flushes; [`Wal::sync`] forces one (the "durable" ack
-//! point — a commit is acknowledged as crash-safe only once synced).
+//! point — a commit is acknowledged as crash-safe only once synced) and
+//! returns at once when nothing was appended since the last sync, so a
+//! forced sync right after a commit that already synced costs nothing.
 //!
 //! ## Latch order
 //!
@@ -70,6 +127,10 @@ pub const KIND_PAGE_IMAGE: u8 = 1;
 pub const KIND_COMMIT: u8 = 2;
 /// Record kind: checkpoint marker (`num_pages u32`).
 pub const KIND_CHECKPOINT: u8 = 3;
+/// Record kind: the byte ranges of a page that changed since the log's
+/// previous record for it (`pid u32 | n u16 | n × (off u16, len u16) |
+/// bytes`).
+pub const KIND_PAGE_DELTA: u8 = 4;
 
 /// Fixed header bytes per record.
 pub const RECORD_HEADER: usize = 8 + 1 + 4 + 8;
@@ -80,6 +141,28 @@ pub const MAX_PAYLOAD: usize = 1 << 26;
 
 /// Default commits-per-fsync for group commit.
 pub const DEFAULT_GROUP_COMMIT: usize = 8;
+
+/// Chain rule: the most deltas a page may collect on top of its last
+/// full image before the next record for it is an image again.
+pub const MAX_CHAIN_DELTAS: usize = 16;
+
+/// Chain rule: the most delta payload a page may collect on top of its
+/// last full image — a pool miss never reads more than two pages' worth.
+pub const MAX_CHAIN_BYTES: usize = PAGE_SIZE;
+
+/// A diff whose payload would reach half a page is logged as an image.
+const MAX_DELTA_PAYLOAD: usize = PAGE_SIZE / 2;
+
+/// Changed 8-byte words at most this many bytes apart share one range
+/// (a range costs 4 bytes of table, and slot shifts leave short gaps).
+const DELTA_MERGE_GAP: usize = 16;
+
+/// Staged bytes are written out ahead of the commit once this many are
+/// waiting (a tiny pool evicting through a long uncommitted batch).
+const STAGE_FLUSH_BYTES: usize = 1 << 20;
+
+// Ranges are `u16` offsets and lengths over whole words.
+const _: () = assert!(PAGE_SIZE.is_multiple_of(8) && PAGE_SIZE <= u16::MAX as usize);
 
 /// One decoded WAL record, owning its payload (the convenience the
 /// format tests use; every consumer in the crate reads [`RecordRef`]s).
@@ -140,16 +223,25 @@ pub fn checksum(parts: &[&[u8]]) -> u64 {
     h
 }
 
-/// Encode one record (header + payload) into fresh bytes.
-pub fn encode_record(lsn: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+/// The one encoder: append a record to `out`, its payload written in
+/// place by `fill`; length and checksum are patched in behind it.
+fn put_record(out: &mut Vec<u8>, lsn: u64, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
     out.extend_from_slice(&lsn.to_le_bytes());
     out.push(kind);
-    out.extend_from_slice(&len.to_le_bytes());
-    let crc = checksum(&[&lsn.to_le_bytes(), &[kind], &len.to_le_bytes(), payload]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0u8; 4 + 8]);
+    fill(out);
+    let len = (out.len() - at - RECORD_HEADER) as u32;
+    out[at + 9..at + 13].copy_from_slice(&len.to_le_bytes());
+    let rec = &out[at..];
+    let crc = checksum(&[&rec[0..8], &[kind], &rec[9..13], &rec[RECORD_HEADER..]]);
+    out[at + 13..at + RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Encode one record (header + payload) into fresh bytes.
+pub fn encode_record(lsn: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+    put_record(&mut out, lsn, kind, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -184,7 +276,10 @@ fn decode_ref(buf: &[u8]) -> DbResult<Option<RecordRef<'_>>> {
             "wal record at lsn {lsn} fails checksum (stored {crc:#x}, computed {want:#x})"
         )));
     }
-    if !matches!(kind, KIND_PAGE_IMAGE | KIND_COMMIT | KIND_CHECKPOINT) {
+    if !matches!(
+        kind,
+        KIND_PAGE_IMAGE | KIND_COMMIT | KIND_CHECKPOINT | KIND_PAGE_DELTA
+    ) {
         return Err(DbError::Corrupt(format!(
             "wal record at lsn {lsn} has unknown kind {kind}"
         )));
@@ -234,6 +329,97 @@ pub fn scan_records(buf: &[u8]) -> (Vec<Record>, usize) {
     let mut reader = records(buf);
     let out = reader.by_ref().map(RecordRef::to_record).collect();
     (out, reader.valid_len())
+}
+
+/// The byte ranges where `data` differs from `base`, as ascending
+/// `(off, len)` pairs in `out` (cleared first): compared in 8-byte
+/// words, neighbours merged over gaps of at most [`DELTA_MERGE_GAP`].
+/// Returns the bytes the ranges cover.
+fn diff_ranges(base: &[u8; PAGE_SIZE], data: &[u8; PAGE_SIZE], out: &mut Vec<(u16, u16)>) -> usize {
+    out.clear();
+    let mut covered = 0;
+    let blocks = base.chunks_exact(64).zip(data.chunks_exact(64));
+    for (b, (old, new)) in blocks.enumerate() {
+        // Most of a page is unchanged: skip it 64 bytes at a time.
+        if old == new {
+            continue;
+        }
+        let words = old.chunks_exact(8).zip(new.chunks_exact(8));
+        for (w, _) in words.enumerate().filter(|(_, (old, new))| old != new) {
+            let off = b * 64 + w * 8;
+            match out.last_mut() {
+                Some((o, l)) if off - (*o as usize + *l as usize) <= DELTA_MERGE_GAP => {
+                    covered += off + 8 - (*o as usize + *l as usize);
+                    *l = (off + 8 - *o as usize) as u16;
+                }
+                _ => {
+                    covered += 8;
+                    out.push((off as u16, 8));
+                }
+            }
+        }
+    }
+    covered
+}
+
+/// A `KIND_PAGE_DELTA` payload borrowed from the log bytes it was read
+/// from, every range checked against the page and the byte count.
+#[derive(Debug, Clone, Copy)]
+pub struct PageDelta<'a> {
+    /// The page the ranges belong to.
+    pub pid: PageId,
+    ranges: &'a [u8],
+    bytes: &'a [u8],
+}
+
+impl<'a> PageDelta<'a> {
+    /// Decode and validate a delta payload ([`DbError::Corrupt`] when a
+    /// range leaves the page or the bytes do not match the ranges).
+    pub fn parse(payload: &'a [u8]) -> DbResult<PageDelta<'a>> {
+        let corrupt = |why: &str| DbError::Corrupt(format!("page-delta payload {why}"));
+        let (pid, rest) = payload
+            .split_first_chunk::<4>()
+            .ok_or_else(|| corrupt("is shorter than its page id"))?;
+        let (n, rest) = rest
+            .split_first_chunk::<2>()
+            .ok_or_else(|| corrupt("is shorter than its range count"))?;
+        let (ranges, bytes) = rest
+            .split_at_checked(4 * u16::from_le_bytes(*n) as usize)
+            .ok_or_else(|| corrupt("is shorter than its range table"))?;
+        let delta = PageDelta {
+            pid: u32::from_le_bytes(*pid),
+            ranges,
+            bytes,
+        };
+        let mut total = 0;
+        for (off, len) in delta.ranges() {
+            if off + len > PAGE_SIZE {
+                return Err(corrupt("holds a range past the end of the page"));
+            }
+            total += len;
+        }
+        if total != bytes.len() {
+            return Err(corrupt("carries a byte count its ranges do not add up to"));
+        }
+        Ok(delta)
+    }
+
+    fn ranges(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let u16_at = |r: &[u8], i: usize| u16::from_le_bytes([r[i], r[i + 1]]) as usize;
+        self.ranges
+            .chunks_exact(4)
+            .map(move |r| (u16_at(r, 0), u16_at(r, 2)))
+    }
+
+    /// Set the delta's ranges in `page` to its bytes.
+    pub fn apply(&self, page: &mut [u8; PAGE_SIZE]) {
+        let mut src = self.bytes;
+        for (off, len) in self.ranges() {
+            let (new, rest) = src.split_at(len);
+            page[off..off + len].copy_from_slice(new);
+            src = rest;
+        }
+    }
 }
 
 /// Crash-injection hook: aborts the process at the configured sync
@@ -327,6 +513,43 @@ impl WalStore {
     }
 }
 
+/// Where the log holds a page: its newest full image, by offset, and
+/// the deltas logged on top of it since — kept here, so that a pool
+/// miss costs one read of the log however long the chain.
+#[derive(Default)]
+struct Chain {
+    /// Logical offset of the image's page bytes.
+    image: u64,
+    /// The chain's delta payloads back to back, in log order (at most
+    /// [`MAX_CHAIN_BYTES`]), and the length of each.
+    deltas: Vec<u8>,
+    lens: Vec<u32>,
+}
+
+/// What the log has written, by record kind (`*_bytes` count whole
+/// records, header included, so the four add up to
+/// [`Wal::len_bytes`]), and how: `writes` to the store, `syncs` of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Full page images logged.
+    pub images: u64,
+    /// Page deltas logged.
+    pub deltas: u64,
+    /// Bytes of page-image records.
+    pub image_bytes: u64,
+    /// Bytes of page-delta records.
+    pub delta_bytes: u64,
+    /// Bytes of commit records (the catalog images).
+    pub commit_bytes: u64,
+    /// Bytes of checkpoint markers.
+    pub checkpoint_bytes: u64,
+    /// Writes of staged bytes to the store: one per commit, plus the
+    /// forced ones (a staged record read back, a full stage).
+    pub writes: u64,
+    /// Syncs of the store (the crash-injection ordinal counts these).
+    pub syncs: u64,
+}
+
 struct WalInner {
     store: WalStore,
     next_lsn: u64,
@@ -334,16 +557,94 @@ struct WalInner {
     last_commit_lsn: u64,
     /// LSN of the last *synced* Commit record.
     durable_commit_lsn: u64,
-    /// pid → logical offset of its newest page image's page bytes.
-    page_index: HashMap<PageId, u64>,
+    /// Logical length of the log at the last sync.
+    synced_end: u64,
+    /// pid → where the log holds the page's newest bytes.
+    page_index: HashMap<PageId, Chain>,
     commits_since_sync: usize,
     group_every: usize,
     /// Replication: committed chunks are broadcast here.
     subscribers: Vec<mpsc::Sender<Arc<Vec<u8>>>>,
-    /// Bytes of not-yet-published records (Memory store slices the
-    /// buffer; the File store can't cheaply read back, so both stage
-    /// pending publish bytes here).
-    publish_buf: Vec<u8>,
+    /// Every record since the last commit, encoded in place: what the
+    /// next commit publishes, and — past `written` — what the store has
+    /// yet to be handed.
+    stage: Vec<u8>,
+    /// Bytes at the front of `stage` already written to the store.
+    written: usize,
+    /// Scratch for [`diff_ranges`].
+    ranges: Vec<(u16, u16)>,
+    stats: WalStats,
+}
+
+impl WalInner {
+    /// Logical length of the log: what the store holds plus what is
+    /// staged for it.
+    fn end(&self) -> u64 {
+        self.store.end() + (self.stage.len() - self.written) as u64
+    }
+
+    /// Stage one record. Returns its LSN and the logical offset of its
+    /// payload.
+    fn put(&mut self, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) -> (u64, u64) {
+        let lsn = self.next_lsn;
+        self.next_lsn += 1;
+        let at = self.end();
+        let before = self.stage.len();
+        put_record(&mut self.stage, lsn, kind, fill);
+        let bytes = (self.stage.len() - before) as u64;
+        let stats = &mut self.stats;
+        match kind {
+            KIND_PAGE_IMAGE => {
+                stats.images += 1;
+                stats.image_bytes += bytes;
+            }
+            KIND_PAGE_DELTA => {
+                stats.deltas += 1;
+                stats.delta_bytes += bytes;
+            }
+            KIND_COMMIT => stats.commit_bytes += bytes,
+            _ => stats.checkpoint_bytes += bytes,
+        }
+        (lsn, at + RECORD_HEADER as u64)
+    }
+
+    /// Hand the store everything staged for it, in one write.
+    fn flush_stage(&mut self) -> DbResult<()> {
+        if self.written < self.stage.len() {
+            self.store.append(&self.stage[self.written..])?;
+            self.written = self.stage.len();
+            self.stats.writes += 1;
+        }
+        Ok(())
+    }
+
+    /// Broadcast the (fully written) stage to subscribers and empty it.
+    fn publish(&mut self) {
+        debug_assert_eq!(self.written, self.stage.len());
+        self.written = 0;
+        if self.subscribers.is_empty() {
+            self.stage.clear();
+            return;
+        }
+        let chunk = Arc::new(std::mem::take(&mut self.stage));
+        self.subscribers
+            .retain(|tx| tx.send(Arc::clone(&chunk)).is_ok());
+    }
+
+    /// Write what is staged and fsync — unless the log has not grown
+    /// since the last sync.
+    fn sync(&mut self) -> DbResult<()> {
+        self.flush_stage()?;
+        if self.store.end() == self.synced_end {
+            return Ok(());
+        }
+        self.store.sync()?;
+        self.stats.syncs += 1;
+        self.synced_end = self.store.end();
+        self.durable_commit_lsn = self.last_commit_lsn;
+        self.commits_since_sync = 0;
+        Ok(())
+    }
 }
 
 /// The write-ahead log. Interior-mutable (`&self` everywhere) behind a
@@ -362,11 +663,15 @@ impl Wal {
                     next_lsn,
                     last_commit_lsn: 0,
                     durable_commit_lsn: 0,
+                    synced_end: 0,
                     page_index: HashMap::new(),
                     commits_since_sync: 0,
                     group_every: group_every.max(1),
                     subscribers: Vec::new(),
-                    publish_buf: Vec::new(),
+                    stage: Vec::new(),
+                    written: 0,
+                    ranges: Vec::new(),
+                    stats: WalStats::default(),
                 },
             ),
         }
@@ -410,7 +715,7 @@ impl Wal {
     /// each). The open descriptor stays valid across the rename.
     pub fn rename_to(&self, dst: &Path) -> DbResult<()> {
         let mut g = self.inner.lock();
-        g.store.sync()?;
+        g.sync()?;
         match &mut g.store {
             WalStore::Memory { .. } => {
                 Err(DbError::Corrupt("cannot rename an in-memory wal".into()))
@@ -423,55 +728,96 @@ impl Wal {
         }
     }
 
-    fn append_locked(g: &mut WalInner, kind: u8, payload: &[u8]) -> DbResult<(u64, u64)> {
-        let lsn = g.next_lsn;
-        g.next_lsn += 1;
-        let bytes = encode_record(lsn, kind, payload);
-        let at = g.store.append(&bytes)?;
-        g.publish_buf.extend_from_slice(&bytes);
-        Ok((lsn, at))
-    }
-
-    /// Append a page image (write-ahead: called when a dirty page leaves
-    /// the buffer pool). Does not sync — durability is commit-scoped.
-    pub fn log_page(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> DbResult<()> {
-        let mut g = self.inner.lock();
-        let mut payload = Vec::with_capacity(4 + PAGE_SIZE);
-        payload.extend_from_slice(&pid.to_le_bytes());
-        payload.extend_from_slice(data);
-        let (_lsn, at) = Self::append_locked(&mut g, KIND_PAGE_IMAGE, &payload)?;
-        // Page bytes start after the header and the pid.
-        g.page_index.insert(pid, at + RECORD_HEADER as u64 + 4);
+    /// Log page `pid`'s bytes (write-ahead: called when a dirty page
+    /// leaves the buffer pool or a commit cleans it). `base` is the page
+    /// as the log last saw it — what the index's chain for `pid`
+    /// reconstructs — when the caller knows it; the record is a delta
+    /// against it when the chain rule (module docs) allows, a full image
+    /// otherwise. Does not sync — durability is commit-scoped.
+    pub fn log_page(
+        &self,
+        pid: PageId,
+        data: &[u8; PAGE_SIZE],
+        base: Option<&[u8; PAGE_SIZE]>,
+    ) -> DbResult<()> {
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
+        let delta_len = match (g.page_index.get(&pid), base) {
+            (Some(chain), Some(base)) if chain.lens.len() < MAX_CHAIN_DELTAS => {
+                let len = 4 + 2 + diff_ranges(base, data, &mut g.ranges) + 4 * g.ranges.len();
+                (len < MAX_DELTA_PAYLOAD && chain.deltas.len() + len <= MAX_CHAIN_BYTES)
+                    .then_some(len)
+            }
+            _ => None,
+        };
+        if let Some(len) = delta_len {
+            let ranges = std::mem::take(&mut g.ranges);
+            g.put(KIND_PAGE_DELTA, |out| {
+                out.extend_from_slice(&pid.to_le_bytes());
+                out.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+                for (off, len) in &ranges {
+                    out.extend_from_slice(&off.to_le_bytes());
+                    out.extend_from_slice(&len.to_le_bytes());
+                }
+                for &(off, len) in &ranges {
+                    out.extend_from_slice(&data[off as usize..][..len as usize]);
+                }
+            });
+            g.ranges = ranges;
+            let chain = g.page_index.get_mut(&pid).expect("matched above");
+            chain
+                .deltas
+                .extend_from_slice(&g.stage[g.stage.len() - len..]);
+            chain.lens.push(len as u32);
+        } else {
+            let (_lsn, at) = g.put(KIND_PAGE_IMAGE, |out| {
+                out.extend_from_slice(&pid.to_le_bytes());
+                out.extend_from_slice(data);
+            });
+            let chain = g.page_index.entry(pid).or_default();
+            // Page bytes start after the pid.
+            chain.image = at + 4;
+            chain.deltas.clear();
+            chain.lens.clear();
+        }
+        if g.stage.len() - g.written >= STAGE_FLUSH_BYTES {
+            g.flush_stage()?;
+        }
         Ok(())
     }
 
     /// Append a Commit record (catalog image + data-file page count),
-    /// publish the newly committed byte range to subscribers, and fsync
-    /// if the group-commit quota is due. Returns the commit's LSN.
+    /// write everything staged since the last commit to the store in one
+    /// piece, publish it to subscribers, and fsync if the group-commit
+    /// quota is due. Returns the commit's LSN.
     pub fn commit(&self, catalog_image: &[u8], num_pages: u32) -> DbResult<u64> {
         let mut g = self.inner.lock();
-        let mut payload = Vec::with_capacity(4 + catalog_image.len());
-        payload.extend_from_slice(&num_pages.to_le_bytes());
-        payload.extend_from_slice(catalog_image);
-        let (lsn, _) = Self::append_locked(&mut g, KIND_COMMIT, &payload)?;
+        let (lsn, _) = g.put(KIND_COMMIT, |out| {
+            out.extend_from_slice(&num_pages.to_le_bytes());
+            out.extend_from_slice(catalog_image);
+        });
         g.last_commit_lsn = lsn;
         g.commits_since_sync += 1;
-        Self::publish_locked(&mut g);
+        g.flush_stage()?;
+        g.publish();
         if g.commits_since_sync >= g.group_every {
-            Self::sync_locked(&mut g)?;
+            g.sync()?;
         }
         Ok(lsn)
     }
 
     /// Append a Checkpoint marker and forget the page index: every
-    /// committed image is now in the data file, so future pool misses
-    /// read there. The in-memory store also drops its retained bytes
-    /// (they are published and checkpointed — nobody can need them).
+    /// committed page is now in the data file, so future pool misses
+    /// read there and the next record for any page is a full image. The
+    /// in-memory store also drops its retained bytes (they are published
+    /// and checkpointed — nobody can need them).
     pub fn checkpoint_done(&self, num_pages: u32) -> DbResult<()> {
         let mut g = self.inner.lock();
-        Self::append_locked(&mut g, KIND_CHECKPOINT, &num_pages.to_le_bytes())?;
-        Self::publish_locked(&mut g);
-        Self::sync_locked(&mut g)?;
+        g.put(KIND_CHECKPOINT, |out| {
+            out.extend_from_slice(&num_pages.to_le_bytes())
+        });
+        g.sync()?;
+        g.publish();
         g.page_index.clear();
         if let WalStore::Memory { buf, base } = &mut g.store {
             *base += buf.len() as u64;
@@ -481,43 +827,36 @@ impl Wal {
         Ok(())
     }
 
-    fn publish_locked(g: &mut WalInner) {
-        if g.publish_buf.is_empty() {
-            return;
-        }
-        if g.subscribers.is_empty() {
-            g.publish_buf.clear();
-            return;
-        }
-        let chunk = Arc::new(std::mem::take(&mut g.publish_buf));
-        g.subscribers
-            .retain(|tx| tx.send(Arc::clone(&chunk)).is_ok());
-    }
-
-    fn sync_locked(g: &mut WalInner) -> DbResult<()> {
-        g.store.sync()?;
-        g.durable_commit_lsn = g.last_commit_lsn;
-        g.commits_since_sync = 0;
-        Ok(())
-    }
-
-    /// Force an fsync (the durable ack point).
+    /// Force an fsync (the durable ack point). Returns at once when the
+    /// log has not grown since the last one.
     pub fn sync(&self) -> DbResult<()> {
-        Self::sync_locked(&mut self.inner.lock())
+        self.inner.lock().sync()
     }
 
-    /// Read the newest logged image of `pid` into `out`. Returns `false`
-    /// when the log holds no image (the data file is authoritative).
+    /// Read the newest logged bytes of `pid` into `out`: its last full
+    /// image, then the chain's deltas in order. Returns `false` when the
+    /// log holds nothing for the page (the data file is authoritative).
     pub fn read_page_into(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> DbResult<bool> {
-        let mut g = self.inner.lock();
-        let Some(&off) = g.page_index.get(&pid) else {
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
+        let Some(image) = g.page_index.get(&pid).map(|chain| chain.image) else {
             return Ok(false);
         };
-        g.store.read_at(off, out)?;
+        if image + PAGE_SIZE as u64 > g.store.end() {
+            g.flush_stage()?;
+        }
+        g.store.read_at(image, out)?;
+        let chain = &g.page_index[&pid];
+        let mut deltas = &chain.deltas[..];
+        for &len in &chain.lens {
+            let (payload, rest) = deltas.split_at(len as usize);
+            PageDelta::parse(payload)?.apply(out);
+            deltas = rest;
+        }
         Ok(true)
     }
 
-    /// Pages with a logged image newer than the data file.
+    /// Pages the log holds bytes for that are newer than the data file.
     pub fn indexed_pages(&self) -> Vec<PageId> {
         self.inner.lock().page_index.keys().copied().collect()
     }
@@ -541,9 +880,14 @@ impl Wal {
         self.inner.lock().durable_commit_lsn
     }
 
-    /// Logical length of the log in bytes.
+    /// Logical length of the log in bytes (staged records included).
     pub fn len_bytes(&self) -> u64 {
-        self.inner.lock().store.end()
+        self.inner.lock().end()
+    }
+
+    /// Counters since the log was created.
+    pub fn stats(&self) -> WalStats {
+        self.inner.lock().stats
     }
 }
 
@@ -607,13 +951,119 @@ mod tests {
         let wal = Wal::in_memory(4);
         let mut page = [0u8; PAGE_SIZE];
         page[0] = 11;
-        wal.log_page(3, &page).unwrap();
+        wal.log_page(3, &page, None).unwrap();
         page[0] = 22;
-        wal.log_page(3, &page).unwrap(); // newer image wins
+        wal.log_page(3, &page, None).unwrap(); // newer image wins
         let mut out = [0u8; PAGE_SIZE];
         assert!(wal.read_page_into(3, &mut out).unwrap());
         assert_eq!(out[0], 22);
         assert!(!wal.read_page_into(99, &mut out).unwrap());
+    }
+
+    #[test]
+    fn diff_merges_near_words_and_splits_far_ones() {
+        let base = [0u8; PAGE_SIZE];
+        let mut data = base;
+        data[3] = 1; // word 0
+        data[20] = 1; // word 2: 8 bytes on, merged
+        data[100] = 1; // word 12: 72 bytes on, its own range
+        data[PAGE_SIZE - 1] = 1; // the last word
+        let mut ranges = Vec::new();
+        assert_eq!(diff_ranges(&base, &data, &mut ranges), 24 + 8 + 8);
+        assert_eq!(ranges, [(0, 24), (96, 8), (PAGE_SIZE as u16 - 8, 8)]);
+        assert_eq!(diff_ranges(&data, &data, &mut ranges), 0);
+        assert!(ranges.is_empty());
+    }
+
+    #[test]
+    fn small_changes_log_deltas_until_the_chain_is_full() {
+        let wal = Wal::in_memory(4);
+        let mut page = [0u8; PAGE_SIZE];
+        wal.log_page(7, &page, None).unwrap();
+        let mut out = [0u8; PAGE_SIZE];
+        for round in 1..=MAX_CHAIN_DELTAS + 1 {
+            let base = page;
+            page[round * 40] = round as u8;
+            page[PAGE_SIZE - round] = round as u8;
+            wal.log_page(7, &page, Some(&base)).unwrap();
+            assert!(wal.read_page_into(7, &mut out).unwrap());
+            assert_eq!(out, page, "round {round}");
+            let st = wal.stats();
+            // The chain fills, and the record after that is an image.
+            assert_eq!(st.deltas as usize, round.min(MAX_CHAIN_DELTAS));
+            assert_eq!(st.images as usize, 1 + round / (MAX_CHAIN_DELTAS + 1));
+        }
+        assert!(wal.stats().delta_bytes < 2 * PAGE_SIZE as u64 / 3);
+    }
+
+    #[test]
+    fn a_delta_needs_an_image_a_base_and_a_small_diff() {
+        let wal = Wal::in_memory(4);
+        let base = [1u8; PAGE_SIZE];
+        let mut page = base;
+        page[0] = 2;
+        // No image of the page in the log yet: an image, base or not.
+        wal.log_page(1, &page, Some(&base)).unwrap();
+        // An image, but the caller does not know what the log saw.
+        wal.log_page(1, &page, None).unwrap();
+        assert_eq!((wal.stats().images, wal.stats().deltas), (2, 0));
+        // Half the page changed: an image is cheaper than its diff.
+        let before = page;
+        page[..PAGE_SIZE / 2].fill(3);
+        wal.log_page(1, &page, Some(&before)).unwrap();
+        assert_eq!((wal.stats().images, wal.stats().deltas), (3, 0));
+        // Changes that are small one at a time stop at the byte bound.
+        let mut deltas = 0;
+        for round in 0..MAX_CHAIN_DELTAS {
+            let before = page;
+            page[round * 200..][..400].fill(round as u8 + 4);
+            wal.log_page(1, &page, Some(&before)).unwrap();
+            deltas = wal.stats().deltas;
+            if wal.stats().images == 4 {
+                break;
+            }
+        }
+        assert_eq!(wal.stats().images, 4, "the chain hit MAX_CHAIN_BYTES");
+        // Each is one range: pid + count + (off, len) + 400 bytes.
+        assert_eq!(deltas as usize, MAX_CHAIN_BYTES / (4 + 2 + 4 + 400));
+        let mut out = [0u8; PAGE_SIZE];
+        assert!(wal.read_page_into(1, &mut out).unwrap());
+        assert_eq!(out, page);
+        // A checkpoint empties the index: images again.
+        wal.commit(b"", 2).unwrap();
+        wal.checkpoint_done(2).unwrap();
+        let before = page;
+        page[9] = 9;
+        wal.log_page(1, &page, Some(&before)).unwrap();
+        assert_eq!(wal.stats().images, 5);
+    }
+
+    #[test]
+    fn staged_records_are_written_once_and_read_back_when_needed() {
+        let wal = Wal::in_memory(1);
+        let page = [5u8; PAGE_SIZE];
+        for pid in 0..4 {
+            wal.log_page(pid, &page, None).unwrap();
+        }
+        assert_eq!(wal.stats().writes, 0, "nothing written before the commit");
+        assert_eq!(wal.len_bytes(), 4 * (RECORD_HEADER + 4 + PAGE_SIZE) as u64);
+        // A pool miss on a staged image forces the stage out.
+        let mut out = [0u8; PAGE_SIZE];
+        assert!(wal.read_page_into(2, &mut out).unwrap());
+        assert_eq!((out, wal.stats().writes), (page, 1));
+        wal.log_page(4, &page, None).unwrap();
+        wal.commit(b"", 5).unwrap();
+        assert_eq!(
+            wal.stats().writes,
+            2,
+            "the commit writes what was staged since"
+        );
+        // A full stage goes out without waiting for the commit.
+        for pid in 0..(STAGE_FLUSH_BYTES / PAGE_SIZE) as u32 {
+            wal.log_page(pid, &page, None).unwrap();
+        }
+        assert_eq!(wal.stats().writes, 3);
+        assert_eq!(wal.stats().syncs, 1, "group_commit = 1: the one commit");
     }
 
     #[test]
@@ -632,7 +1082,7 @@ mod tests {
         let rx = wal.subscribe();
         let mut page = [0u8; PAGE_SIZE];
         page[9] = 9;
-        wal.log_page(5, &page).unwrap();
+        wal.log_page(5, &page, None).unwrap();
         wal.commit(b"cat", 7).unwrap();
         let chunk = rx.try_recv().expect("commit publishes");
         let (recs, _) = scan_records(&chunk);
@@ -647,7 +1097,7 @@ mod tests {
         let wal = Wal::in_memory(1);
         let page = [7u8; PAGE_SIZE];
         for pid in 0..16 {
-            wal.log_page(pid, &page).unwrap();
+            wal.log_page(pid, &page, None).unwrap();
         }
         wal.commit(b"", 16).unwrap();
         let before = wal.len_bytes();
@@ -656,7 +1106,7 @@ mod tests {
         // Logical length still grows (offsets stay stable)…
         assert!(wal.len_bytes() > before);
         // …but the next image starts a fresh retained buffer.
-        wal.log_page(0, &page).unwrap();
+        wal.log_page(0, &page, None).unwrap();
         let mut out = [0u8; PAGE_SIZE];
         assert!(wal.read_page_into(0, &mut out).unwrap());
         assert_eq!(out[0], 7);

@@ -5,9 +5,12 @@
 //!
 //! The parent test re-executes its own test binary to run
 //! `child_crash_writer` in a subprocess with the crash env set; the
-//! child appends fixed-size batches, calling [`Database::commit_durable`]
-//! after each and printing `ACK <batch>` once the commit returns. The
-//! parent then reopens the files the dead child left behind.
+//! child appends fixed-size batches — and in each re-stamps the first
+//! row of every earlier batch, so its commits carry page deltas to old
+//! pages beside the images of new ones — calling
+//! [`Database::commit_durable`] after each and printing `ACK <batch>`
+//! once the commit returns. The parent then reopens the files the dead
+//! child left behind.
 
 use minirel::{Database, Value};
 use std::io::Write as _;
@@ -39,8 +42,9 @@ fn child_crash_writer() {
         return;
     };
     let path = PathBuf::from(path);
-    // group_commit = 1: every commit_durable is exactly one sync, so the
-    // crash ordinal sweeps cleanly across batch boundaries.
+    // group_commit = 1: the open is one sync and every commit_durable
+    // exactly one more, so crash ordinal n dies inside batch n - 1's
+    // commit and the sweep lands on every batch boundary.
     let mut db = Database::open_with(&path, 32, 1).expect("child open");
     let tid = db.table_id("log").expect("seeded table");
     let start = db
@@ -62,12 +66,24 @@ fn child_crash_writer() {
             )
             .unwrap();
         }
+        // Small changes to old pages: what a commit logs as deltas.
+        for earlier in 0..batch {
+            let params = [Value::Str(stamp(batch)), Value::Int(earlier * BATCH)];
+            let done = db.execute_with("update log set pad = ? where seq = ?", &params);
+            assert_eq!(done.unwrap().affected, 1);
+        }
         db.commit_durable().unwrap();
         // The commit returned: it is durable, so the parent may hold us
         // to it. Flush — abort() drops buffered stdout.
         println!("ACK {batch}");
         std::io::stdout().flush().unwrap();
     }
+}
+
+/// What batch `batch` writes over the first row of each earlier batch
+/// (as wide as the `payload-…` it replaces: the row stays in place).
+fn stamp(batch: i64) -> String {
+    format!("stamped-{batch:08}")
 }
 
 fn run_child(path: &PathBuf, crash_syncs: u64) -> i64 {
@@ -117,9 +133,9 @@ fn crash_matrix_recovers() {
         db.commit_durable().unwrap();
     }
     let mut total_acked = -1i64;
-    // Sync ordinal 1 hits the child's own open/rotation; higher
-    // ordinals land between batch commits.
-    for crash_syncs in 1..=8u64 {
+    // Sync ordinal 1 hits the child's own open/rotation; ordinal n the
+    // commit of the child's (n - 1)th batch.
+    for crash_syncs in 1..=12u64 {
         let last_ack = run_child(&path, crash_syncs);
         total_acked = total_acked.max(last_ack);
 
@@ -163,6 +179,25 @@ fn crash_matrix_recovers() {
                     .scalar_i64()
                     .unwrap();
                 assert_eq!(probed, 1, "crash_syncs={crash_syncs}: index missing row");
+                // A commit's deltas land with its images or not at
+                // all: the first row of every batch before the last
+                // recovered one carries that batch's stamp, the last
+                // one's is untouched.
+                let last = n / BATCH - 1;
+                let firsts = db
+                    .query("select batch, pad from log where seq = batch * 25 order by batch")
+                    .unwrap();
+                let want: Vec<Vec<Value>> = (0..=last)
+                    .map(|b| {
+                        let pad = if b < last {
+                            stamp(last)
+                        } else {
+                            format!("payload-{:08}", b * BATCH)
+                        };
+                        vec![Value::Int(b), Value::Str(pad)]
+                    })
+                    .collect();
+                assert_eq!(firsts.rows, want, "crash_syncs={crash_syncs}: torn stamps");
             }
         }
         assert_eq!(

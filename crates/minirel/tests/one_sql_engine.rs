@@ -9,10 +9,14 @@
 //! if the second engine, an importer of it, a second binder, or a
 //! statement-kind fallback in `Database::run` reappears.
 //!
-//! The last test guards the other thing there is one of: the log
-//! reader. Recovery, checkpoint counting and both replica kinds once
+//! The last two tests guard the other things there is one of. The log
+//! reader: recovery, checkpoint counting and both replica kinds once
 //! each materialised the log as owned records their own way; now they
-//! all read `wal::records` and apply through one follower.
+//! all read `wal::records` and apply through one follower. And the log
+//! writer: the pool once logged pages from three hand-copied blocks,
+//! one of them uncounted, each record through its own `Vec`s and its
+//! own `write`; now a page leaves through one `write_back` and a record
+//! is encoded in place in the staging buffer.
 
 use std::path::{Path, PathBuf};
 
@@ -145,17 +149,18 @@ fn database_run_plans_everything_but_ddl() {
     );
 }
 
+/// Production code only: up to a file's first `#[cfg(test)]`.
+fn production(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("readable source");
+    let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+    text[..end].to_owned()
+}
+
 #[test]
 fn one_borrowing_reader_feeds_recovery_and_both_followers() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut files = Vec::new();
     sources(&src, &mut files);
-    // Production code only: up to a file's first `#[cfg(test)]`.
-    let production = |path: &Path| -> String {
-        let text = std::fs::read_to_string(path).expect("readable source");
-        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
-        text[..end].to_owned()
-    };
     for path in files.iter().filter(|p| !p.ends_with("wal.rs")) {
         for line in code_lines(&production(path)) {
             assert!(
@@ -195,6 +200,30 @@ fn one_borrowing_reader_feeds_recovery_and_both_followers() {
             "`{}` reads a whole file in a function that sleeps: a poll loop must \
              not re-read the log",
             body[0]
+        );
+    }
+}
+
+#[test]
+fn one_write_back_logs_pages_and_records_are_encoded_in_place() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let buffer = production(&src.join("buffer.rs"));
+    let calls: Vec<&str> = code_lines(&buffer)
+        .into_iter()
+        .filter(|l| l.contains(".log_page("))
+        .collect();
+    assert_eq!(
+        calls.len(),
+        1,
+        "buffer.rs logs pages from one place (`write_back`, which also counts \
+         `physical_writes` and clears `dirty`), not {calls:?}"
+    );
+    let wal = production(&src.join("wal.rs"));
+    for line in code_lines(&wal) {
+        assert!(
+            !line.contains("encode_record(") || line.starts_with("pub fn encode_record("),
+            "wal.rs calls `encode_record(` (`{line}`): the owned encoder is a convenience \
+             for the format tests; the log stages records in place through `put_record`"
         );
     }
 }

@@ -4,14 +4,20 @@
 //! `Database::open`, recovery idempotence, and checkpoint behaviour —
 //! plus the properties of the one borrowing reader (`wal::records`)
 //! every consumer of the log now goes through, and of the file tailer
-//! built on it.
+//! built on it. The second half is the page-delta record kind: a model
+//! test through evictions, checkpoints and reopens, the chain rule read
+//! back from the log's own bytes, the torn-tail and corruption sweeps
+//! over a log that holds a delta, a kinds-1–3 log written by hand, and
+//! both followers page for page.
 
 use minirel::recovery::{self, Replica};
 use minirel::wal::{
-    self, checksum, decode_record, encode_record, scan_records, KIND_COMMIT, KIND_PAGE_IMAGE,
+    self, checksum, decode_record, encode_record, scan_records, PageDelta, Wal, KIND_CHECKPOINT,
+    KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE,
 };
 use minirel::{Database, DbError, Value};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -37,7 +43,7 @@ proptest! {
     #[test]
     fn record_roundtrip(
         lsn in any::<u64>(),
-        kind in prop_oneof![Just(1u8), Just(2u8), Just(3u8)],
+        kind in prop_oneof![Just(1u8), Just(2u8), Just(3u8), Just(4u8)],
         payload in proptest::collection::vec(any::<u8>(), 0..5000),
     ) {
         let bytes = encode_record(lsn, kind, &payload);
@@ -123,7 +129,7 @@ proptest! {
     #[test]
     fn reader_yields_exactly_the_intact_prefix(
         payloads in proptest::collection::vec(
-            (prop_oneof![Just(1u8), Just(2u8), Just(3u8)],
+            (prop_oneof![Just(1u8), Just(2u8), Just(3u8), Just(4u8)],
              proptest::collection::vec(any::<u8>(), 0..90)), 1..8),
         flip in prop_oneof![Just(0x01u8), Just(0x80u8), Just(0xFFu8)],
     ) {
@@ -549,4 +555,565 @@ fn tiny_pool_evictions_roundtrip_through_wal() {
         db.query("select sum(a) from t").unwrap().scalar_i64(),
         Some((0..2000).sum())
     );
+}
+
+// ------------------------------------------------------------ page deltas
+
+/// `N × commit_durable` is `N` syncs, and an open is one: `Wal::sync`
+/// right behind a commit that already synced has nothing to do. (Each
+/// used to be two, so the crash matrix's sync ordinals landed on every
+/// other commit.)
+#[test]
+fn a_durable_commit_syncs_once() {
+    let mut db = Database::in_memory_durable(16, 1);
+    db.execute("create table t (a int)").unwrap();
+    let wal = db.wal().unwrap();
+    let before = wal.stats().syncs;
+    for i in 0..7 {
+        db.execute(&format!("insert into t values ({i})")).unwrap();
+        db.commit_durable().unwrap();
+    }
+    assert_eq!(wal.stats().syncs - before, 7);
+    assert_eq!(wal.durable_commit_lsn(), wal.last_commit_lsn());
+    // Nothing appended since: a forced sync is free.
+    wal.sync().unwrap();
+    assert_eq!(wal.stats().syncs - before, 7);
+
+    for group_commit in [1, 8] {
+        let path = temp_db_path("onesync");
+        cleanup(&path);
+        let db = Database::open_with(&path, 8, group_commit).unwrap();
+        let wal = db.wal().unwrap();
+        assert_eq!(wal.stats().syncs, 1, "open at group_commit {group_commit}");
+        assert_eq!(wal.durable_commit_lsn(), wal.last_commit_lsn());
+        drop(db);
+        cleanup(&path);
+    }
+}
+
+/// The log is counted: every page a commit or an eviction logs is one
+/// `physical_writes` (a commit's pages used to go uncounted), the
+/// per-kind bytes add up to the log, and a commit is one write.
+#[test]
+fn wal_stats_count_what_the_log_holds() {
+    let mut db = Database::in_memory_durable(8, 4);
+    db.execute("create table t (a int, pad text)").unwrap();
+    db.execute("create index t_a on t (a)").unwrap();
+    let tid = db.table_id("t").unwrap();
+    let wal = db.wal().unwrap();
+    for round in 0..6i64 {
+        for i in 0..150 {
+            let a = round * 150 + i;
+            db.insert(tid, vec![Value::Int(a), Value::Str(format!("pad-{a:06}"))])
+                .unwrap();
+        }
+        db.commit().unwrap();
+    }
+    let st = wal.stats();
+    assert!(st.images > 0 && st.deltas > 0, "{st:?}");
+    assert_eq!(db.io_stats().physical_writes, st.images + st.deltas);
+    assert_eq!(
+        st.image_bytes + st.delta_bytes + st.commit_bytes + st.checkpoint_bytes,
+        wal.len_bytes()
+    );
+    assert_eq!(
+        st.image_bytes,
+        st.images * (wal::RECORD_HEADER + 4 + 4096) as u64
+    );
+    // Six commits, and an 8-frame pool re-reading pages it evicted since
+    // the last one forces a few writes in between; never one per record.
+    assert!(
+        st.writes >= 6 && st.writes < (st.images + st.deltas) / 4,
+        "{st:?}"
+    );
+    db.checkpoint().unwrap();
+    let after = wal.stats();
+    assert_eq!(after.checkpoint_bytes, (wal::RECORD_HEADER + 4) as u64);
+    assert_eq!(after.syncs, st.syncs + 2, "the commit's, then the marker's");
+}
+
+#[test]
+fn a_delta_payload_is_checked_against_the_page() {
+    let payload = |ranges: &[(u16, u16)], bytes: usize| {
+        let mut p = 9u32.to_le_bytes().to_vec();
+        p.extend_from_slice(&(ranges.len() as u16).to_le_bytes());
+        for (off, len) in ranges {
+            p.extend_from_slice(&off.to_le_bytes());
+            p.extend_from_slice(&len.to_le_bytes());
+        }
+        p.extend(std::iter::repeat_n(0xAB, bytes));
+        p
+    };
+    let good = payload(&[(8, 16), (4088, 8)], 24);
+    let delta = PageDelta::parse(&good).unwrap();
+    assert_eq!(delta.pid, 9);
+    let mut page = [0u8; 4096];
+    delta.apply(&mut page);
+    assert_eq!(page.iter().filter(|&&b| b == 0xAB).count(), 24);
+    assert!(page[8..24].iter().chain(&page[4088..]).all(|&b| b == 0xAB));
+    for (what, bad) in [
+        ("range past the page", payload(&[(4090, 8)], 8)),
+        ("fewer bytes than the ranges", payload(&[(0, 16)], 8)),
+        ("more bytes than the ranges", payload(&[(0, 8)], 16)),
+        ("a cut range table", good[..9].to_vec()),
+        ("no range count", good[..5].to_vec()),
+        ("no page id", good[..3].to_vec()),
+    ] {
+        match PageDelta::parse(&bad) {
+            Err(DbError::Corrupt(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+}
+
+/// An image, a delta on top of it and their commit, as a real `Wal`
+/// encodes them; with the page before and after the delta.
+fn log_with_a_delta() -> (Vec<u8>, [u8; 4096], [u8; 4096]) {
+    let wal = Wal::in_memory(1);
+    let chunks = wal.subscribe();
+    let mut before = [0u8; 4096];
+    before[..8].copy_from_slice(b"slotted!");
+    let mut after = before;
+    after[40..52].copy_from_slice(b"a new cell.."); // one range…
+    after[4000] = 7; // …and another
+    wal.log_page(3, &before, None).unwrap();
+    wal.log_page(3, &after, Some(&before)).unwrap();
+    let no_tables = recovery::encode_catalog(&minirel::Catalog::new());
+    wal.commit(&no_tables, 4).unwrap();
+    let log = chunks.try_recv().unwrap().to_vec();
+    let kinds: Vec<u8> = wal::records(&log).map(|r| r.kind).collect();
+    assert_eq!(kinds, [KIND_PAGE_IMAGE, KIND_PAGE_DELTA, KIND_COMMIT]);
+    assert_eq!(wal.stats().writes, 1, "three records, one write");
+    let mut read = [0u8; 4096];
+    assert!(wal.read_page_into(3, &mut read).unwrap());
+    assert_eq!(read, after);
+    (log, before, after)
+}
+
+/// `torn_tail_at_every_offset` over a log with a delta in it, through
+/// recovery: cut anywhere, replay installs the image *and* the delta or
+/// nothing at all — a delta is never applied without its commit.
+#[test]
+fn torn_tail_at_every_offset_of_a_log_with_a_delta() {
+    let (log, _before, after) = log_with_a_delta();
+    let bounds: Vec<usize> = {
+        let mut reader = wal::records(&log);
+        let mut ends = Vec::new();
+        while reader.next().is_some() {
+            ends.push(reader.valid_len());
+        }
+        ends
+    };
+    assert!(
+        bounds[1] - bounds[0] < 100,
+        "the delta is small: {bounds:?}"
+    );
+    for cut in 0..=log.len() {
+        let (recs, valid) = scan_records(&log[..cut]);
+        let whole = bounds.iter().take_while(|&&end| end <= cut).count();
+        assert_eq!(recs.len(), whole, "cut {cut}");
+        assert_eq!(valid, if whole == 0 { 0 } else { bounds[whole - 1] });
+        let mut disk = minirel::disk::DiskManager::in_memory();
+        let recovered = recovery::replay_into(&mut disk, &log[..cut]).unwrap();
+        if cut < log.len() {
+            assert!(recovered.is_none(), "cut {cut}: no commit survives");
+            assert_eq!(disk.num_pages(), 0, "cut {cut}: nothing may be written");
+        } else {
+            assert_eq!(recovered.unwrap().num_pages, 4);
+            let mut page = [0u8; 4096];
+            disk.read(3, &mut page).unwrap();
+            assert_eq!(page, after);
+        }
+    }
+}
+
+/// `corruption_is_rejected_at_every_byte` for the delta record, and
+/// for recovery as a whole: a flipped byte anywhere in the log loses
+/// that record and everything after it, so the commit, and nothing is
+/// installed.
+#[test]
+fn corruption_is_rejected_at_every_byte_of_a_delta() {
+    let (log, _, _) = log_with_a_delta();
+    let image_len = wal::RECORD_HEADER + 4 + 4096;
+    let delta_len = {
+        let (rec, used) = decode_record(&log[image_len..]).unwrap().unwrap();
+        assert_eq!(rec.kind, KIND_PAGE_DELTA);
+        used
+    };
+    for i in image_len..image_len + delta_len {
+        for flip in [0x01u8, 0xFF] {
+            let mut damaged = log.clone();
+            damaged[i] ^= flip;
+            match decode_record(&damaged[image_len..]) {
+                Err(DbError::Corrupt(_)) | Ok(None) => {}
+                other => panic!("flip {flip:#x} at byte {i}: {other:?}"),
+            }
+            let mut disk = minirel::disk::DiskManager::in_memory();
+            assert!(recovery::replay_into(&mut disk, &damaged)
+                .unwrap()
+                .is_none());
+            assert_eq!(disk.num_pages(), 0);
+        }
+    }
+    // A well-formed record whose delta has no image before it in the
+    // log is corruption too, not a patch of whatever the file holds.
+    let orphan = &log[image_len..];
+    let mut disk = minirel::disk::DiskManager::in_memory();
+    match recovery::replay_into(&mut disk, orphan) {
+        Err(DbError::Corrupt(msg)) => assert!(msg.contains("no image"), "{msg}"),
+        other => panic!("{:?}", other.map(|r| r.map(|r| r.last_lsn))),
+    }
+}
+
+/// Walk a log's records and hold it to the chain rule: a page's first
+/// record — in the log, and after every checkpoint marker — is an
+/// image, and between images it collects at most `MAX_CHAIN_DELTAS`
+/// deltas of at most `MAX_CHAIN_BYTES` payload. Returns (images,
+/// deltas) seen.
+fn assert_chain_rule(log: &[u8]) -> (u64, u64) {
+    let mut chains: HashMap<u32, (usize, usize)> = HashMap::new();
+    let (mut images, mut deltas) = (0, 0);
+    let mut reader = wal::records(log);
+    for rec in reader.by_ref() {
+        let pid = || u32::from_le_bytes(rec.payload[..4].try_into().unwrap());
+        match rec.kind {
+            KIND_PAGE_IMAGE => {
+                images += 1;
+                chains.insert(pid(), (0, 0));
+            }
+            KIND_PAGE_DELTA => {
+                deltas += 1;
+                PageDelta::parse(rec.payload).unwrap();
+                let chain = chains.get_mut(&pid()).unwrap_or_else(|| {
+                    panic!("lsn {}: delta for page {} with no image", rec.lsn, pid())
+                });
+                chain.0 += 1;
+                chain.1 += rec.payload.len();
+                assert!(
+                    chain.0 <= wal::MAX_CHAIN_DELTAS,
+                    "page {}: {chain:?}",
+                    pid()
+                );
+                assert!(chain.1 <= wal::MAX_CHAIN_BYTES, "page {}: {chain:?}", pid());
+                assert!(rec.payload.len() < 4096 / 2, "lsn {}", rec.lsn);
+            }
+            KIND_CHECKPOINT => chains.clear(),
+            _ => {}
+        }
+    }
+    assert_eq!(reader.valid_len(), log.len(), "the whole log is valid");
+    (images, deltas)
+}
+
+/// What the log holds for every page it indexes is what the pool holds.
+fn assert_log_matches_pool(db: &Database, step: usize) {
+    let wal = db.wal().unwrap();
+    let mut logged = [0u8; 4096];
+    for pid in wal.indexed_pages() {
+        assert!(wal.read_page_into(pid, &mut logged).unwrap());
+        let pooled = db.page_snapshot(pid).unwrap();
+        assert!(logged == pooled, "step {step}: page {pid} differs");
+    }
+}
+
+type Model = [BTreeMap<i64, (i64, String)>; 2];
+
+fn assert_tables_equal_model(db: &Database, model: &Model, what: &str) {
+    validate_indexes(db);
+    for (name, rows) in ["t0", "t1"].iter().zip(model) {
+        let rs = db
+            .query(&format!("select k, v, pad from {name} order by k"))
+            .unwrap();
+        let got: Vec<(i64, i64, String)> = rs
+            .rows
+            .iter()
+            .map(|r| match (&r[0], &r[1], &r[2]) {
+                (Value::Int(k), Value::Int(v), Value::Str(p)) => (*k, *v, p.clone()),
+                other => panic!("{what}: row {other:?}"),
+            })
+            .collect();
+        let want: Vec<(i64, i64, String)> =
+            rows.iter().map(|(k, (v, p))| (*k, *v, p.clone())).collect();
+        assert_eq!(got, want, "{what}: table {name}");
+    }
+}
+
+/// Random inserts, updates and deletes over two indexed tables against
+/// a `BTreeMap` model, with commits, checkpoints and reopens at random
+/// steps. At 4 frames nearly every record is logged by an eviction —
+/// uncommitted deltas on uncommitted images — at 48 by the commit.
+/// After every commit the log reconstructs every page to the pool's
+/// bytes; after every reopen the tables equal the model as of the last
+/// commit and every index validates; the file's log obeys the chain
+/// rule throughout.
+fn run_model(frames: usize, seed: u64, steps: usize) -> (u64, u64) {
+    let path = temp_db_path(&format!("model-{frames}-{seed}"));
+    cleanup(&path);
+    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move |bound: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % bound
+    };
+    let mut db = Database::open_with(&path, frames, 2).unwrap();
+    for t in ["t0", "t1"] {
+        db.execute(&format!("create table {t} (k int, v int, pad text)"))
+            .unwrap();
+        db.execute(&format!("create index {t}_k on {t} (k)"))
+            .unwrap();
+    }
+    db.commit().unwrap();
+    let mut model: Model = Default::default();
+    let mut committed = model.clone();
+    let (mut images, mut deltas) = (0, 0);
+    for step in 0..steps {
+        let t = next(2) as usize;
+        let name = ["t0", "t1"][t];
+        let k = next(400) as i64;
+        let exists = model[t].contains_key(&k);
+        match next(10) {
+            0..=4 if !exists => {
+                let row = (
+                    next(1000) as i64,
+                    format!("pad-{:0w$}", k, w = next(40) as usize),
+                );
+                let values = vec![Value::Int(k), Value::Int(row.0), Value::Str(row.1.clone())];
+                db.insert(db.table_id(name).unwrap(), values).unwrap();
+                model[t].insert(k, row);
+            }
+            0..=7 if exists => {
+                // Same-size and growing updates: in place, and moved.
+                let v = next(1000) as i64;
+                let pad = format!("upd-{:0w$}", step, w = next(60) as usize);
+                let sql = format!("update {name} set v = ?, pad = ? where k = ?");
+                let params = [Value::Int(v), Value::Str(pad.clone()), Value::Int(k)];
+                assert_eq!(db.execute_with(&sql, &params).unwrap().affected, 1);
+                model[t].insert(k, (v, pad));
+            }
+            8 | 9 if exists => {
+                let sql = format!("delete from {name} where k = ?");
+                assert_eq!(db.execute_with(&sql, &[Value::Int(k)]).unwrap().affected, 1);
+                model[t].remove(&k);
+            }
+            _ => {}
+        }
+        match next(60) {
+            0..=5 => {
+                db.commit().unwrap();
+                committed = model.clone();
+                assert_log_matches_pool(&db, step);
+            }
+            6 => {
+                db.checkpoint().unwrap();
+                committed = model.clone();
+                assert!(db.wal().unwrap().indexed_pages().is_empty());
+            }
+            7 => {
+                // Whatever is uncommitted is lost with the process.
+                drop(db);
+                let log = std::fs::read(minirel::wal_path_for(&path)).unwrap();
+                let seen = assert_chain_rule(&log);
+                (images, deltas) = (images + seen.0, deltas + seen.1);
+                db = Database::open_with(&path, frames, 2).unwrap();
+                model = committed.clone();
+                assert_tables_equal_model(&db, &model, &format!("reopen at step {step}"));
+            }
+            _ => {}
+        }
+    }
+    db.commit_durable().unwrap();
+    assert_tables_equal_model(&db, &model, "end of run");
+    drop(db);
+    let log = std::fs::read(minirel::wal_path_for(&path)).unwrap();
+    let seen = assert_chain_rule(&log);
+    // Reopen twice: same tables, and recovery leaves the same bytes.
+    let db = Database::open_with(&path, frames, 2).unwrap();
+    assert_tables_equal_model(&db, &model, "first reopen");
+    drop(db);
+    let once = std::fs::read(&path).unwrap();
+    let db = Database::open_with(&path, frames, 2).unwrap();
+    assert_tables_equal_model(&db, &model, "second reopen");
+    drop(db);
+    assert!(
+        once == std::fs::read(&path).unwrap(),
+        "reopen is idempotent"
+    );
+    cleanup(&path);
+    (images + seen.0, deltas + seen.1)
+}
+
+#[test]
+fn model_run_through_evictions_checkpoints_and_reopens() {
+    for (frames, seed) in [(4, 1), (4, 2), (4, 3), (48, 4), (48, 5)] {
+        let (images, deltas) = run_model(frames, seed, 2500);
+        assert!(
+            deltas > images / 4,
+            "frames {frames}, seed {seed}: a run that exercises deltas, not {deltas} of them \
+             beside {images} images"
+        );
+    }
+}
+
+/// A log as every earlier version wrote it — page images, commits and
+/// a checkpoint marker, encoded here by hand — opens to the same
+/// tables.
+#[test]
+fn a_log_of_kinds_1_to_3_still_opens() {
+    let mut src = Database::in_memory();
+    src.execute("create table crawl (oid int, url text)")
+        .unwrap();
+    src.execute("create index crawl_oid on crawl (oid)")
+        .unwrap();
+    let tid = src.table_id("crawl").unwrap();
+    let url = |i: i64| Value::Str(format!("http://host/{i}"));
+    let rows = (0..800i64).map(|i| vec![Value::Int(i), url(i)]);
+    src.insert_many(tid, rows.collect()).unwrap();
+    let mut log = Vec::new();
+    let mut lsn = 0;
+    let mut put = |kind: u8, payload: &[u8]| {
+        lsn += 1;
+        log.extend_from_slice(&encode_record(lsn, kind, payload));
+    };
+    let n = src.num_pages();
+    // A first commit of stale (zero) pages, a marker, then the real ones.
+    for pid in 0..n.min(3) {
+        put(
+            KIND_PAGE_IMAGE,
+            &[&pid.to_le_bytes()[..], &[0u8; 4096]].concat(),
+        );
+    }
+    let empty = recovery::encode_catalog(&minirel::Catalog::new());
+    put(KIND_COMMIT, &[&n.to_le_bytes()[..], &empty].concat());
+    put(KIND_CHECKPOINT, &n.to_le_bytes());
+    for pid in 0..n {
+        let page = src.page_snapshot(pid).unwrap();
+        put(KIND_PAGE_IMAGE, &[&pid.to_le_bytes()[..], &page].concat());
+    }
+    let catalog = recovery::encode_catalog(src.catalog());
+    put(KIND_COMMIT, &[&n.to_le_bytes()[..], &catalog].concat());
+    let path = temp_db_path("kinds123");
+    cleanup(&path);
+    std::fs::write(minirel::wal_path_for(&path), &log).unwrap();
+    let db = Database::open(&path, 16).unwrap();
+    validate_indexes(&db);
+    let all = "select oid, url from crawl order by oid";
+    assert_eq!(db.query(all).unwrap().rows, src.query(all).unwrap().rows);
+    let probe = db.query("select url from crawl where oid = 777").unwrap();
+    assert_eq!(probe.rows, [[url(777)]]);
+    drop(db);
+    cleanup(&path);
+}
+
+/// After `checkpoint()` the index is empty, so the next record for any
+/// page — however small its change — is a full image again.
+#[test]
+fn after_a_checkpoint_the_next_record_for_a_page_is_an_image() {
+    let path = temp_db_path("ckpt-image");
+    cleanup(&path);
+    let mut db = Database::open_with(&path, 32, 1).unwrap();
+    db.execute("create table t (a int, b int)").unwrap();
+    db.execute("create index t_a on t (a)").unwrap();
+    db.execute("insert into t values (1, 1), (2, 2), (3, 3)")
+        .unwrap();
+    db.commit().unwrap();
+    db.execute("update t set b = 20 where a = 2").unwrap();
+    db.commit().unwrap();
+    let deltas_before = db.wal().unwrap().stats().deltas;
+    assert!(deltas_before > 0, "a one-row update is a delta");
+    db.checkpoint().unwrap();
+    db.execute("update t set b = 30 where a = 3").unwrap();
+    db.commit().unwrap();
+    let st = db.wal().unwrap().stats();
+    assert_eq!(st.deltas, deltas_before, "no delta right after the marker");
+    db.execute("update t set b = 31 where a = 3").unwrap();
+    db.commit_durable().unwrap();
+    assert!(
+        db.wal().unwrap().stats().deltas > deltas_before,
+        "then deltas again"
+    );
+    drop(db);
+    let log = std::fs::read(minirel::wal_path_for(&path)).unwrap();
+    assert_chain_rule(&log);
+    let db = Database::open(&path, 32).unwrap();
+    let rs = db.query("select b from t order by a").unwrap();
+    assert_eq!(
+        rs.rows,
+        [[Value::Int(1)], [Value::Int(20)], [Value::Int(31)]]
+    );
+    drop(db);
+    cleanup(&path);
+}
+
+/// Both followers — the in-process subscriber and the file tailer —
+/// are page-for-page equal to the leader after a run whose commits are
+/// mostly deltas (one-row updates scattered over tables that already
+/// exist), with a checkpoint in the middle.
+#[test]
+fn both_followers_equal_the_leader_page_for_page_after_a_delta_heavy_run() {
+    let path = temp_db_path("followers");
+    cleanup(&path);
+    let mut leader = Database::open_with(&path, 24, 1).unwrap();
+    leader
+        .execute("create table t (k int, v int, pad text)")
+        .unwrap();
+    leader.execute("create index t_k on t (k)").unwrap();
+    let tid = leader.table_id("t").unwrap();
+    let pad = |i: i64| Value::Str(format!("pad-{i:030}"));
+    let rows = (0..3000i64).map(|i| vec![Value::Int(i), Value::Int(0), pad(i)]);
+    leader.insert_many(tid, rows.collect()).unwrap();
+    leader.commit_durable().unwrap();
+    let tailer = Replica::tail_file(&path, 24, Duration::from_millis(2)).unwrap();
+    let subscriber = Replica::spawn(&mut leader).unwrap();
+    let before = leader.wal().unwrap().stats();
+    let mut lsn = 0;
+    for round in 0..40i64 {
+        for j in 0..12 {
+            let k = (round * 977 + j * 251) % 3000;
+            let params = [Value::Int(round), Value::Int(k)];
+            leader
+                .execute_with("update t set v = ? where k = ?", &params)
+                .unwrap();
+        }
+        leader
+            .insert(
+                tid,
+                vec![Value::Int(3000 + round), Value::Int(-1), pad(round)],
+            )
+            .unwrap();
+        lsn = if round == 20 {
+            leader.checkpoint().unwrap();
+            leader.wal().unwrap().last_commit_lsn()
+        } else {
+            leader.commit_durable().unwrap()
+        };
+    }
+    let st = leader.wal().unwrap().stats();
+    let (images, deltas) = (st.images - before.images, st.deltas - before.deltas);
+    assert!(
+        deltas > 2 * images,
+        "a delta-heavy run, not {deltas} deltas and {images} images"
+    );
+    for (name, follower) in [("subscriber", &subscriber), ("tailer", &tailer)] {
+        assert!(
+            follower.wait_for_lsn(lsn, Duration::from_secs(20)),
+            "{name} stuck at lsn {} (want {lsn}); err={:?}",
+            follower.applied_lsn(),
+            follower.error()
+        );
+        follower.with_db(|db| {
+            assert_eq!(db.num_pages(), leader.num_pages(), "{name}");
+            for pid in 0..leader.num_pages() {
+                let (ours, theirs) = (db.page_snapshot(pid), leader.page_snapshot(pid));
+                assert!(
+                    ours.unwrap() == theirs.unwrap(),
+                    "{name}: page {pid} differs"
+                );
+            }
+            validate_indexes(db);
+        });
+        assert!(follower.error().is_none(), "{name}: {:?}", follower.error());
+    }
+    drop((subscriber, tailer, leader));
+    cleanup(&path);
 }
