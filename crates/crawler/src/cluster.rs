@@ -514,7 +514,7 @@ impl CrawlCluster {
     /// attached to every shard (events carry no shard id; attach
     /// distinct observers per shard via
     /// [`CrawlCluster::shards`]` + `[`CrawlSession::start_with`] if you
-    /// need attribution). `batch_size` applies per shard.
+    /// need attribution).
     pub fn start_with(&self, opts: StartOptions) -> Result<ClusterRun, CrawlError> {
         // Arm before any shard launches: the termination verdict must
         // not fire while a later shard's pool is still unregistered.
@@ -522,17 +522,8 @@ impl CrawlCluster {
         let mut runs = Vec::with_capacity(self.shards.len());
         for session in &self.shards {
             let shard_opts = StartOptions {
+                event_capacity: opts.event_capacity,
                 observers: opts.observers.clone(),
-                // A cluster-level retry budget is a *total*: split it
-                // like the fetch budget, so n shards cannot spend n× it.
-                retry_budget: opts
-                    .retry_budget
-                    .map(|rb| even_split(rb, self.shards.len() as u64, runs.len() as u64)),
-                // So is a fetch-pool override (see `split_pool`).
-                fetch_pool: opts
-                    .fetch_pool
-                    .map(|fp| split_pool(fp, self.shards.len(), runs.len())),
-                ..opts
             };
             match session.start_with(shard_opts) {
                 Ok(run) => {

@@ -77,29 +77,6 @@ pub enum CrawlEvent {
         /// The recovered server.
         server: ServerId,
     },
-    /// A maintenance-pass hub revisit was skipped: the hub's server is
-    /// quarantined (or politeness-deferred), and the maintenance pass
-    /// never probes past the health map.
-    HubRevisitSkipped {
-        /// The hub that was not revisited.
-        oid: Oid,
-        /// Its server.
-        server: ServerId,
-        /// Crawl tick at which the server becomes admissible again.
-        until: i64,
-    },
-    /// A maintenance-pass hub revisit was admitted but the fetch
-    /// failed. The failure is charged to the server's health exactly
-    /// like a crawl fetch (timeouts feed the breaker), instead of being
-    /// swallowed.
-    HubRevisitFailed {
-        /// The hub whose revisit failed.
-        oid: Oid,
-        /// Its server.
-        server: ServerId,
-        /// What went wrong.
-        error: FetchErrorKind,
-    },
     /// A distillation pass finished and `HUBS`/`AUTH` were republished.
     DistillCompleted {
         /// 1-based distillation counter.
@@ -174,9 +151,9 @@ pub enum CrawlEvent {
     },
 }
 
-/// The failure taxonomy carried on [`CrawlEvent::FetchFailed`] —
-/// [`focus_webgraph::FetchError`] without the redundant oid, plus the
-/// crawler-side case of a page that fetched but would not classify.
+/// The failure taxonomy carried on [`CrawlEvent::FetchFailed`]: the
+/// fetcher's two failures, [`focus_webgraph::FetchError`] without the
+/// redundant oid. First visits and hub revisits fail the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchErrorKind {
     /// Dead link / 404. Not retriable, says nothing about the server.
@@ -184,9 +161,6 @@ pub enum FetchErrorKind {
     /// The server did not answer. Retriable; counts against the
     /// server's health (backoff, circuit breaker).
     Timeout,
-    /// The page fetched but could not be evaluated (malformed /
-    /// missing classification). Retriable; the server is fine.
-    Unclassifiable,
 }
 
 impl From<&focus_webgraph::FetchError> for FetchErrorKind {

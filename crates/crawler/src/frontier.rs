@@ -15,7 +15,7 @@
 //!   `Catalog::update_many` handed the old rows it already holds. Every
 //!   mutator below ([`upsert_batch`], [`unclaim_batch`], [`park_batch`],
 //!   [`mark_done`], [`mark_failed_batch`], [`set_visited_relevance`],
-//!   [`touch_visited`]) is a closure over it that is shown the stored
+//!   [`requeue_done`]) is a closure over it that is shown the stored
 //!   row (or its absence) and answers with the row to store instead;
 //! * **batch insert** — the rows a rewrite answers for oids that have
 //!   no row yet land through one `Catalog::insert_many`, before the
@@ -26,6 +26,13 @@
 //!
 //! A closure's refusal (`Err`) comes before the first write, so a batch
 //! either lands whole or changes nothing.
+//!
+//! A **revisit** (§3.2 crawl maintenance) is not a fourth shape: it is a
+//! fetched row that [`requeue_done`] put back in the frontier, claimed,
+//! failed or marked done like any other. Such a row keeps what its first
+//! visit learned — `kcid ≥ 0` says it was fetched, `relevance` stays the
+//! page's own log R — and only `negrel`, the column the frontier index
+//! orders by, carries the revisit's priority.
 
 use crate::tables::{crawl_col, frontier_row, visited};
 use focus_types::Oid;
@@ -199,7 +206,10 @@ pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<Batc
             return Ok(Some(frontier_row(e.oid, &e.url, best, e.serverload)));
         };
         let state = col_i64(row, crawl_col::VISITED, "visited")?;
-        let old = col_f64(row, crawl_col::RELEVANCE, "relevance")?;
+        // The priority to beat is the one the frontier index orders by
+        // (`relevance` mirrors it, except on a requeued revisit, which
+        // sits at the top and is never raised).
+        let old = -col_f64(row, crawl_col::NEGREL, "negrel")?;
         Ok((state == visited::FRONTIER && best > old).then(|| with_relevance(row, best)))
     })?;
     Ok(BatchUpsert { created, raised })
@@ -466,23 +476,38 @@ pub fn mark_failed_batch(
 /// `DONE`, and oids with no row, are skipped.
 pub fn set_visited_relevance(db: &mut Database, items: &[(Oid, f64)]) -> DbResult<()> {
     rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
-        let done = |r: &&[Value]| r[crawl_col::VISITED].as_i64() == Some(visited::DONE);
-        Ok(row.filter(done).map(|r| with_relevance(r, items[i].1)))
+        Ok(row.filter(is_done).map(|r| with_relevance(r, items[i].1)))
     })?;
     Ok(())
 }
 
-/// Update only `lastvisited` (crawl-maintenance revisits touch a page
-/// without reclassifying it). Silently ignores unknown oids.
-pub fn touch_visited(db: &mut Database, oid: Oid, now_secs: i64) -> DbResult<()> {
-    rewrite(db, std::iter::once(oid), |_, row| {
-        Ok(row.map(|row| {
+/// `negrel` of the top frontier priority, log R = 0: what a seed is
+/// inserted with and what a requeued revisit is given.
+pub(crate) const TOP_NEGREL: f64 = -0.0;
+
+fn is_done(row: &&[Value]) -> bool {
+    row[crawl_col::VISITED].as_i64() == Some(visited::DONE)
+}
+
+/// Put fetched pages back in the frontier for a revisit (§3.2 crawl
+/// maintenance: "good hubs should be checked frequently for new resource
+/// links"). Each `DONE` row becomes poppable at a seed's priority with
+/// `numtries` and `not_before` cleared; `kcid`, `url`, `lastvisited` and
+/// `relevance` stay, so the row still says it was fetched and what it
+/// scored. Rows in any other state, and oids with no row, are left
+/// alone. Oids must be distinct. Returns how many rows were requeued.
+pub fn requeue_done(db: &mut Database, oids: &[Oid]) -> DbResult<usize> {
+    let (_, requeued) = rewrite(db, oids.iter().copied(), |_, row| {
+        Ok(row.filter(is_done).map(|row| {
             let mut row = row.to_vec();
-            row[crawl_col::LASTVISITED] = Value::Int(now_secs);
+            row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+            row[crawl_col::NUMTRIES] = Value::Int(0);
+            row[crawl_col::NOT_BEFORE] = Value::Int(0);
+            row[crawl_col::NEGREL] = Value::Float(TOP_NEGREL);
             row
         }))
     })?;
-    Ok(())
+    Ok(requeued)
 }
 
 /// [`claim_batch_where`] admitting every due row (tests only).

@@ -225,31 +225,6 @@ pub struct StartOptions {
     pub event_capacity: usize,
     /// Observers notified synchronously of every event.
     pub observers: Vec<Arc<dyn CrawlObserver>>,
-    /// Override for this run's frontier claim-batch size (`None` uses
-    /// [`crate::session::CrawlConfig::batch_size`]). 1 restores strict
-    /// claim-per-page behavior, e.g. for latency-sensitive steering.
-    pub batch_size: Option<usize>,
-    /// Override for the retriable-failure backoff schedule (`None`
-    /// uses [`crate::session::CrawlConfig::backoff`]). Applying an
-    /// override restarts the per-server health map for this run.
-    pub backoff: Option<crate::health::BackoffConfig>,
-    /// Override for the circuit-breaker policy (`None` uses
-    /// [`crate::session::CrawlConfig::breaker`]). Applying an override
-    /// restarts the per-server health map for this run.
-    pub breaker: Option<crate::health::BreakerConfig>,
-    /// Override for the run's retry budget (`None` keeps whatever the
-    /// session has left — budgets are *not* refilled between runs
-    /// unless overridden).
-    pub retry_budget: Option<u64>,
-    /// Override for the size of this run's fetch executor (`None` uses
-    /// [`crate::session::CrawlConfig::fetch_pool`]): `Some(0)` fetches
-    /// on the worker threads themselves, `Some(n)` spawns `n` dedicated
-    /// fetcher threads shared by the run's workers.
-    pub fetch_pool: Option<usize>,
-    /// Override for the per-server politeness policy (`None` uses
-    /// [`crate::session::CrawlConfig::politeness`]). Applying an
-    /// override restarts the per-server health map for this run.
-    pub politeness: Option<crate::health::PolitenessConfig>,
 }
 
 impl Default for StartOptions {
@@ -257,12 +232,6 @@ impl Default for StartOptions {
         StartOptions {
             event_capacity: 4096,
             observers: Vec::new(),
-            batch_size: None,
-            backoff: None,
-            breaker: None,
-            retry_budget: None,
-            fetch_pool: None,
-            politeness: None,
         }
     }
 }
@@ -321,7 +290,6 @@ impl CrawlRun {
         // A previous run's verdict (worker panic, storage error) was
         // delivered by its join(); it must not fail this run too.
         session.reset_run_diagnostics();
-        session.apply_run_overrides(&opts);
         let dropped = Arc::new(AtomicU64::new(0));
         let (tx, rx) = std::sync::mpsc::sync_channel(opts.event_capacity.max(1));
         let tail_sink = EventSink::new(None, opts.observers.clone(), Arc::clone(&dropped));
@@ -331,17 +299,13 @@ impl CrawlRun {
             Arc::clone(&dropped),
         ));
         let threads = session.config().threads.max(1);
-        let batch_size = opts
-            .batch_size
-            .unwrap_or(session.config().batch_size)
-            .max(1);
         // Cluster bookkeeping: the whole pool is registered before any
         // worker runs, so a sibling shard can never observe this shard
         // as dead while its workers are still being spawned.
         session.note_workers_arming(threads);
         let pool = Arc::new(FetchPool::new(
             Arc::clone(session.fetcher()),
-            opts.fetch_pool.unwrap_or(session.config().fetch_pool),
+            session.config().fetch_pool,
         ));
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
@@ -350,7 +314,7 @@ impl CrawlRun {
             let exec = pool.handle();
             let body = Box::new(move || {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    s.worker(exec, &worker_sink, batch_size)
+                    s.worker(exec, &worker_sink)
                 }));
                 if let Err(payload) = caught {
                     // `as_ref` reaches the panic payload itself; a

@@ -1,13 +1,15 @@
-//! The flush side: landing fetched pages and failures in the store,
-//! routing frontier entries to their owning shards, and distillation
-//! (snapshot under the lock, iterate outside it, publish under it).
+//! The flush side: landing fetched pages and failures in the store —
+//! first visits and hub revisits through the same two functions,
+//! [`CrawlSession::process`] and `process_failures` — routing frontier
+//! entries to their owning shards, and distillation (snapshot under the
+//! lock, iterate outside it, publish under it).
 
 use super::*;
 
 /// A breaker transition one fetch outcome caused: what `server_health`
 /// mirrors and the event stream announces.
 #[derive(Debug, Clone, Copy)]
-pub(super) enum BreakerChange {
+enum BreakerChange {
     /// The failure opened (or re-opened) the server's breaker.
     Quarantined { failures: u32, until: i64 },
     /// The answer closed it.
@@ -15,13 +17,13 @@ pub(super) enum BreakerChange {
 }
 
 /// Charge one failed fetch to its server's health — the one place a
-/// failure kind becomes [`HealthMap`] calls, for crawl fetches and
-/// maintenance revisits alike. Only timeouts count against the
-/// *server*. A 404 is a dead page on a live host and an unclassifiable
-/// page was served fine: health-neutral, but exactly what a half-open
-/// probe was sent to hear. Returns the tick a requeued row must wait
-/// for, and the breaker transition if this failure caused one.
-pub(super) fn charge_failure(
+/// failure kind becomes [`HealthMap`] calls. Only timeouts count
+/// against the *server*. A 404 is a dead page on a live host:
+/// health-neutral, but exactly what a half-open probe was sent to hear
+/// (a hub the evolving web deleted must not strand its server in
+/// `Probing`). Returns the tick a requeued row must wait for, and the
+/// breaker transition if this failure caused one.
+fn charge_failure(
     health: &mut HealthMap,
     sid: ServerId,
     kind: FetchErrorKind,
@@ -82,7 +84,7 @@ impl CrawlSession {
     /// ([`crate::cluster::shard_of`]) is the cluster's one invariant: a
     /// server's pages always land on one shard, so the §2.2 nepotism
     /// filter and per-server load accounting stay local facts.
-    pub(super) fn owner_shard(&self, sid: ServerId) -> usize {
+    fn owner_shard(&self, sid: ServerId) -> usize {
         self.shard.as_ref().map_or(0, |ctx| ctx.owner_of(sid))
     }
 
@@ -230,31 +232,26 @@ impl CrawlSession {
     /// or through the exchange). Returns whether the periodic
     /// distillation trigger is due — the pass itself runs outside the
     /// lock, so the caller starts it after dropping its guard.
+    ///
+    /// First visits and revisits ([`CrawlSession::maintenance_pass`])
+    /// land here alike. A revisit is a page the link graph already holds
+    /// a relevance for — the one fact consulted, which
+    /// [`StoreState::load`] derives from the rows a fetch has marked
+    /// (`kcid ≥ 0`), whatever state a requeue left them in. It differs
+    /// in two places only: its server is not counted again, and of its
+    /// outlinks only those `LINK` does not hold yet are recorded, with
+    /// a fresh `discovered` stamp.
     pub(super) fn process(
         &self,
         g: &mut StoreState,
         claim: &Claim,
         page: focus_webgraph::FetchedPage,
-        eval: Option<(EvalSummary, Vec<(ClassId, f64)>)>,
+        (summary, saved_probs): (EvalSummary, Vec<(ClassId, f64)>),
         attempt: u64,
         sink: &EventSink,
     ) -> DbResult<bool> {
         let now = self.start.elapsed().as_secs() as i64;
         g.db.set_current_timestamp(now);
-        // The worker classifies every successful fetch before landing
-        // it; if the evaluation is missing anyway (an invariant break
-        // upstream), record the attempt as a retriable failure rather
-        // than panicking the worker — the page stays in the frontier
-        // and the pool stays alive. The server answered, so its breaker
-        // is not charged ([`FetchErrorKind::Unclassifiable`]).
-        let Some((summary, saved_probs)) = eval else {
-            self.process_failures(
-                g,
-                &[(claim.clone(), FetchErrorKind::Unclassifiable, attempt)],
-                sink,
-            )?;
-            return Ok(false);
-        };
         // The fetch is over: hand back the per-server politeness slot
         // charged at admission. Keyed by the *claim's* URL (the
         // admission key) — `page.url` can differ (or the claim's can be
@@ -282,9 +279,20 @@ impl CrawlSession {
         }
         g.class_probs.insert(page.oid, saved_probs);
         let sid_src = host_server_id(&page.url);
+        let revisit = g.graph.relevance(page.oid).is_some();
         g.graph.set_relevance(page.oid, r);
         let src_id = g.graph.node_id(page.oid, sid_src.raw());
-        *g.server_counts.entry(sid_src).or_insert(0) += 1;
+        // What `LINK` already holds for this source; a first visit has
+        // nothing to read.
+        let mut known = Vec::new();
+        if revisit {
+            let src = [Value::Int(page.oid.raw() as i64)];
+            let rs =
+                g.db.query_with("select oid_dst from link where oid_src = ?", &src)?;
+            known.extend(rs.rows.iter().filter_map(|row| row[0].as_i64()));
+        } else {
+            *g.server_counts.entry(sid_src).or_insert(0) += 1;
+        }
         // A success closes the server's breaker (the half-open probe
         // came back) and resets its failure streak.
         if g.health.record_success(sid_src) {
@@ -306,9 +314,11 @@ impl CrawlSession {
         let mut expansions = Vec::new();
         for (dst, dst_url) in &page.outlinks {
             let sid_dst = host_server_id(dst_url);
-            g.graph.add_link(src_id, *dst, sid_dst.raw());
-            let row = tables::link_row(page.oid, sid_src.raw(), *dst, sid_dst.raw(), now);
-            link_rows.push(row);
+            if !known.contains(&(dst.raw() as i64)) {
+                g.graph.add_link(src_id, *dst, sid_dst.raw());
+                let row = tables::link_row(page.oid, sid_src.raw(), *dst, sid_dst.raw(), now);
+                link_rows.push(row);
+            }
             if expansion.expand {
                 expansions.push(self.endorsement(
                     g,
@@ -466,7 +476,7 @@ impl CrawlSession {
 
     /// Mirror a breaker transition into `server_health` and announce
     /// it — after the event of the fetch that caused it.
-    pub(super) fn publish_breaker(
+    fn publish_breaker(
         g: &mut StoreState,
         sid: ServerId,
         change: BreakerChange,

@@ -18,8 +18,9 @@
 //! * `flush.rs` — landing a classified page or a batch of failures in
 //!   the store, routing frontier entries to their owning shards, and
 //!   the distillation pass;
-//! * `steering.rs` — control commands, live topic re-marking, and the
-//!   crawl-maintenance pass.
+//! * `steering.rs` — control commands, live topic re-marking, and
+//!   crawl maintenance, which requeues hubs as frontier rows for the
+//!   loop above and fetches nothing itself.
 //!
 //! **One loop, one variation point.** A worker claims a batch of
 //! frontier entries under the store lock, hands them to its
@@ -123,7 +124,7 @@ use store::StoreState;
 pub use store::{CheckpointPage, CrawlCheckpoint};
 
 use crate::cluster::ShardCtx;
-use crate::events::{CrawlEvent, CrawlObserver, EventSink, FailureOutcome, FetchErrorKind};
+use crate::events::{CrawlEvent, EventSink, FailureOutcome, FetchErrorKind};
 use crate::fetch_pool::{Completion, PoolHandle};
 use crate::frontier::{self, Claim, FrontierEntry};
 use crate::health::{
@@ -214,8 +215,7 @@ pub struct CrawlConfig {
     /// batch-oriented access paths). Each claimed page is still fetched
     /// and classified outside the lock and flushed at its own page
     /// boundary; the batch only amortizes the B+tree descents of
-    /// claiming. 1 restores strict claim-per-page behavior. Overridable
-    /// per run via [`crate::run::StartOptions::batch_size`].
+    /// claiming. 1 restores strict claim-per-page behavior.
     pub batch_size: usize,
     /// Durability of the session store (WAL, crash recovery, replicas).
     pub durability: Durability,
@@ -235,12 +235,10 @@ pub struct CrawlConfig {
     /// spawns `n` dedicated fetcher threads per run and keeps up to
     /// ~2n fetches in flight, so network latency overlaps classify and
     /// flush instead of serializing with them. Only a size — the worker
-    /// loop is the same either way. Overridable per run via
-    /// [`crate::run::StartOptions::fetch_pool`].
+    /// loop is the same either way.
     pub fetch_pool: usize,
     /// Per-server politeness (max in-flight, min inter-admission
-    /// delay), enforced at claim admission. Overridable per run via
-    /// [`crate::run::StartOptions::politeness`].
+    /// delay), enforced at claim admission.
     pub politeness: PolitenessConfig,
 }
 
@@ -409,32 +407,6 @@ impl CrawlSession {
     /// The fetcher every run's executor fetches through.
     pub(crate) fn fetcher(&self) -> &Arc<dyn Fetcher> {
         &self.fetcher
-    }
-
-    /// Apply per-run robustness overrides before the workers spawn: a
-    /// backoff, breaker, or politeness override restarts the per-server
-    /// health map under the new policies and empties `server_health`
-    /// with it (servers re-earn their quarantines), and a retry-budget
-    /// override refills the budget. No workers are alive here
-    /// (`ControlState::activate` guarantees one run at a time); a
-    /// storage error fails the run like any other.
-    pub(crate) fn apply_run_overrides(&self, opts: &StartOptions) {
-        if opts.backoff.is_some() || opts.breaker.is_some() || opts.politeness.is_some() {
-            let backoff = opts.backoff.unwrap_or(self.cfg.backoff);
-            let breaker = opts.breaker.unwrap_or(self.cfg.breaker);
-            let politeness = opts.politeness.unwrap_or(self.cfg.politeness);
-            let mut g = self.store.write();
-            match store::fresh_health(&mut g.db, backoff, breaker, politeness) {
-                Ok(health) => g.health = health,
-                Err(e) => {
-                    drop(g);
-                    self.record_error(e);
-                }
-            }
-        }
-        if let Some(rb) = opts.retry_budget {
-            self.counters.retry_budget.store(rb, Ordering::Release);
-        }
     }
 
     /// Clear the previous run's verdict so a fresh `start()` is judged on
@@ -701,16 +673,23 @@ mod tests {
     }
 
     fn setup(policy: CrawlPolicy, max_fetches: u64) -> (Arc<WebGraph>, Arc<CrawlSession>) {
+        setup_with(CrawlConfig {
+            policy,
+            max_fetches,
+            ..CrawlConfig::default()
+        })
+    }
+
+    /// `cfg` with this module's usual pool and distillation settings.
+    fn setup_with(cfg: CrawlConfig) -> (Arc<WebGraph>, Arc<CrawlSession>) {
         let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
         let model = trained_model(&graph, "recreation/cycling");
         let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
         let cfg = CrawlConfig {
-            policy,
             threads: 2,
-            max_fetches,
             distill_every: Some(150),
             hub_boost_top_k: 5,
-            ..CrawlConfig::default()
+            ..cfg
         };
         let session = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
         (graph, session)
@@ -866,7 +845,11 @@ mod tests {
     }
 
     fn pause_resume_stop_events_are_ordered_at(fetch_pool: usize) {
-        let (graph, session) = setup(CrawlPolicy::SoftFocus, 100_000);
+        let (graph, session) = setup_with(CrawlConfig {
+            max_fetches: 100_000,
+            fetch_pool,
+            ..CrawlConfig::default()
+        });
         let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
         session
             .seed(&focus_webgraph::search::topic_start_set(
@@ -877,7 +860,6 @@ mod tests {
         let run = session
             .start_with(StartOptions {
                 observers: vec![Arc::new(Arc::clone(&recorder))],
-                fetch_pool: Some(fetch_pool),
                 ..StartOptions::default()
             })
             .unwrap();
@@ -1475,70 +1457,22 @@ mod tests {
 
     #[test]
     fn batch_size_override_applies_per_run() {
-        let (graph, session) = setup(CrawlPolicy::SoftFocus, 62);
+        let (graph, session) = setup_with(CrawlConfig {
+            max_fetches: 62,
+            batch_size: 4,
+            ..CrawlConfig::default()
+        });
         let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
         session
             .seed(&focus_webgraph::search::topic_start_set(
                 &graph, cycling, 10,
             ))
             .unwrap();
-        let run = session
-            .start_with(StartOptions {
-                batch_size: Some(4),
-                ..StartOptions::default()
-            })
-            .unwrap();
-        let stats = run.join().unwrap();
+        let stats = session.run().unwrap();
         // The budget is honored exactly even when it is not a multiple
         // of the batch size (claims are clamped to the remainder).
         assert_eq!(stats.attempts, 62);
         assert!(stats.successes > 0);
-    }
-
-    #[test]
-    fn successful_fetch_without_eval_is_a_recorded_failure_not_a_panic() {
-        // Regression for the `eval.expect("successful fetches are
-        // classified")` panic path: a successful fetch whose evaluation
-        // is absent must surface as a retriable failure (mark_failed +
-        // FetchFailed) and leave the page refetchable — never kill the
-        // worker.
-        let (graph, session) = setup(CrawlPolicy::SoftFocus, 50);
-        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
-        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 1);
-        session.seed(&seeds).unwrap();
-        let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
-        let sink = EventSink::new(
-            None,
-            vec![Arc::new(Arc::clone(&recorder))],
-            Arc::new(AtomicU64::new(0)),
-        );
-        let mut g = session.store.write();
-        let claim = frontier::claim_next(&mut g.db).unwrap().unwrap();
-        let page = session.fetcher.fetch(claim.oid).expect("seed page fetches");
-        // Inject the invariant break: Ok(page) with no evaluation.
-        session
-            .process(&mut g, &claim, page, None, 1, &sink)
-            .expect("no storage error");
-        drop(g);
-        let stats = session.stats();
-        assert_eq!(stats.failures, 1, "must count as a failure");
-        assert_eq!(stats.successes, 0);
-        let events = recorder.0.lock().unwrap().clone();
-        assert!(
-            events.iter().any(|e| matches!(
-                e,
-                CrawlEvent::FetchFailed {
-                    retriable: true,
-                    ..
-                }
-            )),
-            "expected a retriable FetchFailed: {events:?}"
-        );
-        // The page went back to the frontier with numtries advanced.
-        let mut g = session.store.write();
-        let again = frontier::claim_next(&mut g.db).unwrap().unwrap();
-        assert_eq!(again.oid, claim.oid);
-        assert_eq!(again.numtries, 1);
     }
 
     #[test]
@@ -1553,9 +1487,8 @@ mod tests {
         assert!(result.auths.is_empty(), "no edges, no authorities");
         assert!(session.last_distill().is_some(), "result recorded");
         assert_eq!(session.stats().distillations, 1);
-        // maintenance_pass rides on the same path.
-        let (revisited, new_links) = session.maintenance_pass(5).unwrap();
-        assert_eq!((revisited, new_links), (0, 0));
+        // maintenance_pass rides on the same path: no hubs, no requeues.
+        assert_eq!(session.maintenance_pass(5).unwrap(), 0);
     }
 
     #[test]
@@ -1859,11 +1792,11 @@ mod tests {
 
     #[test]
     fn a_revisit_that_probes_a_deleted_hub_still_recovers_the_server() {
-        // Breaker liveness on the maintenance path: the revisit is
-        // admitted as the half-open probe of a quarantined server and
-        // the hub turns out to be gone. The server *answered*, so the
-        // breaker must close — left in `Probing`, every later claim
-        // for that server would re-park for ever.
+        // Breaker liveness for revisits: the requeued hub is claimed as
+        // the half-open probe of a quarantined server and turns out to
+        // be gone. The server *answered*, so the breaker must close —
+        // left in `Probing`, every later claim for that server would
+        // re-park for ever.
         let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
         let model = trained_model(&graph, "recreation/cycling");
         let fetcher = Arc::new(DeletedHub {
@@ -1884,6 +1817,9 @@ mod tests {
         session.run().unwrap();
         let hub = session.distill_now().unwrap().top_hubs(1)[0].0;
         let sid = host_server_id(&fetcher.url_of(hub).unwrap());
+        // The hub's revisit is to be the only poppable row, so it and
+        // nothing else is the probe.
+        session.sql("delete from crawl where visited = 0").unwrap();
 
         // A burst of timeouts opens the server's breaker...
         let until = {
@@ -1917,22 +1853,29 @@ mod tests {
             .store(until as u64, Ordering::Release);
         *fetcher.gone.lock().unwrap() = Some(hub);
 
+        assert_eq!(session.maintenance_pass(1).unwrap(), 1, "the hub requeues");
+        session.add_budget(1);
         let recorder = Arc::new(Recorder(StdMutex::new(Vec::new())));
-        let (revisited, _) = session
-            .maintenance_pass_with(1, vec![Arc::new(Arc::clone(&recorder))])
+        let run = session
+            .start_with(StartOptions {
+                observers: vec![Arc::new(Arc::clone(&recorder))],
+                ..StartOptions::default()
+            })
             .unwrap();
-        assert_eq!(revisited, 0, "the hub is gone");
+        let before = run.join().unwrap();
         let events = recorder.0.lock().unwrap().clone();
         assert!(
             matches!(
-                events[..],
+                events[..2],
                 [
-                    CrawlEvent::HubRevisitFailed {
+                    CrawlEvent::FetchFailed {
+                        oid,
                         error: FetchErrorKind::NotFound,
+                        outcome: FailureOutcome::Dead,
                         ..
                     },
                     CrawlEvent::ServerRecovered { server }
-                ] if server == sid
+                ] if oid == hub && server == sid
             ),
             "a failed revisit, then exactly one recovery: {events:?}"
         );
@@ -1944,30 +1887,15 @@ mod tests {
         // run fetches them and terminates instead of re-parking them
         // behind a probe nobody will ever answer.
         *fetcher.gone.lock().unwrap() = None;
-        let elsewhere: Vec<Value> = session
-            .sql("select oid, url from crawl where visited = 0")
-            .unwrap()
-            .rows
-            .into_iter()
-            .filter(|r| host_server_id(r[1].as_str().unwrap()) != sid)
-            .map(|r| r[0].clone())
-            .collect();
-        session.with_db(|db| {
-            for oid in elsewhere {
-                db.execute_with("delete from crawl where oid = ?", &[oid])
-                    .unwrap();
-            }
-        });
         let on_server: Vec<Oid> = (graph.pages().iter())
             .filter(|p| host_server_id(&p.url) == sid)
             .map(|p| p.oid)
             .collect();
         session.seed(&on_server).unwrap();
-        let before = session.stats().successes;
         session.add_budget(10);
         let stats = session.run().unwrap();
         assert!(
-            stats.successes > before,
+            stats.successes > before.successes,
             "the recovered server's pages are fetched again: {stats:?}"
         );
     }
@@ -2081,6 +2009,7 @@ mod tests {
             },
             ..CrawlConfig::default()
         };
+        let live;
         let ckpt = {
             let fetcher = Arc::new(DownServer { inner: sim(), down });
             let model = trained_model(&graph, "recreation/cycling");
@@ -2097,6 +2026,13 @@ mod tests {
                 count("select count(*) from crawl where visited = 0 and not_before > 0") > 0,
                 "the run must leave parked rows"
             );
+            // Hubs revisited, and hubs requeued but not yet refetched:
+            // both must read back as the fetched pages they are.
+            assert!(session.maintenance_pass(3).unwrap() > 0);
+            session.add_budget(20);
+            session.run().unwrap();
+            assert!(session.maintenance_pass(6).unwrap() > 0);
+            live = (session.links(), session.store.read().server_counts.clone());
             session.checkpoint().unwrap()
         }; // the file-backed session is gone; its files and `ckpt` remain
         let model = || trained_model(&graph, "recreation/cycling");
@@ -2109,6 +2045,14 @@ mod tests {
 
         assert!(!restored.links().is_empty());
         assert_eq!(restored.links(), recovered.links(), "links, in order");
+        assert_eq!(restored.links(), live.0, "and what the live graph held");
+        let mut pairs = std::collections::HashSet::new();
+        for (src, _, dst, _) in &live.0 {
+            assert!(
+                pairs.insert((src, dst)),
+                "{src:?} -> {dst:?} recorded twice"
+            );
+        }
         let sorted = |mut v: Vec<(Oid, f64, ServerId)>| {
             v.sort_by_key(|&(o, _, _)| o);
             v
@@ -2146,6 +2090,7 @@ mod tests {
             restored.store.read().server_counts,
             recovered.store.read().server_counts
         );
+        assert_eq!(restored.store.read().server_counts, live.1);
         let (a, b) = (
             restored.distill_now().unwrap(),
             recovered.distill_now().unwrap(),

@@ -1,5 +1,6 @@
 //! Steering: control commands applied at page boundaries, live topic
-//! re-marking, and the crawl-maintenance pass.
+//! re-marking, and crawl maintenance — which fetches nothing: a hub
+//! revisit is a `CRAWL` row requeued for the one worker loop.
 
 use super::*;
 
@@ -148,34 +149,22 @@ impl CrawlSession {
         Ok(self.upsert_routed(&mut g.db, boosts)?.changed())
     }
 
-    /// Crawl-maintenance pass (§3.2): revisit the best hubs in
-    /// `(lastvisited asc, hubs.score desc)` spirit, looking for *new*
-    /// resource links the evolving web added since they were first
-    /// fetched. New edges are recorded in `LINK` with a fresh `discovered`
-    /// timestamp, and their targets enter the frontier at high priority.
-    /// Returns `(hubs revisited, new links found)`.
+    /// Crawl maintenance (§2.2 "good hubs should be checked frequently
+    /// for new resource links"; §3.2): put the `top_k_hubs` best hubs of
+    /// the latest distillation back in the frontier at top priority
+    /// ([`frontier::requeue_done`]) and return how many rows that
+    /// requeued. Nothing is fetched here. The next run — or the live
+    /// one — claims the rows like any others, so a revisit is a
+    /// numbered attempt that spends budget, waits behind the politeness
+    /// cap and an open breaker, fails through the one failure path and
+    /// lands through the one landing ([`CrawlSession::process`]), which
+    /// records only the links `LINK` does not hold yet.
     ///
-    /// Revisit fetches go through the same per-server admission path as
-    /// crawl fetches: a quarantined or politeness-saturated server is
-    /// *skipped* (never probed past its breaker), and a failed revisit
-    /// charges the server's health instead of being swallowed. Use
-    /// [`maintenance_pass_with`] to observe the skip/failure events.
-    ///
-    /// [`maintenance_pass_with`]: CrawlSession::maintenance_pass_with
-    pub fn maintenance_pass(&self, top_k_hubs: usize) -> DbResult<(usize, usize)> {
-        self.maintenance_pass_with(top_k_hubs, Vec::new())
-    }
-
-    /// [`maintenance_pass`](CrawlSession::maintenance_pass) with
-    /// observers: skips surface as [`CrawlEvent::HubRevisitSkipped`],
-    /// failures as [`CrawlEvent::HubRevisitFailed`], and breaker
-    /// transitions as the usual quarantine/recovery events.
-    pub fn maintenance_pass_with(
-        &self,
-        top_k_hubs: usize,
-        observers: Vec<Arc<dyn CrawlObserver>>,
-    ) -> DbResult<(usize, usize)> {
-        let sink = EventSink::new(None, observers, Arc::new(AtomicU64::new(0)));
+    /// Requeued work is acknowledged work, exactly like seeds: the
+    /// shard's idle flag is cleared before the rewrite (see
+    /// [`CrawlSession::upsert_routed`]) and a durable session commits
+    /// before returning.
+    pub fn maintenance_pass(&self, top_k_hubs: usize) -> DbResult<usize> {
         let distill = match self.last_distill() {
             Some(d) => d,
             None => self.distill_now()?,
@@ -185,106 +174,13 @@ impl CrawlSession {
             .iter()
             .map(|&(o, _)| o)
             .collect();
-        let mut revisited = 0;
-        let mut new_links = 0;
-        for hub in hubs {
-            // Resolve the hub's server the same way crawl claims do:
-            // by URL. A fetcher without URL metadata resolves to the
-            // same default server id empty-URL claims use.
-            let url = self.fetcher.url_of(hub).unwrap_or_default();
-            let sid = host_server_id(&url);
-            let tick = self.counters.clock.load(Ordering::Acquire) as i64;
-            // Admission under the store lock, exactly like a claim: a
-            // parked verdict means the breaker is open or the server is
-            // politeness-saturated — skip, never probe past it.
-            let admitted = {
-                let mut g = self.store.write();
-                match g.health.admit(sid, tick) {
-                    ClaimGate::Fetch | ClaimGate::Probe => true,
-                    ClaimGate::Parked { until } => {
-                        sink.emit(CrawlEvent::HubRevisitSkipped {
-                            oid: hub,
-                            server: sid,
-                            until,
-                        });
-                        false
-                    }
-                }
-            };
-            if !admitted {
-                continue;
-            }
-            // Maintenance traffic sits outside the crawl's attempt
-            // numbering, so it takes the legacy serialized-tick fetch
-            // (no submission ordinal to pass).
-            let result = self.fetcher.fetch(hub);
-            let page = match result {
-                Err(ref e) => {
-                    // The same health bookkeeping a failed crawl fetch
-                    // gets: any answer resolves a half-open probe, not
-                    // just a page (a hub the evolving web deleted must
-                    // not strand its server in `Probing`).
-                    let kind = FetchErrorKind::from(e);
-                    let mut g = self.store.write();
-                    g.health.release(sid);
-                    let (_, change) = flush::charge_failure(&mut g.health, sid, kind, tick);
-                    sink.emit(CrawlEvent::HubRevisitFailed {
-                        oid: hub,
-                        server: sid,
-                        error: kind,
-                    });
-                    if let Some(change) = change {
-                        Self::publish_breaker(&mut g, sid, change, &sink)?;
-                    }
-                    continue;
-                }
-                Ok(page) => page,
-            };
-            revisited += 1;
-            let mut g = self.store.write();
-            g.health.release(sid);
-            if g.health.record_success(sid) {
-                Self::publish_breaker(&mut g, sid, flush::BreakerChange::Recovered, &sink)?;
-            }
-            let now = self.start.elapsed().as_secs() as i64;
-            // Known outlinks of this hub.
-            let known: Vec<i64> = {
-                let rs = g.db.query_with(
-                    "select oid_dst from link where oid_src = ?",
-                    &[Value::Int(hub.raw() as i64)],
-                )?;
-                rs.rows.iter().filter_map(|r| r[0].as_i64()).collect()
-            };
-            let sid_src = host_server_id(&page.url);
-            let hub_id = g.graph.node_id(hub, sid_src.raw());
-            let link_tid = g.db.table_id("link")?;
-            let boost = log_clamped(0.95);
-            let mut link_rows = Vec::new();
-            let mut enqueues = Vec::new();
-            for (dst, dst_url) in &page.outlinks {
-                if known.contains(&(dst.raw() as i64)) {
-                    continue;
-                }
-                new_links += 1;
-                let sid_dst = host_server_id(dst_url);
-                g.graph.add_link(hub_id, *dst, sid_dst.raw());
-                let row = tables::link_row(hub, sid_src.raw(), *dst, sid_dst.raw(), now);
-                link_rows.push(row);
-                let entry = FrontierEntry {
-                    oid: *dst,
-                    url: dst_url.clone(),
-                    log_relevance: boost,
-                    serverload: 0,
-                };
-                enqueues.push((self.owner_shard(sid_dst), entry));
-            }
-            g.db.insert_many(link_tid, link_rows)?;
-            // New targets respect the partition like any other frontier
-            // work: another shard's pages go through the exchange.
-            self.upsert_routed(&mut g.db, enqueues)?;
-            frontier::touch_visited(&mut g.db, hub, now)?;
+        let mut g = self.store.write();
+        if let Some(ctx) = &self.shard {
+            ctx.exchange.clear_idle(ctx.shard);
         }
-        Ok((revisited, new_links))
+        let requeued = frontier::requeue_done(&mut g.db, &hubs)?;
+        Self::commit_if_durable(&mut g.db)?;
+        Ok(requeued)
     }
 }
 

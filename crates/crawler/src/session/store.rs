@@ -81,7 +81,7 @@ fn decode_link(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
 /// one place that creates a map over a store also clears the mirror —
 /// no monitor, here or on a replica, is shown a quarantine that no map
 /// is enforcing.
-pub(super) fn fresh_health(
+fn fresh_health(
     db: &mut Database,
     backoff: BackoffConfig,
     breaker: BreakerConfig,
@@ -110,19 +110,23 @@ impl StoreState {
     /// * Claims in flight when the tables were last written never
     ///   landed: they are demoted back to the frontier, poppable again.
     /// * Linear relevance and the per-server tallies come from the
-    ///   visited rows, the link graph from `LINK` in table order.
+    ///   rows a fetch has marked (`kcid ≥ 0`), the link graph from `LINK`
+    ///   in table order. That is every `DONE` row, and every hub a
+    ///   maintenance pass requeued (or whose revisit then failed): its
+    ///   row kept `kcid` and its own log R, so a store reopened before
+    ///   the revisit lands still knows the page — the fact
+    ///   `CrawlSession::process` tells a revisit by.
     /// * Server health starts over ([`fresh_health`]): breakers are
     ///   re-learned from live evidence, not trusted across a restart.
     fn load(mut db: Database, cfg: &CrawlConfig) -> DbResult<(StoreState, u64)> {
-        let state = |s: i64| [Value::Int(s)];
         db.execute_with(
             "update crawl set visited = ? where visited = ?",
             &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
         )?;
         let mut graph = LinkGraph::new();
         let mut server_counts = FxHashMap::default();
-        let done = "select oid, relevance, url from crawl where visited = ?";
-        for row in &db.query_with(done, &state(visited::DONE))?.rows {
+        let fetched = "select oid, relevance, url from crawl where kcid >= 0";
+        for row in &db.query(fetched)?.rows {
             let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
             graph.set_relevance(oid, frontier::col_f64(row, 1, "relevance")?.exp());
             let url = frontier::col_str(row, 2, "url")?;
@@ -136,7 +140,7 @@ impl StoreState {
             graph.add_link(src, dst, sid_dst);
         }
         let parked = "select max(not_before) from crawl where visited = ?";
-        let latest_park = db.query_with(parked, &state(visited::FRONTIER))?;
+        let latest_park = db.query_with(parked, &[Value::Int(visited::FRONTIER)])?;
         let health = fresh_health(&mut db, cfg.backoff, cfg.breaker, cfg.politeness)?;
         let store = StoreState {
             db,
@@ -276,6 +280,11 @@ impl CrawlSession {
                 r[crawl_col::LASTVISITED] = Value::Int(p.lastvisited);
                 r[crawl_col::VISITED] = Value::Int(p.state);
                 r[crawl_col::NOT_BEFORE] = Value::Int(p.not_before);
+                if p.kcid >= 0 && p.state != visited::DONE {
+                    // A requeued revisit: `relevance` is the page's own
+                    // log R, the priority is the top one.
+                    r[crawl_col::NEGREL] = Value::Float(frontier::TOP_NEGREL);
+                }
                 r
             });
             db.insert_many(db.table_id("crawl")?, pages.collect())?;

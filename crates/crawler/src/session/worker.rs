@@ -8,7 +8,12 @@
 //! completion — classify outside every lock, flush under the store
 //! write lock. Whether a fetch runs on this thread or on a pool thread
 //! is the executor's business ([`crate::fetch_pool`]); the loop never
-//! asks.
+//! asks. Nor does it ask whether a claim is a first visit or a hub
+//! revisit: crawl maintenance only requeues `CRAWL` rows
+//! ([`CrawlSession::maintenance_pass`]), so a revisit is numbered,
+//! budgeted, admitted, fetched, failed and landed here like any claim —
+//! this loop is the crate's only caller of the fetcher and of
+//! `HealthMap::admit` (`tests/one_crawl_loop.rs`).
 //!
 //! Contracts the loop upholds for both executors:
 //!
@@ -83,14 +88,14 @@ struct Lane {
 impl CrawlSession {
     /// The worker loop (see the module docs). `exec` is this worker's
     /// handle on the run's fetch executor.
-    pub(crate) fn worker(&self, exec: PoolHandle, sink: &EventSink, batch_size: usize) {
+    pub(crate) fn worker(&self, exec: PoolHandle, sink: &EventSink) {
         let mut lane = Lane {
             exec,
             pending: Vec::new(),
             since_commit: 0,
             scratch: Scratch::default(),
         };
-        let batch = batch_size.max(1);
+        let batch = self.cfg.batch_size.max(1);
         let workers = self.cfg.threads.max(1);
         loop {
             self.control.drain(|cmd| self.apply_command(cmd, sink));
@@ -238,9 +243,7 @@ impl CrawlSession {
         let mut g = self.store.write();
         let landed = self
             .flush_failures(&mut g, &mut lane.pending, sink)
-            .and_then(|()| {
-                self.process(&mut g, &claim, page, Some((summary, saved)), attempt, sink)
-            });
+            .and_then(|()| self.process(&mut g, &claim, page, (summary, saved), attempt, sink));
         // The page tripped the distillation trigger: run the pass here,
         // on this worker, with the guard dropped. Its gauges stay up
         // until the pass's boosts are in the frontier — boosts can

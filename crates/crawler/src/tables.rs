@@ -13,7 +13,10 @@
 //!
 //! `relevance` holds log R(u). `negrel = −relevance` exists so the
 //! frontier index `(visited, numtries, negrel, serverload)` realizes the
-//! paper's lexicographic order with an ascending-only B+tree. `visited`
+//! paper's lexicographic order with an ascending-only B+tree. The one
+//! row where the two part ways is a fetched page requeued for a revisit
+//! (`kcid ≥ 0`, not `DONE`): it keeps its own log R in `relevance` and
+//! takes the top priority in `negrel`. `visited`
 //! encodes the lifecycle: 0 = frontier, 1 = fetched, 2 = claimed by a
 //! worker, 3 = dead. `not_before` parks a frontier row until a crawl
 //! tick: backoff after a retriable failure, or quarantine while the

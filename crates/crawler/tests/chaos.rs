@@ -11,6 +11,12 @@
 //!    outage heals;
 //! 4. a crawl whose *every* server is quarantined still terminates.
 //!
+//! Hub revisits ([`CrawlSession::maintenance_pass`]) are claims like any
+//! others, so they meet the same layer: a requeued hub waits behind its
+//! server's open breaker and is its probe when the cooldown lapses, and
+//! a crawl → evolve → requeue → crawl story replays exactly under one
+//! worker and one [`ChaosSchedule`].
+//!
 //! Two server-id spaces meet here: [`ChaosSchedule`] keys on the
 //! generator's [`ServerId`]s (via [`Fetcher::server_of`]), while the
 //! crawler's health map and its `Server*` events key on
@@ -25,7 +31,8 @@ use focus_crawler::{
 };
 use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::{
-    ChaosFetcher, ChaosSchedule, FaultProfile, Fetcher, SimFetcher, WebConfig, WebGraph,
+    evolve, ChaosFetcher, ChaosSchedule, EvolutionConfig, EvolvingFetcher, FaultProfile,
+    FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -478,6 +485,238 @@ fn a_probe_that_lands_on_a_dead_page_still_recovers_the_server() {
         "server_health must not end open or probing: {:?}",
         stuck.rows
     );
+}
+
+/// The tiny web with a switch: while `down` names a server (by its
+/// crawler-side id) its pages time out. Logs every fetch it is asked for.
+struct Switchable {
+    inner: SimFetcher,
+    down: Mutex<Option<ServerId>>,
+    log: Mutex<Vec<Oid>>,
+}
+
+impl Fetcher for Switchable {
+    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+        self.log.lock().unwrap().push(oid);
+        let sid = self.url_of(oid).map(|url| host_server_id(&url));
+        if sid.is_some() && sid == *self.down.lock().unwrap() {
+            return Err(FetchError::Timeout(oid));
+        }
+        self.inner.fetch(oid)
+    }
+    fn fetch_count(&self) -> u64 {
+        self.log.lock().unwrap().len() as u64
+    }
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.inner.url_of(oid)
+    }
+}
+
+/// A hub revisit is an ordinary claim, so the breaker gates it with no
+/// code of its own: while its server is quarantined the requeued row
+/// is parked and nothing is fetched from that server; when the
+/// cooldown lapses the revisit is the half-open probe, it lands, and
+/// the breaker closes — in the map, the event stream and
+/// `server_health`. One worker claiming one page at a time, so a tick
+/// of the crawl clock is a fetch and the order of fetches is exact.
+#[test]
+fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let fetcher = Arc::new(Switchable {
+        inner: SimFetcher::new(Arc::clone(&graph), None),
+        down: Mutex::new(None),
+        log: Mutex::new(Vec::new()),
+    });
+    let cfg = CrawlConfig {
+        threads: 1,
+        batch_size: 1,
+        ..chaos_cfg(80)
+    };
+    let model = trained_model(&graph, "recreation/cycling");
+    let session = Arc::new(CrawlSession::new(Arc::clone(&fetcher) as _, model, cfg).unwrap());
+    let rec = recorder();
+    let run = || {
+        let opts = StartOptions {
+            observers: vec![Arc::clone(&rec) as _],
+            ..StartOptions::default()
+        };
+        session.start_with(opts).unwrap().join().unwrap()
+    };
+    session
+        .seed(&focus_webgraph::search::topic_start_set(
+            &graph, cycling, 10,
+        ))
+        .unwrap();
+    run();
+    let hub = session.distill_now().unwrap().top_hubs(1)[0].0;
+    let sid_of = |oid: Oid| host_server_id(&fetcher.url_of(oid).unwrap());
+    let sid = sid_of(hub);
+
+    // The hub's server goes down; as many of its unvisited pages as
+    // the breaker has patience for, tried one fetch at a time, time out
+    // until it opens. (Having failed once, they queue behind the hub.)
+    *fetcher.down.lock().unwrap() = Some(sid);
+    let visited: HashSet<Oid> = session.visited().iter().map(|v| v.0).collect();
+    let on_server: Vec<Oid> = (graph.pages().iter().map(|p| p.oid))
+        .filter(|o| sid_of(*o) == sid && !visited.contains(o))
+        .take(chaos_cfg(0).breaker.threshold as usize)
+        .collect();
+    assert_eq!(on_server.len(), 3, "the hub's server has pages left");
+    session.seed(&on_server).unwrap();
+    let quarantined_until = || {
+        events_of(&rec).iter().find_map(|e| match e {
+            CrawlEvent::ServerQuarantined { server, until, .. } if *server == sid => Some(*until),
+            _ => None,
+        })
+    };
+    for _ in 0..20 {
+        if quarantined_until().is_some() {
+            break;
+        }
+        session.add_budget(1);
+        run();
+    }
+    let until = quarantined_until().expect("three timeouts in a row open the breaker");
+
+    // The server heals, unnoticed, and the hub is requeued behind the
+    // open breaker.
+    *fetcher.down.lock().unwrap() = None;
+    assert_eq!(session.maintenance_pass(1).unwrap(), 1);
+    let cooldown_left = until - session.checkpoint().unwrap().clock as i64;
+    assert!(cooldown_left > 0, "the breaker is still open");
+    fetcher.log.lock().unwrap().clear();
+    rec.0.lock().unwrap().clear();
+    session.add_budget(cooldown_left as u64 + 10);
+    let stats = run();
+
+    let log = fetcher.log.lock().unwrap().clone();
+    let at = log.iter().position(|&o| o == hub).expect("hub revisited");
+    assert!(
+        log[..at].iter().all(|&o| sid_of(o) != sid),
+        "a page was fetched past the open breaker: {:?}",
+        &log[..at]
+    );
+    assert!(
+        at as i64 >= cooldown_left,
+        "the revisit went out {at} fetches in, {cooldown_left} ticks before the cooldown lapsed"
+    );
+    let events = events_of(&rec);
+    let on_sid: Vec<&CrawlEvent> = (events.iter())
+        .filter(|e| match e {
+            CrawlEvent::PageClassified { oid, .. } | CrawlEvent::FetchFailed { oid, .. } => {
+                sid_of(*oid) == sid
+            }
+            CrawlEvent::ServerQuarantined { server, .. }
+            | CrawlEvent::ServerRecovered { server } => *server == sid,
+            _ => false,
+        })
+        .collect();
+    assert!(
+        matches!(
+            on_sid[..2],
+            [
+                CrawlEvent::ServerRecovered { .. },
+                CrawlEvent::PageClassified { oid, .. }
+            ] if *oid == hub
+        ),
+        "the probe is the revisit, and it closes the breaker: {on_sid:?}"
+    );
+    let revisits = stats.completion_order.iter().filter(|(o, _)| *o == hub);
+    assert_eq!(revisits.count(), 2, "a revisit is a second completion");
+    let health = session
+        .sql("select sid, state from server_health where state <> 'closed'")
+        .unwrap();
+    assert!(health.rows.is_empty(), "{:?}", health.rows);
+    assert_eq!(stats.attempts, stats.successes + stats.failures);
+}
+
+/// An evolving web that also answers the metadata calls seeding and
+/// chaos injection key on.
+struct Evolving(Arc<EvolvingFetcher>);
+
+impl Fetcher for Evolving {
+    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+        self.0.fetch(oid)
+    }
+    fn fetch_count(&self) -> u64 {
+        self.0.fetch_count()
+    }
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.0.current().page(oid).map(|p| p.url.clone())
+    }
+    fn server_of(&self, oid: Oid) -> Option<ServerId> {
+        self.0.current().page(oid).map(|p| p.server)
+    }
+}
+
+/// Crawl, let the web evolve, requeue the top hubs, crawl on — one
+/// worker, every server flaky under one seeded schedule. Returns a
+/// digest of the whole event stream.
+fn crawl_evolve_revisit_crawl() -> u64 {
+    let base = Arc::new(WebGraph::generate(WebConfig::tiny(47)));
+    let cycling = base.taxonomy().find("recreation/cycling").unwrap();
+    let web = Arc::new(EvolvingFetcher::new(Arc::clone(&base)));
+    let servers: HashSet<ServerId> = base.pages().iter().map(|p| p.server).collect();
+    let mut schedule = ChaosSchedule::new(0x5eed);
+    for s in servers {
+        schedule = schedule.with_profile(s, FaultProfile::Flaky { p: 0.2 });
+    }
+    let fetcher = ChaosFetcher::new(Arc::new(Evolving(Arc::clone(&web))), schedule);
+    let cfg = CrawlConfig {
+        threads: 1,
+        distill_every: Some(60),
+        ..chaos_cfg(150)
+    };
+    let model = trained_model(&base, "recreation/cycling");
+    let session = Arc::new(CrawlSession::new(Arc::new(fetcher), model, cfg).unwrap());
+    let rec = recorder();
+    let run = || {
+        let opts = StartOptions {
+            observers: vec![Arc::clone(&rec) as _],
+            ..StartOptions::default()
+        };
+        session.start_with(opts).unwrap().join().unwrap()
+    };
+    session
+        .seed(&focus_webgraph::search::topic_start_set(&base, cycling, 10))
+        .unwrap();
+    run();
+    let evolution = EvolutionConfig {
+        new_pages_per_topic: 12,
+        hub_update_fraction: 1.0,
+        new_links_per_hub: 8,
+        content_update_fraction: 0.6,
+        seed: 5,
+    };
+    web.swap(Arc::new(evolve(&base, 1, &evolution)));
+    assert_eq!(session.maintenance_pass(10).unwrap(), 10);
+    session.add_budget(80);
+    let stats = run();
+
+    assert!(stats.attempts <= 230, "{stats:?}");
+    assert_eq!(stats.attempts, stats.successes + stats.failures);
+    let revisited = (stats.completion_order.iter().enumerate())
+        .filter(|(i, (o, _))| stats.completion_order[..*i].iter().any(|(p, _)| p == o))
+        .count();
+    assert!(revisited > 0, "no hub was revisited");
+    let claimed = session.sql("select count(*) from crawl where visited = 2");
+    assert_eq!(claimed.unwrap().scalar_i64(), Some(0));
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in events_of(&rec) {
+        for b in format!("{e:?}\n").bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// Revisits are numbered attempts fetched by the one loop, so the
+/// faults they meet are a function of `(seed, server, oid, ordinal)`
+/// like every other fetch's, and the whole story replays.
+#[test]
+fn a_crawl_with_revisits_replays_exactly() {
+    assert_eq!(crawl_evolve_revisit_crawl(), crawl_evolve_revisit_crawl());
 }
 
 /// Bar 4: with *every* server down forever, a 4-shard cluster must

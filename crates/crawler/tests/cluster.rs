@@ -573,10 +573,11 @@ impl Fetcher for EvolvingWithUrls {
 fn maintenance_pass_respects_the_partition() {
     // Regression: a per-shard maintenance pass used to upsert every new
     // hub outlink into the revisiting shard's *own* frontier, planting
-    // pages of servers another shard owns. After the web evolves and
-    // each shard of a 2-shard cluster runs its maintenance pass, every
-    // URL-bearing CRAWL row must still sit on the shard that owns its
-    // server — and the cross-shard targets must have reached that owner.
+    // pages of servers another shard owns. After the web evolves, each
+    // shard of a 2-shard cluster requeues its hubs and the cluster
+    // revisits them, every URL-bearing CRAWL row must still sit on the
+    // shard that owns its server — and the cross-shard targets must
+    // have reached that owner.
     let base = Arc::new(WebGraph::generate(WebConfig::tiny(61)));
     let cycling = base.taxonomy().find("recreation/cycling").unwrap();
     let model = trained_model(&base, "recreation/cycling");
@@ -631,17 +632,21 @@ fn maintenance_pass_respects_the_partition() {
             })
             .collect()
     };
+    // Requeue every link source each shard knows (not just a top-k
+    // whose membership depends on crawl interleaving), with budget to
+    // spare: a shard that ran dry would have the entries its peers
+    // route to it discarded, which is not what is under test.
+    let before: Vec<_> = (0..cluster.n_shards()).map(links_of).collect();
+    for shard in cluster.shards() {
+        shard.distill_now().unwrap();
+        assert!(shard.maintenance_pass(usize::MAX).unwrap() > 0);
+        shard.add_budget(10_000);
+    }
+    cluster.run().unwrap();
     // Targets of new links that cross shards, with their owner.
     let mut crossing: Vec<(i64, usize)> = Vec::new();
-    for shard in 0..cluster.n_shards() {
-        let before = links_of(shard);
-        // Revisit every link source the shard knows, not just a top-k
-        // whose membership depends on crawl interleaving.
-        cluster.shards()[shard].distill_now().unwrap();
-        cluster.shards()[shard]
-            .maintenance_pass(usize::MAX)
-            .unwrap();
-        for (_, dst, sid_dst) in links_of(shard).difference(&before) {
+    for (shard, before) in before.iter().enumerate() {
+        for (_, dst, sid_dst) in links_of(shard).difference(before) {
             let owner = *sid_dst as usize % cluster.n_shards();
             if owner != shard {
                 crossing.push((*dst, owner));
@@ -653,7 +658,7 @@ fn maintenance_pass_respects_the_partition() {
         "test web produced no cross-shard maintenance link"
     );
 
-    // Land whatever the passes routed (a checkpoint drains every inbox).
+    // Land whatever is still in transit (a checkpoint drains every inbox).
     cluster.checkpoint().unwrap();
     for shard in 0..cluster.n_shards() {
         let rs = cluster.shards()[shard]

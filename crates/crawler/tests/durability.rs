@@ -519,32 +519,101 @@ fn recover_empties_server_health_with_the_breakers() {
     cleanup(&path);
 }
 
-/// The same for a rerun that restarts the health map: a `StartOptions`
-/// breaker override makes servers re-earn their quarantines, so the
-/// rows of the quarantines they had earned go with the old map.
+/// Crawl maintenance is acknowledged work. A `maintenance_pass` commits
+/// the rows it requeues as `seed` commits its seeds, and the revisits
+/// land at the one loop's commit points, so a crash right after the
+/// pass loses no hub and a crash after the next run loses no link the
+/// revisits found. (The synchronous pass this replaced never reached a
+/// commit point: a crash after it lost every `LINK` row it had written.)
 #[test]
-fn a_breaker_override_rerun_empties_server_health() {
-    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+fn maintenance_requeues_and_revisits_survive_a_crash() {
+    use focus_webgraph::{evolve, EvolutionConfig, EvolvingFetcher};
+    let path = temp_db_path("maintenance");
+    cleanup(&path);
+    let base = Arc::new(WebGraph::generate(WebConfig::tiny(47)));
+    let cycling = base.taxonomy().find("recreation/cycling").unwrap();
+    let fetcher = Arc::new(EvolvingFetcher::new(Arc::clone(&base)));
     let cfg = CrawlConfig {
         threads: 1,
-        max_fetches: 120,
-        distill_every: None,
+        max_fetches: 160,
+        distill_every: Some(80),
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 4,
+        },
         ..CrawlConfig::default()
     };
-    let (session, fetcher, server) = crawl_with_a_dead_server(&graph, cfg.clone());
-    fetcher.down.store(false, Ordering::Release);
-    session.add_budget(60);
-    let run = session.start_with(focus_crawler::StartOptions {
-        breaker: Some(cfg.breaker),
-        ..Default::default()
+    let model = || trained_model(&base, "recreation/cycling");
+    let ints = |s: &CrawlSession, sql: &str| -> Vec<Vec<i64>> {
+        let rows = s.sql(sql).unwrap().rows.into_iter();
+        rows.map(|r| r.iter().map(|v| v.as_i64().unwrap()).collect())
+            .collect()
+    };
+    const REQUEUED: &str =
+        "select oid from crawl where visited = 0 and kcid >= 0 and not_before = 0 order by oid";
+    const LINKS: &str = "select oid_src, oid_dst from link";
+
+    let session = Arc::new(CrawlSession::new(fetcher.clone(), model(), cfg.clone()).unwrap());
+    session
+        .seed(&focus_webgraph::search::topic_start_set(&base, cycling, 10))
+        .unwrap();
+    session.run().unwrap();
+    let evolution = EvolutionConfig {
+        new_pages_per_topic: 12,
+        hub_update_fraction: 1.0,
+        new_links_per_hub: 8,
+        content_update_fraction: 0.6,
+        seed: 5,
+    };
+    fetcher.swap(Arc::new(evolve(&base, 1, &evolution)));
+    let requeued = session.maintenance_pass(10).unwrap();
+    assert_eq!(requeued, 10);
+    let hubs = ints(&session, REQUEUED);
+    assert_eq!(hubs.len(), requeued);
+    let links_before: BTreeSet<Vec<i64>> = ints(&session, LINKS).into_iter().collect();
+    std::mem::forget(session); // crash right after the pass
+
+    let recovered = Arc::new(CrawlSession::recover(fetcher.clone(), model(), cfg.clone()).unwrap());
+    assert_eq!(ints(&recovered, REQUEUED), hubs, "requeued hubs are lost");
+    let known = recovered.relevance_map();
+    for hub in &hubs {
+        assert!(
+            known.contains_key(&Oid(hub[0] as u64)),
+            "the reopened store forgot that {hub:?} was fetched"
+        );
+    }
+    // Crawl on: the hubs are revisited, and what they now link to is
+    // recorded and enqueued.
+    recovered.run().unwrap();
+    assert_eq!(ints(&recovered, REQUEUED), Vec::<Vec<i64>>::new());
+    let links_after = ints(&recovered, LINKS);
+    let found: Vec<&Vec<i64>> = (links_after.iter())
+        .filter(|l| hubs.contains(&vec![l[0]]) && !links_before.contains(*l))
+        .collect();
+    assert!(!found.is_empty(), "the revisits found no new link");
+    std::mem::forget(recovered); // crash after the run
+
+    let again = CrawlSession::recover(fetcher, model(), cfg).unwrap();
+    assert_eq!(ints(&again, LINKS), links_after, "links are lost");
+    let crawl: BTreeSet<i64> = (ints(&again, "select oid from crawl").iter())
+        .map(|r| r[0])
+        .collect();
+    for link in found {
+        assert!(crawl.contains(&link[1]), "target of {link:?} is lost");
+    }
+    let mut pairs = BTreeSet::new();
+    for link in &links_after {
+        assert!(pairs.insert(link), "{link:?} is in LINK twice");
+    }
+    again.with_db_read(|db| {
+        let (pool, catalog) = db.parts();
+        for table in ["crawl", "link"] {
+            for idx in &catalog.table(catalog.table_id(table).unwrap()).indexes {
+                idx.btree.validate(pool).unwrap();
+            }
+        }
     });
-    run.unwrap().join().unwrap();
-    assert!(fetched_on(&session, server) > 0, "nothing fetched there");
-    assert_eq!(
-        health_states(&session),
-        vec![],
-        "no breaker opened in this run, so none may be reported open"
-    );
+    cleanup(&path);
 }
 
 /// `TAXONOMY.type` is the marking of the model the session runs under:

@@ -7,7 +7,7 @@
 
 use focus_classifier::train::{train, TrainConfig};
 use focus_crawler::session::{CrawlConfig, CrawlSession};
-use focus_crawler::{CrawlPolicy, PolitenessConfig, StartOptions};
+use focus_crawler::{CrawlPolicy, PolitenessConfig};
 use focus_types::{ClassId, Oid};
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::HashMap;
@@ -157,6 +157,56 @@ fn checkpoint_under_load_demotes_in_flight_claims() {
     assert_eq!(claimed_rows(&session), 0);
 }
 
+/// Counts concurrent fetches, per server and overall, and keeps the
+/// high-water marks.
+struct Gauged {
+    inner: Arc<SimFetcher>,
+    /// `(in flight per server, in flight overall)`.
+    cur: Mutex<(HashMap<u32, i64>, i64)>,
+    max: Mutex<(HashMap<u32, i64>, i64)>,
+}
+
+impl Gauged {
+    fn new(graph: &Arc<WebGraph>, latency: Duration) -> Arc<Gauged> {
+        Arc::new(Gauged {
+            inner: Arc::new(SimFetcher::new(Arc::clone(graph), Some(latency))),
+            cur: Mutex::default(),
+            max: Mutex::default(),
+        })
+    }
+}
+
+impl Fetcher for Gauged {
+    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+        let sid = self.inner.server_of(oid).map(|s| s.raw()).unwrap_or(0);
+        {
+            let mut cur = self.cur.lock().unwrap();
+            let c = cur.0.entry(sid).or_insert(0);
+            *c += 1;
+            let c = *c;
+            cur.1 += 1;
+            let mut max = self.max.lock().unwrap();
+            let m = max.0.entry(sid).or_insert(0);
+            *m = (*m).max(c);
+            max.1 = max.1.max(cur.1);
+        }
+        let out = self.inner.fetch(oid);
+        let mut cur = self.cur.lock().unwrap();
+        *cur.0.get_mut(&sid).unwrap() -= 1;
+        cur.1 -= 1;
+        out
+    }
+    fn fetch_count(&self) -> u64 {
+        self.inner.fetch_count()
+    }
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.inner.url_of(oid)
+    }
+    fn server_of(&self, oid: Oid) -> Option<focus_types::ServerId> {
+        self.inner.server_of(oid)
+    }
+}
+
 /// Per-server politeness under pooled stress: an instrumented fetcher
 /// counts concurrent fetches per server; with `max_in_flight = 2` and a
 /// 64-thread pool hammering a small server set, the observed high-water
@@ -165,49 +215,11 @@ fn checkpoint_under_load_demotes_in_flight_claims() {
 /// fetcher can ever see.)
 #[test]
 fn politeness_cap_holds_under_pooled_stress() {
-    struct Gauged {
-        inner: Arc<SimFetcher>,
-        cur: Mutex<HashMap<u32, i64>>,
-        max: Mutex<HashMap<u32, i64>>,
-    }
-    impl Fetcher for Gauged {
-        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
-            let sid = self.inner.server_of(oid).map(|s| s.raw()).unwrap_or(0);
-            {
-                let mut cur = self.cur.lock().unwrap();
-                let c = cur.entry(sid).or_insert(0);
-                *c += 1;
-                let mut max = self.max.lock().unwrap();
-                let m = max.entry(sid).or_insert(0);
-                *m = (*m).max(*c);
-            }
-            let out = self.inner.fetch(oid);
-            *self.cur.lock().unwrap().get_mut(&sid).unwrap() -= 1;
-            out
-        }
-        fn fetch_count(&self) -> u64 {
-            self.inner.fetch_count()
-        }
-        fn url_of(&self, oid: Oid) -> Option<String> {
-            self.inner.url_of(oid)
-        }
-        fn server_of(&self, oid: Oid) -> Option<focus_types::ServerId> {
-            self.inner.server_of(oid)
-        }
-    }
-
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
     let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
     let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 12);
     let model = trained_model(&graph, "recreation/cycling");
-    let fetcher = Arc::new(Gauged {
-        inner: Arc::new(SimFetcher::new(
-            Arc::clone(&graph),
-            Some(Duration::from_millis(2)),
-        )),
-        cur: Mutex::new(HashMap::new()),
-        max: Mutex::new(HashMap::new()),
-    });
+    let fetcher = Gauged::new(&graph, Duration::from_millis(2));
     let session = Arc::new(
         CrawlSession::new(
             Arc::clone(&fetcher) as Arc<dyn Fetcher>,
@@ -232,8 +244,8 @@ fn politeness_cap_holds_under_pooled_stress() {
     let stats = session.start().unwrap().join().unwrap();
     assert!(stats.attempts > 100, "crawl barely ran: {}", stats.attempts);
     let max = fetcher.max.lock().unwrap();
-    assert!(!max.is_empty());
-    for (&sid, &peak) in max.iter() {
+    assert!(!max.0.is_empty());
+    for (&sid, &peak) in max.0.iter() {
         assert!(
             peak <= 2,
             "server {sid} saw {peak} concurrent fetches; politeness cap is 2"
@@ -241,26 +253,78 @@ fn politeness_cap_holds_under_pooled_stress() {
     }
 }
 
-/// The politeness override on `StartOptions` applies per run: the same
-/// session started with an unlimited override must be allowed to exceed
-/// the configured cap (sanity check that the cap in the test above is
-/// enforced by politeness, not by accident of scheduling).
+/// Hub revisits are claims like any others, so they inherit the
+/// pipeline: requeued hubs on distinct servers are fetched
+/// concurrently by the pool, and never two at once from one server
+/// when the politeness cap is one.
 #[test]
-fn politeness_override_applies_per_run() {
-    let (session, _) = pipeline_session(Duration::from_millis(5), |cfg| {
-        cfg.politeness = PolitenessConfig {
-            max_in_flight: 1,
-            min_delay: 0,
-        };
-        cfg.max_fetches = 400;
-    });
-    let run = session
-        .start_with(StartOptions {
-            politeness: Some(PolitenessConfig::unlimited()),
-            ..StartOptions::default()
-        })
+fn revisits_overlap_in_the_pool_under_the_per_server_cap() {
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let fetcher = Gauged::new(&graph, Duration::from_millis(5));
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::clone(&fetcher) as Arc<dyn Fetcher>,
+            trained_model(&graph, "recreation/cycling"),
+            CrawlConfig {
+                threads: 1,
+                max_fetches: 120,
+                distill_every: None,
+                // `distill_now()` below must not refill the frontier.
+                hub_boost_top_k: 0,
+                fetch_pool: 8,
+                politeness: PolitenessConfig {
+                    max_in_flight: 1,
+                    min_delay: 0,
+                },
+                ..CrawlConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    session
+        .seed(&focus_webgraph::search::topic_start_set(
+            &graph, cycling, 12,
+        ))
         .unwrap();
-    let stats = run.join().unwrap();
-    assert!(stats.attempts > 0);
+    session.run().unwrap();
+    // Leave nothing but revisits to fetch, and measure only them.
+    session.sql("delete from crawl where visited = 0").unwrap();
+    session.distill_now().unwrap();
+    let requeued = session.maintenance_pass(24).unwrap();
+    let hubs = session
+        .sql("select oid, url from crawl where visited = 0")
+        .unwrap();
+    let servers: std::collections::HashSet<_> = (hubs.rows.iter())
+        .map(|r| focus_crawler::host_server_id(r[1].as_str().unwrap()))
+        .collect();
+    assert_eq!(hubs.rows.len(), requeued);
+    assert!(
+        servers.len() > 1 && servers.len() < requeued,
+        "{requeued} hubs on {} servers: the test needs both kinds of pair",
+        servers.len()
+    );
+    *fetcher.max.lock().unwrap() = Default::default();
+    // Budget is no bound here: while a hub waits for its server's one
+    // slot the claim scan passes it over for the outlinks its peers
+    // just landed. Stop once the last hub has.
+    session.add_budget(100_000);
+    let run = session.start().unwrap();
+    let t0 = Instant::now();
+    let waiting = "select count(*) from crawl where visited <> 1 and kcid >= 0";
+    while session.sql(waiting).unwrap().scalar_i64() != Some(0) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "hubs left unvisited"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    run.stop();
+    run.join().unwrap();
+    let max = fetcher.max.lock().unwrap();
+    assert!(max.1 > 1, "revisits never overlapped (peak {})", max.1);
+    for (&sid, &peak) in max.0.iter() {
+        assert!(peak <= 1, "server {sid} saw {peak} concurrent revisits");
+    }
     assert_eq!(claimed_rows(&session), 0);
 }

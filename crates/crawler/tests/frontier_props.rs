@@ -1,7 +1,8 @@
 //! Property test of the frontier's write paths: random interleavings of
-//! every public `frontier` operation against a `BTreeMap<Oid, row>`
-//! model. After each operation the `CRAWL` table equals the model, both
-//! of its indexes hold exactly one entry per row (each row reachable
+//! every public `frontier` operation — the maintenance requeue
+//! included — against a `BTreeMap<Oid, row>` model. After each
+//! operation the `CRAWL` table equals the model, both of its indexes
+//! hold exactly one entry per row (each row reachable
 //! through each index under the key its current values encode to) and
 //! pass `BTree::validate`, and claims come out in the paper's
 //! `(numtries, −log R, serverload)` order.
@@ -24,14 +25,16 @@ use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// One `CRAWL` row as the model keeps it (`negrel` is always
-/// `−relevance`, so it is derived, not stored).
+/// One `CRAWL` row as the model keeps it. `negrel` is `−relevance`
+/// except on a requeued revisit, which keeps the page's own relevance
+/// and sits at the top priority.
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
     url: String,
     kcid: i64,
     numtries: i64,
     relevance: f64,
+    negrel: f64,
     serverload: i64,
     lastvisited: i64,
     visited: i64,
@@ -46,7 +49,7 @@ impl Row {
             Value::Int(self.kcid),
             Value::Int(self.numtries),
             Value::Float(self.relevance),
-            Value::Float(-self.relevance),
+            Value::Float(self.negrel),
             Value::Int(self.serverload),
             Value::Int(self.lastvisited),
             Value::Int(self.visited),
@@ -57,8 +60,14 @@ impl Row {
     /// The frontier index's order below its `visited` prefix.
     fn priority_cmp(&self, other: &Row) -> Ordering {
         (self.numtries.cmp(&other.numtries))
-            .then((-self.relevance).total_cmp(&-other.relevance))
+            .then(self.negrel.total_cmp(&other.negrel))
             .then(self.serverload.cmp(&other.serverload))
+    }
+
+    /// A new priority, mirrored in both columns.
+    fn set_relevance(&mut self, log_relevance: f64) {
+        self.relevance = log_relevance;
+        self.negrel = -log_relevance;
     }
 }
 
@@ -191,6 +200,7 @@ fn upsert(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCase
                         kcid: -1,
                         numtries: 0,
                         relevance: e.log_relevance,
+                        negrel: -e.log_relevance,
                         serverload: e.serverload,
                         lastvisited: 0,
                         visited: visited::FRONTIER,
@@ -198,9 +208,9 @@ fn upsert(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCase
                     },
                 );
             }
-            Some(row) if row.visited == visited::FRONTIER && e.log_relevance > row.relevance => {
+            Some(row) if row.visited == visited::FRONTIER && e.log_relevance > -row.negrel => {
                 want.raised += 1;
-                row.relevance = e.log_relevance;
+                row.set_relevance(e.log_relevance);
             }
             Some(_) => {}
         }
@@ -319,7 +329,7 @@ fn apply(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseE
             prop_assert_eq!(res.is_ok(), model.contains_key(&o), "{res:?}");
             if let Some(row) = model.get_mut(&o) {
                 row.kcid = s.b;
-                row.relevance = rel(s.a);
+                row.set_relevance(rel(s.a));
                 row.lastvisited = s.a;
                 row.visited = visited::DONE;
                 if !url.is_empty() {
@@ -372,19 +382,42 @@ fn apply(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseE
             for (o, r) in items {
                 if let Some(row) = model.get_mut(&o.raw()) {
                     if row.visited == visited::DONE {
-                        row.relevance = r;
+                        row.set_relevance(r);
                     }
                 }
             }
         }
-        // touch_visited: any known row, whatever its state.
+        // requeue_done: `DONE` rows go back to the frontier at the top
+        // priority, keeping what the fetch learned; other states and
+        // unknown oids are left alone. The next claim is one of them
+        // (or a row that ties with them).
         _ => {
-            let Some(&o) = aim(model, visited::DONE, &s.picks, s.flag).first() else {
-                return Ok(());
-            };
-            frontier::touch_visited(db, Oid(o), s.a).unwrap();
-            if let Some(row) = model.get_mut(&o) {
-                row.lastvisited = s.a;
+            let oids = aim(model, visited::DONE, &s.picks, s.flag);
+            let targets: Vec<Oid> = oids.iter().map(|&o| Oid(o)).collect();
+            let mut requeued = Vec::new();
+            for o in &oids {
+                if let Some(row) = model.get_mut(o).filter(|r| r.visited == visited::DONE) {
+                    row.visited = visited::FRONTIER;
+                    row.numtries = 0;
+                    row.not_before = 0;
+                    row.negrel = -0.0;
+                    requeued.push(row.clone());
+                }
+            }
+            let n = frontier::requeue_done(db, &targets).unwrap();
+            prop_assert_eq!(n, requeued.len());
+            if let Some(revisit) = requeued.first() {
+                check(db, model)?;
+                let out = frontier::claim_batch_where(db, 1, 0, |_| true).unwrap();
+                prop_assert_eq!(out.claims.len(), 1, "a requeued row is due at once");
+                let popped = model.get_mut(&out.claims[0].oid.raw()).unwrap();
+                prop_assert!(
+                    popped.visited == visited::FRONTIER
+                        && popped.priority_cmp(revisit) != Ordering::Greater,
+                    "{popped:?} popped ahead of the requeued {revisit:?}"
+                );
+                popped.visited = visited::CLAIMED;
+                popped.not_before = 0;
             }
         }
     }

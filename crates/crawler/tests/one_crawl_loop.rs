@@ -7,6 +7,12 @@
 //! executor ([`focus_crawler::fetch_pool`]); this test reads the
 //! crate's sources and fails if the second loop (or a second claim
 //! path, or a file growing back into a 1,900-line monolith) reappears.
+//!
+//! Crawl maintenance was the last fork: `maintenance_pass_with` fetched
+//! hubs on the caller's thread through its own copy of admit → fetch →
+//! charge → land. A revisit is now a requeued `CRAWL` row the one loop
+//! fetches; the second test fails if a second fetch site, a second
+//! admission site, or the fork's vocabulary comes back.
 
 use std::path::{Path, PathBuf};
 
@@ -75,5 +81,41 @@ fn there_is_one_crawl_loop_and_no_file_is_a_monolith() {
         claim_admitted_calls.len(),
         1,
         "`claim_admitted` must have exactly one call site (`next_tick`): {claim_admitted_calls:?}"
+    );
+}
+
+#[test]
+fn there_is_one_fetch_site_and_one_admission_site() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    sources(&src, &mut files);
+
+    let mut admissions = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        for gone in ["HubRevisit", "maintenance_pass_with", "Unclassifiable"] {
+            assert!(
+                !text.contains(gone),
+                "`{gone}` is back in {}: a hub revisit is a requeued frontier row, \
+                 fetched, failed and landed by the one worker loop",
+                path.display()
+            );
+        }
+        for line in code_lines(&text) {
+            let fetches = line.contains(".fetch(") || line.contains(".fetch_with_ordinal(");
+            assert!(
+                !fetches || path.ends_with("fetch_pool.rs"),
+                "{} fetches outside the fetch executor: `{line}`",
+                path.display()
+            );
+            if line.contains("health.admit(") {
+                admissions.push(path.display().to_string());
+            }
+        }
+    }
+    assert_eq!(
+        admissions.len(),
+        1,
+        "`HealthMap::admit` must have exactly one call site (`claim_admitted`): {admissions:?}"
     );
 }

@@ -113,9 +113,9 @@ fn one_loader_derives_memory_from_tables() {
     );
     let links = sites(".add_link(");
     assert!(
-        links.len() <= 3 && in_store(&links) == 1,
-        "links enter the graph when a page lands, when a hub is revisited, and in \
-         `StoreState::load` — nowhere else: {links:?}"
+        links.len() == 2 && in_store(&links) == 1,
+        "links enter the graph when a page lands (a first visit or a hub revisit, one \
+         function) and in `StoreState::load` — nowhere else: {links:?}"
     );
     let relevance = sites(".set_relevance(");
     assert!(

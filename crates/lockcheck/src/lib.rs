@@ -3,7 +3,7 @@
 //! Two halves, one lattice:
 //!
 //! - **Runtime** ([`ordered`]): [`OrderedMutex`] / [`OrderedRwLock`] /
-//!   [`OrderedCondvar`] wrap the vendored `parking_lot` primitives with a
+//!   [`OrderedCondvar`] wrap the `std::sync` primitives with a
 //!   [`rank::Rank`]. Debug builds keep a per-thread table of held ranks
 //!   and panic — showing both acquisition sites — the moment any code
 //!   path acquires out of order. Release builds are `#[repr(transparent)]`

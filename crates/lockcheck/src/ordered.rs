@@ -1,17 +1,28 @@
-//! Rank-ordered lock wrappers over the vendored `parking_lot`.
+//! Rank-ordered lock wrappers over `std::sync`.
 //!
 //! Debug builds keep a per-thread table of held ranks: every acquisition
 //! checks that its rank is strictly above everything already held (with a
 //! shared-mode exception for reentrant reads) and panics with *both*
 //! acquisition sites on an inversion. Release builds compile to plain
-//! `parking_lot` locks: the rank is not stored, the held token is
+//! `std::sync` locks: the rank is not stored, the held token is
 //! zero-sized and dropless, and the lock structs are
-//! `#[repr(transparent)]` over their `parking_lot` counterparts.
+//! `#[repr(transparent)]` over their `std::sync` counterparts.
+//!
+//! Acquisition cannot fail: a lock poisoned by a thread that panicked
+//! while holding it is recovered, not propagated. The crawler handles
+//! worker panics explicitly (a failed run is reported, its session
+//! stays usable), so every update under these locks leaves the data
+//! valid at each step.
 
 use crate::rank::Rank;
-use parking_lot as pl;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::{self, LockResult, PoisonError, TryLockError};
+
+/// The guard (or value) behind a lock result, poisoned or not.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 #[cfg(debug_assertions)]
 mod held {
@@ -127,13 +138,13 @@ fn acquire(_rank: Rank, _exclusive: bool) -> HeldToken {
     HeldToken
 }
 
-/// A [`parking_lot::Mutex`] that carries a [`Rank`] and participates in
+/// A [`std::sync::Mutex`] that carries a [`Rank`] and participates in
 /// the debug-build order check. `#[repr(transparent)]` in release.
 #[cfg_attr(not(debug_assertions), repr(transparent))]
 pub struct OrderedMutex<T: ?Sized> {
     #[cfg(debug_assertions)]
     rank: Rank,
-    inner: pl::Mutex<T>,
+    inner: sync::Mutex<T>,
 }
 
 impl<T> OrderedMutex<T> {
@@ -144,13 +155,13 @@ impl<T> OrderedMutex<T> {
         OrderedMutex {
             #[cfg(debug_assertions)]
             rank,
-            inner: pl::Mutex::new(value),
+            inner: sync::Mutex::new(value),
         }
     }
 
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        recover(self.inner.into_inner())
     }
 }
 
@@ -172,7 +183,7 @@ impl<T: ?Sized> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         let token = acquire(self.rank(), true);
         OrderedMutexGuard {
-            inner: self.inner.lock(),
+            inner: recover(self.inner.lock()),
             _token: token,
         }
     }
@@ -184,7 +195,12 @@ impl<T: ?Sized> OrderedMutex<T> {
     #[inline]
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
         let token = acquire(self.rank(), true);
-        self.inner.try_lock().map(|inner| OrderedMutexGuard {
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(OrderedMutexGuard {
             inner,
             _token: token,
         })
@@ -193,7 +209,7 @@ impl<T: ?Sized> OrderedMutex<T> {
     /// Mutable access without locking (requires exclusive borrow); no
     /// rank check because nothing is acquired.
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        recover(self.inner.get_mut())
     }
 }
 
@@ -207,7 +223,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for OrderedMutex<T> {
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
     // Declaration order is drop order: release the lock first, then
     // retire the rank from the per-thread table.
-    inner: pl::MutexGuard<'a, T>,
+    inner: sync::MutexGuard<'a, T>,
     _token: HeldToken,
 }
 
@@ -224,14 +240,14 @@ impl<T: ?Sized> DerefMut for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A [`parking_lot::RwLock`] that carries a [`Rank`] and participates in
+/// A [`std::sync::RwLock`] that carries a [`Rank`] and participates in
 /// the debug-build order check. Same-rank read-read re-acquisition is
 /// allowed (reentrant reads); anything involving a writer is not.
 #[cfg_attr(not(debug_assertions), repr(transparent))]
 pub struct OrderedRwLock<T: ?Sized> {
     #[cfg(debug_assertions)]
     rank: Rank,
-    inner: pl::RwLock<T>,
+    inner: sync::RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
@@ -242,13 +258,13 @@ impl<T> OrderedRwLock<T> {
         OrderedRwLock {
             #[cfg(debug_assertions)]
             rank,
-            inner: pl::RwLock::new(value),
+            inner: sync::RwLock::new(value),
         }
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        recover(self.inner.into_inner())
     }
 }
 
@@ -269,7 +285,7 @@ impl<T: ?Sized> OrderedRwLock<T> {
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         let token = acquire(self.rank(), false);
         OrderedRwLockReadGuard {
-            inner: self.inner.read(),
+            inner: recover(self.inner.read()),
             _token: token,
         }
     }
@@ -280,14 +296,14 @@ impl<T: ?Sized> OrderedRwLock<T> {
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         let token = acquire(self.rank(), true);
         OrderedRwLockWriteGuard {
-            inner: self.inner.write(),
+            inner: recover(self.inner.write()),
             _token: token,
         }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        recover(self.inner.get_mut())
     }
 }
 
@@ -299,7 +315,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for OrderedRwLock<T> {
 
 /// Shared-read guard for [`OrderedRwLock`].
 pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
-    inner: pl::RwLockReadGuard<'a, T>,
+    inner: sync::RwLockReadGuard<'a, T>,
     _token: HeldToken,
 }
 
@@ -312,7 +328,7 @@ impl<T: ?Sized> Deref for OrderedRwLockReadGuard<'_, T> {
 
 /// Exclusive-write guard for [`OrderedRwLock`].
 pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
-    inner: pl::RwLockWriteGuard<'a, T>,
+    inner: sync::RwLockWriteGuard<'a, T>,
     _token: HeldToken,
 }
 
@@ -329,20 +345,19 @@ impl<T: ?Sized> DerefMut for OrderedRwLockWriteGuard<'_, T> {
     }
 }
 
-/// A condition variable paired with [`OrderedMutex`]. Works because the
-/// vendored `parking_lot::MutexGuard` is an alias of
-/// `std::sync::MutexGuard`, so `std::sync::Condvar` can consume and
-/// return the inner guard. The rank token is kept across the wait: the
-/// waiting thread runs no code while parked, so its held table staying
-/// populated is harmless, and the lock is reacquired before `wait`
-/// returns so the table is accurate again on wake.
+/// A condition variable paired with [`OrderedMutex`]: it consumes and
+/// returns the `std::sync::MutexGuard` inside the ordered guard. The
+/// rank token is kept across the wait: the waiting thread runs no code
+/// while parked, so its held table staying populated is harmless, and
+/// the lock is reacquired before `wait` returns so the table is
+/// accurate again on wake.
 #[derive(Default)]
-pub struct OrderedCondvar(std::sync::Condvar);
+pub struct OrderedCondvar(sync::Condvar);
 
 impl OrderedCondvar {
     /// Create a condition variable.
     pub const fn new() -> OrderedCondvar {
-        OrderedCondvar(std::sync::Condvar::new())
+        OrderedCondvar(sync::Condvar::new())
     }
 
     /// Wake one waiter.
@@ -358,10 +373,7 @@ impl OrderedCondvar {
     /// Atomically release `guard` and park until notified; never poisons.
     pub fn wait<'a, T>(&self, guard: OrderedMutexGuard<'a, T>) -> OrderedMutexGuard<'a, T> {
         let OrderedMutexGuard { inner, _token } = guard;
-        let inner = self
-            .0
-            .wait(inner)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = recover(self.0.wait(inner));
         OrderedMutexGuard { inner, _token }
     }
 
@@ -371,12 +383,9 @@ impl OrderedCondvar {
         &self,
         guard: OrderedMutexGuard<'a, T>,
         timeout: std::time::Duration,
-    ) -> (OrderedMutexGuard<'a, T>, std::sync::WaitTimeoutResult) {
+    ) -> (OrderedMutexGuard<'a, T>, sync::WaitTimeoutResult) {
         let OrderedMutexGuard { inner, _token } = guard;
-        let (inner, timed_out) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (inner, timed_out) = recover(self.0.wait_timeout(inner, timeout));
         (OrderedMutexGuard { inner, _token }, timed_out)
     }
 }

@@ -1,6 +1,6 @@
 //! Release-build zero-cost claim, checked where it applies: without
 //! debug assertions the wrappers carry no rank field and add no size
-//! over the raw `parking_lot` primitives. (`cargo test --release`; the
+//! over the raw `std::sync` primitives. (`cargo test --release`; the
 //! CI `release-dbg` profile keeps debug assertions on and so skips
 //! this file by design.)
 #![cfg(not(debug_assertions))]
@@ -12,15 +12,15 @@ use std::mem::size_of;
 fn wrappers_add_no_size_in_release() {
     assert_eq!(
         size_of::<OrderedMutex<u64>>(),
-        size_of::<parking_lot::Mutex<u64>>()
+        size_of::<std::sync::Mutex<u64>>()
     );
     assert_eq!(
         size_of::<OrderedRwLock<u64>>(),
-        size_of::<parking_lot::RwLock<u64>>()
+        size_of::<std::sync::RwLock<u64>>()
     );
     assert_eq!(
         size_of::<OrderedMutex<Vec<u8>>>(),
-        size_of::<parking_lot::Mutex<Vec<u8>>>()
+        size_of::<std::sync::Mutex<Vec<u8>>>()
     );
 }
 

@@ -3,7 +3,6 @@
 //! (order-preserving, for B+tree keys).
 
 use crate::error::{DbError, DbResult};
-use bytes::{Buf, BufMut};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -85,55 +84,39 @@ impl Value {
     /// Append the compact row encoding of `self` to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Value::Null => buf.put_u8(0),
+            Value::Null => buf.push(0),
             Value::Int(i) => {
-                buf.put_u8(1);
-                buf.put_i64_le(*i);
+                buf.push(1);
+                buf.extend_from_slice(&i.to_le_bytes());
             }
             Value::Float(f) => {
-                buf.put_u8(2);
-                buf.put_f64_le(*f);
+                buf.push(2);
+                buf.extend_from_slice(&f.to_le_bytes());
             }
             Value::Str(s) => {
-                buf.put_u8(3);
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
+                buf.push(3);
+                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                buf.extend_from_slice(s.as_bytes());
             }
         }
     }
 
     /// Decode one value from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> DbResult<Value> {
-        if buf.is_empty() {
-            return Err(DbError::Page("truncated value".into()));
-        }
-        let tag = buf.get_u8();
+        let [tag] = take(buf, "truncated value")?;
         Ok(match tag {
             0 => Value::Null,
-            1 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Page("truncated int".into()));
-                }
-                Value::Int(buf.get_i64_le())
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Page("truncated float".into()));
-                }
-                Value::Float(buf.get_f64_le())
-            }
+            1 => Value::Int(i64::from_le_bytes(take(buf, "truncated int")?)),
+            2 => Value::Float(f64::from_le_bytes(take(buf, "truncated float")?)),
             3 => {
-                if buf.remaining() < 4 {
-                    return Err(DbError::Page("truncated string length".into()));
-                }
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n {
-                    return Err(DbError::Page("truncated string body".into()));
-                }
-                let s = std::str::from_utf8(&buf[..n])
+                let n = u32::from_le_bytes(take(buf, "truncated string length")?) as usize;
+                let (body, rest) = buf
+                    .split_at_checked(n)
+                    .ok_or_else(|| DbError::Page("truncated string body".into()))?;
+                let s = std::str::from_utf8(body)
                     .map_err(|_| DbError::Page("invalid utf8 in string".into()))?
                     .to_owned();
-                buf.advance(n);
+                *buf = rest;
                 Value::Str(s)
             }
             t => return Err(DbError::Page(format!("unknown value tag {t}"))),
@@ -150,31 +133,39 @@ impl Value {
     /// `0x00` so composite keys stay self-delimiting.
     pub fn encode_key(&self, buf: &mut Vec<u8>) {
         match self {
-            Value::Null => buf.put_u8(0x01),
+            Value::Null => buf.push(0x01),
             Value::Int(i) => {
-                buf.put_u8(0x02);
+                buf.push(0x02);
                 // Flip the sign bit so two's-complement sorts unsigned.
-                buf.put_u64(*i as u64 ^ (1u64 << 63));
+                buf.extend_from_slice(&(*i as u64 ^ (1u64 << 63)).to_be_bytes());
             }
             Value::Float(f) => {
-                buf.put_u8(0x03);
-                buf.put_u64(f64_to_ordered_bits(*f));
+                buf.push(0x03);
+                buf.extend_from_slice(&f64_to_ordered_bits(*f).to_be_bytes());
             }
             Value::Str(s) => {
-                buf.put_u8(0x04);
+                buf.push(0x04);
                 for &b in s.as_bytes() {
                     if b == 0x00 {
-                        buf.put_u8(0x00);
-                        buf.put_u8(0xFF);
+                        buf.extend_from_slice(&[0x00, 0xFF]);
                     } else {
-                        buf.put_u8(b);
+                        buf.push(b);
                     }
                 }
-                buf.put_u8(0x00);
-                buf.put_u8(0x00);
+                buf.extend_from_slice(&[0x00, 0x00]);
             }
         }
     }
+}
+
+/// The one checked read both decoders share: take the next `N` bytes off
+/// the front of `buf`, or fail with `what` if fewer are left.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> DbResult<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| DbError::Page(what.into()))?;
+    *buf = rest;
+    Ok(*head)
 }
 
 /// Map f64 bit patterns to u64s whose unsigned order equals `total_cmp`.
@@ -210,40 +201,30 @@ pub fn encode_composite_key(vals: &[Value]) -> Vec<u8> {
 /// serve queries straight from B+tree keys without touching the heap.
 pub fn decode_composite_key(mut bytes: &[u8]) -> DbResult<Vec<Value>> {
     let mut out = Vec::new();
-    while !bytes.is_empty() {
-        let tag = bytes.get_u8();
+    while let Some((&tag, rest)) = bytes.split_first() {
+        bytes = rest;
         out.push(match tag {
             0x01 => Value::Null,
             0x02 => {
-                if bytes.remaining() < 8 {
-                    return Err(DbError::Page("truncated int key".into()));
-                }
-                Value::Int((bytes.get_u64() ^ (1u64 << 63)) as i64)
+                let bits = u64::from_be_bytes(take(&mut bytes, "truncated int key")?);
+                Value::Int((bits ^ (1u64 << 63)) as i64)
             }
             0x03 => {
-                if bytes.remaining() < 8 {
-                    return Err(DbError::Page("truncated float key".into()));
-                }
-                Value::Float(ordered_bits_to_f64(bytes.get_u64()))
+                let bits = u64::from_be_bytes(take(&mut bytes, "truncated float key")?);
+                Value::Float(ordered_bits_to_f64(bits))
             }
             0x04 => {
                 let mut s = Vec::new();
                 loop {
-                    if bytes.remaining() < 1 {
-                        return Err(DbError::Page("unterminated string key".into()));
-                    }
-                    let b = bytes.get_u8();
+                    let [b] = take(&mut bytes, "unterminated string key")?;
                     if b != 0x00 {
                         s.push(b);
                         continue;
                     }
-                    if bytes.remaining() < 1 {
-                        return Err(DbError::Page("unterminated string key".into()));
-                    }
-                    match bytes.get_u8() {
-                        0xFF => s.push(0x00), // escaped NUL
-                        0x00 => break,        // terminator
-                        b => {
+                    match take(&mut bytes, "unterminated string key")? {
+                        [0xFF] => s.push(0x00), // escaped NUL
+                        [0x00] => break,        // terminator
+                        [b] => {
                             return Err(DbError::Page(format!("bad string key escape {b:#x}")));
                         }
                     }
@@ -265,7 +246,7 @@ pub type Row = Vec<Value>;
 /// Encode a whole row with the compact codec.
 pub fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(row.len() * 10);
-    buf.put_u16_le(row.len() as u16);
+    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         v.encode(&mut buf);
     }
@@ -274,10 +255,7 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 
 /// Decode a whole row.
 pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
-    if bytes.len() < 2 {
-        return Err(DbError::Page("truncated row header".into()));
-    }
-    let n = bytes.get_u16_le() as usize;
+    let n = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
         row.push(Value::decode(&mut bytes)?);
@@ -288,25 +266,16 @@ pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
 /// Skip one encoded value without materializing it (no allocation, no
 /// UTF-8 validation) — the cursor half of column-pruned decoding.
 fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
-    if buf.is_empty() {
-        return Err(DbError::Page("truncated value".into()));
-    }
-    let tag = buf.get_u8();
+    let [tag] = take(buf, "truncated value")?;
     let skip = match tag {
         0 => 0,
         1 | 2 => 8,
-        3 => {
-            if buf.remaining() < 4 {
-                return Err(DbError::Page("truncated string length".into()));
-            }
-            buf.get_u32_le() as usize
-        }
+        3 => u32::from_le_bytes(take(buf, "truncated string length")?) as usize,
         t => return Err(DbError::Page(format!("bad value tag {t}"))),
     };
-    if buf.remaining() < skip {
-        return Err(DbError::Page("truncated value body".into()));
-    }
-    buf.advance(skip);
+    *buf = buf
+        .get(skip..)
+        .ok_or_else(|| DbError::Page("truncated value body".into()))?;
     Ok(())
 }
 
@@ -316,10 +285,7 @@ fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
 /// text columns allocate nothing — which is what makes column-pruned
 /// scans cheap. `keep` shorter than the row keeps nothing past its end.
 pub fn decode_row_pruned(mut bytes: &[u8], keep: &[bool]) -> DbResult<Row> {
-    if bytes.len() < 2 {
-        return Err(DbError::Page("truncated row header".into()));
-    }
-    let n = bytes.get_u16_le() as usize;
+    let n = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
     let mut row = Vec::with_capacity(n);
     for i in 0..n {
         if keep.get(i).copied().unwrap_or(false) {

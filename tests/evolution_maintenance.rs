@@ -8,6 +8,7 @@ use focus_crawler::CrawlPolicy;
 use focus_eval::common::train_model;
 use focus_eval::Scale;
 use focus_webgraph::{evolve, EvolutionConfig, EvolvingFetcher, WebConfig, WebGraph};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 #[test]
@@ -38,8 +39,7 @@ fn maintenance_discovers_new_resources_after_evolution() {
         .unwrap();
     let stats1 = session.run().unwrap();
     assert!(stats1.successes > 50);
-    let visited_before: std::collections::HashSet<_> =
-        session.visited().iter().map(|&(o, _, _)| o).collect();
+    let visited_before: HashSet<_> = session.visited().iter().map(|&(o, _, _)| o).collect();
 
     // The web evolves: new cycling resources appear and hubs list them.
     let gen1 = Arc::new(evolve(
@@ -55,18 +55,27 @@ fn maintenance_discovers_new_resources_after_evolution() {
     ));
     fetcher.swap(Arc::clone(&gen1));
 
-    // Maintenance: revisit top hubs, find the new links.
-    let (revisited, new_links) = session.maintenance_pass(10).unwrap();
-    assert!(revisited > 0, "no hubs revisited");
-    assert!(new_links > 0, "maintenance found no new links");
-
-    // Resume crawling: the new resources get fetched.
+    // Maintenance: the top hubs go back in the frontier. Resume
+    // crawling: they are revisited, their new links are recorded, and
+    // the new resources get fetched.
+    let links_before: HashSet<_> = session.links().into_iter().collect();
+    let requeued = session.maintenance_pass(10).unwrap();
+    assert!(requeued > 0, "no hubs requeued");
     session.add_budget(80);
     let stats2 = session.run().unwrap();
     assert!(
         stats2.successes > stats1.successes,
         "no new fetches after maintenance"
     );
+    let revisited = stats2.completion_order[stats1.completion_order.len()..]
+        .iter()
+        .filter(|(o, _)| visited_before.contains(o))
+        .count();
+    assert!(revisited > 0, "no hubs revisited");
+    let new_links = (session.links().iter())
+        .filter(|l| visited_before.contains(&l.0) && !links_before.contains(l))
+        .count();
+    assert!(new_links > 0, "maintenance found no new links");
     let newly_fetched: Vec<_> = session
         .visited()
         .iter()
