@@ -37,13 +37,14 @@
 //! let seeds = focus::search::topic_start_set(&graph, cycling, 10);
 //! let mut run = system.start(&seeds).unwrap();
 //!
-//! // Watch it live (events), steer it (pause/mark_topic/add_seeds),
-//! // snapshot it (stats/checkpoint) — then take the classic outcome.
+//! // `run` derefs to the crawler's `CrawlRun`: watch it live (events),
+//! // steer it (pause/mark_topic/add_seeds), snapshot it
+//! // (stats/checkpoint) — then take the classic outcome.
 //! let events = run.take_events().unwrap();
 //! let outcome = run.join().unwrap();
 //! assert!(outcome.stats.successes > 0);
 //! let classified = events
-//!     .filter(|e| matches!(e, DiscoveryEvent::PageClassified { .. }))
+//!     .filter(|e| matches!(e, CrawlEvent::PageClassified { .. }))
 //!     .count() as u64;
 //! assert_eq!(classified, outcome.stats.successes);
 //! ```
@@ -54,19 +55,18 @@ pub mod admin;
 pub mod system;
 
 pub use admin::FocusBuilder;
-pub use system::{
-    ClusterRun, ClusterSnapshot, DiscoveryEvent, DiscoveryOutcome, DiscoveryRun, DiscoverySnapshot,
-    FocusSystem, RunOptions,
-};
+pub use system::{ClusterRun, DiscoveryOutcome, DiscoveryRun, FocusSystem};
 
 // Re-export the subsystem vocabulary so downstream users need one crate.
 pub use focus_classifier::compiled::{CompiledModel, EvalSummary, Scratch};
 pub use focus_classifier::model::{Posterior, TrainedModel};
 pub use focus_classifier::train::TrainConfig;
-pub use focus_crawler::cluster::CrawlCluster;
+pub use focus_crawler::cluster::{ClusterCheckpoint, CrawlCluster};
 pub use focus_crawler::events::{CrawlEvent, CrawlObserver, EventStream};
-pub use focus_crawler::run::RunState;
-pub use focus_crawler::session::{CrawlConfig, CrawlSession, CrawlStats, Durability};
+pub use focus_crawler::run::{CrawlRun, RunState, StartOptions};
+pub use focus_crawler::session::{
+    CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability,
+};
 pub use focus_crawler::CrawlPolicy;
 pub use focus_distiller::{DistillConfig, DistillResult};
 pub use focus_types::{
@@ -79,12 +79,9 @@ pub use minirel::{Database, Replica};
 /// Everything a quickstart needs.
 pub mod prelude {
     pub use crate::admin::FocusBuilder;
-    pub use crate::system::{
-        ClusterRun, ClusterSnapshot, DiscoveryEvent, DiscoveryOutcome, DiscoveryRun,
-        DiscoverySnapshot, FocusSystem, RunOptions,
-    };
+    pub use crate::system::{ClusterRun, DiscoveryOutcome, DiscoveryRun, FocusSystem};
     pub use focus_crawler::events::{CrawlEvent, CrawlObserver};
-    pub use focus_crawler::run::RunState;
+    pub use focus_crawler::run::{RunState, StartOptions};
     pub use focus_crawler::session::CrawlConfig;
     pub use focus_crawler::CrawlPolicy;
     pub use focus_types::{ClassId, Taxonomy};

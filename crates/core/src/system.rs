@@ -4,35 +4,21 @@
 //! administrator starts a crawl, watches harvest, marks topics good or
 //! bad, injects seeds, and re-steers the frontier — all against a
 //! long-lived run. [`FocusSystem::start`] spawns that run in the
-//! background and returns a [`DiscoveryRun`]: a typed event stream,
-//! control commands, snapshots, and `join()` for the classic blocking
-//! outcome.
+//! background and returns a [`DiscoveryRun`]: the crawler's own
+//! [`CrawlRun`] handle (typed event stream, control commands, snapshots
+//! — reached through `Deref`) plus topic marking by name and a `join()`
+//! that ends with the final distillation.
 
 use focus_classifier::model::TrainedModel;
 use focus_crawler::cluster::{ClusterCheckpoint, CrawlCluster};
-use focus_crawler::events::EventStream;
-use focus_crawler::run::{CrawlRun, RunState, StartOptions};
+use focus_crawler::run::{CrawlRun, StartOptions};
 use focus_crawler::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats};
-use focus_crawler::CrawlPolicy;
 use focus_distiller::DistillResult;
 use focus_types::{ClassId, FocusError, Oid, ServerId};
 use focus_webgraph::Fetcher;
 use minirel::Database;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// Everything a crawl needs to continue in a fresh session or process:
-/// the frontier, relevance state, link graph, stats, remaining budget,
-/// live policy, and good marking. Produced by
-/// [`DiscoveryRun::checkpoint`], consumed by [`FocusSystem::resume`].
-pub type DiscoverySnapshot = CrawlCheckpoint;
-
-/// One [`DiscoverySnapshot`] per shard plus the manifest (shard count
-/// and order). Produced by [`ClusterRun::checkpoint`], consumed by
-/// [`FocusSystem::resume_cluster`].
-pub type ClusterSnapshot = ClusterCheckpoint;
-
-/// Options for [`FocusSystem::start_with`].
-pub type RunOptions = StartOptions;
 
 /// What a discovery run produces.
 #[derive(Debug, Clone)]
@@ -97,22 +83,26 @@ impl FocusSystem {
     /// Seed with `D(C*)` and spawn the crawl in the background, returning
     /// the steering handle.
     pub fn start(&self, seeds: &[Oid]) -> Result<DiscoveryRun, FocusError> {
-        self.start_with(seeds, RunOptions::default())
+        self.start_with(seeds, StartOptions::default())
     }
 
     /// [`FocusSystem::start`] with an explicit event-channel capacity and
     /// observers.
-    pub fn start_with(&self, seeds: &[Oid], opts: RunOptions) -> Result<DiscoveryRun, FocusError> {
+    pub fn start_with(
+        &self,
+        seeds: &[Oid],
+        opts: StartOptions,
+    ) -> Result<DiscoveryRun, FocusError> {
         self.session.seed(seeds)?;
         let run = self.session.start_with(opts)?;
         Ok(DiscoveryRun { run })
     }
 
-    /// Rebuild a system around a [`DiscoverySnapshot`], so a checkpointed
+    /// Rebuild a system around a [`CrawlCheckpoint`], so a checkpointed
     /// crawl resumes in a fresh session: frontier, stats, budget, link
     /// graph, and good marking all carry over. Call
     /// [`FocusSystem::start`] with no (or extra) seeds to continue.
-    pub fn resume(&self, snapshot: &DiscoverySnapshot) -> Result<FocusSystem, FocusError> {
+    pub fn resume(&self, snapshot: &CrawlCheckpoint) -> Result<FocusSystem, FocusError> {
         let session = Arc::new(CrawlSession::restore(
             Arc::clone(&self.fetcher),
             self.model.clone(),
@@ -175,10 +165,10 @@ impl FocusSystem {
         Ok(ClusterRun { cluster, run })
     }
 
-    /// Rebuild a cluster from a [`ClusterSnapshot`] (shard count comes
+    /// Rebuild a cluster from a [`ClusterCheckpoint`] (shard count comes
     /// from the manifest). Call [`CrawlCluster::start`] — optionally
     /// after raising per-shard budgets — to continue the crawl.
-    pub fn resume_cluster(&self, snapshot: &ClusterSnapshot) -> Result<CrawlCluster, FocusError> {
+    pub fn resume_cluster(&self, snapshot: &ClusterCheckpoint) -> Result<CrawlCluster, FocusError> {
         Ok(CrawlCluster::restore(
             Arc::clone(&self.fetcher),
             self.model.clone(),
@@ -188,15 +178,28 @@ impl FocusSystem {
     }
 }
 
-/// A live sharded discovery run: the admin console of [`DiscoveryRun`],
-/// fanned out over every shard of a [`CrawlCluster`].
-///
-/// Control commands broadcast (`pause`/`resume`/`stop`, `mark_topic`) or
-/// route by owner (`add_seeds`); snapshots sum counters and merge the
-/// harvest series. Obtained from [`FocusSystem::start_cluster`].
+/// A live sharded discovery run: the crawler's cluster handle
+/// (`pause`/`resume`/`stop`, `mark_topic`, `add_seeds`, `stats`,
+/// `checkpoint`, … — reached through `Deref`) together with the
+/// [`CrawlCluster`] it runs on. Obtained from
+/// [`FocusSystem::start_cluster`].
 pub struct ClusterRun {
     cluster: CrawlCluster,
     run: focus_crawler::cluster::ClusterRun,
+}
+
+impl Deref for ClusterRun {
+    type Target = focus_crawler::cluster::ClusterRun;
+
+    fn deref(&self) -> &Self::Target {
+        &self.run
+    }
+}
+
+impl DerefMut for ClusterRun {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.run
+    }
 }
 
 impl ClusterRun {
@@ -205,33 +208,7 @@ impl ClusterRun {
         &self.cluster
     }
 
-    /// Take shard `i`'s event stream (callable once per shard).
-    pub fn take_events(&mut self, shard: usize) -> Option<EventStream> {
-        self.run.take_events(shard)
-    }
-
-    /// Pause every shard (latency: one page per shard).
-    pub fn pause(&self) {
-        self.run.pause()
-    }
-
-    /// Release every shard.
-    pub fn resume(&self) {
-        self.run.resume()
-    }
-
-    /// Wind every shard down; [`ClusterRun::join`] then returns promptly.
-    pub fn stop(&self) {
-        self.run.stop()
-    }
-
-    /// Broadcast a §3.7 re-mark to every shard: each recompiles its
-    /// classifier and re-steers its own frontier.
-    pub fn mark_topic(&self, class: ClassId, good: bool) {
-        self.run.mark_topic(class, good)
-    }
-
-    /// [`ClusterRun::mark_topic`] by topic name.
+    /// `mark_topic` by topic name.
     pub fn mark_topic_by_name(&self, name: &str, good: bool) -> Result<ClassId, FocusError> {
         let class = self
             .cluster
@@ -239,31 +216,6 @@ impl ClusterRun {
             .ok_or_else(|| FocusError::InvalidTaxonomy(format!("no topic named {name}")))?;
         self.run.mark_topic(class, good);
         Ok(class)
-    }
-
-    /// Inject seeds, each routed to its owning shard.
-    pub fn add_seeds(&self, seeds: &[Oid]) {
-        self.run.add_seeds(seeds)
-    }
-
-    /// Raise the cluster-wide budget (split across shards).
-    pub fn add_budget(&self, extra: u64) {
-        self.run.add_budget(extra)
-    }
-
-    /// Summed counters + merged harvest series across shards.
-    pub fn stats(&self) -> CrawlStats {
-        self.run.stats()
-    }
-
-    /// Have all shards' workers exited?
-    pub fn is_finished(&self) -> bool {
-        self.run.is_finished()
-    }
-
-    /// Checkpoint every shard (pause first for stability).
-    pub fn checkpoint(&self) -> Result<ClusterSnapshot, FocusError> {
-        Ok(self.run.checkpoint()?)
     }
 
     /// Visited pages across all shards as `(oid, linear R, server)`.
@@ -284,69 +236,32 @@ impl ClusterRun {
 
 /// A live discovery run: the paper's admin console as an API.
 ///
-/// Obtained from [`FocusSystem::start`]. Control commands are applied by
-/// the worker pool at page boundaries; snapshots and ad-hoc SQL are
-/// served from the shared session. Consume the handle with
-/// [`DiscoveryRun::join`] to get the classic [`DiscoveryOutcome`].
+/// Obtained from [`FocusSystem::start`]. It is the crawler's
+/// [`CrawlRun`] — events, `pause`/`resume`/`stop`, `add_seeds`,
+/// `mark_topic`, `stats`, `checkpoint`, and `session()` for ad-hoc SQL,
+/// all reached through `Deref` — plus what the facade adds: marking a
+/// topic by name, and a [`DiscoveryRun::join`] that returns the classic
+/// [`DiscoveryOutcome`].
 pub struct DiscoveryRun {
     run: CrawlRun,
 }
 
+impl Deref for DiscoveryRun {
+    type Target = CrawlRun;
+
+    fn deref(&self) -> &CrawlRun {
+        &self.run
+    }
+}
+
+impl DerefMut for DiscoveryRun {
+    fn deref_mut(&mut self) -> &mut CrawlRun {
+        &mut self.run
+    }
+}
+
 impl DiscoveryRun {
-    /// Take ownership of the typed event stream (callable once; iterate
-    /// it from a monitoring thread — it ends when the run finishes).
-    pub fn take_events(&mut self) -> Option<EventStream> {
-        self.run.take_events()
-    }
-
-    /// Borrow the event stream, if not yet taken.
-    pub fn events(&self) -> Option<&EventStream> {
-        self.run.events()
-    }
-
-    /// Events dropped because the bounded channel was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.run.events_dropped()
-    }
-
-    /// Hold workers after in-flight fetches land; commands still apply.
-    pub fn pause(&self) {
-        self.run.pause()
-    }
-
-    /// Release paused workers.
-    pub fn resume(&self) {
-        self.run.resume()
-    }
-
-    /// Wind the run down; [`DiscoveryRun::join`] then returns promptly.
-    pub fn stop(&self) {
-        self.run.stop()
-    }
-
-    /// Inject new seeds into the live frontier at top priority.
-    pub fn add_seeds(&self, seeds: &[Oid]) {
-        self.run.add_seeds(seeds)
-    }
-
-    /// Raise the fetch budget of the live run.
-    pub fn add_budget(&self, extra: u64) {
-        self.run.add_budget(extra)
-    }
-
-    /// Switch the link-expansion policy for pages fetched from now on.
-    pub fn set_policy(&self, policy: CrawlPolicy) {
-        self.run.set_policy(policy)
-    }
-
-    /// Re-mark a topic and re-prioritize the frontier mid-crawl — the
-    /// paper's "one update statement marking the ancestor good fixed this
-    /// stagnation problem" (§3.7), as an API call.
-    pub fn mark_topic(&self, class: ClassId, good: bool) {
-        self.run.mark_topic(class, good)
-    }
-
-    /// [`DiscoveryRun::mark_topic`] by topic name.
+    /// `mark_topic` by topic name.
     pub fn mark_topic_by_name(&self, name: &str, good: bool) -> Result<ClassId, FocusError> {
         let class = self
             .run
@@ -354,70 +269,6 @@ impl DiscoveryRun {
             .ok_or_else(|| FocusError::InvalidTaxonomy(format!("no topic named {name}")))?;
         self.run.mark_topic(class, good);
         Ok(class)
-    }
-
-    /// Force a distillation pass at the next page boundary.
-    pub fn distill(&self) {
-        self.run.distill()
-    }
-
-    /// Distill synchronously and return the result (bypasses the command
-    /// queue; runs on the caller's thread).
-    pub fn distill_now(&self) -> Result<DistillResult, FocusError> {
-        Ok(self.run.session().distill_now()?)
-    }
-
-    /// Stats snapshot of the live run.
-    pub fn stats(&self) -> CrawlStats {
-        self.run.stats()
-    }
-
-    /// Lifecycle as seen from the handle.
-    pub fn state(&self) -> RunState {
-        self.run.state()
-    }
-
-    /// Have all workers exited?
-    pub fn is_finished(&self) -> bool {
-        self.run.is_finished()
-    }
-
-    /// Capture frontier + relevance state for [`FocusSystem::resume`].
-    /// Pause first for a snapshot stable against the run advancing.
-    pub fn checkpoint(&self) -> Result<DiscoverySnapshot, FocusError> {
-        Ok(self.run.checkpoint()?)
-    }
-
-    /// Ad-hoc SQL against the live crawl database with **exclusive**
-    /// access (applied at a page boundary; blocks workers while held).
-    /// Monitoring SELECTs should prefer [`DiscoveryRun::sql`] or
-    /// [`DiscoveryRun::with_db_read`].
-    pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        self.run.session().with_db(f)
-    }
-
-    /// Read-only access to the live crawl database, concurrent with the
-    /// crawl and with other monitors (§3.7 monitoring).
-    pub fn with_db_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        self.run.session().with_db_read(f)
-    }
-
-    /// Ad-hoc SQL against the live run — the paper's §3.7 console.
-    /// SELECTs take the store's read lock and run *while the crawl
-    /// runs*; DDL/DML escalates to exclusive access.
-    pub fn sql(&self, sql: &str) -> Result<minirel::ResultSet, FocusError> {
-        Ok(self.run.session().sql(sql)?)
-    }
-
-    /// The compiled classifier snapshot currently steering this run
-    /// (tracks live `mark_topic` re-marks).
-    pub fn compiled(&self) -> Arc<focus_classifier::CompiledModel> {
-        self.run.session().compiled()
-    }
-
-    /// The underlying session (shared with the [`FocusSystem`]).
-    pub fn session(&self) -> &Arc<CrawlSession> {
-        self.run.session()
     }
 
     /// Wait for the worker pool, then run a final distillation — the
@@ -435,13 +286,11 @@ impl DiscoveryRun {
     }
 }
 
-// Re-export the event vocabulary next to the run handle that produces it.
-pub use focus_crawler::events::CrawlEvent as DiscoveryEvent;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admin::FocusBuilder;
+    use focus_crawler::events::CrawlEvent;
     use focus_crawler::session::CrawlConfig;
     use focus_types::ClassId;
     use focus_webgraph::{SimFetcher, WebConfig, WebGraph};
@@ -498,15 +347,15 @@ mod tests {
         let mut run = system.start(&seeds).unwrap();
         let events = run.take_events().unwrap();
         let outcome = run.join().unwrap();
-        let all: Vec<DiscoveryEvent> = events.collect();
+        let all: Vec<CrawlEvent> = events.collect();
         let classified = all
             .iter()
-            .filter(|e| matches!(e, DiscoveryEvent::PageClassified { .. }))
+            .filter(|e| matches!(e, CrawlEvent::PageClassified { .. }))
             .count() as u64;
         assert_eq!(classified, outcome.stats.successes);
         assert!(
             all.iter()
-                .any(|e| matches!(e, DiscoveryEvent::BudgetExhausted { .. })),
+                .any(|e| matches!(e, CrawlEvent::BudgetExhausted { .. })),
             "budget-bounded run must announce exhaustion: {all:?}"
         );
     }
@@ -550,7 +399,7 @@ mod tests {
         let (graph, system, cycling) = cycling_system(61, 100_000);
         let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 8);
         let run = system.start(&seeds).unwrap();
-        let before = run.compiled();
+        let before = run.session().compiled();
         let gardening = system.session().find_topic("home/gardening").unwrap();
         assert_eq!(before.taxonomy().mark(gardening), Mark::Null);
         run.mark_topic(gardening, true);
@@ -558,7 +407,7 @@ mod tests {
         // page boundary; poll for it.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            if run.compiled().taxonomy().mark(gardening) == Mark::Good {
+            if run.session().compiled().taxonomy().mark(gardening) == Mark::Good {
                 break;
             }
             assert!(

@@ -13,10 +13,9 @@ use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::CrawlPolicy;
 use focus_types::hash::FxHashMap;
 use focus_types::ClassId;
-use serde::Serialize;
 
 /// One topic's lift.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TopicLift {
     /// Topic name.
     pub topic: String,

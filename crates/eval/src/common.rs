@@ -21,7 +21,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from CLI arg.
+    /// A scale by name (any case); `None` for any other word.
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "tiny" => Some(Scale::Tiny),
@@ -31,12 +31,15 @@ impl Scale {
         }
     }
 
-    /// From `std::env::args`, defaulting to Small.
-    pub fn from_args() -> Scale {
-        std::env::args()
-            .skip(1)
-            .find_map(|a| Scale::parse(&a))
-            .unwrap_or(Scale::Small)
+    /// The optional `[tiny|small|full]` argument of the `focus-eval`
+    /// binary and the examples: absent means `Small`; a word that is
+    /// not a scale is an error, never a silent `Small`.
+    pub fn from_arg(arg: Option<&str>) -> Result<Scale, String> {
+        match arg {
+            None => Ok(Scale::Small),
+            Some(s) => Scale::parse(s)
+                .ok_or_else(|| format!("unknown scale {s:?}: expected tiny, small or full")),
+        }
     }
 
     /// Web-generator config for this scale. The fetch budget (below) is
@@ -193,5 +196,9 @@ mod tests {
         assert_eq!(Scale::parse("FULL"), Some(Scale::Full));
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("x"), None);
+        assert_eq!(Scale::from_arg(None), Ok(Scale::Small));
+        assert_eq!(Scale::from_arg(Some("full")), Ok(Scale::Full));
+        let err = Scale::from_arg(Some("ful")).unwrap_err();
+        assert!(err.contains("tiny, small or full"), "{err}");
     }
 }

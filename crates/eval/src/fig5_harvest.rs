@@ -10,10 +10,9 @@ use crate::common::{Scale, World};
 use crate::report::Series;
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::CrawlPolicy;
-use serde::Serialize;
 
 /// Figure 5 output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Moving-average harvest of the unfocused baseline (Fig 5a).
     pub unfocused_avg100: Series,

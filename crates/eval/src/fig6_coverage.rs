@@ -10,10 +10,9 @@ use focus_crawler::{host_server_id, CrawlPolicy};
 use focus_types::hash::FxHashSet;
 use focus_types::{Oid, ServerId};
 use focus_webgraph::search::disjoint_start_sets;
-use serde::Serialize;
 
 /// Figure 6 output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Fraction of the reference crawl's relevant URLs visited, by #URLs
     /// crawled (Fig 6a).

@@ -9,10 +9,9 @@ use crate::common::{Scale, World};
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::CrawlPolicy;
 use focus_types::Oid;
-use serde::Serialize;
 
 /// Figure 7 output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     /// Histogram: distance (links) → #top-authorities at that distance.
     pub histogram: Vec<(u32, usize)>,

@@ -20,11 +20,10 @@ use crate::tables::ClassifierTables;
 use focus_classifier::compiled::CompiledModel;
 use focus_types::{ClassId, DocId, Document};
 use minirel::Database;
-use serde::Serialize;
 use std::time::Instant;
 
 /// One variant's measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VariantCost {
     /// Variant name (SQL / BLOB / CLI).
     pub name: String,
@@ -37,7 +36,7 @@ pub struct VariantCost {
 }
 
 /// Figure 8(a) output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8a {
     /// Per-variant costs, in paper order (SQL, BLOB, CLI) plus our
     /// COMPILED bar last.

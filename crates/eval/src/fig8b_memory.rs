@@ -13,11 +13,10 @@ use crate::fig8a_classifier::setup;
 use crate::report::Series;
 use crate::single_probe::SingleProbeBlob;
 use focus_types::ClassId;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Figure 8(b) output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8b {
     /// (frames, µs/doc) for SingleProbe.
     pub single: Series,

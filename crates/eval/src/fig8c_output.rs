@@ -17,14 +17,13 @@ use crate::common::{Scale, World};
 use crate::tables::ClassifierTables;
 use focus_types::{DocId, Document};
 use minirel::Database;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Timed repetitions per point (median taken).
 const TIMED_RUNS: usize = 3;
 
 /// Figure 8(c) output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8c {
     /// Scatter of (output size = children × docs, median wall µs over
     /// [`TIMED_RUNS`] warm runs).

@@ -12,11 +12,10 @@ use focus_distiller::{DistillConfig, LinkEdge};
 use focus_types::hash::FxHashMap;
 use focus_types::Oid;
 use minirel::Database;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Figure 8(d) output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8d {
     /// Edges in the crawl graph.
     pub num_edges: usize,

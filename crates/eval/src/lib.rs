@@ -3,9 +3,13 @@
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation section (§3), each exposing a `run(scale)` function that
 //! returns structured results and can print them in the paper's format.
-//! The same functions back the `focus-figures` criterion benches, the
-//! repository examples, and the integration tests — tiny scales for CI,
-//! full scales for the recorded EXPERIMENTS.md numbers.
+//! The package's one binary (`cargo run --release -p focus-eval --
+//! <experiment|all> [tiny|small|full]`, `main.rs`) is the front door to
+//! all of them; the same functions back the repository examples and
+//! each module's own unit test — tiny scales for CI, full scales for
+//! paper-comparable numbers. The printed tables, ASCII charts and the
+//! paper-vs-measured comparison table are the output: nothing is
+//! written to disk.
 //!
 //! Two exhibits live here rather than in the crates a crawl executes.
 //! The **classifier inside the database** — Figure 1's tables

@@ -6,10 +6,9 @@
 use crate::common::Scale;
 use focus_webgraph::stats::{radius1, radius2};
 use focus_webgraph::{WebConfig, WebGraph};
-use serde::Serialize;
 
 /// Per-topic radius-rule measurements.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TopicRadius {
     /// Topic name.
     pub topic: String,

@@ -1,9 +1,7 @@
-//! Result containers, paper-style printing, and JSON dumps.
-
-use serde::{Deserialize, Serialize};
+//! Result containers and paper-style printing.
 
 /// A named (x, y) series — one curve of a figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Curve label (e.g. `"Avg over 100"`).
     pub name: String,
@@ -81,17 +79,8 @@ impl Series {
     }
 }
 
-/// Print an aligned two-column table of labeled values.
-pub fn print_kv_table(title: &str, rows: &[(String, String)]) {
-    println!("== {title} ==");
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    for (k, v) in rows {
-        println!("  {k:<w$}  {v}");
-    }
-}
-
 /// A paper-vs-measured comparison row for EXPERIMENTS.md.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// Experiment id (e.g. "Fig 5b").
     pub experiment: String,
@@ -115,18 +104,6 @@ pub fn print_comparisons(rows: &[Comparison]) {
             r.measured,
             if r.holds { "yes" } else { "NO" }
         );
-    }
-}
-
-/// Dump any serializable result to `results/<name>.json` under the
-/// workspace root (best effort; ignored if the directory is unwritable).
-pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    if let Ok(s) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(dir.join(format!("{name}.json")), s);
     }
 }
 

@@ -75,14 +75,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Replacement policy. LRU is the default; Clock exists for the ablation
-/// bench (`buffer_policy_ablation` in `focus-figures`).
+/// Replacement policy. LRU is the only one: the second-chance sweep's
+/// one caller was an ablation bench nothing ran. The one-variant type
+/// remains because [`BufferPool::new`] and `Database::with_pool` take
+/// it and `focus-bench` names `EvictionPolicy::Lru`; dropping the
+/// parameter waits for a `benchmark` PR (ROADMAP item 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used unpinned frame.
     Lru,
-    /// Second-chance / clock sweep.
-    Clock,
 }
 
 /// Monotonic I/O counters.
@@ -155,7 +156,6 @@ struct Frame {
     base: Option<Box<[u8; PAGE_SIZE]>>,
     dirty: bool,
     last_used: u64,
-    ref_bit: bool,
 }
 
 impl Frame {
@@ -166,7 +166,6 @@ impl Frame {
             base: logged.then(|| Box::new([0u8; PAGE_SIZE])),
             dirty: false,
             last_used: 0,
-            ref_bit: false,
         }
     }
 }
@@ -201,7 +200,6 @@ struct Shard {
     /// Frames holding no page. A warmed shard has none, so a miss goes
     /// straight to eviction instead of scanning for one.
     free: usize,
-    clock_hand: usize,
     tick: u64,
 }
 
@@ -211,7 +209,6 @@ impl Shard {
             frames: (0..capacity).map(|_| Frame::empty(logged)).collect(),
             map: HashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
             free: capacity,
-            clock_hand: 0,
             tick: 0,
         }
     }
@@ -219,7 +216,6 @@ impl Shard {
     fn touch(&mut self, frame: usize) {
         self.tick += 1;
         self.frames[frame].last_used = self.tick;
-        self.frames[frame].ref_bit = true;
     }
 }
 
@@ -227,7 +223,7 @@ impl Shard {
 const MAX_SHARDS: usize = 16;
 
 /// Minimum frames per stripe. Striping trades eviction precision for
-/// concurrency (LRU/Clock run per shard), so tiny pools — where every
+/// concurrency (LRU runs per shard), so tiny pools — where every
 /// frame matters and the Figure 8(b)-style sweeps live — stay at one
 /// shard with exact global eviction, and the stripe count grows only
 /// when each stripe still has a real working set.
@@ -243,7 +239,6 @@ fn shard_count(capacity: usize) -> usize {
 pub struct BufferPool {
     disk: OrderedMutex<DiskManager>,
     shards: Vec<OrderedMutex<Shard>>,
-    policy: EvictionPolicy,
     stats: AtomicIoStats,
     /// Total frames across shards. Cached: it only changes through
     /// `&mut self` ([`BufferPool::set_capacity`]), and reading it must
@@ -257,12 +252,11 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Create a pool of `capacity` frames (≥ 1) over `disk`.
-    pub fn new(disk: DiskManager, capacity: usize, policy: EvictionPolicy) -> Self {
+    pub fn new(disk: DiskManager, capacity: usize, _policy: EvictionPolicy) -> Self {
         let capacity = capacity.max(1);
         BufferPool {
             disk: OrderedMutex::new(rank::DISK, disk),
             shards: Self::build_shards(capacity, false),
-            policy,
             stats: AtomicIoStats::default(),
             capacity,
             wal: None,
@@ -504,33 +498,13 @@ impl BufferPool {
                 return Ok(i);
             }
         }
-        let victim = match self.policy {
-            EvictionPolicy::Lru => shard
-                .frames
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or_else(|| DbError::Page("buffer pool has no frames".into()))?,
-            EvictionPolicy::Clock => {
-                let n = shard.frames.len();
-                let mut hand = shard.clock_hand;
-                let mut spins = 0;
-                loop {
-                    if !shard.frames[hand].ref_bit {
-                        break;
-                    }
-                    shard.frames[hand].ref_bit = false;
-                    hand = (hand + 1) % n;
-                    spins += 1;
-                    if spins > 2 * n {
-                        break; // all referenced; take current
-                    }
-                }
-                shard.clock_hand = (hand + 1) % n;
-                hand
-            }
-        };
+        let victim = shard
+            .frames
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, f)| f.last_used)
+            .map(|(i, _)| i)
+            .ok_or_else(|| DbError::Page("buffer pool has no frames".into()))?;
         let f = &mut shard.frames[victim];
         if f.dirty {
             self.write_back(f)?;
@@ -607,18 +581,6 @@ mod tests {
         let s = bp.stats();
         assert_eq!(s.physical_reads, 0, "hot page must still be resident");
         let _ = (b, c);
-    }
-
-    #[test]
-    fn clock_policy_works_too() {
-        let bp = BufferPool::new(DiskManager::in_memory(), 3, EvictionPolicy::Clock);
-        let pages: Vec<PageId> = (0..10).map(|_| bp.allocate().unwrap()).collect();
-        for (i, &p) in pages.iter().enumerate() {
-            bp.with_page_mut(p, |buf| buf[1] = i as u8).unwrap();
-        }
-        for (i, &p) in pages.iter().enumerate() {
-            assert_eq!(bp.with_page(p, |buf| buf[1]).unwrap(), i as u8);
-        }
     }
 
     #[test]

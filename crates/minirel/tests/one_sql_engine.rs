@@ -53,7 +53,6 @@ fn production_sources() -> Vec<PathBuf> {
             sources(&krate.join("src"), &mut files);
         }
     }
-    sources(&crates.join("bench"), &mut files);
     assert!(files.len() >= 60, "source walk found only {}", files.len());
     files
 }

@@ -769,8 +769,8 @@ fn monitor_shaped_query_switches_to_index_scan() {
     );
     // And the probe answers like the scan.
     assert_equiv(&db, "select oid_dst from link where oid_src = 7");
-    // Fewer logical reads than a full scan: the acceptance criterion's
-    // unit check (the bench measures the full monitor suite).
+    // Fewer logical reads than a full scan: the acceptance bar's unit
+    // check (the bench measures the full monitor suite).
     db.reset_io_stats();
     db.query("select oid_dst from link where oid_src = 7")
         .unwrap();

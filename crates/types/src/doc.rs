@@ -6,7 +6,6 @@
 //! which lets joins against `STAT_c0` stream in merge order.
 
 use crate::ids::{DocId, TermId};
-use serde::{Deserialize, Serialize};
 
 /// Sparse term-frequency vector: `(tid, freq)` sorted by `tid`, freq > 0.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// consumers — the classifier's reference path, and especially the
 /// compiled engine's merge-join against CSR term columns — rely on this
 /// and never re-sort or re-deduplicate per node.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TermVec {
     entries: Vec<(TermId, u32)>,
 }
@@ -104,7 +103,7 @@ impl FromIterator<(TermId, u32)> for TermVec {
 }
 
 /// A document ready for classification or indexing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// `did` key in the `DOCUMENT` relation.
     pub id: DocId,

@@ -13,10 +13,9 @@
 
 use crate::error::{FocusError, Result};
 use crate::ids::ClassId;
-use serde::{Deserialize, Serialize};
 
 /// Per-node interest marking (paper Figure 1, `type` column of `TAXONOMY`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mark {
     /// In the user's good set `C*`.
     Good,
@@ -29,7 +28,7 @@ pub enum Mark {
 }
 
 /// One topic node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaxonomyNode {
     /// This node's id. Ids are dense: `0..taxonomy.len()`.
     pub id: ClassId,
@@ -48,7 +47,7 @@ pub struct TaxonomyNode {
 /// Node ids are dense `u16` values assigned in insertion order with the
 /// root at [`ClassId::ROOT`], which makes them directly usable as the
 /// 16-bit `cid` column of the relational schemas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Taxonomy {
     nodes: Vec<TaxonomyNode>,
 }

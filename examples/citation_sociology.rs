@@ -17,7 +17,10 @@ use focus_eval::citation_sociology;
 use focus_eval::common::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!("crawling cycling, then measuring 1-link topic lifts at {scale:?} scale...\n");
     let lifts = citation_sociology::run(scale);
     citation_sociology::print(&lifts);

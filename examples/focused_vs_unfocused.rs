@@ -9,7 +9,10 @@ use focus_eval::common::Scale;
 use focus_eval::fig5_harvest;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!("running Figure 5 at {scale:?} scale (same start set, two policies)\n");
     let f = fig5_harvest::run(scale);
     fig5_harvest::print(&f);

@@ -57,7 +57,7 @@ fn main() {
     let events = run.take_events().expect("event stream");
     let mut ticks = 0u64;
     for ev in events {
-        if let focus::DiscoveryEvent::PageClassified { relevance, .. } = ev {
+        if let CrawlEvent::PageClassified { relevance, .. } = ev {
             ticks += 1;
             if ticks.is_multiple_of(100) {
                 println!("  [live] {ticks} pages classified (last R = {relevance:.3})");

@@ -132,7 +132,7 @@ fn observer_sees_every_classification() {
     let run = system
         .start_with(
             &seeds,
-            focus::RunOptions {
+            StartOptions {
                 observers: vec![counter.clone()],
                 ..Default::default()
             },
