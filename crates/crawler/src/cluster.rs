@@ -795,6 +795,7 @@ pub fn merge_stats(per_shard: impl IntoIterator<Item = CrawlStats>) -> CrawlStat
         out.successes += s.successes;
         out.failures += s.failures;
         out.distillations += s.distillations;
+        out.deferred_landings += s.deferred_landings;
         for (&(x, r), &(oid, _)) in s.harvest.iter().zip(&s.completion_order) {
             tagged.push((x, shard, r, oid));
         }
@@ -929,6 +930,7 @@ mod tests {
             harvest: vec![(1, 0.9), (5, 0.5)],
             completion_order: vec![(Oid(1), 0.9), (Oid(5), 0.5)],
             distillations: 1,
+            deferred_landings: 3,
         };
         let b = CrawlStats {
             attempts: 7,
@@ -937,12 +939,14 @@ mod tests {
             harvest: vec![(2, 0.8), (3, 0.7)],
             completion_order: vec![(Oid(2), 0.8), (Oid(3), 0.7)],
             distillations: 0,
+            deferred_landings: 4,
         };
         let m = merge_stats([a, b]);
         assert_eq!(m.attempts, 17);
         assert_eq!(m.successes, 4);
         assert_eq!(m.failures, 13);
         assert_eq!(m.distillations, 1);
+        assert_eq!(m.deferred_landings, 7);
         // Interleaved by per-shard attempt, re-numbered densely.
         assert_eq!(m.harvest, vec![(1, 0.9), (2, 0.8), (3, 0.7), (4, 0.5)]);
         assert_eq!(

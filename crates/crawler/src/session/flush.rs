@@ -1,10 +1,27 @@
 //! The flush side: landing fetched pages and failures in the store —
 //! first visits and hub revisits through the same two functions,
-//! [`CrawlSession::process`] and `process_failures` — routing frontier
-//! entries to their owning shards, and distillation (snapshot under the
-//! lock, iterate outside it, publish under it).
+//! [`CrawlSession::process`] and `process_failures`, each called from
+//! one place (the worker's `land_under`, once per buffered completion
+//! or failure run, under whichever guard lands the lane's buffer) —
+//! routing frontier entries to their owning shards, and distillation
+//! (snapshot under the lock, iterate outside it, publish under it).
 
 use super::*;
+
+/// A fetched page with everything computed outside the store lock,
+/// waiting in its worker's lane to land.
+pub(super) struct Classified {
+    pub claim: Claim,
+    pub attempt: u64,
+    pub page: focus_webgraph::FetchedPage,
+    pub summary: EvalSummary,
+    /// The posteriors worth saving for §3.7 re-marking.
+    pub saved_probs: Vec<(ClassId, f64)>,
+    /// The store was busy when the page was classified and its worker
+    /// went on fetching: it lands under a later guard
+    /// ([`CrawlStats::deferred_landings`]).
+    pub deferred: bool,
+}
 
 /// A breaker transition one fetch outcome caused: what `server_health`
 /// mirrors and the event stream announces.
@@ -204,29 +221,6 @@ impl CrawlSession {
         }
     }
 
-    /// Flush accumulated batch failures under an already-held store
-    /// write lock. The in-flight gauge falls here, *after* the rows are
-    /// back in the frontier (or dead) — the same lock discipline
-    /// successes use, so idle verdicts stay race-free.
-    pub(super) fn flush_failures(
-        &self,
-        g: &mut StoreState,
-        pending: &mut Vec<(Claim, FetchErrorKind, u64)>,
-        sink: &EventSink,
-    ) -> DbResult<()> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let res = self.process_failures(g, pending, sink);
-        // Release the gauge even on error: the run is aborting, and
-        // `reset_run_diagnostics` treats lingering in-flight as stale
-        // anyway — matching the success path's unconditional decrement.
-        let n = pending.len();
-        pending.clear();
-        self.release_in_flight(n);
-        res
-    }
-
     /// Land one fetched, classified page under the store write lock:
     /// mark it done, record its links, and expand the frontier (locally
     /// or through the exchange). Returns whether the periodic
@@ -244,12 +238,17 @@ impl CrawlSession {
     pub(super) fn process(
         &self,
         g: &mut StoreState,
-        claim: &Claim,
-        page: focus_webgraph::FetchedPage,
-        (summary, saved_probs): (EvalSummary, Vec<(ClassId, f64)>),
-        attempt: u64,
+        landing: Classified,
         sink: &EventSink,
     ) -> DbResult<bool> {
+        let Classified {
+            claim,
+            attempt,
+            page,
+            summary,
+            saved_probs,
+            deferred,
+        } = landing;
         let now = self.start.elapsed().as_secs() as i64;
         g.db.set_current_timestamp(now);
         // The fetch is over: hand back the per-server politeness slot
@@ -274,6 +273,7 @@ impl CrawlSession {
             // the series in db-commit order.
             let mut t = self.counters.tallies.lock();
             t.successes += 1;
+            t.deferred_landings += u64::from(deferred);
             t.harvest.push((attempt, r));
             t.completion_order.push((page.oid, r));
         }
@@ -398,8 +398,9 @@ impl CrawlSession {
     /// breaker, retry budget), write every row via one
     /// [`frontier::mark_failed_batch`] pass, mirror breaker transitions
     /// into `server_health`, and emit the enriched
-    /// [`CrawlEvent::FetchFailed`] events.
-    fn process_failures(
+    /// [`CrawlEvent::FetchFailed`] events. The caller lets the claims'
+    /// in-flight gauges fall afterwards, under the same guard.
+    pub(super) fn process_failures(
         &self,
         g: &mut StoreState,
         failures: &[(Claim, FetchErrorKind, u64)],

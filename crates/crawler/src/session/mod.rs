@@ -24,9 +24,12 @@
 //!
 //! **One loop, one variation point.** A worker claims a batch of
 //! frontier entries under the store lock, hands them to its
-//! [`crate::fetch_pool::PoolHandle`], and lands the completions one at
+//! [`crate::fetch_pool::PoolHandle`], and takes the completions one at
 //! a time: classify (pure, no lock), then reacquire the lock to record
-//! the page and update `CRAWL`/`LINK`. *Where* the blocking fetch runs
+//! the page and update `CRAWL`/`LINK` — or, when the lock is busy and
+//! the worker still has a claimed page to fetch, leave the page in its
+//! lane and land it, in completion order, under the next guard it gets
+//! (`worker.rs`). *Where* the blocking fetch runs
 //! — on the worker's own thread ([`CrawlConfig::fetch_pool`] = 0) or on
 //! one of `n` dedicated fetcher threads that keep hundreds of fetches
 //! on the wire — is decided inside [`crate::fetch_pool`] and nowhere
@@ -48,7 +51,9 @@
 //!   [`CrawlSession::with_db_read`], [`CrawlSession::checkpoint`],
 //!   [`CrawlSession::visited`]) take **read** locks, concurrent with
 //!   each other; workers take the **write** lock only for the short
-//!   claim and page-flush critical sections;
+//!   claim and page-flush critical sections, and *wait* for it only
+//!   when they have nothing left to fetch (a busy lock defers the
+//!   landing, not the worker — [`CrawlStats::deferred_landings`]);
 //! * counters (`CounterState`) — budget, attempt tally and in-flight
 //!   gauge as atomics (readable without any lock), success/failure
 //!   tallies and the harvest series behind their own small mutex;
@@ -119,6 +124,7 @@ mod steering;
 mod store;
 mod worker;
 
+use flush::Classified;
 pub(crate) use store::Origin;
 use store::StoreState;
 pub use store::{CheckpointPage, CrawlCheckpoint};
@@ -283,6 +289,13 @@ pub struct CrawlStats {
     pub completion_order: Vec<(Oid, f64)>,
     /// Distillations run.
     pub distillations: u64,
+    /// Successes whose landing waited in their worker's lane because
+    /// the store lock was busy when they were classified (the worker
+    /// went on to its next fetch and landed them, in order, under a
+    /// later guard). Exactly 0 for an unwatched one-worker crawl; with
+    /// peers or monitors on the store, the share of `successes` that
+    /// did not cost their worker a sleep on the lock.
+    pub deferred_landings: u64,
 }
 
 impl CrawlStats {
@@ -1262,6 +1275,37 @@ mod tests {
 
         fn fetch_count(&self) -> u64 {
             0
+        }
+    }
+
+    /// Two and four workers on one store land in groups (a busy lock
+    /// defers the landing, `tests/deferred_landing.rs`); each claim's
+    /// gauges still fall exactly once, under the guard that lands it.
+    #[test]
+    fn contended_group_landings_return_every_gauge_to_zero() {
+        for threads in [2, 4] {
+            let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+            let cfg = CrawlConfig {
+                threads,
+                max_fetches: 400,
+                distill_every: Some(40),
+                ..CrawlConfig::default()
+            };
+            let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+            let model = trained_model(&graph, "recreation/cycling");
+            let session = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
+            let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+            let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 3);
+            session.seed(&seeds).unwrap();
+            let stats = session.run().unwrap();
+            assert_eq!(stats.attempts, 400);
+            assert_eq!(stats.attempts, stats.successes + stats.failures);
+            assert_eq!(session.counters.in_flight.load(Ordering::Acquire), 0);
+            let g = session.store.read();
+            for page in graph.pages() {
+                let held = g.health.in_flight(page.server);
+                assert_eq!(held, 0, "{:?} kept a politeness slot", page.server);
+            }
         }
     }
 

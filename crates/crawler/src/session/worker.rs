@@ -4,9 +4,10 @@
 //! There is exactly one loop ([`CrawlSession::worker`]). Each turn it
 //! drains steering commands and the cluster exchange, asks its
 //! [`PoolHandle`] how many claims it has room for and claims that many
-//! in one critical section ([`CrawlSession::next_tick`]), then lands one
-//! completion — classify outside every lock, flush under the store
-//! write lock. Whether a fetch runs on this thread or on a pool thread
+//! in one critical section ([`CrawlSession::next_tick`]), then takes one
+//! completion — classify outside every lock, land under the store
+//! write lock, at once if the lock is free and with its neighbours if
+//! it is not. Whether a fetch runs on this thread or on a pool thread
 //! is the executor's business ([`crate::fetch_pool`]); the loop never
 //! asks. Nor does it ask whether a claim is a first visit or a hub
 //! revisit: crawl maintenance only requeues `CRAWL` rows
@@ -24,18 +25,25 @@
 //!   until its hub boosts are in the frontier too;
 //! * every admitted claim releases its politeness slot exactly once
 //!   (in `process`, `process_failures`, or `release_unfetched`);
-//! * failed fetches accumulate and flush in *one* critical section —
-//!   before the next success lands, and at every commit point;
-//! * a commit point (trailing failures land, then a WAL commit) is cut
-//!   after `batch` completions, when the executor runs dry or a turn
-//!   is quiet, before parking for a pause, and at wind-down;
-//! * pause and stop act within one *page*: queued-but-unfetched claims
+//! * a lane's completions land in completion order; consecutive
+//!   failures in *one* `process_failures` batch — before the next
+//!   success lands, and at every commit point; a busy lock defers the
+//!   landing while the lane has a page to fetch, up to `batch_size`
+//!   completions: a worker only *blocks* on the store lock when it has
+//!   nothing else to do, and whichever acquisition succeeds lands the
+//!   whole buffer under that one guard ([`CrawlSession::land_buffered`]);
+//! * a commit point (everything unlanded lands, then a WAL commit) is
+//!   cut after `batch` completions, when the executor runs dry or a
+//!   turn is quiet, before parking for a pause, and at wind-down — so
+//!   nothing stays buffered across any point where the loop waits;
+//! * pause and stop act within one *fetch*: queued-but-unfetched claims
 //!   are pulled back out of the executor (held for resume with their
 //!   attempt numbers, or handed back to the frontier) and only fetches
 //!   already on the wire are waited out — no `CLAIMED` row outlives a
 //!   run.
 
 use super::*;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Posterior probabilities below this are not cached per page (the saved
@@ -70,14 +78,25 @@ enum Tick {
     Exit,
 }
 
+/// One entry of a lane's buffer of unlanded completions.
+enum Unlanded {
+    /// A run of consecutive failed fetches: one `process_failures` batch.
+    Failures(Vec<(Claim, FetchErrorKind, u64)>),
+    /// A fetched page, classified and ready to land.
+    Page(Classified),
+}
+
 /// One worker's private state: its end of the fetch executor and what
 /// it has fetched but not yet landed or committed.
 struct Lane {
     exec: PoolHandle,
-    /// Failed fetches awaiting their batched flush. Each still holds
-    /// its claim in flight (gauge and row) until the flush lands it.
-    pending: Vec<(Claim, FetchErrorKind, u64)>,
-    /// Completions landed since the last commit point.
+    /// Completions not yet landed, in completion order: failures (which
+    /// always wait for the next success or commit point) and successes
+    /// that found the store lock busy. Each still holds its claim in
+    /// flight (gauge and row) until it lands. Never more than `batch`
+    /// completions, and empty wherever the loop waits.
+    unlanded: VecDeque<Unlanded>,
+    /// Completions taken since the last commit point, landed or not.
     since_commit: usize,
     /// Per-worker inference buffers: warmed up on the first page, zero
     /// allocations per page after that. Never shared (the `Scratch`
@@ -91,7 +110,7 @@ impl CrawlSession {
     pub(crate) fn worker(&self, exec: PoolHandle, sink: &EventSink) {
         let mut lane = Lane {
             exec,
-            pending: Vec::new(),
+            unlanded: VecDeque::new(),
             since_commit: 0,
             scratch: Scratch::default(),
         };
@@ -168,7 +187,7 @@ impl CrawlSession {
                     } => lane.exec.submit(claims, first_attempt),
                 }
             }
-            // Land one completion per turn, so commands and the
+            // Take one completion per turn, so commands and the
             // exchange drain at every page boundary; with fetcher
             // threads the short timeout keeps the loop responsive.
             if let Some(done) = lane.exec.next_completion(Duration::from_millis(1)) {
@@ -179,7 +198,7 @@ impl CrawlSession {
                     continue;
                 }
             }
-            // `batch` completions landed, the executor ran dry, or the
+            // `batch` completions taken, the executor ran dry, or the
             // turn was quiet.
             if self.commit_point(&mut lane, sink) {
                 break;
@@ -201,13 +220,19 @@ impl CrawlSession {
         self.control.abort.load(Ordering::Acquire) || self.control.run_state() == RunState::Stopping
     }
 
-    /// Land one completion: classify outside every lock, then flush in
-    /// one short critical section (a failure takes no lock at all — it
-    /// joins the pending flush). Returns `true` when the worker should
-    /// wind down (a storage error was recorded). A completion carrying
-    /// a panic caught on a fetcher thread is re-raised here, on the
-    /// worker, so it surfaces through the worker-panic machinery
-    /// exactly as an on-thread fetch panic does.
+    /// Take one completion: classify outside every lock, then land it —
+    /// and anything buffered before it — in one short critical section
+    /// ([`CrawlSession::land_buffered`]). A failure takes no lock at
+    /// all: it joins the buffer and lands with the next success or at
+    /// the next commit point. A success asks for the lock without
+    /// blocking while this lane still has a claimed page to fetch and
+    /// fewer than `batch` completions since the last commit point: if
+    /// the store is busy the page stays buffered and the worker goes on
+    /// to its next fetch instead of to sleep. Returns `true` when the
+    /// worker should wind down (a storage error was recorded). A
+    /// completion carrying a panic caught on a fetcher thread is
+    /// re-raised here, on the worker, so it surfaces through the
+    /// worker-panic machinery exactly as an on-thread fetch panic does.
     fn land_completion(&self, lane: &mut Lane, done: Completion, sink: &EventSink) -> bool {
         let Completion {
             claim,
@@ -218,8 +243,11 @@ impl CrawlSession {
         let page = match outcome {
             Ok(Ok(page)) => page,
             Ok(Err(e)) => {
-                lane.pending
-                    .push((claim, FetchErrorKind::from(&e), attempt));
+                let failed = (claim, FetchErrorKind::from(&e), attempt);
+                match lane.unlanded.back_mut() {
+                    Some(Unlanded::Failures(run)) => run.push(failed),
+                    _ => lane.unlanded.push_back(Unlanded::Failures(vec![failed])),
+                }
                 return false;
             }
             Err(msg) => panic!("fetch pool: {msg}"),
@@ -233,41 +261,96 @@ impl CrawlSession {
         let summary = compiled.evaluate_into(&page.terms, &mut lane.scratch);
         // Saved posteriors back §3.7 re-marking; the tail below the
         // floor adds nothing. Filtered here, outside the store lock.
-        let saved: Vec<(ClassId, f64)> = lane
+        let saved_probs: Vec<(ClassId, f64)> = lane
             .scratch
             .class_probs()
             .iter()
             .copied()
             .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
             .collect();
-        let mut g = self.store.write();
-        let landed = self
-            .flush_failures(&mut g, &mut lane.pending, sink)
-            .and_then(|()| self.process(&mut g, &claim, page, (summary, saved), attempt, sink));
-        // The page tripped the distillation trigger: run the pass here,
-        // on this worker, with the guard dropped. Its gauges stay up
-        // until the pass's boosts are in the frontier — boosts can
-        // *create* rows, so letting the gauges fall first would let a
-        // peer (or a peer shard) reach an idle verdict with work still
-        // to come.
-        let res = if matches!(landed, Ok(true)) {
-            drop(g);
-            let res = self.distill_pass(false, Some(sink));
-            self.release_in_flight(1);
-            res
-        } else {
-            // The gauge falls only after the page's outlinks are in the
-            // frontier (still under the write lock): a peer observing
-            // `in_flight == 0` with an empty frontier can trust it. In
-            // cluster mode the same applies to the global gauge —
-            // `process` routed this page's remote outlinks *before* this
-            // decrement, so a peer shard observing zero global in-flight
-            // is guaranteed to see them in `queued`.
-            self.release_in_flight(1);
-            drop(g);
-            landed.map(|_| ())
-        };
-        res.map_err(|e| self.record_error(e)).is_err()
+        lane.unlanded.push_back(Unlanded::Page(Classified {
+            claim,
+            attempt,
+            page,
+            summary,
+            saved_probs,
+            deferred: false,
+        }));
+        let block = lane.exec.outstanding() == 0 || lane.since_commit >= self.cfg.batch_size;
+        self.land_buffered(lane, block, sink)
+    }
+
+    /// Land the lane's whole buffer, in completion order, under the
+    /// store write lock — waited for if `block`, else taken only if it
+    /// is free right now (this crate's one `try_write`). A group
+    /// landing is exactly the sequence of single landings it replaces
+    /// minus the unlock/lock between them, so uncontended (the buffer
+    /// then never holds more than the completion being landed) and
+    /// contended streams are the same stream. Returns `true` when a
+    /// storage error was recorded; the rest of the buffer still lands,
+    /// so every claim's gauge and row are accounted for.
+    ///
+    /// A page that trips the distillation trigger *ends the guard*: the
+    /// pass runs here, on this worker, with the lock dropped, and the
+    /// page's gauges stay up until the pass's boosts are in the
+    /// frontier — boosts can *create* rows, so letting the gauges fall
+    /// first would let a peer (or a peer shard) reach an idle verdict
+    /// with work still to come. Then the lock is re-taken for the rest.
+    fn land_buffered(&self, lane: &mut Lane, block: bool, sink: &EventSink) -> bool {
+        let mut failed = false;
+        while !lane.unlanded.is_empty() {
+            let mut landed = if block {
+                let mut g = self.store.write();
+                self.land_under(&mut g, lane, sink)
+            } else if let Some(mut g) = self.store.try_write() {
+                self.land_under(&mut g, lane, sink)
+            } else {
+                // Busy, and this lane has a page to fetch meanwhile:
+                // the page just classified waits for a later guard.
+                if let Some(Unlanded::Page(page)) = lane.unlanded.back_mut() {
+                    page.deferred = true;
+                }
+                break;
+            };
+            if let Ok(true) = landed {
+                landed = self.distill_pass(false, Some(sink)).map(|()| false);
+                self.release_in_flight(1);
+            }
+            if let Err(e) = landed {
+                self.record_error(e);
+                failed = true;
+            }
+        }
+        failed
+    }
+
+    /// Land buffered completions under the caller's guard until the
+    /// buffer is empty or a page trips the distillation trigger
+    /// (`Ok(true)`, that page's gauges still up). Every other gauge
+    /// falls only after its own page's outlinks are in the frontier,
+    /// still under the write lock: a peer observing `in_flight == 0`
+    /// with an empty frontier can trust it. In cluster mode the same
+    /// applies to the global gauge — `process` routed the page's remote
+    /// outlinks *before* the decrement, so a peer shard observing zero
+    /// global in-flight is guaranteed to see them in `queued`. The
+    /// gauges fall on error too: the run is aborting, and
+    /// `reset_run_diagnostics` treats lingering in-flight as stale.
+    fn land_under(&self, g: &mut StoreState, lane: &mut Lane, sink: &EventSink) -> DbResult<bool> {
+        while let Some(next) = lane.unlanded.pop_front() {
+            let (claims, res) = match next {
+                Unlanded::Failures(run) => {
+                    let res = self.process_failures(g, &run, sink);
+                    (run.len(), res.map(|()| false))
+                }
+                Unlanded::Page(page) => (1, self.process(g, page, sink)),
+            };
+            if let Ok(true) = res {
+                return res;
+            }
+            self.release_in_flight(claims);
+            res?;
+        }
+        Ok(false)
     }
 
     /// Let `n` landed (or handed-back) claims fall out of the in-flight
@@ -279,28 +362,26 @@ impl CrawlSession {
         }
     }
 
-    /// Cut a commit point, unless nothing landed since the last one:
-    /// land any trailing failures, then commit to the WAL so everything
-    /// landed so far is recoverable (fsync cadence follows the
-    /// group-commit quota; the run's wind-down forces the last sync).
-    /// Returns `true` when a storage error was recorded.
+    /// Cut a commit point, unless nothing completed since the last one:
+    /// land whatever the lane still buffers (blocking — nothing stays
+    /// unlanded past here), then commit to the WAL so everything landed
+    /// so far is recoverable (fsync cadence follows the group-commit
+    /// quota; the run's wind-down forces the last sync). An in-memory
+    /// session has nothing to commit and takes no lock to find that
+    /// out. Returns `true` when a storage error was recorded.
     fn commit_point(&self, lane: &mut Lane, sink: &EventSink) -> bool {
-        if lane.since_commit == 0 && lane.pending.is_empty() {
+        if lane.since_commit == 0 && lane.unlanded.is_empty() {
             return false;
         }
         lane.since_commit = 0;
-        let mut g = self.store.write();
-        let res = self
-            .flush_failures(&mut g, &mut lane.pending, sink)
-            .and_then(|()| Self::commit_if_durable(&mut g.db));
-        drop(g);
-        match res {
-            Ok(()) => false,
-            Err(e) => {
-                self.record_error(e);
-                true
-            }
+        let failed = self.land_buffered(lane, true, sink);
+        if failed || matches!(self.cfg.durability, Durability::None) {
+            return failed;
         }
+        let mut g = self.store.write();
+        let res = Self::commit_if_durable(&mut g.db);
+        drop(g);
+        res.map_err(|e| self.record_error(e)).is_err()
     }
 
     /// Wait out and land the fetches already on the wire (nothing, for

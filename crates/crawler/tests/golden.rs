@@ -81,6 +81,9 @@ fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEve
         .unwrap()
         .join()
         .unwrap();
+    // Nobody else touches the store, so no landing ever found it busy:
+    // the digests below are of the path where every page lands at once.
+    assert_eq!(session.stats().deferred_landings, 0);
     let events = rec.0.lock().unwrap().clone();
     let mut h = 0xcbf2_9ce4_8422_2325;
     for e in &events {

@@ -195,7 +195,7 @@ struct World<'m> {
     acquisitions: usize,
 }
 
-const ACQ_METHODS: &[&str] = &["lock", "try_lock", "read", "write"];
+const ACQ_METHODS: &[&str] = &["lock", "try_lock", "read", "write", "try_write"];
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "loop", "for", "match", "return", "let", "fn", "impl", "struct", "enum",
     "trait", "mod", "use", "pub", "const", "static", "mut", "ref", "move", "in", "break",
@@ -491,7 +491,7 @@ impl<'m> World<'m> {
                 continue;
             }
             // Acquisition: `.lock()` / `.try_lock()` / `.read()` / `.write()`
-            // with an empty argument list.
+            // / `.try_write()` with an empty argument list.
             let is_acq = i > open
                 && toks[i - 1].is_punct('.')
                 && ACQ_METHODS.contains(&t.text.as_str())
@@ -799,7 +799,10 @@ fn binding_of(
             return (None, false, true);
         }
         let prev = &toks[j - 1];
-        if prev.kind == TokKind::Ident || prev.is_punct('.') || prev.is_punct(':') {
+        let path_keyword = ["self", "Self", "crate", "super"].contains(&prev.text.as_str());
+        if prev.kind == TokKind::Ident && KEYWORDS.contains(&prev.text.as_str()) && !path_keyword {
+            break; // `match`, `return`, …: not a path segment, the chain starts here
+        } else if prev.kind == TokKind::Ident || prev.is_punct('.') || prev.is_punct(':') {
             j -= 1;
         } else if prev.is_punct(')') || prev.is_punct(']') {
             match open_of[j - 1] {
@@ -844,8 +847,10 @@ fn binding_of(
             }
             continue;
         }
-        if t.is_ident("mut") || t.kind == TokKind::Ident && name.is_none() && !t.is_ident("let") {
-            if !t.is_ident("mut") {
+        if t.kind == TokKind::Ident && !t.is_ident("let") {
+            // The first name wins: walking on from `(g)` this is the
+            // pattern's constructor (`Some`, `Ok`), not a binding.
+            if !t.is_ident("mut") && name.is_none() {
                 name = Some(t.text.clone());
             }
             continue;

@@ -301,6 +301,24 @@ impl<T: ?Sized> OrderedRwLock<T> {
         }
     }
 
+    /// Try for exclusive write access without blocking; `None` while
+    /// any reader or writer holds the lock. Rank-checked like
+    /// [`OrderedMutex::try_lock`], for the same reason.
+    #[track_caller]
+    #[inline]
+    pub fn try_write(&self) -> Option<OrderedRwLockWriteGuard<'_, T>> {
+        let token = acquire(self.rank(), true);
+        let inner = match self.inner.try_write() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(OrderedRwLockWriteGuard {
+            inner,
+            _token: token,
+        })
+    }
+
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         recover(self.inner.get_mut())

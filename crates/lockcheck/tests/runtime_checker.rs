@@ -107,6 +107,42 @@ fn try_lock_is_rank_checked_too() {
 }
 
 #[test]
+fn try_write_is_rank_checked_too() {
+    let low = OrderedRwLock::new(LOW, 3u32);
+    let high = OrderedMutex::new(HIGH, ());
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let _h = high.lock();
+        let _ = low.try_write();
+    }))
+    .expect_err("try_write out of order is a latent deadlock");
+    assert!(err
+        .downcast_ref::<String>()
+        .expect("message")
+        .contains("lock order violation"));
+    // In order it is a plain try: refused (and its rank retired) while
+    // another thread reads, granted as an exclusive hold after.
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let low = &low;
+        s.spawn(move || {
+            let _r = low.read();
+            held_tx.send(()).expect("main thread waits");
+            let _ = release_rx.recv();
+        });
+        held_rx.recv().expect("reader holds the lock");
+        assert!(low.try_write().is_none());
+        assert!(held_ranks().is_empty());
+        drop(release_tx);
+    });
+    let mut w = low.try_write().expect("uncontended");
+    *w += 1;
+    assert_eq!(held_ranks(), vec![10]);
+    drop(w);
+    assert_eq!(*low.read(), 4);
+}
+
+#[test]
 fn held_table_is_per_thread() {
     // This thread parks on HIGH; a spawned thread may still start its
     // own chain at LOW — ranks constrain an acquisition *path*, and

@@ -61,6 +61,26 @@ fn seeded_inversion_is_flagged() {
 }
 
 #[test]
+fn try_write_inversion_is_flagged_once() {
+    let a = check(
+        "fixtures/try_write_inversion.rs",
+        include_str!("fixtures/try_write_inversion.rs"),
+    );
+    // Only the `low.lock()` inside the `if let` that holds `high`; the
+    // function that tries twice and locks `low` afterwards is clean,
+    // which it only is if each `try_write` guard dies with its block.
+    assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
+    assert_eq!(a.findings[0].kind, FindingKind::Inversion);
+    assert_eq!(a.findings[0].line, 16, "flagged at: {}", a.findings[0]);
+    assert!(
+        a.findings[0].message.contains("fix.high") && a.findings[0].message.contains("fix.low"),
+        "inversion names both locks: {}",
+        a.findings[0].message
+    );
+    assert_eq!(a.acquisitions, 5, "every site resolved: {a:?}");
+}
+
+#[test]
 fn unwrapped_mutex_is_flagged() {
     let a = check(
         "fixtures/unwrapped.rs",

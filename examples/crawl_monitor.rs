@@ -238,4 +238,12 @@ fn main() {
         "\nfinal stats: {} attempts, {} successes, {} distillations",
         total.attempts, total.successes, total.distillations
     );
+    // Why a crawl is (not) slow, from its own counters: a page whose
+    // worker found the store lock busy waits in the worker's lane and
+    // lands under a later guard instead of putting the worker to sleep.
+    println!(
+        "deferred landings: {} ({:.1}% of successes found the store busy)",
+        total.deferred_landings,
+        100.0 * total.deferred_landings as f64 / total.successes.max(1) as f64
+    );
 }
