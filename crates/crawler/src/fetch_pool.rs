@@ -32,7 +32,8 @@
 //!
 //! Locks: the submission queue and the completion mailboxes are leaves
 //! taken with no session lock held, and fetcher threads touch no
-//! session state at all.
+//! session state at all. Both fetch sites are the `FETCH` blocking point
+//! of `lockcheck::rank`, which allows no lock held across the fetch.
 //!
 //! Shutdown contract: workers cancel or drain all their jobs before
 //! exiting (the run then drops the idle pool, joining its threads), so
@@ -175,6 +176,7 @@ fn fetcher_thread(shared: &PoolShared) {
         };
         let ordinal = job.attempt.saturating_sub(1);
         let oid = job.claim.oid;
+        lockcheck::blocking(&rank::FETCH);
         let fetched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.fetcher.fetch_with_ordinal(oid, ordinal)
         }));
@@ -307,6 +309,7 @@ impl PoolHandle {
             Executor::OnThread(queue) => {
                 let (claim, attempt) = queue.pop_front()?;
                 let ordinal = attempt.saturating_sub(1);
+                lockcheck::blocking(&rank::FETCH);
                 let outcome = Ok(self.pool.fetcher.fetch_with_ordinal(claim.oid, ordinal));
                 Some(Completion {
                     claim,

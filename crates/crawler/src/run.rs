@@ -161,7 +161,9 @@ impl ControlState {
     /// each pop, so `push()` from the control thread never waits on a
     /// slow command handler. Commands pushed *during* application are
     /// picked up by the same drain — the loop re-pops until the queue is
-    /// observed empty — preserving the old in-order guarantee.
+    /// observed empty — preserving the old in-order guarantee. `apply`
+    /// runs under `applying`, so it must not block
+    /// (`CrawlSession::apply_commands` defers forced passes past it).
     pub(crate) fn drain(&self, mut apply: impl FnMut(Command)) {
         // Fast path: nothing queued, don't touch the apply lock.
         if self.queue.lock().is_empty() {
@@ -419,7 +421,8 @@ impl CrawlRun {
         self.session.find_topic(name)
     }
 
-    /// Force a distillation pass at the next page boundary.
+    /// Force a distillation pass at the next page boundary, after the
+    /// commands queued with it have applied.
     pub fn distill(&self) {
         self.session.control().push(Command::Distill);
     }
@@ -468,14 +471,11 @@ impl CrawlRun {
             // catch itself unwound, which AssertUnwindSafe precludes.
             let _ = h.join();
         }
-        let session = Arc::clone(&self.session);
-        session
-            .control()
-            .drain(|cmd| session.apply_command(cmd, &self.tail_sink));
+        self.session.apply_commands(&self.tail_sink);
         // Everything the run wrote — including commands applied just
         // above, after the last worker's batch commit — becomes durable
         // before `join()` acknowledges the run. No-op without a WAL.
-        session.final_durable_commit();
+        self.session.final_durable_commit();
         self.session.control().deactivate();
     }
 }

@@ -17,6 +17,9 @@ pub(super) struct Classified {
     pub summary: EvalSummary,
     /// The posteriors worth saving for §3.7 re-marking.
     pub saved_probs: Vec<(ClassId, f64)>,
+    /// The page's citers ([`CrawlSession::citers`]), looked up before
+    /// the store lock is taken.
+    pub citers: Option<Vec<(Oid, String)>>,
     /// The store was busy when the page was classified and its worker
     /// went on fetching: it lands under a later guard
     /// ([`CrawlStats::deferred_landings`]).
@@ -247,6 +250,7 @@ impl CrawlSession {
             page,
             summary,
             saved_probs,
+            citers,
             deferred,
         } = landing;
         let now = self.start.elapsed().as_secs() as i64;
@@ -333,21 +337,16 @@ impl CrawlSession {
         self.upsert_routed(&mut g.db, expansions)?;
 
         // Backward expansion: a highly relevant page's *citers* are hub
-        // candidates (radius-2); enqueue them when the server exposes
-        // backlink metadata.
-        if let Some(threshold) = self.cfg.backlink_expansion_above {
-            if r > threshold {
-                if let Some(citers) = self.fetcher.backlinks(page.oid) {
-                    let prio = log_clamped(r * 0.8);
-                    let backlinks = citers
-                        .into_iter()
-                        .map(|(src, src_url)| {
-                            self.endorsement(g, host_server_id(&src_url), src, src_url, prio)
-                        })
-                        .collect();
-                    self.upsert_routed(&mut g.db, backlinks)?;
-                }
-            }
+        // candidates (radius-2), looked up before the lock was taken.
+        if let Some(citers) = citers {
+            let prio = log_clamped(r * 0.8);
+            let backlinks = citers
+                .into_iter()
+                .map(|(src, src_url)| {
+                    self.endorsement(g, host_server_id(&src_url), src, src_url, prio)
+                })
+                .collect();
+            self.upsert_routed(&mut g.db, backlinks)?;
         }
 
         sink.emit(CrawlEvent::PageClassified {
@@ -364,6 +363,20 @@ impl CrawlSession {
         g.distill.since += 1;
         let every = self.cfg.distill_every.unwrap_or(usize::MAX);
         Ok(g.distill.since >= every && g.distill.running == 0)
+    }
+
+    /// §3.2's backward device: the citers of a page whose relevance is
+    /// above [`CrawlConfig::backlink_expansion_above`], when its server
+    /// exposes backlink metadata. Asking is a round trip like a fetch —
+    /// the `BACKLINKS` blocking point — so the caller holds no lock and
+    /// [`CrawlSession::process`] only upserts the answer.
+    pub(super) fn citers(&self, page: Oid, relevance: f64) -> Option<Vec<(Oid, String)>> {
+        let threshold = self.cfg.backlink_expansion_above?;
+        if relevance > threshold {
+            lockcheck::blocking(&rank::BACKLINKS);
+            return self.fetcher.backlinks(page);
+        }
+        None
     }
 
     /// A frontier entry for a page on server `sid`, paired with its
@@ -561,6 +574,7 @@ impl CrawlSession {
             g.distill.cut += 1;
             (g.graph.snapshot(), g.distill.cut)
         };
+        lockcheck::blocking(&rank::DISTILL_PASS);
         let Distilled { result, endorsed } =
             snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
         let mut g = self.store.write();

@@ -67,8 +67,11 @@
 //! back left): `model → compiled → store → wal → counters/diag`. The
 //! session's locks are rank-carrying [`lockcheck`] wrappers, so this
 //! order is not just documentation: debug builds panic on any
-//! out-of-order interleaving, and `cargo run -p lockcheck` rejects any
-//! code path that contradicts `LOCK_ORDER.toml`.
+//! out-of-order interleaving, and on any lock held into a blocking call
+//! (a fetch, a backlink lookup, the distillation kernel, an fsync) that
+//! the call's blocking point in `lockcheck::rank` does not allow. The
+//! only such hold is the durable commit: a WAL fsync under the store
+//! write guard (and under `ctrl_apply`, for a live `add_seeds`).
 //! Monitors touch only `store` (read) or the counter mutex, so they can
 //! never deadlock with workers. The `wal` position is the WAL latch of
 //! a durable session database ([`Durability`]): minirel acquires it
@@ -97,9 +100,10 @@
 //! the trigger (peers keep landing pages, monitors keep querying), and
 //! takes the write lock once more to republish `HUBS`/`AUTH`, apply the
 //! hub boosts and emit `DistillCompleted` — two short guards around an
-//! unlocked pass. `LOCK_ORDER.toml` declares the kernel call blocking
-//! with an empty allow list, so `lockcheck` rejects any guard held
-//! across it. The tripping page's in-flight gauges fall only after the
+//! unlocked pass. The kernel call is the `DISTILL_PASS` blocking point,
+//! whose allow list is empty — `ctrl_apply` included, so a forced pass
+//! (`run.distill()`) runs after the command drain, not inside it. The
+//! tripping page's in-flight gauges fall only after the
 //! pass's boosts are in the frontier (boosts can create rows), at most
 //! one periodic pass runs at a time, and pages that land during a pass
 //! are seen by the next one.

@@ -10,8 +10,25 @@ use super::*;
 const RESTEER_MIN_RELEVANCE: f64 = 0.2;
 
 impl CrawlSession {
-    /// Apply one steering command at a page boundary.
-    pub(crate) fn apply_command(&self, cmd: Command, sink: &EventSink) {
+    /// Apply every queued steering command at a page boundary, in queue
+    /// order — all but the forced distillation passes
+    /// ([`Command::Distill`]): the drain holds `ctrl_apply` throughout
+    /// and the HITS kernel may run under no lock, so each requested pass
+    /// runs after the drain has released it. Commands queued behind a
+    /// `Distill` thus apply before its pass, which sees their effects;
+    /// every `Distill` still runs its own pass, until one fails.
+    pub(crate) fn apply_commands(&self, sink: &EventSink) {
+        let mut forced = 0;
+        self.control
+            .drain(|cmd| forced += usize::from(self.apply_command(cmd, sink)));
+        if let Err(e) = (0..forced).try_for_each(|_| self.distill_pass(true, Some(sink))) {
+            self.record_error(e);
+        }
+    }
+
+    /// Apply one steering command; `true` asks the caller for a forced
+    /// distillation pass once it holds no lock.
+    pub(super) fn apply_command(&self, cmd: Command, sink: &EventSink) -> bool {
         match cmd {
             Command::Pause => {
                 if self.control.run_state() == RunState::Running {
@@ -56,12 +73,9 @@ impl CrawlSession {
             Command::MarkTopic { class, good } => {
                 self.apply_mark_topic(class, good, sink);
             }
-            Command::Distill => {
-                if let Err(e) = self.distill_pass(true, Some(sink)) {
-                    self.record_error(e);
-                }
-            }
+            Command::Distill => return true,
         }
+        false
     }
 
     /// §3.7 live re-steering: change the good marking, recompute visited

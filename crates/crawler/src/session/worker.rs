@@ -117,7 +117,7 @@ impl CrawlSession {
         let batch = self.cfg.batch_size.max(1);
         let workers = self.cfg.threads.max(1);
         loop {
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
+            self.apply_commands(sink);
             self.drain_exchange();
             if self.stop_requested() {
                 break;
@@ -269,6 +269,8 @@ impl CrawlSession {
             .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
             .collect();
         lane.unlanded.push_back(Unlanded::Page(Classified {
+            // A round trip like the fetch, so asked here, outside every lock.
+            citers: self.citers(page.oid, summary.relevance),
             claim,
             attempt,
             page,
@@ -415,7 +417,7 @@ impl CrawlSession {
             && !self.control.abort.load(Ordering::Acquire)
         {
             std::thread::sleep(IDLE_POLL);
-            self.control.drain(|cmd| self.apply_command(cmd, sink));
+            self.apply_commands(sink);
             self.drain_exchange();
         }
         if self.stop_requested() {

@@ -241,6 +241,22 @@ fn mark_topic_broadcast_resteers_every_shard() {
     for shard in cluster.shards() {
         assert_eq!(shard.compiled().taxonomy().mark(gardening), Mark::Null);
     }
+    // Mark only once pages have landed: a re-steer re-prioritizes what
+    // visited pages point to, so before the first landing it has nothing
+    // to route. What each shard had visited *before* the mark was queued
+    // is exactly what its re-steer saw.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while cluster.stats().successes < 150 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "crawl never got going"
+        );
+        assert!(!run.is_finished(), "run ended before 150 successes");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let visited_before_mark: Vec<Vec<Oid>> = (cluster.shards().iter())
+        .map(|s| s.stats().completion_order.iter().map(|&(o, _)| o).collect())
+        .collect();
     run.mark_topic(gardening, true);
     // Every shard recompiles and Arc-swaps at its next page boundary.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
@@ -269,6 +285,22 @@ fn mark_topic_broadcast_resteers_every_shard() {
         );
         assert_eq!(shard.compiled().taxonomy().mark(cycling), Mark::Good);
     }
+    // At least one boost crossed shards — the re-steer's routing under
+    // the model read guard, `crawler.model → crawler.exchange_inbox`. A
+    // page visited before the mark holds, after the run, the relevance
+    // its re-steer recomputed (nothing is fetched twice here); every
+    // page it links to on another shard is unvisited on this one, so
+    // above the re-steer floor (0.2) each such link was routed.
+    let n = cluster.n_shards();
+    let crossed = (visited_before_mark.iter().enumerate()).any(|(s, visited)| {
+        let shard = &cluster.shards()[s];
+        let (relevance, links) = (shard.relevance_map(), shard.links());
+        visited.iter().any(|src| {
+            relevance[src] > 0.2
+                && (links.iter()).any(|(o, _, _, sid_dst)| o == src && *sid_dst as usize % n != s)
+        })
+    });
+    assert!(crossed, "no re-steer boost crossed shards");
 }
 
 /// A fetcher that holds every fetch for a fixed delay (widens the

@@ -312,6 +312,83 @@ fn file_backed_crawl_recovers() {
     cleanup(&path);
 }
 
+/// A live `add_seeds` on a file-backed session is synced before it is
+/// acknowledged: the command drain (`ctrl_apply`) seeds under the store
+/// write guard and commits there, and with `group_commit: 1` that commit
+/// fsyncs the log — the `ctrl_apply → store → wal` hold the `FSYNC_WAL`
+/// blocking point allows. Every fetch is held on the wire meanwhile, so
+/// no commit point can be what synced.
+#[test]
+fn live_add_seeds_syncs_under_the_command_drain() {
+    let path = temp_db_path("live-seeds");
+    cleanup(&path);
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(7)));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 4);
+    let extra: Vec<Oid> = (graph.pages().iter().map(|p| p.oid))
+        .filter(|oid| !seeds.contains(oid))
+        .take(3)
+        .collect();
+    let fetcher = Arc::new(GatedFetcher {
+        inner: Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+        gate_open: AtomicBool::new(false),
+    });
+    let cfg = CrawlConfig {
+        threads: 1,
+        fetch_pool: 2,
+        max_fetches: 20,
+        distill_every: None,
+        durability: Durability::File {
+            path: path.clone(),
+            group_commit: 1,
+        },
+        ..CrawlConfig::default()
+    };
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::clone(&fetcher) as Arc<dyn Fetcher>,
+            trained_model(&graph, "recreation/cycling"),
+            cfg.clone(),
+        )
+        .unwrap(),
+    );
+    session.seed(&seeds).unwrap();
+    let syncs = || session.with_db_read(|db| db.wal().expect("file-backed").stats().syncs);
+    let seeded = |oid: Oid, s: &CrawlSession| {
+        let oid = [minirel::Value::Int(oid.raw() as i64)];
+        let rs = s.sql_with("select count(*) from crawl where oid = ?", &oid);
+        rs.unwrap().scalar_i64() == Some(1)
+    };
+    let run = session.start().unwrap();
+    let before = syncs();
+    run.add_seeds(&extra);
+    let t0 = Instant::now();
+    while !seeded(extra[0], &session) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(20),
+            "add_seeds never applied"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        syncs() > before,
+        "the live seeds were acknowledged before the log was synced"
+    );
+    fetcher.gate_open.store(true, Ordering::Release);
+    run.join().unwrap();
+    drop(session);
+
+    let recovered = CrawlSession::recover(
+        Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+        trained_model(&graph, "recreation/cycling"),
+        cfg,
+    )
+    .unwrap();
+    assert!(extra.iter().all(|&oid| seeded(oid, &recovered)));
+    drop(recovered);
+    cleanup(&path);
+}
+
 /// A fetcher that always times out: every attempt is retriable and the
 /// failure backoff parks every row (`not_before` in the future).
 struct TimeoutFetcher;

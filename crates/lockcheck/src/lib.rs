@@ -1,33 +1,26 @@
-//! Lock-order lattice enforcement for the workspace (ISSUE 10).
+//! Lock-order lattice enforcement for the workspace: one registry, one
+//! checker.
 //!
-//! Two halves, one lattice:
+//! - **Registry** ([`rank`]): every lock's [`rank::Rank`] and every
+//!   blocking call's [`rank::BlockingPoint`] (a name plus the ranks a
+//!   thread may hold across it), written down once, as data.
+//! - **Checker** ([`ordered`]): [`OrderedMutex`] / [`OrderedRwLock`] /
+//!   [`OrderedCondvar`] wrap the `std::sync` primitives with a rank.
+//!   Debug builds keep a per-thread table of held ranks and panic —
+//!   showing both sites — the moment any code path acquires out of
+//!   order, or reaches a [`blocking`] point holding a rank outside its
+//!   allow list. Release builds are `#[repr(transparent)]` zero-cost
+//!   passthroughs, and [`blocking`] compiles to nothing.
 //!
-//! - **Runtime** ([`ordered`]): [`OrderedMutex`] / [`OrderedRwLock`] /
-//!   [`OrderedCondvar`] wrap the `std::sync` primitives with a
-//!   [`rank::Rank`]. Debug builds keep a per-thread table of held ranks
-//!   and panic — showing both acquisition sites — the moment any code
-//!   path acquires out of order. Release builds are `#[repr(transparent)]`
-//!   zero-cost passthroughs.
-//! - **Static** ([`analyze`] + [`manifest`] + [`lexer`]): `cargo run -p
-//!   lockcheck` lexes every workspace source file, tracks acquisitions
-//!   per function body, propagates held-lock sets across intra-crate
-//!   call edges, and diffs the observed acquisition graph against the
-//!   lattice declared in `LOCK_ORDER.toml` — reporting inversions,
-//!   undeclared locks, and guards held across declared-blocking calls
-//!   (`Fetcher::fetch`, fsync).
-//!
-//! The rank table lives in [`rank`] and nowhere else: `LOCK_ORDER.toml`
-//! binds source acquisitions to lock *names*, and the static half looks
-//! each name's rank up in the table.
+//! The checker sees the paths that run. A path no test executes is
+//! checked by nobody; the workspace's stress and crash suites are what
+//! walk the lattice (see the README's lock-order section).
 
-pub mod analyze;
-pub mod lexer;
-pub mod manifest;
 pub mod ordered;
 pub mod rank;
 
 pub use ordered::{
-    held_ranks, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock,
+    blocking, held_ranks, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock,
     OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
 };
-pub use rank::Rank;
+pub use rank::{BlockingPoint, Rank};

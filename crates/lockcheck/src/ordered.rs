@@ -1,12 +1,14 @@
-//! Rank-ordered lock wrappers over `std::sync`.
+//! Rank-ordered lock wrappers over `std::sync`, and blocking points.
 //!
 //! Debug builds keep a per-thread table of held ranks: every acquisition
 //! checks that its rank is strictly above everything already held (with a
 //! shared-mode exception for reentrant reads) and panics with *both*
-//! acquisition sites on an inversion. Release builds compile to plain
-//! `std::sync` locks: the rank is not stored, the held token is
-//! zero-sized and dropless, and the lock structs are
-//! `#[repr(transparent)]` over their `std::sync` counterparts.
+//! acquisition sites on an inversion; every [`blocking`] call checks the
+//! table against the point's allow list the same way. Release builds
+//! compile to plain `std::sync` locks: the rank is not stored, the held
+//! token is zero-sized and dropless, the lock structs are
+//! `#[repr(transparent)]` over their `std::sync` counterparts, and
+//! [`blocking`] is empty.
 //!
 //! Acquisition cannot fail: a lock poisoned by a thread that panicked
 //! while holding it is recovered, not propagated. The crawler handles
@@ -14,7 +16,7 @@
 //! stays usable), so every update under these locks leaves the data
 //! valid at each step.
 
-use crate::rank::Rank;
+use crate::rank::{BlockingPoint, Rank};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, LockResult, PoisonError, TryLockError};
@@ -26,7 +28,7 @@ fn recover<G>(result: LockResult<G>) -> G {
 
 #[cfg(debug_assertions)]
 mod held {
-    use super::Rank;
+    use super::{BlockingPoint, Rank};
     use std::cell::{Cell, RefCell};
     use std::panic::Location;
 
@@ -81,7 +83,7 @@ mod held {
                     panic!(
                         "lock order violation: acquiring `{}` (rank {}) at {} while holding \
                          `{}` (rank {}) acquired at {}; ranks must strictly ascend \
-                         (see LOCK_ORDER.toml)",
+                         (see crates/lockcheck/src/rank.rs)",
                         rank.name, rank.value, site, e.rank.name, e.rank.value, e.site,
                     );
                 }
@@ -98,6 +100,19 @@ mod held {
                 site,
             });
             HeldToken { id }
+        })
+    }
+
+    pub(super) fn blocking(point: &BlockingPoint, site: &'static Location<'static>) {
+        HELD.with(|h| {
+            if let Some(e) = h.borrow().iter().find(|e| !point.allow.contains(&e.rank)) {
+                panic!(
+                    "blocking point violation: `{}` at {} while holding `{}` (rank {}) \
+                     acquired at {}; its allow list in crates/lockcheck/src/rank.rs \
+                     does not include that rank",
+                    point.name, site, e.rank.name, e.rank.value, e.site,
+                );
+            }
         })
     }
 
@@ -137,6 +152,20 @@ fn acquire(rank: Rank, exclusive: bool) -> HeldToken {
 fn acquire(_rank: Rank, _exclusive: bool) -> HeldToken {
     HeldToken
 }
+
+/// Announce a blocking call at `point`: debug builds panic — citing this
+/// call site and the held lock's acquisition site — if the thread holds
+/// any rank outside `point.allow`. Release builds compile it to nothing.
+#[cfg(debug_assertions)]
+#[track_caller]
+pub fn blocking(point: &BlockingPoint) {
+    held::blocking(point, std::panic::Location::caller());
+}
+
+/// Release builds track nothing, so there is nothing to check.
+#[cfg(not(debug_assertions))]
+#[inline(always)]
+pub fn blocking(_point: &BlockingPoint) {}
 
 /// A [`std::sync::Mutex`] that carries a [`Rank`] and participates in
 /// the debug-build order check. `#[repr(transparent)]` in release.

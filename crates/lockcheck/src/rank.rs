@@ -5,10 +5,10 @@
 //! it already holds (same-rank re-acquisition is allowed only for
 //! shared/read mode, so reentrant reads stay legal while two sibling
 //! mutexes of the same rank — e.g. two buffer-pool shards — stay
-//! forbidden). The table below is the one place a rank is written down:
-//! the runtime checker reads the constants, and the static pass looks
-//! each `LOCK_ORDER.toml` entry's rank up here by name (the manifest
-//! carries no numbers; a test holds the two to the same set of names).
+//! forbidden). The table below is the one place a rank is written down,
+//! and the blocking points after it the one place a blocking call's
+//! allowed holds are: the runtime checker ([`crate::ordered`]) reads
+//! both.
 //!
 //! The lattice, in prose (ranks ascend top to bottom):
 //!
@@ -25,28 +25,39 @@
 //! ```
 
 /// A lock rank: a position in the workspace acquisition order plus the
-/// name the manifest and panic messages use for it.
+/// name panic messages use for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rank {
     /// Position in the acquisition order; must strictly ascend.
     pub value: u16,
-    /// Manifest name, e.g. `"crawler.store"`; matches `LOCK_ORDER.toml`.
+    /// Display name, e.g. `"crawler.store"`.
     pub name: &'static str,
 }
 
 impl Rank {
-    /// Build a rank constant. `name` must match the `LOCK_ORDER.toml` entry.
+    /// Build a rank constant.
     pub const fn new(value: u16, name: &'static str) -> Rank {
         Rank { value, name }
     }
+}
+
+/// A call that blocks — a network round trip, an fsync, a distillation
+/// pass — and the ranks a thread may hold across it. Every call site
+/// announces itself with [`crate::blocking`]; holding any other rank
+/// there is a bug of the same kind as an inversion.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockingPoint {
+    /// Display name, e.g. `"fsync-wal"`.
+    pub name: &'static str,
+    /// Ranks that may be held across the call.
+    pub allow: &'static [Rank],
 }
 
 macro_rules! ranks {
     ($($(#[$doc:meta])* $konst:ident = $value:literal, $name:literal;)*) => {
         $($(#[$doc])* pub const $konst: Rank = Rank::new($value, $name);)*
 
-        /// Every rank in the registry, ascending: where the static pass
-        /// takes the rank of each lock `LOCK_ORDER.toml` declares.
+        /// Every rank in the registry, ascending.
         pub const ALL: &[Rank] = &[$($konst),*];
     };
 }
@@ -85,7 +96,7 @@ ranks! {
     DISK = 430, "minirel.disk";
     /// `minirel/wal.rs` `inner`: the write-ahead log; taken under a shard
     /// latch for WAL-before-data flushes, and alone for appends. fsync
-    /// happens under it by design (annotated in `LOCK_ORDER.toml`).
+    /// happens under it by design ([`FSYNC_WAL`]).
     WAL = 440, "minirel.wal";
     /// `minirel/recovery.rs` `ReplicaShared.error`: replica failure slot.
     REPLICA_ERR = 450, "minirel.replica_err";
@@ -110,9 +121,62 @@ ranks! {
     POOL_MAILBOX = 720, "crawler.pool_mailbox";
 }
 
+/// `crawler/fetch_pool.rs`: a page fetch, on a fetcher thread or on the
+/// worker itself. A network round trip; nothing may be held.
+pub const FETCH: BlockingPoint = BlockingPoint {
+    name: "fetch",
+    allow: &[],
+};
+
+/// `crawler/session/flush.rs` (`citers`): a relevant page's citers, from
+/// the server's backlink metadata (§3.2) — a round trip like a fetch,
+/// looked up by the worker after classification and before the page
+/// lands.
+pub const BACKLINKS: BlockingPoint = BlockingPoint {
+    name: "backlinks",
+    allow: &[],
+};
+
+/// `crawler/session/flush.rs`: the HITS kernel over an owned snapshot —
+/// milliseconds of work that peers and monitors must not wait out.
+pub const DISTILL_PASS: BlockingPoint = BlockingPoint {
+    name: "distill-pass",
+    allow: &[],
+};
+
+/// `minirel/wal.rs`: fsync of the log. The log syncs under its own
+/// latch by design, and a durable session commits seeds (a live
+/// `add_seeds` command, under `ctrl_apply`) and commit points under the
+/// store write guard, so that fsync is what makes them acknowledged.
+pub const FSYNC_WAL: BlockingPoint = BlockingPoint {
+    name: "fsync-wal",
+    allow: &[CTRL_APPLY, STORE, WAL],
+};
+
+/// `minirel/disk.rs`: fsync of the data file, under the disk manager's
+/// latch (checkpoint and recovery).
+pub const FSYNC_DATA: BlockingPoint = BlockingPoint {
+    name: "fsync-data",
+    allow: &[DISK],
+};
+
 #[cfg(test)]
 mod tests {
-    use super::ALL;
+    use super::*;
+
+    #[test]
+    fn blocking_points_allow_only_registry_ranks() {
+        for point in [FETCH, BACKLINKS, DISTILL_PASS, FSYNC_WAL, FSYNC_DATA] {
+            for r in point.allow {
+                assert!(
+                    ALL.contains(r),
+                    "{} allows unknown rank {}",
+                    point.name,
+                    r.name
+                );
+            }
+        }
+    }
 
     #[test]
     fn ranks_strictly_ascend_and_names_are_unique() {

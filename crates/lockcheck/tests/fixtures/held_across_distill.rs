@@ -1,10 +1,13 @@
 //! Seeded violation: the snapshot is cut under the `low` guard — fine —
-//! but the guard is still live when the pass iterates on it. The static
-//! pass must report held-across-blocking, and must not once the guard
+//! but the guard is still live when the pass iterates on it. The
+//! checker must panic at the kernel call, and must not once the guard
 //! is dropped first.
 
+use super::{Graph, LOW};
+use lockcheck::OrderedMutex;
+
 pub struct Session {
-    low: lockcheck::OrderedMutex<Graph>,
+    low: OrderedMutex<Graph>,
 }
 
 impl Session {
@@ -19,5 +22,11 @@ impl Session {
         let snapshot = g.snapshot();
         drop(g);
         snapshot.distill(10);
+    }
+
+    pub fn new() -> Session {
+        Session {
+            low: OrderedMutex::new(LOW, Graph),
+        }
     }
 }

@@ -1,13 +1,16 @@
 //! Seeded violation: `high` (rank 20) is taken with `try_write()` and
 //! `low` (rank 10) under it. A `try_*` that descends is a latent
-//! deadlock once someone converts it, so the static pass must report an
-//! inversion on that `low.lock()` line — and only there: a guard bound
-//! by `if let` (or held by a `match` scrutinee) dies with its block, so
-//! taking `low` after one is clean.
+//! deadlock once someone converts it, so the checker must panic on that
+//! `low.lock()` line — and only there: a guard bound by `if let` (or
+//! held by a `match` scrutinee) dies with its block, so taking `low`
+//! after one is clean.
+
+use super::{HIGH, LOW};
+use lockcheck::{OrderedMutex, OrderedRwLock};
 
 pub struct Pair {
-    low: lockcheck::OrderedMutex<u32>,
-    high: lockcheck::OrderedRwLock<u32>,
+    low: OrderedMutex<u32>,
+    high: OrderedRwLock<u32>,
 }
 
 impl Pair {
@@ -30,5 +33,12 @@ impl Pair {
             None => sum += 1,
         }
         sum + *self.low.lock()
+    }
+
+    pub fn new() -> Pair {
+        Pair {
+            low: OrderedMutex::new(LOW, 1),
+            high: OrderedRwLock::new(HIGH, 2),
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Seeded violation: a raw `std::sync::Mutex` bypasses the rank
-//! wrappers entirely. The static pass must report unknown-lock — both
-//! for the bare `Mutex` type and for the `.lock()` on an undeclared
-//! receiver.
+//! wrappers entirely, so the runtime checker never sees it. The
+//! raw-lock scan must report it — both the import and the field.
 
 use std::sync::Mutex;
 

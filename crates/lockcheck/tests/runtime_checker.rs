@@ -1,11 +1,12 @@
-//! The runtime half under debug assertions: inversions panic with both
-//! sites, the shared-mode exception admits reentrant reads, and the
-//! held table is per-thread. Compiled away (empty test binary) in
-//! release, where the wrappers are passthroughs.
+//! The checker under debug assertions: inversions and holds across a
+//! blocking point panic with both sites, the shared-mode exception
+//! admits reentrant reads, and the held table is per-thread. Compiled
+//! away (empty test binary) in release, where the wrappers are
+//! passthroughs.
 #![cfg(debug_assertions)]
 
 use lockcheck::rank::{self, Rank};
-use lockcheck::{held_ranks, OrderedCondvar, OrderedMutex, OrderedRwLock};
+use lockcheck::{blocking, held_ranks, BlockingPoint, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -184,6 +185,46 @@ fn condvar_wait_keeps_the_rank_held() {
     *shared.slot.lock() = Some(42);
     shared.ready.notify_one();
     assert_eq!(waiter.join().expect("waiter"), 42);
+}
+
+/// A blocking point that allows `HIGH` and nothing else.
+const SYNC_UNDER_HIGH: BlockingPoint = BlockingPoint {
+    name: "test.sync",
+    allow: &[HIGH],
+};
+
+#[test]
+fn blocking_point_outside_allow_list_panics_with_both_sites() {
+    let low = OrderedMutex::new(LOW, ());
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        let _l = low.lock();
+        blocking(&SYNC_UNDER_HIGH);
+    }))
+    .expect_err("holding a rank the point does not allow must panic");
+    let msg = err.downcast_ref::<String>().expect("message");
+    assert!(msg.contains("blocking point violation"), "{msg}");
+    assert!(
+        msg.contains("`test.sync`") && msg.contains("`test.low`"),
+        "names the point and the held lock: {msg}"
+    );
+    assert!(
+        msg.matches("runtime_checker.rs").count() == 2,
+        "cites the blocking call and the acquisition: {msg}"
+    );
+    assert!(held_ranks().is_empty());
+}
+
+#[test]
+fn blocking_point_inside_allow_list_is_clean() {
+    let high = OrderedMutex::new(HIGH, ());
+    let _h = high.lock();
+    blocking(&SYNC_UNDER_HIGH);
+    // Nothing held is fine for any point, and checking retires nothing.
+    assert_eq!(held_ranks(), vec![20]);
+    std::thread::spawn(|| blocking(&rank::FETCH))
+        .join()
+        .expect("an empty table passes every point");
+    assert_eq!(held_ranks(), vec![20]);
 }
 
 #[test]

@@ -1,164 +1,177 @@
-//! The static pass against its seeded-violation corpus
-//! (`tests/fixtures/`): every planted defect must be flagged on the
-//! right line, and the clean control must not be.
+//! The seeded-violation corpus (`tests/fixtures/`), executed: each
+//! fixture is a compiled module over the stub [`Fetcher`] and [`Graph`]
+//! below, whose `fetch` and `distill` are the registry's blocking
+//! points. Every planted defect must panic the runtime checker naming
+//! the right locks and sites, its "drop the guard first" twin and the
+//! `clean` control must run clean, and the raw lock in `unwrapped`
+//! must surface through the raw-lock scan. Debug builds only, like
+//! the checker itself.
+#![cfg(debug_assertions)]
 
-use lockcheck::analyze::{analyze_sources, Analysis, FindingKind};
-use lockcheck::manifest;
+use lockcheck::held_ranks;
+use lockcheck::rank::{self, Rank};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Two-rank lattice plus two blocking calls — the smallest manifest that
-/// exercises every finding kind.
-const MANIFEST: &str = r#"
-[scan]
-roots = ["fixtures"]
+mod scan;
 
-[[lock]]
-name = "fix.low"
-rank = 10
-kind = "mutex"
-fields = ["low"]
-files = ["fixtures/"]
+#[path = "fixtures/clean.rs"]
+mod clean;
+#[path = "fixtures/held_across_distill.rs"]
+mod held_across_distill;
+#[path = "fixtures/held_across_fetch.rs"]
+mod held_across_fetch;
+#[path = "fixtures/inversion.rs"]
+mod inversion;
+#[path = "fixtures/transitive.rs"]
+mod transitive;
+#[path = "fixtures/try_write_inversion.rs"]
+mod try_write_inversion;
 
-[[lock]]
-name = "fix.high"
-rank = 20
-kind = "mutex"
-fields = ["high"]
-files = ["fixtures/"]
+/// The fixtures' two-rank lattice.
+const LOW: Rank = Rank::new(10, "fix.low");
+const HIGH: Rank = Rank::new(20, "fix.high");
 
-[[blocking]]
-name = "fetch"
-call = "fetcher.fetch"
-allow = []
+/// Stub fetcher: a fetch is the registry's `FETCH` blocking point.
+pub struct Fetcher;
 
-[[blocking]]
-name = "distill-pass"
-call = "snapshot.distill"
-allow = []
-"#;
+impl Fetcher {
+    #[track_caller]
+    pub fn fetch(&self, _page: u32) {
+        lockcheck::blocking(&rank::FETCH);
+    }
+}
 
-fn check(path: &str, src: &str) -> Analysis {
-    let manifest = manifest::parse(MANIFEST).expect("fixture manifest parses");
-    analyze_sources(&[(path.to_string(), src.to_string())], &manifest)
+/// Stub link graph: its snapshot's kernel is the `DISTILL_PASS` point.
+pub struct Graph;
+
+pub struct Snapshot;
+
+impl Graph {
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot
+    }
+}
+
+impl Snapshot {
+    #[track_caller]
+    pub fn distill(&self, _iterations: u32) {
+        lockcheck::blocking(&rank::DISTILL_PASS);
+    }
+}
+
+/// The message `f` panics with; it must panic, and leave no rank held.
+fn panic_of(f: impl FnOnce()) -> String {
+    let err = catch_unwind(AssertUnwindSafe(f)).expect_err("the planted defect must panic");
+    assert!(held_ranks().is_empty(), "guards retire while unwinding");
+    err.downcast_ref::<String>()
+        .expect("panic carries a message")
+        .clone()
 }
 
 #[test]
 fn seeded_inversion_is_flagged() {
-    let a = check(
-        "fixtures/inversion.rs",
-        include_str!("fixtures/inversion.rs"),
-    );
-    let inv: Vec<_> = a
-        .findings
-        .iter()
-        .filter(|f| f.kind == FindingKind::Inversion)
-        .collect();
-    assert_eq!(inv.len(), 1, "findings: {:?}", a.findings);
+    let msg = panic_of(|| {
+        inversion::Pair::new().backwards();
+    });
+    assert!(msg.contains("lock order violation"), "{msg}");
     assert!(
-        inv[0].message.contains("fix.high") && inv[0].message.contains("fix.low"),
-        "inversion names both locks: {}",
-        inv[0].message
+        msg.contains("`fix.low`") && msg.contains("`fix.high`"),
+        "inversion names both locks: {msg}"
+    );
+    assert!(
+        msg.contains("fixtures/inversion.rs:16") && msg.contains("fixtures/inversion.rs:15"),
+        "cites both acquisition sites: {msg}"
     );
 }
 
 #[test]
 fn try_write_inversion_is_flagged_once() {
-    let a = check(
-        "fixtures/try_write_inversion.rs",
-        include_str!("fixtures/try_write_inversion.rs"),
-    );
-    // Only the `low.lock()` inside the `if let` that holds `high`; the
-    // function that tries twice and locks `low` afterwards is clean,
-    // which it only is if each `try_write` guard dies with its block.
-    assert_eq!(a.findings.len(), 1, "findings: {:?}", a.findings);
-    assert_eq!(a.findings[0].kind, FindingKind::Inversion);
-    assert_eq!(a.findings[0].line, 16, "flagged at: {}", a.findings[0]);
+    let pair = try_write_inversion::Pair::new();
+    let msg = panic_of(|| {
+        pair.backwards_when_it_can();
+    });
     assert!(
-        a.findings[0].message.contains("fix.high") && a.findings[0].message.contains("fix.low"),
-        "inversion names both locks: {}",
-        a.findings[0].message
+        msg.contains("`fix.low`") && msg.contains("`fix.high`"),
+        "inversion names both locks: {msg}"
     );
-    assert_eq!(a.acquisitions, 5, "every site resolved: {a:?}");
+    assert!(
+        msg.contains("fixtures/try_write_inversion.rs:19"),
+        "flagged at the `low.lock()` under the try_write guard: {msg}"
+    );
+    // Each `try_write` guard dies with its block, so taking `low` after
+    // both is clean.
+    assert_eq!(pair.one_after_the_other(), 3 + 3 + 1);
+    assert!(held_ranks().is_empty());
 }
 
 #[test]
 fn unwrapped_mutex_is_flagged() {
-    let a = check(
+    let findings = scan::raw_locks(
         "fixtures/unwrapped.rs",
         include_str!("fixtures/unwrapped.rs"),
     );
     assert!(
-        a.findings
-            .iter()
-            .any(|f| f.kind == FindingKind::UnknownLock),
-        "raw Mutex must surface as unknown-lock: {:?}",
-        a.findings
+        findings.iter().any(|f| f.contains("use std::sync::Mutex;")),
+        "the raw import must be flagged: {findings:?}"
     );
     assert!(
-        a.findings
-            .iter()
-            .any(|f| f.kind == FindingKind::UnknownLock && f.message.contains("naked")),
-        ".lock() on an undeclared receiver must be flagged: {:?}",
-        a.findings
+        findings.iter().any(|f| f.contains("naked: Mutex<")),
+        "the raw field must be flagged: {findings:?}"
     );
 }
 
 #[test]
 fn guard_held_across_fetch_is_flagged() {
-    let a = check(
-        "fixtures/held_across_fetch.rs",
-        include_str!("fixtures/held_across_fetch.rs"),
-    );
-    let held: Vec<_> = a
-        .findings
-        .iter()
-        .filter(|f| f.kind == FindingKind::HeldAcrossBlocking)
-        .collect();
-    assert_eq!(held.len(), 1, "findings: {:?}", a.findings);
+    let crawler = held_across_fetch::Crawler::new();
+    let msg = panic_of(|| crawler.fetch_under_lock());
     assert!(
-        held[0].message.contains("fix.low"),
-        "names the held lock: {}",
-        held[0].message
+        msg.contains("blocking point violation: `fetch`"),
+        "names the rule: {msg}"
     );
+    assert!(msg.contains("`fix.low`"), "names the held lock: {msg}");
+    assert!(
+        msg.contains("fixtures/held_across_fetch.rs:16")
+            && msg.contains("fixtures/held_across_fetch.rs:15"),
+        "cites the fetch and the acquisition: {msg}"
+    );
+    crawler.fetch_after_unlock();
 }
 
 #[test]
 fn guard_held_across_distill_pass_is_flagged() {
-    let a = check(
-        "fixtures/held_across_distill.rs",
-        include_str!("fixtures/held_across_distill.rs"),
-    );
-    let held: Vec<_> = a
-        .findings
-        .iter()
-        .filter(|f| f.kind == FindingKind::HeldAcrossBlocking)
-        .collect();
-    // Only the function that iterates under its guard; the one that
-    // drops the guard first is the shape the crawler uses.
-    assert_eq!(held.len(), 1, "findings: {:?}", a.findings);
-    assert_eq!(held[0].line, 14, "flagged at the kernel call: {}", held[0]);
+    let session = held_across_distill::Session::new();
+    let msg = panic_of(|| session.distill_under_lock());
     assert!(
-        held[0].message.contains("fix.low") && held[0].message.contains("distill-pass"),
-        "names the held lock and the rule: {}",
-        held[0].message
+        msg.contains("`distill-pass`") && msg.contains("`fix.low`"),
+        "names the rule and the held lock: {msg}"
     );
+    assert!(
+        msg.contains("fixtures/held_across_distill.rs:17"),
+        "flagged at the kernel call: {msg}"
+    );
+    // Dropping the guard first is the shape the crawler uses.
+    session.distill_on_a_snapshot();
 }
 
 #[test]
 fn transitive_inversion_through_call_edge_is_flagged() {
-    let a = check(
-        "fixtures/transitive.rs",
-        include_str!("fixtures/transitive.rs"),
+    let msg = panic_of(|| transitive::Deep::new().outer());
+    assert!(
+        msg.contains("`fix.low`") && msg.contains("`fix.high`"),
+        "holding high across a call that locks low is an inversion: {msg}"
     );
     assert!(
-        a.findings.iter().any(|f| f.kind == FindingKind::Inversion),
-        "holding high across a call that locks low is an inversion: {:?}",
-        a.findings
+        msg.contains("fixtures/transitive.rs:22") && msg.contains("fixtures/transitive.rs:16"),
+        "cites the callee's acquisition and the caller's: {msg}"
     );
 }
 
 #[test]
 fn clean_fixture_has_no_findings() {
-    let a = check("fixtures/clean.rs", include_str!("fixtures/clean.rs"));
-    assert!(a.findings.is_empty(), "false positives: {:?}", a.findings);
-    assert!(a.acquisitions >= 3, "all sites resolved: {a:?}");
+    let fine = clean::Fine::new();
+    assert_eq!(fine.forwards(), 3);
+    fine.fetch_unlocked();
+    assert!(held_ranks().is_empty());
+    let findings = scan::raw_locks("fixtures/clean.rs", include_str!("fixtures/clean.rs"));
+    assert!(findings.is_empty(), "false positives: {findings:?}");
 }

@@ -26,7 +26,7 @@
 //! touching different shards never contend. The I/O counters are atomics.
 //!
 //! Latch order, which every caller and this module obey (and which the
-//! lock ranks enforce — see `LOCK_ORDER.toml` and `crates/lockcheck`):
+//! lock ranks enforce — see `crates/lockcheck/src/rank.rs`):
 //!
 //! 1. **shard → disk**: a shard lock may acquire the disk lock (to fault
 //!    a page in or write a victim back), never the reverse;
@@ -54,6 +54,8 @@
 //! log's page index before the data file. The data file is written only
 //! by checkpoint/recovery code, so it always holds a committed state.
 //! The WAL mutex is a leaf in the latch order: `shard → {disk, wal}`.
+//! Each fsyncs under its own latch — the holds the `FSYNC_DATA` and
+//! `FSYNC_WAL` blocking points of `lockcheck::rank` allow.
 //!
 //! Both ways out go through one `write_back`, which is also the one
 //! place `physical_writes` counts. So that the log can record what
@@ -427,7 +429,8 @@ impl BufferPool {
         self.disk.lock().write_ensure(pid, buf)
     }
 
-    /// fsync the data file.
+    /// fsync the data file, under the disk latch: the one hold the
+    /// `FSYNC_DATA` blocking point allows.
     pub fn sync_data(&self) -> DbResult<()> {
         self.disk.lock().sync_all()
     }

@@ -226,6 +226,7 @@ impl DiskManager {
     /// backend; for files, a failed `fsync` surfaces as [`DbError::Io`]
     /// instead of being dropped.
     pub fn sync_all(&mut self) -> DbResult<()> {
+        lockcheck::blocking(&lockcheck::rank::FSYNC_DATA);
         match &mut self.backend {
             Backend::Memory(_) => Ok(()),
             Backend::File { file, path, .. } => {

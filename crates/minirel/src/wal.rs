@@ -503,6 +503,7 @@ impl WalStore {
     }
 
     fn sync(&mut self) -> DbResult<()> {
+        lockcheck::blocking(&rank::FSYNC_WAL);
         crash_hook_before_sync();
         match self {
             WalStore::Memory { .. } => Ok(()),
