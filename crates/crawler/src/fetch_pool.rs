@@ -146,7 +146,14 @@ impl FetchPool {
     /// cancelled or drained their handles first (the worker wind-down
     /// contract), otherwise their claims would leak as `CLAIMED`.
     pub fn shutdown(&mut self) {
+        // Raised under the queue lock: a fetcher checks the flag and
+        // parks in one critical section, so it either sees the flag or
+        // is already waiting when the notify comes. Raised outside it,
+        // the notify could fall between a fetcher's check and its park,
+        // and the join below would wait for ever.
+        let queue = self.shared.queue.lock();
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.job_ready.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();

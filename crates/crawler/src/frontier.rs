@@ -11,7 +11,8 @@
 //!
 //! * **keyed rewrite** — `rewrite`, the one write path for rows
 //!   addressed by oid: order the batch by oid key, one `lookup_many`
-//!   over `crawl_oid`, one `get_row` per hit, then one
+//!   over `crawl_oid` (one descent for the whole batch, reading each
+//!   B+tree node on the keys' paths once), one `get_row` per hit, then one
 //!   `Catalog::update_many` handed the old rows it already holds. Every
 //!   mutator below ([`upsert_batch`], [`unclaim_batch`], [`park_batch`],
 //!   [`mark_done`], [`mark_failed_batch`], [`set_visited_relevance`],
@@ -747,6 +748,65 @@ mod tests {
         let res = upsert_batch(&mut db, &[entry(1, "u1", 0.0, 0)]).unwrap();
         assert_eq!(res.changed(), 0, "visited page must not resurrect");
         assert!(claim_next(&mut db).unwrap().is_none());
+    }
+
+    #[test]
+    fn upsert_never_changes_a_fetched_row() {
+        let mut db = db();
+        // Enqueue `oid`, pop it (nothing else is due) and land its fetch.
+        let fetch = |db: &mut Database, oid: u64| {
+            put(db, oid, &format!("u{oid}"), -1.0, 0);
+            let c = claim_batch(db, 1, 0).unwrap().claims.pop().unwrap();
+            assert_eq!(c.oid, Oid(oid));
+            mark_done(db, c.oid, &c.url, -0.5, 3, 10).unwrap();
+        };
+        // Requeue a fetched page for a revisit and pop it again.
+        let revisit = |db: &mut Database, oid: u64| {
+            assert_eq!(requeue_done(db, &[Oid(oid)]).unwrap(), 1);
+            let c = claim_batch(db, 1, 0).unwrap().claims.pop().unwrap();
+            assert_eq!(c.oid, Oid(oid));
+        };
+        let fail = |db: &mut Database, oid: u64, retriable: bool| {
+            let item = FailureUpdate {
+                oid: Oid(oid),
+                retriable,
+                not_before: 50,
+            };
+            mark_failed_batch(db, &[item], 5).unwrap();
+        };
+        fetch(&mut db, 1);
+        fetch(&mut db, 2);
+        revisit(&mut db, 2);
+        fail(&mut db, 2, false);
+        fetch(&mut db, 3);
+        revisit(&mut db, 3);
+        fetch(&mut db, 4);
+        revisit(&mut db, 4);
+        fail(&mut db, 4, true);
+        fetch(&mut db, 5);
+        assert_eq!(requeue_done(&mut db, &[Oid(5)]).unwrap(), 1);
+        let states = db
+            .execute("select visited, numtries, not_before, kcid from crawl order by oid")
+            .unwrap()
+            .rows;
+        let int = Value::Int;
+        assert_eq!(
+            states,
+            [
+                [int(visited::DONE), int(0), int(0), int(3)],
+                [int(visited::DEAD), int(1), int(0), int(3)],
+                [int(visited::CLAIMED), int(0), int(0), int(3)],
+                [int(visited::FRONTIER), int(1), int(50), int(3)],
+                [int(visited::FRONTIER), int(0), int(0), int(3)],
+            ],
+            "done, dead after a revisit, a revisit in flight, a parked retry \
+             of one, a requeued one"
+        );
+        let dump = |db: &mut Database| db.execute("select * from crawl").unwrap().rows;
+        let before = dump(&mut db);
+        let endorse: Vec<FrontierEntry> = (1..=5).map(|oid| entry(oid, "new", 0.0, 99)).collect();
+        assert_eq!(upsert_batch(&mut db, &endorse).unwrap().changed(), 0);
+        assert_eq!(dump(&mut db), before);
     }
 
     #[test]

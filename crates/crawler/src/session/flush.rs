@@ -13,7 +13,13 @@ use super::*;
 pub(super) struct Classified {
     pub claim: Claim,
     pub attempt: u64,
-    pub page: focus_webgraph::FetchedPage,
+    /// What landing needs of the fetched page (its terms are spent on
+    /// classification): oid, URL, and outlinks. The page's server id
+    /// and each outlink's are hashed before the store lock is taken.
+    pub oid: Oid,
+    pub url: String,
+    pub sid: ServerId,
+    pub outlinks: Vec<(Oid, ServerId, String)>,
     pub summary: EvalSummary,
     /// The posteriors worth saving for §3.7 re-marking.
     pub saved_probs: Vec<(ClassId, f64)>,
@@ -93,7 +99,7 @@ impl CrawlSession {
             .map(|e| (crate::cluster::seed_owner(&e.url, e.oid, n_shards), e))
             .collect();
         let mut g = self.store.write();
-        self.upsert_routed(&mut g.db, routed)?;
+        self.upsert_routed(&mut g, routed)?;
         // Seeds are acknowledged work: a durable session must not lose
         // them to a crash before the first batch commit.
         Self::commit_if_durable(&mut g.db)
@@ -140,8 +146,18 @@ impl CrawlSession {
     /// handed to their owners through the exchange. Returns the local
     /// upsert's outcome.
     ///
-    /// The caller holds the store write lock (`db` is the guarded
-    /// database). The shard's cluster-idle flag is cleared **before**
+    /// A local entry for a page the link graph holds a relevance for is
+    /// dropped before the upsert, because the upsert could not change
+    /// its row. The graph holds a relevance exactly for the pages whose
+    /// row has `kcid ≥ 0` — the fetched ones: [`StoreState::load`]
+    /// derives it from those rows and [`CrawlSession::process`] sets it
+    /// under the guard that marks the row done. Such a row is `DONE`,
+    /// `CLAIMED`, `DEAD`, or a requeued revisit at the top priority
+    /// (`TOP_NEGREL`), and `frontier::upsert_batch` leaves every one of
+    /// those unchanged (`upsert_never_changes_a_fetched_row`).
+    ///
+    /// The caller holds the store write lock (`g` is the guarded
+    /// state). The shard's cluster-idle flag is cleared **before**
     /// the insert: paths with no claim in flight (seeds, re-steer and
     /// distiller boosts, maintenance) can insert at any time, the lock
     /// orders the clear against `next_tick`'s verdict, and
@@ -153,7 +169,7 @@ impl CrawlSession {
     /// observes the cluster as idle can never miss the routed entries.
     pub(super) fn upsert_routed(
         &self,
-        db: &mut Database,
+        g: &mut StoreState,
         entries: Vec<(usize, FrontierEntry)>,
     ) -> DbResult<frontier::BatchUpsert> {
         let mut local = Vec::with_capacity(entries.len());
@@ -162,16 +178,16 @@ impl CrawlSession {
             None => Vec::new(),
         };
         for (owner, entry) in entries {
-            if self.is_local(owner) {
-                local.push(entry);
-            } else {
+            if !self.is_local(owner) {
                 remote[owner].push(entry);
+            } else if g.graph.relevance(entry.oid).is_none() {
+                local.push(entry);
             }
         }
         if let Some(ctx) = &self.shard {
             ctx.exchange.clear_idle(ctx.shard);
         }
-        let upserted = frontier::upsert_batch(db, &local)?;
+        let upserted = frontier::upsert_batch(&mut g.db, &local)?;
         if let Some(ctx) = &self.shard {
             for (owner, batch) in remote.into_iter().enumerate() {
                 ctx.exchange.route(owner, batch);
@@ -181,13 +197,15 @@ impl CrawlSession {
     }
 
     /// Land cross-shard frontier entries routed to this shard: pop the
-    /// inbox, fill in the local server-load accounting (the classifying
-    /// shard does not track our servers), and upsert in one batch.
-    /// Called wherever the command queue drains — page boundaries, the
-    /// top of the worker loop, and the pause park — so exchange latency
-    /// matches steering latency; the cluster checkpoint also calls it
-    /// so no routed entry is left in an inbox a snapshot cannot see.
-    /// No-op outside a cluster or with an empty inbox.
+    /// inbox, drop the entries for pages this shard has fetched (as
+    /// [`CrawlSession::upsert_routed`] drops local ones), fill in the
+    /// local server-load accounting (the classifying shard does not
+    /// track our servers), and upsert in one batch. Called wherever the
+    /// command queue drains — page boundaries, the top of the worker
+    /// loop, and the pause park — so exchange latency matches steering
+    /// latency; the cluster checkpoint also calls it so no routed entry
+    /// is left in an inbox a snapshot cannot see. No-op outside a
+    /// cluster or with an empty inbox.
     pub(crate) fn drain_exchange(&self) {
         let Some(ctx) = &self.shard else { return };
         let batch = ctx.exchange.take(ctx.shard);
@@ -198,6 +216,7 @@ impl CrawlSession {
         let mut g = self.store.write();
         let entries: Vec<FrontierEntry> = batch
             .into_iter()
+            .filter(|e| g.graph.relevance(e.oid).is_none())
             .map(|mut e| {
                 if !e.url.is_empty() {
                     let sid = host_server_id(&e.url);
@@ -215,7 +234,8 @@ impl CrawlSession {
         drop(g);
         // `take` left these counted in the exchange's `queued` gauge so
         // no cluster-idle verdict could fire while they were in neither
-        // an inbox nor a frontier; release them now that they landed.
+        // an inbox nor a frontier; release them now that they landed
+        // (the dropped ones too: their pages need nothing more).
         // On error the run is aborting anyway — still release, or
         // cluster termination would wedge on entries nobody will land.
         ctx.exchange.landed(ctx.shard, n);
@@ -247,7 +267,10 @@ impl CrawlSession {
         let Classified {
             claim,
             attempt,
-            page,
+            oid,
+            url,
+            sid: sid_src,
+            outlinks,
             summary,
             saved_probs,
             citers,
@@ -257,16 +280,16 @@ impl CrawlSession {
         g.db.set_current_timestamp(now);
         // The fetch is over: hand back the per-server politeness slot
         // charged at admission. Keyed by the *claim's* URL (the
-        // admission key) — `page.url` can differ (or the claim's can be
-        // empty for raw seeds), and releasing a different server would
-        // leak the slot forever.
+        // admission key) — the page's `url` can differ (or the claim's
+        // can be empty for raw seeds), and releasing a different server
+        // would leak the slot forever.
         g.health.release(host_server_id(&claim.url));
         let r = summary.relevance;
         let log_r = log_clamped(r);
         frontier::mark_done(
             &mut g.db,
-            page.oid,
-            &page.url,
+            oid,
+            &url,
             log_r,
             summary.best_leaf.raw() as i64,
             now,
@@ -279,18 +302,17 @@ impl CrawlSession {
             t.successes += 1;
             t.deferred_landings += u64::from(deferred);
             t.harvest.push((attempt, r));
-            t.completion_order.push((page.oid, r));
+            t.completion_order.push((oid, r));
         }
-        g.class_probs.insert(page.oid, saved_probs);
-        let sid_src = host_server_id(&page.url);
-        let revisit = g.graph.relevance(page.oid).is_some();
-        g.graph.set_relevance(page.oid, r);
-        let src_id = g.graph.node_id(page.oid, sid_src.raw());
+        g.class_probs.insert(oid, saved_probs);
+        let revisit = g.graph.relevance(oid).is_some();
+        g.graph.set_relevance(oid, r);
+        let src_id = g.graph.node_id(oid, sid_src.raw());
         // What `LINK` already holds for this source; a first visit has
         // nothing to read.
         let mut known = Vec::new();
         if revisit {
-            let src = [Value::Int(page.oid.raw() as i64)];
+            let src = [Value::Int(oid.raw() as i64)];
             let rs =
                 g.db.query_with("select oid_dst from link where oid_src = ?", &src)?;
             known.extend(rs.rows.iter().filter_map(|row| row[0].as_i64()));
@@ -314,27 +336,21 @@ impl CrawlSession {
         // per-shard.
         let expansion = g.policy.decide_eval(&summary);
         let link_tid = g.db.table_id("link")?;
-        let mut link_rows = Vec::with_capacity(page.outlinks.len());
+        let mut link_rows = Vec::with_capacity(outlinks.len());
         let mut expansions = Vec::new();
-        for (dst, dst_url) in &page.outlinks {
-            let sid_dst = host_server_id(dst_url);
+        for (dst, sid_dst, dst_url) in outlinks {
             if !known.contains(&(dst.raw() as i64)) {
-                g.graph.add_link(src_id, *dst, sid_dst.raw());
-                let row = tables::link_row(page.oid, sid_src.raw(), *dst, sid_dst.raw(), now);
+                g.graph.add_link(src_id, dst, sid_dst.raw());
+                let row = tables::link_row(oid, sid_src.raw(), dst, sid_dst.raw(), now);
                 link_rows.push(row);
             }
             if expansion.expand {
-                expansions.push(self.endorsement(
-                    g,
-                    sid_dst,
-                    *dst,
-                    dst_url.clone(),
-                    expansion.child_log_relevance,
-                ));
+                let prio = expansion.child_log_relevance;
+                expansions.push(self.endorsement(g, sid_dst, dst, dst_url, prio));
             }
         }
         g.db.insert_many(link_tid, link_rows)?;
-        self.upsert_routed(&mut g.db, expansions)?;
+        self.upsert_routed(g, expansions)?;
 
         // Backward expansion: a highly relevant page's *citers* are hub
         // candidates (radius-2), looked up before the lock was taken.
@@ -346,11 +362,11 @@ impl CrawlSession {
                     self.endorsement(g, host_server_id(&src_url), src, src_url, prio)
                 })
                 .collect();
-            self.upsert_routed(&mut g.db, backlinks)?;
+            self.upsert_routed(g, backlinks)?;
         }
 
         sink.emit(CrawlEvent::PageClassified {
-            oid: page.oid,
+            oid,
             attempt,
             relevance: r,
             best_leaf: summary.best_leaf,
@@ -612,7 +628,7 @@ impl CrawlSession {
             .filter(|n| n.relevance.is_none())
             .map(|n| self.boost_entry(n.oid, n.sid, log_clamped(0.9)))
             .collect();
-        self.upsert_routed(&mut g.db, targets)?;
+        self.upsert_routed(&mut g, targets)?;
         if let Some(sink) = sink {
             sink.emit(CrawlEvent::DistillCompleted {
                 distillation,

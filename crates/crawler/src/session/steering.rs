@@ -160,7 +160,7 @@ impl CrawlSession {
         let boosts = endorsed
             .map(|(dst, r)| self.boost_entry(dst.oid, dst.sid, log_clamped(r)))
             .collect();
-        Ok(self.upsert_routed(&mut g.db, boosts)?.changed())
+        Ok(self.upsert_routed(&mut g, boosts)?.changed())
     }
 
     /// Crawl maintenance (§2.2 "good hubs should be checked frequently

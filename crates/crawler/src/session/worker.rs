@@ -268,12 +268,16 @@ impl CrawlSession {
             .copied()
             .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
             .collect();
+        let with_sid = |(dst, url): (Oid, String)| (dst, host_server_id(&url), url);
         lane.unlanded.push_back(Unlanded::Page(Classified {
             // A round trip like the fetch, so asked here, outside every lock.
             citers: self.citers(page.oid, summary.relevance),
             claim,
             attempt,
-            page,
+            oid: page.oid,
+            sid: host_server_id(&page.url),
+            url: page.url,
+            outlinks: page.outlinks.into_iter().map(with_sid).collect(),
             summary,
             saved_probs,
             deferred: false,

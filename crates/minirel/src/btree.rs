@@ -274,6 +274,26 @@ impl<'a> Node<'a> {
             i => Ok(self.cell(i - 1)?.child),
         }
     }
+
+    /// Split the sorted `cells` among this internal node's children by
+    /// the descent's routing rule, as `(child, lo, hi)` index ranges.
+    fn partition(&self, cells: &[Cell<'_>]) -> DbResult<Vec<(PageId, usize, usize)>> {
+        let mut segs = Vec::new();
+        let mut lo = 0;
+        while lo < cells.len() {
+            let idx = self.route(cells[lo].key, cells[lo].rid)?;
+            let mut hi = cells.len();
+            if idx < self.n {
+                // The run ends at the first cell the next separator claims.
+                let sep = self.cell(idx)?;
+                let below = |c: &Cell<'_>| c.cmp_to(sep.key, sep.rid) == Ordering::Less;
+                hi = lo + 1 + cells[lo + 1..].partition_point(below);
+            }
+            segs.push((self.child_at(idx)?, lo, hi));
+            lo = hi;
+        }
+        Ok(segs)
+    }
 }
 
 /// Write `c` at `off`; returns the offset just past it.
@@ -469,8 +489,7 @@ fn add_cells(pool: &BufferPool, pid: PageId, new: &[Cell<'_>]) -> DbResult<(usiz
 }
 
 /// Split the sorted `cells` among the children of internal node `pid`
-/// by the descent's routing rule, as `(child, lo, hi)` index ranges;
-/// `None` when `pid` is a leaf.
+/// ([`Node::partition`]); `None` when `pid` is a leaf.
 fn partition(
     pool: &BufferPool,
     pid: PageId,
@@ -481,40 +500,26 @@ fn partition(
         if node.leaf {
             return Ok(None);
         }
-        let mut segs = Vec::new();
-        let mut lo = 0;
-        while lo < cells.len() {
-            let idx = node.route(cells[lo].key, cells[lo].rid)?;
-            let mut hi = cells.len();
-            if idx < node.n {
-                // The run ends at the first cell the next separator claims.
-                let sep = node.cell(idx)?;
-                let below = |c: &Cell<'_>| c.cmp_to(sep.key, sep.rid) == Ordering::Less;
-                hi = lo + 1 + cells[lo + 1..].partition_point(below);
-            }
-            segs.push((node.child_at(idx)?, lo, hi));
-            lo = hi;
-        }
-        Ok(Some(segs))
+        node.partition(cells).map(Some)
     })?
 }
 
-/// Serve `keys[out.len()..]` from leaf `b` for as long as the leaf can
-/// answer them, pushing one rid list per key. Returns the next leaf
-/// when the current key's matches may continue there (its rids so far
-/// wait in `cur`), `None` when the next key needs a fresh descent.
-fn serve_lookups<K: AsRef<[u8]>>(
-    b: &[u8],
-    keys: &[K],
+/// Serve `keys[out.len()..]` from `leaf`, pushing one rid list per key.
+/// The keys are the run a descent routed here, so each one's matches
+/// start in this leaf or, once a key sorts past its last entry, in the
+/// leaves after it. Returns the next leaf when the current key's
+/// matches may continue there (its rids so far wait in `cur`), `None`
+/// once every key is answered.
+fn serve_lookups(
+    leaf: Node<'_>,
+    keys: &[Cell<'_>],
     out: &mut Vec<Vec<Rid>>,
     cur: &mut Vec<Rid>,
 ) -> DbResult<Option<PageId>> {
-    let node = Node::open(b)?.expect_leaf()?;
-    loop {
-        let key = keys[out.len()].as_ref();
-        let mut i = node.search(key, MIN_RID)?.0;
-        while i < node.n {
-            let c = node.cell(i)?;
+    while let Some(&Cell { key, .. }) = keys.get(out.len()) {
+        let mut i = leaf.search(key, MIN_RID)?.0;
+        while i < leaf.n {
+            let c = leaf.cell(i)?;
             if c.key != key {
                 break;
             }
@@ -523,22 +528,69 @@ fn serve_lookups<K: AsRef<[u8]>>(
         }
         // The leaf ends at or before `key`: a duplicate span, or a key
         // on a leaf boundary, continues in the next leaf.
-        if i == node.n && node.first() != INVALID_PAGE {
-            return Ok(Some(node.first()));
+        if i == leaf.n && leaf.first() != INVALID_PAGE {
+            return Ok(Some(leaf.first()));
         }
         out.push(std::mem::take(cur));
         // An equal neighbor gets the same answer.
-        while keys.get(out.len()).is_some_and(|k| k.as_ref() == key) {
+        while keys.get(out.len()).is_some_and(|k| k.key == key) {
             out.push(out[out.len() - 1].clone());
         }
-        // The leaf serves the next key only if that key does not sort
-        // past its last entry.
-        let Some(next) = keys.get(out.len()) else {
-            return Ok(None);
-        };
-        if node.n == 0 || node.raw(node.n - 1)?.0 < next.as_ref() {
-            return Ok(None);
+    }
+    Ok(None)
+}
+
+/// [`serve_lookups`] along the leaf chain from `next`, for as long as a
+/// key's matches continue into the next leaf.
+fn serve_chain(
+    pool: &BufferPool,
+    mut next: Option<PageId>,
+    keys: &[Cell<'_>],
+    out: &mut Vec<Vec<Rid>>,
+    cur: &mut Vec<Rid>,
+) -> DbResult<()> {
+    while let Some(pid) = next {
+        next = pool.with_page(pid, |b| {
+            serve_lookups(Node::open(b)?.expect_leaf()?, keys, out, cur)
+        })??;
+    }
+    Ok(())
+}
+
+/// What one node visit of [`lookup_rec`] leaves to do.
+enum Visit {
+    /// An internal node: its children, each with its run of the batch.
+    Children(Vec<(PageId, usize, usize)>),
+    /// A leaf served its run; the next leaf, if the run spills into it.
+    Served(Option<PageId>),
+}
+
+/// Answer `keys[out.len()..]`, the run of a batch that routes into the
+/// subtree at `pid`, reading each node once: an internal node
+/// partitions the run over its children, a leaf serves it.
+fn lookup_rec(
+    pool: &BufferPool,
+    pid: PageId,
+    keys: &[Cell<'_>],
+    out: &mut Vec<Vec<Rid>>,
+    cur: &mut Vec<Rid>,
+) -> DbResult<()> {
+    let from = out.len();
+    let visit = pool.with_page(pid, |b| {
+        let node = Node::open(b)?;
+        if node.leaf {
+            return serve_lookups(node, keys, out, cur).map(Visit::Served);
         }
+        node.partition(&keys[from..]).map(Visit::Children)
+    })??;
+    match visit {
+        Visit::Children(segs) => {
+            for (child, _, hi) in segs {
+                lookup_rec(pool, child, &keys[..from + hi], out, cur)?;
+            }
+            Ok(())
+        }
+        Visit::Served(spill) => serve_chain(pool, spill, keys, out, cur),
     }
 }
 
@@ -639,42 +691,34 @@ impl BTree {
     /// All rids for each of `keys`, answered in one ordered pass.
     ///
     /// `keys` must be sorted ascending (duplicates allowed). Instead of
-    /// one root-to-leaf descent per key, the pass stays on its current
-    /// leaf and only re-descends when the next key falls beyond it — the
-    /// "sort once, merge once" batch access path of §3.1, applied to
-    /// point lookups. Buffer-pool reads drop from `O(keys × depth)` to
-    /// roughly one visit per distinct leaf touched.
+    /// one root-to-leaf descent per key, the batch descends once, the
+    /// way [`BTree::insert_many`] does: each node it reaches is read
+    /// once, partitions the batch over its children, and each leaf
+    /// answers, under the page latch and without copying the leaf, the
+    /// run of keys routed to it — the "sort once, merge once" batch
+    /// access path of §3.1, applied to point lookups. Buffer-pool reads
+    /// drop from `O(keys × depth)` to one per node on the keys' paths.
     pub fn lookup_many(&self, pool: &BufferPool, keys: &[Vec<u8>]) -> DbResult<Vec<Vec<Rid>>> {
         debug_assert!(
             keys.windows(2).all(|w| w[0] <= w[1]),
             "lookup_many requires sorted keys"
         );
-        self.lookup_sorted(pool, keys)
-    }
-
-    /// All rids stored under exactly `key`.
-    pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
-        Ok(self.lookup_sorted(pool, &[key])?.pop().unwrap_or_default())
-    }
-
-    /// Each leaf visit answers, under the page latch and without copying
-    /// the leaf, every upcoming key that falls inside it.
-    fn lookup_sorted<K: AsRef<[u8]>>(
-        &self,
-        pool: &BufferPool,
-        keys: &[K],
-    ) -> DbResult<Vec<Vec<Rid>>> {
         let mut out = Vec::with_capacity(keys.len());
-        let mut cur = Vec::new();
-        let mut spill = None;
-        while out.len() < keys.len() {
-            let pid = match spill {
-                Some(next) => next,
-                None => self.find_leaf(pool, keys[out.len()].as_ref(), MIN_RID)?,
-            };
-            spill = pool.with_page(pid, |b| serve_lookups(b, keys, &mut out, &mut cur))??;
+        if !keys.is_empty() {
+            let cells: Vec<Cell<'_>> = keys.iter().map(|k| Cell::entry(k, MIN_RID)).collect();
+            lookup_rec(pool, self.root, &cells, &mut out, &mut Vec::new())?;
         }
         Ok(out)
+    }
+
+    /// All rids stored under exactly `key`: one [`BTree::find_leaf`]
+    /// descent, then the leaf (and any it spills into) serves the key.
+    pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
+        let leaf = self.find_leaf(pool, key, MIN_RID)?;
+        let mut out = Vec::with_capacity(1);
+        let key = [Cell::entry(key, MIN_RID)];
+        serve_chain(pool, Some(leaf), &key, &mut out, &mut Vec::new())?;
+        Ok(out.pop().unwrap_or_default())
     }
 
     /// Insert a sorted batch of `(key, rid)` entries in one ordered
@@ -1215,6 +1259,81 @@ mod tests {
             batched * 2 <= singular,
             "batched pass {batched} reads vs {singular} singular"
         );
+    }
+
+    /// The pages a single-key descent passes through, root first.
+    fn path_to(bt: &BTree, bp: &BufferPool, key: &[u8]) -> Vec<PageId> {
+        let mut path = vec![bt.root];
+        loop {
+            let child = bp.with_page(*path.last().unwrap(), |b| {
+                let node = Node::open(b).unwrap();
+                let route = || node.child_at(node.route(key, MIN_RID).unwrap()).unwrap();
+                (!node.leaf).then(route)
+            });
+            match child.unwrap() {
+                Some(child) => path.push(child),
+                None => return path,
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_many_reads_each_node_on_its_paths_once() {
+        let bp = pool(256);
+        let mut bt = BTree::create(&bp).unwrap();
+        // Long keys: a dozen to a node, so a few thousand make 3 levels.
+        let pad = Value::Str("x".repeat(200));
+        let entries: Vec<(Vec<u8>, Rid)> = (0..2_000i64)
+            .map(|i| {
+                (
+                    encode_composite_key(&[Value::Int(i), pad.clone()]),
+                    rid(i as u32),
+                )
+            })
+            .collect();
+        bt.insert_many(&bp, &entries).unwrap();
+        let mut walk = Walk::default();
+        walk.node(&bp, bt.root, 0, None, None).unwrap();
+        let levels = walk.leaf_depth.unwrap() + 1;
+        assert!(levels >= 3, "a tree of {levels} levels");
+        // The middle key of every 7th leaf: k keys in k distinct leaves,
+        // none on a leaf boundary (whose matches could spill rightward).
+        let keys: Vec<Vec<u8>> = (walk.leaves.iter().step_by(7))
+            .map(|&(leaf, _)| {
+                bp.with_page(leaf, |b| {
+                    let node = Node::open(b).unwrap();
+                    node.cell(node.n / 2).unwrap().key.to_vec()
+                })
+                .unwrap()
+            })
+            .collect();
+        let k = keys.len();
+        let mut on_paths: Vec<PageId> =
+            keys.iter().flat_map(|key| path_to(&bt, &bp, key)).collect();
+        on_paths.sort_unstable();
+        on_paths.dedup();
+        let internal = on_paths.len() - k;
+        assert!(
+            k >= 10 && internal >= 2,
+            "{k} leaves under {internal} nodes"
+        );
+
+        bp.reset_stats();
+        let hits = bt.lookup_many(&bp, &keys).unwrap();
+        assert!(hits.iter().all(|rids| rids.len() == 1));
+        assert_eq!(
+            bp.stats().logical_reads,
+            (internal + k) as u64,
+            "the root and each internal node on the keys' paths once, plus {k} leaves \
+             ({} with a descent per key)",
+            k * (levels + 1)
+        );
+        // A single key keeps its own descent: every level once on the
+        // way down (the leaf is read to learn it is one), then the leaf
+        // serves the key.
+        bp.reset_stats();
+        assert_eq!(bt.lookup(&bp, &keys[0]).unwrap().len(), 1);
+        assert_eq!(bp.stats().logical_reads, levels as u64 + 1);
     }
 
     #[test]
