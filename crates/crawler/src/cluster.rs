@@ -56,14 +56,15 @@
 
 use crate::frontier::FrontierEntry;
 use crate::run::{CrawlError, CrawlRun, StartOptions};
+use crate::session::{debug_check, expect, Violation};
 use crate::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Origin};
 use crate::tables::host_server_id;
 use focus_classifier::model::TrainedModel;
 use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::Fetcher;
 use lockcheck::{rank, OrderedMutex};
-use minirel::{DbError, DbResult};
-use std::collections::VecDeque;
+use minirel::{DbError, DbResult, Value};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -568,6 +569,20 @@ impl CrawlCluster {
         self.exchange.dropped()
     }
 
+    /// Check every shard ([`CrawlSession::check_invariants`]) and the
+    /// cluster around them, at rest: nothing is in flight on the
+    /// exchange and all it counts as queued sits in an inbox; every
+    /// visited page the fetcher resolves a URL for has that URL, is on
+    /// the shard owning its server and is visited on no other; so is
+    /// every same-server `LINK` row from such a page. Debug builds check
+    /// the same at the end of every [`ClusterRun::join`] that returns
+    /// `Ok`, each shard at its own `join`.
+    pub fn check_invariants(&self) -> Result<(), Vec<Violation>> {
+        let shards = (self.shards.iter()).filter_map(|s| s.check_invariants().err());
+        let out = shards.flatten().collect();
+        check_cluster(&self.shards, &self.exchange, &*self.fetcher, out)
+    }
+
     /// Checkpoint every shard. Pause (or finish) the cluster first for a
     /// snapshot stable against the crawl advancing. Routed entries still
     /// sitting in exchange inboxes are landed into their owners'
@@ -692,7 +707,9 @@ impl ClusterRun {
     /// Wait for every shard and return merged stats. Any shard's failure
     /// fails the cluster (partial stats never masquerade as success):
     /// all failure messages are joined into one [`CrawlError`], worker
-    /// failures taking precedence over storage errors.
+    /// failures taking precedence over storage errors. Debug builds
+    /// check the cluster's invariants before returning `Ok`
+    /// ([`CrawlCluster::check_invariants`]).
     pub fn join(self) -> Result<CrawlStats, CrawlError> {
         let mut stats = Vec::with_capacity(self.runs.len());
         let mut worker_errs: Vec<String> = Vec::new();
@@ -719,8 +736,55 @@ impl ClusterRun {
                 _ => Err(CrawlError::Worker(worker_errs.join("; "))),
             };
         }
+        // Each shard's own `join` above checked the shard.
+        debug_check(|| check_cluster(&self.shards, &self.exchange, &*self.fetcher, Vec::new()));
         Ok(merge_stats(stats))
     }
+}
+
+/// What [`CrawlCluster::check_invariants`] checks beyond each shard,
+/// added to the violations `out` already holds.
+/// Placement is checked for the pages `fetcher` resolves a URL for: a
+/// seed it cannot resolve is routed by oid ([`seed_owner`]), so that
+/// page and its same-server links may sit off its owner, and on it too.
+fn check_cluster(
+    shards: &[Arc<CrawlSession>],
+    exchange: &ShardExchange,
+    fetcher: &dyn Fetcher,
+    mut out: Vec<Violation>,
+) -> Result<(), Vec<Violation>> {
+    let boxed: usize = exchange.inboxes.iter().map(|b| b.lock().len()).sum();
+    let in_flight = exchange.in_flight.load(Ordering::Acquire);
+    let found = (in_flight, exchange.queued.load(Ordering::Acquire), boxed);
+    let held = found == (0, boxed, boxed);
+    expect(&mut out, "exchange drained", held, found);
+    let n = shards.len();
+    let resolves = |o: i64| fetcher.url_of(Oid(o as u64)).is_some();
+    let routed = |oid: &Value| oid.as_i64().is_some_and(resolves);
+    let mut seen = HashSet::new();
+    for (i, shard) in shards.iter().enumerate() {
+        let read = |sql| minirel::unobserved(|| shard.sql(sql));
+        let visited = read("select oid, url from crawl where visited = 1");
+        let links = read("select oid_src, sid_src from link where sid_src = sid_dst");
+        let (Ok(visited), Ok(links)) = (visited, links) else {
+            expect(&mut out, "tables readable", false, i);
+            continue;
+        };
+        for row in visited.rows.iter().filter(|r| routed(&r[0])) {
+            let url = row[1].as_str().unwrap_or("");
+            let held = !url.is_empty() && shard_of(host_server_id(url), n) == i;
+            expect(&mut out, "page on its owner shard", held, (url, i));
+            let oid = row[0].as_i64();
+            let once = seen.insert(oid);
+            expect(&mut out, "one shard per visited page", once, (oid, i));
+        }
+        for row in links.rows.iter().filter(|r| routed(&r[0])) {
+            let owner = shard_of(ServerId(row[1].as_i64().unwrap_or(0) as u32), n);
+            let held = owner == i;
+            expect(&mut out, "same-server link on its shard", held, (owner, i));
+        }
+    }
+    out.is_empty().then_some(()).ok_or(out)
 }
 
 /// `seeds` with their resolved URLs, grouped by owning shard

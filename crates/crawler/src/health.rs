@@ -285,6 +285,27 @@ impl HealthMap {
         }
     }
 
+    /// Release the slot of an admitted claim handed back unfetched (a
+    /// stop with the claim still queued). Had it been the half-open
+    /// probe, no verdict would ever come and every later claim would
+    /// park behind `Probing`, so the server's next claim probes instead.
+    /// Only once the server has no claim admitted: while one is, the
+    /// probe may be that claim, still being fetched, and its verdict
+    /// must meet `Probing`.
+    pub fn hand_back(&mut self, server: ServerId, now: i64) {
+        self.release(server);
+        if let Some(h) = self.servers.get_mut(&server) {
+            if h.in_flight == 0 {
+                drop_probe(h, now);
+            }
+        }
+    }
+
+    /// Every server with a record, and its health.
+    pub fn servers(&self) -> impl Iterator<Item = (ServerId, &ServerHealth)> {
+        self.servers.iter().map(|(&s, h)| (s, h))
+    }
+
     /// Claims currently admitted against `server`.
     pub fn in_flight(&self, server: ServerId) -> usize {
         self.servers
@@ -292,18 +313,16 @@ impl HealthMap {
             .map_or(0, |h| h.in_flight as usize)
     }
 
-    /// Zero every politeness gauge. Run-start hygiene: a panicked worker
-    /// can leak admitted-but-never-released slots; the next run must not
-    /// inherit them as phantom load.
-    pub fn reset_in_flight(&mut self) {
+    /// Zero every politeness gauge, and reopen with its cooldown spent
+    /// any breaker still waiting on a probe. Run-start hygiene: a
+    /// panicked worker can leak admitted-but-never-released slots and
+    /// the probe among them; the next run must not inherit them as
+    /// phantom load or as a verdict that never comes.
+    pub fn reset_in_flight(&mut self, now: i64) {
         for h in self.servers.values_mut() {
             h.in_flight = 0;
+            drop_probe(h, now);
         }
-    }
-
-    /// The politeness policy in force.
-    pub fn politeness(&self) -> PolitenessConfig {
-        self.politeness
     }
 
     /// Record a server-attributable failure (a timeout — 404s say
@@ -382,13 +401,13 @@ impl HealthMap {
     pub fn get(&self, server: ServerId) -> Option<&ServerHealth> {
         self.servers.get(&server)
     }
+}
 
-    /// Servers currently quarantined (open or probing breaker).
-    pub fn quarantined(&self) -> usize {
-        self.servers
-            .values()
-            .filter(|h| h.breaker != Breaker::Closed)
-            .count()
+/// `h`'s half-open probe will never report back: reopen the breaker
+/// with its cooldown spent, so the server's next claim is the probe.
+fn drop_probe(h: &mut ServerHealth, now: i64) {
+    if h.breaker == Breaker::Probing {
+        h.breaker = Breaker::Open { until: now };
     }
 }
 
@@ -483,7 +502,7 @@ mod tests {
             FailureVerdict::Quarantined { until: 73, .. } // 33 + 40
         ));
         assert_eq!(m.get(s).unwrap().quarantines, 3);
-        assert_eq!(m.quarantined(), 1);
+        assert!(matches!(m.get(s).unwrap().breaker, Breaker::Open { .. }));
     }
 
     #[test]
@@ -535,6 +554,38 @@ mod tests {
         assert_eq!(m.get(s).unwrap().breaker, Breaker::Closed);
         assert_eq!(m.get(s).unwrap().consec_failures, 0);
         assert_eq!(m.admit(s, 102), ClaimGate::Fetch);
+    }
+
+    #[test]
+    fn a_hand_back_reopens_the_breaker_only_with_nothing_admitted() {
+        let mut m = map();
+        let s = ServerId(8);
+        // A claim admitted while Closed is still out when the breaker
+        // opens; the probe is admitted beside it.
+        assert_eq!(m.admit(s, 0), ClaimGate::Fetch);
+        for t in 0..3 {
+            m.record_failure(s, t);
+        }
+        assert_eq!(m.admit(s, 12), ClaimGate::Probe);
+        // A stop hands one of the two back: the other may be the probe,
+        // still being fetched, so its verdict must still meet Probing.
+        m.hand_back(s, 12);
+        assert_eq!(m.get(s).unwrap().breaker, Breaker::Probing);
+        assert_eq!(
+            m.record_failure(s, 13),
+            FailureVerdict::Quarantined {
+                until: 33,
+                failures: 4
+            },
+            "the probe's failure doubles the cooldown"
+        );
+        m.release(s);
+        assert_eq!(m.get(s).unwrap().quarantines, 2);
+        // With nothing else admitted, the handed-back claim was the probe.
+        assert_eq!(m.admit(s, 33), ClaimGate::Probe);
+        m.hand_back(s, 34);
+        assert_eq!(m.get(s).unwrap().breaker, Breaker::Open { until: 34 });
+        assert_eq!(m.admit(s, 34), ClaimGate::Probe);
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub use fetch_pool::{FetchPool, PoolHandle};
 pub use health::{BackoffConfig, Breaker, BreakerConfig, HealthMap, PolitenessConfig};
 pub use policy::CrawlPolicy;
 pub use run::{Command, CrawlError, CrawlRun, RunState, StartOptions};
-pub use session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability};
+pub use session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Violation};
 pub use tables::host_server_id;

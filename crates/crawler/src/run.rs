@@ -456,7 +456,8 @@ impl CrawlRun {
 
     /// Wait for the worker pool and return final stats. Worker panics and
     /// storage failures surface as errors here rather than as silently
-    /// partial stats.
+    /// partial stats. Debug builds check the session's invariants
+    /// before returning `Ok` ([`CrawlSession::check_invariants`]).
     pub fn join(mut self) -> Result<CrawlStats, CrawlError> {
         self.wind_down();
         self.session.run_outcome()
@@ -577,13 +578,7 @@ mod tests {
             "no WorkerFailed for the unspawnable slot: {all:?}"
         );
         // The aborting pool handed its claims back: nothing stuck.
-        let claimed = session.with_db(|db| {
-            db.execute("select count(*) from crawl where visited = 2")
-                .unwrap()
-                .scalar_i64()
-                .unwrap()
-        });
-        assert_eq!(claimed, 0, "claims leaked after spawn failure");
+        session.check_invariants().unwrap();
         // The session heals: a fully-spawned rerun crawls.
         let stats = session.run().expect("healthy rerun succeeds");
         assert!(stats.successes > 0, "no progress after failed launch");

@@ -20,7 +20,10 @@
 //!   the distillation pass;
 //! * `steering.rs` — control commands, live topic re-marking, and
 //!   crawl maintenance, which requeues hubs as frontier rows for the
-//!   loop above and fetches nothing itself.
+//!   loop above and fetches nothing itself;
+//! * `check.rs` — the session's invariants, checked in one function
+//!   ([`CrawlSession::check_invariants`]) that debug builds run after
+//!   every load and every `join`.
 //!
 //! **One loop, one variation point.** A worker claims a batch of
 //! frontier entries under the store lock, hands them to its
@@ -123,11 +126,14 @@
 //! quarantined) still marches toward cooldown expiry without
 //! wall-clock sleeps — and without ever wedging termination.
 
+mod check;
 mod flush;
 mod steering;
 mod store;
 mod worker;
 
+pub use check::Violation;
+pub(crate) use check::{debug_check, expect};
 use flush::Classified;
 pub(crate) use store::Origin;
 use store::StoreState;
@@ -432,6 +438,7 @@ impl CrawlSession {
     /// aborted run leaves a frontier a new pool can continue from.
     pub(crate) fn reset_run_diagnostics(&self) {
         let mut d = self.diag.lock();
+        let panicked = !d.worker_failures.is_empty();
         d.error = None;
         d.worker_failures.clear();
         drop(d);
@@ -442,10 +449,18 @@ impl CrawlSession {
         // workers are alive here: `ControlState::activate` guarantees
         // one run at a time.
         self.counters.in_flight.store(0, Ordering::Release);
-        // Same reasoning for the politeness gauges: a dead worker's
-        // admitted-but-never-flushed claims would otherwise hold their
-        // servers' per-server slots forever.
-        self.store.write().health.reset_in_flight();
+        // Same reasoning for the politeness gauges and a probe it held:
+        // a dead worker's admitted-but-never-flushed claims would
+        // otherwise hold their servers' slots, or park them behind
+        // `Probing`, forever. Its claims' rows go back to the frontier.
+        let mut g = self.store.write();
+        g.health
+            .reset_in_flight(self.counters.clock.load(Ordering::Acquire) as i64);
+        let demoted = panicked.then(|| store::demote_claims(&mut g.db));
+        drop(g);
+        if let Some(Err(e)) = demoted {
+            self.record_error(e);
+        }
     }
 
     /// Record the first storage error of the run and wind the pool down.
@@ -525,7 +540,8 @@ impl CrawlSession {
     }
 
     /// Final verdict of a run: worker panics and storage errors win over
-    /// the happy path.
+    /// the happy path, which debug builds first hold to the session's
+    /// invariants ([`CrawlSession::check_invariants`]).
     pub(crate) fn run_outcome(&self) -> Result<CrawlStats, CrawlError> {
         let d = self.diag.lock();
         if !d.worker_failures.is_empty() {
@@ -535,6 +551,7 @@ impl CrawlSession {
             return Err(CrawlError::Db(e.clone()));
         }
         drop(d);
+        debug_check(|| self.check_invariants());
         Ok(self.stats())
     }
 
@@ -1304,12 +1321,7 @@ mod tests {
             let stats = session.run().unwrap();
             assert_eq!(stats.attempts, 400);
             assert_eq!(stats.attempts, stats.successes + stats.failures);
-            assert_eq!(session.counters.in_flight.load(Ordering::Acquire), 0);
-            let g = session.store.read();
-            for page in graph.pages() {
-                let held = g.health.in_flight(page.server);
-                assert_eq!(held, 0, "{:?} kept a politeness slot", page.server);
-            }
+            session.check_invariants().unwrap();
         }
     }
 
@@ -1488,13 +1500,7 @@ mod tests {
             "stop processed the whole batch: {stats:?}"
         );
         // Nothing may be left stuck in the CLAIMED state.
-        let claimed = session.with_db(|db| {
-            db.execute("select count(*) from crawl where visited = 2")
-                .unwrap()
-                .scalar_i64()
-                .unwrap()
-        });
-        assert_eq!(claimed, 0, "claims leaked after stop");
+        session.check_invariants().unwrap();
         // The returned work is poppable again.
         let mut g = session.store.write();
         assert!(
@@ -2125,7 +2131,7 @@ mod tests {
         for (name, s) in [("restored", &restored), ("recovered", &recovered)] {
             let g = s.store.read();
             assert!(!g.server_counts.is_empty());
-            assert_eq!(g.health.quarantined(), 0, "{name}: breakers start over");
+            assert_eq!(g.health.servers().count(), 0, "{name}: breakers start over");
             drop(g);
             // This is the assertion the parent of this change fails, for
             // the recovered side: it rebuilt the map and kept the table.
@@ -2156,5 +2162,293 @@ mod tests {
             }
         }
         cleanup();
+    }
+
+    #[test]
+    fn claims_committed_in_flight_come_back_poppable() {
+        // A store whose last commit caught claims checked out — a crash
+        // mid-run — reopens with them back on the frontier: the load's
+        // demotion, which the build-time check holds to "no CLAIMED row".
+        let path = std::env::temp_dir().join(format!("crawl-claims-{}.db", std::process::id()));
+        let cleanup = || {
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(minirel::wal_path_for(&path));
+        };
+        cleanup();
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let cfg = CrawlConfig {
+            durability: Durability::File {
+                path: path.clone(),
+                group_commit: 1,
+            },
+            ..CrawlConfig::default()
+        };
+        let sim = || Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let model = || trained_model(&graph, "recreation/cycling");
+        let session = CrawlSession::new(sim(), model(), cfg.clone()).unwrap();
+        session.seed(&[Oid(1), Oid(2), Oid(3)]).unwrap();
+        session.with_db(|db| {
+            assert_eq!(frontier::claim_batch(db, 2, 0).unwrap().claims.len(), 2);
+            db.commit_durable().unwrap();
+        });
+        drop(session);
+        let recovered = CrawlSession::recover(sim(), model(), cfg).unwrap();
+        recovered.check_invariants().unwrap();
+        let poppable = recovered.sql("select count(*) from crawl where visited = 0");
+        assert_eq!(poppable.unwrap().scalar_i64(), Some(3));
+        cleanup();
+    }
+
+    /// Holds every fetch until `open` is set; counts the fetches begun.
+    struct GateFetcher {
+        inner: SimFetcher,
+        open: std::sync::atomic::AtomicBool,
+        begun: AtomicU64,
+    }
+
+    impl Fetcher for GateFetcher {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            self.begun.fetch_add(1, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            self.inner.fetch(oid)
+        }
+        fn fetch_count(&self) -> u64 {
+            self.inner.fetch_count()
+        }
+        fn url_of(&self, oid: Oid) -> Option<String> {
+            self.inner.url_of(oid)
+        }
+    }
+
+    #[test]
+    fn a_probe_handed_back_by_a_stop_is_sent_again() {
+        // Found by the "no Probing breaker" invariant: a stop with the
+        // half-open probe still queued handed its claim back but left
+        // the breaker `Probing`, so every later claim for the server
+        // parked behind a verdict that never came, for the rest of the
+        // session.
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let fetcher = Arc::new(GateFetcher {
+            inner: SimFetcher::new(Arc::clone(&graph), None),
+            open: Default::default(),
+            begun: AtomicU64::new(0),
+        });
+        let cfg = CrawlConfig {
+            threads: 1,
+            max_fetches: 2,
+            batch_size: 2,
+            distill_every: None,
+            ..CrawlConfig::default()
+        };
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(CrawlSession::new(Arc::clone(&fetcher) as _, model, cfg).unwrap());
+        let url = |oid| fetcher.url_of(oid).unwrap();
+        let mut pages =
+            (graph.pages().iter().map(|p| p.oid)).filter(|&o| fetcher.inner.fetch(o).is_ok());
+        let probe = pages.next().unwrap();
+        let sid = host_server_id(&url(probe));
+        let first = pages.find(|&o| host_server_id(&url(o)) != sid).unwrap();
+        {
+            // `first` is claimed ahead of `probe`, whose server was just
+            // quarantined with the cooldown already spent: the claim of
+            // `probe` is the half-open probe.
+            let mut g = session.store.write();
+            let g = &mut *g;
+            let entry = |oid, log_relevance| FrontierEntry {
+                oid,
+                url: url(oid),
+                log_relevance,
+                serverload: 0,
+            };
+            let entries = [entry(first, 0.0), entry(probe, -1.0)];
+            frontier::upsert_batch(&mut g.db, &entries).unwrap();
+            let breaker = session.cfg.breaker;
+            for _ in 0..breaker.threshold {
+                g.health.record_failure(sid, -breaker.cooldown);
+            }
+            CrawlSession::write_server_health(&mut g.db, sid, g.health.get(sid)).unwrap();
+        }
+        let run = session.start().unwrap();
+        while fetcher.begun.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // `first` is on the wire, the probe queued behind it.
+        run.stop();
+        fetcher.open.store(true, Ordering::SeqCst);
+        let stats = run.join().unwrap();
+        assert_eq!(
+            (stats.attempts, stats.successes),
+            (2, 1),
+            "the probe went back unfetched"
+        );
+
+        // Restart with the probe's page the only work, and budget for it.
+        let others = "delete from crawl where visited = 0 and oid <> ?";
+        session
+            .sql_with(others, &[Value::Int(probe.raw() as i64)])
+            .unwrap();
+        session.add_budget(1);
+        let run = session.start().unwrap();
+        let t0 = Instant::now();
+        while !run.is_finished() && t0.elapsed() < std::time::Duration::from_secs(5) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        run.stop();
+        run.join().unwrap();
+        assert!(
+            session.visited().iter().any(|v| v.0 == probe),
+            "the quarantined server was never probed again"
+        );
+        let breaker = session.store.read().health.get(sid).unwrap().breaker;
+        assert_eq!(breaker, Breaker::Closed, "the probe's answer closed it");
+    }
+
+    /// Each invariant family, broken on purpose through the tables (SQL,
+    /// `with_db`) or the memory beside them, is reported by name.
+    #[test]
+    fn check_invariants_names_what_broke() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 80);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        session.seed(&seeds).unwrap();
+        session.run().unwrap();
+        session.check_invariants().unwrap();
+        let ckpt = session.checkpoint().unwrap();
+        type Corrupt = Box<dyn Fn(&CrawlSession)>;
+        let sql = |sql: &'static str| -> Corrupt { Box::new(move |s| drop(s.sql(sql).unwrap())) };
+        let breaker = session.cfg.breaker;
+        let cases: Vec<(&str, Corrupt)> = vec![
+            (
+                "landed <= attempts <= budget",
+                Box::new(|s| s.counters.budget.store(0, Ordering::Release)),
+            ),
+            (
+                "one harvest entry per success",
+                Box::new(|s| {
+                    s.counters.tallies.lock().harvest.pop();
+                }),
+            ),
+            (
+                "in-flight gauge is zero",
+                Box::new(|s| {
+                    s.counters.in_flight.fetch_add(1, Ordering::AcqRel);
+                }),
+            ),
+            (
+                "no CLAIMED row",
+                sql("update crawl set visited = 2 where visited = 0"),
+            ),
+            (
+                "politeness slots released",
+                Box::new(|s| {
+                    s.store.write().health.admit(ServerId(7), 0);
+                }),
+            ),
+            (
+                "no Probing breaker",
+                Box::new(move |s| {
+                    let mut g = s.store.write();
+                    for t in 0..breaker.threshold {
+                        g.health.record_failure(ServerId(7), t as i64);
+                    }
+                    g.health.admit(ServerId(7), 1 << 20);
+                }),
+            ),
+            (
+                "server_health = breakers",
+                sql("insert into server_health values (7, 'open', 5, 99, 1)"),
+            ),
+            (
+                "heap/index agreement",
+                Box::new(|s| {
+                    s.with_db(|db| {
+                        let (pool, catalog) = db.parts();
+                        let link = catalog.table(catalog.table_id("link").unwrap());
+                        let root = link.indexes[0].btree.root();
+                        pool.with_page_mut(root, |b| b.fill(0)).unwrap();
+                    })
+                }),
+            ),
+            (
+                "link graph = LINK",
+                sql("insert into link values (1, 2, 3, 4, 0)"),
+            ),
+            (
+                "relevance = CRAWL",
+                sql("update crawl set relevance = relevance - 1 where visited = 1"),
+            ),
+            (
+                "server counts = CRAWL",
+                sql("update crawl set url = 'http://elsewhere.example/' where visited = 1"),
+            ),
+            (
+                "posteriors of fetched pages",
+                Box::new(|s| drop(s.store.write().class_probs.insert(Oid(7), Vec::new()))),
+            ),
+            (
+                "TAXONOMY.type = marking",
+                sql("update taxonomy set type = 'good'"),
+            ),
+        ];
+        for (invariant, corrupt) in cases {
+            let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+            let model = trained_model(&graph, "recreation/cycling");
+            let s = CrawlSession::restore(fetcher, model, session.cfg.clone(), &ckpt).unwrap();
+            corrupt(&s);
+            let broken = s.check_invariants().expect_err(invariant);
+            assert!(
+                broken.iter().any(|v| v.invariant == invariant),
+                "{invariant} not among {broken:#?}"
+            );
+        }
+    }
+
+    /// The cluster's own invariants, broken on purpose, by name.
+    #[test]
+    fn cluster_check_names_what_broke() {
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let model = trained_model(&graph, "recreation/cycling");
+        let cfg = CrawlConfig {
+            threads: 2,
+            max_fetches: 120,
+            distill_every: None,
+            ..CrawlConfig::default()
+        };
+        let cluster = crate::cluster::CrawlCluster::new(2, fetcher, model, cfg).unwrap();
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        cluster.seed(&seeds).unwrap();
+        cluster.run().unwrap();
+        cluster.check_invariants().unwrap();
+        let [zero, one] = cluster.shards() else {
+            unreachable!("two shards")
+        };
+        // Shard 0 records a page shard 1 fetched as visited, and a
+        // same-server link from it.
+        let (oid, _, sid) = one.visited()[0];
+        let url = &graph.page(oid).unwrap().url;
+        zero.with_db(|db| {
+            let mut row = tables::frontier_row(oid, url, 0.0, 0);
+            row[crawl_col::VISITED] = Value::Int(visited::DONE);
+            db.insert(db.table_id("crawl").unwrap(), row).unwrap();
+            let link = tables::link_row(oid, sid.raw(), Oid(2), sid.raw(), 0);
+            db.insert(db.table_id("link").unwrap(), link).unwrap();
+        });
+        one.shard.as_ref().unwrap().exchange.add_in_flight(1);
+        let broken = cluster.check_invariants().unwrap_err();
+        for invariant in [
+            "page on its owner shard",
+            "one shard per visited page",
+            "same-server link on its shard",
+            "exchange drained",
+        ] {
+            assert!(
+                broken.iter().any(|v| v.invariant == invariant),
+                "{invariant} not among {broken:#?}"
+            );
+        }
     }
 }

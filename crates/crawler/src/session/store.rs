@@ -12,8 +12,9 @@
 //!   cluster shard are this function with a different origin.
 //! * [`StoreState::load`] is the only place in-memory state is derived
 //!   from tables, so "restore ≡ recover" is one function, not something
-//!   two test files hope for — and the one hook a future
-//!   `check_invariants()` after every restore/recover needs.
+//!   two test files hope for. Its derivation ([`derive`]) is also what
+//!   [`CrawlSession::check_invariants`] holds live memory to: debug
+//!   builds check it right after `build` loads, and at every `join`.
 //!
 //! What stays in memory beside the tables, and why (ROADMAP item 3's
 //! audit): the link graph (PR 16: the distiller's input, snapshotted by
@@ -101,6 +102,44 @@ pub(crate) enum Origin<'a> {
     File,
 }
 
+/// Hand every `CLAIMED` row back to the frontier, poppable again: claims
+/// no run will land — the store was reopened, or the worker holding
+/// them panicked.
+pub(super) fn demote_claims(db: &mut Database) -> DbResult<()> {
+    let states = [Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)];
+    db.execute_with("update crawl set visited = ? where visited = ?", &states)?;
+    Ok(())
+}
+
+/// What memory holds of the tables, derived from them: the link graph
+/// and the per-server tallies. Linear relevance and the tallies come
+/// from the rows a fetch has marked (`kcid ≥ 0`), the links from `LINK`
+/// in table order. Those rows are every `DONE` one, and every hub a
+/// maintenance pass requeued (or whose revisit then failed): its row
+/// kept `kcid` and its own log R, so a store reopened before the revisit
+/// lands still knows the page — the fact `CrawlSession::process` tells
+/// a revisit by. [`StoreState::load`] starts from this, and
+/// `CrawlSession::check_invariants` holds live memory to it.
+pub(super) fn derive(db: &Database) -> DbResult<(LinkGraph, FxHashMap<ServerId, i64>)> {
+    let mut graph = LinkGraph::new();
+    let mut server_counts = FxHashMap::default();
+    let fetched = "select oid, relevance, url from crawl where kcid >= 0";
+    for row in &db.query(fetched)?.rows {
+        let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
+        graph.set_relevance(oid, frontier::col_f64(row, 1, "relevance")?.exp());
+        let url = frontier::col_str(row, 2, "url")?;
+        if !url.is_empty() {
+            *server_counts.entry(host_server_id(url)).or_insert(0) += 1;
+        }
+    }
+    for row in &db.query(LINK_ROWS)?.rows {
+        let (src, sid_src, dst, sid_dst, _) = decode_link(row)?;
+        let src = graph.node_id(src, sid_src);
+        graph.add_link(src, dst, sid_dst);
+    }
+    Ok((graph, server_counts))
+}
+
 impl StoreState {
     /// The one place in-memory state is derived from tables: `new` (over
     /// empty ones), `restore` (over a checkpoint's rows) and `recover`
@@ -109,36 +148,12 @@ impl StoreState {
     ///
     /// * Claims in flight when the tables were last written never
     ///   landed: they are demoted back to the frontier, poppable again.
-    /// * Linear relevance and the per-server tallies come from the
-    ///   rows a fetch has marked (`kcid ≥ 0`), the link graph from `LINK`
-    ///   in table order. That is every `DONE` row, and every hub a
-    ///   maintenance pass requeued (or whose revisit then failed): its
-    ///   row kept `kcid` and its own log R, so a store reopened before
-    ///   the revisit lands still knows the page — the fact
-    ///   `CrawlSession::process` tells a revisit by.
+    /// * The link graph and the per-server tallies are [`derive`]d.
     /// * Server health starts over ([`fresh_health`]): breakers are
     ///   re-learned from live evidence, not trusted across a restart.
     fn load(mut db: Database, cfg: &CrawlConfig) -> DbResult<(StoreState, u64)> {
-        db.execute_with(
-            "update crawl set visited = ? where visited = ?",
-            &[Value::Int(visited::FRONTIER), Value::Int(visited::CLAIMED)],
-        )?;
-        let mut graph = LinkGraph::new();
-        let mut server_counts = FxHashMap::default();
-        let fetched = "select oid, relevance, url from crawl where kcid >= 0";
-        for row in &db.query(fetched)?.rows {
-            let oid = Oid(frontier::col_i64(row, 0, "oid")? as u64);
-            graph.set_relevance(oid, frontier::col_f64(row, 1, "relevance")?.exp());
-            let url = frontier::col_str(row, 2, "url")?;
-            if !url.is_empty() {
-                *server_counts.entry(host_server_id(url)).or_insert(0) += 1;
-            }
-        }
-        for row in &db.query(LINK_ROWS)?.rows {
-            let (src, sid_src, dst, sid_dst, _) = decode_link(row)?;
-            let src = graph.node_id(src, sid_src);
-            graph.add_link(src, dst, sid_dst);
-        }
+        demote_claims(&mut db)?;
+        let (graph, server_counts) = derive(&db)?;
         let parked = "select max(not_before) from crawl where visited = ?";
         let latest_park = db.query_with(parked, &[Value::Int(visited::FRONTIER)])?;
         let health = fresh_health(&mut db, cfg.backoff, cfg.breaker, cfg.politeness)?;
@@ -311,6 +326,7 @@ impl CrawlSession {
         if let Origin::Checkpoint(ckpt) = origin {
             session.overlay(ckpt);
         }
+        debug_check(|| session.check_invariants());
         Ok(session)
     }
 

@@ -445,10 +445,12 @@ impl CrawlSession {
         let mut g = self.store.write();
         self.release_in_flight(rest.len());
         // Every admitted claim charged a per-server politeness slot at
-        // `HealthMap::admit`; hand those back too, keyed exactly as the
-        // admission was (the claim's URL, not any fetched page's).
+        // `HealthMap::admit` (and one of them may be a half-open probe);
+        // hand those back too, keyed exactly as the admission was (the
+        // claim's URL, not any fetched page's).
+        let now = self.counters.clock.load(Ordering::Acquire) as i64;
         for c in &rest {
-            g.health.release(host_server_id(&c.url));
+            g.health.hand_back(host_server_id(&c.url), now);
         }
         if let Err(e) = frontier::unclaim_batch(&mut g.db, &rest) {
             drop(g);

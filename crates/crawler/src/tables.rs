@@ -113,12 +113,6 @@ pub fn fill_taxonomy_dim(db: &mut Database, taxonomy: &focus_types::Taxonomy) ->
     let tid = db.table_id("taxonomy")?;
     for c in taxonomy.all() {
         let parent = taxonomy.parent(c).map(|p| p.raw() as i64).unwrap_or(-1);
-        let mark = match taxonomy.mark(c) {
-            focus_types::Mark::Good => "good",
-            focus_types::Mark::Path => "path",
-            focus_types::Mark::Subsumed => "subsumed",
-            focus_types::Mark::Null => "null",
-        };
         db.insert(
             tid,
             vec![
@@ -126,12 +120,22 @@ pub fn fill_taxonomy_dim(db: &mut Database, taxonomy: &focus_types::Taxonomy) ->
                 Value::Int(c.raw() as i64),
                 Value::Float(0.0),
                 Value::Float(0.0),
-                Value::Str(mark.to_owned()),
+                Value::Str(mark_name(taxonomy, c).to_owned()),
                 Value::Str(taxonomy.name(c).to_owned()),
             ],
         )?;
     }
     Ok(())
+}
+
+/// `TAXONOMY.type` of class `c` under `taxonomy`'s marking.
+pub fn mark_name(taxonomy: &focus_types::Taxonomy, c: ClassId) -> &'static str {
+    match taxonomy.mark(c) {
+        focus_types::Mark::Good => "good",
+        focus_types::Mark::Path => "path",
+        focus_types::Mark::Subsumed => "subsumed",
+        focus_types::Mark::Null => "null",
+    }
 }
 
 /// Derive the server id from a URL's host part. The paper keys servers by
@@ -186,21 +190,6 @@ pub fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64)
         Value::Int(sid_dst as i64),
         Value::Int(discovered),
     ]
-}
-
-/// Decode the oid column.
-pub fn row_oid(row: &[Value]) -> Oid {
-    Oid(row[crawl_col::OID].as_i64().unwrap_or(0) as u64)
-}
-
-/// Decode the best-leaf class column.
-pub fn row_kcid(row: &[Value]) -> Option<ClassId> {
-    let v = row[crawl_col::KCID].as_i64()?;
-    if v < 0 {
-        None
-    } else {
-        Some(ClassId(v as u16))
-    }
 }
 
 #[cfg(test)]
@@ -277,8 +266,7 @@ mod tests {
     #[test]
     fn row_decoding() {
         let row = frontier_row(Oid(7), "u", -2.5, 3);
-        assert_eq!(row_oid(&row), Oid(7));
-        assert_eq!(row_kcid(&row), None);
+        assert_eq!(row[crawl_col::KCID], Value::Int(-1));
         assert_eq!(row[crawl_col::NEGREL], Value::Float(2.5));
     }
 }

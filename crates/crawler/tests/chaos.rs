@@ -23,13 +23,14 @@
 //! [`host_server_id`] of the page URL. The tests translate through the
 //! page table.
 
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{
-    host_server_id, BackoffConfig, BreakerConfig, CrawlCluster, CrawlEvent, CrawlObserver,
-    CrawlPolicy, FetchErrorKind, StartOptions,
+    host_server_id, BackoffConfig, BreakerConfig, CrawlCluster, CrawlEvent, CrawlPolicy,
+    FetchErrorKind, StartOptions,
 };
-use focus_types::{ClassId, Oid, ServerId};
+use focus_types::{Oid, ServerId};
 use focus_webgraph::{
     evolve, ChaosFetcher, ChaosSchedule, EvolutionConfig, EvolvingFetcher, FaultProfile,
     FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph,
@@ -37,41 +38,7 @@ use focus_webgraph::{
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> focus_classifier::model::TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
-
-/// Records every event from every shard; per-server orderings are
-/// preserved because one server lives on exactly one shard and each
-/// shard here runs a single worker.
-struct Recorder(Mutex<Vec<CrawlEvent>>);
-
-impl CrawlObserver for Recorder {
-    fn on_event(&self, event: &CrawlEvent) {
-        self.0.lock().unwrap().push(event.clone());
-    }
-}
-
-fn recorder() -> Arc<Recorder> {
-    Arc::new(Recorder(Mutex::new(Vec::new())))
-}
-
-fn events_of(r: &Recorder) -> Vec<CrawlEvent> {
-    r.0.lock().unwrap().clone()
-}
+use support::{trained_model, Recorder};
 
 /// The world under test plus the fault plan: the two cycling-heaviest
 /// generator servers are marked for death (the crawl will certainly
@@ -187,7 +154,7 @@ fn outage_quarantines_dead_servers_within_threshold() {
     let budget = 240;
 
     // Clean reference: same seeds, same budget, no faults.
-    let clean_rec = recorder();
+    let clean_rec = Recorder::new();
     let clean = CrawlCluster::new(
         4,
         Arc::new(SimFetcher::new(Arc::clone(&w.graph), None)),
@@ -204,11 +171,11 @@ fn outage_quarantines_dead_servers_within_threshold() {
         .unwrap()
         .join()
         .unwrap();
-    let clean_healthy = healthy_successes(&events_of(&clean_rec), &w);
+    let clean_healthy = healthy_successes(&clean_rec.events(), &w);
     assert!(clean_healthy > 0, "clean run fetched nothing off-outage");
 
     // Chaos run: the outage outlives the whole fetch budget.
-    let chaos_rec = recorder();
+    let chaos_rec = Recorder::new();
     let chaos = CrawlCluster::new(
         4,
         Arc::new(ChaosFetcher::new(
@@ -228,7 +195,7 @@ fn outage_quarantines_dead_servers_within_threshold() {
         .unwrap()
         .join()
         .expect("outage run must terminate cleanly");
-    let events = events_of(&chaos_rec);
+    let events = chaos_rec.events();
 
     // Bar 1: every dead server quarantined, each within `threshold`
     // failures of its last success (here: of the crawl start).
@@ -324,7 +291,7 @@ fn harvest_recovers_after_outage_heals() {
     clean.seed(&w.seeds).unwrap();
     let clean_tail = tail_mean(&clean.run().unwrap());
 
-    let rec = recorder();
+    let rec = Recorder::new();
     let chaos = Arc::new(
         CrawlSession::new(
             Arc::new(ChaosFetcher::new(
@@ -344,7 +311,7 @@ fn harvest_recovers_after_outage_heals() {
         })
         .unwrap();
     let stats = run.join().unwrap();
-    let events = events_of(&rec);
+    let events = rec.events();
 
     let recovered: HashSet<ServerId> = events
         .iter()
@@ -421,7 +388,7 @@ fn a_probe_that_lands_on_a_dead_page_still_recovers_the_server() {
         threads: 1,
         ..chaos_cfg(240)
     };
-    let rec = recorder();
+    let rec = Recorder::new();
     let session = Arc::new(
         CrawlSession::new(
             Arc::new(ProbeHitsDeadPage {
@@ -446,7 +413,7 @@ fn a_probe_that_lands_on_a_dead_page_still_recovers_the_server() {
         })
         .unwrap();
     run.join().unwrap();
-    let events = events_of(&rec);
+    let events = rec.events();
 
     // Every quarantined dead server's story ends in a recovery, and
     // that recovery is followed by pages actually landing from it.
@@ -535,7 +502,7 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
     };
     let model = trained_model(&graph, "recreation/cycling");
     let session = Arc::new(CrawlSession::new(Arc::clone(&fetcher) as _, model, cfg).unwrap());
-    let rec = recorder();
+    let rec = Recorder::new();
     let run = || {
         let opts = StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -565,7 +532,7 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
     assert_eq!(on_server.len(), 3, "the hub's server has pages left");
     session.seed(&on_server).unwrap();
     let quarantined_until = || {
-        events_of(&rec).iter().find_map(|e| match e {
+        rec.events().iter().find_map(|e| match e {
             CrawlEvent::ServerQuarantined { server, until, .. } if *server == sid => Some(*until),
             _ => None,
         })
@@ -601,7 +568,7 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
         at as i64 >= cooldown_left,
         "the revisit went out {at} fetches in, {cooldown_left} ticks before the cooldown lapsed"
     );
-    let events = events_of(&rec);
+    let events = rec.events();
     let on_sid: Vec<&CrawlEvent> = (events.iter())
         .filter(|e| match e {
             CrawlEvent::PageClassified { oid, .. } | CrawlEvent::FetchFailed { oid, .. } => {
@@ -670,7 +637,7 @@ fn crawl_evolve_revisit_crawl() -> u64 {
     };
     let model = trained_model(&base, "recreation/cycling");
     let session = Arc::new(CrawlSession::new(Arc::new(fetcher), model, cfg).unwrap());
-    let rec = recorder();
+    let rec = Recorder::new();
     let run = || {
         let opts = StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -700,10 +667,9 @@ fn crawl_evolve_revisit_crawl() -> u64 {
         .filter(|(i, (o, _))| stats.completion_order[..*i].iter().any(|(p, _)| p == o))
         .count();
     assert!(revisited > 0, "no hub was revisited");
-    let claimed = session.sql("select count(*) from crawl where visited = 2");
-    assert_eq!(claimed.unwrap().scalar_i64(), Some(0));
+    session.check_invariants().unwrap();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for e in events_of(&rec) {
+    for e in rec.events() {
         for b in format!("{e:?}\n").bytes() {
             digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -767,7 +733,7 @@ fn fully_quarantined_cluster_terminates() {
             12,
         ))
         .unwrap();
-    let rec = recorder();
+    let rec = Recorder::new();
     let run = cluster
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -791,19 +757,16 @@ fn fully_quarantined_cluster_terminates() {
     assert!(stats.attempts > 0, "the crawl never even tried");
     assert_eq!(stats.attempts, stats.failures);
     assert!(
-        events_of(&rec)
+        rec.events()
             .iter()
             .any(|e| matches!(e, CrawlEvent::ServerQuarantined { .. })),
         "breakers never opened with every server down"
     );
     // Every frontier row reached a terminal state; none is left parked
     // behind a breaker that will never close.
+    cluster.check_invariants().unwrap();
     for shard in cluster.shards() {
-        let open = shard
-            .sql("select count(*) from crawl where visited = 0 or visited = 2")
-            .unwrap()
-            .scalar_i64()
-            .unwrap();
-        assert_eq!(open, 0, "shard left live rows after terminating");
+        let open = shard.sql("select count(*) from crawl where visited = 0");
+        assert_eq!(open.unwrap().scalar_i64(), Some(0), "shard left live rows");
     }
 }

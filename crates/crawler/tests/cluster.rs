@@ -5,8 +5,8 @@
 //! termination verdict only interleave meaningfully with optimized
 //! codegen.
 
-use focus_classifier::model::TrainedModel;
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::cluster::CrawlCluster;
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{CrawlPolicy, RunState};
@@ -18,22 +18,7 @@ use focus_webgraph::{
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
+use support::{trained_model, SlowFetcher};
 
 fn cycling_cluster(
     n_shards: usize,
@@ -48,39 +33,20 @@ fn cycling_cluster(
     (graph, cluster, cycling)
 }
 
-/// Visited `(oid, url)` pairs of one shard.
-fn visited_rows(cluster: &CrawlCluster, shard: usize) -> Vec<(u64, String)> {
-    cluster.shards()[shard]
-        .sql("select oid, url from crawl where visited = 1")
-        .unwrap()
-        .rows
-        .iter()
-        .map(|r| {
-            (
-                r[0].as_i64().unwrap() as u64,
-                r[1].as_str().unwrap().to_owned(),
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn cluster_partitions_by_server_and_fetches_each_page_once() {
     // 4 shards over the standard tiny web, budget-bounded. Every
     // visited page must live on the shard its server hashes to, no page
     // may be fetched by two shards, and the cross-shard exchange must
     // not have dropped anything.
-    let (graph, cluster, cycling) = cycling_cluster(
-        4,
-        13,
-        CrawlConfig {
-            policy: CrawlPolicy::SoftFocus,
-            threads: 4,
-            max_fetches: 400,
-            distill_every: Some(150),
-            ..CrawlConfig::default()
-        },
-    );
+    let cfg = CrawlConfig {
+        policy: CrawlPolicy::SoftFocus,
+        threads: 4,
+        max_fetches: 400,
+        distill_every: Some(150),
+        ..CrawlConfig::default()
+    };
+    let (graph, cluster, cycling) = cycling_cluster(4, 13, cfg.clone());
     let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 12);
     cluster.seed(&seeds).unwrap();
     let stats = cluster.run().unwrap();
@@ -90,29 +56,15 @@ fn cluster_partitions_by_server_and_fetches_each_page_once() {
     // that exhausts its budget share dies, and entries routed to it
     // afterwards are discarded by design (they are unfundable).
 
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut shards_with_pages = 0;
-    for shard in 0..cluster.n_shards() {
-        let rows = visited_rows(&cluster, shard);
-        if !rows.is_empty() {
-            shards_with_pages += 1;
-        }
-        for (oid, url) in rows {
-            assert!(!url.is_empty(), "visited page without a URL");
-            assert_eq!(
-                cluster.owner_of(&url),
-                shard,
-                "page {url} fetched on shard {shard}, owned elsewhere"
-            );
-            assert!(seen.insert(oid), "oid {oid} fetched on two shards");
-        }
-    }
+    // Every visited page has its URL, sits on its owner and on no other;
+    // each shard's harvest series carries its every success.
+    cluster.check_invariants().unwrap();
+    let with_pages = cluster.shards().iter().filter(|s| !s.visited().is_empty());
+    let shards_with_pages = with_pages.count();
     assert!(
         shards_with_pages >= 3,
         "cross-shard routing reached only {shards_with_pages} shards"
     );
-    // The merged harvest series carries every success, in order.
-    assert_eq!(stats.harvest.len(), stats.successes as usize);
 
     // Harvest parity: the same web, seeds, budget, and total worker
     // count in ONE session. A partitioned frontier pops each shard's
@@ -121,20 +73,7 @@ fn cluster_partitions_by_server_and_fetches_each_page_once() {
     // noise.
     let model = trained_model(&graph, "recreation/cycling");
     let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
-    let single = Arc::new(
-        CrawlSession::new(
-            fetcher,
-            model,
-            CrawlConfig {
-                policy: CrawlPolicy::SoftFocus,
-                threads: 4,
-                max_fetches: 400,
-                distill_every: Some(150),
-                ..CrawlConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let single = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
     single.seed(&seeds).unwrap();
     let single_stats = single.run().unwrap();
     assert!(
@@ -196,22 +135,11 @@ fn nepotistic_edges_never_cross_shards() {
     let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
     cluster.seed(&seeds).unwrap();
     cluster.run().unwrap();
-    let mut nepotistic = 0;
-    for shard in 0..cluster.n_shards() {
-        let links = cluster.shards()[shard].links();
-        for (_, sid_src, _, sid_dst) in links {
-            if sid_src == sid_dst {
-                nepotistic += 1;
-                assert_eq!(
-                    sid_dst as usize % cluster.n_shards(),
-                    shard,
-                    "nepotistic edge recorded off its owning shard"
-                );
-            }
-        }
-    }
+    cluster.check_invariants().unwrap();
+    let links = cluster.shards().iter().flat_map(|s| s.links());
+    let nepotistic = links.filter(|&(_, sid_src, _, sid_dst)| sid_src == sid_dst);
     assert!(
-        nepotistic > 0,
+        nepotistic.count() > 0,
         "web generated no same-server edges; test proves nothing"
     );
     // And each shard's distiller runs over local evidence only: forcing
@@ -303,28 +231,6 @@ fn mark_topic_broadcast_resteers_every_shard() {
     assert!(crossed, "no re-steer boost crossed shards");
 }
 
-/// A fetcher that holds every fetch for a fixed delay (widens the
-/// pause/stop window so latency bounds are observable).
-struct SlowFetcher {
-    inner: Arc<SimFetcher>,
-    delay: Duration,
-}
-
-impl Fetcher for SlowFetcher {
-    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
-        std::thread::sleep(self.delay);
-        self.inner.fetch(oid)
-    }
-
-    fn fetch_count(&self) -> u64 {
-        self.inner.fetch_count()
-    }
-
-    fn url_of(&self, oid: Oid) -> Option<String> {
-        self.inner.url_of(oid)
-    }
-}
-
 #[test]
 fn cluster_pause_and_stop_latency_is_one_page_per_shard() {
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(29)));
@@ -386,14 +292,7 @@ fn cluster_pause_and_stop_latency_is_one_page_per_shard() {
         "stop processed whole batches: {stats:?}"
     );
     // …and no shard leaked a CLAIMED row.
-    for shard in cluster.shards() {
-        let claimed = shard
-            .sql("select count(*) from crawl where visited = 2")
-            .unwrap()
-            .scalar_i64()
-            .unwrap();
-        assert_eq!(claimed, 0, "claims leaked after cluster stop");
-    }
+    cluster.check_invariants().unwrap();
 }
 
 #[test]
@@ -599,6 +498,34 @@ impl Fetcher for EvolvingWithUrls {
     fn url_of(&self, oid: Oid) -> Option<String> {
         self.0.current().page(oid).map(|p| p.url.clone())
     }
+}
+
+#[test]
+fn a_fetcher_without_urls_passes_the_cluster_check() {
+    // Without `url_of`, seeds are routed by `oid % n` and may be fetched
+    // off their server's owner (and again on it, once discovered by
+    // URL). That is the documented contract, so the check `join` runs in
+    // debug builds must not call it broken.
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(61)));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let model = trained_model(&graph, "recreation/cycling");
+    let fetcher = Arc::new(EvolvingFetcher::new(Arc::clone(&graph)));
+    let cfg = CrawlConfig {
+        max_fetches: 120,
+        ..CrawlConfig::default()
+    };
+    let cluster = CrawlCluster::new(2, fetcher, model, cfg).unwrap();
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+    cluster.seed(&seeds).unwrap();
+    cluster.run().unwrap();
+    let owner = |oid: Oid| cluster.owner_of(&graph.page(oid).unwrap().url);
+    let off = |(i, s): (usize, &Arc<CrawlSession>)| s.visited().iter().any(|v| owner(v.0) != i);
+    let stray = cluster.shards().iter().enumerate().any(off);
+    assert!(
+        stray,
+        "no page fetched off its owner: the test proves nothing"
+    );
+    cluster.check_invariants().unwrap();
 }
 
 #[test]

@@ -4,51 +4,14 @@
 //! holding claims — the §3.7 "watch the crawl while it runs" contract
 //! the session lock split exists to honor.
 
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::CrawlPolicy;
-use focus_types::{ClassId, Oid};
-use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
+use focus_webgraph::{SimFetcher, WebConfig, WebGraph};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> focus_classifier::model::TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
-
-/// A fetcher that holds every fetch for a fixed delay: workers spend
-/// nearly all their time mid-batch with claims checked out.
-struct SlowFetcher {
-    inner: Arc<SimFetcher>,
-    delay: Duration,
-}
-
-impl Fetcher for SlowFetcher {
-    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
-        std::thread::sleep(self.delay);
-        self.inner.fetch(oid)
-    }
-
-    fn fetch_count(&self) -> u64 {
-        self.inner.fetch_count()
-    }
-
-    fn url_of(&self, oid: Oid) -> Option<String> {
-        self.inner.url_of(oid)
-    }
-}
+use support::{trained_model, SlowFetcher};
 
 /// While workers are mid-batch behind slow fetches, `sql()` and
 /// `stats()` must return promptly — bounded by lock hold times (page

@@ -12,11 +12,11 @@
 //! store lock — `stats()`, `fetch_count()` — because a writer queued on
 //! the lock makes later readers wait behind it.
 
-use focus_classifier::model::TrainedModel;
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession};
-use focus_crawler::{CrawlEvent, CrawlObserver, CrawlPolicy, CrawlStats, RunState, StartOptions};
-use focus_types::{ClassId, Oid, ServerId};
+use focus_crawler::{CrawlPolicy, CrawlStats, RunState, StartOptions};
+use focus_types::{Oid, ServerId};
 use focus_webgraph::{
     ChaosFetcher, ChaosSchedule, FaultProfile, FetchError, FetchedPage, Fetcher, SimFetcher,
     WebConfig, WebGraph,
@@ -26,24 +26,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+use support::{trained_model, Recorder};
 
 const BATCH: u64 = 8;
 /// Per-fetch failure probability on every server: at this chaos seed a
 /// failure falls inside the first batch, between successes.
 const FLAKY: f64 = 0.3;
-
-fn trained_model(graph: &Arc<WebGraph>) -> TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let cycling = taxonomy.find("recreation/cycling").unwrap();
-    taxonomy.mark_good(cycling).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c != ClassId::ROOT {
-            examples.extend(graph.example_docs(c, 6, 99).into_iter().map(|d| (c, d)));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
 
 /// Poll `done` (which must take no store lock) for up to 30 s.
 fn wait_until(what: &str, done: impl Fn() -> bool) {
@@ -127,14 +115,6 @@ impl Fetcher for Gate {
     }
 }
 
-struct Recorder(Mutex<Vec<CrawlEvent>>);
-
-impl CrawlObserver for Recorder {
-    fn on_event(&self, event: &CrawlEvent) {
-        self.0.lock().unwrap().push(event.clone());
-    }
-}
-
 /// A test thread inside `with_db_read` until released: while it lives,
 /// every `try_write` on the store fails.
 struct Reader {
@@ -182,8 +162,14 @@ fn session_over(
     cfg: CrawlConfig,
     n_seeds: usize,
 ) -> Arc<CrawlSession> {
-    let session =
-        Arc::new(CrawlSession::new(Arc::clone(gate) as _, trained_model(graph), cfg).unwrap());
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::clone(gate) as _,
+            trained_model(graph, "recreation/cycling"),
+            cfg,
+        )
+        .unwrap(),
+    );
     let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
     let seeds = focus_webgraph::search::topic_start_set(graph, cycling, n_seeds);
     session.seed(&seeds).unwrap();
@@ -217,7 +203,7 @@ struct Outcome {
 fn outcome(session: &CrawlSession, stats: &CrawlStats, rec: &Recorder) -> Outcome {
     let debug = |v: &dyn std::fmt::Debug| format!("{v:?}");
     Outcome {
-        events: rec.0.lock().unwrap().iter().map(|e| debug(e)).collect(),
+        events: rec.events().iter().map(|e| debug(e)).collect(),
         completion_order: stats.completion_order.clone(),
         harvest: stats.harvest.clone(),
         failures: stats.failures,
@@ -241,7 +227,7 @@ fn first_batch_crawl(
     // it: hold the first fetch until the reader is in.
     let gate = Gate::new(&graph, FLAKY, if watched { &[1] } else { &[] });
     let session = session_over(&graph, &gate, config(1, budget, distill_every), 10);
-    let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+    let rec = Recorder::new();
     let run = session
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -267,7 +253,7 @@ fn first_batch_crawl(
     assert_eq!(stats.attempts, budget);
     assert_eq!(stats.attempts, stats.successes + stats.failures);
     assert_eq!(gate.fetch_count(), budget);
-    assert!(rows(&session, CLAIMED).is_empty());
+    session.check_invariants().unwrap();
     (outcome(&session, &stats, &rec), stats)
 }
 
@@ -369,10 +355,7 @@ fn steer_with_pages_buffered(steer: Steer) {
         Steer::Stop => {}
     }
     let stats = run.join().unwrap();
-    assert!(
-        rows(&session, CLAIMED).is_empty(),
-        "a claim outlived the run"
-    );
+    session.check_invariants().unwrap();
     assert_eq!(gate.fetch_count(), stats.successes + stats.failures);
     if steer == Steer::PauseThenResume {
         assert_eq!(stats.attempts, budget);
@@ -398,7 +381,7 @@ fn steer_with_pages_buffered(steer: Steer) {
     assert!(ckpt.pages.iter().all(|p| p.state != 2));
     let restored = CrawlSession::restore(
         Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
-        trained_model(&graph),
+        trained_model(&graph, "recreation/cycling"),
         config(1, budget, Some(3)),
         &ckpt,
     )
@@ -430,8 +413,9 @@ fn stop_with_pages_buffered_lands_them_and_hands_the_rest_back() {
 
 /// (d) Real contention, no script: 2 and 4 workers on one store from 3
 /// seeds. Whatever the interleaving, the budget is spent exactly, every
-/// visited page was fetched exactly once, no claim is left checked out
-/// and both `CRAWL` indexes agree with the heap.
+/// visited page was fetched exactly once, and the session's invariants
+/// hold (no claim left checked out, every gauge back at zero, heaps and
+/// indexes agreeing).
 #[test]
 fn workers_sharing_a_store_keep_every_invariant() {
     for threads in [2, 4] {
@@ -444,10 +428,7 @@ fn workers_sharing_a_store_keep_every_invariant() {
         assert_eq!(stats.attempts, stats.successes + stats.failures);
         assert_eq!(gate.fetch_count(), budget);
         assert!(stats.deferred_landings <= stats.successes);
-        assert!(
-            rows(&session, CLAIMED).is_empty(),
-            "a claim outlived the run"
-        );
+        session.check_invariants().unwrap();
         let visited = session.visited();
         assert_eq!(visited.len() as u64, stats.successes);
         let served = gate.served.lock().unwrap();
@@ -459,13 +440,5 @@ fn workers_sharing_a_store_keep_every_invariant() {
             );
         }
         assert_eq!(served.len(), visited.len(), "a fetched page was dropped");
-        session.with_db_read(|db| {
-            let (pool, catalog) = db.parts();
-            let crawl = catalog.table(catalog.table_id("crawl").unwrap());
-            assert_eq!(crawl.indexes.len(), 2);
-            for idx in &crawl.indexes {
-                idx.btree.validate(pool).unwrap();
-            }
-        });
     }
 }

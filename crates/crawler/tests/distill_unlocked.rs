@@ -11,35 +11,20 @@
 //! forced pass at success 499 was followed by a periodic one a page
 //! later.
 
-use focus_classifier::model::TrainedModel;
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::cluster::CrawlCluster;
 use focus_crawler::session::{CrawlConfig, CrawlSession};
-use focus_crawler::{CrawlEvent, CrawlObserver, CrawlPolicy, StartOptions};
-use focus_types::{ClassId, Oid};
+use focus_crawler::{CrawlEvent, CrawlPolicy, StartOptions};
+use focus_types::Oid;
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+use support::{trained_model, Recorder};
 
 const EVERY: usize = 20;
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
 
 /// Counts successful fetches per page, and can hold one fetch (the
 /// `hold_at`-th, 1-based; 0 = never) until the test releases it.
@@ -86,14 +71,6 @@ impl Fetcher for Probe {
 
     fn url_of(&self, oid: Oid) -> Option<String> {
         self.inner.url_of(oid)
-    }
-}
-
-struct Recorder(Mutex<Vec<CrawlEvent>>);
-
-impl CrawlObserver for Recorder {
-    fn on_event(&self, event: &CrawlEvent) {
-        self.0.lock().unwrap().push(event.clone());
     }
 }
 
@@ -146,7 +123,7 @@ fn forced_pass_mid_interval_restarts_the_periodic_count() {
     // command queued meanwhile applies at the next page boundary.
     let probe = Probe::new(&graph, 31);
     let session = one_worker(Arc::clone(&probe) as _, &graph, 200);
-    let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+    let rec = Recorder::new();
     let run = session
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -165,7 +142,7 @@ fn forced_pass_mid_interval_restarts_the_periodic_count() {
     probe.released.store(true, Ordering::SeqCst);
     let stats = run.join().unwrap();
 
-    let events = rec.0.lock().unwrap().clone();
+    let events = rec.events();
     let passes = passes(&events);
     let (forced_at, _) = passes[0];
     assert!(
@@ -204,7 +181,7 @@ fn distill_now_between_runs_restarts_the_periodic_count() {
     session.distill_now().unwrap();
 
     session.add_budget(80);
-    let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+    let rec = Recorder::new();
     let stats = session
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -215,7 +192,7 @@ fn distill_now_between_runs_restarts_the_periodic_count() {
         .unwrap();
     let second_leg = (stats.successes - first.successes) as usize;
     assert!(second_leg >= 50, "second leg too short: {second_leg}");
-    let events = rec.0.lock().unwrap().clone();
+    let events = rec.events();
     assert_eq!(
         passes(&events)
             .iter()
@@ -226,13 +203,9 @@ fn distill_now_between_runs_restarts_the_periodic_count() {
     );
 }
 
-/// What every concurrent scenario must leave behind in one session.
-fn assert_session_invariants(session: &CrawlSession, probe: &Probe) {
-    let claimed = session
-        .sql("select count(*) from crawl where visited = 2")
-        .unwrap()
-        .scalar_i64();
-    assert_eq!(claimed, Some(0), "a CLAIMED row outlived the run");
+/// Every page `session` visited was fetched exactly once: evidence only
+/// the fetcher's side has.
+fn fetched_once(session: &CrawlSession, probe: &Probe) {
     let served = probe.served.lock().unwrap();
     for (oid, _, _) in session.visited() {
         assert_eq!(
@@ -304,7 +277,7 @@ fn two_workers(fetch_pool: usize) {
             &graph, cycling, 12,
         ))
         .unwrap();
-    let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+    let rec = Recorder::new();
     let done = Arc::new(AtomicBool::new(false));
     let monitor = watch_hubs(Arc::clone(&session), Arc::clone(&done));
     let run = session
@@ -321,8 +294,9 @@ fn two_workers(fetch_pool: usize) {
     );
 
     assert_eq!(stats.attempts, budget, "the budget is spent exactly");
-    assert_session_invariants(&session, &probe);
-    let events = rec.0.lock().unwrap().clone();
+    session.check_invariants().unwrap();
+    fetched_once(&session, &probe);
+    let events = rec.events();
     let numbers: Vec<u64> = passes(&events).iter().map(|&(_, n)| n).collect();
     assert!(
         numbers.len() >= stats.successes as usize / (2 * EVERY),
@@ -392,12 +366,9 @@ fn two_shards(fetch_pool: usize) {
     }
 
     assert_eq!(stats.attempts, budget, "the split budget is spent exactly");
-    let mut seen = HashSet::new();
+    cluster.check_invariants().unwrap();
     for (shard, stream) in cluster.shards().iter().zip(&streams) {
-        assert_session_invariants(shard, &probe);
-        for (oid, _, _) in shard.visited() {
-            assert!(seen.insert(oid), "{oid:?} was fetched on two shards");
-        }
+        fetched_once(shard, &probe);
         assert_eq!(stream.dropped(), 0);
         let numbers: Vec<u64> = passes(&stream.drain()).iter().map(|&(_, n)| n).collect();
         assert!(!numbers.is_empty(), "a shard never distilled");

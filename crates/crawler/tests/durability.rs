@@ -3,32 +3,18 @@
 //! crash) time come back poppable, and a WAL-shipping replica serves
 //! the full §3.7 monitor suite while the leader crawls.
 
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession, Durability};
 use focus_crawler::{host_server_id, monitor, CrawlPolicy};
-use focus_types::{ClassId, Oid, ServerId};
+use focus_types::{Oid, ServerId};
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> focus_classifier::model::TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
+use support::trained_model;
 
 fn temp_db_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("crawl-durable-{tag}-{}.db", std::process::id()))
@@ -267,14 +253,7 @@ fn file_backed_crawl_recovers() {
         Some(0),
         "uncommitted insert survived the crash"
     );
-    assert_eq!(
-        recovered
-            .sql("select count(*) from crawl where visited = 2")
-            .unwrap()
-            .scalar_i64(),
-        Some(0),
-        "recovery left CLAIMED rows"
-    );
+    recovered.check_invariants().unwrap();
     // The link graph was rebuilt from the recovered `LINK` and `CRAWL`
     // tables: a pass over it finds what the crashed session's did
     // (relevance round-trips through the stored log, so not bit for bit).
@@ -682,14 +661,7 @@ fn maintenance_requeues_and_revisits_survive_a_crash() {
     for link in &links_after {
         assert!(pairs.insert(link), "{link:?} is in LINK twice");
     }
-    again.with_db_read(|db| {
-        let (pool, catalog) = db.parts();
-        for table in ["crawl", "link"] {
-            for idx in &catalog.table(catalog.table_id(table).unwrap()).indexes {
-                idx.btree.validate(pool).unwrap();
-            }
-        }
-    });
+    again.check_invariants().unwrap();
     cleanup(&path);
 }
 

@@ -5,30 +5,16 @@
 //! on-the-wire fetch is completed-then-flushed — and the per-server
 //! politeness cap holds under full pooled concurrency.
 
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{CrawlPolicy, PolitenessConfig};
-use focus_types::{ClassId, Oid};
+use focus_types::Oid;
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn trained_model(graph: &Arc<WebGraph>, good: &str) -> focus_classifier::model::TrainedModel {
-    let mut taxonomy = graph.taxonomy().clone();
-    let topic = taxonomy.find(good).unwrap();
-    taxonomy.mark_good(topic).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c == ClassId::ROOT {
-            continue;
-        }
-        for d in graph.example_docs(c, 6, 99) {
-            examples.push((c, d));
-        }
-    }
-    train(&taxonomy, &examples, &TrainConfig::default())
-}
+use support::trained_model;
 
 /// A big-enough world that the crawl cannot finish under the test's
 /// feet, with a fetch latency that keeps hundreds of jobs on the wire.
@@ -54,15 +40,6 @@ fn pipeline_session(
     let session = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
     session.seed(&seeds).unwrap();
     (session, seeds)
-}
-
-fn claimed_rows(session: &CrawlSession) -> i64 {
-    session
-        .sql("select count(*) from crawl where visited = 2")
-        .unwrap()
-        .rows[0][0]
-        .as_i64()
-        .unwrap()
 }
 
 fn wait_for_attempts(session: &CrawlSession, at_least: u64) {
@@ -103,11 +80,7 @@ fn pause_freezes_attempts_with_hundreds_in_flight() {
     run.stop();
     let stats = run.join().unwrap();
     assert!(stats.attempts > frozen);
-    assert_eq!(
-        claimed_rows(&session),
-        0,
-        "stop left claims checked out (leaked CLAIMED rows)"
-    );
+    session.check_invariants().unwrap();
 }
 
 /// Stop with the pipeline saturated: queued claims are unclaimed, in
@@ -121,17 +94,16 @@ fn stop_mid_pipeline_leaks_nothing_and_session_is_reusable() {
     wait_for_attempts(&session, 300);
     run.stop();
     let stats = run.join().unwrap();
-    assert_eq!(claimed_rows(&session), 0, "stop leaked CLAIMED rows");
     // Accounting sanity: everything claimed was either flushed
     // (success/failure) or handed back to the frontier.
-    assert!(stats.successes + stats.failures <= stats.attempts);
+    session.check_invariants().unwrap();
 
     // The pipeline winds down clean enough to go straight back up.
     let run2 = session.start().unwrap();
     wait_for_attempts(&session, stats.attempts + 100);
     run2.stop();
     run2.join().unwrap();
-    assert_eq!(claimed_rows(&session), 0);
+    session.check_invariants().unwrap();
 }
 
 /// Checkpoint while paused with a saturated pipeline: the snapshot
@@ -154,7 +126,7 @@ fn checkpoint_under_load_demotes_in_flight_claims() {
     );
     run.stop();
     run.join().unwrap();
-    assert_eq!(claimed_rows(&session), 0);
+    session.check_invariants().unwrap();
 }
 
 /// Counts concurrent fetches, per server and overall, and keeps the
@@ -326,5 +298,5 @@ fn revisits_overlap_in_the_pool_under_the_per_server_cap() {
     for (&sid, &peak) in max.0.iter() {
         assert!(peak <= 1, "server {sid} saw {peak} concurrent revisits");
     }
-    assert_eq!(claimed_rows(&session), 0);
+    session.check_invariants().unwrap();
 }

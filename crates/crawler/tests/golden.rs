@@ -15,23 +15,14 @@
 //! that moved without such a statement is a bug in the PR, not in the
 //! test.
 
-use focus_classifier::train::{train, TrainConfig};
+mod support;
+
 use focus_crawler::session::{CrawlConfig, CrawlSession};
-use focus_crawler::{
-    BackoffConfig, BreakerConfig, CrawlEvent, CrawlObserver, CrawlPolicy, StartOptions,
-};
-use focus_types::ClassId;
+use focus_crawler::{BackoffConfig, BreakerConfig, CrawlEvent, CrawlPolicy, StartOptions};
 use focus_webgraph::{ChaosFetcher, ChaosSchedule, FaultProfile, SimFetcher, WebConfig, WebGraph};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
-
-struct Recorder(Mutex<Vec<CrawlEvent>>);
-
-impl CrawlObserver for Recorder {
-    fn on_event(&self, event: &CrawlEvent) {
-        self.0.lock().unwrap().push(event.clone());
-    }
-}
+use std::sync::Arc;
+use support::{trained_model, Recorder};
 
 /// FNV-1a over `text` plus a record separator, folded into `h`.
 fn fold(mut h: u64, text: &str) -> u64 {
@@ -46,16 +37,8 @@ fn fold(mut h: u64, text: &str) -> u64 {
 /// events and the digest of events + `visited()`.
 fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEvent>, u64) {
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
-    let mut taxonomy = graph.taxonomy().clone();
-    let cycling = taxonomy.find("recreation/cycling").unwrap();
-    taxonomy.mark_good(cycling).unwrap();
-    let mut examples = Vec::new();
-    for c in taxonomy.all() {
-        if c != ClassId::ROOT {
-            examples.extend(graph.example_docs(c, 6, 99).into_iter().map(|d| (c, d)));
-        }
-    }
-    let model = train(&taxonomy, &examples, &TrainConfig::default());
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let model = trained_model(&graph, "recreation/cycling");
     let servers: BTreeSet<u32> = graph.pages().iter().map(|p| p.server.raw()).collect();
     let mut schedule = ChaosSchedule::new(0x601d);
     for s in servers {
@@ -72,7 +55,7 @@ fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEve
             &graph, cycling, n_seeds,
         ))
         .unwrap();
-    let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+    let rec = Recorder::new();
     session
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
@@ -84,7 +67,7 @@ fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEve
     // Nobody else touches the store, so no landing ever found it busy:
     // the digests below are of the path where every page lands at once.
     assert_eq!(session.stats().deferred_landings, 0);
-    let events = rec.0.lock().unwrap().clone();
+    let events = rec.events();
     let mut h = 0xcbf2_9ce4_8422_2325;
     for e in &events {
         h = fold(h, &format!("{e:?}"));

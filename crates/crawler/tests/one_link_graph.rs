@@ -17,6 +17,13 @@
 //! constructors once more); now `StoreState::load` is the one place
 //! in-memory state is derived from tables and `CrawlSession::build` the
 //! one opener. The second test fails if a private rebuild reappears.
+//!
+//! What memory must agree with is checked in one place as well:
+//! `CrawlSession::check_invariants` holds live memory to the loader's
+//! derivation, beside the crawl's other invariants, over
+//! `Database::check_integrity` and under `CrawlCluster::check_invariants`.
+//! The suites once carried their own copies of those checks, which had
+//! drifted apart; the third test fails if one comes back.
 
 use std::path::{Path, PathBuf};
 
@@ -140,5 +147,43 @@ fn one_loader_derives_memory_from_tables() {
     assert!(
         !rows.is_empty() && rows.iter().all(|h| h.contains("tables.rs:")),
         "a `LINK` row is spelled out once, in `tables::link_row`: {rows:?}"
+    );
+}
+
+#[test]
+fn the_suites_check_invariants_through_the_checkers() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    sources(&root.join("crates/crawler/tests"), &mut files);
+    sources(&root.join("tests"), &mut files);
+    for suite in ["wal_recovery.rs", "crash_matrix.rs"] {
+        files.push(root.join("crates/minirel/tests").join(suite));
+    }
+    assert!(files.len() >= 20, "source walk found only {files:?}");
+    let mut models = Vec::new();
+    for path in files.iter().filter(|p| !p.ends_with("one_link_graph.rs")) {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        for gone in [
+            "fn validate_indexes",
+            "fn assert_session_invariants",
+            "fn claimed_rows",
+            ".btree.validate(",
+        ] {
+            assert!(
+                !text.contains(gone),
+                "`{gone}` is back in {}: heap/index agreement and the crawl's \
+                 invariants are checked by `Database::check_integrity` and \
+                 `CrawlSession::check_invariants` — call those",
+                path.display()
+            );
+        }
+        if text.contains("fn trained_model") {
+            models.push(path.display().to_string());
+        }
+    }
+    assert_eq!(
+        models.len(),
+        1,
+        "the suites share one `trained_model`, in tests/support/mod.rs: {models:?}"
     );
 }

@@ -77,6 +77,23 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+thread_local! {
+    /// Set while this thread runs inside [`unobserved`].
+    static UNOBSERVED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` with this thread's page reads kept out of every pool's
+/// bookkeeping: a read counts in no [`IoStats`], moves no frame in LRU
+/// order and brings no page in (a miss reads into a buffer of its own). An
+/// integrity check reads this way, so checking a store leaves its
+/// counters and its next eviction as they were, in every build.
+pub fn unobserved<R>(f: impl FnOnce() -> R) -> R {
+    let was = UNOBSERVED.replace(true);
+    let out = f();
+    UNOBSERVED.set(was);
+    out
+}
+
 /// Replacement policy. LRU is the only one: the second-chance sweep's
 /// one caller was an ablation bench nothing ran. The one-variant type
 /// remains because [`BufferPool::new`] and `Database::with_pool` take
@@ -345,6 +362,14 @@ impl BufferPool {
     /// the pool (copy data out instead).
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> R) -> DbResult<R> {
         let mut shard = self.shard_of(pid).lock();
+        if UNOBSERVED.get() {
+            let mut page = [0u8; PAGE_SIZE];
+            match shard.map.get(&pid) {
+                Some(&frame) => page.copy_from_slice(&shard.frames[frame].data[..]),
+                None => self.load(pid, &mut page)?,
+            }
+            return Ok(f(&page));
+        }
         let frame = self.fetch(&mut shard, pid)?;
         shard.touch(frame);
         Ok(f(&shard.frames[frame].data[..]))

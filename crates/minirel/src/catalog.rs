@@ -388,6 +388,25 @@ impl Catalog {
         Catalog { tables, by_name }
     }
 
+    /// [`crate::Database::check_integrity`], over this catalog's tables.
+    pub fn check_integrity(&self, pool: &BufferPool) -> DbResult<()> {
+        for (tid, t) in self.tables.iter().enumerate() {
+            let rows = self.scan_table(pool, tid)?;
+            for idx in &t.indexes {
+                let bad = |e| DbError::Corrupt(format!("{}.{}: {e}", t.name, idx.name));
+                idx.btree.validate(pool).map_err(|e| bad(e.to_string()))?;
+                let mut want: Vec<_> = rows.iter().map(|(r, row)| (idx.key_of(row), *r)).collect();
+                // In (key, rid) order, as `validate` just checked.
+                let have = idx.btree.lookup_prefix(pool, &[])?;
+                want.sort_unstable();
+                if have != want || idx.btree.len() != t.heap.len() {
+                    return Err(bad(format!("not a map of the {} heap rows", t.heap.len())));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Find the index (if any) on `table` whose key columns start with `cols`.
     pub fn find_index(&self, tid: TableId, cols: &[usize]) -> Option<usize> {
         self.tables[tid]

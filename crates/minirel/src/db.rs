@@ -556,6 +556,14 @@ impl Database {
         (&self.pool, &self.catalog)
     }
 
+    /// Heap/index agreement, checked table by table: every index is a
+    /// sound tree ([`crate::btree::BTree::validate`]) with one entry per
+    /// heap row — the row's key, mapped to the row's rid. Reads
+    /// [`crate::buffer::unobserved`]: checking moves no counter.
+    pub fn check_integrity(&self) -> DbResult<()> {
+        crate::buffer::unobserved(|| self.catalog.check_integrity(&self.pool))
+    }
+
     /// Insert a row through the typed API (faster than SQL for bulk loads).
     pub fn insert(&mut self, table: TableId, row: Row) -> DbResult<()> {
         self.catalog.insert_row(&self.pool, table, row)?;
@@ -869,6 +877,31 @@ mod tests {
         assert!(
             s.physical_reads > 0,
             "4-frame pool must miss on a multi-page scan"
+        );
+    }
+
+    #[test]
+    fn check_integrity_finds_an_index_that_disagrees_with_its_heap() {
+        let mut db = db();
+        db.execute("create table t (a int, b text)").unwrap();
+        db.execute("create index t_a on t (a)").unwrap();
+        db.execute("insert into t values (1, 'x'), (2, 'y'), (3, 'z')")
+            .unwrap();
+        db.check_integrity().unwrap();
+        // Repoint key 2's entry at key 3's row through a second handle
+        // on the same tree: still a sound tree of three entries, but no
+        // longer a map of the heap.
+        let (pool, catalog) = db.parts();
+        let idx = &catalog.table(catalog.table_id("t").unwrap()).indexes[0];
+        let entries = idx.btree.lookup_prefix(pool, &[]).unwrap();
+        let mut alias = crate::btree::BTree::from_parts(idx.btree.root(), idx.btree.len());
+        alias.delete(pool, &entries[1].0, entries[1].1).unwrap();
+        alias.insert(pool, &entries[1].0, entries[2].1).unwrap();
+        idx.btree.validate(pool).unwrap();
+        let err = db.check_integrity().unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(m) if m.contains("t.t_a")),
+            "{err}"
         );
     }
 

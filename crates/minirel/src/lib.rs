@@ -59,7 +59,7 @@ pub mod sql;
 pub mod value;
 pub mod wal;
 
-pub use buffer::{BufferPool, EvictionPolicy, IoStats};
+pub use buffer::{unobserved, BufferPool, EvictionPolicy, IoStats};
 pub use catalog::{Catalog, IndexInfo, TableId, TableInfo};
 pub use db::{wal_path_for, Database, Prepared, ResultSet};
 pub use error::{DbError, DbResult};

@@ -209,19 +209,6 @@ fn checksum_is_order_and_boundary_sensitive() {
     assert_eq!(checksum(&[b"abc"]), checksum(&[b"abc"]));
 }
 
-/// Every index in the catalog is a structurally sound tree whose
-/// entry count matches its table.
-fn validate_indexes(db: &Database) {
-    let (pool, catalog) = db.parts();
-    for name in catalog.table_names() {
-        let t = catalog.table(catalog.table_id(name).unwrap());
-        for idx in &t.indexes {
-            (idx.btree.validate(pool)).unwrap_or_else(|e| panic!("index {}: {e}", idx.name));
-            assert_eq!(idx.btree.len(), t.heap.len(), "index {}", idx.name);
-        }
-    }
-}
-
 /// The satellite fix end to end: a durable database reopened from disk
 /// sees its tables, rows, and indexes.
 #[test]
@@ -248,7 +235,7 @@ fn reopen_roundtrip() {
     }
     {
         let mut db = Database::open(&path, 32).unwrap();
-        validate_indexes(&db);
+        db.check_integrity().unwrap();
         let rs = db.query("select count(*) from crawl").unwrap();
         assert_eq!(rs.scalar_i64(), Some(500));
         // Index probe path (PROBE uses the B+tree root from the catalog image).
@@ -261,7 +248,7 @@ fn reopen_roundtrip() {
     }
     {
         let db = Database::open(&path, 32).unwrap();
-        validate_indexes(&db);
+        db.check_integrity().unwrap();
         assert_eq!(
             db.query("select count(*) from crawl").unwrap().scalar_i64(),
             Some(501)
@@ -819,7 +806,7 @@ fn assert_log_matches_pool(db: &Database, step: usize) {
 type Model = [BTreeMap<i64, (i64, String)>; 2];
 
 fn assert_tables_equal_model(db: &Database, model: &Model, what: &str) {
-    validate_indexes(db);
+    db.check_integrity().unwrap();
     for (name, rows) in ["t0", "t1"].iter().zip(model) {
         let rs = db
             .query(&format!("select k, v, pad from {name} order by k"))
@@ -996,7 +983,7 @@ fn a_log_of_kinds_1_to_3_still_opens() {
     cleanup(&path);
     std::fs::write(minirel::wal_path_for(&path), &log).unwrap();
     let db = Database::open(&path, 16).unwrap();
-    validate_indexes(&db);
+    db.check_integrity().unwrap();
     let all = "select oid, url from crawl order by oid";
     assert_eq!(db.query(all).unwrap().rows, src.query(all).unwrap().rows);
     let probe = db.query("select url from crawl where oid = 777").unwrap();
@@ -1110,7 +1097,7 @@ fn both_followers_equal_the_leader_page_for_page_after_a_delta_heavy_run() {
                     "{name}: page {pid} differs"
                 );
             }
-            validate_indexes(db);
+            db.check_integrity().unwrap();
         });
         assert!(follower.error().is_none(), "{name}: {:?}", follower.error());
     }
