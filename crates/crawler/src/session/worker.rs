@@ -14,7 +14,7 @@
 //! ([`CrawlSession::maintenance_pass`]), so a revisit is numbered,
 //! budgeted, admitted, fetched, failed and landed here like any claim —
 //! this loop is the crate's only caller of the fetcher and of
-//! `HealthMap::admit` (`tests/one_crawl_loop.rs`).
+//! `HealthMap::admit` (`tests/guardrails.rs` counts both).
 //!
 //! Contracts the loop upholds for both executors:
 //!

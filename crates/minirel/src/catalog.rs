@@ -130,15 +130,6 @@ impl Catalog {
         (t.heap.len(), t.heap.num_pages())
     }
 
-    /// All live table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables
-            .iter()
-            .filter(|t| !t.name.is_empty())
-            .map(|t| t.name.as_str())
-            .collect()
-    }
-
     /// Create a B+tree index on `cols` of `table`, backfilling existing rows.
     pub fn create_index(
         &mut self,
@@ -447,7 +438,7 @@ mod tests {
         assert!(cat
             .create_table(&pool, "CRAWL", Schema::new([("x", ColumnType::Int)]))
             .is_err());
-        assert_eq!(cat.table_names(), vec!["crawl"]);
+        assert_eq!(cat.slots().len(), 1, "the refused duplicate added no table");
         assert!(cat.table_id("nope").is_err());
     }
 

@@ -11,7 +11,7 @@
 //! The receiver type is the concurrency contract:
 //!
 //! * `&self` methods ([`Database::query`], [`Database::io_stats`],
-//!   [`Database::catalog`], [`Database::parts`], …) never change logical
+//!   [`Database::parts`], …) never change logical
 //!   database state and are safe to call from many threads at once —
 //!   page traffic goes through the interior-mutable, lock-striped
 //!   [`BufferPool`], which serializes frame access per shard.
@@ -40,7 +40,7 @@ use crate::schema::Schema;
 use crate::sql::lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 use crate::sql::{parse_statement, Statement};
 use crate::value::{Row, Value};
-use crate::wal::{PageDelta, Wal, DEFAULT_GROUP_COMMIT};
+use crate::wal::{PageDelta, Wal};
 use lockcheck::{rank, OrderedRwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -91,16 +91,6 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// No rows?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// First row, first column as i64 (convenience for `select count(*)`).
     pub fn scalar_i64(&self) -> Option<i64> {
         self.rows.first()?.first()?.as_i64()
@@ -201,22 +191,18 @@ impl Database {
     }
 
     /// Open (or create) a durable database at `path`, with its WAL at
-    /// `path + ".wal"`. An existing pair is **recovered**: the log's
-    /// valid prefix is replayed into the data file up to the last
-    /// commit (redo-on-open; a torn tail is truncated by checksum), the
-    /// catalog comes from that commit, and the log is rotated — the
-    /// fresh log is written beside the old one and atomically renamed
-    /// over it, so a crash mid-rotation still leaves one valid log.
+    /// `path + ".wal"` and `group_commit` commits per fsync (1 = every
+    /// commit is durable immediately). An existing pair is
+    /// **recovered**: the log's valid prefix is replayed into the data
+    /// file up to the last commit (redo-on-open; a torn tail is
+    /// truncated by checksum), the catalog comes from that commit, and
+    /// the log is rotated — the fresh log is written beside the old one
+    /// and atomically renamed over it, so a crash mid-rotation still
+    /// leaves one valid log.
     ///
     /// A data file with no WAL beside it is refused as corrupt rather
     /// than silently wiped or trusted: without a log there is no way to
     /// know what state the file is in (and no catalog to read it with).
-    pub fn open(path: &Path, frames: usize) -> DbResult<Database> {
-        Self::open_with(path, frames, DEFAULT_GROUP_COMMIT)
-    }
-
-    /// [`Database::open`] with an explicit group-commit quota
-    /// (commits per fsync; 1 = every commit is durable immediately).
     pub fn open_with(path: &Path, frames: usize, group_commit: usize) -> DbResult<Database> {
         let wal_path = wal_path_for(path);
         if path.exists() && !wal_path.exists() {
@@ -357,15 +343,6 @@ impl Database {
         Ok(follower)
     }
 
-    /// Assemble a database from recovered parts (file-tailing replicas).
-    pub(crate) fn from_recovered_parts(
-        disk: DiskManager,
-        frames: usize,
-        catalog: Catalog,
-    ) -> Database {
-        Self::from_parts(BufferPool::new(disk, frames, EvictionPolicy::Lru), catalog)
-    }
-
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> DbResult<ResultSet> {
         self.execute_with(sql, &[])
@@ -454,7 +431,7 @@ impl Database {
 
     fn plan_result(plan: &ExecPlan, rows: Vec<Row>) -> ResultSet {
         ResultSet {
-            columns: if plan.explain_only {
+            columns: if plan.explain.is_some() {
                 vec!["plan".to_owned()]
             } else {
                 plan.columns.clone()
@@ -504,11 +481,6 @@ impl Database {
         self.current_timestamp = secs;
     }
 
-    /// Session clock.
-    pub fn current_timestamp(&self) -> i64 {
-        self.current_timestamp
-    }
-
     /// External-sort memory budget (rows): proportional to the buffer
     /// pool, so that shrinking the pool also shrinks sort memory — the
     /// coupling the Figure 8(b) sweep depends on.
@@ -535,11 +507,6 @@ impl Database {
     /// Row count of a table.
     pub fn table_len(&self, name: &str) -> DbResult<u64> {
         Ok(self.catalog.table(self.catalog.table_id(name)?).heap.len())
-    }
-
-    /// Borrow the catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// Split borrows for direct-operator code paths (classifier/distiller

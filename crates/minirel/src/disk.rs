@@ -22,7 +22,6 @@ enum Backend {
     File {
         file: File,
         path: PathBuf,
-        delete_on_drop: bool,
         num_pages: u32,
     },
 }
@@ -66,59 +65,9 @@ impl DiskManager {
             backend: Backend::File {
                 file,
                 path: path.to_owned(),
-                delete_on_drop: false,
                 num_pages,
             },
         })
-    }
-
-    /// Pages live in the file at `path`, created fresh (any existing
-    /// content is truncated). The explicit "start over" constructor;
-    /// [`DiskManager::at_path`] reopens.
-    pub fn create_at_path(path: &Path) -> DbResult<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| DbError::io("create", path, e))?;
-        Ok(DiskManager {
-            backend: Backend::File {
-                file,
-                path: path.to_owned(),
-                delete_on_drop: false,
-                num_pages: 0,
-            },
-        })
-    }
-
-    /// Pages live in a unique temp file removed on drop.
-    pub fn temp() -> DbResult<Self> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "minirel-{}-{}-{n}.db",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        ));
-        let mut dm = Self::create_at_path(&path)?;
-        if let Backend::File { delete_on_drop, .. } = &mut dm.backend {
-            *delete_on_drop = true;
-        }
-        Ok(dm)
-    }
-
-    /// Path of the backing file, if file-backed.
-    pub fn path(&self) -> Option<&Path> {
-        match &self.backend {
-            Backend::Memory(_) => None,
-            Backend::File { path, .. } => Some(path),
-        }
     }
 
     /// Number of allocated pages.
@@ -236,19 +185,6 @@ impl DiskManager {
     }
 }
 
-impl Drop for DiskManager {
-    fn drop(&mut self) {
-        if let Backend::File {
-            path,
-            delete_on_drop: true,
-            ..
-        } = &self.backend
-        {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,14 +216,14 @@ mod tests {
 
     #[test]
     fn file_backend_and_cleanup() {
-        let dm = DiskManager::temp().unwrap();
-        let path = match &dm.backend {
-            Backend::File { path, .. } => path.clone(),
-            _ => unreachable!(),
-        };
-        exercise(dm);
-        // dm dropped by exercise()
-        assert!(!path.exists(), "temp file should be removed on drop");
+        let path = std::env::temp_dir().join(format!("minirel-file-{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        exercise(DiskManager::at_path(&path).unwrap());
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            2 * PAGE_SIZE as u64
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -318,11 +254,6 @@ mod tests {
             assert_eq!(buf[17], 0xA5);
             // And keep growing from where it left off.
             assert_eq!(dm.allocate().unwrap(), 2);
-        }
-        {
-            // create_at_path is the explicit wipe.
-            let dm = DiskManager::create_at_path(&path).unwrap();
-            assert_eq!(dm.num_pages(), 0);
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -114,16 +114,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Shorthand: column reference.
-    pub fn col(i: usize) -> Expr {
-        Expr::Col(i)
-    }
-
-    /// Shorthand: literal.
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Lit(v.into())
-    }
-
     /// Shorthand: binary op.
     pub fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
         Expr::Bin(op, Box::new(l), Box::new(r))
@@ -188,24 +178,6 @@ impl Expr {
             Expr::SubScalar(_) | Expr::InSub(..) | Expr::Now => Err(DbError::Eval(
                 "unspecialized plan expression evaluated directly".into(),
             )),
-        }
-    }
-
-    /// Rewrite column indexes through `map` (used when an operator reorders
-    /// or prunes its input columns).
-    pub fn remap(&self, map: &dyn Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Bin(op, l, r) => Expr::bin(*op, l.remap(map), r.remap(map)),
-            Expr::Un(op, e) => Expr::Un(*op, Box::new(e.remap(map))),
-            Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| a.remap(map)).collect()),
-            Expr::InList(e, list, n) => Expr::InList(Box::new(e.remap(map)), list.clone(), *n),
-            Expr::IsNull(e, n) => Expr::IsNull(Box::new(e.remap(map)), *n),
-            Expr::Param(i) => Expr::Param(*i),
-            Expr::SubScalar(i) => Expr::SubScalar(*i),
-            Expr::InSub(e, s, n) => Expr::InSub(Box::new(e.remap(map)), *s, *n),
-            Expr::Now => Expr::Now,
         }
     }
 }
@@ -344,6 +316,10 @@ fn eval_call(f: Func, args: &[Expr], row: &Row) -> DbResult<Value> {
 mod tests {
     use super::*;
 
+    fn lit(v: impl Into<Value>) -> Expr {
+        Expr::Lit(v.into())
+    }
+
     fn row() -> Row {
         vec![
             Value::Int(10),
@@ -356,47 +332,47 @@ mod tests {
     #[test]
     fn arithmetic_and_types() {
         let r = row();
-        let e = Expr::bin(BinOp::Add, Expr::col(0), Expr::lit(5i64));
+        let e = Expr::bin(BinOp::Add, Expr::Col(0), lit(5i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Int(15));
-        let e = Expr::bin(BinOp::Mul, Expr::col(1), Expr::lit(4i64));
+        let e = Expr::bin(BinOp::Mul, Expr::Col(1), lit(4i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Float(2.0));
         // Integer division truncates.
-        let e = Expr::bin(BinOp::Div, Expr::lit(7i64), Expr::lit(2i64));
+        let e = Expr::bin(BinOp::Div, lit(7i64), lit(2i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Int(3));
-        let e = Expr::bin(BinOp::Div, Expr::lit(7.0), Expr::lit(2i64));
+        let e = Expr::bin(BinOp::Div, lit(7.0), lit(2i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Float(3.5));
         // String concat via +.
-        let e = Expr::bin(BinOp::Add, Expr::col(2), Expr::lit("s"));
+        let e = Expr::bin(BinOp::Add, Expr::Col(2), lit("s"));
         assert_eq!(e.eval(&r).unwrap(), Value::Str("bikes".into()));
     }
 
     #[test]
     fn division_by_zero_errors() {
-        let e = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::lit(0i64));
+        let e = Expr::bin(BinOp::Div, lit(1i64), lit(0i64));
         assert!(e.eval(&row()).is_err());
     }
 
     #[test]
     fn comparisons_and_null_semantics() {
         let r = row();
-        let e = Expr::bin(BinOp::Gt, Expr::col(0), Expr::lit(9i64));
+        let e = Expr::bin(BinOp::Gt, Expr::Col(0), lit(9i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
         // NULL comparisons are false.
-        let e = Expr::bin(BinOp::Eq, Expr::col(3), Expr::lit(0i64));
+        let e = Expr::bin(BinOp::Eq, Expr::Col(3), lit(0i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Int(0));
         // NULL arithmetic propagates.
-        let e = Expr::bin(BinOp::Add, Expr::col(3), Expr::lit(1i64));
+        let e = Expr::bin(BinOp::Add, Expr::Col(3), lit(1i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Null);
         // Mixed int/float compare.
-        let e = Expr::bin(BinOp::Lt, Expr::col(1), Expr::lit(1i64));
+        let e = Expr::bin(BinOp::Lt, Expr::Col(1), lit(1i64));
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
     }
 
     #[test]
     fn logic_ops() {
         let r = row();
-        let t = Expr::lit(1i64);
-        let f = Expr::lit(0i64);
+        let t = lit(1i64);
+        let f = lit(0i64);
         assert_eq!(
             Expr::bin(BinOp::And, t.clone(), f.clone())
                 .eval(&r)
@@ -412,7 +388,7 @@ mod tests {
             Value::Int(1)
         );
         assert_eq!(
-            Expr::Un(UnOp::Neg, Box::new(Expr::col(1)))
+            Expr::Un(UnOp::Neg, Box::new(Expr::Col(1)))
                 .eval(&r)
                 .unwrap(),
             Value::Float(-0.5)
@@ -422,13 +398,13 @@ mod tests {
     #[test]
     fn functions() {
         let r = row();
-        let e = Expr::Call(Func::Exp, vec![Expr::lit(0.0)]);
+        let e = Expr::Call(Func::Exp, vec![lit(0.0)]);
         assert_eq!(e.eval(&r).unwrap(), Value::Float(1.0));
-        let e = Expr::Call(Func::Coalesce, vec![Expr::col(3), Expr::lit(9i64)]);
+        let e = Expr::Call(Func::Coalesce, vec![Expr::Col(3), lit(9i64)]);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(9));
-        let e = Expr::Call(Func::Minute, vec![Expr::lit(125i64)]);
+        let e = Expr::Call(Func::Minute, vec![lit(125i64)]);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(2));
-        let e = Expr::Call(Func::Ln, vec![Expr::lit(-1.0)]);
+        let e = Expr::Call(Func::Ln, vec![lit(-1.0)]);
         assert!(e.eval(&r).is_err());
         assert_eq!(Func::parse("COALESCE"), Some(Func::Coalesce));
         assert_eq!(Func::parse("nope"), None);
@@ -438,29 +414,22 @@ mod tests {
     fn in_list_and_is_null() {
         let r = row();
         let e = Expr::InList(
-            Box::new(Expr::col(0)),
+            Box::new(Expr::Col(0)),
             vec![Value::Int(9), Value::Int(10)],
             false,
         );
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
-        let e = Expr::InList(Box::new(Expr::col(0)), vec![Value::Int(9)], true);
+        let e = Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(9)], true);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1)); // NOT IN
-        let e = Expr::IsNull(Box::new(Expr::col(3)), false);
+        let e = Expr::IsNull(Box::new(Expr::Col(3)), false);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
-        let e = Expr::IsNull(Box::new(Expr::col(0)), true);
+        let e = Expr::IsNull(Box::new(Expr::Col(0)), true);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
-    }
-
-    #[test]
-    fn remap_rewrites_columns() {
-        let e = Expr::bin(BinOp::Add, Expr::col(0), Expr::col(2));
-        let m = e.remap(&|i| i + 10);
-        assert_eq!(m, Expr::bin(BinOp::Add, Expr::col(10), Expr::col(12)));
     }
 
     #[test]
     fn out_of_bounds_column() {
-        let e = Expr::col(9);
+        let e = Expr::Col(9);
         assert!(e.eval(&row()).is_err());
     }
 }

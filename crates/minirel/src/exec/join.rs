@@ -260,7 +260,7 @@ mod tests {
         let l = vec![vec![Value::Int(1)], vec![Value::Int(5)]];
         let r = vec![vec![Value::Int(3)], vec![Value::Int(4)]];
         // join on l.c0 < r.c0 (concatenated row: col0 = left, col1 = right)
-        let pred = Expr::bin(BinOp::Lt, Expr::col(0), Expr::col(1));
+        let pred = Expr::bin(BinOp::Lt, Expr::Col(0), Expr::Col(1));
         let out = nested_loop_join(&l, &r, &pred, false).unwrap();
         assert_eq!(out.len(), 2); // (1,3), (1,4)
         let outer = nested_loop_join(&l, &r, &pred, true).unwrap();

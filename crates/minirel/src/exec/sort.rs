@@ -35,14 +35,6 @@ impl SortKey {
             desc: false,
         }
     }
-
-    /// Descending key on column `i`.
-    pub fn desc(i: usize) -> SortKey {
-        SortKey {
-            expr: Expr::Col(i),
-            desc: true,
-        }
-    }
 }
 
 /// Compute the memcomparable sort key of `row`.
@@ -181,6 +173,13 @@ mod tests {
         BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru)
     }
 
+    fn desc(i: usize) -> SortKey {
+        SortKey {
+            expr: Expr::Col(i),
+            desc: true,
+        }
+    }
+
     fn rows_of(vals: &[(i64, f64)]) -> Vec<Row> {
         vals.iter()
             .map(|&(a, b)| vec![Value::Int(a), Value::Float(b)])
@@ -190,7 +189,7 @@ mod tests {
     #[test]
     fn in_memory_sort_asc_desc() {
         let rows = rows_of(&[(3, 0.1), (1, 0.9), (2, 0.5), (1, 0.2)]);
-        let sorted = sort_rows(rows.clone(), &[SortKey::asc(0), SortKey::desc(1)]).unwrap();
+        let sorted = sort_rows(rows.clone(), &[SortKey::asc(0), desc(1)]).unwrap();
         let got: Vec<(i64, f64)> = sorted
             .iter()
             .map(|r| (r[0].as_i64().unwrap(), r[1].as_f64().unwrap()))
@@ -204,7 +203,7 @@ mod tests {
         let rows = rows_of(&[(5, 0.0), (2, 0.0), (8, 0.0)]);
         // Sort by -col0 via expression == descending col0.
         let key = SortKey {
-            expr: Expr::bin(BinOp::Sub, Expr::lit(0i64), Expr::col(0)),
+            expr: Expr::bin(BinOp::Sub, Expr::Lit(Value::Int(0)), Expr::Col(0)),
             desc: false,
         };
         let sorted = sort_rows(rows, &[key]).unwrap();
@@ -235,7 +234,7 @@ mod tests {
         let rows: Vec<Row> = (0..500)
             .map(|i| vec![Value::Str(format!("url-{:04}", (i * 37) % 500))])
             .collect();
-        let keys = [SortKey::desc(0)];
+        let keys = [desc(0)];
         let got = external_sort(&bp, rows, &keys, 50).unwrap();
         for w in got.windows(2) {
             assert!(w[0][0] >= w[1][0]);

@@ -24,7 +24,7 @@
 //!   free from DB2, reproduced so a days-long crawl survives a crash and
 //!   monitors can read a follower instead of the authoritative store.
 //!
-//! Durability is opt-in per database ([`Database::open`] /
+//! Durability is opt-in per database ([`Database::open_with`] /
 //! [`Database::in_memory_durable`]); the plain in-memory constructors
 //! stay crash-simple for the access-path experiments. All page traffic
 //! flows through the buffer pool so that physical-read counters are

@@ -93,12 +93,6 @@ impl<'a> SlottedMut<'a> {
         SlottedRef(self.0)
     }
 
-    /// Can a record of `len` bytes be inserted?
-    pub fn fits(&self, len: usize) -> bool {
-        // Worst case needs a fresh slot entry plus the record body.
-        self.as_ref().free_space() >= len + SLOT
-    }
-
     /// Insert a record; returns its slot. Fails when the page is full.
     pub fn insert(&mut self, rec: &[u8]) -> DbResult<u16> {
         if rec.len() + HEADER + SLOT > PAGE_SIZE {
@@ -201,11 +195,7 @@ mod tests {
         let mut buf = fresh();
         let rec = [7u8; 100];
         let mut inserted = 0;
-        loop {
-            if !SlottedMut(&mut buf).fits(rec.len()) {
-                break;
-            }
-            SlottedMut(&mut buf).insert(&rec).unwrap();
+        while SlottedMut(&mut buf).insert(&rec).is_ok() {
             inserted += 1;
         }
         // 4096 / (100 + 4 slot) ≈ 39

@@ -8,7 +8,7 @@
 //! (schemas, heap page lists, B+tree roots — metadata that is otherwise
 //! in-memory only). Recovery ([`replay_into`]) is two passes of the one
 //! borrowing log reader ([`crate::wal::records`]) over the bytes
-//! `Database::open` read: find where the last Commit ends in the valid,
+//! `Database::open_with` read: find where the last Commit ends in the valid,
 //! checksummed prefix, then fold the page records before that point by
 //! page — its last image and the deltas after it, still borrowed from
 //! the log bytes, no record is ever copied — build each page once, write
@@ -24,45 +24,33 @@
 //! # Replication
 //!
 //! A [`Replica`] is a read-only follower `Database` fed from the
-//! leader's WAL. There is one follower: a thread that appends newly
-//! shipped log bytes to a buffer and *feeds* the buffer to the same
-//! reader recovery uses. The page records of the group being read stay
-//! borrowed from the buffer; at each commit record the group — an image
-//! replaces the follower's page, a delta patches it, in log order — and
-//! the commit's catalog are installed under one hold of the follower's
-//! write lock, so readers always see a consistent commit boundary.
-//! Whatever follows the last commit fed (images whose commit has not
-//! arrived, half a record) stays buffered for the next round. The two
-//! kinds of replica differ only in where bytes come from:
-//!
-//! * [`Replica::spawn`] (in-process): base snapshot of the leader's
-//!   committed pages + catalog, then an `mpsc` subscription to the
-//!   chunks the leader publishes at each commit.
-//! * [`Replica::tail_file`] (cross-process): replays a consistent copy
-//!   of the leader's data + WAL files, then every poll seeks to its
-//!   offset in the WAL file and reads only what the file has grown by.
-//!   Valid for the duration of one leader run (a leader restart rotates
-//!   the log and the tailer reports an error).
+//! leader's WAL. [`Replica::spawn`] snapshots the leader's committed
+//! pages + catalog, then a thread appends the chunks the leader
+//! publishes at each commit to a buffer and *feeds* the buffer to the
+//! same reader recovery uses. The page records of the group being read
+//! stay borrowed from the buffer; at each commit record the group — an
+//! image replaces the follower's page, a delta patches it, in log order
+//! — and the commit's catalog are installed under one hold of the
+//! follower's write lock, so readers always see a consistent commit
+//! boundary. Whatever follows the last commit fed (images whose commit
+//! has not arrived, half a record) stays buffered for the next round.
 //!
 //! **Staleness contract**: a replica lags the leader by at most the
-//! in-flight commit chunk (channel mode) or one poll interval (file
-//! mode); [`Replica::applied_lsn`] / [`Replica::wait_for_lsn`] let
-//! callers line a read up with a known commit.
+//! in-flight commit chunk; [`Replica::applied_lsn`] /
+//! [`Replica::wait_for_lsn`] let callers line a read up with a known
+//! commit.
 
 use crate::btree::BTree;
 use crate::catalog::{Catalog, IndexInfo, TableInfo};
-use crate::db::{wal_path_for, Database, ResultSet};
+use crate::db::{Database, ResultSet};
 use crate::disk::DiskManager;
 use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::wal::{self, PageDelta, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE};
+use crate::wal::{self, PageDelta, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE};
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -113,8 +101,9 @@ impl<'a> Reader<'a> {
     fn str(&mut self) -> DbResult<String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DbError::Corrupt("catalog image holds non-utf8 name".into()))
+        let name = std::str::from_utf8(bytes)
+            .map_err(|_| DbError::Corrupt("catalog image holds non-utf8 name".into()))?;
+        Ok(name.to_owned())
     }
 }
 
@@ -243,9 +232,6 @@ pub struct Recovered {
     pub last_lsn: u64,
     /// Data-file page count at that commit.
     pub num_pages: u32,
-    /// Byte offset just past that commit's record (a file tailer
-    /// resumes reading here).
-    pub applied_end: u64,
 }
 
 fn parse_page_image(payload: &[u8]) -> DbResult<(PageId, &[u8; PAGE_SIZE])> {
@@ -341,13 +327,7 @@ pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<
         catalog,
         last_lsn: last_commit.lsn,
         num_pages,
-        applied_end: applied_end as u64,
     }))
-}
-
-fn count_checkpoints(wal_bytes: &[u8]) -> usize {
-    let markers = wal::records(wal_bytes).filter(|r| r.kind == KIND_CHECKPOINT);
-    markers.count()
 }
 
 // ---------------------------------------------------------------------------
@@ -426,18 +406,26 @@ impl ReplicaShared {
 }
 
 impl Replica {
-    /// The one follower: a thread that calls `pull` to append newly
-    /// shipped log bytes to its buffer (`Ok(false)`: the stream is over)
-    /// and [`ReplicaShared::feed`]s the buffer, keeping what no commit
-    /// covers yet for the next round.
-    fn follow(
-        name: &str,
-        follower: Database,
-        base_lsn: u64,
-        mut pull: impl FnMut(&mut Vec<u8>) -> Result<bool, String> + Send + 'static,
-    ) -> Replica {
+    /// In-process replica of `leader`: commit, snapshot the committed
+    /// pages + catalog, then follow the WAL broadcast on a thread that
+    /// appends each shipped chunk to its buffer and feeds the buffer to
+    /// the log reader, keeping what no commit covers yet for the next
+    /// round. Requires the leader to be durable
+    /// ([`Database::open_with`] / [`Database::in_memory_durable`]).
+    ///
+    /// Taking `&mut Database` is what makes the snapshot/subscribe pair
+    /// race-free: no other writer can slip a commit between them.
+    pub fn spawn(leader: &mut Database) -> DbResult<Replica> {
+        let wal = leader.wal().ok_or_else(|| {
+            DbError::ReadOnly(
+                "replica requires a WAL-backed leader (Database::open_with or in_memory_durable)"
+                    .into(),
+            )
+        })?;
+        let base_lsn = leader.commit()?;
+        let rx = wal.subscribe();
         let shared = Arc::new(ReplicaShared {
-            db: OrderedRwLock::new(rank::REPLICA_DB, follower),
+            db: OrderedRwLock::new(rank::REPLICA_DB, leader.clone_committed_state()?),
             applied_lsn: AtomicU64::new(base_lsn),
             stop: AtomicBool::new(false),
             error: OrderedMutex::new(rank::REPLICA_ERR, None),
@@ -446,124 +434,34 @@ impl Replica {
         let body = move || {
             let mut buf = Vec::new();
             while !thread_shared.stop.load(Ordering::Relaxed) {
-                let round = pull(&mut buf).and_then(|more| {
-                    let used = thread_shared.feed(&buf).map_err(|e| e.to_string())?;
-                    buf.drain(..used);
-                    Ok(more)
-                });
-                match round {
-                    Ok(true) => {}
-                    Ok(false) => return,
+                match rx.recv_timeout(Duration::from_millis(25)) {
+                    Ok(chunk) => buf.extend_from_slice(&chunk),
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                }
+                match thread_shared.feed(&buf) {
+                    Ok(used) => {
+                        buf.drain(..used);
+                    }
                     Err(e) => {
-                        *thread_shared.error.lock() = Some(e);
+                        *thread_shared.error.lock() = Some(e.to_string());
                         return;
                     }
                 }
             }
         };
-        let handle = std::thread::Builder::new().name(name.into()).spawn(body);
-        Replica {
+        let handle = std::thread::Builder::new()
+            .name("minirel-replica".into())
+            .spawn(body);
+        Ok(Replica {
             shared,
             handle: Some(handle.expect("spawn replica thread")),
-        }
-    }
-
-    /// In-process replica of `leader`: commit, snapshot the committed
-    /// pages + catalog, then follow the WAL broadcast. Requires the
-    /// leader to be durable ([`Database::open`] /
-    /// [`Database::in_memory_durable`]).
-    ///
-    /// Taking `&mut Database` is what makes the snapshot/subscribe pair
-    /// race-free: no other writer can slip a commit between them.
-    pub fn spawn(leader: &mut Database) -> DbResult<Replica> {
-        let wal = leader.wal().ok_or_else(|| {
-            DbError::ReadOnly(
-                "replica requires a WAL-backed leader (Database::open or in_memory_durable)".into(),
-            )
-        })?;
-        let base_lsn = leader.commit()?;
-        let rx = wal.subscribe();
-        let follower = leader.clone_committed_state()?;
-        let pull = move |buf: &mut Vec<u8>| match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(chunk) => {
-                buf.extend_from_slice(&chunk);
-                Ok(true)
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(true),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(false),
-        };
-        Ok(Self::follow("minirel-replica", follower, base_lsn, pull))
-    }
-
-    /// A consistent copy of the leader's files: the data file as an
-    /// in-memory disk, and the log as it stood when the copy was taken.
-    /// Retries while a leader checkpoint is concurrently rewriting the
-    /// data file (detected by the log's checkpoint-marker count moving).
-    fn copy_files(data_path: &Path, wal_path: &Path) -> DbResult<(DiskManager, Vec<u8>)> {
-        let read = |path: &Path| std::fs::read(path).map_err(|e| DbError::io("read", path, e));
-        loop {
-            let wal_before = read(wal_path)?;
-            let data = read(data_path)?;
-            let wal_after = read(wal_path)?;
-            if count_checkpoints(&wal_before) != count_checkpoints(&wal_after) {
-                // A checkpoint rewrote the data file while we copied it;
-                // the copy may hold torn pages. Try again.
-                continue;
-            }
-            let mut disk = DiskManager::in_memory();
-            for chunk in data.chunks_exact(PAGE_SIZE) {
-                let pid = disk.allocate()?;
-                disk.write(pid, chunk.try_into().expect("exact chunk"))?;
-            }
-            return Ok((disk, wal_after));
-        }
-    }
-
-    /// Cross-process replica: replay the leader's on-disk `data` + WAL
-    /// files into an in-memory follower, then every `poll` read what the
-    /// WAL file has grown by since the last read — the suffix past the
-    /// tailer's offset, never the whole log again.
-    pub fn tail_file(data_path: &Path, frames: usize, poll: Duration) -> DbResult<Replica> {
-        let wal_path = wal_path_for(data_path);
-        let (mut disk, wal_bytes) = Self::copy_files(data_path, &wal_path)?;
-        let (catalog, base_lsn, mut offset) = match replay_into(&mut disk, &wal_bytes)? {
-            Some(r) => (r.catalog, r.last_lsn, r.applied_end),
-            None => (Catalog::new(), 0, 0),
-        };
-        drop(wal_bytes);
-        let follower = Database::from_recovered_parts(disk, frames, catalog);
-        let pull = move |buf: &mut Vec<u8>| {
-            std::thread::sleep(poll);
-            let io = |e| format!("tail read {}: {e}", wal_path.display());
-            // Reopened by path each poll: a leader restart renames a
-            // fresh, shorter log over this one.
-            let mut file = File::open(&wal_path).map_err(io)?;
-            if file.metadata().map_err(io)?.len() < offset {
-                return Err("wal rotated under the tailing replica".into());
-            }
-            file.seek(SeekFrom::Start(offset)).map_err(io)?;
-            offset += file.read_to_end(buf).map_err(io)? as u64;
-            Ok(true)
-        };
-        Ok(Self::follow(
-            "minirel-replica-tail",
-            follower,
-            base_lsn,
-            pull,
-        ))
+        })
     }
 
     /// Run a SELECT on the replica (read lock; never touches the leader).
     pub fn query(&self, sql: &str) -> DbResult<ResultSet> {
         self.shared.db.read().query(sql)
-    }
-
-    /// [`Replica::query`] with positional `?` parameter bindings. The
-    /// plan cache lives in the follower database, so repeated monitor
-    /// queries re-plan only after a catalog-changing commit is applied
-    /// (which swaps the catalog and invalidates cached plans).
-    pub fn query_with(&self, sql: &str, params: &[crate::value::Value]) -> DbResult<ResultSet> {
-        self.shared.db.read().query_with(sql, params)
     }
 
     /// Run `f` over the follower database under the read lock.
@@ -593,31 +491,14 @@ impl Replica {
     pub fn error(&self) -> Option<String> {
         self.shared.error.lock().clone()
     }
-
-    /// Stop the apply thread and return the follower database (its state
-    /// as of the last applied commit).
-    pub fn stop(mut self) -> Database {
-        self.shutdown();
-        // Drop runs after, but handle is already None and the shared Arc
-        // is still alive here; unwrap the database out of the lock.
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        let shared = Arc::try_unwrap(shared).ok();
-        let shared = shared.expect("the apply thread is joined and the Arc is never handed out");
-        shared.db.into_inner()
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for Replica {
     fn drop(&mut self) {
-        self.shutdown();
+        self.shared.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -639,10 +520,10 @@ mod tests {
     #[test]
     fn catalog_image_roundtrip() {
         let db = sample_db();
-        let img = encode_catalog(db.catalog());
-        let cat = decode_catalog(&img).unwrap();
-        assert_eq!(cat.table_names(), db.catalog().table_names());
+        let (_, catalog) = db.parts();
+        let cat = decode_catalog(&encode_catalog(catalog)).unwrap();
         let tid = cat.table_id("crawl").unwrap();
+        assert_eq!(tid, catalog.table_id("crawl").unwrap());
         let t = cat.table(tid);
         assert_eq!(t.schema.columns.len(), 3);
         assert_eq!(t.heap.len(), 2);
@@ -650,7 +531,7 @@ mod tests {
         assert_eq!(t.indexes[0].name, "crawl_oid");
         assert_eq!(
             t.indexes[0].btree.root(),
-            db.catalog().table(tid).indexes[0].btree.root()
+            catalog.table(tid).indexes[0].btree.root()
         );
     }
 
@@ -661,7 +542,7 @@ mod tests {
         db.execute("create table b (y int)").unwrap();
         let b_id = db.table_id("b").unwrap();
         db.execute("drop table a").unwrap();
-        let cat = decode_catalog(&encode_catalog(db.catalog())).unwrap();
+        let cat = decode_catalog(&encode_catalog(db.parts().1)).unwrap();
         assert_eq!(cat.table_id("b").unwrap(), b_id, "TableIds must be stable");
         assert!(cat.table_id("a").is_err());
     }
@@ -669,7 +550,7 @@ mod tests {
     #[test]
     fn catalog_image_truncation_is_corrupt() {
         let db = sample_db();
-        let img = encode_catalog(db.catalog());
+        let img = encode_catalog(db.parts().1);
         for cut in 1..img.len() {
             match decode_catalog(&img[..cut]) {
                 Err(DbError::Corrupt(_)) => {}
@@ -709,18 +590,5 @@ mod tests {
         assert!(replica.wait_for_lsn(lsn, Duration::from_secs(5)));
         let rs = replica.query("select oid from hubs").unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(7));
-    }
-
-    #[test]
-    fn replica_stop_returns_follower() {
-        let mut leader = Database::in_memory_durable(64, 1);
-        leader.execute("create table t (a int)").unwrap();
-        leader.execute("insert into t values (5)").unwrap();
-        let replica = Replica::spawn(&mut leader).unwrap();
-        let db = replica.stop();
-        assert_eq!(
-            db.query("select a from t").unwrap().rows[0][0],
-            Value::Int(5)
-        );
     }
 }

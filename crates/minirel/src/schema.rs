@@ -122,13 +122,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Concatenate two schemas (join output shape).
-    pub fn join(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        Schema { columns }
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +165,5 @@ mod tests {
         assert_eq!(ColumnType::parse("double"), Some(ColumnType::Float));
         assert_eq!(ColumnType::parse("varchar"), Some(ColumnType::Str));
         assert_eq!(ColumnType::parse("blob"), None);
-    }
-
-    #[test]
-    fn join_concatenates() {
-        let j = crawl_schema().join(&Schema::new([("score", ColumnType::Float)]));
-        assert_eq!(j.arity(), 4);
-        assert_eq!(j.index_of("score"), Some(3));
     }
 }

@@ -59,10 +59,10 @@ pub struct ExecPlan {
     pub root: PhysSelect,
     /// Output column names.
     pub columns: Vec<String>,
-    /// Rendered EXPLAIN text (logical + physical sections).
-    pub explain: Vec<String>,
-    /// `EXPLAIN <select>`: executing returns the plan text, not the rows.
-    pub explain_only: bool,
+    /// `EXPLAIN <select>`: the rendered plan (logical + physical
+    /// sections), which executing returns instead of the rows. Rendered
+    /// for that statement only.
+    pub explain: Option<Vec<String>>,
     /// DML: what [`execute_write`] does with the rows `root` produces.
     pub write: Option<Write>,
 }
@@ -248,18 +248,20 @@ pub enum Phys {
 pub fn prepare_plan(catalog: &Catalog, stmt: &Statement) -> DbResult<ExecPlan> {
     let (plan, write, num_slots, param_count) = plan_statement(catalog, stmt)?;
     let columns = plan.out_cols.iter().map(|c| c.name.clone()).collect();
-    let mut explain = vec!["== logical ==".to_owned()];
-    render_sel_logical(&plan, 0, &mut explain);
     let root = lower_select(catalog, &plan)?;
-    explain.push("== physical ==".to_owned());
-    render_sel_phys(&root, 0, &mut explain);
+    let explain = matches!(stmt, Statement::Explain(_)).then(|| {
+        let mut text = vec!["== logical ==".to_owned()];
+        render_sel_logical(&plan, 0, &mut text);
+        text.push("== physical ==".to_owned());
+        render_sel_phys(&root, 0, &mut text);
+        text
+    });
     Ok(ExecPlan {
         param_count,
         num_slots,
         root,
         columns,
         explain,
-        explain_only: matches!(stmt, Statement::Explain(_)),
         write,
     })
 }
@@ -682,12 +684,8 @@ pub fn execute_plan(
             params.len()
         )));
     }
-    if plan.explain_only {
-        return Ok(plan
-            .explain
-            .iter()
-            .map(|l| vec![Value::Str(l.clone())])
-            .collect());
+    if let Some(text) = &plan.explain {
+        return Ok(text.iter().map(|l| vec![Value::Str(l.clone())]).collect());
     }
     let mut env = Env {
         pool,

@@ -14,8 +14,8 @@
 //!
 //! The original bind-and-evaluate interpreter survives only under
 //! `crates/minirel/tests/support/` as the oracle the planner-equivalence
-//! suite compares against; `tests/one_sql_engine.rs` keeps it (and a
-//! second AST → `Expr` binder) out of `src/`.
+//! suite compares against; the workspace's `tests/guardrails.rs` keeps
+//! it (and a second AST → `Expr` binder) out of `src/`.
 
 pub mod ast;
 pub mod bind;
@@ -27,4 +27,4 @@ pub mod plan;
 pub use ast::{AstExpr, InsertSource, SelectStmt, Statement};
 pub use bind::BoundCol;
 pub use lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
-pub use parser::{parse_script, parse_statement};
+pub use parser::parse_statement;

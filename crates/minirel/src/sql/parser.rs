@@ -29,22 +29,6 @@ pub fn parse_statement(sql: &str) -> DbResult<Statement> {
     Ok(stmt)
 }
 
-/// Parse a `;`-separated script into statements.
-pub fn parse_script(sql: &str) -> DbResult<Vec<Statement>> {
-    let toks = tokenize(sql)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        params: 0,
-    };
-    let mut out = Vec::new();
-    while p.pos < p.toks.len() {
-        out.push(p.statement()?);
-        p.eat_semi();
-    }
-    Ok(out)
-}
-
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
@@ -768,19 +752,18 @@ mod tests {
 
     #[test]
     fn figure4_distiller_parses() {
-        let stmts = parse_script(
-            "delete from hubs;
-             insert into hubs(oid, score)
+        let stmts = [
+            "delete from hubs",
+            "insert into hubs(oid, score)
                (select oid_src, sum(score * wgt_rev)
                 from auth, link
                 where sid_src <> sid_dst
                   and oid = oid_dst
-                group by oid_src);
-             update hubs set (score) = score /
-               (select sum(score) from hubs)",
-        )
-        .unwrap();
-        assert_eq!(stmts.len(), 3);
+                group by oid_src)",
+            "update hubs set (score) = score /
+               (select sum(score) from hubs);",
+        ]
+        .map(|sql| parse_statement(sql).unwrap());
         assert!(matches!(stmts[0], Statement::Delete { .. }));
         match &stmts[1] {
             Statement::Insert {

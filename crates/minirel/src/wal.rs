@@ -84,10 +84,9 @@
 //! buffer as [`RecordRef`]s *borrowed* from it — every header, length,
 //! kind and checksum verified, nothing copied — and stops at the first
 //! truncated or corrupt record ([`Records::valid_len`] says where).
-//! Recovery, checkpoint-marker counting and both kinds of replica
-//! ([`crate::recovery`]) consume exactly this. [`Record`],
-//! [`encode_record`], [`decode_record`] and [`scan_records`] are owned
-//! conveniences for the format tests, built on the same codec.
+//! Recovery and the replica ([`crate::recovery`]) consume exactly this.
+//! [`encode_record`] is the owned encoder the format tests forge logs
+//! with, built on the same codec.
 //!
 //! ## Group commit
 //!
@@ -164,18 +163,6 @@ const STAGE_FLUSH_BYTES: usize = 1 << 20;
 // Ranges are `u16` offsets and lengths over whole words.
 const _: () = assert!(PAGE_SIZE.is_multiple_of(8) && PAGE_SIZE <= u16::MAX as usize);
 
-/// One decoded WAL record, owning its payload (the convenience the
-/// format tests use; every consumer in the crate reads [`RecordRef`]s).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Log sequence number (monotonic across the log).
-    pub lsn: u64,
-    /// One of the `KIND_*` constants.
-    pub kind: u8,
-    /// Kind-specific payload.
-    pub payload: Vec<u8>,
-}
-
 /// One WAL record borrowed from the log bytes it was read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordRef<'a> {
@@ -185,16 +172,6 @@ pub struct RecordRef<'a> {
     pub kind: u8,
     /// Kind-specific payload.
     pub payload: &'a [u8],
-}
-
-impl RecordRef<'_> {
-    fn to_record(self) -> Record {
-        Record {
-            lsn: self.lsn,
-            kind: self.kind,
-            payload: self.payload.to_vec(),
-        }
-    }
 }
 
 /// Word-folding checksum over the given byte slices (treated as one
@@ -287,11 +264,6 @@ fn decode_ref(buf: &[u8]) -> DbResult<Option<RecordRef<'_>>> {
     Ok(Some(RecordRef { lsn, kind, payload }))
 }
 
-/// [`decode_ref`] into an owned [`Record`] plus the bytes it occupied.
-pub fn decode_record(buf: &[u8]) -> DbResult<Option<(Record, usize)>> {
-    Ok(decode_ref(buf)?.map(|r| (r.to_record(), RECORD_HEADER + r.payload.len())))
-}
-
 /// The one log reader: the records of `buf`'s valid prefix, borrowed.
 /// Iteration ends at the first truncated or corrupt region;
 /// [`Records::valid_len`] is then the byte length of the valid prefix —
@@ -322,13 +294,6 @@ impl<'a> Iterator for Records<'a> {
         self.off += RECORD_HEADER + rec.payload.len();
         Some(rec)
     }
-}
-
-/// [`records`] collected into owned [`Record`]s, with the valid length.
-pub fn scan_records(buf: &[u8]) -> (Vec<Record>, usize) {
-    let mut reader = records(buf);
-    let out = reader.by_ref().map(RecordRef::to_record).collect();
-    (out, reader.valid_len())
 }
 
 /// The byte ranges where `data` differs from `base`, as ascending
@@ -556,8 +521,6 @@ struct WalInner {
     next_lsn: u64,
     /// LSN of the last Commit record (0 = none yet).
     last_commit_lsn: u64,
-    /// LSN of the last *synced* Commit record.
-    durable_commit_lsn: u64,
     /// Logical length of the log at the last sync.
     synced_end: u64,
     /// pid → where the log holds the page's newest bytes.
@@ -642,7 +605,6 @@ impl WalInner {
         self.store.sync()?;
         self.stats.syncs += 1;
         self.synced_end = self.store.end();
-        self.durable_commit_lsn = self.last_commit_lsn;
         self.commits_since_sync = 0;
         Ok(())
     }
@@ -663,7 +625,6 @@ impl Wal {
                     store,
                     next_lsn,
                     last_commit_lsn: 0,
-                    durable_commit_lsn: 0,
                     synced_end: 0,
                     page_index: HashMap::new(),
                     commits_since_sync: 0,
@@ -876,11 +837,6 @@ impl Wal {
         self.inner.lock().last_commit_lsn
     }
 
-    /// LSN of the last commit covered by an fsync.
-    pub fn durable_commit_lsn(&self) -> u64 {
-        self.inner.lock().durable_commit_lsn
-    }
-
     /// Logical length of the log in bytes (staged records included).
     pub fn len_bytes(&self) -> u64 {
         self.inner.lock().end()
@@ -900,8 +856,8 @@ mod tests {
     fn record_roundtrip() {
         let payload = b"frontier page bytes".to_vec();
         let bytes = encode_record(42, KIND_PAGE_IMAGE, &payload);
-        let (rec, used) = decode_record(&bytes).unwrap().unwrap();
-        assert_eq!(used, bytes.len());
+        let rec = decode_ref(&bytes).unwrap().unwrap();
+        assert_eq!(RECORD_HEADER + rec.payload.len(), bytes.len());
         assert_eq!(rec.lsn, 42);
         assert_eq!(rec.kind, KIND_PAGE_IMAGE);
         assert_eq!(rec.payload, payload);
@@ -911,7 +867,7 @@ mod tests {
     fn truncated_tail_is_clean_none() {
         let bytes = encode_record(1, KIND_COMMIT, b"catalog");
         for cut in 0..bytes.len() {
-            let r = decode_record(&bytes[..cut]).unwrap();
+            let r = decode_ref(&bytes[..cut]).unwrap();
             assert!(r.is_none(), "cut at {cut} must read as truncation");
         }
     }
@@ -922,7 +878,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xFF;
-            match decode_record(&b) {
+            match decode_ref(&b) {
                 Err(DbError::Corrupt(_)) => {}
                 Ok(None) => {} // a flipped length byte can present as truncation
                 other => panic!("flip at {i}: expected corruption, got {other:?}"),
@@ -936,9 +892,9 @@ mod tests {
         log.extend_from_slice(&encode_record(2, KIND_COMMIT, b"b"));
         let good_len = log.len();
         log.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF]);
-        let (recs, valid) = scan_records(&log);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(valid, good_len);
+        let mut reader = records(&log);
+        assert_eq!(reader.by_ref().count(), 2);
+        assert_eq!(reader.valid_len(), good_len);
     }
 
     #[test]
@@ -1071,10 +1027,10 @@ mod tests {
     fn group_commit_counts_syncs() {
         let wal = Wal::in_memory(3);
         assert_eq!(wal.commit(b"", 0).unwrap(), 1);
-        assert_eq!(wal.durable_commit_lsn(), 0, "not yet at the group quota");
+        assert_eq!(wal.stats().syncs, 0, "not yet at the group quota");
         wal.commit(b"", 0).unwrap();
         wal.commit(b"", 0).unwrap();
-        assert_eq!(wal.durable_commit_lsn(), 3, "third commit syncs the group");
+        assert_eq!(wal.stats().syncs, 1, "third commit syncs the group");
     }
 
     #[test]
@@ -1086,10 +1042,8 @@ mod tests {
         wal.log_page(5, &page, None).unwrap();
         wal.commit(b"cat", 7).unwrap();
         let chunk = rx.try_recv().expect("commit publishes");
-        let (recs, _) = scan_records(&chunk);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].kind, KIND_PAGE_IMAGE);
-        assert_eq!(recs[1].kind, KIND_COMMIT);
+        let kinds: Vec<u8> = records(&chunk).map(|r| r.kind).collect();
+        assert_eq!(kinds, [KIND_PAGE_IMAGE, KIND_COMMIT]);
         assert!(rx.try_recv().is_err(), "nothing published before a commit");
     }
 

@@ -12,7 +12,7 @@
 //! once the commit returns. The parent then reopens the files the dead
 //! child left behind.
 
-use minirel::{Database, Value};
+use minirel::{Database, Value, DEFAULT_GROUP_COMMIT};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
@@ -113,7 +113,7 @@ fn crash_matrix_recovers() {
     // Seed without crash injection so the WAL exists before any child
     // can die mid-rotation.
     {
-        let mut db = Database::open(&path, 32).unwrap();
+        let mut db = Database::open_with(&path, 32, DEFAULT_GROUP_COMMIT).unwrap();
         db.execute("create table log (seq int, batch int, pad text)")
             .unwrap();
         db.execute("create index log_seq on log (seq)").unwrap();
@@ -129,7 +129,7 @@ fn crash_matrix_recovers() {
         // Reopen twice: recovery must be idempotent.
         let mut counts = Vec::new();
         for _ in 0..2 {
-            let db = Database::open(&path, 32)
+            let db = Database::open_with(&path, 32, DEFAULT_GROUP_COMMIT)
                 .unwrap_or_else(|e| panic!("reopen after crash_syncs={crash_syncs} failed: {e}"));
             db.check_integrity().unwrap();
             let n = db

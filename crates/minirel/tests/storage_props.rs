@@ -5,7 +5,7 @@
 use minirel::btree::{BTree, MAX_KEY_LEN};
 use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
-use minirel::exec::{external_sort, hash_join, merge_join_inner, sort_rows, SortKey};
+use minirel::exec::{external_sort, hash_join, merge_join_inner, sort_rows, Expr, SortKey};
 use minirel::value::{decode_row, encode_composite_key, encode_row, Row, Value};
 use minirel::Rid;
 use proptest::prelude::*;
@@ -231,7 +231,11 @@ proptest! {
             .iter()
             .map(|&(a, b)| vec![Value::Int(a as i64), Value::Float(b)])
             .collect();
-        let keys = [SortKey::asc(0), SortKey::desc(1)];
+        let desc = SortKey {
+            expr: Expr::Col(1),
+            desc: true,
+        };
+        let keys = [SortKey::asc(0), desc];
         let bp = pool(8);
         let got = external_sort(&bp, rows.clone(), &keys, budget).unwrap();
         let expect = sort_rows(rows, &keys).unwrap();
