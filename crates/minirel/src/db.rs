@@ -43,6 +43,7 @@ use crate::value::{Row, Value};
 use crate::wal::{PageDelta, Wal};
 use lockcheck::{rank, OrderedRwLock};
 use std::collections::HashMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,8 +215,8 @@ impl Database {
         }
         let mut disk = DiskManager::at_path(path)?;
         let (catalog, next_lsn) = if wal_path.exists() {
-            let bytes = std::fs::read(&wal_path).map_err(|e| DbError::io("read", &wal_path, e))?;
-            match recovery::replay_into(&mut disk, &bytes)? {
+            let log = File::open(&wal_path).map_err(|e| DbError::io("open", &wal_path, e))?;
+            match recovery::replay_into(&mut disk, log)? {
                 Some(rec) => {
                     disk.sync_all()?;
                     (rec.catalog, rec.last_lsn + 1)

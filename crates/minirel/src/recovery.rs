@@ -6,20 +6,27 @@
 //! in the WAL as page images and page deltas, and each
 //! [`crate::wal::KIND_COMMIT`] record carries a full **catalog image**
 //! (schemas, heap page lists, B+tree roots — metadata that is otherwise
-//! in-memory only). Recovery ([`replay_into`]) is two passes of the one
-//! borrowing log reader ([`crate::wal::records`]) over the bytes
-//! `Database::open_with` read: find where the last Commit ends in the valid,
-//! checksummed prefix, then fold the page records before that point by
-//! page — its last image and the deltas after it, still borrowed from
-//! the log bytes, no record is ever copied — build each page once, write
-//! it once, and adopt that commit's catalog. The log is resident once.
+//! in-memory only). Recovery ([`replay_into`]) reads the log once, front
+//! to back, [`REPLAY_CHUNK`] bytes at a time, through the one log reader
+//! ([`crate::wal::records`]); a record the chunk's end cuts is carried
+//! into the next chunk. The page records of the commit group being read
+//! are held back — an image by the offset of its page bytes, a delta as
+//! a copy of its payload — until the group's commit record is read, and
+//! only then folded into a page index: per page, the offset of its last
+//! image and the deltas after it, the same `wal::Chain` the log keeps
+//! for pool misses. At the end each page is built once, in page order,
+//! from one read of its image plus its deltas, written once, and the
+//! last commit's catalog is adopted. What recovery holds is one chunk,
+//! one commit group and the index — never the log.
+//!
 //! Records past the last commit — a torn tail, an unfinished batch — are
-//! discarded. Replaying is **idempotent**: a page is rebuilt from a
-//! whole image forward by deltas that set absolute bytes, and the writer
-//! starts every delta chain at an image inside the same log
-//! ([`crate::wal`], "The chain rule"), so running recovery twice — or
-//! over a data file a crash tore — lands on the same bytes. A delta
-//! with no image before it in the log is refused as corrupt.
+//! discarded, and the scan stops at the first corrupt record. Replaying
+//! is **idempotent**: a page is rebuilt from a whole image forward by
+//! deltas that set absolute bytes, and the writer starts every delta
+//! chain at an image inside the same log ([`crate::wal`], "The chain
+//! rule"), so running recovery twice — or over a data file a crash tore
+//! — lands on the same bytes. A delta with no image before it in the log
+//! is refused as corrupt.
 //!
 //! # Replication
 //!
@@ -48,9 +55,12 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::wal::{self, PageDelta, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE};
+use crate::wal::{
+    self, Chain, PageDelta, RecordRef, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE,
+};
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
 use std::collections::BTreeMap;
+use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -259,64 +269,127 @@ fn parse_commit(payload: &[u8]) -> DbResult<(u32, &[u8])> {
     Ok((u32::from_le_bytes(*num_pages), cat))
 }
 
-/// Redo the log onto `disk`: write every committed page as its last
-/// record leaves it and return the last commit's catalog. `Ok(None)`
-/// when the log holds no commit at all (fresh database). Idempotent — a
-/// second call over the same inputs rewrites identical bytes.
-///
-/// Two passes of the borrowing reader over `wal_bytes`, no record ever
-/// copied: the first finds where the last commit ends — everything after
-/// it is an unacknowledged tail and must not touch the data file — the
-/// second folds the records up to there by page (its last image and the
-/// deltas after it, still borrowed), and each page is then built once
-/// and written once, in page order.
-pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<Recovered>> {
-    let mut log = wal::records(wal_bytes);
-    let mut applied_end = None;
-    while let Some(rec) = log.next() {
-        if rec.kind == KIND_COMMIT {
-            applied_end = Some(log.valid_len());
-        }
-    }
-    let Some(applied_end) = applied_end else {
-        return Ok(None);
-    };
-    let mut last_commit = None;
-    let mut pages: BTreeMap<PageId, (&[u8; PAGE_SIZE], Vec<PageDelta<'_>>)> = BTreeMap::new();
-    for rec in wal::records(&wal_bytes[..applied_end]) {
+/// Bytes of log [`replay_into`] reads at a time.
+pub const REPLAY_CHUNK: usize = 1 << 20;
+
+/// A page record of the commit group being read.
+enum Pending {
+    /// An image, by the log offset of its page bytes.
+    Image(u64),
+    /// A delta, by the length of its payload; the group's payloads sit
+    /// back to back in [`Fold::group_deltas`], in log order.
+    Delta(usize),
+}
+
+/// What the scan keeps of the log: the page index of its committed
+/// prefix, the page records of the group since, and the last commit.
+#[derive(Default)]
+struct Fold {
+    index: BTreeMap<PageId, Chain>,
+    group: Vec<(PageId, Pending)>,
+    group_deltas: Vec<u8>,
+    last_lsn: Option<u64>,
+    /// The last commit's payload (`num_pages` + catalog image).
+    commit: Vec<u8>,
+}
+
+impl Fold {
+    /// Take in one record whose payload starts at log offset `at`.
+    fn record(&mut self, rec: RecordRef<'_>, at: u64) -> DbResult<()> {
         match rec.kind {
             KIND_PAGE_IMAGE => {
-                let (pid, img) = parse_page_image(rec.payload)?;
-                let (image, deltas) = pages.entry(pid).or_insert((img, Vec::new()));
-                *image = img;
-                deltas.clear();
+                let (pid, _) = parse_page_image(rec.payload)?;
+                // Page bytes start after the pid.
+                self.group.push((pid, Pending::Image(at + 4)));
             }
             KIND_PAGE_DELTA => {
-                let delta = PageDelta::parse(rec.payload)?;
-                // The writer starts every chain at an image in this log.
-                let (_, deltas) = pages.get_mut(&delta.pid).ok_or_else(|| {
-                    DbError::Corrupt(format!(
-                        "wal holds a delta for page {} (lsn {}) with no image before it",
-                        delta.pid, rec.lsn
-                    ))
-                })?;
-                deltas.push(delta);
+                let pid = PageDelta::parse(rec.payload)?.pid;
+                self.group_deltas.extend_from_slice(rec.payload);
+                self.group.push((pid, Pending::Delta(rec.payload.len())));
             }
-            KIND_COMMIT => last_commit = Some(rec),
+            KIND_COMMIT => {
+                let mut deltas = &self.group_deltas[..];
+                for (pid, page) in self.group.drain(..) {
+                    match page {
+                        Pending::Image(image) => self.index.entry(pid).or_default().restart(image),
+                        Pending::Delta(len) => {
+                            let (payload, rest) = deltas.split_at(len);
+                            deltas = rest;
+                            // The writer starts every chain at an image in this log.
+                            let chain = self.index.get_mut(&pid).ok_or_else(|| {
+                                DbError::Corrupt(format!(
+                                    "wal commit {} covers a delta for page {pid} with no image \
+                                     before it",
+                                    rec.lsn
+                                ))
+                            })?;
+                            chain.push(payload);
+                        }
+                    }
+                }
+                self.group_deltas.clear();
+                self.last_lsn = Some(rec.lsn);
+                self.commit.clear();
+                self.commit.extend_from_slice(rec.payload);
+            }
             _ => {}
         }
+        Ok(())
     }
-    let mut page = [0u8; PAGE_SIZE];
-    for (&pid, (image, deltas)) in &pages {
-        page.copy_from_slice(&image[..]);
-        for delta in deltas {
-            delta.apply(&mut page);
+}
+
+/// Redo the log read from `log`'s start onto `disk`: write every
+/// committed page as its last record leaves it and return the last
+/// commit's catalog. `Ok(None)` when the log holds no commit at all
+/// (fresh database). Idempotent — a second call over the same inputs
+/// rewrites identical bytes.
+///
+/// One pass of the reader over [`REPLAY_CHUNK`]-byte chunks folds the
+/// committed records by page, then each page is built once from a read
+/// of its image plus its deltas and written once, in page order (module
+/// docs).
+pub fn replay_into(
+    disk: &mut DiskManager,
+    mut log: impl Read + Seek,
+) -> DbResult<Option<Recovered>> {
+    let io = |e| DbError::io("read", "<wal>", e);
+    let mut fold = Fold::default();
+    let mut buf = Vec::with_capacity(REPLAY_CHUNK);
+    // Log offset of `buf[0]`.
+    let mut base = 0u64;
+    loop {
+        // Top the buffer up to a whole number of chunks: one, unless a
+        // record longer than that is being carried.
+        let want = REPLAY_CHUNK - buf.len() % REPLAY_CHUNK;
+        let got = log
+            .by_ref()
+            .take(want as u64)
+            .read_to_end(&mut buf)
+            .map_err(io)?;
+        let mut recs = wal::records(&buf);
+        while let Some(rec) = recs.next() {
+            let at = base + (recs.valid_len() - rec.payload.len()) as u64;
+            fold.record(rec, at)?;
         }
+        if got < want || recs.corrupt() {
+            break;
+        }
+        let used = recs.valid_len();
+        buf.drain(..used);
+        base += used as u64;
+    }
+    let Some(last_lsn) = fold.last_lsn else {
+        return Ok(None);
+    };
+    let (num_pages, cat_bytes) = parse_commit(&fold.commit)?;
+    let catalog = decode_catalog(cat_bytes)?;
+    let mut page = [0u8; PAGE_SIZE];
+    for (&pid, chain) in &fold.index {
+        log.seek(SeekFrom::Start(chain.image)).map_err(io)?;
+        log.read_exact(&mut page).map_err(io)?;
+        chain.patch(&mut page)?;
         disk.write_ensure(pid, &page)?;
     }
-    let last_commit = last_commit.expect("the prefix ends at a commit");
-    let (num_pages, cat_bytes) = parse_commit(last_commit.payload)?;
-    let catalog = decode_catalog(cat_bytes)?;
     // The commit may reference pages the crash kept the data file from
     // ever growing to (e.g. allocated, logged, never checkpointed).
     let zero = [0u8; PAGE_SIZE];
@@ -325,7 +398,7 @@ pub fn replay_into(disk: &mut DiskManager, wal_bytes: &[u8]) -> DbResult<Option<
     }
     Ok(Some(Recovered {
         catalog,
-        last_lsn: last_commit.lsn,
+        last_lsn,
         num_pages,
     }))
 }

@@ -83,8 +83,11 @@
 //! There is one reader: [`records`] iterates the valid prefix of a byte
 //! buffer as [`RecordRef`]s *borrowed* from it — every header, length,
 //! kind and checksum verified, nothing copied — and stops at the first
-//! truncated or corrupt record ([`Records::valid_len`] says where).
-//! Recovery and the replica ([`crate::recovery`]) consume exactly this.
+//! truncated or corrupt record ([`Records::valid_len`] says where,
+//! [`Records::corrupt`] which). Recovery and the replica
+//! ([`crate::recovery`]) consume exactly this: recovery over one chunk
+//! of the log file at a time, carrying a record cut by the chunk's end
+//! into the next, the replica over the chunks a commit publishes.
 //! [`encode_record`] is the owned encoder the format tests forge logs
 //! with, built on the same codec.
 //!
@@ -268,15 +271,22 @@ fn decode_ref(buf: &[u8]) -> DbResult<Option<RecordRef<'_>>> {
 /// Iteration ends at the first truncated or corrupt region;
 /// [`Records::valid_len`] is then the byte length of the valid prefix —
 /// recovery truncates the log there — and, mid-iteration, the offset
-/// just past the record last yielded.
+/// just past the record last yielded. [`Records::corrupt`] says which of
+/// the two ended it: a caller reading a log piece by piece appends more
+/// bytes after a truncation and stops at corruption.
 pub fn records(buf: &[u8]) -> Records<'_> {
-    Records { buf, off: 0 }
+    Records {
+        buf,
+        off: 0,
+        corrupt: false,
+    }
 }
 
 /// Iterator returned by [`records`].
 pub struct Records<'a> {
     buf: &'a [u8],
     off: usize,
+    corrupt: bool,
 }
 
 impl Records<'_> {
@@ -284,13 +294,22 @@ impl Records<'_> {
     pub fn valid_len(&self) -> usize {
         self.off
     }
+
+    /// Whether iteration stopped at a corrupt record (a bad checksum,
+    /// kind or length) rather than at the end of the bytes or a
+    /// truncated record.
+    pub fn corrupt(&self) -> bool {
+        self.corrupt
+    }
 }
 
 impl<'a> Iterator for Records<'a> {
     type Item = RecordRef<'a>;
 
     fn next(&mut self) -> Option<RecordRef<'a>> {
-        let rec = decode_ref(&self.buf[self.off..]).ok()??;
+        let rec = decode_ref(&self.buf[self.off..])
+            .inspect_err(|_| self.corrupt = true)
+            .ok()??;
         self.off += RECORD_HEADER + rec.payload.len();
         Some(rec)
     }
@@ -481,15 +500,45 @@ impl WalStore {
 
 /// Where the log holds a page: its newest full image, by offset, and
 /// the deltas logged on top of it since — kept here, so that a pool
-/// miss costs one read of the log however long the chain.
+/// miss costs one read of the log however long the chain. The log's
+/// page index and recovery's ([`crate::recovery::replay_into`]) are
+/// maps of these.
 #[derive(Default)]
-struct Chain {
+pub(crate) struct Chain {
     /// Logical offset of the image's page bytes.
-    image: u64,
+    pub(crate) image: u64,
     /// The chain's delta payloads back to back, in log order (at most
-    /// [`MAX_CHAIN_BYTES`]), and the length of each.
+    /// [`MAX_CHAIN_BYTES`] when the writer obeys the chain rule), and
+    /// the length of each.
     deltas: Vec<u8>,
     lens: Vec<u32>,
+}
+
+impl Chain {
+    /// Start the chain over at the image whose page bytes are at `image`.
+    pub(crate) fn restart(&mut self, image: u64) {
+        self.image = image;
+        self.deltas.clear();
+        self.lens.clear();
+    }
+
+    /// Append a delta payload to the chain.
+    pub(crate) fn push(&mut self, payload: &[u8]) {
+        self.deltas.extend_from_slice(payload);
+        self.lens.push(payload.len() as u32);
+    }
+
+    /// Patch `page`, which holds the chain's image, with its deltas in
+    /// log order.
+    pub(crate) fn patch(&self, page: &mut [u8; PAGE_SIZE]) -> DbResult<()> {
+        let mut deltas = &self.deltas[..];
+        for &len in &self.lens {
+            let (payload, rest) = deltas.split_at(len as usize);
+            PageDelta::parse(payload)?.apply(page);
+            deltas = rest;
+        }
+        Ok(())
+    }
 }
 
 /// What the log has written, by record kind (`*_bytes` count whole
@@ -727,20 +776,14 @@ impl Wal {
             });
             g.ranges = ranges;
             let chain = g.page_index.get_mut(&pid).expect("matched above");
-            chain
-                .deltas
-                .extend_from_slice(&g.stage[g.stage.len() - len..]);
-            chain.lens.push(len as u32);
+            chain.push(&g.stage[g.stage.len() - len..]);
         } else {
             let (_lsn, at) = g.put(KIND_PAGE_IMAGE, |out| {
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(data);
             });
-            let chain = g.page_index.entry(pid).or_default();
             // Page bytes start after the pid.
-            chain.image = at + 4;
-            chain.deltas.clear();
-            chain.lens.clear();
+            g.page_index.entry(pid).or_default().restart(at + 4);
         }
         if g.stage.len() - g.written >= STAGE_FLUSH_BYTES {
             g.flush_stage()?;
@@ -808,13 +851,7 @@ impl Wal {
             g.flush_stage()?;
         }
         g.store.read_at(image, out)?;
-        let chain = &g.page_index[&pid];
-        let mut deltas = &chain.deltas[..];
-        for &len in &chain.lens {
-            let (payload, rest) = deltas.split_at(len as usize);
-            PageDelta::parse(payload)?.apply(out);
-            deltas = rest;
-        }
+        g.page_index[&pid].patch(out)?;
         Ok(true)
     }
 
@@ -895,6 +932,13 @@ mod tests {
         let mut reader = records(&log);
         assert_eq!(reader.by_ref().count(), 2);
         assert_eq!(reader.valid_len(), good_len);
+        assert!(!reader.corrupt(), "four bytes are a truncated header");
+        // A whole record that fails its checksum is corruption.
+        log.truncate(good_len);
+        log[good_len - 1] ^= 1;
+        let mut reader = records(&log);
+        assert_eq!(reader.by_ref().count(), 1);
+        assert!(reader.corrupt());
     }
 
     #[test]

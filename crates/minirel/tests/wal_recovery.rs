@@ -8,7 +8,8 @@
 //! checkpoints and reopens, the chain rule read back from the log's own
 //! bytes, the torn-tail and corruption sweeps over a log that holds a
 //! delta, a kinds-1–3 log written by hand, and the follower page for
-//! page.
+//! page. Recovery reads the log a chunk at a time: a log of several
+//! chunks is cut at each chunk edge and corrupted inside the first.
 
 use minirel::recovery::{self, Replica};
 use minirel::wal::{
@@ -18,6 +19,7 @@ use minirel::wal::{
 use minirel::{Database, DbError, Value, DEFAULT_GROUP_COMMIT};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -293,11 +295,11 @@ fn recovery_is_idempotent() {
     // Replay the same log twice into one disk: second pass must change
     // nothing.
     let mut disk = minirel::disk::DiskManager::at_path(&path).unwrap();
-    recovery::replay_into(&mut disk, &wal_bytes).unwrap();
+    recovery::replay_into(&mut disk, Cursor::new(&wal_bytes)).unwrap();
     drop(disk);
     let after_once = std::fs::read(&path).unwrap();
     let mut disk = minirel::disk::DiskManager::at_path(&path).unwrap();
-    recovery::replay_into(&mut disk, &wal_bytes).unwrap();
+    recovery::replay_into(&mut disk, Cursor::new(&wal_bytes)).unwrap();
     drop(disk);
     let after_twice = std::fs::read(&path).unwrap();
     assert_eq!(after_once, after_twice, "replay must be idempotent");
@@ -526,7 +528,7 @@ fn torn_tail_at_every_offset_of_a_log_with_a_delta() {
         let valid = if whole == 0 { 0 } else { bounds[whole - 1] };
         assert_eq!(scan(&log[..cut]), (whole, valid), "cut {cut}");
         let mut disk = minirel::disk::DiskManager::in_memory();
-        let recovered = recovery::replay_into(&mut disk, &log[..cut]).unwrap();
+        let recovered = recovery::replay_into(&mut disk, Cursor::new(&log[..cut])).unwrap();
         if cut < log.len() {
             assert!(recovered.is_none(), "cut {cut}: no commit survives");
             assert_eq!(disk.num_pages(), 0, "cut {cut}: nothing may be written");
@@ -559,9 +561,8 @@ fn corruption_is_rejected_at_every_byte_of_a_delta() {
             let read = wal::records(&damaged[image_len..]).next();
             assert!(read.is_none(), "flip {flip:#x} at byte {i}: {read:?}");
             let mut disk = minirel::disk::DiskManager::in_memory();
-            assert!(recovery::replay_into(&mut disk, &damaged)
-                .unwrap()
-                .is_none());
+            let recovered = recovery::replay_into(&mut disk, Cursor::new(&damaged));
+            assert!(recovered.unwrap().is_none());
             assert_eq!(disk.num_pages(), 0);
         }
     }
@@ -569,10 +570,150 @@ fn corruption_is_rejected_at_every_byte_of_a_delta() {
     // log is corruption too, not a patch of whatever the file holds.
     let orphan = &log[image_len..];
     let mut disk = minirel::disk::DiskManager::in_memory();
-    match recovery::replay_into(&mut disk, orphan) {
+    match recovery::replay_into(&mut disk, Cursor::new(orphan)) {
         Err(DbError::Corrupt(msg)) => assert!(msg.contains("no image"), "{msg}"),
         other => panic!("{:?}", other.map(|r| r.map(|r| r.last_lsn))),
     }
+}
+
+const PAGES: usize = 24;
+
+/// Step `i` of a fixed write sequence over [`PAGES`] pages: a short run
+/// of one page changes, and every ninth step rewrites a whole page.
+/// Returns the page written.
+fn chunk_edge_step(pages: &mut [[u8; 4096]], i: usize) -> u32 {
+    let pid = (i * 7 + i / 5) % PAGES;
+    match i % 9 {
+        0 => pages[pid].fill(i as u8),
+        _ => pages[pid][(i * 37) % 4000..][..12].fill(i as u8 | 1),
+    }
+    pid as u32
+}
+
+/// The pages after the first `steps` steps.
+fn pages_after(steps: usize) -> Vec<[u8; 4096]> {
+    let mut pages = vec![[0u8; 4096]; PAGES];
+    for i in 0..steps {
+        chunk_edge_step(&mut pages, i);
+    }
+    pages
+}
+
+/// A log of more than three read chunks, written by a real `Wal`:
+/// images and deltas of [`PAGES`] pages with a commit every five steps.
+/// Returns it and each commit's (end offset, lsn, steps before it).
+fn log_over_chunk_edges() -> (Vec<u8>, Vec<(usize, u64, usize)>) {
+    let wal = Wal::in_memory(1);
+    let chunks = wal.subscribe();
+    let no_tables = recovery::encode_catalog(&minirel::Catalog::new());
+    let mut pages = pages_after(0);
+    let (mut log, mut commits) = (Vec::new(), Vec::new());
+    let mut steps = 0;
+    while log.len() <= 3 * recovery::REPLAY_CHUNK + 8192 {
+        let before = pages.clone();
+        let pid = chunk_edge_step(&mut pages, steps) as usize;
+        wal.log_page(pid as u32, &pages[pid], Some(&before[pid]))
+            .unwrap();
+        steps += 1;
+        if steps % 5 == 0 {
+            let lsn = wal.commit(&no_tables, PAGES as u32).unwrap();
+            log.extend_from_slice(&chunks.try_recv().unwrap());
+            commits.push((log.len(), lsn, steps));
+        }
+    }
+    let st = wal.stats();
+    assert!(st.images > 600 && st.deltas > 2 * st.images, "{st:?}");
+    (log, commits)
+}
+
+/// Replay `log` into a fresh in-memory disk and hold every page to the
+/// state the last commit ending at or before `valid` leaves.
+fn assert_recovers_commit_before(
+    log: impl Read + Seek,
+    commits: &[(usize, u64, usize)],
+    valid: usize,
+    what: &str,
+) {
+    let mut disk = minirel::disk::DiskManager::in_memory();
+    let recovered = recovery::replay_into(&mut disk, log).unwrap();
+    let Some(&(_, lsn, steps)) = commits.iter().rev().find(|c| c.0 <= valid) else {
+        assert!(recovered.is_none(), "{what}: no commit survives");
+        return;
+    };
+    assert_eq!(recovered.expect(what).last_lsn, lsn, "{what}");
+    assert_eq!(disk.num_pages(), PAGES as u32, "{what}");
+    let mut page = [0u8; 4096];
+    for (pid, want) in pages_after(steps).iter().enumerate() {
+        disk.read(pid as u32, &mut page).unwrap();
+        assert!(page == *want, "{what}: page {pid} differs");
+    }
+}
+
+/// Counts the bytes read through it.
+struct Counted<R> {
+    inner: R,
+    read: usize,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read += n;
+        Ok(n)
+    }
+}
+
+impl<R: Seek> Seek for Counted<R> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+/// Recovery reads the log a chunk at a time: a log cut one byte before,
+/// at and one byte after each chunk edge — each edge inside a record —
+/// recovers the last commit before the cut, page for page; a record
+/// corrupted inside the first chunk ends recovery at the commit before
+/// it, and the scan reads no further than that chunk.
+#[test]
+fn recovery_reads_across_chunk_edges_and_stops_at_corruption() {
+    let (log, commits) = log_over_chunk_edges();
+    let mut starts = vec![0];
+    let mut reader = wal::records(&log);
+    while reader.next().is_some() {
+        starts.push(reader.valid_len());
+    }
+    assert_eq!(*starts.last().unwrap(), log.len(), "the whole log is valid");
+    for edge in (1..=3).map(|n| n * recovery::REPLAY_CHUNK) {
+        assert!(!starts.contains(&edge), "a record straddles {edge}");
+        for cut in [edge - 1, edge, edge + 1] {
+            let what = format!("cut at {cut}");
+            assert_recovers_commit_before(Cursor::new(&log[..cut]), &commits, cut, &what);
+        }
+    }
+    let (i, &start) = starts
+        .iter()
+        .enumerate()
+        .find(|(_, &s)| s > recovery::REPLAY_CHUNK / 2)
+        .unwrap();
+    assert!(
+        starts[i + 1] < recovery::REPLAY_CHUNK,
+        "inside the first chunk"
+    );
+    let mut damaged = log.clone();
+    damaged[start + wal::RECORD_HEADER + 2] ^= 0x40;
+    let mut counted = Counted {
+        inner: Cursor::new(&damaged),
+        read: 0,
+    };
+    let what = format!("record at {start} corrupted");
+    assert_recovers_commit_before(&mut counted, &commits, start, &what);
+    // The first chunk, then one image read per page.
+    assert!(
+        counted.read <= recovery::REPLAY_CHUNK + PAGES * 4096,
+        "{what}: read {} bytes of a {}-byte log",
+        counted.read,
+        log.len()
+    );
 }
 
 /// Walk a log's records and hold it to the chain rule: a page's first

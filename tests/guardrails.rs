@@ -7,9 +7,8 @@
 //!   whether comments and test modules count;
 //! * [`COUNTED`]: call sites that keep their count;
 //! * named checks for what is not a pattern: the AST binder window,
-//!   `Database::run`'s statement kinds, the read-and-sleep function
-//!   split, the manifest/vendor/`BENCH_*` estate, the raw-lock scan and
-//!   the crawler's file-size cap.
+//!   `Database::run`'s statement kinds, the manifest/vendor/`BENCH_*`
+//!   estate, the raw-lock scan and the crawler's file-size cap.
 //!
 //! Each table row names its check, a `#[test]` that reads its rows and
 //! runs its named checks (see [`checks!`]).
@@ -99,8 +98,12 @@ const FORBIDDEN: &[Forbidden] = &[
      Mode::Whole, "statements run through Database::{execute, query} — plan → lower → execute — \
      only; the interpreter is the test-side oracle in crates/minirel/tests/support/"),
     ("no_function_reads_a_whole_file_and_sleeps",
+     &["fs::read("], MINIREL, Mode::Code,
+     "recovery reads the log in chunks; minirel never holds a whole file"),
+    ("no_function_reads_a_whole_file_and_sleeps",
      &[".to_vec()"], Scope("crates/minirel/src/recovery.rs", "", 1), Mode::Code,
-     "recovery.rs copies log bytes: page images are applied borrowed from the bytes read"),
+     "recovery.rs copies log bytes: an image is read back by offset, and only delta payloads \
+     are copied, into the commit group and the page index"),
     ("no_function_reads_a_whole_file_and_sleeps",
      &["fn scan_records", "fn decode_record", "fn to_record", "struct Record {"], MINIREL,
      Mode::Code, "the log has one reader, `wal::records`, whose records are borrowed; the owned \
@@ -370,32 +373,6 @@ fn run_plans_all_but_ddl(tree: &Tree) -> Vec<String> {
     out
 }
 
-/// No minirel function both reads a whole file and sleeps: a poll loop
-/// seeks to its offset and reads the suffix.
-fn no_read_and_sleep(tree: &Tree) -> Vec<String> {
-    let mut out = Vec::new();
-    for (path, text) in tree.files(MINIREL) {
-        let mut fns: Vec<Vec<&str>> = Vec::new();
-        for (_, line) in lines(text, Mode::Code) {
-            if line.starts_with("fn ") || line.starts_with("pub fn ") || fns.is_empty() {
-                fns.push(Vec::new());
-            }
-            fns.last_mut().expect("pushed above").push(line);
-        }
-        for body in fns {
-            let has = |needle: &str| body.iter().any(|l| l.contains(needle));
-            if has("fs::read(") && has("sleep(") {
-                out.push(format!(
-                    "{path}: `{}` reads a whole file in a function that sleeps: a poll loop must \
-                     not re-read the log",
-                    body[0]
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// What must not exist, and why.
 #[rustfmt::skip]
 const DELETED: &[(&str, &str)] = &[
@@ -526,7 +503,7 @@ checks! {
     the_interpreter_is_gone_from_production_code: ;
     there_is_one_ast_to_expr_binder: one_binder;
     database_run_plans_everything_but_ddl: run_plans_all_but_ddl;
-    no_function_reads_a_whole_file_and_sleeps: no_read_and_sleep;
+    no_function_reads_a_whole_file_and_sleeps: ;
     one_write_back_logs_pages_and_records_are_encoded_in_place: ;
     workspace_scan_is_finding_free: raw_locks;
     minirel_keeps_what_callers_outside_it_reach: ;
@@ -595,15 +572,6 @@ fn every_rule_fires_on_its_paste_back() {
         &db,
         "must plan what it does not",
         "Database::run without prepare_plan",
-    );
-
-    let poll = "pub fn poll(path: &Path) {\n    let all = std::fs::read(path);\n    \
-                std::thread::sleep(POLL);\n}\n";
-    let tailer = Tree::pasted(&[("crates/minirel/src/recovery.rs", poll)]);
-    fires(
-        &no_read_and_sleep(&tailer),
-        "must not re-read the log",
-        "fs::read and sleep",
     );
 
     let estate_of = |files: &[(&str, &str)]| estate(&Tree::pasted(files));
