@@ -19,7 +19,7 @@
 //!   …) may rewrite heap pages and B+tree nodes; Rust's aliasing rules
 //!   make them exclusive against every reader.
 //!
-//! Both sides run the same SQL pipeline (parse → bind → plan → lower →
+//! Both sides run the same SQL pipeline (parse → bind → plan →
 //! execute): `query`/`prepare` accept SELECT only and answer anything
 //! else with [`DbError::ReadOnly`], `execute` plans every statement —
 //! a DML plan is a read phase that finishes through shared borrows
@@ -443,9 +443,9 @@ impl Database {
     }
 
     /// One path for every statement. DDL is three direct catalog calls;
-    /// everything else is planned: parse → bind → plan → lower, the read
-    /// phase runs to completion through shared borrows, and only then
-    /// does a DML plan's write step touch the catalog.
+    /// everything else is planned: parse → bind → plan, the read phase
+    /// runs to completion through shared borrows, and only then does a
+    /// DML plan's write step touch the catalog.
     fn run(&mut self, stmt: &Statement, params: &[Value]) -> DbResult<ResultSet> {
         match stmt {
             Statement::CreateTable { name, cols } => {

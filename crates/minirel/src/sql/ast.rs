@@ -59,8 +59,8 @@ pub enum Statement {
         /// Table to drop.
         name: String,
     },
-    /// `EXPLAIN <select>` — plan the query and return its logical and
-    /// physical plan as rows instead of executing it.
+    /// `EXPLAIN <select>` — plan the query and return the plan tree, one
+    /// row per line, instead of executing it.
     Explain(Box<SelectStmt>),
 }
 

@@ -1,16 +1,18 @@
-//! SQL front-end: lexer → parser → binder → planner → lowering → executor.
+//! SQL front-end: lexer → parser → binder → planner → executor.
 //!
 //! The dialect is sized to the paper: every statement printed in Figures
 //! 3–4 and §3.7 parses and runs (see `sql::parser` tests for the verbatim
 //! texts).
 //!
 //! This is the only engine: every SELECT, INSERT, UPDATE and DELETE runs
-//! parse → [`bind`] → [`plan`] → [`lower`] → execute. The pipeline pushes
-//! predicates into scans, prunes columns, reorders equi-joins, picks
-//! B+tree access paths, and produces cacheable [`lower::ExecPlan`]s for
-//! prepared statements; a DML plan is a read phase (an ordinary SELECT
-//! plan whose target scan carries rids) ending in one write step. DDL
-//! needs no plan — `Database` makes three direct catalog calls.
+//! parse → [`bind`] → [`plan`] → execute. The planner pushes predicates
+//! into scans, prunes columns, reorders equi-joins, picks join
+//! algorithms and B+tree access paths, all in the one tree it builds;
+//! [`lower`] wraps that tree into cacheable [`lower::ExecPlan`]s for
+//! prepared statements, runs it, and renders it for EXPLAIN. A DML plan
+//! is a read phase (an ordinary SELECT plan whose target scan carries
+//! rids) ending in one write step. DDL needs no plan — `Database` makes
+//! three direct catalog calls.
 //!
 //! The original bind-and-evaluate interpreter survives only under
 //! `crates/minirel/tests/support/` as the oracle the planner-equivalence

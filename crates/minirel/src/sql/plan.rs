@@ -1,20 +1,20 @@
-//! Logical planning: bound statement → relational algebra.
+//! Planning: bound statement → the operator tree that runs.
 //!
 //! [`plan_statement`] turns a parsed SELECT, INSERT, UPDATE or DELETE
-//! into a [`SelectPlan`] — a tree of [`Logical`] operators plus the
+//! into a [`SelectPlan`] — a tree of [`Node`] operators plus the
 //! subsidiary plans it depends on (CTEs and uncorrelated subqueries) —
-//! and, for DML, the [`Write`] step that plan's rows feed. Every
-//! statement is a read phase first: `DELETE FROM t WHERE p` reads
-//! `select *, rid from t where p`, `UPDATE` reads the same plus its SET
-//! values, `INSERT` reads its source query or VALUES rows. The target
-//! table is an ordinary [`Logical::Scan`] (flagged to carry rids), so
+//! and, for DML, the [`Write`] step that plan's rows feed. The tree is
+//! the one the executor runs and EXPLAIN prints. Every statement is a
+//! read phase first: `DELETE FROM t WHERE p` reads `select *, rid from
+//! t where p`, `UPDATE` reads the same plus its SET values, `INSERT`
+//! reads its source query or VALUES rows. The target
+//! table is an ordinary [`Node::Scan`] (flagged to carry rids), so
 //! DML gets index selection, `?` parameters, `current timestamp` and
 //! subqueries from the code SELECT uses. Planning performs its rewrites
 //! as explicit, inspectable structure:
 //!
 //! * **Predicate pushdown** — WHERE conjuncts that bind against a single
-//!   source move into that source's scan node, where the lowering layer
-//!   can turn them into index probes or pruned heap scans.
+//!   source move into that source's scan node.
 //! * **Projection pruning** — the set of referenced column names is
 //!   computed once and recorded on each scan as a keep-mask.
 //! * **Equi-join reordering** — comma-joined sources are joined greedily
@@ -22,8 +22,14 @@
 //!   selectivities) instead of textual order. The *output column order*
 //!   contract is the textual greedy order (the order the test-side
 //!   oracle joins in): it is simulated symbolically and restored by a
-//!   [`Logical::Permute`] above the reordered join tree, so `select *`
+//!   [`Node::Permute`] above the reordered join tree, so `select *`
 //!   and name resolution do not depend on the join order chosen.
+//! * **Join algorithms** — an equi-join runs as a nested loop when one
+//!   input is estimated tiny, as a sort-merge join otherwise.
+//! * **Access paths** — once planning is done and every scan's filters
+//!   are final, one walk gives each base-table scan an [`IndexProbe`]
+//!   when a B+tree covers its filters and the cost model (rows ×
+//!   selectivity vs. heap pages) says the probe is cheaper than the scan.
 //!
 //! Parameters (`?`), `current timestamp`, and uncorrelated subqueries
 //! stay **symbolic** in the plan ([`Expr::Param`], [`Expr::Now`],
@@ -38,6 +44,7 @@ use crate::catalog::{Catalog, TableId};
 use crate::error::{DbError, DbResult};
 use crate::exec::agg::{AggCall, AggKind};
 use crate::exec::expr::{BinOp, Expr, Func, UnOp};
+use crate::schema::ColumnType;
 use crate::sql::ast::*;
 use crate::sql::bind::{
     ast_eq_loose, bindable, dealias, equi_keys, gather_cols, output_name, resolve_col, BoundCol,
@@ -47,7 +54,7 @@ use std::collections::HashMap;
 
 /// A planned SELECT: its CTEs, its uncorrelated subqueries, and the
 /// operator tree over them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SelectPlan {
     /// CTE plans in definition order; each fills its slot before the body
     /// runs.
@@ -56,7 +63,7 @@ pub struct SelectPlan {
     /// expressions are specialized.
     pub subs: Vec<SubPlan>,
     /// The operator tree.
-    pub root: Logical,
+    pub root: Node,
     /// Output column names.
     pub out_cols: Vec<BoundCol>,
     /// Row-count estimate of the output.
@@ -64,7 +71,7 @@ pub struct SelectPlan {
 }
 
 /// One CTE: a plan whose result is materialized into `slot`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CtePlan {
     /// CTE name (for EXPLAIN).
     pub name: String,
@@ -84,7 +91,7 @@ pub enum SubKind {
 }
 
 /// One uncorrelated subquery of a select body.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SubPlan {
     /// How the body consumes the result.
     pub kind: SubKind,
@@ -92,12 +99,18 @@ pub struct SubPlan {
     pub plan: SelectPlan,
 }
 
-/// Logical operators. Expressions are bound (positional); every node's
-/// output arity is recoverable via [`arity`].
-#[derive(Debug, Clone)]
-pub enum Logical {
+/// The operators a plan is built from and run as. Expressions are bound
+/// (positional); every node's output arity is recoverable via [`arity`].
+///
+/// `Scan` dwarfs the other variants once it carries an [`IndexProbe`],
+/// but plan nodes are built once per prepared statement and traversed by
+/// reference — boxing the probe would buy nothing at execution time.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Node {
     /// Base-table scan with pushed-down filters and a keep-mask for
-    /// projection pruning (`None` = all columns needed).
+    /// projection pruning (`None` = all columns needed): a sequential
+    /// heap scan, or a B+tree probe when `index` is set.
     Scan {
         /// Table name (for EXPLAIN).
         table: String,
@@ -107,12 +120,17 @@ pub enum Logical {
         arity: usize,
         /// Which columns must actually be decoded.
         keep: Option<Vec<bool>>,
-        /// Pushed-down predicates, in consumption order.
+        /// Pushed-down predicates, in consumption order. A probe
+        /// re-applies all of them, which makes lossy probe bounds
+        /// (dropped range ends, overscans) harmless.
         filters: Vec<Expr>,
         /// Append each row's rid as one trailing value (position
         /// `arity`). Set only on the target scan of an UPDATE/DELETE
         /// read phase; filters still bind positions `< arity`.
         with_rid: bool,
+        /// The access path: `None` until planning ends, then the probe
+        /// `choose_access_paths` picked, if any.
+        index: Option<IndexProbe>,
     },
     /// Literal rows of row-free expressions: `INSERT … VALUES`, and one
     /// empty row for a SELECT without FROM.
@@ -128,30 +146,26 @@ pub enum Logical {
         /// Pushed-down predicates.
         filters: Vec<Expr>,
     },
-    /// Equi-join (lowering picks sort-merge or nested-loop).
-    Join {
+    /// Sort-merge equi-join (sorts both inputs).
+    MergeJoin {
         /// Left input.
-        left: Box<Logical>,
+        left: Box<Node>,
         /// Right input.
-        right: Box<Logical>,
+        right: Box<Node>,
         /// Left key columns.
         lk: Vec<usize>,
         /// Right key columns.
         rk: Vec<usize>,
         /// LEFT OUTER?
         outer: bool,
-        /// Estimated left input rows (drives the lowering choice).
-        lest: f64,
-        /// Estimated right input rows.
-        rest: f64,
     },
     /// Nested-loop join with an arbitrary predicate over the
     /// concatenated row (`Lit(1)` = cartesian product).
     NlJoin {
         /// Left input.
-        left: Box<Logical>,
+        left: Box<Node>,
         /// Right input.
-        right: Box<Logical>,
+        right: Box<Node>,
         /// Join predicate over `left ++ right`.
         pred: Expr,
         /// LEFT OUTER?
@@ -162,21 +176,21 @@ pub enum Logical {
     /// input column `map[j]`.
     Permute {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// Canonical position → physical position.
         map: Vec<usize>,
     },
     /// Residual predicates, applied in order.
     Filter {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// Predicates; a row must pass all, evaluated left to right.
         preds: Vec<Expr>,
     },
     /// Hash aggregation; output columns are `group values ++ aggregates`.
     Agg {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// Group-by expressions.
         group: Vec<Expr>,
         /// Aggregate calls.
@@ -185,58 +199,110 @@ pub enum Logical {
     /// External sort.
     Sort {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// `(key expr, descending)` pairs.
         keys: Vec<(Expr, bool)>,
     },
     /// LIMIT (applied before projection, as the dialect specifies).
     Limit {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// Max rows.
         n: u64,
     },
     /// Projection.
     Project {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
         /// Output expressions.
         exprs: Vec<Expr>,
     },
     /// DISTINCT over projected rows.
     Distinct {
         /// Input.
-        input: Box<Logical>,
+        input: Box<Node>,
     },
 }
 
-/// Output arity of a logical node.
-pub fn arity(node: &Logical) -> usize {
+/// The B+tree probe a [`Node::Scan`] runs instead of a heap scan:
+/// eq-prefix and/or range, or single-column IN.
+#[derive(Debug)]
+pub struct IndexProbe {
+    /// Position in the table's index list.
+    pub index_no: usize,
+    /// Index name (for EXPLAIN).
+    pub index_name: String,
+    /// Row-free expressions producing the eq-prefix key values, in
+    /// index column order.
+    pub eq: Vec<Expr>,
+    /// Optional range on index column `eq.len()`.
+    pub range: Option<RangeProbe>,
+    /// Single-column IN probe (mutually exclusive with eq/range).
+    pub in_probe: Option<InSrc>,
+    /// Serve rows from decoded index keys without heap fetches.
+    pub index_only: bool,
+    /// The index's key columns.
+    pub index_cols: Vec<usize>,
+    /// Declared column types (drives probe-value coercion).
+    pub col_types: Vec<ColumnType>,
+}
+
+/// Source of an index IN-probe's key list.
+#[derive(Debug)]
+pub enum InSrc {
+    /// Literal list (from `IN (v, v, …)`).
+    List(Vec<Value>),
+    /// Subquery slot (from `IN (select …)`).
+    Sub(usize),
+}
+
+/// Range bound pair on the index column after the eq prefix.
+#[derive(Debug)]
+pub struct RangeProbe {
+    /// Lower bound expression (row-free), and whether it is exclusive.
+    pub lo: Option<(Expr, bool)>,
+    /// Upper bound expression (row-free), and whether it is exclusive.
+    pub hi: Option<(Expr, bool)>,
+}
+
+/// Output arity of a node.
+pub fn arity(node: &Node) -> usize {
     match node {
-        Logical::Scan {
+        Node::Scan {
             arity, with_rid, ..
         } => arity + usize::from(*with_rid),
-        Logical::Values(rows) => rows.first().map_or(0, Vec::len),
-        Logical::CteScan { arity, .. } => *arity,
-        Logical::Join { left, right, .. } | Logical::NlJoin { left, right, .. } => {
+        Node::Values(rows) => rows.first().map_or(0, Vec::len),
+        Node::CteScan { arity, .. } => *arity,
+        Node::MergeJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
             arity(left) + arity(right)
         }
-        Logical::Permute { map, .. } => map.len(),
-        Logical::Filter { input, .. }
-        | Logical::Sort { input, .. }
-        | Logical::Limit { input, .. }
-        | Logical::Distinct { input } => arity(input),
-        Logical::Agg { group, aggs, .. } => group.len() + aggs.len(),
-        Logical::Project { exprs, .. } => exprs.len(),
+        Node::Permute { map, .. } => map.len(),
+        Node::Filter { input, .. }
+        | Node::Sort { input, .. }
+        | Node::Limit { input, .. }
+        | Node::Distinct { input } => arity(input),
+        Node::Agg { group, aggs, .. } => group.len() + aggs.len(),
+        Node::Project { exprs, .. } => exprs.len(),
     }
 }
 
-/// Per-conjunct selectivity guesses (classic System R constants, scaled
-/// for the crawler's skewed columns).
+/// Selectivity assumed for one eq conjunct or key column / one range
+/// conjunct or bound (classic System R constants, scaled for the
+/// crawler's skewed columns).
+const SEL_EQ: f64 = 0.05;
+const SEL_RANGE: f64 = 0.3;
+/// Below this estimated input size a nested-loop equi-join beats paying
+/// two sorts.
+const NL_JOIN_EST: f64 = 4.0;
+/// Tables with fewer rows than this are never worth a B+tree descent —
+/// the whole heap is a page or two.
+const MIN_PROBE_ROWS: f64 = 16.0;
+
+/// Per-conjunct selectivity guesses.
 fn selectivity(c: &AstExpr) -> f64 {
     match c {
-        AstExpr::Bin(BinOp::Eq, ..) => 0.05,
-        AstExpr::Bin(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..) => 0.3,
+        AstExpr::Bin(BinOp::Eq, ..) => SEL_EQ,
+        AstExpr::Bin(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..) => SEL_RANGE,
         _ => 0.5,
     }
 }
@@ -284,7 +350,8 @@ pub fn plan_statement(
         next_slot: 0,
         max_param: None,
     };
-    let (read, write) = p.plan_stmt(stmt)?;
+    let (mut read, write) = p.plan_stmt(stmt)?;
+    choose_access_paths(catalog, &mut read);
     Ok((read, write, p.next_slot, p.max_param.map_or(0, |m| m + 1)))
 }
 
@@ -300,7 +367,7 @@ struct CteInfo {
 /// scan node.
 struct Src {
     cols: Vec<BoundCol>,
-    node: Logical,
+    node: Node,
     est: f64,
 }
 
@@ -607,7 +674,7 @@ impl<'a> Planner<'a> {
             let arity = cols.len();
             return Ok(Src {
                 cols,
-                node: Logical::CteScan {
+                node: Node::CteScan {
                     name: item.table.clone(),
                     slot: info.slot,
                     arity,
@@ -635,13 +702,14 @@ impl<'a> Planner<'a> {
         let arity = cols.len();
         Ok(Src {
             cols,
-            node: Logical::Scan {
+            node: Node::Scan {
                 table: item.table.clone(),
                 tid,
                 arity,
                 keep,
                 filters: vec![],
                 with_rid: false,
+                index: None,
             },
             est: (t.heap.len() as f64).max(1.0),
         })
@@ -713,7 +781,7 @@ impl<'a> Planner<'a> {
                                     .collect::<DbResult<_>>()?,
                             );
                         }
-                        (Logical::Values(bound), Write::Insert { tid, positions })
+                        (Node::Values(bound), Write::Insert { tid, positions })
                     }
                 }
             }
@@ -729,7 +797,7 @@ impl<'a> Planner<'a> {
                 }
                 let sets = self.target_positions(tid, table, sets.iter().map(|(c, _)| c))?;
                 let input = Box::new(src.node);
-                let root = Logical::Project { input, exprs };
+                let root = Node::Project { input, exprs };
                 (root, Write::Update { tid, sets })
             }
             Statement::Delete { table, where_ } => {
@@ -752,8 +820,8 @@ impl<'a> Planner<'a> {
 
     /// The source of an UPDATE/DELETE read phase: the target table's scan
     /// with every column kept, each row's rid appended, and the whole
-    /// WHERE pushed into it — so lowering picks its access path exactly
-    /// as it does for a SELECT's scan.
+    /// WHERE pushed into it — so it gets its access path exactly as a
+    /// SELECT's scan does.
     fn plan_target(
         &mut self,
         table: &str,
@@ -765,7 +833,7 @@ impl<'a> Planner<'a> {
             alias: None,
         };
         let mut src = self.load_src(&item, None)?;
-        let Logical::Scan { tid, with_rid, .. } = &mut src.node else {
+        let Node::Scan { tid, with_rid, .. } = &mut src.node else {
             unreachable!("UPDATE/DELETE have no WITH clause, so no CTE can shadow the target");
         };
         *with_rid = true;
@@ -809,7 +877,7 @@ impl<'a> Planner<'a> {
         &mut self,
         sel: &SelectStmt,
         subs: &mut Vec<SubPlan>,
-    ) -> DbResult<(Logical, Vec<BoundCol>, f64)> {
+    ) -> DbResult<(Node, Vec<BoundCol>, f64)> {
         let wanted = gather_cols(sel);
         let where_conjuncts: Vec<AstExpr> = sel
             .where_
@@ -821,7 +889,7 @@ impl<'a> Planner<'a> {
         let mut acc: Src = if sel.from.is_empty() {
             Src {
                 cols: vec![],
-                node: Logical::Values(vec![vec![]]),
+                node: Node::Values(vec![vec![]]),
                 est: 1.0,
             }
         } else {
@@ -862,7 +930,7 @@ impl<'a> Planner<'a> {
                         let est = (acc.est * rel.est * 0.5).max(1.0);
                         acc = Src {
                             cols,
-                            node: Logical::NlJoin {
+                            node: Node::NlJoin {
                                 left: Box::new(acc.node),
                                 right: Box::new(rel.node),
                                 pred,
@@ -966,7 +1034,7 @@ impl<'a> Planner<'a> {
                     let est = (acc.est * s.est).max(1.0);
                     acc = Src {
                         cols,
-                        node: Logical::NlJoin {
+                        node: Node::NlJoin {
                             left: Box::new(acc.node),
                             right: Box::new(s.node),
                             pred: Expr::Lit(Value::Int(1)),
@@ -992,7 +1060,7 @@ impl<'a> Planner<'a> {
                 let base = phys_off[id];
                 map.extend(base..base + ar);
             }
-            node = Logical::Permute {
+            node = Node::Permute {
                 input: Box::new(node),
                 map,
             };
@@ -1011,7 +1079,7 @@ impl<'a> Planner<'a> {
             })
             .collect::<DbResult<_>>()?;
         if !residuals.is_empty() {
-            node = Logical::Filter {
+            node = Node::Filter {
                 input: Box::new(node),
                 preds: residuals,
             };
@@ -1074,13 +1142,13 @@ impl<'a> Planner<'a> {
             } else {
                 est.sqrt().max(1.0)
             };
-            node = Logical::Agg {
+            node = Node::Agg {
                 input: Box::new(node),
                 group: group_bound,
                 aggs,
             };
             if !order_keys.is_empty() {
-                node = Logical::Sort {
+                node = Node::Sort {
                     input: Box::new(node),
                     keys: order_keys,
                 };
@@ -1096,7 +1164,7 @@ impl<'a> Planner<'a> {
                 })
                 .collect::<DbResult<_>>()?;
             if !order_keys.is_empty() {
-                node = Logical::Sort {
+                node = Node::Sort {
                     input: Box::new(node),
                     keys: order_keys,
                 };
@@ -1124,18 +1192,18 @@ impl<'a> Planner<'a> {
         };
 
         if let Some(n) = sel.limit {
-            node = Logical::Limit {
+            node = Node::Limit {
                 input: Box::new(node),
                 n,
             };
             est = est.min(n as f64);
         }
-        node = Logical::Project {
+        node = Node::Project {
             input: Box::new(node),
             exprs: proj_exprs,
         };
         if sel.distinct {
-            node = Logical::Distinct {
+            node = Node::Distinct {
                 input: Box::new(node),
             };
         }
@@ -1157,13 +1225,13 @@ fn has_deferred(e: &Expr) -> bool {
 }
 
 /// Attach a pushed-down predicate to a source node.
-fn add_filter(node: &mut Logical, e: Expr) {
+fn add_filter(node: &mut Node, e: Expr) {
     match node {
-        Logical::Scan { filters, .. } | Logical::CteScan { filters, .. } => filters.push(e),
-        Logical::Filter { preds, .. } => preds.push(e),
+        Node::Scan { filters, .. } | Node::CteScan { filters, .. } => filters.push(e),
+        Node::Filter { preds, .. } => preds.push(e),
         other => {
-            let input = std::mem::replace(other, Logical::Values(Vec::new()));
-            *other = Logical::Filter {
+            let input = std::mem::replace(other, Node::Values(Vec::new()));
+            *other = Node::Filter {
                 input: Box::new(input),
                 preds: vec![e],
             };
@@ -1171,7 +1239,8 @@ fn add_filter(node: &mut Logical, e: Expr) {
     }
 }
 
-/// Combine two sources with an equi-join node.
+/// Combine two sources with an equi-join: a nested loop when one input
+/// is tiny (probing it beats sorting both), sort-merge otherwise.
 fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) -> Src {
     let cols: Vec<BoundCol> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
     let est = if outer {
@@ -1179,17 +1248,235 @@ fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) 
     } else {
         left.est.max(right.est)
     };
-    Src {
-        cols,
-        node: Logical::Join {
-            left: Box::new(left.node),
-            right: Box::new(right.node),
+    let nested = !outer && left.est.min(right.est) <= NL_JOIN_EST;
+    let (left_arity, left, right) = (arity(&left.node), Box::new(left.node), Box::new(right.node));
+    let node = if nested {
+        let pred = lk
+            .iter()
+            .zip(&rk)
+            .map(|(&a, &b)| Expr::bin(BinOp::Eq, Expr::Col(a), Expr::Col(left_arity + b)))
+            .reduce(|pred, eq| Expr::bin(BinOp::And, pred, eq))
+            .unwrap_or(Expr::Lit(Value::Int(1)));
+        Node::NlJoin {
+            left,
+            right,
+            pred,
+            outer,
+        }
+    } else {
+        Node::MergeJoin {
+            left,
+            right,
             lk,
             rk,
             outer,
-            lest: left.est,
-            rest: right.est,
-        },
-        est,
+        }
+    };
+    Src { cols, node, est }
+}
+
+// ------------------------------------------------------------ access paths
+
+/// Give every base-table scan of `plan` its access path. Runs once, when
+/// planning is done and every scan's filters are final.
+fn choose_access_paths(catalog: &Catalog, plan: &mut SelectPlan) {
+    for c in &mut plan.ctes {
+        choose_access_paths(catalog, &mut c.plan);
     }
+    for s in &mut plan.subs {
+        choose_access_paths(catalog, &mut s.plan);
+    }
+    let mut stack = vec![&mut plan.root];
+    while let Some(node) = stack.pop() {
+        match node {
+            Node::Scan {
+                tid,
+                arity,
+                keep,
+                filters,
+                with_rid,
+                index,
+                ..
+            } => *index = access_path(catalog, *tid, *arity, keep, filters, *with_rid),
+            Node::Values(_) | Node::CteScan { .. } => {}
+            Node::MergeJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
+                stack.extend([left.as_mut(), right.as_mut()]);
+            }
+            Node::Permute { input, .. }
+            | Node::Filter { input, .. }
+            | Node::Agg { input, .. }
+            | Node::Sort { input, .. }
+            | Node::Limit { input, .. }
+            | Node::Project { input, .. }
+            | Node::Distinct { input } => stack.push(input),
+        }
+    }
+}
+
+/// Is this expression free of row references (usable as a probe key)?
+fn row_free(e: &Expr) -> bool {
+    match e {
+        Expr::Col(_) => false,
+        Expr::Lit(_) | Expr::Param(_) | Expr::SubScalar(_) | Expr::Now => true,
+        Expr::Bin(_, l, r) => row_free(l) && row_free(r),
+        Expr::Un(_, x) | Expr::IsNull(x, _) => row_free(x),
+        Expr::InList(x, _, _) | Expr::InSub(x, _, _) => row_free(x),
+        Expr::Call(_, args) => args.iter().all(row_free),
+    }
+}
+
+/// Access-path selection for a base-table scan: the B+tree probe to run
+/// instead of the heap scan, if one pays.
+fn access_path(
+    catalog: &Catalog,
+    tid: TableId,
+    table_arity: usize,
+    keep: &Option<Vec<bool>>,
+    filters: &[Expr],
+    with_rid: bool,
+) -> Option<IndexProbe> {
+    let t = catalog.table(tid);
+    let (n_rows, n_pages) = catalog.table_stats(tid);
+    let n = n_rows as f64;
+    let pages = n_pages.max(1) as f64;
+
+    // Probe-able predicates, keyed by column.
+    let mut eq_on: Vec<Option<&Expr>> = vec![None; table_arity];
+    let mut lo_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
+    let mut hi_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
+    let mut in_on: Vec<Option<InSrc>> = (0..table_arity).map(|_| None).collect();
+    for f in filters {
+        match f {
+            Expr::Bin(op, l, r) => {
+                let (col, rhs, op) = match (l.as_ref(), r.as_ref()) {
+                    (Expr::Col(c), rhs) if row_free(rhs) => (*c, rhs, *op),
+                    (lhs, Expr::Col(c)) if row_free(lhs) => {
+                        // Mirror the comparison so the column is on the left.
+                        let flipped = match op {
+                            BinOp::Lt => BinOp::Gt,
+                            BinOp::Le => BinOp::Ge,
+                            BinOp::Gt => BinOp::Lt,
+                            BinOp::Ge => BinOp::Le,
+                            other => *other,
+                        };
+                        (*c, lhs, flipped)
+                    }
+                    _ => continue,
+                };
+                match op {
+                    BinOp::Eq if eq_on[col].is_none() => {
+                        eq_on[col] = Some(rhs);
+                    }
+                    BinOp::Gt | BinOp::Ge if lo_on[col].is_none() => {
+                        lo_on[col] = Some((rhs, op == BinOp::Gt));
+                    }
+                    BinOp::Lt | BinOp::Le if hi_on[col].is_none() => {
+                        hi_on[col] = Some((rhs, op == BinOp::Lt));
+                    }
+                    _ => {}
+                }
+            }
+            Expr::InList(probe, vals, false) => {
+                if let Expr::Col(c) = probe.as_ref() {
+                    if in_on[*c].is_none() {
+                        in_on[*c] = Some(InSrc::List(vals.clone()));
+                    }
+                }
+            }
+            Expr::InSub(probe, slot, false) => {
+                if let Expr::Col(c) = probe.as_ref() {
+                    if in_on[*c].is_none() {
+                        in_on[*c] = Some(InSrc::Sub(*slot));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    // Best eq/range candidate across indexes. Admission: an eq-prefix
+    // probe is taken whenever the table is big enough to matter — with
+    // no value statistics the flat SEL_EQ overestimates hit counts on
+    // high-cardinality columns (the common probe: `oid = ?`), and a
+    // wrongly-taken probe only costs the tree descent since the full
+    // filter set re-runs as residuals. A range-only probe keeps the
+    // conservative est-vs-pages gate: its 30% selectivity guess is
+    // usually honest and a 30% range scan reads most heap pages anyway.
+    // Among admitted candidates, lowest estimate (longest eq prefix,
+    // then range) wins.
+    let mut best: Option<(usize, usize, bool, f64)> = None; // (index_no, eq_len, has_range, est)
+    for (i, idx) in t.indexes.iter().enumerate() {
+        let mut k = 0;
+        while k < idx.cols.len() && eq_on[idx.cols[k]].is_some() {
+            k += 1;
+        }
+        let has_range =
+            k < idx.cols.len() && (lo_on[idx.cols[k]].is_some() || hi_on[idx.cols[k]].is_some());
+        if k == 0 && !has_range {
+            continue;
+        }
+        let mut est = n * SEL_EQ.powi(k as i32);
+        if has_range {
+            est *= SEL_RANGE;
+        }
+        let est = est.max(1.0);
+        let admitted = if k > 0 {
+            n >= MIN_PROBE_ROWS
+        } else {
+            est < pages
+        };
+        if admitted && best.as_ref().is_none_or(|b| est < b.3) {
+            best = Some((i, k, has_range, est));
+        }
+    }
+
+    // A probe on index `i`. An index entry has no old row for the write
+    // step to replace, so a DML read phase never serves rows from keys.
+    let probe = |i: usize, eq, range, in_probe| {
+        let idx = &t.indexes[i];
+        let covered = |c: usize| idx.cols.contains(&c);
+        let index_only = !with_rid
+            && match keep {
+                Some(mask) => mask
+                    .iter()
+                    .enumerate()
+                    .all(|(c, &need)| !need || covered(c)),
+                None => (0..table_arity).all(covered),
+            };
+        IndexProbe {
+            index_no: i,
+            index_name: idx.name.clone(),
+            eq,
+            range,
+            in_probe,
+            index_only,
+            index_cols: idx.cols.clone(),
+            col_types: t.schema.columns.iter().map(|c| c.ty).collect(),
+        }
+    };
+
+    if let Some((index_no, k, has_range, _)) = best {
+        let cols = &t.indexes[index_no].cols;
+        let eq = cols[..k]
+            .iter()
+            .map(|&c| eq_on[c].expect("the eq prefix is bound").clone())
+            .collect();
+        let range = has_range.then(|| RangeProbe {
+            lo: lo_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+            hi: hi_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+        });
+        return Some(probe(index_no, eq, range, None));
+    }
+
+    // IN probe: only on a single-column index (composite keys cannot be
+    // equality-matched by a one-value prefix via lookup_many).
+    let (i, src) = t
+        .indexes
+        .iter()
+        .enumerate()
+        .find_map(|(i, idx)| match idx.cols[..] {
+            [c] => in_on[c].take().map(|src| (i, src)),
+            _ => None,
+        })?;
+    Some(probe(i, Vec::new(), None, Some(src)))
 }

@@ -1,5 +1,5 @@
-//! Planner equivalence: the staged pipeline (bind → plan → lower →
-//! execute) against the reference interpreter, row-multiset for
+//! Planner equivalence: the staged pipeline (bind → plan → execute)
+//! against the reference interpreter, row-multiset for
 //! row-multiset, over a hand-written corpus and randomized
 //! schemas/predicates/joins — plus plan-shape regression tests pinned
 //! with `EXPLAIN`. INSERT/UPDATE/DELETE ride the same suite: the planner
@@ -665,11 +665,27 @@ fn explain(db: &Database, sql: &str) -> String {
 }
 
 #[test]
-fn explain_has_logical_and_physical_sections() {
-    let db = build_db(60, true, true, false);
-    let text = explain(&db, "select a from t where a = 3");
-    assert!(text.contains("== logical =="), "{text}");
-    assert!(text.contains("== physical =="), "{text}");
+fn explain_prints_the_executed_tree_once() {
+    let db = build_db(200, true, true, false);
+    let text = explain(
+        &db,
+        "with per_a(a, n) as (select a, count(*) from t group by a) \
+         select per_a.n, u.d from per_a, u \
+         where per_a.a = u.a and u.d > (select min(d) from u)",
+    );
+    assert!(!text.contains("== logical =="), "{text}");
+    assert!(!text.contains("== physical =="), "{text}");
+    assert_eq!(text.matches("cte per_a:").count(), 1, "{text}");
+    assert_eq!(text.matches("subquery 0 (scalar):").count(), 1, "{text}");
+    assert!(text.contains("Join"), "{text}");
+    // Every base-table scan (t in the CTE, u twice) says how many of its
+    // columns it decodes.
+    let scans: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("SeqScan ") || l.contains("IndexScan "))
+        .collect();
+    assert_eq!(scans.len(), 3, "{text}");
+    assert!(scans.iter().all(|l| l.contains(" cols=")), "{text}");
 }
 
 #[test]
@@ -712,8 +728,8 @@ fn pushdown_lands_filters_on_the_scan() {
         "select t.a from t, u where t.a = u.a and b > 1.0 and d = 2",
     );
     // Both single-source conjuncts pushed below the join.
-    assert!(text.contains("scan t [filters=1"), "{text}");
-    assert!(text.contains("scan u [filters=1"), "{text}");
+    assert!(text.contains("SeqScan t [filters=1"), "{text}");
+    assert!(text.contains("SeqScan u [filters=1"), "{text}");
     assert!(text.contains("MergeJoin [keys=1]"), "{text}");
 }
 

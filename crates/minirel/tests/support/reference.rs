@@ -1,9 +1,10 @@
 //! The reference interpreter: bind-and-evaluate execution of parsed
 //! SELECTs.
 //!
-//! Statements run through the staged planner (`minirel::sql::plan` →
-//! `minirel::sql::lower`), the only engine the crate ships; this is the
-//! original one-pass engine, kept on the test side as the **oracle**:
+//! Statements run through the planner (`minirel::sql::plan`, whose one
+//! tree `minirel::sql::lower` executes), the only engine the crate
+//! ships; this is the original one-pass engine, kept on the test side as
+//! the **oracle**:
 //! `planner_equivalence.rs` runs every generated query
 //! (and the read phase of every generated INSERT/UPDATE/DELETE) through
 //! both and compares row multisets, so this interpreter is the

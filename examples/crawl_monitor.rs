@@ -219,8 +219,8 @@ fn main() {
         }
     });
 
-    // The planner's work is inspectable: EXPLAIN returns the logical
-    // and physical plans as rows. The hub-revisit lookup probes the
+    // The planner's work is inspectable: EXPLAIN returns the plan tree
+    // that runs, one row per line. The hub-revisit lookup probes the
     // link_src B+tree instead of scanning the link table.
     println!("\n-- explain: the hub-revisit lookup --");
     session.with_db_read(|db| {

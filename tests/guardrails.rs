@@ -95,8 +95,13 @@ const FORBIDDEN: &[Forbidden] = &[
      `Database::check_integrity` and `CrawlSession::check_invariants` — call those"),
     ("the_interpreter_is_gone_from_production_code",
      &["run_statement", "run_select", "SqlCtx", "sql::reference"], Scope("crates/*/src", "", 60),
-     Mode::Whole, "statements run through Database::{execute, query} — plan → lower → execute — \
-     only; the interpreter is the test-side oracle in crates/minirel/tests/support/"),
+     Mode::Whole, "statements run through Database::{execute, query} — parse → bind → plan → \
+     execute — only; the interpreter is the test-side oracle in crates/minirel/tests/support/"),
+    ("a_statement_has_one_plan_tree",
+     &["fn lower_node", "fn lower_select", "enum Phys {", "PhysSelect", "fn render_logical",
+       "fn render_sel_logical", "\"== logical ==\""], MINIREL, Mode::Code,
+     "the planner's tree is the tree that runs and the tree EXPLAIN prints; there is no \
+     lowering copy"),
     ("no_function_reads_a_whole_file_and_sleeps",
      &["fs::read("], MINIREL, Mode::Code,
      "recovery reads the log in chunks; minirel never holds a whole file"),
@@ -501,6 +506,7 @@ checks! {
     one_loader_derives_memory_from_tables: ;
     the_suites_check_invariants_through_the_checkers: ;
     the_interpreter_is_gone_from_production_code: ;
+    a_statement_has_one_plan_tree: ;
     there_is_one_ast_to_expr_binder: one_binder;
     database_run_plans_everything_but_ddl: run_plans_all_but_ddl;
     no_function_reads_a_whole_file_and_sleeps: ;
