@@ -86,7 +86,7 @@ impl BatchUpsert {
 /// Strictly decode one column; a mistyped value is storage corruption,
 /// not a default (a fabricated `Oid(0)` or `""` would silently poison
 /// claims, checkpoints, and events downstream). Shared with the
-/// checkpoint path in [`crate::session`], which reads whole tables.
+/// loader in [`crate::session`], which reads whole tables.
 pub(crate) fn col_i64(row: &[Value], col: usize, what: &str) -> DbResult<i64> {
     row[col]
         .as_i64()

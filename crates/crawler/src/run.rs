@@ -446,7 +446,7 @@ impl CrawlRun {
         self.workers.iter().all(|h| h.is_finished())
     }
 
-    /// Capture frontier + relevance state for resumption in a fresh
+    /// Copy the store and what no table holds, for resumption in a fresh
     /// session ([`CrawlSession::restore`]). Taken at a page boundary
     /// (under the session lock), so tables are consistent; pausing first
     /// makes the snapshot stable against the run advancing.

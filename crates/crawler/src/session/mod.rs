@@ -135,9 +135,9 @@ mod worker;
 pub use check::Violation;
 pub(crate) use check::{debug_check, expect};
 use flush::Classified;
+pub use store::CrawlCheckpoint;
 pub(crate) use store::Origin;
 use store::StoreState;
-pub use store::{CheckpointPage, CrawlCheckpoint};
 
 use crate::cluster::ShardCtx;
 use crate::events::{CrawlEvent, EventSink, FailureOutcome, FetchErrorKind};
@@ -149,7 +149,7 @@ use crate::health::{
 };
 use crate::policy::{log_clamped, CrawlPolicy};
 use crate::run::{Command, ControlState, CrawlError, CrawlRun, RunState, StartOptions};
-use crate::tables::{self, crawl_col, host_server_id, visited};
+use crate::tables::{self, host_server_id, visited};
 use focus_classifier::compiled::{CompiledModel, EvalSummary, Scratch};
 use focus_classifier::model::TrainedModel;
 use focus_distiller::graph::{Distilled, LinkGraph};
@@ -685,6 +685,7 @@ impl CrawlSession {
 mod tests {
     use super::*;
     use crate::events::CrawlObserver;
+    use crate::tables::crawl_col;
     use focus_classifier::train::{train, TrainConfig};
     use focus_types::ClassId;
     use focus_webgraph::{FetchError, FetchedPage, SimFetcher, WebConfig, WebGraph};
@@ -1188,7 +1189,36 @@ mod tests {
             ))
             .unwrap();
         session.run().unwrap();
+        // The maintenance pass distills (filling HUBS/AUTH) and requeues
+        // the top hubs, whose rows keep their own log R and take the top
+        // priority; and a table the crawl knows nothing of rides along.
+        assert!(session.maintenance_pass(3).unwrap() > 0);
+        session.with_db(|db| {
+            db.execute("create table notes (k int)").unwrap();
+            db.execute("insert into notes values (7), (11)").unwrap();
+        });
         let ckpt = session.checkpoint().unwrap();
+        let tables = |s: &CrawlSession| {
+            let all =
+                |db: &Database, t: &str| db.query(&format!("select * from {t}")).unwrap().rows;
+            let names = ["crawl", "link", "hubs", "auth", "notes"];
+            s.with_db_read(|db| names.map(|t| all(db, t)))
+        };
+        let mut stored = tables(&session);
+        let revisit = |r: &Vec<Value>| {
+            let (log_r, negrel) = (&r[crawl_col::RELEVANCE], &r[crawl_col::NEGREL]);
+            r[crawl_col::KCID].as_i64() >= Some(0) && negrel.as_f64() != log_r.as_f64().map(|x| -x)
+        };
+        assert!(stored[0].iter().any(revisit), "no requeued revisit");
+        assert!(
+            stored[2..].iter().all(|t| !t.is_empty()),
+            "empty HUBS/AUTH/notes"
+        );
+        for row in &mut stored[0] {
+            if row[crawl_col::VISITED] == Value::Int(visited::CLAIMED) {
+                row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+            }
+        }
         let distilled = session.distill_now().unwrap();
         assert!(!distilled.hubs.is_empty() && !distilled.auths.is_empty());
         assert!(ckpt.visited_len() > 0);
@@ -1217,6 +1247,31 @@ mod tests {
             )
             .unwrap(),
         );
+        // Every table comes back as it was, heap order included; only a
+        // claim in flight goes back to the frontier.
+        assert_eq!(tables(&restored), stored, "CRAWL, LINK, HUBS, AUTH, notes");
+        // So does the same copy restored into a file, dropped, and
+        // recovered from it.
+        let path = std::env::temp_dir().join(format!("crawl-ckpt-{}.db", std::process::id()));
+        let cleanup = || {
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(minirel::wal_path_for(&path));
+        };
+        cleanup();
+        let file = CrawlConfig {
+            durability: Durability::File {
+                path: path.clone(),
+                group_commit: 8,
+            },
+            ..CrawlConfig::default()
+        };
+        let model = || trained_model(&graph, "recreation/cycling");
+        let sim = || Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        drop(CrawlSession::restore(sim(), model(), file.clone(), &ckpt).unwrap());
+        let recovered = CrawlSession::recover(sim(), model(), file).unwrap();
+        assert_eq!(tables(&recovered), stored, "through a file");
+        drop(recovered);
+        cleanup();
         assert_eq!(restored.stats().attempts, 80, "stats carried over");
         assert_eq!(restored.visited().len(), ckpt.visited_len());
         // The link graph was rebuilt from the checkpoint: same links in
@@ -1278,9 +1333,12 @@ mod tests {
         let claim = frontier::claim_next(&mut g.db).unwrap().unwrap();
         assert!(!claim.url.is_empty(), "claims of seeds carry the URL");
         drop(g);
-        let ckpt = session.checkpoint().unwrap();
-        assert!(
-            ckpt.pages.iter().all(|p| !p.url.is_empty()),
+        let restored = restore_tiny(&graph, &session.checkpoint().unwrap()).unwrap();
+        let rows = |sql| restored.sql(sql).unwrap().scalar_i64().unwrap();
+        assert!(rows("select count(*) from crawl") > 0);
+        assert_eq!(
+            rows("select count(*) from crawl where url = ''"),
+            0,
             "checkpointed seeds must carry URLs"
         );
     }
@@ -1545,28 +1603,37 @@ mod tests {
         assert_eq!(session.maintenance_pass(5).unwrap(), 0);
     }
 
+    /// `graph`'s tiny web, restored from `ckpt` with the usual model.
+    fn restore_tiny(graph: &Arc<WebGraph>, ckpt: &CrawlCheckpoint) -> DbResult<CrawlSession> {
+        let model = trained_model(graph, "recreation/cycling");
+        let fetcher = Arc::new(SimFetcher::new(Arc::clone(graph), None));
+        CrawlSession::restore(fetcher, model, CrawlConfig::default(), ckpt)
+    }
+
     #[test]
     fn checkpoint_surfaces_corrupt_crawl_rows() {
         // Regression for the silent unwrap_or decodes: a torn CRAWL row
-        // must fail the checkpoint loudly, not resurrect an
-        // Oid(0)/empty-URL page into the restored session.
-        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        // must fail loudly, not resurrect an Oid(0)/empty-URL page. The
+        // checkpoint copies the row as it is; the restored run fails at
+        // the claim that reads it.
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 10);
         session.with_db(|db| {
             let tid = db.table_id("crawl").unwrap();
             let mut row = tables::frontier_row(Oid(7), "u7", -0.5, 0);
             row[crawl_col::URL] = Value::Null;
             db.insert(tid, row).unwrap();
         });
-        let err = session.checkpoint().unwrap_err();
+        let restored = Arc::new(restore_tiny(&graph, &session.checkpoint().unwrap()).unwrap());
+        let err = restored.run().unwrap_err();
         assert!(
-            matches!(err, DbError::Corrupt(ref m) if m.contains("url")),
+            matches!(err, CrawlError::Db(DbError::Corrupt(ref m)) if m.contains("url")),
             "expected Corrupt(url), got {err:?}"
         );
     }
 
     #[test]
     fn checkpoint_surfaces_corrupt_link_rows() {
-        let (_graph, session) = setup(CrawlPolicy::SoftFocus, 10);
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 10);
         session.with_db(|db| {
             let tid = db.table_id("link").unwrap();
             db.insert(
@@ -1581,7 +1648,10 @@ mod tests {
             )
             .unwrap();
         });
-        let err = session.checkpoint().unwrap_err();
+        let restored = restore_tiny(&graph, &session.checkpoint().unwrap());
+        let err = restored
+            .err()
+            .expect("a torn LINK row must fail the restore");
         assert!(
             matches!(err, DbError::Corrupt(ref m) if m.contains("oid_dst")),
             "expected Corrupt(link.oid_dst), got {err:?}"
@@ -1778,13 +1848,6 @@ mod tests {
         session.counters.clock.store(7, Ordering::Release);
         let ckpt = session.checkpoint().unwrap();
         assert_eq!(ckpt.clock, 7, "tick clock checkpointed");
-        let page = ckpt
-            .pages
-            .iter()
-            .find(|p| p.oid == parked_oid)
-            .expect("parked row in checkpoint");
-        assert_eq!(page.state, visited::FRONTIER, "parked rows are frontier");
-        assert_eq!(page.not_before, 42, "cooldown survives the checkpoint");
 
         let model = trained_model(&graph, "recreation/cycling");
         let restored = CrawlSession::restore(
@@ -1803,6 +1866,23 @@ mod tests {
             restored.counters.clock.load(Ordering::Acquire),
             7,
             "clock restored verbatim"
+        );
+        let parked = restored
+            .sql_with(
+                "select visited, not_before from crawl where oid = ?",
+                &[Value::Int(parked_oid.raw() as i64)],
+            )
+            .unwrap();
+        let (state, not_before) = (&parked.rows[0][0], &parked.rows[0][1]);
+        assert_eq!(
+            state,
+            &Value::Int(visited::FRONTIER),
+            "parked rows are frontier"
+        );
+        assert_eq!(
+            not_before,
+            &Value::Int(42),
+            "cooldown survives the checkpoint"
         );
         let mut g = restored.store.write();
         // Before its tick the row hides from claims without losing its

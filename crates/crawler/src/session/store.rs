@@ -1,28 +1,32 @@
 //! The session store: [`StoreState`], the one way into it, and the
-//! snapshots out of it (`checkpoint`, commits, replicas).
+//! copies out of it (`checkpoint`, commits, replicas).
 //!
 //! The paper keeps every piece of crawl state in relational tables, so
 //! a crawler is something that *reconnects* to them; memory is only a
 //! cache (§3.1). Here that is one opener and one loader:
 //!
 //! * [`CrawlSession::build`] opens or creates the database for an
-//!   [`Origin`] — `Fresh`, `Checkpoint(&ckpt)` or `File` — brings the
-//!   origin's rows into its tables, calls the loader, and overlays only
-//!   what tables do not hold. `new`, `restore`, `recover` and every
-//!   cluster shard are this function with a different origin.
+//!   [`Origin`] — `Fresh`, `Checkpoint(&ckpt)` or `File` — calls the
+//!   loader, and overlays only what tables do not hold. A fresh store
+//!   gets empty tables. A checkpoint holds a copy of a store's pages
+//!   ([`minirel::Snapshot`]); an empty database adopts it and from there
+//!   on it loads exactly as a reopened file does. `new`, `restore`,
+//!   `recover` and every cluster shard are this function with a
+//!   different origin.
 //! * [`StoreState::load`] is the only place in-memory state is derived
-//!   from tables, so "restore ≡ recover" is one function, not something
-//!   two test files hope for. Its derivation ([`derive`]) is also what
-//!   [`CrawlSession::check_invariants`] holds live memory to: debug
-//!   builds check it right after `build` loads, and at every `join`.
+//!   from tables, so "restore ≡ recover" is one function over one kind
+//!   of store, not something two test files hope for. Its derivation
+//!   ([`derive`]) is also what [`CrawlSession::check_invariants`] holds
+//!   live memory to: debug builds check it right after `build` loads,
+//!   and at every `join`.
 //!
 //! What stays in memory beside the tables, and why (ROADMAP item 3's
-//! audit): the link graph (PR 16: the distiller's input, snapshotted by
+//! audit): the link graph (the distiller's input, snapshotted by
 //! memcpy); `class_probs`, which mirrors **no** table — saved posteriors
-//! exist nowhere else, a checkpoint carries them and a file does not;
-//! and `server_counts`, a tally only the loader derives, because it is
-//! read once per outlink at flush time, where a `count(*)` per link is
-//! the "measurably too slow" case.
+//! exist nowhere else, so a checkpoint carries them beside its copy of
+//! the store and a file does not; and `server_counts`, a tally only the
+//! loader derives, because it is read once per outlink at flush time,
+//! where a `count(*)` per link is the "measurably too slow" case.
 
 use super::*;
 
@@ -63,40 +67,22 @@ pub(super) struct StoreState {
     pub(super) health: HealthMap,
 }
 
-/// Every `LINK` row in table (= discovery) order, as [`decode_link`] reads it.
-const LINK_ROWS: &str = "select oid_src, sid_src, oid_dst, sid_dst, discovered from link";
-
-/// Strictly decode one [`LINK_ROWS`] row.
-fn decode_link(row: &[Value]) -> DbResult<(Oid, u32, Oid, u32, i64)> {
-    Ok((
-        Oid(frontier::col_i64(row, 0, "link.oid_src")? as u64),
-        frontier::col_i64(row, 1, "link.sid_src")? as u32,
-        Oid(frontier::col_i64(row, 2, "link.oid_dst")? as u64),
-        frontier::col_i64(row, 3, "link.sid_dst")? as u32,
-        frontier::col_i64(row, 4, "link.discovered")?,
-    ))
-}
-
 /// Per-server health restarted over `db`: a fresh [`HealthMap`] and an
 /// emptied `server_health`. The table mirrors the map's breakers, so the
 /// one place that creates a map over a store also clears the mirror —
 /// no monitor, here or on a replica, is shown a quarantine that no map
 /// is enforcing.
-fn fresh_health(
-    db: &mut Database,
-    backoff: BackoffConfig,
-    breaker: BreakerConfig,
-    politeness: PolitenessConfig,
-) -> DbResult<HealthMap> {
+fn fresh_health(db: &mut Database, cfg: &CrawlConfig) -> DbResult<HealthMap> {
     db.execute("delete from server_health")?;
-    Ok(HealthMap::new(backoff, breaker, politeness))
+    Ok(HealthMap::new(cfg.backoff, cfg.breaker, cfg.politeness))
 }
 
 /// Where the stored state a session is built over comes from.
 pub(crate) enum Origin<'a> {
     /// Nowhere: fresh, empty tables.
     Fresh,
-    /// A [`CrawlCheckpoint`]: fresh tables filled with its rows.
+    /// A [`CrawlCheckpoint`]: an empty database adopts its copy of the
+    /// store, then loads like a file.
     Checkpoint(&'a CrawlCheckpoint),
     /// The [`Durability::File`] store an earlier session left behind.
     File,
@@ -132,19 +118,21 @@ pub(super) fn derive(db: &Database) -> DbResult<(LinkGraph, FxHashMap<ServerId, 
             *server_counts.entry(host_server_id(url)).or_insert(0) += 1;
         }
     }
-    for row in &db.query(LINK_ROWS)?.rows {
-        let (src, sid_src, dst, sid_dst, _) = decode_link(row)?;
-        let src = graph.node_id(src, sid_src);
-        graph.add_link(src, dst, sid_dst);
+    let links = "select oid_src, sid_src, oid_dst, sid_dst from link";
+    for row in &db.query(links)?.rows {
+        let col = |i, what| frontier::col_i64(row, i, what);
+        let (src, dst) = (col(0, "link.oid_src")?, col(2, "link.oid_dst")?);
+        let src = graph.node_id(Oid(src as u64), col(1, "link.sid_src")? as u32);
+        graph.add_link(src, Oid(dst as u64), col(3, "link.sid_dst")? as u32);
     }
     Ok((graph, server_counts))
 }
 
 impl StoreState {
     /// The one place in-memory state is derived from tables: `new` (over
-    /// empty ones), `restore` (over a checkpoint's rows) and `recover`
-    /// (over a reopened file) all come through here, so they cannot
-    /// disagree. Also returns the latest `not_before` of a frontier row.
+    /// empty ones), `restore` (over an adopted copy of a store) and
+    /// `recover` (over a reopened file) all come through here, so they
+    /// cannot disagree. Also returns the latest `not_before` of a frontier row.
     ///
     /// * Claims in flight when the tables were last written never
     ///   landed: they are demoted back to the frontier, poppable again.
@@ -156,7 +144,7 @@ impl StoreState {
         let (graph, server_counts) = derive(&db)?;
         let parked = "select max(not_before) from crawl where visited = ?";
         let latest_park = db.query_with(parked, &[Value::Int(visited::FRONTIER)])?;
-        let health = fresh_health(&mut db, cfg.backoff, cfg.breaker, cfg.politeness)?;
+        let health = fresh_health(&mut db, cfg)?;
         let store = StoreState {
             db,
             graph,
@@ -200,8 +188,11 @@ impl CrawlSession {
     }
 
     /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
-    /// resumed in a fresh process with its frontier, relevance state,
-    /// link graph, stats, remaining budget, and good marking intact.
+    /// resumed in a fresh process with every table, its relevance state,
+    /// stats, remaining budget, and good marking intact. The database
+    /// `cfg.durability` names adopts the checkpoint's copy of the store,
+    /// which then loads as [`CrawlSession::recover`] loads a file: claims
+    /// in flight at the checkpoint go back to the frontier.
     pub fn restore(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
@@ -214,7 +205,7 @@ impl CrawlSession {
     /// Reopen a crashed (or cleanly stopped) file-backed session from
     /// its data file and WAL: the log is replayed to the last committed
     /// batch and the session is loaded from the recovered tables exactly
-    /// as [`CrawlSession::restore`] loads a checkpoint's.
+    /// as [`CrawlSession::restore`] loads a checkpoint's copy.
     ///
     /// Requires `cfg.durability = Durability::File` pointing at the
     /// files the crashed session used. What no table holds is not
@@ -233,9 +224,10 @@ impl CrawlSession {
     }
 
     /// The one way into a session, alone or (`shard`) as one shard of a
-    /// [`crate::cluster`]: open or create the database, bring `origin`'s
-    /// rows into its tables, [`StoreState::load`] them, and overlay only
-    /// what tables do not hold.
+    /// [`crate::cluster`]: open or create the database, give it
+    /// `origin`'s tables (fresh ones, a checkpoint's copy, or the file's
+    /// own), [`StoreState::load`] them, and overlay only what tables do
+    /// not hold.
     pub(crate) fn build(
         fetcher: Arc<dyn Fetcher>,
         mut model: TrainedModel,
@@ -269,47 +261,29 @@ impl CrawlSession {
             }
             Durability::None => Database::in_memory_with_frames(cfg.db_frames),
         };
-        if stored {
-            // A recovered file must actually hold a crawl. Its `TAXONOMY`
-            // follows the model it is recovered under.
-            db.table_id("crawl")?;
-            tables::fill_taxonomy_dim(&mut db, &model.taxonomy)?;
-        } else {
-            if let Origin::Checkpoint(ckpt) = origin {
-                // Before the tables and the one compile, so both already
-                // reflect the restored marking.
-                adopt_marking(&mut model.taxonomy, &ckpt.good_topics)?;
+        match origin {
+            Origin::Fresh => {
+                tables::create_tables(&mut db)?;
+                tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
+                db.execute("create table hubs (oid int, score float)")?;
+                db.execute("create index hubs_oid on hubs (oid)")?;
+                db.execute("create table auth (oid int, score float)")?;
+                db.execute("create index auth_oid on auth (oid)")?;
             }
-            tables::create_tables(&mut db)?;
-            tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
-            db.execute("create table hubs (oid int, score float)")?;
-            db.execute("create index hubs_oid on hubs (oid)")?;
-            db.execute("create table auth (oid int, score float)")?;
-            db.execute("create index auth_oid on auth (oid)")?;
+            Origin::Checkpoint(ckpt) => {
+                // Before `TAXONOMY` is refilled and the one compile, so
+                // both reflect the restored marking.
+                adopt_marking(&mut model.taxonomy, &ckpt.good_topics)?;
+                db.adopt(&ckpt.store)?;
+            }
+            // A recovered file must actually hold a crawl.
+            Origin::File => {
+                db.table_id("crawl")?;
+            }
         }
-        if let Origin::Checkpoint(ckpt) = origin {
-            let pages = ckpt.pages.iter().map(|p| {
-                let mut r = tables::frontier_row(p.oid, &p.url, p.log_relevance, p.serverload);
-                r[crawl_col::KCID] = Value::Int(p.kcid);
-                r[crawl_col::NUMTRIES] = Value::Int(p.numtries);
-                r[crawl_col::LASTVISITED] = Value::Int(p.lastvisited);
-                r[crawl_col::VISITED] = Value::Int(p.state);
-                r[crawl_col::NOT_BEFORE] = Value::Int(p.not_before);
-                if p.kcid >= 0 && p.state != visited::DONE {
-                    // A requeued revisit: `relevance` is the page's own
-                    // log R, the priority is the top one.
-                    r[crawl_col::NEGREL] = Value::Float(frontier::TOP_NEGREL);
-                }
-                r
-            });
-            db.insert_many(db.table_id("crawl")?, pages.collect())?;
-            let links = ckpt
-                .links
-                .iter()
-                .map(|&(src, sid_src, dst, sid_dst, discovered)| {
-                    tables::link_row(src, sid_src, dst, sid_dst, discovered)
-                });
-            db.insert_many(db.table_id("link")?, links.collect())?;
+        if !matches!(origin, Origin::Fresh) {
+            // Stored tables follow the model they are loaded under.
+            tables::fill_taxonomy_dim(&mut db, &model.taxonomy)?;
         }
         let (mut store, latest_park) = StoreState::load(db, &cfg)?;
         // From here on the store holds a crawl that can be resumed (and
@@ -426,51 +400,21 @@ impl CrawlSession {
     }
 
     /// Capture everything needed to resume this crawl in a fresh session:
-    /// the full `CRAWL` table (in-flight claims demoted back to the
-    /// frontier), the link graph with discovery timestamps, relevance
-    /// state, saved posteriors, stats, remaining budget, live policy, and
-    /// the good marking.
+    /// a copy of the store — every table, claims in flight included
+    /// ([`CrawlSession::restore`] demotes them as `recover` does) — and
+    /// what no table holds: relevance state, saved posteriors, stats,
+    /// remaining budget, live policy, the good marking and the clock.
     pub fn checkpoint(&self) -> DbResult<CrawlCheckpoint> {
-        // Read lock: a checkpoint is SELECTs + cache clones, so it runs
+        // Read lock: a checkpoint is page reads + cache clones, so it runs
         // concurrently with monitors and only briefly excludes writers.
         let g = self.store.read();
-        let rs = g.db.query(
-            "select oid, url, kcid, numtries, relevance, serverload, lastvisited, \
-             visited, not_before from crawl",
-        )?;
-        // Strict decodes throughout: a torn row surfaces as
-        // `DbError::Corrupt` instead of silently resurrecting an
-        // `Oid(0)`/empty-URL page into the restored session (the same
-        // treatment `frontier.rs` gives claims).
-        let pages = rs
-            .rows
-            .iter()
-            .map(|row| {
-                let state = match frontier::col_i64(row, 7, "visited")? {
-                    // A claim in flight at checkpoint time will not land
-                    // in the restored session: re-fetch it.
-                    visited::CLAIMED => visited::FRONTIER,
-                    s => s,
-                };
-                Ok(CheckpointPage {
-                    oid: Oid(frontier::col_i64(row, 0, "oid")? as u64),
-                    url: frontier::col_str(row, 1, "url")?.to_owned(),
-                    kcid: frontier::col_i64(row, 2, "kcid")?,
-                    numtries: frontier::col_i64(row, 3, "numtries")?,
-                    log_relevance: frontier::col_f64(row, 4, "relevance")?,
-                    serverload: frontier::col_i64(row, 5, "serverload")?,
-                    lastvisited: frontier::col_i64(row, 6, "lastvisited")?,
-                    state,
-                    not_before: frontier::col_i64(row, 8, "not_before")?,
-                })
-            })
-            .collect::<DbResult<Vec<CheckpointPage>>>()?;
-        let link_rs = g.db.query(LINK_ROWS)?;
-        let links = link_rs
-            .rows
-            .iter()
-            .map(|row| decode_link(row))
-            .collect::<DbResult<Vec<_>>>()?;
+        let store = g.db.take_snapshot()?;
+        let count = |sql: &str| {
+            g.db.query(sql)
+                .map(|rs| rs.scalar_i64().unwrap_or(0) as usize)
+        };
+        let frontier_len = count("select count(*) from crawl where visited = 0 or visited = 2")?;
+        let visited_len = count("select count(*) from crawl where visited = 1")?;
         let stats = self.stats();
         let budget_remaining = self
             .counters
@@ -492,8 +436,9 @@ impl CrawlSession {
                 .collect()
         };
         Ok(CrawlCheckpoint {
-            pages,
-            links,
+            store,
+            frontier_len,
+            visited_len,
             relevance,
             class_probs,
             stats,
@@ -505,39 +450,17 @@ impl CrawlSession {
     }
 }
 
-/// One `CRAWL` row captured by [`CrawlSession::checkpoint`].
-#[derive(Debug, Clone)]
-pub struct CheckpointPage {
-    /// Page identity.
-    pub oid: Oid,
-    /// URL text (may be empty for seeds discovered without one).
-    pub url: String,
-    /// Best-leaf class (−1 before fetch).
-    pub kcid: i64,
-    /// Fetch attempts so far.
-    pub numtries: i64,
-    /// Stored log R.
-    pub log_relevance: f64,
-    /// Server-load column at insert time.
-    pub serverload: i64,
-    /// Seconds-since-start of the last visit.
-    pub lastvisited: i64,
-    /// Lifecycle state ([`crate::tables::visited`] constants).
-    pub state: i64,
-    /// Earliest tick the row may be claimed again (backoff/quarantine
-    /// parking; 0 = immediately poppable).
-    pub not_before: i64,
-}
-
-/// Frontier + relevance state of a crawl, sufficient to resume the run in
-/// a fresh session ([`CrawlSession::restore`]) — the paper's long-lived
-/// crawls survive administrative restarts this way.
+/// A crawl, sufficient to resume it in a fresh session
+/// ([`CrawlSession::restore`]) — the paper's long-lived crawls survive
+/// administrative restarts this way: a copy of the store plus what no
+/// table holds.
 #[derive(Debug, Clone)]
 pub struct CrawlCheckpoint {
-    /// Every `CRAWL` row (frontier, visited, dead; claims demoted).
-    pub pages: Vec<CheckpointPage>,
-    /// Every `LINK` row `(src, sid_src, dst, sid_dst, discovered)`.
-    pub links: Vec<(Oid, u32, Oid, u32, i64)>,
+    /// Every table's pages, the catalog and the database clock, as
+    /// [`minirel::Database::take_snapshot`] copied them.
+    pub store: minirel::Snapshot,
+    frontier_len: usize,
+    visited_len: usize,
     /// Linear relevance of visited pages.
     pub relevance: Vec<(Oid, f64)>,
     /// Saved per-page posteriors (for post-resume re-marking).
@@ -556,19 +479,14 @@ pub struct CrawlCheckpoint {
 }
 
 impl CrawlCheckpoint {
-    /// Frontier entries captured (poppable work after restore).
+    /// Frontier entries captured, claims in flight included (poppable
+    /// work after restore).
     pub fn frontier_len(&self) -> usize {
-        self.pages
-            .iter()
-            .filter(|p| p.state == visited::FRONTIER)
-            .count()
+        self.frontier_len
     }
 
     /// Visited pages captured.
     pub fn visited_len(&self) -> usize {
-        self.pages
-            .iter()
-            .filter(|p| p.state == visited::DONE)
-            .count()
+        self.visited_len
     }
 }

@@ -598,25 +598,6 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
     assert_eq!(stats.attempts, stats.successes + stats.failures);
 }
 
-/// An evolving web that also answers the metadata calls seeding and
-/// chaos injection key on.
-struct Evolving(Arc<EvolvingFetcher>);
-
-impl Fetcher for Evolving {
-    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
-        self.0.fetch(oid)
-    }
-    fn fetch_count(&self) -> u64 {
-        self.0.fetch_count()
-    }
-    fn url_of(&self, oid: Oid) -> Option<String> {
-        self.0.current().page(oid).map(|p| p.url.clone())
-    }
-    fn server_of(&self, oid: Oid) -> Option<ServerId> {
-        self.0.current().page(oid).map(|p| p.server)
-    }
-}
-
 /// Crawl, let the web evolve, requeue the top hubs, crawl on — one
 /// worker, every server flaky under one seeded schedule. Returns a
 /// digest of the whole event stream.
@@ -629,7 +610,7 @@ fn crawl_evolve_revisit_crawl() -> u64 {
     for s in servers {
         schedule = schedule.with_profile(s, FaultProfile::Flaky { p: 0.2 });
     }
-    let fetcher = ChaosFetcher::new(Arc::new(Evolving(Arc::clone(&web))), schedule);
+    let fetcher = ChaosFetcher::new(web.clone(), schedule);
     let cfg = CrawlConfig {
         threads: 1,
         distill_every: Some(60),

@@ -482,34 +482,25 @@ fn cluster_add_seeds_routes_to_owning_shards() {
     }
 }
 
-/// An evolving web whose fetcher also resolves URLs without a fetch, so
-/// seeds are partitioned by host like every link-discovered page
-/// (`EvolvingFetcher` alone leaves seeds URL-less, and URL-less seeds
-/// fall back to the `oid % n` partition).
-struct EvolvingWithUrls(Arc<EvolvingFetcher>);
-
-impl Fetcher for EvolvingWithUrls {
-    fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
-        self.0.fetch(oid)
-    }
-    fn fetch_count(&self) -> u64 {
-        self.0.fetch_count()
-    }
-    fn url_of(&self, oid: Oid) -> Option<String> {
-        self.0.current().page(oid).map(|p| p.url.clone())
-    }
-}
-
 #[test]
 fn a_fetcher_without_urls_passes_the_cluster_check() {
     // Without `url_of`, seeds are routed by `oid % n` and may be fetched
     // off their server's owner (and again on it, once discovered by
     // URL). That is the documented contract, so the check `join` runs in
     // debug builds must not call it broken.
+    struct UrlLess(EvolvingFetcher);
+    impl Fetcher for UrlLess {
+        fn fetch(&self, oid: Oid) -> Result<FetchedPage, FetchError> {
+            self.0.fetch(oid)
+        }
+        fn fetch_count(&self) -> u64 {
+            self.0.fetch_count()
+        }
+    }
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(61)));
     let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
     let model = trained_model(&graph, "recreation/cycling");
-    let fetcher = Arc::new(EvolvingFetcher::new(Arc::clone(&graph)));
+    let fetcher = Arc::new(UrlLess(EvolvingFetcher::new(Arc::clone(&graph))));
     let cfg = CrawlConfig {
         max_fetches: 120,
         ..CrawlConfig::default()
@@ -543,7 +534,7 @@ fn maintenance_pass_respects_the_partition() {
     let fetcher = Arc::new(EvolvingFetcher::new(Arc::clone(&base)));
     let cluster = CrawlCluster::new(
         2,
-        Arc::new(EvolvingWithUrls(Arc::clone(&fetcher))),
+        fetcher.clone(),
         model,
         CrawlConfig {
             policy: CrawlPolicy::SoftFocus,

@@ -107,9 +107,9 @@ fn stop_mid_pipeline_leaks_nothing_and_session_is_reusable() {
 }
 
 /// Checkpoint while paused with a saturated pipeline: the snapshot
-/// demotes every in-flight claim back to the frontier, so a session
-/// restored from it starts with zero `CLAIMED` rows and can finish the
-/// crawl.
+/// carries the in-flight claims, and restoring it demotes every one back
+/// to the frontier, so the restored session starts with zero `CLAIMED`
+/// rows.
 #[test]
 fn checkpoint_under_load_demotes_in_flight_claims() {
     let (session, _) = pipeline_session(Duration::from_millis(20), |_| {});
@@ -119,10 +119,20 @@ fn checkpoint_under_load_demotes_in_flight_claims() {
     std::thread::sleep(Duration::from_millis(300));
     let ckpt = run.checkpoint().unwrap();
     // The live table still holds CLAIMED rows (the pause holds them
-    // checked out) but the snapshot must not.
-    assert!(
-        ckpt.pages.iter().all(|p| p.state != 2),
-        "checkpoint carried CLAIMED rows"
+    // checked out) but the restored session must not.
+    let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+    let restored = CrawlSession::restore(
+        Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+        trained_model(&graph, "recreation/cycling"),
+        CrawlConfig::default(),
+        &ckpt,
+    )
+    .unwrap();
+    let claimed = restored.sql("select count(*) from crawl where visited = 2");
+    assert_eq!(
+        claimed.unwrap().scalar_i64(),
+        Some(0),
+        "restore carried CLAIMED rows"
     );
     run.stop();
     run.join().unwrap();

@@ -43,6 +43,7 @@ use crate::value::{Row, Value};
 use crate::wal::{PageDelta, Wal};
 use lockcheck::{rank, OrderedRwLock};
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,6 +144,22 @@ impl ResultSet {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A copy of a [`Database`] taken by [`Database::take_snapshot`] and loaded
+/// by [`Database::adopt`]: the one page copy behind a replica's base
+/// and a crawl checkpoint.
+#[derive(Clone)]
+pub struct Snapshot {
+    pages: Vec<[u8; PAGE_SIZE]>,
+    catalog: Vec<u8>,
+    timestamp: i64,
+}
+
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Snapshot({} pages)", self.pages.len())
     }
 }
 
@@ -300,7 +317,8 @@ impl Database {
         self.pool.num_pages()
     }
 
-    /// Copy of page `pid`'s current bytes (replica base snapshots).
+    /// Copy of page `pid`'s current bytes, read through the pool (what
+    /// [`Database::take_snapshot`] copies).
     pub fn page_snapshot(&self, pid: PageId) -> DbResult<[u8; PAGE_SIZE]> {
         self.pool.with_page(pid, |b| {
             let mut out = [0u8; PAGE_SIZE];
@@ -327,21 +345,36 @@ impl Database {
         self.invalidate_plans();
     }
 
-    /// Clone this database's committed state into a fresh in-memory
-    /// database (the replica base snapshot). `&mut self` guarantees no
-    /// writer is mid-flight, so the copy is a clean commit boundary.
-    pub fn clone_committed_state(&mut self) -> DbResult<Database> {
-        let follower = Database::in_memory_with_frames(self.pool.capacity());
-        for pid in 0..self.pool.num_pages() {
-            let img = self.page_snapshot(pid)?;
-            follower.install_page(pid, &img)?;
+    /// Copy this database through shared borrows: every page as the
+    /// pool reads it, the catalog image and the session clock. A caller
+    /// that holds off writers (as a read lock does) gets one state;
+    /// [`Database::adopt`] makes another database that state.
+    pub fn take_snapshot(&self) -> DbResult<Snapshot> {
+        let pages = (0..self.num_pages()).map(|pid| self.page_snapshot(pid));
+        Ok(Snapshot {
+            pages: pages.collect::<DbResult<_>>()?,
+            catalog: recovery::encode_catalog(&self.catalog),
+            timestamp: self.current_timestamp,
+        })
+    }
+
+    /// Make this empty database a copy of `snap`: the same pages under
+    /// the same ids, the same catalog and clock. The pages enter the
+    /// pool dirty and leave it as every dirty page does — into the log
+    /// of a durable database, where its next commit covers them, and
+    /// into the store otherwise.
+    pub fn adopt(&mut self, snap: &Snapshot) -> DbResult<()> {
+        if self.num_pages() != 0 {
+            return Err(DbError::Eval("adopt: the target is not empty".into()));
         }
-        let mut follower = follower;
-        follower.replace_catalog(recovery::decode_catalog(&recovery::encode_catalog(
-            &self.catalog,
-        ))?);
-        follower.current_timestamp = self.current_timestamp;
-        Ok(follower)
+        for img in &snap.pages {
+            let pid = self.pool.allocate()?;
+            self.pool.with_page_mut(pid, |b| b.copy_from_slice(img))?;
+        }
+        self.pool.flush_all()?;
+        self.replace_catalog(recovery::decode_catalog(&snap.catalog)?);
+        self.current_timestamp = snap.timestamp;
+        Ok(())
     }
 
     /// Execute one SQL statement.

@@ -31,8 +31,9 @@
 //! # Replication
 //!
 //! A [`Replica`] is a read-only follower `Database` fed from the
-//! leader's WAL. [`Replica::spawn`] snapshots the leader's committed
-//! pages + catalog, then a thread appends the chunks the leader
+//! leader's WAL. [`Replica::spawn`] copies the leader's committed state
+//! with the one page copy ([`Database::take_snapshot`], then
+//! [`Database::adopt`]), then a thread appends the chunks the leader
 //! publishes at each commit to a buffer and *feeds* the buffer to the
 //! same reader recovery uses. The page records of the group being read
 //! stay borrowed from the buffer; at each commit record the group — an
@@ -479,8 +480,9 @@ impl ReplicaShared {
 }
 
 impl Replica {
-    /// In-process replica of `leader`: commit, snapshot the committed
-    /// pages + catalog, then follow the WAL broadcast on a thread that
+    /// In-process replica of `leader`: commit, copy the committed state
+    /// into an in-memory follower ([`Database::take_snapshot`] +
+    /// [`Database::adopt`]), then follow the WAL broadcast on a thread that
     /// appends each shipped chunk to its buffer and feeds the buffer to
     /// the log reader, keeping what no commit covers yet for the next
     /// round. Requires the leader to be durable
@@ -497,8 +499,10 @@ impl Replica {
         })?;
         let base_lsn = leader.commit()?;
         let rx = wal.subscribe();
+        let mut follower = Database::in_memory_with_frames(leader.parts().0.capacity());
+        follower.adopt(&leader.take_snapshot()?)?;
         let shared = Arc::new(ReplicaShared {
-            db: OrderedRwLock::new(rank::REPLICA_DB, leader.clone_committed_state()?),
+            db: OrderedRwLock::new(rank::REPLICA_DB, follower),
             applied_lsn: AtomicU64::new(base_lsn),
             stop: AtomicBool::new(false),
             error: OrderedMutex::new(rank::REPLICA_ERR, None),
@@ -652,6 +656,13 @@ mod tests {
         assert!(replica.wait_for_lsn(lsn, Duration::from_secs(5)));
         let rs = replica.query("select count(*) from crawl").unwrap();
         assert_eq!(rs.scalar_i64(), Some(3), "err={:?}", replica.error());
+        // The base copy still fits the follower's pool: the delta that
+        // shipped patched the page its store holds.
+        let rows = "select oid, relevance from crawl";
+        assert_eq!(
+            replica.query(rows).unwrap().rows,
+            leader.query(rows).unwrap().rows
+        );
         // The replica is read-only by construction (query() is SELECT-only).
         assert!(replica.with_db(|db| db.query("delete from crawl").is_err()));
         // DDL replicates too.

@@ -1061,3 +1061,55 @@ fn the_follower_equals_the_leader_page_for_page_after_a_delta_heavy_run() {
     drop((follower, leader));
     cleanup(&path);
 }
+
+// ------------------------------------------------------------ snapshots
+
+/// Every row of every table, in heap order.
+fn dump(db: &Database, tables: &[&str]) -> Vec<Vec<Vec<Value>>> {
+    let all = |t: &&str| db.query(&format!("select * from {t}")).unwrap().rows;
+    tables.iter().map(all).collect()
+}
+
+/// A copy of a database bigger than its pool — so taking the snapshot
+/// evicts mid-copy, and so does adopting it — is the database: adopted
+/// in memory, and adopted into a durable file whose commit, once
+/// reopened, recovers the same tables.
+#[test]
+fn a_snapshot_bigger_than_the_pool_adopts_in_memory_and_into_a_file() {
+    let frames = 8;
+    let mut src = Database::in_memory_with_frames(frames);
+    src.execute("create table t (k int, pad text)").unwrap();
+    src.execute("create index t_k on t (k)").unwrap();
+    src.execute("create table u (a float)").unwrap();
+    let tid = src.table_id("t").unwrap();
+    let rows = (0..3000i64).map(|i| vec![Value::Int(i % 977), Value::Str(format!("pad-{i:030}"))]);
+    src.insert_many(tid, rows.collect()).unwrap();
+    src.execute("insert into u values (0.5), (-1.25)").unwrap();
+    src.execute("delete from t where k < 100").unwrap();
+    src.set_current_timestamp(77);
+    let tables = ["t", "u"];
+    let want = dump(&src, &tables);
+    let snap = src.take_snapshot().unwrap();
+    assert!(src.num_pages() as usize > 4 * frames, "the copy must evict");
+
+    let mut copy = Database::in_memory_with_frames(frames);
+    copy.adopt(&snap).unwrap();
+    assert_eq!(copy.num_pages(), src.num_pages());
+    assert_eq!(dump(&copy, &tables), want);
+    let now = "select count(*) from u where current timestamp = 77";
+    assert_eq!(copy.query(now).unwrap().scalar_i64(), Some(2), "the clock");
+    copy.check_integrity().unwrap();
+    assert!(copy.adopt(&snap).is_err(), "only an empty database adopts");
+
+    let path = temp_db_path("adopt");
+    cleanup(&path);
+    let mut file = Database::open_with(&path, frames, 4).unwrap();
+    file.adopt(&snap).unwrap();
+    file.commit_durable().unwrap();
+    drop(file);
+    let reopened = Database::open_with(&path, frames, 4).unwrap();
+    assert_eq!(dump(&reopened, &tables), want);
+    reopened.check_integrity().unwrap();
+    drop(reopened);
+    cleanup(&path);
+}

@@ -15,7 +15,7 @@ use crate::fetch::{FetchError, FetchedPage, Fetcher};
 use crate::generator::{WebConfig, WebGraph};
 use crate::lexicon::LexiconConfig;
 use crate::page::{FailureMode, PageKind, SimPage};
-use focus_types::{ClassId, Oid};
+use focus_types::{ClassId, Oid, ServerId};
 use lockcheck::{rank, OrderedRwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -184,6 +184,14 @@ impl Fetcher for EvolvingFetcher {
 
     fn fetch_count(&self) -> u64 {
         self.fetches.load(Ordering::Relaxed)
+    }
+
+    fn url_of(&self, oid: Oid) -> Option<String> {
+        self.current().page(oid).map(|p| p.url.clone())
+    }
+
+    fn server_of(&self, oid: Oid) -> Option<ServerId> {
+        self.current().page(oid).map(|p| p.server)
     }
 }
 

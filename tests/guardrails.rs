@@ -54,6 +54,9 @@ const STORE: Scope = Scope("crates/crawler/src/session/store.rs", "", 1);
 const BUFFER: Scope = Scope("crates/minirel/src/buffer.rs", "", 1);
 const DB: Scope = Scope("crates/minirel/src/db.rs", "", 1);
 
+const CHECKPOINT_IS_A_COPY: &str = "a checkpoint is a copy of the store's pages; restore \
+     loads it the way recover loads a file — no per-column capture or re-insert";
+
 /// Code that must not come back: (check, patterns, where, how files are
 /// read, why). The check is the `#[test]` that reads the row (see
 /// [`checks!`]).
@@ -89,6 +92,12 @@ const FORBIDDEN: &[Forbidden] = &[
     ("one_loader_derives_memory_from_tables",
      &["Value::Int(sid_dst"], Scope("crates/crawler/src", "tables.rs", 10), Mode::Code,
      "a `LINK` row is spelled out once, in `tables::link_row`"),
+    ("one_loader_derives_memory_from_tables",
+     &["struct CheckpointPage", "CheckpointPage {",
+       "\"select oid, url, kcid, numtries, relevance, serverload, lastvisited, "], CRAWLER,
+     Mode::Code, CHECKPOINT_IS_A_COPY),
+    ("one_loader_derives_memory_from_tables",
+     &["fn clone_committed_state"], MINIREL, Mode::Code, CHECKPOINT_IS_A_COPY),
     ("the_suites_check_invariants_through_the_checkers",
      &["fn validate_indexes", "fn assert_session_invariants", "fn claimed_rows", ".btree.validate("],
      SUITES, Mode::Whole, "heap/index agreement and the crawl's invariants are checked by \
