@@ -22,21 +22,32 @@
 //! assigned — is pushed into the owner's bounded inbox on the
 //! [`ShardExchange`]. Owners drain their inbox exactly where they drain
 //! the command queue (page boundaries and the top of the worker loop),
-//! so cross-shard latency equals steering latency. Inboxes are bounded;
-//! overflow drops the entry and counts it ([`ShardExchange::dropped`]) —
-//! the same never-block contract as the event channel.
+//! so cross-shard latency equals steering latency. Every session has an
+//! exchange: a standalone [`CrawlSession`] is shard 0 of a one-shard
+//! exchange of its own, so routing, gauges and the stagnation verdict
+//! are one code path for one shard or many.
+//!
+//! **Nothing is dropped but overflow.** An inbox keeps every entry it
+//! is handed, also while its shard has no live workers (its share of
+//! the budget is spent, or it was stopped): the entries land at that
+//! shard's next start, or at a checkpoint, which drains every inbox.
+//! Only an inbox already holding [`EXCHANGE_CAPACITY`] entries drops
+//! one, and counts it ([`ShardExchange::dropped`]) — the same
+//! never-block contract as the event channel.
 //!
 //! **Termination.** "My frontier is empty and nothing is in flight" is a
-//! shard-local fact; the crawl is only over when it holds everywhere *and*
-//! nothing is queued between shards. The exchange tracks a global
-//! in-flight gauge, a global queued-entry gauge, a per-shard idle flag,
-//! and per-shard live-worker counts; a locally-idle worker records its
-//! verdict and asks [`ShardExchange::try_finish`] for the global one.
-//! The ordering that makes the verdict race-free: a page's cross-shard
-//! entries are routed *before* its in-flight gauge falls, and drained
-//! entries stay in the queued gauge until they are in the owner's
-//! frontier — at every instant, undiscovered work is covered by at least
-//! one gauge.
+//! shard-local fact; the crawl is only over when it holds on every shard
+//! with live workers *and* nothing is queued for one. The exchange
+//! tracks an in-flight gauge, a queued-entry gauge and an idle flag per
+//! shard, per-shard live-worker counts, and an epoch that moves whenever
+//! an idle flag falls. A locally-idle worker records its verdict and the
+//! epoch under its store lock and asks [`ShardExchange::try_finish`]
+//! for the global one, which latches only on a consistent cut: a page's
+//! cross-shard entries are routed *before* its in-flight gauge falls,
+//! drained entries stay queued until they are in the owner's frontier,
+//! and any work that reaches an idle shard after the caller's verdict
+//! moves the epoch. Every run, of one shard or all of them, starts
+//! through one launch sequence ([`launch`]), which re-arms the verdict.
 //!
 //! **What is global, what is not.** `mark_topic` broadcasts to every
 //! shard (each recompiles and Arc-swaps its own [`CompiledModel`] — the
@@ -65,7 +76,8 @@ use focus_webgraph::Fetcher;
 use lockcheck::{rank, OrderedMutex};
 use minirel::{DbError, DbResult, Value};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 
 /// Per-inbox bound of the cross-shard exchange. Generous: inboxes are
@@ -74,7 +86,9 @@ use std::sync::Arc;
 /// counts them) rather than blocking the classifying shard.
 pub const EXCHANGE_CAPACITY: usize = 65_536;
 
-/// A shard's view of its cluster: identity plus the shared exchange.
+/// A session's view of its exchange: which shard it is, of how many,
+/// plus the exchange itself — shared by a cluster's shards, or a
+/// standalone session's own ([`ShardCtx::alone`]).
 pub(crate) struct ShardCtx {
     /// This shard's index.
     pub(crate) shard: usize,
@@ -95,6 +109,16 @@ pub(crate) fn shard_of(sid: ServerId, n_shards: usize) -> usize {
 }
 
 impl ShardCtx {
+    /// A standalone session's view: shard 0 of a one-shard exchange of
+    /// its own.
+    pub(crate) fn alone() -> ShardCtx {
+        ShardCtx {
+            shard: 0,
+            n_shards: 1,
+            exchange: Arc::new(ShardExchange::new(1, EXCHANGE_CAPACITY)),
+        }
+    }
+
     /// The shard owning `sid`'s pages.
     pub(crate) fn owner_of(&self, sid: ServerId) -> usize {
         shard_of(sid, self.n_shards)
@@ -124,33 +148,40 @@ pub(crate) fn seed_owner(url: &str, oid: Oid, n_shards: usize) -> usize {
 }
 
 /// The cross-shard fabric: bounded per-shard inboxes plus the gauges the
-/// distributed-termination verdict reads. See the module docs for the
-/// ordering contract that keeps [`ShardExchange::try_finish`] race-free.
+/// termination verdict reads. Every session holds one: a cluster's
+/// shards share theirs, a standalone session is shard 0 of its own. See
+/// [`ShardExchange::try_finish`] for how the verdict reads the gauges.
+/// Every atomic here is `SeqCst`, so the verdict's reads and the
+/// writers' updates fall in one total order.
 pub(crate) struct ShardExchange {
-    /// One bounded inbox per shard.
+    /// One bounded inbox per shard. An inbox keeps its entries until its
+    /// shard drains it — also while that shard has no live workers.
     inboxes: Vec<OrderedMutex<VecDeque<FrontierEntry>>>,
-    /// Entries routed but not yet landed in the owner's frontier. This
-    /// deliberately covers the take→upsert gap: [`ShardExchange::take`]
-    /// leaves entries counted until [`ShardExchange::landed`].
-    queued: AtomicUsize,
+    /// Per shard: entries routed to it and not yet landed in its
+    /// frontier. This deliberately covers the take→upsert gap:
+    /// [`ShardExchange::take`] leaves entries counted until
+    /// [`ShardExchange::landed`].
+    queued: Vec<AtomicUsize>,
     /// Claims checked out across all shards (mirror of the per-session
     /// gauges, maintained under the same critical sections).
     in_flight: AtomicUsize,
     /// Shard observed itself locally idle (empty frontier, nothing in
-    /// flight, judged under its store lock). Cleared whenever work is
+    /// flight, judged under its store lock). Cleared before work is
     /// routed to or lands on the shard.
     idle: Vec<AtomicBool>,
-    /// Live (registered) workers per shard. A shard with zero live
-    /// workers counts as idle for the verdict: its frontier remainder is
-    /// unfundable (budget spent, stopped, or failed).
+    /// Bumped whenever an idle flag goes from true to false (and at
+    /// every arming): a verdict taken at one epoch is stale at another.
+    epoch: AtomicU64,
+    /// Live (registered) workers per shard. The verdict reads only the
+    /// shards with live workers: a dead shard's frontier and inbox wait
+    /// for its next start.
     live: Vec<AtomicUsize>,
     /// Shards whose runs are still launching: blocks the verdict until
     /// every shard's pool is registered.
     arming: AtomicUsize,
-    /// The cluster-wide verdict, latched once.
+    /// The verdict of the current run, latched once.
     done: AtomicBool,
-    /// Entries dropped: inbox overflow, or routed to / left at a shard
-    /// with no live workers.
+    /// Entries dropped because their inbox held [`EXCHANGE_CAPACITY`].
     dropped: AtomicU64,
     capacity: usize,
 }
@@ -161,9 +192,10 @@ impl ShardExchange {
             inboxes: (0..n_shards)
                 .map(|_| OrderedMutex::new(rank::EXCHANGE_INBOX, VecDeque::new()))
                 .collect(),
-            queued: AtomicUsize::new(0),
+            queued: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
             in_flight: AtomicUsize::new(0),
             idle: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
+            epoch: AtomicU64::new(0),
             live: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
             arming: AtomicUsize::new(0),
             done: AtomicBool::new(false),
@@ -182,8 +214,8 @@ impl ShardExchange {
         // the queued gauge rises *before* any entry becomes visible in
         // the inbox, so at no instant does queued undercount transit
         // work. Overflow drops are subtracted back out afterwards.
-        self.idle[owner].store(false, Ordering::Release);
-        self.queued.fetch_add(entries.len(), Ordering::AcqRel);
+        self.clear_idle(owner);
+        self.queued[owner].fetch_add(entries.len(), SeqCst);
         let mut dropped = 0usize;
         {
             let mut inbox = self.inboxes[owner].lock();
@@ -196,34 +228,21 @@ impl ShardExchange {
             }
         }
         if dropped > 0 {
-            self.queued.fetch_sub(dropped, Ordering::AcqRel);
-            self.dropped.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        // Mid-run, a dead shard never drains: discard rather than wedge
-        // the surviving shards' termination verdict on entries nobody
-        // pops. (The double-check after the push closes the race with
-        // the owner's last worker exiting mid-route.) With *no* shard
-        // live — before the first start, or between runs — there is no
-        // verdict to wedge, and the entries stay queued for the next
-        // start to drain (the same way a tail-drained AddSeeds funds
-        // the next single-session run).
-        if self.live[owner].load(Ordering::Acquire) == 0
-            && self.arming.load(Ordering::Acquire) == 0
-            && self.any_live()
-        {
-            self.discard_inbox(owner);
+            self.queued[owner].fetch_sub(dropped, SeqCst);
+            self.dropped.fetch_add(dropped as u64, SeqCst);
         }
     }
 
-    /// Does any shard currently have registered workers?
-    fn any_live(&self) -> bool {
-        self.live.iter().any(|l| l.load(Ordering::Acquire) != 0)
+    /// Entries routed to `shard` and not yet landed: one load, so a
+    /// drain with nothing queued costs no lock.
+    pub(crate) fn queued(&self, shard: usize) -> usize {
+        self.queued[shard].load(SeqCst)
     }
 
     /// Pop everything queued for `shard`. The entries stay counted in
-    /// the `queued` gauge until [`ShardExchange::landed`] — the caller
+    /// its `queued` gauge until [`ShardExchange::landed`] — the caller
     /// upserts them into its frontier in between, and the gauge is what
-    /// stops a cluster-idle verdict from firing inside that gap.
+    /// stops a verdict from firing inside that gap.
     pub(crate) fn take(&self, shard: usize) -> Vec<FrontierEntry> {
         let mut inbox = self.inboxes[shard].lock();
         if inbox.is_empty() {
@@ -236,156 +255,176 @@ impl ShardExchange {
     /// an aborting run): release their queued cover and mark the shard
     /// non-idle.
     pub(crate) fn landed(&self, shard: usize, n: usize) {
-        self.idle[shard].store(false, Ordering::Release);
-        self.queued.fetch_sub(n, Ordering::AcqRel);
+        self.clear_idle(shard);
+        self.queued[shard].fetch_sub(n, SeqCst);
     }
 
     pub(crate) fn add_in_flight(&self, n: usize) {
-        self.in_flight.fetch_add(n, Ordering::AcqRel);
+        self.in_flight.fetch_add(n, SeqCst);
     }
 
-    /// Saturating: a panicked run's leak is reconciled once by
-    /// [`ShardExchange::worker_exited`]'s last-man pass, so a stray
-    /// double-release must clamp at zero rather than wrap.
+    /// Saturating: a panicked run's leak is subtracted once, when its
+    /// shard's last worker exits, so a stray double-release must clamp
+    /// at zero rather than wrap.
     pub(crate) fn sub_in_flight(&self, n: usize) {
-        let _ = self
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_sub(n))
-            });
+        let _ = (self.in_flight).fetch_update(SeqCst, SeqCst, |v| Some(v.saturating_sub(n)));
     }
 
     /// Record `shard`'s local-idle verdict (empty frontier, nothing in
-    /// flight, judged under its store lock).
-    pub(crate) fn mark_idle(&self, shard: usize) {
-        self.idle[shard].store(true, Ordering::Release);
+    /// flight, judged under its store lock) and return the epoch it was
+    /// taken at, for [`ShardExchange::try_finish`].
+    pub(crate) fn mark_idle(&self, shard: usize) -> u64 {
+        self.idle[shard].store(true, SeqCst);
+        self.epoch.load(SeqCst)
     }
 
+    /// Work is about to reach `shard`: lower its idle flag. Only a
+    /// true→false transition writes, and it bumps the epoch first, so a
+    /// verdict that read the flag true and the epoch unchanged read both
+    /// before the work arrived.
     pub(crate) fn clear_idle(&self, shard: usize) {
-        self.idle[shard].store(false, Ordering::Release);
+        if self.idle[shard].load(SeqCst) {
+            self.epoch.fetch_add(1, SeqCst);
+            self.idle[shard].store(false, SeqCst);
+        }
     }
 
-    /// The global termination verdict: nothing in flight anywhere,
-    /// nothing queued between shards, every shard idle or dead, and no
-    /// shard still launching. Latches [`ShardExchange::finished`] on
-    /// success.
+    /// The termination verdict of a caller that judged its own shard
+    /// idle at `epoch` ([`ShardExchange::mark_idle`]): nothing launching,
+    /// nothing in flight anywhere, nothing queued for a live shard,
+    /// every live shard idle, and no idle flag lowered since `epoch`.
+    /// Latches [`ShardExchange::finished`] on success. Shards without
+    /// live workers are not read: what waits for them waits for their
+    /// next start.
     ///
-    /// The sweep is not atomic, so correctness rests on a **continuous
-    /// coverage** invariant rather than a snapshot: every unit of
-    /// undone work keeps at least one indicator "bad" for its whole
-    /// lifetime, with overlap at every handoff —
+    /// The reads are a sweep, not a snapshot: in-flight, the live
+    /// shards' queues, the live shards' flags, then both gauges again,
+    /// then the epoch. It latches only on a consistent cut, because
+    /// every unit of undone work keeps at least one indicator "bad" for
+    /// its whole lifetime, with overlap at every handoff —
     ///
-    /// * exchange transit: `queued` rises before the entry is visible
+    /// * exchange transit: `queued[s]` rises before the entry is visible
     ///   in an inbox ([`ShardExchange::route`]) and falls only after it
     ///   sits in the owner's frontier ([`ShardExchange::landed`]);
-    /// * frontier work: the owner's idle flag is cleared *before* the
+    /// * frontier work: the owner's idle flag is lowered *before* the
     ///   upsert, inside the store critical section, and only a verdict
     ///   that observes an empty frontier with zero local in-flight
-    ///   (also under that lock) re-sets it — so `idle[s] == true`
-    ///   implies shard `s` had no poppable work at that instant;
+    ///   (also under that lock) raises it again;
     /// * claimed work: `in_flight` rises in the claim's critical
     ///   section and falls only after the page's outputs (local
     ///   upserts, cross-shard routes) are published.
     ///
-    /// The idle flag is effectively a per-shard "maybe work" latch: once
-    /// false it stays false until the shard is *truly* drained (inserts
-    /// clear it first; re-marking requires an under-lock verdict of
-    /// empty frontier + zero local in-flight), so sweeping flags after
-    /// gauges is sound for all internally-generated work. The one
-    /// deliberate race: *external* injection (an `add_seeds` racing
-    /// global stagnation) may land just before or after the latch — the
-    /// same race a single session has — and those seeds fund the next
-    /// `start()`.
-    pub(crate) fn try_finish(&self) -> bool {
-        if self.done.load(Ordering::Acquire) {
+    /// Those alone leave one hole, which the epoch closes. The sweep
+    /// reads shard A's flag true and is preempted. Shard B lands a page
+    /// routed to A and goes idle again; A drains the entry, so its queue
+    /// falls, and before A claims it both gauges read 0 again. Every
+    /// indicator the re-read sees is clean, yet A's frontier holds work.
+    /// Whatever lowered A's flag after the sweep read it — here the
+    /// route — bumped the epoch, so the caller's verdict is stale and
+    /// the latch is refused; the caller judges again. The same holds for two workers of one shard: a seed one of
+    /// them adds after the other judged the shard idle is crawled.
+    ///
+    /// External injection that lands after the latch (an `add_seeds`
+    /// racing the end of the crawl) funds the next `start()`.
+    pub(crate) fn try_finish(&self, epoch: u64) -> bool {
+        if self.done.load(SeqCst) {
             return true;
         }
-        if self.arming.load(Ordering::Acquire) != 0 {
+        if self.arming.load(SeqCst) != 0 || self.busy() {
             return false;
         }
-        if self.in_flight.load(Ordering::Acquire) != 0 || self.queued.load(Ordering::Acquire) != 0 {
+        if self.live_shards().any(|s| !self.idle[s].load(SeqCst)) {
             return false;
         }
-        for s in 0..self.idle.len() {
-            if !self.idle[s].load(Ordering::Acquire) && self.live[s].load(Ordering::Acquire) != 0 {
-                return false;
-            }
-        }
-        // Belt and braces: re-read the gauges after the flag sweep.
-        // (Not load-bearing under the coverage invariant, but cheap.)
-        if self.in_flight.load(Ordering::Acquire) != 0 || self.queued.load(Ordering::Acquire) != 0 {
+        if self.busy() || self.epoch.load(SeqCst) != epoch {
             return false;
         }
-        self.done.store(true, Ordering::Release);
+        self.done.store(true, SeqCst);
         true
     }
 
-    /// Has the cluster-wide verdict latched?
-    pub(crate) fn finished(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+    /// Claims in flight anywhere, or entries queued for a live shard.
+    fn busy(&self) -> bool {
+        self.in_flight.load(SeqCst) != 0
+            || self.live_shards().any(|s| self.queued[s].load(SeqCst) != 0)
     }
 
-    /// Arm a fresh cluster run: `launching` shards are about to start,
-    /// and the verdict must wait for all of them.
-    pub(crate) fn arm(&self, launching: usize) {
-        self.done.store(false, Ordering::Release);
+    /// The shards with registered workers.
+    fn live_shards(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.live.len()).filter(|&s| self.live[s].load(SeqCst) != 0)
+    }
+
+    /// Has the current run's verdict latched?
+    pub(crate) fn finished(&self) -> bool {
+        self.done.load(SeqCst)
+    }
+
+    /// Arm a run of `launching` shards: the verdict waits for each to
+    /// call [`ShardExchange::launched_one`]. Arms add up, so shards
+    /// started on their own can launch concurrently.
+    fn arm(&self, launching: usize) {
+        self.arming.fetch_add(launching, SeqCst);
+        self.done.store(false, SeqCst);
+        self.epoch.fetch_add(1, SeqCst);
         for f in &self.idle {
-            f.store(false, Ordering::Release);
+            f.store(false, SeqCst);
         }
-        self.arming.store(launching, Ordering::Release);
     }
 
     /// One shard's run finished launching (or definitively won't).
-    pub(crate) fn launched_one(&self) {
-        let _ = self
-            .arming
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_sub(1))
-            });
+    fn launched_one(&self) {
+        let _ = (self.arming).fetch_update(SeqCst, SeqCst, |v| Some(v.saturating_sub(1)));
     }
 
     /// Register `n` workers of `shard` before any of them runs.
     pub(crate) fn workers_arming(&self, shard: usize, n: usize) {
-        self.live[shard].fetch_add(n, Ordering::AcqRel);
+        self.live[shard].fetch_add(n, SeqCst);
     }
 
     /// Retire one worker registration; `true` when it was the last.
     pub(crate) fn worker_exited(&self, shard: usize) -> bool {
-        self.live[shard].fetch_sub(1, Ordering::AcqRel) == 1
+        self.live[shard].fetch_sub(1, SeqCst) == 1
     }
 
-    /// Last worker of `shard` is gone: subtract whatever in-flight count
-    /// it leaked (a panicking worker dies holding claims), and — if any
-    /// peer is still live — discard its inbox, which would otherwise
-    /// wedge the survivors' idle verdict forever. When the whole
-    /// cluster is winding down, inboxes are kept: their entries fund
-    /// the next start.
-    pub(crate) fn reconcile_dead_shard(&self, shard: usize, leaked_in_flight: usize) {
-        if leaked_in_flight > 0 {
-            self.sub_in_flight(leaked_in_flight);
-        }
-        if self.any_live() {
-            self.discard_inbox(shard);
-        }
-    }
-
-    fn discard_inbox(&self, shard: usize) {
-        let n = {
-            let mut inbox = self.inboxes[shard].lock();
-            let n = inbox.len();
-            inbox.clear();
-            n
-        };
-        if n > 0 {
-            self.queued.fetch_sub(n, Ordering::AcqRel);
-            self.dropped.fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Entries dropped on the floor (inbox overflow or dead owners).
+    /// Entries dropped on the floor (inbox overflow).
     pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.load(SeqCst)
     }
+}
+
+/// The one launch sequence, for a standalone session's shard and for
+/// every shard of a cluster alike: arm the shards' exchange once,
+/// launch each shard's [`CrawlRun`] and count it launched — or, on a
+/// failure, count the rest as never launching and wind down the runs
+/// already started (dropping a [`CrawlRun`] stops and joins it).
+/// Observers are attached to every shard.
+pub(crate) fn launch(
+    shards: &[Arc<CrawlSession>],
+    opts: StartOptions,
+) -> Result<Vec<CrawlRun>, CrawlError> {
+    let exchange = &shards[0].shard.exchange;
+    exchange.arm(shards.len());
+    let mut runs = Vec::with_capacity(shards.len());
+    for session in shards {
+        let shard_opts = StartOptions {
+            event_capacity: opts.event_capacity,
+            observers: opts.observers.clone(),
+        };
+        match CrawlRun::launch(Arc::clone(session), shard_opts) {
+            Ok(run) => {
+                exchange.launched_one();
+                runs.push(run);
+            }
+            Err(e) => {
+                for _ in runs.len()..shards.len() {
+                    exchange.launched_one();
+                }
+                drop(runs);
+                return Err(e);
+            }
+        }
+    }
+    Ok(runs)
 }
 
 /// A sharded crawl: `n_shards` independent sessions partitioned by
@@ -461,7 +500,7 @@ impl CrawlCluster {
                 exchange,
             };
             let (fetcher, model) = (Arc::clone(&fetcher), model.clone());
-            let session = CrawlSession::build(fetcher, model, shard_cfg, origin, Some(ctx))?;
+            let session = CrawlSession::build(fetcher, model, shard_cfg, origin, ctx)?;
             shards.push(Arc::new(session));
         }
         Ok(CrawlCluster {
@@ -517,34 +556,8 @@ impl CrawlCluster {
     /// [`CrawlCluster::shards`]` + `[`CrawlSession::start_with`] if you
     /// need attribution).
     pub fn start_with(&self, opts: StartOptions) -> Result<ClusterRun, CrawlError> {
-        // Arm before any shard launches: the termination verdict must
-        // not fire while a later shard's pool is still unregistered.
-        self.exchange.arm(self.shards.len());
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for session in &self.shards {
-            let shard_opts = StartOptions {
-                event_capacity: opts.event_capacity,
-                observers: opts.observers.clone(),
-            };
-            match session.start_with(shard_opts) {
-                Ok(run) => {
-                    self.exchange.launched_one();
-                    runs.push(run);
-                }
-                Err(e) => {
-                    // Un-arm the shards that will now never launch and
-                    // wind down the ones that did (dropping a CrawlRun
-                    // stops and joins it).
-                    for _ in runs.len()..self.shards.len() {
-                        self.exchange.launched_one();
-                    }
-                    drop(runs);
-                    return Err(e);
-                }
-            }
-        }
         Ok(ClusterRun {
-            runs,
+            runs: launch(&self.shards, opts)?,
             shards: self.shards.clone(),
             exchange: Arc::clone(&self.exchange),
             fetcher: Arc::clone(&self.fetcher),
@@ -563,8 +576,8 @@ impl CrawlCluster {
         merge_stats(self.shards.iter().map(|s| s.stats()))
     }
 
-    /// Entries the exchange dropped (inbox overflow or dead shards).
-    /// Zero in a healthy run.
+    /// Entries the exchange dropped because an inbox was full
+    /// ([`EXCHANGE_CAPACITY`]). Zero in a healthy run.
     pub fn exchange_dropped(&self) -> u64 {
         self.exchange.dropped()
     }
@@ -699,7 +712,8 @@ impl ClusterRun {
         Ok(checkpoint_shards(&self.shards)?)
     }
 
-    /// Entries the exchange dropped so far (zero in a healthy run).
+    /// Entries the exchange dropped so far because an inbox was full
+    /// (zero in a healthy run).
     pub fn exchange_dropped(&self) -> u64 {
         self.exchange.dropped()
     }
@@ -753,11 +767,16 @@ fn check_cluster(
     fetcher: &dyn Fetcher,
     mut out: Vec<Violation>,
 ) -> Result<(), Vec<Violation>> {
-    let boxed: usize = exchange.inboxes.iter().map(|b| b.lock().len()).sum();
-    let in_flight = exchange.in_flight.load(Ordering::Acquire);
-    let found = (in_flight, exchange.queued.load(Ordering::Acquire), boxed);
-    let held = found == (0, boxed, boxed);
-    expect(&mut out, "exchange drained", held, found);
+    let boxed: Vec<usize> = exchange.inboxes.iter().map(|b| b.lock().len()).collect();
+    let queued: Vec<usize> = (0..boxed.len()).map(|s| exchange.queued(s)).collect();
+    let in_flight = exchange.in_flight.load(SeqCst);
+    let held = in_flight == 0 && queued == boxed;
+    expect(
+        &mut out,
+        "exchange drained",
+        held,
+        (in_flight, queued, boxed),
+    );
     let n = shards.len();
     let resolves = |o: i64| fetcher.url_of(Oid(o as u64)).is_some();
     let routed = |oid: &Value| oid.as_i64().is_some_and(resolves);
@@ -914,20 +933,20 @@ mod tests {
         x.workers_arming(0, 1);
         x.workers_arming(1, 1);
         x.route(1, vec![entry(1), entry(2)]);
-        assert_eq!(x.queued.load(Ordering::Acquire), 2);
+        assert_eq!(x.queued(1), 2);
         let taken = x.take(1);
         assert_eq!(taken.len(), 2);
         // Still counted until landed: no verdict can fire in the gap.
-        assert_eq!(x.queued.load(Ordering::Acquire), 2);
+        assert_eq!(x.queued(1), 2);
         x.mark_idle(0);
-        x.mark_idle(1);
-        assert!(!x.try_finish(), "entries in the take gap must block");
+        let epoch = x.mark_idle(1);
+        assert!(!x.try_finish(epoch), "entries in the take gap must block");
         x.landed(1, taken.len());
-        assert_eq!(x.queued.load(Ordering::Acquire), 0);
+        assert_eq!(x.queued(1), 0);
         // Landing cleared shard 1's idle flag.
-        assert!(!x.try_finish(), "landed work must block until re-idle");
-        x.mark_idle(1);
-        assert!(x.try_finish());
+        assert!(!x.try_finish(epoch), "landed work must block until re-idle");
+        let epoch = x.mark_idle(1);
+        assert!(x.try_finish(epoch));
         assert!(x.finished());
     }
 
@@ -941,16 +960,18 @@ mod tests {
     }
 
     #[test]
-    fn exchange_discards_for_dead_shards() {
+    fn exchange_keeps_entries_for_dead_shards() {
         let x = ShardExchange::new(2, 8);
         x.workers_arming(0, 1);
-        // Shard 1 never armed: routing to it discards instead of
-        // wedging the termination verdict.
+        // Shard 1 has no live workers: what is routed to it stays queued
+        // and counted, and the verdict over the live shards ignores it.
         x.route(1, vec![entry(1)]);
-        assert_eq!(x.queued.load(Ordering::Acquire), 0);
-        assert_eq!(x.dropped(), 1);
-        x.mark_idle(0);
-        assert!(x.try_finish());
+        assert_eq!(x.queued(1), 1);
+        assert_eq!(x.dropped(), 0);
+        let epoch = x.mark_idle(0);
+        assert!(x.try_finish(epoch));
+        // Its next start drains it.
+        assert_eq!(x.take(1).len(), 1);
     }
 
     #[test]
@@ -959,14 +980,41 @@ mod tests {
         x.arm(2);
         x.workers_arming(0, 1);
         x.mark_idle(0);
-        x.mark_idle(1);
-        assert!(!x.try_finish(), "arming must block the verdict");
+        let epoch = x.mark_idle(1);
+        assert!(!x.try_finish(epoch), "arming must block the verdict");
         x.launched_one();
         x.launched_one();
         x.add_in_flight(1);
-        assert!(!x.try_finish(), "in-flight work must block");
+        assert!(!x.try_finish(epoch), "in-flight work must block");
         x.sub_in_flight(1);
-        assert!(x.try_finish());
+        assert!(x.try_finish(epoch));
+    }
+
+    #[test]
+    fn a_flag_lowered_after_the_verdict_vetoes_the_latch() {
+        let x = ShardExchange::new(2, 8);
+        x.workers_arming(0, 1);
+        x.workers_arming(1, 1);
+        x.mark_idle(1);
+        // Shard 0 judges itself idle.
+        let stale = x.mark_idle(0);
+        // Then an entry is routed to shard 1 and lands there, and shard 1
+        // goes idle again before the verdict is asked for.
+        x.route(1, vec![entry(1)]);
+        let taken = x.take(1);
+        x.landed(1, taken.len());
+        x.mark_idle(1);
+        // Every gauge reads 0 and every flag true, but the verdict
+        // predates the landing.
+        assert_eq!(
+            (x.in_flight.load(SeqCst), x.queued(0), x.queued(1)),
+            (0, 0, 0)
+        );
+        assert!(x.idle.iter().all(|f| f.load(SeqCst)));
+        assert!(!x.try_finish(stale), "a stale verdict latched");
+        assert!(!x.finished());
+        let fresh = x.mark_idle(0);
+        assert!(x.try_finish(fresh));
     }
 
     #[test]
@@ -976,13 +1024,15 @@ mod tests {
         x.workers_arming(1, 1);
         x.add_in_flight(3);
         x.route(0, vec![entry(1)]);
-        // Shard 0's only worker dies holding the claims.
+        // Shard 0's only worker dies holding the claims; its last exit
+        // subtracts the leak.
         assert!(x.worker_exited(0));
-        x.reconcile_dead_shard(0, 3);
-        assert_eq!(x.in_flight.load(Ordering::Acquire), 0);
-        assert_eq!(x.queued.load(Ordering::Acquire), 0);
-        x.mark_idle(1);
-        assert!(x.try_finish());
+        x.sub_in_flight(3);
+        assert_eq!(x.in_flight.load(SeqCst), 0);
+        // Its inbox is kept for its next start.
+        assert_eq!(x.queued(0), 1);
+        let epoch = x.mark_idle(1);
+        assert!(x.try_finish(epoch));
     }
 
     #[test]

@@ -218,9 +218,9 @@ pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<Batc
 
 /// What a batch claim found: the due claims plus how much of the
 /// frontier was *parked* (skipped because `not_before` lies in the
-/// future). `parked`/`next_due` are exact when `claims` came back short
-/// (the whole frontier range was scanned) — exactly the case where the
-/// caller needs them for its idle verdict — and a lower bound otherwise.
+/// future). `parked` is exact when `claims` came back short (the whole
+/// frontier range was scanned) — exactly the case where the caller
+/// needs it for its idle verdict — and a lower bound otherwise.
 #[derive(Debug, Default)]
 pub struct ClaimOutcome {
     /// Due entries, best first, now marked `CLAIMED`.
@@ -232,8 +232,6 @@ pub struct ClaimOutcome {
     /// their frontier position untouched — near-future work, so the
     /// caller's idle verdict must count them like parked rows.
     pub deferred: usize,
-    /// Earliest `not_before` among the parked rows seen.
-    pub next_due: Option<i64>,
 }
 
 /// Pop the `n` best *due* frontier entries (lowest `(numtries, −logR,
@@ -290,7 +288,6 @@ pub fn claim_batch_where(
         let mut due: Vec<(Rid, Vec<Value>, Claim)> = Vec::with_capacity(n);
         out.parked = 0;
         out.deferred = 0;
-        out.next_due = None;
         for rid in rids {
             let row = catalog.get_row(pool, tid, rid)?;
             if col_i64(&row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
@@ -299,10 +296,8 @@ pub fn claim_batch_where(
                     row[crawl_col::OID]
                 )));
             }
-            let parked_until = col_i64(&row, crawl_col::NOT_BEFORE, "not_before")?;
-            if parked_until > now {
+            if col_i64(&row, crawl_col::NOT_BEFORE, "not_before")? > now {
                 out.parked += 1;
-                out.next_due = Some(out.next_due.map_or(parked_until, |d| d.min(parked_until)));
             } else if due.len() < n {
                 let claim = decode_claim(&row)?;
                 if admit(&claim) {
@@ -868,7 +863,6 @@ mod tests {
         let oids: Vec<u64> = out.claims.iter().map(|c| c.oid.raw()).collect();
         assert_eq!(oids, vec![2, 3], "parked row skipped, order kept");
         assert_eq!(out.parked, 1);
-        assert_eq!(out.next_due, Some(10));
         unclaim_batch(&mut db, &out.claims).unwrap();
         // At tick 10 it pops first again: parking never cost priority.
         let out = claim_batch(&mut db, 3, 10).unwrap();
@@ -889,7 +883,6 @@ mod tests {
         let out = claim_batch(&mut db, 2, 3).unwrap();
         assert!(out.claims.is_empty());
         assert_eq!(out.parked, 4, "exact when the scan exhausts the range");
-        assert_eq!(out.next_due, Some(7));
         // claim_next (diagnostics) ignores parking entirely.
         assert!(claim_next(&mut db).unwrap().is_some());
     }

@@ -1,7 +1,6 @@
 //! Crawl policies (§2.1.2): how classification steers link expansion.
 
 use focus_classifier::compiled::EvalSummary;
-use focus_classifier::model::Posterior;
 
 /// The three policies compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,35 +29,23 @@ pub struct Expansion {
 }
 
 impl CrawlPolicy {
-    /// Apply the policy to a classified page. `hard_accepts` is the
-    /// hard-focus predicate evaluated on the page's best leaf.
-    pub fn decide(&self, posterior: &Posterior, hard_accepts: bool) -> Expansion {
-        self.decide_scores(posterior.relevance, hard_accepts)
-    }
-
-    /// Apply the policy to a compiled-path evaluation — the crawl hot
-    /// path's entry point. The decision needs only the relevance scalar
-    /// and the hard-focus verdict, both of which the compiled engine
-    /// returns by value; no owned [`Posterior`] has to exist.
+    /// Apply the policy to a classified page. The decision needs only
+    /// the relevance scalar and the hard-focus verdict on the page's
+    /// best leaf, both of which the compiled engine returns by value.
     pub fn decide_eval(&self, eval: &EvalSummary) -> Expansion {
-        self.decide_scores(eval.relevance, eval.hard_accepts)
-    }
-
-    /// The policy on its raw inputs.
-    fn decide_scores(&self, relevance: f64, hard_accepts: bool) -> Expansion {
         match self {
             CrawlPolicy::Unfocused => Expansion {
                 expand: true,
                 child_log_relevance: 0.0,
             },
             CrawlPolicy::HardFocus => Expansion {
-                expand: hard_accepts,
+                expand: eval.hard_accepts,
                 // Accepted pages' links get top priority (R treated as 1).
                 child_log_relevance: 0.0,
             },
             CrawlPolicy::SoftFocus => Expansion {
                 expand: true,
-                child_log_relevance: log_clamped(relevance),
+                child_log_relevance: log_clamped(eval.relevance),
             },
         }
     }
@@ -74,47 +61,49 @@ mod tests {
     use super::*;
     use focus_types::ClassId;
 
-    fn posterior(r: f64) -> Posterior {
-        Posterior {
+    /// A page classified at relevance `r`, hard-accepted or not.
+    fn eval(r: f64, hard_accepts: bool) -> EvalSummary {
+        EvalSummary {
             best_leaf: ClassId(3),
             best_leaf_prob: 0.9,
             relevance: r,
-            class_probs: vec![],
+            hard_accepts,
         }
     }
 
     #[test]
     fn unfocused_always_expands_neutrally() {
-        let e = CrawlPolicy::Unfocused.decide(&posterior(0.01), false);
+        let e = CrawlPolicy::Unfocused.decide_eval(&eval(0.01, false));
         assert!(e.expand);
         assert_eq!(e.child_log_relevance, 0.0);
     }
 
     #[test]
     fn hard_focus_gates_on_acceptance() {
-        assert!(CrawlPolicy::HardFocus.decide(&posterior(0.9), true).expand);
-        assert!(!CrawlPolicy::HardFocus.decide(&posterior(0.9), false).expand);
+        assert!(CrawlPolicy::HardFocus.decide_eval(&eval(0.9, true)).expand);
+        assert!(!CrawlPolicy::HardFocus.decide_eval(&eval(0.9, false)).expand);
     }
 
     #[test]
     fn compiled_summary_path_agrees_with_reference_path() {
+        // The decision reads the relevance and the hard-focus verdict
+        // and nothing else of the summary: it is the §2.1.2 rule table.
         for r in [0.0, 0.3, 1.0] {
             for hard in [false, true] {
-                let eval = EvalSummary {
-                    best_leaf: ClassId(3),
-                    best_leaf_prob: 0.9,
-                    relevance: r,
-                    hard_accepts: hard,
-                };
-                for policy in [
-                    CrawlPolicy::Unfocused,
-                    CrawlPolicy::HardFocus,
-                    CrawlPolicy::SoftFocus,
-                ] {
-                    let a = policy.decide(&posterior(r), hard);
-                    let b = policy.decide_eval(&eval);
-                    assert_eq!(a.expand, b.expand);
-                    assert_eq!(a.child_log_relevance, b.child_log_relevance);
+                for (leaf, prob) in [(3, 0.9), (7, 0.1)] {
+                    let summary = EvalSummary {
+                        best_leaf: ClassId(leaf),
+                        best_leaf_prob: prob,
+                        ..eval(r, hard)
+                    };
+                    for (policy, expand, child) in [
+                        (CrawlPolicy::Unfocused, true, 0.0),
+                        (CrawlPolicy::HardFocus, hard, 0.0),
+                        (CrawlPolicy::SoftFocus, true, log_clamped(r)),
+                    ] {
+                        let e = policy.decide_eval(&summary);
+                        assert_eq!((e.expand, e.child_log_relevance), (expand, child));
+                    }
                 }
             }
         }
@@ -122,43 +111,42 @@ mod tests {
 
     #[test]
     fn soft_focus_inherits_relevance() {
-        let e = CrawlPolicy::SoftFocus.decide(&posterior(0.5), false);
+        let e = CrawlPolicy::SoftFocus.decide_eval(&eval(0.5, false));
         assert!(e.expand);
         assert!((e.child_log_relevance - 0.5f64.ln()).abs() < 1e-12);
         // Floor keeps zero-relevance finite.
-        let e = CrawlPolicy::SoftFocus.decide(&posterior(0.0), false);
+        let e = CrawlPolicy::SoftFocus.decide_eval(&eval(0.0, false));
         assert!(e.child_log_relevance.is_finite());
     }
 
     #[test]
     fn soft_focus_clamps_at_the_relevance_boundaries() {
         // R = 1 (perfectly relevant) maps to the top priority, ln 1 = 0.
-        let top = CrawlPolicy::SoftFocus.decide(&posterior(1.0), true);
+        let top = CrawlPolicy::SoftFocus.decide_eval(&eval(1.0, true));
         assert_eq!(top.child_log_relevance, 0.0);
         // The floor at R = 1e-9 bounds every priority from below...
         let floor = 1e-9f64.ln();
-        let bottom = CrawlPolicy::SoftFocus.decide(&posterior(0.0), false);
+        let bottom = CrawlPolicy::SoftFocus.decide_eval(&eval(0.0, false));
         assert_eq!(bottom.child_log_relevance, floor);
         // ...including degenerate negative posteriors from float error.
-        let neg = CrawlPolicy::SoftFocus.decide(&posterior(-1e-12), false);
+        let neg = CrawlPolicy::SoftFocus.decide_eval(&eval(-1e-12, false));
         assert_eq!(neg.child_log_relevance, floor);
         // Priorities are monotone in R above the floor.
-        let lo = CrawlPolicy::SoftFocus.decide(&posterior(1e-9), false);
-        let mid = CrawlPolicy::SoftFocus.decide(&posterior(0.3), false);
+        let lo = CrawlPolicy::SoftFocus.decide_eval(&eval(1e-9, false));
+        let mid = CrawlPolicy::SoftFocus.decide_eval(&eval(0.3, false));
         assert!(lo.child_log_relevance < mid.child_log_relevance);
         assert!(mid.child_log_relevance < top.child_log_relevance);
     }
 
     #[test]
     fn hard_vs_soft_disagree_only_on_expansion() {
-        // At the same posterior, hard focus gates expansion on the
+        // At the same relevance, hard focus gates expansion on the
         // acceptance predicate while soft focus always expands; hard
         // focus grants accepted pages top child priority (R treated as
         // 1), soft focus propagates the measured R.
-        let p = posterior(0.4);
-        let hard_in = CrawlPolicy::HardFocus.decide(&p, true);
-        let hard_out = CrawlPolicy::HardFocus.decide(&p, false);
-        let soft = CrawlPolicy::SoftFocus.decide(&p, false);
+        let hard_in = CrawlPolicy::HardFocus.decide_eval(&eval(0.4, true));
+        let hard_out = CrawlPolicy::HardFocus.decide_eval(&eval(0.4, false));
+        let soft = CrawlPolicy::SoftFocus.decide_eval(&eval(0.4, false));
         assert!(hard_in.expand && !hard_out.expand && soft.expand);
         assert_eq!(hard_in.child_log_relevance, 0.0);
         assert!((soft.child_log_relevance - 0.4f64.ln()).abs() < 1e-12);

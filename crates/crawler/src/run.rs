@@ -301,7 +301,7 @@ impl CrawlRun {
             Arc::clone(&dropped),
         ));
         let threads = session.config().threads.max(1);
-        // Cluster bookkeeping: the whole pool is registered before any
+        // Exchange bookkeeping: the whole pool is registered before any
         // worker runs, so a sibling shard can never observe this shard
         // as dead while its workers are still being spawned.
         session.note_workers_arming(threads);
@@ -332,7 +332,7 @@ impl CrawlRun {
                     session.note_spawn_failure(i, &e, &sink);
                     // The failed slot and every slot after it never ran:
                     // retire their registrations so shard-liveness
-                    // accounting (and any cluster peer waiting on it)
+                    // accounting (and any peer shard waiting on it)
                     // sees them as exited.
                     for _ in i..threads {
                         session.note_worker_exit();

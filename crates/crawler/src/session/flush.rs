@@ -88,12 +88,12 @@ impl CrawlSession {
         self.seed_entries(entries)
     }
 
-    /// Seed resolved frontier entries. In cluster mode, entries whose
-    /// host belongs to another shard are handed to the exchange (drained
-    /// by the owner's workers at page boundaries); a seed with no
-    /// resolvable URL falls back to `oid % n_shards`.
+    /// Seed resolved frontier entries. Entries whose host belongs to
+    /// another shard are handed to the exchange (drained by the owner's
+    /// workers at page boundaries); a seed with no resolvable URL falls
+    /// back to `oid % n_shards`.
     pub(crate) fn seed_entries(&self, entries: Vec<FrontierEntry>) -> DbResult<()> {
-        let n_shards = self.shard.as_ref().map_or(1, |ctx| ctx.n_shards);
+        let n_shards = self.shard.n_shards;
         let routed = entries
             .into_iter()
             .map(|e| (crate::cluster::seed_owner(&e.url, e.oid, n_shards), e))
@@ -103,15 +103,6 @@ impl CrawlSession {
         // Seeds are acknowledged work: a durable session must not lose
         // them to a crash before the first batch commit.
         Self::commit_if_durable(&mut g.db)
-    }
-
-    /// The shard owning server `sid`'s pages; outside a cluster, shard
-    /// 0 of 1 — everything is local. The `% n_shards` partition
-    /// ([`crate::cluster::shard_of`]) is the cluster's one invariant: a
-    /// server's pages always land on one shard, so the §2.2 nepotism
-    /// filter and per-server load accounting stay local facts.
-    fn owner_shard(&self, sid: ServerId) -> usize {
-        self.shard.as_ref().map_or(0, |ctx| ctx.owner_of(sid))
     }
 
     /// A priority boost for a known-but-unfetched link target, paired
@@ -130,21 +121,18 @@ impl CrawlSession {
             log_relevance,
             serverload: 0,
         };
-        (self.owner_shard(ServerId(sid_dst)), entry)
-    }
-
-    /// Is `owner` this shard (always, outside a cluster)?
-    fn is_local(&self, owner: usize) -> bool {
-        self.shard.as_ref().is_none_or(|ctx| ctx.shard == owner)
+        (self.shard.owner_of(ServerId(sid_dst)), entry)
     }
 
     /// Put frontier entries where they belong — the one place the
     /// partition is applied to new frontier work. Each entry comes
-    /// paired with its owning shard ([`CrawlSession::owner_shard`], or
-    /// [`crate::cluster::seed_owner`] for seeds): this shard's entries
-    /// are upserted into the local frontier in one batch, the rest are
-    /// handed to their owners through the exchange. Returns the local
-    /// upsert's outcome.
+    /// paired with its owning shard ([`ShardCtx::owner_of`], or
+    /// [`crate::cluster::seed_owner`] for seeds; the `% n_shards`
+    /// partition keeps a server's pages on one shard, so the §2.2
+    /// nepotism filter and per-server load accounting stay local
+    /// facts): this shard's entries are upserted into the local frontier
+    /// in one batch, the rest are handed to their owners through the
+    /// exchange. Returns the local upsert's outcome.
     ///
     /// A local entry for a page the link graph holds a relevance for is
     /// dropped before the upsert, because the upsert could not change
@@ -157,41 +145,41 @@ impl CrawlSession {
     /// those unchanged (`upsert_never_changes_a_fetched_row`).
     ///
     /// The caller holds the store write lock (`g` is the guarded
-    /// state). The shard's cluster-idle flag is cleared **before**
-    /// the insert: paths with no claim in flight (seeds, re-steer and
-    /// distiller boosts, maintenance) can insert at any time, the lock
-    /// orders the clear against `next_tick`'s verdict, and
-    /// clear-*before*-insert upholds the coverage invariant
+    /// state). The shard's idle flag is lowered **before** the insert:
+    /// paths with no claim in flight (seeds, re-steer and distiller
+    /// boosts, maintenance) can insert at any time, the lock orders the
+    /// lowering against `next_tick`'s verdict, and lower-*before*-insert
+    /// upholds the coverage invariant
     /// [`crate::cluster::ShardExchange::try_finish`] rests on — at no
     /// instant does poppable work exist on a shard whose idle flag
     /// reads true. Routing happens still under the lock, i.e. before a
     /// claimed page's in-flight gauge falls, so a peer shard that
-    /// observes the cluster as idle can never miss the routed entries.
+    /// observes the crawl as idle can never miss the routed entries.
+    /// Nothing is allocated for remote entries until there is one.
     pub(super) fn upsert_routed(
         &self,
         g: &mut StoreState,
         entries: Vec<(usize, FrontierEntry)>,
     ) -> DbResult<frontier::BatchUpsert> {
+        let ShardCtx {
+            shard,
+            n_shards,
+            exchange,
+        } = &self.shard;
         let mut local = Vec::with_capacity(entries.len());
-        let mut remote: Vec<Vec<FrontierEntry>> = match &self.shard {
-            Some(ctx) => vec![Vec::new(); ctx.n_shards],
-            None => Vec::new(),
-        };
+        let mut remote: Vec<Vec<FrontierEntry>> = Vec::new();
         for (owner, entry) in entries {
-            if !self.is_local(owner) {
+            if owner != *shard {
+                remote.resize_with(*n_shards, Vec::new);
                 remote[owner].push(entry);
             } else if g.graph.relevance(entry.oid).is_none() {
                 local.push(entry);
             }
         }
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.clear_idle(ctx.shard);
-        }
+        exchange.clear_idle(*shard);
         let upserted = frontier::upsert_batch(&mut g.db, &local)?;
-        if let Some(ctx) = &self.shard {
-            for (owner, batch) in remote.into_iter().enumerate() {
-                ctx.exchange.route(owner, batch);
-            }
+        for (owner, batch) in remote.into_iter().enumerate() {
+            exchange.route(owner, batch);
         }
         Ok(upserted)
     }
@@ -204,11 +192,16 @@ impl CrawlSession {
     /// command queue drains — page boundaries, the top of the worker
     /// loop, and the pause park — so exchange latency matches steering
     /// latency; the cluster checkpoint also calls it so no routed entry
-    /// is left in an inbox a snapshot cannot see. No-op outside a
-    /// cluster or with an empty inbox.
+    /// is left in an inbox a snapshot cannot see. With nothing queued
+    /// for this shard it returns after one atomic load.
     pub(crate) fn drain_exchange(&self) {
-        let Some(ctx) = &self.shard else { return };
-        let batch = ctx.exchange.take(ctx.shard);
+        let ShardCtx {
+            shard, exchange, ..
+        } = &self.shard;
+        if exchange.queued(*shard) == 0 {
+            return;
+        }
+        let batch = exchange.take(*shard);
         if batch.is_empty() {
             return;
         }
@@ -225,20 +218,20 @@ impl CrawlSession {
                 e
             })
             .collect();
-        // Clear-before-insert under the store lock (see
+        // Lower-before-insert under the store lock (see
         // `upsert_routed`); the queued-gauge release follows outside
         // the lock, after the upsert, so the entries stay covered
         // throughout.
-        ctx.exchange.clear_idle(ctx.shard);
+        exchange.clear_idle(*shard);
         let res = frontier::upsert_batch(&mut g.db, &entries);
         drop(g);
-        // `take` left these counted in the exchange's `queued` gauge so
-        // no cluster-idle verdict could fire while they were in neither
-        // an inbox nor a frontier; release them now that they landed
-        // (the dropped ones too: their pages need nothing more).
-        // On error the run is aborting anyway — still release, or
-        // cluster termination would wedge on entries nobody will land.
-        ctx.exchange.landed(ctx.shard, n);
+        // `take` left these counted in the shard's `queued` gauge so no
+        // verdict could fire while they were in neither an inbox nor a
+        // frontier; release them now that they landed (the dropped ones
+        // too: their pages need nothing more). On error the run is
+        // aborting anyway — still release, or termination would wedge
+        // on entries nobody will land.
+        exchange.landed(*shard, n);
         if let Err(e) = res {
             self.record_error(e);
         }
@@ -407,8 +400,8 @@ impl CrawlSession {
         url: String,
         log_relevance: f64,
     ) -> (usize, FrontierEntry) {
-        let owner = self.owner_shard(sid);
-        let serverload = if self.is_local(owner) {
+        let owner = self.shard.owner_of(sid);
+        let serverload = if owner == self.shard.shard {
             g.server_counts.get(&sid).copied().unwrap_or(0)
         } else {
             0

@@ -395,12 +395,12 @@ pub struct CrawlSession {
     diag: OrderedMutex<RunDiag>,
     control: ControlState,
     start: Instant,
-    /// Present when this session is one shard of a
-    /// [`crate::cluster::CrawlCluster`]: pages whose server hashes to
-    /// another shard are routed through the cluster's exchange instead
-    /// of entering the local frontier, and stagnation becomes a
-    /// cluster-wide verdict.
-    shard: Option<ShardCtx>,
+    /// Which shard of which exchange this session is: one shard of a
+    /// [`crate::cluster::CrawlCluster`], or shard 0 of a one-shard
+    /// exchange of its own. Pages whose server hashes to another shard
+    /// are routed through the exchange instead of entering the local
+    /// frontier, and stagnation is the exchange's verdict.
+    pub(crate) shard: ShardCtx,
 }
 
 impl CrawlSession {
@@ -411,9 +411,12 @@ impl CrawlSession {
     }
 
     /// [`CrawlSession::start`] with an explicit event-channel capacity
-    /// and observers.
+    /// and observers. A cluster's start launches its shards through the
+    /// same sequence, so a shard started on its own re-arms the
+    /// exchange's verdict just as its cluster's start would.
     pub fn start_with(self: &Arc<Self>, opts: StartOptions) -> Result<CrawlRun, CrawlError> {
-        CrawlRun::launch(Arc::clone(self), opts)
+        let mut runs = crate::cluster::launch(std::slice::from_ref(self), opts)?;
+        Ok(runs.remove(0))
     }
 
     /// Run workers until the fetch budget is spent or the frontier
@@ -514,28 +517,26 @@ impl CrawlSession {
         sink.emit(CrawlEvent::WorkerFailed { worker, message });
     }
 
-    /// Register this run's whole worker pool with the cluster exchange
-    /// *before* any worker runs (no-op outside a cluster): a peer shard
-    /// must never observe this shard as dead mid-spawn.
+    /// Register this run's whole worker pool with the exchange *before*
+    /// any worker runs: a peer shard must never observe this shard as
+    /// dead mid-spawn.
     pub(crate) fn note_workers_arming(&self, workers: usize) {
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.workers_arming(ctx.shard, workers);
-        }
+        self.shard
+            .exchange
+            .workers_arming(self.shard.shard, workers);
     }
 
     /// Retire one worker registration (called as each worker exits, and
     /// for slots whose spawn failed). When the last registration of this
-    /// shard retires, reconcile the cluster gauges: any in-flight count
-    /// a panicking worker leaked is subtracted from the global gauge,
-    /// and the shard's inbox is discarded — entries nobody will ever
-    /// drain must not wedge the cluster-idle verdict of the surviving
-    /// shards. No-op outside a cluster.
+    /// shard retires, any in-flight count a panicking worker leaked is
+    /// subtracted from the exchange's gauge. The shard's inbox stays:
+    /// its next start, or a checkpoint, drains it.
     pub(crate) fn note_worker_exit(&self) {
-        if let Some(ctx) = &self.shard {
-            if ctx.exchange.worker_exited(ctx.shard) {
-                let leaked = self.counters.in_flight.load(Ordering::Acquire);
-                ctx.exchange.reconcile_dead_shard(ctx.shard, leaked);
-            }
+        let ShardCtx {
+            shard, exchange, ..
+        } = &self.shard;
+        if exchange.worker_exited(*shard) {
+            exchange.sub_in_flight(self.counters.in_flight.load(Ordering::Acquire));
         }
     }
 
@@ -1893,7 +1894,6 @@ mod tests {
             "parked row popped early: {early:?}"
         );
         assert_eq!(early.parked, 1, "parked row visible to the idle verdict");
-        assert_eq!(early.next_due, Some(42));
         // ...and pops the moment the clock reaches it.
         let due = frontier::claim_batch(&mut g.db, 16, 42).unwrap();
         assert!(
@@ -2517,7 +2517,7 @@ mod tests {
             let link = tables::link_row(oid, sid.raw(), Oid(2), sid.raw(), 0);
             db.insert(db.table_id("link").unwrap(), link).unwrap();
         });
-        one.shard.as_ref().unwrap().exchange.add_in_flight(1);
+        one.shard.exchange.add_in_flight(1);
         let broken = cluster.check_invariants().unwrap_err();
         for invariant in [
             "page on its owner shard",

@@ -189,9 +189,7 @@ impl CrawlSession {
             .map(|&(o, _)| o)
             .collect();
         let mut g = self.store.write();
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.clear_idle(ctx.shard);
-        }
+        self.shard.exchange.clear_idle(self.shard.shard);
         let requeued = frontier::requeue_done(&mut g.db, &hubs)?;
         Self::commit_if_durable(&mut g.db)?;
         Ok(requeued)

@@ -184,7 +184,7 @@ impl CrawlSession {
         model: TrainedModel,
         cfg: CrawlConfig,
     ) -> DbResult<CrawlSession> {
-        Self::build(fetcher, model, cfg, Origin::Fresh, None)
+        Self::build(fetcher, model, cfg, Origin::Fresh, ShardCtx::alone())
     }
 
     /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
@@ -199,7 +199,13 @@ impl CrawlSession {
         cfg: CrawlConfig,
         ckpt: &CrawlCheckpoint,
     ) -> DbResult<CrawlSession> {
-        Self::build(fetcher, model, cfg, Origin::Checkpoint(ckpt), None)
+        Self::build(
+            fetcher,
+            model,
+            cfg,
+            Origin::Checkpoint(ckpt),
+            ShardCtx::alone(),
+        )
     }
 
     /// Reopen a crashed (or cleanly stopped) file-backed session from
@@ -220,10 +226,11 @@ impl CrawlSession {
         model: TrainedModel,
         cfg: CrawlConfig,
     ) -> DbResult<CrawlSession> {
-        Self::build(fetcher, model, cfg, Origin::File, None)
+        Self::build(fetcher, model, cfg, Origin::File, ShardCtx::alone())
     }
 
-    /// The one way into a session, alone or (`shard`) as one shard of a
+    /// The one way into a session, as `shard` of its exchange — shard 0
+    /// of its own ([`ShardCtx::alone`]) or one shard of a
     /// [`crate::cluster`]: open or create the database, give it
     /// `origin`'s tables (fresh ones, a checkpoint's copy, or the file's
     /// own), [`StoreState::load`] them, and overlay only what tables do
@@ -233,7 +240,7 @@ impl CrawlSession {
         mut model: TrainedModel,
         cfg: CrawlConfig,
         origin: Origin<'_>,
-        shard: Option<ShardCtx>,
+        shard: ShardCtx,
     ) -> DbResult<CrawlSession> {
         let stored = matches!(origin, Origin::File);
         let mut db = match &cfg.durability {
@@ -335,7 +342,7 @@ impl CrawlSession {
         cfg: CrawlConfig,
         store: StoreState,
         clock: u64,
-        shard: Option<ShardCtx>,
+        shard: ShardCtx,
     ) -> CrawlSession {
         let compiled = Arc::new(CompiledModel::compile(&model));
         CrawlSession {

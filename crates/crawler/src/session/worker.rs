@@ -2,7 +2,7 @@
 //! landing completions.
 //!
 //! There is exactly one loop ([`CrawlSession::worker`]). Each turn it
-//! drains steering commands and the cluster exchange, asks its
+//! drains steering commands and its shard's exchange inbox, asks its
 //! [`PoolHandle`] how many claims it has room for and claims that many
 //! in one critical section ([`CrawlSession::next_tick`]), then takes one
 //! completion — classify outside every lock, land under the store
@@ -66,13 +66,15 @@ enum Tick {
     /// The frontier had nothing poppable. `idle` and `attempts` are
     /// read inside the same critical section as the empty claim —
     /// `in_flight` only falls *after* a page's outlinks are flushed,
-    /// under that same lock — so `idle == true` is a race-free verdict
-    /// that no in-flight work can still repopulate the frontier.
-    /// Parked rows (backoffs, quarantines) are future work: they keep
-    /// `idle` false, and each empty poll advances the tick clock so
-    /// their cooldowns actually expire.
+    /// under that same lock — so `idle` is a race-free verdict that no
+    /// in-flight work of this shard can still repopulate the frontier,
+    /// carrying the exchange epoch it was recorded at
+    /// ([`crate::cluster::ShardExchange::mark_idle`]). Parked rows
+    /// (backoffs, quarantines) are future work: they keep `idle` `None`,
+    /// and each empty poll advances the tick clock so their cooldowns
+    /// actually expire.
     EmptyFrontier {
-        idle: bool,
+        idle: Option<u64>,
         attempts: u64,
     },
     Exit,
@@ -122,15 +124,11 @@ impl CrawlSession {
             if self.stop_requested() {
                 break;
             }
-            // A peer shard proved the whole cluster idle; nothing can
-            // repopulate any frontier. Our own outstanding jobs hold
-            // the global in-flight gauge up, so `finished` can only be
-            // true with an empty executor.
-            if self
-                .shard
-                .as_ref()
-                .is_some_and(|ctx| ctx.exchange.finished())
-            {
+            // A peer worker, or a peer shard's, proved the crawl idle;
+            // nothing can repopulate any frontier. Our own outstanding
+            // jobs hold the exchange's in-flight gauge up, so
+            // `finished` can only be true with an empty executor.
+            if self.shard.exchange.finished() {
                 break;
             }
             if self.control.run_state() == RunState::Paused {
@@ -149,26 +147,19 @@ impl CrawlSession {
                     // empty *now* — their completions are about to
                     // repopulate it; fall through to the drain.
                     Tick::EmptyFrontier { idle, attempts } if lane.exec.outstanding() == 0 => {
-                        // If nothing was in flight anywhere either
-                        // (judged inside the claim's critical section),
-                        // the crawl has stagnated or finished. A peer
-                        // may still be mid-fetch and about to enqueue
-                        // links, so wait rather than exit while work is
-                        // in flight. In cluster mode, locally idle is
-                        // not cluster idle — a peer shard may still
-                        // route entries here — so the verdict escalates
-                        // to the exchange (the local idle flag was
-                        // already recorded by `next_tick` *inside* the
-                        // claim's critical section; recording it here
-                        // would let a concurrent landing be overwritten
-                        // by a stale verdict), and only the global
-                        // all-shards-drained verdict ends the crawl.
-                        let stagnated = idle
-                            && self
-                                .shard
-                                .as_ref()
-                                .is_none_or(|ctx| ctx.exchange.try_finish());
-                        if stagnated {
+                        // `idle` says nothing was in flight on this
+                        // shard either (judged inside the claim's
+                        // critical section). A peer may still be
+                        // mid-fetch and about to enqueue links, so wait
+                        // rather than exit while work is in flight.
+                        // Locally idle is not idle everywhere — a peer
+                        // shard may still route entries here — so the
+                        // verdict escalates to the exchange, with the
+                        // epoch `next_tick` read when it recorded the
+                        // local verdict *inside* the claim's critical
+                        // section: only the all-shards-drained verdict
+                        // at that epoch ends the crawl.
+                        if idle.is_some_and(|epoch| self.shard.exchange.try_finish(epoch)) {
                             if !self
                                 .control
                                 .stagnation_reported
@@ -335,10 +326,10 @@ impl CrawlSession {
     /// (`Ok(true)`, that page's gauges still up). Every other gauge
     /// falls only after its own page's outlinks are in the frontier,
     /// still under the write lock: a peer observing `in_flight == 0`
-    /// with an empty frontier can trust it. In cluster mode the same
-    /// applies to the global gauge — `process` routed the page's remote
-    /// outlinks *before* the decrement, so a peer shard observing zero
-    /// global in-flight is guaranteed to see them in `queued`. The
+    /// with an empty frontier can trust it. The same applies to the
+    /// exchange's gauge — `process` routed the page's remote outlinks
+    /// *before* the decrement, so a peer shard observing zero in-flight
+    /// on the exchange is guaranteed to see them in `queued`. The
     /// gauges fall on error too: the run is aborting, and
     /// `reset_run_diagnostics` treats lingering in-flight as stale.
     fn land_under(&self, g: &mut StoreState, lane: &mut Lane, sink: &EventSink) -> DbResult<bool> {
@@ -360,12 +351,10 @@ impl CrawlSession {
     }
 
     /// Let `n` landed (or handed-back) claims fall out of the in-flight
-    /// gauges, local and cluster-wide.
+    /// gauges, the session's and the exchange's.
     pub(super) fn release_in_flight(&self, n: usize) {
         self.counters.in_flight.fetch_sub(n, Ordering::AcqRel);
-        if let Some(ctx) = &self.shard {
-            ctx.exchange.sub_in_flight(n);
-        }
+        self.shard.exchange.sub_in_flight(n);
     }
 
     /// Cut a commit point, unless nothing completed since the last one:
@@ -509,20 +498,17 @@ impl CrawlSession {
                 // the flush). Parked rows are future work, so they veto
                 // idleness exactly like in-flight claims do.
                 let idle = parked == 0 && self.counters.in_flight.load(Ordering::Acquire) == 0;
-                // Record the cluster-idle verdict while still holding
-                // the store lock. Every local frontier insertion clears
-                // the flag inside its own store critical section, so
-                // the lock serializes verdict against repopulation: an
-                // upsert before this claim makes the frontier non-empty
-                // (no verdict), an upsert after it clears the flag
-                // after we set it. Recording the flag outside the lock
-                // would let a stale verdict overwrite a landing's
-                // clear and terminate the cluster with poppable work.
-                if idle {
-                    if let Some(ctx) = &self.shard {
-                        ctx.exchange.mark_idle(ctx.shard);
-                    }
-                }
+                // Record the idle verdict, and read the epoch, while
+                // still holding the store lock. Every local frontier
+                // insertion lowers the flag inside its own store
+                // critical section, so the lock serializes verdict
+                // against repopulation: an upsert before this claim
+                // makes the frontier non-empty (no verdict), an upsert
+                // after it lowers the flag after we raise it and bumps
+                // the epoch. Recording the flag outside the lock would
+                // let a stale verdict overwrite a landing's lowering
+                // and end the crawl with poppable work.
+                let idle = idle.then(|| self.shard.exchange.mark_idle(self.shard.shard));
                 Tick::EmptyFrontier { idle, attempts }
             }
             Ok((claims, _)) => {
@@ -536,9 +522,7 @@ impl CrawlSession {
                 self.counters
                     .in_flight
                     .fetch_add(claims.len(), Ordering::AcqRel);
-                if let Some(ctx) = &self.shard {
-                    ctx.exchange.add_in_flight(claims.len());
-                }
+                self.shard.exchange.add_in_flight(claims.len());
                 // Surface retries now that the claims are numbered: a
                 // nonzero `numtries` means this page failed before and
                 // its backoff just expired.

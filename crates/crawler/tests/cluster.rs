@@ -52,9 +52,10 @@ fn cluster_partitions_by_server_and_fetches_each_page_once() {
     let stats = cluster.run().unwrap();
     assert_eq!(stats.attempts, 400, "split budget spends exactly");
     assert!(stats.successes > 200, "only {} successes", stats.successes);
-    // NB: exchange_dropped may legitimately be nonzero here — a shard
-    // that exhausts its budget share dies, and entries routed to it
-    // afterwards are discarded by design (they are unfundable).
+    // A shard that spends its budget share first keeps what its peers
+    // route to it afterwards, queued for its next start: only overflow
+    // drops, and nothing overflows here.
+    assert_eq!(cluster.exchange_dropped(), 0, "exchange dropped entries");
 
     // Every visited page has its URL, sits on its owner and on no other;
     // each shard's harvest series carries its every success.
@@ -113,6 +114,46 @@ fn cluster_terminates_by_global_stagnation() {
     // have been dropped: at the stagnation verdict every routed entry
     // had landed.
     assert_eq!(cluster.exchange_dropped(), 0, "exchange dropped entries");
+}
+
+#[test]
+fn a_shard_started_alone_after_its_cluster_stagnated_crawls() {
+    // Run a cluster to stagnation, then seed one shard with a page it
+    // owns and has never seen, and run that shard on its own. Its start
+    // re-arms the exchange's verdict like a cluster start does, so its
+    // workers claim the seed instead of reading the old verdict.
+    let (graph, cluster, cycling) = cycling_cluster(
+        2,
+        17,
+        CrawlConfig {
+            policy: CrawlPolicy::HardFocus,
+            threads: 2,
+            max_fetches: 100_000,
+            distill_every: None,
+            ..CrawlConfig::default()
+        },
+    );
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 8);
+    cluster.seed(&seeds).unwrap();
+    let stats = cluster.run().unwrap();
+    assert!(stats.attempts < 100_000, "crawl must stagnate, not exhaust");
+    let shard = &cluster.shards()[0];
+    let before = shard.stats().attempts;
+    let known = |oid: Oid| {
+        let sql = format!("select count(*) from crawl where oid = {}", oid.raw());
+        shard.sql(&sql).unwrap().scalar_i64().unwrap() > 0
+    };
+    let fresh = (graph.pages().iter())
+        .find(|p| cluster.owner_of(&p.url) == 0 && !known(p.oid))
+        .expect("shard 0 owns a page it has never seen");
+    shard.seed(&[fresh.oid]).unwrap();
+    shard.run().unwrap();
+    assert!(
+        shard.stats().attempts > before,
+        "the lone shard claimed nothing: {} attempts before and after",
+        before
+    );
+    cluster.check_invariants().unwrap();
 }
 
 #[test]
@@ -312,6 +353,7 @@ fn cluster_checkpoint_restore_resumes_with_identical_frontier() {
     cluster.seed(&seeds).unwrap();
     let stats = cluster.run().unwrap();
     assert_eq!(stats.attempts, 150);
+    assert_eq!(cluster.exchange_dropped(), 0, "exchange dropped entries");
     let ckpt = cluster.checkpoint().unwrap();
     assert_eq!(ckpt.shards.len(), 3);
     assert!(ckpt.visited_len() > 0);
@@ -584,8 +626,8 @@ fn maintenance_pass_respects_the_partition() {
     };
     // Requeue every link source each shard knows (not just a top-k
     // whose membership depends on crawl interleaving), with budget to
-    // spare: a shard that ran dry would have the entries its peers
-    // route to it discarded, which is not what is under test.
+    // spare: a shard that ran dry would leave the entries its peers
+    // route to it queued in its inbox rather than crawled.
     let before: Vec<_> = (0..cluster.n_shards()).map(links_of).collect();
     for shard in cluster.shards() {
         shard.distill_now().unwrap();

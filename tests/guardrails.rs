@@ -54,6 +54,11 @@ const STORE: Scope = Scope("crates/crawler/src/session/store.rs", "", 1);
 const BUFFER: Scope = Scope("crates/minirel/src/buffer.rs", "", 1);
 const DB: Scope = Scope("crates/minirel/src/db.rs", "", 1);
 
+const POLICY: Scope = Scope("crates/crawler/src/policy.rs", "", 1);
+
+const ONE_PROTOCOL: &str = "every session is a shard of an exchange, and the exchange keeps \
+     every entry it is handed";
+
 const CHECKPOINT_IS_A_COPY: &str = "a checkpoint is a copy of the store's pages; restore \
      loads it the way recover loads a file — no per-column capture or re-insert";
 
@@ -143,6 +148,15 @@ const FORBIDDEN: &[Forbidden] = &[
        "fn create_at_path", "fn remap", "fn durable_commit_lsn", "fn parse_script",
        "fn current_timestamp"], MINIREL, Mode::Code,
      "nothing outside minirel's own tests called it, so it was deleted"),
+    ("every_session_is_a_shard",
+     &["Option<ShardCtx>", "self.shard.as_ref()", "fn discard_inbox", "fn any_live"], CRAWLER,
+     Mode::Code, ONE_PROTOCOL),
+    ("the_crawler_carries_no_dead_fork",
+     &["fn decide("], POLICY, Mode::Code,
+     "the policy has one entry point, `decide_eval`; the `Posterior` twin had no caller"),
+    ("the_crawler_carries_no_dead_fork",
+     &["next_due"], FRONTIER, Mode::Code,
+     "a claim scan counts parked rows; the earliest due tick had no reader outside tests"),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -188,6 +202,9 @@ const COUNTED: &[Counted] = &[
     ("one_write_back_logs_pages_and_records_are_encoded_in_place",
      "encode_record(", Scope("crates/minirel/src/wal.rs", "", 1), 1, "the owned encoder is for \
      the format tests; the log stages records in place through `put_record`"),
+    ("every_session_is_a_shard", ".arm(", CRAWLER, 1,
+     "one launch sequence (`cluster::launch`) arms the exchange, for one shard or all of a \
+     cluster's"),
     ("the_suites_check_invariants_through_the_checkers", "fn trained_model", SUITES, 1,
      "the suites share one `trained_model`, in crates/crawler/tests/support/mod.rs"),
 ];
@@ -523,6 +540,8 @@ checks! {
     workspace_scan_is_finding_free: raw_locks;
     minirel_keeps_what_callers_outside_it_reach: ;
     no_knob_skips_a_wall_clock_assertion: ;
+    every_session_is_a_shard: ;
+    the_crawler_carries_no_dead_fork: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
