@@ -23,7 +23,7 @@
 //! * a document — whose [`TermVec`] is canonical (sorted, deduplicated)
 //!   by construction — is **merge-joined** against the CSR term column,
 //!   with each probe resolved through a per-node compile-time index
-//!   ([`TermIndex`]): a direct-indexed table when the node's term-id
+//!   (`TermIndex`): a direct-indexed table when the node's term-id
 //!   universe is dense, an interpolation directory over the sorted
 //!   column when it is sparse (hashed 32-bit tids). Either way a probe
 //!   is O(1), branch-light, and hash-free;
@@ -44,9 +44,9 @@
 //! cheap (a few vectors sized by the model) and `Send`, so give each
 //! thread its own.
 
-use crate::model::{normalize_log, Posterior, TrainedModel};
+use crate::model::{normalize_log, TrainedModel};
 use focus_types::hash::FxHashMap;
-use focus_types::{ClassId, DocId, Document, Taxonomy, TermId, TermVec};
+use focus_types::{ClassId, Taxonomy, TermId, TermVec};
 
 /// One internal node's parameters in CSR form.
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ pub struct Scratch {
     /// Absolute `Pr[c | d]` by interned class index.
     abs: Vec<f64>,
     /// `Pr[c | d]` for every evaluated class, in path-node order — the
-    /// compiled counterpart of [`Posterior::class_probs`].
+    /// compiled counterpart of [`crate::model::Posterior::class_probs`].
     class_probs: Vec<(ClassId, f64)>,
     /// Per-node-slot memo of the current evaluation's posterior: the
     /// path sweep fills it, the best-first descent reuses it instead of
@@ -379,16 +379,9 @@ impl CompiledModel {
         }
     }
 
-    /// Best-first descent from the root to the most probable leaf.
-    pub fn classify_leaf(&self, doc: &TermVec, scratch: &mut Scratch) -> (ClassId, f64) {
-        scratch.ensure(self);
-        // Invalidate the memo: it belongs to whatever document
-        // `evaluate_into` last swept, not necessarily this one.
-        scratch.stamp += 1;
-        self.classify_leaf_inner(doc, scratch)
-    }
-
-    fn classify_leaf_inner(&self, doc: &TermVec, scratch: &mut Scratch) -> (ClassId, f64) {
+    /// Best-first descent from the root to the most probable leaf,
+    /// reusing the posteriors `evaluate_into` memoized for `doc`.
+    fn classify_leaf(&self, doc: &TermVec, scratch: &mut Scratch) -> (ClassId, f64) {
         let mut cur = ClassId::ROOT;
         let mut prob = 1.0;
         loop {
@@ -429,14 +422,8 @@ impl CompiledModel {
         }
     }
 
-    /// Hard-focus acceptance (§2.1.2): is some (non-strict) ancestor of
-    /// the best leaf good? Pure table lookup after the descent.
-    pub fn hard_focus_accepts(&self, doc: &TermVec, scratch: &mut Scratch) -> bool {
-        let (leaf, _) = self.classify_leaf(doc, scratch);
-        self.accepts_leaf(leaf)
-    }
-
-    /// The acceptance table on its own, for a leaf already classified.
+    /// Hard-focus acceptance (§2.1.2) of a leaf already classified: is
+    /// some (non-strict) ancestor of it good? A table lookup.
     pub fn accepts_leaf(&self, leaf: ClassId) -> bool {
         self.accepts
             .get(leaf.raw() as usize)
@@ -484,57 +471,13 @@ impl CompiledModel {
             .iter()
             .map(|c| scratch.abs[c.raw() as usize])
             .sum();
-        let (best_leaf, best_leaf_prob) = self.classify_leaf_inner(doc, scratch);
+        let (best_leaf, best_leaf_prob) = self.classify_leaf(doc, scratch);
         EvalSummary {
             best_leaf,
             best_leaf_prob,
             relevance,
             hard_accepts: self.accepts_leaf(best_leaf),
         }
-    }
-
-    /// [`CompiledModel::evaluate_into`] packaged as an owned
-    /// [`Posterior`] for drop-in compatibility with the reference path.
-    /// Allocates the output vector; the hot path should prefer
-    /// `evaluate_into` + [`Scratch::class_probs`].
-    pub fn evaluate(&self, doc: &TermVec, scratch: &mut Scratch) -> Posterior {
-        let summary = self.evaluate_into(doc, scratch);
-        Posterior {
-            best_leaf: summary.best_leaf,
-            best_leaf_prob: summary.best_leaf_prob,
-            relevance: summary.relevance,
-            class_probs: scratch.class_probs.clone(),
-        }
-    }
-
-    /// Batch posterior at one node — the in-memory counterpart of
-    /// `focus_eval::bulk_probe::bulk_posterior`: `(did, ci, prob)` triples,
-    /// normalized per document, one scratch for the whole batch.
-    pub fn bulk_posterior(&self, docs: &[Document], c0: ClassId) -> Vec<(DocId, ClassId, f64)> {
-        let mut scratch = self.scratch();
-        let Some(node) = self.node(c0) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(docs.len() * node.children.len());
-        for d in docs {
-            node_posterior(node, &d.terms, &mut scratch.partial, &mut scratch.logs);
-            for &(ci, p) in &scratch.logs {
-                out.push((d.id, ci, p));
-            }
-        }
-        out
-    }
-
-    /// Batch soft-focus relevance — the in-memory counterpart of
-    /// `focus_eval::bulk_probe::bulk_relevance`: `did → R(d)`.
-    pub fn bulk_relevance(&self, docs: &[Document]) -> FxHashMap<DocId, f64> {
-        let mut scratch = self.scratch();
-        let mut out = FxHashMap::default();
-        for d in docs {
-            let summary = self.evaluate_into(&d.terms, &mut scratch);
-            out.insert(d.id, summary.relevance);
-        }
-        out
     }
 }
 
@@ -626,6 +569,7 @@ fn node_posterior(
 mod tests {
     use super::*;
     use crate::train::{train, TrainConfig};
+    use focus_types::{DocId, Document};
 
     /// A three-level taxonomy with enough training data to exercise
     /// every code path: multi-node descent, path-node chaining, unknown
@@ -688,12 +632,13 @@ mod tests {
         let mut scratch = compiled.scratch();
         for d in docs() {
             let want = model.evaluate(&d.terms);
-            let got = compiled.evaluate(&d.terms, &mut scratch);
+            let got = compiled.evaluate_into(&d.terms, &mut scratch);
             assert_eq!(want.best_leaf, got.best_leaf, "doc {:?}", d.id);
             assert!((want.best_leaf_prob - got.best_leaf_prob).abs() < 1e-12);
             assert!((want.relevance - got.relevance).abs() < 1e-12);
-            assert_eq!(want.class_probs.len(), got.class_probs.len());
-            for (&(wc, wp), &(gc, gp)) in want.class_probs.iter().zip(&got.class_probs) {
+            let got_probs = scratch.class_probs();
+            assert_eq!(want.class_probs.len(), got_probs.len());
+            for (&(wc, wp), &(gc, gp)) in want.class_probs.iter().zip(got_probs) {
                 assert_eq!(wc, gc);
                 assert!((wp - gp).abs() < 1e-12, "{wc}: {wp} vs {gp}");
             }
@@ -708,7 +653,7 @@ mod tests {
         for d in docs() {
             assert_eq!(
                 model.hard_focus_accepts(&d.terms),
-                compiled.hard_focus_accepts(&d.terms, &mut scratch),
+                compiled.evaluate_into(&d.terms, &mut scratch).hard_accepts,
                 "doc {:?}",
                 d.id
             );
@@ -730,30 +675,6 @@ mod tests {
                     assert!((wp - gp).abs() < 1e-12);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bulk_paths_match_per_doc_paths() {
-        let model = trained();
-        let compiled = CompiledModel::compile(&model);
-        let batch = docs();
-        let mut scratch = compiled.scratch();
-        let bulk = compiled.bulk_posterior(&batch, ClassId::ROOT);
-        for d in &batch {
-            for &(ci, p) in compiled.posterior(ClassId::ROOT, &d.terms, &mut scratch) {
-                let b = bulk
-                    .iter()
-                    .find(|(did, c, _)| *did == d.id && *c == ci)
-                    .map(|&(_, _, p)| p)
-                    .expect("bulk row");
-                assert!((p - b).abs() < 1e-15);
-            }
-        }
-        let rel = compiled.bulk_relevance(&batch);
-        for d in &batch {
-            let want = compiled.evaluate_into(&d.terms, &mut scratch).relevance;
-            assert!((rel[&d.id] - want).abs() < 1e-15);
         }
     }
 

@@ -147,7 +147,7 @@ proptest! {
             // Hard-focus radius rule.
             prop_assert_eq!(
                 model.hard_focus_accepts(doc),
-                compiled.hard_focus_accepts(doc, &mut scratch)
+                compiled.evaluate_into(doc, &mut scratch).hard_accepts
             );
 
             // Per-node posteriors at every trained internal node.
@@ -160,35 +160,6 @@ proptest! {
                     prop_assert_eq!(wc, gc);
                     prop_assert!((wp - gp).abs() < 1e-9,
                         "node {} class {}: {} vs {}", c0, wc, wp, gp);
-                }
-            }
-        }
-
-        // Bulk paths over the same docs.
-        let batch: Vec<Document> = docs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Document::new(DocId(5000 + i as u64), d.clone()))
-            .collect();
-        let rel = compiled.bulk_relevance(&batch);
-        for d in &batch {
-            let want = model.evaluate(&d.terms).relevance;
-            prop_assert!((rel[&d.id] - want).abs() < 1e-9);
-        }
-        for c0 in t.internal_nodes() {
-            if model.node(c0).is_none() {
-                continue;
-            }
-            let bulk = compiled.bulk_posterior(&batch, c0);
-            for d in &batch {
-                let want = model.nodes[&c0].posterior(&model.taxonomy, &d.terms);
-                for (wc, wp) in want {
-                    let got = bulk
-                        .iter()
-                        .find(|(did, c, _)| *did == d.id && *c == wc)
-                        .map(|&(_, _, p)| p);
-                    prop_assert!(got.is_some(), "missing bulk row {} {}", d.id, wc);
-                    prop_assert!((got.unwrap() - wp).abs() < 1e-9);
                 }
             }
         }

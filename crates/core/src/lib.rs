@@ -37,9 +37,10 @@
 //! let seeds = focus::search::topic_start_set(&graph, cycling, 10);
 //! let mut run = system.start(&seeds).unwrap();
 //!
-//! // `run` derefs to the crawler's `CrawlRun`: watch it live (events),
-//! // steer it (pause/mark_topic/add_seeds), snapshot it
-//! // (stats/checkpoint) — then take the classic outcome.
+//! // `run` derefs to the crawler's `CrawlRun` — the same handle a
+//! // sharded `CrawlCluster` returns: watch it live (events), steer it
+//! // (pause/mark_topic/add_seeds), read its stats — then take the
+//! // classic outcome. Checkpoints come from `system.session()`.
 //! let events = run.take_events().unwrap();
 //! let outcome = run.join().unwrap();
 //! assert!(outcome.stats.successes > 0);
@@ -55,7 +56,7 @@ pub mod admin;
 pub mod system;
 
 pub use admin::FocusBuilder;
-pub use system::{ClusterRun, DiscoveryOutcome, DiscoveryRun, FocusSystem};
+pub use system::{DiscoveryOutcome, DiscoveryRun, FocusSystem};
 
 // Re-export the subsystem vocabulary so downstream users need one crate.
 pub use focus_classifier::compiled::{CompiledModel, EvalSummary, Scratch};
@@ -79,7 +80,7 @@ pub use minirel::{Database, Replica};
 /// Everything a quickstart needs.
 pub mod prelude {
     pub use crate::admin::FocusBuilder;
-    pub use crate::system::{ClusterRun, DiscoveryOutcome, DiscoveryRun, FocusSystem};
+    pub use crate::system::{DiscoveryOutcome, DiscoveryRun, FocusSystem};
     pub use focus_crawler::events::{CrawlEvent, CrawlObserver};
     pub use focus_crawler::run::{RunState, StartOptions};
     pub use focus_crawler::session::CrawlConfig;

@@ -5,12 +5,13 @@
 //! bad, injects seeds, and re-steers the frontier — all against a
 //! long-lived run. [`FocusSystem::start`] spawns that run in the
 //! background and returns a [`DiscoveryRun`]: the crawler's own
-//! [`CrawlRun`] handle (typed event stream, control commands, snapshots
-//! — reached through `Deref`) plus topic marking by name and a `join()`
-//! that ends with the final distillation.
+//! [`CrawlRun`] handle (typed event stream, control commands, stats —
+//! reached through `Deref`) plus topic marking by name and a `join()`
+//! that ends with the final distillation. A sharded crawl is a
+//! [`focus_crawler::CrawlCluster`], whose `start` returns the same
+//! [`CrawlRun`].
 
 use focus_classifier::model::TrainedModel;
-use focus_crawler::cluster::{ClusterCheckpoint, CrawlCluster};
 use focus_crawler::run::{CrawlRun, StartOptions};
 use focus_crawler::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats};
 use focus_distiller::DistillResult;
@@ -95,7 +96,8 @@ impl FocusSystem {
     ) -> Result<DiscoveryRun, FocusError> {
         self.session.seed(seeds)?;
         let run = self.session.start_with(opts)?;
-        Ok(DiscoveryRun { run })
+        let session = Arc::clone(&self.session);
+        Ok(DiscoveryRun { run, session })
     }
 
     /// Rebuild a system around a [`CrawlCheckpoint`], so a checkpointed
@@ -138,112 +140,19 @@ impl FocusSystem {
     pub fn sql(&self, sql: &str) -> Result<minirel::ResultSet, FocusError> {
         Ok(self.session.sql(sql)?)
     }
-
-    /// Build a sharded crawl cluster from this system's model and
-    /// configuration: `n_shards` independent sessions partitioned by
-    /// `host_server_id(url) % n_shards`, with the configured worker
-    /// count and fetch budget split across shards. Seed and start it
-    /// yourself, or use [`FocusSystem::start_cluster`] for the one-call
-    /// path.
-    pub fn build_cluster(&self, n_shards: usize) -> Result<CrawlCluster, FocusError> {
-        Ok(CrawlCluster::new(
-            n_shards,
-            Arc::clone(&self.fetcher),
-            self.model.clone(),
-            self.cfg.clone(),
-        )?)
-    }
-
-    /// Seed `D(C*)` across the shards of a fresh `n_shards`-way cluster
-    /// and start every shard's worker pool, returning the cluster
-    /// steering handle. The cluster is independent of this system's own
-    /// session ([`FocusSystem::start`] remains usable separately).
-    pub fn start_cluster(&self, n_shards: usize, seeds: &[Oid]) -> Result<ClusterRun, FocusError> {
-        let cluster = self.build_cluster(n_shards)?;
-        cluster.seed(seeds)?;
-        let run = cluster.start()?;
-        Ok(ClusterRun { cluster, run })
-    }
-
-    /// Rebuild a cluster from a [`ClusterCheckpoint`] (shard count comes
-    /// from the manifest). Call [`CrawlCluster::start`] — optionally
-    /// after raising per-shard budgets — to continue the crawl.
-    pub fn resume_cluster(&self, snapshot: &ClusterCheckpoint) -> Result<CrawlCluster, FocusError> {
-        Ok(CrawlCluster::restore(
-            Arc::clone(&self.fetcher),
-            self.model.clone(),
-            self.cfg.clone(),
-            snapshot,
-        )?)
-    }
-}
-
-/// A live sharded discovery run: the crawler's cluster handle
-/// (`pause`/`resume`/`stop`, `mark_topic`, `add_seeds`, `stats`,
-/// `checkpoint`, … — reached through `Deref`) together with the
-/// [`CrawlCluster`] it runs on. Obtained from
-/// [`FocusSystem::start_cluster`].
-pub struct ClusterRun {
-    cluster: CrawlCluster,
-    run: focus_crawler::cluster::ClusterRun,
-}
-
-impl Deref for ClusterRun {
-    type Target = focus_crawler::cluster::ClusterRun;
-
-    fn deref(&self) -> &Self::Target {
-        &self.run
-    }
-}
-
-impl DerefMut for ClusterRun {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.run
-    }
-}
-
-impl ClusterRun {
-    /// The underlying cluster (per-shard sessions, monitoring SQL).
-    pub fn cluster(&self) -> &CrawlCluster {
-        &self.cluster
-    }
-
-    /// `mark_topic` by topic name.
-    pub fn mark_topic_by_name(&self, name: &str, good: bool) -> Result<ClassId, FocusError> {
-        let class = self
-            .cluster
-            .find_topic(name)
-            .ok_or_else(|| FocusError::InvalidTaxonomy(format!("no topic named {name}")))?;
-        self.run.mark_topic(class, good);
-        Ok(class)
-    }
-
-    /// Visited pages across all shards as `(oid, linear R, server)`.
-    pub fn visited(&self) -> Vec<(Oid, f64, ServerId)> {
-        self.cluster
-            .shards()
-            .iter()
-            .flat_map(|s| s.visited())
-            .collect()
-    }
-
-    /// Wait for every shard and return merged stats; any shard's
-    /// failure fails the cluster.
-    pub fn join(self) -> Result<CrawlStats, FocusError> {
-        Ok(self.run.join()?)
-    }
 }
 
 /// A live discovery run: the paper's admin console as an API.
 ///
 /// Obtained from [`FocusSystem::start`]. It is the crawler's
 /// [`CrawlRun`] — events, `pause`/`resume`/`stop`, `add_seeds`,
-/// `mark_topic`, `stats`, `checkpoint`, and `session()` for ad-hoc SQL,
-/// all reached through `Deref` — plus what the facade adds: marking a
-/// topic by name, and a [`DiscoveryRun::join`] that returns the classic
-/// [`DiscoveryOutcome`].
+/// `mark_topic`, `stats`, all reached through `Deref` — plus what the
+/// facade adds: marking a topic by name, and a [`DiscoveryRun::join`]
+/// that returns the classic [`DiscoveryOutcome`]. Checkpoints and
+/// ad-hoc SQL go to the session ([`FocusSystem::session`]).
 pub struct DiscoveryRun {
     run: CrawlRun,
+    session: Arc<CrawlSession>,
 }
 
 impl Deref for DiscoveryRun {
@@ -264,7 +173,7 @@ impl DiscoveryRun {
     /// `mark_topic` by topic name.
     pub fn mark_topic_by_name(&self, name: &str, good: bool) -> Result<ClassId, FocusError> {
         let class = self
-            .run
+            .session
             .find_topic(name)
             .ok_or_else(|| FocusError::InvalidTaxonomy(format!("no topic named {name}")))?;
         self.run.mark_topic(class, good);
@@ -275,13 +184,12 @@ impl DiscoveryRun {
     /// classic blocking batch outcome. Worker panics surface as
     /// [`FocusError::Worker`].
     pub fn join(self) -> Result<DiscoveryOutcome, FocusError> {
-        let session = Arc::clone(self.run.session());
         let stats = self.run.join()?;
-        let distill = session.distill_now()?;
+        let distill = self.session.distill_now()?;
         Ok(DiscoveryOutcome {
             stats,
             distill,
-            visited: session.visited(),
+            visited: self.session.visited(),
         })
     }
 }
@@ -292,6 +200,7 @@ mod tests {
     use crate::admin::FocusBuilder;
     use focus_crawler::events::CrawlEvent;
     use focus_crawler::session::CrawlConfig;
+    use focus_crawler::CrawlCluster;
     use focus_types::ClassId;
     use focus_webgraph::{SimFetcher, WebConfig, WebGraph};
     use std::sync::Arc;
@@ -371,7 +280,7 @@ mod tests {
             while !snapshot_run.is_finished() {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            let snapshot = snapshot_run.checkpoint().unwrap();
+            let snapshot = system.session().checkpoint().unwrap();
             snapshot_run.join().unwrap();
             // Fresh session, +80 budget, no new seeds: the restored
             // frontier alone drives the continuation. The raise goes
@@ -399,7 +308,7 @@ mod tests {
         let (graph, system, cycling) = cycling_system(61, 100_000);
         let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 8);
         let run = system.start(&seeds).unwrap();
-        let before = run.session().compiled();
+        let before = system.session().compiled();
         let gardening = system.session().find_topic("home/gardening").unwrap();
         assert_eq!(before.taxonomy().mark(gardening), Mark::Null);
         run.mark_topic(gardening, true);
@@ -407,7 +316,7 @@ mod tests {
         // page boundary; poll for it.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            if run.session().compiled().taxonomy().mark(gardening) == Mark::Good {
+            if system.session().compiled().taxonomy().mark(gardening) == Mark::Good {
                 break;
             }
             assert!(
@@ -428,23 +337,20 @@ mod tests {
     fn start_cluster_discovers_and_checkpoints() {
         let (graph, system, cycling) = cycling_system(67, 240);
         let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 12);
-        let run = system.start_cluster(3, &seeds).unwrap();
-        let snapshot = {
-            while !run.is_finished() {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            let snap = run.checkpoint().unwrap();
-            let stats = run.join().unwrap();
-            assert_eq!(stats.attempts, 240, "split budget spends exactly");
-            assert!(stats.successes > 50);
-            assert!(stats.mean_harvest() > 0.2, "cluster harvest collapsed");
-            snap
-        };
+        let fetcher = || Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let (model, cfg) = (system.model().clone(), system.config().clone());
+        let cluster = CrawlCluster::new(3, fetcher(), model.clone(), cfg.clone()).unwrap();
+        cluster.seed(&seeds).unwrap();
+        let stats = cluster.start().unwrap().join().unwrap();
+        assert_eq!(stats.attempts, 240, "split budget spends exactly");
+        assert!(stats.successes > 50);
+        assert!(stats.mean_harvest() > 0.2, "cluster harvest collapsed");
+        let snapshot = cluster.checkpoint().unwrap();
         assert_eq!(snapshot.shards.len(), 3);
         assert!(snapshot.visited_len() > 0);
         // Resume into a fresh cluster and continue against the same
         // frontier.
-        let resumed = system.resume_cluster(&snapshot).unwrap();
+        let resumed = CrawlCluster::restore(fetcher(), model, cfg, &snapshot).unwrap();
         assert_eq!(resumed.stats().attempts, 240, "stats carried over");
         for shard in resumed.shards() {
             shard.add_budget(20);

@@ -1,4 +1,5 @@
-//! Sharded crawling: N independent [`CrawlSession`]s behind one handle.
+//! Sharded crawling: N independent [`CrawlSession`]s behind one handle,
+//! the same [`CrawlRun`] a crawl of one session returns.
 //!
 //! The paper's title promises *distributed* resource discovery, and its
 //! §3.1 design — all crawl state in relational tables — is what makes
@@ -20,7 +21,7 @@
 //! worker classifies a page whose outlink belongs elsewhere, the
 //! [`FrontierEntry`] — carrying the priority this shard's classifier
 //! assigned — is pushed into the owner's bounded inbox on the
-//! [`ShardExchange`]. Owners drain their inbox exactly where they drain
+//! `ShardExchange`. Owners drain their inbox exactly where they drain
 //! the command queue (page boundaries and the top of the worker loop),
 //! so cross-shard latency equals steering latency. Every session has an
 //! exchange: a standalone [`CrawlSession`] is shard 0 of a one-shard
@@ -32,7 +33,7 @@
 //! the budget is spent, or it was stopped): the entries land at that
 //! shard's next start, or at a checkpoint, which drains every inbox.
 //! Only an inbox already holding [`EXCHANGE_CAPACITY`] entries drops
-//! one, and counts it ([`ShardExchange::dropped`]) — the same
+//! one, and counts it ([`CrawlCluster::exchange_dropped`]) — the same
 //! never-block contract as the event channel.
 //!
 //! **Termination.** "My frontier is empty and nothing is in flight" is a
@@ -41,33 +42,37 @@
 //! tracks an in-flight gauge, a queued-entry gauge and an idle flag per
 //! shard, per-shard live-worker counts, and an epoch that moves whenever
 //! an idle flag falls. A locally-idle worker records its verdict and the
-//! epoch under its store lock and asks [`ShardExchange::try_finish`]
+//! epoch under its store lock and asks the exchange (`try_finish`)
 //! for the global one, which latches only on a consistent cut: a page's
 //! cross-shard entries are routed *before* its in-flight gauge falls,
 //! drained entries stay queued until they are in the owner's frontier,
 //! and any work that reaches an idle shard after the caller's verdict
 //! moves the epoch. Every run, of one shard or all of them, starts
-//! through one launch sequence ([`launch`]), which re-arms the verdict.
+//! through one launch sequence (`launch`), which re-arms the verdict and
+//! builds the run's [`CrawlRun`].
 //!
-//! **What is global, what is not.** `mark_topic` broadcasts to every
-//! shard (each recompiles and Arc-swaps its own [`CompiledModel`] — the
-//! PR 4 contract, per shard). `pause`/`resume`/`stop` broadcast;
-//! latency stays one page per shard. `stats()` sums counters and merges
-//! harvest series. Checkpoints are one [`CrawlCheckpoint`] per shard in
-//! a [`ClusterCheckpoint`] manifest. Distillation stays **per-shard**:
+//! **What is global, what is not.** The run's `mark_topic` broadcasts to
+//! every shard (each recompiles and Arc-swaps its own [`CompiledModel`]).
+//! `pause`/`resume`/`stop` broadcast; latency stays one page per shard.
+//! `add_seeds` hands each seed to its owner, `add_budget` splits over
+//! the live shards, and every shard emits into the run's one event
+//! channel. `stats()` sums counters and merges harvest series
+//! ([`merge_stats`]). Checkpoints are one [`CrawlCheckpoint`] per shard
+//! in a [`ClusterCheckpoint`] manifest. Distillation stays **per-shard**:
 //! each shard runs HITS over the links it discovered (its boosts still
 //! route by owner). Budget and workers are split across shards at
 //! construction — by one shard loop, for `new` and `restore` alike: a
-//! shard is [`CrawlSession::build`] over nothing or over its checkpoint.
+//! shard is a session built over nothing or over its checkpoint.
 //! Every shard would get the same `Durability::File` path, so a
 //! file-backed cluster of more than one shard is refused up front (one
 //! store file per shard is not supported).
 //!
 //! [`CompiledModel`]: focus_classifier::compiled::CompiledModel
 
+use crate::events::{EventSink, EventStream};
 use crate::frontier::FrontierEntry;
-use crate::run::{CrawlError, CrawlRun, StartOptions};
-use crate::session::{debug_check, expect, Violation};
+use crate::run::{spawn_thread, CrawlError, CrawlRun, ShardRun, StartOptions, WorkerSpawner};
+use crate::session::{expect, Violation};
 use crate::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Origin};
 use crate::tables::host_server_id;
 use focus_classifier::model::TrainedModel;
@@ -393,52 +398,52 @@ impl ShardExchange {
 }
 
 /// The one launch sequence, for a standalone session's shard and for
-/// every shard of a cluster alike: arm the shards' exchange once,
-/// launch each shard's [`CrawlRun`] and count it launched — or, on a
-/// failure, count the rest as never launching and wind down the runs
-/// already started (dropping a [`CrawlRun`] stops and joins it).
-/// Observers are attached to every shard.
+/// every shard of a cluster alike, and the one place a [`CrawlRun`] is
+/// built: arm the shards' exchange once, open the run's event channel,
+/// spawn each shard's pool ([`ShardRun::spawn`]) and count it launched —
+/// or, on a failure, count the rest as never launching and wind down the
+/// shards already started (dropping a [`CrawlRun`] stops and joins it).
 pub(crate) fn launch(
     shards: &[Arc<CrawlSession>],
     opts: StartOptions,
-) -> Result<Vec<CrawlRun>, CrawlError> {
+    spawn: &mut WorkerSpawner,
+) -> Result<CrawlRun, CrawlError> {
     let exchange = &shards[0].shard.exchange;
     exchange.arm(shards.len());
-    let mut runs = Vec::with_capacity(shards.len());
-    for session in shards {
-        let shard_opts = StartOptions {
-            event_capacity: opts.event_capacity,
-            observers: opts.observers.clone(),
-        };
-        match CrawlRun::launch(Arc::clone(session), shard_opts) {
-            Ok(run) => {
-                exchange.launched_one();
-                runs.push(run);
-            }
-            Err(e) => {
-                for _ in runs.len()..shards.len() {
-                    exchange.launched_one();
-                }
-                drop(runs);
-                return Err(e);
-            }
+    let dropped = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = std::sync::mpsc::sync_channel(opts.event_capacity.max(1));
+    let sink = Arc::new(EventSink::new(
+        Some(tx),
+        opts.observers.clone(),
+        Arc::clone(&dropped),
+    ));
+    let mut run = CrawlRun {
+        shards: Vec::with_capacity(shards.len()),
+        events: Some(EventStream::new(rx, Arc::clone(&dropped))),
+        tail_sink: EventSink::new(None, opts.observers, Arc::clone(&dropped)),
+        dropped,
+    };
+    for (i, session) in shards.iter().enumerate() {
+        let shard = ShardRun::spawn(Arc::clone(session), &sink, spawn);
+        if shard.is_err() {
+            (i..shards.len()).for_each(|_| exchange.launched_one());
         }
+        run.shards.push(shard?);
+        exchange.launched_one();
     }
-    Ok(runs)
+    Ok(run)
 }
 
 /// A sharded crawl: `n_shards` independent sessions partitioned by
-/// `host_server_id(url) % n_shards`, wired through a [`ShardExchange`].
+/// `host_server_id(url) % n_shards`, wired through one exchange.
 ///
 /// The cluster-level API mirrors the session API: [`CrawlCluster::seed`],
-/// [`CrawlCluster::start`] → [`ClusterRun`], [`CrawlCluster::stats`],
+/// [`CrawlCluster::start`] → [`CrawlRun`], [`CrawlCluster::stats`],
 /// [`CrawlCluster::checkpoint`] / [`CrawlCluster::restore`]. The
 /// configured worker count and fetch budget are split across shards
 /// (each shard runs at least one worker).
 pub struct CrawlCluster {
     shards: Vec<Arc<CrawlSession>>,
-    exchange: Arc<ShardExchange>,
-    fetcher: Arc<dyn Fetcher>,
 }
 
 impl CrawlCluster {
@@ -503,11 +508,7 @@ impl CrawlCluster {
             let session = CrawlSession::build(fetcher, model, shard_cfg, origin, ctx)?;
             shards.push(Arc::new(session));
         }
-        Ok(CrawlCluster {
-            shards,
-            exchange,
-            fetcher,
-        })
+        Ok(CrawlCluster { shards })
     }
 
     /// Number of shards.
@@ -530,7 +531,8 @@ impl CrawlCluster {
     /// its owning shard (resolved through [`Fetcher::url_of`]; a seed
     /// with no resolvable URL falls back to `oid % n_shards`).
     pub fn seed(&self, seeds: &[Oid]) -> DbResult<()> {
-        let groups = partition_seeds(&*self.fetcher, seeds, self.shards.len());
+        let fetcher = self.shards[0].fetcher().as_ref();
+        let groups = partition_seeds(fetcher, seeds, self.shards.len());
         for (shard, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
                 let entry = |(oid, url)| FrontierEntry {
@@ -545,27 +547,22 @@ impl CrawlCluster {
         Ok(())
     }
 
-    /// Start every shard's worker pool and return the cluster handle.
-    pub fn start(&self) -> Result<ClusterRun, CrawlError> {
+    /// Start every shard's worker pool and return the run handle.
+    pub fn start(&self) -> Result<CrawlRun, CrawlError> {
         self.start_with(StartOptions::default())
     }
 
-    /// [`CrawlCluster::start`] with explicit options. Observers are
-    /// attached to every shard (events carry no shard id; attach
-    /// distinct observers per shard via
+    /// [`CrawlCluster::start`] with explicit options. Every shard emits
+    /// into the run's one event channel and observers (events carry no
+    /// shard id; start each shard on its own with
     /// [`CrawlCluster::shards`]` + `[`CrawlSession::start_with`] if you
     /// need attribution).
-    pub fn start_with(&self, opts: StartOptions) -> Result<ClusterRun, CrawlError> {
-        Ok(ClusterRun {
-            runs: launch(&self.shards, opts)?,
-            shards: self.shards.clone(),
-            exchange: Arc::clone(&self.exchange),
-            fetcher: Arc::clone(&self.fetcher),
-        })
+    pub fn start_with(&self, opts: StartOptions) -> Result<CrawlRun, CrawlError> {
+        launch(&self.shards, opts, &mut spawn_thread)
     }
 
     /// Crawl to completion, blocking: [`CrawlCluster::start`] +
-    /// [`ClusterRun::join`].
+    /// [`CrawlRun::join`].
     pub fn run(&self) -> Result<CrawlStats, CrawlError> {
         self.start()?.join()
     }
@@ -579,7 +576,7 @@ impl CrawlCluster {
     /// Entries the exchange dropped because an inbox was full
     /// ([`EXCHANGE_CAPACITY`]). Zero in a healthy run.
     pub fn exchange_dropped(&self) -> u64 {
-        self.exchange.dropped()
+        self.shards[0].shard.exchange.dropped()
     }
 
     /// Check every shard ([`CrawlSession::check_invariants`]) and the
@@ -588,12 +585,11 @@ impl CrawlCluster {
     /// visited page the fetcher resolves a URL for has that URL, is on
     /// the shard owning its server and is visited on no other; so is
     /// every same-server `LINK` row from such a page. Debug builds check
-    /// the same at the end of every [`ClusterRun::join`] that returns
-    /// `Ok`, each shard at its own `join`.
+    /// the same at the end of every [`CrawlRun::join`] that returns `Ok`.
     pub fn check_invariants(&self) -> Result<(), Vec<Violation>> {
-        let shards = (self.shards.iter()).filter_map(|s| s.check_invariants().err());
-        let out = shards.flatten().collect();
-        check_cluster(&self.shards, &self.exchange, &*self.fetcher, out)
+        let shards: Vec<&CrawlSession> = self.shards.iter().map(|s| &**s).collect();
+        let out = shards.iter().filter_map(|s| s.check_invariants().err());
+        check_cluster(&shards, out.flatten().collect())
     }
 
     /// Checkpoint every shard. Pause (or finish) the cluster first for a
@@ -602,7 +598,13 @@ impl CrawlCluster {
     /// frontiers first, so the snapshot never loses cross-shard work
     /// (a restored cluster starts with empty inboxes).
     pub fn checkpoint(&self) -> DbResult<ClusterCheckpoint> {
-        checkpoint_shards(&self.shards)
+        for s in &self.shards {
+            s.drain_exchange();
+        }
+        let shards = self.shards.iter().map(|s| s.checkpoint());
+        Ok(ClusterCheckpoint {
+            shards: shards.collect::<DbResult<_>>()?,
+        })
     }
 
     /// Resolve a topic name against shard 0's (live) taxonomy — all
@@ -612,176 +614,38 @@ impl CrawlCluster {
     }
 }
 
-/// Handle to a cluster executing in the background: control broadcasts,
-/// summed snapshots, and `join()`.
-pub struct ClusterRun {
-    runs: Vec<CrawlRun>,
-    shards: Vec<Arc<CrawlSession>>,
-    exchange: Arc<ShardExchange>,
-    fetcher: Arc<dyn Fetcher>,
-}
-
-impl ClusterRun {
-    /// Per-shard run handles (event streams, per-shard control).
-    pub fn shard_runs(&self) -> &[CrawlRun] {
-        &self.runs
-    }
-
-    /// Take shard `i`'s event stream (callable once per shard).
-    pub fn take_events(&mut self, shard: usize) -> Option<crate::events::EventStream> {
-        self.runs.get_mut(shard).and_then(|r| r.take_events())
-    }
-
-    /// Pause every shard. Latency is one page per shard (the session
-    /// pause contract, N times over).
-    pub fn pause(&self) {
-        for r in &self.runs {
-            r.pause();
-        }
-    }
-
-    /// Release every shard.
-    pub fn resume(&self) {
-        for r in &self.runs {
-            r.resume();
-        }
-    }
-
-    /// Wind every shard down; `join()` then returns promptly.
-    pub fn stop(&self) {
-        for r in &self.runs {
-            r.stop();
-        }
-    }
-
-    /// Broadcast a good-mark change to every shard: each recompiles its
-    /// classifier and re-steers its own frontier (§3.7, N times over).
-    pub fn mark_topic(&self, class: ClassId, good: bool) {
-        for r in &self.runs {
-            r.mark_topic(class, good);
-        }
-    }
-
-    /// Inject seeds, each routed to its owning shard's run.
-    pub fn add_seeds(&self, seeds: &[Oid]) {
-        let groups = partition_seeds(&*self.fetcher, seeds, self.runs.len());
-        for (owner, group) in groups.into_iter().enumerate() {
-            if !group.is_empty() {
-                let oids: Vec<Oid> = group.into_iter().map(|(oid, _)| oid).collect();
-                self.runs[owner].add_seeds(&oids);
-            }
-        }
-    }
-
-    /// Raise the cluster budget, split evenly across the shards whose
-    /// workers are still alive — a share handed to an exited shard would
-    /// sit in a command queue nobody drains until the next `start()`,
-    /// silently shrinking the raise while live shards starve. With no
-    /// shard live the split falls back to all shards (funding the next
-    /// run, like the single-session tail-drain semantics).
-    pub fn add_budget(&self, extra: u64) {
-        let live: Vec<&CrawlRun> = self.runs.iter().filter(|r| !r.is_finished()).collect();
-        let targets: Vec<&CrawlRun> = if live.is_empty() {
-            self.runs.iter().collect()
-        } else {
-            live
-        };
-        let n = targets.len() as u64;
-        for (i, r) in targets.into_iter().enumerate() {
-            let share = even_split(extra, n, i as u64);
-            if share > 0 {
-                r.add_budget(share);
-            }
-        }
-    }
-
-    /// Summed counters + merged harvest across shards.
-    pub fn stats(&self) -> CrawlStats {
-        merge_stats(self.runs.iter().map(|r| r.stats()))
-    }
-
-    /// Have all shards' workers exited?
-    pub fn is_finished(&self) -> bool {
-        self.runs.iter().all(|r| r.is_finished())
-    }
-
-    /// Checkpoint every shard (pause first for stability). In-transit
-    /// exchange entries are landed first; see
-    /// [`CrawlCluster::checkpoint`].
-    pub fn checkpoint(&self) -> Result<ClusterCheckpoint, CrawlError> {
-        Ok(checkpoint_shards(&self.shards)?)
-    }
-
-    /// Entries the exchange dropped so far because an inbox was full
-    /// (zero in a healthy run).
-    pub fn exchange_dropped(&self) -> u64 {
-        self.exchange.dropped()
-    }
-
-    /// Wait for every shard and return merged stats. Any shard's failure
-    /// fails the cluster (partial stats never masquerade as success):
-    /// all failure messages are joined into one [`CrawlError`], worker
-    /// failures taking precedence over storage errors. Debug builds
-    /// check the cluster's invariants before returning `Ok`
-    /// ([`CrawlCluster::check_invariants`]).
-    pub fn join(self) -> Result<CrawlStats, CrawlError> {
-        let mut stats = Vec::with_capacity(self.runs.len());
-        let mut worker_errs: Vec<String> = Vec::new();
-        let mut db_err: Option<DbError> = None;
-        for (i, run) in self.runs.into_iter().enumerate() {
-            match run.join() {
-                Ok(s) => stats.push(s),
-                Err(CrawlError::Worker(m)) => worker_errs.push(format!("shard {i}: {m}")),
-                Err(CrawlError::Db(e)) => {
-                    worker_errs.push(format!("shard {i}: storage error: {e}"));
-                    db_err.get_or_insert(e);
-                }
-                Err(CrawlError::AlreadyRunning) => {
-                    worker_errs.push(format!("shard {i}: already running"));
-                }
-            }
-        }
-        if !worker_errs.is_empty() {
-            // A lone storage error keeps its type; anything involving
-            // worker failures (or a mix) surfaces as Worker with every
-            // shard's message.
-            return match (worker_errs.len(), db_err) {
-                (1, Some(e)) => Err(CrawlError::Db(e)),
-                _ => Err(CrawlError::Worker(worker_errs.join("; "))),
-            };
-        }
-        // Each shard's own `join` above checked the shard.
-        debug_check(|| check_cluster(&self.shards, &self.exchange, &*self.fetcher, Vec::new()));
-        Ok(merge_stats(stats))
-    }
-}
-
-/// What [`CrawlCluster::check_invariants`] checks beyond each shard,
-/// added to the violations `out` already holds.
-/// Placement is checked for the pages `fetcher` resolves a URL for: a
-/// seed it cannot resolve is routed by oid ([`seed_owner`]), so that
-/// page and its same-server links may sit off its owner, and on it too.
-fn check_cluster(
-    shards: &[Arc<CrawlSession>],
-    exchange: &ShardExchange,
-    fetcher: &dyn Fetcher,
+/// What [`CrawlCluster::check_invariants`] checks beyond each shard, for
+/// `shards` of one exchange at rest, added to the violations `out`
+/// already holds. Each shard's placement is checked against its own
+/// index, so a shard run on its own is checked too; the exchange's
+/// gauges only when `shards` are all of its shards (a peer shard may
+/// still be running). Placement is checked for the pages the fetcher
+/// resolves a URL for: a seed it cannot resolve is routed by oid
+/// ([`seed_owner`]), so that page and its same-server links may sit off
+/// its owner, and on it too.
+pub(crate) fn check_cluster(
+    shards: &[&CrawlSession],
     mut out: Vec<Violation>,
 ) -> Result<(), Vec<Violation>> {
-    let boxed: Vec<usize> = exchange.inboxes.iter().map(|b| b.lock().len()).collect();
-    let queued: Vec<usize> = (0..boxed.len()).map(|s| exchange.queued(s)).collect();
-    let in_flight = exchange.in_flight.load(SeqCst);
-    let held = in_flight == 0 && queued == boxed;
-    expect(
-        &mut out,
-        "exchange drained",
-        held,
-        (in_flight, queued, boxed),
-    );
-    let n = shards.len();
+    let ShardCtx {
+        n_shards: n,
+        exchange,
+        ..
+    } = &shards[0].shard;
+    if shards.len() == *n {
+        let boxed: Vec<usize> = exchange.inboxes.iter().map(|b| b.lock().len()).collect();
+        let queued: Vec<usize> = (0..boxed.len()).map(|s| exchange.queued(s)).collect();
+        let in_flight = exchange.in_flight.load(SeqCst);
+        let held = in_flight == 0 && queued == boxed;
+        let found = (in_flight, queued, boxed);
+        expect(&mut out, "exchange drained", held, found);
+    }
+    let fetcher = shards[0].fetcher();
     let resolves = |o: i64| fetcher.url_of(Oid(o as u64)).is_some();
     let routed = |oid: &Value| oid.as_i64().is_some_and(resolves);
     let mut seen = HashSet::new();
-    for (i, shard) in shards.iter().enumerate() {
+    for shard in shards {
+        let i = shard.shard.shard;
         let read = |sql| minirel::unobserved(|| shard.sql(sql));
         let visited = read("select oid, url from crawl where visited = 1");
         let links = read("select oid_src, sid_src from link where sid_src = sid_dst");
@@ -791,14 +655,14 @@ fn check_cluster(
         };
         for row in visited.rows.iter().filter(|r| routed(&r[0])) {
             let url = row[1].as_str().unwrap_or("");
-            let held = !url.is_empty() && shard_of(host_server_id(url), n) == i;
+            let held = !url.is_empty() && shard_of(host_server_id(url), *n) == i;
             expect(&mut out, "page on its owner shard", held, (url, i));
             let oid = row[0].as_i64();
             let once = seen.insert(oid);
             expect(&mut out, "one shard per visited page", once, (oid, i));
         }
         for row in links.rows.iter().filter(|r| routed(&r[0])) {
-            let owner = shard_of(ServerId(row[1].as_i64().unwrap_or(0) as u32), n);
+            let owner = shard_of(ServerId(row[1].as_i64().unwrap_or(0) as u32), *n);
             let held = owner == i;
             expect(&mut out, "same-server link on its shard", held, (owner, i));
         }
@@ -819,7 +683,7 @@ fn partition_seeds(fetcher: &dyn Fetcher, seeds: &[Oid], n: usize) -> Vec<Vec<(O
 
 /// Share `i` of `total` divided as evenly as integers allow over `n`
 /// recipients (low indices take the remainder).
-fn even_split(total: u64, n: u64, i: u64) -> u64 {
+pub(crate) fn even_split(total: u64, n: u64, i: u64) -> u64 {
     total / n + u64::from(i < total % n)
 }
 
@@ -850,27 +714,17 @@ fn split_config(cfg: &CrawlConfig, n_shards: usize) -> Vec<CrawlConfig> {
         .collect()
 }
 
-/// Land every shard's in-transit exchange entries, then checkpoint each
-/// shard — shared by [`CrawlCluster::checkpoint`] and
-/// [`ClusterRun::checkpoint`] so the two can never diverge.
-fn checkpoint_shards(shards: &[Arc<CrawlSession>]) -> DbResult<ClusterCheckpoint> {
-    for s in shards {
-        s.drain_exchange();
-    }
-    Ok(ClusterCheckpoint {
-        shards: shards
-            .iter()
-            .map(|s| s.checkpoint())
-            .collect::<DbResult<Vec<_>>>()?,
-    })
-}
-
 /// Merge per-shard stats: counters sum; the harvest and completion-order
 /// series are interleaved by per-shard attempt index (a proxy for time —
 /// shards advance their attempt counters at roughly equal rates) and the
 /// merged harvest is re-numbered densely so the x-axis is a cluster-wide
-/// completion rank.
+/// completion rank. One shard's stats are returned as they are: its
+/// harvest x is its own attempt index.
 pub fn merge_stats(per_shard: impl IntoIterator<Item = CrawlStats>) -> CrawlStats {
+    let mut per_shard: Vec<CrawlStats> = per_shard.into_iter().collect();
+    if per_shard.len() == 1 {
+        return per_shard.remove(0);
+    }
     let mut out = CrawlStats::default();
     let mut tagged: Vec<(u64, usize, f64, Oid)> = Vec::new();
     for (shard, s) in per_shard.into_iter().enumerate() {

@@ -31,7 +31,7 @@ pub mod run;
 pub mod session;
 pub mod tables;
 
-pub use cluster::{ClusterCheckpoint, ClusterRun, CrawlCluster};
+pub use cluster::{ClusterCheckpoint, CrawlCluster};
 pub use events::{CrawlEvent, CrawlObserver, EventStream, FailureOutcome, FetchErrorKind};
 pub use fetch_pool::{FetchPool, PoolHandle};
 pub use health::{BackoffConfig, Breaker, BreakerConfig, HealthMap, PolitenessConfig};

@@ -3,24 +3,33 @@
 //! The paper's workflow (§1.1, §3.7) is interactive — an administrator
 //! watches the harvest rate, marks topics good or bad, injects seeds, and
 //! re-prioritizes the frontier of a *running* crawl. [`CrawlRun`] is that
-//! console: [`crate::CrawlSession::start`] spawns the worker pool in the
-//! background and returns a handle carrying
+//! console, for a crawl of one shard or of many: [`CrawlSession::start`]
+//! and [`crate::CrawlCluster::start`] both launch their shards' worker
+//! pools in the background (one launch sequence, in [`crate::cluster`])
+//! and return one handle carrying
 //!
-//! * the typed **event stream** ([`crate::events`]),
+//! * the typed **event stream** ([`crate::events`]), one bounded channel
+//!   every shard emits into,
 //! * **control commands** (`pause`/`resume`/`stop`, `add_seeds`,
-//!   `add_budget`, `set_policy`, `mark_topic`), delivered through a
-//!   command queue the workers drain between page fetches so every
-//!   mutation happens at a page boundary with tables consistent, and
-//! * **snapshots** (`stats`, `checkpoint`) for monitoring and resumption.
+//!   `add_budget`, `set_policy`, `mark_topic`), delivered through each
+//!   shard's command queue, which its workers drain between page
+//!   fetches so every mutation happens at a page boundary with tables
+//!   consistent, and
+//! * a **stats** snapshot, merged over the shards (one shard's stats
+//!   are its own).
 //!
-//! `join()` waits for the pool and returns final stats, surfacing worker
+//! What only the store owner knows — checkpoints, topic names, ad-hoc
+//! SQL — is asked of the [`CrawlSession`] or the cluster, not the run.
+//!
+//! `join()` waits for the pools and returns final stats, surfacing worker
 //! panics as [`CrawlError::Worker`] instead of silently reporting partial
 //! stats as success.
 
+use crate::cluster::{check_cluster, even_split, merge_stats, seed_owner};
 use crate::events::{CrawlObserver, EventSink, EventStream};
 use crate::fetch_pool::FetchPool;
 use crate::policy::CrawlPolicy;
-use crate::session::{CrawlSession, CrawlStats};
+use crate::session::{debug_check, CrawlSession, CrawlStats};
 use focus_types::{ClassId, Oid};
 use lockcheck::{rank, OrderedMutex};
 use minirel::DbError;
@@ -99,8 +108,9 @@ pub enum Command {
     Distill,
 }
 
-/// Lifecycle of a run as seen from the handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Lifecycle of a run as seen from the handle, in the order a run
+/// advances through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunState {
     /// Workers are fetching.
     Running,
@@ -221,7 +231,8 @@ impl ControlState {
     }
 }
 
-/// Options for [`CrawlSession::start_with`].
+/// Options for [`CrawlSession::start_with`] and
+/// [`crate::CrawlCluster::start_with`].
 pub struct StartOptions {
     /// Bounded event-channel capacity; overflow is dropped and counted.
     pub event_capacity: usize,
@@ -238,23 +249,32 @@ impl Default for StartOptions {
     }
 }
 
-/// Handle to a crawl executing in background worker threads.
+/// Handle to a crawl executing in background worker threads: one launch
+/// of one shard (a [`CrawlSession`]) or of every shard of a
+/// [`crate::CrawlCluster`]. Commands go to every shard, except seeds
+/// (to their owner) and budget (split over the live shards); all shards
+/// emit into one event channel.
 pub struct CrawlRun {
+    pub(crate) shards: Vec<ShardRun>,
+    pub(crate) events: Option<EventStream>,
+    pub(crate) dropped: Arc<AtomicU64>,
+    /// Observer-only sink for commands drained after the pools exited.
+    /// Deliberately holds no channel sender: a sender stored in the
+    /// handle would keep [`EventStream`] iteration from terminating
+    /// while the handle is alive.
+    pub(crate) tail_sink: EventSink,
+}
+
+/// One shard of a run: its session and that session's worker pool.
+pub(crate) struct ShardRun {
     session: Arc<CrawlSession>,
     workers: Vec<JoinHandle<()>>,
-    /// This run's fetch executor ([`crate::fetch_pool`]). The workers
-    /// hold handles on it; the run owns it, so its fetcher threads (if
+    /// This shard's fetch executor ([`crate::fetch_pool`]). The workers
+    /// hold handles on it; the shard owns it, so its fetcher threads (if
     /// any) are joined when the run is dropped — after `wind_down` has
     /// joined the workers, whose wind-down contract guarantees they
     /// cancelled or drained every job first.
     _pool: Arc<FetchPool>,
-    events: Option<EventStream>,
-    dropped: Arc<AtomicU64>,
-    /// Observer-only sink for commands drained after the pool exited.
-    /// Deliberately holds no channel sender: a sender stored in the
-    /// handle would keep [`EventStream`] iteration from terminating
-    /// while the handle is alive.
-    tail_sink: EventSink,
 }
 
 /// How worker bodies become OS threads. Injectable so tests can make
@@ -263,43 +283,34 @@ pub struct CrawlRun {
 pub(crate) type WorkerSpawner =
     dyn FnMut(usize, Box<dyn FnOnce() + Send + 'static>) -> std::io::Result<JoinHandle<()>>;
 
-impl CrawlRun {
-    pub(crate) fn launch(
-        session: Arc<CrawlSession>,
-        opts: StartOptions,
-    ) -> Result<CrawlRun, CrawlError> {
-        Self::launch_with_spawner(session, opts, &mut |i, body| {
-            std::thread::Builder::new()
-                .name(format!("crawl-worker-{i}"))
-                .spawn(body)
-        })
-    }
+/// The [`WorkerSpawner`] every run uses outside tests.
+pub(crate) fn spawn_thread(
+    i: usize,
+    body: Box<dyn FnOnce() + Send + 'static>,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("crawl-worker-{i}"))
+        .spawn(body)
+}
 
-    /// [`CrawlRun::launch`] with an explicit thread spawner. A spawn
-    /// failure does **not** panic the launching thread: the failed slot
-    /// is recorded like a worker panic (`CrawlEvent::WorkerFailed`, then
-    /// `CrawlError::Worker` from `join()`), the pool is aborted so the
-    /// already-spawned workers wind down and hand their claims back at
-    /// the next page boundary, and the partially-spawned run is returned
-    /// for the caller to `join()` — the same surfacing contract a
-    /// mid-crawl panic has.
-    pub(crate) fn launch_with_spawner(
+impl ShardRun {
+    /// Activate `session` and spawn its worker pool, emitting into
+    /// `sink`. A spawn failure does **not** panic the launching thread:
+    /// the failed slot is recorded like a worker panic
+    /// (`CrawlEvent::WorkerFailed`, then `CrawlError::Worker` from
+    /// `join()`), the pool is aborted so the already-spawned workers
+    /// wind down and hand their claims back at the next page boundary,
+    /// and the partial pool is returned for the run to `join()` — the
+    /// same surfacing contract a mid-crawl panic has.
+    pub(crate) fn spawn(
         session: Arc<CrawlSession>,
-        opts: StartOptions,
+        sink: &Arc<EventSink>,
         spawn: &mut WorkerSpawner,
-    ) -> Result<CrawlRun, CrawlError> {
+    ) -> Result<ShardRun, CrawlError> {
         session.control().activate()?;
         // A previous run's verdict (worker panic, storage error) was
         // delivered by its join(); it must not fail this run too.
         session.reset_run_diagnostics();
-        let dropped = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = std::sync::mpsc::sync_channel(opts.event_capacity.max(1));
-        let tail_sink = EventSink::new(None, opts.observers.clone(), Arc::clone(&dropped));
-        let sink = Arc::new(EventSink::new(
-            Some(tx),
-            opts.observers,
-            Arc::clone(&dropped),
-        ));
         let threads = session.config().threads.max(1);
         // Exchange bookkeeping: the whole pool is registered before any
         // worker runs, so a sibling shard can never observe this shard
@@ -312,7 +323,7 @@ impl CrawlRun {
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
             let s = Arc::clone(&session);
-            let worker_sink = Arc::clone(&sink);
+            let worker_sink = Arc::clone(sink);
             let exec = pool.handle();
             let body = Box::new(move || {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -329,7 +340,7 @@ impl CrawlRun {
             match spawn(i, body) {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    session.note_spawn_failure(i, &e, &sink);
+                    session.note_spawn_failure(i, &e, sink);
                     // The failed slot and every slot after it never ran:
                     // retire their registrations so shard-liveness
                     // accounting (and any peer shard waiting on it)
@@ -341,21 +352,40 @@ impl CrawlRun {
                 }
             }
         }
-        Ok(CrawlRun {
+        Ok(ShardRun {
             session,
             workers,
             _pool: pool,
-            events: Some(EventStream::new(rx, dropped.clone())),
-            dropped,
-            tail_sink,
         })
     }
 
-    /// The session this run executes over (ad-hoc SQL, snapshots).
-    pub fn session(&self) -> &Arc<CrawlSession> {
-        &self.session
+    fn push(&self, cmd: Command) {
+        self.session.control().push(cmd);
     }
 
+    fn is_finished(&self) -> bool {
+        self.workers.iter().all(|h| h.is_finished())
+    }
+
+    /// Join the pool, then apply any commands the workers never got to
+    /// (pushed after the last worker exited): budget raises, seeds, and
+    /// marks land in session state for the next run instead of vanishing.
+    fn wind_down(&mut self, tail_sink: &EventSink) {
+        for h in self.workers.drain(..) {
+            // Workers catch their own panics; a join error would mean the
+            // catch itself unwound, which AssertUnwindSafe precludes.
+            let _ = h.join();
+        }
+        self.session.apply_commands(tail_sink);
+        // Everything the run wrote — including commands applied just
+        // above, after the last worker's batch commit — becomes durable
+        // before `join()` acknowledges the run. No-op without a WAL.
+        self.session.final_durable_commit();
+        self.session.control().deactivate();
+    }
+}
+
+impl CrawlRun {
     /// Take ownership of the event stream (callable once; typically moved
     /// into a monitoring thread). Subsequent calls return `None`.
     pub fn take_events(&mut self) -> Option<EventStream> {
@@ -372,126 +402,149 @@ impl CrawlRun {
         self.dropped.load(Ordering::Relaxed)
     }
 
+    fn broadcast(&self, cmd: Command) {
+        for shard in &self.shards {
+            shard.push(cmd.clone());
+        }
+    }
+
     /// Hold workers after their in-flight fetches land. Commands (seeds,
-    /// marks, budget) still apply while paused.
+    /// marks, budget) still apply while paused. Latency is one page per
+    /// shard.
     pub fn pause(&self) {
-        self.session.control().push(Command::Pause);
+        self.broadcast(Command::Pause);
     }
 
     /// Release paused workers.
     pub fn resume(&self) {
-        self.session.control().push(Command::Resume);
+        self.broadcast(Command::Resume);
     }
 
     /// Wind the run down; `join()` then returns the stats so far.
     pub fn stop(&self) {
-        self.session.control().push(Command::Stop);
+        self.broadcast(Command::Stop);
     }
 
-    /// Inject seeds into the live frontier at top priority.
+    /// Inject seeds into the live frontier at top priority, each on the
+    /// shard that owns it. A seed owned by a shard outside this run goes
+    /// to the run's first shard, whose seeding routes it on through the
+    /// exchange.
     pub fn add_seeds(&self, seeds: &[Oid]) {
-        self.session
-            .control()
-            .push(Command::AddSeeds(seeds.to_vec()));
+        let first = &self.shards[0].session;
+        let mut groups = vec![Vec::new(); self.shards.len()];
+        for &oid in seeds {
+            let url = first.fetcher().url_of(oid).unwrap_or_default();
+            let owner = seed_owner(&url, oid, first.shard.n_shards);
+            let at = (self.shards.iter()).position(|s| s.session.shard.shard == owner);
+            groups[at.unwrap_or(0)].push(oid);
+        }
+        for (shard, group) in self.shards.iter().zip(groups) {
+            if !group.is_empty() {
+                shard.push(Command::AddSeeds(group));
+            }
+        }
     }
 
-    /// Raise the fetch budget. Applied at the next page boundary while
-    /// the pool is alive; a raise that loses the race with budget
-    /// exhaustion still lands in the session (via the `join()`-time
-    /// drain) and funds the next `start()`. To extend a run that is
+    /// Raise the fetch budget, split evenly over the shards whose
+    /// workers are still alive — a share handed to an exited shard would
+    /// sit in a command queue nobody drains until the next `start()`,
+    /// silently shrinking the raise while live shards starve. With no
+    /// shard live it is split over all of them and funds the next
+    /// `start()` (via the `join()`-time drain), as does a raise that
+    /// loses the race with budget exhaustion. To extend a run that is
     /// close to its budget reliably, `pause()` first.
     pub fn add_budget(&self, extra: u64) {
-        self.session.control().push(Command::AddBudget(extra));
+        let live: Vec<&ShardRun> = self.shards.iter().filter(|s| !s.is_finished()).collect();
+        let targets = match live.is_empty() {
+            true => self.shards.iter().collect(),
+            false => live,
+        };
+        let n = targets.len() as u64;
+        for (i, shard) in targets.into_iter().enumerate() {
+            let share = even_split(extra, n, i as u64);
+            if share > 0 {
+                shard.push(Command::AddBudget(share));
+            }
+        }
     }
 
     /// Switch the link-expansion policy for pages fetched from now on.
     pub fn set_policy(&self, policy: CrawlPolicy) {
-        self.session.control().push(Command::SetPolicy(policy));
+        self.broadcast(Command::SetPolicy(policy));
     }
 
-    /// Re-mark a topic and re-prioritize the frontier mid-crawl (§3.7).
+    /// Re-mark a topic and re-prioritize the frontier mid-crawl (§3.7):
+    /// each shard recompiles its classifier and re-steers its own
+    /// frontier.
     pub fn mark_topic(&self, class: ClassId, good: bool) {
-        self.session
-            .control()
-            .push(Command::MarkTopic { class, good });
-    }
-
-    /// Resolve a topic by name (for `mark_topic` from a console).
-    pub fn find_topic(&self, name: &str) -> Option<ClassId> {
-        self.session.find_topic(name)
+        self.broadcast(Command::MarkTopic { class, good });
     }
 
     /// Force a distillation pass at the next page boundary, after the
     /// commands queued with it have applied.
     pub fn distill(&self) {
-        self.session.control().push(Command::Distill);
+        self.broadcast(Command::Distill);
     }
 
-    /// Stats snapshot of the live run.
+    /// Stats snapshot of the live run ([`merge_stats`] over its shards).
     pub fn stats(&self) -> CrawlStats {
-        self.session.stats()
+        merge_stats(self.shards.iter().map(|s| s.session.stats()))
     }
 
-    /// Lifecycle as seen from the handle.
+    /// Lifecycle as seen from the handle: the least advanced state of
+    /// the shards whose workers are alive, so `Paused` means every live
+    /// shard has parked.
     pub fn state(&self) -> RunState {
-        if self.is_finished() {
-            RunState::Finished
-        } else {
-            self.session.control().run_state()
-        }
+        let live = self.shards.iter().filter(|s| !s.is_finished());
+        let states = live.map(|s| s.session.control().run_state());
+        states.min().unwrap_or(RunState::Finished)
     }
 
     /// Have all workers exited?
     pub fn is_finished(&self) -> bool {
-        self.workers.iter().all(|h| h.is_finished())
+        self.shards.iter().all(|s| s.is_finished())
     }
 
-    /// Copy the store and what no table holds, for resumption in a fresh
-    /// session ([`CrawlSession::restore`]). Taken at a page boundary
-    /// (under the session lock), so tables are consistent; pausing first
-    /// makes the snapshot stable against the run advancing.
-    pub fn checkpoint(&self) -> Result<crate::session::CrawlCheckpoint, CrawlError> {
-        Ok(self.session.checkpoint()?)
-    }
-
-    /// Wait for the worker pool and return final stats. Worker panics and
-    /// storage failures surface as errors here rather than as silently
-    /// partial stats. Debug builds check the session's invariants
-    /// before returning `Ok` ([`CrawlSession::check_invariants`]).
+    /// Wait for every shard's pool and return the merged stats. Worker
+    /// panics and storage failures surface as errors here rather than as
+    /// silently partial stats: a lone failure as it is, several as one
+    /// [`CrawlError::Worker`] naming each shard. Debug builds check each
+    /// session's invariants ([`CrawlSession::check_invariants`]) and the
+    /// shards together ([`crate::CrawlCluster::check_invariants`])
+    /// before returning `Ok`.
     pub fn join(mut self) -> Result<CrawlStats, CrawlError> {
-        self.wind_down();
-        self.session.run_outcome()
-    }
-
-    /// Join the pool, then apply any commands the workers never got to
-    /// (pushed after the last worker exited): budget raises, seeds, and
-    /// marks land in session state for the next run instead of vanishing.
-    fn wind_down(&mut self) {
-        for h in self.workers.drain(..) {
-            // Workers catch their own panics; a join error would mean the
-            // catch itself unwound, which AssertUnwindSafe precludes.
-            let _ = h.join();
+        let mut shards = std::mem::take(&mut self.shards);
+        let (mut stats, mut errs) = (Vec::new(), Vec::new());
+        for shard in &mut shards {
+            shard.wind_down(&self.tail_sink);
+            match shard.session.run_outcome() {
+                Ok(s) => stats.push(s),
+                Err(e) => errs.push((shard.session.shard.shard, e)),
+            }
         }
-        self.session.apply_commands(&self.tail_sink);
-        // Everything the run wrote — including commands applied just
-        // above, after the last worker's batch commit — becomes durable
-        // before `join()` acknowledges the run. No-op without a WAL.
-        self.session.final_durable_commit();
-        self.session.control().deactivate();
+        if errs.len() > 1 {
+            let each = errs.iter().map(|(i, e)| format!("shard {i}: {e}"));
+            return Err(CrawlError::Worker(each.collect::<Vec<_>>().join("; ")));
+        }
+        if let Some((_, e)) = errs.pop() {
+            return Err(e);
+        }
+        let sessions: Vec<&CrawlSession> = shards.iter().map(|s| &*s.session).collect();
+        debug_check(|| check_cluster(&sessions, Vec::new()));
+        Ok(merge_stats(stats))
     }
 }
 
 impl Drop for CrawlRun {
-    /// A dropped (un-joined) handle stops the run and waits for the pool,
-    /// so no orphan workers keep crawling with nobody steering.
+    /// A dropped (un-joined) handle stops the run and waits for the
+    /// pools, so no orphan workers keep crawling with nobody steering.
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
         if !self.is_finished() {
             self.stop();
         }
-        self.wind_down();
+        for shard in &mut self.shards {
+            shard.wind_down(&self.tail_sink);
+        }
     }
 }
 
@@ -549,8 +602,8 @@ mod tests {
                 &graph, cycling, 10,
             ))
             .unwrap();
-        let mut run = CrawlRun::launch_with_spawner(
-            Arc::clone(&session),
+        let mut run = crate::cluster::launch(
+            std::slice::from_ref(&session),
             StartOptions::default(),
             &mut |i, body| {
                 if i >= 1 {
@@ -593,8 +646,8 @@ mod tests {
         session
             .seed(&focus_webgraph::search::topic_start_set(&graph, cycling, 5))
             .unwrap();
-        let run = CrawlRun::launch_with_spawner(
-            Arc::clone(&session),
+        let run = crate::cluster::launch(
+            std::slice::from_ref(&session),
             StartOptions::default(),
             &mut |_, _| {
                 Err(std::io::Error::new(

@@ -6,9 +6,9 @@
 //!
 //! Builds with debug assertions check on their own, and panic naming
 //! what broke: right after `CrawlSession::build` loads a store, and at
-//! the end of every `CrawlRun::join` / `ClusterRun::join` that returns
-//! `Ok` — so every test that joins a run checks them. Release builds
-//! compile those calls out.
+//! the end of every `CrawlRun::join` that returns `Ok`, for each shard
+//! of the run and for its shards together — so every test that joins a
+//! run checks them. Release builds compile those calls out.
 //!
 //! Not checked here: exactly-once fetch (only the fetcher sees a page
 //! fetched twice) and replica = committed prefix of the leader.
@@ -59,7 +59,7 @@ impl CrawlSession {
     /// * the store's heaps and indexes agree ([`Database::check_integrity`]);
     /// * memory is a cache over the tables: the link graph, visited
     ///   pages' relevance and the server tallies are what
-    ///   [`StoreState::load`] derives, saved posteriors are of fetched
+    ///   `StoreState::load` derives, saved posteriors are of fetched
     ///   pages only, and `TAXONOMY.type` is the live marking.
     ///
     /// Reads through [`minirel::unobserved`]: a check moves no counter.

@@ -148,7 +148,9 @@ use crate::health::{
     ServerHealth,
 };
 use crate::policy::{log_clamped, CrawlPolicy};
-use crate::run::{Command, ControlState, CrawlError, CrawlRun, RunState, StartOptions};
+use crate::run::{
+    spawn_thread, Command, ControlState, CrawlError, CrawlRun, RunState, StartOptions,
+};
 use crate::tables::{self, host_server_id, visited};
 use focus_classifier::compiled::{CompiledModel, EvalSummary, Scratch};
 use focus_classifier::model::TrainedModel;
@@ -415,8 +417,7 @@ impl CrawlSession {
     /// same sequence, so a shard started on its own re-arms the
     /// exchange's verdict just as its cluster's start would.
     pub fn start_with(self: &Arc<Self>, opts: StartOptions) -> Result<CrawlRun, CrawlError> {
-        let mut runs = crate::cluster::launch(std::slice::from_ref(self), opts)?;
-        Ok(runs.remove(0))
+        crate::cluster::launch(std::slice::from_ref(self), opts, &mut spawn_thread)
     }
 
     /// Run workers until the fetch budget is spent or the frontier

@@ -171,12 +171,12 @@ impl CrawlSession {
     /// one — claims the rows like any others, so a revisit is a
     /// numbered attempt that spends budget, waits behind the politeness
     /// cap and an open breaker, fails through the one failure path and
-    /// lands through the one landing ([`CrawlSession::process`]), which
+    /// lands through the one landing (`CrawlSession::process`), which
     /// records only the links `LINK` does not hold yet.
     ///
     /// Requeued work is acknowledged work, exactly like seeds: the
     /// shard's idle flag is cleared before the rewrite (see
-    /// [`CrawlSession::upsert_routed`]) and a durable session commits
+    /// `CrawlSession::upsert_routed`) and a durable session commits
     /// before returning.
     pub fn maintenance_pass(&self, top_k_hubs: usize) -> DbResult<usize> {
         let distill = match self.last_distill() {

@@ -309,11 +309,7 @@ fn cluster_pause_and_stop_latency_is_one_page_per_shard() {
     // Every shard parks at its next page boundary — not after finishing
     // its 16-claim batch.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while run
-        .shard_runs()
-        .iter()
-        .any(|r| r.state() != RunState::Paused && !r.is_finished())
-    {
+    while !matches!(run.state(), RunState::Paused | RunState::Finished) {
         assert!(std::time::Instant::now() < deadline, "pause never landed");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -432,6 +428,28 @@ fn single_shard_cluster_matches_session_semantics() {
         stats.successes + stats.failures,
         "attempts must reconcile"
     );
+}
+
+#[test]
+fn a_one_shard_run_reports_its_sessions_harvest_series() {
+    // Figure 5's x-axis is the attempt index: a one-shard run is the
+    // session's crawl, so merging it must not renumber harvest points to
+    // a dense success rank (they differ from the first failure on).
+    let cfg = CrawlConfig {
+        threads: 1,
+        max_fetches: 300,
+        ..CrawlConfig::default()
+    };
+    let (graph, cluster, cycling) = cycling_cluster(1, 13, cfg);
+    cluster
+        .seed(&focus_webgraph::search::topic_start_set(
+            &graph, cycling, 10,
+        ))
+        .unwrap();
+    let stats = cluster.run().unwrap();
+    assert!(stats.failures > 0, "no failure: both numberings agree");
+    assert_eq!(stats.harvest, cluster.shards()[0].stats().harvest);
+    assert_eq!(stats.harvest.last().unwrap().0, 300);
 }
 
 #[test]

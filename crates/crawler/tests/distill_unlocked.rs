@@ -13,7 +13,7 @@
 
 mod support;
 
-use focus_crawler::cluster::CrawlCluster;
+use focus_crawler::cluster::{merge_stats, CrawlCluster};
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{CrawlEvent, CrawlPolicy, StartOptions};
 use focus_types::Oid;
@@ -351,15 +351,17 @@ fn two_shards(fetch_pool: usize) {
         .iter()
         .map(|s| watch_hubs(Arc::clone(s), Arc::clone(&done)))
         .collect();
-    let mut run = cluster
-        .start_with(StartOptions {
-            // Roomy enough that no event of a 500-attempt run is dropped.
-            event_capacity: 1 << 16,
-            ..StartOptions::default()
-        })
-        .unwrap();
-    let streams: Vec<_> = (0..2).map(|i| run.take_events(i).unwrap()).collect();
-    let stats = within_a_minute(move || run.join().unwrap());
+    // Each shard started on its own, for a stream of its own; roomy
+    // enough that no event of a 500-attempt run is dropped.
+    let opts = || StartOptions {
+        event_capacity: 1 << 16,
+        ..StartOptions::default()
+    };
+    let mut runs: Vec<_> = (cluster.shards().iter())
+        .map(|s| s.start_with(opts()).unwrap())
+        .collect();
+    let streams: Vec<_> = runs.iter_mut().map(|r| r.take_events().unwrap()).collect();
+    let stats = within_a_minute(move || merge_stats(runs.into_iter().map(|r| r.join().unwrap())));
     done.store(true, Ordering::SeqCst);
     for m in monitors {
         assert!(m.join().unwrap() > 0, "a monitor never got a read in");

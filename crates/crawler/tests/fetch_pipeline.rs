@@ -117,7 +117,7 @@ fn checkpoint_under_load_demotes_in_flight_claims() {
     wait_for_attempts(&session, 300);
     run.pause();
     std::thread::sleep(Duration::from_millis(300));
-    let ckpt = run.checkpoint().unwrap();
+    let ckpt = session.checkpoint().unwrap();
     // The live table still holds CLAIMED rows (the pause holds them
     // checked out) but the restored session must not.
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));

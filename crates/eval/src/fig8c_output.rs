@@ -26,7 +26,7 @@ const TIMED_RUNS: usize = 3;
 #[derive(Debug, Clone)]
 pub struct Fig8c {
     /// Scatter of (output size = children × docs, median wall µs over
-    /// [`TIMED_RUNS`] warm runs).
+    /// `TIMED_RUNS` warm runs).
     pub points: Vec<(f64, f64)>,
     /// Scatter of (output size, buffer-pool logical reads) — the
     /// deterministic work proxy for the same probes.

@@ -707,7 +707,7 @@ impl BTree {
         Ok(out)
     }
 
-    /// All rids stored under exactly `key`: one [`BTree::find_leaf`]
+    /// All rids stored under exactly `key`: one `find_leaf`
     /// descent, then the leaf (and any it spills into) serves the key.
     pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
         let leaf = self.find_leaf(pool, key, MIN_RID)?;

@@ -11,7 +11,7 @@ pub enum DbError {
     Io {
         /// What was being attempted ("open", "read", "write", "sync", …).
         op: String,
-        /// Path (or "<memory>") the operation targeted.
+        /// Path (or `<memory>`) the operation targeted.
         path: String,
         /// Underlying `std::io::Error` text.
         source: String,

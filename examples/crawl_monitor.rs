@@ -134,7 +134,7 @@ fn main() {
 
     println!("\n=== phase 2: live re-steering of the *paused* run ===");
     println!("mark business/investing/stocks good -> re-prioritize -> resume");
-    let stocks = run
+    let stocks = session
         .find_topic("business/investing/stocks")
         .expect("sibling topic");
     run.mark_topic(stocks, true);

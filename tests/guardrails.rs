@@ -59,6 +59,9 @@ const POLICY: Scope = Scope("crates/crawler/src/policy.rs", "", 1);
 const ONE_PROTOCOL: &str = "every session is a shard of an exchange, and the exchange keeps \
      every entry it is handed";
 
+const ONE_RUN_HANDLE: &str = "a crawl of one shard and a crawl of n return the same `CrawlRun`, \
+     built in one place (`cluster::launch`); its shards share one event channel";
+
 const CHECKPOINT_IS_A_COPY: &str = "a checkpoint is a copy of the store's pages; restore \
      loads it the way recover loads a file — no per-column capture or re-insert";
 
@@ -151,6 +154,10 @@ const FORBIDDEN: &[Forbidden] = &[
     ("every_session_is_a_shard",
      &["Option<ShardCtx>", "self.shard.as_ref()", "fn discard_inbox", "fn any_live"], CRAWLER,
      Mode::Code, ONE_PROTOCOL),
+    ("one_run_handle",
+     &["struct ClusterRun", "fn shard_runs", "fn start_cluster", "fn build_cluster",
+       "fn resume_cluster", "fn take_events(&mut self,", "Vec<CrawlRun>"],
+     Scope("crates/*/src", "", 60), Mode::Code, ONE_RUN_HANDLE),
     ("the_crawler_carries_no_dead_fork",
      &["fn decide("], POLICY, Mode::Code,
      "the policy has one entry point, `decide_eval`; the `Posterior` twin had no caller"),
@@ -205,6 +212,7 @@ const COUNTED: &[Counted] = &[
     ("every_session_is_a_shard", ".arm(", CRAWLER, 1,
      "one launch sequence (`cluster::launch`) arms the exchange, for one shard or all of a \
      cluster's"),
+    ("one_run_handle", "= CrawlRun {", CRAWLER, 1, ONE_RUN_HANDLE),
     ("the_suites_check_invariants_through_the_checkers", "fn trained_model", SUITES, 1,
      "the suites share one `trained_model`, in crates/crawler/tests/support/mod.rs"),
 ];
@@ -541,6 +549,7 @@ checks! {
     minirel_keeps_what_callers_outside_it_reach: ;
     no_knob_skips_a_wall_clock_assertion: ;
     every_session_is_a_shard: ;
+    one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
 }
 
