@@ -101,8 +101,13 @@ impl CrawlSession {
         let mut g = self.store.write();
         self.upsert_routed(&mut g, routed)?;
         // Seeds are acknowledged work: a durable session must not lose
-        // them to a crash before the first batch commit.
-        Self::commit_if_durable(&mut g.db)
+        // them to a crash before the first batch commit. The commit is
+        // cut under the guard; the sync it requested at the group-commit
+        // quota is waited for after the guard is dropped.
+        Self::commit_if_durable(&mut g.db)?;
+        let wal = g.db.wal();
+        drop(g);
+        wal.map_or(Ok(()), |wal| wal.wait_requested())
     }
 
     /// A priority boost for a known-but-unfetched link target, paired

@@ -72,9 +72,10 @@
 //! order is not just documentation: debug builds panic on any
 //! out-of-order interleaving, and on any lock held into a blocking call
 //! (a fetch, a backlink lookup, the distillation kernel, an fsync) that
-//! the call's blocking point in `lockcheck::rank` does not allow. The
-//! only such hold is the durable commit: a WAL fsync under the store
-//! write guard (and under `ctrl_apply`, for a live `add_seeds`).
+//! the call's blocking point in `lockcheck::rank` does not allow; none
+//! allows a session lock. A durable commit only requests its fsync,
+//! which the log's syncer thread runs holding nothing; the seeding and
+//! wind-down commits wait for it after dropping the store guard.
 //! Monitors touch only `store` (read) or the counter mutex, so they can
 //! never deadlock with workers. The `wal` position is the WAL latch of
 //! a durable session database ([`Durability`]): minirel acquires it

@@ -392,16 +392,18 @@ impl CrawlSession {
     }
 
     /// Final wind-down commit: everything the run wrote becomes durable
-    /// (fsynced past group-commit batching) before `join()` returns.
-    /// No-op for non-durable sessions; a failure surfaces through
-    /// [`CrawlSession::run_outcome`] like any storage error.
+    /// (fsynced past group-commit batching) before `join()` returns. The
+    /// commit is cut under the store guard and the sync waited for after
+    /// dropping it. No-op for non-durable sessions; a failure surfaces
+    /// through [`CrawlSession::run_outcome`] like any storage error.
     pub(crate) fn final_durable_commit(&self) {
         let mut g = self.store.write();
-        if g.db.wal().is_none() {
+        let Some(wal) = g.db.wal() else {
             return;
-        }
-        if let Err(e) = g.db.commit_durable() {
-            drop(g);
+        };
+        let committed = g.db.commit();
+        drop(g);
+        if let Err(e) = committed.and_then(|_| wal.sync()) {
             self.record_error(e);
         }
     }

@@ -360,8 +360,9 @@ impl CrawlSession {
     /// Cut a commit point, unless nothing completed since the last one:
     /// land whatever the lane still buffers (blocking — nothing stays
     /// unlanded past here), then commit to the WAL so everything landed
-    /// so far is recoverable (fsync cadence follows the group-commit
-    /// quota; the run's wind-down forces the last sync). An in-memory
+    /// so far is recoverable (the group-commit quota requests an fsync
+    /// that the log's syncer thread runs, so the store guard never waits
+    /// it out; the run's wind-down forces the last sync). An in-memory
     /// session has nothing to commit and takes no lock to find that
     /// out. Returns `true` when a storage error was recorded.
     fn commit_point(&self, lane: &mut Lane, sink: &EventSink) -> bool {

@@ -6,7 +6,7 @@
 mod support;
 
 use focus_crawler::session::{CrawlConfig, CrawlSession, Durability};
-use focus_crawler::{host_server_id, monitor, CrawlPolicy};
+use focus_crawler::{host_server_id, monitor, CrawlEvent, CrawlPolicy};
 use focus_types::{Oid, ServerId};
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::BTreeSet;
@@ -288,9 +288,11 @@ fn file_backed_crawl_recovers() {
 /// A live `add_seeds` on a file-backed session is synced before it is
 /// acknowledged: the command drain (`ctrl_apply`) seeds under the store
 /// write guard and commits there, and with `group_commit: 1` that commit
-/// fsyncs the log — the `ctrl_apply → store → wal` hold the `FSYNC_WAL`
-/// blocking point allows. Every fetch is held on the wire meanwhile, so
-/// no commit point can be what synced.
+/// requests a sync of the log. The drain drops the store guard and waits
+/// for the watermark under `ctrl_apply` alone, then emits `SeedsAdded`;
+/// the fsync itself runs on the log's syncer thread, holding nothing.
+/// Every fetch is held on the wire meanwhile, so no commit point can be
+/// what synced.
 #[test]
 fn live_add_seeds_syncs_under_the_command_drain() {
     let path = temp_db_path("live-seeds");
@@ -335,14 +337,18 @@ fn live_add_seeds_syncs_under_the_command_drain() {
     let run = session.start().unwrap();
     let before = syncs();
     run.add_seeds(&extra);
+    // The acknowledgement: the seeds are visible once the guard drops,
+    // the event follows the wait for the watermark.
+    let events = run.events().expect("a fresh run has its event stream");
     let t0 = Instant::now();
-    while !seeded(extra[0], &session) {
+    while !matches!(events.try_next(), Some(CrawlEvent::SeedsAdded { .. })) {
         assert!(
             t0.elapsed() < Duration::from_secs(20),
             "add_seeds never applied"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+    assert!(seeded(extra[0], &session));
     assert!(
         syncs() > before,
         "the live seeds were acknowledged before the log was synced"

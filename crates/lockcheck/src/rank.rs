@@ -18,11 +18,16 @@
 //!     -> exchange_inbox                       (crawler/cluster.rs routing)
 //!     -> replica_db -> plan_cache             (minirel db/recovery)
 //!       -> buffer_shard -> disk -> wal        (minirel storage; one shard at a time)
+//!         -> wal_synced                       (minirel wal's durable watermark)
 //!         -> replica_err
 //!     -> tallies -> diag                      (crawler counters; leaves of the session)
 //! evolve_graph -> sim_attempts -> sim_reverse (webgraph simulation)
 //! pool_queue -> pool_mailbox                  (crawler fetch pool; taken with no session locks)
 //! ```
+//!
+//! No fsync of the log runs under any of them: a file log's syncer
+//! thread syncs holding nothing ([`FSYNC_WAL`]), and a durable
+//! acknowledgement waits on `wal_synced`'s condvar, which releases it.
 
 /// A lock rank: a position in the workspace acquisition order plus the
 /// name panic messages use for it.
@@ -95,9 +100,15 @@ ranks! {
     /// latch on miss/eviction.
     DISK = 430, "minirel.disk";
     /// `minirel/wal.rs` `inner`: the write-ahead log; taken under a shard
-    /// latch for WAL-before-data flushes, and alone for appends. fsync
-    /// happens under it by design ([`FSYNC_WAL`]).
+    /// latch for WAL-before-data flushes, and alone for appends. A group
+    /// is written under it; it is never held across an fsync.
     WAL = 440, "minirel.wal";
+    /// `minirel/wal.rs` `Watermark.state`: how far a sync was requested
+    /// and how far the log is synced; a commit posts its request under
+    /// the WAL latch, the syncer publishes the watermark, and durable
+    /// acknowledgements wait on its condvar with nothing else of the log
+    /// held.
+    WAL_SYNCED = 445, "minirel.wal_synced";
     /// `minirel/recovery.rs` `ReplicaShared.error`: replica failure slot.
     REPLICA_ERR = 450, "minirel.replica_err";
     /// `crawler/session/` `counters.tallies`: crawl statistics; nests
@@ -144,13 +155,12 @@ pub const DISTILL_PASS: BlockingPoint = BlockingPoint {
     allow: &[],
 };
 
-/// `minirel/wal.rs`: fsync of the log. The log syncs under its own
-/// latch by design, and a durable session commits seeds (a live
-/// `add_seeds` command, under `ctrl_apply`) and commit points under the
-/// store write guard, so that fsync is what makes them acknowledged.
+/// `minirel/wal.rs`: fsync of the log, on the log's syncer thread. It
+/// holds nothing: commits only request a sync, and whoever needs it
+/// durable waits for the watermark outside every latch of the log.
 pub const FSYNC_WAL: BlockingPoint = BlockingPoint {
     name: "fsync-wal",
-    allow: &[CTRL_APPLY, STORE, WAL],
+    allow: &[],
 };
 
 /// `minirel/disk.rs`: fsync of the data file, under the disk manager's

@@ -53,8 +53,9 @@
 //! log's page index before the data file. The data file is written only
 //! by checkpoint/recovery code, so it always holds a committed state.
 //! The WAL mutex is a leaf in the latch order: `shard → {disk, wal}`.
-//! Each fsyncs under its own latch — the holds the `FSYNC_DATA` and
-//! `FSYNC_WAL` blocking points of `lockcheck::rank` allow.
+//! The disk manager fsyncs under its own latch (the hold the
+//! `FSYNC_DATA` blocking point of `lockcheck::rank` allows); the log
+//! fsyncs on its syncer thread, holding nothing (`FSYNC_WAL`).
 //!
 //! Both ways out go through one `write_back`, which is also the one
 //! place `physical_writes` counts. So that the log can record what

@@ -265,8 +265,9 @@ impl Database {
     }
 
     /// Commit: log every dirty page image plus the catalog, append a
-    /// Commit record, and publish to replicas. fsync happens on the
-    /// group-commit quota ([`Database::commit_durable`] forces it).
+    /// Commit record, and publish to replicas. The group-commit quota
+    /// requests an fsync from the log's syncer thread without waiting
+    /// for it ([`Database::commit_durable`] forces one and waits).
     /// Returns the commit's LSN.
     pub fn commit(&mut self) -> DbResult<u64> {
         let wal = self.pool.wal().ok_or_else(|| {
@@ -281,8 +282,9 @@ impl Database {
         )
     }
 
-    /// [`Database::commit`] plus a forced WAL fsync — the point after
-    /// which the commit survives a crash.
+    /// [`Database::commit`] plus a forced WAL fsync, waited for outside
+    /// the WAL latch — the point after which the commit survives a
+    /// crash.
     pub fn commit_durable(&mut self) -> DbResult<u64> {
         let lsn = self.commit()?;
         self.pool.wal().expect("commit() verified the wal").sync()?;

@@ -93,35 +93,60 @@
 //!
 //! ## Group commit
 //!
-//! [`Wal::commit`] writes and publishes but only fsyncs every
-//! `group_every`-th commit, amortizing the sync over the crawler's
-//! page-boundary flushes; [`Wal::sync`] forces one (the "durable" ack
-//! point — a commit is acknowledged as crash-safe only once synced) and
-//! returns at once when nothing was appended since the last sync, so a
-//! forced sync right after a commit that already synced costs nothing.
+//! A file log has one **syncer thread**. It owns a clone of the log's
+//! descriptor, fsyncs it up to the offset it was asked for, and then
+//! publishes that offset as the durable **watermark**. [`Wal::commit`]
+//! writes and publishes its group, and every `group_every`-th commit
+//! only *requests* a sync and returns: the fsync runs while the writer
+//! goes on appending. [`Wal::sync`] requests everything written and
+//! then waits for the watermark — the one place durability is
+//! acknowledged (a commit is crash-safe only once synced). It returns at
+//! once when nothing was appended since the last request, so a forced
+//! sync right after a commit that already synced costs nothing.
+//! [`Wal::wait_requested`] waits for the syncs already requested and
+//! requests none.
+//!
+//! The write of a group stays on the caller, under the latch: it is a
+//! page-cache copy, and keeping it there leaves pool misses
+//! ([`Wal::read_page_into`]) and replicas reading only written bytes.
+//! A memory log has nothing to sync, so a request reaches the watermark
+//! at once. A failed fsync is **sticky**: every later commit, sync or
+//! wait returns it, since a retried fsync may report clean over pages
+//! the kernel already dropped. Dropping the log finishes any requested
+//! sync and joins the thread.
+//!
+//! [`WalStats`] splits the time: `write_ns` on the writer, `sync_ns` on
+//! the syncer, `sync_wait_ns` of callers blocked on the watermark.
 //!
 //! ## Latch order
 //!
 //! The WAL mutex is a **leaf** lock: it may be taken while holding a
-//! buffer-pool shard latch (eviction logs under the shard lock), and it
-//! never takes any other engine lock itself. System-wide the order is
-//! `shard → {disk, wal}`.
+//! buffer-pool shard latch (eviction logs under the shard lock), and the
+//! only lock it takes itself is the watermark's, ranked just above it
+//! (a commit posts its request there). System-wide the order is
+//! `shard → {disk, wal → wal_synced}`. Nobody holds either across an
+//! fsync: the syncer drops the watermark's mutex before it syncs, and a
+//! caller waits on the watermark's condvar after dropping the WAL latch.
 //!
 //! ## Crash injection
 //!
 //! For the crash-matrix harness: when `MINIREL_CRASH_SYNCS=<n>` is set,
 //! the process aborts at the `n`-th WAL sync *before* making it
-//! durable, simulating power loss at a randomized commit boundary.
+//! durable, simulating power loss at a randomized commit boundary. The
+//! hook runs on the syncer thread, so a group commit's sync can die
+//! while the writer is still appending.
 
 use crate::error::{DbError, DbResult};
 use crate::page::{PageId, PAGE_SIZE};
-use lockcheck::{rank, OrderedMutex};
+use lockcheck::{rank, OrderedCondvar, OrderedMutex};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Record kind: full 4 KB page image (`pid u32` + page bytes).
 pub const KIND_PAGE_IMAGE: u8 = 1;
@@ -407,7 +432,8 @@ impl<'a> PageDelta<'a> {
 }
 
 /// Crash-injection hook: aborts the process at the configured sync
-/// ordinal (env `MINIREL_CRASH_SYNCS`), *before* the sync happens.
+/// ordinal (env `MINIREL_CRASH_SYNCS`), *before* the sync happens. Runs
+/// on the syncer thread.
 fn crash_hook_before_sync() {
     use std::sync::OnceLock;
     static LIMIT: OnceLock<Option<u64>> = OnceLock::new();
@@ -485,14 +511,122 @@ impl WalStore {
             }
         }
     }
+}
 
-    fn sync(&mut self) -> DbResult<()> {
-        lockcheck::blocking(&rank::FSYNC_WAL);
-        crash_hook_before_sync();
-        match self {
-            WalStore::Memory { .. } => Ok(()),
-            WalStore::File { file, path, .. } => {
-                file.sync_all().map_err(|e| DbError::io("sync", &path, e))
+/// The durable watermark: how far a sync has been asked for, how far
+/// the log is synced, and the sync counters. A file log's syncer thread
+/// advances it; a memory log has nothing to sync, so a request reaches
+/// it at once.
+struct Watermark {
+    state: OrderedMutex<Durable>,
+    /// Signalled on a request (to the syncer) and on a sync or a
+    /// failure (to the waiters).
+    changed: OrderedCondvar,
+    /// Whether a syncer thread serves the requests (file logs).
+    background: bool,
+}
+
+#[derive(Default)]
+struct Durable {
+    /// Log offset a sync has been asked to reach.
+    requested: u64,
+    /// Log offset the last sync reached: every byte before it is durable.
+    synced: u64,
+    /// The first failed fsync, returned by every later request and wait.
+    failed: Option<DbError>,
+    /// The log is being dropped: the syncer finishes what was requested
+    /// and exits.
+    closing: bool,
+    /// The log file, for the syncer's error (rotation renames it).
+    path: PathBuf,
+    syncs: u64,
+    sync_ns: u64,
+    sync_wait_ns: u64,
+}
+
+impl Durable {
+    /// The sticky error of a failed sync, if one failed.
+    fn check(&self) -> DbResult<()> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+}
+
+impl Watermark {
+    fn new(background: bool, path: PathBuf) -> Watermark {
+        Watermark {
+            state: OrderedMutex::new(
+                rank::WAL_SYNCED,
+                Durable {
+                    path,
+                    ..Durable::default()
+                },
+            ),
+            changed: OrderedCondvar::new(),
+            background,
+        }
+    }
+
+    /// Ask for the log to be synced up to `end`.
+    fn request(&self, end: u64) -> DbResult<()> {
+        let mut d = self.state.lock();
+        d.check()?;
+        if end > d.requested {
+            d.requested = end;
+            if self.background {
+                self.changed.notify_all();
+            } else {
+                d.synced = end;
+                d.syncs += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Block until the log is synced up to `end` (or up to what was
+    /// requested, with `None`).
+    fn wait(&self, end: Option<u64>) -> DbResult<()> {
+        let t0 = Instant::now();
+        let mut d = self.state.lock();
+        let end = end.unwrap_or(d.requested);
+        while d.synced < end && d.failed.is_none() {
+            d = self.changed.wait(d);
+        }
+        d.sync_wait_ns += t0.elapsed().as_nanos() as u64;
+        d.check()
+    }
+
+    /// The syncer thread: fsync `file` up to each requested offset and
+    /// publish it, holding nothing while it syncs, until the log is
+    /// dropped and nothing requested is left. After a failure it syncs
+    /// no more.
+    fn run_syncer(&self, file: File) {
+        let mut d = self.state.lock();
+        loop {
+            if d.failed.is_none() && d.requested > d.synced {
+                let target = d.requested;
+                drop(d);
+                lockcheck::blocking(&rank::FSYNC_WAL);
+                crash_hook_before_sync();
+                let t0 = Instant::now();
+                let synced = file.sync_all();
+                let ns = t0.elapsed().as_nanos() as u64;
+                d = self.state.lock();
+                match synced {
+                    Ok(()) => {
+                        d.synced = target;
+                        d.syncs += 1;
+                        d.sync_ns += ns;
+                    }
+                    Err(e) => {
+                        let err = DbError::io("sync", &d.path, e);
+                        d.failed = Some(err);
+                    }
+                }
+                self.changed.notify_all();
+            } else if d.closing {
+                return;
+            } else {
+                d = self.changed.wait(d);
             }
         }
     }
@@ -543,7 +677,8 @@ impl Chain {
 
 /// What the log has written, by record kind (`*_bytes` count whole
 /// records, header included, so the four add up to
-/// [`Wal::len_bytes`]), and how: `writes` to the store, `syncs` of it.
+/// [`Wal::len_bytes`]), and how: `writes` to the store, `syncs` of it,
+/// and the time each took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Full page images logged.
@@ -561,8 +696,16 @@ pub struct WalStats {
     /// Writes of staged bytes to the store: one per commit, plus the
     /// forced ones (a staged record read back, a full stage).
     pub writes: u64,
-    /// Syncs of the store (the crash-injection ordinal counts these).
+    /// Syncs of the store (the crash-injection ordinal counts these),
+    /// counted on the syncer thread.
     pub syncs: u64,
+    /// Nanoseconds the `writes` took, on the writer under the latch.
+    pub write_ns: u64,
+    /// Nanoseconds the `syncs` took, on the syncer thread.
+    pub sync_ns: u64,
+    /// Nanoseconds callers spent blocked on the durable watermark
+    /// ([`Wal::sync`], [`Wal::wait_requested`]).
+    pub sync_wait_ns: u64,
 }
 
 struct WalInner {
@@ -570,8 +713,6 @@ struct WalInner {
     next_lsn: u64,
     /// LSN of the last Commit record (0 = none yet).
     last_commit_lsn: u64,
-    /// Logical length of the log at the last sync.
-    synced_end: u64,
     /// pid → where the log holds the page's newest bytes.
     page_index: HashMap<PageId, Chain>,
     commits_since_sync: usize,
@@ -624,7 +765,9 @@ impl WalInner {
     /// Hand the store everything staged for it, in one write.
     fn flush_stage(&mut self) -> DbResult<()> {
         if self.written < self.stage.len() {
+            let t0 = Instant::now();
             self.store.append(&self.stage[self.written..])?;
+            self.stats.write_ns += t0.elapsed().as_nanos() as u64;
             self.written = self.stage.len();
             self.stats.writes += 1;
         }
@@ -644,37 +787,43 @@ impl WalInner {
             .retain(|tx| tx.send(Arc::clone(&chunk)).is_ok());
     }
 
-    /// Write what is staged and fsync — unless the log has not grown
-    /// since the last sync.
-    fn sync(&mut self) -> DbResult<()> {
+    /// Write what is staged and ask `mark` for a sync of all of it.
+    /// Returns the offset the sync reaches.
+    fn request_sync(&mut self, mark: &Watermark) -> DbResult<u64> {
         self.flush_stage()?;
-        if self.store.end() == self.synced_end {
-            return Ok(());
-        }
-        self.store.sync()?;
-        self.stats.syncs += 1;
-        self.synced_end = self.store.end();
         self.commits_since_sync = 0;
-        Ok(())
+        let end = self.store.end();
+        mark.request(end)?;
+        Ok(end)
     }
 }
 
 /// The write-ahead log. Interior-mutable (`&self` everywhere) behind a
-/// single leaf mutex; share via `Arc`.
+/// single leaf mutex; share via `Arc`. A file log's syncer thread lives
+/// as long as the log.
 pub struct Wal {
     inner: OrderedMutex<WalInner>,
+    mark: Arc<Watermark>,
+    syncer: Option<JoinHandle<()>>,
 }
 
 impl Wal {
-    fn with_store(store: WalStore, group_every: usize, next_lsn: u64) -> Wal {
+    fn with_store(
+        store: WalStore,
+        group_every: usize,
+        next_lsn: u64,
+        mark: Arc<Watermark>,
+        syncer: Option<JoinHandle<()>>,
+    ) -> Wal {
         Wal {
+            mark,
+            syncer,
             inner: OrderedMutex::new(
                 rank::WAL,
                 WalInner {
                     store,
                     next_lsn,
                     last_commit_lsn: 0,
-                    synced_end: 0,
                     page_index: HashMap::new(),
                     commits_since_sync: 0,
                     group_every: group_every.max(1),
@@ -697,10 +846,13 @@ impl Wal {
             },
             group_every,
             1,
+            Arc::new(Watermark::new(false, PathBuf::new())),
+            None,
         )
     }
 
-    /// Create (truncate) a log file at `path`, starting at `next_lsn`.
+    /// Create (truncate) a log file at `path`, starting at `next_lsn`,
+    /// and start its syncer thread.
     pub fn create_file(path: &Path, group_every: usize, next_lsn: u64) -> DbResult<Wal> {
         let file = OpenOptions::new()
             .read(true)
@@ -709,6 +861,17 @@ impl Wal {
             .truncate(true)
             .open(path)
             .map_err(|e| DbError::io("create", path, e))?;
+        let for_syncer = file
+            .try_clone()
+            .map_err(|e| DbError::io("clone", path, e))?;
+        let mark = Arc::new(Watermark::new(true, path.to_owned()));
+        let syncer = {
+            let mark = Arc::clone(&mark);
+            std::thread::Builder::new()
+                .name("wal-syncer".into())
+                .spawn(move || mark.run_syncer(for_syncer))
+                .map_err(|e| DbError::io("spawn syncer for", path, e))?
+        };
         Ok(Self::with_store(
             WalStore::File {
                 file,
@@ -717,6 +880,8 @@ impl Wal {
             },
             group_every,
             next_lsn,
+            mark,
+            Some(syncer),
         ))
     }
 
@@ -725,8 +890,8 @@ impl Wal {
     /// one so a crash mid-rotation leaves one valid log, never half of
     /// each). The open descriptor stays valid across the rename.
     pub fn rename_to(&self, dst: &Path) -> DbResult<()> {
+        self.sync()?;
         let mut g = self.inner.lock();
-        g.sync()?;
         match &mut g.store {
             WalStore::Memory { .. } => {
                 Err(DbError::Corrupt("cannot rename an in-memory wal".into()))
@@ -734,6 +899,7 @@ impl Wal {
             WalStore::File { path, .. } => {
                 std::fs::rename(&*path, dst).map_err(|e| DbError::io("rename", dst, e))?;
                 *path = dst.to_owned();
+                self.mark.state.lock().path = dst.to_owned();
                 Ok(())
             }
         }
@@ -793,8 +959,9 @@ impl Wal {
 
     /// Append a Commit record (catalog image + data-file page count),
     /// write everything staged since the last commit to the store in one
-    /// piece, publish it to subscribers, and fsync if the group-commit
-    /// quota is due. Returns the commit's LSN.
+    /// piece, publish it to subscribers, and request a sync if the
+    /// group-commit quota is due — without waiting for it. Returns the
+    /// commit's LSN, or the sticky error of a failed sync.
     pub fn commit(&self, catalog_image: &[u8], num_pages: u32) -> DbResult<u64> {
         let mut g = self.inner.lock();
         let (lsn, _) = g.put(KIND_COMMIT, |out| {
@@ -806,7 +973,9 @@ impl Wal {
         g.flush_stage()?;
         g.publish();
         if g.commits_since_sync >= g.group_every {
-            g.sync()?;
+            g.request_sync(&self.mark)?;
+        } else {
+            self.mark.state.lock().check()?;
         }
         Ok(lsn)
     }
@@ -821,7 +990,7 @@ impl Wal {
         g.put(KIND_CHECKPOINT, |out| {
             out.extend_from_slice(&num_pages.to_le_bytes())
         });
-        g.sync()?;
+        let end = g.request_sync(&self.mark)?;
         g.publish();
         g.page_index.clear();
         if let WalStore::Memory { buf, base } = &mut g.store {
@@ -829,13 +998,23 @@ impl Wal {
             buf.clear();
             buf.shrink_to(64 * 1024);
         }
-        Ok(())
+        drop(g);
+        self.mark.wait(Some(end))
     }
 
-    /// Force an fsync (the durable ack point). Returns at once when the
-    /// log has not grown since the last one.
+    /// Force a sync of everything logged and wait for it, outside the
+    /// latch (the durable ack point). Returns at once when the log has
+    /// not grown since the last request.
     pub fn sync(&self) -> DbResult<()> {
-        self.inner.lock().sync()
+        let end = self.inner.lock().request_sync(&self.mark)?;
+        self.mark.wait(Some(end))
+    }
+
+    /// Wait until every sync already requested — a group commit's — is
+    /// durable, requesting none: how a caller that committed under a
+    /// lock acknowledges the commit after dropping it.
+    pub fn wait_requested(&self) -> DbResult<()> {
+        self.mark.wait(None)
     }
 
     /// Read the newest logged bytes of `pid` into `out`: its last full
@@ -881,7 +1060,25 @@ impl Wal {
 
     /// Counters since the log was created.
     pub fn stats(&self) -> WalStats {
-        self.inner.lock().stats
+        let mut st = self.inner.lock().stats;
+        let d = self.mark.state.lock();
+        st.syncs = d.syncs;
+        st.sync_ns = d.sync_ns;
+        st.sync_wait_ns = d.sync_wait_ns;
+        st
+    }
+}
+
+impl Drop for Wal {
+    /// Finish any requested sync, then join the syncer.
+    fn drop(&mut self) {
+        if let Some(syncer) = self.syncer.take() {
+            self.mark.state.lock().closing = true;
+            self.mark.changed.notify_all();
+            // A syncer that panicked has nothing left to sync; a drop
+            // has nowhere to report it.
+            let _ = syncer.join();
+        }
     }
 }
 
@@ -1075,6 +1272,71 @@ mod tests {
         wal.commit(b"", 0).unwrap();
         wal.commit(b"", 0).unwrap();
         assert_eq!(wal.stats().syncs, 1, "third commit syncs the group");
+    }
+
+    fn temp_log(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("minirel-wal-{tag}-{}.log", std::process::id()))
+    }
+
+    #[test]
+    fn group_commits_sync_on_the_syncer_and_reopen_whole() {
+        let path = temp_log("group");
+        let wal = Wal::create_file(&path, DEFAULT_GROUP_COMMIT, 1).unwrap();
+        let page = [3u8; PAGE_SIZE];
+        let k = 3 * DEFAULT_GROUP_COMMIT + 2;
+        for i in 0..k as u32 {
+            wal.log_page(i, &page, None).unwrap();
+            wal.commit(b"catalog", i + 1).unwrap();
+        }
+        wal.sync().unwrap();
+        let st = wal.stats();
+        // Three quota requests and the forced one, some perhaps served
+        // by one fsync.
+        assert!((1..=4).contains(&st.syncs), "{st:?}");
+        assert!(st.sync_ns > 0 && st.write_ns > 0, "{st:?}");
+        drop(wal);
+        let log = std::fs::read(&path).unwrap();
+        let mut reader = records(&log);
+        let commits = reader.by_ref().filter(|r| r.kind == KIND_COMMIT).count();
+        assert_eq!((commits, reader.valid_len()), (k, log.len()));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Syncer threads alive in this process (`/proc/self/task/*/comm`).
+    fn syncer_threads() -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == "wal-syncer")
+            .count()
+    }
+
+    #[test]
+    fn no_syncer_outlives_its_log() {
+        // A new thread names itself, and a joined one may linger in the
+        // task list for a moment: poll both ways.
+        let settle = |done: &dyn Fn(usize) -> bool, why: &str| {
+            let t0 = Instant::now();
+            while !done(syncer_threads()) {
+                assert!(t0.elapsed().as_secs() < 10, "{why}");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        let path = temp_log("cycles");
+        let start = syncer_threads();
+        for i in 0..50 {
+            let wal = Wal::create_file(&path, 1, 1).unwrap();
+            if i == 0 {
+                settle(&|n| n > 0, "a file log runs no syncer");
+            }
+            // Requests a sync the drop must finish before it joins.
+            wal.commit(b"", i).unwrap();
+            drop(wal);
+        }
+        // A concurrent test's log may hold a syncer of its own for a
+        // while, so the count must come back down, not stay level.
+        settle(&|n| n <= start, "a syncer outlived its log");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -3,14 +3,22 @@
 //! assert that recovery lands on a whole-commit state that contains
 //! every acknowledged batch.
 //!
-//! The parent test re-executes its own test binary to run
-//! `child_crash_writer` in a subprocess with the crash env set; the
-//! child appends fixed-size batches — and in each re-stamps the first
-//! row of every earlier batch, so its commits carry page deltas to old
-//! pages beside the images of new ones — calling
-//! [`Database::commit_durable`] after each and printing `ACK <batch>`
-//! once the commit returns. The parent then reopens the files the dead
-//! child left behind.
+//! The parent test re-executes its own test binary to run a child in a
+//! subprocess with the crash env set; the child appends fixed-size
+//! batches — and in each re-stamps the first row of every earlier batch,
+//! so its commits carry page deltas to old pages beside the images of
+//! new ones — and prints `ACK <batch>` once a durable commit covering
+//! the batch returns. The parent then reopens the files the dead child
+//! left behind. Two children:
+//!
+//! * `child_crash_writer` opens at `group_commit = 1` and calls
+//!   [`Database::commit_durable`] after every batch, so every crash
+//!   ordinal lands on a batch boundary;
+//! * `child_group_writer` opens at [`DEFAULT_GROUP_COMMIT`] and calls a
+//!   plain [`Database::commit`] per batch and `commit_durable` every
+//!   [`DURABLE_EVERY`] batches, so the crash ordinal also fires on the
+//!   log's syncer thread for a group commit's sync, while the writer is
+//!   still appending the next batches.
 
 use minirel::{Database, Value, DEFAULT_GROUP_COMMIT};
 use std::io::Write as _;
@@ -20,6 +28,11 @@ use std::time::Duration;
 
 const BATCH: i64 = 25;
 const MAX_BATCHES: i64 = 12;
+/// `child_group_writer`'s batches per run and per durable commit: more
+/// than a group between two durable commits, so the quota's sync runs
+/// in the background first.
+const GROUP_BATCHES: i64 = 20;
+const DURABLE_EVERY: i64 = DEFAULT_GROUP_COMMIT as i64 + 2;
 
 fn temp_db_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("minirel-crash-{tag}-{}.db", std::process::id()))
@@ -46,38 +59,72 @@ fn child_crash_writer() {
     // exactly one more, so crash ordinal n dies inside batch n - 1's
     // commit and the sweep lands on every batch boundary.
     let mut db = Database::open_with(&path, 32, 1).expect("child open");
-    let tid = db.table_id("log").expect("seeded table");
-    let start = db
-        .query("select count(*) from log")
-        .unwrap()
-        .scalar_i64()
-        .unwrap()
-        / BATCH;
+    let start = first_batch(&db);
     for batch in start..start + MAX_BATCHES {
-        for j in 0..BATCH {
-            let seq = batch * BATCH + j;
-            db.insert(
-                tid,
-                vec![
-                    Value::Int(seq),
-                    Value::Int(batch),
-                    Value::Str(format!("payload-{seq:08}")),
-                ],
-            )
-            .unwrap();
-        }
-        // Small changes to old pages: what a commit logs as deltas.
-        for earlier in 0..batch {
-            let params = [Value::Str(stamp(batch)), Value::Int(earlier * BATCH)];
-            let done = db.execute_with("update log set pad = ? where seq = ?", &params);
-            assert_eq!(done.unwrap().affected, 1);
-        }
+        write_batch(&mut db, batch);
         db.commit_durable().unwrap();
-        // The commit returned: it is durable, so the parent may hold us
-        // to it. Flush — abort() drops buffered stdout.
-        println!("ACK {batch}");
-        std::io::stdout().flush().unwrap();
+        ack(batch);
     }
+}
+
+/// Subprocess body of the group-commit sweep; a no-op without
+/// `MINIREL_CRASH_DB`, like `child_crash_writer`.
+#[test]
+#[ignore = "subprocess body for the crash matrix; driven by crash_matrix_recovers_group_commits"]
+fn child_group_writer() {
+    let Ok(path) = std::env::var("MINIREL_CRASH_DB") else {
+        return;
+    };
+    // The open is sync 1; then the quota's sync in the background after
+    // the eighth batch, the forced one after the tenth, and so on.
+    let mut db =
+        Database::open_with(&PathBuf::from(path), 32, DEFAULT_GROUP_COMMIT).expect("child open");
+    let start = first_batch(&db);
+    for batch in start..start + GROUP_BATCHES {
+        write_batch(&mut db, batch);
+        if (batch - start + 1) % DURABLE_EVERY == 0 {
+            db.commit_durable().unwrap();
+            ack(batch);
+        } else {
+            db.commit().unwrap();
+        }
+    }
+}
+
+/// The batch a child resumes at: the recovered rows are whole batches.
+fn first_batch(db: &Database) -> i64 {
+    let rows = db.query("select count(*) from log").unwrap().scalar_i64();
+    rows.unwrap() / BATCH
+}
+
+/// Append batch `batch` and stamp the first row of every earlier one.
+fn write_batch(db: &mut Database, batch: i64) {
+    let tid = db.table_id("log").expect("seeded table");
+    for j in 0..BATCH {
+        let seq = batch * BATCH + j;
+        db.insert(
+            tid,
+            vec![
+                Value::Int(seq),
+                Value::Int(batch),
+                Value::Str(format!("payload-{seq:08}")),
+            ],
+        )
+        .unwrap();
+    }
+    // Small changes to old pages: what a commit logs as deltas.
+    for earlier in 0..batch {
+        let params = [Value::Str(stamp(batch)), Value::Int(earlier * BATCH)];
+        let done = db.execute_with("update log set pad = ? where seq = ?", &params);
+        assert_eq!(done.unwrap().affected, 1);
+    }
+}
+
+/// A durable commit covering `batch` returned, so the parent may hold
+/// the child to it. Flush — abort() drops buffered stdout.
+fn ack(batch: i64) {
+    println!("ACK {batch}");
+    std::io::stdout().flush().unwrap();
 }
 
 /// What batch `batch` writes over the first row of each earlier batch
@@ -86,10 +133,10 @@ fn stamp(batch: i64) -> String {
     format!("stamped-{batch:08}")
 }
 
-fn run_child(path: &PathBuf, crash_syncs: u64) -> i64 {
+fn run_child(child: &str, path: &PathBuf, crash_syncs: u64) -> i64 {
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
-        .args(["child_crash_writer", "--exact", "--ignored", "--nocapture"])
+        .args([child, "--exact", "--ignored", "--nocapture"])
         .env("MINIREL_CRASH_DB", path)
         .env("MINIREL_CRASH_SYNCS", crash_syncs.to_string())
         .output()
@@ -108,7 +155,24 @@ fn run_child(path: &PathBuf, crash_syncs: u64) -> i64 {
 
 #[test]
 fn crash_matrix_recovers() {
-    let path = temp_db_path("matrix");
+    // Sync ordinal 1 hits the child's own open/rotation; ordinal n the
+    // commit of the child's (n - 1)th batch.
+    sweep("matrix", "child_crash_writer", 12);
+}
+
+#[test]
+fn crash_matrix_recovers_group_commits() {
+    // Per run: the open, then per ten batches the quota's background
+    // sync and the forced one — five syncs, and a sixth ordinal that
+    // lets a run finish.
+    sweep("group", "child_group_writer", 6);
+}
+
+/// Run `child` once per crash ordinal `1..=ordinals` against one store,
+/// and after each kill reopen it and check it holds whole batches only,
+/// every acknowledged one among them.
+fn sweep(tag: &str, child: &str, ordinals: u64) {
+    let path = temp_db_path(tag);
     cleanup(&path);
     // Seed without crash injection so the WAL exists before any child
     // can die mid-rotation.
@@ -120,10 +184,8 @@ fn crash_matrix_recovers() {
         db.commit_durable().unwrap();
     }
     let mut total_acked = -1i64;
-    // Sync ordinal 1 hits the child's own open/rotation; ordinal n the
-    // commit of the child's (n - 1)th batch.
-    for crash_syncs in 1..=12u64 {
-        let last_ack = run_child(&path, crash_syncs);
+    for crash_syncs in 1..=ordinals {
+        let last_ack = run_child(child, &path, crash_syncs);
         total_acked = total_acked.max(last_ack);
 
         // Reopen twice: recovery must be idempotent.
