@@ -733,6 +733,7 @@ pub fn merge_stats(per_shard: impl IntoIterator<Item = CrawlStats>) -> CrawlStat
         out.failures += s.failures;
         out.distillations += s.distillations;
         out.deferred_landings += s.deferred_landings;
+        out.metrics.merge(&s.metrics);
         for (&(x, r), &(oid, _)) in s.harvest.iter().zip(&s.completion_order) {
             tagged.push((x, shard, r, oid));
         }
@@ -899,6 +900,7 @@ mod tests {
             completion_order: vec![(Oid(1), 0.9), (Oid(5), 0.5)],
             distillations: 1,
             deferred_landings: 3,
+            ..CrawlStats::default()
         };
         let b = CrawlStats {
             attempts: 7,
@@ -908,6 +910,7 @@ mod tests {
             completion_order: vec![(Oid(2), 0.8), (Oid(3), 0.7)],
             distillations: 0,
             deferred_landings: 4,
+            ..CrawlStats::default()
         };
         let m = merge_stats([a, b]);
         assert_eq!(m.attempts, 17);

@@ -25,6 +25,7 @@ pub mod events;
 pub mod fetch_pool;
 pub mod frontier;
 pub mod health;
+pub mod metrics;
 pub mod monitor;
 pub mod policy;
 pub mod run;
@@ -35,6 +36,7 @@ pub use cluster::{ClusterCheckpoint, CrawlCluster};
 pub use events::{CrawlEvent, CrawlObserver, EventStream, FailureOutcome, FetchErrorKind};
 pub use fetch_pool::{FetchPool, PoolHandle};
 pub use health::{BackoffConfig, Breaker, BreakerConfig, HealthMap, PolitenessConfig};
+pub use metrics::{MetricsSnapshot, Stage};
 pub use policy::CrawlPolicy;
 pub use run::{Command, CrawlError, CrawlRun, RunState, StartOptions};
 pub use session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Violation};

@@ -327,7 +327,7 @@ impl ShardRun {
             let exec = pool.handle();
             let body = Box::new(move || {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    s.worker(exec, &worker_sink)
+                    s.worker(i, exec, &worker_sink)
                 }));
                 if let Err(payload) = caught {
                     // `as_ref` reaches the panic payload itself; a

@@ -7,6 +7,7 @@
 //! (snapshot under the lock, iterate outside it, publish under it).
 
 use super::*;
+use crate::metrics::{Stage, StageClock};
 
 /// A fetched page with everything computed outside the store lock,
 /// waiting in its worker's lane to land.
@@ -577,7 +578,15 @@ impl CrawlSession {
     /// passes always run, so two can overlap; a result is published only
     /// if no newer snapshot's has been, and an overtaken pass ends
     /// silently.
-    pub(super) fn distill_pass(&self, forced: bool, sink: Option<&EventSink>) -> DbResult<()> {
+    ///
+    /// A worker's pass charges each step to its stage clock.
+    pub(super) fn distill_pass(
+        &self,
+        forced: bool,
+        sink: Option<&EventSink>,
+        mut clock: Option<&mut StageClock<'_>>,
+    ) -> DbResult<()> {
+        let mut lap = |stage| clock.as_mut().map_or((), |c| c.lap(stage));
         let (snapshot, number) = {
             let mut g = self.store.write();
             if !forced && g.distill.running > 0 {
@@ -588,9 +597,23 @@ impl CrawlSession {
             g.distill.cut += 1;
             (g.graph.snapshot(), g.distill.cut)
         };
+        lap(Stage::DistillGuard1);
         lockcheck::blocking(&rank::DISTILL_PASS);
-        let Distilled { result, endorsed } =
-            snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
+        let distilled = snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
+        lap(Stage::DistillKernel);
+        let published = self.publish_pass(number, distilled, sink);
+        lap(Stage::DistillGuard2);
+        published
+    }
+
+    /// Step 3 of [`CrawlSession::distill_pass`]: publish pass `number`'s
+    /// result under the store write lock, unless a newer one was.
+    fn publish_pass(
+        &self,
+        number: u64,
+        Distilled { result, endorsed }: Distilled,
+        sink: Option<&EventSink>,
+    ) -> DbResult<()> {
         let mut g = self.store.write();
         g.distill.running -= 1;
         if number <= g.distill.published {
@@ -644,7 +667,7 @@ impl CrawlSession {
     /// graph distills to an empty [`DistillResult`] — never a panic — so
     /// end-of-crawl reporting works on sessions that fetched nothing.
     pub fn distill_now(&self) -> DbResult<DistillResult> {
-        self.distill_pass(true, None)?;
+        self.distill_pass(true, None, None)?;
         Ok(self.last_distill().unwrap_or_default())
     }
 

@@ -148,6 +148,7 @@ use crate::health::{
     BackoffConfig, Breaker, BreakerConfig, ClaimGate, FailureVerdict, HealthMap, PolitenessConfig,
     ServerHealth,
 };
+use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::policy::{log_clamped, CrawlPolicy};
 use crate::run::{
     spawn_thread, Command, ControlState, CrawlError, CrawlRun, RunState, StartOptions,
@@ -309,6 +310,8 @@ pub struct CrawlStats {
     /// peers or monitors on the store, the share of `successes` that
     /// did not cost their worker a sleep on the lock.
     pub deferred_landings: u64,
+    /// The stage clock: where the workers' time went.
+    pub metrics: MetricsSnapshot,
 }
 
 impl CrawlStats {
@@ -365,6 +368,8 @@ struct CounterState {
     /// Success/failure tallies and the harvest series. `attempts` inside
     /// is refreshed from the atomic at snapshot time.
     tallies: OrderedMutex<CrawlStats>,
+    /// Per-worker stage clocks, summed by [`CrawlSession::stats`].
+    metrics: Metrics,
 }
 
 /// First storage error and worker-panic messages of the current run.
@@ -572,6 +577,7 @@ impl CrawlSession {
     pub fn stats(&self) -> CrawlStats {
         let mut stats = self.counters.tallies.lock().clone();
         stats.attempts = self.counters.attempts.load(Ordering::Acquire);
+        stats.metrics = self.counters.metrics.read();
         stats
     }
 
@@ -688,6 +694,7 @@ impl CrawlSession {
 mod tests {
     use super::*;
     use crate::events::CrawlObserver;
+    use crate::metrics::Stage;
     use crate::tables::crawl_col;
     use focus_classifier::train::{train, TrainConfig};
     use focus_types::ClassId;
@@ -750,6 +757,26 @@ mod tests {
             stats.mean_harvest()
         );
         assert!(stats.distillations > 0, "distillation trigger never fired");
+    }
+
+    #[test]
+    fn stage_clock_names_the_workers_time() {
+        let (graph, session) = setup(CrawlPolicy::SoftFocus, 120);
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        session.seed(&seeds).unwrap();
+        let stats = session.run().unwrap();
+        let m = &stats.metrics;
+        assert!(
+            m.covered() >= 0.95,
+            "{:.3} of worker time named",
+            m.covered()
+        );
+        for stage in [Stage::Claim, Stage::FetchWait, Stage::LandCompletion] {
+            assert!(m.stage(stage).count > 0, "{} never ran", stage.name());
+        }
+        let landed = m.stage(Stage::LandBlocking).count + m.stage(Stage::LandTry).count;
+        assert!(landed > 0, "{m:?}");
     }
 
     #[test]

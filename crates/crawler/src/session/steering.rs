@@ -21,7 +21,7 @@ impl CrawlSession {
         let mut forced = 0;
         self.control
             .drain(|cmd| forced += usize::from(self.apply_command(cmd, sink)));
-        if let Err(e) = (0..forced).try_for_each(|_| self.distill_pass(true, Some(sink))) {
+        if let Err(e) = (0..forced).try_for_each(|_| self.distill_pass(true, Some(sink), None)) {
             self.record_error(e);
         }
     }

@@ -357,6 +357,7 @@ impl CrawlSession {
                 clock: AtomicU64::new(clock),
                 retry_budget: AtomicU64::new(cfg.retry_budget),
                 tallies: OrderedMutex::new(rank::TALLIES, CrawlStats::default()),
+                metrics: Metrics::new(cfg.threads),
             },
             cfg,
             diag: OrderedMutex::new(rank::DIAG, RunDiag::default()),

@@ -43,6 +43,7 @@
 //!   run.
 
 use super::*;
+use crate::metrics::{Stage, StageClock};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -88,9 +89,9 @@ enum Unlanded {
     Page(Classified),
 }
 
-/// One worker's private state: its end of the fetch executor and what
-/// it has fetched but not yet landed or committed.
-struct Lane {
+/// One worker's private state: its end of the fetch executor, what it
+/// has fetched but not yet landed or committed, and its stage clock.
+struct Lane<'a> {
     exec: PoolHandle,
     /// Completions not yet landed, in completion order: failures (which
     /// always wait for the next success or commit point) and successes
@@ -104,23 +105,28 @@ struct Lane {
     /// allocations per page after that. Never shared (the `Scratch`
     /// contract), so no lock guards it.
     scratch: Scratch,
+    /// Charges each part of the loop to its [`Stage`].
+    clock: StageClock<'a>,
 }
 
 impl CrawlSession {
     /// The worker loop (see the module docs). `exec` is this worker's
-    /// handle on the run's fetch executor.
-    pub(crate) fn worker(&self, exec: PoolHandle, sink: &EventSink) {
+    /// handle on the run's fetch executor; `worker` numbers its stage
+    /// clock's slot.
+    pub(crate) fn worker(&self, worker: usize, exec: PoolHandle, sink: &EventSink) {
         let mut lane = Lane {
             exec,
             unlanded: VecDeque::new(),
             since_commit: 0,
             scratch: Scratch::default(),
+            clock: self.counters.metrics.clock(worker),
         };
         let batch = self.cfg.batch_size.max(1);
         let workers = self.cfg.threads.max(1);
         loop {
             self.apply_commands(sink);
             self.drain_exchange();
+            lane.clock.lap(Stage::Drain);
             if self.stop_requested() {
                 break;
             }
@@ -137,7 +143,9 @@ impl CrawlSession {
             }
             let room = lane.exec.room(batch, workers);
             if room > 0 {
-                match self.next_tick(sink, room) {
+                let tick = self.next_tick(sink, room);
+                lane.clock.lap(Stage::Claim);
+                match tick {
                     // Budget spent (or a fatal claim error): stop
                     // feeding the executor. Whatever is already on the
                     // wire still completes and flushes below.
@@ -170,18 +178,24 @@ impl CrawlSession {
                             break;
                         }
                         std::thread::sleep(IDLE_POLL);
+                        lane.clock.lap(Stage::Idle);
                     }
                     Tick::EmptyFrontier { .. } => {}
                     Tick::Work {
                         claims,
                         first_attempt,
-                    } => lane.exec.submit(claims, first_attempt),
+                    } => {
+                        lane.exec.submit(claims, first_attempt);
+                        lane.clock.lap(Stage::Room);
+                    }
                 }
             }
             // Take one completion per turn, so commands and the
             // exchange drain at every page boundary; with fetcher
             // threads the short timeout keeps the loop responsive.
-            if let Some(done) = lane.exec.next_completion(Duration::from_millis(1)) {
+            let done = lane.exec.next_completion(Duration::from_millis(1));
+            lane.clock.lap(Stage::FetchWait);
+            if let Some(done) = done {
                 if self.land_completion(&mut lane, done, sink) {
                     break;
                 }
@@ -201,8 +215,10 @@ impl CrawlSession {
         // final commit point.
         let unstarted = lane.exec.cancel_unstarted();
         self.release_unfetched(unstarted);
+        lane.clock.lap(Stage::Claim);
         self.drain_on_the_wire(&mut lane, sink);
         self.commit_point(&mut lane, sink);
+        lane.clock.finish();
     }
 
     /// Abort (a peer failed, storage broke) or stop: either way the
@@ -239,6 +255,7 @@ impl CrawlSession {
                     Some(Unlanded::Failures(run)) => run.push(failed),
                     _ => lane.unlanded.push_back(Unlanded::Failures(vec![failed])),
                 }
+                lane.clock.lap(Stage::LandCompletion);
                 return false;
             }
             Err(msg) => panic!("fetch pool: {msg}"),
@@ -273,6 +290,7 @@ impl CrawlSession {
             saved_probs,
             deferred: false,
         }));
+        lane.clock.lap(Stage::LandCompletion);
         let block = lane.exec.outstanding() == 0 || lane.since_commit >= self.cfg.batch_size;
         self.land_buffered(lane, block, sink)
     }
@@ -294,6 +312,11 @@ impl CrawlSession {
     /// first would let a peer (or a peer shard) reach an idle verdict
     /// with work still to come. Then the lock is re-taken for the rest.
     fn land_buffered(&self, lane: &mut Lane, block: bool, sink: &EventSink) -> bool {
+        let stage = if block {
+            Stage::LandBlocking
+        } else {
+            Stage::LandTry
+        };
         let mut failed = false;
         while !lane.unlanded.is_empty() {
             let mut landed = if block {
@@ -307,10 +330,13 @@ impl CrawlSession {
                 if let Some(Unlanded::Page(page)) = lane.unlanded.back_mut() {
                     page.deferred = true;
                 }
+                lane.clock.lap(stage);
                 break;
             };
+            lane.clock.lap(stage);
             if let Ok(true) = landed {
-                landed = self.distill_pass(false, Some(sink)).map(|()| false);
+                let pass = self.distill_pass(false, Some(sink), Some(&mut lane.clock));
+                landed = pass.map(|()| false);
                 self.release_in_flight(1);
             }
             if let Err(e) = landed {
@@ -377,6 +403,7 @@ impl CrawlSession {
         let mut g = self.store.write();
         let res = Self::commit_if_durable(&mut g.db);
         drop(g);
+        lane.clock.lap(Stage::CommitPoint);
         res.map_err(|e| self.record_error(e)).is_err()
     }
 
@@ -387,7 +414,9 @@ impl CrawlSession {
     /// row are accounted for and no completion is abandoned.
     fn drain_on_the_wire(&self, lane: &mut Lane, sink: &EventSink) {
         while lane.exec.outstanding() > 0 {
-            if let Some(done) = lane.exec.next_completion(Duration::from_millis(5)) {
+            let done = lane.exec.next_completion(Duration::from_millis(5));
+            lane.clock.lap(Stage::FetchWait);
+            if let Some(done) = done {
                 let _ = self.land_completion(lane, done, sink);
             }
         }
@@ -414,6 +443,7 @@ impl CrawlSession {
             self.apply_commands(sink);
             self.drain_exchange();
         }
+        lane.clock.lap(Stage::Park);
         if self.stop_requested() {
             self.release_unfetched(held);
         } else {

@@ -246,4 +246,10 @@ fn main() {
         total.deferred_landings,
         100.0 * total.deferred_landings as f64 / total.successes.max(1) as f64
     );
+    // And where the workers' time went: the stage clock, per landed page.
+    println!(
+        "stages ({:.1}% of worker time named), {}",
+        100.0 * total.metrics.covered(),
+        total.metrics.line(total.successes)
+    );
 }
