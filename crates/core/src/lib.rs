@@ -66,7 +66,7 @@ pub use focus_crawler::cluster::{ClusterCheckpoint, CrawlCluster};
 pub use focus_crawler::events::{CrawlEvent, CrawlObserver, EventStream};
 pub use focus_crawler::run::{CrawlRun, RunState, StartOptions};
 pub use focus_crawler::session::{
-    CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability,
+    CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Landing,
 };
 pub use focus_crawler::CrawlPolicy;
 pub use focus_distiller::{DistillConfig, DistillResult};

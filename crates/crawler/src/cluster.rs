@@ -73,7 +73,9 @@ use crate::events::{EventSink, EventStream};
 use crate::frontier::FrontierEntry;
 use crate::run::{spawn_thread, CrawlError, CrawlRun, ShardRun, StartOptions, WorkerSpawner};
 use crate::session::{expect, Violation};
-use crate::session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Origin};
+use crate::session::{
+    CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Landing, Origin,
+};
 use crate::tables::host_server_id;
 use focus_classifier::model::TrainedModel;
 use focus_types::{ClassId, Oid, ServerId};
@@ -567,10 +569,14 @@ impl CrawlCluster {
         self.start()?.join()
     }
 
-    /// Summed counters and merged harvest series across shards (see
-    /// [`merge_stats`] for the merge order).
+    /// Summed counters across shards ([`merge_stats`]).
     pub fn stats(&self) -> CrawlStats {
         merge_stats(self.shards.iter().map(|s| s.stats()))
+    }
+
+    /// Every shard's landings ([`merge_landings`]).
+    pub fn landings(&self) -> Vec<Landing> {
+        merge_landings(self.shards.iter().map(|s| s.landings()))
     }
 
     /// Entries the exchange dropped because an inbox was full
@@ -714,38 +720,41 @@ fn split_config(cfg: &CrawlConfig, n_shards: usize) -> Vec<CrawlConfig> {
         .collect()
 }
 
-/// Merge per-shard stats: counters sum; the harvest and completion-order
-/// series are interleaved by per-shard attempt index (a proxy for time —
-/// shards advance their attempt counters at roughly equal rates) and the
-/// merged harvest is re-numbered densely so the x-axis is a cluster-wide
-/// completion rank. One shard's stats are returned as they are: its
-/// harvest x is its own attempt index.
+/// Merge per-shard stats: every counter sums, and so do the harvest
+/// sums and the stage clocks.
 pub fn merge_stats(per_shard: impl IntoIterator<Item = CrawlStats>) -> CrawlStats {
-    let mut per_shard: Vec<CrawlStats> = per_shard.into_iter().collect();
-    if per_shard.len() == 1 {
-        return per_shard.remove(0);
-    }
     let mut out = CrawlStats::default();
-    let mut tagged: Vec<(u64, usize, f64, Oid)> = Vec::new();
-    for (shard, s) in per_shard.into_iter().enumerate() {
+    for s in per_shard {
         out.attempts += s.attempts;
         out.successes += s.successes;
         out.failures += s.failures;
+        out.harvest_sum += s.harvest_sum;
         out.distillations += s.distillations;
         out.deferred_landings += s.deferred_landings;
         out.metrics.merge(&s.metrics);
-        for (&(x, r), &(oid, _)) in s.harvest.iter().zip(&s.completion_order) {
-            tagged.push((x, shard, r, oid));
-        }
     }
-    tagged.sort_by_key(|&(x, shard, _, _)| (x, shard));
-    out.harvest = tagged
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, _, r, _))| (i as u64 + 1, r))
-        .collect();
-    out.completion_order = tagged.into_iter().map(|(_, _, r, oid)| (oid, r)).collect();
     out
+}
+
+/// Merge per-shard landings: interleaved by per-shard attempt index (a
+/// proxy for time — shards advance their attempt counters at roughly
+/// equal rates) and re-numbered densely, so the x-axis is a cluster-wide
+/// completion rank. One shard's landings are returned as they are: their
+/// attempts are its own.
+pub fn merge_landings(per_shard: impl IntoIterator<Item = Vec<Landing>>) -> Vec<Landing> {
+    let mut per_shard: Vec<Vec<Landing>> = per_shard.into_iter().collect();
+    if per_shard.len() == 1 {
+        return per_shard.remove(0);
+    }
+    let tagged = per_shard.into_iter().enumerate();
+    let mut tagged: Vec<(usize, Landing)> =
+        (tagged.flat_map(|(s, v)| v.into_iter().map(move |l| (s, l)))).collect();
+    tagged.sort_by_key(|&(shard, l)| (l.attempt, shard));
+    let renumber = |(i, (_, l)): (usize, (usize, Landing))| Landing {
+        attempt: i as u64 + 1,
+        ..l
+    };
+    tagged.into_iter().enumerate().map(renumber).collect()
 }
 
 /// One checkpoint per shard plus the implicit manifest (shard count and
@@ -896,8 +905,7 @@ mod tests {
             attempts: 10,
             successes: 2,
             failures: 8,
-            harvest: vec![(1, 0.9), (5, 0.5)],
-            completion_order: vec![(Oid(1), 0.9), (Oid(5), 0.5)],
+            harvest_sum: 1.4,
             distillations: 1,
             deferred_landings: 3,
             ..CrawlStats::default()
@@ -906,8 +914,7 @@ mod tests {
             attempts: 7,
             successes: 2,
             failures: 5,
-            harvest: vec![(2, 0.8), (3, 0.7)],
-            completion_order: vec![(Oid(2), 0.8), (Oid(3), 0.7)],
+            harvest_sum: 1.5,
             distillations: 0,
             deferred_landings: 4,
             ..CrawlStats::default()
@@ -916,14 +923,23 @@ mod tests {
         assert_eq!(m.attempts, 17);
         assert_eq!(m.successes, 4);
         assert_eq!(m.failures, 13);
+        assert_eq!(m.harvest_sum, 1.4 + 1.5);
         assert_eq!(m.distillations, 1);
         assert_eq!(m.deferred_landings, 7);
-        // Interleaved by per-shard attempt, re-numbered densely.
-        assert_eq!(m.harvest, vec![(1, 0.9), (2, 0.8), (3, 0.7), (4, 0.5)]);
-        assert_eq!(
-            m.completion_order,
-            vec![(Oid(1), 0.9), (Oid(2), 0.8), (Oid(3), 0.7), (Oid(5), 0.5)]
-        );
+        // Landings interleave by per-shard attempt, re-numbered densely.
+        let landed = |v: &[(u64, u64, f64)]| -> Vec<Landing> {
+            let landing = |&(attempt, oid, relevance): &(u64, u64, f64)| Landing {
+                attempt,
+                oid: Oid(oid),
+                relevance,
+            };
+            v.iter().map(landing).collect()
+        };
+        let a = landed(&[(1, 1, 0.9), (5, 5, 0.5)]);
+        let b = landed(&[(2, 2, 0.8), (3, 3, 0.7)]);
+        let want = landed(&[(1, 1, 0.9), (2, 2, 0.8), (3, 3, 0.7), (4, 5, 0.5)]);
+        assert_eq!(merge_landings([a.clone(), b]), want);
+        assert_eq!(merge_landings([a.clone()]), a, "one shard's, as they are");
     }
 
     #[test]

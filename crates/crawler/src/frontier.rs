@@ -466,13 +466,22 @@ pub fn mark_failed_batch(
     Ok(out)
 }
 
-/// Rewrite the stored relevance of *visited* pages after a good-mark
-/// change (§3.7), so monitoring SQL (`avg(exp(relevance))`, the paper's
-/// `log R(u) > −1` cut) reflects the new marking. Rows that are not
-/// `DONE`, and oids with no row, are skipped.
+/// Rewrite the stored relevance of *fetched* pages (`kcid ≥ 0`) after a
+/// good-mark change (§3.7), so monitoring SQL (`avg(exp(relevance))`,
+/// the paper's `log R(u) > −1` cut) reflects the new marking. A `DONE`
+/// row's `negrel` follows; any other fetched row (a requeued revisit, or
+/// one whose revisit failed) keeps its frontier priority. Unfetched rows,
+/// and oids with no row, are skipped.
 pub fn set_visited_relevance(db: &mut Database, items: &[(Oid, f64)]) -> DbResult<()> {
     rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
-        Ok(row.filter(is_done).map(|r| with_relevance(r, items[i].1)))
+        let fetched = row.filter(|r| r[crawl_col::KCID].as_i64() >= Some(0));
+        Ok(fetched.map(|r| {
+            let mut new = with_relevance(r, items[i].1);
+            if !is_done(&r) {
+                new[crawl_col::NEGREL] = r[crawl_col::NEGREL].clone();
+            }
+            new
+        }))
     })?;
     Ok(())
 }

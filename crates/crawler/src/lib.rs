@@ -39,5 +39,7 @@ pub use health::{BackoffConfig, Breaker, BreakerConfig, HealthMap, PolitenessCon
 pub use metrics::{MetricsSnapshot, Stage};
 pub use policy::CrawlPolicy;
 pub use run::{Command, CrawlError, CrawlRun, RunState, StartOptions};
-pub use session::{CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Violation};
+pub use session::{
+    CrawlCheckpoint, CrawlConfig, CrawlSession, CrawlStats, Durability, Landing, Violation,
+};
 pub use tables::host_server_id;

@@ -23,7 +23,7 @@ pub const BUCKETS: usize = 32;
 pub enum Stage {
     /// Applying steering commands and landing the exchange inbox.
     Drain,
-    /// Handing claimed work to the fetch executor.
+    /// Sizing the fetch executor's room and handing it the claims.
     Room,
     /// The claim critical section (`next_tick`), lock wait included.
     Claim,
@@ -67,6 +67,15 @@ impl Stage {
         Stage::DistillGuard2,
         Stage::Park,
     ];
+
+    /// The stage a landing is charged to: waited for (`block`) or tried.
+    pub fn landing(block: bool) -> Stage {
+        if block {
+            Stage::LandBlocking
+        } else {
+            Stage::LandTry
+        }
+    }
 
     /// Short name, as the stage line prints it.
     pub fn name(self) -> &'static str {
@@ -165,6 +174,13 @@ impl StageClock<'_> {
         cell.count.fetch_add(1, Relaxed);
         cell.total_ns.fetch_add(ns, Relaxed);
         cell.buckets[bucket(ns)].fetch_add(1, Relaxed);
+    }
+
+    /// [`StageClock::lap`] on `clock`, if there is one.
+    pub(crate) fn lap_some(clock: &mut Option<&mut Self>, stage: Stage) {
+        if let Some(c) = clock {
+            c.lap(stage);
+        }
     }
 
     /// The worker exits: add its wall time, the denominator of

@@ -49,6 +49,21 @@ impl CrawlPolicy {
             },
         }
     }
+
+    /// The policy's name, as events and `CRAWL_STATE.policy` spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CrawlPolicy::Unfocused => "Unfocused",
+            CrawlPolicy::HardFocus => "HardFocus",
+            CrawlPolicy::SoftFocus => "SoftFocus",
+        }
+    }
+
+    /// The policy [`CrawlPolicy::name`] spells `name`.
+    pub fn from_name(name: &str) -> Option<CrawlPolicy> {
+        let all = [Self::Unfocused, Self::HardFocus, Self::SoftFocus];
+        all.into_iter().find(|p| p.name() == name)
+    }
 }
 
 /// `ln R` with a floor so log-space priorities stay finite.

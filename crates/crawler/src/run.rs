@@ -25,11 +25,11 @@
 //! panics as [`CrawlError::Worker`] instead of silently reporting partial
 //! stats as success.
 
-use crate::cluster::{check_cluster, even_split, merge_stats, seed_owner};
+use crate::cluster::{check_cluster, even_split, merge_landings, merge_stats, seed_owner};
 use crate::events::{CrawlObserver, EventSink, EventStream};
 use crate::fetch_pool::FetchPool;
 use crate::policy::CrawlPolicy;
-use crate::session::{debug_check, CrawlSession, CrawlStats};
+use crate::session::{debug_check, CrawlSession, CrawlStats, Landing};
 use focus_types::{ClassId, Oid};
 use lockcheck::{rank, OrderedMutex};
 use minirel::DbError;
@@ -489,6 +489,11 @@ impl CrawlRun {
     /// Stats snapshot of the live run ([`merge_stats`] over its shards).
     pub fn stats(&self) -> CrawlStats {
         merge_stats(self.shards.iter().map(|s| s.session.stats()))
+    }
+
+    /// The run's landings so far ([`merge_landings`] over its shards).
+    pub fn landings(&self) -> Vec<Landing> {
+        merge_landings(self.shards.iter().map(|s| s.session.landings()))
     }
 
     /// Lifecycle as seen from the handle: the least advanced state of

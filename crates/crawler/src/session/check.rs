@@ -51,16 +51,17 @@ impl CrawlSession {
     /// Check a session at rest — no run live on it — and return every
     /// invariant that does not hold:
     ///
-    /// * `successes + failures ≤ attempts ≤ budget`, with one harvest
-    ///   and one completion-order entry per success;
+    /// * `successes + failures ≤ attempts ≤ budget`, with one `LANDING`
+    ///   row per success, whose relevance sums to the harvest sum;
     /// * the in-flight gauge and every politeness slot at zero, no
     ///   `CLAIMED` row and no `Probing` breaker;
     /// * `server_health` and the breakers agree on who is quarantined;
     /// * the store's heaps and indexes agree ([`Database::check_integrity`]);
     /// * memory is a cache over the tables: the link graph, visited
-    ///   pages' relevance and the server tallies are what
-    ///   `StoreState::load` derives, saved posteriors are of fetched
-    ///   pages only, and `TAXONOMY.type` is the live marking.
+    ///   pages' relevance (exactly `exp(CRAWL.relevance)`) and the server
+    ///   tallies are what `StoreState::load` derives, every landed page
+    ///   (so the latest posterior of each) is a fetched one, and
+    ///   `TAXONOMY.type` is the live marking.
     ///
     /// Reads through [`minirel::unobserved`]: a check moves no counter.
     pub fn check_invariants(&self) -> Result<(), Vec<Violation>> {
@@ -69,13 +70,10 @@ impl CrawlSession {
         let found = (s.successes + s.failures, s.attempts, budget);
         let held = found.0 <= found.1 && found.1 <= found.2;
         expect(&mut out, "landed <= attempts <= budget", held, found);
-        let found = (s.successes, s.harvest.len(), s.completion_order.len());
-        let held = found.1 as u64 == found.0 && found.2 as u64 == found.0;
-        expect(&mut out, "one harvest entry per success", held, found);
         let claims = self.counters.in_flight.load(Ordering::Acquire);
         expect(&mut out, "in-flight gauge is zero", claims == 0, claims);
         let (model, g) = (self.model.read(), self.store.read());
-        if let Err(e) = minirel::unobserved(|| check_store(&g, &model, &mut out)) {
+        if let Err(e) = minirel::unobserved(|| check_store(&g, &model, &s, &mut out)) {
             expect(&mut out, "tables readable", false, e);
         }
         out.is_empty().then_some(()).ok_or(out)
@@ -83,7 +81,12 @@ impl CrawlSession {
 }
 
 /// The store's half of [`CrawlSession::check_invariants`].
-fn check_store(g: &StoreState, model: &TrainedModel, out: &mut Vec<Violation>) -> DbResult<()> {
+fn check_store(
+    g: &StoreState,
+    model: &TrainedModel,
+    s: &CrawlStats,
+    out: &mut Vec<Violation>,
+) -> DbResult<()> {
     let claimed = "select count(*) from crawl where visited = ?";
     let claimed = g.db.query_with(claimed, &[Value::Int(visited::CLAIMED)])?;
     let claimed = claimed.scalar_i64().unwrap_or(0);
@@ -114,17 +117,22 @@ fn check_store(g: &StoreState, model: &TrainedModel, out: &mut Vec<Violation>) -
     let held = g.graph.links().map(ends).eq(stored.links().map(ends));
     let found = (g.graph.num_links(), stored.num_links());
     expect(out, "link graph = LINK", held, found);
-    let same = |(o, r): (Oid, f64)| {
-        let logged = stored.relevance(o).map(log_clamped);
-        logged.is_some_and(|l| (l - log_clamped(r)).abs() < 1e-9)
-    };
     let found = (g.graph.visited().count(), stored.visited().count());
+    let same = |(o, r): (Oid, f64)| stored.relevance(o) == Some(r);
     let held = found.0 == found.1 && g.graph.visited().all(same);
     expect(out, "relevance = CRAWL", held, found);
     let found = (&g.server_counts, &server_counts);
     expect(out, "server counts = CRAWL", found.0 == found.1, found);
-    let stray = (g.class_probs.keys()).filter(|&&o| stored.relevance(o).is_none());
-    let stray: Vec<&Oid> = stray.collect();
+    let (rows, sum) = store::landed(&g.db)?;
+    let held = rows == s.successes && sum.to_bits() == s.harvest_sum.to_bits();
+    let found = ((rows, sum), (s.successes, s.harvest_sum));
+    expect(out, "LANDING = successes", held, found);
+    let landed = g.db.query("select oid from landing")?;
+    let oids = landed
+        .rows
+        .iter()
+        .map(|r| Oid(r[0].as_i64().unwrap_or(0) as u64));
+    let stray: Vec<Oid> = oids.filter(|&o| stored.relevance(o).is_none()).collect();
     expect(out, "posteriors of fetched pages", stray.is_empty(), stray);
     let types = "select kcid, type from taxonomy order by kcid";
     let types = g.db.query(types)?;

@@ -22,8 +22,9 @@ pub(super) struct Classified {
     pub sid: ServerId,
     pub outlinks: Vec<(Oid, ServerId, String)>,
     pub summary: EvalSummary,
-    /// The posteriors worth saving for §3.7 re-marking.
-    pub saved_probs: Vec<(ClassId, f64)>,
+    /// The page's `LANDING` row, with the posterior worth saving for
+    /// §3.7 re-marking; numbered when it lands.
+    pub landing: Vec<Value>,
     /// The page's citers ([`CrawlSession::citers`]), looked up before
     /// the store lock is taken.
     pub citers: Option<Vec<(Oid, String)>>,
@@ -105,7 +106,7 @@ impl CrawlSession {
         // them to a crash before the first batch commit. The commit is
         // cut under the guard; the sync it requested at the group-commit
         // quota is waited for after the guard is dropped.
-        Self::commit_if_durable(&mut g.db)?;
+        self.commit_state(&mut g)?;
         let wal = g.db.wal();
         drop(g);
         wal.map_or(Ok(()), |wal| wal.wait_requested())
@@ -271,7 +272,7 @@ impl CrawlSession {
             sid: sid_src,
             outlinks,
             summary,
-            saved_probs,
+            mut landing,
             citers,
             deferred,
         } = landing;
@@ -293,19 +294,23 @@ impl CrawlSession {
             summary.best_leaf.raw() as i64,
             now,
         )?;
-        {
+        let seq = {
             // Tallies lock nests inside the store write lock (module
-            // lock order), held just for the pushes so `stats()` sees
-            // the series in db-commit order.
+            // lock order), held just for the tallies, so `LANDING` is
+            // numbered and summed in landing order.
             let mut t = self.counters.tallies.lock();
             t.successes += 1;
             t.deferred_landings += u64::from(deferred);
-            t.harvest.push((attempt, r));
-            t.completion_order.push((oid, r));
-        }
-        g.class_probs.insert(oid, saved_probs);
+            t.harvest_sum += r;
+            t.successes
+        };
+        landing[0] = Value::Int(seq as i64);
+        let landing_tid = g.db.table_id("landing")?;
+        g.db.insert(landing_tid, landing)?;
         let revisit = g.graph.relevance(oid).is_some();
-        g.graph.set_relevance(oid, r);
+        // The graph holds what `CRAWL` stores, as a reopened store
+        // derives it.
+        g.graph.set_relevance(oid, log_r.exp());
         let src_id = g.graph.node_id(oid, sid_src.raw());
         // What `LINK` already holds for this source; a first visit has
         // nothing to read.
@@ -579,14 +584,14 @@ impl CrawlSession {
     /// if no newer snapshot's has been, and an overtaken pass ends
     /// silently.
     ///
-    /// A worker's pass charges each step to its stage clock.
+    /// A worker's pass charges steps 1 and 2 to its stage clock; the
+    /// worker charges step 3 when the pass returns.
     pub(super) fn distill_pass(
         &self,
         forced: bool,
         sink: Option<&EventSink>,
         mut clock: Option<&mut StageClock<'_>>,
     ) -> DbResult<()> {
-        let mut lap = |stage| clock.as_mut().map_or((), |c| c.lap(stage));
         let (snapshot, number) = {
             let mut g = self.store.write();
             if !forced && g.distill.running > 0 {
@@ -597,23 +602,11 @@ impl CrawlSession {
             g.distill.cut += 1;
             (g.graph.snapshot(), g.distill.cut)
         };
-        lap(Stage::DistillGuard1);
+        StageClock::lap_some(&mut clock, Stage::DistillGuard1);
         lockcheck::blocking(&rank::DISTILL_PASS);
-        let distilled = snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
-        lap(Stage::DistillKernel);
-        let published = self.publish_pass(number, distilled, sink);
-        lap(Stage::DistillGuard2);
-        published
-    }
-
-    /// Step 3 of [`CrawlSession::distill_pass`]: publish pass `number`'s
-    /// result under the store write lock, unless a newer one was.
-    fn publish_pass(
-        &self,
-        number: u64,
-        Distilled { result, endorsed }: Distilled,
-        sink: Option<&EventSink>,
-    ) -> DbResult<()> {
+        let Distilled { result, endorsed } =
+            snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
+        StageClock::lap_some(&mut clock, Stage::DistillKernel);
         let mut g = self.store.write();
         g.distill.running -= 1;
         if number <= g.distill.published {

@@ -285,7 +285,8 @@ impl Default for CrawlConfig {
     }
 }
 
-/// Outcome counters and series.
+/// Outcome counters. The per-page series behind them is `LANDING`
+/// ([`CrawlSession::landings`]).
 #[derive(Debug, Clone, Default)]
 pub struct CrawlStats {
     /// Fetch attempts.
@@ -294,13 +295,9 @@ pub struct CrawlStats {
     pub successes: u64,
     /// Failed attempts.
     pub failures: u64,
-    /// `(attempt index, linear R)` per success, in completion order —
-    /// Figure 5's raw series.
-    pub harvest: Vec<(u64, f64)>,
-    /// `(oid, linear R)` per success in the same completion order — the
-    /// coverage experiment (Figure 6) replays this against a reference
-    /// crawl.
-    pub completion_order: Vec<(Oid, f64)>,
+    /// Linear R summed over the successes in landing order: the
+    /// numerator of [`CrawlStats::mean_harvest`].
+    pub harvest_sum: f64,
     /// Distillations run.
     pub distillations: u64,
     /// Successes whose landing waited in their worker's lane because
@@ -315,36 +312,33 @@ pub struct CrawlStats {
 }
 
 impl CrawlStats {
-    /// Moving average of the harvest series over `window` pages
-    /// (Figure 5 plots "Avg over 100" / "Avg over 1000").
-    pub fn harvest_moving_avg(&self, window: usize) -> Vec<(u64, f64)> {
-        let w = window.max(1);
-        let mut out = Vec::new();
-        let mut sum = 0.0;
-        for (i, &(x, r)) in self.harvest.iter().enumerate() {
-            sum += r;
-            if i + 1 >= w {
-                out.push((x, sum / w as f64));
-                sum -= self.harvest[i + 1 - w].1;
-            }
-        }
-        out
-    }
-
     /// Mean relevance over all fetched pages.
     pub fn mean_harvest(&self) -> f64 {
-        if self.harvest.is_empty() {
+        if self.successes == 0 {
             0.0
         } else {
-            self.harvest.iter().map(|&(_, r)| r).sum::<f64>() / self.harvest.len() as f64
+            self.harvest_sum / self.successes as f64
         }
     }
 }
 
+/// One landed page: a row of `LANDING`, read by
+/// [`CrawlSession::landings`]. Figure 5 plots `(attempt, relevance)`;
+/// Figure 6 replays the oids against a reference crawl.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Landing {
+    /// The attempt the fetch was (a merged series renumbers it densely).
+    pub attempt: u64,
+    /// The page.
+    pub oid: Oid,
+    /// Its linear R when it landed.
+    pub relevance: f64,
+}
+
 /// Budget and outcome counters. The hot gauges are atomics so
 /// [`CrawlSession::stats`] and the worker idle checks never touch the
-/// store lock; the series (harvest, completion order) live behind their
-/// own mutex, locked only at page completions and snapshots.
+/// store lock; the tallies live behind their own mutex, locked at page
+/// completions and snapshots.
 struct CounterState {
     /// Fetch attempts claimed so far. Incremented only under the store
     /// *write* lock (claims serialize there), so `attempts ≤ budget`
@@ -365,8 +359,8 @@ struct CounterState {
     /// retriable failure decides to requeue. At zero, retriable
     /// failures become terminal.
     retry_budget: AtomicU64,
-    /// Success/failure tallies and the harvest series. `attempts` inside
-    /// is refreshed from the atomic at snapshot time.
+    /// Success/failure tallies and the harvest sum. `attempts` inside is
+    /// refreshed from the atomic at snapshot time.
     tallies: OrderedMutex<CrawlStats>,
     /// Per-worker stage clocks, summed by [`CrawlSession::stats`].
     metrics: Metrics,
@@ -571,9 +565,9 @@ impl CrawlSession {
         self.control.budget_reported.store(false, Ordering::Release);
     }
 
-    /// Stats snapshot. Touches only the counter state — never the store
-    /// lock — so it completes in bounded time even while workers are
-    /// mid-flush.
+    /// Stats snapshot, O(1). Touches only the counter state — never the
+    /// store lock — so it completes in bounded time even while workers
+    /// are mid-flush.
     pub fn stats(&self) -> CrawlStats {
         let mut stats = self.counters.tallies.lock().clone();
         stats.attempts = self.counters.attempts.load(Ordering::Acquire);
@@ -688,6 +682,23 @@ impl CrawlSession {
     pub fn relevance_map(&self) -> FxHashMap<Oid, f64> {
         self.store.read().graph.visited().collect()
     }
+
+    /// Every landing in landing order, from `LANDING`. Read-locked.
+    pub fn landings(&self) -> Vec<Landing> {
+        let sql = "select attempt, oid, relevance from landing order by seq";
+        let rs = self
+            .store
+            .read()
+            .db
+            .query(sql)
+            .expect("landing table exists");
+        let landing = |row: &Vec<Value>| Landing {
+            attempt: row[0].as_i64().unwrap_or(0) as u64,
+            oid: Oid(row[1].as_i64().unwrap_or(0) as u64),
+            relevance: row[2].as_f64().unwrap_or(0.0),
+        };
+        rs.rows.iter().map(landing).collect()
+    }
 }
 
 #[cfg(test)]
@@ -786,14 +797,12 @@ mod tests {
             let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
             let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 15);
             session.seed(&seeds).unwrap();
-            let stats = session.run().unwrap();
+            session.run().unwrap();
             // Harvest of the *tail* (after the start set's immediate
             // neighborhood is exhausted).
-            let tail: Vec<f64> = stats
-                .harvest
-                .iter()
-                .skip(stats.harvest.len() / 2)
-                .map(|&(_, r)| r)
+            let landings = session.landings();
+            let tail: Vec<f64> = (landings.iter().skip(landings.len() / 2))
+                .map(|l| l.relevance)
                 .collect();
             tail.iter().sum::<f64>() / tail.len().max(1) as f64
         };
@@ -867,23 +876,10 @@ mod tests {
                 .unwrap(),
             );
             session.seed(&seeds).unwrap();
-            let stats = session.run().unwrap();
-            stats.harvest
+            session.run().unwrap();
+            session.landings()
         };
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let mut stats = CrawlStats::default();
-        for i in 0..100u64 {
-            stats.harvest.push((i, if i % 2 == 0 { 1.0 } else { 0.0 }));
-        }
-        let avg = stats.harvest_moving_avg(10);
-        assert_eq!(avg.len(), 91);
-        for &(_, v) in &avg {
-            assert!((v - 0.5).abs() < 0.11, "window mean {v} far from 0.5");
-        }
     }
 
     /// Observer that records every event, for sequence assertions.
@@ -1256,9 +1252,8 @@ mod tests {
             ckpt.frontier_len() > 0,
             "budget-bounded crawl leaves a frontier"
         );
-        assert_eq!(ckpt.stats.attempts, 80);
-        assert_eq!(ckpt.budget_remaining, 0);
-        assert_eq!(ckpt.good_topics, vec!["recreation/cycling".to_owned()]);
+        let (checkpointed, landed) = (session.stats(), session.landings());
+        assert_eq!(checkpointed.attempts, 80);
 
         // Resume in a brand-new session against the same web.
         let model = trained_model(&graph, "recreation/cycling");
@@ -1303,6 +1298,10 @@ mod tests {
         drop(recovered);
         cleanup();
         assert_eq!(restored.stats().attempts, 80, "stats carried over");
+        let budget = restored.counters.budget.load(Ordering::Acquire);
+        assert_eq!(budget, 80, "and the budget, spent");
+        let good = restored.with_model(|m| m.taxonomy.good_set());
+        assert_eq!(good, vec![cycling], "and the marking");
         assert_eq!(restored.visited().len(), ckpt.visited_len());
         // The link graph was rebuilt from the checkpoint: same links in
         // the same order, and a pass over it finds what the original's
@@ -1331,14 +1330,14 @@ mod tests {
             "run continued against the old frontier"
         );
         assert!(
-            stats.successes > ckpt.stats.successes,
+            stats.successes > checkpointed.successes,
             "no new pages after restore"
         );
         // The harvest series is continuous: early entries are the
         // checkpointed ones.
         assert_eq!(
-            stats.harvest[..ckpt.stats.harvest.len()],
-            ckpt.stats.harvest[..],
+            restored.landings()[..landed.len()],
+            landed[..],
             "restored harvest prefix diverged"
         );
     }
@@ -1877,7 +1876,8 @@ mod tests {
         };
         session.counters.clock.store(7, Ordering::Release);
         let ckpt = session.checkpoint().unwrap();
-        assert_eq!(ckpt.clock, 7, "tick clock checkpointed");
+        let clock = session.sql("select clock from crawl_state").unwrap();
+        assert_eq!(clock.scalar_i64(), Some(7), "tick clock checkpointed");
 
         let model = trained_model(&graph, "recreation/cycling");
         let restored = CrawlSession::restore(
@@ -2141,7 +2141,8 @@ mod tests {
     fn restore_and_recover_load_the_same_state() {
         // One crawl, stored two ways — a checkpoint and its own files —
         // and read back two ways. Both go through `StoreState::load`, so
-        // they must agree on everything tables hold.
+        // they must agree on everything tables hold, which is everything:
+        // a recovered crawl is a restored crawl.
         let path = std::env::temp_dir().join(format!("crawl-load-{}.db", std::process::id()));
         let cleanup = || {
             let _ = std::fs::remove_file(&path);
@@ -2194,8 +2195,16 @@ mod tests {
             assert!(session.maintenance_pass(3).unwrap() > 0);
             session.add_budget(20);
             session.run().unwrap();
+            // A live policy switch is crawl state too; the maintenance
+            // pass's commit carries it to the file.
+            let sink = EventSink::new(None, Vec::new(), Arc::new(AtomicU64::new(0)));
+            session.apply_command(Command::SetPolicy(CrawlPolicy::HardFocus), &sink);
             assert!(session.maintenance_pass(6).unwrap() > 0);
-            live = (session.links(), session.store.read().server_counts.clone());
+            live = (
+                session.links(),
+                session.store.read().server_counts.clone(),
+                (session.landings(), session.relevance_map()),
+            );
             session.checkpoint().unwrap()
         }; // the file-backed session is gone; its files and `ckpt` remain
         let model = || trained_model(&graph, "recreation/cycling");
@@ -2221,14 +2230,29 @@ mod tests {
             v
         };
         assert_eq!(sorted(restored.visited()), sorted(recovered.visited()));
-        let (exact, logged) = (restored.relevance_map(), recovered.relevance_map());
-        assert_eq!(exact.len(), logged.len());
-        for (oid, r) in &exact {
-            // One side carries the checkpoint's exact R, the other what
-            // `CRAWL` stores of it: exp of the (floored) log.
-            let (want, l) = (log_clamped(*r).exp(), logged[oid]);
-            assert!((want - l).abs() <= 1e-12 * want, "{oid:?}: {r} vs {l}");
-        }
+        // One R: the live graph, the restored and the recovered one all
+        // hold exp(CRAWL.relevance), bit for bit.
+        assert_eq!(restored.relevance_map(), recovered.relevance_map());
+        assert_eq!(restored.relevance_map(), live.2 .1);
+        // The counters, budget, policy, clock and landings are tables too.
+        let state = |s: &CrawlSession| {
+            let st = s.stats();
+            let c = &s.counters;
+            let counters = (st.attempts, st.successes, st.failures, st.distillations);
+            let series = (st.harvest_sum.to_bits(), st.deferred_landings);
+            let (budget, clock) = (
+                c.budget.load(Ordering::Acquire),
+                c.clock.load(Ordering::Acquire),
+            );
+            (counters, series, budget, s.policy(), clock, s.landings())
+        };
+        let (a, b) = (state(&restored), state(&recovered));
+        assert_eq!(a, b, "restored vs recovered");
+        assert_eq!(a.0 .0, 170, "every attempt counted");
+        assert_eq!((a.2, a.3), (170, CrawlPolicy::HardFocus));
+        assert!(a.4 >= 170, "the clock advanced past every claim: {}", a.4);
+        assert_eq!(a.5, live.2 .0, "and the landings are the live crawl's");
+        assert_eq!(a.0 .1, a.5.len() as u64);
         let rows = |s: &CrawlSession, table: &str, key: &str| {
             let sql = format!("select * from {table} order by {key}");
             s.sql(&sql).unwrap().rows
@@ -2269,6 +2293,31 @@ mod tests {
                     got.get(o)
                 );
             }
+        }
+        // §3.7 after a restart: the same re-mark on each side re-scores
+        // the same pages from the same saved posteriors.
+        let before = restored.relevance_map();
+        let sink = EventSink::new(None, Vec::new(), Arc::new(AtomicU64::new(0)));
+        let running = graph.taxonomy().find("recreation/running").unwrap();
+        for s in [&restored, &recovered] {
+            s.apply_command(
+                Command::MarkTopic {
+                    class: running,
+                    good: true,
+                },
+                &sink,
+            );
+        }
+        let after = restored.relevance_map();
+        assert_eq!(after, recovered.relevance_map(), "re-marked relevance");
+        assert_ne!(after, before, "the re-mark re-scored nothing");
+        assert_eq!(
+            rows(&restored, "crawl", "oid"),
+            rows(&recovered, "crawl", "oid"),
+            "re-marked CRAWL rows"
+        );
+        for s in [&restored, &recovered] {
+            s.check_invariants().unwrap();
         }
         cleanup();
     }
@@ -2434,10 +2483,8 @@ mod tests {
                 Box::new(|s| s.counters.budget.store(0, Ordering::Release)),
             ),
             (
-                "one harvest entry per success",
-                Box::new(|s| {
-                    s.counters.tallies.lock().harvest.pop();
-                }),
+                "LANDING = successes",
+                sql("update landing set relevance = relevance + 1 where seq = 1"),
             ),
             (
                 "in-flight gauge is zero",
@@ -2494,7 +2541,7 @@ mod tests {
             ),
             (
                 "posteriors of fetched pages",
-                Box::new(|s| drop(s.store.write().class_probs.insert(Oid(7), Vec::new()))),
+                sql("insert into landing values (999, 1, 7, 0.5, '')"),
             ),
             (
                 "TAXONOMY.type = marking",

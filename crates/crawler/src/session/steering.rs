@@ -67,7 +67,7 @@ impl CrawlSession {
             Command::SetPolicy(policy) => {
                 self.store.write().policy = policy;
                 sink.emit(CrawlEvent::PolicyChanged {
-                    policy: policy_name(policy),
+                    policy: policy.name(),
                 });
             }
             Command::MarkTopic { class, good } => {
@@ -126,28 +126,36 @@ impl CrawlSession {
         // The §3.7 console reads the marking from `TAXONOMY`: it shows
         // the one in force, not the one the crawl started with.
         tables::fill_taxonomy_dim(&mut g.db, taxonomy)?;
-        // Recompute R(d) for every visited page under the new marking.
-        // A good class that was never evaluated (it sat below the old
-        // path nodes) borrows its deepest evaluated ancestor's
-        // probability — an upper bound, which is the right bias for
-        // discovery: over-approximating sends the crawler to look.
-        let mut recomputed: Vec<(Oid, f64)> = g
-            .class_probs
-            .iter()
-            .map(|(&oid, probs)| {
-                let r: f64 = goods
-                    .iter()
-                    .map(|&gc| lookup_prob(taxonomy, probs, gc))
-                    .sum();
-                (oid, r.min(1.0))
-            })
-            .collect();
-        // The graph keeps R, `CRAWL` stores log R: one keyed batch
-        // rewrite for the table, not an index descent per visited page
-        // under this lock.
-        for (oid, r) in &mut recomputed {
-            g.graph.set_relevance(*oid, *r);
-            *r = log_clamped(*r);
+        // Recompute R(d) for every visited page under the new marking,
+        // from the posterior its latest landing saved. A good class that
+        // was never evaluated (it sat below the old path nodes) borrows
+        // its deepest evaluated ancestor's probability — an upper bound,
+        // which is the right bias for discovery: over-approximating
+        // sends the crawler to look.
+        let landed = g.db.query("select seq, oid, posterior from landing")?;
+        let mut latest: FxHashMap<i64, (i64, &str)> = FxHashMap::default();
+        for row in &landed.rows {
+            let col = |i, what| frontier::col_i64(row, i, what);
+            let (seq, oid) = (col(0, "landing.seq")?, col(1, "landing.oid")?);
+            let posterior = frontier::col_str(row, 2, "landing.posterior")?;
+            let slot = latest.entry(oid).or_insert((seq, posterior));
+            if seq > slot.0 {
+                *slot = (seq, posterior);
+            }
+        }
+        // The graph keeps exp of what `CRAWL` stores, log R: one keyed
+        // batch rewrite for the table, not an index descent per visited
+        // page under this lock.
+        let mut recomputed = Vec::with_capacity(latest.len());
+        for (oid, (_, posterior)) in latest {
+            let probs = tables::decode_posterior(posterior)?;
+            let r: f64 = (goods.iter())
+                .map(|&gc| lookup_prob(taxonomy, &probs, gc))
+                .sum();
+            recomputed.push((Oid(oid as u64), log_clamped(r.min(1.0))));
+        }
+        for &(oid, log_r) in &recomputed {
+            g.graph.set_relevance(oid, log_r.exp());
         }
         frontier::set_visited_relevance(&mut g.db, &recomputed)?;
         // Re-prioritize: unvisited targets of now-relevant pages inherit
@@ -191,7 +199,7 @@ impl CrawlSession {
         let mut g = self.store.write();
         self.shard.exchange.clear_idle(self.shard.shard);
         let requeued = frontier::requeue_done(&mut g.db, &hubs)?;
-        Self::commit_if_durable(&mut g.db)?;
+        self.commit_state(&mut g)?;
         Ok(requeued)
     }
 }
@@ -210,12 +218,4 @@ fn lookup_prob(taxonomy: &focus_types::Taxonomy, probs: &[(ClassId, f64)], class
         }
     }
     0.0
-}
-
-fn policy_name(p: CrawlPolicy) -> &'static str {
-    match p {
-        CrawlPolicy::Unfocused => "Unfocused",
-        CrawlPolicy::HardFocus => "HardFocus",
-        CrawlPolicy::SoftFocus => "SoftFocus",
-    }
 }

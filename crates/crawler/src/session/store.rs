@@ -6,27 +6,28 @@
 //! cache (§3.1). Here that is one opener and one loader:
 //!
 //! * [`CrawlSession::build`] opens or creates the database for an
-//!   [`Origin`] — `Fresh`, `Checkpoint(&ckpt)` or `File` — calls the
-//!   loader, and overlays only what tables do not hold. A fresh store
-//!   gets empty tables. A checkpoint holds a copy of a store's pages
-//!   ([`minirel::Snapshot`]); an empty database adopts it and from there
-//!   on it loads exactly as a reopened file does. `new`, `restore`,
-//!   `recover` and every cluster shard are this function with a
-//!   different origin.
+//!   [`Origin`] — `Fresh`, `Checkpoint(&ckpt)` or `File` — and calls the
+//!   loader. A fresh store gets empty tables. A checkpoint is a copy of a
+//!   store's pages ([`minirel::Snapshot`]); an empty database adopts it
+//!   and from there on it is a reopened file. `new`, `restore`, `recover`
+//!   and every cluster shard are this function with a different origin.
 //! * [`StoreState::load`] is the only place in-memory state is derived
 //!   from tables, so "restore ≡ recover" is one function over one kind
 //!   of store, not something two test files hope for. Its derivation
-//!   ([`derive`]) is also what [`CrawlSession::check_invariants`] holds
-//!   live memory to: debug builds check it right after `build` loads,
-//!   and at every `join`.
+//!   ([`derive`], [`landed`]) is also what
+//!   [`CrawlSession::check_invariants`] holds live memory to: debug
+//!   builds check it right after `build` loads, and at every `join`.
 //!
-//! What stays in memory beside the tables, and why (ROADMAP item 3's
-//! audit): the link graph (the distiller's input, snapshotted by
-//! memcpy); `class_probs`, which mirrors **no** table — saved posteriors
-//! exist nowhere else, so a checkpoint carries them beside its copy of
-//! the store and a file does not; and `server_counts`, a tally only the
-//! loader derives, because it is read once per outlink at flush time,
-//! where a `count(*)` per link is the "measurably too slow" case.
+//! Every piece of crawl state is a table: the pages (`CRAWL`), links
+//! (`LINK`), landings and their saved posteriors (`LANDING`), the
+//! marking (`TAXONOMY.type`), and the counters, budget, policy and tick
+//! clock (`CRAWL_STATE`, written by [`CrawlSession::save_state`] at every
+//! durable commit and checkpoint). What stays in memory is a cache of
+//! them, and why: the link graph (the distiller's input, snapshotted by
+//! memcpy, holding `exp(CRAWL.relevance)`); the counters (atomics, read
+//! without a lock); and `server_counts`, a tally only the loader
+//! derives, because it is read once per outlink at flush time, where a
+//! `count(*)` per link is the "measurably too slow" case.
 
 use super::*;
 
@@ -52,12 +53,8 @@ pub(super) struct StoreState {
     /// distiller snapshots, what re-steering and hub boosts walk, and
     /// the answer to "has this page been fetched?".
     pub(super) graph: LinkGraph,
-    /// Saved per-page posteriors (classes above the worker's floor),
-    /// kept so a mid-crawl `mark_topic` can recompute relevance without
-    /// refetching (§3.7).
-    pub(super) class_probs: FxHashMap<Oid, Vec<(ClassId, f64)>>,
     pub(super) server_counts: FxHashMap<ServerId, i64>,
-    /// Live link-expansion policy (starts at `cfg.policy`).
+    /// Live link-expansion policy (`CRAWL_STATE.policy` at load).
     pub(super) policy: CrawlPolicy,
     pub(super) distill: DistillGate,
     pub(super) last_distill: Option<DistillResult>,
@@ -128,57 +125,131 @@ pub(super) fn derive(db: &Database) -> DbResult<(LinkGraph, FxHashMap<ServerId, 
     Ok((graph, server_counts))
 }
 
+/// `LANDING`'s count and the sum of its relevance, summed in `seq`
+/// order as the crawl summed them: what `successes` and `harvest_sum`
+/// are.
+pub(super) fn landed(db: &Database) -> DbResult<(u64, f64)> {
+    let rs = db.query("select relevance from landing order by seq")?;
+    let mut sum = 0.0;
+    for row in &rs.rows {
+        sum += frontier::col_f64(row, 0, "landing.relevance")?;
+    }
+    Ok((rs.rows.len() as u64, sum))
+}
+
+/// The `CRAWL_STATE` row: the counters, budget, tick clock and live
+/// policy as of the last durable commit or checkpoint.
+pub(super) struct CrawlState {
+    /// `successes` and `harvest_sum` are [`landed`]'s, not the row's.
+    pub(super) stats: CrawlStats,
+    pub(super) budget: u64,
+    pub(super) clock: u64,
+    pub(super) policy: CrawlPolicy,
+}
+
+impl CrawlState {
+    /// Replace the one row with this state.
+    pub(super) fn write(&self, db: &mut Database) -> DbResult<()> {
+        let s = &self.stats;
+        let ints = [s.attempts, s.failures, s.distillations, s.deferred_landings];
+        let ints = ints.into_iter().chain([self.budget, self.clock]);
+        let mut row: Vec<Value> = ints.map(|v| Value::Int(v as i64)).collect();
+        row.push(Value::Str(self.policy.name().to_owned()));
+        db.execute("delete from crawl_state")?;
+        let tid = db.table_id("crawl_state")?;
+        db.insert(tid, row)
+    }
+
+    /// Read the row back, with [`landed`]'s two counts.
+    fn read(db: &Database) -> DbResult<CrawlState> {
+        let rs = db.query("select * from crawl_state")?;
+        let [row] = rs.rows.as_slice() else {
+            let n = rs.rows.len();
+            return Err(DbError::Eval(format!("crawl_state holds {n} rows, not 1")));
+        };
+        let int = |i| frontier::col_i64(row, i, "crawl_state").map(|v| v as u64);
+        let name = frontier::col_str(row, 6, "crawl_state.policy")?;
+        let policy = CrawlPolicy::from_name(name)
+            .ok_or_else(|| DbError::Eval(format!("crawl_state: unknown policy {name:?}")))?;
+        let (successes, harvest_sum) = landed(db)?;
+        let stats = CrawlStats {
+            attempts: int(0)?,
+            successes,
+            failures: int(1)?,
+            harvest_sum,
+            distillations: int(2)?,
+            deferred_landings: int(3)?,
+            ..CrawlStats::default()
+        };
+        let (budget, clock) = (int(4)?, int(5)?);
+        Ok(CrawlState {
+            stats,
+            budget,
+            clock,
+            policy,
+        })
+    }
+}
+
 impl StoreState {
     /// The one place in-memory state is derived from tables: `new` (over
     /// empty ones), `restore` (over an adopted copy of a store) and
     /// `recover` (over a reopened file) all come through here, so they
-    /// cannot disagree. Also returns the latest `not_before` of a frontier row.
+    /// cannot disagree. Also returns the counters `CRAWL_STATE` and
+    /// `LANDING` hold.
     ///
     /// * Claims in flight when the tables were last written never
     ///   landed: they are demoted back to the frontier, poppable again.
     /// * The link graph and the per-server tallies are [`derive`]d.
     /// * Server health starts over ([`fresh_health`]): breakers are
     ///   re-learned from live evidence, not trusted across a restart.
-    fn load(mut db: Database, cfg: &CrawlConfig) -> DbResult<(StoreState, u64)> {
+    ///   Parked rows keep their `not_before`, against the stored clock.
+    fn load(mut db: Database, cfg: &CrawlConfig) -> DbResult<(StoreState, CrawlState)> {
         demote_claims(&mut db)?;
         let (graph, server_counts) = derive(&db)?;
-        let parked = "select max(not_before) from crawl where visited = ?";
-        let latest_park = db.query_with(parked, &[Value::Int(visited::FRONTIER)])?;
+        let state = CrawlState::read(&db)?;
         let health = fresh_health(&mut db, cfg)?;
         let store = StoreState {
             db,
             graph,
-            class_probs: FxHashMap::default(),
             server_counts,
-            policy: cfg.policy,
+            policy: state.policy,
             distill: DistillGate::default(),
             last_distill: None,
             health,
         };
-        Ok((store, latest_park.scalar_i64().unwrap_or(0).max(0) as u64))
+        Ok((store, state))
     }
 }
 
-/// Replace `taxonomy`'s good marking with a checkpoint's, wholesale:
-/// live `mark_topic` calls may have both added and *removed* good topics
-/// since the caller's model was built, so clear first.
-fn adopt_marking(taxonomy: &mut focus_types::Taxonomy, good_topics: &[String]) -> DbResult<()> {
-    let restore = |e| DbError::Eval(format!("restore: {e}"));
-    for c in taxonomy.good_set() {
-        taxonomy.unmark_good(c).map_err(restore)?;
+/// Adopt the marking a stored crawl's `TAXONOMY.type` holds into
+/// `taxonomy`, wholesale: live `mark_topic` calls may have both added
+/// and *removed* good topics since the caller's model was built. A store
+/// whose `(kcid, name)` pairs are not the model's is refused.
+fn adopt_stored_marking(db: &Database, taxonomy: &mut focus_types::Taxonomy) -> DbResult<()> {
+    let rs = db.query("select kcid, name, type from taxonomy order by kcid")?;
+    let stored = rs.rows.iter().map(|r| (r[0].as_i64(), r[1].as_str()));
+    let t = &*taxonomy;
+    if !stored.eq(t.all().map(|c| (Some(c.raw() as i64), Some(t.name(c))))) {
+        return Err(DbError::Eval(
+            "the stored crawl's TAXONOMY classes are not the model's".into(),
+        ));
     }
-    for name in good_topics {
-        let c = taxonomy.find(name).ok_or_else(|| {
-            DbError::Eval(format!("restore: checkpoint marks unknown topic {name:?}"))
-        })?;
-        taxonomy.mark_good(c).map_err(restore)?;
+    let refused = |e| DbError::Eval(format!("stored marking: {e}"));
+    for c in taxonomy.good_set() {
+        taxonomy.unmark_good(c).map_err(refused)?;
+    }
+    for row in rs.rows.iter().filter(|r| r[2].as_str() == Some("good")) {
+        let kcid = frontier::col_i64(row, 0, "taxonomy.kcid")?;
+        taxonomy.mark_good(ClassId(kcid as u16)).map_err(refused)?;
     }
     Ok(())
 }
 
 impl CrawlSession {
-    /// Build a session: creates the `CRAWL`/`LINK`/`HUBS`/`AUTH`/`TAXONOMY`
-    /// tables in a fresh database.
+    /// Build a session: creates the crawl's tables (`CRAWL`, `LINK`,
+    /// `LANDING`, `CRAWL_STATE`, `HUBS`, `AUTH`, `TAXONOMY`,
+    /// `server_health`) in a fresh database.
     pub fn new(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
@@ -188,39 +259,31 @@ impl CrawlSession {
     }
 
     /// Rebuild a session from a [`CrawlCheckpoint`], so a crawl can be
-    /// resumed in a fresh process with every table, its relevance state,
-    /// stats, remaining budget, and good marking intact. The database
-    /// `cfg.durability` names adopts the checkpoint's copy of the store,
-    /// which then loads as [`CrawlSession::recover`] loads a file: claims
-    /// in flight at the checkpoint go back to the frontier.
+    /// resumed in a fresh process. The database `cfg.durability` names
+    /// adopts the checkpoint's copy of the store, which then loads as
+    /// [`CrawlSession::recover`] loads a file: every table, the
+    /// counters, budget, policy, tick clock and good marking come back,
+    /// and claims in flight at the checkpoint go back to the frontier.
     pub fn restore(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
         cfg: CrawlConfig,
         ckpt: &CrawlCheckpoint,
     ) -> DbResult<CrawlSession> {
-        Self::build(
-            fetcher,
-            model,
-            cfg,
-            Origin::Checkpoint(ckpt),
-            ShardCtx::alone(),
-        )
+        let origin = Origin::Checkpoint(ckpt);
+        Self::build(fetcher, model, cfg, origin, ShardCtx::alone())
     }
 
     /// Reopen a crashed (or cleanly stopped) file-backed session from
     /// its data file and WAL: the log is replayed to the last committed
     /// batch and the session is loaded from the recovered tables exactly
-    /// as [`CrawlSession::restore`] loads a checkpoint's copy.
+    /// as [`CrawlSession::restore`] loads a checkpoint's copy — the same
+    /// counters, budget, policy, clock, marking and saved posteriors, as
+    /// of that commit. The model's classes must be the stored ones; its
+    /// marking gives way to the stored marking.
     ///
     /// Requires `cfg.durability = Durability::File` pointing at the
-    /// files the crashed session used. What no table holds is not
-    /// recovered: saved per-page posteriors (a re-mark after recovery
-    /// falls back to refetching), the fetch and retry budgets (they
-    /// restart at `cfg`'s) and the tick clock — it restarts at the
-    /// *latest* park expiry, so every surviving parked row is due at
-    /// once and breakers re-quarantine servers that are still sick,
-    /// rather than honoring cooldowns against a clock that is gone.
+    /// files the crashed session used.
     pub fn recover(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
@@ -233,8 +296,8 @@ impl CrawlSession {
     /// of its own ([`ShardCtx::alone`]) or one shard of a
     /// [`crate::cluster`]: open or create the database, give it
     /// `origin`'s tables (fresh ones, a checkpoint's copy, or the file's
-    /// own), [`StoreState::load`] them, and overlay only what tables do
-    /// not hold.
+    /// own), adopt a stored crawl's marking into `model`, and
+    /// [`StoreState::load`] the tables.
     pub(crate) fn build(
         fetcher: Arc<dyn Fetcher>,
         mut model: TrainedModel,
@@ -268,31 +331,33 @@ impl CrawlSession {
             }
             Durability::None => Database::in_memory_with_frames(cfg.db_frames),
         };
-        match origin {
-            Origin::Fresh => {
-                tables::create_tables(&mut db)?;
-                tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
-                db.execute("create table hubs (oid int, score float)")?;
-                db.execute("create index hubs_oid on hubs (oid)")?;
-                db.execute("create table auth (oid int, score float)")?;
-                db.execute("create index auth_oid on auth (oid)")?;
+        if let Origin::Fresh = origin {
+            tables::create_tables(&mut db)?;
+            tables::create_state_tables(&mut db)?;
+            tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
+            db.execute("create table hubs (oid int, score float)")?;
+            db.execute("create index hubs_oid on hubs (oid)")?;
+            db.execute("create table auth (oid int, score float)")?;
+            db.execute("create index auth_oid on auth (oid)")?;
+            let (budget, policy) = (cfg.max_fetches, cfg.policy);
+            let stats = CrawlStats::default();
+            CrawlState {
+                stats,
+                budget,
+                clock: 0,
+                policy,
             }
-            Origin::Checkpoint(ckpt) => {
-                // Before `TAXONOMY` is refilled and the one compile, so
-                // both reflect the restored marking.
-                adopt_marking(&mut model.taxonomy, &ckpt.good_topics)?;
+            .write(&mut db)?;
+        } else {
+            // A checkpoint is a copy of a store: adopted, it is a file.
+            if let Origin::Checkpoint(ckpt) = origin {
                 db.adopt(&ckpt.store)?;
             }
-            // A recovered file must actually hold a crawl.
-            Origin::File => {
-                db.table_id("crawl")?;
-            }
+            // The stored marking is the crawl's, adopted before the one
+            // compile.
+            adopt_stored_marking(&db, &mut model.taxonomy)?;
         }
-        if !matches!(origin, Origin::Fresh) {
-            // Stored tables follow the model they are loaded under.
-            tables::fill_taxonomy_dim(&mut db, &model.taxonomy)?;
-        }
-        let (mut store, latest_park) = StoreState::load(db, &cfg)?;
+        let (mut store, state) = StoreState::load(db, &cfg)?;
         // From here on the store holds a crawl that can be resumed (and
         // `new` on the same path will refuse to re-initialize it). What
         // recovery itself changed — the demotions — is synced before the
@@ -300,48 +365,23 @@ impl CrawlSession {
         // `CLAIMED` rows.
         if stored {
             store.db.commit_durable()?;
-        } else {
-            Self::commit_if_durable(&mut store.db)?;
+        } else if store.db.wal().is_some() {
+            store.db.commit()?;
         }
-        let session = Self::assemble(fetcher, model, cfg, store, latest_park, shard);
-        if let Origin::Checkpoint(ckpt) = origin {
-            session.overlay(ckpt);
-        }
+        let session = Self::assemble(fetcher, model, cfg, store, state, shard);
         debug_check(|| session.check_invariants());
         Ok(session)
     }
 
-    /// What a checkpoint carries that tables do not hold: the exact
-    /// linear relevance (`CRAWL` stores its log), saved posteriors, the
-    /// live policy, the counters, and the tick clock — resumed where the
-    /// checkpoint cut it, so parked rows (backoffs, quarantines) keep
-    /// their remaining cooldowns instead of re-serving them from zero or
-    /// being sprung early.
-    fn overlay(&self, ckpt: &CrawlCheckpoint) {
-        let mut g = self.store.write();
-        for &(oid, r) in &ckpt.relevance {
-            g.graph.set_relevance(oid, r);
-        }
-        g.class_probs = ckpt.class_probs.iter().cloned().collect();
-        g.policy = ckpt.policy;
-        drop(g);
-        let (stats, counters) = (&ckpt.stats, &self.counters);
-        *counters.tallies.lock() = stats.clone();
-        counters.attempts.store(stats.attempts, Ordering::Release);
-        let budget = stats.attempts + ckpt.budget_remaining;
-        counters.budget.store(budget, Ordering::Release);
-        counters.clock.store(ckpt.clock, Ordering::Release);
-    }
-
-    /// The one place a [`CrawlSession`] value is put together: fresh
-    /// counters against `cfg`'s budgets, the tick clock at `clock`, and
-    /// the classifier compiled from `model`'s current marking.
+    /// The one place a [`CrawlSession`] value is put together: counters
+    /// from the loaded `state`, and the classifier compiled from
+    /// `model`'s current marking.
     fn assemble(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
         cfg: CrawlConfig,
         store: StoreState,
-        clock: u64,
+        state: CrawlState,
         shard: ShardCtx,
     ) -> CrawlSession {
         let compiled = Arc::new(CompiledModel::compile(&model));
@@ -351,12 +391,12 @@ impl CrawlSession {
             compiled: OrderedRwLock::new(rank::COMPILED, compiled),
             store: OrderedRwLock::new(rank::STORE, store),
             counters: CounterState {
-                attempts: AtomicU64::new(0),
-                budget: AtomicU64::new(cfg.max_fetches),
+                attempts: AtomicU64::new(state.stats.attempts),
+                budget: AtomicU64::new(state.budget),
                 in_flight: AtomicUsize::new(0),
-                clock: AtomicU64::new(clock),
+                clock: AtomicU64::new(state.clock),
                 retry_budget: AtomicU64::new(cfg.retry_budget),
-                tallies: OrderedMutex::new(rank::TALLIES, CrawlStats::default()),
+                tallies: OrderedMutex::new(rank::TALLIES, state.stats),
                 metrics: Metrics::new(cfg.threads),
             },
             cfg,
@@ -379,17 +419,37 @@ impl CrawlSession {
     /// [`minirel::Replica::wait_for_lsn`] expose the staleness).
     pub fn replica(&self) -> DbResult<minirel::Replica> {
         let mut g = self.store.write();
+        // Spawning commits: with the state row, like every commit.
+        self.save_state(&mut g)?;
         minirel::Replica::spawn(&mut g.db)
     }
 
-    /// Commit the store's dirty pages to the WAL (group-commit cadence)
-    /// when this session is durable; a no-op otherwise. Callers hold
-    /// the store write lock.
-    pub(super) fn commit_if_durable(db: &mut Database) -> DbResult<()> {
-        if db.wal().is_some() {
-            db.commit()?;
+    /// The one writer of `CRAWL_STATE`: the counters, budget, clock and
+    /// live policy as they stand. The caller holds the store write guard
+    /// `g`, under which the counters this reads only move (claims,
+    /// landings, failures and passes all count under it), so the row
+    /// agrees with every other table in the commit or copy it rides in.
+    pub(super) fn save_state(&self, g: &mut StoreState) -> DbResult<()> {
+        let c = &self.counters;
+        let state = CrawlState {
+            stats: self.stats(),
+            budget: c.budget.load(Ordering::Acquire),
+            clock: c.clock.load(Ordering::Acquire),
+            policy: g.policy,
+        };
+        state.write(&mut g.db)
+    }
+
+    /// Commit the store's dirty pages, `CRAWL_STATE` brought up to date
+    /// first, to the WAL (group-commit cadence) when this session is
+    /// durable; a no-op otherwise. The caller holds the store write
+    /// guard `g`.
+    pub(super) fn commit_state(&self, g: &mut StoreState) -> DbResult<()> {
+        if g.db.wal().is_none() {
+            return Ok(());
         }
-        Ok(())
+        self.save_state(g)?;
+        g.db.commit().map(drop)
     }
 
     /// Final wind-down commit: everything the run wrote becomes durable
@@ -402,7 +462,7 @@ impl CrawlSession {
         let Some(wal) = g.db.wal() else {
             return;
         };
-        let committed = g.db.commit();
+        let committed = self.commit_state(&mut g);
         drop(g);
         if let Err(e) = committed.and_then(|_| wal.sync()) {
             self.record_error(e);
@@ -410,60 +470,30 @@ impl CrawlSession {
     }
 
     /// Capture everything needed to resume this crawl in a fresh session:
-    /// a copy of the store — every table, claims in flight included
-    /// ([`CrawlSession::restore`] demotes them as `recover` does) — and
-    /// what no table holds: relevance state, saved posteriors, stats,
-    /// remaining budget, live policy, the good marking and the clock.
+    /// a copy of the store, `CRAWL_STATE` brought up to date first —
+    /// every table, claims in flight included ([`CrawlSession::restore`]
+    /// demotes them as `recover` does). Takes the store write guard for
+    /// that one row; the copy itself is page reads.
     pub fn checkpoint(&self) -> DbResult<CrawlCheckpoint> {
-        // Read lock: a checkpoint is page reads + cache clones, so it runs
-        // concurrently with monitors and only briefly excludes writers.
-        let g = self.store.read();
+        let mut g = self.store.write();
+        self.save_state(&mut g)?;
         let store = g.db.take_snapshot()?;
         let count = |sql: &str| {
             g.db.query(sql)
                 .map(|rs| rs.scalar_i64().unwrap_or(0) as usize)
         };
-        let frontier_len = count("select count(*) from crawl where visited = 0 or visited = 2")?;
-        let visited_len = count("select count(*) from crawl where visited = 1")?;
-        let stats = self.stats();
-        let budget_remaining = self
-            .counters
-            .budget
-            .load(Ordering::Acquire)
-            .saturating_sub(stats.attempts);
-        let relevance: Vec<(Oid, f64)> = g.graph.visited().collect();
-        let class_probs: Vec<(Oid, Vec<(ClassId, f64)>)> =
-            g.class_probs.iter().map(|(&o, v)| (o, v.clone())).collect();
-        let policy = g.policy;
-        drop(g);
-        let good_topics = {
-            let model = self.model.read();
-            model
-                .taxonomy
-                .good_set()
-                .into_iter()
-                .map(|c| model.taxonomy.name(c).to_owned())
-                .collect()
-        };
         Ok(CrawlCheckpoint {
             store,
-            frontier_len,
-            visited_len,
-            relevance,
-            class_probs,
-            stats,
-            budget_remaining,
-            policy,
-            good_topics,
-            clock: self.counters.clock.load(Ordering::Acquire),
+            frontier_len: count("select count(*) from crawl where visited = 0 or visited = 2")?,
+            visited_len: count("select count(*) from crawl where visited = 1")?,
         })
     }
 }
 
 /// A crawl, sufficient to resume it in a fresh session
 /// ([`CrawlSession::restore`]) — the paper's long-lived crawls survive
-/// administrative restarts this way: a copy of the store plus what no
-/// table holds.
+/// administrative restarts this way: a copy of the store, whose tables
+/// hold every piece of crawl state, and two counts read off it.
 #[derive(Debug, Clone)]
 pub struct CrawlCheckpoint {
     /// Every table's pages, the catalog and the database clock, as
@@ -471,21 +501,6 @@ pub struct CrawlCheckpoint {
     pub store: minirel::Snapshot,
     frontier_len: usize,
     visited_len: usize,
-    /// Linear relevance of visited pages.
-    pub relevance: Vec<(Oid, f64)>,
-    /// Saved per-page posteriors (for post-resume re-marking).
-    pub class_probs: Vec<(Oid, Vec<(ClassId, f64)>)>,
-    /// Counters and harvest series at checkpoint time.
-    pub stats: CrawlStats,
-    /// Fetch attempts left in the budget.
-    pub budget_remaining: u64,
-    /// Live link-expansion policy.
-    pub policy: CrawlPolicy,
-    /// Names of the good topics at checkpoint time.
-    pub good_topics: Vec<String>,
-    /// The tick clock at checkpoint time — restored verbatim so parked
-    /// rows serve out exactly their remaining cooldowns.
-    pub clock: u64,
 }
 
 impl CrawlCheckpoint {

@@ -184,12 +184,10 @@ impl CrawlSession {
                     Tick::Work {
                         claims,
                         first_attempt,
-                    } => {
-                        lane.exec.submit(claims, first_attempt);
-                        lane.clock.lap(Stage::Room);
-                    }
+                    } => lane.exec.submit(claims, first_attempt),
                 }
             }
+            lane.clock.lap(Stage::Room);
             // Take one completion per turn, so commands and the
             // exchange drain at every page boundary; with fetcher
             // threads the short timeout keeps the loop responsive.
@@ -268,14 +266,11 @@ impl CrawlSession {
         let compiled = Arc::clone(&self.compiled.read());
         let summary = compiled.evaluate_into(&page.terms, &mut lane.scratch);
         // Saved posteriors back §3.7 re-marking; the tail below the
-        // floor adds nothing. Filtered here, outside the store lock.
-        let saved_probs: Vec<(ClassId, f64)> = lane
-            .scratch
-            .class_probs()
-            .iter()
-            .copied()
-            .filter(|&(_, p)| p > SAVED_PROB_FLOOR)
-            .collect();
+        // floor adds nothing. The `LANDING` row is built here, outside
+        // the store lock.
+        let probs = lane.scratch.class_probs().iter().copied();
+        let posterior = tables::encode_posterior(probs.filter(|&(_, p)| p > SAVED_PROB_FLOOR));
+        let landing = tables::landing_row(attempt, page.oid, summary.relevance, posterior);
         let with_sid = |(dst, url): (Oid, String)| (dst, host_server_id(&url), url);
         lane.unlanded.push_back(Unlanded::Page(Classified {
             // A round trip like the fetch, so asked here, outside every lock.
@@ -287,7 +282,7 @@ impl CrawlSession {
             url: page.url,
             outlinks: page.outlinks.into_iter().map(with_sid).collect(),
             summary,
-            saved_probs,
+            landing,
             deferred: false,
         }));
         lane.clock.lap(Stage::LandCompletion);
@@ -312,11 +307,7 @@ impl CrawlSession {
     /// first would let a peer (or a peer shard) reach an idle verdict
     /// with work still to come. Then the lock is re-taken for the rest.
     fn land_buffered(&self, lane: &mut Lane, block: bool, sink: &EventSink) -> bool {
-        let stage = if block {
-            Stage::LandBlocking
-        } else {
-            Stage::LandTry
-        };
+        let stage = Stage::landing(block);
         let mut failed = false;
         while !lane.unlanded.is_empty() {
             let mut landed = if block {
@@ -336,6 +327,7 @@ impl CrawlSession {
             lane.clock.lap(stage);
             if let Ok(true) = landed {
                 let pass = self.distill_pass(false, Some(sink), Some(&mut lane.clock));
+                lane.clock.lap(Stage::DistillGuard2);
                 landed = pass.map(|()| false);
                 self.release_in_flight(1);
             }
@@ -401,7 +393,7 @@ impl CrawlSession {
             return failed;
         }
         let mut g = self.store.write();
-        let res = Self::commit_if_durable(&mut g.db);
+        let res = self.commit_state(&mut g);
         drop(g);
         lane.clock.lap(Stage::CommitPoint);
         res.map_err(|e| self.record_error(e)).is_err()

@@ -1,9 +1,13 @@
-//! The crawler's relational schema (Figure 1): `CRAWL` and `LINK`.
+//! The crawler's relational schema (Figure 1): `CRAWL` and `LINK`, and
+//! the rest of a crawl's state, `LANDING` and `CRAWL_STATE`.
 //!
 //! ```text
 //! CRAWL(oid, url, kcid, numtries, relevance, negrel, serverload,
 //!       lastvisited, visited, not_before)
 //! LINK (oid_src, sid_src, oid_dst, sid_dst, discovered)
+//! LANDING(seq, attempt, oid, relevance, posterior)
+//! CRAWL_STATE(attempts, failures, distillations, deferred, budget,
+//!             clock, policy)
 //! ```
 //!
 //! `LINK.discovered` timestamps when the crawler first saw the edge, which
@@ -25,10 +29,18 @@
 //! Edge weights are *not* stored in `LINK`; the
 //! distillation trigger derives `EF`/`EB` from current `CRAWL` relevance
 //! (the paper recomputes weights by trigger as the neighborhood changes).
+//!
+//! `LANDING` has one row per successful fetch, numbered by `seq` in
+//! landing order: the attempt it was, its linear R, and the posterior
+//! saved for §3.7 re-marking ([`encode_posterior`]). A revisit lands
+//! twice; its latest row is the one re-marking reads. `CRAWL_STATE` is
+//! one row: the counters, the fetch budget, the live policy and the tick
+//! clock, written at every durable commit and checkpoint.
 
 use focus_types::hash::fx64;
 use focus_types::{ClassId, Oid, ServerId};
-use minirel::{Database, DbResult, Value};
+use minirel::{Database, DbError, DbResult, Value};
+use std::fmt::Write;
 
 /// `visited` states.
 pub mod visited {
@@ -91,6 +103,45 @@ pub fn create_tables(db: &mut Database) -> DbResult<()> {
     )?;
     db.execute("create index server_health_sid on server_health (sid)")?;
     Ok(())
+}
+
+/// Create `LANDING` and the (empty) `CRAWL_STATE`.
+pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
+    db.execute(
+        "create table landing (seq int, attempt int, oid int, relevance float, posterior text)",
+    )?;
+    db.execute(
+        "create table crawl_state (attempts int, failures int, distillations int, \
+         deferred int, budget int, clock int, policy text)",
+    )?;
+    Ok(())
+}
+
+/// The `(class, Pr[class|page])` pairs of a saved posterior as text that
+/// parses back to the same bits ([`decode_posterior`]): `kcid:bits`
+/// pairs, space-separated, each probability's IEEE-754 bits in hex
+/// (exact by construction, and a third of the cost of formatting the
+/// decimal).
+pub fn encode_posterior(probs: impl IntoIterator<Item = (ClassId, f64)>) -> String {
+    let mut text = String::with_capacity(512);
+    for (c, p) in probs {
+        let sep = if text.is_empty() { "" } else { " " };
+        let _ = write!(text, "{sep}{}:{:x}", c.raw(), p.to_bits());
+    }
+    text
+}
+
+/// The inverse of [`encode_posterior`].
+pub fn decode_posterior(text: &str) -> DbResult<Vec<(ClassId, f64)>> {
+    let pair = |s: &str| {
+        let (c, p) = s.split_once(':')?;
+        let bits = u64::from_str_radix(p, 16).ok()?;
+        Some((ClassId(c.parse().ok()?), f64::from_bits(bits)))
+    };
+    let bad = || DbError::Eval(format!("landing: malformed posterior {text:?}"));
+    text.split_whitespace()
+        .map(|s| pair(s).ok_or_else(bad))
+        .collect()
 }
 
 /// Create the small `TAXONOMY` dimension used by the §3.7 monitoring
@@ -181,6 +232,18 @@ pub fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) ->
     ]
 }
 
+/// Build a `LANDING` row. Its `seq` (column 0) is numbered when the
+/// page lands.
+pub fn landing_row(attempt: u64, oid: Oid, relevance: f64, posterior: String) -> Vec<Value> {
+    vec![
+        Value::Int(0),
+        Value::Int(attempt as i64),
+        Value::Int(oid.raw() as i64),
+        Value::Float(relevance),
+        Value::Str(posterior),
+    ]
+}
+
 /// Build a `LINK` row.
 pub fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64) -> Vec<Value> {
     vec![
@@ -261,6 +324,23 @@ mod tests {
             .unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(rs.rows[0][0], Value::Str("a".into()));
+    }
+
+    #[test]
+    fn posteriors_round_trip_exactly() {
+        let probs = [
+            (ClassId(3), 0.1 + 0.2),
+            (ClassId(17), 1e-4 * std::f64::consts::PI),
+            (ClassId(0), 1.0),
+        ];
+        let text = encode_posterior(probs);
+        let back = decode_posterior(&text).unwrap();
+        assert_eq!(back.len(), probs.len());
+        for ((c, p), (d, q)) in probs.iter().zip(&back) {
+            assert_eq!((c, p.to_bits()), (d, q.to_bits()), "{text}");
+        }
+        assert_eq!(decode_posterior("").unwrap(), vec![]);
+        assert!(decode_posterior("3:x").is_err());
     }
 
     #[test]

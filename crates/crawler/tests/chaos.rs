@@ -269,14 +269,13 @@ fn harvest_recovers_after_outage_heals() {
         threads: 1,
         ..chaos_cfg(budget)
     };
-    let tail_mean = |stats: &focus_crawler::CrawlStats| {
-        let tail: Vec<f64> = stats
-            .harvest
-            .iter()
-            .filter(|&&(x, _)| x > 2 * budget / 3)
-            .map(|&(_, r)| r)
+    let tail_mean = |session: &CrawlSession| {
+        let landings = session.landings();
+        let tail: Vec<f64> = (landings.iter())
+            .filter(|l| l.attempt > 2 * budget / 3)
+            .map(|l| l.relevance)
             .collect();
-        assert!(!tail.is_empty(), "no tail harvest: {stats:?}");
+        assert!(!tail.is_empty(), "no tail harvest: {landings:?}");
         tail.iter().sum::<f64>() / tail.len() as f64
     };
 
@@ -289,7 +288,8 @@ fn harvest_recovers_after_outage_heals() {
         .unwrap(),
     );
     clean.seed(&w.seeds).unwrap();
-    let clean_tail = tail_mean(&clean.run().unwrap());
+    clean.run().unwrap();
+    let clean_tail = tail_mean(&clean);
 
     let rec = Recorder::new();
     let chaos = Arc::new(
@@ -310,7 +310,7 @@ fn harvest_recovers_after_outage_heals() {
             ..StartOptions::default()
         })
         .unwrap();
-    let stats = run.join().unwrap();
+    run.join().unwrap();
     let events = rec.events();
 
     let recovered: HashSet<ServerId> = events
@@ -324,7 +324,7 @@ fn harvest_recovers_after_outage_heals() {
         recovered.iter().any(|s| w.dead_sids.contains(s)),
         "no dead server recovered after the outage healed: {events:?}"
     );
-    let chaos_tail = tail_mean(&stats);
+    let chaos_tail = tail_mean(&chaos);
     assert!(
         chaos_tail >= clean_tail - 0.05,
         "tail harvest never recovered: chaos {chaos_tail:.3} vs clean {clean_tail:.3}"
@@ -550,7 +550,9 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
     // open breaker.
     *fetcher.down.lock().unwrap() = None;
     assert_eq!(session.maintenance_pass(1).unwrap(), 1);
-    let cooldown_left = until - session.checkpoint().unwrap().clock as i64;
+    session.checkpoint().unwrap(); // brings `crawl_state` up to date
+    let clock = session.sql("select clock from crawl_state").unwrap();
+    let cooldown_left = until - clock.scalar_i64().unwrap();
     assert!(cooldown_left > 0, "the breaker is still open");
     fetcher.log.lock().unwrap().clear();
     rec.0.lock().unwrap().clear();
@@ -589,7 +591,8 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
         ),
         "the probe is the revisit, and it closes the breaker: {on_sid:?}"
     );
-    let revisits = stats.completion_order.iter().filter(|(o, _)| *o == hub);
+    let landings = session.landings();
+    let revisits = landings.iter().filter(|l| l.oid == hub);
     assert_eq!(revisits.count(), 2, "a revisit is a second completion");
     let health = session
         .sql("select sid, state from server_health where state <> 'closed'")
@@ -644,8 +647,9 @@ fn crawl_evolve_revisit_crawl() -> u64 {
 
     assert!(stats.attempts <= 230, "{stats:?}");
     assert_eq!(stats.attempts, stats.successes + stats.failures);
-    let revisited = (stats.completion_order.iter().enumerate())
-        .filter(|(i, (o, _))| stats.completion_order[..*i].iter().any(|(p, _)| p == o))
+    let landings = session.landings();
+    let revisited = (landings.iter().enumerate())
+        .filter(|(i, l)| landings[..*i].iter().any(|p| p.oid == l.oid))
         .count();
     assert!(revisited > 0, "no hub was revisited");
     session.check_invariants().unwrap();

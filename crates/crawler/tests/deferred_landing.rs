@@ -15,7 +15,7 @@
 mod support;
 
 use focus_crawler::session::{CrawlConfig, CrawlSession};
-use focus_crawler::{CrawlPolicy, CrawlStats, RunState, StartOptions};
+use focus_crawler::{CrawlPolicy, CrawlStats, Landing, RunState, StartOptions};
 use focus_types::{Oid, ServerId};
 use focus_webgraph::{
     ChaosFetcher, ChaosSchedule, FaultProfile, FetchError, FetchedPage, Fetcher, SimFetcher,
@@ -191,8 +191,7 @@ const CLAIMED: &str = "select oid from crawl where visited = 2 order by oid";
 #[derive(Debug, PartialEq)]
 struct Outcome {
     events: Vec<String>,
-    completion_order: Vec<(Oid, f64)>,
-    harvest: Vec<(u64, f64)>,
+    landings: Vec<Landing>,
     failures: u64,
     distillations: u64,
     visited: Vec<String>,
@@ -204,8 +203,7 @@ fn outcome(session: &CrawlSession, stats: &CrawlStats, rec: &Recorder) -> Outcom
     let debug = |v: &dyn std::fmt::Debug| format!("{v:?}");
     Outcome {
         events: rec.events().iter().map(|e| debug(e)).collect(),
-        completion_order: stats.completion_order.clone(),
-        harvest: stats.harvest.clone(),
+        landings: session.landings(),
         failures: stats.failures,
         distillations: stats.distillations,
         visited: session.visited().iter().map(|r| debug(r)).collect(),
@@ -272,7 +270,7 @@ fn a_batch_fetched_ahead_under_a_reader_lands_in_completion_order() {
     // Every success of the first batch lost its `try_write`, except a
     // success completing the batch: that one blocks, like today.
     let first_batch = |last: u64| {
-        let early = plain_stats.harvest.iter().filter(|&&(a, _)| a <= last);
+        let early = plain.landings.iter().filter(|l| l.attempt <= last);
         early.count() as u64
     };
     assert_eq!(watched_stats.deferred_landings, first_batch(BATCH - 1));
@@ -324,7 +322,13 @@ fn steer_with_pages_buffered(steer: Steer) {
     assert_eq!(run.stats().successes + run.stats().failures, 0);
     let claimed = rows(&session, CLAIMED);
     assert_eq!(claimed.len() as u64, BATCH);
+    // A checkpoint takes the store write guard (for the `crawl_state`
+    // row): cut it between two readers, while the worker is inside its
+    // fifth fetch with four pages buffered, holding no lock.
+    reader.release();
     let ckpt = session.checkpoint().unwrap();
+    let reader = Reader::hold(&session);
+    assert_eq!(run.stats().successes + run.stats().failures, 0);
     match steer {
         Steer::Stop => run.stop(),
         _ => run.pause(),
@@ -367,8 +371,9 @@ fn steer_with_pages_buffered(steer: Steer) {
     }
     let visited: BTreeSet<Oid> = session.visited().iter().map(|v| v.0).collect();
     assert_eq!(visited.len() as u64, stats.successes);
-    for (oid, _) in &stats.completion_order {
-        assert!(visited.contains(oid), "{oid:?} landed nowhere");
+    for landing in session.landings() {
+        let oid = landing.oid;
+        assert!(visited.contains(&oid), "{oid:?} landed nowhere");
     }
     for (oid, served) in gate.served.lock().unwrap().iter() {
         assert_eq!(*served, 1, "{oid:?} fetched twice");
@@ -377,7 +382,6 @@ fn steer_with_pages_buffered(steer: Steer) {
 
     // The checkpoint cut with pages buffered: fetched or not, they are
     // in-flight claims like any other, poppable again after a restore.
-    assert_eq!(ckpt.stats.attempts, BATCH);
     let restored = CrawlSession::restore(
         Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
         trained_model(&graph, "recreation/cycling"),
@@ -385,6 +389,7 @@ fn steer_with_pages_buffered(steer: Steer) {
         &ckpt,
     )
     .unwrap();
+    assert_eq!(restored.stats().attempts, BATCH);
     assert!(rows(&restored, CLAIMED).is_empty());
     for row in &claimed {
         let oid = row[0].as_i64().unwrap();

@@ -7,7 +7,7 @@ mod support;
 
 use focus_crawler::session::{CrawlConfig, CrawlSession, Durability};
 use focus_crawler::{host_server_id, monitor, CrawlEvent, CrawlPolicy};
-use focus_types::{Oid, ServerId};
+use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::{FetchError, FetchedPage, Fetcher, SimFetcher, WebConfig, WebGraph};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -382,13 +382,13 @@ impl Fetcher for TimeoutFetcher {
     }
 }
 
-/// Rows parked by failure backoff survive a crash — and because the
-/// tick clock does not, `recover` restarts it at the frontier's highest
-/// `not_before`, so every parked row is immediately due: the recovered
-/// session keeps crawling instead of wedging on cooldowns it can no
-/// longer measure.
+/// Rows parked by failure backoff survive a crash, and so does the tick
+/// clock their cooldowns are measured against (`CRAWL_STATE.clock`): the
+/// recovered session serves out what is left of each cooldown rather
+/// than springing every parked row at once, then drives them all to a
+/// terminal state instead of wedging on an all-parked frontier.
 #[test]
-fn recovered_parked_rows_are_immediately_due() {
+fn recovered_parked_rows_keep_their_cooldowns() {
     let path = temp_db_path("parked");
     cleanup(&path);
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(5)));
@@ -433,20 +433,24 @@ fn recovered_parked_rows_are_immediately_due() {
         )
         .unwrap(),
     );
-    // The parked state survived with its cooldowns intact...
-    let parked = recovered
-        .sql("select count(*) from crawl where visited = 0 and not_before > 0")
-        .unwrap()
-        .scalar_i64()
-        .unwrap();
+    let int = |sql: &str| recovered.sql(sql).unwrap().scalar_i64().unwrap();
+    // The parked state survived with its cooldowns intact, and so did
+    // the counters and the clock: some row is still cooling down.
+    let parked = int("select count(*) from crawl where visited = 0 and not_before > 0");
     assert!(parked >= 1, "parked rows lost in recovery");
-    // ...and the recovered run attempts every one of them without
-    // waiting (clock restarted at the highest not_before), then
-    // terminates rather than wedging on an all-parked frontier.
+    assert_eq!(recovered.stats().attempts, 4, "the attempts were lost");
+    let clock = int("select clock from crawl_state");
+    let latest = int("select max(not_before) from crawl where visited = 0");
+    assert!(
+        clock < latest,
+        "clock {clock} sprang every cooldown (to {latest})"
+    );
+    // The recovered run re-attempts every one of them once it is due,
+    // then terminates rather than wedging on an all-parked frontier.
     recovered.add_budget(20);
     let stats = recovered.run().unwrap();
     assert!(
-        stats.attempts >= parked as u64,
+        stats.attempts - 4 >= parked as u64,
         "recovered run never re-attempted the parked rows: {stats:?}"
     );
     assert_eq!(
@@ -638,8 +642,11 @@ fn maintenance_requeues_and_revisits_survive_a_crash() {
             "the reopened store forgot that {hub:?} was fetched"
         );
     }
-    // Crawl on: the hubs are revisited, and what they now link to is
+    // The budget was spent, and it stays spent across the crash. Crawl
+    // on with more: the hubs are revisited, and what they now link to is
     // recorded and enqueued.
+    assert_eq!(recovered.stats().attempts, 160);
+    recovered.add_budget(160);
     recovered.run().unwrap();
     assert_eq!(ints(&recovered, REQUEUED), Vec::<Vec<i64>>::new());
     let links_after = ints(&recovered, LINKS);
@@ -665,15 +672,19 @@ fn maintenance_requeues_and_revisits_survive_a_crash() {
     cleanup(&path);
 }
 
-/// `TAXONOMY.type` is the marking of the model the session runs under:
-/// a file recovered under a differently marked model shows that model's
-/// marking, not the one the file was written with.
+/// The marking is crawl state: a file recovered under a differently
+/// marked model keeps the marking it was written with (`TAXONOMY.type`
+/// wins, and the session's model adopts it), and a live `mark_topic`
+/// then re-marks the table and re-scores the stored pages. A model whose
+/// classes are not the stored ones is refused.
 #[test]
-fn recovered_taxonomy_follows_the_model_it_is_recovered_under() {
+fn recovered_taxonomy_keeps_the_stored_marking() {
     let path = temp_db_path("remarked");
     cleanup(&path);
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(5)));
     let cfg = CrawlConfig {
+        threads: 1,
+        max_fetches: 60,
         distill_every: None,
         durability: Durability::File {
             path: path.clone(),
@@ -687,13 +698,44 @@ fn recovered_taxonomy_follows_the_model_it_is_recovered_under() {
         let names = rs.unwrap().rows.into_iter();
         names.map(|r| r[0].as_str().unwrap().to_owned()).collect()
     };
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
     let model = trained_model(&graph, "recreation/cycling");
-    let session = CrawlSession::new(fetcher(), model, cfg.clone()).unwrap();
+    let session = Arc::new(CrawlSession::new(fetcher(), model, cfg.clone()).unwrap());
     assert_eq!(good(&session), ["recreation/cycling"]);
+    session
+        .seed(&focus_webgraph::search::topic_start_set(&graph, cycling, 8))
+        .unwrap();
+    session.run().unwrap();
+    let before = session.relevance_map();
     drop(session);
+
     let model = trained_model(&graph, "recreation");
-    let recovered = CrawlSession::recover(fetcher(), model, cfg).unwrap();
+    let recovered = Arc::new(CrawlSession::recover(fetcher(), model, cfg.clone()).unwrap());
+    assert_eq!(good(&recovered), ["recreation/cycling"]);
+    let marked = recovered.with_model(|m| m.taxonomy.good_set());
+    assert_eq!(marked, vec![cycling], "the model adopts the stored marking");
+    assert_eq!(recovered.relevance_map(), before);
+    // Re-mark live: the table follows, and the stored posteriors re-score
+    // the fetched pages without a refetch.
+    let recreation = recovered.find_topic("recreation").unwrap();
+    let run = recovered.start().unwrap();
+    run.mark_topic(cycling, false);
+    run.mark_topic(recreation, true);
+    run.join().unwrap();
     assert_eq!(good(&recovered), ["recreation"]);
+    let after = recovered.relevance_map();
+    assert_eq!(after.len(), before.len());
+    assert!(after != before, "re-marking re-scored nothing");
+    drop(recovered);
+
+    let mut other = WebGraph::generate(WebConfig::tiny(5)).taxonomy().clone();
+    other.add_child(ClassId::ROOT, "elsewhere").unwrap();
+    let mut model = trained_model(&graph, "recreation/cycling");
+    model.taxonomy = other;
+    let Err(err) = CrawlSession::recover(fetcher(), model, cfg) else {
+        panic!("a model with other classes must be refused");
+    };
+    assert!(format!("{err}").contains("TAXONOMY"), "{err}");
     cleanup(&path);
 }
 
@@ -866,15 +908,16 @@ fn wal_stats_of_a_seeded_file_backed_crawl_are_pinned() {
         .count() as u64;
     assert_eq!(stats.attempts, 900);
     assert_eq!(stats.successes, 871);
-    // ≈35.5 reads a landed page, ≈8.1 of them misses.
-    assert_eq!((io.logical_reads, io.physical_reads), (30_895, 7_069));
-    assert_eq!((wal.images, wal.deltas), (664, 4563));
+    // ≈37.1 reads a landed page, ≈9.0 of them misses; `LANDING` and
+    // `CRAWL_STATE` share the 24 frames with the rest.
+    assert_eq!((io.logical_reads, io.physical_reads), (32_306, 7_806));
+    assert_eq!((wal.images, wal.deltas), (707, 4978));
     // Every page the log was handed, at a commit or an eviction, is one
     // physical write of the pool.
     assert_eq!(io.physical_writes, wal.images + wal.deltas);
     assert_eq!(
         (commits, wal.writes),
-        (117, commits + 130),
+        (117, commits + 147),
         "one write per commit, plus the forced ones"
     );
     assert_eq!(

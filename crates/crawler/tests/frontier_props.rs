@@ -354,8 +354,9 @@ fn apply(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseE
                 }
             }
         }
-        // set_visited_relevance: only `DONE` rows move, unknown oids
-        // and other states are skipped.
+        // set_visited_relevance: fetched rows (`kcid ≥ 0`) take the new
+        // relevance, and only a `DONE` row's priority moves with it;
+        // unknown oids and unfetched rows are skipped.
         10 => {
             let oids = aim(model, visited::DONE, &s.picks, s.flag);
             let items: Vec<(Oid, f64)> = (oids.iter().enumerate())
@@ -363,10 +364,10 @@ fn apply(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseE
                 .collect();
             frontier::set_visited_relevance(db, &items).unwrap();
             for (o, r) in items {
-                if let Some(row) = model.get_mut(&o.raw()) {
-                    if row.visited == visited::DONE {
-                        row.set_relevance(r);
-                    }
+                match model.get_mut(&o.raw()) {
+                    Some(row) if row.visited == visited::DONE => row.set_relevance(r),
+                    Some(row) if row.kcid >= 0 => row.relevance = r,
+                    _ => {}
                 }
             }
         }

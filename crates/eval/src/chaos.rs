@@ -16,7 +16,7 @@
 //! once probes start landing.
 
 use crate::common::{Scale, World};
-use focus_crawler::session::{CrawlConfig, CrawlSession, CrawlStats};
+use focus_crawler::session::{CrawlConfig, CrawlSession, Landing};
 use focus_crawler::{CrawlEvent, CrawlObserver, StartOptions};
 use focus_types::ServerId;
 use focus_webgraph::{ChaosFetcher, ChaosSchedule, FaultProfile, Fetcher};
@@ -105,12 +105,11 @@ impl ChaosMatrix {
     }
 }
 
-fn tail_mean(stats: &CrawlStats, budget: u64) -> f64 {
-    let tail: Vec<f64> = stats
-        .harvest
+fn tail_mean(landings: &[Landing], budget: u64) -> f64 {
+    let tail: Vec<f64> = landings
         .iter()
-        .filter(|&&(x, _)| x > 2 * budget / 3)
-        .map(|&(_, r)| r)
+        .filter(|l| l.attempt > 2 * budget / 3)
+        .map(|l| l.relevance)
         .collect();
     if tail.is_empty() {
         0.0
@@ -154,7 +153,7 @@ fn measure(
         successes: stats.successes,
         failures: stats.failures,
         harvest: stats.mean_harvest(),
-        tail_harvest: tail_mean(&stats, budget),
+        tail_harvest: tail_mean(&session.landings(), budget),
         quarantines: counter.quarantines.load(Ordering::Relaxed),
         recoveries: counter.recoveries.load(Ordering::Relaxed),
     }

@@ -73,10 +73,10 @@ pub fn run_crawl_with_session(
         .expect("session"),
     );
     session.seed(&world.start_set(20)).expect("seed");
-    let stats = session.run().expect("crawl");
+    session.run().expect("crawl");
     let series = Series::new(
         format!("{policy:?}"),
-        stats.harvest.iter().map(|&(x, r)| (x as f64, r)),
+        (session.landings().iter()).map(|l| (l.attempt as f64, l.relevance)),
     );
     (series, session)
 }

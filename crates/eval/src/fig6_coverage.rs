@@ -5,7 +5,7 @@
 
 use crate::common::{Scale, World};
 use crate::report::Series;
-use focus_crawler::session::{CrawlConfig, CrawlSession, CrawlStats};
+use focus_crawler::session::{CrawlConfig, CrawlSession, Landing};
 use focus_crawler::{host_server_id, CrawlPolicy};
 use focus_types::hash::FxHashSet;
 use focus_types::{Oid, ServerId};
@@ -25,7 +25,7 @@ pub struct Fig6 {
     pub final_server_coverage: f64,
 }
 
-fn crawl(world: &World, seeds: &[Oid], budget: u64) -> CrawlStats {
+fn crawl(world: &World, seeds: &[Oid], budget: u64) -> Vec<Landing> {
     let session = std::sync::Arc::new(
         CrawlSession::new(
             world.fetcher(),
@@ -41,7 +41,8 @@ fn crawl(world: &World, seeds: &[Oid], budget: u64) -> CrawlStats {
         .expect("session"),
     );
     session.seed(seeds).expect("seed");
-    session.run().expect("crawl")
+    session.run().expect("crawl");
+    session.landings()
 }
 
 /// Run the coverage experiment. Relevance cut: the paper's
@@ -54,10 +55,9 @@ pub fn run(scale: Scale) -> Fig6 {
 
     let reference = crawl(&world, &s1, budget);
     let ref_relevant: FxHashSet<Oid> = reference
-        .completion_order
         .iter()
-        .filter(|&&(_, r)| r > cut)
-        .map(|&(o, _)| o)
+        .filter(|l| l.relevance > cut)
+        .map(|l| l.oid)
         .collect();
     let ref_servers: FxHashSet<ServerId> = ref_relevant
         .iter()
@@ -72,7 +72,7 @@ pub fn run(scale: Scale) -> Fig6 {
     let mut srv_pts = Vec::new();
     let mut url_hits = 0usize;
     let mut srv_hits = 0usize;
-    for (i, &(oid, _)) in test.completion_order.iter().enumerate() {
+    for (i, &Landing { oid, .. }) in test.iter().enumerate() {
         if ref_relevant.contains(&oid) && seen_urls.insert(oid) {
             url_hits += 1;
         }

@@ -4,7 +4,7 @@
 //! the newly-marked topic — without restarting anything.
 
 use focus::prelude::*;
-use focus::{ClassId, FocusSystem};
+use focus::{ClassId, FocusSystem, Landing};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,14 +58,13 @@ fn mid_crawl_resteering_reaches_newly_marked_topic() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let at_pause = run.stats();
-    let fetched_before = at_pause.completion_order.len();
+    let landed_before = run.landings();
+    let fetched_before = landed_before.len();
     // Under good = {cycling}, no running-topic page can classify as
     // confidently relevant.
-    let confident_running_before = at_pause
-        .completion_order
-        .iter()
-        .filter(|(o, r)| graph.topic_of(*o) == Some(running) && *r > 0.5)
-        .count();
+    let running_and_relevant =
+        |l: &&Landing| graph.topic_of(l.oid) == Some(running) && l.relevance > 0.5;
+    let confident_running_before = landed_before.iter().filter(running_and_relevant).count();
     assert_eq!(
         confident_running_before, 0,
         "running pages were already relevant before the re-mark"
@@ -79,13 +78,13 @@ fn mid_crawl_resteering_reaches_newly_marked_topic() {
     run.resume();
     wait_until(&run, |s| s.attempts >= at_pause.attempts + 300);
     run.stop();
-    let outcome = run.join().expect("run completes");
+    run.join().expect("run completes");
 
     // The harvest series after the resume point contains pages of the
     // newly-marked topic, classified as relevant under the new marking.
-    let confident_running_after = outcome.stats.completion_order[fetched_before..]
+    let confident_running_after = system.session().landings()[fetched_before..]
         .iter()
-        .filter(|(o, r)| graph.topic_of(*o) == Some(running) && *r > 0.5)
+        .filter(running_and_relevant)
         .count();
     assert!(
         confident_running_after >= 3,

@@ -67,9 +67,9 @@ fn maintenance_discovers_new_resources_after_evolution() {
         stats2.successes > stats1.successes,
         "no new fetches after maintenance"
     );
-    let revisited = stats2.completion_order[stats1.completion_order.len()..]
+    let revisited = session.landings()[stats1.successes as usize..]
         .iter()
-        .filter(|(o, _)| visited_before.contains(o))
+        .filter(|l| visited_before.contains(&l.oid))
         .count();
     assert!(revisited > 0, "no hubs revisited");
     let new_links = (session.links().iter())

@@ -192,8 +192,8 @@ const COUNTED: &[Counted] = &[
      "one place creates a `HealthMap` over a store: `store::fresh_health`, which empties `server_health`"),
     ("one_loader_derives_memory_from_tables", ".add_link(", CRAWLER, 2, LINKS),
     ("one_loader_derives_memory_from_tables", ".add_link(", STORE, 1, LINKS),
-    ("one_loader_derives_memory_from_tables", ".set_relevance(", STORE, 2,
-     "store.rs sets relevance in the loader and in the checkpoint's exact-R overlay"),
+    ("one_loader_derives_memory_from_tables", ".set_relevance(", STORE, 1,
+     "store.rs sets relevance in the loader only: a checkpoint is tables, with no overlay"),
     ("one_loader_derives_memory_from_tables",
      "Value::Int(sid_dst", Scope("crates/crawler/src/tables.rs", "", 1), 1,
      "a `LINK` row is spelled out once, in `tables::link_row`"),
