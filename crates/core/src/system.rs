@@ -24,7 +24,8 @@ use std::sync::Arc;
 /// What a discovery run produces.
 #[derive(Debug, Clone)]
 pub struct DiscoveryOutcome {
-    /// Crawl counters and the harvest series.
+    /// Crawl counters (the per-page series is the session's
+    /// `landings()`).
     pub stats: CrawlStats,
     /// Final distillation (top hubs/authorities of the discovered
     /// subgraph).
@@ -101,8 +102,10 @@ impl FocusSystem {
     }
 
     /// Rebuild a system around a [`CrawlCheckpoint`], so a checkpointed
-    /// crawl resumes in a fresh session: frontier, stats, budget, link
-    /// graph, and good marking all carry over. Call
+    /// crawl resumes in a fresh session: every table carries over, and
+    /// with them the frontier, stats, budget, policy, clock, link graph
+    /// and good marking (the stored marking wins over this system's
+    /// model). Call
     /// [`FocusSystem::start`] with no (or extra) seeds to continue.
     pub fn resume(&self, snapshot: &CrawlCheckpoint) -> Result<FocusSystem, FocusError> {
         let session = Arc::new(CrawlSession::restore(

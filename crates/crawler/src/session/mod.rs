@@ -47,11 +47,11 @@
 //! * `StoreState` — the relational store and what lives beside it
 //!   under the same lock: the link graph
 //!   ([`focus_distiller::graph::LinkGraph`] — the one in-memory copy of
-//!   the crawl's links and of visited pages' relevance), saved
-//!   posteriors, per-server tallies and health, the live policy, and
-//!   the distillation bookkeeping — behind a
+//!   the crawl's links and of visited pages' relevance), per-server
+//!   tallies and health, the live policy, and the distillation
+//!   bookkeeping — behind a
 //!   `RwLock`: monitors ([`CrawlSession::sql`],
-//!   [`CrawlSession::with_db_read`], [`CrawlSession::checkpoint`],
+//!   [`CrawlSession::with_db_read`], [`CrawlSession::landings`],
 //!   [`CrawlSession::visited`]) take **read** locks, concurrent with
 //!   each other; workers take the **write** lock only for the short
 //!   claim and page-flush critical sections, and *wait* for it only
@@ -59,7 +59,8 @@
 //!   landing, not the worker — [`CrawlStats::deferred_landings`]);
 //! * counters (`CounterState`) — budget, attempt tally and in-flight
 //!   gauge as atomics (readable without any lock), success/failure
-//!   tallies and the harvest series behind their own small mutex;
+//!   tallies and the harvest sum behind their own small mutex, and the
+//!   per-worker stage clock ([`crate::metrics`]) in atomics of its own;
 //! * diagnostics (`RunDiag`) — first storage error and worker panics,
 //!   another small mutex;
 //! * control (`ControlState` in [`crate::run`]) — the command queue and

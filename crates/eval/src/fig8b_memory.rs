@@ -28,6 +28,36 @@ pub struct Fig8b {
     pub bulk_io: Series,
 }
 
+impl Fig8b {
+    /// The paper's two shapes, or why the sweep misses them:
+    /// SingleProbe's physical reads keep falling across the sweep, and
+    /// BulkProbe's stabilize — the last two sweep points are close
+    /// (within 25% or 200 reads) while the first point is the worst.
+    pub fn holds(&self) -> Result<(), String> {
+        let (s, b) = (&self.single_io.points, &self.bulk_io.points);
+        let (Some(first), Some(last)) = (s.first(), s.last()) else {
+            return Err("empty sweep".into());
+        };
+        if first.1 <= last.1 {
+            return Err(format!(
+                "single-probe I/O should fall with more frames: {s:?}"
+            ));
+        }
+        let [.., prev, last] = b.as_slice() else {
+            return Err(format!("bulk sweep too short: {b:?}"));
+        };
+        if (last.1 - prev.1).abs() > (prev.1 * 0.25).max(200.0) {
+            return Err(format!("bulk should have stabilized: {b:?}"));
+        }
+        if b[0].1 < last.1 {
+            return Err(format!(
+                "bulk I/O at the smallest pool should be the worst: {b:?}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Sweep the buffer pool.
 pub fn run(scale: Scale) -> Fig8b {
     let sweeps: Vec<usize> = match scale {
@@ -96,26 +126,8 @@ mod tests {
 
     #[test]
     fn shapes_match_paper() {
-        let f = run(Scale::Tiny);
-        let s = &f.single_io.points;
-        let b = &f.bulk_io.points;
-        // SingleProbe: physical reads keep falling across the whole sweep.
-        assert!(
-            s.first().unwrap().1 > s.last().unwrap().1,
-            "single-probe I/O should fall with more frames: {s:?}"
-        );
-        // BulkProbe: stabilizes — the last two sweep points are close
-        // (within 25% or 200 reads), while the first point is the worst.
-        let n = b.len();
-        let last = b[n - 1].1;
-        let prev = b[n - 2].1;
-        assert!(
-            (last - prev).abs() <= (prev * 0.25).max(200.0),
-            "bulk should have stabilized: {b:?}"
-        );
-        assert!(
-            b[0].1 >= last,
-            "bulk I/O at the smallest pool should be the worst: {b:?}"
-        );
+        if let Err(why) = run(Scale::Tiny).holds() {
+            panic!("{why}");
+        }
     }
 }

@@ -110,7 +110,7 @@ fn fig8b(scale: Scale) -> Comparison {
             f8b.bulk_io.points.first().map(|p| p.1),
             f8b.bulk_io.points.last().map(|p| p.1)
         ),
-        holds: true,
+        holds: f8b.holds().is_ok(),
     }
 }
 

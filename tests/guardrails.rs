@@ -65,6 +65,10 @@ const ONE_RUN_HANDLE: &str = "a crawl of one shard and a crawl of n return the s
 const CHECKPOINT_IS_A_COPY: &str = "a checkpoint is a copy of the store's pages; restore \
      loads it the way recover loads a file — no per-column capture or re-insert";
 
+const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
+     `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
+     recover loads what restore loads";
+
 /// Code that must not come back: (check, patterns, where, how files are
 /// read, why). The check is the `#[test]` that reads the row (see
 /// [`checks!`]).
@@ -106,6 +110,9 @@ const FORBIDDEN: &[Forbidden] = &[
      Mode::Code, CHECKPOINT_IS_A_COPY),
     ("one_loader_derives_memory_from_tables",
      &["fn clone_committed_state"], MINIREL, Mode::Code, CHECKPOINT_IS_A_COPY),
+    ("one_loader_derives_memory_from_tables",
+     &["fn overlay", "class_probs:", "budget_remaining", "good_topics", "completion_order: Vec",
+       "harvest: Vec", "max(not_before)"], CRAWLER, Mode::Code, STATE_IS_TABLES),
     ("the_suites_check_invariants_through_the_checkers",
      &["fn validate_indexes", "fn assert_session_invariants", "fn claimed_rows", ".btree.validate("],
      SUITES, Mode::Whole, "heap/index agreement and the crawl's invariants are checked by \
