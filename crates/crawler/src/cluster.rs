@@ -574,11 +574,6 @@ impl CrawlCluster {
         merge_stats(self.shards.iter().map(|s| s.stats()))
     }
 
-    /// Every shard's landings ([`merge_landings`]).
-    pub fn landings(&self) -> Vec<Landing> {
-        merge_landings(self.shards.iter().map(|s| s.landings()))
-    }
-
     /// Entries the exchange dropped because an inbox was full
     /// ([`EXCHANGE_CAPACITY`]). Zero in a healthy run.
     pub fn exchange_dropped(&self) -> u64 {

@@ -202,22 +202,6 @@ pub struct StageStats {
     pub buckets: [u64; BUCKETS],
 }
 
-impl StageStats {
-    /// The upper edge of the bucket holding the `q` quantile of laps, in
-    /// ns (0 with no laps).
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank && self.count > 0 {
-                return 1u64 << b;
-            }
-        }
-        0
-    }
-}
-
 /// The stage clock summed over a session's workers (and, from
 /// [`crate::cluster::merge_stats`], over shards).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -284,8 +268,9 @@ mod tests {
         assert_eq!(s.stage(Stage::FetchWait).count, 2);
         assert!(s.stage(Stage::FetchWait).total_ns >= 4_000_000);
         assert!(s.covered() > 0.95 && s.covered() <= 1.0, "{}", s.covered());
+        // Both 2 ms laps sit in the bucket of [2^20, 2^21) ns or above.
         let wait = s.stage(Stage::FetchWait);
-        assert!(wait.quantile_ns(0.5) >= 2_000_000, "{wait:?}");
+        assert_eq!(wait.buckets[21..].iter().sum::<u64>(), 2, "{wait:?}");
         let mut twice = s.clone();
         twice.merge(&s);
         assert_eq!(twice.stage(Stage::Claim).count, 4);

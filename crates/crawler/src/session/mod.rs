@@ -687,12 +687,9 @@ impl CrawlSession {
     /// Every landing in landing order, from `LANDING`. Read-locked.
     pub fn landings(&self) -> Vec<Landing> {
         let sql = "select attempt, oid, relevance from landing order by seq";
-        let rs = self
-            .store
-            .read()
-            .db
-            .query(sql)
-            .expect("landing table exists");
+        let g = self.store.read();
+        let rs = g.db.query(sql).expect("landing table exists");
+        drop(g);
         let landing = |row: &Vec<Value>| Landing {
             attempt: row[0].as_i64().unwrap_or(0) as u64,
             oid: Oid(row[1].as_i64().unwrap_or(0) as u64),

@@ -150,11 +150,16 @@ pub(super) struct CrawlState {
 impl CrawlState {
     /// Replace the one row with this state.
     pub(super) fn write(&self, db: &mut Database) -> DbResult<()> {
-        let s = &self.stats;
-        let ints = [s.attempts, s.failures, s.distillations, s.deferred_landings];
-        let ints = ints.into_iter().chain([self.budget, self.clock]);
-        let mut row: Vec<Value> = ints.map(|v| Value::Int(v as i64)).collect();
-        row.push(Value::Str(self.policy.name().to_owned()));
+        let (s, int) = (&self.stats, |v: u64| Value::Int(v as i64));
+        let row = vec![
+            int(s.attempts),
+            int(s.failures),
+            int(s.distillations),
+            int(s.deferred_landings),
+            int(self.budget),
+            int(self.clock),
+            Value::Str(self.policy.name().to_owned()),
+        ];
         db.execute("delete from crawl_state")?;
         let tid = db.table_id("crawl_state")?;
         db.insert(tid, row)
@@ -339,15 +344,13 @@ impl CrawlSession {
             db.execute("create index hubs_oid on hubs (oid)")?;
             db.execute("create table auth (oid int, score float)")?;
             db.execute("create index auth_oid on auth (oid)")?;
-            let (budget, policy) = (cfg.max_fetches, cfg.policy);
-            let stats = CrawlStats::default();
-            CrawlState {
-                stats,
-                budget,
+            let state = CrawlState {
+                stats: CrawlStats::default(),
+                budget: cfg.max_fetches,
                 clock: 0,
-                policy,
-            }
-            .write(&mut db)?;
+                policy: cfg.policy,
+            };
+            state.write(&mut db)?;
         } else {
             // A checkpoint is a copy of a store: adopted, it is a file.
             if let Origin::Checkpoint(ckpt) = origin {

@@ -7,7 +7,7 @@
 
 mod support;
 
-use focus_crawler::cluster::CrawlCluster;
+use focus_crawler::cluster::{merge_landings, CrawlCluster};
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{CrawlPolicy, RunState};
 use focus_types::{ClassId, Mark, Oid};
@@ -448,7 +448,7 @@ fn a_one_shard_run_reports_its_sessions_harvest_series() {
         .unwrap();
     let stats = cluster.run().unwrap();
     assert!(stats.failures > 0, "no failure: both numberings agree");
-    let landings = cluster.landings();
+    let landings = merge_landings(cluster.shards().iter().map(|s| s.landings()));
     assert_eq!(landings, cluster.shards()[0].landings());
     assert_eq!(landings.last().unwrap().attempt, 300);
 }
