@@ -121,7 +121,9 @@ pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
 /// parses back to the same bits ([`decode_posterior`]): `kcid:bits`
 /// pairs, space-separated, each probability's IEEE-754 bits in hex
 /// (exact by construction, and a third of the cost of formatting the
-/// decimal).
+/// decimal). A `LANDING` row is one heap record, so a posterior holds
+/// at most ≈180 classes above the saving floor (the simulated web's
+/// taxonomy has 27).
 pub fn encode_posterior(probs: impl IntoIterator<Item = (ClassId, f64)>) -> String {
     let mut text = String::with_capacity(512);
     for (c, p) in probs {
