@@ -57,8 +57,9 @@
 //! `add_seeds` hands each seed to its owner, `add_budget` splits over
 //! the live shards, and every shard emits into the run's one event
 //! channel. `stats()` sums counters ([`merge_stats`]) and `landings()`
-//! merges the shards' landing series ([`merge_landings`]). Checkpoints are one [`CrawlCheckpoint`] per shard
-//! in a [`ClusterCheckpoint`] manifest. Distillation stays **per-shard**:
+//! merges the shards' landing series ([`merge_landings`]). Checkpoints
+//! are one [`CrawlCheckpoint`] per shard in a [`ClusterCheckpoint`]
+//! manifest. Distillation stays **per-shard**:
 //! each shard runs HITS over the links it discovered (its boosts still
 //! route by owner). Budget and workers are split across shards at
 //! construction — by one shard loop, for `new` and `restore` alike: a

@@ -68,15 +68,6 @@ impl Stage {
         Stage::Park,
     ];
 
-    /// The stage a landing is charged to: waited for (`block`) or tried.
-    pub fn landing(block: bool) -> Stage {
-        if block {
-            Stage::LandBlocking
-        } else {
-            Stage::LandTry
-        }
-    }
-
     /// Short name, as the stage line prints it.
     pub fn name(self) -> &'static str {
         match self {
@@ -174,13 +165,6 @@ impl StageClock<'_> {
         cell.count.fetch_add(1, Relaxed);
         cell.total_ns.fetch_add(ns, Relaxed);
         cell.buckets[bucket(ns)].fetch_add(1, Relaxed);
-    }
-
-    /// [`StageClock::lap`] on `clock`, if there is one.
-    pub(crate) fn lap_some(clock: &mut Option<&mut Self>, stage: Stage) {
-        if let Some(c) = clock {
-            c.lap(stage);
-        }
     }
 
     /// The worker exits: add its wall time, the denominator of

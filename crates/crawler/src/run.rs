@@ -32,7 +32,7 @@ use crate::policy::CrawlPolicy;
 use crate::session::{debug_check, CrawlSession, CrawlStats, Landing};
 use focus_types::{ClassId, Oid};
 use lockcheck::{rank, OrderedMutex};
-use minirel::DbError;
+use minirel::{DbError, DbResult};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -492,8 +492,9 @@ impl CrawlRun {
     }
 
     /// The run's landings so far ([`merge_landings`] over its shards).
-    pub fn landings(&self) -> Vec<Landing> {
-        merge_landings(self.shards.iter().map(|s| s.session.landings()))
+    pub fn landings(&self) -> DbResult<Vec<Landing>> {
+        let per_shard = self.shards.iter().map(|s| s.session.landings());
+        Ok(merge_landings(per_shard.collect::<DbResult<Vec<_>>>()?))
     }
 
     /// Lifecycle as seen from the handle: the least advanced state of

@@ -305,8 +305,7 @@ impl CrawlSession {
             t.successes
         };
         landing[0] = Value::Int(seq as i64);
-        let landing_tid = g.db.table_id("landing")?;
-        g.db.insert(landing_tid, landing)?;
+        g.db.insert(g.landing_tid, landing)?;
         let revisit = g.graph.relevance(oid).is_some();
         // The graph holds what `CRAWL` stores, as a reopened store
         // derives it.
@@ -584,13 +583,14 @@ impl CrawlSession {
     /// if no newer snapshot's has been, and an overtaken pass ends
     /// silently.
     ///
-    /// A worker's pass charges steps 1 and 2 to its stage clock; the
-    /// worker charges step 3 when the pass returns.
+    /// The pass charges steps 1 and 2 to `clock`, a worker's stage clock
+    /// (the worker charges step 3 when the pass returns), or one over a
+    /// scratch slot where no worker runs it.
     pub(super) fn distill_pass(
         &self,
         forced: bool,
         sink: Option<&EventSink>,
-        mut clock: Option<&mut StageClock<'_>>,
+        clock: &mut StageClock<'_>,
     ) -> DbResult<()> {
         let (snapshot, number) = {
             let mut g = self.store.write();
@@ -602,11 +602,11 @@ impl CrawlSession {
             g.distill.cut += 1;
             (g.graph.snapshot(), g.distill.cut)
         };
-        StageClock::lap_some(&mut clock, Stage::DistillGuard1);
+        clock.lap(Stage::DistillGuard1);
         lockcheck::blocking(&rank::DISTILL_PASS);
         let Distilled { result, endorsed } =
             snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
-        StageClock::lap_some(&mut clock, Stage::DistillKernel);
+        clock.lap(Stage::DistillKernel);
         let mut g = self.store.write();
         g.distill.running -= 1;
         if number <= g.distill.published {
@@ -660,7 +660,7 @@ impl CrawlSession {
     /// graph distills to an empty [`DistillResult`] — never a panic — so
     /// end-of-crawl reporting works on sessions that fetched nothing.
     pub fn distill_now(&self) -> DbResult<DistillResult> {
-        self.distill_pass(true, None, None)?;
+        self.distill_pass(true, None, &mut Metrics::new(1).clock(0))?;
         Ok(self.last_distill().unwrap_or_default())
     }
 

@@ -163,7 +163,7 @@ use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::Fetcher;
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
-use minirel::{Database, DbError, DbResult, ResultSet, Value};
+use minirel::{Database, DbError, DbResult, ResultSet, TableId, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -685,15 +685,15 @@ impl CrawlSession {
     }
 
     /// Every landing in landing order, from `LANDING`. Read-locked.
-    pub fn landings(&self) -> Vec<Landing> {
+    pub fn landings(&self) -> DbResult<Vec<Landing>> {
         let sql = "select attempt, oid, relevance from landing order by seq";
-        let g = self.store.read();
-        let rs = g.db.query(sql).expect("landing table exists");
-        drop(g);
-        let landing = |row: &Vec<Value>| Landing {
-            attempt: row[0].as_i64().unwrap_or(0) as u64,
-            oid: Oid(row[1].as_i64().unwrap_or(0) as u64),
-            relevance: row[2].as_f64().unwrap_or(0.0),
+        let rs = self.store.read().db.query(sql)?;
+        let landing = |row: &Vec<Value>| {
+            Ok(Landing {
+                attempt: frontier::col_i64(row, 0, "landing.attempt")? as u64,
+                oid: Oid(frontier::col_i64(row, 1, "landing.oid")? as u64),
+                relevance: frontier::col_f64(row, 2, "landing.relevance")?,
+            })
         };
         rs.rows.iter().map(landing).collect()
     }
@@ -788,6 +788,36 @@ mod tests {
         assert!(landed > 0, "{m:?}");
     }
 
+    /// `CRAWL_STATE` is rewritten at every commit point, so a write must
+    /// reuse its record: a delete + insert would leave a dead record per
+    /// commit, and the table (and every scan of it) would grow with the
+    /// number of commits.
+    #[test]
+    fn crawl_state_stays_one_page_across_commits() {
+        let (graph, session) = setup_with(CrawlConfig {
+            max_fetches: 120,
+            durability: Durability::Wal { group_commit: 8 },
+            ..CrawlConfig::default()
+        });
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 10);
+        session.seed(&seeds).unwrap();
+        session.run().unwrap();
+        for _ in 0..500 {
+            session.commit_state(&mut session.store.write()).unwrap();
+        }
+        session.with_db(|db| {
+            let (_, catalog) = db.parts();
+            let heap = &catalog.table(catalog.table_id("crawl_state").unwrap()).heap;
+            assert_eq!((heap.len(), heap.num_pages()), (1, 1));
+        });
+        let row = session
+            .sql("select attempts, budget from crawl_state")
+            .unwrap();
+        let attempts = session.stats().attempts as i64;
+        assert_eq!(row.rows[0][..2], [Value::Int(attempts), Value::Int(120)]);
+    }
+
     #[test]
     fn focused_beats_unfocused() {
         let run = |policy| {
@@ -798,7 +828,7 @@ mod tests {
             session.run().unwrap();
             // Harvest of the *tail* (after the start set's immediate
             // neighborhood is exhausted).
-            let landings = session.landings();
+            let landings = session.landings().unwrap();
             let tail: Vec<f64> = (landings.iter().skip(landings.len() / 2))
                 .map(|l| l.relevance)
                 .collect();
@@ -875,7 +905,7 @@ mod tests {
             );
             session.seed(&seeds).unwrap();
             session.run().unwrap();
-            session.landings()
+            session.landings().unwrap()
         };
         assert_eq!(run_once(), run_once());
     }
@@ -1250,7 +1280,7 @@ mod tests {
             ckpt.frontier_len() > 0,
             "budget-bounded crawl leaves a frontier"
         );
-        let (checkpointed, landed) = (session.stats(), session.landings());
+        let (checkpointed, landed) = (session.stats(), session.landings().unwrap());
         assert_eq!(checkpointed.attempts, 80);
 
         // Resume in a brand-new session against the same web.
@@ -1334,7 +1364,7 @@ mod tests {
         // The harvest series is continuous: early entries are the
         // checkpointed ones.
         assert_eq!(
-            restored.landings()[..landed.len()],
+            restored.landings().unwrap()[..landed.len()],
             landed[..],
             "restored harvest prefix diverged"
         );
@@ -2201,7 +2231,7 @@ mod tests {
             live = (
                 session.links(),
                 session.store.read().server_counts.clone(),
-                (session.landings(), session.relevance_map()),
+                (session.landings().unwrap(), session.relevance_map()),
             );
             session.checkpoint().unwrap()
         }; // the file-backed session is gone; its files and `ckpt` remain
@@ -2242,7 +2272,14 @@ mod tests {
                 c.budget.load(Ordering::Acquire),
                 c.clock.load(Ordering::Acquire),
             );
-            (counters, series, budget, s.policy(), clock, s.landings())
+            (
+                counters,
+                series,
+                budget,
+                s.policy(),
+                clock,
+                s.landings().unwrap(),
+            )
         };
         let (a, b) = (state(&restored), state(&recovered));
         assert_eq!(a, b, "restored vs recovered");

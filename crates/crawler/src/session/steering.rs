@@ -21,7 +21,9 @@ impl CrawlSession {
         let mut forced = 0;
         self.control
             .drain(|cmd| forced += usize::from(self.apply_command(cmd, sink)));
-        if let Err(e) = (0..forced).try_for_each(|_| self.distill_pass(true, Some(sink), None)) {
+        if let Err(e) = (0..forced)
+            .try_for_each(|_| self.distill_pass(true, Some(sink), &mut Metrics::new(1).clock(0)))
+        {
             self.record_error(e);
         }
     }
@@ -132,22 +134,18 @@ impl CrawlSession {
         // its deepest evaluated ancestor's probability — an upper bound,
         // which is the right bias for discovery: over-approximating
         // sends the crawler to look.
-        let landed = g.db.query("select seq, oid, posterior from landing")?;
-        let mut latest: FxHashMap<i64, (i64, &str)> = FxHashMap::default();
+        let landed =
+            g.db.query("select oid, posterior from landing order by seq")?;
+        let mut latest: FxHashMap<i64, &str> = FxHashMap::default();
         for row in &landed.rows {
-            let col = |i, what| frontier::col_i64(row, i, what);
-            let (seq, oid) = (col(0, "landing.seq")?, col(1, "landing.oid")?);
-            let posterior = frontier::col_str(row, 2, "landing.posterior")?;
-            let slot = latest.entry(oid).or_insert((seq, posterior));
-            if seq > slot.0 {
-                *slot = (seq, posterior);
-            }
+            let oid = frontier::col_i64(row, 0, "landing.oid")?;
+            latest.insert(oid, frontier::col_str(row, 1, "landing.posterior")?);
         }
         // The graph keeps exp of what `CRAWL` stores, log R: one keyed
         // batch rewrite for the table, not an index descent per visited
         // page under this lock.
         let mut recomputed = Vec::with_capacity(latest.len());
-        for (oid, (_, posterior)) in latest {
+        for (oid, posterior) in latest {
             let probs = tables::decode_posterior(posterior)?;
             let r: f64 = (goods.iter())
                 .map(|&gc| lookup_prob(taxonomy, &probs, gc))

@@ -21,8 +21,8 @@
 //! Every piece of crawl state is a table: the pages (`CRAWL`), links
 //! (`LINK`), landings and their saved posteriors (`LANDING`), the
 //! marking (`TAXONOMY.type`), and the counters, budget, policy and tick
-//! clock (`CRAWL_STATE`, written by [`CrawlSession::save_state`] at every
-//! durable commit and checkpoint). What stays in memory is a cache of
+//! clock (`CRAWL_STATE`, written by [`CrawlSession::commit_state`] at
+//! every commit and checkpoint). What stays in memory is a cache of
 //! them, and why: the link graph (the distiller's input, snapshotted by
 //! memcpy, holding `exp(CRAWL.relevance)`); the counters (atomics, read
 //! without a lock); and `server_counts`, a tally only the loader
@@ -54,6 +54,9 @@ pub(super) struct StoreState {
     /// the answer to "has this page been fetched?".
     pub(super) graph: LinkGraph,
     pub(super) server_counts: FxHashMap<ServerId, i64>,
+    /// `LANDING`'s table id, resolved once at load: every success
+    /// appends a row under the store guard.
+    pub(super) landing_tid: TableId,
     /// Live link-expansion policy (`CRAWL_STATE.policy` at load).
     pub(super) policy: CrawlPolicy,
     pub(super) distill: DistillGate,
@@ -137,35 +140,41 @@ pub(super) fn landed(db: &Database) -> DbResult<(u64, f64)> {
     Ok((rs.rows.len() as u64, sum))
 }
 
-/// The `CRAWL_STATE` row: the counters, budget, tick clock and live
-/// policy as of the last durable commit or checkpoint.
-pub(super) struct CrawlState {
-    /// `successes` and `harvest_sum` are [`landed`]'s, not the row's.
-    pub(super) stats: CrawlStats,
-    pub(super) budget: u64,
-    pub(super) clock: u64,
-    pub(super) policy: CrawlPolicy,
+/// The `CRAWL_STATE` row: the counters [`landed`] does not derive, the
+/// budget, the tick clock and the live policy, as of the last commit
+/// or checkpoint.
+struct CrawlState {
+    attempts: u64,
+    failures: u64,
+    distillations: u64,
+    deferred_landings: u64,
+    budget: u64,
+    clock: u64,
+    policy: CrawlPolicy,
 }
 
 impl CrawlState {
-    /// Replace the one row with this state.
-    pub(super) fn write(&self, db: &mut Database) -> DbResult<()> {
-        let (s, int) = (&self.stats, |v: u64| Value::Int(v as i64));
-        let row = vec![
-            int(s.attempts),
-            int(s.failures),
-            int(s.distillations),
-            int(s.deferred_landings),
+    /// Overwrite the one row with this state. The row has a fixed size
+    /// (six ints and a nine-letter policy name), so the update rewrites
+    /// its record in place: the table stays one page however often it
+    /// is written.
+    fn write(&self, db: &mut Database) -> DbResult<()> {
+        let int = |v: u64| Value::Int(v as i64);
+        let row = [
+            int(self.attempts),
+            int(self.failures),
+            int(self.distillations),
+            int(self.deferred_landings),
             int(self.budget),
             int(self.clock),
             Value::Str(self.policy.name().to_owned()),
         ];
-        db.execute("delete from crawl_state")?;
-        let tid = db.table_id("crawl_state")?;
-        db.insert(tid, row)
+        let sql = "update crawl_state set attempts = ?, failures = ?, distillations = ?, \
+                   deferred = ?, budget = ?, clock = ?, policy = ?";
+        db.execute_with(sql, &row).map(drop)
     }
 
-    /// Read the row back, with [`landed`]'s two counts.
+    /// Read the row back.
     fn read(db: &Database) -> DbResult<CrawlState> {
         let rs = db.query("select * from crawl_state")?;
         let [row] = rs.rows.as_slice() else {
@@ -176,22 +185,28 @@ impl CrawlState {
         let name = frontier::col_str(row, 6, "crawl_state.policy")?;
         let policy = CrawlPolicy::from_name(name)
             .ok_or_else(|| DbError::Eval(format!("crawl_state: unknown policy {name:?}")))?;
-        let (successes, harvest_sum) = landed(db)?;
-        let stats = CrawlStats {
+        Ok(CrawlState {
             attempts: int(0)?,
-            successes,
             failures: int(1)?,
-            harvest_sum,
             distillations: int(2)?,
             deferred_landings: int(3)?,
-            ..CrawlStats::default()
-        };
-        let (budget, clock) = (int(4)?, int(5)?);
-        Ok(CrawlState {
-            stats,
-            budget,
-            clock,
+            budget: int(4)?,
+            clock: int(5)?,
             policy,
+        })
+    }
+
+    /// The tallies this row and `LANDING` ([`landed`]) hold.
+    fn tallies(&self, db: &Database) -> DbResult<CrawlStats> {
+        let (successes, harvest_sum) = landed(db)?;
+        Ok(CrawlStats {
+            attempts: self.attempts,
+            successes,
+            failures: self.failures,
+            harvest_sum,
+            distillations: self.distillations,
+            deferred_landings: self.deferred_landings,
+            ..CrawlStats::default()
         })
     }
 }
@@ -200,8 +215,7 @@ impl StoreState {
     /// The one place in-memory state is derived from tables: `new` (over
     /// empty ones), `restore` (over an adopted copy of a store) and
     /// `recover` (over a reopened file) all come through here, so they
-    /// cannot disagree. Also returns the counters `CRAWL_STATE` and
-    /// `LANDING` hold.
+    /// cannot disagree. Also returns the `CRAWL_STATE` row.
     ///
     /// * Claims in flight when the tables were last written never
     ///   landed: they are demoted back to the frontier, poppable again.
@@ -215,6 +229,7 @@ impl StoreState {
         let state = CrawlState::read(&db)?;
         let health = fresh_health(&mut db, cfg)?;
         let store = StoreState {
+            landing_tid: db.table_id("landing")?,
             db,
             graph,
             server_counts,
@@ -345,7 +360,10 @@ impl CrawlSession {
             db.execute("create table auth (oid int, score float)")?;
             db.execute("create index auth_oid on auth (oid)")?;
             let state = CrawlState {
-                stats: CrawlStats::default(),
+                attempts: 0,
+                failures: 0,
+                distillations: 0,
+                deferred_landings: 0,
                 budget: cfg.max_fetches,
                 clock: 0,
                 policy: cfg.policy,
@@ -361,6 +379,7 @@ impl CrawlSession {
             adopt_stored_marking(&db, &mut model.taxonomy)?;
         }
         let (mut store, state) = StoreState::load(db, &cfg)?;
+        let tallies = state.tallies(&store.db)?;
         // From here on the store holds a crawl that can be resumed (and
         // `new` on the same path will refuse to re-initialize it). What
         // recovery itself changed — the demotions — is synced before the
@@ -371,20 +390,21 @@ impl CrawlSession {
         } else if store.db.wal().is_some() {
             store.db.commit()?;
         }
-        let session = Self::assemble(fetcher, model, cfg, store, state, shard);
+        let session = Self::assemble(fetcher, model, cfg, store, state, tallies, shard);
         debug_check(|| session.check_invariants());
         Ok(session)
     }
 
     /// The one place a [`CrawlSession`] value is put together: counters
-    /// from the loaded `state`, and the classifier compiled from
-    /// `model`'s current marking.
+    /// from the loaded `state` and its `tallies`, and the classifier
+    /// compiled from `model`'s current marking.
     fn assemble(
         fetcher: Arc<dyn Fetcher>,
         model: TrainedModel,
         cfg: CrawlConfig,
         store: StoreState,
         state: CrawlState,
+        tallies: CrawlStats,
         shard: ShardCtx,
     ) -> CrawlSession {
         let compiled = Arc::new(CompiledModel::compile(&model));
@@ -394,12 +414,12 @@ impl CrawlSession {
             compiled: OrderedRwLock::new(rank::COMPILED, compiled),
             store: OrderedRwLock::new(rank::STORE, store),
             counters: CounterState {
-                attempts: AtomicU64::new(state.stats.attempts),
+                attempts: AtomicU64::new(state.attempts),
                 budget: AtomicU64::new(state.budget),
                 in_flight: AtomicUsize::new(0),
                 clock: AtomicU64::new(state.clock),
                 retry_budget: AtomicU64::new(cfg.retry_budget),
-                tallies: OrderedMutex::new(rank::TALLIES, state.stats),
+                tallies: OrderedMutex::new(rank::TALLIES, tallies),
                 metrics: Metrics::new(cfg.threads),
             },
             cfg,
@@ -423,36 +443,36 @@ impl CrawlSession {
     pub fn replica(&self) -> DbResult<minirel::Replica> {
         let mut g = self.store.write();
         // Spawning commits: with the state row, like every commit.
-        self.save_state(&mut g)?;
+        self.commit_state(&mut g)?;
         minirel::Replica::spawn(&mut g.db)
     }
 
     /// The one writer of `CRAWL_STATE`: the counters, budget, clock and
-    /// live policy as they stand. The caller holds the store write guard
-    /// `g`, under which the counters this reads only move (claims,
-    /// landings, failures and passes all count under it), so the row
-    /// agrees with every other table in the commit or copy it rides in.
-    pub(super) fn save_state(&self, g: &mut StoreState) -> DbResult<()> {
-        let c = &self.counters;
-        let state = CrawlState {
-            stats: self.stats(),
-            budget: c.budget.load(Ordering::Acquire),
-            clock: c.clock.load(Ordering::Acquire),
-            policy: g.policy,
-        };
-        state.write(&mut g.db)
-    }
-
-    /// Commit the store's dirty pages, `CRAWL_STATE` brought up to date
-    /// first, to the WAL (group-commit cadence) when this session is
-    /// durable; a no-op otherwise. The caller holds the store write
-    /// guard `g`.
+    /// live policy as they stand, then — when this session is durable —
+    /// a commit of the store's dirty pages to the WAL (group-commit
+    /// cadence). The caller holds the store write guard `g`, under which
+    /// the counters this reads only move (claims, landings, failures and
+    /// passes all count under it), so the row agrees with every other
+    /// table in the commit or copy it rides in.
     pub(super) fn commit_state(&self, g: &mut StoreState) -> DbResult<()> {
-        if g.db.wal().is_none() {
-            return Ok(());
+        let c = &self.counters;
+        let state = {
+            let t = c.tallies.lock();
+            CrawlState {
+                attempts: c.attempts.load(Ordering::Acquire),
+                failures: t.failures,
+                distillations: t.distillations,
+                deferred_landings: t.deferred_landings,
+                budget: c.budget.load(Ordering::Acquire),
+                clock: c.clock.load(Ordering::Acquire),
+                policy: g.policy,
+            }
+        };
+        state.write(&mut g.db)?;
+        if g.db.wal().is_some() {
+            g.db.commit()?;
         }
-        self.save_state(g)?;
-        g.db.commit().map(drop)
+        Ok(())
     }
 
     /// Final wind-down commit: everything the run wrote becomes durable
@@ -473,13 +493,14 @@ impl CrawlSession {
     }
 
     /// Capture everything needed to resume this crawl in a fresh session:
-    /// a copy of the store, `CRAWL_STATE` brought up to date first —
-    /// every table, claims in flight included ([`CrawlSession::restore`]
-    /// demotes them as `recover` does). Takes the store write guard for
-    /// that one row; the copy itself is page reads.
+    /// a copy of the store, `CRAWL_STATE` brought up to date (and, on a
+    /// durable session, committed) first — every table, claims in
+    /// flight included ([`CrawlSession::restore`] demotes them as
+    /// `recover` does). Takes the store write guard for that one row;
+    /// the copy itself is page reads.
     pub fn checkpoint(&self) -> DbResult<CrawlCheckpoint> {
         let mut g = self.store.write();
-        self.save_state(&mut g)?;
+        self.commit_state(&mut g)?;
         let store = g.db.take_snapshot()?;
         let count = |sql: &str| {
             g.db.query(sql)

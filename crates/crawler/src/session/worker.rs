@@ -307,7 +307,11 @@ impl CrawlSession {
     /// first would let a peer (or a peer shard) reach an idle verdict
     /// with work still to come. Then the lock is re-taken for the rest.
     fn land_buffered(&self, lane: &mut Lane, block: bool, sink: &EventSink) -> bool {
-        let stage = Stage::landing(block);
+        let stage = if block {
+            Stage::LandBlocking
+        } else {
+            Stage::LandTry
+        };
         let mut failed = false;
         while !lane.unlanded.is_empty() {
             let mut landed = if block {
@@ -326,7 +330,7 @@ impl CrawlSession {
             };
             lane.clock.lap(stage);
             if let Ok(true) = landed {
-                let pass = self.distill_pass(false, Some(sink), Some(&mut lane.clock));
+                let pass = self.distill_pass(false, Some(sink), &mut lane.clock);
                 lane.clock.lap(Stage::DistillGuard2);
                 landed = pass.map(|()| false);
                 self.release_in_flight(1);

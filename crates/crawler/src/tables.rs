@@ -105,7 +105,8 @@ pub fn create_tables(db: &mut Database) -> DbResult<()> {
     Ok(())
 }
 
-/// Create `LANDING` and the (empty) `CRAWL_STATE`.
+/// Create `LANDING` and `CRAWL_STATE`, the latter with its one row,
+/// zeroed (every later write updates that row in place).
 pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
     db.execute(
         "create table landing (seq int, attempt int, oid int, relevance float, posterior text)",
@@ -114,6 +115,7 @@ pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
         "create table crawl_state (attempts int, failures int, distillations int, \
          deferred int, budget int, clock int, policy text)",
     )?;
+    db.execute("insert into crawl_state values (0, 0, 0, 0, 0, 0, 'Unfocused')")?;
     Ok(())
 }
 

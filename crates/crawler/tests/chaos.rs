@@ -270,7 +270,7 @@ fn harvest_recovers_after_outage_heals() {
         ..chaos_cfg(budget)
     };
     let tail_mean = |session: &CrawlSession| {
-        let landings = session.landings();
+        let landings = session.landings().unwrap();
         let tail: Vec<f64> = (landings.iter())
             .filter(|l| l.attempt > 2 * budget / 3)
             .map(|l| l.relevance)
@@ -591,7 +591,7 @@ fn a_revisit_waits_out_the_breaker_and_is_its_probe() {
         ),
         "the probe is the revisit, and it closes the breaker: {on_sid:?}"
     );
-    let landings = session.landings();
+    let landings = session.landings().unwrap();
     let revisits = landings.iter().filter(|l| l.oid == hub);
     assert_eq!(revisits.count(), 2, "a revisit is a second completion");
     let health = session
@@ -647,7 +647,7 @@ fn crawl_evolve_revisit_crawl() -> u64 {
 
     assert!(stats.attempts <= 230, "{stats:?}");
     assert_eq!(stats.attempts, stats.successes + stats.failures);
-    let landings = session.landings();
+    let landings = session.landings().unwrap();
     let revisited = (landings.iter().enumerate())
         .filter(|(i, l)| landings[..*i].iter().any(|p| p.oid == l.oid))
         .count();

@@ -224,7 +224,7 @@ fn mark_topic_broadcast_resteers_every_shard() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let visited_before_mark: Vec<Vec<Oid>> = (cluster.shards().iter())
-        .map(|s| s.landings().iter().map(|l| l.oid).collect())
+        .map(|s| s.landings().unwrap().iter().map(|l| l.oid).collect())
         .collect();
     run.mark_topic(gardening, true);
     // Every shard recompiles and Arc-swaps at its next page boundary.
@@ -448,8 +448,8 @@ fn a_one_shard_run_reports_its_sessions_harvest_series() {
         .unwrap();
     let stats = cluster.run().unwrap();
     assert!(stats.failures > 0, "no failure: both numberings agree");
-    let landings = merge_landings(cluster.shards().iter().map(|s| s.landings()));
-    assert_eq!(landings, cluster.shards()[0].landings());
+    let landings = merge_landings(cluster.shards().iter().map(|s| s.landings().unwrap()));
+    assert_eq!(landings, cluster.shards()[0].landings().unwrap());
     assert_eq!(landings.last().unwrap().attempt, 300);
 }
 

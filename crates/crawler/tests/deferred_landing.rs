@@ -203,7 +203,7 @@ fn outcome(session: &CrawlSession, stats: &CrawlStats, rec: &Recorder) -> Outcom
     let debug = |v: &dyn std::fmt::Debug| format!("{v:?}");
     Outcome {
         events: rec.events().iter().map(|e| debug(e)).collect(),
-        landings: session.landings(),
+        landings: session.landings().unwrap(),
         failures: stats.failures,
         distillations: stats.distillations,
         visited: session.visited().iter().map(|r| debug(r)).collect(),
@@ -371,7 +371,7 @@ fn steer_with_pages_buffered(steer: Steer) {
     }
     let visited: BTreeSet<Oid> = session.visited().iter().map(|v| v.0).collect();
     assert_eq!(visited.len() as u64, stats.successes);
-    for landing in session.landings() {
+    for landing in session.landings().unwrap() {
         let oid = landing.oid;
         assert!(visited.contains(&oid), "{oid:?} landed nowhere");
     }

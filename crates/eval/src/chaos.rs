@@ -153,7 +153,7 @@ fn measure(
         successes: stats.successes,
         failures: stats.failures,
         harvest: stats.mean_harvest(),
-        tail_harvest: tail_mean(&session.landings(), budget),
+        tail_harvest: tail_mean(&session.landings().expect("landings"), budget),
         quarantines: counter.quarantines.load(Ordering::Relaxed),
         recoveries: counter.recoveries.load(Ordering::Relaxed),
     }

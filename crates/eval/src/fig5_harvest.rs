@@ -76,7 +76,7 @@ pub fn run_crawl_with_session(
     session.run().expect("crawl");
     let series = Series::new(
         format!("{policy:?}"),
-        (session.landings().iter()).map(|l| (l.attempt as f64, l.relevance)),
+        (session.landings().expect("landings").iter()).map(|l| (l.attempt as f64, l.relevance)),
     );
     (series, session)
 }

@@ -42,7 +42,7 @@ fn crawl(world: &World, seeds: &[Oid], budget: u64) -> Vec<Landing> {
     );
     session.seed(seeds).expect("seed");
     session.run().expect("crawl");
-    session.landings()
+    session.landings().expect("landings")
 }
 
 /// Run the coverage experiment. Relevance cut: the paper's

@@ -58,7 +58,7 @@ fn mid_crawl_resteering_reaches_newly_marked_topic() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let at_pause = run.stats();
-    let landed_before = run.landings();
+    let landed_before = run.landings().unwrap();
     let fetched_before = landed_before.len();
     // Under good = {cycling}, no running-topic page can classify as
     // confidently relevant.
@@ -82,7 +82,7 @@ fn mid_crawl_resteering_reaches_newly_marked_topic() {
 
     // The harvest series after the resume point contains pages of the
     // newly-marked topic, classified as relevant under the new marking.
-    let confident_running_after = system.session().landings()[fetched_before..]
+    let confident_running_after = system.session().landings().unwrap()[fetched_before..]
         .iter()
         .filter(running_and_relevant)
         .count();

@@ -67,7 +67,7 @@ fn maintenance_discovers_new_resources_after_evolution() {
         stats2.successes > stats1.successes,
         "no new fetches after maintenance"
     );
-    let revisited = session.landings()[stats1.successes as usize..]
+    let revisited = session.landings().unwrap()[stats1.successes as usize..]
         .iter()
         .filter(|l| visited_before.contains(&l.oid))
         .count();
