@@ -154,26 +154,6 @@ struct CrawlState {
 }
 
 impl CrawlState {
-    /// Overwrite the one row with this state. The row has a fixed size
-    /// (six ints and a nine-letter policy name), so the update rewrites
-    /// its record in place: the table stays one page however often it
-    /// is written.
-    fn write(&self, db: &mut Database) -> DbResult<()> {
-        let int = |v: u64| Value::Int(v as i64);
-        let row = [
-            int(self.attempts),
-            int(self.failures),
-            int(self.distillations),
-            int(self.deferred_landings),
-            int(self.budget),
-            int(self.clock),
-            Value::Str(self.policy.name().to_owned()),
-        ];
-        let sql = "update crawl_state set attempts = ?, failures = ?, distillations = ?, \
-                   deferred = ?, budget = ?, clock = ?, policy = ?";
-        db.execute_with(sql, &row).map(drop)
-    }
-
     /// Read the row back.
     fn read(db: &Database) -> DbResult<CrawlState> {
         let rs = db.query("select * from crawl_state")?;
@@ -353,22 +333,12 @@ impl CrawlSession {
         };
         if let Origin::Fresh = origin {
             tables::create_tables(&mut db)?;
-            tables::create_state_tables(&mut db)?;
+            tables::create_state_tables(&mut db, cfg.max_fetches, cfg.policy)?;
             tables::create_taxonomy_dim(&mut db, &model.taxonomy)?;
             db.execute("create table hubs (oid int, score float)")?;
             db.execute("create index hubs_oid on hubs (oid)")?;
             db.execute("create table auth (oid int, score float)")?;
             db.execute("create index auth_oid on auth (oid)")?;
-            let state = CrawlState {
-                attempts: 0,
-                failures: 0,
-                distillations: 0,
-                deferred_landings: 0,
-                budget: cfg.max_fetches,
-                clock: 0,
-                policy: cfg.policy,
-            };
-            state.write(&mut db)?;
         } else {
             // A checkpoint is a copy of a store: adopted, it is a file.
             if let Origin::Checkpoint(ckpt) = origin {
@@ -453,22 +423,29 @@ impl CrawlSession {
     /// cadence). The caller holds the store write guard `g`, under which
     /// the counters this reads only move (claims, landings, failures and
     /// passes all count under it), so the row agrees with every other
-    /// table in the commit or copy it rides in.
+    /// table in the commit or copy it rides in. The row has a fixed size
+    /// (six ints and a nine-letter policy name), so the update rewrites
+    /// its record in place: the table stays one page however often it
+    /// is written.
     pub(super) fn commit_state(&self, g: &mut StoreState) -> DbResult<()> {
         let c = &self.counters;
-        let state = {
+        let load = |a: &AtomicU64| Value::Int(a.load(Ordering::Acquire) as i64);
+        let int = |v: u64| Value::Int(v as i64);
+        let row = {
             let t = c.tallies.lock();
-            CrawlState {
-                attempts: c.attempts.load(Ordering::Acquire),
-                failures: t.failures,
-                distillations: t.distillations,
-                deferred_landings: t.deferred_landings,
-                budget: c.budget.load(Ordering::Acquire),
-                clock: c.clock.load(Ordering::Acquire),
-                policy: g.policy,
-            }
+            [
+                load(&c.attempts),
+                int(t.failures),
+                int(t.distillations),
+                int(t.deferred_landings),
+                load(&c.budget),
+                load(&c.clock),
+                Value::Str(g.policy.name().to_owned()),
+            ]
         };
-        state.write(&mut g.db)?;
+        let sql = "update crawl_state set attempts = ?, failures = ?, distillations = ?, \
+                   deferred = ?, budget = ?, clock = ?, policy = ?";
+        g.db.execute_with(sql, &row)?;
         if g.db.wal().is_some() {
             g.db.commit()?;
         }

@@ -37,6 +37,7 @@
 //! one row: the counters, the fetch budget, the live policy and the tick
 //! clock, written at every durable commit and checkpoint.
 
+use crate::policy::CrawlPolicy;
 use focus_types::hash::fx64;
 use focus_types::{ClassId, Oid, ServerId};
 use minirel::{Database, DbError, DbResult, Value};
@@ -105,9 +106,10 @@ pub fn create_tables(db: &mut Database) -> DbResult<()> {
     Ok(())
 }
 
-/// Create `LANDING` and `CRAWL_STATE`, the latter with its one row,
-/// zeroed (every later write updates that row in place).
-pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
+/// Create `LANDING` and `CRAWL_STATE`, the latter with its one row: a
+/// fresh crawl's, with `budget` and `policy` (every later write updates
+/// that row in place).
+pub fn create_state_tables(db: &mut Database, budget: u64, policy: CrawlPolicy) -> DbResult<()> {
     db.execute(
         "create table landing (seq int, attempt int, oid int, relevance float, posterior text)",
     )?;
@@ -115,7 +117,8 @@ pub fn create_state_tables(db: &mut Database) -> DbResult<()> {
         "create table crawl_state (attempts int, failures int, distillations int, \
          deferred int, budget int, clock int, policy text)",
     )?;
-    db.execute("insert into crawl_state values (0, 0, 0, 0, 0, 0, 'Unfocused')")?;
+    let row = [Value::Int(budget as i64), Value::Str(policy.name().into())];
+    db.execute_with("insert into crawl_state values (0, 0, 0, 0, ?, 0, ?)", &row)?;
     Ok(())
 }
 

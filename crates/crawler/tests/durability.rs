@@ -910,7 +910,7 @@ fn wal_stats_of_a_seeded_file_backed_crawl_are_pinned() {
     assert_eq!(stats.successes, 871);
     // ≈36.8 reads a landed page, ≈8.8 of them misses; `LANDING` and
     // `CRAWL_STATE` share the 24 frames with the rest.
-    assert_eq!((io.logical_reads, io.physical_reads), (32_019, 7_696));
+    assert_eq!((io.logical_reads, io.physical_reads), (32_017, 7_696));
     assert_eq!((wal.images, wal.deltas), (711, 4962));
     // Every page the log was handed, at a commit or an eviction, is one
     // physical write of the pool.
