@@ -186,9 +186,11 @@ pub enum Durability {
     /// unavailable; nothing survives the process.
     #[default]
     None,
-    /// In-memory pages with an in-memory WAL: commit points and
-    /// [`CrawlSession::replica`] work, nothing survives the process.
-    /// For tests and WAL-overhead measurement.
+    /// [`Durability::File`]'s database over a fresh memory file system
+    /// ([`minirel::Database::in_memory_durable`]): the same open,
+    /// recovery, rotation and syncer, so commit points and
+    /// [`CrawlSession::replica`] work, and nothing survives the
+    /// process. For tests and the live-steering example.
     Wal {
         /// Commits per forced sync ([`minirel::DEFAULT_GROUP_COMMIT`]
         /// is the production default; 1 syncs every commit).

@@ -19,6 +19,7 @@
 //!     -> replica_db -> plan_cache             (minirel db/recovery)
 //!       -> buffer_shard -> disk -> wal        (minirel storage; one shard at a time)
 //!         -> wal_synced                       (minirel wal's durable watermark)
+//!         -> mem_fs                           (minirel storage.rs memory files; a leaf)
 //!         -> replica_err
 //!     -> tallies -> diag                      (crawler counters; leaves of the session)
 //! evolve_graph -> sim_attempts -> sim_reverse (webgraph simulation)
@@ -109,6 +110,11 @@ ranks! {
     /// acknowledgements wait on its condvar with nothing else of the log
     /// held.
     WAL_SYNCED = 445, "minirel.wal_synced";
+    /// `minirel/storage.rs` `MemFs.files` and a memory file's bytes: a
+    /// leaf, taken under the disk or WAL latch for one read or write
+    /// and never held across another lock. The namespace and a file are
+    /// never held together; a memory file's sync takes nothing.
+    MEM_FS = 447, "minirel.mem_fs";
     /// `minirel/recovery.rs` `ReplicaShared.error`: replica failure slot.
     REPLICA_ERR = 450, "minirel.replica_err";
     /// `crawler/session/` `counters.tallies`: crawl statistics; nests

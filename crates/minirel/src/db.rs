@@ -39,12 +39,12 @@ use crate::recovery;
 use crate::schema::Schema;
 use crate::sql::lower::{execute_plan, execute_write, prepare_plan, ExecPlan};
 use crate::sql::{parse_statement, Statement};
+use crate::storage::{Fs, MemFs, OsFs};
 use crate::value::{Row, Value};
 use crate::wal::{PageDelta, Wal};
 use lockcheck::{rank, OrderedRwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -197,51 +197,63 @@ impl Database {
         }
     }
 
-    /// In-memory database with a write-ahead log (also in memory):
-    /// durable *semantics* — commit points, replication stream, group
-    /// commit — without files. What the crawler uses when it wants a
-    /// replica but not crash persistence, and what the WAL-overhead
-    /// bench compares against [`Database::in_memory_with_frames`].
+    /// [`Database::open`] over a fresh [`MemFs`]: durable *semantics* —
+    /// commit points, replication stream, group commit, the same open
+    /// and rotation as a file — with nothing surviving the process.
+    /// What the crawler uses when it wants a replica but not crash
+    /// persistence.
     pub fn in_memory_durable(frames: usize, group_commit: usize) -> Database {
-        let mut pool = BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru);
-        pool.attach_wal(Arc::new(Wal::in_memory(group_commit)));
-        Self::from_parts(pool, Catalog::new())
+        let fs = MemFs::default();
+        Self::open(&fs, Path::new("memory.db"), frames, group_commit).expect("a fresh MemFs opens")
     }
 
-    /// Open (or create) a durable database at `path`, with its WAL at
-    /// `path + ".wal"` and `group_commit` commits per fsync (1 = every
-    /// commit is durable immediately). An existing pair is
+    /// [`Database::open`] over the operating system's files ([`OsFs`]).
+    pub fn open_with(path: &Path, frames: usize, group_commit: usize) -> DbResult<Database> {
+        Self::open(&OsFs, path, frames, group_commit)
+    }
+
+    /// Open (or create) a durable database at `path` in `fs`, with its
+    /// WAL at `path + ".wal"` and `group_commit` commits per sync (1 =
+    /// every commit is durable immediately). An existing pair is
     /// **recovered**: the log's valid prefix is replayed into the data
     /// file up to the last commit (redo-on-open; a torn tail is
     /// truncated by checksum), the catalog comes from that commit, and
-    /// the log is rotated — the fresh log is written beside the old one
-    /// and atomically renamed over it, so a crash mid-rotation still
-    /// leaves one valid log.
+    /// the log is rotated — the fresh log is written and synced beside
+    /// the old one and renamed over it, so a crash mid-rotation still
+    /// leaves one valid log. The directory is synced before `open`
+    /// returns, so the rename, and a data file or log this open
+    /// created, survive a power cut.
     ///
     /// A data file with no WAL beside it is refused as corrupt rather
     /// than silently wiped or trusted: without a log there is no way to
     /// know what state the file is in (and no catalog to read it with).
-    pub fn open_with(path: &Path, frames: usize, group_commit: usize) -> DbResult<Database> {
+    pub fn open(
+        fs: &dyn Fs,
+        path: &Path,
+        frames: usize,
+        group_commit: usize,
+    ) -> DbResult<Database> {
         let wal_path = wal_path_for(path);
-        if path.exists() && !wal_path.exists() {
+        let logged = fs.exists(&wal_path);
+        if fs.exists(path) && !logged {
             return Err(DbError::Corrupt(format!(
                 "data file {} exists without its wal {} — cannot establish a committed state",
                 path.display(),
                 wal_path.display()
             )));
         }
-        let mut disk = DiskManager::at_path(path)?;
-        let (catalog, next_lsn) = if wal_path.exists() {
-            let log = File::open(&wal_path).map_err(|e| DbError::io("open", &wal_path, e))?;
-            match recovery::replay_into(&mut disk, log)? {
-                Some(rec) => {
-                    disk.sync_all()?;
-                    (rec.catalog, rec.last_lsn + 1)
-                }
-                None => (Catalog::new(), 1),
-            }
+        let mut disk = DiskManager::open(fs, path)?;
+        let recovered = if logged {
+            recovery::replay_into(&mut disk, &*fs.open(&wal_path)?)?
         } else {
-            (Catalog::new(), 1)
+            None
+        };
+        let (catalog, next_lsn) = match recovered {
+            Some(rec) => {
+                disk.sync_all()?;
+                (rec.catalog, rec.last_lsn + 1)
+            }
+            None => (Catalog::new(), 1),
         };
         // Rotate: fresh log seeded with one commit carrying the
         // recovered catalog, written at a temp path then renamed.
@@ -250,10 +262,12 @@ impl Database {
             os.push(".tmp");
             PathBuf::from(os)
         };
-        let wal = Wal::create_file(&tmp, group_commit, next_lsn)?;
+        let wal = Wal::create(fs, &tmp, group_commit, next_lsn)?;
         wal.commit(&recovery::encode_catalog(&catalog), disk.num_pages())?;
         wal.sync()?;
-        wal.rename_to(&wal_path)?;
+        fs.rename(&tmp, &wal_path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fs.sync_dir(dir.unwrap_or(Path::new(".")))?;
         let mut pool = BufferPool::new(disk, frames, EvictionPolicy::Lru);
         pool.attach_wal(Arc::new(wal));
         Ok(Self::from_parts(pool, catalog))
@@ -295,8 +309,7 @@ impl Database {
     /// log is carrying into the data file and mark the log with a
     /// checkpoint record. Rides the page images already logged by the
     /// ordinary flush path — nothing is re-serialized from the catalog
-    /// up. Afterwards pool misses read the data file again and an
-    /// in-memory log drops its retained bytes.
+    /// up. Afterwards pool misses read the data file again.
     pub fn checkpoint(&mut self) -> DbResult<()> {
         let wal = self
             .pool

@@ -24,11 +24,17 @@
 //!   free from DB2, reproduced so a days-long crawl survives a crash and
 //!   monitors can read a follower instead of the authoritative store.
 //!
-//! Durability is opt-in per database ([`Database::open_with`] /
-//! [`Database::in_memory_durable`]); the plain in-memory constructors
-//! stay crash-simple for the access-path experiments. All page traffic
-//! flows through the buffer pool so that physical-read counters are
-//! meaningful and machine-independent.
+//! Durability is opt-in per database, and there is one durable open:
+//! [`Database::open`] recovers, rotates the log and syncs the directory
+//! over any [`Fs`] — [`Database::open_with`] is that open over the
+//! operating system's files ([`OsFs`]), [`Database::in_memory_durable`]
+//! over a fresh [`MemFs`]. The page file ([`disk`]), the log ([`wal`])
+//! and recovery are written once against the [`Storage`] trait
+//! ([`storage`]), so memory and disk differ only in the files beneath
+//! them. The plain in-memory constructors (no log) stay crash-simple
+//! for the access-path experiments. All page traffic flows through the
+//! buffer pool so that physical-read counters are meaningful and
+//! machine-independent.
 //!
 //! ## Quick start
 //!
@@ -56,6 +62,7 @@ pub mod page;
 pub mod recovery;
 pub mod schema;
 pub mod sql;
+pub mod storage;
 pub mod value;
 pub mod wal;
 
@@ -67,5 +74,6 @@ pub use heap::Rid;
 pub use recovery::Replica;
 pub use schema::{Column, ColumnType, Schema};
 pub use sql::ExecPlan;
+pub use storage::{Fs, MemFs, OsFs, Storage};
 pub use value::Value;
 pub use wal::{Wal, DEFAULT_GROUP_COMMIT};

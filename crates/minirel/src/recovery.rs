@@ -6,8 +6,9 @@
 //! in the WAL as page images and page deltas, and each
 //! [`crate::wal::KIND_COMMIT`] record carries a full **catalog image**
 //! (schemas, heap page lists, B+tree roots — metadata that is otherwise
-//! in-memory only). Recovery ([`replay_into`]) reads the log once, front
-//! to back, [`REPLAY_CHUNK`] bytes at a time, through the one log reader
+//! in-memory only). Recovery ([`replay_into`]) reads the log file (a
+//! [`Storage`], by offset) once, front to back, [`REPLAY_CHUNK`] bytes at
+//! a time, through the one log reader
 //! ([`crate::wal::records`]); a record the chunk's end cuts is carried
 //! into the next chunk. The page records of the commit group being read
 //! are held back — an image by the offset of its page bytes, a delta as
@@ -56,12 +57,12 @@ use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::schema::{Column, ColumnType, Schema};
+use crate::storage::Storage;
 use crate::wal::{
     self, Chain, PageDelta, RecordRef, KIND_COMMIT, KIND_PAGE_DELTA, KIND_PAGE_IMAGE,
 };
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -339,7 +340,7 @@ impl Fold {
     }
 }
 
-/// Redo the log read from `log`'s start onto `disk`: write every
+/// Redo the log in file `log` onto `disk`: write every
 /// committed page as its last record leaves it and return the last
 /// commit's catalog. `Ok(None)` when the log holds no commit at all
 /// (fresh database). Idempotent — a second call over the same inputs
@@ -349,11 +350,8 @@ impl Fold {
 /// committed records by page, then each page is built once from a read
 /// of its image plus its deltas and written once, in page order (module
 /// docs).
-pub fn replay_into(
-    disk: &mut DiskManager,
-    mut log: impl Read + Seek,
-) -> DbResult<Option<Recovered>> {
-    let io = |e| DbError::io("read", "<wal>", e);
+pub fn replay_into(disk: &mut DiskManager, log: &dyn Storage) -> DbResult<Option<Recovered>> {
+    let end = log.len()?;
     let mut fold = Fold::default();
     let mut buf = Vec::with_capacity(REPLAY_CHUNK);
     // Log offset of `buf[0]`.
@@ -362,11 +360,10 @@ pub fn replay_into(
         // Top the buffer up to a whole number of chunks: one, unless a
         // record longer than that is being carried.
         let want = REPLAY_CHUNK - buf.len() % REPLAY_CHUNK;
-        let got = log
-            .by_ref()
-            .take(want as u64)
-            .read_to_end(&mut buf)
-            .map_err(io)?;
+        let (at, read) = (buf.len(), base + buf.len() as u64);
+        let got = want.min((end - read) as usize);
+        buf.resize(at + got, 0);
+        log.read_at(read, &mut buf[at..])?;
         let mut recs = wal::records(&buf);
         while let Some(rec) = recs.next() {
             let at = base + (recs.valid_len() - rec.payload.len()) as u64;
@@ -386,8 +383,7 @@ pub fn replay_into(
     let catalog = decode_catalog(cat_bytes)?;
     let mut page = [0u8; PAGE_SIZE];
     for (&pid, chain) in &fold.index {
-        log.seek(SeekFrom::Start(chain.image)).map_err(io)?;
-        log.read_exact(&mut page).map_err(io)?;
+        log.read_at(chain.image, &mut page)?;
         chain.patch(&mut page)?;
         disk.write_ensure(pid, &page)?;
     }
@@ -486,14 +482,15 @@ impl Replica {
     /// appends each shipped chunk to its buffer and feeds the buffer to
     /// the log reader, keeping what no commit covers yet for the next
     /// round. Requires the leader to be durable
-    /// ([`Database::open_with`] / [`Database::in_memory_durable`]).
+    /// ([`Database::open`], over files or memory).
     ///
     /// Taking `&mut Database` is what makes the snapshot/subscribe pair
     /// race-free: no other writer can slip a commit between them.
     pub fn spawn(leader: &mut Database) -> DbResult<Replica> {
         let wal = leader.wal().ok_or_else(|| {
             DbError::ReadOnly(
-                "replica requires a WAL-backed leader (Database::open_with or in_memory_durable)"
+                "replica requires a WAL-backed leader (Database::open, open_with or \
+                 in_memory_durable)"
                     .into(),
             )
         })?;

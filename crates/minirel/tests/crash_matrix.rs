@@ -1,10 +1,13 @@
-//! Crash matrix: kill the process at randomized WAL-sync boundaries
-//! (`MINIREL_CRASH_SYNCS=<n>` aborts before the nth sync), reopen, and
-//! assert that recovery lands on a whole-commit state that contains
-//! every acknowledged batch.
+//! Crash matrix: kill the process at randomized WAL-sync boundaries,
+//! reopen, and assert that recovery lands on a whole-commit state that
+//! contains every acknowledged batch.
 //!
 //! The parent test re-executes its own test binary to run a child in a
-//! subprocess with the crash env set; the child appends fixed-size
+//! subprocess with the crash env set (`MINIREL_CRASH_SYNCS=<n>`). The
+//! child opens its database over [`CrashFs`], a test-side [`Fs`] around
+//! [`OsFs`] that aborts the process before the nth sync of the log
+//! file — the sync ordinals the syncer thread makes, the open's
+//! included. The child appends fixed-size
 //! batches — and in each re-stamps the first row of every earlier batch,
 //! so its commits carry page deltas to old pages beside the images of
 //! new ones — and prints `ACK <batch>` once a durable commit covering
@@ -20,10 +23,12 @@
 //!   log's syncer thread for a group commit's sync, while the writer is
 //!   still appending the next batches.
 
-use minirel::{Database, Value, DEFAULT_GROUP_COMMIT};
+use minirel::{Database, DbResult, Fs, OsFs, Storage, Value, DEFAULT_GROUP_COMMIT};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const BATCH: i64 = 25;
@@ -46,6 +51,84 @@ fn cleanup(path: &PathBuf) {
     let _ = std::fs::remove_file(tmp);
 }
 
+/// [`OsFs`], except that the process aborts before the `limit`-th sync
+/// of a file it creates: the log, which is the only file an open
+/// creates (the data file and the old log are opened).
+struct CrashFs {
+    syncs: Arc<AtomicU64>,
+    limit: u64,
+}
+
+impl CrashFs {
+    /// The crash ordinal the parent passed in `MINIREL_CRASH_SYNCS`.
+    fn from_env() -> CrashFs {
+        let limit = std::env::var("MINIREL_CRASH_SYNCS").expect("crash ordinal");
+        CrashFs {
+            syncs: Arc::default(),
+            limit: limit.parse().expect("a sync ordinal"),
+        }
+    }
+}
+
+/// The log file of a [`CrashFs`].
+struct CrashFile {
+    inner: Arc<dyn Storage>,
+    syncs: Arc<AtomicU64>,
+    limit: u64,
+}
+
+impl Storage for CrashFile {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> DbResult<()> {
+        self.inner.read_at(off, buf)
+    }
+
+    fn write_at(&self, off: u64, buf: &[u8]) -> DbResult<()> {
+        self.inner.write_at(off, buf)
+    }
+
+    fn len(&self) -> DbResult<u64> {
+        self.inner.len()
+    }
+
+    fn set_len(&self, len: u64) -> DbResult<()> {
+        self.inner.set_len(len)
+    }
+
+    /// Abort before the `limit`-th sync makes anything durable.
+    fn sync(&self) -> DbResult<()> {
+        if self.syncs.fetch_add(1, Ordering::Relaxed) + 1 >= self.limit {
+            std::process::abort();
+        }
+        self.inner.sync()
+    }
+}
+
+impl Fs for CrashFs {
+    fn open(&self, path: &Path) -> DbResult<Arc<dyn Storage>> {
+        OsFs.open(path)
+    }
+
+    fn create(&self, path: &Path) -> DbResult<Arc<dyn Storage>> {
+        Ok(Arc::new(CrashFile {
+            inner: OsFs.create(path)?,
+            syncs: Arc::clone(&self.syncs),
+            limit: self.limit,
+        }))
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        OsFs.exists(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> DbResult<()> {
+        OsFs.rename(from, to)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> DbResult<()> {
+        OsFs.sync_dir(dir)
+    }
+}
+
 /// Subprocess body — only meaningful with `MINIREL_CRASH_DB` set, so a
 /// plain `cargo test -- --ignored` run is a no-op.
 #[test]
@@ -58,7 +141,7 @@ fn child_crash_writer() {
     // group_commit = 1: the open is one sync and every commit_durable
     // exactly one more, so crash ordinal n dies inside batch n - 1's
     // commit and the sweep lands on every batch boundary.
-    let mut db = Database::open_with(&path, 32, 1).expect("child open");
+    let mut db = Database::open(&CrashFs::from_env(), &path, 32, 1).expect("child open");
     let start = first_batch(&db);
     for batch in start..start + MAX_BATCHES {
         write_batch(&mut db, batch);
@@ -77,8 +160,9 @@ fn child_group_writer() {
     };
     // The open is sync 1; then the quota's sync in the background after
     // the eighth batch, the forced one after the tenth, and so on.
+    let fs = CrashFs::from_env();
     let mut db =
-        Database::open_with(&PathBuf::from(path), 32, DEFAULT_GROUP_COMMIT).expect("child open");
+        Database::open(&fs, Path::new(&path), 32, DEFAULT_GROUP_COMMIT).expect("child open");
     let start = first_batch(&db);
     for batch in start..start + GROUP_BATCHES {
         write_batch(&mut db, batch);

@@ -11,16 +11,18 @@
 //! page. Recovery reads the log a chunk at a time: a log of several
 //! chunks is cut at each chunk edge and corrupted inside the first.
 
+use minirel::disk::DiskManager;
 use minirel::recovery::{self, Replica};
 use minirel::wal::{
     self, checksum, encode_record, PageDelta, Wal, KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA,
     KIND_PAGE_IMAGE,
 };
-use minirel::{Database, DbError, Value, DEFAULT_GROUP_COMMIT};
+use minirel::{Database, DbError, DbResult, Fs, MemFs, OsFs, Storage, Value, DEFAULT_GROUP_COMMIT};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Cursor, Read, Seek, SeekFrom};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn temp_db_path(tag: &str) -> PathBuf {
@@ -36,6 +38,18 @@ fn temp_db_path(tag: &str) -> PathBuf {
 fn cleanup(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(minirel::wal_path_for(path));
+}
+
+/// A memory file holding `bytes`: a log for [`recovery::replay_into`].
+fn mem_log(bytes: &[u8]) -> Arc<dyn Storage> {
+    let file = MemFs::default().create(Path::new("log")).unwrap();
+    file.write_at(0, bytes).unwrap();
+    file
+}
+
+/// A log in a fresh memory file system.
+fn mem_wal() -> Wal {
+    Wal::create(&MemFs::default(), Path::new("log"), 1, 1).unwrap()
 }
 
 /// How many whole records `log` starts with, and the bytes they span.
@@ -294,12 +308,12 @@ fn recovery_is_idempotent() {
     let wal_bytes = std::fs::read(minirel::wal_path_for(&path)).unwrap();
     // Replay the same log twice into one disk: second pass must change
     // nothing.
-    let mut disk = minirel::disk::DiskManager::at_path(&path).unwrap();
-    recovery::replay_into(&mut disk, Cursor::new(&wal_bytes)).unwrap();
+    let mut disk = DiskManager::open(&OsFs, &path).unwrap();
+    recovery::replay_into(&mut disk, &*mem_log(&wal_bytes)).unwrap();
     drop(disk);
     let after_once = std::fs::read(&path).unwrap();
-    let mut disk = minirel::disk::DiskManager::at_path(&path).unwrap();
-    recovery::replay_into(&mut disk, Cursor::new(&wal_bytes)).unwrap();
+    let mut disk = DiskManager::open(&OsFs, &path).unwrap();
+    recovery::replay_into(&mut disk, &*mem_log(&wal_bytes)).unwrap();
     drop(disk);
     let after_twice = std::fs::read(&path).unwrap();
     assert_eq!(after_once, after_twice, "replay must be idempotent");
@@ -349,6 +363,75 @@ fn data_without_wal_is_corrupt() {
         other => panic!("expected Corrupt, got {other:?}", other = other.err()),
     }
     cleanup(&path);
+}
+
+/// A [`MemFs`] that records the renames and directory syncs made
+/// through it, in order.
+#[derive(Default)]
+struct Recording {
+    fs: MemFs,
+    ops: Mutex<Vec<String>>,
+}
+
+impl Recording {
+    fn record(&self, op: String) {
+        self.ops.lock().unwrap().push(op);
+    }
+
+    fn take(&self) -> Vec<String> {
+        std::mem::take(&mut self.ops.lock().unwrap())
+    }
+}
+
+impl Fs for Recording {
+    fn open(&self, path: &Path) -> DbResult<Arc<dyn Storage>> {
+        self.fs.open(path)
+    }
+
+    fn create(&self, path: &Path) -> DbResult<Arc<dyn Storage>> {
+        self.fs.create(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.fs.exists(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> DbResult<()> {
+        self.fs.rename(from, to)?;
+        self.record(format!("rename {} -> {}", from.display(), to.display()));
+        Ok(())
+    }
+
+    fn sync_dir(&self, dir: &Path) -> DbResult<()> {
+        self.fs.sync_dir(dir)?;
+        self.record(format!("sync_dir {}", dir.display()));
+        Ok(())
+    }
+}
+
+/// The log rotation's rename is durable before `open` returns: the
+/// directory is synced after it, on a fresh open (which also makes the
+/// new data file and log durable) and on a reopen that recovers.
+#[test]
+fn open_syncs_the_directory_after_the_rotation_rename() {
+    let fs = Recording::default();
+    let path = Path::new("/crawl/focus.db");
+    let rotation = [
+        "rename /crawl/focus.db.wal.tmp -> /crawl/focus.db.wal",
+        "sync_dir /crawl",
+    ];
+    {
+        let mut db = Database::open(&fs, path, 8, 1).unwrap();
+        assert_eq!(fs.take(), rotation, "fresh open");
+        db.execute("create table t (a int)").unwrap();
+        db.execute("insert into t values (1), (2)").unwrap();
+        db.commit_durable().unwrap();
+        assert_eq!(fs.take(), [""; 0], "a commit renames nothing");
+    }
+    let db = Database::open(&fs, path, 8, 1).unwrap();
+    assert_eq!(fs.take(), rotation, "reopen");
+    let rs = db.query("select count(*) from t").unwrap();
+    assert_eq!(rs.scalar_i64(), Some(2), "the reopen recovered");
 }
 
 /// Eviction pressure with a WAL attached: a pool far smaller than the
@@ -416,6 +499,8 @@ fn wal_stats_count_what_the_log_holds() {
     db.execute("create index t_a on t (a)").unwrap();
     let tid = db.table_id("t").unwrap();
     let wal = db.wal().unwrap();
+    // The open's rotation wrote one commit, as it does for a file.
+    let opened = wal.stats().writes;
     for round in 0..6i64 {
         for i in 0..150 {
             let a = round * 150 + i;
@@ -437,14 +522,19 @@ fn wal_stats_count_what_the_log_holds() {
     );
     // Six commits, and an 8-frame pool re-reading pages it evicted since
     // the last one forces a few writes in between; never one per record.
+    let writes = st.writes - opened;
     assert!(
-        st.writes >= 6 && st.writes < (st.images + st.deltas) / 4,
+        writes >= 6 && writes < (st.images + st.deltas) / 4,
         "{st:?}"
     );
     db.checkpoint().unwrap();
     let after = wal.stats();
     assert_eq!(after.checkpoint_bytes, (wal::RECORD_HEADER + 4) as u64);
-    assert_eq!(after.syncs, st.syncs + 2, "the commit's, then the marker's");
+    assert_eq!(
+        after.sync_requests,
+        st.sync_requests + 2,
+        "the commit's, then the marker's"
+    );
 }
 
 #[test]
@@ -484,7 +574,7 @@ fn a_delta_payload_is_checked_against_the_page() {
 /// An image, a delta on top of it and their commit, as a real `Wal`
 /// encodes them; with the page before and after the delta.
 fn log_with_a_delta() -> (Vec<u8>, [u8; 4096], [u8; 4096]) {
-    let wal = Wal::in_memory(1);
+    let wal = mem_wal();
     let chunks = wal.subscribe();
     let mut before = [0u8; 4096];
     before[..8].copy_from_slice(b"slotted!");
@@ -527,8 +617,8 @@ fn torn_tail_at_every_offset_of_a_log_with_a_delta() {
         let whole = bounds.iter().take_while(|&&end| end <= cut).count();
         let valid = if whole == 0 { 0 } else { bounds[whole - 1] };
         assert_eq!(scan(&log[..cut]), (whole, valid), "cut {cut}");
-        let mut disk = minirel::disk::DiskManager::in_memory();
-        let recovered = recovery::replay_into(&mut disk, Cursor::new(&log[..cut])).unwrap();
+        let mut disk = DiskManager::in_memory();
+        let recovered = recovery::replay_into(&mut disk, &*mem_log(&log[..cut])).unwrap();
         if cut < log.len() {
             assert!(recovered.is_none(), "cut {cut}: no commit survives");
             assert_eq!(disk.num_pages(), 0, "cut {cut}: nothing may be written");
@@ -560,8 +650,8 @@ fn corruption_is_rejected_at_every_byte_of_a_delta() {
             damaged[i] ^= flip;
             let read = wal::records(&damaged[image_len..]).next();
             assert!(read.is_none(), "flip {flip:#x} at byte {i}: {read:?}");
-            let mut disk = minirel::disk::DiskManager::in_memory();
-            let recovered = recovery::replay_into(&mut disk, Cursor::new(&damaged));
+            let mut disk = DiskManager::in_memory();
+            let recovered = recovery::replay_into(&mut disk, &*mem_log(&damaged));
             assert!(recovered.unwrap().is_none());
             assert_eq!(disk.num_pages(), 0);
         }
@@ -569,8 +659,8 @@ fn corruption_is_rejected_at_every_byte_of_a_delta() {
     // A well-formed record whose delta has no image before it in the
     // log is corruption too, not a patch of whatever the file holds.
     let orphan = &log[image_len..];
-    let mut disk = minirel::disk::DiskManager::in_memory();
-    match recovery::replay_into(&mut disk, Cursor::new(orphan)) {
+    let mut disk = DiskManager::in_memory();
+    match recovery::replay_into(&mut disk, &*mem_log(orphan)) {
         Err(DbError::Corrupt(msg)) => assert!(msg.contains("no image"), "{msg}"),
         other => panic!("{:?}", other.map(|r| r.map(|r| r.last_lsn))),
     }
@@ -603,7 +693,7 @@ fn pages_after(steps: usize) -> Vec<[u8; 4096]> {
 /// images and deltas of [`PAGES`] pages with a commit every five steps.
 /// Returns it and each commit's (end offset, lsn, steps before it).
 fn log_over_chunk_edges() -> (Vec<u8>, Vec<(usize, u64, usize)>) {
-    let wal = Wal::in_memory(1);
+    let wal = mem_wal();
     let chunks = wal.subscribe();
     let no_tables = recovery::encode_catalog(&minirel::Catalog::new());
     let mut pages = pages_after(0);
@@ -629,12 +719,12 @@ fn log_over_chunk_edges() -> (Vec<u8>, Vec<(usize, u64, usize)>) {
 /// Replay `log` into a fresh in-memory disk and hold every page to the
 /// state the last commit ending at or before `valid` leaves.
 fn assert_recovers_commit_before(
-    log: impl Read + Seek,
+    log: &dyn Storage,
     commits: &[(usize, u64, usize)],
     valid: usize,
     what: &str,
 ) {
-    let mut disk = minirel::disk::DiskManager::in_memory();
+    let mut disk = DiskManager::in_memory();
     let recovered = recovery::replay_into(&mut disk, log).unwrap();
     let Some(&(_, lsn, steps)) = commits.iter().rev().find(|c| c.0 <= valid) else {
         assert!(recovered.is_none(), "{what}: no commit survives");
@@ -650,22 +740,32 @@ fn assert_recovers_commit_before(
 }
 
 /// Counts the bytes read through it.
-struct Counted<R> {
-    inner: R,
-    read: usize,
+struct Counted {
+    inner: Arc<dyn Storage>,
+    read: AtomicUsize,
 }
 
-impl<R: Read> Read for Counted<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.read += n;
-        Ok(n)
+impl Storage for Counted {
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> DbResult<()> {
+        self.inner.read_at(off, buf)?;
+        self.read.fetch_add(buf.len(), Ordering::Relaxed);
+        Ok(())
     }
-}
 
-impl<R: Seek> Seek for Counted<R> {
-    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        self.inner.seek(pos)
+    fn write_at(&self, off: u64, buf: &[u8]) -> DbResult<()> {
+        self.inner.write_at(off, buf)
+    }
+
+    fn len(&self) -> DbResult<u64> {
+        self.inner.len()
+    }
+
+    fn set_len(&self, len: u64) -> DbResult<()> {
+        self.inner.set_len(len)
+    }
+
+    fn sync(&self) -> DbResult<()> {
+        self.inner.sync()
     }
 }
 
@@ -687,7 +787,7 @@ fn recovery_reads_across_chunk_edges_and_stops_at_corruption() {
         assert!(!starts.contains(&edge), "a record straddles {edge}");
         for cut in [edge - 1, edge, edge + 1] {
             let what = format!("cut at {cut}");
-            assert_recovers_commit_before(Cursor::new(&log[..cut]), &commits, cut, &what);
+            assert_recovers_commit_before(&*mem_log(&log[..cut]), &commits, cut, &what);
         }
     }
     let (i, &start) = starts
@@ -701,17 +801,17 @@ fn recovery_reads_across_chunk_edges_and_stops_at_corruption() {
     );
     let mut damaged = log.clone();
     damaged[start + wal::RECORD_HEADER + 2] ^= 0x40;
-    let mut counted = Counted {
-        inner: Cursor::new(&damaged),
-        read: 0,
+    let counted = Counted {
+        inner: mem_log(&damaged),
+        read: AtomicUsize::new(0),
     };
     let what = format!("record at {start} corrupted");
-    assert_recovers_commit_before(&mut counted, &commits, start, &what);
+    assert_recovers_commit_before(&counted, &commits, start, &what);
     // The first chunk, then one image read per page.
     assert!(
-        counted.read <= recovery::REPLAY_CHUNK + PAGES * 4096,
+        counted.read.load(Ordering::Relaxed) <= recovery::REPLAY_CHUNK + PAGES * 4096,
         "{what}: read {} bytes of a {}-byte log",
-        counted.read,
+        counted.read.load(Ordering::Relaxed),
         log.len()
     );
 }

@@ -65,6 +65,10 @@ const ONE_RUN_HANDLE: &str = "a crawl of one shard and a crawl of n return the s
 const CHECKPOINT_IS_A_COPY: &str = "a checkpoint is a copy of the store's pages; restore \
      loads it the way recover loads a file — no per-column capture or re-insert";
 
+const ONE_STORAGE: &str = "the page file, the log and recovery are written once over \
+     `storage::Storage`; memory and disk differ only in the `Fs` a database is opened over, and \
+     crashes are injected by a test-side `Fs`";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -171,6 +175,9 @@ const FORBIDDEN: &[Forbidden] = &[
     ("the_crawler_carries_no_dead_fork",
      &["next_due"], FRONTIER, Mode::Code,
      "a claim scan counts parked rows; the earliest due tick had no reader outside tests"),
+    ("one_storage_trait_under_pages_and_log",
+     &["MINIREL_CRASH_SYNCS", "fn crash_hook", "enum Backend", "enum WalStore", "background: bool",
+       "pub fn in_memory(group_every"], MINIREL, Mode::Code, ONE_STORAGE),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -220,6 +227,8 @@ const COUNTED: &[Counted] = &[
      "one launch sequence (`cluster::launch`) arms the exchange, for one shard or all of a \
      cluster's"),
     ("one_run_handle", "= CrawlRun {", CRAWLER, 1, ONE_RUN_HANDLE),
+    ("one_storage_trait_under_pages_and_log", "impl Storage for", MINIREL, 2,
+     "two file systems implement `Storage`: `OsFs`'s files and `MemFs`'s"),
     ("the_suites_check_invariants_through_the_checkers", "fn trained_model", SUITES, 1,
      "the suites share one `trained_model`, in crates/crawler/tests/support/mod.rs"),
 ];
@@ -419,6 +428,26 @@ fn run_plans_all_but_ddl(tree: &Tree) -> Vec<String> {
     out
 }
 
+/// Only `storage.rs` names the operating system's file API in minirel:
+/// everything else opens files through an `Fs`.
+fn one_file_api(tree: &Tree) -> Vec<String> {
+    let storage = "crates/minirel/src/storage.rs";
+    let mut namers: Vec<&str> = tree
+        .lines(MINIREL, Mode::Code)
+        .into_iter()
+        .filter(|(_, _, l)| l.contains("std::fs::") || l.contains("OpenOptions"))
+        .map(|(path, _, _)| path)
+        .collect();
+    namers.dedup();
+    match namers[..] {
+        [one] if one == storage => Vec::new(),
+        _ => vec![format!(
+            "minirel names `std::fs::` or `OpenOptions` in {namers:?}: only {storage} may, \
+             and it must ({ONE_STORAGE})"
+        )],
+    }
+}
+
 /// What must not exist, and why.
 #[rustfmt::skip]
 const DELETED: &[(&str, &str)] = &[
@@ -554,6 +583,7 @@ checks! {
     one_write_back_logs_pages_and_records_are_encoded_in_place: ;
     workspace_scan_is_finding_free: raw_locks;
     minirel_keeps_what_callers_outside_it_reach: ;
+    one_storage_trait_under_pages_and_log: one_file_api;
     no_knob_skips_a_wall_clock_assertion: ;
     every_session_is_a_shard: ;
     one_run_handle: ;
@@ -623,6 +653,26 @@ fn every_rule_fires_on_its_paste_back() {
         "must plan what it does not",
         "Database::run without prepare_plan",
     );
+
+    let storage = (
+        "crates/minirel/src/storage.rs",
+        "use std::fs::OpenOptions;\n",
+    );
+    assert_clean(one_file_api(&Tree::pasted(&[storage])));
+    let opened = (
+        "crates/minirel/src/wal.rs",
+        "let f = std::fs::File::open(path)?;\n",
+    );
+    for (files, what) in [
+        (&[storage, opened][..], "a second file opening files"),
+        (&[][..], "storage.rs naming no file API"),
+    ] {
+        fires(
+            &one_file_api(&Tree::pasted(files)),
+            "only crates/minirel/src/storage.rs may",
+            what,
+        );
+    }
 
     let estate_of = |files: &[(&str, &str)]| estate(&Tree::pasted(files));
     let members = "members = [\n    \"crates/a\",\n    \"crates/gone\",\n]\n";
