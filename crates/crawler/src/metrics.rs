@@ -1,8 +1,8 @@
 //! The stage clock: where a worker's wall time goes.
 //!
-//! Each worker owns one slot of its session's [`Metrics`] and charges
+//! Each worker owns one slot of its session's `Metrics` and charges
 //! every interval of its loop to exactly one [`Stage`] through a
-//! [`StageClock`], a lap timer: each lap charges the time since the
+//! `StageClock`, a lap timer: each lap charges the time since the
 //! previous one, so the stages partition the worker's time and nothing
 //! goes unnamed ([`MetricsSnapshot::covered`]). A slot is counters and
 //! fixed-bucket log₂ histograms in atomics that only its worker adds to,

@@ -265,8 +265,7 @@ pub struct BufferPool {
     shards: Vec<OrderedMutex<Shard>>,
     stats: AtomicIoStats,
     /// Total frames across shards. Cached: reading it must not touch
-    /// the shard latches — `Database::sort_budget_rows` asks on every
-    /// statement, including the concurrent read path.
+    /// the shard latches (`Database::sort_budget_rows` asks for it).
     capacity: usize,
     /// Write-ahead log; when present, dirty pages leave the pool into
     /// the log, never the data file (see module docs).

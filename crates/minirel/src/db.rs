@@ -461,7 +461,6 @@ impl Database {
             plan,
             params,
             self.current_timestamp,
-            self.sort_budget_rows(),
         )?;
         Ok(Self::plan_result(plan, rows))
     }

@@ -1,16 +1,20 @@
-//! Join operators: sort-merge (inner and left outer), hash, and
+//! Join operators: hash, sort-merge (inner and left outer), and
 //! nested-loop.
 //!
-//! The paper's Figure 3 rewrite turns the classifier's per-term probe loop
-//! into "one inner and one left outer join", and §3.1 credits sort-merge
-//! plans for an order-of-magnitude discovery-rate increase. These operators
-//! implement those plans; the SQL planner picks among them, and the
-//! classifier drives them directly.
+//! The SQL planner runs every equi-join as a [`hash_join`], which neither
+//! sorts nor touches the buffer pool, and a join with no equi key as a
+//! [`nested_loop_join`]. The merge joins implement the paper's Figure 3
+//! rewrite, which turns the classifier's per-term probe loop into "one
+//! inner and one left outer join" over inputs the bulk probe sorts
+//! itself (§3.1 credits sort-merge plans for an order-of-magnitude
+//! discovery-rate increase); the test oracle joins with them too, so the
+//! planner is checked against a second algorithm.
 
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::Expr;
 use crate::value::{Row, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 fn key_of(row: &Row, cols: &[usize]) -> DbResult<Option<Vec<Value>>> {
     let mut key = Vec::with_capacity(cols.len());
@@ -110,43 +114,85 @@ fn merge_join(
     Ok(out)
 }
 
-/// Hash join on equi keys. `outer` = left outer semantics.
+/// Hash join on equi keys: every pair of rows whose key columns are
+/// pairwise equal under [`Value`]'s `Eq` (so `Int(1)` meets `Float(1.0)`),
+/// as `left ++ right` rows. A NULL in a key column matches nothing.
+/// `outer = Some(n)` makes it a left outer join: a left row with no match
+/// comes out once, padded with `n` NULLs.
+///
+/// An inner join builds its table on the smaller input and probes it
+/// with the other; a left outer join builds on `right`. Rows come out in
+/// probe-input order, each probe row's matches in build-input order.
+/// Keys are hashed in place (no per-row key is allocated), and a probe
+/// compares its key with every build row of equal hash, so the result
+/// is the nested-loop result even where `Value` equality is not
+/// transitive: `Float(2⁵³)` equals both `Int(2⁵³)` and `Int(2⁵³ + 1)`
+/// and joins with both, while those two ints do not join with each
+/// other.
 pub fn hash_join(
     left: &[Row],
     right: &[Row],
     lkeys: &[usize],
     rkeys: &[usize],
-    outer: bool,
+    outer: Option<usize>,
 ) -> DbResult<Vec<Row>> {
+    const NIL: usize = usize::MAX;
     assert_eq!(lkeys.len(), rkeys.len(), "join key arity mismatch");
-    let right_arity = right.first().map_or(0, Vec::len);
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.len());
-    for (i, r) in right.iter().enumerate() {
-        if let Some(k) = key_of(r, rkeys)? {
-            table.entry(k).or_default().push(i);
+    let build_left = outer.is_none() && left.len() < right.len();
+    let (build, bkeys, probe, pkeys) = if build_left {
+        (left, lkeys, right, rkeys)
+    } else {
+        (right, rkeys, left, lkeys)
+    };
+    let state = RandomState::new();
+    let hash = |row: &Row, cols: &[usize]| -> DbResult<Option<u64>> {
+        let mut h = state.build_hasher();
+        for &c in cols {
+            let v = row
+                .get(c)
+                .ok_or_else(|| DbError::Eval(format!("join key column {c} out of bounds")))?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            v.hash(&mut h);
+        }
+        Ok(Some(h.finish()))
+    };
+    // Chained table: `heads[bucket]` is the first build row of the
+    // bucket, `chain[i]` row i's hash and the next row; chains ascend.
+    let mask = build.len().next_power_of_two() - 1;
+    let mut heads = vec![NIL; mask + 1];
+    let mut chain = vec![(0, NIL); build.len()];
+    for (i, row) in build.iter().enumerate().rev() {
+        if let Some(h) = hash(row, bkeys)? {
+            let bucket = h as usize & mask;
+            chain[i] = (h, heads[bucket]);
+            heads[bucket] = i;
         }
     }
-    let mut out = Vec::new();
-    for l in left {
-        let matches = match key_of(l, lkeys)? {
-            Some(k) => table.get(&k),
-            None => None,
-        };
-        match matches {
-            Some(idxs) if !idxs.is_empty() => {
-                for &i in idxs {
-                    let mut row = l.clone();
-                    row.extend(right[i].iter().cloned());
+    let mut out = Vec::with_capacity(probe.len());
+    for p in probe {
+        let mut matched = false;
+        if let Some(h) = hash(p, pkeys)? {
+            let mut i = heads[h as usize & mask];
+            while i != NIL {
+                let (hi, next) = chain[i];
+                let b = &build[i];
+                if hi == h && bkeys.iter().zip(pkeys).all(|(&x, &y)| b[x] == p[y]) {
+                    matched = true;
+                    let (l, r) = if build_left { (b, p) } else { (p, b) };
+                    let mut row = Vec::with_capacity(l.len() + r.len());
+                    row.extend_from_slice(l);
+                    row.extend_from_slice(r);
                     out.push(row);
                 }
+                i = next;
             }
-            _ => {
-                if outer {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                    out.push(row);
-                }
-            }
+        }
+        if let (false, Some(pad)) = (matched, outer) {
+            let mut row = p.clone();
+            row.extend(std::iter::repeat_n(Value::Null, pad));
+            out.push(row);
         }
     }
     Ok(out)
@@ -217,7 +263,7 @@ mod tests {
         let l = sorted(l_rows(), 0);
         let r = sorted(r_rows(), 0);
         let mut m = merge_join_inner(&l, &r, &[0], &[0]).unwrap();
-        let mut h = hash_join(&l, &r, &[0], &[0], false).unwrap();
+        let mut h = hash_join(&l, &r, &[0], &[0], None).unwrap();
         m.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         h.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         assert_eq!(m, h);
@@ -239,7 +285,7 @@ mod tests {
             assert!(u[3].is_null());
         }
         // Hash left-outer agrees on multiset.
-        let mut h = hash_join(&l, &r, &[0], &[0], true).unwrap();
+        let mut h = hash_join(&l, &r, &[0], &[0], Some(2)).unwrap();
         let mut m2 = m.clone();
         h.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         m2.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -250,7 +296,7 @@ mod tests {
     fn null_keys_never_match() {
         let l = vec![vec![Value::Null], vec![Value::Int(1)]];
         let r = vec![vec![Value::Null], vec![Value::Int(1)]];
-        let out = hash_join(&l, &r, &[0], &[0], false).unwrap();
+        let out = hash_join(&l, &r, &[0], &[0], None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Int(1));
     }
@@ -273,10 +319,38 @@ mod tests {
         let e: Vec<Row> = vec![];
         let r = r_rows();
         assert!(merge_join_inner(&e, &r, &[0], &[0]).unwrap().is_empty());
-        assert!(hash_join(&e, &r, &[0], &[0], false).unwrap().is_empty());
+        assert!(hash_join(&e, &r, &[0], &[0], None).unwrap().is_empty());
         let l = l_rows();
         let out = merge_join_left_outer(&l, &e, &[0], &[0], 2).unwrap();
         assert_eq!(out.len(), l.len(), "all left rows padded");
+        assert_eq!(hash_join(&l, &e, &[0], &[0], Some(2)).unwrap(), out);
+    }
+
+    #[test]
+    fn hash_join_is_pairwise_where_equality_is_not_transitive() {
+        // `Float(2⁵³)` equals both ints; the ints differ from each other.
+        let big = 1i64 << 53;
+        let l = vec![
+            vec![Value::Float(big as f64)],
+            vec![Value::Int(big)],
+            vec![Value::Int(big + 1)],
+        ];
+        let pairs = |out: Vec<Row>| -> Vec<(Value, Value)> {
+            out.into_iter()
+                .map(|r| (r[0].clone(), r[1].clone()))
+                .collect()
+        };
+        let out = pairs(hash_join(&l, &l, &[0], &[0], None).unwrap());
+        let mut expect = Vec::new();
+        for a in &l {
+            for b in &l {
+                if a[0] == b[0] {
+                    expect.push((a[0].clone(), b[0].clone()));
+                }
+            }
+        }
+        assert_eq!(out, expect, "the nested-loop pairs, in probe order");
+        assert_eq!(out.len(), 7, "float×3, int×2 (float, itself) each");
     }
 
     #[test]
@@ -286,7 +360,7 @@ mod tests {
             vec![Value::Int(1), Value::Int(11), Value::Str("y".into())],
         ];
         let r = vec![vec![Value::Int(1), Value::Int(11), Value::Float(0.5)]];
-        let out = hash_join(&l, &r, &[0, 1], &[0, 1], false).unwrap();
+        let out = hash_join(&l, &r, &[0, 1], &[0, 1], None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][2], Value::Str("y".into()));
         let m = merge_join_inner(&l, &r, &[0, 1], &[0, 1]).unwrap();

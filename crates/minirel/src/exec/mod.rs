@@ -3,9 +3,10 @@
 //! Execution is materialized dataflow: every operator consumes and produces
 //! `Vec<Row>`. What makes the I/O experiments honest is that the *inputs*
 //! stream from heap pages and B+trees through the buffer pool, and the
-//! [`sort`] operator spills runs back through the pool when its memory
-//! budget is exceeded — so a small pool hurts `BulkProbe` exactly the way
-//! Figure 8(b) shows for DB2.
+//! bulk probe's [`external_sort`] spills runs back through the pool when
+//! its memory budget is exceeded — so a small pool hurts `BulkProbe`
+//! exactly the way Figure 8(b) shows for DB2. SQL statements join and
+//! sort in memory.
 
 pub mod agg;
 pub mod expr;

@@ -1,5 +1,9 @@
-//! Sorting: in-memory quicksort for small inputs, external run/merge sort
-//! through the buffer pool for large ones.
+//! Sorting: [`sort_rows`] in memory, and [`external_sort`], which spills
+//! sorted runs through the buffer pool once its input passes a budget.
+//!
+//! SQL's `ORDER BY` sorts with [`sort_rows`]: its input is already a
+//! materialized `Vec<Row>`, and a read statement must allocate no store
+//! pages. [`external_sort`] serves the bulk probe and the test oracle.
 //!
 //! Sort keys are turned into memcomparable byte strings (descending
 //! directions bit-flip the component), so both the in-memory comparator

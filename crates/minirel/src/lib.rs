@@ -12,7 +12,8 @@
 //! * **B+tree** secondary indexes (the `PROBE` path of `SingleProbe`),
 //! * relational operators: scans, filters, **external sort**, sort-merge /
 //!   hash / nested-loop joins, **left outer merge join** (the one-inner-one-
-//!   outer-join rewrite of Figure 3), and group-by aggregation,
+//!   outer-join rewrite of Figure 3), and group-by aggregation; SQL runs
+//!   every equi-join as a hash join and sorts in memory,
 //! * a **SQL subset** (lexer → parser → planner → executor) large enough to
 //!   run every statement printed in the paper: the `BulkProbe` CTE query of
 //!   Figure 3, the distillation statements of Figure 4, and the ad-hoc

@@ -15,7 +15,8 @@
 //! *specializes* each operator's expressions — substituting
 //! [`Expr::Param`]/[`Expr::Now`]/[`Expr::SubScalar`]/[`Expr::InSub`]
 //! leaves with literals — and then runs the operator kernels of
-//! [`crate::exec`] ([`external_sort`], the merge joins, [`aggregate`]).
+//! [`crate::exec`] ([`hash_join`], [`sort_rows`], [`aggregate`]), all in
+//! memory: a read phase allocates no store pages.
 //! Uncorrelated subqueries and CTEs are (re-)executed
 //! on every call, so a cached plan observes source-table mutations,
 //! fresh parameters, and clock updates.
@@ -33,8 +34,8 @@ use crate::catalog::{Catalog, TableId};
 use crate::error::{DbError, DbResult};
 use crate::exec::agg::{aggregate, AggCall};
 use crate::exec::expr::Expr;
-use crate::exec::join::{merge_join_inner, merge_join_left_outer, nested_loop_join};
-use crate::exec::sort::{external_sort, SortKey};
+use crate::exec::join::{hash_join, nested_loop_join};
+use crate::exec::sort::{sort_rows, SortKey};
 use crate::heap::Rid;
 use crate::schema::ColumnType;
 use crate::sql::ast::Statement;
@@ -154,7 +155,6 @@ struct Env<'a> {
     catalog: &'a Catalog,
     params: &'a [Value],
     now: i64,
-    budget: usize,
     slots: Vec<Option<Rc<Vec<Row>>>>,
 }
 
@@ -167,7 +167,6 @@ pub fn execute_plan(
     plan: &ExecPlan,
     params: &[Value],
     now: i64,
-    sort_budget: usize,
 ) -> DbResult<Vec<Row>> {
     if params.len() != plan.param_count {
         return Err(DbError::Binding(format!(
@@ -184,7 +183,6 @@ pub fn execute_plan(
         catalog,
         params,
         now,
-        budget: sort_budget,
         slots: vec![None; plan.num_slots],
     };
     exec_select(&mut env, &plan.root)
@@ -367,7 +365,7 @@ fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec
                 .clone();
             apply_filters(env, rows, filters, subs)
         }
-        Node::MergeJoin {
+        Node::HashJoin {
             left,
             right,
             lk,
@@ -376,15 +374,7 @@ fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec
         } => {
             let l = exec_node(env, left, subs)?;
             let r = exec_node(env, right, subs)?;
-            let lkeys: Vec<SortKey> = lk.iter().map(|&c| SortKey::asc(c)).collect();
-            let rkeys: Vec<SortKey> = rk.iter().map(|&c| SortKey::asc(c)).collect();
-            let ls = external_sort(env.pool, l, &lkeys, env.budget)?;
-            let rs = external_sort(env.pool, r, &rkeys, env.budget)?;
-            if *outer {
-                merge_join_left_outer(&ls, &rs, lk, rk, arity(right))
-            } else {
-                merge_join_inner(&ls, &rs, lk, rk)
-            }
+            hash_join(&l, &r, lk, rk, outer.then(|| arity(right)))
         }
         Node::NlJoin {
             left,
@@ -436,7 +426,7 @@ fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec
                     })
                 })
                 .collect::<DbResult<_>>()?;
-            external_sort(env.pool, rows, &sk, env.budget)
+            sort_rows(rows, &sk)
         }
         Node::Limit { input, n } => {
             let mut rows = exec_node(env, input, subs)?;
@@ -795,7 +785,7 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
         Node::CteScan { name, filters, .. } => {
             out.push(format!("{pad}CteScan {name} [filters={}]", filters.len()))
         }
-        Node::MergeJoin {
+        Node::HashJoin {
             left,
             right,
             lk,
@@ -803,7 +793,7 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             ..
         } => {
             out.push(format!(
-                "{pad}MergeJoin [keys={}{}]",
+                "{pad}HashJoin [keys={}{}]",
                 lk.len(),
                 if *outer { ", left-outer" } else { "" }
             ));

@@ -24,8 +24,11 @@
 //!   oracle joins in): it is simulated symbolically and restored by a
 //!   [`Node::Permute`] above the reordered join tree, so `select *`
 //!   and name resolution do not depend on the join order chosen.
-//! * **Join algorithms** — an equi-join runs as a nested loop when one
-//!   input is estimated tiny, as a sort-merge join otherwise.
+//! * **Join algorithms** — every equi-join, inner or left outer, is a
+//!   [`Node::HashJoin`]. A nested loop runs a join with no equi key, and
+//!   a `JOIN … ON` whose condition is not all equi keys. The algorithm
+//!   is chosen without reading an estimate, so a plan cached on empty
+//!   tables still hashes once they have grown.
 //! * **Access paths** — once planning is done and every scan's filters
 //!   are final, one walk gives each base-table scan an [`IndexProbe`]
 //!   when a B+tree covers its filters and the cost model (rows ×
@@ -146,8 +149,8 @@ pub enum Node {
         /// Pushed-down predicates.
         filters: Vec<Expr>,
     },
-    /// Sort-merge equi-join (sorts both inputs).
-    MergeJoin {
+    /// Hash equi-join (see [`crate::exec::hash_join`]).
+    HashJoin {
         /// Left input.
         left: Box<Node>,
         /// Right input.
@@ -196,7 +199,7 @@ pub enum Node {
         /// Aggregate calls.
         aggs: Vec<AggCall>,
     },
-    /// External sort.
+    /// In-memory sort.
     Sort {
         /// Input.
         input: Box<Node>,
@@ -273,7 +276,7 @@ pub fn arity(node: &Node) -> usize {
         } => arity + usize::from(*with_rid),
         Node::Values(rows) => rows.first().map_or(0, Vec::len),
         Node::CteScan { arity, .. } => *arity,
-        Node::MergeJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
+        Node::HashJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
             arity(left) + arity(right)
         }
         Node::Permute { map, .. } => map.len(),
@@ -291,9 +294,6 @@ pub fn arity(node: &Node) -> usize {
 /// crawler's skewed columns).
 const SEL_EQ: f64 = 0.05;
 const SEL_RANGE: f64 = 0.3;
-/// Below this estimated input size a nested-loop equi-join beats paying
-/// two sorts.
-const NL_JOIN_EST: f64 = 4.0;
 /// Tables with fewer rows than this are never worth a B+tree descent —
 /// the whole heap is a page or two.
 const MIN_PROBE_ROWS: f64 = 16.0;
@@ -1239,8 +1239,7 @@ fn add_filter(node: &mut Node, e: Expr) {
     }
 }
 
-/// Combine two sources with an equi-join: a nested loop when one input
-/// is tiny (probing it beats sorting both), sort-merge otherwise.
+/// Combine two sources with a hash equi-join.
 fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) -> Src {
     let cols: Vec<BoundCol> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
     let est = if outer {
@@ -1248,29 +1247,12 @@ fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) 
     } else {
         left.est.max(right.est)
     };
-    let nested = !outer && left.est.min(right.est) <= NL_JOIN_EST;
-    let (left_arity, left, right) = (arity(&left.node), Box::new(left.node), Box::new(right.node));
-    let node = if nested {
-        let pred = lk
-            .iter()
-            .zip(&rk)
-            .map(|(&a, &b)| Expr::bin(BinOp::Eq, Expr::Col(a), Expr::Col(left_arity + b)))
-            .reduce(|pred, eq| Expr::bin(BinOp::And, pred, eq))
-            .unwrap_or(Expr::Lit(Value::Int(1)));
-        Node::NlJoin {
-            left,
-            right,
-            pred,
-            outer,
-        }
-    } else {
-        Node::MergeJoin {
-            left,
-            right,
-            lk,
-            rk,
-            outer,
-        }
+    let node = Node::HashJoin {
+        left: Box::new(left.node),
+        right: Box::new(right.node),
+        lk,
+        rk,
+        outer,
     };
     Src { cols, node, est }
 }
@@ -1299,7 +1281,7 @@ fn choose_access_paths(catalog: &Catalog, plan: &mut SelectPlan) {
                 ..
             } => *index = access_path(catalog, *tid, *arity, keep, filters, *with_rid),
             Node::Values(_) | Node::CteScan { .. } => {}
-            Node::MergeJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
+            Node::HashJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
                 stack.extend([left.as_mut(), right.as_mut()]);
             }
             Node::Permute { input, .. }

@@ -730,11 +730,11 @@ fn pushdown_lands_filters_on_the_scan() {
     // Both single-source conjuncts pushed below the join.
     assert!(text.contains("SeqScan t [filters=1"), "{text}");
     assert!(text.contains("SeqScan u [filters=1"), "{text}");
-    assert!(text.contains("MergeJoin [keys=1]"), "{text}");
+    assert!(text.contains("HashJoin [keys=1]"), "{text}");
 }
 
 #[test]
-fn tiny_input_equi_join_lowers_to_nested_loop() {
+fn tiny_input_equi_join_lowers_to_hash_join() {
     let mut db = Database::in_memory();
     db.execute("create table small (a int)").unwrap();
     db.execute("create table big (a int, x int)").unwrap();
@@ -745,9 +745,54 @@ fn tiny_input_equi_join_lowers_to_nested_loop() {
             .unwrap();
     }
     let text = explain(&db, "select small.a from small, big where small.a = big.a");
-    assert!(text.contains("NlJoin"), "{text}");
+    assert!(text.contains("HashJoin"), "{text}");
     let text2 = explain(&db, "select b1.a from big b1, big b2 where b1.x = b2.x");
-    assert!(text2.contains("MergeJoin"), "{text2}");
+    assert!(text2.contains("HashJoin"), "{text2}");
+}
+
+#[test]
+fn a_join_planned_on_empty_tables_stays_a_hash_join() {
+    // The crawler's `community_evolution`, prepared (and cached) while
+    // its tables are empty, then run once they have grown.
+    let mut db = Database::in_memory();
+    db.execute("create table crawl (oid int, kcid int)")
+        .unwrap();
+    db.execute("create index crawl_oid on crawl (oid)").unwrap();
+    db.execute("create table link (oid_src int, oid_dst int, discovered int)")
+        .unwrap();
+    let sql = "select count(*) from link, crawl c1, crawl c2 \
+               where oid_src = c1.oid and oid_dst = c2.oid \
+                 and c1.kcid = ? and c2.kcid = ? and discovered >= ?";
+    let params = [Value::Int(1), Value::Int(2), Value::Int(500)];
+    let explain = |db: &Database| {
+        let rs = db.query_with(&format!("explain {sql}"), &params).unwrap();
+        rs.rows
+            .iter()
+            .map(|r| format!("{}\n", r[0]))
+            .collect::<String>()
+    };
+    let cached = db.prepare(sql).unwrap();
+    let stale_text = explain(&db);
+    let (crawl, link) = (db.table_id("crawl").unwrap(), db.table_id("link").unwrap());
+    for oid in 0..300i64 {
+        db.insert(crawl, vec![Value::Int(oid), Value::Int(oid % 3)])
+            .unwrap();
+    }
+    for i in 0..3000i64 {
+        let row = vec![
+            Value::Int(i % 300),
+            Value::Int((i * 7 + 1) % 300),
+            Value::Int(i),
+        ];
+        db.insert(link, row).unwrap();
+    }
+    assert_eq!(explain(&db), stale_text, "EXPLAIN comes from the cache");
+    assert_eq!(stale_text.matches("HashJoin").count(), 2, "{stale_text}");
+    assert!(!stale_text.contains("NlJoin"), "{stale_text}");
+    let stale = db.query_prepared(&cached, &params).unwrap().rows;
+    let fresh = db.execute_with(sql, &params).unwrap().rows;
+    assert_eq!(stale, fresh);
+    assert!(stale[0][0].as_i64().unwrap() > 0, "{stale:?}");
 }
 
 #[test]

@@ -271,3 +271,29 @@ fn dml_takes_parameters_and_the_session_clock() {
         Some(4)
     );
 }
+
+#[test]
+fn a_read_query_never_grows_the_store() {
+    // A join and an ORDER BY, each over more rows than the bulk probe's
+    // sort budget for this pool, run on a committed durable store: the
+    // read allocates no page and logs nothing.
+    let mut db = Database::in_memory_durable(16, 1);
+    db.execute("create table a (k int, v int)").unwrap();
+    db.execute("create table b (k int, w int)").unwrap();
+    let rows = 3 * db.sort_budget_rows() as i64;
+    for (name, m) in [("a", 7), ("b", 11)] {
+        let tid = db.table_id(name).unwrap();
+        let batch = (0..rows).map(|i| vec![Value::Int(i % 500), Value::Int(i * m)]);
+        db.insert_many(tid, batch.collect()).unwrap();
+    }
+    db.commit_durable().unwrap();
+    let wal = db.wal().unwrap();
+    let (pages, logged) = (db.num_pages(), wal.len_bytes());
+    let rs = db
+        .query("select a.v, b.w from a, b where a.k = b.k and b.w < 30000 order by a.v desc")
+        .unwrap();
+    assert!(rs.rows.len() as i64 > rows, "{} rows", rs.rows.len());
+    assert!(rs.rows.windows(2).all(|w| w[0][0] >= w[1][0]));
+    assert_eq!(db.num_pages(), pages, "the read allocated pages");
+    assert_eq!(wal.len_bytes(), logged, "the read logged pages");
+}

@@ -1,11 +1,13 @@
 //! Model-based property tests of the storage primitives: the B+tree
 //! against `BTreeMap`, external sort against `sort`, merge join against
-//! nested loops, and codec round trips.
+//! hash join, and codec round trips.
 
 use minirel::btree::{BTree, MAX_KEY_LEN};
 use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
-use minirel::exec::{external_sort, hash_join, merge_join_inner, sort_rows, Expr, SortKey};
+use minirel::exec::{
+    external_sort, hash_join, merge_join_inner, merge_join_left_outer, sort_rows, Expr, SortKey,
+};
 use minirel::value::{decode_row, encode_composite_key, encode_row, Row, Value};
 use minirel::Rid;
 use proptest::prelude::*;
@@ -33,6 +35,16 @@ fn model_key(k: u32, grow: usize) -> Vec<u8> {
     let mut text = format!("{k:0width$}");
     text.push_str(&"~".repeat(grow.min(longest - text.len())));
     encode_composite_key(&[Value::Str(text)])
+}
+
+/// A join key: NULL, a small int, or a float that is either an int's
+/// equal (`Int(2) = Float(2.0)`) or between two ints.
+fn join_key() -> impl Strategy<Value = Value> {
+    (0..14i64).prop_map(|k| match k {
+        0 => Value::Null,
+        1..=7 => Value::Int(k - 1),
+        _ => Value::Float((k - 8) as f64 / 2.0),
+    })
 }
 
 fn model_rid(r: u32) -> Rid {
@@ -244,16 +256,37 @@ proptest! {
 
     #[test]
     fn merge_join_equals_hash_join(
-        left in proptest::collection::vec(0..20i64, 0..60),
-        right in proptest::collection::vec(0..20i64, 0..60),
+        left in proptest::collection::vec((join_key(), join_key()), 0..60),
+        right in proptest::collection::vec((join_key(), join_key()), 0..60),
+        composite in any::<bool>(),
+        outer in any::<bool>(),
     ) {
-        let l: Vec<Row> = left.iter().map(|&k| vec![Value::Int(k)]).collect();
-        let r: Vec<Row> = right.iter().map(|&k| vec![Value::Int(k)]).collect();
-        let ls = sort_rows(l.clone(), &[SortKey::asc(0)]).unwrap();
-        let rs = sort_rows(r.clone(), &[SortKey::asc(0)]).unwrap();
-        let mut merged = merge_join_inner(&ls, &rs, &[0], &[0]).unwrap();
-        let mut hashed = hash_join(&l, &r, &[0], &[0], false).unwrap();
-        let key = |row: &Row| row.iter().map(|v| format!("{v}|")).collect::<String>();
+        // Rows are `[k0, k1, position]`; the key is k0, or (k0, k1).
+        let rows = |keys: &[(Value, Value)]| -> Vec<Row> {
+            keys.iter()
+                .enumerate()
+                .map(|(i, (a, b))| vec![a.clone(), b.clone(), Value::Int(i as i64)])
+                .collect()
+        };
+        let (l, r) = (rows(&left), rows(&right));
+        let keys: &[usize] = if composite { &[0, 1] } else { &[0] };
+        // The merge join wants its inputs in `Value` order, which (unlike
+        // the sort operators' byte keys) interleaves ints and floats.
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by(|a, b| keys.iter().map(|&k| a[k].cmp(&b[k])).fold(
+                std::cmp::Ordering::Equal,
+                std::cmp::Ordering::then,
+            ));
+            rows
+        };
+        let (ls, rs) = (sorted(l.clone()), sorted(r.clone()));
+        let mut merged = if outer {
+            merge_join_left_outer(&ls, &rs, keys, keys, 3).unwrap()
+        } else {
+            merge_join_inner(&ls, &rs, keys, keys).unwrap()
+        };
+        let mut hashed = hash_join(&l, &r, keys, keys, outer.then_some(3)).unwrap();
+        let key = |row: &Row| row.iter().map(|v| format!("{v:?}|")).collect::<String>();
         merged.sort_by_key(|r| key(r));
         hashed.sort_by_key(|r| key(r));
         prop_assert_eq!(merged, hashed);

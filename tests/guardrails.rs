@@ -178,6 +178,10 @@ const FORBIDDEN: &[Forbidden] = &[
     ("one_storage_trait_under_pages_and_log",
      &["MINIREL_CRASH_SYNCS", "fn crash_hook", "enum Backend", "enum WalStore", "background: bool",
        "pub fn in_memory(group_every"], MINIREL, Mode::Code, ONE_STORAGE),
+    ("an_equi_join_is_a_hash_join",
+     &["MergeJoin", "merge_join_", "external_sort", "NL_JOIN_EST"],
+     Scope("crates/minirel/src/sql", "", 7), Mode::Whole,
+     "an equi-join is a hash join; SQL execution never sorts through the buffer pool"),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -585,6 +589,7 @@ checks! {
     minirel_keeps_what_callers_outside_it_reach: ;
     one_storage_trait_under_pages_and_log: one_file_api;
     no_knob_skips_a_wall_clock_assertion: ;
+    an_equi_join_is_a_hash_join: ;
     every_session_is_a_shard: ;
     one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
