@@ -166,6 +166,7 @@ impl Catalog {
             if let Ok(row) = decode_row(bytes) {
                 entries.push(info.checked_key(&row).map(|k| (k, rid)));
             }
+            Ok(())
         })?;
         for (k, rid) in entries.into_iter().collect::<DbResult<Vec<_>>>()? {
             info.btree.insert(pool, &k, rid)?;
@@ -331,33 +332,23 @@ impl Catalog {
         keep: &[bool],
     ) -> DbResult<Vec<Row>> {
         let mut out = Vec::with_capacity(self.tables[tid].heap.len() as usize);
-        let mut err = None;
         self.tables[tid].heap.scan(pool, |_, bytes| {
-            match crate::value::decode_row_pruned(bytes, keep) {
-                Ok(row) => out.push(row),
-                Err(e) => err = Some(e),
-            }
+            let mut row = Vec::new();
+            crate::value::decode_row_into(bytes, Some(keep), &mut row)?;
+            out.push(row);
+            Ok(())
         })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
     /// Materialize every row of a table (decoded).
     pub fn scan_table(&self, pool: &BufferPool, tid: TableId) -> DbResult<Vec<(Rid, Row)>> {
         let mut out = Vec::with_capacity(self.tables[tid].heap.len() as usize);
-        let mut err = None;
-        self.tables[tid]
-            .heap
-            .scan(pool, |rid, bytes| match decode_row(bytes) {
-                Ok(row) => out.push((rid, row)),
-                Err(e) => err = Some(e),
-            })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        self.tables[tid].heap.scan(pool, |rid, bytes| {
+            out.push((rid, decode_row(bytes)?));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Every table slot in id order, **including dropped slots** (empty

@@ -4,7 +4,7 @@
 //! the classifier/distiller hot paths construct these directly.
 
 use crate::error::{DbError, DbResult};
-use crate::value::{Row, Value};
+use crate::value::{Row, Value, ValueSet};
 use std::cmp::Ordering;
 
 /// Binary operators.
@@ -93,8 +93,10 @@ pub enum Expr {
     Un(UnOp, Box<Expr>),
     /// Scalar function call.
     Call(Func, Vec<Expr>),
-    /// `expr IN (v1, v2, …)` — subqueries are materialized to this.
-    InList(Box<Expr>, Vec<Value>, /*negated=*/ bool),
+    /// `expr IN (v1, v2, …)` — subqueries are materialized to this. A
+    /// NULL probe is false either way; otherwise membership is
+    /// [`ValueSet::contains`], a hash lookup.
+    InList(Box<Expr>, ValueSet, /*negated=*/ bool),
     /// `expr IS NULL` / `IS NOT NULL`.
     IsNull(Box<Expr>, /*negated=*/ bool),
     /// `?` placeholder (0-based). Plans keep these symbolic; the executor
@@ -164,8 +166,7 @@ impl Expr {
                 if v.is_null() {
                     return Ok(Value::Int(0));
                 }
-                let found = list.iter().any(|x| x == &v);
-                Ok(Value::Int((found != *negated) as i64))
+                Ok(Value::Int((list.contains(&v) != *negated) as i64))
             }
             Expr::IsNull(e, negated) => {
                 let v = e.eval(row)?;
@@ -415,16 +416,58 @@ mod tests {
         let r = row();
         let e = Expr::InList(
             Box::new(Expr::Col(0)),
-            vec![Value::Int(9), Value::Int(10)],
+            vec![Value::Int(9), Value::Int(10)].into(),
             false,
         );
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
-        let e = Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(9)], true);
+        let e = Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(9)].into(), true);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1)); // NOT IN
         let e = Expr::IsNull(Box::new(Expr::Col(3)), false);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
         let e = Expr::IsNull(Box::new(Expr::Col(0)), true);
         assert_eq!(e.eval(&r).unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn in_list_membership_is_the_list_walk() {
+        // The hashed lookup answers what `any(x == v)` over the list
+        // answers, NULL probe and NOT IN included, also where `Value`
+        // equality is not transitive: `Float(2⁵³)` equals both ints below,
+        // which differ from each other. (Passes with the list walk too:
+        // it pins that answer.)
+        let big = 1i64 << 53;
+        let pool = [
+            Value::Null,
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(3.5),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Str("3".into()),
+            Value::Float(f64::NAN),
+        ];
+        let lists: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::Int(big)],
+            vec![Value::Float(big as f64)],
+            vec![Value::Int(big + 1), Value::Null],
+            vec![Value::Float(3.0), Value::Str("x".into())],
+            vec![Value::Float(0.0), Value::Float(f64::NAN)],
+            pool.to_vec(),
+        ];
+        for list in &lists {
+            for v in &pool {
+                for negated in [false, true] {
+                    let e = Expr::InList(Box::new(lit(v.clone())), list.clone().into(), negated);
+                    let walk = !v.is_null() && list.iter().any(|x| x == v);
+                    let want = Value::Int((!v.is_null() && walk != negated) as i64);
+                    assert_eq!(e.eval(&row()).unwrap(), want, "{v:?} in {list:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn key_bytes(row: &Row, keys: &[SortKey]) -> DbResult<Vec<u8>> {
     for k in keys {
         let v = k.expr.eval(row)?;
         let start = out.len();
-        v.encode_key(&mut out);
+        v.encode_sort_key(&mut out);
         if k.desc {
             for b in &mut out[start..] {
                 *b = !*b;

@@ -201,12 +201,18 @@ impl HeapFile {
         })
     }
 
-    /// Fetch many records, one page access per *run* of same-page rids.
+    /// Visit many records, one page access per *run* of same-page rids.
     /// Callers that sort their rid lists (the index-scan path) therefore
     /// pay one logical read per distinct page instead of one per record.
-    /// Results are in input order.
-    pub fn get_many(&self, pool: &BufferPool, rids: &[Rid]) -> DbResult<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(rids.len());
+    /// Records are visited in input order, borrowed from the page, as
+    /// [`HeapFile::scan`] visits them; the first error `f` returns stops
+    /// the walk and is returned.
+    pub fn get_each(
+        &self,
+        pool: &BufferPool,
+        rids: &[Rid],
+        mut f: impl FnMut(Rid, &[u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
         let mut i = 0usize;
         while i < rids.len() {
             let pid = rids[i].page;
@@ -220,22 +226,19 @@ impl HeapFile {
             while j < rids.len() && rids[j].page == pid {
                 j += 1;
             }
-            let recs: Vec<Option<Vec<u8>>> = pool.with_page(pid, |b| {
+            pool.with_page(pid, |b| {
                 let s = SlottedRef(b);
-                rids[i..j]
-                    .iter()
-                    .map(|r| s.record(r.slot).map(<[u8]>::to_vec))
-                    .collect()
-            })?;
-            for (r, rec) in rids[i..j].iter().zip(recs) {
-                out.push(rec.ok_or(DbError::BadRid {
-                    page: r.page,
-                    slot: r.slot,
-                })?);
-            }
+                rids[i..j].iter().try_for_each(|&r| {
+                    let rec = s.record(r.slot).ok_or(DbError::BadRid {
+                        page: r.page,
+                        slot: r.slot,
+                    })?;
+                    f(r, rec)
+                })
+            })??;
             i = j;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Delete the record at `rid`.
@@ -277,13 +280,18 @@ impl HeapFile {
 
     /// Visit every live record in file order. The callback may not touch
     /// the pool (we hold it); collect rids if you need random access after.
-    pub fn scan(&self, pool: &BufferPool, mut f: impl FnMut(Rid, &[u8])) -> DbResult<()> {
+    /// The first error the callback returns stops the scan and is returned.
+    pub fn scan(
+        &self,
+        pool: &BufferPool,
+        mut f: impl FnMut(Rid, &[u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
         for &pid in &self.pages {
             pool.with_page(pid, |b| {
-                for (slot, rec) in SlottedRef(b).records() {
-                    f(Rid { page: pid, slot }, rec);
-                }
-            })?;
+                SlottedRef(b)
+                    .records()
+                    .try_for_each(|(slot, rec)| f(Rid { page: pid, slot }, rec))
+            })??;
         }
         Ok(())
     }
@@ -329,6 +337,7 @@ mod tests {
         let mut seen = Vec::new();
         hf.scan(&bp, |_, rec| {
             seen.push(u32::from_le_bytes(rec.try_into().unwrap()));
+            Ok(())
         })
         .unwrap();
         seen.sort_unstable();

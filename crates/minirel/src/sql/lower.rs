@@ -21,16 +21,52 @@
 //! on every call, so a cached plan observes source-table mutations,
 //! fresh parameters, and clock updates.
 //!
+//! **Scans.** Every access path — heap scan, eq/range probe, IN-probe —
+//! decodes each record into one reused row, applies the scan's pushed
+//! filters to it in place and keeps only the rows that pass; none builds
+//! the table's rows first. Fusing the conjuncts into one pass changes no
+//! error: a failure reports what conjunct-at-a-time filtering reports.
+//!
+//! **Key-list probes and their two runtime thresholds.** A key list known
+//! only at execution reaches rows through a single-column index in two
+//! places, each gated by the list's distinct keys against the table's
+//! current rows (`KEY_SHARE`), so a plan cached on a small store still
+//! adapts:
+//! - a scan's `IN (list)` or `IN (subquery)` filter probes its column's
+//!   index when the list is short; otherwise the plan's eq/range probe or
+//!   the heap scan runs;
+//! - an inner hash join's reducible input (a plain heap scan, see
+//!   [`crate::sql::plan::Reduce`]) runs as an IN-probe with the other
+//!   input's distinct non-NULL keys — a semijoin reduction — unless they
+//!   are too many, when it scans.
+//!
+//! Both are bounded whichever way they guess: the keys are sorted and
+//! served by one [`crate::btree::BTree::lookup_many`] pass, which reads
+//! the index nodes on their paths about once each, and the sorted rids
+//! fetch each heap page at most once, so a probe costs at most about one
+//! read of the index more than the scan it replaces; past the threshold
+//! no index is read at all. Below it the probe decodes only the rows its
+//! keys name. A key whose encoding cannot reproduce `=` (a float past
+//! 2⁵³ against an int column) sends the scan its other path.
+//!
 //! **Row-order contract.** Index probes collect rids, sort them, and
-//! fetch page-grouped ([`crate::heap::HeapFile::get_many`]), so eq/range/
+//! fetch page-grouped ([`crate::heap::HeapFile::get_each`]), so eq/range/
 //! IN probes return rows in heap order — byte-identical to what a
 //! sequential scan produces, and the order a DML write step applies its
 //! rows in, whichever access path found them. The single accepted
 //! divergence is the index-only scan, which returns rows in key order
-//! (DML read phases never use it).
+//! (DML read phases never use it). A reduced join input is its scan's
+//! rows minus those no key of the other input names, which join with
+//! nothing: the join's rows are the unreduced join's rows. Their order is
+//! the hash join's (probe-input order), with the build side chosen on the
+//! reduced input's size, so it may differ from the unreduced join's, as
+//! it already differs with the inputs' sizes; SQL fixes no row order
+//! without ORDER BY, and an UPDATE or DELETE reads one table's scan, never
+//! a join. A reduced input evaluates its filters only on the rows the
+//! probe fetches, as every index probe does.
 
 use crate::buffer::BufferPool;
-use crate::catalog::{Catalog, TableId};
+use crate::catalog::{Catalog, TableInfo};
 use crate::error::{DbError, DbResult};
 use crate::exec::agg::{aggregate, AggCall};
 use crate::exec::expr::Expr;
@@ -40,11 +76,13 @@ use crate::heap::Rid;
 use crate::schema::ColumnType;
 use crate::sql::ast::Statement;
 use crate::sql::plan::{
-    arity, plan_statement, InSrc, IndexProbe, Node, SelectPlan, SubKind, Write,
+    arity, plan_statement, InProbe, InSrc, IndexProbe, KeyIndex, Node, Reduce, SelectPlan, SubKind,
+    Write,
 };
 use crate::value::{
-    decode_composite_key, decode_row, decode_row_pruned, encode_composite_key, Row, Value,
+    decode_composite_key, decode_row_into, encode_composite_key, Row, Value, ValueSet,
 };
+use std::collections::HashSet;
 use std::ops::Bound;
 use std::rc::Rc;
 
@@ -95,7 +133,7 @@ pub enum SubResult {
     /// Scalar value (`NULL` when the subquery produced no rows).
     Scalar(Value),
     /// First-column value list.
-    List(Vec<Value>),
+    List(ValueSet),
 }
 
 /// Substitute execution-time leaves — parameters, the session clock, and
@@ -262,10 +300,65 @@ fn exec_select(env: &mut Env<'_>, plan: &SelectPlan) -> DbResult<Vec<Row>> {
                     }
                 }))
             }
-            SubKind::List => SubResult::List(rows.into_iter().map(|mut r| r.remove(0)).collect()),
+            SubKind::List => SubResult::List(ValueSet::new(
+                rows.into_iter().map(|mut r| r.remove(0)).collect(),
+            )),
         });
     }
     exec_node(env, &plan.root, &subvals)
+}
+
+/// A node's pushed-down or residual conjuncts, specialized once per
+/// execution and applied to one row at a time. The error they report is
+/// the one conjunct-at-a-time filtering reports (the order the test-side
+/// oracle pins): the first failing row's error on the earliest conjunct
+/// any row fails. A failure at conjunct `j` keeps only conjuncts `< j`
+/// live, since only those can still fail earlier; from then on no row
+/// passes.
+struct Filters {
+    /// The conjuncts before the earliest failure so far.
+    preds: Vec<Expr>,
+    /// The earliest conjunct's first error.
+    err: Option<DbError>,
+}
+
+impl Filters {
+    fn new(env: &Env<'_>, preds: &[Expr], subs: &[SubResult]) -> Filters {
+        let mut f = Filters {
+            preds: Vec::with_capacity(preds.len()),
+            err: None,
+        };
+        for p in preds {
+            match specialize(p, env.params, env.now, subs) {
+                Ok(p) => f.preds.push(p),
+                Err(e) => {
+                    f.err = Some(e);
+                    break;
+                }
+            }
+        }
+        f
+    }
+
+    /// Does `row` pass every conjunct?
+    fn pass(&mut self, row: &Row) -> bool {
+        for (j, p) in self.preds.iter().enumerate() {
+            match p.eval(row) {
+                Ok(v) if v.is_truthy() => {}
+                Ok(_) => return false,
+                Err(e) => {
+                    self.err = Some(e);
+                    self.preds.truncate(j);
+                    return false;
+                }
+            }
+        }
+        self.err.is_none()
+    }
+
+    fn finish(self) -> DbResult<()> {
+        self.err.map_or(Ok(()), Err)
+    }
 }
 
 fn apply_filters(
@@ -274,18 +367,9 @@ fn apply_filters(
     filters: &[Expr],
     subs: &[SubResult],
 ) -> DbResult<Vec<Row>> {
-    // One conjunct at a time, in order: the first failing conjunct's
-    // evaluation error surfaces (the order the test-side oracle pins).
-    for f in filters {
-        let f = specialize(f, env.params, env.now, subs)?;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            if f.eval(&row)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
+    let mut f = Filters::new(env, filters, subs);
+    rows.retain(|row| f.pass(row));
+    f.finish()?;
     Ok(rows)
 }
 
@@ -303,48 +387,240 @@ fn value_rid(v: &Value) -> Rid {
     }
 }
 
-fn seq_scan(
-    env: &Env<'_>,
-    tid: TableId,
-    keep: &Option<Vec<bool>>,
+/// Where a base-table scan's rows go: every record or index key is
+/// decoded into one reused row, the scan's filters test it in place, and
+/// only a row that passes moves out. No access path builds the table's
+/// rows first.
+struct ScanOut<'a> {
+    /// Columns to decode (`None` = all).
+    keep: Option<&'a [bool]>,
+    /// Append the rid (DML read phases).
     with_rid: bool,
+    filters: Filters,
+    row: Row,
+    rows: Vec<Row>,
+}
+
+impl ScanOut<'_> {
+    /// A heap record.
+    fn record(&mut self, rid: Rid, bytes: &[u8]) -> DbResult<()> {
+        decode_row_into(bytes, self.keep, &mut self.row)?;
+        if self.with_rid {
+            self.row.push(rid_value(rid));
+        }
+        self.offer();
+        Ok(())
+    }
+
+    /// An index key standing for a row of `arity` columns (index-only).
+    fn key(&mut self, key: &[u8], arity: usize, index_cols: &[usize]) -> DbResult<()> {
+        let vals = decode_composite_key(key)?;
+        self.row.clear();
+        self.row.resize(arity, Value::Null);
+        for (v, &c) in vals.into_iter().zip(index_cols) {
+            self.row[c] = v;
+        }
+        self.offer();
+        Ok(())
+    }
+
+    fn offer(&mut self) {
+        if self.filters.pass(&self.row) {
+            self.rows.push(std::mem::take(&mut self.row));
+        }
+    }
+}
+
+/// What an index probe found: rids to fetch, or (index-only) the keys
+/// themselves, one per matching entry, over the index's columns.
+enum Hits<'a> {
+    Rids(Vec<Rid>),
+    Keys(&'a [usize], Vec<Vec<u8>>),
+}
+
+/// Rows of a base-table scan, through the first access path that runs:
+/// the IN-probe `keyed` (a join reduction's keys) or the scan's own
+/// IN-probe when its list is short, else its eq/range probe, else the
+/// heap.
+fn exec_scan(
+    env: &Env<'_>,
+    node: &Node,
+    subs: &[SubResult],
+    keyed: Option<(&KeyIndex, Vec<Vec<u8>>)>,
 ) -> DbResult<Vec<Row>> {
-    if with_rid {
-        // DML read phase: every column (the write step takes the old
-        // row), the rid last. Heap order is rid order.
-        let rows = env.catalog.scan_table(env.pool, tid)?;
-        return Ok(rows
-            .into_iter()
-            .map(|(rid, mut row)| {
-                row.push(rid_value(rid));
-                row
+    let Node::Scan {
+        tid,
+        arity,
+        keep,
+        filters,
+        with_rid,
+        index,
+        in_probe,
+        ..
+    } = node
+    else {
+        unreachable!("exec_scan on a non-scan node");
+    };
+    let t = env.catalog.table(*tid);
+    let keyed = match (keyed, in_probe) {
+        (Some(keyed), _) => Some(keyed),
+        (None, Some(InProbe { via, src })) => {
+            let list = match src {
+                InSrc::List(vs) => vs.values(),
+                InSrc::Sub(i) => sub_list(subs, *i)?,
+            };
+            let ty = t.schema.columns[via.col].ty;
+            probe_keys(list, ty, t.heap.len()).map(|keys| (via, keys))
+        }
+        (None, None) => None,
+    };
+    let hits = match (keyed, index) {
+        (Some((via, keys)), _) => {
+            let found = t.indexes[via.index_no].btree.lookup_many(env.pool, &keys)?;
+            Some(if via.index_only {
+                let per_entry = keys
+                    .into_iter()
+                    .zip(found)
+                    .flat_map(|(key, rids)| std::iter::repeat_n(key, rids.len()));
+                Hits::Keys(std::slice::from_ref(&via.col), per_entry.collect())
+            } else {
+                Hits::Rids(found.concat())
             })
-            .collect());
+        }
+        (None, Some(probe)) => range_hits(env, t, probe, subs)?,
+        (None, None) => None,
+    };
+    let mut out = ScanOut {
+        keep: keep.as_deref(),
+        with_rid: *with_rid,
+        filters: Filters::new(env, filters, subs),
+        row: Vec::new(),
+        rows: Vec::new(),
+    };
+    match hits {
+        None => t.heap.scan(env.pool, |rid, rec| out.record(rid, rec))?,
+        // Heap order: matches the row order a sequential scan produces.
+        Some(Hits::Rids(mut rids)) => {
+            rids.sort_unstable();
+            t.heap
+                .get_each(env.pool, &rids, |rid, rec| out.record(rid, rec))?;
+        }
+        Some(Hits::Keys(cols, keys)) => {
+            for k in &keys {
+                out.key(k, *arity, cols)?;
+            }
+        }
     }
-    match keep {
-        Some(mask) => env.catalog.scan_rows_pruned(env.pool, tid, mask),
-        None => Ok(env
-            .catalog
-            .scan_table(env.pool, tid)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()),
+    out.filters.finish()?;
+    Ok(out.rows)
+}
+
+/// An IN subquery's value list for this execution.
+fn sub_list(subs: &[SubResult], i: usize) -> DbResult<&[Value]> {
+    match subs.get(i) {
+        Some(SubResult::List(vs)) => Ok(vs.values()),
+        _ => Err(DbError::Eval("IN subquery slot out of range".into())),
     }
+}
+
+/// A key list probes an index only while its distinct keys number at
+/// most `1 / KEY_SHARE` of the table's rows (see the module docs).
+const KEY_SHARE: u64 = 4;
+
+/// The distinct index keys of `vals`, coerced to the indexed column's
+/// type and sorted for one `lookup_many` pass — or `None`, and the caller
+/// takes its other access path, when a value's key cannot reproduce `=`
+/// or the keys pass `KEY_SHARE`. NULLs and values of another class match
+/// nothing and are dropped. Coerced keys share one type, on which
+/// `Value`'s `Eq` is exact, so the set drops only true duplicates.
+fn probe_keys<'v>(
+    vals: impl IntoIterator<Item = &'v Value>,
+    ty: ColumnType,
+    n_rows: u64,
+) -> Option<Vec<Vec<u8>>> {
+    let limit = n_rows / KEY_SHARE;
+    let mut distinct = HashSet::new();
+    for v in vals {
+        match coerce_eq(v.clone(), ty) {
+            EqCoerce::Val(k) => {
+                distinct.insert(k);
+                if distinct.len() as u64 > limit {
+                    return None;
+                }
+            }
+            EqCoerce::NoMatch => {}
+            EqCoerce::Fallback => return None,
+        }
+    }
+    let mut keys: Vec<Vec<u8>> = distinct
+        .iter()
+        .map(|k| encode_composite_key(std::slice::from_ref(k)))
+        .collect();
+    keys.sort_unstable();
+    Some(keys)
+}
+
+/// Run a hash join's inputs, reducing one when the plan marks it
+/// reducible: the other input runs first, and its distinct non-NULL join
+/// keys become the reduced scan's IN-probe — or its plain scan, past
+/// `KEY_SHARE`. With both inputs marked, the one over the larger table is
+/// reduced. Errors keep the unreduced order: if the right input fails
+/// while the left one waits to be reduced, the left one runs in full
+/// first, and its error, if any, wins.
+fn join_inputs(
+    env: &mut Env<'_>,
+    subs: &[SubResult],
+    inputs: [&Node; 2],
+    keys: [&[usize]; 2],
+    reduce: &[Option<Reduce>; 2],
+) -> DbResult<[Vec<Row>; 2]> {
+    let table_rows = |n: &Node| match n {
+        Node::Scan { tid, .. } => env.catalog.table(*tid).heap.len(),
+        _ => 0,
+    };
+    let side = match reduce {
+        [None, None] => {
+            return Ok([
+                exec_node(env, inputs[0], subs)?,
+                exec_node(env, inputs[1], subs)?,
+            ])
+        }
+        [Some(_), Some(_)] => usize::from(table_rows(inputs[1]) > table_rows(inputs[0])),
+        [Some(_), None] => 0,
+        [None, Some(_)] => 1,
+    };
+    let (red, other) = (side, 1 - side);
+    let Some(Reduce { key, via }) = &reduce[red] else {
+        unreachable!("the reduced side is marked");
+    };
+    let other_rows = match exec_node(env, inputs[other], subs) {
+        Err(e) if red == 0 => {
+            exec_node(env, inputs[0], subs)?;
+            return Err(e);
+        }
+        rows => rows?,
+    };
+    let Node::Scan { tid, .. } = inputs[red] else {
+        unreachable!("only a scan is reducible");
+    };
+    let t = env.catalog.table(*tid);
+    let c = keys[other][*key];
+    let found = probe_keys(
+        other_rows.iter().filter_map(|r| r.get(c)),
+        t.schema.columns[via.col].ty,
+        t.heap.len(),
+    );
+    let reduced = exec_scan(env, inputs[red], subs, found.map(|k| (via, k)))?;
+    Ok(if red == 0 {
+        [reduced, other_rows]
+    } else {
+        [other_rows, reduced]
+    })
 }
 
 fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
     match node {
-        Node::Scan { index: Some(_), .. } => exec_index_scan(env, node, subs),
-        Node::Scan {
-            tid,
-            keep,
-            filters,
-            with_rid,
-            ..
-        } => {
-            let rows = seq_scan(env, *tid, keep, *with_rid)?;
-            apply_filters(env, rows, filters, subs)
-        }
+        Node::Scan { .. } => exec_scan(env, node, subs, None),
         Node::Values(rows) => {
             let empty: Row = Vec::new();
             let mut out = Vec::with_capacity(rows.len());
@@ -371,9 +647,9 @@ fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec
             lk,
             rk,
             outer,
+            reduce,
         } => {
-            let l = exec_node(env, left, subs)?;
-            let r = exec_node(env, right, subs)?;
+            let [l, r] = join_inputs(env, subs, [left, right], [lk, rk], reduce)?;
             hash_join(&l, &r, lk, rk, outer.then(|| arity(right)))
         }
         Node::NlJoin {
@@ -535,109 +811,49 @@ fn coerce_range(v: Value, ty: ColumnType, is_lo: bool) -> RangeCoerce {
     }
 }
 
-fn exec_index_scan(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
-    let Node::Scan {
-        tid,
-        arity,
-        keep,
-        filters,
-        with_rid,
-        index: Some(probe),
-        ..
-    } = node
-    else {
-        unreachable!("exec_index_scan on a scan without a probe");
-    };
+/// What an eq/range probe finds, or `None` when an eq value's encoded key
+/// would diverge from `=` and the heap scan must decide instead.
+fn range_hits<'p>(
+    env: &Env<'_>,
+    t: &TableInfo,
+    probe: &'p IndexProbe,
+    subs: &[SubResult],
+) -> DbResult<Option<Hits<'p>>> {
     let IndexProbe {
         index_no,
         eq,
         range,
-        in_probe,
         index_only,
         index_cols,
-        col_types,
         ..
     } = probe;
-    let t = env.catalog.table(*tid);
+    // Declared column types drive probe-value coercion.
+    let col_ty = |c: usize| t.schema.columns[c].ty;
     let idx = &t.indexes[*index_no];
     let empty: Row = Vec::new();
-
-    let fallback = |env: &Env<'_>| -> DbResult<Vec<Row>> {
-        let rows = seq_scan(env, *tid, keep, *with_rid)?;
-        apply_filters(env, rows, filters, subs)
-    };
+    let none = || Some(Hits::Rids(Vec::new()));
 
     // Eq-prefix key values.
     let mut prefix_vals = Vec::with_capacity(eq.len());
     for (j, e) in eq.iter().enumerate() {
         let v = specialize(e, env.params, env.now, subs)?.eval(&empty)?;
-        match coerce_eq(v, col_types[index_cols[j]]) {
+        match coerce_eq(v, col_ty(index_cols[j])) {
             EqCoerce::Val(v) => prefix_vals.push(v),
-            EqCoerce::NoMatch => return Ok(Vec::new()),
-            EqCoerce::Fallback => return fallback(env),
+            EqCoerce::NoMatch => return Ok(none()),
+            EqCoerce::Fallback => return Ok(None),
         }
     }
     let prefix = encode_composite_key(&prefix_vals);
 
-    let mut rids: Vec<Rid> = Vec::new();
-    let mut found_keys: Vec<Vec<u8>> = Vec::new();
-    let decode_key_row = |k: &[u8]| -> DbResult<Row> {
-        let vals = decode_composite_key(k)?;
-        let mut row = vec![Value::Null; *arity];
-        for (j, &c) in index_cols.iter().enumerate() {
-            if let Some(v) = vals.get(j) {
-                row[c] = v.clone();
-            }
-        }
-        Ok(row)
-    };
-
-    if let Some(src) = in_probe {
-        let list: Vec<Value> = match src {
-            InSrc::List(vs) => vs.clone(),
-            InSrc::Sub(i) => match subs.get(*i) {
-                Some(SubResult::List(vs)) => vs.clone(),
-                _ => {
-                    return Err(DbError::Eval("IN subquery slot out of range".into()));
-                }
-            },
-        };
-        let mut keys: Vec<Vec<u8>> = Vec::with_capacity(list.len());
-        for v in list {
-            match coerce_eq(v, col_types[index_cols[0]]) {
-                EqCoerce::Val(v) => keys.push(encode_composite_key(&[v])),
-                EqCoerce::NoMatch => {}
-                EqCoerce::Fallback => return fallback(env),
-            }
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        // More probe keys than rows: the scan is cheaper than the descents.
-        if keys.len() as u64 > t.heap.len() {
-            return fallback(env);
-        }
-        if *index_only {
-            // Each hit contributes one row per matching entry; the key
-            // itself is the row content.
-            for (key, hits) in keys.iter().zip(idx.btree.lookup_many(env.pool, &keys)?) {
-                for _ in hits {
-                    found_keys.push(key.clone());
-                }
-            }
-        } else {
-            for hits in idx.btree.lookup_many(env.pool, &keys)? {
-                rids.extend(hits);
-            }
-        }
-    } else if let Some(r) = range {
-        let range_ty = col_types[index_cols[eq.len()]];
-        let mut lo_bytes = prefix.clone();
-        let mut hi_bytes: Option<Vec<u8>> = None;
+    let mut lo_bytes = prefix.clone();
+    let mut hi_bytes: Option<Vec<u8>> = None;
+    if let Some(r) = range {
+        let range_ty = col_ty(index_cols[eq.len()]);
         if let Some((e, _)) = &r.lo {
             let v = specialize(e, env.params, env.now, subs)?.eval(&empty)?;
             match coerce_range(v, range_ty, true) {
                 RangeCoerce::Val(v) => v.encode_key(&mut lo_bytes),
-                RangeCoerce::Empty => return Ok(Vec::new()),
+                RangeCoerce::Empty => return Ok(none()),
                 RangeCoerce::Open => {}
             }
         }
@@ -649,79 +865,41 @@ fn exec_index_scan(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResu
                     v.encode_key(&mut hb);
                     hi_bytes = Some(hb);
                 }
-                RangeCoerce::Empty => return Ok(Vec::new()),
+                RangeCoerce::Empty => return Ok(none()),
                 RangeCoerce::Open => {}
             }
         }
-        let stop = |k: &[u8]| -> bool {
-            match &hi_bytes {
-                // Keys sharing the hi value as a prefix may carry suffix
-                // columns; include them (residuals trim strict bounds).
-                Some(hb) => k > hb.as_slice() && !k.starts_with(hb),
-                None => !k.starts_with(&prefix),
-            }
-        };
-        idx.btree.scan_range(
-            env.pool,
-            Bound::Included(lo_bytes.as_slice()),
-            Bound::Unbounded,
-            |k, rid| {
-                if stop(k) {
-                    return false;
-                }
-                if *index_only {
-                    found_keys.push(k.to_vec());
-                } else {
-                    rids.push(rid);
-                }
-                true
-            },
-        )?;
-    } else {
-        // Pure eq-prefix probe.
-        idx.btree.scan_range(
-            env.pool,
-            Bound::Included(prefix.as_slice()),
-            Bound::Unbounded,
-            |k, rid| {
-                if !k.starts_with(&prefix) {
-                    return false;
-                }
-                if *index_only {
-                    found_keys.push(k.to_vec());
-                } else {
-                    rids.push(rid);
-                }
-                true
-            },
-        )?;
     }
-
-    let rows = if *index_only {
-        let mut out = Vec::with_capacity(found_keys.len());
-        for k in &found_keys {
-            out.push(decode_key_row(k)?);
+    let stop = |k: &[u8]| -> bool {
+        match &hi_bytes {
+            // Keys sharing the hi value as a prefix may carry suffix
+            // columns; include them (residuals trim strict bounds).
+            Some(hb) => k > hb.as_slice() && !k.starts_with(hb),
+            None => !k.starts_with(&prefix),
         }
-        out
-    } else {
-        // Heap order: matches the row order a sequential scan produces.
-        rids.sort_unstable();
-        let recs = t.heap.get_many(env.pool, &rids)?;
-        let mut out = Vec::with_capacity(recs.len());
-        for bytes in &recs {
-            out.push(match keep {
-                Some(mask) => decode_row_pruned(bytes, mask)?,
-                None => decode_row(bytes)?,
-            });
-        }
-        if *with_rid {
-            for (row, &rid) in out.iter_mut().zip(&rids) {
-                row.push(rid_value(rid));
-            }
-        }
-        out
     };
-    apply_filters(env, rows, filters, subs)
+    let (mut rids, mut keys) = (Vec::new(), Vec::new());
+    idx.btree.scan_range(
+        env.pool,
+        Bound::Included(lo_bytes.as_slice()),
+        Bound::Unbounded,
+        |k, rid| {
+            if stop(k) {
+                return false;
+            }
+            if *index_only {
+                keys.push(k.to_vec());
+            } else {
+                rids.push(rid);
+            }
+            true
+        },
+    )?;
+    Ok(Some(if *index_only {
+        Hits::Keys(index_cols, keys)
+    } else {
+        Hits::Rids(rids)
+    }))
 }
 
 // ---------------------------------------------------------------- explain
@@ -752,15 +930,25 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             keep,
             filters,
             index,
+            in_probe,
             ..
         } => {
             let kept = keep
                 .as_ref()
                 .map_or(*arity, |m| m.iter().filter(|&&b| b).count());
             let tail = format!("[filters={} cols={kept}/{arity}]", filters.len());
-            out.push(match index {
-                None => format!("{pad}SeqScan {table} {tail}"),
-                Some(p) => {
+            let in_tag = |via: &KeyIndex| match via.index_only {
+                true => "in-probe index-only",
+                false => "in-probe",
+            };
+            out.push(match (index, in_probe) {
+                (None, None) => format!("{pad}SeqScan {table} {tail}"),
+                (None, Some(InProbe { via, .. })) => format!(
+                    "{pad}IndexScan {table} via {} [{}] {tail}",
+                    via.index_name,
+                    in_tag(via)
+                ),
+                (Some(p), in_probe) => {
                     let mut probe = Vec::new();
                     if !p.eq.is_empty() {
                         probe.push(format!("eq={}", p.eq.len()));
@@ -768,15 +956,15 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
                     if p.range.is_some() {
                         probe.push("range".to_owned());
                     }
-                    if p.in_probe.is_some() {
-                        probe.push("in-probe".to_owned());
-                    }
                     if p.index_only {
                         probe.push("index-only".to_owned());
                     }
-                    let via = &p.index_name;
+                    let or_in = in_probe.as_ref().map_or(String::new(), |p| {
+                        format!(" or via {} [{}]", p.via.index_name, in_tag(&p.via))
+                    });
                     format!(
-                        "{pad}IndexScan {table} via {via} [{}] {tail}",
+                        "{pad}IndexScan {table} via {} [{}]{or_in} {tail}",
+                        p.index_name,
                         probe.join(" ")
                     )
                 }
@@ -790,10 +978,19 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             right,
             lk,
             outer,
+            reduce,
             ..
         } => {
+            let sides = ["left", "right"].iter().zip(reduce);
+            let reducible: Vec<String> = sides
+                .filter_map(|(side, r)| Some(format!("{side} via {}", r.as_ref()?.via.index_name)))
+                .collect();
+            let reduce = match reducible.is_empty() {
+                true => String::new(),
+                false => format!(" [reduce {}]", reducible.join(", ")),
+            };
             out.push(format!(
-                "{pad}HashJoin [keys={}{}]",
+                "{pad}HashJoin [keys={}{}]{reduce}",
                 lk.len(),
                 if *outer { ", left-outer" } else { "" }
             ));

@@ -32,7 +32,13 @@
 //! * **Access paths** — once planning is done and every scan's filters
 //!   are final, one walk gives each base-table scan an [`IndexProbe`]
 //!   when a B+tree covers its filters and the cost model (rows ×
-//!   selectivity vs. heap pages) says the probe is cheaper than the scan.
+//!   selectivity vs. heap pages) says the probe is cheaper than the scan,
+//!   and an [`InProbe`] when an `IN` filter's column has a single-column
+//!   index of its own: the executor runs it first whenever the list it
+//!   meets is short. The same walk marks each inner hash-join input that
+//!   is a plain heap scan with a single-column index on a join key as
+//!   reducible ([`Reduce`]): the executor may run it as an IN-probe with
+//!   the other input's keys (a semijoin reduction).
 //!
 //! Parameters (`?`), `current timestamp`, and uncorrelated subqueries
 //! stay **symbolic** in the plan ([`Expr::Param`], [`Expr::Now`],
@@ -47,12 +53,11 @@ use crate::catalog::{Catalog, TableId};
 use crate::error::{DbError, DbResult};
 use crate::exec::agg::{AggCall, AggKind};
 use crate::exec::expr::{BinOp, Expr, Func, UnOp};
-use crate::schema::ColumnType;
 use crate::sql::ast::*;
 use crate::sql::bind::{
     ast_eq_loose, bindable, dealias, equi_keys, gather_cols, output_name, resolve_col, BoundCol,
 };
-use crate::value::Value;
+use crate::value::{Value, ValueSet};
 use std::collections::HashMap;
 
 /// A planned SELECT: its CTEs, its uncorrelated subqueries, and the
@@ -131,9 +136,12 @@ pub enum Node {
         /// `arity`). Set only on the target scan of an UPDATE/DELETE
         /// read phase; filters still bind positions `< arity`.
         with_rid: bool,
-        /// The access path: `None` until planning ends, then the probe
-        /// `choose_access_paths` picked, if any.
+        /// The eq/range access path: `None` until planning ends, then
+        /// the probe `choose_access_paths` picked, if any.
         index: Option<IndexProbe>,
+        /// The `IN` probe tried before `index` (or the heap scan) when
+        /// the key list, known only at execution, is short.
+        in_probe: Option<InProbe>,
     },
     /// Literal rows of row-free expressions: `INSERT … VALUES`, and one
     /// empty row for a SELECT without FROM.
@@ -161,6 +169,9 @@ pub enum Node {
         rk: Vec<usize>,
         /// LEFT OUTER?
         outer: bool,
+        /// Which of `[left, right]` may run as an IN-probe with the other
+        /// input's keys; set by `choose_access_paths`, inner joins only.
+        reduce: [Option<Reduce>; 2],
     },
     /// Nested-loop join with an arbitrary predicate over the
     /// concatenated row (`Lit(1)` = cartesian product).
@@ -228,7 +239,7 @@ pub enum Node {
 }
 
 /// The B+tree probe a [`Node::Scan`] runs instead of a heap scan:
-/// eq-prefix and/or range, or single-column IN.
+/// eq-prefix and/or range.
 #[derive(Debug)]
 pub struct IndexProbe {
     /// Position in the table's index list.
@@ -240,23 +251,52 @@ pub struct IndexProbe {
     pub eq: Vec<Expr>,
     /// Optional range on index column `eq.len()`.
     pub range: Option<RangeProbe>,
-    /// Single-column IN probe (mutually exclusive with eq/range).
-    pub in_probe: Option<InSrc>,
     /// Serve rows from decoded index keys without heap fetches.
     pub index_only: bool,
     /// The index's key columns.
     pub index_cols: Vec<usize>,
-    /// Declared column types (drives probe-value coercion).
-    pub col_types: Vec<ColumnType>,
+}
+
+/// A single-column index through which a scan fetches the rows whose
+/// indexed column equals a value of a key list known only at execution.
+#[derive(Debug)]
+pub struct KeyIndex {
+    /// Position in the table's index list.
+    pub index_no: usize,
+    /// Index name (for EXPLAIN).
+    pub index_name: String,
+    /// The indexed column.
+    pub col: usize,
+    /// Serve rows from decoded index keys without heap fetches.
+    pub index_only: bool,
+}
+
+/// A scan's `IN` probe: the index and where its key list comes from.
+#[derive(Debug)]
+pub struct InProbe {
+    /// The index probed.
+    pub via: KeyIndex,
+    /// The key list.
+    pub src: InSrc,
 }
 
 /// Source of an index IN-probe's key list.
 #[derive(Debug)]
 pub enum InSrc {
     /// Literal list (from `IN (v, v, …)`).
-    List(Vec<Value>),
+    List(ValueSet),
     /// Subquery slot (from `IN (select …)`).
     Sub(usize),
+}
+
+/// A reducible hash-join input: a plain heap scan that can instead run
+/// as an IN-probe with the other input's distinct keys.
+#[derive(Debug)]
+pub struct Reduce {
+    /// Position of the probed key in the join's `lk`/`rk`.
+    pub key: usize,
+    /// The index on that key column.
+    pub via: KeyIndex,
 }
 
 /// Range bound pair on the index column after the eq prefix.
@@ -505,7 +545,7 @@ impl<'a> Planner<'a> {
                     for it in &items {
                         vals.push(it.eval(&empty)?);
                     }
-                    return Ok(Expr::InList(Box::new(bound), vals, *negated));
+                    return Ok(Expr::InList(Box::new(bound), vals.into(), *negated));
                 }
                 // v IN (a, b) → v = a OR v = b (NULL probe yields false on
                 // its own); v NOT IN (a, b) needs an explicit NULL-probe
@@ -710,6 +750,7 @@ impl<'a> Planner<'a> {
                 filters: vec![],
                 with_rid: false,
                 index: None,
+                in_probe: None,
             },
             est: (t.heap.len() as f64).max(1.0),
         })
@@ -1253,14 +1294,16 @@ fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) 
         lk,
         rk,
         outer,
+        reduce: [None, None],
     };
     Src { cols, node, est }
 }
 
 // ------------------------------------------------------------ access paths
 
-/// Give every base-table scan of `plan` its access path. Runs once, when
-/// planning is done and every scan's filters are final.
+/// Give every base-table scan of `plan` its access paths, and mark the
+/// reducible inputs of its inner hash joins. Runs once, when planning is
+/// done and every scan's filters are final.
 fn choose_access_paths(catalog: &Catalog, plan: &mut SelectPlan) {
     for c in &mut plan.ctes {
         choose_access_paths(catalog, &mut c.plan);
@@ -1268,31 +1311,107 @@ fn choose_access_paths(catalog: &Catalog, plan: &mut SelectPlan) {
     for s in &mut plan.subs {
         choose_access_paths(catalog, &mut s.plan);
     }
-    let mut stack = vec![&mut plan.root];
-    while let Some(node) = stack.pop() {
-        match node {
-            Node::Scan {
-                tid,
-                arity,
-                keep,
-                filters,
-                with_rid,
-                index,
-                ..
-            } => *index = access_path(catalog, *tid, *arity, keep, filters, *with_rid),
-            Node::Values(_) | Node::CteScan { .. } => {}
-            Node::HashJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
-                stack.extend([left.as_mut(), right.as_mut()]);
+    node_paths(catalog, &mut plan.root);
+}
+
+fn node_paths(catalog: &Catalog, node: &mut Node) {
+    match node {
+        Node::Scan {
+            tid,
+            arity,
+            keep,
+            filters,
+            with_rid,
+            index,
+            in_probe,
+            ..
+        } => (*index, *in_probe) = access_path(catalog, *tid, *arity, keep, filters, *with_rid),
+        Node::Values(_) | Node::CteScan { .. } => {}
+        Node::HashJoin {
+            left,
+            right,
+            lk,
+            rk,
+            outer,
+            reduce,
+        } => {
+            node_paths(catalog, left);
+            node_paths(catalog, right);
+            if !*outer {
+                *reduce = [reducible(catalog, left, lk), reducible(catalog, right, rk)];
             }
-            Node::Permute { input, .. }
-            | Node::Filter { input, .. }
-            | Node::Agg { input, .. }
-            | Node::Sort { input, .. }
-            | Node::Limit { input, .. }
-            | Node::Project { input, .. }
-            | Node::Distinct { input } => stack.push(input),
         }
+        Node::NlJoin { left, right, .. } => {
+            node_paths(catalog, left);
+            node_paths(catalog, right);
+        }
+        Node::Permute { input, .. }
+        | Node::Filter { input, .. }
+        | Node::Agg { input, .. }
+        | Node::Sort { input, .. }
+        | Node::Limit { input, .. }
+        | Node::Project { input, .. }
+        | Node::Distinct { input } => node_paths(catalog, input),
     }
+}
+
+/// A hash-join input is reducible when it is a plain heap scan (no index
+/// path of its own) and one of its join key columns has a single-column
+/// index: the first such key is the one probed.
+fn reducible(catalog: &Catalog, input: &Node, keys: &[usize]) -> Option<Reduce> {
+    let Node::Scan {
+        tid,
+        arity,
+        keep,
+        with_rid: false,
+        index: None,
+        in_probe: None,
+        ..
+    } = input
+    else {
+        return None;
+    };
+    keys.iter().enumerate().find_map(|(key, &col)| {
+        let via = key_index(catalog, *tid, col, *arity, keep, false)?;
+        Some(Reduce { key, via })
+    })
+}
+
+/// Does index `cols` hold every column the scan must produce? An index
+/// entry has no old row for a DML write step to replace, so a DML read
+/// phase never serves rows from keys.
+fn covers(cols: &[usize], keep: &Option<Vec<bool>>, table_arity: usize, with_rid: bool) -> bool {
+    !with_rid
+        && match keep {
+            Some(mask) => mask
+                .iter()
+                .enumerate()
+                .all(|(c, &need)| !need || cols.contains(&c)),
+            None => (0..table_arity).all(|c| cols.contains(&c)),
+        }
+}
+
+/// The table's first single-column index on `col`, if any.
+fn key_index(
+    catalog: &Catalog,
+    tid: TableId,
+    col: usize,
+    table_arity: usize,
+    keep: &Option<Vec<bool>>,
+    with_rid: bool,
+) -> Option<KeyIndex> {
+    let (index_no, idx) = catalog
+        .table(tid)
+        .indexes
+        .iter()
+        .enumerate()
+        .find(|(_, idx)| idx.cols == [col])?;
+    Some(KeyIndex {
+        index_no,
+        index_name: idx.name.clone(),
+        col,
+        index_only: covers(&idx.cols, keep, table_arity, with_rid),
+    })
 }
 
 /// Is this expression free of row references (usable as a probe key)?
@@ -1307,8 +1426,9 @@ fn row_free(e: &Expr) -> bool {
     }
 }
 
-/// Access-path selection for a base-table scan: the B+tree probe to run
-/// instead of the heap scan, if one pays.
+/// Access-path selection for a base-table scan: the eq/range probe to
+/// run instead of the heap scan, if one pays, and the `IN` probe to try
+/// first, if an `IN` filter's column has a single-column index.
 fn access_path(
     catalog: &Catalog,
     tid: TableId,
@@ -1316,7 +1436,7 @@ fn access_path(
     keep: &Option<Vec<bool>>,
     filters: &[Expr],
     with_rid: bool,
-) -> Option<IndexProbe> {
+) -> (Option<IndexProbe>, Option<InProbe>) {
     let t = catalog.table(tid);
     let (n_rows, n_pages) = catalog.table_stats(tid);
     let n = n_rows as f64;
@@ -1326,7 +1446,13 @@ fn access_path(
     let mut eq_on: Vec<Option<&Expr>> = vec![None; table_arity];
     let mut lo_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
     let mut hi_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
-    let mut in_on: Vec<Option<InSrc>> = (0..table_arity).map(|_| None).collect();
+    let mut in_on: Option<InProbe> = None;
+    let in_probe_on = |probe: &Expr, src| match probe {
+        Expr::Col(c) => {
+            key_index(catalog, tid, *c, table_arity, keep, with_rid).map(|via| InProbe { via, src })
+        }
+        _ => None,
+    };
     for f in filters {
         match f {
             Expr::Bin(op, l, r) => {
@@ -1358,19 +1484,12 @@ fn access_path(
                     _ => {}
                 }
             }
-            Expr::InList(probe, vals, false) => {
-                if let Expr::Col(c) = probe.as_ref() {
-                    if in_on[*c].is_none() {
-                        in_on[*c] = Some(InSrc::List(vals.clone()));
-                    }
-                }
+            // The first `IN` filter whose column has an index of its own.
+            Expr::InList(probe, vals, false) if in_on.is_none() => {
+                in_on = in_probe_on(probe, InSrc::List(vals.clone()));
             }
-            Expr::InSub(probe, slot, false) => {
-                if let Expr::Col(c) = probe.as_ref() {
-                    if in_on[*c].is_none() {
-                        in_on[*c] = Some(InSrc::Sub(*slot));
-                    }
-                }
+            Expr::InSub(probe, slot, false) if in_on.is_none() => {
+                in_on = in_probe_on(probe, InSrc::Sub(*slot));
             }
             _ => {}
         }
@@ -1412,53 +1531,23 @@ fn access_path(
         }
     }
 
-    // A probe on index `i`. An index entry has no old row for the write
-    // step to replace, so a DML read phase never serves rows from keys.
-    let probe = |i: usize, eq, range, in_probe| {
-        let idx = &t.indexes[i];
-        let covered = |c: usize| idx.cols.contains(&c);
-        let index_only = !with_rid
-            && match keep {
-                Some(mask) => mask
-                    .iter()
-                    .enumerate()
-                    .all(|(c, &need)| !need || covered(c)),
-                None => (0..table_arity).all(covered),
-            };
+    let probe = best.map(|(index_no, k, has_range, _)| {
+        let idx = &t.indexes[index_no];
+        let cols = &idx.cols;
         IndexProbe {
-            index_no: i,
+            index_no,
             index_name: idx.name.clone(),
-            eq,
-            range,
-            in_probe,
-            index_only,
-            index_cols: idx.cols.clone(),
-            col_types: t.schema.columns.iter().map(|c| c.ty).collect(),
+            eq: cols[..k]
+                .iter()
+                .map(|&c| eq_on[c].expect("the eq prefix is bound").clone())
+                .collect(),
+            range: has_range.then(|| RangeProbe {
+                lo: lo_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+                hi: hi_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+            }),
+            index_only: covers(cols, keep, table_arity, with_rid),
+            index_cols: cols.clone(),
         }
-    };
-
-    if let Some((index_no, k, has_range, _)) = best {
-        let cols = &t.indexes[index_no].cols;
-        let eq = cols[..k]
-            .iter()
-            .map(|&c| eq_on[c].expect("the eq prefix is bound").clone())
-            .collect();
-        let range = has_range.then(|| RangeProbe {
-            lo: lo_on[cols[k]].map(|(e, x)| (e.clone(), x)),
-            hi: hi_on[cols[k]].map(|(e, x)| (e.clone(), x)),
-        });
-        return Some(probe(index_no, eq, range, None));
-    }
-
-    // IN probe: only on a single-column index (composite keys cannot be
-    // equality-matched by a one-value prefix via lookup_many).
-    let (i, src) = t
-        .indexes
-        .iter()
-        .enumerate()
-        .find_map(|(i, idx)| match idx.cols[..] {
-            [c] => in_on[c].take().map(|src| (i, src)),
-            _ => None,
-        })?;
-    Some(probe(i, Vec::new(), None, Some(src)))
+    });
+    (probe, in_on)
 }

@@ -1,6 +1,8 @@
-//! SQL values: typed cells with total ordering and two byte encodings —
-//! a row codec (compact, for heap pages) and a *memcomparable* key codec
-//! (order-preserving, for B+tree keys).
+//! SQL values: typed cells with total ordering and three byte encodings —
+//! a row codec (compact, for heap pages), a *memcomparable* key codec
+//! (order-preserving, for B+tree keys), and a memcomparable sort key that
+//! orders Ints and Floats together (for the sort operators) — plus
+//! [`ValueSet`], the hash set behind `IN` lists.
 
 use crate::error::{DbError, DbResult};
 use std::cmp::Ordering;
@@ -156,6 +158,99 @@ impl Value {
             }
         }
     }
+
+    /// Append a memcomparable *sort* key. Unlike [`Value::encode_key`],
+    /// whose type tag puts every Int before every Float, Ints and Floats
+    /// share one tag and order by numeric value: the nearest f64 first,
+    /// then an Int's exact distance from it (at most 512, so an `i16`), so
+    /// ints past 2⁵³ that round to one f64 still sort exactly. An Int and
+    /// a Float of equal value get equal keys.
+    pub fn encode_sort_key(&self, buf: &mut Vec<u8>) {
+        let (f, off) = match self {
+            Value::Int(i) => {
+                let f = *i as f64;
+                (f, (i128::from(*i) - f as i128) as i16)
+            }
+            Value::Float(f) => (*f, 0),
+            other => return other.encode_key(buf),
+        };
+        buf.push(0x02);
+        buf.extend_from_slice(&f64_to_ordered_bits(f).to_be_bytes());
+        buf.extend_from_slice(&(off as u16 ^ 0x8000).to_be_bytes());
+    }
+}
+
+/// The values of an `IN` list behind a hash table: [`ValueSet::contains`]
+/// is exactly `vals.iter().any(|x| x == v)`, found by hashing instead of
+/// walking the list. `Value`'s `Hash` agrees with its cross-type `Eq`, and
+/// every entry of equal hash is compared with `Eq`, so where equality is
+/// not transitive (`Float(2⁵³)` equals both `Int(2⁵³)` and `Int(2⁵³ + 1)`)
+/// the answer is still the list walk's. Cloning shares the table.
+#[derive(Debug, Clone)]
+pub struct ValueSet(std::sync::Arc<SetTable>);
+
+#[derive(Debug)]
+struct SetTable {
+    vals: Vec<Value>,
+    /// First entry of each bucket; `u32::MAX` ends a chain.
+    heads: Vec<u32>,
+    /// Each entry's hash and the next entry of its bucket.
+    chain: Vec<(u64, u32)>,
+}
+
+const NIL: u32 = u32::MAX;
+
+fn set_hash(v: &Value) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(v)
+}
+
+impl ValueSet {
+    /// The set of `vals`, in list order.
+    pub fn new(vals: Vec<Value>) -> ValueSet {
+        let mask = vals.len().next_power_of_two() - 1;
+        let mut heads = vec![NIL; mask + 1];
+        let mut chain = Vec::with_capacity(vals.len());
+        for (i, v) in vals.iter().enumerate() {
+            let h = set_hash(v);
+            let bucket = &mut heads[h as usize & mask];
+            chain.push((h, *bucket));
+            *bucket = i as u32;
+        }
+        ValueSet(std::sync::Arc::new(SetTable { vals, heads, chain }))
+    }
+
+    /// Is some list value `==` to `v`?
+    pub fn contains(&self, v: &Value) -> bool {
+        let t = &*self.0;
+        let h = set_hash(v);
+        let mut i = t.heads[h as usize & (t.heads.len() - 1)];
+        while i != NIL {
+            let (hi, next) = t.chain[i as usize];
+            if hi == h && t.vals[i as usize] == *v {
+                return true;
+            }
+            i = next;
+        }
+        false
+    }
+
+    /// The list values, in list order.
+    pub fn values(&self) -> &[Value] {
+        &self.0.vals
+    }
+}
+
+impl From<Vec<Value>> for ValueSet {
+    fn from(vals: Vec<Value>) -> ValueSet {
+        ValueSet::new(vals)
+    }
+}
+
+impl PartialEq for ValueSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
 }
 
 /// The one checked read both decoders share: take the next `N` bytes off
@@ -254,12 +349,9 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 }
 
 /// Decode a whole row.
-pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
-    let n = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        row.push(Value::decode(&mut bytes)?);
-    }
+pub fn decode_row(bytes: &[u8]) -> DbResult<Row> {
+    let mut row = Vec::new();
+    decode_row_into(bytes, None, &mut row)?;
     Ok(row)
 }
 
@@ -279,23 +371,27 @@ fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
     Ok(())
 }
 
-/// Decode a row keeping only the columns marked in `keep`; the rest
-/// come back as [`Value::Null`] placeholders (same arity, same column
-/// positions). Skipped columns are never materialized — in particular,
-/// text columns allocate nothing — which is what makes column-pruned
-/// scans cheap. `keep` shorter than the row keeps nothing past its end.
-pub fn decode_row_pruned(mut bytes: &[u8], keep: &[bool]) -> DbResult<Row> {
+/// Decode a row into `row`, replacing what it held and reusing its
+/// buffer — a scan decodes every record into one row and moves out only
+/// those its filters keep. `keep` (`None` = every column) marks the
+/// columns to decode; the rest come back as [`Value::Null`] placeholders
+/// (same arity, same column positions) and are never materialized — in
+/// particular, text columns allocate nothing — which is what makes
+/// column-pruned scans cheap. `keep` shorter than the row keeps nothing
+/// past its end.
+pub fn decode_row_into(mut bytes: &[u8], keep: Option<&[bool]>, row: &mut Row) -> DbResult<()> {
     let n = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
-    let mut row = Vec::with_capacity(n);
+    row.clear();
+    row.reserve(n);
     for i in 0..n {
-        if keep.get(i).copied().unwrap_or(false) {
+        if keep.is_none_or(|k| k.get(i).copied().unwrap_or(false)) {
             row.push(Value::decode(&mut bytes)?);
         } else {
             skip_value(&mut bytes)?;
             row.push(Value::Null);
         }
     }
-    Ok(row)
+    Ok(())
 }
 
 impl PartialEq for Value {
@@ -423,6 +519,20 @@ mod tests {
         for w in vals.windows(2) {
             assert!(w[0] < w[1], "{} should sort before {}", w[0], w[1]);
         }
+        // The sort key orders the same values the same way across types.
+        let key = |v: &Value| {
+            let mut b = Vec::new();
+            v.encode_sort_key(&mut b);
+            b
+        };
+        for w in vals.windows(2) {
+            assert!(key(&w[0]) < key(&w[1]), "{} before {}", w[0], w[1]);
+        }
+        assert_eq!(key(&Value::Int(3)), key(&Value::Float(3.0)));
+        let big = 1i64 << 53;
+        assert!(key(&Value::Int(big)) < key(&Value::Int(big + 1)));
+        assert!(key(&Value::Int(big + 1)) < key(&Value::Float(big as f64 + 2.0)));
+        assert!(key(&Value::Int(i64::MAX - 1)) < key(&Value::Int(i64::MAX)));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
 use minirel::value::{encode_composite_key, Value};
 use minirel::{Database, Rid};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 fn key_i(i: i64) -> Vec<u8> {
@@ -90,13 +90,21 @@ fn sql_readers_run_against_live_inserts() {
     }
     const BATCH: i64 = 100;
     const BATCHES: i64 = 60;
+    const READERS: usize = 4;
     let done = Arc::new(AtomicBool::new(false));
+    let checked_in = Arc::new(AtomicUsize::new(0));
 
     let writer = {
         let db = Arc::clone(&db);
         let done = Arc::clone(&done);
+        let checked_in = Arc::clone(&checked_in);
         std::thread::spawn(move || {
             for b in 0..BATCHES {
+                // Every reader gets a query in before the last batch, so
+                // a fast writer cannot finish before a reader starts.
+                while b == BATCHES - 1 && checked_in.load(Ordering::Acquire) < READERS {
+                    std::thread::yield_now();
+                }
                 let mut g = db.write().unwrap();
                 let tid = g.table_id("t").unwrap();
                 let rows = (0..BATCH)
@@ -116,9 +124,10 @@ fn sql_readers_run_against_live_inserts() {
     };
 
     let mut readers = Vec::new();
-    for r in 0..4 {
+    for r in 0..READERS {
         let db = Arc::clone(&db);
         let done = Arc::clone(&done);
+        let mut check_in = CheckIn(Some(Arc::clone(&checked_in)));
         readers.push(std::thread::spawn(move || {
             let mut last = 0i64;
             let mut observations = 0u64;
@@ -137,6 +146,7 @@ fn sql_readers_run_against_live_inserts() {
                 );
                 last = n;
                 observations += 1;
+                check_in.once();
                 // A scan query too: decodes every row, so a torn page
                 // or a half-maintained index would explode here.
                 let rs = g_scan(&db, r);
@@ -162,6 +172,25 @@ fn sql_readers_run_against_live_inserts() {
         .unwrap()
         .scalar_i64();
     assert_eq!(rs, Some(BATCH * BATCHES));
+}
+
+/// Counts a reader in with the writer once: at its first observation, or
+/// when it ends without one (a failed assertion unwinds through the
+/// drop), so the writer never waits on a reader that is gone.
+struct CheckIn(Option<Arc<AtomicUsize>>);
+
+impl CheckIn {
+    fn once(&mut self) {
+        if let Some(n) = self.0.take() {
+            n.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
+impl Drop for CheckIn {
+    fn drop(&mut self) {
+        self.once();
+    }
 }
 
 /// A row-decoding scan under the read lock (helper for the stress test:

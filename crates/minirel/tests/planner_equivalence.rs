@@ -966,3 +966,185 @@ fn query_rejects_non_select_and_dml_still_runs() {
     let n1 = db.query_prepared(&plan, &[]).unwrap().scalar_i64().unwrap();
     assert_eq!(n1, n0 + 1);
 }
+
+// ------------------------------------------------ key-list probes
+
+/// `p(id int, g int, v str)` (`n` rows, `id` unique, indexed `p_id`),
+/// `q(pid int, w int)` (`3n` rows over `id`s and a few NULLs, indexed
+/// `q_pid`), and `r(pid int, z int)` (`n` rows, no index) — or, with
+/// `indexed` false, the same tables without any index.
+fn build_join_db(n: i64, indexed: bool) -> Database {
+    let mut db = Database::in_memory();
+    db.execute("create table p (id int, g int, v str)").unwrap();
+    db.execute("create table q (pid int, w int)").unwrap();
+    db.execute("create table r (pid int, z int)").unwrap();
+    if indexed {
+        db.execute("create index p_id on p (id)").unwrap();
+        db.execute("create index q_pid on q (pid)").unwrap();
+    }
+    let (p, q, r) = (
+        db.table_id("p").unwrap(),
+        db.table_id("q").unwrap(),
+        db.table_id("r").unwrap(),
+    );
+    let rows = (0..n).map(|i| {
+        let v = format!("v{i}-{}", "x".repeat(40));
+        vec![Value::Int(i), Value::Int(i % 7), Value::Str(v)]
+    });
+    db.insert_many(p, rows.collect()).unwrap();
+    let rows = (0..3 * n).map(|i| {
+        let pid = match i % 11 {
+            0 => Value::Null,
+            _ => Value::Int((i * 7) % (n + 5)),
+        };
+        vec![pid, Value::Int(i % 13)]
+    });
+    db.insert_many(q, rows.collect()).unwrap();
+    let rows = (0..n).map(|i| vec![Value::Int((i * 3) % n), Value::Int(i % 50)]);
+    db.insert_many(r, rows.collect()).unwrap();
+    db
+}
+
+/// Logical reads `sql` costs on `db`.
+fn reads_of(db: &Database, sql: &str) -> u64 {
+    db.reset_io_stats();
+    db.query(sql).unwrap();
+    db.io_stats().logical_reads
+}
+
+#[test]
+fn semijoin_reduction_marks_and_matches_the_reference() {
+    // New with semijoin reduction: the EXPLAIN tags, and the reduced
+    // reads, fail before it; the multisets held before too.
+    let db = build_join_db(2000, true);
+    let plain = build_join_db(2000, false);
+    // One side reducible: `r` has no index, `p` is probed with the `pid`s
+    // of the few `r` rows that pass its filters.
+    let one = "select p.v, r.z from p, r where p.id = r.pid and z = 7 and r.pid < 600";
+    let text = explain(&db, one);
+    assert!(
+        text.contains("HashJoin [keys=1] [reduce left via p_id]"),
+        "{text}"
+    );
+    assert_equiv(&db, one);
+    let (reduced, scanned) = (reads_of(&db, one), reads_of(&plain, one));
+    assert!(
+        3 * reduced < 2 * scanned,
+        "reduced {reduced} vs scanned {scanned}"
+    );
+    // Both sides reducible: the larger table (`q`) is probed with the
+    // keys of the `p` rows that pass `g = 2`.
+    let both = "select p.v, q.w from p, q where p.id = q.pid and g = 2 and v > 'v5'";
+    let text = explain(&db, both);
+    assert!(
+        text.contains("[reduce left via p_id, right via q_pid]"),
+        "{text}"
+    );
+    assert_equiv(&db, both);
+    // Neither: `r` twice, no index.
+    let neither = "select count(*) from r, r r2 where r.pid = r2.pid and r.z = 3";
+    assert!(!explain(&db, neither).contains("reduce"));
+    assert_equiv(&db, neither);
+    // A left outer join is never reduced, on either side.
+    for outer in [
+        "select p.id, q.w from p left outer join q on p.id = q.pid where g = 1",
+        "select q.w, p.v from q left outer join p on q.pid = p.id",
+    ] {
+        let text = explain(&db, outer);
+        assert!(
+            text.contains("left-outer]") && !text.contains("reduce"),
+            "{text}"
+        );
+        assert_equiv(&db, outer);
+    }
+    // A key list covering most of the table falls back to the scan: every
+    // `q.pid` against `p` — and the answer is the same.
+    let most = "select count(*), sum(w) from q, p where q.pid = p.id";
+    assert!(explain(&db, most).contains("reduce"));
+    assert_equiv(&db, most);
+    let (fell_back, scanned) = (reads_of(&db, most), reads_of(&plain, most));
+    assert_eq!(fell_back, scanned, "the fallback reads what the scans read");
+    // Composite keys, NULL keys, an empty key list and index-only rows.
+    for sql in [
+        "select count(*) from p, q where p.id = q.pid and p.g = q.w and w = 3",
+        "select q.pid from q, r where q.pid = r.pid and z = 49",
+        "select p.v from p, r where p.id = r.pid and z > 100",
+        "select count(*), min(q.pid) from q, r where q.pid = r.pid and z = 5",
+    ] {
+        assert_equiv(&db, sql);
+    }
+}
+
+#[test]
+fn in_subquery_probes_its_index_when_the_list_is_short() {
+    // The `missed_hub_neighbors` shape: an eq prefix that matches most of
+    // the table, and an `IN (subquery)` on a column with its own index.
+    // (Fails before the IN-probe was tried ahead of the eq probe.)
+    let mut db = Database::in_memory();
+    db.execute("create table c (oid int, visited int, tries int, url str)")
+        .unwrap();
+    db.execute("create index c_oid on c (oid)").unwrap();
+    db.execute("create index c_frontier on c (visited, tries)")
+        .unwrap();
+    db.execute("create table h (oid int)").unwrap();
+    let c = db.table_id("c").unwrap();
+    let rows = (0..4000i64).map(|i| {
+        let visited = i64::from(i % 10 == 0);
+        vec![
+            Value::Int(i),
+            Value::Int(visited),
+            Value::Int(0),
+            Value::Str(format!("u{i}")),
+        ]
+    });
+    db.insert_many(c, rows.collect()).unwrap();
+    db.execute("insert into h values (3), (17), (250), (999), (null)")
+        .unwrap();
+    let sql = "select url from c where oid in (select oid from h) and tries = 0 and visited = 0";
+    let text = explain(&db, sql);
+    assert!(
+        text.contains("IndexScan c via c_frontier [eq=2] or via c_oid [in-probe]"),
+        "{text}"
+    );
+    let rows = assert_equiv(&db, sql).unwrap();
+    assert_eq!(rows.len(), 3, "250 is visited");
+    let probe = reads_of(&db, sql);
+    let eq_only = reads_of(&db, "select url from c where tries = 0 and visited = 0");
+    assert!(
+        probe * 4 < eq_only,
+        "in-probe {probe} vs eq probe {eq_only}"
+    );
+    // A long list sends the same plan back to its eq probe, same answer.
+    db.execute("insert into h select oid from c where oid < 3000")
+        .unwrap();
+    assert_equiv(&db, sql);
+    assert!(reads_of(&db, sql) >= eq_only);
+}
+
+#[test]
+fn a_plan_prepared_on_an_empty_store_takes_the_in_probe_once_grown() {
+    // Prepared while both tables are empty, where no probe pays, the
+    // cached plan still decides at execution: once the table has grown
+    // and the subquery's list is short, it probes. (Passes before too:
+    // with no eq prefix, that plan probed whatever its list; it pins the
+    // adaptive choice.)
+    let mut db = Database::in_memory();
+    db.execute("create table big (a int, x int)").unwrap();
+    db.execute("create index big_a on big (a)").unwrap();
+    db.execute("create table keys (k int)").unwrap();
+    let sql = "select x from big where a in (select k from keys) and x >= 0";
+    let cached = db.prepare(sql).unwrap();
+    assert!(db.query_prepared(&cached, &[]).unwrap().rows.is_empty());
+    let big = db.table_id("big").unwrap();
+    let rows = (0..4000i64).map(|i| vec![Value::Int(i), Value::Int(i % 9)]);
+    db.insert_many(big, rows.collect()).unwrap();
+    db.execute("insert into keys values (5), (1234), (3999)")
+        .unwrap();
+    db.reset_io_stats();
+    let got = db.query_prepared(&cached, &[]).unwrap().rows;
+    let probed = db.io_stats().logical_reads;
+    let scan = reads_of(&db, "select x from big where x >= 0");
+    assert_eq!(multiset(&got), multiset(&assert_equiv(&db, sql).unwrap()));
+    assert_eq!(got.len(), 3);
+    assert!(probed * 2 < scan, "probed {probed} vs scan {scan}");
+}

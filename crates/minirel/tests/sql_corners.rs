@@ -297,3 +297,76 @@ fn a_read_query_never_grows_the_store() {
     assert_eq!(db.num_pages(), pages, "the read allocated pages");
     assert_eq!(wal.len_bytes(), logged, "the read logged pages");
 }
+
+#[test]
+fn order_by_sorts_ints_and_floats_by_value() {
+    // `coalesce(b, 0)` is Float where `b` is set and Int(0) where it is
+    // NULL; ORDER BY must interleave them numerically, not put every Int
+    // before every Float. (Fails on the sort key that led with a type
+    // tag.)
+    let mut d = Database::in_memory();
+    d.execute("create table m (id int, b float)").unwrap();
+    d.execute("insert into m values (1, 2.5), (2, null), (3, -1.5), (4, 0.5), (5, -0.25)")
+        .unwrap();
+    let rs = d
+        .execute("select id, coalesce(b, 0) from m order by coalesce(b, 0)")
+        .unwrap();
+    let ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    assert_eq!(ids, vec![3, 5, 2, 4, 1], "{:?}", rs.rows);
+    let rs = d
+        .execute("select id from m order by coalesce(b, 0) desc, id")
+        .unwrap();
+    let ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    assert_eq!(ids, vec![1, 4, 2, 5, 3]);
+    // Ints past 2^53 that round to one f64 still sort exactly.
+    let big = 1i64 << 53;
+    d.execute("create table n (v float, w int)").unwrap();
+    let n = d.table_id("n").unwrap();
+    for (v, w) in [
+        (Value::Null, big + 1),
+        (Value::Null, big),
+        (Value::Null, big - 1),
+    ] {
+        d.insert(n, vec![v, Value::Int(w)]).unwrap();
+    }
+    d.insert(n, vec![Value::Float(big as f64 + 2.0), Value::Null])
+        .unwrap();
+    let rs = d
+        .execute("select coalesce(v, w) from n order by coalesce(v, w)")
+        .unwrap();
+    let got: Vec<Value> = rs.rows.into_iter().map(|mut r| r.remove(0)).collect();
+    let want = [
+        Value::Int(big - 1),
+        Value::Int(big),
+        Value::Int(big + 1),
+        Value::Float(big as f64 + 2.0),
+    ];
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+#[test]
+fn fused_filters_report_the_conjunct_at_a_time_error() {
+    // Row 1 passes the first conjunct and fails the second; row 2 fails
+    // the first. Applying one conjunct to every row before the next
+    // meets row 2's `ln` error first, and so must a scan that tests each
+    // row against all its conjuncts in one pass. (Passes before the scan
+    // fused its filters too: it pins that error.)
+    let mut d = Database::in_memory();
+    d.execute("create table e (a int, b int)").unwrap();
+    d.execute("insert into e values (1, -1), (-5, 1)").unwrap();
+    for sql in [
+        "select a from e where ln(a) > -100 and sqrt(b) > -1",
+        // Residual conjuncts over a join's rows, on a filter node.
+        "select count(*) from e, e e2 where e.a = e2.a \
+         and ln(e.a + 0 * e2.a) > -100 and sqrt(e.b + 0 * e2.b) > -1",
+    ] {
+        let err = d.execute(sql).unwrap_err().to_string();
+        assert!(err.contains("ln of non-positive value -5"), "{sql}: {err}");
+    }
+    // Swapped, the first conjunct's failure is row 1's `sqrt`.
+    let err = d
+        .execute("select a from e where sqrt(b) > -1 and ln(a) > -100")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("sqrt of negative value -1"), "{err}");
+}

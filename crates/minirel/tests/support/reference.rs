@@ -111,7 +111,7 @@ fn bind(ctx: &mut SqlCtx<'_>, e: &AstExpr, cols: &[BoundCol]) -> DbResult<Expr> 
                 let le = bind(ctx, item, &[])?;
                 vals.push(le.eval(&vec![])?);
             }
-            Ok(Expr::InList(Box::new(bound), vals, *negated))
+            Ok(Expr::InList(Box::new(bound), vals.into(), *negated))
         }
         AstExpr::InSubquery {
             expr,
@@ -126,7 +126,7 @@ fn bind(ctx: &mut SqlCtx<'_>, e: &AstExpr, cols: &[BoundCol]) -> DbResult<Expr> 
                 ));
             }
             let vals: Vec<Value> = rel.rows.into_iter().map(|mut r| r.remove(0)).collect();
-            Ok(Expr::InList(Box::new(bound), vals, *negated))
+            Ok(Expr::InList(Box::new(bound), vals.into(), *negated))
         }
         AstExpr::ScalarSubquery(query) => {
             let rel = run_select(ctx, query)?;
