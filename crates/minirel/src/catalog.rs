@@ -122,14 +122,6 @@ impl Catalog {
         &self.tables[id]
     }
 
-    /// `(row count, heap pages)` for planner cost estimates. Always
-    /// current — the heap tracks both incrementally, so the planner
-    /// never works from stale statistics.
-    pub fn table_stats(&self, id: TableId) -> (u64, usize) {
-        let t = &self.tables[id];
-        (t.heap.len(), t.heap.num_pages())
-    }
-
     /// Create a B+tree index on `cols` of `table`, backfilling existing rows.
     pub fn create_index(
         &mut self,

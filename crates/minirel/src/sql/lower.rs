@@ -21,33 +21,32 @@
 //! on every call, so a cached plan observes source-table mutations,
 //! fresh parameters, and clock updates.
 //!
-//! **Scans.** Every access path — heap scan, eq/range probe, IN-probe —
-//! decodes each record into one reused row, applies the scan's pushed
-//! filters to it in place and keeps only the rows that pass; none builds
-//! the table's rows first. Fusing the conjuncts into one pass changes no
-//! error: a failure reports what conjunct-at-a-time filtering reports.
+//! **Scans.** Every access path — heap scan, eq/range probe, key-list
+//! probe — decodes each record into one reused row, applies the scan's
+//! pushed filters to it in place and keeps only the rows that pass; none
+//! builds the table's rows first. Fusing the conjuncts into one pass
+//! changes no error: a failure reports what conjunct-at-a-time filtering
+//! reports.
 //!
-//! **Key-list probes and their two runtime thresholds.** A key list known
-//! only at execution reaches rows through a single-column index in two
-//! places, each gated by the list's distinct keys against the table's
-//! current rows (`KEY_SHARE`), so a plan cached on a small store still
-//! adapts:
-//! - a scan's `IN (list)` or `IN (subquery)` filter probes its column's
-//!   index when the list is short; otherwise the plan's eq/range probe or
-//!   the heap scan runs;
-//! - an inner hash join's reducible input (a plain heap scan, see
-//!   [`crate::sql::plan::Reduce`]) runs as an IN-probe with the other
-//!   input's distinct non-NULL keys — a semijoin reduction — unless they
-//!   are too many, when it scans.
-//!
-//! Both are bounded whichever way they guess: the keys are sorted and
-//! served by one [`crate::btree::BTree::lookup_many`] pass, which reads
-//! the index nodes on their paths about once each, and the sorted rids
-//! fetch each heap page at most once, so a probe costs at most about one
-//! read of the index more than the scan it replaces; past the threshold
-//! no index is read at all. Below it the probe decodes only the rows its
-//! keys name. A key whose encoding cannot reproduce `=` (a float past
-//! 2⁵³ against an int column) sends the scan its other path.
+//! **One admission function.** The planner lists a scan's candidate
+//! probes by shape (see [`crate::sql::plan::Probe`]); `admit` picks one at
+//! every execution, from the table's live rows and pages and the key list
+//! met there: the first candidate that pays, or the heap scan. So a plan
+//! cached on an empty store probes once the table has grown, and a plan
+//! prepared and run on the same store picks what a fresh one picks. An
+//! eq prefix pays from `PREFIX_ROWS` rows; a range alone when its
+//! expected rows are fewer than the heap's pages; a key list — an
+//! `IN (list)`, an `IN (subquery)`, or an inner hash join's other input
+//! (a semijoin reduction) — while its distinct keys number at most the
+//! table's rows over `KEY_SHARE`. A key list is bounded whichever way it
+//! guesses: the keys are sorted and served by one
+//! [`crate::btree::BTree::lookup_many`] pass, which reads the index nodes
+//! on their paths about once each, and the sorted rids fetch each heap
+//! page at most once, so a probe costs at most about one read of the
+//! index more than the scan it replaces; past the threshold no index is
+//! read at all. Below it the probe decodes only the rows its keys name. A
+//! key whose encoding cannot reproduce `=` (a float past 2⁵³ against an
+//! int column) sends the scan to its next candidate.
 //!
 //! **Row-order contract.** Index probes collect rids, sort them, and
 //! fetch page-grouped ([`crate::heap::HeapFile::get_each`]), so eq/range/
@@ -76,8 +75,7 @@ use crate::heap::Rid;
 use crate::schema::ColumnType;
 use crate::sql::ast::Statement;
 use crate::sql::plan::{
-    arity, plan_statement, InProbe, InSrc, IndexProbe, KeyIndex, Node, Reduce, SelectPlan, SubKind,
-    Write,
+    arity, plan_statement, Keys, Node, Probe, SelectPlan, SubKind, Write, SEL_RANGE,
 };
 use crate::value::{
     decode_composite_key, decode_row_into, encode_composite_key, Row, Value, ValueSet,
@@ -438,15 +436,20 @@ enum Hits<'a> {
     Keys(&'a [usize], Vec<Vec<u8>>),
 }
 
-/// Rows of a base-table scan, through the first access path that runs:
-/// the IN-probe `keyed` (a join reduction's keys) or the scan's own
-/// IN-probe when its list is short, else its eq/range probe, else the
-/// heap.
+/// Runs a hash join's other input when a scan's join-key candidate asks
+/// for its keys, and returns the values at that position of the other
+/// input's key list — or `None` when that input failed, and the scan
+/// takes its next path.
+type JoinKeys<'a> = &'a mut dyn FnMut(usize) -> Option<Vec<Value>>;
+
+/// Rows of a base-table scan, through the access path [`admit`] picks.
+/// `join` supplies the keys of a join-key candidate; without it, that
+/// candidate is passed over.
 fn exec_scan(
     env: &Env<'_>,
     node: &Node,
     subs: &[SubResult],
-    keyed: Option<(&KeyIndex, Vec<Vec<u8>>)>,
+    join: Option<JoinKeys<'_>>,
 ) -> DbResult<Vec<Row>> {
     let Node::Scan {
         tid,
@@ -454,41 +457,28 @@ fn exec_scan(
         keep,
         filters,
         with_rid,
-        index,
-        in_probe,
+        probes,
         ..
     } = node
     else {
         unreachable!("exec_scan on a non-scan node");
     };
     let t = env.catalog.table(*tid);
-    let keyed = match (keyed, in_probe) {
-        (Some(keyed), _) => Some(keyed),
-        (None, Some(InProbe { via, src })) => {
-            let list = match src {
-                InSrc::List(vs) => vs.values(),
-                InSrc::Sub(i) => sub_list(subs, *i)?,
-            };
-            let ty = t.schema.columns[via.col].ty;
-            probe_keys(list, ty, t.heap.len()).map(|keys| (via, keys))
-        }
-        (None, None) => None,
-    };
-    let hits = match (keyed, index) {
-        (Some((via, keys)), _) => {
-            let found = t.indexes[via.index_no].btree.lookup_many(env.pool, &keys)?;
-            Some(if via.index_only {
+    let hits = match admit(t, probes, subs, join)? {
+        Path::Heap => None,
+        Path::KeyList(p, keys) => {
+            let found = t.indexes[p.index_no].btree.lookup_many(env.pool, &keys)?;
+            Some(if p.index_only {
                 let per_entry = keys
                     .into_iter()
                     .zip(found)
                     .flat_map(|(key, rids)| std::iter::repeat_n(key, rids.len()));
-                Hits::Keys(std::slice::from_ref(&via.col), per_entry.collect())
+                Hits::Keys(&p.index_cols, per_entry.collect())
             } else {
                 Hits::Rids(found.concat())
             })
         }
-        (None, Some(probe)) => range_hits(env, t, probe, subs)?,
-        (None, None) => None,
+        Path::Prefix(p) => range_hits(env, t, p, subs)?,
     };
     let mut out = ScanOut {
         keep: keep.as_deref(),
@@ -515,6 +505,61 @@ fn exec_scan(
     Ok(out.rows)
 }
 
+/// An eq prefix probes tables from this many rows: below it, the whole
+/// heap is a page or two and a B+tree descent buys nothing.
+const PREFIX_ROWS: u64 = 16;
+
+/// A key list probes an index only while its distinct keys number at
+/// most `1 / KEY_SHARE` of the table's rows (see the module docs).
+const KEY_SHARE: u64 = 4;
+
+/// The access path a scan takes on one execution.
+enum Path<'p> {
+    Heap,
+    /// An eq/range probe.
+    Prefix(&'p Probe),
+    /// A key-list probe, with its sorted distinct keys.
+    KeyList(&'p Probe, Vec<Vec<u8>>),
+}
+
+/// The admission of a scan's access path, made at every execution from
+/// the table as it is now: the first candidate that pays, or the heap
+/// scan. An eq prefix pays from `PREFIX_ROWS` rows; a range alone pays
+/// when its expected rows (`SEL_RANGE` of the table) are fewer than the
+/// heap's pages; a key list pays while [`probe_keys`] admits it.
+fn admit<'p>(
+    t: &TableInfo,
+    probes: &'p [Probe],
+    subs: &[SubResult],
+    mut join: Option<JoinKeys<'_>>,
+) -> DbResult<Path<'p>> {
+    let rows = t.heap.len();
+    let pages = t.heap.num_pages().max(1) as f64;
+    for p in probes {
+        let ty = t.schema.columns[p.index_cols[0]].ty;
+        let keys = match &p.keys {
+            Keys::Prefix(eq, _) if !eq.is_empty() => match rows >= PREFIX_ROWS {
+                true => return Ok(Path::Prefix(p)),
+                false => continue,
+            },
+            Keys::Prefix(..) => match (rows as f64 * SEL_RANGE).max(1.0) < pages {
+                true => return Ok(Path::Prefix(p)),
+                false => continue,
+            },
+            Keys::List(vs) => probe_keys(vs.values(), ty, rows),
+            Keys::Sub(slot) => probe_keys(sub_list(subs, *slot)?, ty, rows),
+            Keys::Join(key) => match join.as_mut().and_then(|keys_of| keys_of(*key)) {
+                Some(vals) => probe_keys(&vals, ty, rows),
+                None => None,
+            },
+        };
+        if let Some(keys) = keys {
+            return Ok(Path::KeyList(p, keys));
+        }
+    }
+    Ok(Path::Heap)
+}
+
 /// An IN subquery's value list for this execution.
 fn sub_list(subs: &[SubResult], i: usize) -> DbResult<&[Value]> {
     match subs.get(i) {
@@ -523,14 +568,10 @@ fn sub_list(subs: &[SubResult], i: usize) -> DbResult<&[Value]> {
     }
 }
 
-/// A key list probes an index only while its distinct keys number at
-/// most `1 / KEY_SHARE` of the table's rows (see the module docs).
-const KEY_SHARE: u64 = 4;
-
 /// The distinct index keys of `vals`, coerced to the indexed column's
-/// type and sorted for one `lookup_many` pass — or `None`, and the caller
-/// takes its other access path, when a value's key cannot reproduce `=`
-/// or the keys pass `KEY_SHARE`. NULLs and values of another class match
+/// type and sorted for one `lookup_many` pass — or `None`, and the scan
+/// takes its next path, when a value's key cannot reproduce `=` or the
+/// keys pass `KEY_SHARE`. NULLs and values of another class match
 /// nothing and are dropped. Coerced keys share one type, on which
 /// `Value`'s `Eq` is exact, so the set drops only true duplicates.
 fn probe_keys<'v>(
@@ -560,25 +601,34 @@ fn probe_keys<'v>(
     Some(keys)
 }
 
-/// Run a hash join's inputs, reducing one when the plan marks it
-/// reducible: the other input runs first, and its distinct non-NULL join
-/// keys become the reduced scan's IN-probe — or its plain scan, past
-/// `KEY_SHARE`. With both inputs marked, the one over the larger table is
-/// reduced. Errors keep the unreduced order: if the right input fails
-/// while the left one waits to be reduced, the left one runs in full
-/// first, and its error, if any, wins.
+/// The hash join's input whose scan lists a join-key candidate, if any.
+fn join_probe(input: &Node) -> Option<&Probe> {
+    let Node::Scan { probes, .. } = input else {
+        return None;
+    };
+    probes.iter().find(|p| matches!(p.keys, Keys::Join(_)))
+}
+
+/// Run a hash join's inputs, reducing one whose scan admits its join-key
+/// candidate. That scan runs first; when its admission reaches the
+/// candidate, the other input runs and its distinct non-NULL keys become
+/// the probe — or, past `KEY_SHARE`, the scan reads the heap. With both
+/// inputs listing one, the larger table's scan goes first, and if it
+/// takes another path, the other input may be reduced with its keys.
+/// Errors keep the unreduced order: the left input's error wins, and
+/// whenever the right one fails before the left has run, the left runs
+/// in full to see whether it fails too.
 fn join_inputs(
-    env: &mut Env<'_>,
+    env: &Env<'_>,
     subs: &[SubResult],
     inputs: [&Node; 2],
     keys: [&[usize]; 2],
-    reduce: &[Option<Reduce>; 2],
 ) -> DbResult<[Vec<Row>; 2]> {
     let table_rows = |n: &Node| match n {
         Node::Scan { tid, .. } => env.catalog.table(*tid).heap.len(),
         _ => 0,
     };
-    let side = match reduce {
+    let red = match inputs.map(join_probe) {
         [None, None] => {
             return Ok([
                 exec_node(env, inputs[0], subs)?,
@@ -589,36 +639,32 @@ fn join_inputs(
         [Some(_), None] => 0,
         [None, Some(_)] => 1,
     };
-    let (red, other) = (side, 1 - side);
-    let Some(Reduce { key, via }) = &reduce[red] else {
-        unreachable!("the reduced side is marked");
+    let other = 1 - red;
+    let column = |rows: &[Row], c: usize| -> Vec<Value> {
+        rows.iter().filter_map(|r| r.get(c).cloned()).collect()
     };
-    let other_rows = match exec_node(env, inputs[other], subs) {
-        Err(e) if red == 0 => {
-            exec_node(env, inputs[0], subs)?;
-            return Err(e);
+    let mut ran = None;
+    let mut run_other = |key: usize| {
+        let rows = ran.insert(exec_node(env, inputs[other], subs));
+        Some(column(rows.as_deref().ok()?, keys[other][key]))
+    };
+    let reduced = exec_scan(env, inputs[red], subs, Some(&mut run_other));
+    let other_rows = match (ran, &reduced) {
+        (Some(rows), _) => rows,
+        (None, Ok(rows)) if join_probe(inputs[other]).is_some() => {
+            let mut given = |key: usize| Some(column(rows, keys[red][key]));
+            exec_scan(env, inputs[other], subs, Some(&mut given))
         }
-        rows => rows?,
+        (None, _) => exec_node(env, inputs[other], subs),
     };
-    let Node::Scan { tid, .. } = inputs[red] else {
-        unreachable!("only a scan is reducible");
+    let [l, r] = match red {
+        0 => [reduced, other_rows],
+        _ => [other_rows, reduced],
     };
-    let t = env.catalog.table(*tid);
-    let c = keys[other][*key];
-    let found = probe_keys(
-        other_rows.iter().filter_map(|r| r.get(c)),
-        t.schema.columns[via.col].ty,
-        t.heap.len(),
-    );
-    let reduced = exec_scan(env, inputs[red], subs, found.map(|k| (via, k)))?;
-    Ok(if red == 0 {
-        [reduced, other_rows]
-    } else {
-        [other_rows, reduced]
-    })
+    Ok([l?, r?])
 }
 
-fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
+fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
     match node {
         Node::Scan { .. } => exec_scan(env, node, subs, None),
         Node::Values(rows) => {
@@ -647,9 +693,8 @@ fn exec_node(env: &mut Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec
             lk,
             rk,
             outer,
-            reduce,
         } => {
-            let [l, r] = join_inputs(env, subs, [left, right], [lk, rk], reduce)?;
+            let [l, r] = join_inputs(env, subs, [left, right], [lk, rk])?;
             hash_join(&l, &r, lk, rk, outer.then(|| arity(right)))
         }
         Node::NlJoin {
@@ -816,17 +861,19 @@ fn coerce_range(v: Value, ty: ColumnType, is_lo: bool) -> RangeCoerce {
 fn range_hits<'p>(
     env: &Env<'_>,
     t: &TableInfo,
-    probe: &'p IndexProbe,
+    probe: &'p Probe,
     subs: &[SubResult],
 ) -> DbResult<Option<Hits<'p>>> {
-    let IndexProbe {
+    let Probe {
         index_no,
-        eq,
-        range,
         index_only,
         index_cols,
+        keys: Keys::Prefix(eq, range),
         ..
-    } = probe;
+    } = probe
+    else {
+        unreachable!("admission hands range_hits an eq/range probe");
+    };
     // Declared column types drive probe-value coercion.
     let col_ty = |c: usize| t.schema.columns[c].ty;
     let idx = &t.indexes[*index_no];
@@ -929,45 +976,36 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             arity,
             keep,
             filters,
-            index,
-            in_probe,
+            probes,
             ..
         } => {
             let kept = keep
                 .as_ref()
                 .map_or(*arity, |m| m.iter().filter(|&&b| b).count());
             let tail = format!("[filters={} cols={kept}/{arity}]", filters.len());
-            let in_tag = |via: &KeyIndex| match via.index_only {
-                true => "in-probe index-only",
-                false => "in-probe",
-            };
-            out.push(match (index, in_probe) {
-                (None, None) => format!("{pad}SeqScan {table} {tail}"),
-                (None, Some(InProbe { via, .. })) => format!(
-                    "{pad}IndexScan {table} via {} [{}] {tail}",
-                    via.index_name,
-                    in_tag(via)
-                ),
-                (Some(p), in_probe) => {
-                    let mut probe = Vec::new();
-                    if !p.eq.is_empty() {
-                        probe.push(format!("eq={}", p.eq.len()));
-                    }
-                    if p.range.is_some() {
-                        probe.push("range".to_owned());
-                    }
+            // The join's key list is the join's to show.
+            let vias: Vec<String> = probes
+                .iter()
+                .filter_map(|p| {
+                    let mut tags = match &p.keys {
+                        Keys::Prefix(eq, range) => {
+                            let eq = (!eq.is_empty()).then(|| format!("eq={}", eq.len()));
+                            eq.into_iter()
+                                .chain(range.as_ref().map(|_| "range".to_owned()))
+                                .collect()
+                        }
+                        Keys::List(_) | Keys::Sub(_) => vec!["in-probe".to_owned()],
+                        Keys::Join(_) => return None,
+                    };
                     if p.index_only {
-                        probe.push("index-only".to_owned());
+                        tags.push("index-only".to_owned());
                     }
-                    let or_in = in_probe.as_ref().map_or(String::new(), |p| {
-                        format!(" or via {} [{}]", p.via.index_name, in_tag(&p.via))
-                    });
-                    format!(
-                        "{pad}IndexScan {table} via {} [{}]{or_in} {tail}",
-                        p.index_name,
-                        probe.join(" ")
-                    )
-                }
+                    Some(format!("via {} [{}]", p.index_name, tags.join(" ")))
+                })
+                .collect();
+            out.push(match vias.is_empty() {
+                true => format!("{pad}SeqScan {table} {tail}"),
+                false => format!("{pad}IndexScan {table} {} {tail}", vias.join(" or ")),
             });
         }
         Node::CteScan { name, filters, .. } => {
@@ -978,12 +1016,11 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             right,
             lk,
             outer,
-            reduce,
             ..
         } => {
-            let sides = ["left", "right"].iter().zip(reduce);
+            let sides = ["left", "right"].iter().zip([left, right]);
             let reducible: Vec<String> = sides
-                .filter_map(|(side, r)| Some(format!("{side} via {}", r.as_ref()?.via.index_name)))
+                .filter_map(|(side, n)| Some(format!("{side} via {}", join_probe(n)?.index_name)))
                 .collect();
             let reduce = match reducible.is_empty() {
                 true => String::new(),

@@ -30,15 +30,15 @@
 //!   is chosen without reading an estimate, so a plan cached on empty
 //!   tables still hashes once they have grown.
 //! * **Access paths** — once planning is done and every scan's filters
-//!   are final, one walk gives each base-table scan an [`IndexProbe`]
-//!   when a B+tree covers its filters and the cost model (rows ×
-//!   selectivity vs. heap pages) says the probe is cheaper than the scan,
-//!   and an [`InProbe`] when an `IN` filter's column has a single-column
-//!   index of its own: the executor runs it first whenever the list it
-//!   meets is short. The same walk marks each inner hash-join input that
-//!   is a plain heap scan with a single-column index on a join key as
-//!   reducible ([`Reduce`]): the executor may run it as an IN-probe with
-//!   the other input's keys (a semijoin reduction).
+//!   are final, one walk lists each base-table scan's [`Probe`]
+//!   candidates by shape, in the order the executor tries them: an `IN`
+//!   filter on a column with a single-column index of its own, then one
+//!   eq/range probe per index its filters bind, then — for an inner
+//!   hash-join input — a single-column index on a join key, probed with
+//!   the other input's keys (a semijoin reduction). The walk reads no row
+//!   counts: which candidate pays, if any, is decided at every execution
+//!   from the table as it is then, so a plan cached on an empty store
+//!   probes once the table has grown.
 //!
 //! Parameters (`?`), `current timestamp`, and uncorrelated subqueries
 //! stay **symbolic** in the plan ([`Expr::Param`], [`Expr::Now`],
@@ -46,8 +46,8 @@
 //! per execution, which is what makes cached prepared plans see fresh
 //! parameter values, clocks, and subquery source tables.
 //!
-//! No I/O happens here beyond reading catalog statistics; all page
-//! traffic belongs to [`super::lower`].
+//! No I/O happens here beyond reading row counts for join reordering;
+//! all page traffic belongs to [`super::lower`].
 
 use crate::catalog::{Catalog, TableId};
 use crate::error::{DbError, DbResult};
@@ -109,16 +109,11 @@ pub struct SubPlan {
 
 /// The operators a plan is built from and run as. Expressions are bound
 /// (positional); every node's output arity is recoverable via [`arity`].
-///
-/// `Scan` dwarfs the other variants once it carries an [`IndexProbe`],
-/// but plan nodes are built once per prepared statement and traversed by
-/// reference — boxing the probe would buy nothing at execution time.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Node {
     /// Base-table scan with pushed-down filters and a keep-mask for
     /// projection pruning (`None` = all columns needed): a sequential
-    /// heap scan, or a B+tree probe when `index` is set.
+    /// heap scan, or the first of its `probes` that pays at execution.
     Scan {
         /// Table name (for EXPLAIN).
         table: String,
@@ -136,12 +131,10 @@ pub enum Node {
         /// `arity`). Set only on the target scan of an UPDATE/DELETE
         /// read phase; filters still bind positions `< arity`.
         with_rid: bool,
-        /// The eq/range access path: `None` until planning ends, then
-        /// the probe `choose_access_paths` picked, if any.
-        index: Option<IndexProbe>,
-        /// The `IN` probe tried before `index` (or the heap scan) when
-        /// the key list, known only at execution, is short.
-        in_probe: Option<InProbe>,
+        /// The B+tree candidates, in the order the executor tries them:
+        /// empty until planning ends, then filled by
+        /// `choose_access_paths`.
+        probes: Vec<Probe>,
     },
     /// Literal rows of row-free expressions: `INSERT … VALUES`, and one
     /// empty row for a SELECT without FROM.
@@ -169,9 +162,6 @@ pub enum Node {
         rk: Vec<usize>,
         /// LEFT OUTER?
         outer: bool,
-        /// Which of `[left, right]` may run as an IN-probe with the other
-        /// input's keys; set by `choose_access_paths`, inner joins only.
-        reduce: [Option<Reduce>; 2],
     },
     /// Nested-loop join with an arbitrary predicate over the
     /// concatenated row (`Lit(1)` = cartesian product).
@@ -238,65 +228,39 @@ pub enum Node {
     },
 }
 
-/// The B+tree probe a [`Node::Scan`] runs instead of a heap scan:
-/// eq-prefix and/or range.
+/// One way a [`Node::Scan`] can reach its rows through a B+tree. The
+/// planner lists a scan's candidates by shape alone, in the order the
+/// executor tries them; which one runs, if any, is decided at execution
+/// from the table's live size and the key list met there (see
+/// [`super::lower`]).
 #[derive(Debug)]
-pub struct IndexProbe {
+pub struct Probe {
     /// Position in the table's index list.
     pub index_no: usize,
     /// Index name (for EXPLAIN).
     pub index_name: String,
-    /// Row-free expressions producing the eq-prefix key values, in
-    /// index column order.
-    pub eq: Vec<Expr>,
-    /// Optional range on index column `eq.len()`.
-    pub range: Option<RangeProbe>,
-    /// Serve rows from decoded index keys without heap fetches.
-    pub index_only: bool,
     /// The index's key columns.
     pub index_cols: Vec<usize>,
-}
-
-/// A single-column index through which a scan fetches the rows whose
-/// indexed column equals a value of a key list known only at execution.
-#[derive(Debug)]
-pub struct KeyIndex {
-    /// Position in the table's index list.
-    pub index_no: usize,
-    /// Index name (for EXPLAIN).
-    pub index_name: String,
-    /// The indexed column.
-    pub col: usize,
     /// Serve rows from decoded index keys without heap fetches.
     pub index_only: bool,
+    /// Where the probe's keys come from.
+    pub keys: Keys,
 }
 
-/// A scan's `IN` probe: the index and where its key list comes from.
+/// The key source of a [`Probe`]. Every source but `Prefix` is a key
+/// list known only at execution, probed through a single-column index.
 #[derive(Debug)]
-pub struct InProbe {
-    /// The index probed.
-    pub via: KeyIndex,
-    /// The key list.
-    pub src: InSrc,
-}
-
-/// Source of an index IN-probe's key list.
-#[derive(Debug)]
-pub enum InSrc {
-    /// Literal list (from `IN (v, v, …)`).
+pub enum Keys {
+    /// Row-free expressions giving an eq prefix of the index's columns,
+    /// in index column order, and an optional range on the next one.
+    Prefix(Vec<Expr>, Option<RangeProbe>),
+    /// `IN (v, v, …)`.
     List(ValueSet),
-    /// Subquery slot (from `IN (select …)`).
+    /// `IN (select …)`: the subquery's slot.
     Sub(usize),
-}
-
-/// A reducible hash-join input: a plain heap scan that can instead run
-/// as an IN-probe with the other input's distinct keys.
-#[derive(Debug)]
-pub struct Reduce {
-    /// Position of the probed key in the join's `lk`/`rk`.
-    pub key: usize,
-    /// The index on that key column.
-    pub via: KeyIndex,
+    /// An inner hash join's other input: the distinct values of its key
+    /// at this position of the join's key lists (a semijoin reduction).
+    Join(usize),
 }
 
 /// Range bound pair on the index column after the eq prefix.
@@ -329,14 +293,12 @@ pub fn arity(node: &Node) -> usize {
     }
 }
 
-/// Selectivity assumed for one eq conjunct or key column / one range
-/// conjunct or bound (classic System R constants, scaled for the
-/// crawler's skewed columns).
+/// Selectivity assumed for one eq conjunct / one range conjunct or
+/// bound (classic System R constants, scaled for the crawler's skewed
+/// columns). Join reordering estimates with both; the executor's
+/// admission of a range-only probe reads `SEL_RANGE`.
 const SEL_EQ: f64 = 0.05;
-const SEL_RANGE: f64 = 0.3;
-/// Tables with fewer rows than this are never worth a B+tree descent —
-/// the whole heap is a page or two.
-const MIN_PROBE_ROWS: f64 = 16.0;
+pub(crate) const SEL_RANGE: f64 = 0.3;
 
 /// Per-conjunct selectivity guesses.
 fn selectivity(c: &AstExpr) -> f64 {
@@ -749,8 +711,7 @@ impl<'a> Planner<'a> {
                 keep,
                 filters: vec![],
                 with_rid: false,
-                index: None,
-                in_probe: None,
+                probes: Vec::new(),
             },
             est: (t.heap.len() as f64).max(1.0),
         })
@@ -1294,16 +1255,16 @@ fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) 
         lk,
         rk,
         outer,
-        reduce: [None, None],
     };
     Src { cols, node, est }
 }
 
 // ------------------------------------------------------------ access paths
 
-/// Give every base-table scan of `plan` its access paths, and mark the
-/// reducible inputs of its inner hash joins. Runs once, when planning is
-/// done and every scan's filters are final.
+/// List every base-table scan's B+tree candidates and every inner hash
+/// join input's join-key candidate. Runs once, when planning is done and
+/// every scan's filters are final, and reads no row counts: whether a
+/// candidate pays is decided at execution.
 fn choose_access_paths(catalog: &Catalog, plan: &mut SelectPlan) {
     for c in &mut plan.ctes {
         choose_access_paths(catalog, &mut c.plan);
@@ -1322,10 +1283,9 @@ fn node_paths(catalog: &Catalog, node: &mut Node) {
             keep,
             filters,
             with_rid,
-            index,
-            in_probe,
+            probes,
             ..
-        } => (*index, *in_probe) = access_path(catalog, *tid, *arity, keep, filters, *with_rid),
+        } => *probes = candidates(catalog, *tid, *arity, keep, filters, *with_rid),
         Node::Values(_) | Node::CteScan { .. } => {}
         Node::HashJoin {
             left,
@@ -1333,12 +1293,12 @@ fn node_paths(catalog: &Catalog, node: &mut Node) {
             lk,
             rk,
             outer,
-            reduce,
         } => {
             node_paths(catalog, left);
             node_paths(catalog, right);
             if !*outer {
-                *reduce = [reducible(catalog, left, lk), reducible(catalog, right, rk)];
+                add_join_probe(catalog, left, lk);
+                add_join_probe(catalog, right, rk);
             }
         }
         Node::NlJoin { left, right, .. } => {
@@ -1355,26 +1315,31 @@ fn node_paths(catalog: &Catalog, node: &mut Node) {
     }
 }
 
-/// A hash-join input is reducible when it is a plain heap scan (no index
-/// path of its own) and one of its join key columns has a single-column
-/// index: the first such key is the one probed.
-fn reducible(catalog: &Catalog, input: &Node, keys: &[usize]) -> Option<Reduce> {
+/// Give an inner hash join's input a last candidate when it is a scan
+/// with no `IN` key list of its own and one of its join key columns has
+/// a single-column index (the first such key is the one probed).
+fn add_join_probe(catalog: &Catalog, input: &mut Node, keys: &[usize]) {
     let Node::Scan {
         tid,
         arity,
         keep,
         with_rid: false,
-        index: None,
-        in_probe: None,
+        probes,
         ..
     } = input
     else {
-        return None;
+        return;
     };
-    keys.iter().enumerate().find_map(|(key, &col)| {
-        let via = key_index(catalog, *tid, col, *arity, keep, false)?;
-        Some(Reduce { key, via })
-    })
+    if probes
+        .iter()
+        .any(|p| matches!(p.keys, Keys::List(_) | Keys::Sub(_)))
+    {
+        return;
+    }
+    let join = keys.iter().enumerate().find_map(|(key, &col)| {
+        key_probe(catalog, *tid, col, *arity, keep, false, Keys::Join(key))
+    });
+    probes.extend(join);
 }
 
 /// Does index `cols` hold every column the scan must produce? An index
@@ -1391,26 +1356,29 @@ fn covers(cols: &[usize], keep: &Option<Vec<bool>>, table_arity: usize, with_rid
         }
 }
 
-/// The table's first single-column index on `col`, if any.
-fn key_index(
+/// A key-list probe of `col` through the table's first single-column
+/// index on it, if any.
+fn key_probe(
     catalog: &Catalog,
     tid: TableId,
     col: usize,
     table_arity: usize,
     keep: &Option<Vec<bool>>,
     with_rid: bool,
-) -> Option<KeyIndex> {
+    keys: Keys,
+) -> Option<Probe> {
     let (index_no, idx) = catalog
         .table(tid)
         .indexes
         .iter()
         .enumerate()
         .find(|(_, idx)| idx.cols == [col])?;
-    Some(KeyIndex {
+    Some(Probe {
         index_no,
         index_name: idx.name.clone(),
-        col,
+        index_cols: idx.cols.clone(),
         index_only: covers(&idx.cols, keep, table_arity, with_rid),
+        keys,
     })
 }
 
@@ -1426,31 +1394,25 @@ fn row_free(e: &Expr) -> bool {
     }
 }
 
-/// Access-path selection for a base-table scan: the eq/range probe to
-/// run instead of the heap scan, if one pays, and the `IN` probe to try
-/// first, if an `IN` filter's column has a single-column index.
-fn access_path(
+/// A base-table scan's B+tree candidates, by shape: the first `IN`
+/// filter whose column has a single-column index of its own, then one
+/// eq/range probe per index its filters bind, fewest expected rows first
+/// (longest eq prefix, then with a range; ties in index order).
+fn candidates(
     catalog: &Catalog,
     tid: TableId,
     table_arity: usize,
     keep: &Option<Vec<bool>>,
     filters: &[Expr],
     with_rid: bool,
-) -> (Option<IndexProbe>, Option<InProbe>) {
-    let t = catalog.table(tid);
-    let (n_rows, n_pages) = catalog.table_stats(tid);
-    let n = n_rows as f64;
-    let pages = n_pages.max(1) as f64;
-
+) -> Vec<Probe> {
     // Probe-able predicates, keyed by column.
     let mut eq_on: Vec<Option<&Expr>> = vec![None; table_arity];
     let mut lo_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
     let mut hi_on: Vec<Option<(&Expr, bool)>> = vec![None; table_arity];
-    let mut in_on: Option<InProbe> = None;
-    let in_probe_on = |probe: &Expr, src| match probe {
-        Expr::Col(c) => {
-            key_index(catalog, tid, *c, table_arity, keep, with_rid).map(|via| InProbe { via, src })
-        }
+    let mut probes = Vec::new();
+    let in_probe = |probe: &Expr, keys| match probe {
+        Expr::Col(c) => key_probe(catalog, tid, *c, table_arity, keep, with_rid, keys),
         _ => None,
     };
     for f in filters {
@@ -1484,70 +1446,44 @@ fn access_path(
                     _ => {}
                 }
             }
-            // The first `IN` filter whose column has an index of its own.
-            Expr::InList(probe, vals, false) if in_on.is_none() => {
-                in_on = in_probe_on(probe, InSrc::List(vals.clone()));
+            Expr::InList(probe, vals, false) if probes.is_empty() => {
+                probes.extend(in_probe(probe, Keys::List(vals.clone())));
             }
-            Expr::InSub(probe, slot, false) if in_on.is_none() => {
-                in_on = in_probe_on(probe, InSrc::Sub(*slot));
+            Expr::InSub(probe, slot, false) if probes.is_empty() => {
+                probes.extend(in_probe(probe, Keys::Sub(*slot)));
             }
             _ => {}
         }
     }
 
-    // Best eq/range candidate across indexes. Admission: an eq-prefix
-    // probe is taken whenever the table is big enough to matter — with
-    // no value statistics the flat SEL_EQ overestimates hit counts on
-    // high-cardinality columns (the common probe: `oid = ?`), and a
-    // wrongly-taken probe only costs the tree descent since the full
-    // filter set re-runs as residuals. A range-only probe keeps the
-    // conservative est-vs-pages gate: its 30% selectivity guess is
-    // usually honest and a 30% range scan reads most heap pages anyway.
-    // Among admitted candidates, lowest estimate (longest eq prefix,
-    // then range) wins.
-    let mut best: Option<(usize, usize, bool, f64)> = None; // (index_no, eq_len, has_range, est)
+    let t = catalog.table(tid);
+    let mut shapes: Vec<(usize, usize, bool)> = Vec::new(); // (index_no, eq_len, has_range)
     for (i, idx) in t.indexes.iter().enumerate() {
-        let mut k = 0;
-        while k < idx.cols.len() && eq_on[idx.cols[k]].is_some() {
-            k += 1;
-        }
-        let has_range =
-            k < idx.cols.len() && (lo_on[idx.cols[k]].is_some() || hi_on[idx.cols[k]].is_some());
-        if k == 0 && !has_range {
-            continue;
-        }
-        let mut est = n * SEL_EQ.powi(k as i32);
-        if has_range {
-            est *= SEL_RANGE;
-        }
-        let est = est.max(1.0);
-        let admitted = if k > 0 {
-            n >= MIN_PROBE_ROWS
-        } else {
-            est < pages
-        };
-        if admitted && best.as_ref().is_none_or(|b| est < b.3) {
-            best = Some((i, k, has_range, est));
+        let cols = &idx.cols;
+        let k = cols.iter().take_while(|&&c| eq_on[c].is_some()).count();
+        let has_range = k < cols.len() && (lo_on[cols[k]].is_some() || hi_on[cols[k]].is_some());
+        if k > 0 || has_range {
+            shapes.push((i, k, has_range));
         }
     }
-
-    let probe = best.map(|(index_no, k, has_range, _)| {
+    shapes.sort_by_key(|&(_, k, has_range)| std::cmp::Reverse((k, has_range)));
+    probes.extend(shapes.into_iter().map(|(index_no, k, has_range)| {
         let idx = &t.indexes[index_no];
         let cols = &idx.cols;
-        IndexProbe {
+        let eq = cols[..k]
+            .iter()
+            .map(|&c| eq_on[c].expect("the eq prefix is bound").clone());
+        let range = has_range.then(|| RangeProbe {
+            lo: lo_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+            hi: hi_on[cols[k]].map(|(e, x)| (e.clone(), x)),
+        });
+        Probe {
             index_no,
             index_name: idx.name.clone(),
-            eq: cols[..k]
-                .iter()
-                .map(|&c| eq_on[c].expect("the eq prefix is bound").clone())
-                .collect(),
-            range: has_range.then(|| RangeProbe {
-                lo: lo_on[cols[k]].map(|(e, x)| (e.clone(), x)),
-                hi: hi_on[cols[k]].map(|(e, x)| (e.clone(), x)),
-            }),
-            index_only: covers(cols, keep, table_arity, with_rid),
             index_cols: cols.clone(),
+            index_only: covers(cols, keep, table_arity, with_rid),
+            keys: Keys::Prefix(eq.collect(), range),
         }
-    });
-    (probe, in_on)
+    }));
+    probes
 }

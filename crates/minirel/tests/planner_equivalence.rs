@@ -1103,7 +1103,7 @@ fn in_subquery_probes_its_index_when_the_list_is_short() {
     let sql = "select url from c where oid in (select oid from h) and tries = 0 and visited = 0";
     let text = explain(&db, sql);
     assert!(
-        text.contains("IndexScan c via c_frontier [eq=2] or via c_oid [in-probe]"),
+        text.contains("IndexScan c via c_oid [in-probe] or via c_frontier [eq=2]"),
         "{text}"
     );
     let rows = assert_equiv(&db, sql).unwrap();
@@ -1125,9 +1125,9 @@ fn in_subquery_probes_its_index_when_the_list_is_short() {
 fn a_plan_prepared_on_an_empty_store_takes_the_in_probe_once_grown() {
     // Prepared while both tables are empty, where no probe pays, the
     // cached plan still decides at execution: once the table has grown
-    // and the subquery's list is short, it probes. (Passes before too:
-    // with no eq prefix, that plan probed whatever its list; it pins the
-    // adaptive choice.)
+    // and the subquery's list is short, it probes. (This first case
+    // passed before too: with no eq prefix, that plan probed whatever its
+    // list; it pins the adaptive choice.)
     let mut db = Database::in_memory();
     db.execute("create table big (a int, x int)").unwrap();
     db.execute("create index big_a on big (a)").unwrap();
@@ -1147,4 +1147,43 @@ fn a_plan_prepared_on_an_empty_store_takes_the_in_probe_once_grown() {
     assert_eq!(multiset(&got), multiset(&assert_equiv(&db, sql).unwrap()));
     assert_eq!(got.len(), 3);
     assert!(probed * 2 < scan, "probed {probed} vs scan {scan}");
+
+    // An eq prefix (the crawl's hub drill-down) and an eq prefix with a
+    // range, each prepared on an empty table: once the table has grown,
+    // the cached plan reads exactly what a fresh plan reads. (Both fail
+    // while the planner admitted probes from the row counts it saw: the
+    // cached plans scanned the heap.)
+    db.execute("create table link (oid_src int, oid_dst int, discovered int)")
+        .unwrap();
+    db.execute("create index link_src on link (oid_src)")
+        .unwrap();
+    db.execute("create index link_seen on link (oid_src, discovered)")
+        .unwrap();
+    let cases = [
+        (
+            "select oid_dst from link where oid_src = ?",
+            vec![Value::Int(7)],
+        ),
+        (
+            "select oid_dst from link where oid_src = ? and discovered >= ?",
+            vec![Value::Int(7), Value::Int(2000)],
+        ),
+    ];
+    let cached: Vec<_> = cases
+        .iter()
+        .map(|(sql, _)| db.prepare(sql).unwrap())
+        .collect();
+    let link = db.table_id("link").unwrap();
+    let rows = (0..4000i64).map(|i| vec![Value::Int(i % 400), Value::Int(i), Value::Int(i)]);
+    db.insert_many(link, rows.collect()).unwrap();
+    for ((sql, params), plan) in cases.iter().zip(&cached) {
+        db.reset_io_stats();
+        let stale = db.query_prepared(plan, params).unwrap().rows;
+        let stale_reads = db.io_stats().logical_reads;
+        db.reset_io_stats();
+        let fresh = db.execute_with(sql, params).unwrap().rows;
+        assert!(!fresh.is_empty(), "{sql}");
+        assert_eq!(stale, fresh, "{sql}");
+        assert_eq!(stale_reads, db.io_stats().logical_reads, "{sql}");
+    }
 }

@@ -69,6 +69,10 @@ const ONE_STORAGE: &str = "the page file, the log and recovery are written once 
      `storage::Storage`; memory and disk differ only in the `Fs` a database is opened over, and \
      crashes are injected by a test-side `Fs`";
 
+const ONE_ADMISSION: &str = "a scan's access path is chosen at execution, by one admission \
+     function (`lower::admit`) over the shape-only candidates the planner lists as one `Probe` \
+     type; the planner reads no row counts to choose it";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -182,6 +186,10 @@ const FORBIDDEN: &[Forbidden] = &[
      &["MergeJoin", "merge_join_", "external_sort", "NL_JOIN_EST"],
      Scope("crates/minirel/src/sql", "", 7), Mode::Whole,
      "an equi-join is a hash join; SQL execution never sorts through the buffer pool"),
+    ("access_paths_are_chosen_once_at_execution",
+     &["MIN_PROBE_ROWS", "struct IndexProbe", "struct InProbe", "enum InSrc", "struct KeyIndex",
+       "struct Reduce", "fn table_stats"],
+     MINIREL, Mode::Code, ONE_ADMISSION),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -235,6 +243,7 @@ const COUNTED: &[Counted] = &[
      "two file systems implement `Storage`: `OsFs`'s files and `MemFs`'s"),
     ("the_suites_check_invariants_through_the_checkers", "fn trained_model", SUITES, 1,
      "the suites share one `trained_model`, in crates/crawler/tests/support/mod.rs"),
+    ("access_paths_are_chosen_once_at_execution", "admit(", MINIREL, 1, ONE_ADMISSION),
 ];
 
 impl Scope {
@@ -590,6 +599,7 @@ checks! {
     one_storage_trait_under_pages_and_log: one_file_api;
     no_knob_skips_a_wall_clock_assertion: ;
     an_equi_join_is_a_hash_join: ;
+    access_paths_are_chosen_once_at_execution: ;
     every_session_is_a_shard: ;
     one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
