@@ -504,18 +504,35 @@ fn partition(
     })?
 }
 
-/// Serve `keys[out.len()..]` from `leaf`, pushing one rid list per key.
-/// The keys are the run a descent routed here, so each one's matches
-/// start in this leaf or, once a key sorts past its last entry, in the
-/// leaves after it. Returns the next leaf when the current key's
-/// matches may continue there (its rids so far wait in `cur`), `None`
-/// once every key is answered.
+/// Where a leaf visit left the batch `keys[out.len()..]`.
+enum Leaf {
+    /// Every key is answered.
+    Done,
+    /// The current key's matches may continue in this next leaf; its
+    /// rids so far wait in `cur`.
+    Spill(PageId),
+    /// The current key sorts past leaf `.0`, whose next leaf is `.1`: it
+    /// is the descent's to route, and if the descent routes it to `.0`,
+    /// its matches start in `.1`.
+    Past(PageId, PageId),
+}
+
+/// Serve `keys[out.len()..]` from leaf `pid`, pushing one rid list per
+/// key. Each key's matches start in this leaf or after it: the first
+/// `routed` keys were sent here (by the descent, or by the previous
+/// leaf's spill), and every later key sorts at or after them. A key
+/// found here is answered here, whichever leaf the descent would route
+/// it to; one that sorts past the leaf's last entry spills into the next
+/// leaf when it was sent here or its matches began here, and is left to
+/// the descent otherwise.
 fn serve_lookups(
     leaf: Node<'_>,
+    pid: PageId,
     keys: &[Cell<'_>],
+    routed: usize,
     out: &mut Vec<Vec<Rid>>,
     cur: &mut Vec<Rid>,
-) -> DbResult<Option<PageId>> {
+) -> DbResult<Leaf> {
     while let Some(&Cell { key, .. }) = keys.get(out.len()) {
         let mut i = leaf.search(key, MIN_RID)?.0;
         while i < leaf.n {
@@ -529,7 +546,10 @@ fn serve_lookups(
         // The leaf ends at or before `key`: a duplicate span, or a key
         // on a leaf boundary, continues in the next leaf.
         if i == leaf.n && leaf.first() != INVALID_PAGE {
-            return Ok(Some(leaf.first()));
+            return Ok(match out.len() < routed || !cur.is_empty() {
+                true => Leaf::Spill(leaf.first()),
+                false => Leaf::Past(pid, leaf.first()),
+            });
         }
         out.push(std::mem::take(cur));
         // An equal neighbor gets the same answer.
@@ -537,61 +557,53 @@ fn serve_lookups(
             out.push(out[out.len() - 1].clone());
         }
     }
-    Ok(None)
+    Ok(Leaf::Done)
 }
 
-/// [`serve_lookups`] along the leaf chain from `next`, for as long as a
-/// key's matches continue into the next leaf.
-fn serve_chain(
-    pool: &BufferPool,
-    mut next: Option<PageId>,
-    keys: &[Cell<'_>],
-    out: &mut Vec<Vec<Rid>>,
-    cur: &mut Vec<Rid>,
-) -> DbResult<()> {
-    while let Some(pid) = next {
-        next = pool.with_page(pid, |b| {
-            serve_lookups(Node::open(b)?.expect_leaf()?, keys, out, cur)
-        })??;
-    }
-    Ok(())
-}
-
-/// What one node visit of [`lookup_rec`] leaves to do.
-enum Visit {
-    /// An internal node: its children, each with its run of the batch.
-    Children(Vec<(PageId, usize, usize)>),
-    /// A leaf served its run; the next leaf, if the run spills into it.
-    Served(Option<PageId>),
-}
-
-/// Answer `keys[out.len()..]`, the run of a batch that routes into the
-/// subtree at `pid`, reading each node once: an internal node
-/// partitions the run over its children, a leaf serves it.
+/// Answer `keys[out.len()..end]`, the run of a batch that routes into
+/// the subtree at `pid`, reading each node once: an internal node
+/// partitions the run over its children, a leaf serves it and the leaves
+/// a spill continues into. A leaf a spill reads serves the keys after the
+/// spilled one that it holds, so a child whose run is answered is not
+/// visited; and `at`, where the last leaf visit left the batch, tells a
+/// key the descent routes back to the leaf it sorted past to go straight
+/// to the next one.
 fn lookup_rec(
     pool: &BufferPool,
     pid: PageId,
     keys: &[Cell<'_>],
+    end: usize,
     out: &mut Vec<Vec<Rid>>,
     cur: &mut Vec<Rid>,
+    at: &mut Leaf,
 ) -> DbResult<()> {
     let from = out.len();
-    let visit = pool.with_page(pid, |b| {
-        let node = Node::open(b)?;
-        if node.leaf {
-            return serve_lookups(node, keys, out, cur).map(Visit::Served);
-        }
-        node.partition(&keys[from..]).map(Visit::Children)
-    })??;
-    match visit {
-        Visit::Children(segs) => {
+    match *at {
+        Leaf::Past(leaf, next) if leaf == pid => *at = Leaf::Spill(next),
+        _ => {
+            let segs = pool.with_page(pid, |b| {
+                let node = Node::open(b)?;
+                if !node.leaf {
+                    return node.partition(&keys[from..end]);
+                }
+                *at = serve_lookups(node, pid, &keys[..end], end, out, cur)?;
+                Ok(Vec::new())
+            })??;
             for (child, _, hi) in segs {
-                lookup_rec(pool, child, &keys[..from + hi], out, cur)?;
+                if out.len() < from + hi {
+                    lookup_rec(pool, child, keys, from + hi, out, cur, at)?;
+                }
             }
-            Ok(())
         }
-        Visit::Served(spill) => serve_chain(pool, spill, keys, out, cur),
     }
+    // Follow the leaf chain while the current key spills.
+    while let Leaf::Spill(next) = *at {
+        let routed = out.len() + 1;
+        *at = pool.with_page(next, |b| {
+            serve_lookups(Node::open(b)?.expect_leaf()?, next, keys, routed, out, cur)
+        })??;
+    }
+    Ok(())
 }
 
 /// A persistent B+tree index.
@@ -702,7 +714,8 @@ impl BTree {
         let mut out = Vec::with_capacity(keys.len());
         if !keys.is_empty() {
             let cells: Vec<Cell<'_>> = keys.iter().map(|k| Cell::entry(k, MIN_RID)).collect();
-            lookup_rec(pool, self.root, &cells, &mut out, &mut Vec::new())?;
+            let (end, cur) = (cells.len(), &mut Vec::new());
+            lookup_rec(pool, self.root, &cells, end, &mut out, cur, &mut Leaf::Done)?;
         }
         Ok(out)
     }
@@ -711,9 +724,16 @@ impl BTree {
     /// descent, then the leaf (and any it spills into) serves the key.
     pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
         let leaf = self.find_leaf(pool, key, MIN_RID)?;
-        let mut out = Vec::with_capacity(1);
-        let key = [Cell::entry(key, MIN_RID)];
-        serve_chain(pool, Some(leaf), &key, &mut out, &mut Vec::new())?;
+        let (mut out, key) = (Vec::with_capacity(1), [Cell::entry(key, MIN_RID)]);
+        lookup_rec(
+            pool,
+            leaf,
+            &key,
+            1,
+            &mut out,
+            &mut Vec::new(),
+            &mut Leaf::Done,
+        )?;
         Ok(out.pop().unwrap_or_default())
     }
 

@@ -234,6 +234,37 @@ proptest! {
         prop_assert_eq!(all, model_range(&model, Bound::Unbounded, Bound::Unbounded));
     }
 
+    /// A sorted batch of every distinct key reads each node at most
+    /// once, wherever the leaf boundaries fall and however many leaves a
+    /// key's entries span: a leaf a spill reads also serves the keys
+    /// after the spilled one that it holds.
+    #[test]
+    fn lookup_many_of_every_key_reads_no_node_twice(
+        pairs in proptest::collection::vec((0..KEY_DOMAIN, 0..8u32), 1..600),
+        one_by_one in any::<bool>(),
+    ) {
+        let bp = pool(8);
+        let mut bt = BTree::create(&bp).unwrap();
+        let batch = model_batch(&pairs, 0);
+        if one_by_one {
+            for (key, rid) in &batch {
+                bt.insert(&bp, key, *rid).unwrap();
+            }
+        } else {
+            bt.insert_many(&bp, &batch).unwrap();
+        }
+        let mut keys: Vec<Vec<u8>> = batch.into_iter().map(|(k, _)| k).collect();
+        keys.dedup();
+        bp.reset_stats();
+        let got = bt.lookup_many(&bp, &keys).unwrap();
+        prop_assert!(got.iter().all(|rids| !rids.is_empty()));
+        // The tree is the pool's only tenant and frees no page, so its
+        // nodes, internal and leaf, are every page the pool allocated.
+        let nodes = u64::from(bp.num_pages());
+        let reads = bp.stats().logical_reads;
+        prop_assert!(reads <= nodes, "{} keys read {} pages of a {}-node tree", keys.len(), reads, nodes);
+    }
+
     #[test]
     fn external_sort_equals_std_sort(
         vals in proptest::collection::vec((any::<i32>(), -1e6..1e6f64), 0..400),
