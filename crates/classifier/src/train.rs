@@ -135,7 +135,6 @@ fn train_node(
     }
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     scored.truncate(cfg.max_features);
-    let feature_set: std::collections::HashSet<TermId> = scored.iter().map(|&(_, t)| t).collect();
 
     // ---- parameter estimation (Eq. 1) ----
     // denom(ci) = |vocab(c0)| + Σ_d Σ_t n(d,t) over D(ci).
@@ -151,7 +150,9 @@ fn train_node(
         child_logprior.insert(ci, prior.ln());
     }
     let mut features: FxHashMap<TermId, Vec<(ClassId, f64)>> = FxHashMap::default();
-    for &t in &feature_set {
+    // In `scored` order, so the model — and the `STAT` rows loaded from
+    // it — come out the same on every build.
+    for &(_, t) in &scored {
         let mut recs = Vec::new();
         for &ci in kids {
             let n = counts

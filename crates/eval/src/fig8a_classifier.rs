@@ -201,6 +201,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn two_builds_read_the_same_pages() {
+        // Training walks its features in score order, so every build
+        // loads the `STAT` rows in the same order and each bar's read
+        // counts repeat exactly.
+        let reads = |f: Fig8a| {
+            let counts = f.variants.into_iter();
+            counts
+                .map(|v| (v.name, v.logical_reads, v.physical_reads))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(reads(run(Scale::Tiny)), reads(run(Scale::Tiny)));
+    }
+
+    #[test]
     fn bulk_beats_both_single_probe_variants() {
         let f = run(Scale::Tiny);
         // The wall-clock ratios are printed, not asserted: a loaded box
