@@ -720,14 +720,14 @@ impl BTree {
         Ok(out)
     }
 
-    /// All rids stored under exactly `key`: one `find_leaf`
-    /// descent, then the leaf (and any it spills into) serves the key.
+    /// All rids stored under exactly `key`: one descent from the root
+    /// reading each level once, then the leaf (and any it spills into)
+    /// serves the key.
     pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
-        let leaf = self.find_leaf(pool, key, MIN_RID)?;
         let (mut out, key) = (Vec::with_capacity(1), [Cell::entry(key, MIN_RID)]);
         lookup_rec(
             pool,
-            leaf,
+            self.root,
             &key,
             1,
             &mut out,
@@ -1335,14 +1335,13 @@ mod tests {
             (internal + k) as u64,
             "the root and each internal node on the keys' paths once, plus {k} leaves \
              ({} with a descent per key)",
-            k * (levels + 1)
+            k * levels
         );
-        // A single key keeps its own descent: every level once on the
-        // way down (the leaf is read to learn it is one), then the leaf
-        // serves the key.
+        // A single key reads every level once on the way down, the leaf
+        // that serves it included.
         bp.reset_stats();
         assert_eq!(bt.lookup(&bp, &keys[0]).unwrap().len(), 1);
-        assert_eq!(bp.stats().logical_reads, levels as u64 + 1);
+        assert_eq!(bp.stats().logical_reads, levels as u64);
     }
 
     #[test]

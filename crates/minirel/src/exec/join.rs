@@ -199,14 +199,14 @@ pub fn hash_join(
 }
 
 /// Nested-loop join with an arbitrary predicate over the concatenated row.
-/// `outer` = left outer semantics.
+/// `outer = Some(n)` makes it a left outer join: a left row with no match
+/// comes out once, padded with `n` NULLs (even when `right` is empty).
 pub fn nested_loop_join(
     left: &[Row],
     right: &[Row],
     pred: &Expr,
-    outer: bool,
+    outer: Option<usize>,
 ) -> DbResult<Vec<Row>> {
-    let right_arity = right.first().map_or(0, Vec::len);
     let mut out = Vec::new();
     let mut scratch: Row = Vec::new();
     for l in left {
@@ -220,9 +220,9 @@ pub fn nested_loop_join(
                 out.push(scratch.clone());
             }
         }
-        if !matched && outer {
+        if let (false, Some(pad)) = (matched, outer) {
             let mut row = l.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_arity));
+            row.extend(std::iter::repeat_n(Value::Null, pad));
             out.push(row);
         }
     }
@@ -307,9 +307,9 @@ mod tests {
         let r = vec![vec![Value::Int(3)], vec![Value::Int(4)]];
         // join on l.c0 < r.c0 (concatenated row: col0 = left, col1 = right)
         let pred = Expr::bin(BinOp::Lt, Expr::Col(0), Expr::Col(1));
-        let out = nested_loop_join(&l, &r, &pred, false).unwrap();
+        let out = nested_loop_join(&l, &r, &pred, None).unwrap();
         assert_eq!(out.len(), 2); // (1,3), (1,4)
-        let outer = nested_loop_join(&l, &r, &pred, true).unwrap();
+        let outer = nested_loop_join(&l, &r, &pred, Some(1)).unwrap();
         assert_eq!(outer.len(), 3); // + (5, NULL)
         assert!(outer[2][1].is_null());
     }

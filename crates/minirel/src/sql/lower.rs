@@ -74,9 +74,7 @@ use crate::exec::sort::{sort_rows, SortKey};
 use crate::heap::Rid;
 use crate::schema::ColumnType;
 use crate::sql::ast::Statement;
-use crate::sql::plan::{
-    arity, plan_statement, Keys, Node, Probe, SelectPlan, SubKind, Write, SEL_RANGE,
-};
+use crate::sql::plan::{arity, plan_statement, Keys, Node, Probe, SelectPlan, SubKind, Write};
 use crate::value::{
     decode_composite_key, decode_row_into, encode_composite_key, Row, Value, ValueSet,
 };
@@ -509,6 +507,10 @@ fn exec_scan(
 /// heap is a page or two and a B+tree descent buys nothing.
 const PREFIX_ROWS: u64 = 16;
 
+/// The share of a table a range-only probe is expected to return (the
+/// classic System R guess for one range conjunct).
+const SEL_RANGE: f64 = 0.3;
+
 /// A key list probes an index only while its distinct keys number at
 /// most `1 / KEY_SHARE` of the table's rows (see the module docs).
 const KEY_SHARE: u64 = 4;
@@ -706,14 +708,7 @@ fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row
             let l = exec_node(env, left, subs)?;
             let r = exec_node(env, right, subs)?;
             let p = specialize(pred, env.params, env.now, subs)?;
-            nested_loop_join(&l, &r, &p, *outer)
-        }
-        Node::Permute { input, map } => {
-            let rows = exec_node(env, input, subs)?;
-            Ok(rows
-                .into_iter()
-                .map(|row| map.iter().map(|&i| row[i].clone()).collect())
-                .collect())
+            nested_loop_join(&l, &r, &p, outer.then(|| arity(right)))
         }
         Node::Filter { input, preds } => {
             let rows = exec_node(env, input, subs)?;
@@ -1051,10 +1046,6 @@ fn render(node: &Node, depth: usize, out: &mut Vec<String>) {
             ));
             render(left, depth + 1, out);
             render(right, depth + 1, out);
-        }
-        Node::Permute { input, map } => {
-            out.push(format!("{pad}Permute [{}]", map.len()));
-            render(input, depth + 1, out);
         }
         Node::Filter { input, preds } => {
             out.push(format!("{pad}Filter [preds={}]", preds.len()));

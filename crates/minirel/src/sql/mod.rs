@@ -6,8 +6,9 @@
 //!
 //! This is the only engine: every SELECT, INSERT, UPDATE and DELETE runs
 //! parse → [`bind`] → [`plan`] → execute. The planner pushes predicates
-//! into scans, prunes columns, reorders equi-joins, picks join
-//! algorithms and B+tree access paths, all in the one tree it builds;
+//! into scans, prunes columns, joins comma sources in textual greedy
+//! order, picks join algorithms and lists B+tree access paths, all in the
+//! one tree it builds from the statement and the schema alone;
 //! [`lower`] wraps that tree into cacheable [`lower::ExecPlan`]s for
 //! prepared statements, runs it, and renders it for EXPLAIN. A DML plan
 //! is a read phase (an ordinary SELECT plan whose target scan carries

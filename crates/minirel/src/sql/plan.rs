@@ -17,13 +17,12 @@
 //!   source move into that source's scan node.
 //! * **Projection pruning** — the set of referenced column names is
 //!   computed once and recorded on each scan as a keep-mask.
-//! * **Equi-join reordering** — comma-joined sources are joined greedily
-//!   by estimated cardinality (catalog row counts × per-predicate
-//!   selectivities) instead of textual order. The *output column order*
-//!   contract is the textual greedy order (the order the test-side
-//!   oracle joins in): it is simulated symbolically and restored by a
-//!   [`Node::Permute`] above the reordered join tree, so `select *`
-//!   and name resolution do not depend on the join order chosen.
+//! * **Join order** — comma-joined sources join in textual greedy
+//!   order: next is the first pending source with an equi key against
+//!   what has been joined so far, else the first pending source as a
+//!   cross product (the order the test-side oracle joins in). The order
+//!   depends on the statement alone; the executor adapts to live sizes
+//!   (the hash join builds on its smaller input).
 //! * **Join algorithms** — every equi-join, inner or left outer, is a
 //!   [`Node::HashJoin`]. A nested loop runs a join with no equi key, and
 //!   a `JOIN … ON` whose condition is not all equi keys. The algorithm
@@ -46,8 +45,8 @@
 //! per execution, which is what makes cached prepared plans see fresh
 //! parameter values, clocks, and subquery source tables.
 //!
-//! No I/O happens here beyond reading row counts for join reordering;
-//! all page traffic belongs to [`super::lower`].
+//! No I/O happens here, and nothing is read from the catalog but schemas
+//! and index definitions: all page traffic belongs to [`super::lower`].
 
 use crate::catalog::{Catalog, TableId};
 use crate::error::{DbError, DbResult};
@@ -74,8 +73,6 @@ pub struct SelectPlan {
     pub root: Node,
     /// Output column names.
     pub out_cols: Vec<BoundCol>,
-    /// Row-count estimate of the output.
-    pub est_rows: f64,
 }
 
 /// One CTE: a plan whose result is materialized into `slot`.
@@ -174,15 +171,6 @@ pub enum Node {
         pred: Expr,
         /// LEFT OUTER?
         outer: bool,
-    },
-    /// Column permutation restoring the canonical (textual greedy) column
-    /// order above a cost-reordered join tree: output column `j` is
-    /// input column `map[j]`.
-    Permute {
-        /// Input.
-        input: Box<Node>,
-        /// Canonical position → physical position.
-        map: Vec<usize>,
     },
     /// Residual predicates, applied in order.
     Filter {
@@ -283,29 +271,12 @@ pub fn arity(node: &Node) -> usize {
         Node::HashJoin { left, right, .. } | Node::NlJoin { left, right, .. } => {
             arity(left) + arity(right)
         }
-        Node::Permute { map, .. } => map.len(),
         Node::Filter { input, .. }
         | Node::Sort { input, .. }
         | Node::Limit { input, .. }
         | Node::Distinct { input } => arity(input),
         Node::Agg { group, aggs, .. } => group.len() + aggs.len(),
         Node::Project { exprs, .. } => exprs.len(),
-    }
-}
-
-/// Selectivity assumed for one eq conjunct / one range conjunct or
-/// bound (classic System R constants, scaled for the crawler's skewed
-/// columns). Join reordering estimates with both; the executor's
-/// admission of a range-only probe reads `SEL_RANGE`.
-const SEL_EQ: f64 = 0.05;
-pub(crate) const SEL_RANGE: f64 = 0.3;
-
-/// Per-conjunct selectivity guesses.
-fn selectivity(c: &AstExpr) -> f64 {
-    match c {
-        AstExpr::Bin(BinOp::Eq, ..) => SEL_EQ,
-        AstExpr::Bin(BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, ..) => SEL_RANGE,
-        _ => 0.5,
     }
 }
 
@@ -362,7 +333,6 @@ pub fn plan_statement(
 struct CteInfo {
     slot: usize,
     cols: Vec<BoundCol>,
-    est: f64,
 }
 
 /// One FROM source before joins: its columns and its (filter-bearing)
@@ -370,7 +340,6 @@ struct CteInfo {
 struct Src {
     cols: Vec<BoundCol>,
     node: Node,
-    est: f64,
 }
 
 struct Planner<'a> {
@@ -422,14 +391,7 @@ impl<'a> Planner<'a> {
             };
             let slot = self.next_slot;
             self.next_slot += 1;
-            self.scope.insert(
-                cte.name.clone(),
-                CteInfo {
-                    slot,
-                    cols,
-                    est: plan.est_rows,
-                },
-            );
+            self.scope.insert(cte.name.clone(), CteInfo { slot, cols });
             ctes.push(CtePlan {
                 name: cte.name.clone(),
                 slot,
@@ -437,13 +399,12 @@ impl<'a> Planner<'a> {
             });
         }
         let mut subs = Vec::new();
-        let (root, out_cols, est_rows) = self.plan_body(sel, &mut subs)?;
+        let (root, out_cols) = self.plan_body(sel, &mut subs)?;
         Ok(SelectPlan {
             ctes,
             subs,
             root,
             out_cols,
-            est_rows,
         })
     }
 
@@ -682,7 +643,6 @@ impl<'a> Planner<'a> {
                     arity,
                     filters: vec![],
                 },
-                est: info.est,
             });
         }
         let tid = self.catalog.table_id(&item.table)?;
@@ -713,7 +673,6 @@ impl<'a> Planner<'a> {
                 with_rid: false,
                 probes: Vec::new(),
             },
-            est: (t.heap.len() as f64).max(1.0),
         })
     }
 
@@ -730,7 +689,6 @@ impl<'a> Planner<'a> {
             if !consumed[i] && bindable(c, &src.cols) {
                 consumed[i] = true;
                 let e = self.bind_expr(c, &src.cols, subs)?;
-                src.est = (src.est * selectivity(c)).max(1.0);
                 add_filter(&mut src.node, e);
             }
         }
@@ -815,7 +773,6 @@ impl<'a> Planner<'a> {
             subs,
             root,
             out_cols: Vec::new(),
-            est_rows: 1.0,
         };
         Ok((read, Some(write)))
     }
@@ -874,12 +831,11 @@ impl<'a> Planner<'a> {
 
     // ------------------------------------------------------------ body
 
-    #[allow(clippy::type_complexity)]
     fn plan_body(
         &mut self,
         sel: &SelectStmt,
         subs: &mut Vec<SubPlan>,
-    ) -> DbResult<(Node, Vec<BoundCol>, f64)> {
+    ) -> DbResult<(Node, Vec<BoundCol>)> {
         let wanted = gather_cols(sel);
         let where_conjuncts: Vec<AstExpr> = sel
             .where_
@@ -892,7 +848,6 @@ impl<'a> Planner<'a> {
             Src {
                 cols: vec![],
                 node: Node::Values(vec![vec![]]),
-                est: 1.0,
             }
         } else {
             self.load_src(&sel.from[0].item, wanted.as_ref())?
@@ -900,16 +855,14 @@ impl<'a> Planner<'a> {
         self.apply_pushdown(&mut acc, &where_conjuncts, &mut consumed, subs)?;
 
         // Explicit JOIN ... ON items fold into `acc` in textual order;
-        // comma items accumulate for the greedy ordering below.
-        let mut pending: Vec<(usize, Src)> = Vec::new();
-        let mut next_id = 1usize;
+        // comma items wait for the greedy order below.
+        let mut pending: Vec<Src> = Vec::new();
         for fc in sel.from.iter().skip(1) {
             match fc.kind {
                 JoinKind::Cross => {
                     let mut s = self.load_src(&fc.item, wanted.as_ref())?;
                     self.apply_pushdown(&mut s, &where_conjuncts, &mut consumed, subs)?;
-                    pending.push((next_id, s));
-                    next_id += 1;
+                    pending.push(s);
                 }
                 JoinKind::Inner | JoinKind::LeftOuter => {
                     let mut rel = self.load_src(&fc.item, wanted.as_ref())?;
@@ -929,156 +882,46 @@ impl<'a> Planner<'a> {
                         let cols: Vec<BoundCol> =
                             acc.cols.iter().chain(rel.cols.iter()).cloned().collect();
                         let pred = self.bind_expr(&on, &cols, subs)?;
-                        let est = (acc.est * rel.est * 0.5).max(1.0);
-                        acc = Src {
-                            cols,
-                            node: Node::NlJoin {
-                                left: Box::new(acc.node),
-                                right: Box::new(rel.node),
-                                pred,
-                                outer,
-                            },
-                            est,
-                        };
+                        acc = nl_src(acc, rel, pred, outer);
                     }
                 }
             }
         }
 
-        // --- canonical column order: simulate the textual greedy join
-        // order symbolically (it is data-independent) ---
-        let mut canon_cols: Vec<BoundCol> = acc.cols.clone();
-        let mut canon_order: Vec<(usize, usize)> = vec![(0, acc.cols.len())];
-        {
-            let mut consumed_c = consumed.clone();
-            let mut pend: Vec<(usize, Vec<BoundCol>)> = pending
-                .iter()
-                .map(|(id, s)| (*id, s.cols.clone()))
-                .collect();
-            while !pend.is_empty() {
-                let unconsumed: Vec<AstExpr> = where_conjuncts
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !consumed_c[*i])
-                    .map(|(_, c)| c.clone())
-                    .collect();
-                let unconsumed_idx: Vec<usize> = (0..where_conjuncts.len())
-                    .filter(|i| !consumed_c[*i])
-                    .collect();
-                let mut chosen: Option<(usize, Vec<usize>)> = None;
-                for (pi, (_, cols)) in pend.iter().enumerate() {
-                    let (used, lk, _) = equi_keys(&unconsumed, &canon_cols, cols);
-                    if !lk.is_empty() {
-                        chosen = Some((pi, used));
-                        break;
-                    }
-                }
-                let (pi, used) = chosen.unwrap_or((0, Vec::new()));
-                for u in used {
-                    consumed_c[unconsumed_idx[u]] = true;
-                }
-                let (id, cols) = pend.remove(pi);
-                canon_order.push((id, cols.len()));
-                canon_cols.extend(cols);
-            }
-        }
-
-        // --- physical join order: greedy by estimated cardinality ---
-        let mut phys_order: Vec<(usize, usize)> = vec![(0, canon_order[0].1)];
+        // Comma sources join in textual greedy order: next is the first
+        // pending source with an equi key (an unconsumed WHERE conjunct)
+        // against `acc`, else the first pending source as a cross product.
         while !pending.is_empty() {
-            let unconsumed: Vec<AstExpr> = where_conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !consumed[*i])
-                .map(|(_, c)| c.clone())
-                .collect();
             let unconsumed_idx: Vec<usize> = (0..where_conjuncts.len())
-                .filter(|i| !consumed[*i])
+                .filter(|&i| !consumed[i])
                 .collect();
-            let mut best: Option<(usize, Vec<usize>, Vec<usize>, Vec<usize>)> = None;
-            for (pi, (_, s)) in pending.iter().enumerate() {
+            let unconsumed: Vec<AstExpr> = unconsumed_idx
+                .iter()
+                .map(|&i| where_conjuncts[i].clone())
+                .collect();
+            let keyed = pending.iter().enumerate().find_map(|(pi, s)| {
                 let (used, lk, rk) = equi_keys(&unconsumed, &acc.cols, &s.cols);
-                if !lk.is_empty() {
-                    let better = match &best {
-                        None => true,
-                        Some((bpi, ..)) => s.est < pending[*bpi].1.est,
-                    };
-                    if better {
-                        best = Some((pi, used, lk, rk));
-                    }
-                }
-            }
-            match best {
+                (!lk.is_empty()).then_some((pi, used, lk, rk))
+            });
+            acc = match keyed {
                 Some((pi, used, lk, rk)) => {
                     for u in used {
                         consumed[unconsumed_idx[u]] = true;
                     }
-                    let (id, s) = pending.remove(pi);
-                    phys_order.push((id, s.cols.len()));
-                    acc = join_src(acc, s, lk, rk, false);
+                    join_src(acc, pending.remove(pi), lk, rk, false)
                 }
-                None => {
-                    // Cartesian: take the smallest estimated side first to
-                    // keep the intermediate product small.
-                    let pi = (0..pending.len())
-                        .min_by(|&a, &b| {
-                            pending[a]
-                                .1
-                                .est
-                                .partial_cmp(&pending[b].1.est)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .expect("pending is non-empty");
-                    let (id, s) = pending.remove(pi);
-                    phys_order.push((id, s.cols.len()));
-                    let cols: Vec<BoundCol> =
-                        acc.cols.iter().chain(s.cols.iter()).cloned().collect();
-                    let est = (acc.est * s.est).max(1.0);
-                    acc = Src {
-                        cols,
-                        node: Node::NlJoin {
-                            left: Box::new(acc.node),
-                            right: Box::new(s.node),
-                            pred: Expr::Lit(Value::Int(1)),
-                            outer: false,
-                        },
-                        est,
-                    };
-                }
-            }
-        }
-
-        // Restore canonical column order above the reordered join tree.
-        let mut node = acc.node;
-        if canon_order != phys_order {
-            let mut phys_off: HashMap<usize, usize> = HashMap::new();
-            let mut off = 0usize;
-            for (id, ar) in &phys_order {
-                phys_off.insert(*id, off);
-                off += ar;
-            }
-            let mut map = Vec::with_capacity(off);
-            for (id, ar) in &canon_order {
-                let base = phys_off[id];
-                map.extend(base..base + ar);
-            }
-            node = Node::Permute {
-                input: Box::new(node),
-                map,
+                None => nl_src(acc, pending.remove(0), Expr::Lit(Value::Int(1)), false),
             };
         }
-        let mut est = acc.est;
+        let Src { cols, mut node } = acc;
 
         // Residual WHERE conjuncts (everything not consumed by pushdown
-        // or physical join keys), bound against the canonical columns.
+        // or join keys).
         let residuals: Vec<Expr> = where_conjuncts
             .iter()
             .enumerate()
             .filter(|(i, _)| !consumed[*i])
-            .map(|(_, c)| {
-                est = (est * selectivity(c)).max(1.0);
-                self.bind_expr(c, &canon_cols, subs)
-            })
+            .map(|(_, c)| self.bind_expr(c, &cols, subs))
             .collect::<DbResult<_>>()?;
         if !residuals.is_empty() {
             node = Node::Filter {
@@ -1107,7 +950,7 @@ impl<'a> Planner<'a> {
             let group_bound: Vec<Expr> = sel
                 .group_by
                 .iter()
-                .map(|g| self.bind_expr(g, &canon_cols, subs))
+                .map(|g| self.bind_expr(g, &cols, subs))
                 .collect::<DbResult<_>>()?;
             let mut proj_exprs = Vec::new();
             let mut out_cols = Vec::new();
@@ -1119,8 +962,7 @@ impl<'a> Planner<'a> {
                         ))
                     }
                     Projection::Expr { expr, alias } => {
-                        let e =
-                            self.rewrite_agg(expr, &sel.group_by, &canon_cols, &mut aggs, subs)?;
+                        let e = self.rewrite_agg(expr, &sel.group_by, &cols, &mut aggs, subs)?;
                         proj_exprs.push(e);
                         out_cols.push(BoundCol {
                             qualifier: None,
@@ -1134,16 +976,10 @@ impl<'a> Planner<'a> {
                 .iter()
                 .map(|(e, desc)| {
                     let target = dealias(e, &aliases);
-                    let bound =
-                        self.rewrite_agg(&target, &sel.group_by, &canon_cols, &mut aggs, subs)?;
+                    let bound = self.rewrite_agg(&target, &sel.group_by, &cols, &mut aggs, subs)?;
                     Ok((bound, *desc))
                 })
                 .collect::<DbResult<_>>()?;
-            est = if sel.group_by.is_empty() {
-                1.0
-            } else {
-                est.sqrt().max(1.0)
-            };
             node = Node::Agg {
                 input: Box::new(node),
                 group: group_bound,
@@ -1162,7 +998,7 @@ impl<'a> Planner<'a> {
                 .iter()
                 .map(|(e, desc)| {
                     let target = dealias(e, &aliases);
-                    Ok((self.bind_expr(&target, &canon_cols, subs)?, *desc))
+                    Ok((self.bind_expr(&target, &cols, subs)?, *desc))
                 })
                 .collect::<DbResult<_>>()?;
             if !order_keys.is_empty() {
@@ -1176,13 +1012,13 @@ impl<'a> Planner<'a> {
             for (i, p) in sel.projections.iter().enumerate() {
                 match p {
                     Projection::Star => {
-                        for (j, c) in canon_cols.iter().enumerate() {
+                        for (j, c) in cols.iter().enumerate() {
                             proj_exprs.push(Expr::Col(j));
                             out_cols.push(c.clone());
                         }
                     }
                     Projection::Expr { expr, alias } => {
-                        proj_exprs.push(self.bind_expr(expr, &canon_cols, subs)?);
+                        proj_exprs.push(self.bind_expr(expr, &cols, subs)?);
                         out_cols.push(BoundCol {
                             qualifier: None,
                             name: output_name(expr, alias.as_ref(), i),
@@ -1198,7 +1034,6 @@ impl<'a> Planner<'a> {
                 input: Box::new(node),
                 n,
             };
-            est = est.min(n as f64);
         }
         node = Node::Project {
             input: Box::new(node),
@@ -1209,7 +1044,7 @@ impl<'a> Planner<'a> {
                 input: Box::new(node),
             };
         }
-        Ok((node, out_cols, est))
+        Ok((node, out_cols))
     }
 }
 
@@ -1244,11 +1079,6 @@ fn add_filter(node: &mut Node, e: Expr) {
 /// Combine two sources with a hash equi-join.
 fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) -> Src {
     let cols: Vec<BoundCol> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
-    let est = if outer {
-        left.est.max(1.0)
-    } else {
-        left.est.max(right.est)
-    };
     let node = Node::HashJoin {
         left: Box::new(left.node),
         right: Box::new(right.node),
@@ -1256,7 +1086,20 @@ fn join_src(left: Src, right: Src, lk: Vec<usize>, rk: Vec<usize>, outer: bool) 
         rk,
         outer,
     };
-    Src { cols, node, est }
+    Src { cols, node }
+}
+
+/// Combine two sources with a nested-loop join on `pred` (`Lit(1)` for a
+/// cross product).
+fn nl_src(left: Src, right: Src, pred: Expr, outer: bool) -> Src {
+    let cols: Vec<BoundCol> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
+    let node = Node::NlJoin {
+        left: Box::new(left.node),
+        right: Box::new(right.node),
+        pred,
+        outer,
+    };
+    Src { cols, node }
 }
 
 // ------------------------------------------------------------ access paths
@@ -1305,8 +1148,7 @@ fn node_paths(catalog: &Catalog, node: &mut Node) {
             node_paths(catalog, left);
             node_paths(catalog, right);
         }
-        Node::Permute { input, .. }
-        | Node::Filter { input, .. }
+        Node::Filter { input, .. }
         | Node::Agg { input, .. }
         | Node::Sort { input, .. }
         | Node::Limit { input, .. }

@@ -7,9 +7,9 @@
 //! afterwards.
 //!
 //! Comparison contract: both engines `Ok` → equal multisets of rows
-//! (the planner may reorder joins and pick key-ordered index-only
-//! scans, so row order is only compared where SQL pins it); both `Err`
-//! → pass; one `Ok`, one `Err` → fail.
+//! (a hash join builds on its smaller input and the planner picks
+//! key-ordered index-only scans, so row order is only compared where SQL
+//! pins it); both `Err` → pass; one `Ok`, one `Err` → fail.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -623,8 +623,9 @@ proptest! {
         assert_equiv(&db, &sql);
     }
 
-    /// Random joins: the planner reorders and switches algorithms, the
-    /// interpreter goes left to right — the multisets must still match.
+    /// Random joins: both engines join in the same textual greedy order,
+    /// the planner with hash joins and index probes, the interpreter with
+    /// merge joins — the multisets must still match.
     #[test]
     fn random_joins(
         n in 0i64..50,
@@ -748,6 +749,27 @@ fn tiny_input_equi_join_lowers_to_hash_join() {
     assert!(text.contains("HashJoin"), "{text}");
     let text2 = explain(&db, "select b1.a from big b1, big b2 where b1.x = b2.x");
     assert!(text2.contains("HashJoin"), "{text2}");
+}
+
+#[test]
+fn a_left_outer_nested_loop_pads_when_the_right_input_is_empty() {
+    // The pad width comes from the plan, not from a right row: with no
+    // right rows every left row still comes out, NULL-padded. (Both
+    // engines erred here while the width was read off the first right
+    // row, which `assert_equiv` alone counts as agreement.)
+    let mut db = Database::in_memory();
+    db.execute("create table a (x int)").unwrap();
+    db.execute("create table b (y int)").unwrap();
+    db.execute("insert into a values (1), (2)").unwrap();
+    let sql = "select a.x, b.y from a left outer join b on a.x < b.y";
+    let got = assert_equiv(&db, sql).expect("both engines answer");
+    assert_eq!(
+        multiset(&got),
+        multiset(&[
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Int(2), Value::Null]
+        ])
+    );
 }
 
 #[test]
@@ -1186,4 +1208,41 @@ fn a_plan_prepared_on_an_empty_store_takes_the_in_probe_once_grown() {
         assert_eq!(stale, fresh, "{sql}");
         assert_eq!(stale_reads, db.io_stats().logical_reads, "{sql}");
     }
+    // A 3-way comma join, prepared while its tables are empty: the join
+    // order comes from the statement alone, so once one table has grown
+    // the cached plan is the plan a fresh statement gets. (Fails while
+    // comma joins were ordered by row-count estimates: all three tied on
+    // empty tables, and the grown `lnk` then sorted after `cls`.)
+    db.execute("create table hub (h int, c int)").unwrap();
+    db.execute("create table lnk (src int, dst int)").unwrap();
+    db.execute("create index lnk_src on lnk (src)").unwrap();
+    db.execute("create table cls (c int, n int)").unwrap();
+    let sql = "select hub.h, lnk.dst, cls.n from hub, lnk, cls \
+               where hub.h = lnk.src and hub.c = cls.c";
+    let cached_text = db.prepare(&format!("explain {sql}")).unwrap();
+    let cached = db.prepare(sql).unwrap();
+    let [hub, lnk, cls] = ["hub", "lnk", "cls"].map(|t| db.table_id(t).unwrap());
+    let rows = (0..50i64).map(|h| vec![Value::Int(h), Value::Int(h % 5)]);
+    db.insert_many(hub, rows.collect()).unwrap();
+    let rows = (0..5i64).map(|c| vec![Value::Int(c), Value::Int(c * 10)]);
+    db.insert_many(cls, rows.collect()).unwrap();
+    let rows = (0..4000i64).map(|i| vec![Value::Int(i % 400), Value::Int(i)]);
+    db.insert_many(lnk, rows.collect()).unwrap();
+    let text = |rows: Vec<Row>| {
+        rows.iter()
+            .map(|r| format!("{}\n", r[0]))
+            .collect::<String>()
+    };
+    let stale_text = text(db.query_prepared(&cached_text, &[]).unwrap().rows);
+    let fresh_text = text(db.execute(&format!("explain {sql}")).unwrap().rows);
+    assert_eq!(stale_text, fresh_text);
+    db.reset_io_stats();
+    let stale = db.query_prepared(&cached, &[]).unwrap().rows;
+    let stale_reads = db.io_stats().logical_reads;
+    db.reset_io_stats();
+    let fresh = db.execute(sql).unwrap().rows;
+    assert_eq!(stale_reads, db.io_stats().logical_reads);
+    assert_eq!(multiset(&stale), multiset(&fresh));
+    assert_eq!(multiset(&stale), multiset(&assert_equiv(&db, sql).unwrap()));
+    assert_eq!(stale.len(), 500);
 }

@@ -347,12 +347,8 @@ fn run_select_body(ctx: &mut SqlCtx<'_>, sel: &SelectStmt) -> DbResult<Relation>
                     let cols: Vec<BoundCol> =
                         acc.cols.iter().chain(rel.cols.iter()).cloned().collect();
                     let pred = bind(ctx, &on, &cols)?;
-                    let rows = nested_loop_join(
-                        &acc.rows,
-                        &rel.rows,
-                        &pred,
-                        fc.kind == JoinKind::LeftOuter,
-                    )?;
+                    let outer = (fc.kind == JoinKind::LeftOuter).then_some(rel.cols.len());
+                    let rows = nested_loop_join(&acc.rows, &rel.rows, &pred, outer)?;
                     acc = Relation { cols, rows };
                 }
             }
@@ -395,7 +391,7 @@ fn run_select_body(ctx: &mut SqlCtx<'_>, sel: &SelectStmt) -> DbResult<Relation>
                 let rel = pending.remove(0);
                 let cols: Vec<BoundCol> = acc.cols.iter().chain(rel.cols.iter()).cloned().collect();
                 let pred = Expr::Lit(Value::Int(1));
-                let rows = nested_loop_join(&acc.rows, &rel.rows, &pred, false)?;
+                let rows = nested_loop_join(&acc.rows, &rel.rows, &pred, None)?;
                 acc = Relation { cols, rows };
             }
         }

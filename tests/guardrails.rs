@@ -53,6 +53,7 @@ const FRONTIER: Scope = Scope("crates/crawler/src/frontier.rs", "", 1);
 const STORE: Scope = Scope("crates/crawler/src/session/store.rs", "", 1);
 const BUFFER: Scope = Scope("crates/minirel/src/buffer.rs", "", 1);
 const DB: Scope = Scope("crates/minirel/src/db.rs", "", 1);
+const PLAN: Scope = Scope("crates/minirel/src/sql/plan.rs", "", 1);
 
 const POLICY: Scope = Scope("crates/crawler/src/policy.rs", "", 1);
 
@@ -190,6 +191,10 @@ const FORBIDDEN: &[Forbidden] = &[
      &["MIN_PROBE_ROWS", "struct IndexProbe", "struct InProbe", "enum InSrc", "struct KeyIndex",
        "struct Reduce", "fn table_stats"],
      MINIREL, Mode::Code, ONE_ADMISSION),
+    ("the_planner_reads_no_row_counts",
+     &["Permute", "est_rows", "fn selectivity", "SEL_EQ", "heap.len()"], PLAN, Mode::Code,
+     "a plan depends on its statement and the schema alone: comma joins run in textual greedy \
+     order, and the planner reads no row counts to order them"),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -600,6 +605,7 @@ checks! {
     no_knob_skips_a_wall_clock_assertion: ;
     an_equi_join_is_a_hash_join: ;
     access_paths_are_chosen_once_at_execution: ;
+    the_planner_reads_no_row_counts: ;
     every_session_is_a_shard: ;
     one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
