@@ -19,11 +19,11 @@ use std::time::Instant;
 pub struct Fig8d {
     /// Edges in the crawl graph.
     pub num_edges: usize,
-    /// Naive iteration total, µs.
+    /// Naive iteration total, µs (the median repetition).
     pub naive_us: f64,
-    /// Breakdown of the naive iteration (scan, lookup, update) in µs.
+    /// Breakdown of that repetition (scan, lookup, update) in µs.
     pub naive_breakdown: (f64, f64, f64),
-    /// Join iteration total, µs.
+    /// Join iteration total, µs (the median repetition).
     pub join_us: f64,
     /// naive / join speed ratio.
     pub ratio: f64,
@@ -84,34 +84,46 @@ pub fn build_graph(scale: Scale) -> (Vec<LinkEdge>, FxHashMap<Oid, f64>) {
     (edges_from_links(&raw, &relevance), relevance)
 }
 
-/// Run the comparison: one full iteration per plan on identical state.
+/// Timed repetitions per plan; each plan's time is their median.
+const REPS: usize = 5;
+
+/// Run the comparison: one full iteration per plan on identical state,
+/// `REPS` times, each on a fresh database and the two plans alternating.
+/// Each plan reports its median repetition (time, breakdown and reads).
 pub fn run(scale: Scale) -> Fig8d {
     let (edges, relevance) = build_graph(scale);
     let frames = 192;
     let cfg = DistillConfig::default();
 
-    let mk_db = |edges: &[LinkEdge], rel: &FxHashMap<Oid, f64>| -> Database {
+    let mk_db = || -> Database {
         let mut db = Database::in_memory_with_frames(frames);
         create_tables(&mut db).expect("tables");
-        create_crawl_stub(&mut db, rel).expect("crawl");
-        load_links(&mut db, edges).expect("links");
+        create_crawl_stub(&mut db, &relevance).expect("crawl");
+        load_links(&mut db, &edges).expect("links");
         init_auth_uniform(&mut db).expect("auth init");
+        db.reset_io_stats();
         db
     };
 
-    let mut db = mk_db(&edges, &relevance);
-    db.reset_io_stats();
-    let t = Instant::now();
-    let timing = naive_iteration(&mut db, &cfg).expect("naive");
-    let naive_us = t.elapsed().as_micros() as f64;
-    let naive_reads = db.io_stats().physical_reads;
+    let mut naive = Vec::with_capacity(REPS);
+    let mut join = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let mut db = mk_db();
+        let t = Instant::now();
+        let timing = naive_iteration(&mut db, &cfg).expect("naive");
+        let us = t.elapsed().as_micros() as f64;
+        naive.push((us, timing, db.io_stats().physical_reads));
 
-    let mut db = mk_db(&edges, &relevance);
-    db.reset_io_stats();
-    let t = Instant::now();
-    join_iteration(&mut db, &cfg).expect("join");
-    let join_us = t.elapsed().as_micros() as f64;
-    let join_reads = db.io_stats().physical_reads;
+        let mut db = mk_db();
+        let t = Instant::now();
+        join_iteration(&mut db, &cfg).expect("join");
+        let us = t.elapsed().as_micros() as f64;
+        join.push((us, db.io_stats().physical_reads));
+    }
+    naive.sort_by(|a, b| a.0.total_cmp(&b.0));
+    join.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (naive_us, timing, naive_reads) = naive[REPS / 2];
+    let (join_us, join_reads) = join[REPS / 2];
 
     Fig8d {
         num_edges: edges.len(),

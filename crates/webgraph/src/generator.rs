@@ -14,6 +14,27 @@
 //! Targets within a category are drawn by Pareto popularity weights, giving
 //! the power-law indegrees real webs show (and giving the distiller real
 //! authorities to find).
+//!
+//! # One stream, two passes
+//!
+//! The whole web comes from one `SmallRng` stream seeded by
+//! [`WebConfig::seed`], and equal configs give bit-identical webs on any
+//! number of cores. Documents are most of the work (about 220 tokens a
+//! page), so the page loop runs twice over the same stream:
+//!
+//! 1. **Locate**, sequentially: each page's draws in stream order (server,
+//!    length, failure). For its document it saves the stream's state,
+//!    advances the stream through the document's draws without mapping
+//!    them to terms (`Lexicon::skip_doc`), and saves the state it ends in.
+//! 2. **Realize**, on [`std::thread::available_parallelism`] scoped threads
+//!    (inline on one core): each document's terms are drawn again from its
+//!    saved start state (`Lexicon::realize_doc`), and its end state must
+//!    equal the saved one.
+//!
+//! The popularity weights and links then draw on from where pass 1 left
+//! the stream. Both passes consume the stream through the lexicon's one
+//! token loop, so a document takes the same draws whether or not its terms
+//! are wanted, and its terms do not depend on which thread draws them.
 
 use crate::lexicon::{Lexicon, LexiconConfig};
 use crate::page::{FailureMode, PageKind, SimPage};
@@ -152,6 +173,58 @@ impl TopicPages {
     }
 }
 
+/// Where one page's document sits in the generator's stream.
+struct DocDraws {
+    topic: ClassId,
+    /// Tokens; 0 for a malformed page.
+    len: usize,
+    /// The stream as the document's first draw finds it.
+    start: SmallRng,
+    /// The stream as the document's last draw leaves it.
+    end: SmallRng,
+}
+
+/// Pass 2: each document's terms, drawn from its saved start state, on
+/// `chunks` scoped threads over contiguous runs of `docs` (inline for
+/// one). Every document is drawn from its own saved state, so the result
+/// does not depend on `chunks`. Panics if a document's draws end anywhere
+/// but where pass 1's skip left the stream.
+fn realize(
+    lexicon: &Lexicon,
+    borrowed: &[Vec<ClassId>],
+    docs: &[DocDraws],
+    chunks: usize,
+) -> Vec<TermVec> {
+    let run = |docs: &[DocDraws]| -> Vec<TermVec> {
+        let mut tally = lexicon.tally();
+        docs.iter()
+            .map(|d| {
+                let mut rng = d.start.clone();
+                let borrowed = &borrowed[d.topic.raw() as usize];
+                let terms = lexicon.realize_doc(d.topic, borrowed, d.len, &mut rng, &mut tally);
+                assert!(
+                    rng == d.end,
+                    "a document's terms took other draws than its skip"
+                );
+                terms
+            })
+            .collect()
+    };
+    if chunks <= 1 || docs.len() <= 1 {
+        return run(docs);
+    }
+    std::thread::scope(|s| {
+        let workers: Vec<_> = docs
+            .chunks(docs.len().div_ceil(chunks))
+            .map(|part| s.spawn(move || run(part)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a realize thread panicked"))
+            .collect()
+    })
+}
+
 /// The generated web.
 pub struct WebGraph {
     taxonomy: Taxonomy,
@@ -171,6 +244,17 @@ impl WebGraph {
 
     /// Generate over a custom taxonomy and lexicon.
     pub fn generate_with(taxonomy: Taxonomy, lex_cfg: LexiconConfig, cfg: WebConfig) -> WebGraph {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::generate_on(taxonomy, lex_cfg, cfg, threads)
+    }
+
+    /// [`WebGraph::generate_with`], drawing documents on `threads` threads.
+    fn generate_on(
+        taxonomy: Taxonomy,
+        lex_cfg: LexiconConfig,
+        cfg: WebConfig,
+        threads: usize,
+    ) -> WebGraph {
         let lexicon = Lexicon::new(&taxonomy, lex_cfg);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let topics: Vec<ClassId> = taxonomy.all().filter(|&c| c != ClassId::ROOT).collect();
@@ -182,7 +266,24 @@ impl WebGraph {
             .filter_map(|(a, b)| Some((taxonomy.find(a)?, taxonomy.find(b)?)))
             .collect();
 
+        // Pass 1 (see the module docs): every draw but the documents'
+        // terms, in stream order; each document is only located.
+        let borrowed: Vec<Vec<ClassId>> = taxonomy
+            .all()
+            .map(|c| Lexicon::borrowed_topics(&taxonomy, c))
+            .collect();
+        let locate = |topic: ClassId, len: usize, rng: &mut SmallRng| {
+            let start = rng.clone();
+            lexicon.skip_doc(topic, &borrowed[topic.raw() as usize], len, rng);
+            DocDraws {
+                topic,
+                len,
+                start,
+                end: rng.clone(),
+            }
+        };
         let mut pages: Vec<SimPage> = Vec::new();
+        let mut docs: Vec<DocDraws> = Vec::new();
         let mut next_server: u32 = 0;
 
         // --- content + hub pages per topic ---
@@ -222,17 +323,19 @@ impl WebGraph {
                         FailureMode::None
                     }
                 };
-                let terms = if failure == FailureMode::Malformed {
-                    TermVec::default()
+                // A malformed page tokenizes to nothing: no draws.
+                let len = if failure == FailureMode::Malformed {
+                    0
                 } else {
-                    lexicon.generate_doc(&taxonomy, topic, len, &mut rng)
+                    len
                 };
+                docs.push(locate(topic, len, &mut rng));
                 pages.push(SimPage {
                     oid,
                     url,
                     server,
                     topic,
-                    terms,
+                    terms: TermVec::default(),
                     outlinks: Vec::new(),
                     kind: if is_hub {
                         PageKind::Hub
@@ -250,18 +353,27 @@ impl WebGraph {
             let server = ServerId(next_server);
             let url = format!("http://www.universal-{i}.example/index.html");
             let oid = Oid::of_url(&url);
-            let terms = lexicon.generate_doc(&taxonomy, ClassId::ROOT, cfg.doc_len, &mut rng);
+            docs.push(locate(ClassId::ROOT, cfg.doc_len, &mut rng));
             pages.push(SimPage {
                 oid,
                 url,
                 server,
                 topic: ClassId::ROOT,
-                terms,
+                terms: TermVec::default(),
                 outlinks: Vec::new(),
                 kind: PageKind::Universal,
                 failure: FailureMode::None,
             });
         }
+
+        // Pass 2: the documents' terms, from their saved states.
+        for (p, terms) in pages
+            .iter_mut()
+            .zip(realize(&lexicon, &borrowed, &docs, threads))
+        {
+            p.terms = terms;
+        }
+        drop(docs);
 
         // --- popularity-weighted per-topic samplers ---
         let mut weights: FxHashMap<Oid, f64> = FxHashMap::default();
@@ -481,12 +593,14 @@ impl WebGraph {
     /// sampled from the crawlable web) so train and test never share pages.
     pub fn example_docs(&self, topic: ClassId, n: usize, seed: u64) -> Vec<Document> {
         let mut rng = SmallRng::seed_from_u64(seed ^ (topic.raw() as u64) << 32);
+        let borrowed = Lexicon::borrowed_topics(&self.taxonomy, topic);
+        let mut tally = self.lexicon.tally();
+        let len = self.cfg.doc_len.max(40);
         (0..n)
             .map(|i| {
-                let len = self.cfg.doc_len.max(40);
                 let terms = self
                     .lexicon
-                    .generate_doc(&self.taxonomy, topic, len, &mut rng);
+                    .realize_doc(topic, &borrowed, len, &mut rng, &mut tally);
                 Document::new(DocId((topic.raw() as u64) << 32 | i as u64), terms)
             })
             .collect()
@@ -540,6 +654,27 @@ mod tests {
             a.pages().iter().map(|p| p.outlinks.len()).sum::<usize>(),
             c.pages().iter().map(|p| p.outlinks.len()).sum::<usize>()
         );
+    }
+
+    #[test]
+    fn documents_are_the_same_on_any_number_of_threads() {
+        let on = |threads| {
+            let cfg = WebConfig::tiny(9);
+            WebGraph::generate_on(default_taxonomy(), LexiconConfig::default(), cfg, threads)
+        };
+        let one = on(1);
+        for threads in [2, 3, 7] {
+            let many = on(threads);
+            assert_eq!(one.len(), many.len());
+            for (a, b) in one.pages().iter().zip(many.pages()) {
+                assert_eq!(
+                    (a.oid, &a.url, a.server, a.topic, a.kind, a.failure),
+                    (b.oid, &b.url, b.server, b.topic, b.kind, b.failure)
+                );
+                assert_eq!(a.terms, b.terms, "{} on {threads} threads", a.url);
+                assert_eq!(a.outlinks, b.outlinks);
+            }
+        }
     }
 
     #[test]

@@ -39,13 +39,30 @@ impl Default for LexiconConfig {
     }
 }
 
+/// Buckets of the guide table over the background CDF: bucket `k`
+/// covers the uniforms in `[k, k + 1) / GUIDE_BUCKETS`.
+const GUIDE_BUCKETS: usize = 1 << 14;
+
 /// The term model for one taxonomy.
 #[derive(Debug, Clone)]
 pub struct Lexicon {
     cfg: LexiconConfig,
     /// Cumulative Zipf distribution over background terms.
     background_cdf: Vec<f64>,
+    /// `guide[k]` = the first CDF entry not below `k / GUIDE_BUCKETS`;
+    /// `GUIDE_BUCKETS + 1` entries.
+    guide: Vec<u32>,
     num_topics: u16,
+}
+
+/// One token's draws, before they are mapped to a term id.
+#[derive(Clone, Copy)]
+enum Draw {
+    /// The uniform that picks a background (Zipf) rank.
+    Background(f64),
+    /// The topic whose signature the token uses, and the uniform that
+    /// picks the term within it.
+    Signature(ClassId, f64),
 }
 
 impl Lexicon {
@@ -62,9 +79,13 @@ impl Lexicon {
         for c in &mut cdf {
             *c /= total;
         }
+        let guide = (0..=GUIDE_BUCKETS)
+            .map(|k| cdf.partition_point(|&c| c < k as f64 / GUIDE_BUCKETS as f64) as u32)
+            .collect();
         Lexicon {
             cfg,
             background_cdf: cdf,
+            guide,
             num_topics: taxonomy.len() as u16,
         }
     }
@@ -99,20 +120,105 @@ impl Lexicon {
             .collect()
     }
 
-    fn sample_background(&self, rng: &mut SmallRng) -> TermId {
-        let u: f64 = rng.gen();
-        let i = self.background_cdf.partition_point(|&c| c < u);
-        TermId(i.min(self.background_cdf.len() - 1) as u32)
+    /// The Zipf rank a uniform `u ∈ [0, 1)` picks: exactly
+    /// `background_cdf.partition_point(|c| c < u)`, found by a binary
+    /// search over the one guide bucket `u` falls in. `u * GUIDE_BUCKETS`
+    /// scales by a power of two, so it is exact and the bucket's bounds
+    /// bracket `u` exactly.
+    fn background_rank(&self, u: f64) -> usize {
+        let k = (u * GUIDE_BUCKETS as f64) as usize;
+        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
+        lo + self.background_cdf[lo..hi].partition_point(|&c| c < u)
     }
 
-    fn sample_signature(&self, topic: ClassId, rng: &mut SmallRng) -> TermId {
-        // Within a signature, weight terms geometrically so some signature
-        // terms are much more frequent than others (like real topic words).
-        let m = self.cfg.signature_terms;
-        let u: f64 = rng.gen();
-        // Geometric-ish: j = floor(-ln(1-u) * m / 4), clamped.
-        let j = ((-(1.0 - u).ln()) * m as f64 / 4.0) as u32;
-        self.signature_term(topic, j.min(m - 1))
+    /// The term a token's draw maps to.
+    fn term(&self, draw: Draw) -> u32 {
+        match draw {
+            Draw::Background(u) => {
+                self.background_rank(u).min(self.background_cdf.len() - 1) as u32
+            }
+            Draw::Signature(topic, u) => {
+                // Within a signature, weight terms geometrically so some
+                // signature terms are much more frequent than others (like
+                // real topic words): j = floor(-ln(1-u) * m / 4), clamped.
+                let m = self.cfg.signature_terms;
+                let j = ((-(1.0 - u).ln()) * m as f64 / 4.0) as u32;
+                self.signature_term(topic, j.min(m - 1)).raw()
+            }
+        }
+    }
+
+    /// The one token loop: draws `len` tokens of a document about `topic`
+    /// from `rng` and hands each token's draw to `emit`. Every document
+    /// consumes the stream here, whether its terms are wanted
+    /// ([`Lexicon::realize_doc`]) or only its draws ([`Lexicon::skip_doc`]),
+    /// so the two cannot disagree on how many draws a document takes.
+    /// `borrowed` is [`Lexicon::borrowed_topics`] of `topic`.
+    fn draw_tokens(
+        &self,
+        topic: ClassId,
+        borrowed: &[ClassId],
+        len: usize,
+        rng: &mut SmallRng,
+        mut emit: impl FnMut(Draw),
+    ) {
+        let own = topic != ClassId::ROOT;
+        let sig = self.cfg.sig_weight;
+        let sig_or_anc = self.cfg.sig_weight + self.cfg.anc_weight;
+        for _ in 0..len {
+            let u: f64 = rng.gen();
+            let draw = if u < sig && own {
+                Draw::Signature(topic, rng.gen())
+            } else if u < sig_or_anc && !borrowed.is_empty() {
+                let anc = borrowed[rng.gen_range(0..borrowed.len())];
+                Draw::Signature(anc, rng.gen())
+            } else {
+                Draw::Background(rng.gen())
+            };
+            emit(draw);
+        }
+    }
+
+    /// The topics whose signatures a document about `topic` borrows from:
+    /// its ancestors other than the root.
+    pub(crate) fn borrowed_topics(taxonomy: &Taxonomy, topic: ClassId) -> Vec<ClassId> {
+        let mut anc = taxonomy.ancestors(topic);
+        anc.retain(|&a| a != ClassId::ROOT);
+        anc
+    }
+
+    /// Advance `rng` past a document's draws without mapping them to terms.
+    pub(crate) fn skip_doc(
+        &self,
+        topic: ClassId,
+        borrowed: &[ClassId],
+        len: usize,
+        rng: &mut SmallRng,
+    ) {
+        self.draw_tokens(topic, borrowed, len, rng, |_| {});
+    }
+
+    /// Scratch for [`Lexicon::realize_doc`], sized to this vocabulary.
+    pub(crate) fn tally(&self) -> Tally {
+        let vocab = self.cfg.background_terms as usize
+            + self.num_topics as usize * self.cfg.signature_terms as usize;
+        Tally {
+            counts: vec![0; vocab],
+            seen: vec![0; vocab.div_ceil(64)],
+        }
+    }
+
+    /// Draw a document and count its terms.
+    pub(crate) fn realize_doc(
+        &self,
+        topic: ClassId,
+        borrowed: &[ClassId],
+        len: usize,
+        rng: &mut SmallRng,
+        tally: &mut Tally,
+    ) -> TermVec {
+        self.draw_tokens(topic, borrowed, len, rng, |d| tally.count(self.term(d)));
+        tally.drain()
     }
 
     /// Generate a document of length `len` about `topic` (the Bernoulli /
@@ -124,34 +230,48 @@ impl Lexicon {
         len: usize,
         rng: &mut SmallRng,
     ) -> TermVec {
-        let ancestors = taxonomy.ancestors(topic);
-        let mut counts = Vec::with_capacity(len);
-        for _ in 0..len {
-            let u: f64 = rng.gen();
-            let t = if u < self.cfg.sig_weight && topic != ClassId::ROOT {
-                self.sample_signature(topic, rng)
-            } else if u < self.cfg.sig_weight + self.cfg.anc_weight && !ancestors.is_empty() {
-                // Pick a non-root ancestor when one exists.
-                let non_root: Vec<ClassId> = ancestors
-                    .iter()
-                    .copied()
-                    .filter(|&a| a != ClassId::ROOT)
-                    .collect();
-                match non_root.as_slice() {
-                    [] => self.sample_background(rng),
-                    anc => self.sample_signature(anc[rng.gen_range(0..anc.len())], rng),
-                }
-            } else {
-                self.sample_background(rng)
-            };
-            counts.push((t, 1));
-        }
-        TermVec::from_counts(counts)
+        let borrowed = Self::borrowed_topics(taxonomy, topic);
+        self.realize_doc(topic, &borrowed, len, rng, &mut self.tally())
     }
 
     /// Configuration in use.
     pub fn config(&self) -> &LexiconConfig {
         &self.cfg
+    }
+}
+
+/// Counts one document's term ids at a time: a count per vocabulary id,
+/// and a bitmap of the ids counted, which [`Tally::drain`] walks to emit
+/// them in ascending order. Kept across documents, so a document costs
+/// no sort and no allocation but its `TermVec`.
+pub(crate) struct Tally {
+    counts: Vec<u32>,
+    seen: Vec<u64>,
+}
+
+impl Tally {
+    #[inline]
+    fn count(&mut self, id: u32) {
+        let id = id as usize;
+        self.seen[id / 64] |= 1 << (id % 64);
+        self.counts[id] += 1;
+    }
+
+    /// The counted terms as a canonical `TermVec`, allocated to fit (the
+    /// generated web's terms are most of its memory); leaves the tally
+    /// empty.
+    fn drain(&mut self) -> TermVec {
+        let distinct = self.seen.iter().map(|w| w.count_ones() as usize).sum();
+        let mut entries = Vec::with_capacity(distinct);
+        for (w, word) in self.seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let id = w * 64 + bits.trailing_zeros() as usize;
+                entries.push((TermId(id as u32), std::mem::take(&mut self.counts[id])));
+                bits &= bits - 1;
+            }
+        }
+        TermVec::from_counts(entries)
     }
 }
 
@@ -227,6 +347,29 @@ mod tests {
             "tail too short: {}",
             doc.num_terms()
         );
+    }
+
+    #[test]
+    fn the_guide_table_finds_what_a_plain_binary_search_finds() {
+        let (_t, lex) = setup();
+        let cdf = &lex.background_cdf;
+        let mut us = vec![0.0, 1.0f64.next_down()];
+        // Every CDF entry and its neighbouring doubles, where `c < u`
+        // flips; every bucket bound and its neighbours, where the guide's
+        // lookup changes bucket.
+        let bounds = (0..=GUIDE_BUCKETS).map(|k| k as f64 / GUIDE_BUCKETS as f64);
+        for c in cdf.iter().copied().chain(bounds) {
+            us.extend([c.next_down(), c, c.next_up()]);
+        }
+        let mut rng = SmallRng::seed_from_u64(17);
+        us.extend((0..200_000).map(|_| rng.gen::<f64>()));
+        for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+            assert_eq!(
+                lex.background_rank(u),
+                cdf.partition_point(|&c| c < u),
+                "u = {u:e}"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,13 @@ use crate::generator::WebGraph;
 use focus_types::{ClassId, Oid, TermId};
 
 /// Rank pages by `Σ freq(keyword) × ln(1 + indegree)`; returns the top `k`.
+/// A keyword listed twice counts twice.
 pub fn keyword_search(graph: &WebGraph, keywords: &[TermId], k: usize) -> Vec<Oid> {
+    let mut sorted = keywords.to_vec();
+    sorted.sort_unstable();
     let mut scored: Vec<(f64, Oid)> = Vec::new();
     for p in graph.pages() {
-        let mass: u64 = keywords.iter().map(|&t| p.terms.freq(t) as u64).sum();
+        let mass = keyword_mass(p.terms.as_slice(), &sorted);
         if mass > 0 {
             let score = mass as f64 * (1.0 + graph.indegree(p.oid) as f64).ln();
             scored.push((score, p.oid));
@@ -22,6 +25,28 @@ pub fn keyword_search(graph: &WebGraph, keywords: &[TermId], k: usize) -> Vec<Oi
     }
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     scored.into_iter().take(k).map(|(_, o)| o).collect()
+}
+
+/// `Σ freq(keyword)` over a page's canonical terms in one walk: jump to
+/// the smallest keyword, then merge the ascending terms with the ascending
+/// `sorted` keywords.
+fn keyword_mass(terms: &[(TermId, u32)], sorted: &[TermId]) -> u64 {
+    let Some(&first) = sorted.first() else {
+        return 0;
+    };
+    let mut i = terms.partition_point(|&(t, _)| t < first);
+    let mut mass = 0;
+    for &kw in sorted {
+        while i < terms.len() && terms[i].0 < kw {
+            i += 1;
+        }
+        match terms.get(i) {
+            Some(&(t, f)) if t == kw => mass += f as u64,
+            Some(_) => {}
+            None => break,
+        }
+    }
+    mass
 }
 
 /// Start set for a topic: keyword-search the topic's name keywords.
@@ -84,6 +109,36 @@ mod tests {
     fn empty_keywords_give_empty_results() {
         let g = graph();
         assert!(keyword_search(&g, &[], 10).is_empty());
+    }
+
+    #[test]
+    fn merged_mass_equals_the_sum_of_lookups() {
+        let g = graph();
+        let cycling = g.taxonomy().find("recreation/cycling").unwrap();
+        let kw = g.lexicon().keyword_terms(cycling, 5);
+        let absent = TermId(u32::MAX);
+        let cases: Vec<Vec<TermId>> = vec![
+            vec![],
+            kw.clone(),
+            kw.iter().rev().copied().collect(),
+            vec![kw[1], kw[0], kw[1], kw[1]],
+            vec![absent],
+            vec![absent, kw[2], TermId(0), kw[2]],
+            vec![TermId(0), TermId(1), TermId(0)],
+        ];
+        for keywords in &cases {
+            let mut sorted = keywords.clone();
+            sorted.sort_unstable();
+            for p in g.pages() {
+                let brute: u64 = keywords.iter().map(|&t| p.terms.freq(t) as u64).sum();
+                assert_eq!(
+                    keyword_mass(p.terms.as_slice(), &sorted),
+                    brute,
+                    "{keywords:?} on {}",
+                    p.url
+                );
+            }
+        }
     }
 
     #[test]
