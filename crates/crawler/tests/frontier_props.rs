@@ -141,10 +141,9 @@ fn aim(model: &Model, state: i64, picks: &[u64], stray: bool) -> Vec<u64> {
 fn check(db: &Database, model: &Model) -> Result<(), TestCaseError> {
     let (pool, catalog) = db.parts();
     let tid = catalog.table_id("crawl").unwrap();
-    let mut stored = catalog.scan_table(pool, tid).unwrap();
-    stored.sort_by_key(|(_, row)| row[0].as_i64().unwrap() as u64);
+    let mut got = catalog.scan_rows(pool, tid, None).unwrap();
+    got.sort_by_key(|row| row[0].as_i64().unwrap() as u64);
     let want: Vec<Vec<Value>> = model.iter().map(|(&o, r)| r.values(o)).collect();
-    let got: Vec<Vec<Value>> = stored.iter().map(|(_, row)| row.clone()).collect();
     prop_assert_eq!(got, want);
     prop_assert_eq!(catalog.table(tid).indexes.len(), 2);
     if let Err(e) = db.check_integrity() {

@@ -9,9 +9,11 @@
 //! ```
 //!
 //! Two implementations:
-//! * [`bulk_posterior`] — direct operator composition (external sort +
-//!   merge joins + aggregation); the paper's ODBC/CLI routine, and the
-//!   fast "CLI" bar of Figure 8(a);
+//! * [`bulk_posterior`] — direct operator composition: two external
+//!   sorts, then one [`merge_join`] pass that folds the inner join
+//!   (PARTIAL) and the feature-term sum (DOCLEN) as it goes, so no joined
+//!   row is built; the paper's ODBC/CLI routine, and the fast "CLI" bar
+//!   of Figure 8(a);
 //! * [`bulk_posterior_sql`] — the Figure 3 SQL text run through the SQL
 //!   front-end (fidelity path; tests pin both to equal probabilities).
 
@@ -19,8 +21,8 @@ use crate::tables::ClassifierTables;
 use focus_classifier::model::normalize_log;
 use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, DocId};
-use minirel::exec::{external_sort, merge_join_inner, SortKey};
-use minirel::{Database, DbResult, Value};
+use minirel::exec::{external_sort, merge_join, SortKey};
+use minirel::{Database, DbResult};
 
 /// `Pr[ci | c0, d]` for every document in the `DOCUMENT` table at once.
 /// Returns `(did, ci, prob)` triples, normalized per document.
@@ -42,58 +44,38 @@ pub fn bulk_posterior(
     let stat_tid = db.table_id(&stat_name)?;
     let (pool, catalog) = db.parts_mut();
 
-    // Scan both relations (sequential page reads through the pool).
-    let doc_rows: Vec<Vec<Value>> = catalog
-        .scan_table(pool, doc_tid)?
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
-    let stat_rows: Vec<Vec<Value>> = catalog
-        .scan_table(pool, stat_tid)?
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    // Scan both relations (sequential page reads through the pool) and
+    // sort them by tid: DOCUMENT(did, tid, freq) and STAT(kcid, tid,
+    // logtheta), both on col 1.
+    let docs = catalog.scan_rows(pool, doc_tid, None)?;
+    let stats = catalog.scan_rows(pool, stat_tid, None)?;
+    let docs = external_sort(pool, docs, &[SortKey::asc(1)], budget)?;
+    let stats = external_sort(pool, stats, &[SortKey::asc(1)], budget)?;
 
-    // Sort by tid: DOCUMENT(did, tid, freq) on col 1; STAT(kcid, tid,
-    // logtheta) on col 1.
-    let docs_sorted = external_sort(pool, doc_rows, &[SortKey::asc(1)], budget)?;
-    let stats_sorted = external_sort(pool, stat_rows, &[SortKey::asc(1)], budget)?;
-
-    // Feature-term set for DOCLEN (distinct tids in STAT).
-    let mut feature_tids: std::collections::HashSet<i64> = std::collections::HashSet::new();
-    for r in &stats_sorted {
-        if let Some(t) = r[1].as_i64() {
-            feature_tids.insert(t);
-        }
-    }
-
-    // PARTIAL: inner merge join DOCUMENT ⋈ STAT on tid, then aggregate
-    // freq·(logtheta + logdenom) by (did, kcid).
-    let joined = merge_join_inner(&docs_sorted, &stats_sorted, &[1], &[1])?;
-    // Joined row: [did, tid, freq, kcid, tid, logtheta].
+    // One merge of DOCUMENT with STAT on tid folds both sums. PARTIAL:
+    // freq·(logtheta + logdenom) by (did, kcid), over each run. DOCLEN:
+    // Σ freq per did over feature terms, which are exactly the tids with
+    // a STAT run.
     let mut lpr1: FxHashMap<(i64, u16), f64> = FxHashMap::default();
-    for row in &joined {
-        let did = row[0].as_i64().unwrap_or(0);
-        let freq = row[2].as_i64().unwrap_or(0) as f64;
-        let kcid = row[3].as_i64().unwrap_or(0) as u16;
-        let lt = row[5].as_f64().unwrap_or(0.0);
-        let ld = tables.logdenom.get(&ClassId(kcid)).copied().unwrap_or(0.0);
-        *lpr1.entry((did, kcid)).or_insert(0.0) += freq * (lt + ld);
-    }
-
-    // DOCLEN: Σ freq over feature terms, per did.
     let mut doclen: FxHashMap<i64, f64> = FxHashMap::default();
     let mut dids: Vec<i64> = Vec::new();
-    for row in &docs_sorted {
-        let did = row[0].as_i64().unwrap_or(0);
-        if !doclen.contains_key(&did) {
+    merge_join(&docs, &stats, &[1], &[1], |doc, run| {
+        let did = doc[0].as_i64().unwrap_or(0);
+        let freq = doc[2].as_i64().unwrap_or(0) as f64;
+        let len = doclen.entry(did).or_insert_with(|| {
             dids.push(did);
+            0.0
+        });
+        if !run.is_empty() {
+            *len += freq;
         }
-        let entry = doclen.entry(did).or_insert(0.0);
-        if feature_tids.contains(&row[1].as_i64().unwrap_or(-1)) {
-            *entry += row[2].as_i64().unwrap_or(0) as f64;
+        for stat in run {
+            let kcid = stat[0].as_i64().unwrap_or(0) as u16;
+            let lt = stat[2].as_f64().unwrap_or(0.0);
+            let ld = tables.logdenom.get(&ClassId(kcid)).copied().unwrap_or(0.0);
+            *lpr1.entry((did, kcid)).or_insert(0.0) += freq * (lt + ld);
         }
-    }
+    })?;
 
     // COMPLETE ⟕ PARTIAL: logprior + lpr1 − len·logdenom, then normalize
     // per document.
@@ -375,6 +357,23 @@ mod tests {
         assert!(post.is_empty());
         let rel = bulk_relevance(&mut db, &tables).unwrap();
         assert!(rel.is_empty());
+    }
+
+    #[test]
+    fn bulk_output_is_pinned_bit_for_bit() {
+        // FNV-1a over every `(did, ci, prob.to_bits())` at the root, on
+        // Figure 8(a)'s `tiny` setup. Agreement to 1e-9 (the other tests)
+        // cannot see a float sum taken in another order; this digest can.
+        let (mut db, tables, _) = crate::fig8a_classifier::setup(crate::common::Scale::Tiny, 64);
+        let post = bulk_posterior(&mut db, &tables, ClassId::ROOT).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (did, ci, p) in &post {
+            let words = [did.0, ci.raw() as u64, p.to_bits()];
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!((post.len(), h), (320, 0xe862_7978_8790_f3ba), "{h:x}");
     }
 
     #[test]

@@ -169,11 +169,7 @@ pub fn naive_iteration(db: &mut Database, cfg: &DistillConfig) -> DbResult<Naive
     let link_tid = db.table_id("link")?;
     let links: Vec<Vec<Value>> = {
         let (pool, catalog) = db.parts_mut();
-        catalog
-            .scan_table(pool, link_tid)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
+        catalog.scan_rows(pool, link_tid, None)?
     };
     timing.scan += t0.elapsed();
 

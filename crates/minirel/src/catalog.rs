@@ -10,7 +10,7 @@ use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::{HeapFile, Rid};
 use crate::schema::Schema;
-use crate::value::{decode_row, encode_composite_key, encode_row, Row, Value};
+use crate::value::{decode_row, decode_row_into, encode_composite_key, encode_row, Row, Value};
 
 /// Dense table identifier.
 pub type TableId = usize;
@@ -313,31 +313,22 @@ impl Catalog {
         Ok(new_rid)
     }
 
-    /// Materialize rows of a table with only the columns marked in
-    /// `keep` decoded (the rest are `Null` placeholders at their
-    /// original positions). The scan half of SELECT column pruning:
+    /// Materialize every row of a table. With `keep`, only the marked
+    /// columns are decoded (the rest are `Null` placeholders at their
+    /// original positions): the scan half of SELECT column pruning, so
     /// unreferenced text columns never allocate.
-    pub fn scan_rows_pruned(
+    pub fn scan_rows(
         &self,
         pool: &BufferPool,
         tid: TableId,
-        keep: &[bool],
+        keep: Option<&[bool]>,
     ) -> DbResult<Vec<Row>> {
-        let mut out = Vec::with_capacity(self.tables[tid].heap.len() as usize);
-        self.tables[tid].heap.scan(pool, |_, bytes| {
+        let heap = &self.tables[tid].heap;
+        let mut out = Vec::with_capacity(heap.len() as usize);
+        heap.scan(pool, |_, bytes| {
             let mut row = Vec::new();
-            crate::value::decode_row_into(bytes, Some(keep), &mut row)?;
+            decode_row_into(bytes, keep, &mut row)?;
             out.push(row);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Materialize every row of a table (decoded).
-    pub fn scan_table(&self, pool: &BufferPool, tid: TableId) -> DbResult<Vec<(Rid, Row)>> {
-        let mut out = Vec::with_capacity(self.tables[tid].heap.len() as usize);
-        self.tables[tid].heap.scan(pool, |rid, bytes| {
-            out.push((rid, decode_row(bytes)?));
             Ok(())
         })?;
         Ok(out)
@@ -364,8 +355,12 @@ impl Catalog {
 
     /// [`crate::Database::check_integrity`], over this catalog's tables.
     pub fn check_integrity(&self, pool: &BufferPool) -> DbResult<()> {
-        for (tid, t) in self.tables.iter().enumerate() {
-            let rows = self.scan_table(pool, tid)?;
+        for t in &self.tables {
+            let mut rows = Vec::with_capacity(t.heap.len() as usize);
+            t.heap.scan(pool, |rid, bytes| {
+                rows.push((rid, decode_row(bytes)?));
+                Ok(())
+            })?;
             for idx in &t.indexes {
                 let bad = |e| DbError::Corrupt(format!("{}.{}: {e}", t.name, idx.name));
                 idx.btree.validate(pool).map_err(|e| bad(e.to_string()))?;

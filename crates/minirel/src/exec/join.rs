@@ -1,117 +1,73 @@
-//! Join operators: hash, sort-merge (inner and left outer), and
-//! nested-loop.
+//! Join operators: hash, sort-merge, and nested-loop.
 //!
 //! The SQL planner runs every equi-join as a [`hash_join`], which neither
 //! sorts nor touches the buffer pool, and a join with no equi key as a
-//! [`nested_loop_join`]. The merge joins implement the paper's Figure 3
-//! rewrite, which turns the classifier's per-term probe loop into "one
-//! inner and one left outer join" over inputs the bulk probe sorts
-//! itself (§3.1 credits sort-merge plans for an order-of-magnitude
-//! discovery-rate increase); the test oracle joins with them too, so the
-//! planner is checked against a second algorithm.
+//! [`nested_loop_join`]. [`merge_join`] is the paper's Figure 3 rewrite,
+//! which turns the classifier's per-term probe loop into "one inner and
+//! one left outer join" over inputs the bulk probe sorts itself (§3.1
+//! credits sort-merge plans for an order-of-magnitude discovery-rate
+//! increase). It produces no rows: it hands each left row its run of
+//! matching right rows, so the bulk probe folds both joins into one pass.
+//! The test oracle collects rows over it, so the planner is checked
+//! against a second algorithm.
 
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::Expr;
 use crate::value::{Row, Value};
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 
-fn key_of(row: &Row, cols: &[usize]) -> DbResult<Option<Vec<Value>>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = row
-            .get(c)
-            .ok_or_else(|| DbError::Eval(format!("join key column {c} out of bounds")))?;
-        if v.is_null() {
-            return Ok(None); // SQL: NULL joins with nothing
-        }
-        key.push(v.clone());
-    }
-    Ok(Some(key))
-}
-
-/// Merge join (inner, equi). Both inputs must already be sorted ascending
-/// on their key columns.
-pub fn merge_join_inner(
+/// Merge join (equi): one pass over two inputs already sorted ascending
+/// on their key columns. Calls `f(left_row, run)` once per left row, in
+/// order, where `run` is the slice of right rows whose key equals that
+/// row's key — empty when nothing matches or the key holds a NULL
+/// (SQL: NULL joins with nothing). Keys are compared in place; nothing
+/// is allocated per row.
+pub fn merge_join(
     left: &[Row],
     right: &[Row],
     lkeys: &[usize],
     rkeys: &[usize],
-) -> DbResult<Vec<Row>> {
-    merge_join(left, right, lkeys, rkeys, false, 0)
-}
-
-/// Left outer merge join: unmatched left rows are padded with
-/// `right_arity` NULLs. Inputs sorted ascending on key columns.
-pub fn merge_join_left_outer(
-    left: &[Row],
-    right: &[Row],
-    lkeys: &[usize],
-    rkeys: &[usize],
-    right_arity: usize,
-) -> DbResult<Vec<Row>> {
-    merge_join(left, right, lkeys, rkeys, true, right_arity)
-}
-
-fn merge_join(
-    left: &[Row],
-    right: &[Row],
-    lkeys: &[usize],
-    rkeys: &[usize],
-    outer: bool,
-    right_arity: usize,
-) -> DbResult<Vec<Row>> {
+    mut f: impl FnMut(&Row, &[Row]),
+) -> DbResult<()> {
     assert_eq!(lkeys.len(), rkeys.len(), "join key arity mismatch");
-    let mut out = Vec::new();
-    let mut li = 0;
-    let mut ri = 0;
-    let emit_unmatched = |row: &Row, out: &mut Vec<Row>| {
-        if outer {
-            let mut r = row.clone();
-            r.extend(std::iter::repeat_n(Value::Null, right_arity));
-            out.push(r);
+    // Also the bounds check: the comparison below indexes unchecked.
+    let has_null = |row: &Row, cols: &[usize]| -> DbResult<bool> {
+        for &c in cols {
+            let v = row
+                .get(c)
+                .ok_or_else(|| DbError::Eval(format!("join key column {c} out of bounds")))?;
+            if v.is_null() {
+                return Ok(true);
+            }
         }
+        Ok(false)
     };
-    while li < left.len() {
-        let lk = match key_of(&left[li], lkeys)? {
-            Some(k) => k,
-            None => {
-                emit_unmatched(&left[li], &mut out);
-                li += 1;
-                continue;
-            }
-        };
-        // Advance right until >= lk.
-        while ri < right.len() {
-            match key_of(&right[ri], rkeys)? {
-                Some(rk) if rk.as_slice() < lk.as_slice() => ri += 1,
-                Some(_) => break,
-                None => ri += 1,
-            }
+    // The right row's key against the left row's.
+    let cmp = |l: &Row, r: &Row| {
+        let cols = lkeys.iter().zip(rkeys);
+        cols.map(|(&a, &b)| r[b].cmp(&l[a]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    };
+    let mut ri = 0;
+    for l in left {
+        if has_null(l, lkeys)? {
+            f(l, &[]);
+            continue;
         }
-        // Check match group.
-        let group_start = ri;
-        let mut matched = false;
-        let mut rj = group_start;
-        while rj < right.len() {
-            match key_of(&right[rj], rkeys)? {
-                Some(rk) if rk == lk => {
-                    matched = true;
-                    let mut r = left[li].clone();
-                    r.extend(right[rj].iter().cloned());
-                    out.push(r);
-                    rj += 1;
-                }
-                _ => break,
-            }
+        while ri < right.len() && (has_null(&right[ri], rkeys)? || cmp(l, &right[ri]).is_lt()) {
+            ri += 1;
         }
-        if !matched {
-            emit_unmatched(&left[li], &mut out);
+        // `ri` stays at the run's start: the next left row may share its key.
+        let mut end = ri;
+        while end < right.len() && !has_null(&right[end], rkeys)? && cmp(l, &right[end]).is_eq() {
+            end += 1;
         }
-        li += 1;
-        // Do not advance ri past the group: the next left row may share lk.
+        f(l, &right[ri..end]);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Hash join on equi keys: every pair of rows whose key columns are
@@ -254,6 +210,29 @@ mod tests {
         ]
     }
 
+    /// [`merge_join`]'s rows in [`hash_join`]'s shape: `left ++ right` per
+    /// match, and with `outer = Some(n)` a left row whose run is empty,
+    /// padded with `n` NULLs.
+    fn merged(
+        left: &[Row],
+        right: &[Row],
+        lk: &[usize],
+        rk: &[usize],
+        outer: Option<usize>,
+    ) -> Vec<Row> {
+        let mut out = Vec::new();
+        merge_join(left, right, lk, rk, |l, run| {
+            out.extend(run.iter().map(|r| [l.as_slice(), r].concat()));
+            if let (true, Some(pad)) = (run.is_empty(), outer) {
+                let mut row = l.clone();
+                row.extend(std::iter::repeat_n(Value::Null, pad));
+                out.push(row);
+            }
+        })
+        .unwrap();
+        out
+    }
+
     fn sorted(rows: Vec<Row>, col: usize) -> Vec<Row> {
         sort_rows(rows, &[SortKey::asc(col)]).unwrap()
     }
@@ -262,7 +241,7 @@ mod tests {
     fn merge_inner_matches_hash_inner() {
         let l = sorted(l_rows(), 0);
         let r = sorted(r_rows(), 0);
-        let mut m = merge_join_inner(&l, &r, &[0], &[0]).unwrap();
+        let mut m = merged(&l, &r, &[0], &[0], None);
         let mut h = hash_join(&l, &r, &[0], &[0], None).unwrap();
         m.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         h.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -275,7 +254,7 @@ mod tests {
     fn left_outer_pads_unmatched() {
         let l = sorted(l_rows(), 0);
         let r = sorted(r_rows(), 0);
-        let m = merge_join_left_outer(&l, &r, &[0], &[0], 2).unwrap();
+        let m = merged(&l, &r, &[0], &[0], Some(2));
         // 5 matches + unmatched keys {1, NULL} = 7 rows.
         assert_eq!(m.len(), 7);
         let unmatched: Vec<&Row> = m.iter().filter(|r| r[2].is_null()).collect();
@@ -318,10 +297,10 @@ mod tests {
     fn empty_inputs() {
         let e: Vec<Row> = vec![];
         let r = r_rows();
-        assert!(merge_join_inner(&e, &r, &[0], &[0]).unwrap().is_empty());
+        assert!(merged(&e, &r, &[0], &[0], None).is_empty());
         assert!(hash_join(&e, &r, &[0], &[0], None).unwrap().is_empty());
         let l = l_rows();
-        let out = merge_join_left_outer(&l, &e, &[0], &[0], 2).unwrap();
+        let out = merged(&l, &e, &[0], &[0], Some(2));
         assert_eq!(out.len(), l.len(), "all left rows padded");
         assert_eq!(hash_join(&l, &e, &[0], &[0], Some(2)).unwrap(), out);
     }
@@ -363,7 +342,7 @@ mod tests {
         let out = hash_join(&l, &r, &[0, 1], &[0, 1], None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][2], Value::Str("y".into()));
-        let m = merge_join_inner(&l, &r, &[0, 1], &[0, 1]).unwrap();
+        let m = merged(&l, &r, &[0, 1], &[0, 1], None);
         assert_eq!(m, out);
     }
 
@@ -377,7 +356,7 @@ mod tests {
             vec![Value::Int(2)],
         ];
         let r = vec![vec![Value::Int(2)], vec![Value::Int(2)]];
-        let out = merge_join_inner(&l, &r, &[0], &[0]).unwrap();
+        let out = merged(&l, &r, &[0], &[0], None);
         assert_eq!(out.len(), 6);
     }
 }

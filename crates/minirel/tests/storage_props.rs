@@ -5,9 +5,7 @@
 use minirel::btree::{BTree, MAX_KEY_LEN};
 use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
-use minirel::exec::{
-    external_sort, hash_join, merge_join_inner, merge_join_left_outer, sort_rows, Expr, SortKey,
-};
+use minirel::exec::{external_sort, hash_join, merge_join, sort_rows, Expr, SortKey};
 use minirel::value::{decode_row, encode_composite_key, encode_row, Row, Value};
 use minirel::Rid;
 use proptest::prelude::*;
@@ -311,11 +309,16 @@ proptest! {
             rows
         };
         let (ls, rs) = (sorted(l.clone()), sorted(r.clone()));
-        let mut merged = if outer {
-            merge_join_left_outer(&ls, &rs, keys, keys, 3).unwrap()
-        } else {
-            merge_join_inner(&ls, &rs, keys, keys).unwrap()
-        };
+        // The merge's runs as `hash_join` rows: `left ++ right` per match,
+        // and an outer join pads a left row whose run is empty.
+        let mut merged = Vec::new();
+        merge_join(&ls, &rs, keys, keys, |l, run| {
+            merged.extend(run.iter().map(|r| [l.as_slice(), r].concat()));
+            if outer && run.is_empty() {
+                merged.push([l.as_slice(), &[Value::Null, Value::Null, Value::Null]].concat());
+            }
+        })
+        .unwrap();
         let mut hashed = hash_join(&l, &r, keys, keys, outer.then_some(3)).unwrap();
         let key = |row: &Row| row.iter().map(|v| format!("{v:?}|")).collect::<String>();
         merged.sort_by_key(|r| key(r));

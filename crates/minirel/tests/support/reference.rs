@@ -28,7 +28,7 @@ use minirel::catalog::Catalog;
 use minirel::error::{DbError, DbResult};
 use minirel::exec::agg::{aggregate, AggCall, AggKind};
 use minirel::exec::expr::{Expr, Func, UnOp};
-use minirel::exec::join::{merge_join_inner, merge_join_left_outer, nested_loop_join};
+use minirel::exec::join::{merge_join, nested_loop_join};
 use minirel::exec::sort::{external_sort, SortKey};
 use minirel::sql::ast::*;
 use minirel::sql::bind::{
@@ -230,20 +230,11 @@ fn load_source(
             name: c.name.clone(),
         })
         .collect();
-    let rows: Vec<Row> = match wanted {
-        // Column pruning: decode only the referenced columns of a base
-        // table; the rest stay Null placeholders nothing will read.
-        Some(names) => {
-            let keep: Vec<bool> = cols.iter().map(|c| names.contains(&c.name)).collect();
-            ctx.catalog.scan_rows_pruned(ctx.pool, tid, &keep)?
-        }
-        None => ctx
-            .catalog
-            .scan_table(ctx.pool, tid)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect(),
-    };
+    // Column pruning: decode only the referenced columns of a base
+    // table; the rest stay Null placeholders nothing will read.
+    let keep: Option<Vec<bool>> =
+        wanted.map(|names| cols.iter().map(|c| names.contains(&c.name)).collect());
+    let rows = ctx.catalog.scan_rows(ctx.pool, tid, keep.as_deref())?;
     Ok(Relation { cols, rows })
 }
 
@@ -265,11 +256,17 @@ fn join_relations(
     let rkeys: Vec<SortKey> = rk.iter().map(|&i| SortKey::asc(i)).collect();
     let ls = external_sort(ctx.pool, left.rows, &lkeys, budget)?;
     let rs = external_sort(ctx.pool, right.rows, &rkeys, budget)?;
-    let rows = if outer {
-        merge_join_left_outer(&ls, &rs, lk, rk, right_arity)?
-    } else {
-        merge_join_inner(&ls, &rs, lk, rk)?
-    };
+    // Inner rows are `left ++ right` per match; an outer join pads a
+    // left row whose run is empty.
+    let mut rows = Vec::new();
+    merge_join(&ls, &rs, lk, rk, |l, run| {
+        rows.extend(run.iter().map(|r| [l.as_slice(), r].concat()));
+        if outer && run.is_empty() {
+            let mut row = l.clone();
+            row.extend(std::iter::repeat_n(Value::Null, right_arity));
+            rows.push(row);
+        }
+    })?;
     Ok(Relation { cols, rows })
 }
 

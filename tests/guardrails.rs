@@ -74,6 +74,10 @@ const ONE_ADMISSION: &str = "a scan's access path is chosen at execution, by one
      function (`lower::admit`) over the shape-only candidates the planner lists as one `Probe` \
      type; the planner reads no row counts to choose it";
 
+const ONE_MERGE: &str = "a sort-merge is one kernel (`exec::join::merge_join`) that hands each \
+     left row its run, and the bulk probe folds PARTIAL and DOCLEN into its one pass; a table has \
+     one materializing scan (`Catalog::scan_rows`); row collectors live beside their test callers";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -167,6 +171,12 @@ const FORBIDDEN: &[Forbidden] = &[
        "fn create_at_path", "fn remap", "fn durable_commit_lsn", "fn parse_script",
        "fn current_timestamp"], MINIREL, Mode::Code,
      "nothing outside minirel's own tests called it, so it was deleted"),
+    ("minirel_keeps_what_callers_outside_it_reach",
+     &["fn merge_join_inner", "fn merge_join_left_outer", "fn scan_table", "fn scan_rows_pruned"],
+     MINIREL, Mode::Code, ONE_MERGE),
+    ("the_bulk_probe_is_one_merge_pass",
+     &["feature_tids", "merge_join_inner("], Scope("crates/eval/src", "", 15), Mode::Code,
+     ONE_MERGE),
     ("every_session_is_a_shard",
      &["Option<ShardCtx>", "self.shard.as_ref()", "fn discard_inbox", "fn any_live"], CRAWLER,
      Mode::Code, ONE_PROTOCOL),
@@ -604,6 +614,7 @@ checks! {
     one_storage_trait_under_pages_and_log: one_file_api;
     no_knob_skips_a_wall_clock_assertion: ;
     an_equi_join_is_a_hash_join: ;
+    the_bulk_probe_is_one_merge_pass: ;
     access_paths_are_chosen_once_at_execution: ;
     the_planner_reads_no_row_counts: ;
     every_session_is_a_shard: ;
