@@ -356,6 +356,11 @@ impl Catalog {
     /// [`crate::Database::check_integrity`], over this catalog's tables.
     pub fn check_integrity(&self, pool: &BufferPool) -> DbResult<()> {
         for t in &self.tables {
+            // `HeapFile` finds a page by binary search.
+            if !t.heap.pages().windows(2).all(|w| w[0] < w[1]) {
+                let msg = format!("{}: heap page list does not strictly ascend", t.name);
+                return Err(DbError::Corrupt(msg));
+            }
             let mut rows = Vec::with_capacity(t.heap.len() as usize);
             t.heap.scan(pool, |rid, bytes| {
                 rows.push((rid, decode_row(bytes)?));
@@ -443,6 +448,25 @@ mod tests {
         assert_eq!(rids.len(), 1);
         let row = cat.get_row(&pool, tid, rids[0]).unwrap();
         assert_eq!(row[1], Value::Str("u42".into()));
+    }
+
+    #[test]
+    fn check_integrity_finds_a_heap_page_list_out_of_order() {
+        let (pool, mut cat, tid) = setup();
+        let url = "u".repeat(200);
+        let rows = (0..100i64).map(|i| vec![Value::Int(i), Value::Str(url.clone()), Value::Null]);
+        cat.insert_many(&pool, tid, rows.collect()).unwrap();
+        cat.check_integrity(&pool).unwrap();
+        let (pages, hints, live) = cat.table(tid).heap.snapshot_parts();
+        assert!(pages.len() > 2, "the rows span several pages");
+        let (mut pages, hints) = (pages.to_vec(), hints.to_vec());
+        pages.swap(0, 1);
+        cat.tables[tid].heap = HeapFile::from_parts(pages, hints, live);
+        let err = cat.check_integrity(&pool).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Corrupt(m) if m.contains("crawl: heap page list")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -129,48 +129,119 @@ impl Acc {
     }
 }
 
-/// Aggregate `rows`: output rows are `group values ++ aggregate results`,
-/// in first-seen group order (deterministic given input order). With no
-/// group expressions, exactly one row is produced even for empty input.
-pub fn aggregate(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> DbResult<Vec<Row>> {
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut state: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = group.iter().map(|g| g.eval(row)).collect::<DbResult<_>>()?;
-        let accs = state.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            vec![Acc::new(); aggs.len()]
-        });
-        for (acc, call) in accs.iter_mut().zip(aggs) {
+/// Group-by aggregation over rows handed in one at a time: output rows
+/// are `group values ++ aggregate results`, in first-seen group order
+/// (deterministic given input order). With no group expressions, exactly
+/// one row is produced even for empty input.
+///
+/// Only a new group allocates: each row's key is evaluated into one
+/// reused buffer and looked up by slice, and a group's accumulators sit
+/// in one flat vector. A global aggregate (no group expressions) hashes
+/// nothing.
+pub struct Aggregator<'a> {
+    group: &'a [Expr],
+    aggs: &'a [AggCall],
+    /// The current row's key.
+    key: Row,
+    /// Each group's number, by key; groups are numbered as first seen.
+    groups: HashMap<Row, usize>,
+    /// `aggs.len()` accumulators per group, in group-number order.
+    accs: Vec<Acc>,
+}
+
+impl<'a> Aggregator<'a> {
+    /// An aggregation of `aggs` grouped by `group`, over no rows yet.
+    pub fn new(group: &'a [Expr], aggs: &'a [AggCall]) -> Aggregator<'a> {
+        Aggregator {
+            group,
+            aggs,
+            key: Row::new(),
+            groups: HashMap::new(),
+            accs: Vec::new(),
+        }
+    }
+
+    /// Fold one input row into its group.
+    pub fn push(&mut self, row: &Row) -> DbResult<()> {
+        let n = self.aggs.len();
+        let g = if self.group.is_empty() {
+            if self.accs.is_empty() {
+                self.accs.resize(n, Acc::new());
+            }
+            0
+        } else {
+            self.key.clear();
+            for e in self.group {
+                self.key.push(e.eval(row)?);
+            }
+            match self.groups.get(self.key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    let g = self.groups.len();
+                    self.groups.insert(self.key.clone(), g);
+                    self.accs.resize((g + 1) * n, Acc::new());
+                    g
+                }
+            }
+        };
+        for (acc, call) in self.accs[g * n..(g + 1) * n].iter_mut().zip(self.aggs) {
             let v = match call.kind {
                 AggKind::CountStar => Value::Int(1),
                 _ => call.arg.eval(row)?,
             };
             acc.update(call.kind, &v)?;
         }
+        Ok(())
     }
-    if group.is_empty() && order.is_empty() {
-        // Global aggregate over empty input: one row of "empty" results.
-        let accs = vec![Acc::new(); aggs.len()];
-        return Ok(vec![aggs
-            .iter()
-            .zip(&accs)
-            .map(|(c, a)| a.finish(c.kind))
-            .collect()]);
+
+    /// Hand each group's output row to `sink`, stopping at its first
+    /// error.
+    pub fn finish(self, mut sink: impl FnMut(&mut Row) -> DbResult<()>) -> DbResult<()> {
+        let (aggs, n) = (self.aggs, self.aggs.len());
+        if self.group.is_empty() {
+            // Over empty input: one row of "empty" results.
+            let fresh = vec![Acc::new(); n];
+            let accs = if self.accs.is_empty() {
+                &fresh
+            } else {
+                &self.accs
+            };
+            return sink(&mut results(aggs, accs).collect());
+        }
+        let mut keys = vec![Row::new(); self.groups.len()];
+        for (key, g) in self.groups {
+            keys[g] = key;
+        }
+        for (g, mut row) in keys.into_iter().enumerate() {
+            row.extend(results(aggs, &self.accs[g * n..(g + 1) * n]));
+            sink(&mut row)?;
+        }
+        Ok(())
     }
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = &state[&key];
-        let mut row = key.clone();
-        row.extend(aggs.iter().zip(accs).map(|(c, a)| a.finish(c.kind)));
-        out.push(row);
-    }
-    Ok(out)
+}
+
+/// One group's aggregate results.
+fn results<'r>(aggs: &'r [AggCall], accs: &'r [Acc]) -> impl Iterator<Item = Value> + 'r {
+    accs.iter().zip(aggs).map(|(a, c)| a.finish(c.kind))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rows of aggregating `rows`, collected.
+    fn aggregate(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> DbResult<Vec<Row>> {
+        let mut agg = Aggregator::new(group, aggs);
+        for row in rows {
+            agg.push(row)?;
+        }
+        let mut out = Vec::new();
+        agg.finish(|row| {
+            out.push(std::mem::take(row));
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
     fn rows() -> Vec<Row> {
         vec![

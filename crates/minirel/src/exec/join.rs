@@ -13,6 +13,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::exec::expr::Expr;
+use crate::exec::Feed;
 use crate::value::{Row, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -72,9 +73,12 @@ pub fn merge_join(
 
 /// Hash join on equi keys: every pair of rows whose key columns are
 /// pairwise equal under [`Value`]'s `Eq` (so `Int(1)` meets `Float(1.0)`),
-/// as `left ++ right` rows. A NULL in a key column matches nothing.
-/// `outer = Some(n)` makes it a left outer join: a left row with no match
-/// comes out once, padded with `n` NULLs.
+/// handed to `sink` as `left ++ right` rows, built one at a time in one
+/// reused row. A NULL in a key column matches nothing. `outer = Some(n)`
+/// makes it a left outer join: a left row with no match comes out once,
+/// padded with `n` NULLs. After `sink`'s first error it is handed nothing
+/// more; that error is returned unless the join fails itself (see
+/// [`crate::exec::Feed`]).
 ///
 /// An inner join builds its table on the smaller input and probes it
 /// with the other; a left outer join builds on `right`. Rows come out in
@@ -91,7 +95,8 @@ pub fn hash_join(
     lkeys: &[usize],
     rkeys: &[usize],
     outer: Option<usize>,
-) -> DbResult<Vec<Row>> {
+    sink: impl FnMut(&mut Row) -> DbResult<()>,
+) -> DbResult<()> {
     const NIL: usize = usize::MAX;
     assert_eq!(lkeys.len(), rkeys.len(), "join key arity mismatch");
     let build_left = outer.is_none() && left.len() < right.len();
@@ -126,7 +131,7 @@ pub fn hash_join(
             heads[bucket] = i;
         }
     }
-    let mut out = Vec::with_capacity(probe.len());
+    let (mut out, mut row) = (Feed::new(sink), Row::new());
     for p in probe {
         let mut matched = false;
         if let Some(h) = hash(p, pkeys)? {
@@ -136,22 +141,27 @@ pub fn hash_join(
                 let b = &build[i];
                 if hi == h && bkeys.iter().zip(pkeys).all(|(&x, &y)| b[x] == p[y]) {
                     matched = true;
-                    let (l, r) = if build_left { (b, p) } else { (p, b) };
-                    let mut row = Vec::with_capacity(l.len() + r.len());
-                    row.extend_from_slice(l);
-                    row.extend_from_slice(r);
-                    out.push(row);
+                    if out.open() {
+                        let (l, r) = if build_left { (b, p) } else { (p, b) };
+                        row.clear();
+                        row.reserve(l.len() + r.len());
+                        row.extend_from_slice(l);
+                        row.extend_from_slice(r);
+                        out.push(&mut row);
+                    }
                 }
                 i = next;
             }
         }
-        if let (false, Some(pad)) = (matched, outer) {
-            let mut row = p.clone();
+        if let (false, Some(pad), true) = (matched, outer, out.open()) {
+            row.clear();
+            row.reserve(p.len() + pad);
+            row.extend_from_slice(p);
             row.extend(std::iter::repeat_n(Value::Null, pad));
-            out.push(row);
+            out.push(&mut row);
         }
     }
-    Ok(out)
+    out.finish(Ok(()))
 }
 
 /// Nested-loop join with an arbitrary predicate over the concatenated row.
@@ -233,6 +243,22 @@ mod tests {
         out
     }
 
+    /// [`hash_join`]'s rows, collected.
+    fn hash_join_rows(
+        left: &[Row],
+        right: &[Row],
+        lk: &[usize],
+        rk: &[usize],
+        outer: Option<usize>,
+    ) -> DbResult<Vec<Row>> {
+        let mut out = Vec::new();
+        hash_join(left, right, lk, rk, outer, |row| {
+            out.push(std::mem::take(row));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     fn sorted(rows: Vec<Row>, col: usize) -> Vec<Row> {
         sort_rows(rows, &[SortKey::asc(col)]).unwrap()
     }
@@ -242,7 +268,7 @@ mod tests {
         let l = sorted(l_rows(), 0);
         let r = sorted(r_rows(), 0);
         let mut m = merged(&l, &r, &[0], &[0], None);
-        let mut h = hash_join(&l, &r, &[0], &[0], None).unwrap();
+        let mut h = hash_join_rows(&l, &r, &[0], &[0], None).unwrap();
         m.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         h.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         assert_eq!(m, h);
@@ -264,7 +290,7 @@ mod tests {
             assert!(u[3].is_null());
         }
         // Hash left-outer agrees on multiset.
-        let mut h = hash_join(&l, &r, &[0], &[0], Some(2)).unwrap();
+        let mut h = hash_join_rows(&l, &r, &[0], &[0], Some(2)).unwrap();
         let mut m2 = m.clone();
         h.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         m2.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -275,7 +301,7 @@ mod tests {
     fn null_keys_never_match() {
         let l = vec![vec![Value::Null], vec![Value::Int(1)]];
         let r = vec![vec![Value::Null], vec![Value::Int(1)]];
-        let out = hash_join(&l, &r, &[0], &[0], None).unwrap();
+        let out = hash_join_rows(&l, &r, &[0], &[0], None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Value::Int(1));
     }
@@ -298,11 +324,11 @@ mod tests {
         let e: Vec<Row> = vec![];
         let r = r_rows();
         assert!(merged(&e, &r, &[0], &[0], None).is_empty());
-        assert!(hash_join(&e, &r, &[0], &[0], None).unwrap().is_empty());
+        assert!(hash_join_rows(&e, &r, &[0], &[0], None).unwrap().is_empty());
         let l = l_rows();
         let out = merged(&l, &e, &[0], &[0], Some(2));
         assert_eq!(out.len(), l.len(), "all left rows padded");
-        assert_eq!(hash_join(&l, &e, &[0], &[0], Some(2)).unwrap(), out);
+        assert_eq!(hash_join_rows(&l, &e, &[0], &[0], Some(2)).unwrap(), out);
     }
 
     #[test]
@@ -319,7 +345,7 @@ mod tests {
                 .map(|r| (r[0].clone(), r[1].clone()))
                 .collect()
         };
-        let out = pairs(hash_join(&l, &l, &[0], &[0], None).unwrap());
+        let out = pairs(hash_join_rows(&l, &l, &[0], &[0], None).unwrap());
         let mut expect = Vec::new();
         for a in &l {
             for b in &l {
@@ -339,7 +365,7 @@ mod tests {
             vec![Value::Int(1), Value::Int(11), Value::Str("y".into())],
         ];
         let r = vec![vec![Value::Int(1), Value::Int(11), Value::Float(0.5)]];
-        let out = hash_join(&l, &r, &[0, 1], &[0, 1], None).unwrap();
+        let out = hash_join_rows(&l, &r, &[0, 1], &[0, 1], None).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][2], Value::Str("y".into()));
         let m = merged(&l, &r, &[0, 1], &[0, 1], None);

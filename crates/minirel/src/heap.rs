@@ -57,6 +57,15 @@ impl HeapFile {
         &self.pages
     }
 
+    /// Where `page` sits in this file's page list, if it is one of its
+    /// pages. The list strictly ascends — a file only ever appends a page
+    /// fresh from [`BufferPool::allocate`], whose ids only grow — so this
+    /// is a binary search ([`crate::Database::check_integrity`] checks
+    /// the order).
+    fn page_index(&self, page: PageId) -> Option<usize> {
+        self.pages.binary_search(&page).ok()
+    }
+
     /// Snapshot of the in-memory metadata, for the WAL catalog image:
     /// (pages, free-space hints, live record count).
     pub(crate) fn snapshot_parts(&self) -> (&[PageId], &[u16], u64) {
@@ -186,7 +195,7 @@ impl HeapFile {
 
     /// Fetch the record at `rid`.
     pub fn get(&self, pool: &BufferPool, rid: Rid) -> DbResult<Vec<u8>> {
-        if !self.pages.contains(&rid.page) {
+        if self.page_index(rid.page).is_none() {
             return Err(DbError::BadRid {
                 page: rid.page,
                 slot: rid.slot,
@@ -216,7 +225,7 @@ impl HeapFile {
         let mut i = 0usize;
         while i < rids.len() {
             let pid = rids[i].page;
-            if !self.pages.contains(&pid) {
+            if self.page_index(pid).is_none() {
                 return Err(DbError::BadRid {
                     page: pid,
                     slot: rids[i].slot,
@@ -243,14 +252,10 @@ impl HeapFile {
 
     /// Delete the record at `rid`.
     pub fn delete(&mut self, pool: &BufferPool, rid: Rid) -> DbResult<()> {
-        let idx = self
-            .pages
-            .iter()
-            .position(|&p| p == rid.page)
-            .ok_or(DbError::BadRid {
-                page: rid.page,
-                slot: rid.slot,
-            })?;
+        let idx = self.page_index(rid.page).ok_or(DbError::BadRid {
+            page: rid.page,
+            slot: rid.slot,
+        })?;
         let free = pool.with_page_mut(rid.page, |b| {
             SlottedMut(b).delete(rid.slot)?;
             Ok::<u16, DbError>(SlottedRef(b).free_space() as u16)
@@ -263,7 +268,7 @@ impl HeapFile {
     /// Update in place when possible; otherwise delete + reinsert.
     /// Returns the (possibly new) rid.
     pub fn update(&mut self, pool: &BufferPool, rid: Rid, rec: &[u8]) -> DbResult<Rid> {
-        if !self.pages.contains(&rid.page) {
+        if self.page_index(rid.page).is_none() {
             return Err(DbError::BadRid {
                 page: rid.page,
                 slot: rid.slot,

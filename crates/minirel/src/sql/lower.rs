@@ -14,19 +14,36 @@
 //! timestamp`, and subquery results symbolic. [`execute_plan`]
 //! *specializes* each operator's expressions — substituting
 //! [`Expr::Param`]/[`Expr::Now`]/[`Expr::SubScalar`]/[`Expr::InSub`]
-//! leaves with literals — and then runs the operator kernels of
-//! [`crate::exec`] ([`hash_join`], [`sort_rows`], [`aggregate`]), all in
-//! memory: a read phase allocates no store pages.
-//! Uncorrelated subqueries and CTEs are (re-)executed
-//! on every call, so a cached plan observes source-table mutations,
-//! fresh parameters, and clock updates.
+//! leaves with literals — and then runs the operators, all in memory: a
+//! read phase allocates no store pages. Uncorrelated subqueries and CTEs
+//! are (re-)executed on every call, so a cached plan observes
+//! source-table mutations, fresh parameters, and clock updates.
+//!
+//! Rows are pushed: each operator hands its rows to its consumer's
+//! [`Sink`], one reused row at a time, and a consumer takes a row only if
+//! it keeps it. Scans, filters, projections, LIMIT, VALUES and CTE scans
+//! stream; a CTE scan reads its slot by reference and clones only the
+//! rows that pass. A hash join holds its two inputs (the semijoin
+//! reduction and the build-side choice need them) and streams its output
+//! ([`hash_join`]). An aggregate holds its groups ([`Aggregator`]), a sort
+//! and a nested-loop join collect and then push, and DISTINCT holds its
+//! seen-set, cloning only rows it has not seen. A CTE slot, a subquery's
+//! result and the statement's result are collected.
+//!
+//! Errors come out as if each operator ran to completion before its
+//! consumer started: a producer's own error wins over its consumer's. A
+//! consumer's first error is kept ([`Feed`]); the producer hands it
+//! nothing more but still runs to its end, and returns its own error if it
+//! meets one.
 //!
 //! **Scans.** Every access path — heap scan, eq/range probe, key-list
-//! probe — decodes each record into one reused row, applies the scan's
-//! pushed filters to it in place and keeps only the rows that pass; none
-//! builds the table's rows first. Fusing the conjuncts into one pass
-//! changes no error: a failure reports what conjunct-at-a-time filtering
-//! reports.
+//! probe, index-only probe — decodes each record or index key into one
+//! reused row, in place ([`decode_row_into`], [`decode_key_into`]; a
+//! string decoded over a string reuses its buffer), applies the scan's
+//! pushed filters to it and pushes the rows that pass. None builds the
+//! table's rows first, and an index-only probe decodes each key inside
+//! the index walk. Fusing the conjuncts into one pass changes no error: a
+//! failure reports what conjunct-at-a-time filtering reports.
 //!
 //! **One admission function.** The planner lists a scan's candidate
 //! probes by shape (see [`crate::sql::plan::Probe`]); `admit` picks one at
@@ -67,20 +84,18 @@
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{DbError, DbResult};
-use crate::exec::agg::{aggregate, AggCall};
+use crate::exec::agg::{AggCall, Aggregator};
 use crate::exec::expr::Expr;
 use crate::exec::join::{hash_join, nested_loop_join};
 use crate::exec::sort::{sort_rows, SortKey};
+use crate::exec::{Feed, Sink};
 use crate::heap::Rid;
 use crate::schema::ColumnType;
 use crate::sql::ast::Statement;
 use crate::sql::plan::{arity, plan_statement, Keys, Node, Probe, SelectPlan, SubKind, Write};
-use crate::value::{
-    decode_composite_key, decode_row_into, encode_composite_key, Row, Value, ValueSet,
-};
+use crate::value::{decode_key_into, decode_row_into, encode_composite_key, Row, Value, ValueSet};
 use std::collections::HashSet;
 use std::ops::Bound;
-use std::rc::Rc;
 
 /// A prepared, executable plan.
 #[derive(Debug)]
@@ -189,7 +204,7 @@ struct Env<'a> {
     catalog: &'a Catalog,
     params: &'a [Value],
     now: i64,
-    slots: Vec<Option<Rc<Vec<Row>>>>,
+    slots: Vec<Option<Vec<Row>>>,
 }
 
 /// Execute a prepared plan. `params` must match the plan's declared
@@ -273,7 +288,7 @@ pub fn execute_write(
 fn exec_select(env: &mut Env<'_>, plan: &SelectPlan) -> DbResult<Vec<Row>> {
     for c in &plan.ctes {
         let rows = exec_select(env, &c.plan)?;
-        env.slots[c.slot] = Some(Rc::new(rows));
+        env.slots[c.slot] = Some(rows);
     }
     // Subqueries re-run on every execution: a prepared plan must observe
     // mutations to the subquery's source tables between executions.
@@ -301,7 +316,28 @@ fn exec_select(env: &mut Env<'_>, plan: &SelectPlan) -> DbResult<Vec<Row>> {
             )),
         });
     }
-    exec_node(env, &plan.root, &subvals)
+    rows_of(env, &plan.root, &subvals)
+}
+
+/// The rows `run` hands its sink, kept.
+fn collect(run: impl FnOnce(Sink<'_>) -> DbResult<()>) -> DbResult<Vec<Row>> {
+    let mut rows = Vec::new();
+    run(&mut |row: &mut Row| {
+        rows.push(std::mem::take(row));
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// The rows of `node`, kept.
+fn rows_of(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
+    collect(|sink| exec_node(env, node, subs, sink))
+}
+
+/// Hand `rows` to `sink`, stopping at its first error: what an operator
+/// that holds its rows does once it has no error of its own left to find.
+fn push_all(rows: Vec<Row>, sink: Sink<'_>) -> DbResult<()> {
+    rows.into_iter().try_for_each(|mut row| sink(&mut row))
 }
 
 /// A node's pushed-down or residual conjuncts, specialized once per
@@ -357,18 +393,6 @@ impl Filters {
     }
 }
 
-fn apply_filters(
-    env: &Env<'_>,
-    mut rows: Vec<Row>,
-    filters: &[Expr],
-    subs: &[SubResult],
-) -> DbResult<Vec<Row>> {
-    let mut f = Filters::new(env, filters, subs);
-    rows.retain(|row| f.pass(row));
-    f.finish()?;
-    Ok(rows)
-}
-
 /// A rid as the trailing value a `with_rid` scan appends to its rows.
 fn rid_value(rid: Rid) -> Value {
     Value::Int(i64::from(rid.page) << 16 | i64::from(rid.slot))
@@ -384,22 +408,27 @@ fn value_rid(v: &Value) -> Rid {
 }
 
 /// Where a base-table scan's rows go: every record or index key is
-/// decoded into one reused row, the scan's filters test it in place, and
-/// only a row that passes moves out. No access path builds the table's
-/// rows first.
-struct ScanOut<'a> {
+/// decoded into one reused row, in place, the scan's filters test it, and
+/// a row that passes goes to the scan's sink. No access path builds the
+/// table's rows first.
+struct ScanOut<'a, 's> {
     /// Columns to decode (`None` = all).
     keep: Option<&'a [bool]>,
     /// Append the rid (DML read phases).
     with_rid: bool,
+    /// The table's columns.
+    arity: usize,
     filters: Filters,
     row: Row,
-    rows: Vec<Row>,
+    out: Feed<Sink<'s>>,
 }
 
-impl ScanOut<'_> {
+impl ScanOut<'_, '_> {
     /// A heap record.
     fn record(&mut self, rid: Rid, bytes: &[u8]) -> DbResult<()> {
+        if self.with_rid {
+            self.row.truncate(self.arity);
+        }
         decode_row_into(bytes, self.keep, &mut self.row)?;
         if self.with_rid {
             self.row.push(rid_value(rid));
@@ -408,30 +437,37 @@ impl ScanOut<'_> {
         Ok(())
     }
 
-    /// An index key standing for a row of `arity` columns (index-only).
-    fn key(&mut self, key: &[u8], arity: usize, index_cols: &[usize]) -> DbResult<()> {
-        let vals = decode_composite_key(key)?;
-        self.row.clear();
-        self.row.resize(arity, Value::Null);
-        for (v, &c) in vals.into_iter().zip(index_cols) {
-            self.row[c] = v;
+    /// An index key over `cols`, standing for a row (index-only). A row a
+    /// sink leaves keeps its NULLs outside `cols`.
+    fn key(&mut self, key: &[u8], cols: &[usize]) -> DbResult<()> {
+        if self.row.len() != self.arity {
+            self.row.clear();
+            self.row.resize(self.arity, Value::Null);
         }
+        decode_key_into(key, cols, &mut self.row)?;
         self.offer();
         Ok(())
     }
 
     fn offer(&mut self) {
         if self.filters.pass(&self.row) {
-            self.rows.push(std::mem::take(&mut self.row));
+            self.out.push(&mut self.row);
         }
     }
-}
 
-/// What an index probe found: rids to fetch, or (index-only) the keys
-/// themselves, one per matching entry, over the index's columns.
-enum Hits<'a> {
-    Rids(Vec<Rid>),
-    Keys(&'a [usize], Vec<Vec<u8>>),
+    /// The rows at `rids`, fetched in heap order: the row order a
+    /// sequential scan produces.
+    fn fetch(&mut self, env: &Env<'_>, t: &TableInfo, mut rids: Vec<Rid>) -> DbResult<()> {
+        rids.sort_unstable();
+        t.heap
+            .get_each(env.pool, &rids, |rid, rec| self.record(rid, rec))
+    }
+
+    /// The scan's result: the walk's error, the filters', then the sink's.
+    fn finish(self, walked: DbResult<()>) -> DbResult<()> {
+        let filters = self.filters;
+        self.out.finish(walked.and_then(|()| filters.finish()))
+    }
 }
 
 /// Runs a hash join's other input when a scan's join-key candidate asks
@@ -448,7 +484,8 @@ fn exec_scan(
     node: &Node,
     subs: &[SubResult],
     join: Option<JoinKeys<'_>>,
-) -> DbResult<Vec<Row>> {
+    sink: Sink<'_>,
+) -> DbResult<()> {
     let Node::Scan {
         tid,
         arity,
@@ -462,45 +499,30 @@ fn exec_scan(
         unreachable!("exec_scan on a non-scan node");
     };
     let t = env.catalog.table(*tid);
-    let hits = match admit(t, probes, subs, join)? {
-        Path::Heap => None,
-        Path::KeyList(p, keys) => {
-            let found = t.indexes[p.index_no].btree.lookup_many(env.pool, &keys)?;
-            Some(if p.index_only {
-                let per_entry = keys
-                    .into_iter()
-                    .zip(found)
-                    .flat_map(|(key, rids)| std::iter::repeat_n(key, rids.len()));
-                Hits::Keys(&p.index_cols, per_entry.collect())
-            } else {
-                Hits::Rids(found.concat())
-            })
-        }
-        Path::Prefix(p) => range_hits(env, t, p, subs)?,
-    };
+    let path = admit(t, probes, subs, join)?;
     let mut out = ScanOut {
         keep: keep.as_deref(),
         with_rid: *with_rid,
+        arity: *arity,
         filters: Filters::new(env, filters, subs),
         row: Vec::new(),
-        rows: Vec::new(),
+        out: Feed::new(sink),
     };
-    match hits {
-        None => t.heap.scan(env.pool, |rid, rec| out.record(rid, rec))?,
-        // Heap order: matches the row order a sequential scan produces.
-        Some(Hits::Rids(mut rids)) => {
-            rids.sort_unstable();
-            t.heap
-                .get_each(env.pool, &rids, |rid, rec| out.record(rid, rec))?;
-        }
-        Some(Hits::Keys(cols, keys)) => {
-            for k in &keys {
-                out.key(k, *arity, cols)?;
+    let walked = match path {
+        Path::Heap => t.heap.scan(env.pool, |rid, rec| out.record(rid, rec)),
+        Path::KeyList(p, keys) => {
+            let found = t.indexes[p.index_no].btree.lookup_many(env.pool, &keys)?;
+            match p.index_only {
+                // One row per entry, in key order.
+                true => keys.iter().zip(&found).try_for_each(|(key, rids)| {
+                    rids.iter().try_for_each(|_| out.key(key, &p.index_cols))
+                }),
+                false => out.fetch(env, t, found.concat()),
             }
         }
-    }
-    out.filters.finish()?;
-    Ok(out.rows)
+        Path::Prefix(p) => range_scan(env, t, p, subs, &mut out),
+    };
+    out.finish(walked)
 }
 
 /// An eq prefix probes tables from this many rows: below it, the whole
@@ -633,8 +655,8 @@ fn join_inputs(
     let red = match inputs.map(join_probe) {
         [None, None] => {
             return Ok([
-                exec_node(env, inputs[0], subs)?,
-                exec_node(env, inputs[1], subs)?,
+                rows_of(env, inputs[0], subs)?,
+                rows_of(env, inputs[1], subs)?,
             ])
         }
         [Some(_), Some(_)] => usize::from(table_rows(inputs[1]) > table_rows(inputs[0])),
@@ -647,17 +669,17 @@ fn join_inputs(
     };
     let mut ran = None;
     let mut run_other = |key: usize| {
-        let rows = ran.insert(exec_node(env, inputs[other], subs));
+        let rows = ran.insert(rows_of(env, inputs[other], subs));
         Some(column(rows.as_deref().ok()?, keys[other][key]))
     };
-    let reduced = exec_scan(env, inputs[red], subs, Some(&mut run_other));
+    let reduced = collect(|sink| exec_scan(env, inputs[red], subs, Some(&mut run_other), sink));
     let other_rows = match (ran, &reduced) {
         (Some(rows), _) => rows,
         (None, Ok(rows)) if join_probe(inputs[other]).is_some() => {
             let mut given = |key: usize| Some(column(rows, keys[red][key]));
-            exec_scan(env, inputs[other], subs, Some(&mut given))
+            collect(|sink| exec_scan(env, inputs[other], subs, Some(&mut given), sink))
         }
-        (None, _) => exec_node(env, inputs[other], subs),
+        (None, _) => rows_of(env, inputs[other], subs),
     };
     let [l, r] = match red {
         0 => [reduced, other_rows],
@@ -666,28 +688,35 @@ fn join_inputs(
     Ok([l?, r?])
 }
 
-fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row>> {
+/// Run `node`, handing its rows to `sink` (see the module docs).
+fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult], sink: Sink<'_>) -> DbResult<()> {
+    let spec = |e: &Expr| specialize(e, env.params, env.now, subs);
     match node {
-        Node::Scan { .. } => exec_scan(env, node, subs, None),
+        Node::Scan { .. } => exec_scan(env, node, subs, None, sink),
         Node::Values(rows) => {
-            let empty: Row = Vec::new();
-            let mut out = Vec::with_capacity(rows.len());
+            let (empty, mut row, mut out) = (Row::new(), Row::new(), Feed::new(sink));
             for exprs in rows {
-                let mut row = Vec::with_capacity(exprs.len());
+                row.clear();
                 for e in exprs {
-                    row.push(specialize(e, env.params, env.now, subs)?.eval(&empty)?);
+                    row.push(spec(e)?.eval(&empty)?);
                 }
-                out.push(row);
+                out.push(&mut row);
             }
-            Ok(out)
+            out.finish(Ok(()))
         }
         Node::CteScan { slot, filters, .. } => {
             let rows = env.slots[*slot]
                 .as_ref()
-                .ok_or_else(|| DbError::Eval(format!("CTE slot {slot} not materialized")))?
-                .as_ref()
-                .clone();
-            apply_filters(env, rows, filters, subs)
+                .ok_or_else(|| DbError::Eval(format!("CTE slot {slot} not materialized")))?;
+            let mut f = Filters::new(env, filters, subs);
+            let (mut row, mut out) = (Row::new(), Feed::new(sink));
+            for r in rows {
+                if f.pass(r) {
+                    row.clone_from(r);
+                    out.push(&mut row);
+                }
+            }
+            out.finish(f.finish())
         }
         Node::HashJoin {
             left,
@@ -697,7 +726,7 @@ fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row
             outer,
         } => {
             let [l, r] = join_inputs(env, subs, [left, right], [lk, rk])?;
-            hash_join(&l, &r, lk, rk, outer.then(|| arity(right)))
+            hash_join(&l, &r, lk, rk, outer.then(|| arity(right)), sink)
         }
         Node::NlJoin {
             left,
@@ -705,71 +734,83 @@ fn exec_node(env: &Env<'_>, node: &Node, subs: &[SubResult]) -> DbResult<Vec<Row
             pred,
             outer,
         } => {
-            let l = exec_node(env, left, subs)?;
-            let r = exec_node(env, right, subs)?;
-            let p = specialize(pred, env.params, env.now, subs)?;
-            nested_loop_join(&l, &r, &p, outer.then(|| arity(right)))
+            let l = rows_of(env, left, subs)?;
+            let r = rows_of(env, right, subs)?;
+            let rows = nested_loop_join(&l, &r, &spec(pred)?, outer.then(|| arity(right)))?;
+            push_all(rows, sink)
         }
         Node::Filter { input, preds } => {
-            let rows = exec_node(env, input, subs)?;
-            apply_filters(env, rows, preds, subs)
+            let mut f = Filters::new(env, preds, subs);
+            let mut out = Feed::new(sink);
+            let fed = exec_node(env, input, subs, &mut |row| {
+                if f.pass(row) {
+                    out.push(row);
+                }
+                Ok(())
+            });
+            out.finish(fed.and_then(|()| f.finish()))
         }
         Node::Agg { input, group, aggs } => {
-            let rows = exec_node(env, input, subs)?;
-            let g: Vec<Expr> = group
-                .iter()
-                .map(|e| specialize(e, env.params, env.now, subs))
-                .collect::<DbResult<_>>()?;
+            let g: Vec<Expr> = group.iter().map(spec).collect::<DbResult<_>>()?;
             let a: Vec<AggCall> = aggs
                 .iter()
                 .map(|c| {
                     Ok(AggCall {
                         kind: c.kind,
-                        arg: specialize(&c.arg, env.params, env.now, subs)?,
+                        arg: spec(&c.arg)?,
                     })
                 })
                 .collect::<DbResult<_>>()?;
-            aggregate(&rows, &g, &a)
+            let mut agg = Aggregator::new(&g, &a);
+            exec_node(env, input, subs, &mut |row| agg.push(row))?;
+            agg.finish(sink)
         }
         Node::Sort { input, keys } => {
-            let rows = exec_node(env, input, subs)?;
+            let rows = rows_of(env, input, subs)?;
             let sk: Vec<SortKey> = keys
                 .iter()
                 .map(|(e, desc)| {
                     Ok(SortKey {
-                        expr: specialize(e, env.params, env.now, subs)?,
+                        expr: spec(e)?,
                         desc: *desc,
                     })
                 })
                 .collect::<DbResult<_>>()?;
-            sort_rows(rows, &sk)
+            push_all(sort_rows(rows, &sk)?, sink)
         }
         Node::Limit { input, n } => {
-            let mut rows = exec_node(env, input, subs)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
+            let mut left = *n;
+            exec_node(env, input, subs, &mut |row| match left {
+                0 => Ok(()),
+                _ => {
+                    left -= 1;
+                    sink(row)
+                }
+            })
         }
         Node::Project { input, exprs } => {
-            let rows = exec_node(env, input, subs)?;
-            let es: Vec<Expr> = exprs
-                .iter()
-                .map(|e| specialize(e, env.params, env.now, subs))
-                .collect::<DbResult<_>>()?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in &rows {
-                let mut o = Vec::with_capacity(es.len());
+            let es: Vec<Expr> = exprs.iter().map(spec).collect::<DbResult<_>>()?;
+            let (mut o, mut out) = (Row::new(), Feed::new(sink));
+            let fed = exec_node(env, input, subs, &mut |row| {
+                o.clear();
+                o.reserve(es.len());
                 for e in &es {
                     o.push(e.eval(row)?);
                 }
-                out.push(o);
-            }
-            Ok(out)
+                out.push(&mut o);
+                Ok(())
+            });
+            out.finish(fed)
         }
         Node::Distinct { input } => {
-            let mut rows = exec_node(env, input, subs)?;
-            let mut seen = std::collections::HashSet::new();
-            rows.retain(|r| seen.insert(r.clone()));
-            Ok(rows)
+            let mut seen = HashSet::new();
+            exec_node(env, input, subs, &mut |row| {
+                if seen.contains(row.as_slice()) {
+                    return Ok(());
+                }
+                seen.insert(row.clone());
+                sink(row)
+            })
         }
     }
 }
@@ -851,14 +892,17 @@ fn coerce_range(v: Value, ty: ColumnType, is_lo: bool) -> RangeCoerce {
     }
 }
 
-/// What an eq/range probe finds, or `None` when an eq value's encoded key
-/// would diverge from `=` and the heap scan must decide instead.
-fn range_hits<'p>(
+/// The rows an eq/range probe finds, or the heap scan's when an eq
+/// value's encoded key would diverge from `=` and the heap must decide
+/// instead. An index-only probe decodes each key into the scan's row
+/// inside the index walk.
+fn range_scan(
     env: &Env<'_>,
     t: &TableInfo,
-    probe: &'p Probe,
+    probe: &Probe,
     subs: &[SubResult],
-) -> DbResult<Option<Hits<'p>>> {
+    out: &mut ScanOut<'_, '_>,
+) -> DbResult<()> {
     let Probe {
         index_no,
         index_only,
@@ -867,13 +911,12 @@ fn range_hits<'p>(
         ..
     } = probe
     else {
-        unreachable!("admission hands range_hits an eq/range probe");
+        unreachable!("admission hands range_scan an eq/range probe");
     };
     // Declared column types drive probe-value coercion.
     let col_ty = |c: usize| t.schema.columns[c].ty;
     let idx = &t.indexes[*index_no];
     let empty: Row = Vec::new();
-    let none = || Some(Hits::Rids(Vec::new()));
 
     // Eq-prefix key values.
     let mut prefix_vals = Vec::with_capacity(eq.len());
@@ -881,8 +924,8 @@ fn range_hits<'p>(
         let v = specialize(e, env.params, env.now, subs)?.eval(&empty)?;
         match coerce_eq(v, col_ty(index_cols[j])) {
             EqCoerce::Val(v) => prefix_vals.push(v),
-            EqCoerce::NoMatch => return Ok(none()),
-            EqCoerce::Fallback => return Ok(None),
+            EqCoerce::NoMatch => return Ok(()),
+            EqCoerce::Fallback => return t.heap.scan(env.pool, |rid, rec| out.record(rid, rec)),
         }
     }
     let prefix = encode_composite_key(&prefix_vals);
@@ -895,7 +938,7 @@ fn range_hits<'p>(
             let v = specialize(e, env.params, env.now, subs)?.eval(&empty)?;
             match coerce_range(v, range_ty, true) {
                 RangeCoerce::Val(v) => v.encode_key(&mut lo_bytes),
-                RangeCoerce::Empty => return Ok(none()),
+                RangeCoerce::Empty => return Ok(()),
                 RangeCoerce::Open => {}
             }
         }
@@ -907,7 +950,7 @@ fn range_hits<'p>(
                     v.encode_key(&mut hb);
                     hi_bytes = Some(hb);
                 }
-                RangeCoerce::Empty => return Ok(none()),
+                RangeCoerce::Empty => return Ok(()),
                 RangeCoerce::Open => {}
             }
         }
@@ -920,7 +963,7 @@ fn range_hits<'p>(
             None => !k.starts_with(&prefix),
         }
     };
-    let (mut rids, mut keys) = (Vec::new(), Vec::new());
+    let (mut rids, mut decoded) = (Vec::new(), Ok(()));
     idx.btree.scan_range(
         env.pool,
         Bound::Included(lo_bytes.as_slice()),
@@ -930,18 +973,15 @@ fn range_hits<'p>(
                 return false;
             }
             if *index_only {
-                keys.push(k.to_vec());
-            } else {
-                rids.push(rid);
+                decoded = out.key(k, index_cols);
+                return decoded.is_ok();
             }
+            rids.push(rid);
             true
         },
     )?;
-    Ok(Some(if *index_only {
-        Hits::Keys(index_cols, keys)
-    } else {
-        Hits::Rids(rids)
-    }))
+    decoded?;
+    out.fetch(env, t, rids)
 }
 
 // ---------------------------------------------------------------- explain

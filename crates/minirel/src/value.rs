@@ -105,8 +105,16 @@ impl Value {
 
     /// Decode one value from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> DbResult<Value> {
+        let mut v = Value::Null;
+        v.decode_into(buf)?;
+        Ok(v)
+    }
+
+    /// [`Value::decode`] into `self`: a string decoded over a string
+    /// reuses its buffer.
+    fn decode_into(&mut self, buf: &mut &[u8]) -> DbResult<()> {
         let [tag] = take(buf, "truncated value")?;
-        Ok(match tag {
+        *self = match tag {
             0 => Value::Null,
             1 => Value::Int(i64::from_le_bytes(take(buf, "truncated int")?)),
             2 => Value::Float(f64::from_le_bytes(take(buf, "truncated float")?)),
@@ -116,13 +124,18 @@ impl Value {
                     .split_at_checked(n)
                     .ok_or_else(|| DbError::Page("truncated string body".into()))?;
                 let s = std::str::from_utf8(body)
-                    .map_err(|_| DbError::Page("invalid utf8 in string".into()))?
-                    .to_owned();
+                    .map_err(|_| DbError::Page("invalid utf8 in string".into()))?;
                 *buf = rest;
-                Value::Str(s)
+                if let Value::Str(old) = self {
+                    old.clear();
+                    old.push_str(s);
+                    return Ok(());
+                }
+                Value::Str(s.to_owned())
             }
             t => return Err(DbError::Page(format!("unknown value tag {t}"))),
-        })
+        };
+        Ok(())
     }
 
     // ----- key codec (memcomparable) -----
@@ -292,13 +305,20 @@ pub fn encode_composite_key(vals: &[Value]) -> Vec<u8> {
 }
 
 /// Decode a memcomparable composite key back into its values — the
-/// inverse of [`encode_composite_key`]. Index-only scans use this to
-/// serve queries straight from B+tree keys without touching the heap.
-pub fn decode_composite_key(mut bytes: &[u8]) -> DbResult<Vec<Value>> {
-    let mut out = Vec::new();
+/// inverse of [`encode_composite_key`] — into `row`, the `i`-th at
+/// position `cols[i]`, in place: a string decoded over a string reuses
+/// its buffer. Index-only scans serve rows this way, straight from B+tree
+/// keys, without touching the heap. `row` must reach every position of
+/// `cols`; values past the end of `cols` are decoded and dropped.
+pub fn decode_key_into(mut bytes: &[u8], cols: &[usize], row: &mut Row) -> DbResult<()> {
+    let (mut cols, mut spare) = (cols.iter(), Value::Null);
     while let Some((&tag, rest)) = bytes.split_first() {
         bytes = rest;
-        out.push(match tag {
+        let slot = match cols.next() {
+            Some(&c) => &mut row[c],
+            None => &mut spare,
+        };
+        *slot = match tag {
             0x01 => Value::Null,
             0x02 => {
                 let bits = u64::from_be_bytes(take(&mut bytes, "truncated int key")?);
@@ -309,7 +329,11 @@ pub fn decode_composite_key(mut bytes: &[u8]) -> DbResult<Vec<Value>> {
                 Value::Float(ordered_bits_to_f64(bits))
             }
             0x04 => {
-                let mut s = Vec::new();
+                let mut s = match std::mem::replace(slot, Value::Null) {
+                    Value::Str(old) => old.into_bytes(),
+                    _ => Vec::new(),
+                };
+                s.clear();
                 loop {
                     let [b] = take(&mut bytes, "unterminated string key")?;
                     if b != 0x00 {
@@ -330,9 +354,9 @@ pub fn decode_composite_key(mut bytes: &[u8]) -> DbResult<Vec<Value>> {
                 )
             }
             t => return Err(DbError::Page(format!("unknown key tag {t:#x}"))),
-        });
+        };
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A row is just a boxed sequence of values.
@@ -372,23 +396,28 @@ fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
 }
 
 /// Decode a row into `row`, replacing what it held and reusing its
-/// buffer — a scan decodes every record into one row and moves out only
-/// those its filters keep. `keep` (`None` = every column) marks the
-/// columns to decode; the rest come back as [`Value::Null`] placeholders
-/// (same arity, same column positions) and are never materialized — in
-/// particular, text columns allocate nothing — which is what makes
-/// column-pruned scans cheap. `keep` shorter than the row keeps nothing
-/// past its end.
+/// buffer — a scan decodes every record into one row and hands it on.
+/// `keep` (`None` = every column) marks the columns to decode; the rest
+/// come back as [`Value::Null`] placeholders (same arity, same column
+/// positions) and are never materialized — in particular, text columns
+/// allocate nothing — which is what makes column-pruned scans cheap.
+/// `keep` shorter than the row keeps nothing past its end. When `row`
+/// already has the record's arity, each column is overwritten in place,
+/// so a string decoded over a string reuses its buffer.
 pub fn decode_row_into(mut bytes: &[u8], keep: Option<&[bool]>, row: &mut Row) -> DbResult<()> {
     let n = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
-    row.clear();
-    row.reserve(n);
-    for i in 0..n {
+    if row.len() != n {
+        row.clear();
+        row.resize(n, Value::Null);
+    }
+    for (i, slot) in row.iter_mut().enumerate() {
         if keep.is_none_or(|k| k.get(i).copied().unwrap_or(false)) {
-            row.push(Value::decode(&mut bytes)?);
+            slot.decode_into(&mut bytes)?;
         } else {
             skip_value(&mut bytes)?;
-            row.push(Value::Null);
+            if !slot.is_null() {
+                *slot = Value::Null;
+            }
         }
     }
     Ok(())
@@ -618,7 +647,7 @@ mod tests {
         ];
         for row in rows {
             let key = encode_composite_key(&row);
-            let back = decode_composite_key(&key).unwrap();
+            let back = decode_key(&key, row.len()).unwrap();
             // Compare bitwise (total_cmp treats -0.0 < 0.0 so Eq is fine,
             // but also check the debug form to catch sign-of-zero slips).
             assert_eq!(format!("{back:?}"), format!("{row:?}"));
@@ -627,10 +656,40 @@ mod tests {
 
     #[test]
     fn composite_key_decode_rejects_garbage() {
-        assert!(decode_composite_key(&[0x09]).is_err()); // unknown tag
-        assert!(decode_composite_key(&[0x02, 1, 2]).is_err()); // short int
-        assert!(decode_composite_key(&[0x04, b'a']).is_err()); // unterminated
-        assert!(decode_composite_key(&[0x04, 0x00, 0x07]).is_err()); // bad escape
+        assert!(decode_key(&[0x09], 1).is_err()); // unknown tag
+        assert!(decode_key(&[0x02, 1, 2], 1).is_err()); // short int
+        assert!(decode_key(&[0x04, b'a'], 1).is_err()); // unterminated
+        assert!(decode_key(&[0x04, 0x00, 0x07], 1).is_err()); // bad escape
+    }
+
+    /// A key of `n` values, decoded into a row of its own.
+    fn decode_key(key: &[u8], n: usize) -> DbResult<Row> {
+        let mut row = vec![Value::Null; n];
+        decode_key_into(key, &(0..n).collect::<Vec<_>>(), &mut row)?;
+        Ok(row)
+    }
+
+    #[test]
+    fn decoding_over_a_row_overwrites_it_in_place() {
+        let key = encode_composite_key(&[Value::Str("ab".into()), Value::Int(-3)]);
+        let mut row = vec![Value::Int(9), Value::Null, Value::Str("longer text".into())];
+        decode_key_into(&key, &[2, 0], &mut row).unwrap();
+        assert_eq!(
+            row,
+            vec![Value::Int(-3), Value::Null, Value::Str("ab".into())]
+        );
+
+        let keep = [true, false, true];
+        let rec = encode_row(&[Value::Str("x".into()), Value::Int(1), Value::Float(0.5)]);
+        let mut row = vec![Value::Str("old".into()), Value::Int(7), Value::Int(8)];
+        decode_row_into(&rec, Some(&keep), &mut row).unwrap();
+        assert_eq!(
+            row,
+            vec![Value::Str("x".into()), Value::Null, Value::Float(0.5)]
+        );
+        let mut short = vec![Value::Int(1)];
+        decode_row_into(&rec, None, &mut short).unwrap();
+        assert_eq!(short, decode_row(&rec).unwrap());
     }
 
     #[test]

@@ -370,3 +370,25 @@ fn fused_filters_report_the_conjunct_at_a_time_error() {
         .to_string();
     assert!(err.contains("sqrt of negative value -1"), "{err}");
 }
+
+#[test]
+fn a_producers_error_wins_over_its_consumers_earlier_one() {
+    // Row 1 passes the filter and fails its consumer (`ln(-1)`); row 2
+    // fails the filter. Run to completion, the filter fails before its
+    // consumer sees a row, so a pushed row must not let the consumer's
+    // error on row 1 win over the filter's on row 2.
+    let mut d = Database::in_memory();
+    d.execute("create table e (a int, b int)").unwrap();
+    d.execute("insert into e values (1, -1), (-5, 1)").unwrap();
+    for sql in [
+        // A scan's pushed filter, under a projection.
+        "select ln(b) from e where ln(a) > -100",
+        // Under an aggregate.
+        "select sum(ln(b)) from e where ln(a) > -100",
+        // A filter node over a join's rows, under a projection.
+        "select ln(e.b) from e, e e2 where e.a = e2.a and ln(e.a + 0 * e2.a) > -100",
+    ] {
+        let err = d.execute(sql).unwrap_err().to_string();
+        assert!(err.contains("ln of non-positive value -5"), "{sql}: {err}");
+    }
+}

@@ -319,7 +319,12 @@ proptest! {
             }
         })
         .unwrap();
-        let mut hashed = hash_join(&l, &r, keys, keys, outer.then_some(3)).unwrap();
+        let mut hashed = Vec::new();
+        hash_join(&l, &r, keys, keys, outer.then_some(3), |row| {
+            hashed.push(std::mem::take(row));
+            Ok(())
+        })
+        .unwrap();
         let key = |row: &Row| row.iter().map(|v| format!("{v:?}|")).collect::<String>();
         merged.sort_by_key(|r| key(r));
         hashed.sort_by_key(|r| key(r));

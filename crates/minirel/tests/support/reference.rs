@@ -26,7 +26,7 @@
 use minirel::buffer::BufferPool;
 use minirel::catalog::Catalog;
 use minirel::error::{DbError, DbResult};
-use minirel::exec::agg::{aggregate, AggCall, AggKind};
+use minirel::exec::agg::{AggCall, AggKind, Aggregator};
 use minirel::exec::expr::{Expr, Func, UnOp};
 use minirel::exec::join::{merge_join, nested_loop_join};
 use minirel::exec::sort::{external_sort, SortKey};
@@ -528,6 +528,20 @@ fn run_select_body(ctx: &mut SqlCtx<'_>, sel: &SelectStmt) -> DbResult<Relation>
         cols: out_cols,
         rows: out_rows,
     })
+}
+
+/// The rows of aggregating `rows`, collected.
+fn aggregate(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> DbResult<Vec<Row>> {
+    let mut agg = Aggregator::new(group, aggs);
+    for row in rows {
+        agg.push(row)?;
+    }
+    let mut out = Vec::new();
+    agg.finish(|row| {
+        out.push(std::mem::take(row));
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Rewrite a projection/order expression in aggregate context into an

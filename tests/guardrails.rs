@@ -78,6 +78,10 @@ const ONE_MERGE: &str = "a sort-merge is one kernel (`exec::join::merge_join`) t
      left row its run, and the bulk probe folds PARTIAL and DOCLEN into its one pass; a table has \
      one materializing scan (`Catalog::scan_rows`); row collectors live beside their test callers";
 
+const PUSHED_ROWS: &str = "a SELECT pushes each row from its access path to its consumer \
+     through one reused row; only a join's inputs, an aggregate's groups, a sort, a CTE slot and \
+     DISTINCT's seen-set hold rows, and row collectors live beside their test callers";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -197,6 +201,9 @@ const FORBIDDEN: &[Forbidden] = &[
      &["MergeJoin", "merge_join_", "external_sort", "NL_JOIN_EST"],
      Scope("crates/minirel/src/sql", "", 7), Mode::Whole,
      "an equi-join is a hash join; SQL execution never sorts through the buffer pool"),
+    ("a_select_pushes_rows_to_its_consumer",
+     &["fn apply_filters", "fn aggregate(", "fn hash_join_rows", "fn decode_composite_key"],
+     MINIREL, Mode::Code, PUSHED_ROWS),
     ("access_paths_are_chosen_once_at_execution",
      &["MIN_PROBE_ROWS", "struct IndexProbe", "struct InProbe", "enum InSrc", "struct KeyIndex",
        "struct Reduce", "fn table_stats"],
@@ -616,6 +623,7 @@ checks! {
     an_equi_join_is_a_hash_join: ;
     the_bulk_probe_is_one_merge_pass: ;
     access_paths_are_chosen_once_at_execution: ;
+    a_select_pushes_rows_to_its_consumer: ;
     the_planner_reads_no_row_counts: ;
     every_session_is_a_shard: ;
     one_run_handle: ;
