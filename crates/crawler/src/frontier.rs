@@ -12,20 +12,22 @@
 //! * **keyed rewrite** — `rewrite`, the one write path for rows
 //!   addressed by oid: order the batch by oid key, one `lookup_many`
 //!   over `crawl_oid` (one descent for the whole batch, reading each
-//!   B+tree node on the keys' paths once), one `get_row` per hit, then one
-//!   `Catalog::update_many` handed the old rows it already holds. Every
+//!   B+tree node on the keys' paths once), one heap read per hit, each
+//!   staged in a [`minirel::RowBatch`] as its edit leaves it. Every
 //!   mutator below ([`upsert_batch`], [`unclaim_batch`], [`park_batch`],
 //!   [`mark_done`], [`mark_failed_batch`], [`set_visited_relevance`],
 //!   [`requeue_done`]) is a closure over it that is shown the stored
-//!   row (or its absence) and answers with the row to store instead;
-//! * **batch insert** — the rows a rewrite answers for oids that have
-//!   no row yet land through one `Catalog::insert_many`, before the
-//!   rewrites of that batch;
+//!   row (or its absence), changes it in place and answers whether to
+//!   store it;
+//! * **batch insert** — the rows a rewrite fills in for oids that have
+//!   no row yet land in the same batch, before its replacements;
 //! * **range-pop claim** — [`claim_batch_where`]: one range scan of the
 //!   frontier index, one batch update flipping the popped rows to
 //!   `CLAIMED`.
 //!
-//! A closure's refusal (`Err`) comes before the first write, so a batch
+//! Rows are decoded into, and staged from, rows the catalog keeps, so a
+//! batch allocates only what its caller keeps (a [`Claim`]'s URL). A
+//! closure's refusal (`Err`) comes before the first write, so a batch
 //! either lands whole or changes nothing.
 //!
 //! A **revisit** (§3.2 crawl maintenance) is not a fourth shape: it is a
@@ -35,10 +37,11 @@
 //! page's own log R — and only `negrel`, the column the frontier index
 //! orders by, carries the revisit's priority.
 
-use crate::tables::{crawl_col, frontier_row, visited};
+use crate::tables::{crawl_col, frontier_row_into, visited};
 use focus_types::Oid;
-use minirel::value::encode_composite_key;
-use minirel::{Database, DbError, DbResult, Rid, Value};
+use minirel::value::{int_key, Row};
+use minirel::{Database, DbError, DbResult, Value};
+use std::ops::Bound;
 
 /// A claimed unit of work.
 #[derive(Debug, Clone)]
@@ -115,69 +118,62 @@ fn decode_claim(row: &[Value]) -> DbResult<Claim> {
     })
 }
 
-/// `row` with a new priority (`relevance` and its index mirror `negrel`).
-fn with_relevance(row: &[Value], log_relevance: f64) -> Vec<Value> {
-    let mut row = row.to_vec();
+/// Give `row` a new priority (`relevance` and its index mirror `negrel`).
+fn set_relevance(row: &mut [Value], log_relevance: f64) {
     row[crawl_col::RELEVANCE] = Value::Float(log_relevance);
     row[crawl_col::NEGREL] = Value::Float(-log_relevance);
-    row
+}
+
+/// An oid's `crawl_oid` key, and the position of its oid in a batch.
+struct Keyed([u8; 9], usize);
+
+impl AsRef<[u8]> for Keyed {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// The keyed rewrite: the one write path for `CRAWL` rows addressed by
-/// oid. The `i`-th oid's stored row (`None` when it has none) is shown
-/// to `edit(i, row)`, which answers with the row to store in its place
-/// — a replacement for a stored row, a new row for an absent one — or
-/// `None` to leave things as they are. Oids must be distinct.
+/// oid. The `i`-th oid is shown to `edit(i, row, stored)`: when
+/// `stored`, `row` holds the oid's stored row, which `edit` may change
+/// in place; otherwise `row` is a row the catalog keeps, holding what an
+/// earlier edit left, which `edit` overwrites whole
+/// ([`frontier_row_into`]) to create one. `edit` answers whether to
+/// store `row`. Oids must be distinct.
 ///
 /// One ordered pass: sort by oid key, one `lookup_many` over
-/// `crawl_oid`, one `get_row` per hit; then the new rows land through
-/// one `insert_many` and the replacements through one `update_many`
-/// that is handed the old rows read here. Every `edit` runs before the
-/// first write, so an `Err` from it leaves the table untouched. Returns
-/// `(rows created, rows replaced)`.
+/// `crawl_oid`, one heap read per hit; then the new rows land and the
+/// replacements are written through one [`minirel::RowBatch`]. Every
+/// `edit` runs before the first write, so an `Err` from it leaves the
+/// table untouched. Returns `(rows created, rows replaced)`.
 fn rewrite(
     db: &mut Database,
     oids: impl Iterator<Item = Oid>,
-    mut edit: impl FnMut(usize, Option<&[Value]>) -> DbResult<Option<Vec<Value>>>,
+    mut edit: impl FnMut(usize, &mut Row, bool) -> DbResult<bool>,
 ) -> DbResult<(usize, usize)> {
-    let mut keyed: Vec<(Vec<u8>, usize)> = oids
-        .enumerate()
-        .map(|(i, oid)| (encode_composite_key(&[Value::Int(oid.raw() as i64)]), i))
+    let mut keyed: Vec<Keyed> = (oids.enumerate())
+        .map(|(i, oid)| Keyed(int_key(oid.raw() as i64), i))
         .collect();
     if keyed.is_empty() {
         return Ok((0, 0));
     }
-    keyed.sort_unstable();
-    let (keys, order): (Vec<Vec<u8>>, Vec<usize>) = keyed.into_iter().unzip();
+    keyed.sort_unstable_by_key(|k| k.0);
     let tid = db.table_id("crawl")?;
     let (pool, catalog) = db.parts_mut();
     let idx = catalog
         .find_index(tid, &[crawl_col::OID])
         .ok_or_else(|| DbError::Catalog("crawl lacks oid index".into()))?;
-    let hits = catalog.table(tid).indexes[idx]
-        .btree
-        .lookup_many(pool, &keys)?;
-    let mut creates: Vec<Vec<Value>> = Vec::new();
-    let mut updates: Vec<(Rid, Vec<Value>, Vec<Value>)> = Vec::new();
-    for (&i, rids) in order.iter().zip(&hits) {
-        match rids.first() {
-            None => creates.extend(edit(i, None)?),
-            Some(&rid) => {
-                let row = catalog.get_row(pool, tid, rid)?;
-                if let Some(new_row) = edit(i, Some(&row))? {
-                    updates.push((rid, row, new_row));
-                }
-            }
+    let mut batch = catalog.batch(pool, tid);
+    batch.lookup_many(idx, &keyed)?;
+    let (mut created, mut replaced) = (0, 0);
+    for (n, &Keyed(_, i)) in keyed.iter().enumerate() {
+        match batch.found(n).first().copied() {
+            None => created += usize::from(batch.insert_with(|row| edit(i, row, false))?),
+            Some(rid) => replaced += usize::from(batch.update_with(rid, |row| edit(i, row, true))?),
         }
     }
-    let done = (creates.len(), updates.len());
-    if !creates.is_empty() {
-        catalog.insert_many(pool, tid, creates)?;
-    }
-    if !updates.is_empty() {
-        catalog.update_many(pool, tid, updates)?;
-    }
-    Ok(done)
+    batch.write()?;
+    Ok((created, replaced))
 }
 
 /// Batch upsert: the whole outlink set of a page (or a seed batch) in
@@ -190,28 +186,35 @@ fn rewrite(
 /// semantics: the first occurrence's url/serverload win, the priority is
 /// the maximum endorsement.
 pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<BatchUpsert> {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (items[i].oid, i));
-    let mut merged: Vec<(&FrontierEntry, f64)> = Vec::with_capacity(items.len());
-    for &i in &order {
-        match merged.last_mut() {
-            Some((first, best)) if first.oid == items[i].oid => {
-                *best = best.max(items[i].log_relevance);
-            }
-            _ => merged.push((&items[i], items[i].log_relevance)),
+    // `(item, best endorsement)`, one per oid, in oid order.
+    let mut merged: Vec<(usize, f64)> = (items.iter().enumerate())
+        .map(|(i, e)| (i, e.log_relevance))
+        .collect();
+    merged.sort_unstable_by_key(|&(i, _)| (items[i].oid, i));
+    merged.dedup_by(|later, first| {
+        let same = items[later.0].oid == items[first.0].oid;
+        if same {
+            first.1 = first.1.max(later.1);
         }
-    }
-    let (created, raised) = rewrite(db, merged.iter().map(|(e, _)| e.oid), |i, row| {
-        let (e, best) = merged[i];
-        let Some(row) = row else {
-            return Ok(Some(frontier_row(e.oid, &e.url, best, e.serverload)));
-        };
+        same
+    });
+    let oids = merged.iter().map(|&(i, _)| items[i].oid);
+    let (created, raised) = rewrite(db, oids, |m, row, stored| {
+        let (e, best) = (&items[merged[m].0], merged[m].1);
+        if !stored {
+            frontier_row_into(row, e.oid, &e.url, best, e.serverload);
+            return Ok(true);
+        }
         let state = col_i64(row, crawl_col::VISITED, "visited")?;
         // The priority to beat is the one the frontier index orders by
         // (`relevance` mirrors it, except on a requeued revisit, which
         // sits at the top and is never raised).
         let old = -col_f64(row, crawl_col::NEGREL, "negrel")?;
-        Ok((state == visited::FRONTIER && best > old).then(|| with_relevance(row, best)))
+        let raise = state == visited::FRONTIER && best > old;
+        if raise {
+            set_relevance(row, best);
+        }
+        Ok(raise)
     })?;
     Ok(BatchUpsert { created, raised })
 }
@@ -256,12 +259,15 @@ pub fn claim_batch_where(
     now: i64,
     mut admit: impl FnMut(&Claim) -> bool,
 ) -> DbResult<ClaimOutcome> {
-    let mut out = ClaimOutcome::default();
     if n == 0 {
-        return Ok(out);
+        return Ok(ClaimOutcome::default());
     }
+    let mut out = ClaimOutcome {
+        claims: Vec::with_capacity(n),
+        ..ClaimOutcome::default()
+    };
     let tid = db.table_id("crawl")?;
-    let prefix = encode_composite_key(&[Value::Int(visited::FRONTIER)]);
+    let prefix = int_key(visited::FRONTIER);
     let (pool, catalog) = db.parts_mut();
     let idx = catalog
         .find_index(
@@ -275,70 +281,77 @@ pub fn claim_batch_where(
         )
         .ok_or_else(|| DbError::Catalog("crawl lacks frontier index".into()))?;
     let mut want = n;
-    let due = loop {
-        let hits = catalog.table(tid).indexes[idx]
-            .btree
-            .first_n_at_or_after(pool, &prefix, want)?;
-        let rids: Vec<Rid> = hits
-            .into_iter()
-            .take_while(|(key, _)| key.starts_with(&prefix))
-            .map(|(_, rid)| rid)
-            .collect();
+    let mut rids = Vec::with_capacity(n);
+    loop {
+        // The first `want` entries from the frontier range on: the
+        // frontier's rows among them (they sort first) are the round's.
+        rids.clear();
+        let mut seen = 0;
+        let frontier = &catalog.table(tid).indexes[idx].btree;
+        frontier.scan_range(
+            pool,
+            Bound::Included(&prefix),
+            Bound::Unbounded,
+            |key, rid| {
+                if key.starts_with(&prefix) {
+                    rids.push(rid);
+                }
+                seen += 1;
+                seen < want
+            },
+        )?;
         let exhausted = rids.len() < want;
-        let mut due: Vec<(Rid, Vec<Value>, Claim)> = Vec::with_capacity(n);
+        let mut batch = catalog.batch(pool, tid);
+        out.claims.clear();
         out.parked = 0;
         out.deferred = 0;
-        for rid in rids {
-            let row = catalog.get_row(pool, tid, rid)?;
-            if col_i64(&row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
-                return Err(DbError::Corrupt(format!(
-                    "frontier index points at non-frontier row (oid {})",
-                    row[crawl_col::OID]
-                )));
-            }
-            if col_i64(&row, crawl_col::NOT_BEFORE, "not_before")? > now {
-                out.parked += 1;
-            } else if due.len() < n {
-                let claim = decode_claim(&row)?;
-                if admit(&claim) {
-                    due.push((rid, row, claim));
-                } else {
-                    out.deferred += 1;
+        for &rid in &rids {
+            batch.update_with(rid, |row| {
+                if col_i64(row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
+                    return Err(DbError::Corrupt(format!(
+                        "frontier index points at non-frontier row (oid {})",
+                        row[crawl_col::OID]
+                    )));
                 }
-            }
+                if col_i64(row, crawl_col::NOT_BEFORE, "not_before")? > now {
+                    out.parked += 1;
+                    return Ok(false);
+                }
+                if out.claims.len() >= n {
+                    return Ok(false);
+                }
+                let claim = decode_claim(row)?;
+                if !admit(&claim) {
+                    out.deferred += 1;
+                    return Ok(false);
+                }
+                out.claims.push(claim);
+                row[crawl_col::VISITED] = Value::Int(visited::CLAIMED);
+                row[crawl_col::NOT_BEFORE] = Value::Int(0);
+                Ok(true)
+            })?;
         }
-        if due.len() >= n || exhausted {
-            break due;
+        if out.claims.len() >= n || exhausted {
+            batch.write()?;
+            return Ok(out);
         }
         want = want.saturating_mul(2);
-    };
-    let mut updates = Vec::with_capacity(due.len());
-    for (rid, row, claim) in due {
-        out.claims.push(claim);
-        let mut new_row = row.clone();
-        new_row[crawl_col::VISITED] = Value::Int(visited::CLAIMED);
-        new_row[crawl_col::NOT_BEFORE] = Value::Int(0);
-        updates.push((rid, row, new_row));
     }
-    if !updates.is_empty() {
-        catalog.update_many(pool, tid, updates)?;
-    }
-    Ok(out)
 }
 
 /// The stored row behind a claim its caller still holds. It must exist
 /// and be `CLAIMED`; anything else means the caller's view of its own
 /// claims is broken, so the whole batch is refused.
-fn claimed_row(row: Option<&[Value]>, oid: Oid, what: &str) -> DbResult<Vec<Value>> {
-    let Some(row) = row else {
+fn check_claimed(row: &[Value], stored: bool, oid: Oid, what: &str) -> DbResult<()> {
+    if !stored {
         return Err(DbError::Corrupt(format!(
             "{what}: claimed row vanished ({oid})"
         )));
-    };
+    }
     if col_i64(row, crawl_col::VISITED, "visited")? != visited::CLAIMED {
         return Err(DbError::Corrupt(format!("{what}: row not claimed ({oid})")));
     }
-    Ok(row.to_vec())
+    Ok(())
 }
 
 /// Return claims to the frontier *unfetched* — a worker winding down on
@@ -346,10 +359,10 @@ fn claimed_row(row: Option<&[Value]>, oid: Oid, what: &str) -> DbResult<Vec<Valu
 /// survives for the next run (or a checkpoint) instead of being fetched
 /// after the administrator asked for a stop.
 pub fn unclaim_batch(db: &mut Database, claims: &[Claim]) -> DbResult<()> {
-    rewrite(db, claims.iter().map(|c| c.oid), |i, row| {
-        let mut row = claimed_row(row, claims[i].oid, "unclaim")?;
+    rewrite(db, claims.iter().map(|c| c.oid), |i, row, stored| {
+        check_claimed(row, stored, claims[i].oid, "unclaim")?;
         row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
-        Ok(Some(row))
+        Ok(true)
     })?;
     Ok(())
 }
@@ -360,12 +373,12 @@ pub fn unclaim_batch(db: &mut Database, claims: &[Claim]) -> DbResult<()> {
 /// behind an open circuit breaker — the page was never fetched, so
 /// nothing else about the row changes.
 pub fn park_batch(db: &mut Database, items: &[(Oid, i64)]) -> DbResult<()> {
-    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
+    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row, stored| {
         let (oid, until) = items[i];
-        let mut row = claimed_row(row, oid, "park")?;
+        check_claimed(row, stored, oid, "park")?;
         row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
         row[crawl_col::NOT_BEFORE] = Value::Int(until);
-        Ok(Some(row))
+        Ok(true)
     })?;
     Ok(())
 }
@@ -381,20 +394,20 @@ pub fn mark_done(
     kcid: i64,
     now_secs: i64,
 ) -> DbResult<()> {
-    rewrite(db, std::iter::once(oid), |_, row| {
-        let Some(row) = row else {
+    rewrite(db, std::iter::once(oid), |_, row, stored| {
+        if !stored {
             return Err(DbError::Eval(format!(
                 "mark_done: {oid} not in crawl table"
             )));
-        };
-        let mut row = with_relevance(row, log_relevance);
+        }
+        set_relevance(row, log_relevance);
         row[crawl_col::KCID] = Value::Int(kcid);
         row[crawl_col::LASTVISITED] = Value::Int(now_secs);
         row[crawl_col::VISITED] = Value::Int(visited::DONE);
         if !url.is_empty() {
-            row[crawl_col::URL] = Value::Str(url.to_owned());
+            row[crawl_col::URL].set_str(url);
         }
-        Ok(Some(row))
+        Ok(true)
     })?;
     Ok(())
 }
@@ -439,19 +452,18 @@ pub fn mark_failed_batch(
     max_tries: i64,
 ) -> DbResult<Vec<FailDisposition>> {
     let mut out = vec![FailDisposition::Dead; items.len()];
-    rewrite(db, items.iter().map(|f| f.oid), |i, row| {
+    rewrite(db, items.iter().map(|f| f.oid), |i, row, stored| {
         let FailureUpdate {
             oid,
             retriable,
             not_before,
         } = items[i];
-        let Some(row) = row else {
+        if !stored {
             return Err(DbError::Eval(format!(
                 "mark_failed: {oid} not in crawl table"
             )));
-        };
+        }
         let tries = col_i64(row, crawl_col::NUMTRIES, "numtries")? + 1;
-        let mut row = row.to_vec();
         row[crawl_col::NUMTRIES] = Value::Int(tries);
         if retriable && tries < max_tries {
             row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
@@ -461,7 +473,7 @@ pub fn mark_failed_batch(
             row[crawl_col::VISITED] = Value::Int(visited::DEAD);
             row[crawl_col::NOT_BEFORE] = Value::Int(0);
         }
-        Ok(Some(row))
+        Ok(true)
     })?;
     Ok(out)
 }
@@ -473,15 +485,17 @@ pub fn mark_failed_batch(
 /// one whose revisit failed) keeps its frontier priority. Unfetched rows,
 /// and oids with no row, are skipped.
 pub fn set_visited_relevance(db: &mut Database, items: &[(Oid, f64)]) -> DbResult<()> {
-    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row| {
-        let fetched = row.filter(|r| r[crawl_col::KCID].as_i64() >= Some(0));
-        Ok(fetched.map(|r| {
-            let mut new = with_relevance(r, items[i].1);
-            if !is_done(&r) {
-                new[crawl_col::NEGREL] = r[crawl_col::NEGREL].clone();
-            }
-            new
-        }))
+    rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row, stored| {
+        if !stored || row[crawl_col::KCID].as_i64() < Some(0) {
+            return Ok(false);
+        }
+        let negrel = row[crawl_col::NEGREL].clone();
+        let done = is_done(row);
+        set_relevance(row, items[i].1);
+        if !done {
+            row[crawl_col::NEGREL] = negrel;
+        }
+        Ok(true)
     })?;
     Ok(())
 }
@@ -490,7 +504,7 @@ pub fn set_visited_relevance(db: &mut Database, items: &[(Oid, f64)]) -> DbResul
 /// inserted with and what a requeued revisit is given.
 pub(crate) const TOP_NEGREL: f64 = -0.0;
 
-fn is_done(row: &&[Value]) -> bool {
+fn is_done(row: &[Value]) -> bool {
     row[crawl_col::VISITED].as_i64() == Some(visited::DONE)
 }
 
@@ -502,15 +516,15 @@ fn is_done(row: &&[Value]) -> bool {
 /// scored. Rows in any other state, and oids with no row, are left
 /// alone. Oids must be distinct. Returns how many rows were requeued.
 pub fn requeue_done(db: &mut Database, oids: &[Oid]) -> DbResult<usize> {
-    let (_, requeued) = rewrite(db, oids.iter().copied(), |_, row| {
-        Ok(row.filter(is_done).map(|row| {
-            let mut row = row.to_vec();
-            row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
-            row[crawl_col::NUMTRIES] = Value::Int(0);
-            row[crawl_col::NOT_BEFORE] = Value::Int(0);
-            row[crawl_col::NEGREL] = Value::Float(TOP_NEGREL);
-            row
-        }))
+    let (_, requeued) = rewrite(db, oids.iter().copied(), |_, row, stored| {
+        if !stored || !is_done(row) {
+            return Ok(false);
+        }
+        row[crawl_col::VISITED] = Value::Int(visited::FRONTIER);
+        row[crawl_col::NUMTRIES] = Value::Int(0);
+        row[crawl_col::NOT_BEFORE] = Value::Int(0);
+        row[crawl_col::NEGREL] = Value::Float(TOP_NEGREL);
+        Ok(true)
     })?;
     Ok(requeued)
 }
@@ -531,7 +545,7 @@ pub(crate) fn claim_next(db: &mut Database) -> DbResult<Option<Claim>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::create_tables;
+    use crate::tables::{create_tables, frontier_row};
 
     fn db() -> Database {
         let mut db = Database::in_memory();
@@ -595,6 +609,59 @@ mod tests {
             not_before: 0,
         };
         mark_failed_batch(db, &[item], max_tries).unwrap();
+    }
+
+    /// `CRAWL` as rows and as index entries.
+    type Contents = (Vec<Row>, Vec<(Vec<u8>, minirel::Rid)>);
+
+    fn contents(db: &Database) -> Contents {
+        let rows = db.query("select * from crawl order by oid").unwrap().rows;
+        let (pool, catalog) = db.parts();
+        let t = catalog.table(db.table_id("crawl").unwrap());
+        let entries = (t.indexes.iter())
+            .flat_map(|idx| idx.btree.lookup_prefix(pool, &[]).unwrap())
+            .collect();
+        (rows, entries)
+    }
+
+    #[test]
+    fn a_refused_rewrite_leaves_nothing_for_the_next() {
+        let build = |refused: bool| {
+            let mut db = db();
+            upsert_batch(
+                &mut db,
+                &[
+                    entry(1, "http://a.example/1", -1.0, 0),
+                    entry(2, "b", -2.0, 1),
+                ],
+            )
+            .unwrap();
+            if refused {
+                // An absent oid refuses: alone, and after staged rows.
+                assert!(mark_done(&mut db, Oid(9), "http://i.example/9", -0.1, 3, 5).is_err());
+                let fail = |oid| FailureUpdate {
+                    oid: Oid(oid),
+                    retriable: true,
+                    not_before: 0,
+                };
+                assert!(mark_failed_batch(&mut db, &[fail(1), fail(2), fail(9)], 5).is_err());
+            }
+            let batch = [
+                entry(3, "http://c.example/3", -0.5, 2),
+                entry(2, "", -0.2, 0),
+            ];
+            let done = upsert_batch(&mut db, &batch).unwrap();
+            assert_eq!(
+                done,
+                BatchUpsert {
+                    created: 1,
+                    raised: 1
+                }
+            );
+            db.check_integrity().unwrap();
+            contents(&db)
+        };
+        assert_eq!(build(true), build(false));
     }
 
     #[test]

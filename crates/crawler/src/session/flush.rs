@@ -319,6 +319,7 @@ impl CrawlSession {
             let rs =
                 g.db.query_with("select oid_dst from link where oid_src = ?", &src)?;
             known.extend(rs.rows.iter().filter_map(|row| row[0].as_i64()));
+            known.sort_unstable();
         } else {
             *g.server_counts.entry(sid_src).or_insert(0) += 1;
         }
@@ -339,20 +340,26 @@ impl CrawlSession {
         // per-shard.
         let expansion = g.policy.decide_eval(&summary);
         let link_tid = g.db.table_id("link")?;
-        let mut link_rows = Vec::with_capacity(outlinks.len());
+        let (mut link_rows, mut new_links) = (std::mem::take(&mut g.link_rows), 0);
         let mut expansions = Vec::new();
         for (dst, sid_dst, dst_url) in outlinks {
-            if !known.contains(&(dst.raw() as i64)) {
+            if known.binary_search(&(dst.raw() as i64)).is_err() {
                 g.graph.add_link(src_id, dst, sid_dst.raw());
-                let row = tables::link_row(oid, sid_src.raw(), dst, sid_dst.raw(), now);
-                link_rows.push(row);
+                if new_links == link_rows.len() {
+                    link_rows.push(Row::new());
+                }
+                let row = &mut link_rows[new_links];
+                tables::link_row_into(row, oid, sid_src.raw(), dst, sid_dst.raw(), now);
+                new_links += 1;
             }
             if expansion.expand {
                 let prio = expansion.child_log_relevance;
                 expansions.push(self.endorsement(g, sid_dst, dst, dst_url, prio));
             }
         }
-        g.db.insert_many(link_tid, link_rows)?;
+        let linked = g.db.insert_rows(link_tid, &mut link_rows[..new_links]);
+        g.link_rows = link_rows;
+        linked?;
         self.upsert_routed(g, expansions)?;
 
         // Backward expansion: a highly relevant page's *citers* are hub

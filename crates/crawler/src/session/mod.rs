@@ -163,6 +163,7 @@ use focus_types::hash::FxHashMap;
 use focus_types::{ClassId, Oid, ServerId};
 use focus_webgraph::Fetcher;
 use lockcheck::{rank, OrderedMutex, OrderedRwLock};
+use minirel::value::Row;
 use minirel::{Database, DbError, DbResult, ResultSet, TableId, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

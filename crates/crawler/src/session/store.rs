@@ -65,6 +65,8 @@ pub(super) struct StoreState {
     /// claim gating and failure recording already hold the store write
     /// lock).
     pub(super) health: HealthMap,
+    /// The `LINK` rows of the page landing, refilled page after page.
+    pub(super) link_rows: Vec<Row>,
 }
 
 /// Per-server health restarted over `db`: a fresh [`HealthMap`] and an
@@ -217,6 +219,7 @@ impl StoreState {
             distill: DistillGate::default(),
             last_distill: None,
             health,
+            link_rows: Vec::new(),
         };
         Ok((store, state))
     }

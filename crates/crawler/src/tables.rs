@@ -40,6 +40,7 @@
 use crate::policy::CrawlPolicy;
 use focus_types::hash::fx64;
 use focus_types::{ClassId, Oid, ServerId};
+use minirel::value::Row;
 use minirel::{Database, DbError, DbResult, Value};
 use std::fmt::Write;
 
@@ -225,9 +226,27 @@ pub fn host_server_id(url: &str) -> ServerId {
 
 /// Build a fresh `CRAWL` row for a frontier entry.
 pub fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) -> Vec<Value> {
-    vec![
+    let mut row = Vec::new();
+    frontier_row_into(&mut row, oid, url, log_relevance, serverload);
+    row
+}
+
+/// [`frontier_row`] into `row`, replacing all of it; the buffer of a
+/// URL it holds is reused.
+pub fn frontier_row_into(row: &mut Row, oid: Oid, url: &str, log_relevance: f64, serverload: i64) {
+    let mut text = match row
+        .get_mut(crawl_col::URL)
+        .map(|v| std::mem::replace(v, Value::Null))
+    {
+        Some(Value::Str(text)) => text,
+        _ => String::new(),
+    };
+    text.clear();
+    text.push_str(url);
+    row.clear();
+    row.extend([
         Value::Int(oid.raw() as i64),
-        Value::Str(url.to_owned()),
+        Value::Str(text),
         Value::Int(-1),
         Value::Int(0),
         Value::Float(log_relevance),
@@ -236,7 +255,7 @@ pub fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) ->
         Value::Int(0),
         Value::Int(visited::FRONTIER),
         Value::Int(0),
-    ]
+    ]);
 }
 
 /// Build a `LANDING` row. Its `seq` (column 0) is numbered when the
@@ -253,13 +272,28 @@ pub fn landing_row(attempt: u64, oid: Oid, relevance: f64, posterior: String) ->
 
 /// Build a `LINK` row.
 pub fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64) -> Vec<Value> {
-    vec![
+    let mut row = Vec::new();
+    link_row_into(&mut row, src, sid_src, dst, sid_dst, discovered);
+    row
+}
+
+/// [`link_row`] into `row`, replacing all of it.
+pub fn link_row_into(
+    row: &mut Row,
+    src: Oid,
+    sid_src: u32,
+    dst: Oid,
+    sid_dst: u32,
+    discovered: i64,
+) {
+    row.clear();
+    row.extend([
         Value::Int(src.raw() as i64),
         Value::Int(sid_src as i64),
         Value::Int(dst.raw() as i64),
         Value::Int(sid_dst as i64),
         Value::Int(discovered),
-    ]
+    ]);
 }
 
 #[cfg(test)]

@@ -145,9 +145,174 @@ fn sep_cells(seps: &[Sep]) -> Vec<Cell<'_>> {
     cells.collect()
 }
 
-fn entry_cells(entries: &[(Vec<u8>, Rid)]) -> Vec<Cell<'_>> {
-    entries.iter().map(|(k, r)| Cell::entry(k, *r)).collect()
+/// A sorted batch a descent routes, read by position: a lookup's keys,
+/// an [`Entries`] batch, or cells handed up by a split.
+trait Batch {
+    fn cell(&self, i: usize) -> Cell<'_>;
 }
+
+/// Probe keys: each at the low end of its key's `(key, rid)` range.
+impl<K: AsRef<[u8]>> Batch for [K] {
+    fn cell(&self, i: usize) -> Cell<'_> {
+        Cell::entry(self[i].as_ref(), MIN_RID)
+    }
+}
+
+impl Batch for [Cell<'_>] {
+    fn cell(&self, i: usize) -> Cell<'_> {
+        self[i]
+    }
+}
+
+impl Batch for Entries {
+    fn cell(&self, i: usize) -> Cell<'_> {
+        let (key, rid) = self.get(i);
+        Cell::entry(key, rid)
+    }
+}
+
+/// A batch of `(key, rid)` index entries for [`BTree::insert_many`] and
+/// [`BTree::delete_many`], every key stored in one byte buffer. Cleared
+/// and refilled batch after batch, it allocates only when a batch
+/// outgrows every earlier one.
+#[derive(Debug, Default)]
+pub struct Entries {
+    bytes: Vec<u8>,
+    /// `(start, end)` of each key in `bytes`, and its rid.
+    spans: Vec<(usize, usize, Rid)>,
+}
+
+impl Entries {
+    /// Drop every entry, keeping the memory.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+
+    /// Append `(key, rid)`.
+    pub fn push(&mut self, key: &[u8], rid: Rid) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        self.spans.push((start, self.bytes.len(), rid));
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Entry `i`.
+    pub fn get(&self, i: usize) -> (&[u8], Rid) {
+        let (start, end, rid) = self.spans[i];
+        (&self.bytes[start..end], rid)
+    }
+
+    /// Give entry `i` the rid `rid`.
+    pub(crate) fn set_rid(&mut self, i: usize, rid: Rid) {
+        self.spans[i].2 = rid;
+    }
+
+    /// Exchange entries `i` and `j`.
+    pub(crate) fn swap(&mut self, i: usize, j: usize) {
+        self.spans.swap(i, j);
+    }
+
+    /// Keep the first `n` entries.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.spans.truncate(n);
+    }
+
+    /// Sort by `(key, rid)`, the order the batch operations take.
+    pub fn sort(&mut self) {
+        let bytes = &self.bytes;
+        let key = |&(start, end, _): &(usize, usize, Rid)| &bytes[start..end];
+        (self.spans).sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.2.cmp(&b.2)));
+    }
+
+    /// The entries in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Rid)> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+impl<K: AsRef<[u8]>> FromIterator<(K, Rid)> for Entries {
+    fn from_iter<I: IntoIterator<Item = (K, Rid)>>(iter: I) -> Entries {
+        let mut entries = Entries::default();
+        for (key, rid) in iter {
+            entries.push(key.as_ref(), rid);
+        }
+        entries
+    }
+}
+
+/// What [`BTree::lookup_many`] found: each key's rids, in `(key, rid)`
+/// order. Reused lookup after lookup, it allocates only when a batch
+/// outgrows every earlier one.
+#[derive(Debug, Default)]
+pub struct Hits {
+    /// Every key's rids, key after key.
+    rids: Vec<Rid>,
+    /// `ends[i]`: where key i's rids end in `rids`.
+    ends: Vec<usize>,
+    /// The descent's pending child runs (see [`Segs`]).
+    segs: Segs,
+}
+
+impl Hits {
+    /// Number of keys answered.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no key was asked.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The rids under key `i`.
+    pub fn get(&self, i: usize) -> &[Rid] {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.rids[start..self.ends[i]]
+    }
+
+    /// Every key's rids, key after key.
+    pub fn into_all(self) -> Vec<Rid> {
+        self.rids
+    }
+
+    /// Each key's rids, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Rid]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Forget every answer, keeping the memory.
+    pub(crate) fn clear(&mut self) {
+        self.rids.clear();
+        self.ends.clear();
+        self.segs.clear();
+    }
+
+    /// Where the current key's rids start: the end of the last answer.
+    fn start(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Close the current key's answer.
+    fn answer(&mut self) {
+        self.ends.push(self.rids.len());
+    }
+}
+
+/// A stack of `(child, lo, hi)` runs: each internal node a batch passes
+/// through pushes the runs it splits the batch into, its recursion
+/// serves them in order, and it pops them. One stack serves a whole
+/// descent, and is kept for the next.
+type Segs = Vec<(PageId, usize, usize)>;
 
 fn rid_of(p: &[u8]) -> Rid {
     Rid {
@@ -275,24 +440,36 @@ impl<'a> Node<'a> {
         }
     }
 
-    /// Split the sorted `cells` among this internal node's children by
-    /// the descent's routing rule, as `(child, lo, hi)` index ranges.
-    fn partition(&self, cells: &[Cell<'_>]) -> DbResult<Vec<(PageId, usize, usize)>> {
-        let mut segs = Vec::new();
-        let mut lo = 0;
-        while lo < cells.len() {
-            let idx = self.route(cells[lo].key, cells[lo].rid)?;
-            let mut hi = cells.len();
+    /// Split the sorted `batch[lo..end]` among this internal node's
+    /// children by the descent's routing rule, pushing `(child, lo, hi)`
+    /// index ranges onto `segs`.
+    fn partition<B: Batch + ?Sized>(
+        &self,
+        batch: &B,
+        mut lo: usize,
+        end: usize,
+        segs: &mut Segs,
+    ) -> DbResult<()> {
+        while lo < end {
+            let first = batch.cell(lo);
+            let idx = self.route(first.key, first.rid)?;
+            let mut hi = end;
             if idx < self.n {
                 // The run ends at the first cell the next separator claims.
                 let sep = self.cell(idx)?;
-                let below = |c: &Cell<'_>| c.cmp_to(sep.key, sep.rid) == Ordering::Less;
-                hi = lo + 1 + cells[lo + 1..].partition_point(below);
+                let mut from = lo + 1;
+                while from < hi {
+                    let mid = (from + hi) / 2;
+                    match batch.cell(mid).cmp_to(sep.key, sep.rid) {
+                        Ordering::Less => from = mid + 1,
+                        _ => hi = mid,
+                    }
+                }
             }
             segs.push((self.child_at(idx)?, lo, hi));
             lo = hi;
         }
-        Ok(segs)
+        Ok(())
     }
 }
 
@@ -314,19 +491,34 @@ fn put_cell(b: &mut [u8], off: usize, c: &Cell<'_>, leaf: bool) -> usize {
 /// Format `b` as a node holding exactly the sorted `cells`, packed
 /// against the page end with no holes.
 fn write_node(b: &mut [u8], leaf: bool, first: PageId, cells: &[Cell<'_>]) -> DbResult<()> {
-    let live: usize = cells.iter().map(|c| c.size(leaf)).sum();
-    if HDR + SLOT * cells.len() + live > b.len() {
+    write_cells(b, leaf, first, cells.len(), |i| Ok(cells[i]))
+}
+
+/// [`write_node`] of the `n` cells `cell(0..n)`, which must not borrow
+/// from `b`.
+fn write_cells<'c>(
+    b: &mut [u8],
+    leaf: bool,
+    first: PageId,
+    n: usize,
+    cell: impl Fn(usize) -> DbResult<Cell<'c>>,
+) -> DbResult<()> {
+    let mut live = 0;
+    for i in 0..n {
+        live += cell(i)?.size(leaf);
+    }
+    if HDR + SLOT * n + live > b.len() {
         return Err(corrupt("btree cells exceed the page"));
     }
     let mut off = b.len() - live;
     b[0] = if leaf { LEAF } else { INTERNAL };
-    set_u16(b, 1, cells.len());
+    set_u16(b, 1, n);
     b[3..7].copy_from_slice(&first.to_le_bytes());
     set_u16(b, 7, off);
     set_u16(b, 9, live);
-    for (i, c) in cells.iter().enumerate() {
+    for i in 0..n {
         set_u16(b, HDR + SLOT * i, off);
-        off = put_cell(b, off, c, leaf);
+        off = put_cell(b, off, &cell(i)?, leaf);
     }
     Ok(())
 }
@@ -354,9 +546,10 @@ fn place(b: &mut [u8], c: &Cell<'_>) -> DbResult<Placed> {
         return Ok(Placed::NoFit);
     }
     if SLOT + size > cells - (HDR + SLOT * n) {
-        let old = b.to_vec();
+        let mut old = [0u8; PAGE_SIZE];
+        old.copy_from_slice(b);
         let node = Node::open(&old)?;
-        write_node(b, leaf, node.first(), &node.all_cells()?)?;
+        write_cells(b, leaf, node.first(), n, |i| node.cell(i))?;
         (cells, live) = (u16_at(b, 7), u16_at(b, 9));
         if SLOT + size > cells - (HDR + SLOT * n) {
             return Err(corrupt("btree live-byte count below the cells' sizes"));
@@ -445,18 +638,24 @@ fn repack(
     Ok(seps)
 }
 
-/// Add the sorted `new` cells to node `pid`: in place while they fit,
-/// then by repacking the node plus the remainder over new right
+/// Add the sorted `batch[lo..hi]` to node `pid`: in place while they
+/// fit, then by repacking the node plus the remainder over new right
 /// siblings. Returns how many were not already present and the
 /// separators of any siblings.
-fn add_cells(pool: &BufferPool, pid: PageId, new: &[Cell<'_>]) -> DbResult<(usize, Vec<Sep>)> {
+fn add_cells<B: Batch + ?Sized>(
+    pool: &BufferPool,
+    pid: PageId,
+    batch: &B,
+    lo: usize,
+    hi: usize,
+) -> DbResult<(usize, Vec<Sep>)> {
     // The node as the first cell that did not fit found it.
     let mut full = None;
     let (mut added, done) = pool.with_page_mut_if(pid, |b| {
-        let (mut added, mut done) = (0, 0);
+        let (mut added, mut done) = (0, lo);
         let mut res = Ok(());
-        for c in new {
-            match place(b, c) {
+        while done < hi {
+            match place(b, &batch.cell(done)) {
                 Ok(Placed::Inserted) => added += 1,
                 Ok(Placed::Duplicate) => {}
                 Ok(Placed::NoFit) => {
@@ -478,7 +677,7 @@ fn add_cells(pool: &BufferPool, pid: PageId, new: &[Cell<'_>]) -> DbResult<(usiz
     let node = Node::open(&page)?;
     let mut cells = node.all_cells()?;
     let before = cells.len();
-    cells.extend_from_slice(&new[done..]);
+    cells.extend((done..hi).map(|i| batch.cell(i)));
     // Two sorted runs: the stable sort is one merge, and `dedup_by`
     // keeps the resident cell of an exact duplicate.
     cells.sort_by(|a, b| a.cmp_to(b.key, b.rid));
@@ -488,19 +687,23 @@ fn add_cells(pool: &BufferPool, pid: PageId, new: &[Cell<'_>]) -> DbResult<(usiz
     Ok((added, seps))
 }
 
-/// Split the sorted `cells` among the children of internal node `pid`
-/// ([`Node::partition`]); `None` when `pid` is a leaf.
-fn partition(
+/// Split the sorted `batch[lo..hi]` among the children of internal node
+/// `pid` ([`Node::partition`]), pushing the runs onto `segs`; `false`
+/// when `pid` is a leaf.
+fn partition<B: Batch + ?Sized>(
     pool: &BufferPool,
     pid: PageId,
-    cells: &[Cell<'_>],
-) -> DbResult<Option<Vec<(PageId, usize, usize)>>> {
+    batch: &B,
+    lo: usize,
+    hi: usize,
+    segs: &mut Segs,
+) -> DbResult<bool> {
     pool.with_page(pid, |b| {
         let node = Node::open(b)?;
         if node.leaf {
-            return Ok(None);
+            return Ok(false);
         }
-        node.partition(cells).map(Some)
+        node.partition(batch, lo, hi, segs).map(|()| true)
     })?
 }
 
@@ -509,7 +712,7 @@ enum Leaf {
     /// Every key is answered.
     Done,
     /// The current key's matches may continue in this next leaf; its
-    /// rids so far wait in `cur`.
+    /// rids so far are the ones past `out`'s last answer.
     Spill(PageId),
     /// The current key sorts past leaf `.0`, whose next leaf is `.1`: it
     /// is the descent's to route, and if the descent routes it to `.0`,
@@ -517,44 +720,49 @@ enum Leaf {
     Past(PageId, PageId),
 }
 
-/// Serve `keys[out.len()..]` from leaf `pid`, pushing one rid list per
-/// key. Each key's matches start in this leaf or after it: the first
+/// Serve `keys[out.len()..end]` from leaf `pid`, answering each key in
+/// `out`. Each key's matches start in this leaf or after it: the first
 /// `routed` keys were sent here (by the descent, or by the previous
 /// leaf's spill), and every later key sorts at or after them. A key
 /// found here is answered here, whichever leaf the descent would route
 /// it to; one that sorts past the leaf's last entry spills into the next
 /// leaf when it was sent here or its matches began here, and is left to
 /// the descent otherwise.
-fn serve_lookups(
+fn serve_lookups<K: AsRef<[u8]>>(
     leaf: Node<'_>,
     pid: PageId,
-    keys: &[Cell<'_>],
+    keys: &[K],
+    end: usize,
     routed: usize,
-    out: &mut Vec<Vec<Rid>>,
-    cur: &mut Vec<Rid>,
+    out: &mut Hits,
 ) -> DbResult<Leaf> {
-    while let Some(&Cell { key, .. }) = keys.get(out.len()) {
+    while let Some(key) = keys[..end].get(out.len()).map(AsRef::as_ref) {
         let mut i = leaf.search(key, MIN_RID)?.0;
         while i < leaf.n {
             let c = leaf.cell(i)?;
             if c.key != key {
                 break;
             }
-            cur.push(c.rid);
+            out.rids.push(c.rid);
             i += 1;
         }
         // The leaf ends at or before `key`: a duplicate span, or a key
         // on a leaf boundary, continues in the next leaf.
         if i == leaf.n && leaf.first() != INVALID_PAGE {
-            return Ok(match out.len() < routed || !cur.is_empty() {
+            return Ok(match out.len() < routed || out.rids.len() > out.start() {
                 true => Leaf::Spill(leaf.first()),
                 false => Leaf::Past(pid, leaf.first()),
             });
         }
-        out.push(std::mem::take(cur));
+        let found = out.start()..out.rids.len();
+        out.answer();
         // An equal neighbor gets the same answer.
-        while keys.get(out.len()).is_some_and(|k| k.key == key) {
-            out.push(out[out.len() - 1].clone());
+        while keys[..end]
+            .get(out.len())
+            .is_some_and(|k| k.as_ref() == key)
+        {
+            out.rids.extend_from_within(found.clone());
+            out.answer();
         }
     }
     Ok(Leaf::Done)
@@ -568,39 +776,41 @@ fn serve_lookups(
 /// visited; and `at`, where the last leaf visit left the batch, tells a
 /// key the descent routes back to the leaf it sorted past to go straight
 /// to the next one.
-fn lookup_rec(
+fn lookup_rec<K: AsRef<[u8]>>(
     pool: &BufferPool,
     pid: PageId,
-    keys: &[Cell<'_>],
+    keys: &[K],
     end: usize,
-    out: &mut Vec<Vec<Rid>>,
-    cur: &mut Vec<Rid>,
+    out: &mut Hits,
     at: &mut Leaf,
 ) -> DbResult<()> {
-    let from = out.len();
     match *at {
         Leaf::Past(leaf, next) if leaf == pid => *at = Leaf::Spill(next),
         _ => {
-            let segs = pool.with_page(pid, |b| {
+            let base = out.segs.len();
+            pool.with_page(pid, |b| {
                 let node = Node::open(b)?;
                 if !node.leaf {
-                    return node.partition(&keys[from..end]);
+                    return node.partition(keys, out.len(), end, &mut out.segs);
                 }
-                *at = serve_lookups(node, pid, &keys[..end], end, out, cur)?;
-                Ok(Vec::new())
+                *at = serve_lookups(node, pid, keys, end, end, out)?;
+                Ok(())
             })??;
-            for (child, _, hi) in segs {
-                if out.len() < from + hi {
-                    lookup_rec(pool, child, keys, from + hi, out, cur, at)?;
+            for s in base..out.segs.len() {
+                let (child, _, hi) = out.segs[s];
+                if out.len() < hi {
+                    lookup_rec(pool, child, keys, hi, out, at)?;
                 }
             }
+            out.segs.truncate(base);
         }
     }
     // Follow the leaf chain while the current key spills.
     while let Leaf::Spill(next) = *at {
         let routed = out.len() + 1;
         *at = pool.with_page(next, |b| {
-            serve_lookups(Node::open(b)?.expect_leaf()?, next, keys, routed, out, cur)
+            let leaf = Node::open(b)?.expect_leaf()?;
+            serve_lookups(leaf, next, keys, keys.len(), routed, out)
         })??;
     }
     Ok(())
@@ -611,6 +821,8 @@ fn lookup_rec(
 pub struct BTree {
     root: PageId,
     len: u64,
+    /// The batch writes' descent stack, kept from batch to batch.
+    segs: Segs,
 }
 
 impl BTree {
@@ -618,7 +830,7 @@ impl BTree {
     pub fn create(pool: &BufferPool) -> DbResult<BTree> {
         let root = pool.allocate()?;
         pool.with_page_mut(root, |b| write_node(b, true, INVALID_PAGE, &[]))??;
-        Ok(BTree { root, len: 0 })
+        Ok(BTree::from_parts(root, 0))
     }
 
     /// Number of `(key, rid)` entries. (No `is_empty`: nothing asks.)
@@ -635,7 +847,11 @@ impl BTree {
     /// Rebuild from a catalog image decoded at recovery; the node pages
     /// themselves are recovered through the data file / WAL replay.
     pub(crate) fn from_parts(root: PageId, len: u64) -> BTree {
-        BTree { root, len }
+        BTree {
+            root,
+            len,
+            segs: Segs::new(),
+        }
     }
 
     /// Insert an entry. Duplicate `(key, rid)` pairs are ignored; a key
@@ -656,7 +872,7 @@ impl BTree {
         match placed {
             Placed::Inserted => self.len += 1,
             Placed::Duplicate => {}
-            Placed::NoFit => self.insert_cells(pool, &[cell])?,
+            Placed::NoFit => self.insert_batch(pool, &[cell][..], 1)?,
         }
         Ok(())
     }
@@ -696,7 +912,8 @@ impl BTree {
         }
     }
 
-    /// All rids for each of `keys`, answered in one ordered pass.
+    /// All rids for each of `keys`, answered in one ordered pass into
+    /// `hits` (what it held before is dropped).
     ///
     /// `keys` must be sorted ascending (duplicates allowed). Instead of
     /// one root-to-leaf descent per key, the batch descends once, the
@@ -706,35 +923,30 @@ impl BTree {
     /// run of keys routed to it — the "sort once, merge once" batch
     /// access path of §3.1, applied to point lookups. Buffer-pool reads
     /// drop from `O(keys × depth)` to one per node on the keys' paths.
-    pub fn lookup_many(&self, pool: &BufferPool, keys: &[Vec<u8>]) -> DbResult<Vec<Vec<Rid>>> {
+    pub fn lookup_many<K: AsRef<[u8]>>(
+        &self,
+        pool: &BufferPool,
+        keys: &[K],
+        hits: &mut Hits,
+    ) -> DbResult<()> {
         debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
+            keys.windows(2).all(|w| w[0].as_ref() <= w[1].as_ref()),
             "lookup_many requires sorted keys"
         );
-        let mut out = Vec::with_capacity(keys.len());
+        hits.clear();
         if !keys.is_empty() {
-            let cells: Vec<Cell<'_>> = keys.iter().map(|k| Cell::entry(k, MIN_RID)).collect();
-            let (end, cur) = (cells.len(), &mut Vec::new());
-            lookup_rec(pool, self.root, &cells, end, &mut out, cur, &mut Leaf::Done)?;
+            lookup_rec(pool, self.root, keys, keys.len(), hits, &mut Leaf::Done)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// All rids stored under exactly `key`: one descent from the root
     /// reading each level once, then the leaf (and any it spills into)
     /// serves the key.
     pub fn lookup(&self, pool: &BufferPool, key: &[u8]) -> DbResult<Vec<Rid>> {
-        let (mut out, key) = (Vec::with_capacity(1), [Cell::entry(key, MIN_RID)]);
-        lookup_rec(
-            pool,
-            self.root,
-            &key,
-            1,
-            &mut out,
-            &mut Vec::new(),
-            &mut Leaf::Done,
-        )?;
-        Ok(out.pop().unwrap_or_default())
+        let mut hits = Hits::default();
+        self.lookup_many(pool, &[key], &mut hits)?;
+        Ok(hits.into_all())
     }
 
     /// Insert a sorted batch of `(key, rid)` entries in one ordered
@@ -742,21 +954,27 @@ impl BTree {
     /// affected node is visited once, instead of once per entry. Exact
     /// duplicate pairs are ignored and over-long keys refused (before
     /// anything is written), as in [`BTree::insert`]. Entries must be
-    /// sorted by `(key, rid)`.
-    pub fn insert_many(&mut self, pool: &BufferPool, entries: &[(Vec<u8>, Rid)]) -> DbResult<()> {
+    /// sorted by `(key, rid)` ([`Entries::sort`]).
+    pub fn insert_many(&mut self, pool: &BufferPool, entries: &Entries) -> DbResult<()> {
         debug_assert!(
-            entries.windows(2).all(|w| w[0] <= w[1]),
+            (1..entries.len()).all(|i| entries.get(i - 1) <= entries.get(i)),
             "insert_many requires sorted entries"
         );
         entries.iter().try_for_each(|(k, _)| check_key(k))?;
-        self.insert_cells(pool, &entry_cells(entries))
+        self.insert_batch(pool, entries, entries.len())
     }
 
-    fn insert_cells(&mut self, pool: &BufferPool, cells: &[Cell<'_>]) -> DbResult<()> {
-        if cells.is_empty() {
+    fn insert_batch<B: Batch + ?Sized>(
+        &mut self,
+        pool: &BufferPool,
+        batch: &B,
+        n: usize,
+    ) -> DbResult<()> {
+        if n == 0 {
             return Ok(());
         }
-        let mut pending = self.insert_rec(pool, self.root, cells)?;
+        self.segs.clear();
+        let mut pending = self.insert_rec(pool, self.root, batch, 0, n)?;
         // Root split(s): grow by one level per round until the new root
         // fits (a huge batch can hand back more separators than one
         // internal node holds).
@@ -768,45 +986,49 @@ impl BTree {
         Ok(())
     }
 
-    /// Returns the separators of the siblings `pid` split off.
-    fn insert_rec(
+    /// Insert `batch[lo..hi]` under `pid`; returns the separators of the
+    /// siblings `pid` split off.
+    fn insert_rec<B: Batch + ?Sized>(
         &mut self,
         pool: &BufferPool,
         pid: PageId,
-        cells: &[Cell<'_>],
+        batch: &B,
+        lo: usize,
+        hi: usize,
     ) -> DbResult<Vec<Sep>> {
-        let Some(segs) = partition(pool, pid, cells)? else {
-            let (added, seps) = add_cells(pool, pid, cells)?;
+        let base = self.segs.len();
+        if !partition(pool, pid, batch, lo, hi, &mut self.segs)? {
+            let (added, seps) = add_cells(pool, pid, batch, lo, hi)?;
             self.len += added as u64;
             return Ok(seps);
-        };
-        let mut seps = Vec::new();
-        for (child, lo, hi) in segs {
-            seps.extend(self.insert_rec(pool, child, &cells[lo..hi])?);
         }
+        let mut seps = Vec::new();
+        for s in base..self.segs.len() {
+            let (child, lo, hi) = self.segs[s];
+            seps.extend(self.insert_rec(pool, child, batch, lo, hi)?);
+        }
+        self.segs.truncate(base);
         if seps.is_empty() {
             return Ok(seps);
         }
         // Children split: thread their separators into this node.
-        Ok(add_cells(pool, pid, &sep_cells(&seps))?.1)
+        let cells = sep_cells(&seps);
+        Ok(add_cells(pool, pid, &cells[..], 0, cells.len())?.1)
     }
 
     /// Remove a sorted batch of exact `(key, rid)` entries in one
     /// ordered pass; returns how many existed and were removed.
     /// Deletion stays lazy (no rebalancing), like [`BTree::delete`].
-    pub fn delete_many(
-        &mut self,
-        pool: &BufferPool,
-        entries: &[(Vec<u8>, Rid)],
-    ) -> DbResult<usize> {
+    pub fn delete_many(&mut self, pool: &BufferPool, entries: &Entries) -> DbResult<usize> {
         debug_assert!(
-            entries.windows(2).all(|w| w[0] <= w[1]),
+            (1..entries.len()).all(|i| entries.get(i - 1) <= entries.get(i)),
             "delete_many requires sorted entries"
         );
         if entries.is_empty() {
             return Ok(0);
         }
-        let removed = delete_rec(pool, self.root, &entry_cells(entries))?;
+        self.segs.clear();
+        let removed = delete_rec(pool, self.root, entries, 0, entries.len(), &mut self.segs)?;
         self.len -= removed as u64;
         Ok(removed)
     }
@@ -922,13 +1144,21 @@ impl BTree {
     }
 }
 
-fn delete_rec(pool: &BufferPool, pid: PageId, cells: &[Cell<'_>]) -> DbResult<usize> {
-    let Some(segs) = partition(pool, pid, cells)? else {
+fn delete_rec(
+    pool: &BufferPool,
+    pid: PageId,
+    batch: &Entries,
+    lo: usize,
+    hi: usize,
+    segs: &mut Segs,
+) -> DbResult<usize> {
+    let base = segs.len();
+    if !partition(pool, pid, batch, lo, hi, segs)? {
         return pool.with_page_mut_if(pid, |b| {
             let mut removed = 0;
             let mut res = Ok(());
-            for c in cells {
-                match unplace(b, c.key, c.rid) {
+            for (key, rid) in (lo..hi).map(|i| batch.get(i)) {
+                match unplace(b, key, rid) {
                     Ok(existed) => removed += usize::from(existed),
                     Err(e) => {
                         res = Err(e);
@@ -938,11 +1168,13 @@ fn delete_rec(pool: &BufferPool, pid: PageId, cells: &[Cell<'_>]) -> DbResult<us
             }
             (res.map(|()| removed), removed > 0)
         })?;
-    };
-    let mut removed = 0;
-    for (child, lo, hi) in segs {
-        removed += delete_rec(pool, child, &cells[lo..hi])?;
     }
+    let mut removed = 0;
+    for s in base..segs.len() {
+        let (child, lo, hi) = segs[s];
+        removed += delete_rec(pool, child, batch, lo, hi, segs)?;
+    }
+    segs.truncate(base);
     Ok(removed)
 }
 
@@ -1030,6 +1262,17 @@ mod tests {
 
     fn key_i(i: i64) -> Vec<u8> {
         encode_composite_key(&[Value::Int(i)])
+    }
+
+    /// [`BTree::lookup_many`] of `keys`, each key's rids as a list.
+    fn lookup_lists(bt: &BTree, bp: &BufferPool, keys: &[Vec<u8>]) -> Vec<Vec<Rid>> {
+        let mut hits = Hits::default();
+        bt.lookup_many(bp, keys, &mut hits).unwrap();
+        hits.iter().map(<[Rid]>::to_vec).collect()
+    }
+
+    fn to_entries(batch: &[(Vec<u8>, Rid)]) -> Entries {
+        batch.iter().map(|(k, r)| (k, *r)).collect()
     }
 
     #[test]
@@ -1243,7 +1486,7 @@ mod tests {
         // Sorted probe set with misses, duplicates, and heavy-duplicate
         // keys spanning leaves.
         let probes: Vec<Vec<u8>> = (0..1200i64).step_by(3).map(key_i).collect();
-        let batch = bt.lookup_many(&bp, &probes).unwrap();
+        let batch = lookup_lists(&bt, &bp, &probes);
         for (k, rids) in probes.iter().zip(&batch) {
             let mut single = bt.lookup(&bp, k).unwrap();
             let mut got = rids.clone();
@@ -1253,11 +1496,11 @@ mod tests {
         }
         // Equal neighboring keys are served too.
         let dup = vec![key_i(7), key_i(7), key_i(700)];
-        let batch = bt.lookup_many(&bp, &dup).unwrap();
+        let batch = lookup_lists(&bt, &bp, &dup);
         assert_eq!(batch[0], batch[1]);
         // One ordered pass touches far fewer pages than per-key descents.
         bp.reset_stats();
-        bt.lookup_many(&bp, &probes).unwrap();
+        lookup_lists(&bt, &bp, &probes);
         let batched = bp.stats().logical_reads;
         bp.reset_stats();
         for k in &probes {
@@ -1300,7 +1543,7 @@ mod tests {
                 )
             })
             .collect();
-        bt.insert_many(&bp, &entries).unwrap();
+        bt.insert_many(&bp, &to_entries(&entries)).unwrap();
         let mut walk = Walk::default();
         walk.node(&bp, bt.root, 0, None, None).unwrap();
         let levels = walk.leaf_depth.unwrap() + 1;
@@ -1328,7 +1571,7 @@ mod tests {
         );
 
         bp.reset_stats();
-        let hits = bt.lookup_many(&bp, &keys).unwrap();
+        let hits = lookup_lists(&bt, &bp, &keys);
         assert!(hits.iter().all(|rids| rids.len() == 1));
         assert_eq!(
             bp.stats().logical_reads,
@@ -1363,7 +1606,7 @@ mod tests {
         batch.push((key_i(0), rid(0)));
         batch.push((key_i(3), rid(1)));
         batch.sort_unstable();
-        a.insert_many(&bp_a, &batch).unwrap();
+        a.insert_many(&bp_a, &to_entries(&batch)).unwrap();
         for (k, r) in &batch {
             b.insert(&bp_b, k, *r).unwrap();
         }
@@ -1393,7 +1636,7 @@ mod tests {
         // least one root-growth round in a single call.
         let batch: Vec<(Vec<u8>, Rid)> =
             (0..20_000i64).map(|i| (key_i(i), rid(i as u32))).collect();
-        bt.insert_many(&bp, &batch).unwrap();
+        bt.insert_many(&bp, &to_entries(&batch)).unwrap();
         assert_eq!(bt.len(), 20_000);
         bt.validate(&bp).unwrap();
         for i in (0..20_000i64).step_by(977) {
@@ -1415,7 +1658,7 @@ mod tests {
         // Misses are counted out, not errors.
         batch.push((key_i(99_999), rid(1)));
         batch.sort_unstable();
-        let removed = bt.delete_many(&bp, &batch).unwrap();
+        let removed = bt.delete_many(&bp, &to_entries(&batch)).unwrap();
         assert_eq!(removed, 1000);
         assert_eq!(bt.len(), 1000);
         bt.validate(&bp).unwrap();
@@ -1511,7 +1754,7 @@ mod tests {
         let err = DbError::KeyTooLarge(MAX_KEY_LEN + 1);
         assert_eq!(bt.insert(&bp, &too_long, rid(1)), Err(err.clone()));
         let batch = vec![(vec![1u8], rid(1)), (too_long, rid(2))];
-        assert_eq!(bt.insert_many(&bp, &batch), Err(err));
+        assert_eq!(bt.insert_many(&bp, &to_entries(&batch)), Err(err));
         assert_eq!(bt.len(), 40, "a refused batch inserts none of its entries");
         assert!(bt.lookup(&bp, &[1u8]).unwrap().is_empty());
     }
@@ -1536,18 +1779,20 @@ mod tests {
         }),
         ("insert_many", |bp, root| {
             let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
-            BTree::from_parts(root, 9).insert_many(bp, &batch)
+            BTree::from_parts(root, 9).insert_many(bp, &to_entries(&batch))
         }),
         ("delete_many", |bp, root| {
             let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
-            BTree::from_parts(root, 9).delete_many(bp, &batch).map(drop)
+            BTree::from_parts(root, 9)
+                .delete_many(bp, &to_entries(&batch))
+                .map(drop)
         }),
         ("lookup", |bp, root| {
             BTree::from_parts(root, 9).lookup(bp, &key_i(50)).map(drop)
         }),
         ("lookup_many", |bp, root| {
             BTree::from_parts(root, 9)
-                .lookup_many(bp, &[key_i(50), key_i(60)])
+                .lookup_many(bp, &[key_i(50), key_i(60)], &mut Hits::default())
                 .map(drop)
         }),
         ("lookup_prefix", |bp, root| {

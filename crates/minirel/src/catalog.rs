@@ -5,12 +5,13 @@
 //! hand amounted to reinventing the wheel"* — this module is that wheel:
 //! every insert/delete/update maintains all of a table's B+tree indexes.
 
-use crate::btree::{check_key, BTree};
+use crate::btree::{check_key, BTree, Entries, Hits};
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::{HeapFile, Rid};
 use crate::schema::Schema;
-use crate::value::{decode_row, decode_row_into, encode_composite_key, encode_row, Row, Value};
+use crate::value::{decode_row, decode_row_into, encode_row, encode_row_into, Row, Value};
+use std::mem::take;
 
 /// Dense table identifier.
 pub type TableId = usize;
@@ -29,13 +30,22 @@ pub struct IndexInfo {
 impl IndexInfo {
     /// Encode the index key for `row`.
     pub fn key_of(&self, row: &[Value]) -> Vec<u8> {
-        let vals: Vec<Value> = self.cols.iter().map(|&c| row[c].clone()).collect();
-        encode_composite_key(&vals)
+        let mut key = Vec::new();
+        self.key_into(row, &mut key);
+        key
+    }
+
+    /// [`Self::key_of`] into `key`, replacing what it held.
+    fn key_into(&self, row: &[Value], key: &mut Vec<u8>) {
+        key.clear();
+        for &c in &self.cols {
+            row[c].encode_key(key);
+        }
     }
 
     /// [`Self::key_of`], refusing a key no B+tree node can hold. Every
-    /// mutation path computes its keys through this *before* its first
-    /// heap write, so an over-long key leaves heap and indexes agreeing.
+    /// mutation path checks its keys *before* its first heap write, so
+    /// an over-long key leaves heap and indexes agreeing.
     fn checked_key(&self, row: &[Value]) -> DbResult<Vec<u8>> {
         let key = self.key_of(row);
         check_key(&key)?;
@@ -66,6 +76,212 @@ pub struct TableInfo {
 pub struct Catalog {
     tables: Vec<TableInfo>,
     by_name: std::collections::HashMap<String, TableId>,
+    /// The batch write paths' working memory (see [`RowBatch`]).
+    scratch: Scratch,
+}
+
+/// Rows staged for one kind of write: each encoded record, and per
+/// index each row's key.
+#[derive(Debug, Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    /// Where each record ends in `bytes`.
+    ends: Vec<usize>,
+    /// Per index, each row's key; the rid is filled in when the row is
+    /// written.
+    keys: Vec<Entries>,
+}
+
+impl Staged {
+    /// Empty, with a key batch for each of `indexes` indexes.
+    fn clear(&mut self, indexes: usize) {
+        self.bytes.clear();
+        self.ends.clear();
+        if self.keys.len() < indexes {
+            self.keys.resize_with(indexes, Entries::default);
+        }
+        self.keys.iter_mut().for_each(Entries::clear);
+    }
+
+    /// Stage `row`, checked against `t`: its index keys, then its record.
+    /// A refused row leaves partial state, which the batch's next
+    /// [`Catalog::batch`] clears.
+    fn push(&mut self, t: &TableInfo, row: &mut Row, key: &mut Vec<u8>) -> DbResult<()> {
+        t.schema.check_row(row)?;
+        for (idx, keys) in t.indexes.iter().zip(&mut self.keys) {
+            idx.key_into(row, key);
+            check_key(key)?;
+            keys.push(key, Rid { page: 0, slot: 0 });
+        }
+        let start = self.bytes.len();
+        encode_row_into(row, &mut self.bytes);
+        let len = self.bytes.len() - start;
+        if len + 8 > crate::page::PAGE_SIZE {
+            return Err(DbError::RecordTooLarge(len));
+        }
+        self.ends.push(self.bytes.len());
+        Ok(())
+    }
+
+    /// The staged records, in order.
+    fn records(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| &self.bytes[a..b])
+    }
+}
+
+/// The working memory of [`RowBatch`], owned by the catalog so that a
+/// batch of writes allocates only when it outgrows every earlier one.
+#[derive(Debug, Default)]
+struct Scratch {
+    inserts: Staged,
+    updates: Staged,
+    /// The rid each staged update replaces.
+    replaced: Vec<Rid>,
+    /// Per index, each staged update's old key under its old rid.
+    stale: Vec<Entries>,
+    /// The rids a batch wrote: its inserts', then its updates'.
+    rids: Vec<Rid>,
+    /// What [`RowBatch::lookup_many`] found.
+    hits: Hits,
+    /// One index key being encoded.
+    key: Vec<u8>,
+    /// The stored row an edit is shown, and its replacement.
+    old: Row,
+    new: Row,
+}
+
+/// One batch of row writes to a table, from [`Catalog::batch`]. Rows
+/// are checked, keyed and encoded as they are staged, and nothing is
+/// written before [`RowBatch::write`]: a refused row refuses the batch
+/// with heap and indexes untouched. The write appends the inserts to
+/// the heap, then maintains each index with one sorted
+/// [`BTree::insert_many`] pass; then it replaces the updated rows and
+/// maintains each index with one sorted `delete_many` of the stale keys
+/// and one `insert_many` of the new — instead of one descent per row.
+pub struct RowBatch<'c> {
+    pool: &'c BufferPool,
+    t: &'c mut TableInfo,
+    s: &'c mut Scratch,
+}
+
+impl<'c> RowBatch<'c> {
+    /// Look the sorted `keys` up in the table's index `index`, for
+    /// [`RowBatch::found`].
+    pub fn lookup_many<K: AsRef<[u8]>>(&mut self, index: usize, keys: &[K]) -> DbResult<()> {
+        let btree = &self.t.indexes[index].btree;
+        btree.lookup_many(self.pool, keys, &mut self.s.hits)
+    }
+
+    /// The rids the last [`RowBatch::lookup_many`] found under its
+    /// `i`-th key.
+    pub fn found(&self, i: usize) -> &[Rid] {
+        self.s.hits.get(i)
+    }
+
+    /// Stage inserting `row` (checked and widened in place).
+    fn insert(&mut self, row: &mut Row) -> DbResult<()> {
+        let s = &mut *self.s;
+        s.inserts.push(self.t, row, &mut s.key)
+    }
+
+    /// Stage replacing `old`, the row stored at `rid`, by `new`.
+    fn update(&mut self, rid: Rid, old: &Row, new: &mut Row) -> DbResult<()> {
+        let s = &mut *self.s;
+        s.updates.push(self.t, new, &mut s.key)?;
+        for (idx, stale) in self.t.indexes.iter().zip(&mut s.stale) {
+            idx.key_into(old, &mut s.key);
+            stale.push(&s.key, rid);
+        }
+        s.replaced.push(rid);
+        Ok(())
+    }
+
+    /// Show `edit` the row stored at `rid`, decoded from its page into
+    /// a row the catalog keeps, and stage the row as `edit` leaves it
+    /// in its place when `edit` answers `true`. Returns that answer.
+    pub fn update_with(
+        &mut self,
+        rid: Rid,
+        edit: impl FnOnce(&mut Row) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        let (mut old, mut new) = (take(&mut self.s.old), take(&mut self.s.new));
+        let edited = || {
+            let rids = std::slice::from_ref(&rid);
+            (self.t.heap).get_each(self.pool, rids, |_, rec| {
+                decode_row_into(rec, None, &mut old)
+            })?;
+            new.clone_from(&old);
+            let staged = edit(&mut new)?;
+            if staged {
+                self.update(rid, &old, &mut new)?;
+            }
+            Ok(staged)
+        };
+        let res = edited();
+        (self.s.old, self.s.new) = (old, new);
+        res
+    }
+
+    /// Hand `fill` a row the catalog keeps, holding whatever an earlier
+    /// edit left, and stage it as an insert when `fill` answers `true`
+    /// (so `fill` must write the whole row). Returns that answer.
+    pub fn insert_with(&mut self, fill: impl FnOnce(&mut Row) -> DbResult<bool>) -> DbResult<bool> {
+        let mut row = take(&mut self.s.new);
+        let res = fill(&mut row).and_then(|staged| {
+            if staged {
+                self.insert(&mut row)?;
+            }
+            Ok(staged)
+        });
+        self.s.new = row;
+        res
+    }
+
+    /// Write what was staged: the inserts, then the updates. Returns
+    /// the rids written, the inserts' then the updates' (an update's
+    /// rid changes when its row no longer fits its page).
+    pub fn write(self) -> DbResult<&'c [Rid]> {
+        let RowBatch { pool, t, s } = self;
+        s.rids.clear();
+        let ins = &mut s.inserts;
+        if !ins.ends.is_empty() {
+            t.heap.insert_many(pool, ins.records(), &mut s.rids)?;
+            for (idx, keys) in t.indexes.iter_mut().zip(&mut ins.keys) {
+                (0..keys.len()).for_each(|i| keys.set_rid(i, s.rids[i]));
+                keys.sort();
+                idx.btree.insert_many(pool, keys)?;
+            }
+        }
+        let (upd, first) = (&mut s.updates, s.rids.len());
+        for (&rid, rec) in s.replaced.iter().zip(upd.records()) {
+            s.rids.push(t.heap.update(pool, rid, rec)?);
+        }
+        if s.replaced.is_empty() {
+            return Ok(&s.rids);
+        }
+        let moved = &s.rids[first..];
+        let indexes = t.indexes.iter_mut().zip(&mut upd.keys).zip(&mut s.stale);
+        for ((idx, fresh), stale) in indexes {
+            (0..fresh.len()).for_each(|i| fresh.set_rid(i, moved[i]));
+            // Keep the pairs the update moved: a new key, or a new rid.
+            let mut kept = 0;
+            for i in 0..fresh.len() {
+                if fresh.get(i) != stale.get(i) {
+                    fresh.swap(kept, i);
+                    stale.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            fresh.truncate(kept);
+            stale.truncate(kept);
+            stale.sort();
+            fresh.sort();
+            idx.btree.delete_many(pool, stale)?;
+            idx.btree.insert_many(pool, fresh)?;
+        }
+        Ok(&s.rids)
+    }
 }
 
 impl Catalog {
@@ -111,10 +327,29 @@ impl Catalog {
 
     /// Resolve a table id.
     pub fn table_id(&self, name: &str) -> DbResult<TableId> {
-        self.by_name
-            .get(&name.to_ascii_lowercase())
+        let found = match name.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => self.by_name.get(&name.to_ascii_lowercase()),
+            false => self.by_name.get(name),
+        };
+        found
             .copied()
             .ok_or_else(|| DbError::Catalog(format!("no table {name}")))
+    }
+
+    /// Begin a batch of writes to table `tid` (see [`RowBatch`]). What
+    /// an earlier batch left behind, written or refused, is cleared.
+    pub fn batch<'c>(&'c mut self, pool: &'c BufferPool, tid: TableId) -> RowBatch<'c> {
+        let (t, s) = (&mut self.tables[tid], &mut self.scratch);
+        let n = t.indexes.len();
+        s.inserts.clear(n);
+        s.updates.clear(n);
+        s.replaced.clear();
+        s.hits.clear();
+        if s.stale.len() < n {
+            s.stale.resize_with(n, Entries::default);
+        }
+        s.stale.iter_mut().for_each(Entries::clear);
+        RowBatch { pool, t, s }
     }
 
     /// Table metadata by id.
@@ -169,108 +404,58 @@ impl Catalog {
 
     /// Insert a row (validates, widens, maintains indexes).
     pub fn insert_row(&mut self, pool: &BufferPool, tid: TableId, mut row: Row) -> DbResult<Rid> {
-        let t = &mut self.tables[tid];
-        t.schema.check_row(&mut row)?;
-        let keys = checked_keys(t, &row)?;
-        let rid = t.heap.insert(pool, &encode_row(&row))?;
-        for (idx, key) in t.indexes.iter_mut().zip(&keys) {
-            idx.btree.insert(pool, key, rid)?;
-        }
-        Ok(rid)
+        let rids = self.insert_rows(pool, tid, std::slice::from_mut(&mut row))?;
+        Ok(rids[0])
     }
 
-    /// Insert many rows in one batch. Heap appends happen row by row,
-    /// but every secondary index is then maintained with a single
-    /// sorted [`crate::btree::BTree::insert_many`] pass — the batch
-    /// write path the crawler's frontier flush rides on.
-    pub fn insert_many(
-        &mut self,
-        pool: &BufferPool,
+    /// Insert many rows in one batch ([`RowBatch`]): the batch write
+    /// path the crawler's frontier flush rides on. Returns their rids.
+    pub fn insert_many<'c>(
+        &'c mut self,
+        pool: &'c BufferPool,
         tid: TableId,
-        rows: Vec<Row>,
-    ) -> DbResult<Vec<Rid>> {
-        let t = &mut self.tables[tid];
-        let mut rows = rows;
-        for row in &mut rows {
-            t.schema.check_row(row)?;
-        }
-        // Per index, one key per row: all checked before the heap moves.
-        let keys: Vec<Vec<Vec<u8>>> = (t.indexes.iter())
-            .map(|idx| rows.iter().map(|row| idx.checked_key(row)).collect())
-            .collect::<DbResult<_>>()?;
-        let encoded: Vec<Vec<u8>> = rows.iter().map(|row| encode_row(row)).collect();
-        let recs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        let rids = t.heap.insert_many(pool, &recs)?;
-        for (idx, keys) in t.indexes.iter_mut().zip(keys) {
-            let mut entries: Vec<(Vec<u8>, Rid)> =
-                keys.into_iter().zip(rids.iter().copied()).collect();
-            entries.sort_unstable();
-            idx.btree.insert_many(pool, &entries)?;
-        }
-        Ok(rids)
+        mut rows: Vec<Row>,
+    ) -> DbResult<&'c [Rid]> {
+        self.insert_rows(pool, tid, &mut rows)
     }
 
-    /// Replace many rows in one batch; index maintenance is two sorted
-    /// passes per index (`delete_many` the stale keys, `insert_many`
-    /// the new ones) instead of one descent pair per row. Returns each
-    /// row's (possibly new) rid, in input order.
+    /// [`Catalog::insert_many`] of rows the caller keeps (each is
+    /// checked and widened in place).
+    pub fn insert_rows<'c>(
+        &'c mut self,
+        pool: &'c BufferPool,
+        tid: TableId,
+        rows: &mut [Row],
+    ) -> DbResult<&'c [Rid]> {
+        let mut batch = self.batch(pool, tid);
+        for row in rows {
+            batch.insert(row)?;
+        }
+        batch.write()
+    }
+
+    /// Replace many rows in one batch ([`RowBatch`]); index maintenance
+    /// is two sorted passes per index (`delete_many` the stale keys,
+    /// `insert_many` the new ones) instead of one descent pair per row.
+    /// Returns each row's (possibly new) rid, in input order.
     ///
     /// `updates` are `(rid, old_row, new_row)`; `old_row` must be
-    /// exactly the row currently stored at `rid`. Callers on the hot
-    /// path (the frontier's claim/upsert batches) just read those rows
-    /// to decide the update, so taking them here instead of re-fetching
-    /// halves the heap traffic of the batch. Rows are validated and
-    /// encoded, and their index keys checked, *before* the first heap
-    /// write, so a schema violation, oversized row or over-long key
-    /// anywhere in the batch mutates nothing.
-    pub fn update_many(
-        &mut self,
-        pool: &BufferPool,
+    /// exactly the row currently stored at `rid`: callers just read
+    /// those rows to decide the update, so taking them here instead of
+    /// re-fetching halves the heap traffic of the batch. A schema
+    /// violation, oversized row or over-long key anywhere in the batch
+    /// mutates nothing.
+    pub fn update_many<'c>(
+        &'c mut self,
+        pool: &'c BufferPool,
         tid: TableId,
         updates: Vec<(Rid, Row, Row)>,
-    ) -> DbResult<Vec<Rid>> {
-        let t = &mut self.tables[tid];
-        let mut rids = Vec::with_capacity(updates.len());
-        let mut old_rows = Vec::with_capacity(updates.len());
-        let mut new_rows = Vec::with_capacity(updates.len());
-        let mut encoded = Vec::with_capacity(updates.len());
+    ) -> DbResult<&'c [Rid]> {
+        let mut batch = self.batch(pool, tid);
         for (rid, old_row, mut new_row) in updates {
-            t.schema.check_row(&mut new_row)?;
-            let enc = encode_row(&new_row);
-            if enc.len() + 8 > crate::page::PAGE_SIZE {
-                return Err(DbError::RecordTooLarge(enc.len()));
-            }
-            rids.push(rid);
-            old_rows.push(old_row);
-            new_rows.push(new_row);
-            encoded.push(enc);
+            batch.update(rid, &old_row, &mut new_row)?;
         }
-        // Per index, each row's new key.
-        let new_keys: Vec<Vec<Vec<u8>>> = (t.indexes.iter())
-            .map(|idx| new_rows.iter().map(|row| idx.checked_key(row)).collect())
-            .collect::<DbResult<_>>()?;
-        let mut new_rids = Vec::with_capacity(rids.len());
-        for (&rid, enc) in rids.iter().zip(&encoded) {
-            new_rids.push(t.heap.update(pool, rid, enc)?);
-        }
-        for (idx, new_keys) in t.indexes.iter_mut().zip(new_keys) {
-            let mut stale: Vec<(Vec<u8>, Rid)> = Vec::new();
-            let mut fresh: Vec<(Vec<u8>, Rid)> = Vec::new();
-            for (((old_row, new_key), &old_rid), &new_rid) in
-                old_rows.iter().zip(new_keys).zip(&rids).zip(&new_rids)
-            {
-                let old_key = idx.key_of(old_row);
-                if old_key != new_key || new_rid != old_rid {
-                    stale.push((old_key, old_rid));
-                    fresh.push((new_key, new_rid));
-                }
-            }
-            stale.sort_unstable();
-            fresh.sort_unstable();
-            idx.btree.delete_many(pool, &stale)?;
-            idx.btree.insert_many(pool, &fresh)?;
-        }
-        Ok(new_rids)
+        batch.write()
     }
 
     /// Read the row at `rid`.
@@ -350,7 +535,11 @@ impl Catalog {
             .filter(|(_, t)| !t.name.is_empty())
             .map(|(i, t)| (t.name.clone(), i))
             .collect();
-        Catalog { tables, by_name }
+        Catalog {
+            tables,
+            by_name,
+            scratch: Scratch::default(),
+        }
     }
 
     /// [`crate::Database::check_integrity`], over this catalog's tables.
@@ -397,6 +586,7 @@ mod tests {
     use crate::buffer::EvictionPolicy;
     use crate::disk::DiskManager;
     use crate::schema::ColumnType;
+    use crate::value::encode_composite_key;
 
     fn setup() -> (BufferPool, Catalog, TableId) {
         let pool = BufferPool::new(DiskManager::in_memory(), 32, EvictionPolicy::Lru);
@@ -557,7 +747,7 @@ mod tests {
                 ]
             })
             .collect();
-        let rids = cat.insert_many(&pool, tid, rows.clone()).unwrap();
+        let rids = cat.insert_many(&pool, tid, rows.clone()).unwrap().to_vec();
         assert_eq!(rids.len(), 200);
         for (row, rid) in rows.iter().zip(&rids) {
             let key = encode_composite_key(&[row[0].clone()]);
@@ -593,7 +783,7 @@ mod tests {
                 )
             })
             .collect();
-        let new_rids = cat.update_many(&pool, tid, updates).unwrap();
+        let new_rids = cat.update_many(&pool, tid, updates).unwrap().to_vec();
         let old_key = encode_composite_key(&[Value::Float(0.2)]);
         let new_key = encode_composite_key(&[Value::Float(0.9)]);
         assert!(cat.table(tid).indexes[0]
@@ -672,6 +862,72 @@ mod tests {
         assert_eq!(cat.table(tid).indexes[0].btree.len(), idx_before);
     }
 
+    /// Every row of `tid` with its rid, and every entry of each index.
+    type Contents = (Vec<(Rid, Row)>, Vec<(Vec<u8>, Rid)>);
+
+    fn contents(pool: &BufferPool, cat: &Catalog, tid: TableId) -> Contents {
+        let t = cat.table(tid);
+        let mut rows = Vec::new();
+        let scanned = t.heap.scan(pool, |rid, rec| {
+            rows.push((rid, decode_row(rec)?));
+            Ok(())
+        });
+        scanned.unwrap();
+        let entries = (t.indexes.iter())
+            .flat_map(|idx| idx.btree.lookup_prefix(pool, &[]).unwrap())
+            .collect();
+        (rows, entries)
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_nothing_for_the_next() {
+        let row = |oid: i64, url: &str, r: f64| {
+            vec![Value::Int(oid), Value::Str(url.into()), Value::Float(r)]
+        };
+        let base = || {
+            vec![
+                row(1, "http://a.example/1", 0.1),
+                row(2, "b", 0.2),
+                row(3, "c", 0.3),
+            ]
+        };
+        let valid = |rids: &[Rid], old: &[Row]| {
+            vec![
+                (rids[0], old[0].clone(), row(1, "a", 0.7)),
+                (rids[2], old[2].clone(), row(30, "http://c.example/30", 0.3)),
+            ]
+        };
+        let build = |refused: bool| {
+            let (pool, mut cat, tid) = setup();
+            cat.create_index(&pool, "byoid", "crawl", &["oid"]).unwrap();
+            cat.create_index(&pool, "byrel", "crawl", &["relevance"])
+                .unwrap();
+            let rids = cat.insert_many(&pool, tid, base()).unwrap().to_vec();
+            let old: Vec<Row> = rids
+                .iter()
+                .map(|&r| cat.get_row(&pool, tid, r).unwrap())
+                .collect();
+            if refused {
+                // Staged rows ahead of the refusal: a moved key, a new
+                // rid, an insert.
+                let huge = row(2, &"x".repeat(crate::page::PAGE_SIZE), 0.2);
+                let updates = vec![
+                    (rids[0], old[0].clone(), row(9, "a", 0.9)),
+                    (rids[1], old[1].clone(), huge.clone()),
+                ];
+                let res = cat.update_many(&pool, tid, updates);
+                assert!(matches!(res, Err(DbError::RecordTooLarge(_))));
+                let res = cat.insert_many(&pool, tid, vec![row(4, "d", 0.4), huge]);
+                assert!(matches!(res, Err(DbError::RecordTooLarge(_))));
+            }
+            cat.update_many(&pool, tid, valid(&rids, &old)).unwrap();
+            cat.insert_many(&pool, tid, vec![row(5, "e", 0.5)]).unwrap();
+            cat.check_integrity(&pool).unwrap();
+            contents(&pool, &cat, tid)
+        };
+        assert_eq!(build(true), build(false));
+    }
+
     /// A legal 2.1 KB row whose text key escapes to 4.2 KB: more than
     /// any B+tree node holds.
     fn long_key_row(a: i64) -> Row {
@@ -736,7 +992,10 @@ mod tests {
                 Value::Float(0.0),
             ]
         };
-        let rids = cat.insert_many(&pool, tid, vec![ok(1), ok(2)]).unwrap();
+        let rids = cat
+            .insert_many(&pool, tid, vec![ok(1), ok(2)])
+            .unwrap()
+            .to_vec();
         let res = cat.insert_many(&pool, tid, vec![ok(3), long_key_row(4), ok(5)]);
         assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
         assert_eq!(agreement(&pool, &cat, tid), (2, 2, 2));

@@ -592,6 +592,14 @@ impl Database {
         self.catalog.insert_many(&self.pool, table, rows)?;
         Ok(())
     }
+
+    /// [`Database::insert_many`] of rows the caller keeps and refills:
+    /// each is checked and widened in place, and the batch allocates
+    /// only when it outgrows every earlier one.
+    pub fn insert_rows(&mut self, table: TableId, rows: &mut [Row]) -> DbResult<()> {
+        self.catalog.insert_rows(&self.pool, table, rows)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -92,29 +92,7 @@ impl HeapFile {
         if rec.len() + 8 > PAGE_SIZE {
             return Err(DbError::RecordTooLarge(rec.len()));
         }
-        let needed = (rec.len() + 4) as u16;
-        // Try the last page first (append-mostly workloads), then any page
-        // whose hint says it fits, then grow the file.
-        let mut candidates: Vec<usize> = Vec::with_capacity(2);
-        let last = self.pages.len() - 1;
-        if self.free_hints[last] >= needed {
-            candidates.push(last);
-        }
-        if candidates.is_empty() {
-            if let Some(i) = self.free_hints.iter().position(|&f| f >= needed) {
-                candidates.push(i);
-            }
-        }
-        let idx = match candidates.first() {
-            Some(&i) => i,
-            None => {
-                let pid = pool.allocate()?;
-                pool.with_page_mut(pid, |b| SlottedMut(b).init())?;
-                self.pages.push(pid);
-                self.free_hints.push(PAGE_SIZE as u16 - 4);
-                self.pages.len() - 1
-            }
-        };
+        let idx = self.place(pool, rec.len())?;
         let pid = self.pages[idx];
         let (slot, free) = pool.with_page_mut(pid, |b| {
             let slot = SlottedMut(b).insert(rec);
@@ -127,70 +105,73 @@ impl HeapFile {
         Ok(Rid { page: pid, slot })
     }
 
-    /// Insert a batch of records, returning their addresses in input
-    /// order. Consecutive records landing on the same page share one
-    /// page access instead of paying one per record — the heap half of
-    /// the batch write path (the B+tree half is
+    /// The placement policy, the one both inserts share: the index of
+    /// the page a record of `len` bytes goes to — the last page
+    /// (append-mostly workloads), else the first page whose hint says it
+    /// fits, else a page the file grows by.
+    fn place(&mut self, pool: &BufferPool, len: usize) -> DbResult<usize> {
+        let needed = (len + 4) as u16;
+        let last = self.pages.len() - 1;
+        if self.free_hints[last] >= needed {
+            return Ok(last);
+        }
+        if let Some(i) = self.free_hints.iter().position(|&f| f >= needed) {
+            return Ok(i);
+        }
+        let pid = pool.allocate()?;
+        pool.with_page_mut(pid, |b| SlottedMut(b).init())?;
+        self.pages.push(pid);
+        self.free_hints.push(PAGE_SIZE as u16 - 4);
+        Ok(self.pages.len() - 1)
+    }
+
+    /// Insert a batch of records, appending their addresses to `rids`
+    /// in input order. Consecutive records landing on the same page
+    /// share one page access instead of paying one per record — the
+    /// heap half of the batch write path (the B+tree half is
     /// [`crate::btree::BTree::insert_many`]).
-    pub fn insert_many(&mut self, pool: &BufferPool, recs: &[&[u8]]) -> DbResult<Vec<Rid>> {
+    pub fn insert_many<'r>(
+        &mut self,
+        pool: &BufferPool,
+        recs: impl Iterator<Item = &'r [u8]> + Clone,
+        rids: &mut Vec<Rid>,
+    ) -> DbResult<()> {
         // Validate the whole batch before touching any page: a mid-batch
         // failure must not leave a prefix of the records inserted (the
         // caller's index maintenance runs only after all heap appends).
-        for rec in recs {
-            if rec.len() + 8 > PAGE_SIZE {
-                return Err(DbError::RecordTooLarge(rec.len()));
-            }
+        if let Some(rec) = recs.clone().find(|rec| rec.len() + 8 > PAGE_SIZE) {
+            return Err(DbError::RecordTooLarge(rec.len()));
         }
-        let mut rids = Vec::with_capacity(recs.len());
-        let mut i = 0usize;
-        while i < recs.len() {
-            let needed = (recs[i].len() + 4) as u16;
-            // Same placement policy as single insert: last page, any
-            // page with room, else grow.
-            let last = self.pages.len() - 1;
-            let idx = if self.free_hints[last] >= needed {
-                last
-            } else if let Some(j) = self.free_hints.iter().position(|&f| f >= needed) {
-                j
-            } else {
-                let pid = pool.allocate()?;
-                pool.with_page_mut(pid, |b| SlottedMut(b).init())?;
-                self.pages.push(pid);
-                self.free_hints.push(PAGE_SIZE as u16 - 4);
-                self.pages.len() - 1
-            };
+        let mut recs = recs.peekable();
+        while let Some(&first) = recs.peek() {
+            let idx = self.place(pool, first.len())?;
             let pid = self.pages[idx];
             // Pack as many of the remaining records as fit into this
             // page under a single page access.
-            let (placed, free) = pool.with_page_mut(pid, |b| {
-                let mut placed: Vec<Rid> = Vec::new();
-                while i < recs.len() {
-                    if SlottedRef(b).free_space() < recs[i].len() + 4 {
+            let before = rids.len();
+            let free = pool.with_page_mut(pid, |b| {
+                while let Some(rec) = recs.peek() {
+                    if SlottedRef(b).free_space() < rec.len() + 4 {
                         break;
                     }
-                    match SlottedMut(b).insert(recs[i]) {
-                        Ok(slot) => {
-                            placed.push(Rid { page: pid, slot });
-                            i += 1;
-                        }
+                    match SlottedMut(b).insert(rec) {
+                        Ok(slot) => rids.push(Rid { page: pid, slot }),
                         Err(_) => break,
                     }
+                    recs.next();
                 }
-                let free = SlottedRef(b).free_space() as u16;
-                (placed, free)
+                SlottedRef(b).free_space() as u16
             })?;
             self.free_hints[idx] = free;
-            self.live_records += placed.len() as u64;
-            if placed.is_empty() {
+            self.live_records += (rids.len() - before) as u64;
+            if rids.len() == before {
                 // Hint said it fits but the page disagreed; fall back to
                 // the single-record path to surface the real error.
-                rids.push(self.insert(pool, recs[i])?);
-                i += 1;
-                continue;
+                rids.push(self.insert(pool, first)?);
+                recs.next();
             }
-            rids.extend(placed);
         }
-        Ok(rids)
+        Ok(())
     }
 
     /// Fetch the record at `rid`.
@@ -382,7 +363,9 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
         bp.reset_stats();
-        let rids = hf.insert_many(&bp, &refs).unwrap();
+        let mut rids = Vec::new();
+        hf.insert_many(&bp, refs.iter().copied(), &mut rids)
+            .unwrap();
         let batched_reads = bp.stats().logical_reads;
         assert_eq!(rids.len(), 500);
         assert_eq!(hf.len(), 500);
@@ -404,7 +387,7 @@ mod tests {
         // Oversized records still error.
         let huge = vec![0u8; PAGE_SIZE];
         assert!(matches!(
-            hf.insert_many(&bp, &[huge.as_slice()]),
+            hf.insert_many(&bp, [huge.as_slice()].into_iter(), &mut rids),
             Err(DbError::RecordTooLarge(_))
         ));
     }

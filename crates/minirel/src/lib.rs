@@ -68,7 +68,7 @@ pub mod value;
 pub mod wal;
 
 pub use buffer::{unobserved, BufferPool, EvictionPolicy, IoStats};
-pub use catalog::{Catalog, IndexInfo, TableId, TableInfo};
+pub use catalog::{Catalog, IndexInfo, RowBatch, TableId, TableInfo};
 pub use db::{wal_path_for, Database, Prepared, ResultSet, Snapshot};
 pub use error::{DbError, DbResult};
 pub use heap::Rid;

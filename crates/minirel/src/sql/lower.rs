@@ -81,6 +81,7 @@
 //! a join. A reduced input evaluates its filters only on the rows the
 //! probe fetches, as every index probe does.
 
+use crate::btree::Hits;
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, TableInfo};
 use crate::error::{DbError, DbResult};
@@ -511,13 +512,14 @@ fn exec_scan(
     let walked = match path {
         Path::Heap => t.heap.scan(env.pool, |rid, rec| out.record(rid, rec)),
         Path::KeyList(p, keys) => {
-            let found = t.indexes[p.index_no].btree.lookup_many(env.pool, &keys)?;
+            let mut found = Hits::default();
+            (t.indexes[p.index_no].btree).lookup_many(env.pool, &keys, &mut found)?;
             match p.index_only {
                 // One row per entry, in key order.
-                true => keys.iter().zip(&found).try_for_each(|(key, rids)| {
+                true => keys.iter().zip(found.iter()).try_for_each(|(key, rids)| {
                     rids.iter().try_for_each(|_| out.key(key, &p.index_cols))
                 }),
-                false => out.fetch(env, t, found.concat()),
+                false => out.fetch(env, t, found.into_all()),
             }
         }
         Path::Prefix(p) => range_scan(env, t, p, subs, &mut out),

@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// One cell of a row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     /// SQL NULL. Sorts before everything; equal to itself for grouping.
     Null,
@@ -21,7 +21,39 @@ pub enum Value {
     Str(String),
 }
 
+/// `clone_from` of a string over a string reuses its buffer, so a row
+/// copied over a row of the same shape ([`Vec::clone_from`]) allocates
+/// nothing.
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Str(s) => Value::Str(s.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Value) {
+        match (self, source) {
+            (Value::Str(old), Value::Str(s)) => old.clone_from(s),
+            (slot, v) => *slot = v.clone(),
+        }
+    }
+}
+
 impl Value {
+    /// Make this `Value::Str(s)`, reusing the buffer of a string it holds.
+    pub fn set_str(&mut self, s: &str) {
+        match self {
+            Value::Str(old) => {
+                old.clear();
+                old.push_str(s);
+            }
+            slot => *slot = Value::Str(s.to_owned()),
+        }
+    }
+
     /// True for `Value::Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -149,11 +181,7 @@ impl Value {
     pub fn encode_key(&self, buf: &mut Vec<u8>) {
         match self {
             Value::Null => buf.push(0x01),
-            Value::Int(i) => {
-                buf.push(0x02);
-                // Flip the sign bit so two's-complement sorts unsigned.
-                buf.extend_from_slice(&(*i as u64 ^ (1u64 << 63)).to_be_bytes());
-            }
+            Value::Int(i) => buf.extend_from_slice(&int_key(*i)),
             Value::Float(f) => {
                 buf.push(0x03);
                 buf.extend_from_slice(&f64_to_ordered_bits(*f).to_be_bytes());
@@ -295,6 +323,15 @@ fn ordered_bits_to_f64(bits: u64) -> f64 {
     }
 }
 
+/// The key encoding of `Value::Int(i)` ([`Value::encode_key`]), in a
+/// fixed array: a one-column int key built without allocating.
+pub fn int_key(i: i64) -> [u8; 9] {
+    let mut key = [0x02; 9];
+    // Flip the sign bit so two's-complement sorts unsigned.
+    key[1..].copy_from_slice(&(i as u64 ^ (1u64 << 63)).to_be_bytes());
+    key
+}
+
 /// Encode a composite key.
 pub fn encode_composite_key(vals: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 9);
@@ -365,11 +402,16 @@ pub type Row = Vec<Value>;
 /// Encode a whole row with the compact codec.
 pub fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(row.len() * 10);
+    encode_row_into(row, &mut buf);
+    buf
+}
+
+/// [`encode_row`], appended to `buf`.
+pub fn encode_row_into(row: &[Value], buf: &mut Vec<u8>) {
     buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
-        v.encode(&mut buf);
+        v.encode(buf);
     }
-    buf
 }
 
 /// Decode a whole row.

@@ -2,7 +2,7 @@
 //! against `BTreeMap`, external sort against `sort`, merge join against
 //! hash join, and codec round trips.
 
-use minirel::btree::{BTree, MAX_KEY_LEN};
+use minirel::btree::{BTree, Entries, Hits, MAX_KEY_LEN};
 use minirel::buffer::{BufferPool, EvictionPolicy};
 use minirel::disk::DiskManager;
 use minirel::exec::{external_sort, hash_join, merge_join, sort_rows, Expr, SortKey};
@@ -14,6 +14,11 @@ use std::ops::Bound;
 
 fn pool(frames: usize) -> BufferPool {
     BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru)
+}
+
+/// A sorted model batch as the tree's batch type.
+fn entries(batch: &[(Vec<u8>, Rid)]) -> Entries {
+    batch.iter().map(|(k, r)| (k, *r)).collect()
 }
 
 /// The key stored under index `k`. Every third is an int; the rest are
@@ -164,25 +169,26 @@ proptest! {
                 }
                 Op::InsertMany(pairs) => {
                     let batch = model_batch(pairs, 0);
-                    bt.insert_many(&bp, &batch).unwrap();
+                    bt.insert_many(&bp, &entries(&batch)).unwrap();
                     model.extend(batch.into_iter().map(|e| (e, ())));
                 }
                 Op::DeleteMany(pairs) => {
                     let batch = model_batch(pairs, 0);
-                    let removed = bt.delete_many(&bp, &batch).unwrap();
+                    let removed = bt.delete_many(&bp, &entries(&batch)).unwrap();
                     let in_model = batch.iter().filter(|e| model.remove(e).is_some()).count();
                     prop_assert_eq!(removed, in_model);
                 }
                 Op::LookupMany(ks) => {
                     let mut keys: Vec<Vec<u8>> = ks.iter().map(|&k| model_key(k, 0)).collect();
                     keys.sort_unstable();
-                    let got = bt.lookup_many(&bp, &keys).unwrap();
+                    let mut got = Hits::default();
+                    bt.lookup_many(&bp, &keys, &mut got).unwrap();
                     prop_assert_eq!(got.len(), keys.len());
-                    for (key, rids) in keys.iter().zip(got) {
+                    for (key, rids) in keys.iter().zip(got.iter()) {
                         let key = key.as_slice();
                         let expect = model_range(&model, Bound::Included(key), Bound::Included(key));
                         let expect: Vec<Rid> = expect.into_iter().map(|(_, r)| r).collect();
-                        prop_assert_eq!(&rids, &expect);
+                        prop_assert_eq!(rids, &expect[..]);
                         prop_assert_eq!(bt.lookup(&bp, key).unwrap(), expect);
                     }
                 }
@@ -210,7 +216,7 @@ proptest! {
             .map(|(_, e)| e.clone())
             .collect();
         for chunk in doomed.chunks(64) {
-            prop_assert_eq!(bt.delete_many(&bp, chunk).unwrap(), chunk.len());
+            prop_assert_eq!(bt.delete_many(&bp, &entries(chunk)).unwrap(), chunk.len());
         }
         model.retain(|e, ()| doomed.binary_search(e).is_err());
         bt.validate(&bp).unwrap();
@@ -218,7 +224,7 @@ proptest! {
         for (i, chunk) in pairs.chunks(50).enumerate() {
             let batch = model_batch(chunk, 150);
             if i % 2 == 0 {
-                bt.insert_many(&bp, &batch).unwrap();
+                bt.insert_many(&bp, &entries(&batch)).unwrap();
             } else {
                 for (key, rid) in &batch {
                     bt.insert(&bp, key, *rid).unwrap();
@@ -249,12 +255,13 @@ proptest! {
                 bt.insert(&bp, key, *rid).unwrap();
             }
         } else {
-            bt.insert_many(&bp, &batch).unwrap();
+            bt.insert_many(&bp, &entries(&batch)).unwrap();
         }
         let mut keys: Vec<Vec<u8>> = batch.into_iter().map(|(k, _)| k).collect();
         keys.dedup();
         bp.reset_stats();
-        let got = bt.lookup_many(&bp, &keys).unwrap();
+        let mut got = Hits::default();
+        bt.lookup_many(&bp, &keys, &mut got).unwrap();
         prop_assert!(got.iter().all(|rids| !rids.is_empty()));
         // The tree is the pool's only tenant and frees no page, so its
         // nodes, internal and leaf, are every page the pool allocated.

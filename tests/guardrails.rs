@@ -82,6 +82,10 @@ const PUSHED_ROWS: &str = "a SELECT pushes each row from its access path to its 
      through one reused row; only a join's inputs, an aggregate's groups, a sort, a CTE slot and \
      DISTINCT's seen-set hold rows, and row collectors live beside their test callers";
 
+const KEPT_ONLY: &str = "a claim and a landing allocate only what their callers keep: a batch is \
+     read in place, keyed and encoded into buffers the catalog keeps, and a stored row is edited \
+     in place";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -110,7 +114,8 @@ const FORBIDDEN: &[Forbidden] = &[
      Mode::Code, "a fetch outside the fetch executor (`fetch_pool.rs`)"),
     ("crawl_rows_are_rewritten_through_one_keyed_path",
      &["fn upsert_frontier", "fn oid_lookup", "update_row("], CRAWLER, Mode::Code,
-     "rows addressed by oid go through `frontier::rewrite`, which hands `update_many` the rows it read"),
+     "rows addressed by oid go through `frontier::rewrite`, which edits the rows it read in place \
+     and stages them in one `RowBatch`"),
     ("one_link_graph_and_one_place_starts_a_pass",
      &["WeightedHits", "edges_from_links", "distill_locked", "links: Vec<(Oid, u32, Oid, u32)>",
        "relevance: FxHashMap<Oid"], CRAWLER, Mode::Whole,
@@ -212,6 +217,12 @@ const FORBIDDEN: &[Forbidden] = &[
      &["Permute", "est_rows", "fn selectivity", "SEL_EQ", "heap.len()"], PLAN, Mode::Code,
      "a plan depends on its statement and the schema alone: comma joins run in textual greedy \
      order, and the planner reads no row counts to order them"),
+    ("a_landing_allocates_only_what_it_keeps",
+     &["fn entry_cells", "-> DbResult<Vec<Vec<Rid>>>", "DbResult<Vec<(PageId, usize, usize)>>",
+       "Vec<Vec<Vec<u8>>>", "candidates: Vec<usize>"], MINIREL, Mode::Code, KEPT_ONLY),
+    ("a_landing_allocates_only_what_it_keeps",
+     &["fn with_relevance", "fn claimed_row", "Vec<(Vec<u8>, usize)>", ".first_n_at_or_after(",
+       "known.contains("], CRAWLER, Mode::Code, KEPT_ONLY),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -247,9 +258,9 @@ const COUNTED: &[Counted] = &[
      "a `LINK` row is spelled out once, in `tables::link_row`"),
     ("crawl_rows_are_rewritten_through_one_keyed_path", ".lookup_many(", FRONTIER, 1,
      "`frontier.rs` probes `crawl_oid` in one place: the keyed rewrite"),
-    ("crawl_rows_are_rewritten_through_one_keyed_path", ".insert_many(", FRONTIER, 1,
+    ("crawl_rows_are_rewritten_through_one_keyed_path", ".insert_with(", FRONTIER, 1,
      "`frontier.rs` inserts rows in one place: the keyed rewrite's creates"),
-    ("crawl_rows_are_rewritten_through_one_keyed_path", ".update_many(", FRONTIER, 2,
+    ("crawl_rows_are_rewritten_through_one_keyed_path", ".update_with(", FRONTIER, 2,
      "`frontier.rs` updates rows in two places: the keyed rewrite and the range-pop claim"),
     ("one_write_back_logs_pages_and_records_are_encoded_in_place", ".log_page(", BUFFER, 1,
      "buffer.rs logs pages from one place: `write_back`, which also counts `physical_writes` \
@@ -628,6 +639,7 @@ checks! {
     every_session_is_a_shard: ;
     one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
+    a_landing_allocates_only_what_it_keeps: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
