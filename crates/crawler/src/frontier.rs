@@ -545,7 +545,8 @@ pub(crate) fn claim_next(db: &mut Database) -> DbResult<Option<Claim>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::{create_tables, frontier_row};
+    use crate::tables::create_tables;
+    use crate::tables::tests::frontier_row;
 
     fn db() -> Database {
         let mut db = Database::in_memory();

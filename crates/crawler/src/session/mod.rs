@@ -1679,7 +1679,7 @@ mod tests {
         let (graph, session) = setup(CrawlPolicy::SoftFocus, 10);
         session.with_db(|db| {
             let tid = db.table_id("crawl").unwrap();
-            let mut row = tables::frontier_row(Oid(7), "u7", -0.5, 0);
+            let mut row = tables::tests::frontier_row(Oid(7), "u7", -0.5, 0);
             row[crawl_col::URL] = Value::Null;
             db.insert(tid, row).unwrap();
         });
@@ -2625,10 +2625,10 @@ mod tests {
         let (oid, _, sid) = one.visited()[0];
         let url = &graph.page(oid).unwrap().url;
         zero.with_db(|db| {
-            let mut row = tables::frontier_row(oid, url, 0.0, 0);
+            let mut row = tables::tests::frontier_row(oid, url, 0.0, 0);
             row[crawl_col::VISITED] = Value::Int(visited::DONE);
             db.insert(db.table_id("crawl").unwrap(), row).unwrap();
-            let link = tables::link_row(oid, sid.raw(), Oid(2), sid.raw(), 0);
+            let link = tables::tests::link_row(oid, sid.raw(), Oid(2), sid.raw(), 0);
             db.insert(db.table_id("link").unwrap(), link).unwrap();
         });
         one.shard.exchange.add_in_flight(1);

@@ -224,15 +224,8 @@ pub fn host_server_id(url: &str) -> ServerId {
     ServerId(fx64(host.as_bytes()) as u32)
 }
 
-/// Build a fresh `CRAWL` row for a frontier entry.
-pub fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) -> Vec<Value> {
-    let mut row = Vec::new();
-    frontier_row_into(&mut row, oid, url, log_relevance, serverload);
-    row
-}
-
-/// [`frontier_row`] into `row`, replacing all of it; the buffer of a
-/// URL it holds is reused.
+/// Build a fresh `CRAWL` row for a frontier entry into `row`,
+/// replacing all of it; the buffer of a URL it holds is reused.
 pub fn frontier_row_into(row: &mut Row, oid: Oid, url: &str, log_relevance: f64, serverload: i64) {
     let mut text = match row
         .get_mut(crawl_col::URL)
@@ -270,14 +263,7 @@ pub fn landing_row(attempt: u64, oid: Oid, relevance: f64, posterior: String) ->
     ]
 }
 
-/// Build a `LINK` row.
-pub fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64) -> Vec<Value> {
-    let mut row = Vec::new();
-    link_row_into(&mut row, src, sid_src, dst, sid_dst, discovered);
-    row
-}
-
-/// [`link_row`] into `row`, replacing all of it.
+/// Build a `LINK` row into `row`, replacing all of it.
 pub fn link_row_into(
     row: &mut Row,
     src: Oid,
@@ -297,8 +283,22 @@ pub fn link_row_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A fresh `CRAWL` row ([`frontier_row_into`]).
+    pub(crate) fn frontier_row(oid: Oid, url: &str, log_relevance: f64, serverload: i64) -> Row {
+        let mut row = Vec::new();
+        frontier_row_into(&mut row, oid, url, log_relevance, serverload);
+        row
+    }
+
+    /// A `LINK` row ([`link_row_into`]).
+    pub(crate) fn link_row(src: Oid, sid_src: u32, dst: Oid, sid_dst: u32, discovered: i64) -> Row {
+        let mut row = Vec::new();
+        link_row_into(&mut row, src, sid_src, dst, sid_dst, discovered);
+        row
+    }
 
     #[test]
     fn tables_create_and_accept_rows() {

@@ -14,7 +14,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use focus_crawler::frontier::{self, FailureUpdate, FrontierEntry};
-use focus_crawler::tables::{create_tables, link_row};
+use focus_crawler::tables::{create_tables, link_row_into};
 use focus_types::Oid;
 use minirel::Database;
 
@@ -138,7 +138,11 @@ fn a_claim_and_a_landing_allocate_what_their_callers_keep() {
     // `LINK` rows: handed over, and refilled in place.
     let link = db.table_id("link").unwrap();
     let rows = |oids: Range<u64>| -> Vec<_> {
-        let row = |oid| link_row(Oid(1), 7, Oid(oid), 9, 3);
+        let row = |oid| {
+            let mut row = Vec::new();
+            link_row_into(&mut row, Oid(1), 7, Oid(oid), 9, 3);
+            row
+        };
         oids.map(row).collect()
     };
     db.insert_many(link, rows(warm.clone())).unwrap();

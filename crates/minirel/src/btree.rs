@@ -189,6 +189,12 @@ impl Entries {
         self.spans.clear();
     }
 
+    /// [`Entries::clear`], handing back memory beyond `bytes` a buffer.
+    pub(crate) fn clear_to(&mut self, bytes: usize) {
+        clear_to(&mut self.bytes, bytes);
+        clear_to(&mut self.spans, bytes);
+    }
+
     /// Append `(key, rid)`.
     pub fn push(&mut self, key: &[u8], rid: Rid) {
         let start = self.bytes.len();
@@ -297,6 +303,13 @@ impl Hits {
         self.segs.clear();
     }
 
+    /// [`Hits::clear`], handing back memory beyond `bytes` a buffer.
+    pub(crate) fn clear_to(&mut self, bytes: usize) {
+        clear_to(&mut self.rids, bytes);
+        clear_to(&mut self.ends, bytes);
+        clear_to(&mut self.segs, bytes);
+    }
+
     /// Where the current key's rids start: the end of the last answer.
     fn start(&self) -> usize {
         self.ends.last().copied().unwrap_or(0)
@@ -313,6 +326,12 @@ impl Hits {
 /// serves them in order, and it pops them. One stack serves a whole
 /// descent, and is kept for the next.
 type Segs = Vec<(PageId, usize, usize)>;
+
+/// Empty `v`, keeping at most `bytes` of its memory.
+pub(crate) fn clear_to<T>(v: &mut Vec<T>, bytes: usize) {
+    v.clear();
+    v.shrink_to(bytes / std::mem::size_of::<T>().max(1));
+}
 
 fn rid_of(p: &[u8]) -> Rid {
     Rid {
@@ -1095,27 +1114,6 @@ impl BTree {
         }
     }
 
-    /// Up to `n` entries at or after `key`, in order, from a single
-    /// descent plus a leaf walk (range-pop support: the frontier's
-    /// batch claim takes the n best entries in one pass instead of n
-    /// full descents).
-    pub fn first_n_at_or_after(
-        &self,
-        pool: &BufferPool,
-        key: &[u8],
-        n: usize,
-    ) -> DbResult<Vec<(Vec<u8>, Rid)>> {
-        let mut out = Vec::new();
-        if n == 0 {
-            return Ok(out);
-        }
-        self.scan_range(pool, Bound::Included(key), Bound::Unbounded, |k, rid| {
-            out.push((k.to_vec(), rid));
-            out.len() < n
-        })?;
-        Ok(out)
-    }
-
     /// Whole-tree structural check, used by tests and after recovery.
     /// Descending from the root: every leaf at the same depth; each
     /// node's slots strictly ascending in `(key, rid)`, its cells inside
@@ -1262,6 +1260,19 @@ mod tests {
 
     fn key_i(i: i64) -> Vec<u8> {
         encode_composite_key(&[Value::Int(i)])
+    }
+
+    /// Up to `n` entries at or after `key`, in order: a
+    /// [`BTree::scan_range`] that stops after `n`.
+    fn first_n(bt: &BTree, bp: &BufferPool, key: &[u8], n: usize) -> DbResult<Vec<(Vec<u8>, Rid)>> {
+        let mut out = Vec::new();
+        if n > 0 {
+            bt.scan_range(bp, Bound::Included(key), Bound::Unbounded, |k, rid| {
+                out.push((k.to_vec(), rid));
+                out.len() < n
+            })?;
+        }
+        Ok(out)
     }
 
     /// [`BTree::lookup_many`] of `keys`, each key's rids as a list.
@@ -1467,12 +1478,9 @@ mod tests {
         for i in [10i64, 20, 30] {
             bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
         }
-        let first = bt.first_n_at_or_after(&bp, &key_i(15), 1).unwrap();
+        let first = first_n(&bt, &bp, &key_i(15), 1).unwrap();
         assert_eq!(first, [(key_i(20), rid(20))]);
-        assert!(bt
-            .first_n_at_or_after(&bp, &key_i(31), 1)
-            .unwrap()
-            .is_empty());
+        assert!(first_n(&bt, &bp, &key_i(31), 1).unwrap().is_empty());
     }
 
     #[test]
@@ -1675,18 +1683,12 @@ mod tests {
         for i in 0..100i64 {
             bt.insert(&bp, &key_i(i * 10), rid(i as u32)).unwrap();
         }
-        let hits = bt.first_n_at_or_after(&bp, &key_i(55), 4).unwrap();
+        let hits = first_n(&bt, &bp, &key_i(55), 4).unwrap();
         let keys: Vec<Vec<u8>> = hits.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![key_i(60), key_i(70), key_i(80), key_i(90)]);
         // Asking past the end returns what exists.
-        assert_eq!(
-            bt.first_n_at_or_after(&bp, &key_i(985), 10).unwrap().len(),
-            1
-        );
-        assert!(bt
-            .first_n_at_or_after(&bp, &key_i(0), 0)
-            .unwrap()
-            .is_empty());
+        assert_eq!(first_n(&bt, &bp, &key_i(985), 10).unwrap().len(), 1);
+        assert!(first_n(&bt, &bp, &key_i(0), 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1803,10 +1805,8 @@ mod tests {
             let tree = BTree::from_parts(root, 9);
             tree.scan_range(bp, Bound::Excluded(&lo), Bound::Included(&hi), |_, _| true)
         }),
-        ("first_n_at_or_after", |bp, root| {
-            BTree::from_parts(root, 9)
-                .first_n_at_or_after(bp, &key_i(50), 3)
-                .map(drop)
+        ("first_n", |bp, root| {
+            first_n(&BTree::from_parts(root, 9), bp, &key_i(50), 3).map(drop)
         }),
         ("validate", |bp, root| {
             BTree::from_parts(root, 9).validate(bp)

@@ -5,7 +5,7 @@
 //! hand amounted to reinventing the wheel"* — this module is that wheel:
 //! every insert/delete/update maintains all of a table's B+tree indexes.
 
-use crate::btree::{check_key, BTree, Entries, Hits};
+use crate::btree::{check_key, clear_to, BTree, Entries, Hits};
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::{HeapFile, Rid};
@@ -53,6 +53,14 @@ impl IndexInfo {
     }
 }
 
+/// `keys` emptied, one batch for each of `indexes` indexes.
+fn clear_entries(keys: &mut Vec<Entries>, indexes: usize) {
+    if keys.len() < indexes {
+        keys.resize_with(indexes, Entries::default);
+    }
+    keys.iter_mut().for_each(|k| k.clear_to(KEPT_BYTES));
+}
+
 /// One checked key per index of `t`, in index order.
 fn checked_keys(t: &TableInfo, row: &[Value]) -> DbResult<Vec<Vec<u8>>> {
     t.indexes.iter().map(|idx| idx.checked_key(row)).collect()
@@ -95,32 +103,38 @@ struct Staged {
 impl Staged {
     /// Empty, with a key batch for each of `indexes` indexes.
     fn clear(&mut self, indexes: usize) {
-        self.bytes.clear();
-        self.ends.clear();
-        if self.keys.len() < indexes {
-            self.keys.resize_with(indexes, Entries::default);
-        }
-        self.keys.iter_mut().for_each(Entries::clear);
+        clear_to(&mut self.bytes, KEPT_BYTES);
+        clear_to(&mut self.ends, KEPT_BYTES);
+        clear_entries(&mut self.keys, indexes);
     }
 
-    /// Stage `row`, checked against `t`: its index keys, then its record.
-    /// A refused row leaves partial state, which the batch's next
-    /// [`Catalog::batch`] clears.
-    fn push(&mut self, t: &TableInfo, row: &mut Row, key: &mut Vec<u8>) -> DbResult<()> {
-        t.schema.check_row(row)?;
-        for (idx, keys) in t.indexes.iter().zip(&mut self.keys) {
-            idx.key_into(row, key);
-            check_key(key)?;
-            keys.push(key, Rid { page: 0, slot: 0 });
+    /// Stage `row`, whose schema `t` checked: its index keys, then its
+    /// record. A refused row is left unstaged: what was staged before it
+    /// stays whole.
+    fn push(&mut self, t: &TableInfo, row: &Row, key: &mut Vec<u8>) -> DbResult<()> {
+        let (staged, start) = (self.ends.len(), self.bytes.len());
+        let mut stage = || {
+            for (idx, keys) in t.indexes.iter().zip(&mut self.keys) {
+                idx.key_into(row, key);
+                check_key(key)?;
+                keys.push(key, Rid { page: 0, slot: 0 });
+            }
+            encode_row_into(row, &mut self.bytes);
+            let len = self.bytes.len() - start;
+            match len + 8 > crate::page::PAGE_SIZE {
+                true => Err(DbError::RecordTooLarge(len)),
+                false => Ok(()),
+            }
+        };
+        let res = stage();
+        match res {
+            Ok(()) => self.ends.push(self.bytes.len()),
+            Err(_) => {
+                self.bytes.truncate(start);
+                self.keys.iter_mut().for_each(|k| k.truncate(staged));
+            }
         }
-        let start = self.bytes.len();
-        encode_row_into(row, &mut self.bytes);
-        let len = self.bytes.len() - start;
-        if len + 8 > crate::page::PAGE_SIZE {
-            return Err(DbError::RecordTooLarge(len));
-        }
-        self.ends.push(self.bytes.len());
-        Ok(())
+        res
     }
 
     /// The staged records, in order.
@@ -130,8 +144,14 @@ impl Staged {
     }
 }
 
+/// What each buffer of [`Scratch`] keeps between batches, in bytes:
+/// more than a crawl's claims and landings stage, so they reuse it, and
+/// a whole-table UPDATE hands back the rest once it is written.
+const KEPT_BYTES: usize = 1 << 16;
+
 /// The working memory of [`RowBatch`], owned by the catalog so that a
-/// batch of writes allocates only when it outgrows every earlier one.
+/// batch of writes allocates only when it outgrows every earlier one
+/// and keeps at most [`KEPT_BYTES`] a buffer after it.
 #[derive(Debug, Default)]
 struct Scratch {
     inserts: Staged,
@@ -151,10 +171,23 @@ struct Scratch {
     new: Row,
 }
 
+impl Scratch {
+    /// Empty every buffer but `rids`, for a table with `indexes`
+    /// indexes.
+    fn clear(&mut self, indexes: usize) {
+        self.inserts.clear(indexes);
+        self.updates.clear(indexes);
+        clear_to(&mut self.replaced, KEPT_BYTES);
+        clear_entries(&mut self.stale, indexes);
+        self.hits.clear_to(KEPT_BYTES);
+    }
+}
+
 /// One batch of row writes to a table, from [`Catalog::batch`]. Rows
 /// are checked, keyed and encoded as they are staged, and nothing is
-/// written before [`RowBatch::write`]: a refused row refuses the batch
-/// with heap and indexes untouched. The write appends the inserts to
+/// written before [`RowBatch::write`]: a refused row is left unstaged,
+/// so a caller that passes its error on leaves heap and indexes
+/// untouched. The write appends the inserts to
 /// the heap, then maintains each index with one sorted
 /// [`BTree::insert_many`] pass; then it replaces the updated rows and
 /// maintains each index with one sorted `delete_many` of the stale keys
@@ -179,14 +212,15 @@ impl<'c> RowBatch<'c> {
         self.s.hits.get(i)
     }
 
-    /// Stage inserting `row` (checked and widened in place).
-    fn insert(&mut self, row: &mut Row) -> DbResult<()> {
+    /// Stage inserting `row`, whose schema was checked.
+    fn insert(&mut self, row: &Row) -> DbResult<()> {
         let s = &mut *self.s;
         s.inserts.push(self.t, row, &mut s.key)
     }
 
-    /// Stage replacing `old`, the row stored at `rid`, by `new`.
-    fn update(&mut self, rid: Rid, old: &Row, new: &mut Row) -> DbResult<()> {
+    /// Stage replacing `old`, the row stored at `rid`, by `new`, whose
+    /// schema was checked.
+    fn update(&mut self, rid: Rid, old: &Row, new: &Row) -> DbResult<()> {
         let s = &mut *self.s;
         s.updates.push(self.t, new, &mut s.key)?;
         for (idx, stale) in self.t.indexes.iter().zip(&mut s.stale) {
@@ -214,7 +248,8 @@ impl<'c> RowBatch<'c> {
             new.clone_from(&old);
             let staged = edit(&mut new)?;
             if staged {
-                self.update(rid, &old, &mut new)?;
+                self.t.schema.check_row(&mut new)?;
+                self.update(rid, &old, &new)?;
             }
             Ok(staged)
         };
@@ -230,7 +265,8 @@ impl<'c> RowBatch<'c> {
         let mut row = take(&mut self.s.new);
         let res = fill(&mut row).and_then(|staged| {
             if staged {
-                self.insert(&mut row)?;
+                self.t.schema.check_row(&mut row)?;
+                self.insert(&row)?;
             }
             Ok(staged)
         });
@@ -257,9 +293,6 @@ impl<'c> RowBatch<'c> {
         for (&rid, rec) in s.replaced.iter().zip(upd.records()) {
             s.rids.push(t.heap.update(pool, rid, rec)?);
         }
-        if s.replaced.is_empty() {
-            return Ok(&s.rids);
-        }
         let moved = &s.rids[first..];
         let indexes = t.indexes.iter_mut().zip(&mut upd.keys).zip(&mut s.stale);
         for ((idx, fresh), stale) in indexes {
@@ -280,6 +313,7 @@ impl<'c> RowBatch<'c> {
             idx.btree.delete_many(pool, stale)?;
             idx.btree.insert_many(pool, fresh)?;
         }
+        s.clear(t.indexes.len());
         Ok(&s.rids)
     }
 }
@@ -340,15 +374,8 @@ impl Catalog {
     /// an earlier batch left behind, written or refused, is cleared.
     pub fn batch<'c>(&'c mut self, pool: &'c BufferPool, tid: TableId) -> RowBatch<'c> {
         let (t, s) = (&mut self.tables[tid], &mut self.scratch);
-        let n = t.indexes.len();
-        s.inserts.clear(n);
-        s.updates.clear(n);
-        s.replaced.clear();
-        s.hits.clear();
-        if s.stale.len() < n {
-            s.stale.resize_with(n, Entries::default);
-        }
-        s.stale.iter_mut().for_each(Entries::clear);
+        s.clear(t.indexes.len());
+        clear_to(&mut s.rids, KEPT_BYTES);
         RowBatch { pool, t, s }
     }
 
@@ -410,6 +437,9 @@ impl Catalog {
 
     /// Insert many rows in one batch ([`RowBatch`]): the batch write
     /// path the crawler's frontier flush rides on. Returns their rids.
+    /// A schema violation in any row is the error reported; otherwise
+    /// the first row with an over-long key or an oversized record is
+    /// refused. Either way nothing is written.
     pub fn insert_many<'c>(
         &'c mut self,
         pool: &'c BufferPool,
@@ -428,7 +458,10 @@ impl Catalog {
         rows: &mut [Row],
     ) -> DbResult<&'c [Rid]> {
         let mut batch = self.batch(pool, tid);
-        for row in rows {
+        for row in rows.iter_mut() {
+            batch.t.schema.check_row(row)?;
+        }
+        for row in rows.iter() {
             batch.insert(row)?;
         }
         batch.write()
@@ -444,16 +477,20 @@ impl Catalog {
     /// those rows to decide the update, so taking them here instead of
     /// re-fetching halves the heap traffic of the batch. A schema
     /// violation, oversized row or over-long key anywhere in the batch
-    /// mutates nothing.
+    /// mutates nothing; which is reported follows
+    /// [`Catalog::insert_many`].
     pub fn update_many<'c>(
         &'c mut self,
         pool: &'c BufferPool,
         tid: TableId,
-        updates: Vec<(Rid, Row, Row)>,
+        mut updates: Vec<(Rid, Row, Row)>,
     ) -> DbResult<&'c [Rid]> {
         let mut batch = self.batch(pool, tid);
-        for (rid, old_row, mut new_row) in updates {
-            batch.update(rid, &old_row, &mut new_row)?;
+        for (_, _, new_row) in &mut updates {
+            batch.t.schema.check_row(new_row)?;
+        }
+        for (rid, old_row, new_row) in &updates {
+            batch.update(*rid, old_row, new_row)?;
         }
         batch.write()
     }
@@ -926,6 +963,100 @@ mod tests {
             contents(&pool, &cat, tid)
         };
         assert_eq!(build(true), build(false));
+    }
+
+    #[test]
+    fn a_refused_row_is_left_unstaged() {
+        // A caller that goes on after a refusal writes the rows staged
+        // around the refused one, and nothing of it.
+        let row = |oid: i64, url: &str, body: &str| {
+            vec![
+                Value::Int(oid),
+                Value::Str(url.into()),
+                Value::Str(body.into()),
+            ]
+        };
+        let build = |refused: bool| {
+            let pool = BufferPool::new(DiskManager::in_memory(), 32, EvictionPolicy::Lru);
+            let mut cat = Catalog::new();
+            let cols = [
+                ("oid", ColumnType::Int),
+                ("url", ColumnType::Str),
+                ("body", ColumnType::Str),
+            ];
+            let tid = cat.create_table(&pool, "page", Schema::new(cols)).unwrap();
+            cat.create_index(&pool, "byoid", "page", &["oid"]).unwrap();
+            cat.create_index(&pool, "byurl", "page", &["url"]).unwrap();
+            let rid = cat.insert_row(&pool, tid, row(1, "a", "")).unwrap();
+            let mut batch = cat.batch(&pool, tid);
+            if refused {
+                // Refused at the second index, after the first took its
+                // key; and refused for its record, after both did.
+                let long_key = row(2, &"\0".repeat(2100), "");
+                let huge = row(2, "b", &"x".repeat(crate::page::PAGE_SIZE));
+                for (r, key) in [(long_key, true), (huge, false)] {
+                    let refusal = |res: DbResult<bool>| match res {
+                        Err(DbError::KeyTooLarge(_)) => key,
+                        Err(DbError::RecordTooLarge(_)) => !key,
+                        _ => false,
+                    };
+                    let res = batch.insert_with(|fill| {
+                        fill.clone_from(&r);
+                        Ok(true)
+                    });
+                    assert!(refusal(res));
+                    let res = batch.update_with(rid, |new| {
+                        new.clone_from(&r);
+                        Ok(true)
+                    });
+                    assert!(refusal(res));
+                }
+            }
+            let res = batch.insert_with(|fill| {
+                *fill = row(3, "c", "three");
+                Ok(true)
+            });
+            res.unwrap();
+            let res = batch.update_with(rid, |new| {
+                new[1] = Value::Str("a2".into());
+                Ok(true)
+            });
+            res.unwrap();
+            batch.write().unwrap();
+            cat.check_integrity(&pool).unwrap();
+            contents(&pool, &cat, tid)
+        };
+        assert_eq!(build(true), build(false));
+    }
+
+    #[test]
+    fn a_schema_violation_anywhere_is_what_a_batch_reports() {
+        // Every row's schema is checked before any key or record size:
+        // the over-long key ahead of the bad row is not what is reported.
+        let (pool, mut cat, tid) = setup();
+        cat.create_index(&pool, "byurl", "crawl", &["url"]).unwrap();
+        let row = |oid: i64| {
+            vec![
+                Value::Int(oid),
+                Value::Str(oid.to_string()),
+                Value::Float(0.0),
+            ]
+        };
+        let bad = vec![
+            Value::Str("1".into()),
+            Value::Str("u".into()),
+            Value::Float(0.0),
+        ];
+        let res = cat.insert_many(&pool, tid, vec![long_key_row(1), bad.clone()]);
+        assert!(matches!(res, Err(DbError::Schema(_))), "{res:?}");
+        let rids = cat
+            .insert_many(&pool, tid, vec![row(2), row(3)])
+            .unwrap()
+            .to_vec();
+        let updates = vec![(rids[0], row(2), long_key_row(2)), (rids[1], row(3), bad)];
+        let res = cat.update_many(&pool, tid, updates);
+        assert!(matches!(res, Err(DbError::Schema(_))), "{res:?}");
+        assert_eq!(agreement(&pool, &cat, tid), (2, 2, 2));
     }
 
     /// A legal 2.1 KB row whose text key escapes to 4.2 KB: more than

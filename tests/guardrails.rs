@@ -116,6 +116,10 @@ const FORBIDDEN: &[Forbidden] = &[
      &["fn upsert_frontier", "fn oid_lookup", "update_row("], CRAWLER, Mode::Code,
      "rows addressed by oid go through `frontier::rewrite`, which edits the rows it read in place \
      and stages them in one `RowBatch`"),
+    ("crawl_rows_are_rewritten_through_one_keyed_path",
+     &[".insert_many(", ".update_many("], FRONTIER, Mode::Code,
+     "`frontier.rs` writes rows through the `RowBatch` of the keyed rewrite and the range-pop \
+     claim, never through a hand-rolled catalog mutator"),
     ("one_link_graph_and_one_place_starts_a_pass",
      &["WeightedHits", "edges_from_links", "distill_locked", "links: Vec<(Oid, u32, Oid, u32)>",
        "relevance: FxHashMap<Oid"], CRAWLER, Mode::Whole,
@@ -125,7 +129,7 @@ const FORBIDDEN: &[Forbidden] = &[
      Mode::Code, "every way into a session is `CrawlSession::build(.., origin, shard)`"),
     ("one_loader_derives_memory_from_tables",
      &["Value::Int(sid_dst"], Scope("crates/crawler/src", "tables.rs", 10), Mode::Code,
-     "a `LINK` row is spelled out once, in `tables::link_row`"),
+     "a `LINK` row is spelled out once, in `tables::link_row_into`"),
     ("one_loader_derives_memory_from_tables",
      &["struct CheckpointPage", "CheckpointPage {",
        "\"select oid, url, kcid, numtries, relevance, serverload, lastvisited, "], CRAWLER,
@@ -178,7 +182,7 @@ const FORBIDDEN: &[Forbidden] = &[
     ("minirel_keeps_what_callers_outside_it_reach",
      &["fn first_at_or_after", "fn set_capacity", "fn copy_page", "fn table_names",
        "fn create_at_path", "fn remap", "fn durable_commit_lsn", "fn parse_script",
-       "fn current_timestamp"], MINIREL, Mode::Code,
+       "fn current_timestamp", "fn first_n_at_or_after"], MINIREL, Mode::Code,
      "nothing outside minirel's own tests called it, so it was deleted"),
     ("minirel_keeps_what_callers_outside_it_reach",
      &["fn merge_join_inner", "fn merge_join_left_outer", "fn scan_table", "fn scan_rows_pruned"],
@@ -222,7 +226,7 @@ const FORBIDDEN: &[Forbidden] = &[
        "Vec<Vec<Vec<u8>>>", "candidates: Vec<usize>"], MINIREL, Mode::Code, KEPT_ONLY),
     ("a_landing_allocates_only_what_it_keeps",
      &["fn with_relevance", "fn claimed_row", "Vec<(Vec<u8>, usize)>", ".first_n_at_or_after(",
-       "known.contains("], CRAWLER, Mode::Code, KEPT_ONLY),
+       "known.contains(", "fn frontier_row(", "fn link_row("], CRAWLER, Mode::Code, KEPT_ONLY),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -255,7 +259,7 @@ const COUNTED: &[Counted] = &[
      "store.rs sets relevance in the loader only: a checkpoint is tables, with no overlay"),
     ("one_loader_derives_memory_from_tables",
      "Value::Int(sid_dst", Scope("crates/crawler/src/tables.rs", "", 1), 1,
-     "a `LINK` row is spelled out once, in `tables::link_row`"),
+     "a `LINK` row is spelled out once, in `tables::link_row_into`"),
     ("crawl_rows_are_rewritten_through_one_keyed_path", ".lookup_many(", FRONTIER, 1,
      "`frontier.rs` probes `crawl_oid` in one place: the keyed rewrite"),
     ("crawl_rows_are_rewritten_through_one_keyed_path", ".insert_with(", FRONTIER, 1,
