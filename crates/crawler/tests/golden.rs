@@ -14,6 +14,10 @@
 //! a PR that states which behaviour it changes and why** — a digest
 //! that moved without such a statement is a bug in the PR, not in the
 //! test.
+//!
+//! The same rule holds for the exact buffer-pool counts of
+//! [`io_stats_of_a_seeded_in_memory_crawl_are_pinned`]: they move only in
+//! a PR that says which count moved, by how much, and why.
 
 mod support;
 
@@ -158,6 +162,49 @@ fn hard_focus_through_quarantine_recovery_and_stagnation() {
         CrawlEvent::FrontierStagnated { .. }
     )));
     assert_eq!(digest, HARD_DIGEST, "hard-focus golden stream drifted");
+}
+
+/// The in-memory twin of `durability::wal_stats_of_a_seeded_file_backed_crawl_are_pinned`:
+/// a seeded one-worker crawl on the inline executor repeats exactly, so
+/// the buffer pool's counts are pinned. Distilling every 150 pages, it
+/// runs five passes; each runs `delete from hubs` and `delete from auth`,
+/// and from the second on they delete the previous pass's rows, so the
+/// counts include SQL `DELETE`'s writes.
+#[test]
+fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
+    let graph = Arc::new(WebGraph::generate(WebConfig {
+        seed: 29,
+        pages_per_topic: 120,
+        ..WebConfig::default()
+    }));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 8);
+    let cfg = CrawlConfig {
+        policy: CrawlPolicy::SoftFocus,
+        threads: 1,
+        fetch_pool: 0,
+        max_fetches: 900,
+        distill_every: Some(150),
+        db_frames: 24,
+        ..CrawlConfig::default()
+    };
+    let session = Arc::new(
+        CrawlSession::new(
+            Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            trained_model(&graph, "recreation/cycling"),
+            cfg,
+        )
+        .unwrap(),
+    );
+    session.seed(&seeds).unwrap();
+    let stats = session.run().unwrap();
+    let io = session.with_db_read(|db| db.io_stats());
+    let counts = (stats.attempts, stats.successes, stats.distillations);
+    assert_eq!(counts, (900, 871, 5));
+    assert_eq!(
+        (io.logical_reads, io.physical_reads, io.physical_writes),
+        (36_987, 7_644, 4_931)
+    );
 }
 
 const SOFT_DIGEST: u64 = 11_481_721_691_773_225_275;
