@@ -203,7 +203,7 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
     assert_eq!(counts, (900, 871, 5));
     assert_eq!(
         (io.logical_reads, io.physical_reads, io.physical_writes),
-        (36_987, 7_644, 4_931)
+        (33_184, 7_644, 4_931)
     );
 }
 

@@ -5,9 +5,9 @@
 //! `sid_src <> sid_dst` nepotism predicate, the `relevance > ρ` filter
 //! against `CRAWL`, and the scalar-subquery normalization). The naive path
 //! replays the pre-relational plan against the same tables: sequential
-//! edge scan, per-edge index lookups, per-edge score updates — and is
-//! instrumented so the harness can report the paper's scan/lookup/update
-//! breakdown.
+//! edge scan, per-edge index lookups, per-edge score updates (each a
+//! `RowBatch` of one row) — and is instrumented so the harness can
+//! report the paper's scan/lookup/update breakdown.
 
 use focus_distiller::{DistillConfig, DistillResult, LinkEdge};
 use focus_types::hash::FxHashMap;
@@ -196,12 +196,12 @@ pub fn naive_iteration(db: &mut Database, cfg: &DistillConfig) -> DbResult<Naive
         match existing {
             Some((rid, h)) => {
                 let (pool, catalog) = db.parts_mut();
-                catalog.update_row(
-                    pool,
-                    hubs_tid,
-                    rid,
-                    vec![Value::Int(oid_src), Value::Float(h + a_score * wgt_rev)],
-                )?;
+                let mut batch = catalog.batch(pool, hubs_tid);
+                batch.update_with(rid, |row| {
+                    row[1] = Value::Float(h + a_score * wgt_rev);
+                    Ok(true)
+                })?;
+                batch.write()?;
             }
             None => {
                 db.insert(
@@ -247,12 +247,12 @@ pub fn naive_iteration(db: &mut Database, cfg: &DistillConfig) -> DbResult<Naive
         match lookup_score(db, "auth", oid_dst)? {
             Some((rid, a)) => {
                 let (pool, catalog) = db.parts_mut();
-                catalog.update_row(
-                    pool,
-                    auth_tid,
-                    rid,
-                    vec![Value::Int(oid_dst), Value::Float(a + h_score * wgt_fwd)],
-                )?;
+                let mut batch = catalog.batch(pool, auth_tid);
+                batch.update_with(rid, |row| {
+                    row[1] = Value::Float(a + h_score * wgt_fwd);
+                    Ok(true)
+                })?;
+                batch.write()?;
             }
             None => {
                 db.insert(

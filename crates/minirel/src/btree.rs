@@ -896,22 +896,6 @@ impl BTree {
         Ok(())
     }
 
-    /// Remove an exact `(key, rid)` entry; returns whether it existed.
-    /// Deletion stays lazy (no rebalancing), so no structural fallback
-    /// is ever needed.
-    pub fn delete(&mut self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<bool> {
-        let leaf = self.find_leaf(pool, key, rid)?;
-        let existed = pool.with_page_mut_if(leaf, |b| {
-            let r = unplace(b, key, rid);
-            let dirtied = matches!(r, Ok(true));
-            (r, dirtied)
-        })??;
-        if existed {
-            self.len -= 1;
-        }
-        Ok(existed)
-    }
-
     /// Descend to the leaf whose range contains `(key, rid)`: one
     /// binary search per node, read in place.
     fn find_leaf(&self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<PageId> {
@@ -1037,7 +1021,8 @@ impl BTree {
 
     /// Remove a sorted batch of exact `(key, rid)` entries in one
     /// ordered pass; returns how many existed and were removed.
-    /// Deletion stays lazy (no rebalancing), like [`BTree::delete`].
+    /// Deletion stays lazy (no rebalancing), so no structural fallback
+    /// is ever needed.
     pub fn delete_many(&mut self, pool: &BufferPool, entries: &Entries) -> DbResult<usize> {
         debug_assert!(
             (1..entries.len()).all(|i| entries.get(i - 1) <= entries.get(i)),
@@ -1286,6 +1271,12 @@ mod tests {
         batch.iter().map(|(k, r)| (k, *r)).collect()
     }
 
+    /// [`BTree::delete_many`] of the one entry `(key, rid)`: whether it
+    /// existed.
+    fn delete(bt: &mut BTree, bp: &BufferPool, key: &[u8], rid: Rid) -> DbResult<bool> {
+        Ok(bt.delete_many(bp, &to_entries(&[(key.to_vec(), rid)]))? == 1)
+    }
+
     #[test]
     fn insert_lookup_small() {
         let bp = pool(16);
@@ -1373,7 +1364,7 @@ mod tests {
         // Every duplicate must be individually deletable.
         for i in 0..3000u32 {
             assert!(
-                bt.delete(&bp, &key_i(7), rid(i)).unwrap(),
+                delete(&mut bt, &bp, &key_i(7), rid(i)).unwrap(),
                 "duplicate {i} unreachable"
             );
         }
@@ -1389,9 +1380,9 @@ mod tests {
             bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
         }
         for i in (0..200i64).step_by(2) {
-            assert!(bt.delete(&bp, &key_i(i), rid(i as u32)).unwrap());
+            assert!(delete(&mut bt, &bp, &key_i(i), rid(i as u32)).unwrap());
         }
-        assert!(!bt.delete(&bp, &key_i(0), rid(0)).unwrap());
+        assert!(!delete(&mut bt, &bp, &key_i(0), rid(0)).unwrap());
         assert_eq!(bt.len(), 100);
         for i in 0..200i64 {
             let hit = !bt.lookup(&bp, &key_i(i)).unwrap().is_empty();
@@ -1726,7 +1717,7 @@ mod tests {
         // Deletes free no contiguous space, only holes; longer keys then
         // fit only if the node compacts itself instead of splitting.
         for i in (0..n - 1).filter(|i| i % 4 != 0) {
-            assert!(bt.delete(&bp, &key_i(i), rid(i as u32)).unwrap());
+            assert!(delete(&mut bt, &bp, &key_i(i), rid(i as u32)).unwrap());
         }
         let long = |i: i64| encode_composite_key(&[Value::Int(i), Value::Str("x".repeat(40))]);
         for i in 0..n / 8 {
@@ -1774,10 +1765,8 @@ mod tests {
         ("insert", |bp, root| {
             BTree::from_parts(root, 9).insert(bp, &key_i(50), rid(1))
         }),
-        ("delete", |bp, root| {
-            BTree::from_parts(root, 9)
-                .delete(bp, &key_i(50), rid(1))
-                .map(drop)
+        ("delete_many of one", |bp, root| {
+            delete(&mut BTree::from_parts(root, 9), bp, &key_i(50), rid(1)).map(drop)
         }),
         ("insert_many", |bp, root| {
             let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];

@@ -1,16 +1,17 @@
 //! The catalog: tables, their schemas, heap files, and secondary indexes,
-//! plus the row-level mutation paths that keep indexes consistent.
+//! plus the one row-write path that keeps indexes consistent.
 //!
 //! The paper §3.1: *"Keeping all crawl tables and indices consistent by
 //! hand amounted to reinventing the wheel"* — this module is that wheel:
-//! every insert/delete/update maintains all of a table's B+tree indexes.
+//! every insert, update and delete is staged in a [`RowBatch`], which
+//! maintains all of a table's B+tree indexes.
 
 use crate::btree::{check_key, clear_to, BTree, Entries, Hits};
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::heap::{HeapFile, Rid};
 use crate::schema::Schema;
-use crate::value::{decode_row, decode_row_into, encode_row, encode_row_into, Row, Value};
+use crate::value::{decode_row, decode_row_into, encode_row_into, Row, Value};
 use std::mem::take;
 
 /// Dense table identifier.
@@ -42,15 +43,6 @@ impl IndexInfo {
             row[c].encode_key(key);
         }
     }
-
-    /// [`Self::key_of`], refusing a key no B+tree node can hold. Every
-    /// mutation path checks its keys *before* its first heap write, so
-    /// an over-long key leaves heap and indexes agreeing.
-    fn checked_key(&self, row: &[Value]) -> DbResult<Vec<u8>> {
-        let key = self.key_of(row);
-        check_key(&key)?;
-        Ok(key)
-    }
 }
 
 /// `keys` emptied, one batch for each of `indexes` indexes.
@@ -59,11 +51,6 @@ fn clear_entries(keys: &mut Vec<Entries>, indexes: usize) {
         keys.resize_with(indexes, Entries::default);
     }
     keys.iter_mut().for_each(|k| k.clear_to(KEPT_BYTES));
-}
-
-/// One checked key per index of `t`, in index order.
-fn checked_keys(t: &TableInfo, row: &[Value]) -> DbResult<Vec<Vec<u8>>> {
-    t.indexes.iter().map(|idx| idx.checked_key(row)).collect()
 }
 
 /// A table: schema + heap file + indexes.
@@ -160,6 +147,10 @@ struct Scratch {
     replaced: Vec<Rid>,
     /// Per index, each staged update's old key under its old rid.
     stale: Vec<Entries>,
+    /// The rid of each staged delete.
+    deleted: Vec<Rid>,
+    /// Per index, each staged delete's key under its rid.
+    gone: Vec<Entries>,
     /// The rids a batch wrote: its inserts', then its updates'.
     rids: Vec<Rid>,
     /// What [`RowBatch::lookup_many`] found.
@@ -179,19 +170,23 @@ impl Scratch {
         self.updates.clear(indexes);
         clear_to(&mut self.replaced, KEPT_BYTES);
         clear_entries(&mut self.stale, indexes);
+        clear_to(&mut self.deleted, KEPT_BYTES);
+        clear_entries(&mut self.gone, indexes);
         self.hits.clear_to(KEPT_BYTES);
     }
 }
 
-/// One batch of row writes to a table, from [`Catalog::batch`]. Rows
-/// are checked, keyed and encoded as they are staged, and nothing is
-/// written before [`RowBatch::write`]: a refused row is left unstaged,
-/// so a caller that passes its error on leaves heap and indexes
-/// untouched. The write appends the inserts to
-/// the heap, then maintains each index with one sorted
-/// [`BTree::insert_many`] pass; then it replaces the updated rows and
-/// maintains each index with one sorted `delete_many` of the stale keys
-/// and one `insert_many` of the new — instead of one descent per row.
+/// One batch of row writes to a table, from [`Catalog::batch`]: the one
+/// way a row is inserted, replaced or deleted. Rows are checked, keyed
+/// and encoded as they are staged, and nothing is written before
+/// [`RowBatch::write`]: a refused row is left unstaged, so a caller that
+/// passes its error on leaves heap and indexes untouched. The write
+/// appends the inserts to the heap, then maintains each index with one
+/// sorted [`BTree::insert_many`] pass; then it replaces the updated rows,
+/// removes the deleted ones, and maintains each index with one sorted
+/// [`BTree::delete_many`] of the stale keys (the updates' old keys and
+/// the deleted rows') and one `insert_many` of the updates' new keys —
+/// instead of one descent per row.
 pub struct RowBatch<'c> {
     pool: &'c BufferPool,
     t: &'c mut TableInfo,
@@ -229,6 +224,18 @@ impl<'c> RowBatch<'c> {
         }
         s.replaced.push(rid);
         Ok(())
+    }
+
+    /// Stage deleting `old`, the row stored at `rid`, which the caller
+    /// has read: its keys are taken from `old` (columns past the table's
+    /// are ignored), so the write reads no row again.
+    pub(crate) fn delete(&mut self, rid: Rid, old: &[Value]) {
+        let s = &mut *self.s;
+        for (idx, gone) in self.t.indexes.iter().zip(&mut s.gone) {
+            idx.key_into(old, &mut s.key);
+            gone.push(&s.key, rid);
+        }
+        s.deleted.push(rid);
     }
 
     /// Show `edit` the row stored at `rid`, decoded from its page into
@@ -274,9 +281,9 @@ impl<'c> RowBatch<'c> {
         res
     }
 
-    /// Write what was staged: the inserts, then the updates. Returns
-    /// the rids written, the inserts' then the updates' (an update's
-    /// rid changes when its row no longer fits its page).
+    /// Write what was staged: the inserts, then the updates and the
+    /// deletes. Returns the rids written, the inserts' then the updates'
+    /// (an update's rid changes when its row no longer fits its page).
     pub fn write(self) -> DbResult<&'c [Rid]> {
         let RowBatch { pool, t, s } = self;
         s.rids.clear();
@@ -293,9 +300,13 @@ impl<'c> RowBatch<'c> {
         for (&rid, rec) in s.replaced.iter().zip(upd.records()) {
             s.rids.push(t.heap.update(pool, rid, rec)?);
         }
+        for &rid in &s.deleted {
+            t.heap.delete(pool, rid)?;
+        }
         let moved = &s.rids[first..];
-        let indexes = t.indexes.iter_mut().zip(&mut upd.keys).zip(&mut s.stale);
-        for ((idx, fresh), stale) in indexes {
+        let indexes =
+            (t.indexes.iter_mut().zip(&mut upd.keys)).zip(s.stale.iter_mut().zip(&s.gone));
+        for ((idx, fresh), (stale, gone)) in indexes {
             (0..fresh.len()).for_each(|i| fresh.set_rid(i, moved[i]));
             // Keep the pairs the update moved: a new key, or a new rid.
             let mut kept = 0;
@@ -308,6 +319,7 @@ impl<'c> RowBatch<'c> {
             }
             fresh.truncate(kept);
             stale.truncate(kept);
+            gone.iter().for_each(|(key, rid)| stale.push(key, rid));
             stale.sort();
             fresh.sort();
             idx.btree.delete_many(pool, stale)?;
@@ -412,19 +424,20 @@ impl Catalog {
             cols: col_idx,
             btree: BTree::create(pool)?,
         };
-        // Backfill: materialize (key, rid) then insert (cannot hold pool
-        // borrow across the scan). An existing row whose key is too long
-        // refuses the index before anything is inserted.
-        let mut entries: Vec<DbResult<(Vec<u8>, Rid)>> = Vec::new();
-        self.tables[tid].heap.scan(pool, |rid, bytes| {
-            if let Ok(row) = decode_row(bytes) {
-                entries.push(info.checked_key(&row).map(|k| (k, rid)));
-            }
+        // Backfill: every row's key, sorted, in one `insert_many`. A
+        // record that does not decode to a row of the schema, or a row
+        // whose key is too long, refuses the index before anything is
+        // inserted.
+        let (mut entries, mut row, mut key) = (Entries::default(), Row::new(), Vec::new());
+        t.heap.scan(pool, |rid, bytes| {
+            decode_row_into(bytes, None, &mut row)?;
+            t.schema.check_row(&mut row)?;
+            info.key_into(&row, &mut key);
+            entries.push(&key, rid);
             Ok(())
         })?;
-        for (k, rid) in entries.into_iter().collect::<DbResult<Vec<_>>>()? {
-            info.btree.insert(pool, &k, rid)?;
-        }
+        entries.sort();
+        info.btree.insert_many(pool, &entries)?;
         self.tables[tid].indexes.push(info);
         Ok(())
     }
@@ -499,40 +512,6 @@ impl Catalog {
     pub fn get_row(&self, pool: &BufferPool, tid: TableId, rid: Rid) -> DbResult<Row> {
         let bytes = self.tables[tid].heap.get(pool, rid)?;
         decode_row(&bytes)
-    }
-
-    /// Delete the row at `rid`, removing its index entries.
-    pub fn delete_row(&mut self, pool: &BufferPool, tid: TableId, rid: Rid) -> DbResult<()> {
-        let row = self.get_row(pool, tid, rid)?;
-        let t = &mut self.tables[tid];
-        for idx in &mut t.indexes {
-            let key = idx.key_of(&row);
-            idx.btree.delete(pool, &key, rid)?;
-        }
-        t.heap.delete(pool, rid)
-    }
-
-    /// Replace the row at `rid`; returns the row's (possibly new) rid.
-    pub fn update_row(
-        &mut self,
-        pool: &BufferPool,
-        tid: TableId,
-        rid: Rid,
-        mut new_row: Row,
-    ) -> DbResult<Rid> {
-        let old_row = self.get_row(pool, tid, rid)?;
-        let t = &mut self.tables[tid];
-        t.schema.check_row(&mut new_row)?;
-        let new_keys = checked_keys(t, &new_row)?;
-        let new_rid = t.heap.update(pool, rid, &encode_row(&new_row))?;
-        for (idx, new_key) in t.indexes.iter_mut().zip(&new_keys) {
-            let old_key = idx.key_of(&old_row);
-            if old_key != *new_key || new_rid != rid {
-                idx.btree.delete(pool, &old_key, rid)?;
-                idx.btree.insert(pool, new_key, new_rid)?;
-            }
-        }
-        Ok(new_rid)
     }
 
     /// Materialize every row of a table. With `keep`, only the marked
@@ -713,6 +692,21 @@ mod tests {
     }
 
     #[test]
+    fn a_record_that_does_not_decode_refuses_the_index() {
+        let (pool, mut cat, tid) = setup();
+        let row = vec![Value::Int(1), Value::Str("u".into()), Value::Float(0.5)];
+        cat.insert_row(&pool, tid, row).unwrap();
+        // A row count that runs past the record's end.
+        cat.tables[tid]
+            .heap
+            .insert(&pool, &[0xff, 0xff, 1])
+            .unwrap();
+        let res = cat.create_index(&pool, "byoid", "crawl", &["oid"]);
+        assert!(matches!(res, Err(DbError::Page(_))), "{res:?}");
+        assert!(cat.table(tid).indexes.is_empty());
+    }
+
+    #[test]
     fn delete_maintains_indexes() {
         let (pool, mut cat, tid) = setup();
         cat.create_index(&pool, "byoid", "crawl", &["oid"]).unwrap();
@@ -723,7 +717,10 @@ mod tests {
                 vec![Value::Int(5), Value::Str("u5".into()), Value::Float(0.1)],
             )
             .unwrap();
-        cat.delete_row(&pool, tid, rid).unwrap();
+        let old = cat.get_row(&pool, tid, rid).unwrap();
+        let mut batch = cat.batch(&pool, tid);
+        batch.delete(rid, &old);
+        batch.write().unwrap();
         let key = encode_composite_key(&[Value::Int(5)]);
         assert!(cat.table(tid).indexes[0]
             .btree
@@ -745,14 +742,13 @@ mod tests {
                 vec![Value::Int(1), Value::Str("u".into()), Value::Float(0.2)],
             )
             .unwrap();
-        let new_rid = cat
-            .update_row(
-                &pool,
-                tid,
-                rid,
-                vec![Value::Int(1), Value::Str("u".into()), Value::Float(0.9)],
-            )
-            .unwrap();
+        let mut batch = cat.batch(&pool, tid);
+        let res = batch.update_with(rid, |row| {
+            *row = vec![Value::Int(1), Value::Str("u".into()), Value::Float(0.9)];
+            Ok(true)
+        });
+        res.unwrap();
+        let new_rid = batch.write().unwrap()[0];
         let old_key = encode_composite_key(&[Value::Float(0.2)]);
         let new_key = encode_composite_key(&[Value::Float(0.9)]);
         assert!(cat.table(tid).indexes[0]
@@ -1106,7 +1102,10 @@ mod tests {
             Err(DbError::KeyTooLarge(_))
         ));
         // An update to an over-long key leaves the old row and entry.
-        let res = cat.update_row(&pool, tid, rid, long_key_row(9));
+        let res = cat.batch(&pool, tid).update_with(rid, |row| {
+            *row = long_key_row(9);
+            Ok(true)
+        });
         assert!(matches!(res, Err(DbError::KeyTooLarge(_))));
         assert_eq!(cat.get_row(&pool, tid, rid).unwrap(), row(&fits));
         assert_eq!(agreement(&pool, &cat, tid), (1, 1, 1));

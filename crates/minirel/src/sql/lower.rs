@@ -6,9 +6,10 @@
 //! [`crate::sql::plan`]) that can be cached and re-executed with
 //! different parameter bindings, plus — for DML — the write step its
 //! rows feed. [`execute_plan`] runs the tree through shared borrows;
-//! [`execute_write`] then applies a DML plan's rows through
-//! `Catalog::{insert_many, update_many, delete_row}`, the only place SQL
-//! reaches them. EXPLAIN renders the same tree.
+//! [`execute_write`] then applies a DML plan's rows as one
+//! [`crate::RowBatch`] (through `Catalog::{insert_many, update_many}`
+//! for inserts and updates), the only place SQL writes rows. EXPLAIN
+//! renders the same tree.
 //!
 //! **Execution contract.** Plans keep parameters (`?`), `current
 //! timestamp`, and subquery results symbolic. [`execute_plan`]
@@ -239,10 +240,12 @@ pub fn execute_plan(
 }
 
 /// The write step of a DML plan: apply the rows its read phase produced
-/// (all of them, so the statement has read everything it will read) and
-/// return the affected count. Inserts and updates go through the batch
-/// catalog paths, which validate and encode every row before the first
-/// heap write — a rejected statement changes nothing.
+/// (all of them, so the statement has read everything it will read) as
+/// one [`crate::RowBatch`], and return the affected count. The batch
+/// validates and encodes every row before the first heap write, so a
+/// rejected statement changes nothing. A delete stages each row the read
+/// phase kept whole, with its rid: the write reads no row again and
+/// passes over each index once.
 pub fn execute_write(
     pool: &BufferPool,
     catalog: &mut Catalog,
@@ -278,9 +281,11 @@ pub fn execute_write(
             catalog.update_many(pool, *tid, updates)?;
         }
         Write::Delete { .. } => {
+            let mut batch = catalog.batch(pool, *tid);
             for row in &rows {
-                catalog.delete_row(pool, *tid, value_rid(&row[arity]))?;
+                batch.delete(value_rid(&row[arity]), row);
             }
+            batch.write()?;
         }
     }
     Ok(affected)

@@ -178,7 +178,7 @@ proptest! {
                 }
                 &Op::Delete(k, r) => {
                     let (key, rid) = (model_key(k, 0), model_rid(r));
-                    let in_tree = bt.delete(&bp, &key, rid).unwrap();
+                    let in_tree = bt.delete_many(&bp, &entries(&[(key.clone(), rid)])).unwrap() == 1;
                     prop_assert_eq!(in_tree, model.remove(&(key, rid)).is_some());
                 }
                 Op::InsertMany(pairs) => {

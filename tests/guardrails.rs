@@ -56,6 +56,8 @@ const DB: Scope = Scope("crates/minirel/src/db.rs", "", 1);
 const PLAN: Scope = Scope("crates/minirel/src/sql/plan.rs", "", 1);
 
 const POLICY: Scope = Scope("crates/crawler/src/policy.rs", "", 1);
+const CATALOG: Scope = Scope("crates/minirel/src/catalog.rs", "", 1);
+const BTREE: Scope = Scope("crates/minirel/src/btree.rs", "", 1);
 
 const ONE_PROTOCOL: &str = "every session is a shard of an exchange, and the exchange keeps \
      every entry it is handed";
@@ -85,6 +87,11 @@ const PUSHED_ROWS: &str = "a SELECT pushes each row from its access path to its 
 const KEPT_ONLY: &str = "a claim and a landing allocate only what their callers keep: a batch is \
      read in place, keyed and encoded into buffers the catalog keeps, and a stored row is edited \
      in place";
+
+const ONE_WRITE_PATH: &str = "every row change is staged in a `RowBatch` (`Catalog::batch`), \
+     which checks every row before the first write and passes over each index once: SQL \
+     `DELETE`, Fig 8d's naive pass and index backfill write through it, and no per-row path \
+     keeps its own key checks and index upkeep";
 
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
@@ -227,6 +234,13 @@ const FORBIDDEN: &[Forbidden] = &[
     ("a_landing_allocates_only_what_it_keeps",
      &["fn with_relevance", "fn claimed_row", "Vec<(Vec<u8>, usize)>", ".first_n_at_or_after(",
        "known.contains(", "fn frontier_row(", "fn link_row("], CRAWLER, Mode::Code, KEPT_ONLY),
+    ("a_row_is_written_through_one_batch",
+     &["fn delete_row", "fn update_row", "fn checked_keys", "fn checked_key"], MINIREL, Mode::Code,
+     ONE_WRITE_PATH),
+    ("a_row_is_written_through_one_batch",
+     &["pub fn delete("], BTREE, Mode::Code,
+     "a B+tree entry is removed by `delete_many`, the sorted pass a `RowBatch` makes over each \
+     index; the per-entry descent had no caller outside tests"),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -281,6 +295,12 @@ const COUNTED: &[Counted] = &[
     ("the_suites_check_invariants_through_the_checkers", "fn trained_model", SUITES, 1,
      "the suites share one `trained_model`, in crates/crawler/tests/support/mod.rs"),
     ("access_paths_are_chosen_once_at_execution", "admit(", MINIREL, 1, ONE_ADMISSION),
+    ("a_row_is_written_through_one_batch", ".heap.insert_many(", CATALOG, 1,
+     "a table's heap gains rows in one place: `RowBatch::write`"),
+    ("a_row_is_written_through_one_batch", ".heap.update(", CATALOG, 1,
+     "a table's heap replaces rows in one place: `RowBatch::write`"),
+    ("a_row_is_written_through_one_batch", ".heap.delete(", CATALOG, 1,
+     "a table's heap loses rows in one place: `RowBatch::write`"),
 ];
 
 impl Scope {
@@ -644,6 +664,7 @@ checks! {
     one_run_handle: ;
     the_crawler_carries_no_dead_fork: ;
     a_landing_allocates_only_what_it_keeps: ;
+    a_row_is_written_through_one_batch: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
