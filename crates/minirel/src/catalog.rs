@@ -183,7 +183,8 @@ impl Scratch {
 /// passes its error on leaves heap and indexes untouched. The write
 /// appends the inserts to the heap, then maintains each index with one
 /// sorted [`BTree::insert_many`] pass; then it replaces the updated rows,
-/// removes the deleted ones, and maintains each index with one sorted
+/// removes the deleted ones (one page visit per heap page they share),
+/// and maintains each index with one sorted
 /// [`BTree::delete_many`] of the stale keys (the updates' old keys and
 /// the deleted rows') and one `insert_many` of the updates' new keys —
 /// instead of one descent per row.
@@ -300,9 +301,8 @@ impl<'c> RowBatch<'c> {
         for (&rid, rec) in s.replaced.iter().zip(upd.records()) {
             s.rids.push(t.heap.update(pool, rid, rec)?);
         }
-        for &rid in &s.deleted {
-            t.heap.delete(pool, rid)?;
-        }
+        s.deleted.sort_unstable();
+        t.heap.delete(pool, &s.deleted)?;
         let moved = &s.rids[first..];
         let indexes =
             (t.indexes.iter_mut().zip(&mut upd.keys)).zip(s.stale.iter_mut().zip(&s.gone));

@@ -176,12 +176,7 @@ impl HeapFile {
 
     /// Fetch the record at `rid`.
     pub fn get(&self, pool: &BufferPool, rid: Rid) -> DbResult<Vec<u8>> {
-        if self.page_index(rid.page).is_none() {
-            return Err(DbError::BadRid {
-                page: rid.page,
-                slot: rid.slot,
-            });
-        }
+        self.own(rid)?;
         pool.with_page(rid.page, |b| {
             SlottedRef(b).record(rid.slot).map(<[u8]>::to_vec)
         })?
@@ -203,22 +198,11 @@ impl HeapFile {
         rids: &[Rid],
         mut f: impl FnMut(Rid, &[u8]) -> DbResult<()>,
     ) -> DbResult<()> {
-        let mut i = 0usize;
-        while i < rids.len() {
-            let pid = rids[i].page;
-            if self.page_index(pid).is_none() {
-                return Err(DbError::BadRid {
-                    page: pid,
-                    slot: rids[i].slot,
-                });
-            }
-            let mut j = i;
-            while j < rids.len() && rids[j].page == pid {
-                j += 1;
-            }
-            pool.with_page(pid, |b| {
+        for run in rids.chunk_by(|a, b| a.page == b.page) {
+            self.own(run[0])?;
+            pool.with_page(run[0].page, |b| {
                 let s = SlottedRef(b);
-                rids[i..j].iter().try_for_each(|&r| {
+                run.iter().try_for_each(|&r| {
                     let rec = s.record(r.slot).ok_or(DbError::BadRid {
                         page: r.page,
                         slot: r.slot,
@@ -226,41 +210,53 @@ impl HeapFile {
                     f(r, rec)
                 })
             })??;
-            i = j;
         }
         Ok(())
     }
 
-    /// Delete the record at `rid`.
-    pub fn delete(&mut self, pool: &BufferPool, rid: Rid) -> DbResult<()> {
-        let idx = self.page_index(rid.page).ok_or(DbError::BadRid {
+    /// Where `rid`'s page sits in this file's page list; a page of
+    /// another file is a [`DbError::BadRid`].
+    fn own(&self, rid: Rid) -> DbResult<usize> {
+        self.page_index(rid.page).ok_or(DbError::BadRid {
             page: rid.page,
             slot: rid.slot,
-        })?;
-        let free = pool.with_page_mut(rid.page, |b| {
-            SlottedMut(b).delete(rid.slot)?;
-            Ok::<u16, DbError>(SlottedRef(b).free_space() as u16)
-        })??;
-        self.free_hints[idx] = free;
-        self.live_records -= 1;
+        })
+    }
+
+    /// Delete the records at `rids`, sorted by page: one page access
+    /// and one free-space hint update per run of same-page rids, as
+    /// [`HeapFile::get_each`] reads them. The first rid that names no
+    /// live record stops the deletes with [`DbError::BadRid`] or
+    /// [`DbError::Page`]; those before it stay deleted.
+    pub fn delete(&mut self, pool: &BufferPool, rids: &[Rid]) -> DbResult<()> {
+        for run in rids.chunk_by(|a, b| a.page == b.page) {
+            let idx = self.own(run[0])?;
+            let mut deleted = 0;
+            let (res, free) = pool.with_page_mut(run[0].page, |b| {
+                let res = run.iter().try_for_each(|r| {
+                    SlottedMut(b).delete(r.slot)?;
+                    deleted += 1;
+                    Ok::<(), DbError>(())
+                });
+                (res, SlottedRef(b).free_space() as u16)
+            })?;
+            self.free_hints[idx] = free;
+            self.live_records -= deleted;
+            res?;
+        }
         Ok(())
     }
 
     /// Update in place when possible; otherwise delete + reinsert.
     /// Returns the (possibly new) rid.
     pub fn update(&mut self, pool: &BufferPool, rid: Rid, rec: &[u8]) -> DbResult<Rid> {
-        if self.page_index(rid.page).is_none() {
-            return Err(DbError::BadRid {
-                page: rid.page,
-                slot: rid.slot,
-            });
-        }
+        self.own(rid)?;
         let fit =
             pool.with_page_mut(rid.page, |b| SlottedMut(b).update_in_place(rid.slot, rec))??;
         if fit {
             return Ok(rid);
         }
-        self.delete(pool, rid)?;
+        self.delete(pool, &[rid])?;
         self.insert(pool, rec)
     }
 
@@ -318,7 +314,7 @@ mod tests {
             rids.push(hf.insert(&bp, &i.to_le_bytes()).unwrap());
         }
         for rid in rids.iter().step_by(2) {
-            hf.delete(&bp, *rid).unwrap();
+            hf.delete(&bp, &[*rid]).unwrap();
         }
         let mut seen = Vec::new();
         hf.scan(&bp, |_, rec| {
@@ -397,9 +393,9 @@ mod tests {
         let bp = pool();
         let mut hf = HeapFile::create(&bp).unwrap();
         let rid = hf.insert(&bp, b"x").unwrap();
-        hf.delete(&bp, rid).unwrap();
+        hf.delete(&bp, &[rid]).unwrap();
         assert!(matches!(hf.get(&bp, rid), Err(DbError::BadRid { .. })));
-        assert!(hf.delete(&bp, rid).is_err());
+        assert!(hf.delete(&bp, &[rid]).is_err());
     }
 
     #[test]
