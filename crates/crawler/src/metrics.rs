@@ -8,6 +8,12 @@
 //! fixed-bucket log₂ histograms in atomics that only its worker adds to,
 //! so recording takes no lock and allocates nothing; a snapshot sums the
 //! slots on read.
+//!
+//! A stage that holds the store write lock is also charged the logical
+//! buffer-pool reads it made there ([`StageStats::reads`]): the claim,
+//! the landings, the commit point and both distillation guards. Operator
+//! queries take the read lock, so nothing else reads the pool inside
+//! those sections and the figure is exact at any worker count.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -98,6 +104,7 @@ fn bucket(ns: u64) -> usize {
 struct Cell {
     count: AtomicU64,
     total_ns: AtomicU64,
+    reads: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
 }
 
@@ -139,6 +146,7 @@ impl Metrics {
             for (cell, s) in slot.cells.iter().zip(&mut out.stages) {
                 s.count += cell.count.load(Relaxed);
                 s.total_ns += cell.total_ns.load(Relaxed);
+                s.reads += cell.reads.load(Relaxed);
                 for (b, n) in cell.buckets.iter().zip(&mut s.buckets) {
                     *n += b.load(Relaxed);
                 }
@@ -167,6 +175,12 @@ impl StageClock<'_> {
         cell.buckets[bucket(ns)].fetch_add(1, Relaxed);
     }
 
+    /// Charge `reads` logical buffer-pool reads to `stage`.
+    pub(crate) fn charge_reads(&self, stage: Stage, reads: u64) {
+        let cell = &self.slot.cells[stage as usize];
+        cell.reads.fetch_add(reads, Relaxed);
+    }
+
     /// The worker exits: add its wall time, the denominator of
     /// [`MetricsSnapshot::covered`].
     pub(crate) fn finish(&self) {
@@ -182,6 +196,8 @@ pub struct StageStats {
     pub count: u64,
     /// Their total duration.
     pub total_ns: u64,
+    /// Logical buffer-pool reads made under the store write lock.
+    pub reads: u64,
     /// Laps per [`BUCKETS`] bucket.
     pub buckets: [u64; BUCKETS],
 }
@@ -208,6 +224,7 @@ impl MetricsSnapshot {
         for (s, o) in self.stages.iter_mut().zip(&other.stages) {
             s.count += o.count;
             s.total_ns += o.total_ns;
+            s.reads += o.reads;
             for (n, m) in s.buckets.iter_mut().zip(&o.buckets) {
                 *n += m;
             }
@@ -225,10 +242,22 @@ impl MetricsSnapshot {
         self.stage(stage).total_ns as f64 / 1e3 / pages.max(1) as f64
     }
 
-    /// The stage line: µs per page of every stage that ran.
+    /// Logical reads of `stage` per page, over `pages` pages.
+    pub fn reads_per_page(&self, stage: Stage, pages: u64) -> f64 {
+        self.stage(stage).reads as f64 / pages.max(1) as f64
+    }
+
+    /// The stage line: µs per page of every stage that ran, and the
+    /// reads per page of those that read.
     pub fn line(&self, pages: u64) -> String {
         let ran = Stage::ALL.iter().filter(|&&s| self.stage(s).count > 0);
-        let each = ran.map(|&s| format!("{} {:.1}", s.name(), self.us_per_page(s, pages)));
+        let each = ran.map(|&s| {
+            let us = format!("{} {:.1}", s.name(), self.us_per_page(s, pages));
+            match self.stage(s).reads {
+                0 => us,
+                _ => format!("{us} ({:.2} reads)", self.reads_per_page(s, pages)),
+            }
+        });
         format!("µs/page: {}", each.collect::<Vec<_>>().join(", "))
     }
 }
@@ -245,6 +274,7 @@ mod tests {
             c.lap(Stage::Claim);
             std::thread::sleep(std::time::Duration::from_millis(2));
             c.lap(Stage::FetchWait);
+            c.charge_reads(Stage::Claim, 3);
             c.finish();
         }
         let s = m.read();
@@ -258,7 +288,9 @@ mod tests {
         let mut twice = s.clone();
         twice.merge(&s);
         assert_eq!(twice.stage(Stage::Claim).count, 4);
+        assert_eq!(twice.stage(Stage::Claim).reads, 12);
         assert!(twice.line(2).contains("fetch_wait"));
+        assert!(twice.line(2).contains("(6.00 reads)"), "{}", twice.line(2));
         assert!(!twice.line(2).contains("park"));
     }
 

@@ -591,8 +591,9 @@ impl CrawlSession {
     /// silently.
     ///
     /// The pass charges steps 1 and 2 to `clock`, a worker's stage clock
-    /// (the worker charges step 3 when the pass returns), or one over a
-    /// scratch slot where no worker runs it.
+    /// (the worker charges step 3's time when the pass returns; its reads
+    /// are charged here), or one over a scratch slot where no worker runs
+    /// it.
     pub(super) fn distill_pass(
         &self,
         forced: bool,
@@ -604,10 +605,14 @@ impl CrawlSession {
             if !forced && g.distill.running > 0 {
                 return Ok(());
             }
+            let reads = g.db.io_stats().logical_reads;
             g.distill.since = 0;
             g.distill.running += 1;
             g.distill.cut += 1;
-            (g.graph.snapshot(), g.distill.cut)
+            let snapshot = g.graph.snapshot();
+            let read = g.db.io_stats().logical_reads - reads;
+            clock.charge_reads(Stage::DistillGuard1, read);
+            (snapshot, g.distill.cut)
         };
         clock.lap(Stage::DistillGuard1);
         lockcheck::blocking(&rank::DISTILL_PASS);
@@ -615,6 +620,7 @@ impl CrawlSession {
             snapshot.distill(&self.cfg.distill, self.cfg.hub_boost_top_k);
         clock.lap(Stage::DistillKernel);
         let mut g = self.store.write();
+        let reads = g.db.io_stats().logical_reads;
         g.distill.running -= 1;
         if number <= g.distill.published {
             return Ok(());
@@ -658,6 +664,8 @@ impl CrawlSession {
             });
         }
         g.last_distill = Some(result);
+        let read = g.db.io_stats().logical_reads - reads;
+        clock.charge_reads(Stage::DistillGuard2, read);
         Ok(())
     }
 

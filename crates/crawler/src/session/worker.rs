@@ -143,7 +143,7 @@ impl CrawlSession {
             }
             let room = lane.exec.room(batch, workers);
             if room > 0 {
-                let tick = self.next_tick(sink, room);
+                let tick = self.next_tick(sink, room, &lane.clock);
                 lane.clock.lap(Stage::Claim);
                 match tick {
                     // Budget spent (or a fatal claim error): stop
@@ -314,12 +314,11 @@ impl CrawlSession {
         };
         let mut failed = false;
         while !lane.unlanded.is_empty() {
-            let mut landed = if block {
-                let mut g = self.store.write();
-                self.land_under(&mut g, lane, sink)
-            } else if let Some(mut g) = self.store.try_write() {
-                self.land_under(&mut g, lane, sink)
-            } else {
+            let guard = match block {
+                true => Some(self.store.write()),
+                false => self.store.try_write(),
+            };
+            let Some(mut g) = guard else {
                 // Busy, and this lane has a page to fetch meanwhile:
                 // the page just classified waits for a later guard.
                 if let Some(Unlanded::Page(page)) = lane.unlanded.back_mut() {
@@ -328,6 +327,11 @@ impl CrawlSession {
                 lane.clock.lap(stage);
                 break;
             };
+            let reads = g.db.io_stats().logical_reads;
+            let mut landed = self.land_under(&mut g, lane, sink);
+            lane.clock
+                .charge_reads(stage, g.db.io_stats().logical_reads - reads);
+            drop(g);
             lane.clock.lap(stage);
             if let Ok(true) = landed {
                 let pass = self.distill_pass(false, Some(sink), &mut lane.clock);
@@ -397,8 +401,11 @@ impl CrawlSession {
             return failed;
         }
         let mut g = self.store.write();
+        let reads = g.db.io_stats().logical_reads;
         let res = self.commit_state(&mut g);
+        let read = g.db.io_stats().logical_reads - reads;
         drop(g);
+        lane.clock.charge_reads(Stage::CommitPoint, read);
         lane.clock.lap(Stage::CommitPoint);
         res.map_err(|e| self.record_error(e)).is_err()
     }
@@ -483,8 +490,9 @@ impl CrawlSession {
     /// `attempts` is only ever advanced here, under the store *write*
     /// lock, so the budget check and the increment are atomic against
     /// every other claimer; a concurrent `add_budget` can only widen the
-    /// window between the check and the claim, never shrink it.
-    fn next_tick(&self, sink: &EventSink, batch_size: usize) -> Tick {
+    /// window between the check and the claim, never shrink it. The
+    /// claim's buffer-pool reads are charged to `clock`.
+    fn next_tick(&self, sink: &EventSink, batch_size: usize, clock: &StageClock<'_>) -> Tick {
         let budget_spent = || {
             let attempts = self.counters.attempts.load(Ordering::Acquire);
             let budget = self.counters.budget.load(Ordering::Acquire);
@@ -511,7 +519,10 @@ impl CrawlSession {
         let budget = self.counters.budget.load(Ordering::Acquire);
         let remaining = (budget - attempts) as usize;
         let want = batch_size.max(1).min(remaining);
-        match self.claim_admitted(&mut g, want) {
+        let reads = g.db.io_stats().logical_reads;
+        let claimed = self.claim_admitted(&mut g, want);
+        clock.charge_reads(Stage::Claim, g.db.io_stats().logical_reads - reads);
+        match claimed {
             Ok((claims, parked)) if claims.is_empty() => {
                 // Advance the clock on the empty poll so parked rows
                 // march toward their due ticks even when nothing is

@@ -908,16 +908,16 @@ fn wal_stats_of_a_seeded_file_backed_crawl_are_pinned() {
         .count() as u64;
     assert_eq!(stats.attempts, 900);
     assert_eq!(stats.successes, 871);
-    // ≈36.7 reads a landed page, ≈8.8 of them misses; `LANDING` and
+    // ≈36.2 reads a landed page, ≈7.9 of them misses; `LANDING` and
     // `CRAWL_STATE` share the 24 frames with the rest.
-    assert_eq!((io.logical_reads, io.physical_reads), (31_999, 7_696));
-    assert_eq!((wal.images, wal.deltas), (711, 4962));
+    assert_eq!((io.logical_reads, io.physical_reads), (31_520, 6_910));
+    assert_eq!((wal.images, wal.deltas), (698, 4789));
     // Every page the log was handed, at a commit or an eviction, is one
     // physical write of the pool.
     assert_eq!(io.physical_writes, wal.images + wal.deltas);
     assert_eq!(
         (commits, wal.writes),
-        (117, commits + 133),
+        (117, commits + 137),
         "one write per commit, plus the forced ones"
     );
     assert_eq!(

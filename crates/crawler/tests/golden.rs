@@ -16,11 +16,13 @@
 //! test.
 //!
 //! The same rule holds for the exact buffer-pool counts of
-//! [`io_stats_of_a_seeded_in_memory_crawl_are_pinned`]: they move only in
-//! a PR that says which count moved, by how much, and why.
+//! [`io_stats_of_a_seeded_in_memory_crawl_are_pinned`], its per-stage
+//! reads included: they move only in a PR that says which count moved,
+//! by how much, and why.
 
 mod support;
 
+use focus_crawler::metrics::Stage;
 use focus_crawler::session::{CrawlConfig, CrawlSession};
 use focus_crawler::{BackoffConfig, BreakerConfig, CrawlEvent, CrawlPolicy, StartOptions};
 use focus_webgraph::{ChaosFetcher, ChaosSchedule, FaultProfile, SimFetcher, WebConfig, WebGraph};
@@ -203,7 +205,22 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
     assert_eq!(counts, (900, 871, 5));
     assert_eq!(
         (io.logical_reads, io.physical_reads, io.physical_writes),
-        (31_926, 7_644, 4_931)
+        (31_455, 6_912, 4_754)
+    );
+    // Where the reads were made: the stage clock charges each section
+    // that holds the store write lock (the few left over are seeding's).
+    let stages = Stage::ALL
+        .iter()
+        .map(|&s| (s.name(), stats.metrics.stage(s).reads));
+    let stages: Vec<_> = stages.filter(|&(_, reads)| reads > 0).collect();
+    assert_eq!(
+        stages,
+        [
+            ("claim", 2_868),
+            ("land_blocking", 3_557),
+            ("land_try", 24_786),
+            ("distill_guard2", 180)
+        ]
     );
 }
 

@@ -44,9 +44,14 @@
 //! * A key may be at most [`MAX_KEY_LEN`] bytes, so that any node holds at
 //!   least four cells and a split always has entries for both halves.
 //!
-//! Deletion is lazy (no rebalancing/merging): pages may underflow but never
-//! violate ordering invariants. The workloads here delete far less than
-//! they insert, matching the paper's crawl tables.
+//! Deletion does not rebalance: a node may underflow, down to one entry.
+//! But a leaf a delete empties is unlinked — its parent drops it, and the
+//! leaf before it takes over its `next` — and a subtree left with no
+//! entries leaves its parent the same way, so **a leaf holds no entries
+//! only when the whole tree holds none**. The crawl frontier's index loses
+//! an entry at every claim and every `mark_done`, at its front: a range
+//! scan from there must not walk a trail of emptied leaves. Unlinked
+//! pages are not reused, as a dropped table's are not.
 
 use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
@@ -1020,9 +1025,11 @@ impl BTree {
     }
 
     /// Remove a sorted batch of exact `(key, rid)` entries in one
-    /// ordered pass; returns how many existed and were removed.
-    /// Deletion stays lazy (no rebalancing), so no structural fallback
-    /// is ever needed.
+    /// ordered pass; returns how many existed and were removed. Each
+    /// node on the batch's paths is visited once; a leaf the batch
+    /// empties, and a subtree it empties, is unlinked from its parent
+    /// and from the leaf chain (see the module docs), and a tree left
+    /// with no entries is one empty leaf at the same root page.
     pub fn delete_many(&mut self, pool: &BufferPool, entries: &Entries) -> DbResult<usize> {
         debug_assert!(
             (1..entries.len()).all(|i| entries.get(i - 1) <= entries.get(i)),
@@ -1032,9 +1039,17 @@ impl BTree {
             return Ok(0);
         }
         self.segs.clear();
-        let removed = delete_rec(pool, self.root, entries, 0, entries.len(), &mut self.segs)?;
-        self.len -= removed as u64;
-        Ok(removed)
+        let left = delete_rec(pool, self.root, entries, 0, entries.len(), &mut self.segs)?;
+        self.len -= left.removed as u64;
+        if left.empty {
+            // Nothing is left: the root becomes the tree's one leaf (a
+            // root that is a leaf already is).
+            pool.with_page_mut_if(self.root, |b| match Node::open(b) {
+                Ok(node) if !node.leaf => (write_node(b, true, INVALID_PAGE, &[]), true),
+                res => (res.map(drop), false),
+            })??;
+        }
+        Ok(left.removed)
     }
 
     /// All `(key, rid)` entries whose key starts with `prefix`.
@@ -1105,7 +1120,7 @@ impl BTree {
     /// the page, non-overlapping and summing to the header's `live`;
     /// every cell of a subtree within the separators around it; the
     /// leaf chain equal to the in-order traversal; `len` equal to the
-    /// entry count.
+    /// entry count; and no leaf empty unless the whole tree is.
     pub fn validate(&self, pool: &BufferPool) -> DbResult<()> {
         let mut walk = Walk::default();
         walk.node(pool, self.root, 0, None, None)?;
@@ -1123,10 +1138,35 @@ impl BTree {
                 self.len, walk.entries
             )));
         }
+        if let Some(pid) = walk.empty_leaf.filter(|_| walk.entries > 0) {
+            return Err(corrupt(format!(
+                "btree leaf {pid} is empty in a tree of {} entries",
+                walk.entries
+            )));
+        }
         Ok(())
     }
 }
 
+/// What a delete left of one subtree.
+struct Pruned {
+    /// Entries that existed and were removed.
+    removed: usize,
+    /// The subtree holds no entries: its parent unlinks it.
+    empty: bool,
+    /// The subtree's first leaf was unlinked: the leaf before the
+    /// subtree must chain to this page instead ([`INVALID_PAGE`] when
+    /// no leaf follows).
+    relink: Option<PageId>,
+}
+
+/// A served run's [`Segs`] slot, once its child's delete returned, holds
+/// `(child, relink, empty)`: [`Pruned::relink`] as a page id or
+/// `NO_RELINK`, and [`Pruned::empty`] as 0 or 1.
+const NO_RELINK: usize = usize::MAX;
+
+/// Remove the sorted `batch[lo..hi]` from the subtree at `pid`, and
+/// unlink the children it empties ([`unlink`]).
 fn delete_rec(
     pool: &BufferPool,
     pid: PageId,
@@ -1134,7 +1174,7 @@ fn delete_rec(
     lo: usize,
     hi: usize,
     segs: &mut Segs,
-) -> DbResult<usize> {
+) -> DbResult<Pruned> {
     let base = segs.len();
     if !partition(pool, pid, batch, lo, hi, segs)? {
         return pool.with_page_mut_if(pid, |b| {
@@ -1149,16 +1189,139 @@ fn delete_rec(
                     }
                 }
             }
-            (res.map(|()| removed), removed > 0)
+            let left = res.and_then(|()| Node::open(b)).map(|leaf| Pruned {
+                removed,
+                empty: leaf.n == 0,
+                relink: (leaf.n == 0).then(|| leaf.first()),
+            });
+            (left, removed > 0)
         })?;
     }
-    let mut removed = 0;
+    let (mut removed, mut emptied, mut relinked) = (0, false, false);
     for s in base..segs.len() {
         let (child, lo, hi) = segs[s];
-        removed += delete_rec(pool, child, batch, lo, hi, segs)?;
+        let left = delete_rec(pool, child, batch, lo, hi, segs)?;
+        removed += left.removed;
+        emptied |= left.empty;
+        relinked |= left.relink.is_some();
+        let relink = left.relink.map_or(NO_RELINK, |p| p as usize);
+        segs[s] = (child, relink, usize::from(left.empty));
+    }
+    let mut left = Pruned {
+        removed,
+        empty: false,
+        relink: None,
+    };
+    if emptied || relinked {
+        let relinks = pool.with_page_mut_if(pid, |b| {
+            let res = unlink(b, segs, base, &mut left);
+            (res, emptied && !left.empty)
+        })??;
+        for &(pred, next, _) in &segs[base..base + relinks] {
+            relink_last_leaf(pool, pred, next as PageId)?;
+        }
     }
     segs.truncate(base);
-    Ok(removed)
+    Ok(left)
+}
+
+/// Drop from the internal node `b` each child its delete emptied, given
+/// the outcomes of its runs in `segs[base..]` (child order, one per run
+/// the node partitioned), and set `left`'s [`Pruned::empty`] and
+/// [`Pruned::relink`]. A node whose every child was emptied is left as
+/// it was, for its parent to unlink. A dropped child takes the separator
+/// that leads to it along; when the leftmost child goes, the first one
+/// that stays becomes the leftmost and its separator goes. The leaf
+/// before a run of unlinked leaves takes over the last one's `next`: it
+/// is the leaf before this node, or the last leaf under the surviving
+/// child to the run's left. Returns how many of the latter it left in
+/// `segs[base..]` as `(child, next, _)`, for the caller to relink once
+/// this node's page is released.
+fn unlink(b: &mut [u8], segs: &mut Segs, base: usize, left: &mut Pruned) -> DbResult<usize> {
+    let mut old = [0u8; PAGE_SIZE];
+    old.copy_from_slice(b);
+    let node = Node::open(&old)?;
+    let (mut seg, mut kept, mut live, mut relinks) = (base, 0, node.live, 0);
+    let mut drop_cell = |i: usize| -> DbResult<()> {
+        live = (live.checked_sub(node.cell(i)?.size(false)))
+            .ok_or_else(|| corrupt("btree live-byte count below a cell's size"))?;
+        Ok(())
+    };
+    // A relink is written over a slot already read: each has a run of
+    // its own behind it.
+    let mut relink = |segs: &mut Segs, prev: Option<PageId>, next: PageId| match prev {
+        Some(pred) => {
+            segs[base + relinks] = (pred, next as usize, 0);
+            relinks += 1;
+        }
+        None => left.relink = Some(next),
+    };
+    // The first surviving child (the new leftmost), the last one so far,
+    // and where the leaf before the current run of dropped children must
+    // now chain to.
+    let (mut first, mut prev, mut run) = (None, None, None);
+    for k in 0..=node.n {
+        let child = node.child_at(k)?;
+        let (next, empty) = match segs.get(seg) {
+            Some(&(c, next, empty)) if c == child => {
+                seg += 1;
+                ((next != NO_RELINK).then_some(next as PageId), empty == 1)
+            }
+            _ => (None, false),
+        };
+        if empty {
+            // The run's leaves now end where this child's last one did.
+            run = next;
+            if k > 0 {
+                drop_cell(k - 1)?;
+            }
+            continue;
+        }
+        let after_run = run.take();
+        if let Some(next) = next.or(after_run) {
+            relink(segs, prev, next);
+        }
+        match first {
+            None if k > 0 => drop_cell(k - 1)?,
+            None => {}
+            Some(_) => {
+                set_u16(b, HDR + SLOT * kept, node.slot(k - 1));
+                kept += 1;
+            }
+        }
+        first = first.or(Some(child));
+        prev = Some(child);
+    }
+    if let Some(next) = run {
+        relink(segs, prev, next);
+    }
+    match first {
+        None => left.empty = true,
+        Some(first) => {
+            set_u16(b, 1, kept);
+            b[3..7].copy_from_slice(&first.to_le_bytes());
+            set_u16(b, 9, live);
+        }
+    }
+    Ok(relinks)
+}
+
+/// Chain the last leaf of the subtree at `pid` to `next`.
+fn relink_last_leaf(pool: &BufferPool, mut pid: PageId, next: PageId) -> DbResult<()> {
+    loop {
+        let child = pool.with_page_mut_if(pid, |b| match Node::open(b) {
+            Ok(node) if node.leaf => {
+                b[3..7].copy_from_slice(&next.to_le_bytes());
+                (Ok(None), true)
+            }
+            Ok(node) => (node.child_at(node.n).map(Some), false),
+            Err(e) => (Err(e), false),
+        })??;
+        match child {
+            Some(child) => pid = child,
+            None => return Ok(()),
+        }
+    }
 }
 
 /// State of one [`BTree::validate`] descent.
@@ -1168,6 +1331,8 @@ struct Walk {
     leaves: Vec<(PageId, PageId)>,
     entries: u64,
     leaf_depth: Option<usize>,
+    /// The first leaf found holding no entries.
+    empty_leaf: Option<PageId>,
 }
 
 impl Walk {
@@ -1214,6 +1379,9 @@ impl Walk {
             }
             self.leaves.push((pid, node.first()));
             self.entries += cells.len() as u64;
+            if cells.is_empty() {
+                self.empty_leaf.get_or_insert(pid);
+            }
             return Ok(());
         }
         for i in 0..=cells.len() {
@@ -1665,6 +1833,59 @@ mod tests {
             let hit = !bt.lookup(&bp, &key_i(i)).unwrap().is_empty();
             assert_eq!(hit, i % 2 == 1, "key {i}");
         }
+    }
+
+    /// The crawl frontier's claim, as `frontier::claim_batch_where` runs
+    /// it: pop the first eight entries of the frontier prefix with a
+    /// `scan_range` and a `delete_many`, move them behind the prefix (the
+    /// claimed rows' keys), and add eight lower-priority frontier keys.
+    /// Each pop empties the front of the tree a little more; the leaves
+    /// it empties are unlinked, so the scan starts at the live front.
+    #[test]
+    fn popping_the_front_of_a_range_reads_a_bounded_number_of_pages() {
+        let bp = pool(64);
+        let mut bt = BTree::create(&bp).unwrap();
+        let key =
+            |class: i64, prio: i64| encode_composite_key(&[Value::Int(class), Value::Int(prio)]);
+        let frontier = encode_composite_key(&[Value::Int(0)]);
+        let mut entries = Entries::default();
+        let mut add = |bt: &mut BTree, pairs: &mut dyn Iterator<Item = (Vec<u8>, Rid)>| {
+            entries.clear();
+            pairs.for_each(|(k, r)| entries.push(&k, r));
+            entries.sort();
+            bt.insert_many(&bp, &entries).unwrap();
+        };
+        add(&mut bt, &mut (0..2_000).map(|p| (key(0, p), rid(p as u32))));
+        let (mut next, mut most) = (2_000i64, 0);
+        for pop in 0..5_000 {
+            bp.reset_stats();
+            let popped = first_n(&bt, &bp, &frontier, 8).unwrap();
+            most = most.max(bp.stats().logical_reads);
+            assert_eq!(popped.len(), 8);
+            assert!(popped.iter().all(|(k, _)| k.starts_with(&frontier)));
+            assert_eq!(bt.delete_many(&bp, &to_entries(&popped)).unwrap(), 8);
+            let claimed = popped.iter().enumerate();
+            add(
+                &mut bt,
+                &mut claimed.map(|(i, (_, r))| (key(1, pop * 8 + i as i64), *r)),
+            );
+            add(
+                &mut bt,
+                &mut (next..next + 8).map(|p| (key(0, p), rid(p as u32))),
+            );
+            next += 8;
+            if pop % 1_000 == 999 {
+                bt.validate(&bp).unwrap();
+            }
+        }
+        let mut walk = Walk::default();
+        walk.node(&bp, bt.root, 0, None, None).unwrap();
+        let depth = walk.leaf_depth.unwrap() as u64 + 1;
+        assert!(
+            most <= depth + 2,
+            "a pop read {most} pages of a {depth}-level tree"
+        );
+        assert_eq!(bt.len(), 2_000 + 5_000 * 8);
     }
 
     #[test]

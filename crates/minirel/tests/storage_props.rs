@@ -137,6 +137,12 @@ enum Op {
     /// `(lo kind, lo key, hi kind, hi key)`; kinds as in [`bound`].
     Scan(u8, u32, u8, u32),
     FirstN(u32, usize),
+    /// Pop the first `n` entries at or after a key, as the crawl
+    /// frontier's claim does: a `scan_range`, then a `delete_many`.
+    PopFront(u32, usize),
+    /// Delete every entry in `[lo, hi]`, emptying the leaves between,
+    /// then (if asked) insert a few keys back into the emptied range.
+    DeleteRange(u32, u32, bool),
 }
 
 /// Wide enough that a few thousand entries of ~200-byte keys build a
@@ -157,6 +163,9 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         (0..3u8, 0..KEY_DOMAIN, 0..3u8, 0..KEY_DOMAIN)
             .prop_map(|(lk, lo, hk, hi)| Op::Scan(lk, lo, hk, hi)),
         (0..KEY_DOMAIN, 0..12usize).prop_map(|(k, n)| Op::FirstN(k, n)),
+        (0..KEY_DOMAIN, 1..40usize).prop_map(|(k, n)| Op::PopFront(k, n)),
+        (0..KEY_DOMAIN, 0..KEY_DOMAIN / 4, any::<bool>())
+            .prop_map(|(lo, width, refill)| Op::DeleteRange(lo, lo + width, refill)),
     ];
     proptest::collection::vec(op, 1..300)
 }
@@ -217,7 +226,44 @@ proptest! {
                     expect.truncate(n);
                     prop_assert_eq!(first_n(&bt, &bp, &key, n), expect);
                 }
+                &Op::PopFront(k, n) => {
+                    let key = model_key(k, 0);
+                    let mut expect = model_range(&model, Bound::Included(&key), Bound::Unbounded);
+                    expect.truncate(n);
+                    bp.reset_stats();
+                    let popped = first_n(&bt, &bp, &key, n);
+                    let scanned = bp.stats().logical_reads;
+                    prop_assert_eq!(&popped, &expect);
+                    // Every leaf past the first holds an entry, so the
+                    // scan reads the descent, its last leaf again (the
+                    // descent only learns it is a leaf), and at most one
+                    // leaf per entry; a lookup reads at least the descent.
+                    bp.reset_stats();
+                    bt.lookup(&bp, popped.first().map_or(&key, |(k, _)| k)).unwrap();
+                    let levels = bp.stats().logical_reads;
+                    prop_assert!(
+                        scanned <= levels + 1 + n as u64,
+                        "popping {} read {} pages, a descent {}", n, scanned, levels
+                    );
+                    prop_assert_eq!(bt.delete_many(&bp, &entries(&popped)).unwrap(), popped.len());
+                    popped.iter().for_each(|e| { model.remove(e); });
+                }
+                &Op::DeleteRange(lo, hi, refill) => {
+                    let (lo, hi) = (model_key(lo, 0), model_key(hi, 0));
+                    let range = (Bound::Included(&lo[..]), Bound::Included(&hi[..]));
+                    let doomed = model_range(&model, range.0, range.1);
+                    prop_assert_eq!(bt.delete_many(&bp, &entries(&doomed)).unwrap(), doomed.len());
+                    doomed.iter().for_each(|e| { model.remove(e); });
+                    prop_assert!(tree_range(&bt, &bp, range.0, range.1).is_empty());
+                    if refill {
+                        bt.validate(&bp).unwrap();
+                        let back: Vec<_> = doomed.into_iter().step_by(7).collect();
+                        bt.insert_many(&bp, &entries(&back)).unwrap();
+                        model.extend(back.into_iter().map(|e| (e, ())));
+                    }
+                }
             }
+            bt.validate(&bp).unwrap();
         }
         prop_assert_eq!(bt.len() as usize, model.len());
         bt.validate(&bp).unwrap();
