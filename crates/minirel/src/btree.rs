@@ -1212,7 +1212,8 @@ fn delete_rec(
         empty: false,
         relink: None,
     };
-    if emptied || relinked {
+    // An emptied child always asks for a relink.
+    if relinked {
         let relinks = pool.with_page_mut_if(pid, |b| {
             let res = unlink(b, segs, base, &mut left);
             (res, emptied && !left.empty)
@@ -1833,6 +1834,20 @@ mod tests {
             let hit = !bt.lookup(&bp, &key_i(i)).unwrap().is_empty();
             assert_eq!(hit, i % 2 == 1, "key {i}");
         }
+        // Deleting the rest leaves one empty leaf at the root page,
+        // which takes inserts again.
+        let root = bt.root();
+        let rest: Vec<(Vec<u8>, Rid)> = (1..2000i64)
+            .step_by(2)
+            .map(|i| (key_i(i), rid(i as u32)))
+            .collect();
+        assert_eq!(bt.delete_many(&bp, &to_entries(&rest)).unwrap(), 1000);
+        bt.validate(&bp).unwrap();
+        let leaf = bp.with_page(root, |b| Node::open(b).unwrap().leaf);
+        assert!(bt.root() == root && leaf.unwrap());
+        bt.insert(&bp, &key_i(5), rid(5)).unwrap();
+        bt.validate(&bp).unwrap();
+        assert_eq!(bt.lookup(&bp, &key_i(5)).unwrap(), vec![rid(5)]);
     }
 
     /// The crawl frontier's claim, as `frontier::claim_batch_where` runs
