@@ -207,6 +207,9 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
         (io.logical_reads, io.physical_reads, io.physical_writes),
         (31_455, 6_912, 4_754)
     );
+    // A change that only drops repeat visits of a page the pool holds
+    // leaves what the pool had to evict as it was.
+    assert_eq!(io.evictions, 7_225);
     // Where the reads were made: the stage clock charges each section
     // that holds the store write lock (the few left over are seeding's).
     let stages = Stage::ALL
