@@ -41,7 +41,6 @@ use crate::tables::{crawl_col, frontier_row_into, visited};
 use focus_types::Oid;
 use minirel::value::{int_key, Row};
 use minirel::{Database, DbError, DbResult, Value};
-use std::ops::Bound;
 
 /// A claimed unit of work.
 #[derive(Debug, Clone)]
@@ -288,18 +287,13 @@ pub fn claim_batch_where(
         rids.clear();
         let mut seen = 0;
         let frontier = &catalog.table(tid).indexes[idx].btree;
-        frontier.scan_range(
-            pool,
-            Bound::Included(&prefix),
-            Bound::Unbounded,
-            |key, rid| {
-                if key.starts_with(&prefix) {
-                    rids.push(rid);
-                }
-                seen += 1;
-                seen < want
-            },
-        )?;
+        frontier.scan_from(pool, &prefix, |key, rid| {
+            if key.starts_with(&prefix) {
+                rids.push(rid);
+            }
+            seen += 1;
+            seen < want
+        })?;
         let exhausted = rids.len() < want;
         let mut batch = catalog.batch(pool, tid);
         out.claims.clear();
@@ -619,9 +613,14 @@ mod tests {
         let rows = db.query("select * from crawl order by oid").unwrap().rows;
         let (pool, catalog) = db.parts();
         let t = catalog.table(db.table_id("crawl").unwrap());
-        let entries = (t.indexes.iter())
-            .flat_map(|idx| idx.btree.lookup_prefix(pool, &[]).unwrap())
-            .collect();
+        let mut entries = Vec::new();
+        for idx in &t.indexes {
+            let scan = idx.btree.scan_from(pool, &[], |k, rid| {
+                entries.push((k.to_vec(), rid));
+                true
+            });
+            scan.unwrap();
+        }
         (rows, entries)
     }
 

@@ -205,7 +205,7 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
     assert_eq!(counts, (900, 871, 5));
     assert_eq!(
         (io.logical_reads, io.physical_reads, io.physical_writes),
-        (31_455, 6_912, 4_754)
+        (25_323, 6_912, 4_754)
     );
     // A change that only drops repeat visits of a page the pool holds
     // leaves what the pool had to evict as it was.
@@ -219,10 +219,10 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
     assert_eq!(
         stages,
         [
-            ("claim", 2_868),
-            ("land_blocking", 3_557),
-            ("land_try", 24_786),
-            ("distill_guard2", 180)
+            ("claim", 2_518),
+            ("land_blocking", 2_843),
+            ("land_try", 19_746),
+            ("distill_guard2", 154)
         ]
     );
 }

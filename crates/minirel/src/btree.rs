@@ -5,7 +5,17 @@
 //! are unique, and `(key, rid)` is the one order every node uses: leaf
 //! entries sort by it, separators are `(key, rid)` pairs, and descent,
 //! point lookup, insert/delete position, batch partitioning and the start
-//! of a range scan are all the same binary search over a node's slots.
+//! of a scan are all the same binary search over a node's slots.
+//!
+//! The tree knows its **height**, the number of levels above the leaves
+//! (0 while the root is a leaf), and the catalog image carries it beside
+//! the root. A descent therefore knows the level of every node it reaches,
+//! and **each node is read once**: an internal node by the read that
+//! routes through it, a leaf by the visit that serves it — the insert, the
+//! delete, the lookup, or the scan's copy. A node that is not the kind its
+//! level says is [`DbError::Page`], so a wrong height is refused, never
+//! followed.
+//!
 //! Every node visit goes through the buffer pool, so index probes are
 //! charged to the physical-I/O counters; this is what makes the
 //! `SingleProbe` classifier path of Figure 8(a/b) honest: *"there is little
@@ -58,7 +68,6 @@ use crate::error::{DbError, DbResult};
 use crate::heap::Rid;
 use crate::page::{get_u16, put_u16, PageId, INVALID_PAGE, PAGE_SIZE};
 use std::cmp::Ordering;
-use std::ops::Bound;
 
 /// Node-type bytes. 0 and 1 tagged the packed layout of earlier store
 /// files, so such a page (like a zeroed one) is rejected, not misread.
@@ -80,12 +89,8 @@ pub const MAX_KEY_LEN: usize = (PAGE_SIZE - HDR) / 4 - (SLOT + 2 + RID_LEN + CHI
 /// the very next insert).
 const SPLIT_FILL: usize = (PAGE_SIZE * 2) / 3;
 
-/// Bounds of the rid half of the `(key, rid)` order.
+/// Low bound of the rid half of the `(key, rid)` order.
 const MIN_RID: Rid = Rid { page: 0, slot: 0 };
-const MAX_RID: Rid = Rid {
-    page: u32::MAX,
-    slot: u16::MAX,
-};
 
 fn corrupt(msg: impl Into<String>) -> DbError {
     DbError::Page(msg.into())
@@ -380,11 +385,13 @@ impl<'a> Node<'a> {
         })
     }
 
-    fn expect_leaf(self) -> DbResult<Node<'a>> {
-        if self.leaf {
-            Ok(self)
-        } else {
-            Err(corrupt("expected a btree leaf"))
+    /// This node, if it is a leaf (`leaf`) or an internal node (`!leaf`)
+    /// as its level says.
+    fn expect(self, leaf: bool) -> DbResult<Node<'a>> {
+        match (self.leaf, leaf) {
+            (true, false) => Err(corrupt("expected an internal btree node, found a leaf")),
+            (false, true) => Err(corrupt("expected a btree leaf, found an internal node")),
+            _ => Ok(self),
         }
     }
 
@@ -555,11 +562,12 @@ enum Placed {
     NoFit,
 }
 
-/// Insert `c` into the node `b` in place: one binary search, one cell
-/// write, one slot shift. Holes left by deletes are compacted away only
-/// when the contiguous free space is too small and they make up the rest.
-fn place(b: &mut [u8], c: &Cell<'_>) -> DbResult<Placed> {
-    let node = Node::open(b)?;
+/// Insert `c` into the node `b`, a leaf when `leaf`, in place: one
+/// binary search, one cell write, one slot shift. Holes left by deletes
+/// are compacted away only when the contiguous free space is too small
+/// and they make up the rest.
+fn place(b: &mut [u8], c: &Cell<'_>, leaf: bool) -> DbResult<Placed> {
+    let node = Node::open(b)?.expect(leaf)?;
     let (pos, exact) = node.search(c.key, c.rid)?;
     if exact {
         return Ok(Placed::Duplicate);
@@ -593,7 +601,7 @@ fn place(b: &mut [u8], c: &Cell<'_>) -> DbResult<Placed> {
 /// Remove `(key, rid)` from the leaf `b` by dropping its slot (the cell
 /// bytes stay behind as a hole); returns whether it existed.
 fn unplace(b: &mut [u8], key: &[u8], rid: Rid) -> DbResult<bool> {
-    let node = Node::open(b)?.expect_leaf()?;
+    let node = Node::open(b)?.expect(true)?;
     let (pos, exact) = node.search(key, rid)?;
     if !exact {
         return Ok(false);
@@ -662,13 +670,14 @@ fn repack(
     Ok(seps)
 }
 
-/// Add the sorted `batch[lo..hi]` to node `pid`: in place while they
-/// fit, then by repacking the node plus the remainder over new right
-/// siblings. Returns how many were not already present and the
-/// separators of any siblings.
+/// Add the sorted `batch[lo..hi]` to node `pid`, a leaf when `leaf`: in
+/// place while they fit, then by repacking the node plus the remainder
+/// over new right siblings. Returns how many were not already present
+/// and the separators of any siblings.
 fn add_cells<B: Batch + ?Sized>(
     pool: &BufferPool,
     pid: PageId,
+    leaf: bool,
     batch: &B,
     lo: usize,
     hi: usize,
@@ -679,7 +688,7 @@ fn add_cells<B: Batch + ?Sized>(
         let (mut added, mut done) = (0, lo);
         let mut res = Ok(());
         while done < hi {
-            match place(b, &batch.cell(done)) {
+            match place(b, &batch.cell(done), leaf) {
                 Ok(Placed::Inserted) => added += 1,
                 Ok(Placed::Duplicate) => {}
                 Ok(Placed::NoFit) => {
@@ -707,13 +716,12 @@ fn add_cells<B: Batch + ?Sized>(
     cells.sort_by(|a, b| a.cmp_to(b.key, b.rid));
     cells.dedup_by(|b, a| a.cmp_to(b.key, b.rid) == Ordering::Equal);
     added += cells.len() - before;
-    let seps = repack(pool, pid, node.leaf, node.first(), &cells)?;
+    let seps = repack(pool, pid, leaf, node.first(), &cells)?;
     Ok((added, seps))
 }
 
 /// Split the sorted `batch[lo..hi]` among the children of internal node
-/// `pid` ([`Node::partition`]), pushing the runs onto `segs`; `false`
-/// when `pid` is a leaf.
+/// `pid` ([`Node::partition`]), pushing the runs onto `segs`.
 fn partition<B: Batch + ?Sized>(
     pool: &BufferPool,
     pid: PageId,
@@ -721,13 +729,9 @@ fn partition<B: Batch + ?Sized>(
     lo: usize,
     hi: usize,
     segs: &mut Segs,
-) -> DbResult<bool> {
+) -> DbResult<()> {
     pool.with_page(pid, |b| {
-        let node = Node::open(b)?;
-        if node.leaf {
-            return Ok(false);
-        }
-        node.partition(batch, lo, hi, segs).map(|()| true)
+        (Node::open(b)?.expect(false)?).partition(batch, lo, hi, segs)
     })?
 }
 
@@ -793,16 +797,17 @@ fn serve_lookups<K: AsRef<[u8]>>(
 }
 
 /// Answer `keys[out.len()..end]`, the run of a batch that routes into
-/// the subtree at `pid`, reading each node once: an internal node
-/// partitions the run over its children, a leaf serves it and the leaves
-/// a spill continues into. A leaf a spill reads serves the keys after the
-/// spilled one that it holds, so a child whose run is answered is not
-/// visited; and `at`, where the last leaf visit left the batch, tells a
-/// key the descent routes back to the leaf it sorted past to go straight
-/// to the next one.
+/// the subtree at `pid`, `level` levels above the leaves, reading each
+/// node once: an internal node partitions the run over its children, a
+/// leaf serves it and the leaves a spill continues into. A leaf a spill
+/// reads serves the keys after the spilled one that it holds, so a child
+/// whose run is answered is not visited; and `at`, where the last leaf
+/// visit left the batch, tells a key the descent routes back to the leaf
+/// it sorted past to go straight to the next one.
 fn lookup_rec<K: AsRef<[u8]>>(
     pool: &BufferPool,
     pid: PageId,
+    level: u8,
     keys: &[K],
     end: usize,
     out: &mut Hits,
@@ -810,20 +815,19 @@ fn lookup_rec<K: AsRef<[u8]>>(
 ) -> DbResult<()> {
     match *at {
         Leaf::Past(leaf, next) if leaf == pid => *at = Leaf::Spill(next),
+        _ if level == 0 => {
+            *at = pool.with_page(pid, |b| {
+                let leaf = Node::open(b)?.expect(true)?;
+                serve_lookups(leaf, pid, keys, end, end, out)
+            })??;
+        }
         _ => {
             let base = out.segs.len();
-            pool.with_page(pid, |b| {
-                let node = Node::open(b)?;
-                if !node.leaf {
-                    return node.partition(keys, out.len(), end, &mut out.segs);
-                }
-                *at = serve_lookups(node, pid, keys, end, end, out)?;
-                Ok(())
-            })??;
+            partition(pool, pid, keys, out.len(), end, &mut out.segs)?;
             for s in base..out.segs.len() {
                 let (child, _, hi) = out.segs[s];
                 if out.len() < hi {
-                    lookup_rec(pool, child, keys, hi, out, at)?;
+                    lookup_rec(pool, child, level - 1, keys, hi, out, at)?;
                 }
             }
             out.segs.truncate(base);
@@ -833,7 +837,7 @@ fn lookup_rec<K: AsRef<[u8]>>(
     while let Leaf::Spill(next) = *at {
         let routed = out.len() + 1;
         *at = pool.with_page(next, |b| {
-            let leaf = Node::open(b)?.expect_leaf()?;
+            let leaf = Node::open(b)?.expect(true)?;
             serve_lookups(leaf, next, keys, keys.len(), routed, out)
         })??;
     }
@@ -845,6 +849,8 @@ fn lookup_rec<K: AsRef<[u8]>>(
 pub struct BTree {
     root: PageId,
     len: u64,
+    /// Levels above the leaves: 0 while the root is a leaf.
+    height: u8,
     /// The batch writes' descent stack, kept from batch to batch.
     segs: Segs,
 }
@@ -854,7 +860,7 @@ impl BTree {
     pub fn create(pool: &BufferPool) -> DbResult<BTree> {
         let root = pool.allocate()?;
         pool.with_page_mut(root, |b| write_node(b, true, INVALID_PAGE, &[]))??;
-        Ok(BTree::from_parts(root, 0))
+        Ok(BTree::from_parts(root, 0, 0))
     }
 
     /// Number of `(key, rid)` entries. (No `is_empty`: nothing asks.)
@@ -868,12 +874,18 @@ impl BTree {
         self.root
     }
 
+    /// Levels above the leaves (persisted in the WAL catalog image).
+    pub(crate) fn height(&self) -> u8 {
+        self.height
+    }
+
     /// Rebuild from a catalog image decoded at recovery; the node pages
     /// themselves are recovered through the data file / WAL replay.
-    pub(crate) fn from_parts(root: PageId, len: u64) -> BTree {
+    pub(crate) fn from_parts(root: PageId, len: u64, height: u8) -> BTree {
         BTree {
             root,
             len,
+            height,
             segs: Segs::new(),
         }
     }
@@ -882,42 +894,12 @@ impl BTree {
     /// longer than [`MAX_KEY_LEN`] is refused with
     /// [`DbError::KeyTooLarge`].
     ///
-    /// Fast path: descend, splice the cell into the leaf in place. Only
-    /// a full leaf takes the structural path, as a batch of one.
+    /// A batch of one ([`BTree::insert_many`]'s pass): each internal
+    /// node on the path is read once, and the leaf once, by the visit
+    /// that splices the cell in; only a full leaf splits.
     pub fn insert(&mut self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<()> {
         check_key(key)?;
-        let cell = Cell::entry(key, rid);
-        let leaf = self.find_leaf(pool, key, rid)?;
-        let placed = pool.with_page_mut_if(leaf, |b| {
-            let r = place(b, &cell);
-            let dirtied = matches!(r, Ok(Placed::Inserted));
-            (r, dirtied)
-        })??;
-        match placed {
-            Placed::Inserted => self.len += 1,
-            Placed::Duplicate => {}
-            Placed::NoFit => self.insert_batch(pool, &[cell][..], 1)?,
-        }
-        Ok(())
-    }
-
-    /// Descend to the leaf whose range contains `(key, rid)`: one
-    /// binary search per node, read in place.
-    fn find_leaf(&self, pool: &BufferPool, key: &[u8], rid: Rid) -> DbResult<PageId> {
-        let mut pid = self.root;
-        loop {
-            let next = pool.with_page(pid, |b| -> DbResult<Option<PageId>> {
-                let node = Node::open(b)?;
-                if node.leaf {
-                    return Ok(None);
-                }
-                Ok(Some(node.child_at(node.route(key, rid)?)?))
-            })??;
-            match next {
-                None => return Ok(pid),
-                Some(child) => pid = child,
-            }
-        }
+        self.insert_batch(pool, &[Cell::entry(key, rid)][..], 1)
     }
 
     /// All rids for each of `keys`, answered in one ordered pass into
@@ -943,7 +925,8 @@ impl BTree {
         );
         hits.clear();
         if !keys.is_empty() {
-            lookup_rec(pool, self.root, keys, keys.len(), hits, &mut Leaf::Done)?;
+            let (root, height, at) = (self.root, self.height, &mut Leaf::Done);
+            lookup_rec(pool, root, height, keys, keys.len(), hits, at)?;
         }
         Ok(())
     }
@@ -982,7 +965,7 @@ impl BTree {
             return Ok(());
         }
         self.segs.clear();
-        let mut pending = self.insert_rec(pool, self.root, batch, 0, n)?;
+        let mut pending = self.insert_rec(pool, self.root, self.height, batch, 0, n)?;
         // Root split(s): grow by one level per round until the new root
         // fits (a huge batch can hand back more separators than one
         // internal node holds).
@@ -990,30 +973,33 @@ impl BTree {
             let new_root = pool.allocate()?;
             pending = repack(pool, new_root, false, self.root, &sep_cells(&pending))?;
             self.root = new_root;
+            self.height += 1;
         }
         Ok(())
     }
 
-    /// Insert `batch[lo..hi]` under `pid`; returns the separators of the
-    /// siblings `pid` split off.
+    /// Insert `batch[lo..hi]` under `pid`, `level` levels above the
+    /// leaves; returns the separators of the siblings `pid` split off.
     fn insert_rec<B: Batch + ?Sized>(
         &mut self,
         pool: &BufferPool,
         pid: PageId,
+        level: u8,
         batch: &B,
         lo: usize,
         hi: usize,
     ) -> DbResult<Vec<Sep>> {
-        let base = self.segs.len();
-        if !partition(pool, pid, batch, lo, hi, &mut self.segs)? {
-            let (added, seps) = add_cells(pool, pid, batch, lo, hi)?;
+        if level == 0 {
+            let (added, seps) = add_cells(pool, pid, true, batch, lo, hi)?;
             self.len += added as u64;
             return Ok(seps);
         }
+        let base = self.segs.len();
+        partition(pool, pid, batch, lo, hi, &mut self.segs)?;
         let mut seps = Vec::new();
         for s in base..self.segs.len() {
             let (child, lo, hi) = self.segs[s];
-            seps.extend(self.insert_rec(pool, child, batch, lo, hi)?);
+            seps.extend(self.insert_rec(pool, child, level - 1, batch, lo, hi)?);
         }
         self.segs.truncate(base);
         if seps.is_empty() {
@@ -1021,7 +1007,7 @@ impl BTree {
         }
         // Children split: thread their separators into this node.
         let cells = sep_cells(&seps);
-        Ok(add_cells(pool, pid, &cells[..], 0, cells.len())?.1)
+        Ok(add_cells(pool, pid, false, &cells[..], 0, cells.len())?.1)
     }
 
     /// Remove a sorted batch of exact `(key, rid)` entries in one
@@ -1039,71 +1025,52 @@ impl BTree {
             return Ok(0);
         }
         self.segs.clear();
-        let left = delete_rec(pool, self.root, entries, 0, entries.len(), &mut self.segs)?;
+        let (root, height, n) = (self.root, self.height, entries.len());
+        let left = delete_rec(pool, root, height, entries, 0, n, &mut self.segs)?;
         self.len -= left.removed as u64;
-        if left.empty {
-            // Nothing is left: the root becomes the tree's one leaf (a
-            // root that is a leaf already is).
-            pool.with_page_mut_if(self.root, |b| match Node::open(b) {
-                Ok(node) if !node.leaf => (write_node(b, true, INVALID_PAGE, &[]), true),
-                res => (res.map(drop), false),
-            })??;
+        if left.empty && height > 0 {
+            // Nothing is left: the root becomes the tree's one leaf.
+            pool.with_page_mut(root, |b| write_node(b, true, INVALID_PAGE, &[]))??;
+            self.height = 0;
         }
         Ok(left.removed)
     }
 
-    /// All `(key, rid)` entries whose key starts with `prefix`.
-    pub fn lookup_prefix(&self, pool: &BufferPool, prefix: &[u8]) -> DbResult<Vec<(Vec<u8>, Rid)>> {
-        let mut out = Vec::new();
-        self.scan_range(pool, Bound::Included(prefix), Bound::Unbounded, |k, rid| {
-            if !k.starts_with(prefix) {
-                return false;
-            }
-            out.push((k.to_vec(), rid));
-            true
-        })?;
-        Ok(out)
-    }
-
-    /// In-order scan over `[lo, hi]`; the callback returns `false` to stop.
+    /// In-order scan of the entries from the first at or after `key` on
+    /// (`&[]`: from the first entry); the callback returns `false` to
+    /// stop.
     ///
-    /// The scan starts at the binary-searched position of `lo` in its
-    /// leaf. Each leaf is copied into a page-sized scratch buffer once,
-    /// so the callback runs outside the buffer-pool latch and may safely
-    /// call back into the pool.
-    pub fn scan_range(
+    /// The descent reads each internal node once and the scan starts at
+    /// the binary-searched position of `key` in its leaf. Each leaf is
+    /// copied into a page-sized scratch buffer once, so the callback runs
+    /// outside the buffer-pool latch and may safely call back into the
+    /// pool.
+    pub fn scan_from(
         &self,
         pool: &BufferPool,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
+        key: &[u8],
         mut f: impl FnMut(&[u8], Rid) -> bool,
     ) -> DbResult<()> {
-        // An exclusive bound starts past every rid stored under its key.
-        let (key, rid) = match lo {
-            Bound::Included(k) => (k, MIN_RID),
-            Bound::Excluded(k) => (k, MAX_RID),
-            Bound::Unbounded => (&[][..], MIN_RID),
-        };
-        let mut pid = self.find_leaf(pool, key, rid)?;
+        let mut pid = self.root;
+        for _ in 0..self.height {
+            pid = pool.with_page(pid, |b| {
+                let node = Node::open(b)?.expect(false)?;
+                node.child_at(node.route(key, MIN_RID)?)
+            })??;
+        }
         let mut page = [0u8; PAGE_SIZE];
-        let mut lo = lo;
+        // Only the first leaf can hold entries below `key`.
+        let mut from = Some(key);
         loop {
             pool.with_page(pid, |b| page.copy_from_slice(b))?;
-            let node = Node::open(&page)?.expect_leaf()?;
-            // Only the first leaf can hold entries below the bound.
-            let from = match std::mem::replace(&mut lo, Bound::Unbounded) {
-                Bound::Included(k) => node.search(k, MIN_RID)?.0,
-                Bound::Excluded(k) => node.route(k, MAX_RID)?,
-                Bound::Unbounded => 0,
+            let node = Node::open(&page)?.expect(true)?;
+            let start = match from.take() {
+                Some(key) => node.search(key, MIN_RID)?.0,
+                None => 0,
             };
-            for i in from..node.n {
+            for i in start..node.n {
                 let c = node.cell(i)?;
-                let before_hi = match hi {
-                    Bound::Included(h) => c.key <= h,
-                    Bound::Excluded(h) => c.key < h,
-                    Bound::Unbounded => true,
-                };
-                if !before_hi || !f(c.key, c.rid) {
+                if !f(c.key, c.rid) {
                     return Ok(());
                 }
             }
@@ -1115,14 +1082,19 @@ impl BTree {
     }
 
     /// Whole-tree structural check, used by tests and after recovery.
-    /// Descending from the root: every leaf at the same depth; each
-    /// node's slots strictly ascending in `(key, rid)`, its cells inside
-    /// the page, non-overlapping and summing to the header's `live`;
-    /// every cell of a subtree within the separators around it; the
-    /// leaf chain equal to the in-order traversal; `len` equal to the
-    /// entry count; and no leaf empty unless the whole tree is.
+    /// Descending from the root: every leaf at depth = the tree's height
+    /// and every node above it internal; each node's slots strictly
+    /// ascending in `(key, rid)`, its cells inside the page,
+    /// non-overlapping and summing to the header's `live`; every cell of
+    /// a subtree within the separators around it; the leaf chain equal
+    /// to the in-order traversal; `len` equal to the entry count; and no
+    /// leaf empty unless the whole tree is.
     pub fn validate(&self, pool: &BufferPool) -> DbResult<()> {
-        let mut walk = Walk::default();
+        let height = usize::from(self.height);
+        let mut walk = Walk {
+            height,
+            ..Walk::default()
+        };
         walk.node(pool, self.root, 0, None, None)?;
         for (i, &(pid, next)) in walk.leaves.iter().enumerate() {
             let want = walk.leaves.get(i + 1).map_or(INVALID_PAGE, |l| l.0);
@@ -1165,18 +1137,19 @@ struct Pruned {
 /// `NO_RELINK`, and [`Pruned::empty`] as 0 or 1.
 const NO_RELINK: usize = usize::MAX;
 
-/// Remove the sorted `batch[lo..hi]` from the subtree at `pid`, and
-/// unlink the children it empties ([`unlink`]).
+/// Remove the sorted `batch[lo..hi]` from the subtree at `pid`, `level`
+/// levels above the leaves, and unlink the children it empties
+/// ([`unlink`]).
 fn delete_rec(
     pool: &BufferPool,
     pid: PageId,
+    level: u8,
     batch: &Entries,
     lo: usize,
     hi: usize,
     segs: &mut Segs,
 ) -> DbResult<Pruned> {
-    let base = segs.len();
-    if !partition(pool, pid, batch, lo, hi, segs)? {
+    if level == 0 {
         return pool.with_page_mut_if(pid, |b| {
             let mut removed = 0;
             let mut res = Ok(());
@@ -1197,10 +1170,12 @@ fn delete_rec(
             (left, removed > 0)
         })?;
     }
+    let base = segs.len();
+    partition(pool, pid, batch, lo, hi, segs)?;
     let (mut removed, mut emptied, mut relinked) = (0, false, false);
     for s in base..segs.len() {
         let (child, lo, hi) = segs[s];
-        let left = delete_rec(pool, child, batch, lo, hi, segs)?;
+        let left = delete_rec(pool, child, level - 1, batch, lo, hi, segs)?;
         removed += left.removed;
         emptied |= left.empty;
         relinked |= left.relink.is_some();
@@ -1219,7 +1194,7 @@ fn delete_rec(
             (res, emptied && !left.empty)
         })??;
         for &(pred, next, _) in &segs[base..base + relinks] {
-            relink_last_leaf(pool, pred, next as PageId)?;
+            relink_last_leaf(pool, pred, level - 1, next as PageId)?;
         }
     }
     segs.truncate(base);
@@ -1307,31 +1282,32 @@ fn unlink(b: &mut [u8], segs: &mut Segs, base: usize, left: &mut Pruned) -> DbRe
     Ok(relinks)
 }
 
-/// Chain the last leaf of the subtree at `pid` to `next`.
-fn relink_last_leaf(pool: &BufferPool, mut pid: PageId, next: PageId) -> DbResult<()> {
-    loop {
-        let child = pool.with_page_mut_if(pid, |b| match Node::open(b) {
-            Ok(node) if node.leaf => {
-                b[3..7].copy_from_slice(&next.to_le_bytes());
-                (Ok(None), true)
-            }
-            Ok(node) => (node.child_at(node.n).map(Some), false),
-            Err(e) => (Err(e), false),
+/// Chain the last leaf of the subtree at `pid`, `level` levels above
+/// the leaves, to `next`: the internal levels are only read.
+fn relink_last_leaf(pool: &BufferPool, mut pid: PageId, level: u8, next: PageId) -> DbResult<()> {
+    for _ in 0..level {
+        pid = pool.with_page(pid, |b| {
+            let node = Node::open(b)?.expect(false)?;
+            node.child_at(node.n)
         })??;
-        match child {
-            Some(child) => pid = child,
-            None => return Ok(()),
-        }
     }
+    pool.with_page_mut_if(pid, |b| match Node::open(b).and_then(|n| n.expect(true)) {
+        Ok(_) => {
+            b[3..7].copy_from_slice(&next.to_le_bytes());
+            (Ok(()), true)
+        }
+        Err(e) => (Err(e), false),
+    })?
 }
 
 /// State of one [`BTree::validate`] descent.
 #[derive(Default)]
 struct Walk {
+    /// The tree's height: the depth of every leaf.
+    height: usize,
     /// `(pid, next)` of every leaf, in traversal order.
     leaves: Vec<(PageId, PageId)>,
     entries: u64,
-    leaf_depth: Option<usize>,
     /// The first leaf found holding no entries.
     empty_leaf: Option<PageId>,
 }
@@ -1348,12 +1324,20 @@ impl Walk {
         hi: Option<Cell<'_>>,
     ) -> DbResult<()> {
         let bad = |what: &str| Err(corrupt(format!("btree node {pid}: {what}")));
-        if depth > 32 {
-            return bad("deeper than any tree this pool can hold (a cycle?)");
-        }
         let mut page = [0u8; PAGE_SIZE];
         pool.with_page(pid, |b| page.copy_from_slice(b))?;
         let node = Node::open(&page)?;
+        if node.leaf != (depth == self.height) {
+            let kind = match node.leaf {
+                true => "a leaf",
+                false => "an internal node",
+            };
+            let at = format!(
+                "{kind} at depth {depth} of a tree of height {}",
+                self.height
+            );
+            return bad(&at);
+        }
         let cells = node.all_cells()?;
         let mut extents: Vec<(usize, usize)> = (cells.iter().enumerate())
             .map(|(i, c)| (node.slot(i), node.slot(i) + c.size(node.leaf)))
@@ -1375,9 +1359,6 @@ impl Walk {
             return bad("cells outside the parent's separators");
         }
         if node.leaf {
-            if *self.leaf_depth.get_or_insert(depth) != depth {
-                return bad("leaf at a different depth than the leftmost leaf");
-            }
             self.leaves.push((pid, node.first()));
             self.entries += cells.len() as u64;
             if cells.is_empty() {
@@ -1417,11 +1398,11 @@ mod tests {
     }
 
     /// Up to `n` entries at or after `key`, in order: a
-    /// [`BTree::scan_range`] that stops after `n`.
+    /// [`BTree::scan_from`] that stops after `n`.
     fn first_n(bt: &BTree, bp: &BufferPool, key: &[u8], n: usize) -> DbResult<Vec<(Vec<u8>, Rid)>> {
         let mut out = Vec::new();
         if n > 0 {
-            bt.scan_range(bp, Bound::Included(key), Bound::Unbounded, |k, rid| {
+            bt.scan_from(bp, key, |k, rid| {
                 out.push((k.to_vec(), rid));
                 out.len() < n
             })?;
@@ -1488,12 +1469,8 @@ mod tests {
         assert_eq!(bt.len() as usize, keys.len());
         bt.validate(&bp).unwrap();
         // Ordered scan returns sorted unique keys.
-        let mut scanned = Vec::new();
-        bt.scan_range(&bp, Bound::Unbounded, Bound::Unbounded, |k, _| {
-            scanned.push(k.to_vec());
-            true
-        })
-        .unwrap();
+        let all = first_n(&bt, &bp, &[], usize::MAX).unwrap();
+        let scanned: Vec<Vec<u8>> = all.into_iter().map(|(k, _)| k).collect();
         let expect: Vec<Vec<u8>> = keys.iter().map(|&k| key_i(k)).collect();
         assert_eq!(scanned, expect);
     }
@@ -1567,50 +1544,21 @@ mod tests {
         for i in 0..100i64 {
             bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
         }
-        let collect = |bp: &BufferPool, lo: Bound<i64>, hi: Bound<i64>| -> Vec<u32> {
-            let lo_k = match lo {
-                Bound::Included(v) => Bound::Included(key_i(v)),
-                Bound::Excluded(v) => Bound::Excluded(key_i(v)),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let hi_k = match hi {
-                Bound::Included(v) => Bound::Included(key_i(v)),
-                Bound::Excluded(v) => Bound::Excluded(key_i(v)),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let mut out = Vec::new();
-            bt.scan_range(
-                bp,
-                match &lo_k {
-                    Bound::Included(k) => Bound::Included(k.as_slice()),
-                    Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
-                match &hi_k {
-                    Bound::Included(k) => Bound::Included(k.as_slice()),
-                    Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
-                |_, r| {
-                    out.push(r.page);
-                    true
-                },
-            )
-            .unwrap();
+        // `[lo, hi]` is a scan from `lo` that the callback stops at the
+        // first key past `hi`.
+        let range = |lo: &[u8], hi: i64| -> Vec<u32> {
+            let (hi, mut out) = (key_i(hi), Vec::new());
+            let scan = bt.scan_from(&bp, lo, |k, r| {
+                let inside = k <= &hi[..];
+                out.extend(inside.then_some(r.page));
+                inside
+            });
+            scan.unwrap();
             out
         };
-        assert_eq!(
-            collect(&bp, Bound::Included(10), Bound::Excluded(13)),
-            vec![10, 11, 12]
-        );
-        assert_eq!(
-            collect(&bp, Bound::Excluded(97), Bound::Unbounded),
-            vec![98, 99]
-        );
-        assert_eq!(
-            collect(&bp, Bound::Unbounded, Bound::Included(1)),
-            vec![0, 1]
-        );
+        assert_eq!(range(&key_i(10), 12), [10, 11, 12]);
+        assert_eq!(range(&key_i(98), 1_000), [98, 99]);
+        assert_eq!(range(&[], 1), [0, 1]);
     }
 
     #[test]
@@ -1624,11 +1572,14 @@ mod tests {
             }
         }
         let prefix = encode_composite_key(&[Value::Int(3)]);
-        let hits = bt.lookup_prefix(&bp, &prefix).unwrap();
-        assert_eq!(hits.len(), 20);
-        for (_, r) in hits {
-            assert!((300..320).contains(&r.page));
-        }
+        let mut hits = Vec::new();
+        let scan = bt.scan_from(&bp, &prefix, |k, r| {
+            let inside = k.starts_with(&prefix);
+            hits.extend(inside.then_some(r.page));
+            inside
+        });
+        scan.unwrap();
+        assert_eq!(hits, (300..320).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -1712,9 +1663,13 @@ mod tests {
             })
             .collect();
         bt.insert_many(&bp, &to_entries(&entries)).unwrap();
-        let mut walk = Walk::default();
+        let height = usize::from(bt.height);
+        let mut walk = Walk {
+            height,
+            ..Walk::default()
+        };
         walk.node(&bp, bt.root, 0, None, None).unwrap();
-        let levels = walk.leaf_depth.unwrap() + 1;
+        let levels = height + 1;
         assert!(levels >= 3, "a tree of {levels} levels");
         // The middle key of every 7th leaf: k keys in k distinct leaves,
         // none on a leaf boundary (whose matches could spill rightward).
@@ -1755,6 +1710,44 @@ mod tests {
         assert_eq!(bp.stats().logical_reads, levels as u64);
     }
 
+    /// On a tree of L levels, a write or a scan that stays in one leaf
+    /// reads exactly L pages: each internal node on its path once, and
+    /// the leaf once, by the visit that serves it.
+    #[test]
+    fn a_one_leaf_write_or_scan_reads_each_level_once() {
+        let bp = pool(256);
+        let mut bt = BTree::create(&bp).unwrap();
+        let pad = Value::Str("x".repeat(200));
+        let key = |i: i64| encode_composite_key(&[Value::Int(i), pad.clone()]);
+        let entries: Vec<(Vec<u8>, Rid)> = (0..2_000).map(|i| (key(i), rid(i as u32))).collect();
+        bt.insert_many(&bp, &to_entries(&entries)).unwrap();
+        let levels = u64::from(bt.height) + 1;
+        assert!(levels >= 3, "a tree of {levels} levels");
+        // A second rid under the middle key of a middle leaf: the leaf has
+        // room for it, and keeps its other entries when it goes.
+        let leaf = path_to(&bt, &bp, &entries[1_000].0).pop().unwrap();
+        let key = bp.with_page(leaf, |b| {
+            let node = Node::open(b).unwrap();
+            node.cell(node.n / 2).unwrap().key.to_vec()
+        });
+        let one = [(key.unwrap(), rid(99_999))];
+        let (key, rid) = (&one[0].0, one[0].1);
+        let reads = |what: &str| {
+            assert_eq!(bp.stats().logical_reads, levels, "{what}");
+            bp.reset_stats();
+        };
+        bp.reset_stats();
+        bt.insert_many(&bp, &to_entries(&one)).unwrap();
+        reads("insert_many of one");
+        assert_eq!(bt.delete_many(&bp, &to_entries(&one)).unwrap(), 1);
+        reads("delete_many of one");
+        bt.insert(&bp, key, rid).unwrap();
+        reads("insert");
+        assert_eq!(first_n(&bt, &bp, key, 2).unwrap().len(), 2);
+        reads("scan_from");
+        bt.validate(&bp).unwrap();
+    }
+
     #[test]
     fn insert_many_matches_repeated_insert() {
         let bp_a = pool(64);
@@ -1781,19 +1774,8 @@ mod tests {
         assert_eq!(a.len(), b.len());
         a.validate(&bp_a).unwrap();
         b.validate(&bp_b).unwrap();
-        let mut scan_a = Vec::new();
-        a.scan_range(&bp_a, Bound::Unbounded, Bound::Unbounded, |k, r| {
-            scan_a.push((k.to_vec(), r));
-            true
-        })
-        .unwrap();
-        let mut scan_b = Vec::new();
-        b.scan_range(&bp_b, Bound::Unbounded, Bound::Unbounded, |k, r| {
-            scan_b.push((k.to_vec(), r));
-            true
-        })
-        .unwrap();
-        assert_eq!(scan_a, scan_b);
+        let scan_a = first_n(&a, &bp_a, &[], usize::MAX).unwrap();
+        assert_eq!(scan_a, first_n(&b, &bp_b, &[], usize::MAX).unwrap());
     }
 
     #[test]
@@ -1852,10 +1834,11 @@ mod tests {
 
     /// The crawl frontier's claim, as `frontier::claim_batch_where` runs
     /// it: pop the first eight entries of the frontier prefix with a
-    /// `scan_range` and a `delete_many`, move them behind the prefix (the
+    /// `scan_from` and a `delete_many`, move them behind the prefix (the
     /// claimed rows' keys), and add eight lower-priority frontier keys.
     /// Each pop empties the front of the tree a little more; the leaves
-    /// it empties are unlinked, so the scan starts at the live front.
+    /// it empties are unlinked, so the scan starts at the live front, and
+    /// reads each internal level once and at most two leaves.
     #[test]
     fn popping_the_front_of_a_range_reads_a_bounded_number_of_pages() {
         let bp = pool(64);
@@ -1893,11 +1876,9 @@ mod tests {
                 bt.validate(&bp).unwrap();
             }
         }
-        let mut walk = Walk::default();
-        walk.node(&bp, bt.root, 0, None, None).unwrap();
-        let depth = walk.leaf_depth.unwrap() as u64 + 1;
+        let depth = u64::from(bt.height) + 1;
         assert!(
-            most <= depth + 2,
+            most <= depth + 1,
             "a pop read {most} pages of a {depth}-level tree"
         );
         assert_eq!(bt.len(), 2_000 + 5_000 * 8);
@@ -1995,60 +1976,46 @@ mod tests {
         *x
     }
 
-    /// Every public operation, against a tree rooted at `root`.
-    type TreeOp = (&'static str, fn(&BufferPool, PageId) -> DbResult<()>);
-    const TREE_OPS: [TreeOp; 10] = [
-        ("insert", |bp, root| {
-            BTree::from_parts(root, 9).insert(bp, &key_i(50), rid(1))
+    /// Every public operation, against a tree of 9 entries.
+    type TreeOp = (&'static str, fn(&BufferPool, BTree) -> DbResult<()>);
+    const TREE_OPS: [TreeOp; 9] = [
+        ("insert", |bp, mut bt| bt.insert(bp, &key_i(50), rid(1))),
+        ("delete_many of one", |bp, mut bt| {
+            delete(&mut bt, bp, &key_i(50), rid(1)).map(drop)
         }),
-        ("delete_many of one", |bp, root| {
-            delete(&mut BTree::from_parts(root, 9), bp, &key_i(50), rid(1)).map(drop)
-        }),
-        ("insert_many", |bp, root| {
+        ("insert_many", |bp, mut bt| {
             let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
-            BTree::from_parts(root, 9).insert_many(bp, &to_entries(&batch))
+            bt.insert_many(bp, &to_entries(&batch))
         }),
-        ("delete_many", |bp, root| {
+        ("delete_many", |bp, mut bt| {
             let batch = [(key_i(50), rid(1)), (key_i(51), rid(2))];
-            BTree::from_parts(root, 9)
-                .delete_many(bp, &to_entries(&batch))
-                .map(drop)
+            bt.delete_many(bp, &to_entries(&batch)).map(drop)
         }),
-        ("lookup", |bp, root| {
-            BTree::from_parts(root, 9).lookup(bp, &key_i(50)).map(drop)
+        ("lookup", |bp, bt| bt.lookup(bp, &key_i(50)).map(drop)),
+        ("lookup_many", |bp, bt| {
+            let keys = [key_i(50), key_i(60)];
+            bt.lookup_many(bp, &keys, &mut Hits::default())
         }),
-        ("lookup_many", |bp, root| {
-            BTree::from_parts(root, 9)
-                .lookup_many(bp, &[key_i(50), key_i(60)], &mut Hits::default())
-                .map(drop)
+        ("scan_from", |bp, bt| bt.scan_from(bp, &[], |_, _| true)),
+        ("first_n", |bp, bt| {
+            first_n(&bt, bp, &key_i(50), 3).map(drop)
         }),
-        ("lookup_prefix", |bp, root| {
-            BTree::from_parts(root, 9).lookup_prefix(bp, &[]).map(drop)
-        }),
-        ("scan_range", |bp, root| {
-            let (lo, hi) = (key_i(50), key_i(60));
-            let tree = BTree::from_parts(root, 9);
-            tree.scan_range(bp, Bound::Excluded(&lo), Bound::Included(&hi), |_, _| true)
-        }),
-        ("first_n", |bp, root| {
-            first_n(&BTree::from_parts(root, 9), bp, &key_i(50), 3).map(drop)
-        }),
-        ("validate", |bp, root| {
-            BTree::from_parts(root, 9).validate(bp)
-        }),
+        ("validate", |bp, bt| bt.validate(bp)),
     ];
 
     /// Run every operation against `image` installed as the root page
-    /// (re-installed each time: an operation may have rewritten it).
+    /// (re-installed each time: an operation may have rewritten it) of a
+    /// tree of `height`.
     fn ops_on_root(
         bp: &BufferPool,
         root: PageId,
+        height: u8,
         image: &[u8],
     ) -> Vec<(&'static str, DbResult<()>)> {
         let run = |(name, op): &TreeOp| {
             bp.with_page_mut(root, |b| b.copy_from_slice(image))
                 .unwrap();
-            (*name, op(bp, root))
+            (*name, op(bp, BTree::from_parts(root, 9, height)))
         };
         TREE_OPS.iter().map(run).collect()
     }
@@ -2064,7 +2031,7 @@ mod tests {
             for i in 0..entries {
                 bt.insert(&bp, &key_i(i), rid(i as u32)).unwrap();
             }
-            let root = bt.root();
+            let (root, height) = (bt.root(), bt.height);
             let good = bp.with_page(root, |b| b.to_vec()).unwrap();
             let node = Node::open(&good).unwrap();
             assert_eq!(node.leaf, entries == 100);
@@ -2096,7 +2063,7 @@ mod tests {
                 ("cell running off the page", with(mid_cell, 0x7FFF)),
             ];
             for (what, image) in &cases {
-                for (op, res) in ops_on_root(&bp, root, image) {
+                for (op, res) in ops_on_root(&bp, root, height, image) {
                     assert!(
                         matches!(res, Err(DbError::Page(_))),
                         "{entries}-entry tree, {what}: {op} returned {res:?}"
@@ -2117,12 +2084,27 @@ mod tests {
                         (x >> 8) as u8 % 16
                     };
                 }
-                for (op, res) in ops_on_root(&bp, root, &image) {
+                for (op, res) in ops_on_root(&bp, root, height, &image) {
                     assert!(
                         matches!(res, Ok(()) | Err(DbError::Page(_))),
                         "fuzzed node {seed}: {op} returned {res:?}"
                     );
                 }
+            }
+            // Sound pages under a height one off: a descent that finds a
+            // leaf where it expects an internal node, or the reverse, is
+            // refused, and `validate` names the height it was given.
+            let wrong = [height.checked_sub(1), height.checked_add(1)];
+            for wrong in wrong.into_iter().flatten() {
+                for (op, res) in ops_on_root(&bp, root, wrong, &good) {
+                    assert!(
+                        matches!(res, Err(DbError::Page(_))),
+                        "{entries}-entry tree of height {height} as {wrong}: {op} returned {res:?}"
+                    );
+                }
+                let err = BTree::from_parts(root, 9, wrong).validate(&bp).unwrap_err();
+                let named = format!("of a tree of height {wrong}");
+                assert!(err.to_string().contains(&named), "{err}");
             }
         }
     }
@@ -2164,7 +2146,9 @@ mod tests {
         bp.with_page_mut(root, |b| b.copy_from_slice(&good))
             .unwrap();
         bt.validate(&bp).unwrap();
-        assert!(BTree::from_parts(root, 2999).validate(&bp).is_err());
+        assert!(BTree::from_parts(root, 2999, bt.height)
+            .validate(&bp)
+            .is_err());
     }
 
     #[test]

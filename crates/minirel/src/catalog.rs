@@ -576,7 +576,11 @@ impl Catalog {
                 idx.btree.validate(pool).map_err(|e| bad(e.to_string()))?;
                 let mut want: Vec<_> = rows.iter().map(|(r, row)| (idx.key_of(row), *r)).collect();
                 // In (key, rid) order, as `validate` just checked.
-                let have = idx.btree.lookup_prefix(pool, &[])?;
+                let mut have = Vec::with_capacity(want.len());
+                idx.btree.scan_from(pool, &[], |k, rid| {
+                    have.push((k.to_vec(), rid));
+                    true
+                })?;
                 want.sort_unstable();
                 if have != want || idx.btree.len() != t.heap.len() {
                     return Err(bad(format!("not a map of the {} heap rows", t.heap.len())));
@@ -906,9 +910,14 @@ mod tests {
             Ok(())
         });
         scanned.unwrap();
-        let entries = (t.indexes.iter())
-            .flat_map(|idx| idx.btree.lookup_prefix(pool, &[]).unwrap())
-            .collect();
+        let mut entries = Vec::new();
+        for idx in &t.indexes {
+            let scan = idx.btree.scan_from(pool, &[], |k, rid| {
+                entries.push((k.to_vec(), rid));
+                true
+            });
+            scan.unwrap();
+        }
         (rows, entries)
     }
 
@@ -1070,7 +1079,12 @@ mod tests {
         let t = cat.table(tid);
         let bt = &t.indexes[0].btree;
         bt.validate(pool).unwrap();
-        let scanned = bt.lookup_prefix(pool, &[]).unwrap().len();
+        let mut scanned = 0;
+        bt.scan_from(pool, &[], |_, _| {
+            scanned += 1;
+            true
+        })
+        .unwrap();
         (t.heap.len(), bt.len(), scanned)
     }
 

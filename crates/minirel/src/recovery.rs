@@ -169,6 +169,7 @@ pub fn encode_catalog(cat: &Catalog) -> Vec<u8> {
             }
             out.extend_from_slice(&idx.btree.root().to_le_bytes());
             out.extend_from_slice(&idx.btree.len().to_le_bytes());
+            out.push(idx.btree.height());
         }
     }
     out
@@ -209,11 +210,11 @@ pub fn decode_catalog(bytes: &[u8]) -> DbResult<Catalog> {
                 cols.push(r.u32()? as usize);
             }
             let root = r.u32()?;
-            let len = r.u64()?;
+            let (len, height) = (r.u64()?, r.u8()?);
             indexes.push(IndexInfo {
                 name: iname,
                 cols,
-                btree: BTree::from_parts(root, len),
+                btree: BTree::from_parts(root, len, height),
             });
         }
         tables.push(TableInfo {

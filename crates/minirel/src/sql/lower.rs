@@ -97,7 +97,6 @@ use crate::sql::ast::Statement;
 use crate::sql::plan::{arity, plan_statement, Keys, Node, Probe, SelectPlan, SubKind, Write};
 use crate::value::{decode_key_into, decode_row_into, encode_composite_key, Row, Value, ValueSet};
 use std::collections::HashSet;
-use std::ops::Bound;
 
 /// A prepared, executable plan.
 #[derive(Debug)]
@@ -971,22 +970,17 @@ fn range_scan(
         }
     };
     let (mut rids, mut decoded) = (Vec::new(), Ok(()));
-    idx.btree.scan_range(
-        env.pool,
-        Bound::Included(lo_bytes.as_slice()),
-        Bound::Unbounded,
-        |k, rid| {
-            if stop(k) {
-                return false;
-            }
-            if *index_only {
-                decoded = out.key(k, index_cols);
-                return decoded.is_ok();
-            }
-            rids.push(rid);
-            true
-        },
-    )?;
+    idx.btree.scan_from(env.pool, &lo_bytes, |k, rid| {
+        if stop(k) {
+            return false;
+        }
+        if *index_only {
+            decoded = out.key(k, index_cols);
+            return decoded.is_ok();
+        }
+        rids.push(rid);
+        true
+    })?;
     decoded?;
     out.fetch(env, t, rids)
 }

@@ -10,7 +10,7 @@ use minirel::value::{decode_row, encode_composite_key, encode_row, Row, Value};
 use minirel::Rid;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 fn pool(frames: usize) -> BufferPool {
     BufferPool::new(DiskManager::in_memory(), frames, EvictionPolicy::Lru)
@@ -78,7 +78,7 @@ fn bound(kind: u8, key: &[u8]) -> Bound<&[u8]> {
     }
 }
 
-/// What the model says a `scan_range(lo, hi)` returns.
+/// What the model holds between `lo` and `hi`.
 fn model_range(model: &Model, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Vec<u8>, Rid)> {
     let inside = |k: &[u8]| {
         let after_lo = match lo {
@@ -96,27 +96,36 @@ fn model_range(model: &Model, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<(Vec<u8
     (model.keys().filter(|(k, _)| inside(k)).cloned()).collect()
 }
 
+/// What the tree holds between `lo` and `hi`: a `scan_from` of the low
+/// key that skips what an excluded bound leaves out and stops past `hi`.
 fn tree_range(
     bt: &BTree,
     bp: &BufferPool,
     lo: Bound<&[u8]>,
     hi: Bound<&[u8]>,
 ) -> Vec<(Vec<u8>, Rid)> {
+    let from = match lo {
+        Bound::Included(k) | Bound::Excluded(k) => k,
+        Bound::Unbounded => &[],
+    };
     let mut out = Vec::new();
-    bt.scan_range(bp, lo, hi, |k, rid| {
-        out.push((k.to_vec(), rid));
-        true
+    bt.scan_from(bp, from, |k, rid| {
+        let before_hi = (Bound::Unbounded, hi).contains(&k);
+        if before_hi && (lo, hi).contains(&k) {
+            out.push((k.to_vec(), rid));
+        }
+        before_hi
     })
     .unwrap();
     out
 }
 
-/// Up to `n` entries at or after `key`: a `scan_range` that stops
+/// Up to `n` entries at or after `key`: a `scan_from` that stops
 /// after `n`.
 fn first_n(bt: &BTree, bp: &BufferPool, key: &[u8], n: usize) -> Vec<(Vec<u8>, Rid)> {
     let mut out = Vec::new();
     if n > 0 {
-        let scanned = bt.scan_range(bp, Bound::Included(key), Bound::Unbounded, |k, rid| {
+        let scanned = bt.scan_from(bp, key, |k, rid| {
             out.push((k.to_vec(), rid));
             out.len() < n
         });
@@ -138,7 +147,7 @@ enum Op {
     Scan(u8, u32, u8, u32),
     FirstN(u32, usize),
     /// Pop the first `n` entries at or after a key, as the crawl
-    /// frontier's claim does: a `scan_range`, then a `delete_many`.
+    /// frontier's claim does: a `scan_from`, then a `delete_many`.
     PopFront(u32, usize),
     /// Delete every entry in `[lo, hi]`, emptying the leaves between,
     /// then (if asked) insert a few keys back into the emptied range.
@@ -235,14 +244,14 @@ proptest! {
                     let scanned = bp.stats().logical_reads;
                     prop_assert_eq!(&popped, &expect);
                     // Every leaf past the first holds an entry, so the
-                    // scan reads the descent, its last leaf again (the
-                    // descent only learns it is a leaf), and at most one
-                    // leaf per entry; a lookup reads at least the descent.
+                    // scan reads the descent, whose last read is the
+                    // first leaf, and at most one more leaf per entry; a
+                    // lookup reads at least the descent.
                     bp.reset_stats();
                     bt.lookup(&bp, popped.first().map_or(&key, |(k, _)| k)).unwrap();
                     let levels = bp.stats().logical_reads;
                     prop_assert!(
-                        scanned <= levels + 1 + n as u64,
+                        scanned <= levels + n as u64,
                         "popping {} read {} pages, a descent {}", n, scanned, levels
                     );
                     prop_assert_eq!(bt.delete_many(&bp, &entries(&popped)).unwrap(), popped.len());

@@ -93,6 +93,10 @@ const ONE_WRITE_PATH: &str = "every row change is staged in a `RowBatch` (`Catal
      `DELETE`, Fig 8d's naive pass and index backfill write through it, and no per-row path \
      keeps its own key checks and index upkeep";
 
+const ONE_DESCENT: &str = "a B+tree knows its height, so every descent reads each internal \
+     node once and each leaf once, by the visit that serves it: `insert` is a batch of one, a scan \
+     starts with `scan_from`, and test-only entry collectors live beside their callers";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -241,6 +245,9 @@ const FORBIDDEN: &[Forbidden] = &[
      &["pub fn delete("], BTREE, Mode::Code,
      "a B+tree entry is removed by `delete_many`, the sorted pass a `RowBatch` makes over each \
      index; the per-entry descent had no caller outside tests"),
+    ("a_descent_reads_each_node_once",
+     &["fn find_leaf", "fn lookup_prefix", "fn scan_range(", "MAX_RID"], BTREE, Mode::Code,
+     ONE_DESCENT),
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
@@ -665,6 +672,7 @@ checks! {
     the_crawler_carries_no_dead_fork: ;
     a_landing_allocates_only_what_it_keeps: ;
     a_row_is_written_through_one_batch: ;
+    a_descent_reads_each_node_once: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
