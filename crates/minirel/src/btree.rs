@@ -1976,7 +1976,7 @@ mod tests {
         *x
     }
 
-    /// Every public operation, against a tree of 9 entries.
+    /// Every public operation, on a handle to the tree under test.
     type TreeOp = (&'static str, fn(&BufferPool, BTree) -> DbResult<()>);
     const TREE_OPS: [TreeOp; 9] = [
         ("insert", |bp, mut bt| bt.insert(bp, &key_i(50), rid(1))),
