@@ -17,8 +17,9 @@
 //!
 //! The same rule holds for the exact buffer-pool counts of
 //! [`io_stats_of_a_seeded_in_memory_crawl_are_pinned`], its per-stage
-//! reads included: they move only in a PR that says which count moved,
-//! by how much, and why.
+//! reads included, and for the quarantine crawl's claim-stage reads
+//! pinned beside its digest: they move only in a PR that says which
+//! count moved, by how much, and why.
 
 mod support;
 
@@ -40,8 +41,9 @@ fn fold(mut h: u64, text: &str) -> u64 {
 
 /// Run one seeded single-worker crawl on the inline executor
 /// (`fetch_pool = 0`) with every server `Flaky { p }`; returns the
-/// events and the digest of events + `visited()`.
-fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEvent>, u64) {
+/// events, the digest of events + `visited()`, and the buffer-pool reads
+/// the claim stage made.
+fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEvent>, u64, u64) {
     let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
     let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
     let model = trained_model(&graph, "recreation/cycling");
@@ -62,7 +64,7 @@ fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEve
         ))
         .unwrap();
     let rec = Recorder::new();
-    session
+    let stats = session
         .start_with(StartOptions {
             observers: vec![Arc::clone(&rec) as _],
             ..StartOptions::default()
@@ -81,7 +83,7 @@ fn golden_crawl(cfg: CrawlConfig, flaky_p: f64, n_seeds: usize) -> (Vec<CrawlEve
     for row in session.visited() {
         h = fold(h, &format!("{row:?}"));
     }
-    (events, h)
+    (events, h, stats.metrics.stage(Stage::Claim).reads)
 }
 
 fn has(events: &[CrawlEvent], pred: impl Fn(&CrawlEvent) -> bool) -> bool {
@@ -94,7 +96,7 @@ fn has(events: &[CrawlEvent], pred: impl Fn(&CrawlEvent) -> bool) -> bool {
 /// before `BudgetExhausted` is the last word.
 #[test]
 fn soft_focus_budget_ending_on_a_clamped_batch() {
-    let (events, digest) = golden_crawl(
+    let (events, digest, _) = golden_crawl(
         CrawlConfig {
             policy: CrawlPolicy::SoftFocus,
             threads: 1,
@@ -125,10 +127,11 @@ fn soft_focus_budget_ending_on_a_clamped_batch() {
 /// Hard focus (the policy that stagnates) under heavy flakiness and a
 /// hair-trigger breaker: the stream must contain retries, at least one
 /// quarantine and one recovery, and end in stagnation — every health
-/// and tick-clock path the loop drives.
+/// and tick-clock path the loop drives. Its claims meet open breakers,
+/// probes and politeness, so the claim stage's reads are pinned too.
 #[test]
 fn hard_focus_through_quarantine_recovery_and_stagnation() {
-    let (events, digest) = golden_crawl(
+    let (events, digest, claim_reads) = golden_crawl(
         CrawlConfig {
             policy: CrawlPolicy::HardFocus,
             threads: 1,
@@ -164,6 +167,7 @@ fn hard_focus_through_quarantine_recovery_and_stagnation() {
         CrawlEvent::FrontierStagnated { .. }
     )));
     assert_eq!(digest, HARD_DIGEST, "hard-focus golden stream drifted");
+    assert_eq!(claim_reads, 1_954, "the quarantine crawl's claims read");
 }
 
 /// The in-memory twin of `durability::wal_stats_of_a_seeded_file_backed_crawl_are_pinned`:
