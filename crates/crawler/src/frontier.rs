@@ -21,9 +21,11 @@
 //!   store it;
 //! * **batch insert** — the rows a rewrite fills in for oids that have
 //!   no row yet land in the same batch, before its replacements;
-//! * **range-pop claim** — [`claim_batch_where`]: one range scan of the
-//!   frontier index, one batch update flipping the popped rows to
-//!   `CLAIMED`.
+//! * **range-pop claim** — [`claim_batch_where`]: one walk of the
+//!   frontier index from its front ([`minirel::RowBatch::scan_from`])
+//!   that shows each due row to the caller's gate once and stages what
+//!   the gate answers — `CLAIMED`, or a park's `not_before` — in one
+//!   batch.
 //!
 //! Rows are decoded into, and staged from, rows the catalog keeps, so a
 //! batch allocates only what its caller keeps (a [`Claim`]'s URL). A
@@ -218,45 +220,69 @@ pub fn upsert_batch(db: &mut Database, items: &[FrontierEntry]) -> DbResult<Batc
     Ok(BatchUpsert { created, raised })
 }
 
-/// What a batch claim found: the due claims plus how much of the
-/// frontier was *parked* (skipped because `not_before` lies in the
-/// future). `parked` is exact when `claims` came back short (the whole
-/// frontier range was scanned) — exactly the case where the caller
-/// needs it for its idle verdict — and a lower bound otherwise.
+/// What a claim's gate makes of one due frontier row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Claim it: the row is marked `CLAIMED`.
+    Claim,
+    /// Leave it where it is, due, for a later claim.
+    Defer,
+    /// Park it: the row stays in the frontier, under the same index key,
+    /// and is not due before `until` (nor before the next tick).
+    Park {
+        /// The tick the row is due again.
+        until: i64,
+    },
+}
+
+impl From<bool> for Admission {
+    /// `true` claims the row, `false` defers it.
+    fn from(claim: bool) -> Admission {
+        match claim {
+            true => Admission::Claim,
+            false => Admission::Defer,
+        }
+    }
+}
+
+/// What a batch claim found: the claims, and how much of the frontier
+/// it passed over. `parked` and `deferred` are exact when `claims` came
+/// back short (the whole frontier range was walked) — exactly the case
+/// where the caller needs them for its idle verdict — and lower bounds
+/// otherwise.
 #[derive(Debug, Default)]
 pub struct ClaimOutcome {
     /// Due entries, best first, now marked `CLAIMED`.
     pub claims: Vec<Claim>,
-    /// Frontier rows skipped because their `not_before` has not passed.
+    /// Frontier rows passed over because their `not_before` has not
+    /// passed, and rows the gate parked ([`Admission::Park`]).
     pub parked: usize,
-    /// Due rows skipped in-scan by the caller's admission predicate
-    /// (politeness: their server is saturated right now). They keep
-    /// their frontier position untouched — near-future work, so the
-    /// caller's idle verdict must count them like parked rows.
+    /// Due rows the gate deferred ([`Admission::Defer`]: politeness, their
+    /// server is saturated right now). They keep their frontier position
+    /// untouched — near-future work, so the caller's idle verdict must
+    /// count them like parked rows.
     pub deferred: usize,
 }
 
-/// Pop the `n` best *due* frontier entries (lowest `(numtries, −logR,
-/// serverload)`) in one pass: a single range scan of the frontier index
-/// gathers the rids, and one batch update flips them all to `CLAIMED` —
-/// the range-pop counterpart of the paper's batch access paths. Rows
-/// parked past `now` are skipped without losing their place in the
-/// priority order; because they hide between poppable rows in the
-/// index, the scan over-fetches with a doubling window until `n` due
-/// rows surface or the frontier range is exhausted. Returns fewer than
-/// `n` (possibly zero) claims when the due frontier runs short.
+/// Claim the `n` best *due* frontier entries (lowest `(numtries, −logR,
+/// serverload)`) in one pass: one walk of the frontier index from its
+/// front shows each due row to `gate` once, in priority order, and one
+/// batch writes what the gate answered ([`Admission`]): a claimed row
+/// flips to `CLAIMED`, a parked one gets its `not_before`, a deferred
+/// one is left as it was. The walk stops at the `n`-th claim or the end
+/// of the frontier range, so it returns fewer than `n` (possibly zero)
+/// claims only when the due frontier runs short. Rows parked past `now`
+/// are passed over without losing their place in the priority order.
 ///
-/// A due row whose decoded claim fails `admit` is *deferred* — left in
-/// place, uncounted against `n`, tallied in [`ClaimOutcome::deferred`] —
-/// and the scan keeps looking further down the priority order. This is
-/// how per-server politeness caps shape claiming without the pop/park
-/// churn a round-trip through `CLAIMED` would cost: a saturated
-/// server's rows simply wait their turn in the frontier.
-pub fn claim_batch_where(
+/// This is how per-server politeness caps and breakers shape claiming
+/// without the pop/park churn a round-trip through `CLAIMED` would cost:
+/// a saturated server's rows simply wait their turn in the frontier. A
+/// `bool` gate claims or defers.
+pub fn claim_batch_where<G: Into<Admission>>(
     db: &mut Database,
     n: usize,
     now: i64,
-    mut admit: impl FnMut(&Claim) -> bool,
+    mut gate: impl FnMut(&Claim) -> G,
 ) -> DbResult<ClaimOutcome> {
     if n == 0 {
         return Ok(ClaimOutcome::default());
@@ -266,7 +292,6 @@ pub fn claim_batch_where(
         ..ClaimOutcome::default()
     };
     let tid = db.table_id("crawl")?;
-    let prefix = int_key(visited::FRONTIER);
     let (pool, catalog) = db.parts_mut();
     let idx = catalog
         .find_index(
@@ -279,58 +304,39 @@ pub fn claim_batch_where(
             ],
         )
         .ok_or_else(|| DbError::Catalog("crawl lacks frontier index".into()))?;
-    let mut want = n;
-    let mut rids = Vec::with_capacity(n);
-    loop {
-        // The first `want` entries from the frontier range on: the
-        // frontier's rows among them (they sort first) are the round's.
-        rids.clear();
-        let mut seen = 0;
-        let frontier = &catalog.table(tid).indexes[idx].btree;
-        frontier.scan_from(pool, &prefix, |key, rid| {
-            if key.starts_with(&prefix) {
-                rids.push(rid);
-            }
-            seen += 1;
-            seen < want
-        })?;
-        let exhausted = rids.len() < want;
-        let mut batch = catalog.batch(pool, tid);
-        out.claims.clear();
-        out.parked = 0;
-        out.deferred = 0;
-        for &rid in &rids {
-            batch.update_with(rid, |row| {
-                if col_i64(row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
-                    return Err(DbError::Corrupt(format!(
-                        "frontier index points at non-frontier row (oid {})",
-                        row[crawl_col::OID]
-                    )));
-                }
-                if col_i64(row, crawl_col::NOT_BEFORE, "not_before")? > now {
-                    out.parked += 1;
-                    return Ok(false);
-                }
-                if out.claims.len() >= n {
-                    return Ok(false);
-                }
-                let claim = decode_claim(row)?;
-                if !admit(&claim) {
-                    out.deferred += 1;
-                    return Ok(false);
-                }
+    let mut batch = catalog.batch(pool, tid);
+    batch.scan_from(idx, &int_key(visited::FRONTIER), |row| {
+        if col_i64(row, crawl_col::VISITED, "visited")? != visited::FRONTIER {
+            return Err(DbError::Corrupt(format!(
+                "frontier index points at non-frontier row (oid {})",
+                row[crawl_col::OID]
+            )));
+        }
+        if col_i64(row, crawl_col::NOT_BEFORE, "not_before")? > now {
+            out.parked += 1;
+            return Ok((false, true));
+        }
+        let claim = decode_claim(row)?;
+        match gate(&claim).into() {
+            Admission::Claim => {
                 out.claims.push(claim);
                 row[crawl_col::VISITED] = Value::Int(visited::CLAIMED);
                 row[crawl_col::NOT_BEFORE] = Value::Int(0);
-                Ok(true)
-            })?;
+                Ok((true, out.claims.len() < n))
+            }
+            Admission::Defer => {
+                out.deferred += 1;
+                Ok((false, true))
+            }
+            Admission::Park { until } => {
+                out.parked += 1;
+                row[crawl_col::NOT_BEFORE] = Value::Int(until.max(now + 1));
+                Ok((true, true))
+            }
         }
-        if out.claims.len() >= n || exhausted {
-            batch.write()?;
-            return Ok(out);
-        }
-        want = want.saturating_mul(2);
-    }
+    })?;
+    batch.write()?;
+    Ok(out)
 }
 
 /// The stored row behind a claim its caller still holds. It must exist
@@ -363,9 +369,10 @@ pub fn unclaim_batch(db: &mut Database, claims: &[Claim]) -> DbResult<()> {
 
 /// Return claims to the frontier *parked*: each row keeps its priority
 /// and `numtries`, but cannot be popped again before its `not_before`
-/// tick. This is how a worker hands back claims whose server sits
-/// behind an open circuit breaker — the page was never fetched, so
-/// nothing else about the row changes.
+/// tick — the page was never fetched, so nothing else about the row
+/// changes. For a caller that parks a claim it already holds; a claim's
+/// gate parks a row it has not claimed in the claim's own pass
+/// ([`Admission::Park`]).
 pub fn park_batch(db: &mut Database, items: &[(Oid, i64)]) -> DbResult<()> {
     rewrite(db, items.iter().map(|&(oid, _)| oid), |i, row, stored| {
         let (oid, until) = items[i];
@@ -945,6 +952,33 @@ mod tests {
         let oids: Vec<u64> = out.claims.iter().map(|c| c.oid.raw()).collect();
         assert_eq!(oids, vec![1, 2, 3]);
         assert_eq!(out.parked, 0);
+    }
+
+    #[test]
+    fn a_row_the_gate_parks_keeps_its_place_in_both_indexes() {
+        let mut db = db();
+        for oid in 1..=3u64 {
+            put(&mut db, oid, &format!("u{oid}"), -1.0, 0);
+        }
+        let (_, entries) = contents(&db);
+        let out = claim_batch_where(&mut db, 3, 5, |_| Admission::Park { until: 9 }).unwrap();
+        assert_eq!((out.claims.len(), out.parked), (0, 3));
+        assert_eq!(contents(&db).1, entries, "no index entry moved");
+        let out = claim_batch(&mut db, 3, 8).unwrap();
+        assert_eq!(
+            (out.claims.len(), out.parked),
+            (0, 3),
+            "parked until tick 9"
+        );
+        // A park that names a tick already past is a park to the next one.
+        claim_batch_where(&mut db, 3, 9, |c| match c.oid {
+            Oid(1) => Admission::Park { until: 2 },
+            _ => Admission::Defer,
+        })
+        .unwrap();
+        let out = claim_batch(&mut db, 3, 9).unwrap();
+        assert_eq!((out.claims.len(), out.parked), (2, 1));
+        assert_eq!(claim_batch(&mut db, 3, 10).unwrap().claims[0].oid, Oid(1));
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl HealthMap {
         })
     }
 
-    /// Gate a popped claim. Must be called inside the claim critical
+    /// Gate a due claim. Must be called inside the claim critical
     /// section, with the tick the claim would fetch at. An admitted
     /// claim (`Fetch` or `Probe`) occupies one politeness slot until
     /// [`HealthMap::release`] at flush.
@@ -263,10 +263,9 @@ impl HealthMap {
     }
 
     /// Would politeness alone defer an admission to `server` right now?
-    /// Pure (no entry creation, no probe transition) — the frontier scan
-    /// uses this to *skip* rows for saturated servers without popping
-    /// them. [`HealthMap::admit`] stays authoritative for claims that do
-    /// pop.
+    /// Pure (no entry creation, no probe transition) — the claim's gate
+    /// asks this before [`HealthMap::admit`], so a row of a saturated
+    /// server is deferred in place, never popped.
     pub fn politeness_deferred(&self, server: ServerId, now: i64) -> bool {
         let Some(h) = self.servers.get(&server) else {
             return false;

@@ -330,17 +330,17 @@ impl ShardRun {
                     s.worker(i, exec, &worker_sink)
                 }));
                 if let Err(payload) = caught {
-                    // `as_ref` reaches the panic payload itself; a
-                    // plain `&payload` would unsize the Box and make
-                    // the downcasts below see `Box<dyn Any>`.
-                    s.note_worker_panic(i, payload.as_ref(), &worker_sink);
+                    let message = (payload.downcast_ref::<&str>().map(|m| (*m).to_owned()))
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "opaque panic payload".to_owned());
+                    s.note_worker_failure(i, message, &worker_sink);
                 }
                 s.note_worker_exit();
             });
             match spawn(i, body) {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    session.note_spawn_failure(i, &e, sink);
+                    session.note_worker_failure(i, format!("failed to spawn: {e}"), sink);
                     // The failed slot and every slot after it never ran:
                     // retire their registrations so shard-liveness
                     // accounting (and any peer shard waiting on it)

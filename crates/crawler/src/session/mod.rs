@@ -484,35 +484,12 @@ impl CrawlSession {
         self.control.abort.store(true, Ordering::Release);
     }
 
-    /// Record a worker panic: surface it as an event and an error from
-    /// `join()`, and wind the whole pool down (partial stats must never
-    /// masquerade as success).
-    pub(crate) fn note_worker_panic(
-        &self,
-        worker: usize,
-        payload: &(dyn std::any::Any + Send),
-        sink: &EventSink,
-    ) {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "opaque panic payload".to_owned());
-        self.diag
-            .lock()
-            .worker_failures
-            .push(format!("worker {worker}: {message}"));
-        self.control.abort.store(true, Ordering::Release);
-        self.control.set_state(RunState::Stopping);
-        sink.emit(CrawlEvent::WorkerFailed { worker, message });
-    }
-
-    /// Record a failed `thread::Builder::spawn`: same surfacing contract
-    /// as a worker panic (a `WorkerFailed` event now, `CrawlError::Worker`
-    /// from `join()`), and the pool aborts so the workers that *did*
-    /// spawn hand their claims back at the next page boundary.
-    pub(crate) fn note_spawn_failure(&self, worker: usize, err: &std::io::Error, sink: &EventSink) {
-        let message = format!("failed to spawn: {err}");
+    /// Record a worker that failed — it panicked, or its thread would
+    /// not spawn: a `WorkerFailed` event now, `CrawlError::Worker` from
+    /// `join()`, and the whole pool winds down, so the workers still
+    /// running hand their claims back at the next page boundary (partial
+    /// stats must never masquerade as success).
+    pub(crate) fn note_worker_failure(&self, worker: usize, message: String, sink: &EventSink) {
         self.diag
             .lock()
             .worker_failures

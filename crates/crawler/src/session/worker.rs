@@ -43,6 +43,7 @@
 //!   run.
 
 use super::*;
+use crate::frontier::{Admission, ClaimOutcome};
 use crate::metrics::{Stage, StageClock};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -523,7 +524,7 @@ impl CrawlSession {
         let claimed = self.claim_admitted(&mut g, want);
         clock.charge_reads(Stage::Claim, g.db.io_stats().logical_reads - reads);
         match claimed {
-            Ok((claims, parked)) if claims.is_empty() => {
+            Ok(out) if out.claims.is_empty() => {
                 // Advance the clock on the empty poll so parked rows
                 // march toward their due ticks even when nothing is
                 // claimable (the all-quarantined crawl must eventually
@@ -535,7 +536,8 @@ impl CrawlSession {
                 // holds the gauge up (it falls under this lock, after
                 // the flush). Parked rows are future work, so they veto
                 // idleness exactly like in-flight claims do.
-                let idle = parked == 0 && self.counters.in_flight.load(Ordering::Acquire) == 0;
+                let waiting = out.parked + out.deferred;
+                let idle = waiting == 0 && self.counters.in_flight.load(Ordering::Acquire) == 0;
                 // Record the idle verdict, and read the epoch, while
                 // still holding the store lock. Every local frontier
                 // insertion lowers the flag inside its own store
@@ -549,7 +551,7 @@ impl CrawlSession {
                 let idle = idle.then(|| self.shard.exchange.mark_idle(self.shard.shard));
                 Tick::EmptyFrontier { idle, attempts }
             }
-            Ok((claims, _)) => {
+            Ok(ClaimOutcome { claims, .. }) => {
                 let first_attempt = attempts + 1;
                 self.counters
                     .attempts
@@ -587,70 +589,30 @@ impl CrawlSession {
         }
     }
 
-    /// Claim up to `want` due frontier entries, gating every pop
-    /// through the per-server breaker *inside the claim critical
-    /// section*. Claims for quarantined servers are parked back
-    /// ([`frontier::park_batch`]) and the pop retried, so an open
-    /// breaker never starves the healthy work behind it in priority
-    /// order — and a parked claim is never counted as an attempt or
-    /// held in flight, so the budget and gauges stay exact.
-    ///
-    /// Returns the admitted claims plus a count of parked-or-deferred
-    /// rows encountered. The count can double-count rows parked by
-    /// this very call and re-seen by a later pop round; only its
-    /// zero/non-zero distinction is load-bearing (the idle verdict),
-    /// and that is exact.
-    ///
-    /// Politeness-saturated servers are filtered *in-scan* by a
-    /// [`frontier::claim_batch_where`] predicate, so a server at its
-    /// per-server cap never has its rows popped and parked (no B+tree
-    /// churn); the rows are merely skipped and counted as `deferred`,
-    /// which vetoes the idle verdict exactly like parked rows do.
-    /// `HealthMap::admit` stays authoritative behind the predicate:
-    /// the scan's view of `in_flight` is stale for claims admitted in
-    /// the same batch, so the re-check parks any overshoot.
-    fn claim_admitted(&self, g: &mut StoreState, want: usize) -> DbResult<(Vec<Claim>, usize)> {
+    /// Claim up to `want` due frontier entries in one pass
+    /// ([`frontier::claim_batch_where`]), each judged once by the health
+    /// map *inside the claim critical section*, which sees every
+    /// admission made before it in the pass. A server at its politeness
+    /// cap defers the row: it stays due in place, never popped, and
+    /// vetoes the idle verdict like a parked row. Politeness is asked
+    /// before the breaker, so a deferral never takes the Open→Probing
+    /// transition. The breaker then admits the row or parks it until the
+    /// tick it names, so an open breaker never starves the healthy work
+    /// behind it in priority order. A parked or deferred row is never
+    /// counted as an attempt or held in flight, so the budget and gauges
+    /// stay exact.
+    fn claim_admitted(&self, g: &mut StoreState, want: usize) -> DbResult<ClaimOutcome> {
         let now = self.counters.clock.load(Ordering::Acquire) as i64;
-        let mut admitted: Vec<Claim> = Vec::with_capacity(want);
-        let mut parks: Vec<(Oid, i64)> = Vec::new();
-        let mut parked_rows = 0usize;
-        loop {
-            // Borrow-split the guard: the scan predicate reads health
-            // while the claim scan holds `db` mutably.
-            let StoreState { db, health, .. } = &mut *g;
-            let outcome = frontier::claim_batch_where(db, want - admitted.len(), now, |c| {
-                !health.politeness_deferred(host_server_id(&c.url), now)
-            })?;
-            parked_rows = parked_rows.max(outcome.parked + outcome.deferred);
-            if outcome.claims.is_empty() {
-                break;
+        let StoreState { db, health, .. } = g;
+        frontier::claim_batch_where(db, want, now, |c| {
+            let server = host_server_id(&c.url);
+            if health.politeness_deferred(server, now) {
+                return Admission::Defer;
             }
-            let mut parked_this_round = false;
-            for c in outcome.claims {
-                match g.health.admit(host_server_id(&c.url), now) {
-                    ClaimGate::Fetch | ClaimGate::Probe => admitted.push(c),
-                    ClaimGate::Parked { until } => {
-                        // Clamp into the future: a degenerate zero
-                        // cooldown must not hand the row straight back
-                        // to the next pop round (infinite loop).
-                        parks.push((c.oid, until.max(now + 1)));
-                        parked_this_round = true;
-                    }
-                }
+            match health.admit(server, now) {
+                ClaimGate::Fetch | ClaimGate::Probe => Admission::Claim,
+                ClaimGate::Parked { until } => Admission::Park { until },
             }
-            if admitted.len() >= want || !parked_this_round {
-                break;
-            }
-            // Park before re-popping, or the same rows come straight
-            // back from the index.
-            frontier::park_batch(&mut g.db, &parks)?;
-            parked_rows += parks.len();
-            parks.clear();
-        }
-        if !parks.is_empty() {
-            parked_rows += parks.len();
-            frontier::park_batch(&mut g.db, &parks)?;
-        }
-        Ok((admitted, parked_rows))
+        })
     }
 }

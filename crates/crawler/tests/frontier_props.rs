@@ -16,7 +16,7 @@
 //! state, which must refuse and change nothing.
 
 use focus_crawler::frontier::{
-    self, BatchUpsert, Claim, FailDisposition, FailureUpdate, FrontierEntry,
+    self, Admission, BatchUpsert, Claim, FailDisposition, FailureUpdate, FrontierEntry,
 };
 use focus_crawler::tables::{create_tables, visited};
 use focus_types::Oid;
@@ -205,18 +205,47 @@ fn upsert(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCase
     Ok(())
 }
 
-/// `claim_batch_where`: what comes back is due, admitted, best first,
-/// and nothing better was passed over; when it comes back short the
-/// parked/deferred tallies are exact.
+/// `claim_batch_where`: each row is shown to the gate at most once, and
+/// only a due frontier row; what comes back is due, claimed by the
+/// gate, best first, and nothing better was passed over; a parked row
+/// stays in the frontier with its `not_before`; when it comes back short
+/// the parked/deferred tallies are exact.
 fn claim(db: &mut Database, model: &mut Model, s: &Step) -> Result<(), TestCaseError> {
     let n = s.picks.len();
     let now = s.a / 4;
-    // Deny one residue class of oids now and then (politeness deferral).
-    let admits = |o: u64| !s.flag || o % 3 != s.b as u64 % 3;
-    let out = frontier::claim_batch_where(db, n, now, |c| admits(c.oid.raw())).unwrap();
+    // Now and then defer one residue class of oids (politeness) and park
+    // another (a breaker), until a tick that may lie behind `now`.
+    let until = now + s.b - 3;
+    let verdict = |o: u64| match (s.flag, (o + s.b as u64) % 3) {
+        (true, 0) => Admission::Defer,
+        (true, 1) => Admission::Park { until },
+        _ => Admission::Claim,
+    };
+    let mut shown: BTreeMap<u64, usize> = BTreeMap::new();
+    let out = frontier::claim_batch_where(db, n, now, |c| {
+        *shown.entry(c.oid.raw()).or_default() += 1;
+        verdict(c.oid.raw())
+    })
+    .unwrap();
     prop_assert!(out.claims.len() <= n);
-    let eligible =
-        |o: u64, r: &Row| r.visited == visited::FRONTIER && r.not_before <= now && admits(o);
+    let due = |r: &Row| r.visited == visited::FRONTIER && r.not_before <= now;
+    for (&o, &times) in &shown {
+        prop_assert_eq!(times, 1, "oid {} shown to the gate {} times", o, times);
+        let row = model.get(&o);
+        prop_assert!(
+            row.is_some_and(due),
+            "shown a row that is not due: {o} {row:?}"
+        );
+    }
+    let is = |want: Admission| move |o: &&u64| verdict(**o) == want;
+    prop_assert_eq!(
+        out.deferred,
+        shown.keys().filter(is(Admission::Defer)).count()
+    );
+    for o in shown.keys().filter(is(Admission::Park { until })) {
+        model.get_mut(o).unwrap().not_before = until.max(now + 1);
+    }
+    let eligible = |o: u64, r: &Row| due(r) && verdict(o) == Admission::Claim;
     let mut worst: Option<Row> = None;
     for c in &out.claims {
         let o = c.oid.raw();

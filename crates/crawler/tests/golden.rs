@@ -167,7 +167,7 @@ fn hard_focus_through_quarantine_recovery_and_stagnation() {
         CrawlEvent::FrontierStagnated { .. }
     )));
     assert_eq!(digest, HARD_DIGEST, "hard-focus golden stream drifted");
-    assert_eq!(claim_reads, 1_954, "the quarantine crawl's claims read");
+    assert_eq!(claim_reads, 1_292, "the quarantine crawl's claims read");
 }
 
 /// The in-memory twin of `durability::wal_stats_of_a_seeded_file_backed_crawl_are_pinned`:

@@ -174,6 +174,44 @@ impl Scratch {
         clear_entries(&mut self.gone, indexes);
         self.hits.clear_to(KEPT_BYTES);
     }
+
+    /// Stage replacing `old`, the row stored at `rid` of `t`, by `new`,
+    /// whose schema was checked.
+    fn update(&mut self, t: &TableInfo, rid: Rid, old: &Row, new: &Row) -> DbResult<()> {
+        self.updates.push(t, new, &mut self.key)?;
+        for (idx, stale) in t.indexes.iter().zip(&mut self.stale) {
+            idx.key_into(old, &mut self.key);
+            stale.push(&self.key, rid);
+        }
+        self.replaced.push(rid);
+        Ok(())
+    }
+
+    /// [`RowBatch::update_with`], over the parts of a batch.
+    fn update_with(
+        &mut self,
+        pool: &BufferPool,
+        t: &TableInfo,
+        rid: Rid,
+        edit: impl FnOnce(&mut Row) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        let (mut old, mut new) = (take(&mut self.old), take(&mut self.new));
+        let edited = || {
+            let rids = std::slice::from_ref(&rid);
+            t.heap
+                .get_each(pool, rids, |_, rec| decode_row_into(rec, None, &mut old))?;
+            new.clone_from(&old);
+            let staged = edit(&mut new)?;
+            if staged {
+                t.schema.check_row(&mut new)?;
+                self.update(t, rid, &old, &new)?;
+            }
+            Ok(staged)
+        };
+        let res = edited();
+        (self.old, self.new) = (old, new);
+        res
+    }
 }
 
 /// One batch of row writes to a table, from [`Catalog::batch`]: the one
@@ -214,19 +252,6 @@ impl<'c> RowBatch<'c> {
         s.inserts.push(self.t, row, &mut s.key)
     }
 
-    /// Stage replacing `old`, the row stored at `rid`, by `new`, whose
-    /// schema was checked.
-    fn update(&mut self, rid: Rid, old: &Row, new: &Row) -> DbResult<()> {
-        let s = &mut *self.s;
-        s.updates.push(self.t, new, &mut s.key)?;
-        for (idx, stale) in self.t.indexes.iter().zip(&mut s.stale) {
-            idx.key_into(old, &mut s.key);
-            stale.push(&s.key, rid);
-        }
-        s.replaced.push(rid);
-        Ok(())
-    }
-
     /// Stage deleting `old`, the row stored at `rid`, which the caller
     /// has read: its keys are taken from `old` (columns past the table's
     /// are ignored), so the write reads no row again.
@@ -247,22 +272,36 @@ impl<'c> RowBatch<'c> {
         rid: Rid,
         edit: impl FnOnce(&mut Row) -> DbResult<bool>,
     ) -> DbResult<bool> {
-        let (mut old, mut new) = (take(&mut self.s.old), take(&mut self.s.new));
-        let edited = || {
-            let rids = std::slice::from_ref(&rid);
-            (self.t.heap).get_each(self.pool, rids, |_, rec| {
-                decode_row_into(rec, None, &mut old)
-            })?;
-            new.clone_from(&old);
-            let staged = edit(&mut new)?;
-            if staged {
-                self.t.schema.check_row(&mut new)?;
-                self.update(rid, &old, &new)?;
+        self.s.update_with(self.pool, self.t, rid, edit)
+    }
+
+    /// Walk the entries of the table's index `index` whose key begins
+    /// with `prefix`, in key order, showing `edit` each one's row as
+    /// [`RowBatch::update_with`] does. `edit` answers whether to stage
+    /// the row and whether to walk on. Nothing is written before
+    /// [`RowBatch::write`], so the walk reads the index as the batch
+    /// found it and shows each row once, whatever its edit does to its
+    /// keys.
+    pub fn scan_from(
+        &mut self,
+        index: usize,
+        prefix: &[u8],
+        mut edit: impl FnMut(&mut Row) -> DbResult<(bool, bool)>,
+    ) -> DbResult<()> {
+        let (pool, t, s) = (self.pool, &*self.t, &mut *self.s);
+        let (mut res, mut more) = (Ok(()), true);
+        t.indexes[index].btree.scan_from(pool, prefix, |key, rid| {
+            if !key.starts_with(prefix) {
+                return false;
             }
-            Ok(staged)
-        };
-        let res = edited();
-        (self.s.old, self.s.new) = (old, new);
+            let edited = s.update_with(pool, t, rid, |row| {
+                let (stage, next) = edit(row)?;
+                more = next;
+                Ok(stage)
+            });
+            res = edited.map(drop);
+            res.is_ok() && more
+        })?;
         res
     }
 
@@ -498,12 +537,12 @@ impl Catalog {
         tid: TableId,
         mut updates: Vec<(Rid, Row, Row)>,
     ) -> DbResult<&'c [Rid]> {
-        let mut batch = self.batch(pool, tid);
+        let batch = self.batch(pool, tid);
         for (_, _, new_row) in &mut updates {
             batch.t.schema.check_row(new_row)?;
         }
         for (rid, old_row, new_row) in &updates {
-            batch.update(*rid, old_row, new_row)?;
+            batch.s.update(batch.t, *rid, old_row, new_row)?;
         }
         batch.write()
     }
@@ -792,6 +831,35 @@ mod tests {
             assert!(hits.contains(rid), "oid index lost {row:?}");
         }
         assert_eq!(cat.table(tid).indexes[1].btree.len(), 200);
+    }
+
+    #[test]
+    fn scan_from_shows_each_row_under_its_prefix_once() {
+        let (pool, mut cat, tid) = setup();
+        cat.create_index(&pool, "byrel", "crawl", &["relevance", "oid"])
+            .unwrap();
+        for i in 0..40i64 {
+            let rel = if i % 2 == 0 { 0.2 } else { 0.5 };
+            let row = vec![Value::Int(i), Value::Str("u".into()), Value::Float(rel)];
+            cat.insert_row(&pool, tid, row).unwrap();
+        }
+        let prefix = encode_composite_key(&[Value::Float(0.2)]);
+        let mut shown = Vec::new();
+        let mut batch = cat.batch(&pool, tid);
+        let walk = batch.scan_from(0, &prefix, |row| {
+            let oid = row[0].as_i64().unwrap();
+            shown.push(oid);
+            // Move the row further down its own prefix; stop at the 15th.
+            row[0] = Value::Int(oid + 1_000);
+            Ok((true, shown.len() < 15))
+        });
+        walk.unwrap();
+        batch.write().unwrap();
+        assert_eq!(shown, (0..30).step_by(2).collect::<Vec<i64>>());
+        let rows = cat.scan_rows(&pool, tid, None).unwrap();
+        let moved = rows.iter().filter(|r| r[0].as_i64() >= Some(1_000));
+        assert_eq!(moved.count(), 15);
+        cat.check_integrity(&pool).unwrap();
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!    their new contents back to back ([`PageDelta`] parses and applies
 //!    one).
 //!
-//! Kinds 1–3 are what every earlier version of this log wrote; such a
-//! log still opens.
+//! Kinds 1–3 are what every earlier version of this log wrote, but an
+//! earlier log does not open: its commits' catalog images lack each
+//! index's B+tree height byte ([`crate::recovery`]'s codec), and
+//! recovery refuses such an image as corrupt.
 //!
 //! ## The chain rule
 //!

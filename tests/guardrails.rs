@@ -50,6 +50,7 @@ const WORKSPACE: Scope = Scope(
     100,
 );
 const FRONTIER: Scope = Scope("crates/crawler/src/frontier.rs", "", 1);
+const SESSION: Scope = Scope("crates/crawler/src/session", "", 5);
 const STORE: Scope = Scope("crates/crawler/src/session/store.rs", "", 1);
 const BUFFER: Scope = Scope("crates/minirel/src/buffer.rs", "", 1);
 const DB: Scope = Scope("crates/minirel/src/db.rs", "", 1);
@@ -96,6 +97,10 @@ const ONE_WRITE_PATH: &str = "every row change is staged in a `RowBatch` (`Catal
 const ONE_DESCENT: &str = "a B+tree knows its height, so every descent reads each internal \
      node once and each leaf once, by the visit that serves it: `insert` is a batch of one, a scan \
      starts with `scan_from`, and test-only entry collectors live beside their callers";
+
+const ONE_CLAIM_WALK: &str = "a claim is one walk of the frontier index from its front \
+     (`RowBatch::scan_from`) that shows each due row to the gate once and stops at its `n`-th \
+     claim; no window grows and re-reads the rows before it";
 
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
@@ -251,6 +256,12 @@ const FORBIDDEN: &[Forbidden] = &[
     ("no_knob_skips_a_wall_clock_assertion",
      &["FOCUS_LAX_TIMING"], WORKSPACE, Mode::Whole, "no knob skips a wall-clock assertion: tests \
      print wall-clock ratios and assert deterministic counts; focus-bench/ measures throughput"),
+    ("a_claim_shows_each_frontier_row_once",
+     &["park_batch("], SESSION, Mode::Code,
+     "the session parks a breaker's row inside the claim's one pass (`Admission::Park`), never \
+     by popping it and rewriting it back"),
+    ("a_claim_shows_each_frontier_row_once",
+     &["saturating_mul(2)"], FRONTIER, Mode::Code, ONE_CLAIM_WALK),
 ];
 
 /// Call sites that keep their count, in code lines: (check, pattern,
@@ -285,8 +296,9 @@ const COUNTED: &[Counted] = &[
      "`frontier.rs` probes `crawl_oid` in one place: the keyed rewrite"),
     ("crawl_rows_are_rewritten_through_one_keyed_path", ".insert_with(", FRONTIER, 1,
      "`frontier.rs` inserts rows in one place: the keyed rewrite's creates"),
-    ("crawl_rows_are_rewritten_through_one_keyed_path", ".update_with(", FRONTIER, 2,
-     "`frontier.rs` updates rows in two places: the keyed rewrite and the range-pop claim"),
+    ("crawl_rows_are_rewritten_through_one_keyed_path", ".update_with(", FRONTIER, 1,
+     "`frontier.rs` updates rows by oid in one place: the keyed rewrite"),
+    ("a_claim_shows_each_frontier_row_once", ".scan_from(", FRONTIER, 1, ONE_CLAIM_WALK),
     ("one_write_back_logs_pages_and_records_are_encoded_in_place", ".log_page(", BUFFER, 1,
      "buffer.rs logs pages from one place: `write_back`, which also counts `physical_writes` \
      and clears `dirty`"),
@@ -673,6 +685,7 @@ checks! {
     a_landing_allocates_only_what_it_keeps: ;
     a_row_is_written_through_one_batch: ;
     a_descent_reads_each_node_once: ;
+    a_claim_shows_each_frontier_row_once: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
