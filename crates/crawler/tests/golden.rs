@@ -18,8 +18,10 @@
 //! The same rule holds for the exact buffer-pool counts of
 //! [`io_stats_of_a_seeded_in_memory_crawl_are_pinned`], its per-stage
 //! reads included, and for the quarantine crawl's claim-stage reads
-//! pinned beside its digest: they move only in a PR that says which
-//! count moved, by how much, and why.
+//! pinned beside its digest, and for the outage probe's claim-stage
+//! reads ([`outage_probe_claim_reads_are_pinned`], release builds
+//! only): they move only in a PR that says which count moved, by how
+//! much, and why.
 
 mod support;
 
@@ -228,6 +230,81 @@ fn io_stats_of_a_seeded_in_memory_crawl_are_pinned() {
             ("land_try", 19_746),
             ("distill_guard2", 154)
         ]
+    );
+}
+
+/// The outage probe: one worker on the inline executor over a seeded
+/// web of 1,500 pages per topic, crawled to 2k, 8k and 32k attempts
+/// twice each — with the two servers that hold the most cycling pages
+/// down from the first fetch (`Outage { start: 0 }`, never healing),
+/// and with no outage. The down servers' breakers park their claimed
+/// rows, and a parked row keeps its place in the frontier index, so
+/// the claim stage's reads per attempt are what parking costs the
+/// claim. Each crawl's attempts and claim-stage reads are pinned as
+/// measured. Release builds only: the six crawls make 84k attempts.
+#[cfg(not(debug_assertions))]
+#[test]
+fn outage_probe_claim_reads_are_pinned() {
+    let graph = Arc::new(WebGraph::generate(WebConfig {
+        seed: 29,
+        pages_per_topic: 1_500,
+        ..WebConfig::default()
+    }));
+    let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+    let mut weight = std::collections::BTreeMap::new();
+    for p in graph.pages().iter().filter(|p| p.topic == cycling) {
+        *weight.entry(p.server).or_insert(0usize) += 1;
+    }
+    let mut ranked: Vec<_> = weight.into_iter().collect();
+    ranked.sort_by_key(|&(s, n)| (std::cmp::Reverse(n), s.raw()));
+    let down: Vec<_> = ranked.iter().take(2).map(|&(s, _)| s).collect();
+    let on_down = |o: &focus_types::Oid| down.contains(&graph.page(*o).unwrap().server);
+    let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 12);
+    let seeds: Vec<_> = seeds.into_iter().filter(|o| !on_down(o)).collect();
+    let crawl = |budget: u64, outage: bool| {
+        let mut schedule = ChaosSchedule::new(29);
+        for &s in down.iter().filter(|_| outage) {
+            let profile = FaultProfile::Outage {
+                start: 0,
+                duration: u64::MAX,
+            };
+            schedule = schedule.with_profile(s, profile);
+        }
+        let fetcher = Arc::new(ChaosFetcher::new(
+            Arc::new(SimFetcher::new(Arc::clone(&graph), None)),
+            schedule,
+        ));
+        let cfg = CrawlConfig {
+            policy: CrawlPolicy::SoftFocus,
+            threads: 1,
+            fetch_pool: 0,
+            max_fetches: budget,
+            ..CrawlConfig::default()
+        };
+        let model = trained_model(&graph, "recreation/cycling");
+        let session = Arc::new(CrawlSession::new(fetcher, model, cfg).unwrap());
+        session.seed(&seeds).unwrap();
+        let stats = session.run().unwrap();
+        let reads = stats.metrics.stage(Stage::Claim).reads;
+        println!(
+            "outage {outage:5}, budget {budget:6}: {} attempts, {reads} claim reads, {:.2} a attempt",
+            stats.attempts,
+            reads as f64 / stats.attempts as f64
+        );
+        (stats.attempts, reads)
+    };
+    let mut measured = Vec::new();
+    for budget in [2_000, 8_000, 32_000] {
+        measured.push((budget, crawl(budget, true), crawl(budget, false)));
+    }
+    assert_eq!(
+        measured,
+        [
+            (2_000, (2_000, 32_142), (2_000, 5_976)),
+            (8_000, (8_000, 200_896), (8_000, 25_124)),
+            (32_000, (32_000, 620_977), (32_000, 101_706)),
+        ],
+        "(budget, (attempts, claim reads) with the outage, and without)"
     );
 }
 
