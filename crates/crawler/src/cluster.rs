@@ -39,9 +39,12 @@
 //! **Termination.** "My frontier is empty and nothing is in flight" is a
 //! shard-local fact; the crawl is only over when it holds on every shard
 //! with live workers *and* nothing is queued for one. The exchange
-//! tracks an in-flight gauge, a queued-entry gauge and an idle flag per
-//! shard, per-shard live-worker counts, and an epoch that moves whenever
-//! an idle flag falls. A locally-idle worker records its verdict and the
+//! tracks, per shard, an in-flight gauge (the one count of that shard's
+//! claimed work, which its own idle verdict reads too), a queued-entry
+//! gauge, an idle flag and a live-worker count, plus an epoch that
+//! moves whenever an idle flag falls. The verdict reads only the shards
+//! with live workers, so what a dead shard holds or is owed waits for
+//! its next start and needs no repair. A locally-idle worker records its verdict and the
 //! epoch under its store lock and asks the exchange (`try_finish`)
 //! for the global one, which latches only on a consistent cut: a page's
 //! cross-shard entries are routed *before* its in-flight gauge falls,
@@ -170,9 +173,12 @@ pub(crate) struct ShardExchange {
     /// [`ShardExchange::take`] leaves entries counted until
     /// [`ShardExchange::landed`].
     queued: Vec<AtomicUsize>,
-    /// Claims checked out across all shards (mirror of the per-session
-    /// gauges, maintained under the same critical sections).
-    in_flight: AtomicUsize,
+    /// Per shard: claims checked out and not yet landed or handed back.
+    /// The one count of claimed work: it rises in the shard's claim
+    /// critical section and falls under the store lock after each
+    /// page's outputs are published. The shard's own idle verdict reads
+    /// it there.
+    in_flight: Vec<AtomicUsize>,
     /// Shard observed itself locally idle (empty frontier, nothing in
     /// flight, judged under its store lock). Cleared before work is
     /// routed to or lands on the shard.
@@ -201,7 +207,7 @@ impl ShardExchange {
                 .map(|_| OrderedMutex::new(rank::EXCHANGE_INBOX, VecDeque::new()))
                 .collect(),
             queued: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
-            in_flight: AtomicUsize::new(0),
+            in_flight: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
             idle: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
             epoch: AtomicU64::new(0),
             live: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
@@ -267,15 +273,26 @@ impl ShardExchange {
         self.queued[shard].fetch_sub(n, SeqCst);
     }
 
-    pub(crate) fn add_in_flight(&self, n: usize) {
-        self.in_flight.fetch_add(n, SeqCst);
+    /// `shard` checked out `n` claims.
+    pub(crate) fn add_in_flight(&self, shard: usize, n: usize) {
+        self.in_flight[shard].fetch_add(n, SeqCst);
     }
 
-    /// Saturating: a panicked run's leak is subtracted once, when its
-    /// shard's last worker exits, so a stray double-release must clamp
-    /// at zero rather than wrap.
-    pub(crate) fn sub_in_flight(&self, n: usize) {
-        let _ = (self.in_flight).fetch_update(SeqCst, SeqCst, |v| Some(v.saturating_sub(n)));
+    /// `n` of `shard`'s claims landed or went back to its frontier.
+    pub(crate) fn sub_in_flight(&self, shard: usize, n: usize) {
+        self.in_flight[shard].fetch_sub(n, SeqCst);
+    }
+
+    /// Claims `shard` holds in flight.
+    pub(crate) fn in_flight(&self, shard: usize) -> usize {
+        self.in_flight[shard].load(SeqCst)
+    }
+
+    /// Forget what `shard` held in flight: called at its run's start,
+    /// while it has no live workers, so a count a panicked worker left
+    /// behind cannot outlive its run.
+    pub(crate) fn zero_in_flight(&self, shard: usize) {
+        self.in_flight[shard].store(0, SeqCst);
     }
 
     /// Record `shard`'s local-idle verdict (empty frontier, nothing in
@@ -299,14 +316,14 @@ impl ShardExchange {
 
     /// The termination verdict of a caller that judged its own shard
     /// idle at `epoch` ([`ShardExchange::mark_idle`]): nothing launching,
-    /// nothing in flight anywhere, nothing queued for a live shard,
-    /// every live shard idle, and no idle flag lowered since `epoch`.
+    /// nothing in flight on or queued for a live shard, every live shard
+    /// idle, and no idle flag lowered since `epoch`.
     /// Latches [`ShardExchange::finished`] on success. Shards without
     /// live workers are not read: what waits for them waits for their
     /// next start.
     ///
-    /// The reads are a sweep, not a snapshot: in-flight, the live
-    /// shards' queues, the live shards' flags, then both gauges again,
+    /// The reads are a sweep, not a snapshot: the live shards' in-flight
+    /// gauges, their queues, their flags, then both gauges again,
     /// then the epoch. It latches only on a consistent cut, because
     /// every unit of undone work keeps at least one indicator "bad" for
     /// its whole lifetime, with overlap at every handoff —
@@ -318,9 +335,12 @@ impl ShardExchange {
     ///   upsert, inside the store critical section, and only a verdict
     ///   that observes an empty frontier with zero local in-flight
     ///   (also under that lock) raises it again;
-    /// * claimed work: `in_flight` rises in the claim's critical
+    /// * claimed work: `in_flight[s]` rises in the claim's critical
     ///   section and falls only after the page's outputs (local
-    ///   upserts, cross-shard routes) are published.
+    ///   upserts, cross-shard routes) are published. A shard's workers
+    ///   land or hand back every claim before they exit, so only a
+    ///   panicked worker leaves a count behind, on a shard that is then
+    ///   not live and not read.
     ///
     /// Those alone leave one hole, which the epoch closes. The sweep
     /// reads shard A's flag true and is preempted. Shard B lands a page
@@ -351,9 +371,9 @@ impl ShardExchange {
         true
     }
 
-    /// Claims in flight anywhere, or entries queued for a live shard.
+    /// Claims in flight on, or entries queued for, a live shard.
     fn busy(&self) -> bool {
-        self.in_flight.load(SeqCst) != 0
+        self.live_shards().any(|s| self.in_flight(s) != 0)
             || self.live_shards().any(|s| self.queued[s].load(SeqCst) != 0)
     }
 
@@ -389,9 +409,9 @@ impl ShardExchange {
         self.live[shard].fetch_add(n, SeqCst);
     }
 
-    /// Retire one worker registration; `true` when it was the last.
-    pub(crate) fn worker_exited(&self, shard: usize) -> bool {
-        self.live[shard].fetch_sub(1, SeqCst) == 1
+    /// Retire one worker registration.
+    pub(crate) fn worker_exited(&self, shard: usize) {
+        self.live[shard].fetch_sub(1, SeqCst);
     }
 
     /// Entries dropped on the floor (inbox overflow).
@@ -637,8 +657,8 @@ pub(crate) fn check_cluster(
     if shards.len() == *n {
         let boxed: Vec<usize> = exchange.inboxes.iter().map(|b| b.lock().len()).collect();
         let queued: Vec<usize> = (0..boxed.len()).map(|s| exchange.queued(s)).collect();
-        let in_flight = exchange.in_flight.load(SeqCst);
-        let held = in_flight == 0 && queued == boxed;
+        let in_flight: Vec<usize> = (0..boxed.len()).map(|s| exchange.in_flight(s)).collect();
+        let held = in_flight.iter().all(|&c| c == 0) && queued == boxed;
         let found = (in_flight, queued, boxed);
         expect(&mut out, "exchange drained", held, found);
     }
@@ -844,9 +864,9 @@ mod tests {
         assert!(!x.try_finish(epoch), "arming must block the verdict");
         x.launched_one();
         x.launched_one();
-        x.add_in_flight(1);
+        x.add_in_flight(0, 1);
         assert!(!x.try_finish(epoch), "in-flight work must block");
-        x.sub_in_flight(1);
+        x.sub_in_flight(0, 1);
         assert!(x.try_finish(epoch));
     }
 
@@ -867,8 +887,8 @@ mod tests {
         // Every gauge reads 0 and every flag true, but the verdict
         // predates the landing.
         assert_eq!(
-            (x.in_flight.load(SeqCst), x.queued(0), x.queued(1)),
-            (0, 0, 0)
+            (x.in_flight(0), x.in_flight(1), x.queued(0), x.queued(1)),
+            (0, 0, 0, 0)
         );
         assert!(x.idle.iter().all(|f| f.load(SeqCst)));
         assert!(!x.try_finish(stale), "a stale verdict latched");
@@ -882,17 +902,19 @@ mod tests {
         let x = ShardExchange::new(2, 8);
         x.workers_arming(0, 1);
         x.workers_arming(1, 1);
-        x.add_in_flight(3);
+        x.add_in_flight(0, 3);
         x.route(0, vec![entry(1)]);
-        // Shard 0's only worker dies holding the claims; its last exit
-        // subtracts the leak.
-        assert!(x.worker_exited(0));
-        x.sub_in_flight(3);
-        assert_eq!(x.in_flight.load(SeqCst), 0);
+        // Shard 0's only worker dies holding the claims. Once it has
+        // exited, the shard is not live, so the verdict does not read
+        // the leak; its next start zeroes it.
+        x.worker_exited(0);
+        assert_eq!(x.in_flight(0), 3);
         // Its inbox is kept for its next start.
         assert_eq!(x.queued(0), 1);
         let epoch = x.mark_idle(1);
         assert!(x.try_finish(epoch));
+        x.zero_in_flight(0);
+        assert_eq!(x.in_flight(0), 0);
     }
 
     #[test]

@@ -53,7 +53,8 @@ impl CrawlSession {
     ///
     /// * `successes + failures ≤ attempts ≤ budget`, with one `LANDING`
     ///   row per success, whose relevance sums to the harvest sum;
-    /// * the in-flight gauge and every politeness slot at zero, no
+    /// * the shard's in-flight gauge (on its exchange) and every
+    ///   politeness slot at zero, no
     ///   `CLAIMED` row and no `Probing` breaker;
     /// * `server_health` and the breakers agree on who is quarantined;
     /// * the store's heaps and indexes agree ([`Database::check_integrity`]);
@@ -70,7 +71,7 @@ impl CrawlSession {
         let found = (s.successes + s.failures, s.attempts, budget);
         let held = found.0 <= found.1 && found.1 <= found.2;
         expect(&mut out, "landed <= attempts <= budget", held, found);
-        let claims = self.counters.in_flight.load(Ordering::Acquire);
+        let claims = self.shard.exchange.in_flight(self.shard.shard);
         expect(&mut out, "in-flight gauge is zero", claims == 0, claims);
         let (model, g) = (self.model.read(), self.store.read());
         if let Err(e) = minirel::unobserved(|| check_store(&g, &model, &s, &mut out)) {

@@ -450,7 +450,7 @@ impl CrawlSession {
         }
         g.db.set_current_timestamp(self.start.elapsed().as_secs() as i64);
         self.counters.tallies.lock().failures += failures.len() as u64;
-        let now = self.counters.clock.load(Ordering::Acquire) as i64;
+        let now = g.clock;
         let mut updates = Vec::with_capacity(failures.len());
         // Per item: (server, breaker transition this failure caused,
         // row is behind an open breaker) — computed in the first pass,
@@ -472,13 +472,9 @@ impl CrawlSession {
             // first-visit fetches out of the remaining fetch budget.
             let mut retriable = *kind != FetchErrorKind::NotFound;
             if retriable && claim.numtries + 1 < self.cfg.max_tries {
-                let charged = self
-                    .counters
-                    .retry_budget
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
-                    .is_ok();
-                if !charged {
-                    retriable = false;
+                match g.retry_budget.checked_sub(1) {
+                    Some(left) => g.retry_budget = left,
+                    None => retriable = false,
                 }
             }
             updates.push(frontier::FailureUpdate {

@@ -48,8 +48,8 @@
 //!   under the same lock: the link graph
 //!   ([`focus_distiller::graph::LinkGraph`] — the one in-memory copy of
 //!   the crawl's links and of visited pages' relevance), per-server
-//!   tallies and health, the live policy, and the distillation
-//!   bookkeeping — behind a
+//!   tallies and health, the tick clock, the retry budget, the live
+//!   policy, and the distillation bookkeeping — behind a
 //!   `RwLock`: monitors ([`CrawlSession::sql`],
 //!   [`CrawlSession::with_db_read`], [`CrawlSession::landings`],
 //!   [`CrawlSession::visited`]) take **read** locks, concurrent with
@@ -57,10 +57,13 @@
 //!   claim and page-flush critical sections, and *wait* for it only
 //!   when they have nothing left to fetch (a busy lock defers the
 //!   landing, not the worker — [`CrawlStats::deferred_landings`]);
-//! * counters (`CounterState`) — budget, attempt tally and in-flight
-//!   gauge as atomics (readable without any lock), success/failure
-//!   tallies and the harvest sum behind their own small mutex, and the
-//!   per-worker stage clock ([`crate::metrics`]) in atomics of its own;
+//! * counters (`CounterState`) — only what is read without the store
+//!   lock: budget and attempt tally as atomics, success/failure tallies
+//!   and the harvest sum behind their own small mutex, and the
+//!   per-worker stage clock ([`crate::metrics`]) in atomics of its own.
+//!   Claimed work is counted once, per shard, by the exchange
+//!   ([`crate::cluster`]), which the shard's idle verdict and the
+//!   crawl's termination verdict both read;
 //! * diagnostics (`RunDiag`) — first storage error and worker panics,
 //!   another small mutex;
 //! * control (`ControlState` in [`crate::run`]) — the command queue and
@@ -108,7 +111,7 @@
 //! unlocked pass. The kernel call is the `DISTILL_PASS` blocking point,
 //! whose allow list is empty — `ctrl_apply` included, so a forced pass
 //! (`run.distill()`) runs after the command drain, not inside it. The
-//! tripping page's in-flight gauges fall only after the
+//! tripping page's claim leaves the in-flight gauge only after the
 //! pass's boosts are in the frontier (boosts can create rows), at most
 //! one periodic pass runs at a time, and pages that land during a pass
 //! are seen by the next one.
@@ -119,14 +122,17 @@
 //!
 //! **Per-server health adds no lock.** The backoff/breaker/politeness
 //! map ([`crate::health::HealthMap`]) lives inside `StoreState`,
-//! because all of its touch points — gating a popped claim, recording
-//! a failure, charging and releasing politeness slots — already run
-//! inside store write critical sections. The crawl *ticks* that
-//! backoffs and quarantines are measured in come from a counter
-//! advanced under that same lock: by the number of claims issued, and
-//! by one per empty poll, so an all-parked frontier (every server
-//! quarantined) still marches toward cooldown expiry without
-//! wall-clock sleeps — and without ever wedging termination.
+//! because all of its touch points — gating a claim, recording a
+//! failure, charging and releasing politeness slots — already run
+//! inside store write critical sections. So do the two counters they
+//! read, which are plain fields of `StoreState` beside it: the retry
+//! budget, spent by `process_failures`, and the crawl *tick* clock that
+//! backoffs and quarantines are measured in. The clock advances by the
+//! number of claims issued, and by one per empty poll, so an all-parked
+//! frontier (every server quarantined) still marches toward cooldown
+//! expiry without wall-clock sleeps — and without ever wedging
+//! termination. It is loaded from `CRAWL_STATE` and written back with
+//! it.
 
 mod check;
 mod flush;
@@ -166,7 +172,7 @@ use lockcheck::{rank, OrderedMutex, OrderedRwLock};
 use minirel::value::Row;
 use minirel::{Database, DbError, DbResult, ResultSet, TableId, Value};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -339,10 +345,10 @@ pub struct Landing {
     pub relevance: f64,
 }
 
-/// Budget and outcome counters. The hot gauges are atomics so
-/// [`CrawlSession::stats`] and the worker idle checks never touch the
-/// store lock; the tallies live behind their own mutex, locked at page
-/// completions and snapshots.
+/// Budget and outcome counters: what is read without the store lock.
+/// `attempts` and `budget` are atomics so [`CrawlSession::stats`] and the
+/// budget check never touch it; the tallies live behind their own mutex,
+/// locked at page completions and snapshots.
 struct CounterState {
     /// Fetch attempts claimed so far. Incremented only under the store
     /// *write* lock (claims serialize there), so `attempts ≤ budget`
@@ -351,18 +357,6 @@ struct CounterState {
     /// Fetch-attempt budget; raised live by [`CrawlRun::add_budget`]
     /// (monotonically increasing while a run is live).
     budget: AtomicU64,
-    /// Claims checked out and not yet flushed (pool-wide gauge).
-    in_flight: AtomicUsize,
-    /// The crawl tick clock backoffs and quarantines are measured in.
-    /// Advanced only under the store write lock: by the number of
-    /// claims issued, and by one per empty poll — so parked rows make
-    /// progress toward their due ticks even when nothing is claimable,
-    /// and single-threaded crawls stay deterministic.
-    clock: AtomicU64,
-    /// Retries left ([`CrawlConfig::retry_budget`]); decremented when a
-    /// retriable failure decides to requeue. At zero, retriable
-    /// failures become terminal.
-    retry_budget: AtomicU64,
     /// Success/failure tallies and the harvest sum. `attempts` inside is
     /// refreshed from the atomic at snapshot time.
     tallies: OrderedMutex<CrawlStats>,
@@ -451,19 +445,19 @@ impl CrawlSession {
         d.worker_failures.clear();
         drop(d);
         // A panicking worker can die holding claims it never released;
-        // zero the gauge so the stale count cannot convince the next
-        // run's idle check that phantom work is still in flight (which
-        // would spin its workers forever once the frontier drains). No
-        // workers are alive here: `ControlState::activate` guarantees
-        // one run at a time.
-        self.counters.in_flight.store(0, Ordering::Release);
+        // zero this shard's exchange gauge so the stale count cannot
+        // convince the next run's idle check that phantom work is still
+        // in flight (which would spin its workers forever once the
+        // frontier drains). No workers of this shard are alive here:
+        // `ControlState::activate` guarantees one run at a time.
+        self.shard.exchange.zero_in_flight(self.shard.shard);
         // Same reasoning for the politeness gauges and a probe it held:
         // a dead worker's admitted-but-never-flushed claims would
         // otherwise hold their servers' slots, or park them behind
         // `Probing`, forever. Its claims' rows go back to the frontier.
         let mut g = self.store.write();
-        g.health
-            .reset_in_flight(self.counters.clock.load(Ordering::Acquire) as i64);
+        let now = g.clock;
+        g.health.reset_in_flight(now);
         let demoted = panicked.then(|| store::demote_claims(&mut g.db));
         drop(g);
         if let Some(Err(e)) = demoted {
@@ -509,17 +503,13 @@ impl CrawlSession {
     }
 
     /// Retire one worker registration (called as each worker exits, and
-    /// for slots whose spawn failed). When the last registration of this
-    /// shard retires, any in-flight count a panicking worker leaked is
-    /// subtracted from the exchange's gauge. The shard's inbox stays:
-    /// its next start, or a checkpoint, drains it.
+    /// for slots whose spawn failed). A shard with no registrations left
+    /// is not read by the termination verdict, so a count a panicking
+    /// worker left in its gauge waits for its next start, which zeroes
+    /// it. The shard's inbox stays too: its next start, or a
+    /// checkpoint, drains it.
     pub(crate) fn note_worker_exit(&self) {
-        let ShardCtx {
-            shard, exchange, ..
-        } = &self.shard;
-        if exchange.worker_exited(*shard) {
-            exchange.sub_in_flight(self.counters.in_flight.load(Ordering::Acquire));
-        }
+        self.shard.exchange.worker_exited(self.shard.shard);
     }
 
     /// Final verdict of a run: worker panics and storage errors win over
@@ -1882,7 +1872,7 @@ mod tests {
             frontier::park_batch(&mut g.db, &[(claim.oid, 42)]).unwrap();
             claim.oid
         };
-        session.counters.clock.store(7, Ordering::Release);
+        session.store.write().clock = 7;
         let ckpt = session.checkpoint().unwrap();
         let clock = session.sql("select clock from crawl_state").unwrap();
         assert_eq!(clock.scalar_i64(), Some(7), "tick clock checkpointed");
@@ -1900,11 +1890,7 @@ mod tests {
             &ckpt,
         )
         .unwrap();
-        assert_eq!(
-            restored.counters.clock.load(Ordering::Acquire),
-            7,
-            "clock restored verbatim"
-        );
+        assert_eq!(restored.store.read().clock, 7, "clock restored verbatim");
         let parked = restored
             .sql_with(
                 "select visited, not_before from crawl where oid = ?",
@@ -1996,7 +1982,7 @@ mod tests {
         let until = {
             let mut g = session.store.write();
             let g = &mut *g;
-            let tick = session.counters.clock.load(Ordering::Acquire) as i64;
+            let tick = g.clock;
             let verdict = (0..session.cfg.breaker.threshold)
                 .map(|_| g.health.record_failure(sid, tick))
                 .last()
@@ -2018,10 +2004,7 @@ mod tests {
         };
         assert_eq!(health_row(), vec![vec![Value::Str("open".into())]]);
         // ...the cooldown lapses, and the web deletes the hub.
-        session
-            .counters
-            .clock
-            .store(until as u64, Ordering::Release);
+        session.store.write().clock = until;
         *fetcher.gone.lock().unwrap() = Some(hub);
 
         assert_eq!(session.maintenance_pass(1).unwrap(), 1, "the hub requeues");
@@ -2248,10 +2231,7 @@ mod tests {
             let c = &s.counters;
             let counters = (st.attempts, st.successes, st.failures, st.distillations);
             let series = (st.harvest_sum.to_bits(), st.deferred_landings);
-            let (budget, clock) = (
-                c.budget.load(Ordering::Acquire),
-                c.clock.load(Ordering::Acquire),
-            );
+            let (budget, clock) = (c.budget.load(Ordering::Acquire), s.store.read().clock);
             (
                 counters,
                 series,
@@ -2504,7 +2484,7 @@ mod tests {
             (
                 "in-flight gauge is zero",
                 Box::new(|s| {
-                    s.counters.in_flight.fetch_add(1, Ordering::AcqRel);
+                    s.shard.exchange.add_in_flight(s.shard.shard, 1);
                 }),
             ),
             (
@@ -2608,7 +2588,7 @@ mod tests {
             let link = tables::tests::link_row(oid, sid.raw(), Oid(2), sid.raw(), 0);
             db.insert(db.table_id("link").unwrap(), link).unwrap();
         });
-        one.shard.exchange.add_in_flight(1);
+        one.shard.exchange.add_in_flight(1, 1);
         let broken = cluster.check_invariants().unwrap_err();
         for invariant in [
             "page on its owner shard",

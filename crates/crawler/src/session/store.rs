@@ -25,7 +25,8 @@
 //! every commit and checkpoint). What stays in memory is a cache of
 //! them, and why: the link graph (the distiller's input, snapshotted by
 //! memcpy, holding `exp(CRAWL.relevance)`); the counters (atomics, read
-//! without a lock); and `server_counts`, a tally only the loader
+//! without a lock); the tick clock, a field read under the store guard;
+//! and `server_counts`, a tally only the loader
 //! derives, because it is read once per outlink at flush time, where a
 //! `count(*)` per link is the "measurably too slow" case.
 
@@ -65,6 +66,16 @@ pub(super) struct StoreState {
     /// claim gating and failure recording already hold the store write
     /// lock).
     pub(super) health: HealthMap,
+    /// The crawl tick clock backoffs and quarantines are measured in
+    /// (`CRAWL_STATE.clock` at load): advanced by the number of claims
+    /// issued, and by one per empty poll — so parked rows make progress
+    /// toward their due ticks even when nothing is claimable, and
+    /// single-threaded crawls stay deterministic.
+    pub(super) clock: i64,
+    /// Retries left ([`CrawlConfig::retry_budget`] at load); spent when
+    /// a retriable failure decides to requeue. At zero, retriable
+    /// failures become terminal.
+    pub(super) retry_budget: u64,
     /// The `LINK` rows of the page landing, refilled page after page.
     pub(super) link_rows: Vec<Row>,
 }
@@ -151,7 +162,7 @@ struct CrawlState {
     distillations: u64,
     deferred_landings: u64,
     budget: u64,
-    clock: u64,
+    clock: i64,
     policy: CrawlPolicy,
 }
 
@@ -173,7 +184,7 @@ impl CrawlState {
             distillations: int(2)?,
             deferred_landings: int(3)?,
             budget: int(4)?,
-            clock: int(5)?,
+            clock: frontier::col_i64(row, 5, "crawl_state.clock")?,
             policy,
         })
     }
@@ -219,6 +230,8 @@ impl StoreState {
             distill: DistillGate::default(),
             last_distill: None,
             health,
+            clock: state.clock,
+            retry_budget: cfg.retry_budget,
             link_rows: Vec::new(),
         };
         Ok((store, state))
@@ -389,9 +402,6 @@ impl CrawlSession {
             counters: CounterState {
                 attempts: AtomicU64::new(state.attempts),
                 budget: AtomicU64::new(state.budget),
-                in_flight: AtomicUsize::new(0),
-                clock: AtomicU64::new(state.clock),
-                retry_budget: AtomicU64::new(cfg.retry_budget),
                 tallies: OrderedMutex::new(rank::TALLIES, tallies),
                 metrics: Metrics::new(cfg.threads),
             },
@@ -442,7 +452,7 @@ impl CrawlSession {
                 int(t.distillations),
                 int(t.deferred_landings),
                 load(&c.budget),
-                load(&c.clock),
+                Value::Int(g.clock),
                 Value::Str(g.policy.name().to_owned()),
             ]
         };

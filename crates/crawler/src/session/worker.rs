@@ -18,11 +18,12 @@
 //!
 //! Contracts the loop upholds for both executors:
 //!
-//! * the in-flight gauges fall only *after* a page's outputs are in the
-//!   frontier (or routed), under the store write lock — so an idle
-//!   verdict read under that lock is race-free; a page that trips the
-//!   distillation trigger keeps them up across the (unlocked) pass,
-//!   until its hub boosts are in the frontier too;
+//! * a claim leaves its shard's in-flight gauge (on the exchange) only
+//!   *after* its page's outputs are in the frontier (or routed), under
+//!   the store write lock — so an idle verdict read under that lock is
+//!   race-free; a page that trips the distillation trigger stays in it
+//!   across the (unlocked) pass, until its hub boosts are in the
+//!   frontier too;
 //! * every admitted claim releases its politeness slot exactly once
 //!   (in `process`, `process_failures`, or `release_unfetched`);
 //! * a lane's completions land in completion order; consecutive
@@ -66,8 +67,8 @@ enum Tick {
         first_attempt: u64,
     },
     /// The frontier had nothing poppable. `idle` and `attempts` are
-    /// read inside the same critical section as the empty claim —
-    /// `in_flight` only falls *after* a page's outlinks are flushed,
+    /// read inside the same critical section as the empty claim — the
+    /// shard's in-flight gauge only falls *after* a page's outlinks are flushed,
     /// under that same lock — so `idle` is a race-free verdict that no
     /// in-flight work of this shard can still repopulate the frontier,
     /// carrying the exchange epoch it was recorded at
@@ -133,8 +134,8 @@ impl CrawlSession {
             }
             // A peer worker, or a peer shard's, proved the crawl idle;
             // nothing can repopulate any frontier. Our own outstanding
-            // jobs hold the exchange's in-flight gauge up, so
-            // `finished` can only be true with an empty executor.
+            // jobs hold this shard's in-flight gauge up, so `finished`
+            // can only be true with an empty executor.
             if self.shard.exchange.finished() {
                 break;
             }
@@ -350,15 +351,14 @@ impl CrawlSession {
 
     /// Land buffered completions under the caller's guard until the
     /// buffer is empty or a page trips the distillation trigger
-    /// (`Ok(true)`, that page's gauges still up). Every other gauge
-    /// falls only after its own page's outlinks are in the frontier,
-    /// still under the write lock: a peer observing `in_flight == 0`
-    /// with an empty frontier can trust it. The same applies to the
-    /// exchange's gauge — `process` routed the page's remote outlinks
-    /// *before* the decrement, so a peer shard observing zero in-flight
-    /// on the exchange is guaranteed to see them in `queued`. The
-    /// gauges fall on error too: the run is aborting, and
-    /// `reset_run_diagnostics` treats lingering in-flight as stale.
+    /// (`Ok(true)`, that page's claim still in flight). Every other
+    /// claim leaves the shard's in-flight gauge only after its own
+    /// page's outlinks are in the frontier, still under the write lock:
+    /// a peer worker observing zero with an empty frontier can trust
+    /// it. So can a peer shard — `process` routed the page's remote
+    /// outlinks *before* the decrement, so it is guaranteed to see them
+    /// in `queued`. The gauge falls on error too: the run is aborting,
+    /// and `reset_run_diagnostics` treats lingering in-flight as stale.
     fn land_under(&self, g: &mut StoreState, lane: &mut Lane, sink: &EventSink) -> DbResult<bool> {
         while let Some(next) = lane.unlanded.pop_front() {
             let (claims, res) = match next {
@@ -377,11 +377,10 @@ impl CrawlSession {
         Ok(false)
     }
 
-    /// Let `n` landed (or handed-back) claims fall out of the in-flight
-    /// gauges, the session's and the exchange's.
+    /// Let `n` landed (or handed-back) claims fall out of this shard's
+    /// in-flight gauge on the exchange.
     pub(super) fn release_in_flight(&self, n: usize) {
-        self.counters.in_flight.fetch_sub(n, Ordering::AcqRel);
-        self.shard.exchange.sub_in_flight(n);
+        self.shard.exchange.sub_in_flight(self.shard.shard, n);
     }
 
     /// Cut a commit point, unless nothing completed since the last one:
@@ -472,7 +471,7 @@ impl CrawlSession {
         // `HealthMap::admit` (and one of them may be a half-open probe);
         // hand those back too, keyed exactly as the admission was (the
         // claim's URL, not any fetched page's).
-        let now = self.counters.clock.load(Ordering::Acquire) as i64;
+        let now = g.clock;
         for c in &rest {
             g.health.hand_back(host_server_id(&c.url), now);
         }
@@ -494,26 +493,23 @@ impl CrawlSession {
     /// window between the check and the claim, never shrink it. The
     /// claim's buffer-pool reads are charged to `clock`.
     fn next_tick(&self, sink: &EventSink, batch_size: usize, clock: &StageClock<'_>) -> Tick {
-        let budget_spent = || {
+        // Is the budget spent? The run's first worker to find it so
+        // announces it, once. Asked without the store lock, then again
+        // under it: a peer may have claimed the remainder while this
+        // worker waited.
+        let exhausted = || {
             let attempts = self.counters.attempts.load(Ordering::Acquire);
-            let budget = self.counters.budget.load(Ordering::Acquire);
-            (attempts >= budget).then_some(attempts)
-        };
-        // Cheap pre-check without the store lock.
-        if let Some(attempts) = budget_spent() {
-            if !self.control.budget_reported.swap(true, Ordering::AcqRel) {
+            let spent = attempts >= self.counters.budget.load(Ordering::Acquire);
+            if spent && !self.control.budget_reported.swap(true, Ordering::AcqRel) {
                 sink.emit(CrawlEvent::BudgetExhausted { attempts });
             }
+            spent
+        };
+        if exhausted() {
             return Tick::Exit;
         }
         let mut g = self.store.write();
-        // Re-check under the lock: a peer may have claimed the remainder
-        // while this worker waited.
-        if let Some(attempts) = budget_spent() {
-            drop(g);
-            if !self.control.budget_reported.swap(true, Ordering::AcqRel) {
-                sink.emit(CrawlEvent::BudgetExhausted { attempts });
-            }
+        if exhausted() {
             return Tick::Exit;
         }
         let attempts = self.counters.attempts.load(Ordering::Acquire);
@@ -529,15 +525,16 @@ impl CrawlSession {
                 // march toward their due ticks even when nothing is
                 // claimable (the all-quarantined crawl must eventually
                 // probe, not spin forever).
-                self.counters.clock.fetch_add(1, Ordering::AcqRel);
+                g.clock += 1;
                 // Verdict under the same lock as the empty claim: any
                 // flush that completed before it contributed its
                 // outlinks to this claim, and any still-running flush
-                // holds the gauge up (it falls under this lock, after
-                // the flush). Parked rows are future work, so they veto
-                // idleness exactly like in-flight claims do.
+                // holds this shard's gauge up (it falls under this
+                // lock, after the flush). Parked rows are future work,
+                // so they veto idleness exactly like in-flight claims do.
+                let (exchange, shard) = (&self.shard.exchange, self.shard.shard);
                 let waiting = out.parked + out.deferred;
-                let idle = waiting == 0 && self.counters.in_flight.load(Ordering::Acquire) == 0;
+                let idle = waiting == 0 && exchange.in_flight(shard) == 0;
                 // Record the idle verdict, and read the epoch, while
                 // still holding the store lock. Every local frontier
                 // insertion lowers the flag inside its own store
@@ -548,7 +545,7 @@ impl CrawlSession {
                 // the epoch. Recording the flag outside the lock would
                 // let a stale verdict overwrite a landing's lowering
                 // and end the crawl with poppable work.
-                let idle = idle.then(|| self.shard.exchange.mark_idle(self.shard.shard));
+                let idle = idle.then(|| exchange.mark_idle(shard));
                 Tick::EmptyFrontier { idle, attempts }
             }
             Ok(ClaimOutcome { claims, .. }) => {
@@ -556,13 +553,8 @@ impl CrawlSession {
                 self.counters
                     .attempts
                     .fetch_add(claims.len() as u64, Ordering::AcqRel);
-                self.counters
-                    .clock
-                    .fetch_add(claims.len() as u64, Ordering::AcqRel);
-                self.counters
-                    .in_flight
-                    .fetch_add(claims.len(), Ordering::AcqRel);
-                self.shard.exchange.add_in_flight(claims.len());
+                g.clock += claims.len() as i64;
+                (self.shard.exchange).add_in_flight(self.shard.shard, claims.len());
                 // Surface retries now that the claims are numbered: a
                 // nonzero `numtries` means this page failed before and
                 // its backoff just expired.
@@ -602,8 +594,10 @@ impl CrawlSession {
     /// counted as an attempt or held in flight, so the budget and gauges
     /// stay exact.
     fn claim_admitted(&self, g: &mut StoreState, want: usize) -> DbResult<ClaimOutcome> {
-        let now = self.counters.clock.load(Ordering::Acquire) as i64;
-        let StoreState { db, health, .. } = g;
+        let StoreState {
+            db, health, clock, ..
+        } = g;
+        let now = *clock;
         frontier::claim_batch_where(db, want, now, |c| {
             let server = host_server_id(&c.url);
             if health.politeness_deferred(server, now) {
