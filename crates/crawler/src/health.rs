@@ -84,7 +84,8 @@ impl Default for BreakerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolitenessConfig {
     /// Max claims admitted-but-not-yet-flushed per server. Claims over
-    /// the cap stay in the frontier (deferred in-scan, not parked).
+    /// the cap stay in the frontier (deferred in-scan, not parked). At
+    /// least 1: a session refuses 0, which admits nothing.
     pub max_in_flight: usize,
     /// Min crawl ticks between successive admissions to one server
     /// (`0` = no pacing).

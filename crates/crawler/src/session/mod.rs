@@ -719,6 +719,34 @@ mod tests {
         (graph, session)
     }
 
+    /// A politeness cap of zero admits no claim: `max_in_flight: 0` was
+    /// once accepted, and its crawl then never ended on its own (no
+    /// attempt, every row deferred, the idle verdict vetoed forever).
+    /// Every way into a session refuses it, naming the field.
+    #[test]
+    fn a_politeness_cap_of_zero_is_refused_at_build() {
+        let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
+        let cycling = graph.taxonomy().find("recreation/cycling").unwrap();
+        let seeds = focus_webgraph::search::topic_start_set(&graph, cycling, 5);
+        assert_eq!(seeds.len(), 5);
+        let model = trained_model(&graph, "recreation/cycling");
+        let fetcher = Arc::new(SimFetcher::new(Arc::clone(&graph), None));
+        let cfg = CrawlConfig {
+            threads: 1,
+            max_fetches: 50,
+            politeness: PolitenessConfig {
+                max_in_flight: 0,
+                ..PolitenessConfig::default()
+            },
+            ..CrawlConfig::default()
+        };
+        let names = |e: DbError| e.to_string().contains("politeness.max_in_flight = 0");
+        let alone = CrawlSession::new(fetcher.clone(), model.clone(), cfg.clone());
+        assert!(alone.err().is_some_and(names), "a session was built");
+        let cluster = crate::cluster::CrawlCluster::new(2, fetcher, model, cfg);
+        assert!(cluster.err().is_some_and(names), "a cluster was built");
+    }
+
     #[test]
     fn focused_crawl_harvests_relevant_pages() {
         // Budget stays under the tiny world's cycling-cluster size (~63

@@ -310,7 +310,8 @@ impl CrawlSession {
 
     /// The one way into a session, as `shard` of its exchange — shard 0
     /// of its own ([`ShardCtx::alone`]) or one shard of a
-    /// [`crate::cluster`]: open or create the database, give it
+    /// [`crate::cluster`]: refuse a config that cannot progress, open or
+    /// create the database, give it
     /// `origin`'s tables (fresh ones, a checkpoint's copy, or the file's
     /// own), adopt a stored crawl's marking into `model`, and
     /// [`StoreState::load`] the tables.
@@ -321,6 +322,16 @@ impl CrawlSession {
         origin: Origin<'_>,
         shard: ShardCtx,
     ) -> DbResult<CrawlSession> {
+        if cfg.politeness.max_in_flight == 0 {
+            // No claim would ever be admitted, and the rows it defers
+            // would veto the idle verdict forever: the crawl would
+            // neither progress nor end.
+            return Err(DbError::Eval(
+                "CrawlConfig.politeness.max_in_flight = 0 admits no claim, so the crawl \
+                 could never progress (use at least 1)"
+                    .into(),
+            ));
+        }
         let stored = matches!(origin, Origin::File);
         let mut db = match &cfg.durability {
             Durability::File { path, group_commit } => {
