@@ -38,7 +38,7 @@ pub fn run(scale: Scale) -> Vec<TopicLift> {
             world.model.clone(),
             CrawlConfig {
                 policy: CrawlPolicy::SoftFocus,
-                threads: 4,
+                threads: 1,
                 max_fetches: scale.fetch_budget() / 2,
                 distill_every: None,
                 ..CrawlConfig::default()

@@ -32,7 +32,7 @@ fn crawl(world: &World, seeds: &[Oid], budget: u64) -> Vec<Landing> {
             world.model.clone(),
             CrawlConfig {
                 policy: CrawlPolicy::SoftFocus,
-                threads: 4,
+                threads: 1,
                 max_fetches: budget,
                 distill_every: Some(400),
                 ..CrawlConfig::default()

@@ -34,7 +34,7 @@ pub fn run(scale: Scale) -> Fig7 {
             world.model.clone(),
             CrawlConfig {
                 policy: CrawlPolicy::SoftFocus,
-                threads: 4,
+                threads: 1,
                 max_fetches: scale.fetch_budget(),
                 distill_every: Some(400),
                 ..CrawlConfig::default()
