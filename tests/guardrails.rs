@@ -102,6 +102,10 @@ const ONE_CLAIM_WALK: &str = "a claim is one walk of the frontier index from its
      (`RowBatch::scan_from`) that shows each due row to the gate once and stops at its `n`-th \
      claim; no window grows and re-reads the rows before it";
 
+const ONE_OWNER: &str = "each crawl counter has one owner: claimed work is counted once, per \
+     shard, by the exchange (`ShardExchange::in_flight`), and the tick clock and retry budget are \
+     plain fields of `StoreState`, read and written under the store guard";
+
 const STATE_IS_TABLES: &str = "a crawl's state is its tables (`LANDING`, `CRAWL_STATE`, \
      `TAXONOMY.type`); a checkpoint is a copy of the store with no overlay beside it, and \
      recover loads what restore loads";
@@ -262,6 +266,9 @@ const FORBIDDEN: &[Forbidden] = &[
      by popping it and rewriting it back"),
     ("a_claim_shows_each_frontier_row_once",
      &["saturating_mul(2)"], FRONTIER, Mode::Code, ONE_CLAIM_WALK),
+    ("each_crawl_counter_has_one_owner",
+     &["counters.in_flight", "in_flight: AtomicUsize", "clock: AtomicU64", "retry_budget: AtomicU64"],
+     CRAWLER, Mode::Code, ONE_OWNER),
 ];
 
 /// Call sites that keep their count, in code lines: (check, pattern,
@@ -279,6 +286,8 @@ const COUNTED: &[Counted] = &[
      ".next_tick(", CRAWLER, 1, "`next_tick` has one call site, the worker loop"),
     ("no_file_is_a_monolith",
      ".claim_admitted(", CRAWLER, 1, "`claim_admitted` has one call site, `next_tick`"),
+    ("each_crawl_counter_has_one_owner",
+     ".add_in_flight(", CRAWLER, 1, "claimed work is counted at one place, the claim in `next_tick`"),
     ("there_is_one_fetch_site_and_one_admission_site",
      "health.admit(", CRAWLER, 1, "`HealthMap::admit` has one call site, `claim_admitted`"),
     ("one_link_graph_and_one_place_starts_a_pass", ".snapshot()", CRAWLER, 1, PASS),
@@ -686,6 +695,7 @@ checks! {
     a_row_is_written_through_one_batch: ;
     a_descent_reads_each_node_once: ;
     a_claim_shows_each_frontier_row_once: ;
+    each_crawl_counter_has_one_owner: ;
 }
 
 /// Assert that one of `findings` contains `message`, and print it.
