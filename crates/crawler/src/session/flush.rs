@@ -437,8 +437,8 @@ impl CrawlSession {
     /// breaker, retry budget), write every row via one
     /// [`frontier::mark_failed_batch`] pass, mirror breaker transitions
     /// into `server_health`, and emit the enriched
-    /// [`CrawlEvent::FetchFailed`] events. The caller lets the claims'
-    /// in-flight gauges fall afterwards, under the same guard.
+    /// [`CrawlEvent::FetchFailed`] events. The caller lets the claims
+    /// leave the in-flight gauge afterwards, under the same guard.
     pub(super) fn process_failures(
         &self,
         g: &mut StoreState,

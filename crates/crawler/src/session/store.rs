@@ -323,14 +323,11 @@ impl CrawlSession {
         shard: ShardCtx,
     ) -> DbResult<CrawlSession> {
         if cfg.politeness.max_in_flight == 0 {
-            // No claim would ever be admitted, and the rows it defers
-            // would veto the idle verdict forever: the crawl would
-            // neither progress nor end.
-            return Err(DbError::Eval(
-                "CrawlConfig.politeness.max_in_flight = 0 admits no claim, so the crawl \
-                 could never progress (use at least 1)"
-                    .into(),
-            ));
+            // No claim is ever admitted, and the deferred rows veto the
+            // idle verdict forever: the crawl neither progresses nor ends.
+            let refused =
+                "CrawlConfig.politeness.max_in_flight = 0 admits no claim (use at least 1)";
+            return Err(DbError::Eval(refused.into()));
         }
         let stored = matches!(origin, Origin::File);
         let mut db = match &cfg.durability {

@@ -68,8 +68,8 @@ enum Tick {
     },
     /// The frontier had nothing poppable. `idle` and `attempts` are
     /// read inside the same critical section as the empty claim — the
-    /// shard's in-flight gauge only falls *after* a page's outlinks are flushed,
-    /// under that same lock — so `idle` is a race-free verdict that no
+    /// shard's in-flight gauge only falls *after* a page's outlinks are
+    /// flushed, under that same lock — so `idle` is a race-free verdict that no
     /// in-flight work of this shard can still repopulate the frontier,
     /// carrying the exchange epoch it was recorded at
     /// ([`crate::cluster::ShardExchange::mark_idle`]). Parked rows
@@ -493,25 +493,26 @@ impl CrawlSession {
     /// window between the check and the claim, never shrink it. The
     /// claim's buffer-pool reads are charged to `clock`.
     fn next_tick(&self, sink: &EventSink, batch_size: usize, clock: &StageClock<'_>) -> Tick {
-        // Is the budget spent? The run's first worker to find it so
-        // announces it, once. Asked without the store lock, then again
-        // under it: a peer may have claimed the remainder while this
-        // worker waited.
-        let exhausted = || {
+        let budget_spent = || {
             let attempts = self.counters.attempts.load(Ordering::Acquire);
-            let spent = attempts >= self.counters.budget.load(Ordering::Acquire);
-            if spent && !self.control.budget_reported.swap(true, Ordering::AcqRel) {
+            let budget = self.counters.budget.load(Ordering::Acquire);
+            (attempts >= budget).then_some(attempts)
+        };
+        // Checked without the store lock, then again under it: a peer
+        // may have claimed the remainder while this worker waited.
+        let mut held = None;
+        let spent = budget_spent().or_else(|| {
+            held = Some(self.store.write());
+            budget_spent()
+        });
+        if let Some(attempts) = spent {
+            drop(held);
+            if !self.control.budget_reported.swap(true, Ordering::AcqRel) {
                 sink.emit(CrawlEvent::BudgetExhausted { attempts });
             }
-            spent
-        };
-        if exhausted() {
             return Tick::Exit;
         }
-        let mut g = self.store.write();
-        if exhausted() {
-            return Tick::Exit;
-        }
+        let mut g = held.expect("the store lock is taken when the budget is not spent");
         let attempts = self.counters.attempts.load(Ordering::Acquire);
         let budget = self.counters.budget.load(Ordering::Acquire);
         let remaining = (budget - attempts) as usize;
