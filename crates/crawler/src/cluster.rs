@@ -44,15 +44,15 @@
 //! gauge, an idle flag and a live-worker count, plus an epoch that
 //! moves whenever an idle flag falls. The verdict reads only the shards
 //! with live workers, so what a dead shard holds or is owed waits for
-//! its next start and needs no repair. A locally-idle worker records its verdict and the
-//! epoch under its store lock and asks the exchange (`try_finish`)
-//! for the global one, which latches only on a consistent cut: a page's
-//! cross-shard entries are routed *before* its in-flight gauge falls,
-//! drained entries stay queued until they are in the owner's frontier,
-//! and any work that reaches an idle shard after the caller's verdict
-//! moves the epoch. Every run, of one shard or all of them, starts
-//! through one launch sequence (`launch`), which re-arms the verdict and
-//! builds the run's [`CrawlRun`].
+//! its next start and needs no repair. A locally-idle worker records
+//! its verdict and the epoch under its store lock and asks the exchange
+//! (`try_finish`) for the global one, which latches only on a
+//! consistent cut: a page's cross-shard entries are routed *before* its
+//! in-flight gauge falls, drained entries stay queued until they are in
+//! the owner's frontier, and any work that reaches an idle shard after
+//! the caller's verdict moves the epoch. Every run, of one shard or all
+//! of them, starts through one launch sequence (`launch`), which
+//! re-arms the verdict and builds the run's [`CrawlRun`].
 //!
 //! **What is global, what is not.** The run's `mark_topic` broadcasts to
 //! every shard (each recompiles and Arc-swaps its own [`CompiledModel`]).

@@ -719,10 +719,10 @@ mod tests {
         (graph, session)
     }
 
-    /// A politeness cap of zero admits no claim: `max_in_flight: 0` was
-    /// once accepted, and its crawl then never ended on its own (no
-    /// attempt, every row deferred, the idle verdict vetoed forever).
-    /// Every way into a session refuses it, naming the field.
+    /// A politeness cap of zero admits no claim: accepted, its crawl
+    /// would never end on its own (no attempt, every row deferred, the
+    /// idle verdict vetoed forever). Every way into a session refuses
+    /// it, naming the field.
     #[test]
     fn a_politeness_cap_of_zero_is_refused_at_build() {
         let graph = Arc::new(WebGraph::generate(WebConfig::tiny(13)));
